@@ -32,7 +32,7 @@ from .hilbert import (
     compose_maps,
     identity_map,
     module_operator_norm,
-    rank_one_operator,
+    rank_one_sum,
 )
 from .numkernel import DEFAULT_TOL, Tolerance, herm_expi, operator_norm
 from .reporting import CheckReport
@@ -233,11 +233,10 @@ def random_blinear_unitary(E: HilbertModule, rng: np.random.Generator) -> Module
     d = E.dim
     if d == 0:
         return identity_map(E)
-    X = np.zeros((d, d), dtype=complex)
-    for _ in range(max(2, d)):
-        x = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2.0)
-        y = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2.0)
-        X = X + rank_one_operator(E, x, y).matrix
+    # Z[k] = (Re x_k, Im x_k, Re y_k, Im y_k), the order of drawing x_k, y_k in turn
+    Z = rng.standard_normal((max(2, d), 4, d))
+    V = (Z[:, 0::2] + 1j * Z[:, 1::2]) / np.sqrt(2.0)
+    X = rank_one_sum(E, V[:, 0], V[:, 1]).matrix
     Xr = E.gram_sqrt @ X @ E.gram_isqrt
     H = (Xr + Xr.conj().T) / 2.0
     H = H / max(operator_norm(H), 1.0)

@@ -32,7 +32,9 @@ from .hilbert import (
     ModuleMap,
     adjoint_map,
     algebra_module,
+    max_stacked_norm,
     module_operator_norm,
+    pairing_coeffs,
 )
 from .ksgns import (
     KsgnsTriple,
@@ -345,13 +347,11 @@ def check_equivariant(
     rep.add("twisted_linearity", lin, tol.ctol * u_scale)
 
     pair_twist = 0.0
-    eye = np.eye(d)
+    C = pairing_coeffs(E, np.eye(d))
     for g in range(G.order):
-        for i in range(d):
-            for j in range(d):
-                lhs = E.pair(U[g] @ eye[:, i], U[g] @ eye[:, j])
-                rhs = beta[g](E.pair(eye[:, i], eye[:, j]))
-                pair_twist = max(pair_twist, (lhs - rhs).norm())
+        # <U_g e_i, U_g e_j> - beta_g(<e_i, e_j>) over all basis pairs (i, j)
+        lhs = np.tensordot(U[g].conj(), C @ U[g], axes=(0, 0))
+        pair_twist = max(pair_twist, max_stacked_norm(E.algebra, lhs - beta[g].matrix @ C))
     rep.add("pairing_twist", pair_twist, tol.ctol * u_scale**2 * (1.0 + _gram_scale(E)))
 
     cov = 0.0

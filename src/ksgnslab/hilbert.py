@@ -19,6 +19,7 @@ module operator norms are exactly realized operator norms.
 Quotients by the pairing's null space use the orthonormal eigenvector basis
 of the Gram range, so the quotient map q and section s satisfy q s = I up to
 eigensolver error, and conditioning is explicit in the kept eigenvalues.
+Pairing identities contract all basis pairs at once through pairing_coeffs.
 Zero-dimensional modules are legal everywhere.
 """
 
@@ -88,7 +89,7 @@ class PreModule:
         y = np.asarray(y, dtype=complex).reshape(self.dim)
         return AlgebraElement(
             self.algebra,
-            [np.einsum("i,j,ijkl->kl", x.conj(), y, P, optimize=True) for P in self.pairing],
+            [np.einsum("i,j,ijkl->kl", x.conj(), y, P) for P in self.pairing],
         )
 
 
@@ -124,8 +125,24 @@ class HilbertModule(PreModule):
         return float(np.sqrt(max(self.pair(x, x).norm(), 0.0)))
 
 
-def vector_distance(E: HilbertModule, x: np.ndarray, y: np.ndarray) -> float:
-    return E.vector_norm(np.asarray(x) - np.asarray(y))
+def pairing_coeffs(E: PreModule, Y: np.ndarray) -> np.ndarray:
+    """Stacked pairings C[r, p, j] = coefficient p of <y_r, e_j> for the rows y_r
+    of Y, shape (R, d); p runs over B's matrix-unit basis in cstar's order, so
+    C[r, :, j] = E.pair(Y[r], e_j).coeffs() and C[r] @ x holds <y_r, x>."""
+    d = E.dim
+    P = np.concatenate([P.reshape(d, d, n * n) for n, P in zip(E.algebra.blocks, E.pairing)], 2)
+    return np.tensordot(np.conj(Y), P, axes=(1, 0)).transpose(0, 2, 1)
+
+
+def max_stacked_norm(shape: AlgebraShape, C: np.ndarray) -> float:
+    """Largest C*-norm among the elements of B stacked as C[r, p, j]."""
+    C = require_finite(C, "stacked algebra elements")
+    worst = 0.0
+    for n, o in zip(shape.blocks, shape.offsets):
+        blocks = C[:, o : o + n * n].transpose(0, 2, 1).reshape(-1, n, n)
+        if blocks.size:
+            worst = max(worst, float(np.linalg.norm(blocks, 2, axis=(1, 2)).max()))
+    return worst
 
 
 def validate_premodule(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -138,24 +155,19 @@ def validate_premodule(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> CheckRep
     rep = CheckReport()
     B, d = pre.algebra, pre.dim
     scale = 1.0 + max((operator_norm(P.reshape(d * d, -1)) for P in pre.pairing), default=0.0)
-    herm = 0.0
-    for P in pre.pairing:
-        herm = max(herm, float(np.max(np.abs(P - P.conj().transpose(1, 0, 3, 2))))) if P.size else herm
-    rep.add("pairing_hermitian", herm, tol.ctol * scale)
+    C = pairing_coeffs(pre, np.eye(d))
+    # <e_i, e_j> - <e_j, e_i>*: coefficient p of a* is that of a at star(p), conjugated
+    herm = np.abs(C - C.conj().transpose(2, 1, 0)[:, B.star_permutation()])
+    rep.add("pairing_hermitian", float(np.max(herm, initial=0.0)), tol.ctol * scale)
 
     compat = 0.0
     act_scale = 1.0
-    eye = np.eye(d)
     for p in range(B.dim):
-        u = basis_element(B, p)
         R = pre.action[p]
         act_scale = max(act_scale, operator_norm(R))
-        for j in range(d):
-            moved = R[:, j]  # e_j . u_p
-            for i in range(d):
-                lhs = pre.pair(eye[:, i], moved)
-                rhs = pre.pair(eye[:, i], eye[:, j]) * u
-                compat = max(compat, (lhs - rhs).norm())
+        # <e_i, e_j u_p> - <e_i, e_j> u_p over all basis pairs (i, j)
+        moved = C @ R - right_mult_matrix(basis_element(B, p)) @ C
+        compat = max(compat, max_stacked_norm(B, moved))
     rep.add("pairing_action_compat", compat, tol.ctol * scale * act_scale)
 
     anti = 0.0
@@ -275,10 +287,6 @@ def realize(m: ModuleMap) -> np.ndarray:
     return m.target.gram_sqrt @ m.matrix @ m.source.gram_isqrt
 
 
-def unrealize(E: HilbertModule, F: HilbertModule, M: np.ndarray) -> ModuleMap:
-    return ModuleMap(E, F, F.gram_isqrt @ M @ E.gram_sqrt)
-
-
 def adjoint_map(m: ModuleMap) -> ModuleMap:
     """Unique adjoint of a B-linear map: G_src^(-1) T^dagger G_tgt."""
     if m.source.dim and np.all(m.source.gram_matrix == 0):
@@ -294,16 +302,9 @@ def module_operator_norm(m: ModuleMap) -> float:
 
 def adjoint_identity_residual(m: ModuleMap, adj: ModuleMap) -> float:
     """Max over basis pairs of ||<T e_i, e_j>_tgt - <e_i, T* e_j>_src||."""
-    worst = 0.0
-    src, tgt = m.source, m.target
-    for i in range(src.dim):
-        Ti = m.matrix[:, i]
-        for j in range(tgt.dim):
-            Sj = adj.matrix[:, j]
-            lhs = tgt.pair(Ti, np.eye(tgt.dim)[:, j])
-            rhs = src.pair(np.eye(src.dim)[:, i], Sj)
-            worst = max(worst, (lhs - rhs).norm())
-    return worst
+    lhs = pairing_coeffs(m.target, m.matrix.T)
+    rhs = pairing_coeffs(m.source, np.eye(m.source.dim)) @ adj.matrix
+    return max_stacked_norm(m.source.algebra, lhs - rhs)
 
 
 def is_map_positive(m: ModuleMap, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
@@ -318,16 +319,18 @@ def is_map_positive(m: ModuleMap, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, f
     return bool(ok), float(w[0])
 
 
+def rank_one_sum(E: HilbertModule, X: np.ndarray, Y: np.ndarray) -> ModuleMap:
+    """sum_r theta_{x_r, y_r} over the rows of X and Y, as one product over (r, p):
+    column j is sum_{r, p} R(u_p) x_r C[r, p, j] with C = pairing_coeffs(E, Y)."""
+    X = np.asarray(X, dtype=complex)
+    k = X.shape[0] * E.algebra.dim
+    moved = (E.action @ X.T).transpose(2, 0, 1).reshape(k, E.dim)  # R(u_p) x_r at [r, p]
+    return ModuleMap(E, E, moved.T @ pairing_coeffs(E, Y).reshape(k, E.dim))
+
+
 def rank_one_operator(E: HilbertModule, x: np.ndarray, y: np.ndarray) -> ModuleMap:
     """theta_{x,y}: z -> x . <y, z>."""
-    x = np.asarray(x, dtype=complex).reshape(E.dim)
-    y = np.asarray(y, dtype=complex).reshape(E.dim)
-    cols = np.zeros((E.dim, E.dim), dtype=complex)
-    eye = np.eye(E.dim)
-    for j in range(E.dim):
-        b = E.pair(y, eye[:, j])
-        cols[:, j] = E.action_matrix(b) @ x
-    return ModuleMap(E, E, cols)
+    return rank_one_sum(E, np.reshape(x, (1, E.dim)), np.reshape(y, (1, E.dim)))
 
 
 # -- alpha-twisted maps ----------------------------------------------------
@@ -374,15 +377,9 @@ def algebra_module(shape: AlgebraShape) -> HilbertModule:
         [right_mult_matrix(basis_element(shape, p)) for p in range(d)]
     ) if d else np.zeros((0, 0, 0))
     pairing = []
-    for t, n in enumerate(shape.blocks):
+    for n, o in zip(shape.blocks, shape.offsets):
         P = np.zeros((d, d, n, n), dtype=complex)
-        for p, i, k, l in shape.basis_labels():
-            if i != t:
-                continue
-            for r, j, k2, l2 in shape.basis_labels():
-                if j != t or k != k2:
-                    continue
-                # <E_kl, E_k l2> = E_lk E_k l2 = E_{l l2}
-                P[p, r, l, l2] += 1.0
+        k, l, l2 = np.indices((n, n, n)).reshape(3, -1)
+        P[o + k * n + l, o + k * n + l2, l, l2] = 1.0  # <E_kl, E_k l2> = E_{l l2}
         pairing.append(P)
     return HilbertModule(shape, d, action, pairing)

@@ -127,6 +127,20 @@ def test_cp_preserved_by_unitary_conjugation(rng):
     assert ok
 
 
+@pytest.mark.parametrize("blocks, max_dim", [((1,), 1), ((2,), 4), ((1, 2), 5)])
+def test_random_blinear_unitary_stream_and_unitarity(blocks, max_dim, rng):
+    E = random_module(AlgebraShape(blocks), rng, max_dim=max_dim)
+    d = E.dim
+    gen, ref = np.random.default_rng(7), np.random.default_rng(7)
+    W = random_blinear_unitary(E, gen)
+    # the draw is max(2, d) pairs (x, y), each 2 d real and 2 d imaginary parts
+    ref.standard_normal(4 * max(2, d) * d)
+    assert np.array_equal(gen.standard_normal(5), ref.standard_normal(5))
+    assert operator_norm(adjoint_map(W).matrix @ W.matrix - np.eye(d)) <= 1e-10
+    act = max(operator_norm(R) for R in E.action)
+    assert W.linearity_residual() <= 1e-10 * (1.0 + act)
+
+
 def test_commutant_basis_matches_blinear_maps(rng):
     # over the scalars every map is module linear
     E = canonical_module(AlgebraShape((1,)), (3,))

@@ -35,7 +35,14 @@ from ksgnslab.equivariant import (
 )
 from ksgnslab.errors import ValidationError
 from ksgnslab.generators import random_star_map
-from ksgnslab.hilbert import ModuleMap, adjoint_map, algebra_module
+from ksgnslab.hilbert import (
+    ModuleMap,
+    PreModule,
+    adjoint_identity_residual,
+    adjoint_map,
+    algebra_module,
+    validate_premodule,
+)
 from ksgnslab.ksgns import check_triple, ksgns
 from ksgnslab.cp import random_blinear_unitary, random_cp
 from ksgnslab.numkernel import operator_norm
@@ -134,6 +141,55 @@ def test_corrupted_unitary_is_flagged(rng):
     rep = check_equivariant(corrupted)
     assert not rep.passed
     assert rep.max_residual >= 0.001
+
+
+def _pairing_twist_loop(c):
+    """Reference: the pairing-twist residual with one E.pair call per basis pair."""
+    E, eye, beta = c.module, np.eye(c.module.dim), c.system_out.action
+    worst = 0.0
+    for g, Ug in enumerate(c.unitaries):
+        for i in range(E.dim):
+            for j in range(E.dim):
+                lhs = E.pair(Ug @ eye[:, i], Ug @ eye[:, j])
+                worst = max(worst, (lhs - beta[g](E.pair(eye[:, i], eye[:, j]))).norm())
+    return worst
+
+
+def _with_unitary(c, g, Ug):
+    U = list(c.unitaries)
+    U[g] = Ug
+    return EquivariantCorrespondence(c.system_in, c.system_out, c.module, c.phi, U)
+
+
+@pytest.mark.parametrize("G", [cyclic_group(2), symmetric_group(3)], ids=["Z2", "S3"])
+def test_pairing_twist_flags_non_isometry_and_matches_loop(G, rng):
+    c = random_equivariant(AlgebraShape((2,)), AlgebraShape((1, 2)), G, seed=11)
+    # 1.01 U_g is still beta_g-twisted B-linear but no longer isometric
+    scaled = _with_unitary(c, 1, 1.01 * c.unitaries[1])
+    noise = random_complex(rng, c.module.dim, c.module.dim)
+    noisy = _with_unitary(c, 1, c.unitaries[1] + 0.1 * noise / operator_norm(noise))
+    good, bad = check_equivariant(c), check_equivariant(scaled)
+    assert good.residuals["pairing_twist"] <= good.thresholds["pairing_twist"]
+    assert bad.residuals["pairing_twist"] > bad.thresholds["pairing_twist"]
+    assert bad.residuals["twisted_linearity"] <= bad.thresholds["twisted_linearity"]
+    for inst in (c, scaled, noisy):
+        batched = check_equivariant(inst).residuals["pairing_twist"]
+        assert abs(batched - _pairing_twist_loop(inst)) <= 1e-14
+
+
+def test_pairing_identities_make_no_per_vector_pair_calls(monkeypatch, rng):
+    """The planted unitary and the pairing checks contract all basis pairs at
+    once; a per-vector PreModule.pair loop in any of them fails here."""
+    c = random_equivariant(AlgebraShape((2,)), AlgebraShape((1, 2)), symmetric_group(3), seed=11)
+
+    def refuse(self, x, y):
+        raise AssertionError("per-vector PreModule.pair call")
+
+    monkeypatch.setattr(PreModule, "pair", refuse)
+    W = random_blinear_unitary(c.module, rng)
+    assert check_equivariant(c).passed
+    assert validate_premodule(c.module).passed
+    assert adjoint_identity_residual(W, adjoint_map(W)) <= 1e-10
 
 
 @pytest.mark.parametrize("gname", ["Z2", "Z3", "Z4", "S3"])

@@ -25,8 +25,10 @@ from ksgnslab.hilbert import (
     compose_maps,
     identity_map,
     module_operator_norm,
+    pairing_coeffs,
     quotient_by_null,
     rank_one_operator,
+    rank_one_sum,
     realize,
     validate_premodule,
 )
@@ -201,6 +203,42 @@ def test_rank_one_adjoint_swaps(rng):
     swapped = rank_one_operator(E, y, x)
     resid = operator_norm(adjoint_map(theta).matrix - swapped.matrix)
     assert resid <= 1e-10 * (1.0 + operator_norm(theta.matrix))
+
+
+def _rank_one_loop(E, X, Y):
+    """Reference: sum_r theta_{x_r, y_r} built column by column through E.pair."""
+    cols = np.zeros((E.dim, E.dim), dtype=complex)
+    eye = np.eye(E.dim)
+    for x, y in zip(X, Y):
+        for j in range(E.dim):
+            cols[:, j] += E.action_matrix(E.pair(y, eye[:, j])) @ x
+    return cols
+
+
+@pytest.mark.parametrize("blocks", [(1,), (2,), (1, 2)])
+def test_rank_one_sum_matches_pair_loop(blocks, rng):
+    E = random_module(AlgebraShape(blocks), rng, max_dim=5)
+    X, Y = random_complex(rng, 4, E.dim), random_complex(rng, 4, E.dim)
+    C = pairing_coeffs(E, Y)
+    assert C.shape == (4, E.algebra.dim, E.dim)
+    for r in range(4):
+        for j in range(E.dim):
+            ref = E.pair(Y[r], np.eye(E.dim)[:, j]).coeffs()
+            assert np.abs(C[r, :, j] - ref).max() <= 1e-13 * np.abs(ref).max()
+    ref = _rank_one_loop(E, X, Y)
+    assert np.abs(rank_one_sum(E, X, Y).matrix - ref).max() <= 1e-13 * np.abs(ref).max()
+    one = _rank_one_loop(E, X[:1], Y[:1])
+    theta = rank_one_operator(E, X[0], Y[0]).matrix
+    assert np.abs(theta - one).max() <= 1e-13 * np.abs(one).max()
+    assert not np.any(rank_one_sum(E, X, np.zeros_like(Y)).matrix)
+
+
+def test_rank_one_sum_on_zero_module():
+    E = canonical_module(AlgebraShape((1, 2)), (0, 0))
+    assert E.dim == 0
+    assert pairing_coeffs(E, np.zeros((3, 0))).shape == (3, E.algebra.dim, 0)
+    assert rank_one_sum(E, np.zeros((3, 0)), np.zeros((3, 0))).matrix.shape == (0, 0)
+    assert rank_one_operator(E, np.zeros(0), np.zeros(0)).matrix.shape == (0, 0)
 
 
 def test_cauchy_schwarz_scalarized(rng):
