@@ -23,6 +23,7 @@ from .cstar import (
     AlgebraShape,
     Automorphism,
     unit_element,
+    zero_padded,
 )
 from .errors import NonLinearMap, ShapeMismatch
 from .hilbert import (
@@ -34,7 +35,14 @@ from .hilbert import (
     module_operator_norm,
     rank_one_sum,
 )
-from .numkernel import DEFAULT_TOL, Tolerance, herm_expi, operator_norm
+from .numkernel import (
+    DEFAULT_TOL,
+    Tolerance,
+    herm_expi,
+    max_operator_norm,
+    operator_norm,
+    psd_verdict,
+)
 from .reporting import CheckReport
 
 
@@ -67,10 +75,7 @@ class CPMap:
     @cached_property
     def norm(self) -> float:
         """max over basis images of the L(E) norm; the scale of the map."""
-        return max(
-            (module_operator_norm(self.image_map(p)) for p in range(self.algebra.dim)),
-            default=0.0,
-        )
+        return max_operator_norm(self.module.gram_sqrt @ self.images @ self.module.gram_isqrt)
 
     def linearity_residual(self) -> float:
         return max(
@@ -80,17 +85,10 @@ class CPMap:
 
     def hermiticity_residual(self) -> float:
         """max over basis of ||phi(u*) - phi(u)*||."""
-        perm = self.algebra.star_permutation()
-        worst = 0.0
-        for p in range(self.algebra.dim):
-            adj = adjoint_map(self.image_map(p))
-            worst = max(
-                worst,
-                module_operator_norm(
-                    ModuleMap(self.module, self.module, self.images[perm[p]] - adj.matrix)
-                ),
-            )
-        return worst
+        E = self.module
+        adj = E.gram_inv @ self.images.conj().transpose(0, 2, 1) @ E.gram_matrix
+        diff = self.images[self.algebra.star_permutation()] - adj
+        return max_operator_norm(E.gram_sqrt @ diff @ E.gram_isqrt)
 
 
 class Correspondence(CPMap):
@@ -102,16 +100,11 @@ def check_correspondence(pi: CPMap, tol: Tolerance = DEFAULT_TOL) -> CheckReport
     rep = CheckReport()
     A = pi.algebra
     scale = 1.0 + pi.norm**2
-    mult = 0.0
-    for p, i, k, l in A.basis_labels():
-        for r, j, k2, l2 in A.basis_labels():
-            if i != j:
-                prod = np.zeros((pi.module.dim, pi.module.dim), dtype=complex)
-            elif l == k2:
-                prod = pi.images[A.basis_index(i, k, l2)]
-            else:
-                prod = np.zeros((pi.module.dim, pi.module.dim), dtype=complex)
-            mult = max(mult, operator_norm(prod - pi.images[p] @ pi.images[r]))
+    # pi(u_p u_r) - pi(u_p) pi(u_r), one p at a time over all r
+    T, Xz = A.product_table, zero_padded(pi.images)
+    mult = max(
+        max_operator_norm(Xz[T[p]] - pi.images[p] @ pi.images) for p in range(A.dim)
+    )
     unital = operator_norm(pi(unit_element(A)).matrix - np.eye(pi.module.dim))
     rep.add("multiplicativity", mult, tol.ctol * scale)
     rep.add("unitality", unital, tol.ctol * scale)
@@ -142,17 +135,8 @@ def check_cp(phi: CPMap, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, list[float
     lin = phi.linearity_residual()
     if lin > tol.ctol * (1.0 + phi.norm):
         raise NonLinearMap(f"images fail B-linearity (residual {lin:.3e})")
-    mins = []
-    ok = True
-    for C in choi_blocks(phi):
-        H = (C + C.conj().T) / 2.0
-        defect = operator_norm(C - C.conj().T)
-        w = np.linalg.eigvalsh(H) if H.size else np.zeros(1)
-        mins.append(float(w[0]))
-        gate = tol.ctol * (1.0 + operator_norm(C))
-        if defect > gate or float(w[0]) < -gate:
-            ok = False
-    return ok, mins
+    verdicts = [psd_verdict(C, tol) for C in choi_blocks(phi)]
+    return all(ok for ok, _ in verdicts), [w0 for _, w0 in verdicts]
 
 
 # -- generation ------------------------------------------------------------
@@ -314,17 +298,11 @@ def check_morphism(
     amat = m.alpha.matrix
     norm_eta = m.norm
     gate = tol.ctol * (1.0 + norm_eta**2) * (1.0 + phi1.norm + phi2.norm)
-    inter = adj_side = commute = 0.0
     gram = eta_star @ eta
-    for p in range(phi1.algebra.dim):
-        twisted = np.einsum("q,qij->ij", amat[:, p], phi2.images)
-        inter = max(inter, operator_norm(twisted @ eta - eta @ phi1.images[p]))
-        adj_side = max(
-            adj_side, operator_norm(eta_star @ twisted - phi1.images[p] @ eta_star)
-        )
-        commute = max(
-            commute, operator_norm(phi1.images[p] @ gram - gram @ phi1.images[p])
-        )
+    twisted = np.einsum("qp,qij->pij", amat, phi2.images)
+    inter = max_operator_norm(twisted @ eta - eta @ phi1.images)
+    adj_side = max_operator_norm(eta_star @ twisted - phi1.images @ eta_star)
+    commute = max_operator_norm(phi1.images @ gram - gram @ phi1.images)
     rep.add("intertwining", inter, gate)
     rep.add("adjoint_intertwining", adj_side, gate)
     rep.add("gram_commutation", commute, gate)

@@ -3,7 +3,8 @@
 An algebra A = M_{n_1} (+) ... (+) M_{n_k} is presented by its block sizes.
 Elements are lists of per-block matrices.  The matrix-unit basis is ordered
 block by block, row-major inside each block, and every linear map between
-algebras is stored through its images on that basis.
+algebras is stored through its images on that basis.  Products of basis
+elements are read from one cached table, AlgebraShape.product_table.
 
 The faithful positive functional used everywhere for scalarization is the
 unnormalized trace tau(a) = sum_i tr(a_i); tau(a* a) > 0 for a != 0, which is
@@ -18,7 +19,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ShapeMismatch
-from .numkernel import DEFAULT_TOL, Tolerance, herm_eig, operator_norm, require_finite
+from .numkernel import (
+    DEFAULT_TOL,
+    Tolerance,
+    herm_eig,
+    max_operator_norm,
+    operator_norm,
+    require_finite,
+)
 from .reporting import CheckReport
 
 
@@ -56,6 +64,15 @@ class AlgebraShape:
                 for l in range(n):
                     yield p, i, k, l
                     p += 1
+
+    @cached_property
+    def product_table(self) -> np.ndarray:
+        """T[p, r] = index of u_p u_r, or -1 where the product is 0:
+        E^i_kl E^j_k'l' = delta_ij delta_lk' E^i_kl'."""
+        _, i, k, l = np.array(list(self.basis_labels())).reshape(-1, 4).T
+        target = np.array(self.offsets)[i] + k * np.array(self.blocks)[i]
+        chain = (i[:, None] == i) & (l[:, None] == k)
+        return np.where(chain, target[:, None] + l, -1)
 
     def star_permutation(self) -> np.ndarray:
         """Permutation sending each matrix unit to its adjoint's index."""
@@ -99,9 +116,6 @@ class AlgebraElement:
         self._check(other)
         return AlgebraElement(self.shape, [a @ b for a, b in zip(self.blocks, other.blocks)])
 
-    def scale(self, c: complex) -> "AlgebraElement":
-        return AlgebraElement(self.shape, [c * b for b in self.blocks])
-
     def star(self) -> "AlgebraElement":
         return AlgebraElement(self.shape, [b.conj().T for b in self.blocks])
 
@@ -129,6 +143,12 @@ def unit_element(shape: AlgebraShape) -> AlgebraElement:
 
 def basis_element(shape: AlgebraShape, p: int) -> AlgebraElement:
     return from_coeffs(shape, np.eye(shape.dim, dtype=complex)[:, p])
+
+
+def zero_padded(stack: np.ndarray) -> np.ndarray:
+    """stack with one zero slice appended, so that indexing it by a product
+    table reads the zero product (index -1) as 0."""
+    return np.concatenate([stack, np.zeros_like(stack[:1])])
 
 
 def from_coeffs(shape: AlgebraShape, vec: np.ndarray) -> AlgebraElement:
@@ -272,18 +292,13 @@ def check_star_map(rho: StarMap, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     rep = CheckReport()
     dom = rho.domain
     scale = max((img.norm() for img in rho.images), default=1.0)
+    # same-block pairs only: cross-block products then vanish by the star and unit checks
+    block = np.repeat(np.arange(len(dom.blocks)), [n * n for n in dom.blocks])
+    P, R = np.nonzero(block[:, None] == block)
     mult = 0.0
-    for p, i, k, l in dom.basis_labels():
-        for r, j, k2, l2 in dom.basis_labels():
-            # u_p u_r is a matrix unit or zero; only same-block l == k2 survives
-            if i != j:
-                continue
-            prod_img = (
-                rho.images[dom.basis_index(i, k, l2)]
-                if l == k2
-                else zero_element(rho.codomain)
-            )
-            mult = max(mult, (prod_img - rho.images[p] * rho.images[r]).norm())
+    for c in range(len(rho.codomain.blocks)):
+        X = np.stack([img.blocks[c] for img in rho.images])
+        mult = max(mult, max_operator_norm(zero_padded(X)[dom.product_table[P, R]] - X[P] @ X[R]))
     star_perm = dom.star_permutation()
     star = max(
         (rho.images[star_perm[p]] - rho.images[p].star()).norm() for p in range(dom.dim)

@@ -26,15 +26,16 @@ from .cstar import (
     inner_automorphism,
 )
 from .cp import CPMap, Intertwiner, random_cp
-from .errors import ShapeMismatch, SpanningFailure, ValidationError, WellDefinednessViolation
+from .errors import ShapeMismatch, SpanningFailure, ValidationError
 from .hilbert import (
     HilbertModule,
     ModuleMap,
     adjoint_map,
     algebra_module,
+    descend,
     max_stacked_norm,
-    module_operator_norm,
     pairing_coeffs,
+    unitarity_residual,
 )
 from .ksgns import (
     KsgnsTriple,
@@ -42,8 +43,10 @@ from .ksgns import (
     conjugated_triple,
     ksgns,
     ksgns_lift,
+    spanning_rank,
+    triple_uniqueness_unitary,
 )
-from .numkernel import DEFAULT_TOL, Tolerance, operator_norm, pseudo_inverse
+from .numkernel import DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm
 from .poscor import (
     PosCorMorphism,
     PosCorObject,
@@ -53,7 +56,6 @@ from .poscor import (
     poscor_compose,
     poscor_identity,
     twist_unitary,
-    unitarity_residual,
     v_rho,
 )
 from .reporting import CheckReport
@@ -328,22 +330,21 @@ def check_equivariant(
     G = c.group
     E = c.module
     d = E.dim
-    U = c.unitaries
+    U = np.stack(c.unitaries)
     beta = c.system_out.action
     alpha = c.system_in.action
-    u_scale = 1.0 + max((operator_norm(Ug) for Ug in U), default=0.0)
+    u_scale = 1.0 + max_operator_norm(U)
 
-    hom = operator_norm(U[G.identity] - np.eye(d))
-    for g, h in itertools.product(range(G.order), repeat=2):
-        hom = max(hom, operator_norm(U[g] @ U[h] - U[G.mul(g, h)]))
+    hom = max(
+        operator_norm(U[G.identity] - np.eye(d)),
+        max_operator_norm(U[:, None] @ U - U[G.table]),
+    )
     rep.add("representation", hom, tol.ctol * u_scale**2)
 
     lin = 0.0
     for g in range(G.order):
-        bmat = beta[g].matrix
-        for p in range(E.algebra.dim):
-            twisted = np.einsum("q,qij->ij", bmat[:, p], E.action)
-            lin = max(lin, operator_norm(U[g] @ E.action[p] - twisted @ U[g]))
+        twisted = np.einsum("qp,qij->pij", beta[g].matrix, E.action)
+        lin = max(lin, max_operator_norm(U[g] @ E.action - twisted @ U[g]))
     rep.add("twisted_linearity", lin, tol.ctol * u_scale)
 
     pair_twist = 0.0
@@ -356,10 +357,8 @@ def check_equivariant(
 
     cov = 0.0
     for g in range(G.order):
-        amat = alpha[g].matrix
-        for p in range(c.phi.algebra.dim):
-            moved = np.einsum("q,qij->ij", amat[:, p], c.phi.images)
-            cov = max(cov, operator_norm(U[g] @ c.phi.images[p] - moved @ U[g]))
+        moved = np.einsum("qp,qij->pij", alpha[g].matrix, c.phi.images)
+        cov = max(cov, max_operator_norm(U[g] @ c.phi.images - moved @ U[g]))
     rep.add("covariance", cov, tol.ctol * u_scale * (1.0 + c.phi.norm))
     return rep
 
@@ -489,15 +488,10 @@ def dilate(
     alpha_g (x) U_g to the quotient."""
     t = triple if triple is not None else ksgns(c.module, c.phi, tol)
     G = c.group
-    unitaries = []
-    for g in range(G.order):
-        K = np.kron(c.system_in.action[g].matrix, c.unitaries[g])
-        leak = operator_norm(t.q @ K @ t.kernel)
-        if leak > tol.ctol * (1.0 + operator_norm(K)):
-            raise WellDefinednessViolation(
-                f"alpha_g (x) U_g leaks out of the null space ({leak:.3e})"
-            )
-        unitaries.append(t.q @ K @ t.s)
+    unitaries = [
+        descend(np.kron(c.system_in.action[g].matrix, c.unitaries[g]), t, t, "alpha_g (x) U_g", tol)
+        for g in range(G.order)
+    ]
     return DilationQuadruple(c, t, unitaries)
 
 
@@ -542,20 +536,11 @@ def check_dilation(
     rep = CheckReport()
     rep.merge(check_equivariant(dilated_correspondence(quad), tol), prefix="dilated_")
     rep.merge(check_triple(t, tol), prefix="triple_")
-    compat = 0.0
-    for g in range(c.group.order):
-        compat = max(
-            compat,
-            module_operator_norm(
-                ModuleMap(
-                    c.module,
-                    t.module,
-                    t.embedding.matrix @ c.unitaries[g]
-                    - quad.unitaries[g] @ t.embedding.matrix,
-                )
-            ),
-        )
-    scale = 1.0 + max((operator_norm(u) for u in c.unitaries), default=0.0)
+    V, U = t.embedding.matrix, np.stack(c.unitaries)
+    compat = max_operator_norm(
+        t.module.gram_sqrt @ (V @ U - quad.unitaries @ V) @ c.module.gram_isqrt
+    )
+    scale = 1.0 + max_operator_norm(U)
     rep.add("embedding_equivariance", compat, tol.ctol * scale)
     return rep
 
@@ -563,47 +548,19 @@ def check_dilation(
 def uniqueness_unitary(
     q1: DilationQuadruple, q2: DilationQuadruple, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[ModuleMap, CheckReport]:
-    """Solve the B-linear unitary W: F' -> F_phi matching the two quadruples."""
-    t1, t2 = q1.triple, q2.triple
-    dA = t1.phi.algebra.dim
-    cols1 = np.hstack([t1.pi.images[p] @ t1.embedding.matrix for p in range(dA)])
-    cols2 = np.hstack([t2.pi.images[p] @ t2.embedding.matrix for p in range(dA)])
-    for t, cols in ((t1, cols1), (t2, cols2)):
-        svals = np.linalg.svd(cols, compute_uv=False) if cols.size else np.zeros(0)
-        rank = int(np.count_nonzero(svals > tol.rtol * svals[0])) if svals.size else 0
+    """Solve the B-linear unitary W: F' -> F_phi matching the two quadruples:
+    the KSGNS matching unitary of the two triples, which must also carry the
+    dilated unitary family of q2 to that of q1."""
+    for t in (q1.triple, q2.triple):
+        rank = spanning_rank(t, tol)
         if rank < t.module.dim:
             raise SpanningFailure(f"spanning rank {rank} < dim {t.module.dim}")
-    W = ModuleMap(t2.module, t1.module, cols1 @ pseudo_inverse(cols2, tol))
-    rep = CheckReport()
-    scale = 1.0 + t1.phi.norm
+    W, rep = triple_uniqueness_unitary(q2.triple, q1.triple, tol)
     Ws = adjoint_map(W).matrix
-    rep.add("unitary", unitarity_residual(W), tol.ctol * scale)
-    rep.add(
-        "representation_match",
-        max(
-            operator_norm(W.matrix @ t2.pi.images[p] @ Ws - t1.pi.images[p])
-            for p in range(dA)
-        ),
-        tol.ctol * scale,
-    )
-    rep.add(
-        "embedding_match",
-        module_operator_norm(
-            ModuleMap(
-                t1.source,
-                t1.module,
-                W.matrix @ t2.embedding.matrix - t1.embedding.matrix,
-            )
-        ),
-        tol.ctol * scale,
-    )
     rep.add(
         "unitary_family_match",
-        max(
-            operator_norm(W.matrix @ q2.unitaries[g] @ Ws - q1.unitaries[g])
-            for g in range(q1.source.group.order)
-        ),
-        tol.ctol * scale,
+        max_operator_norm(W.matrix @ np.stack(q2.unitaries) @ Ws - np.stack(q1.unitaries)),
+        tol.ctol * (1.0 + q1.triple.phi.norm),
     )
     return W, rep
 

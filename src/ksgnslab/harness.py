@@ -76,6 +76,7 @@ from .hilbert import (
     identity_map,
     is_map_positive,
     module_operator_norm,
+    unitarity_residual,
 )
 from .ksgns import (
     check_idempotency,
@@ -88,7 +89,7 @@ from .ksgns import (
     ksgns_lift,
     triple_uniqueness_unitary,
 )
-from .numkernel import DEFAULT_TOL, Tolerance, herm_expi, operator_norm
+from .numkernel import DEFAULT_TOL, Tolerance, herm_expi, max_operator_norm, operator_norm
 from .poscor import (
     PosCorObject,
     check_category_laws,
@@ -110,7 +111,6 @@ from .poscor import (
     tensor_extend_cpmap,
     tensor_extend_operator,
     tensor_functor_morphism,
-    unitarity_residual,
     v_rho,
 )
 
@@ -340,6 +340,15 @@ class _Recorder:
         )
 
 
+def _record_cp(rec: _Recorder, check: str, theorem: str, phi: CPMap, tol: Tolerance) -> bool:
+    """Record the Choi certificate of phi: the most negative Choi eigenvalue when
+    check_cp passes, inf whenever it fails.  Returns the verdict."""
+    ok, mins = check_cp(phi, tol)
+    resid = max(0.0, -min(mins)) if ok else float("inf")
+    rec.add(check, theorem, resid, tol.ctol * (1.0 + phi.norm))
+    return ok
+
+
 def _sub_rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, salt]))
 
@@ -375,14 +384,10 @@ def _check_ksgns(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
     )
     cp_theorem = "complete positivity via blockwise Choi matrices"
     try:
-        ok, mins = check_cp(phi, tol)
+        ok = _record_cp(rec, "input_cp", cp_theorem, phi, tol)
     except KsgnslabError as exc:
         rec.fail("input_cp", cp_theorem, exc)
         return
-    cp_resid = max(0.0, -min(mins)) if mins else 0.0
-    if not ok and cp_resid == 0.0:
-        cp_resid = float("inf")
-    rec.add("input_cp", cp_theorem, cp_resid, tol.ctol * (1.0 + phi.norm))
     if not ok:
         return
     t = ksgns(E, phi, tol)
@@ -868,16 +873,12 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
         for x in x_samples
     )
     rec.add("vrho_contraction", "V_rho is a contraction", contraction, tol.ctol)
-    twist = 0.0
-    for p in range(E1.algebra.dim):
-        rho_b = rho1.images[p]
-        lhs = vr1.map.matrix @ E1.action[p]
-        rhs = comp.inner.module.action_matrix(rho_b) @ vr1.map.matrix
-        twist = max(twist, operator_norm(lhs - rhs))
+    V1 = vr1.map.matrix
+    rho_actions = np.einsum("qp,qij->pij", rho1.matrix, comp.inner.module.action)
     rec.add(
         "vrho_twisted",
         "V_rho(x b) = V_rho(x) . rho(b)",
-        twist,
+        max_operator_norm(V1 @ E1.action - rho_actions @ V1),
         tol.ctol,
     )
     vr2 = v_rho(comp.inner.module, rho2, tensor=comp.double, tol=tol)
@@ -1157,13 +1158,7 @@ def _check_equivariant_suite(payload: dict, tol: Tolerance, rec: _Recorder) -> N
             "covariance": ("covariance", "U_g phi(a) = phi(alpha_g(a)) U_g"),
         },
     )
-    ok, mins = check_cp(c.phi, tol)
-    rec.add(
-        "phi_cp",
-        "averaged map stays completely positive",
-        max(0.0, -min(mins)) if ok or mins else float("inf"),
-        tol.ctol * (1.0 + c.phi.norm),
-    )
+    _record_cp(rec, "phi_cp", "averaged map stays completely positive", c.phi, tol)
     functor = correspondence_to_functor(c, tol)
     frep = check_functor_laws(c, functor, tol)
     rec.merge(
@@ -1185,10 +1180,7 @@ def _check_equivariant_suite(payload: dict, tol: Tolerance, rec: _Recorder) -> N
     rec.add(
         "averaging_fixed_point",
         "covariant averaging is idempotent",
-        max(
-            operator_norm(averaged.images[p] - c.phi.images[p])
-            for p in range(c.phi.algebra.dim)
-        ) if c.phi.algebra.dim else 0.0,
+        max_operator_norm(averaged.images - c.phi.images),
         tol.ctol * (1.0 + c.phi.norm),
     )
 

@@ -37,13 +37,16 @@ from .cstar import (
     basis_element,
     right_mult_matrix,
     unit_element,
+    zero_padded,
 )
-from .errors import ShapeMismatch, SingularGram, SubmoduleViolation
+from .errors import ShapeMismatch, SingularGram, SubmoduleViolation, WellDefinednessViolation
 from .numkernel import (
     DEFAULT_TOL,
     Tolerance,
     herm_power,
+    max_operator_norm,
     operator_norm,
+    psd_verdict,
     rank_kernel,
     require_finite,
 )
@@ -160,26 +163,17 @@ def validate_premodule(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> CheckRep
     herm = np.abs(C - C.conj().transpose(2, 1, 0)[:, B.star_permutation()])
     rep.add("pairing_hermitian", float(np.max(herm, initial=0.0)), tol.ctol * scale)
 
-    compat = 0.0
-    act_scale = 1.0
-    for p in range(B.dim):
-        R = pre.action[p]
-        act_scale = max(act_scale, operator_norm(R))
-        # <e_i, e_j u_p> - <e_i, e_j> u_p over all basis pairs (i, j)
-        moved = C @ R - right_mult_matrix(basis_element(B, p)) @ C
-        compat = max(compat, max_stacked_norm(B, moved))
+    act_scale = max(1.0, max_operator_norm(pre.action))
+    # <e_i, e_j u_p> - <e_i, e_j> u_p over all basis pairs (i, j)
+    compat = max(
+        max_stacked_norm(B, C @ R - right_mult_matrix(basis_element(B, p)) @ C)
+        for p, R in enumerate(pre.action)
+    )
     rep.add("pairing_action_compat", compat, tol.ctol * scale * act_scale)
 
-    anti = 0.0
-    for p, i, k, l in B.basis_labels():
-        for r, i2, k2, l2 in B.basis_labels():
-            if i != i2:
-                prod = np.zeros((d, d), dtype=complex)
-            elif l == k2:
-                prod = pre.action[B.basis_index(i, k, l2)]
-            else:
-                prod = np.zeros((d, d), dtype=complex)
-            anti = max(anti, operator_norm(prod - pre.action[r] @ pre.action[p]))
+    # R(u_p u_r) = R(u_r) R(u_p), for each p over all r at once
+    T, Az = B.product_table, zero_padded(pre.action)
+    anti = max(max_operator_norm(Az[T[p]] - pre.action @ pre.action[p]) for p in range(B.dim))
     rep.add("action_antimultiplicative", anti, tol.ctol * (1.0 + act_scale**2))
     unital = operator_norm(pre.action_matrix(unit_element(B)) - np.eye(d))
     rep.add("action_unital", unital, tol.ctol * (1.0 + act_scale))
@@ -232,6 +226,16 @@ def quotient_by_null(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> Quotient:
     return Quotient(module, q, s, kernel_basis)
 
 
+def descend(K: np.ndarray, src, tgt, what: str, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """q_tgt K s_src: the map K between pre-spaces induces on the quotients held
+    by src and tgt (anything with q, s and kernel).  Raises
+    WellDefinednessViolation, naming `what`, when K leaks ker G_src out of ker G_tgt."""
+    leak = operator_norm(tgt.q @ K @ src.kernel)
+    if leak > tol.ctol * (1.0 + operator_norm(K)):
+        raise WellDefinednessViolation(f"{what} leaks out of the null space ({leak:.3e})")
+    return tgt.q @ K @ src.s
+
+
 # -- module maps -----------------------------------------------------------
 
 
@@ -260,16 +264,9 @@ class ModuleMap:
         return self.matrix @ np.asarray(x, dtype=complex).reshape(self.source.dim)
 
     def linearity_residual(self) -> float:
-        worst = 0.0
-        for p in range(self.source.algebra.dim):
-            worst = max(
-                worst,
-                operator_norm(
-                    self.matrix @ self.source.action[p]
-                    - self.target.action[p] @ self.matrix
-                ),
-            )
-        return worst
+        return max_operator_norm(
+            self.matrix @ self.source.action - self.target.action @ self.matrix
+        )
 
 
 def identity_map(E: HilbertModule) -> ModuleMap:
@@ -295,6 +292,14 @@ def adjoint_map(m: ModuleMap) -> ModuleMap:
     return ModuleMap(m.target, m.source, mat)
 
 
+def unitarity_residual(U: ModuleMap) -> float:
+    """max(||U* U - 1||, ||U U* - 1||) with the module adjoint."""
+    Us = adjoint_map(U).matrix
+    left = operator_norm(Us @ U.matrix - np.eye(U.source.dim))
+    right = operator_norm(U.matrix @ Us - np.eye(U.target.dim))
+    return max(left, right)
+
+
 def module_operator_norm(m: ModuleMap) -> float:
     """Norm in L(E1, E2), computed through the faithful realization."""
     return operator_norm(realize(m))
@@ -309,14 +314,7 @@ def adjoint_identity_residual(m: ModuleMap, adj: ModuleMap) -> float:
 
 def is_map_positive(m: ModuleMap, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """Positivity of an element of L(E) through its realization."""
-    M = realize(m)
-    H = (M + M.conj().T) / 2.0
-    defect = operator_norm(M - M.conj().T)
-    w = np.linalg.eigvalsh(H) if H.size else np.zeros(1)
-    ok = defect <= tol.ctol * (1.0 + operator_norm(M)) and float(w[0]) >= -tol.ctol * (
-        1.0 + operator_norm(M)
-    )
-    return bool(ok), float(w[0])
+    return psd_verdict(realize(m), tol)
 
 
 def rank_one_sum(E: HilbertModule, X: np.ndarray, Y: np.ndarray) -> ModuleMap:
@@ -358,16 +356,8 @@ class AlphaLinearMap:
         return self.matrix @ np.asarray(x, dtype=complex).reshape(self.source.dim)
 
     def twisted_linearity_residual(self) -> float:
-        worst = 0.0
-        src, tgt = self.source, self.target
-        amat = self.twist.matrix
-        for p in range(src.algebra.dim):
-            twisted = np.einsum("q,qij->ij", amat[:, p], tgt.action)
-            worst = max(
-                worst,
-                operator_norm(self.matrix @ src.action[p] - twisted @ self.matrix),
-            )
-        return worst
+        twisted = np.einsum("qp,qij->pij", self.twist.matrix, self.target.action)
+        return max_operator_norm(self.matrix @ self.source.action - twisted @ self.matrix)
 
 
 def algebra_module(shape: AlgebraShape) -> HilbertModule:

@@ -23,6 +23,7 @@ from .cstar import (
     basis_element,
     left_mult_matrix,
     unit_element,
+    zero_padded,
 )
 from .cp import (
     CPMap,
@@ -30,21 +31,18 @@ from .cp import (
     check_cp,
     check_correspondence,
 )
-from .errors import (
-    NonConvergentInput,
-    NotCP,
-    ShapeMismatch,
-    WellDefinednessViolation,
-)
+from .errors import NonConvergentInput, NotCP, ShapeMismatch
 from .hilbert import (
     HilbertModule,
     ModuleMap,
     PreModule,
     adjoint_map,
+    descend,
     module_operator_norm,
     quotient_by_null,
+    unitarity_residual,
 )
-from .numkernel import DEFAULT_TOL, Tolerance, operator_norm, pseudo_inverse
+from .numkernel import DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm, pseudo_inverse
 from .reporting import CheckReport
 
 
@@ -65,21 +63,10 @@ class KsgnsTriple:
     def dim(self) -> int:
         return self.module.dim
 
-    def pi_map(self, a: AlgebraElement) -> ModuleMap:
-        return self.pi(a)
-
 
 def _pair_image_tensor(phi: CPMap) -> np.ndarray:
     """M[p, r] = matrix of phi(u_p* u_r); zero unless the units chain."""
-    A = phi.algebra
-    d = phi.module.dim
-    M = np.zeros((A.dim, A.dim, d, d), dtype=complex)
-    for p, i, k, l in A.basis_labels():
-        for r, j, k2, l2 in A.basis_labels():
-            # u_p* u_r = E_{lk} E_{k2 l2} = delta_{ij} delta_{k k2} E_{l l2}
-            if i == j and k == k2:
-                M[p, r] = phi.images[A.basis_index(i, l, l2)]
-    return M
+    return zero_padded(phi.images)[phi.algebra.product_table[phi.algebra.star_permutation()]]
 
 
 def ksgns_premodule(E: HilbertModule, phi: CPMap) -> PreModule:
@@ -115,32 +102,31 @@ def ksgns(E: HilbertModule, phi: CPMap, tol: Tolerance = DEFAULT_TOL) -> KsgnsTr
     F, q, s = quot.module, quot.q, quot.s
 
     # left multiplication descends to pi_phi
-    images = np.zeros((dA, F.dim, F.dim), dtype=complex)
-    for p in range(dA):
-        L = np.kron(left_mult_matrix(basis_element(A, p)), np.eye(dE, dtype=complex))
-        leak = operator_norm(q @ L @ quot.kernel)
-        if leak > tol.ctol * (1.0 + operator_norm(L)):
-            raise WellDefinednessViolation(
-                f"left multiplication leaks out of the null space ({leak:.3e})"
-            )
-        images[p] = q @ L @ s
+    eye = np.eye(dE, dtype=complex)
+    images = np.stack([
+        descend(np.kron(left_mult_matrix(basis_element(A, p)), eye), quot, quot,
+                "left multiplication", tol)
+        for p in range(dA)
+    ])
     pi = CPMap(A, F, images)
 
     # V_phi x = class of 1_A (x) x
     unit_coeffs = unit_element(A).coeffs()
-    V_pre = np.kron(unit_coeffs.reshape(dA, 1), np.eye(dE, dtype=complex))
+    V_pre = np.kron(unit_coeffs.reshape(dA, 1), eye)
     embedding = ModuleMap(E, F, q @ V_pre)
     return KsgnsTriple(E, phi, F, pi, embedding, q, s, quot.kernel)
 
 
+def spanning_columns(t: KsgnsTriple) -> np.ndarray:
+    """The family {pi(a_p) V e_q} as the columns of one (dim F) x (dim A * dim E) matrix."""
+    return np.hstack(t.pi.images @ t.embedding.matrix)
+
+
 def spanning_rank(t: KsgnsTriple, tol: Tolerance = DEFAULT_TOL) -> int:
     """Rank of the column family {pi(a_p) V e_q} at the rank cutoff."""
-    dA = t.phi.algebra.dim
-    cols = [t.pi.images[p] @ t.embedding.matrix for p in range(dA)]
-    if not cols or t.module.dim == 0:
+    if t.module.dim == 0:
         return 0
-    S = np.hstack(cols)
-    svals = np.linalg.svd(S, compute_uv=False)
+    svals = np.linalg.svd(spanning_columns(t), compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
     return int(np.count_nonzero(svals > tol.rtol * svals[0]))
@@ -150,30 +136,18 @@ def check_triple(t: KsgnsTriple, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Residuals for the two dilation conditions and the adjoint formula."""
     rep = CheckReport()
     scale = 1.0 + t.phi.norm
-    recon = 0.0
+    E = t.source
     Vs = adjoint_map(t.embedding).matrix
     V = t.embedding.matrix
-    for p in range(t.phi.algebra.dim):
-        recon = max(
-            recon,
-            module_operator_norm(
-                ModuleMap(t.source, t.source, Vs @ t.pi.images[p] @ V - t.phi.images[p])
-            ),
-        )
+    recon = max_operator_norm(E.gram_sqrt @ (Vs @ t.pi.images @ V - t.phi.images) @ E.gram_isqrt)
     rep.add("reconstruction", recon, tol.ctol * scale)
     rep.add(
         "spanning_defect", float(t.module.dim - spanning_rank(t, tol)), 0.0
     )
     # V*(class of a (x) y) = phi(a) y, checked on all pre-basis columns
-    dA, dE = t.phi.algebra.dim, t.source.dim
-    W = Vs @ t.q  # (dE, dA*dE)
-    adj_formula = 0.0
-    for p in range(dA):
-        adj_formula = max(
-            adj_formula,
-            operator_norm(W[:, p * dE : (p + 1) * dE] - t.phi.images[p]),
-        )
-    rep.add("embedding_adjoint_formula", adj_formula, tol.ctol * scale)
+    dA, dE = t.phi.algebra.dim, E.dim
+    W = (Vs @ t.q).reshape(dE, dA, dE).transpose(1, 0, 2)  # W[p] = V* q on a_p (x) E
+    rep.add("embedding_adjoint_formula", max_operator_norm(W - t.phi.images), tol.ctol * scale)
     rep.merge(check_correspondence(t.pi, tol), prefix="pi_")
     return rep
 
@@ -186,21 +160,13 @@ def triple_uniqueness_unitary(
     Both triples must dilate the same (E, phi); U is solved on the spanning
     columns by pseudo-inverse.
     """
-    dA = t1.phi.algebra.dim
-    cols1 = np.hstack([t1.pi.images[p] @ t1.embedding.matrix for p in range(dA)])
-    cols2 = np.hstack([t2.pi.images[p] @ t2.embedding.matrix for p in range(dA)])
-    U = ModuleMap(t1.module, t2.module, cols2 @ pseudo_inverse(cols1, tol))
+    U = ModuleMap(
+        t1.module, t2.module, spanning_columns(t2) @ pseudo_inverse(spanning_columns(t1), tol)
+    )
     rep = CheckReport()
     scale = 1.0 + t1.phi.norm
     Ustar = adjoint_map(U).matrix
-    rep.add(
-        "unitary",
-        max(
-            operator_norm(Ustar @ U.matrix - np.eye(t1.module.dim)),
-            operator_norm(U.matrix @ Ustar - np.eye(t2.module.dim)),
-        ),
-        tol.ctol * scale,
-    )
+    rep.add("unitary", unitarity_residual(U), tol.ctol * scale)
     rep.add(
         "embedding_match",
         module_operator_norm(
@@ -210,10 +176,7 @@ def triple_uniqueness_unitary(
     )
     rep.add(
         "representation_match",
-        max(
-            operator_norm(U.matrix @ t1.pi.images[p] @ Ustar - t2.pi.images[p])
-            for p in range(dA)
-        ),
+        max_operator_norm(U.matrix @ t1.pi.images @ Ustar - t2.pi.images),
         tol.ctol * scale,
     )
     return U, rep
@@ -250,12 +213,7 @@ def ksgns_lift(
     definedness gate checks that alpha (x) eta maps ker G_1 into ker G_2.
     """
     K = np.kron(m.alpha.matrix, m.eta.matrix)
-    leak = operator_norm(t2.q @ K @ t1.kernel)
-    if leak > tol.ctol * (1.0 + operator_norm(K)):
-        raise WellDefinednessViolation(
-            f"alpha (x) eta leaks out of the null space ({leak:.3e})"
-        )
-    lifted = ModuleMap(t1.module, t2.module, t2.q @ K @ t1.s)
+    lifted = ModuleMap(t1.module, t2.module, descend(K, t1, t2, "alpha (x) eta", tol))
     return Intertwiner(lifted, m.alpha)
 
 
@@ -319,21 +277,10 @@ def check_idempotency(
 ) -> CheckReport:
     rep = CheckReport()
     V = idem.unitary
-    Vs = adjoint_map(V).matrix
     scale = 1.0 + t.phi.norm
-    rep.add(
-        "unitary",
-        max(
-            operator_norm(Vs @ V.matrix - np.eye(t.module.dim)),
-            operator_norm(V.matrix @ Vs - np.eye(idem.second.module.dim)),
-        ),
-        tol.ctol * scale,
-    )
+    rep.add("unitary", unitarity_residual(V), tol.ctol * scale)
     rep.add("dim_match", float(idem.second.module.dim - t.module.dim), 0.0)
-    inter = max(
-        operator_norm(V.matrix @ t.pi.images[p] - idem.second.pi.images[p] @ V.matrix)
-        for p in range(t.phi.algebra.dim)
-    ) if t.phi.algebra.dim else 0.0
+    inter = max_operator_norm(V.matrix @ t.pi.images - idem.second.pi.images @ V.matrix)
     rep.add("intertwines", inter, tol.ctol * scale)
     return rep
 

@@ -1,10 +1,11 @@
 """Dense complex matrix kernel.
 
-Everything downstream reduces to four primitives on complex double matrices:
+Everything downstream reduces to a few primitives on complex double matrices:
 Hermitian eigendecomposition, tolerance-based rank/kernel splitting, operator
-norms, and pseudo-inverses.  Rank decisions for positive semidefinite matrices
-always go through the Hermitian eigendecomposition, never through LU, so that
-null spaces of Gram matrices stay numerically stable.
+norms (one matrix or the largest over a stack), the PSD verdict, and
+pseudo-inverses.  Rank decisions for positive semidefinite matrices always go
+through the Hermitian eigendecomposition, never through LU, so that null
+spaces of Gram matrices stay numerically stable.
 """
 
 from __future__ import annotations
@@ -47,6 +48,23 @@ def operator_norm(M: np.ndarray) -> float:
     if M.size == 0:
         return 0.0
     return float(np.linalg.norm(M, 2))
+
+
+def max_operator_norm(stack: np.ndarray) -> float:
+    """Largest singular value over a stack of matrices (..., m, n); 0 when empty."""
+    stack = require_finite(stack)
+    if stack.size == 0:
+        return 0.0
+    return float(np.linalg.norm(stack, 2, axis=(-2, -1)).max())
+
+
+def psd_verdict(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
+    """(M is PSD, minimum eigenvalue of its Hermitian part): the Hermitian defect
+    and the negative part of the spectrum must both stay within ctol * (1 + ||M||)."""
+    M = require_finite(M)
+    w0 = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0]) if M.size else 0.0
+    gate = tol.ctol * (1.0 + operator_norm(M))
+    return bool(operator_norm(M - M.conj().T) <= gate and w0 >= -gate), w0
 
 
 def herm_eig(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

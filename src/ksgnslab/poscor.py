@@ -28,7 +28,6 @@ from .cstar import (
     AlgebraShape,
     Automorphism,
     StarMap,
-    basis_element,
     compose_automorphisms,
     compose_star_maps,
     check_star_map,
@@ -39,7 +38,7 @@ from .cstar import (
     unit_element,
 )
 from .cp import CPMap, Correspondence, Intertwiner, check_morphism
-from .errors import ObjectMismatch, ShapeMismatch, TwistMismatch, WellDefinednessViolation
+from .errors import ObjectMismatch, ShapeMismatch, TwistMismatch
 from .hilbert import (
     AlphaLinearMap,
     HilbertModule,
@@ -47,11 +46,13 @@ from .hilbert import (
     PreModule,
     adjoint_map,
     algebra_module,
+    descend,
     module_operator_norm,
     quotient_by_null,
+    unitarity_residual,
 )
 from .ksgns import KsgnsTriple, ksgns, ksgns_lift
-from .numkernel import DEFAULT_TOL, Tolerance, operator_norm
+from .numkernel import DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm
 from .reporting import CheckReport
 
 
@@ -114,12 +115,7 @@ def tensor_extend_between(
     if tm2.right.dim != dF:
         raise ShapeMismatch("tensor modules with different right factors")
     K = np.kron(T.matrix, np.eye(dF, dtype=complex))
-    leak = operator_norm(tm2.q @ K @ tm1.kernel)
-    if leak > tol.ctol * (1.0 + operator_norm(K)):
-        raise WellDefinednessViolation(
-            f"T (x) I leaks out of the null space ({leak:.3e})"
-        )
-    return ModuleMap(tm1.module, tm2.module, tm2.q @ K @ tm1.s)
+    return ModuleMap(tm1.module, tm2.module, descend(K, tm1, tm2, "T (x) I", tol))
 
 
 def tensor_extend_operator(
@@ -273,13 +269,11 @@ def composition_unitary(
     tm13 = target if target is not None else interior_tensor_along(E, rho, tol)
     dE = E.dim
     dC, dD = rho2.domain.dim, rho2.codomain.dim
-    D_shape = rho2.codomain
-    # T[v, w, :] = coefficients of rho2(u_v) u_w in D
+    # T[v, w, :] = coefficients of rho2(u_v) u_w in D: u_q u_w = u_prod[q, w]
+    prod = rho2.codomain.product_table
+    q, w = np.nonzero(prod >= 0)
     T = np.zeros((dC, dD, dD), dtype=complex)
-    for v in range(dC):
-        img = rho2.images[v]
-        for w in range(dD):
-            T[v, w] = (img * basis_element(D_shape, w)).coeffs()
+    T[:, w, prod[q, w]] = rho2.matrix[q].T
     S3 = tm12.s.reshape(dE, dC, tm12.module.dim)
     M_pre = np.einsum("ivu,vwx->ixuw", S3, T, optimize=True).reshape(
         dE * dD, tm12.module.dim * dD
@@ -376,24 +370,12 @@ def commuting_unitary(
     return CommutingUnitary(V, t, tm, phi_ext, left, right, pi_right)
 
 
-def unitarity_residual(U: ModuleMap) -> float:
-    Us = adjoint_map(U).matrix
-    left = operator_norm(Us @ U.matrix - np.eye(U.source.dim))
-    right = operator_norm(U.matrix @ Us - np.eye(U.target.dim))
-    return max(left, right)
-
-
 def check_commuting_unitary(cu: CommutingUnitary, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     rep = CheckReport()
     scale = 1.0 + cu.phi_ext.norm
     rep.add("unitary", unitarity_residual(cu.unitary), tol.ctol * scale)
-    inter = max(
-        operator_norm(
-            cu.unitary.matrix @ cu.left.pi.images[p]
-            - cu.pi_right.images[p] @ cu.unitary.matrix
-        )
-        for p in range(cu.left.pi.algebra.dim)
-    )
+    U = cu.unitary.matrix
+    inter = max_operator_norm(U @ cu.left.pi.images - cu.pi_right.images @ U)
     rep.add("intertwines", inter, tol.ctol * scale)
     rep.add(
         "dim_match", float(cu.left.module.dim - cu.right.module.dim), 0.0

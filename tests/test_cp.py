@@ -17,6 +17,7 @@ from ksgnslab.cp import (
 )
 from ksgnslab.cstar import (
     AlgebraShape,
+    basis_element,
     identity_automorphism,
     random_automorphism,
     random_element,
@@ -189,6 +190,22 @@ def test_irreducible_commutant_is_one_dimensional():
     phi = CPMap(A, E, images)
     basis = intertwiner_space(phi, phi, identity_automorphism(A))
     assert len(basis) == 1
+
+
+@pytest.mark.parametrize("blocks", [(2,), (1, 2)])
+def test_check_correspondence_multiplicativity_matches_loop(blocks, rng):
+    A = AlgebraShape(blocks)
+    E = random_module(AlgebraShape((2,)), rng, max_dim=4)
+    pi = CPMap(A, E, random_complex(rng, A.dim, E.dim, E.dim))
+    # reference: every pair of matrix units, cross-block pairs included
+    ref = 0.0
+    for p in range(A.dim):
+        for r in range(A.dim):
+            prod = basis_element(A, p) * basis_element(A, r)
+            ref = max(ref, operator_norm(pi(prod).matrix - pi.images[p] @ pi.images[r]))
+    got = check_correspondence(pi).residuals["multiplicativity"]
+    assert ref > 0.1
+    assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_check_morphism_identity_and_solver_consistency(rng):

@@ -152,6 +152,36 @@ def test_check_star_map_transpose_fails():
     assert rep.residuals["unitality"] <= 1e-15
 
 
+@pytest.mark.parametrize("blocks", [(1,), (3,), (1, 2), (2, 3)])
+def test_product_table_matches_element_products(blocks):
+    shape = AlgebraShape(blocks)
+    T = shape.product_table
+    assert T.shape == (shape.dim, shape.dim)
+    for p in range(shape.dim):
+        for r in range(shape.dim):
+            prod = basis_element(shape, p) * basis_element(shape, r)
+            expected = zero_element(shape) if T[p, r] < 0 else basis_element(shape, T[p, r])
+            assert np.array_equal(prod.coeffs(), expected.coeffs()), (p, r)
+
+
+@pytest.mark.parametrize("blocks, cod", [((2,), (3,)), ((1, 2), (2, 1)), ((2, 2), (3,))])
+def test_check_star_map_multiplicativity_matches_loop(blocks, cod, rng):
+    dom = AlgebraShape(blocks)
+    cod = AlgebraShape(cod)
+    rho = StarMap(dom, cod, [random_element(cod, rng) for _ in range(dom.dim)])
+    # reference: every same-block pair of matrix units, products from AlgebraElement
+    ref = 0.0
+    for p, i, k, l in dom.basis_labels():
+        for r, j, k2, l2 in dom.basis_labels():
+            if i == j:
+                prod = basis_element(dom, p) * basis_element(dom, r)
+                diff = rho(prod) - rho.images[p] * rho.images[r]
+                ref = max(ref, diff.norm())
+    got = check_star_map(rho).residuals["multiplicativity"]
+    assert ref > 0.1
+    assert got == pytest.approx(ref, rel=1e-12)
+
+
 def test_check_star_map_block_embedding():
     B = AlgebraShape((2,))
     C = AlgebraShape((2, 2))

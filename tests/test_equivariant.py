@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ from ksgnslab.equivariant import (
     uniqueness_unitary,
     unitary_representation,
 )
-from ksgnslab.errors import ValidationError
+from ksgnslab.errors import SpanningFailure, ValidationError
 from ksgnslab.generators import random_star_map
 from ksgnslab.hilbert import (
     ModuleMap,
@@ -333,6 +335,17 @@ def test_uniqueness_identity_case():
     W, rep = uniqueness_unitary(quad, quad)
     assert rep.passed, rep.residuals
     assert operator_norm(W.matrix - np.eye(quad.triple.module.dim)) <= 1e-8
+
+
+def test_uniqueness_rejects_non_spanning_dilation():
+    c = random_equivariant(AlgebraShape((2,)), AlgebraShape((2,)), cyclic_group(2), seed=15)
+    quad = dilate(c)
+    t = quad.triple
+    zeroed = replace(t, embedding=ModuleMap(t.source, t.module, np.zeros_like(t.embedding.matrix)))
+    broken = DilationQuadruple(quad.source, zeroed, quad.unitaries)
+    for q1, q2 in ((quad, broken), (broken, quad)):
+        with pytest.raises(SpanningFailure, match=f"spanning rank 0 < dim {t.module.dim}"):
+            uniqueness_unitary(q1, q2)
 
 
 def test_uniqueness_recovers_planted_unitary(rng):

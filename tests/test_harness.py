@@ -226,6 +226,27 @@ def test_generated_ksgns_instances_self_certify(tmp_path):
         assert ok
 
 
+@pytest.mark.parametrize("suite, check", [("ksgns", "input_cp"), ("equivariant", "phi_cp")])
+def test_failed_choi_certificate_is_recorded_as_failure(suite, check):
+    # i.phi keeps B-linearity but its Choi matrices are anti-Hermitian: check_cp
+    # fails on the Hermitian defect while the minimum eigenvalue sits at rounding level
+    from ksgnslab import serialize as ser
+
+    payload = generate_instance(suite, SizeCaps(), instance_seed(20250809, suite, 0))
+    if suite == "ksgns":
+        E = ser.load_module(payload["module"])
+        phi = ser.load_cpmap(payload["phi"], {"module": E})
+        phi.images = 1j * phi.images
+        payload["phi"] = ser.dump_cpmap(phi, "module")
+    else:
+        c = ser.load_equivariant(payload["correspondence"])
+        c.phi.images = 1j * c.phi.images
+        payload["correspondence"] = ser.dump_equivariant(c)
+    (record,) = [r for r in check_instance(suite, payload, Tolerance()) if r.check == check]
+    assert not record.passed
+    assert record.residual == float("inf")
+
+
 def test_group_cap_one_degenerates_to_plain_inputs():
     caps = SizeCaps(instances_per_suite=2, max_group_order=1)
     for idx in range(2):

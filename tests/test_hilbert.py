@@ -12,7 +12,7 @@ from ksgnslab.cstar import (
     trace_functional,
     unit_element,
 )
-from ksgnslab.errors import SubmoduleViolation, TwistMismatch
+from ksgnslab.errors import SubmoduleViolation, TwistMismatch, WellDefinednessViolation
 from ksgnslab.generators import canonical_module, random_module, random_vectors
 from ksgnslab.hilbert import (
     AlphaLinearMap,
@@ -23,6 +23,7 @@ from ksgnslab.hilbert import (
     adjoint_map,
     algebra_module,
     compose_maps,
+    descend,
     identity_map,
     module_operator_norm,
     pairing_coeffs,
@@ -123,6 +124,40 @@ def test_quotient_detects_non_invariant_kernel():
     pre = PreModule(B, 2, bad, pairing)
     with pytest.raises(SubmoduleViolation):
         quotient_by_null(pre)
+
+
+def test_descend_on_rank_deficient_quotient(rng):
+    # scalars, rank-2 Gram on C^4: two null directions
+    B = AlgebraShape((1,))
+    Y = random_complex(rng, 2, 4)
+    G = Y.conj().T @ Y
+    pre = PreModule(B, 4, np.stack([np.eye(4, dtype=complex)]), [G.reshape(4, 4, 1, 1)])
+    quot = quotient_by_null(pre)
+    assert quot.module.dim == 2 and quot.kernel.shape == (4, 2)
+    ker = quot.kernel @ quot.kernel.conj().T
+    on_range = np.eye(4) - ker
+    # kernel-preserving: blockwise on range (+) kernel
+    K = on_range @ random_complex(rng, 4, 4) @ on_range + ker @ random_complex(rng, 4, 4) @ ker
+    assert np.array_equal(descend(K, quot, quot, "probe map"), quot.q @ K @ quot.s)
+    leaky = K + on_range @ random_complex(rng, 4, 4) @ ker
+    with pytest.raises(WellDefinednessViolation, match="probe map leaks out of the null space"):
+        descend(leaky, quot, quot, "probe map")
+
+
+@pytest.mark.parametrize("blocks", [(2,), (1, 2)])
+def test_antimultiplicativity_residual_matches_loop(blocks, rng):
+    B = AlgebraShape(blocks)
+    E = random_module(B, rng, max_dim=4)
+    pre = PreModule(B, E.dim, random_complex(rng, B.dim, E.dim, E.dim), E.pairing)
+    # reference: R(u_p u_r) - R(u_r) R(u_p) over every pair of matrix units
+    ref = 0.0
+    for p in range(B.dim):
+        for r in range(B.dim):
+            prod = basis_element(B, p) * basis_element(B, r)
+            ref = max(ref, operator_norm(pre.action_matrix(prod) - pre.action[r] @ pre.action[p]))
+    got = validate_premodule(pre).residuals["action_antimultiplicative"]
+    assert ref > 0.1
+    assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_adjoint_identity_and_involution(rng):

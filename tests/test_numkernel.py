@@ -8,6 +8,7 @@ from ksgnslab.numkernel import (
     herm_eig,
     herm_expi,
     herm_power,
+    max_operator_norm,
     operator_norm,
     pseudo_inverse,
     rank_kernel,
@@ -101,6 +102,16 @@ def test_operator_norm_examples():
     assert operator_norm(np.eye(4)) == pytest.approx(1.0)
     assert operator_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0)
     assert operator_norm(np.zeros((0, 0))) == 0.0
+
+
+def test_max_operator_norm_over_stacks(rng):
+    assert max_operator_norm(np.zeros((0, 3, 3))) == 0.0
+    assert max_operator_norm(np.zeros((4, 0, 0))) == 0.0
+    stack = random_complex(rng, 2, 5, 4, 3)
+    assert max_operator_norm(stack) == max(operator_norm(M) for M in stack.reshape(10, 4, 3))
+    stack[1, 2, 0, 0] = np.nan
+    with pytest.raises(NonFinite):
+        max_operator_norm(stack)
 
 
 @settings(max_examples=40, deadline=None)
