@@ -48,6 +48,7 @@ from .ksgns import (
 )
 from .numkernel import DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm
 from .poscor import (
+    BuildMemo,
     PosCorMorphism,
     PosCorObject,
     commuting_unitary,
@@ -434,8 +435,15 @@ def check_functor_laws(
     functor: EquivariantFunctor,
     tol: Tolerance = DEFAULT_TOL,
 ) -> CheckReport:
-    """F(g) F(h) = F(gh) through pullbacks, unit law, and U_g recovery."""
+    """F(g) F(h) = F(gh) through pullbacks, unit law, and U_g recovery.
+
+    One BuildMemo lives for this call only.  Across the |G|^2 composites it
+    builds each tensor module once per (module object, rho's codomain and
+    coefficient bytes) and each extended CP map once per (phi, tensor
+    module) object pair.
+    """
     rep = CheckReport()
+    memo = BuildMemo()
     G = c.group
     E = c.module
     scale = 1.0 + max(1.0, _gram_scale(E))
@@ -445,7 +453,7 @@ def check_functor_laws(
     )
     rep.add("unitary_recovery", recover, tol.ctol * scale)
     unit_gap = morphism_distance(
-        functor.morphisms[G.identity], poscor_identity(functor.obj, tol)
+        functor.morphisms[G.identity], poscor_identity(functor.obj, tol, memo)
     )
     rep.add("unit_law", unit_gap, tol.ctol * scale)
     law = 0.0
@@ -453,7 +461,7 @@ def check_functor_laws(
     for g in range(G.order):
         unitary = max(unitary, unitarity_residual(functor.morphisms[g].eta))
         for h in range(G.order):
-            composed = poscor_compose(functor.morphisms[g], functor.morphisms[h], tol)
+            composed = poscor_compose(functor.morphisms[g], functor.morphisms[h], tol, memo)
             law = max(
                 law,
                 operator_norm(composed.pullback - c.unitaries[G.mul(g, h)]),

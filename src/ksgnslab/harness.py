@@ -801,8 +801,7 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
     rec.add(
         "functor_morphism",
         "tensored pair intertwines the extended maps",
-        rep.max_residual,
-        max(rep.thresholds.values()),
+        *rep.summary(),
     )
     rec.add(
         "functor_norm",
@@ -912,8 +911,7 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
     rec.add(
         "commuting_unitary",
         "KSGNS commutes with tensoring: coordinate unitary",
-        rep.max_residual,
-        max(rep.thresholds.values()),
+        *rep.summary(),
     )
     lifted = ksgns_lift(m, cu1.triple, cu2.triple, tol)
     lifted_hat = tensor_extend_between(lifted.eta, cu1.right, cu2.right, tol)
@@ -1025,8 +1023,7 @@ def _check_category(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
             rec.add(
                 "morphism_invariants",
                 "category morphisms: unital rho and twisted intertwining",
-                rep.max_residual,
-                max(rep.thresholds.values()),
+                *rep.summary(),
             )
             break
     else:
@@ -1069,8 +1066,7 @@ def _check_category(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
     rec.add(
         "ksgns_morphism",
         "the dilated pair is again a category morphism",
-        rep.max_residual,
-        max(rep.thresholds.values()),
+        *rep.summary(),
     )
     ident1 = poscor_identity(objects[0], tol)
     k_id = ksgns_functor_poscor(ident1, triples["O1"], triples["O1"], dobjs["O1"], dobjs["O1"], tol)

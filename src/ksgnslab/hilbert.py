@@ -363,9 +363,10 @@ class AlphaLinearMap:
 def algebra_module(shape: AlgebraShape) -> HilbertModule:
     """B viewed as a Hilbert module over itself with <a, b> = a* b."""
     d = shape.dim
-    action = np.stack(
-        [right_mult_matrix(basis_element(shape, p)) for p in range(d)]
-    ) if d else np.zeros((0, 0, 0))
+    T = shape.product_table
+    q, p = np.nonzero(T >= 0)
+    action = np.zeros((d, d, d), dtype=complex)
+    action[p, T[q, p], q] = 1.0  # R(u_p) u_q = u_q u_p
     pairing = []
     for n, o in zip(shape.blocks, shape.offsets):
         P = np.zeros((d, d, n, n), dtype=complex)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .cstar import (
     check_star_map,
     identity_automorphism,
     identity_star_map,
-    left_mult_matrix,
     star_map_distance,
     unit_element,
 )
@@ -54,6 +54,26 @@ from .hilbert import (
 from .ksgns import KsgnsTriple, ksgns, ksgns_lift
 from .numkernel import DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm
 from .reporting import CheckReport
+
+
+# -- audit-scoped memo ---------------------------------------------------------
+
+
+class BuildMemo:
+    """Finished builds for the length of one audit.
+
+    Keys name objects by id(); each entry also holds the objects its key
+    names, so no id can be reused while the memo lives.  A build that raises
+    stores nothing: the next request repeats it and raises again.
+    """
+
+    def __init__(self) -> None:
+        self._done: dict[tuple, tuple] = {}
+
+    def get(self, key: tuple, keep: tuple, build: Callable[[], Any]) -> Any:
+        if key not in self._done:
+            self._done[key] = (keep, build())
+        return self._done[key][1]
 
 
 # -- interior tensor product -------------------------------------------------
@@ -125,17 +145,29 @@ def tensor_extend_operator(
     return tensor_extend_between(T, tm, tm, tol)
 
 
-def tensor_extend_cpmap(phi: CPMap, tm: TensorModule, tol: Tolerance = DEFAULT_TOL) -> CPMap:
-    """phi~ = phi(-) (x) I, the tensor-extended CP map on E (x)_pi F."""
-    images = np.stack(
-        [
-            tensor_extend_operator(
-                ModuleMap(tm.left, tm.left, phi.images[p]), tm, tol
-            ).matrix
-            for p in range(phi.algebra.dim)
-        ]
-    ) if phi.algebra.dim else np.zeros((0, tm.module.dim, tm.module.dim))
-    return CPMap(phi.algebra, tm.module, images)
+def tensor_extend_cpmap(
+    phi: CPMap,
+    tm: TensorModule,
+    tol: Tolerance = DEFAULT_TOL,
+    memo: BuildMemo | None = None,
+) -> CPMap:
+    """phi~ = phi(-) (x) I, the tensor-extended CP map on E (x)_pi F; with a
+    memo, built once per (phi, tm) object pair."""
+
+    def build() -> CPMap:
+        images = np.stack(
+            [
+                tensor_extend_operator(
+                    ModuleMap(tm.left, tm.left, phi.images[p]), tm, tol
+                ).matrix
+                for p in range(phi.algebra.dim)
+            ]
+        ) if phi.algebra.dim else np.zeros((0, tm.module.dim, tm.module.dim))
+        return CPMap(phi.algebra, tm.module, images)
+
+    if memo is None:
+        return build()
+    return memo.get(("extend", id(phi), id(tm), tol), (phi, tm), build)
 
 
 def tensor_functor_morphism(
@@ -174,19 +206,32 @@ def balanced_relation_residual(
 def left_mult_correspondence(rho: StarMap) -> Correspondence:
     """rho followed by left multiplication: B -> L(C as a module over itself)."""
     C_mod = algebra_module(rho.codomain)
-    images = np.stack(
-        [left_mult_matrix(rho.images[p]) for p in range(rho.domain.dim)]
-    )
+    T = rho.codomain.product_table
+    p, r = np.nonzero(T >= 0)
+    images = np.zeros((rho.domain.dim, C_mod.dim, C_mod.dim), dtype=complex)
+    images[:, T[p, r], r] = rho.matrix[p].T  # rho(u_b) u_r = sum_p rho_pb u_p u_r
     return Correspondence(rho.domain, C_mod, images)
 
 
 def interior_tensor_along(
-    E: HilbertModule, rho: StarMap, tol: Tolerance = DEFAULT_TOL
+    E: HilbertModule,
+    rho: StarMap,
+    tol: Tolerance = DEFAULT_TOL,
+    memo: BuildMemo | None = None,
 ) -> TensorModule:
+    """E (x)_rho C; with a memo, built once per module object and rho's
+    coefficients (codomain and coefficient matrix)."""
     if rho.domain != E.algebra:
         raise ShapeMismatch("star map domain differs from E's coefficients")
-    pi = left_mult_correspondence(rho)
-    return interior_tensor(E, pi.module, pi, tol)
+
+    def build() -> TensorModule:
+        pi = left_mult_correspondence(rho)
+        return interior_tensor(E, pi.module, pi, tol)
+
+    if memo is None:
+        return build()
+    key = ("along", id(E), rho.codomain, rho.matrix.tobytes(), tol)
+    return memo.get(key, (E,), build)
 
 
 @dataclass
@@ -229,9 +274,11 @@ class InclusionUnitary:
     iota: ModuleMap
 
 
-def inclusion_unitary(E: HilbertModule, tol: Tolerance = DEFAULT_TOL) -> InclusionUnitary:
+def inclusion_unitary(
+    E: HilbertModule, tol: Tolerance = DEFAULT_TOL, memo: BuildMemo | None = None
+) -> InclusionUnitary:
     inc = identity_star_map(E.algebra)
-    tm = interior_tensor_along(E, inc, tol)
+    tm = interior_tensor_along(E, inc, tol, memo)
     dE, dB = E.dim, E.algebra.dim
     N_pre = (
         np.transpose(E.action, (1, 2, 0)).reshape(dE, dE * dB)
@@ -259,14 +306,15 @@ def composition_unitary(
     inner: TensorModule | None = None,
     target: TensorModule | None = None,
     tol: Tolerance = DEFAULT_TOL,
+    memo: BuildMemo | None = None,
 ) -> CompositionUnitary:
     """The unitary (x (x) c) (x) d -> x (x) rho2(c) d."""
     if rho1.codomain != rho2.domain:
         raise ShapeMismatch("star maps do not chain")
-    tm12 = inner if inner is not None else interior_tensor_along(E, rho1, tol)
-    tm123 = interior_tensor_along(tm12.module, rho2, tol)
+    tm12 = inner if inner is not None else interior_tensor_along(E, rho1, tol, memo)
+    tm123 = interior_tensor_along(tm12.module, rho2, tol, memo)
     rho = compose_star_maps(rho2, rho1)
-    tm13 = target if target is not None else interior_tensor_along(E, rho, tol)
+    tm13 = target if target is not None else interior_tensor_along(E, rho, tol, memo)
     dE = E.dim
     dC, dD = rho2.domain.dim, rho2.codomain.dim
     # T[v, w, :] = coefficients of rho2(u_v) u_w in D: u_q u_w = u_prod[q, w]
@@ -431,19 +479,26 @@ def make_poscor_morphism(
     alpha: Automorphism,
     dom_tensor: TensorModule | None = None,
     tol: Tolerance = DEFAULT_TOL,
+    memo: BuildMemo | None = None,
 ) -> PosCorMorphism:
     if rho.domain != dom.coefficient or rho.codomain != cod.coefficient:
         raise ObjectMismatch("rho does not match the endpoint coefficients")
-    tm = dom_tensor if dom_tensor is not None else interior_tensor_along(dom.module, rho, tol)
+    tm = (
+        dom_tensor
+        if dom_tensor is not None
+        else interior_tensor_along(dom.module, rho, tol, memo)
+    )
     eta = ModuleMap(tm.module, cod.module, eta_matrix)
     vr = v_rho(dom.module, rho, tensor=tm, tol=tol)
-    phi_ext = tensor_extend_cpmap(dom.phi, tm, tol)
+    phi_ext = tensor_extend_cpmap(dom.phi, tm, tol, memo)
     return PosCorMorphism(dom, cod, rho, tm, eta, alpha, vr, phi_ext)
 
 
-def poscor_identity(obj: PosCorObject, tol: Tolerance = DEFAULT_TOL) -> PosCorMorphism:
+def poscor_identity(
+    obj: PosCorObject, tol: Tolerance = DEFAULT_TOL, memo: BuildMemo | None = None
+) -> PosCorMorphism:
     """(inc, (iota, 1_A)) for the inclusion tensor."""
-    inc = inclusion_unitary(obj.module, tol)
+    inc = inclusion_unitary(obj.module, tol, memo)
     return make_poscor_morphism(
         obj,
         obj,
@@ -452,19 +507,24 @@ def poscor_identity(obj: PosCorObject, tol: Tolerance = DEFAULT_TOL) -> PosCorMo
         identity_automorphism(obj.input_algebra),
         dom_tensor=inc.tensor,
         tol=tol,
+        memo=memo,
     )
 
 
 def poscor_compose(
-    m2: PosCorMorphism, m1: PosCorMorphism, tol: Tolerance = DEFAULT_TOL
+    m2: PosCorMorphism,
+    m1: PosCorMorphism,
+    tol: Tolerance = DEFAULT_TOL,
+    memo: BuildMemo | None = None,
 ) -> PosCorMorphism:
-    """(rho2 rho1, (eta2 . (eta1 (x) I) . U^{-1}, alpha2 alpha1))."""
+    """(rho2 rho1, (eta2 . (eta1 (x) I) . U^{-1}, alpha2 alpha1)); a memo
+    reuses the tensor modules and extended CP maps it has already built."""
     if m1.cod.ident != m2.dom.ident:
         raise ObjectMismatch(
             f"cannot compose across objects {m1.cod.ident!r} != {m2.dom.ident!r}"
         )
     comp = composition_unitary(
-        m1.dom.module, m1.rho, m2.rho, inner=m1.dom_tensor, tol=tol
+        m1.dom.module, m1.rho, m2.rho, inner=m1.dom_tensor, tol=tol, memo=memo
     )
     eta1_hat = tensor_extend_between(m1.eta, comp.double, m2.dom_tensor, tol)
     U_inv = adjoint_map(comp.unitary)
@@ -477,6 +537,7 @@ def poscor_compose(
         compose_automorphisms(m2.alpha, m1.alpha),
         dom_tensor=comp.target,
         tol=tol,
+        memo=memo,
     )
 
 
@@ -595,11 +656,25 @@ def check_category_laws(
     tol: Tolerance = DEFAULT_TOL,
 ) -> CheckReport:
     """Left/right identity, associativity, and invariant preservation, over
-    every composable pair and triple in the given diagram."""
+    every composable pair and triple in the given diagram.
+
+    One BuildMemo lives for this call only.  It builds each tensor module once
+    per (module object, rho's codomain and coefficient bytes), each extended
+    CP map once per (phi, tensor module) object pair, and each composable
+    pair's composite once per (m2, m1) object pair; associativity's right
+    side reuses the composite m3 . m2.  Failed builds are not stored.
+    """
     from .errors import KsgnslabError
 
+    memo = BuildMemo()
+
+    def compose(m2: PosCorMorphism, m1: PosCorMorphism) -> PosCorMorphism:
+        return memo.get(
+            ("compose", id(m2), id(m1)), (m2, m1), lambda: poscor_compose(m2, m1, tol, memo)
+        )
+
     rep = CheckReport()
-    identities = {o.ident: poscor_identity(o, tol) for o in objects}
+    identities = {o.ident: poscor_identity(o, tol, memo) for o in objects}
 
     left_id = right_id = 0.0
     scale = 1.0
@@ -610,11 +685,11 @@ def check_category_laws(
         try:
             left_id = max(
                 left_id,
-                morphism_distance(poscor_compose(identities[m.cod.ident], m, tol), m),
+                morphism_distance(poscor_compose(identities[m.cod.ident], m, tol, memo), m),
             )
             right_id = max(
                 right_id,
-                morphism_distance(poscor_compose(m, identities[m.dom.ident], tol), m),
+                morphism_distance(poscor_compose(m, identities[m.dom.ident], tol, memo), m),
             )
         except KsgnslabError:
             broken += 1
@@ -628,22 +703,19 @@ def check_category_laws(
             continue
         pair_count += 1
         try:
-            composed = poscor_compose(m2, m1, tol)
+            composed = compose(m2, m1)
             closure.merge(
                 check_poscor_morphism(composed, tol), prefix=f"pair{pair_count}_"
             )
             for m3 in morphisms:
                 if m3.dom.ident != m2.cod.ident:
                     continue
-                lhs = poscor_compose(m3, composed, tol)
-                rhs = poscor_compose(poscor_compose(m3, m2, tol), m1, tol)
+                lhs = poscor_compose(m3, composed, tol, memo)
+                rhs = poscor_compose(compose(m3, m2), m1, tol, memo)
                 assoc = max(assoc, morphism_distance(lhs, rhs))
         except KsgnslabError:
             broken += 1
     rep.add("associativity", assoc, tol.ctol * scale**3)
-    rep.add(
-        "composition_closure",
-        float("inf") if broken else closure.max_residual,
-        max(closure.thresholds.values(), default=tol.ctol),
-    )
+    residual, threshold = closure.summary(empty_threshold=tol.ctol)
+    rep.add("composition_closure", float("inf") if broken else residual, threshold)
     return rep

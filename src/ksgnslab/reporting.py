@@ -31,6 +31,24 @@ class CheckReport:
     def failing(self) -> list[str]:
         return [k for k in self.residuals if self.residuals[k] > self.thresholds[k]]
 
+    def summary(self, empty_threshold: float = 0.0) -> tuple[float, float]:
+        """One (residual, threshold) pair for the whole report.
+
+        A passing report gives its largest residual and largest threshold.  A
+        failing one gives its worst failing entry (largest residual/threshold
+        ratio), so the pair fails too.
+        """
+        failing = self.failing()
+        if not failing:
+            return self.max_residual, max(self.thresholds.values(), default=empty_threshold)
+
+        def ratio(k: str) -> float:
+            t = self.thresholds[k]
+            return self.residuals[k] / t if t > 0 else float("inf")
+
+        worst = max(failing, key=ratio)
+        return self.residuals[worst], self.thresholds[worst]
+
     def __repr__(self) -> str:  # compact: only show failures in full
         status = "pass" if self.passed else f"FAIL {self.failing()}"
         return f"CheckReport({status}, max={self.max_residual:.3e})"

@@ -1,0 +1,223 @@
+"""The category and functor-law audits build each tensor module once.
+
+`check_category_laws` and `check_functor_laws` keep one BuildMemo per call.
+These tests count the interior tensor builds an audit makes, compare the
+audits' residuals with the memo-less loops they replaced (kept below as the
+reference), and check that a build which raises is not remembered.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from ksgnslab import poscor
+from ksgnslab.equivariant import (
+    _gram_scale,
+    check_functor_laws,
+    correspondence_to_functor,
+    cyclic_group,
+    random_equivariant,
+    symmetric_group,
+)
+from ksgnslab.cstar import AlgebraShape
+from ksgnslab.errors import KsgnslabError, WellDefinednessViolation
+from ksgnslab.harness import SizeCaps, _load_category, generate_instance, instance_seed
+from ksgnslab.hilbert import unitarity_residual
+from ksgnslab.numkernel import DEFAULT_TOL, operator_norm
+from ksgnslab.poscor import (
+    BuildMemo,
+    check_category_laws,
+    check_poscor_morphism,
+    morphism_distance,
+    poscor_compose,
+    poscor_identity,
+)
+from ksgnslab.reporting import CheckReport
+
+
+def category_instance(idx):
+    payload = generate_instance(
+        "category", SizeCaps(), instance_seed(20250809, "category", idx)
+    )
+    return _load_category(payload, DEFAULT_TOL)
+
+
+def functor_instance(group):
+    M2 = AlgebraShape((2,))
+    c = random_equivariant(M2, M2, group, seed=1, copies=1)
+    return c, correspondence_to_functor(c, DEFAULT_TOL)
+
+
+# -- the memo-less audits, as they were before the memo -------------------------
+
+
+def category_laws_reference(objects, morphisms, tol=DEFAULT_TOL):
+    rep = CheckReport()
+    identities = {o.ident: poscor_identity(o, tol) for o in objects}
+    left_id = right_id = 0.0
+    scale = 1.0
+    closure = CheckReport()
+    broken = 0
+    for m in morphisms:
+        scale = max(scale, 1.0 + m.norm)
+        try:
+            left_id = max(
+                left_id,
+                morphism_distance(poscor_compose(identities[m.cod.ident], m, tol), m),
+            )
+            right_id = max(
+                right_id,
+                morphism_distance(poscor_compose(m, identities[m.dom.ident], tol), m),
+            )
+        except KsgnslabError:
+            broken += 1
+    rep.add("left_identity", left_id, tol.ctol * scale)
+    rep.add("right_identity", right_id, tol.ctol * scale)
+    assoc = 0.0
+    pair_count = 0
+    for m1, m2 in itertools.product(morphisms, repeat=2):
+        if m1 is m2 or m1.cod.ident != m2.dom.ident:
+            continue
+        pair_count += 1
+        try:
+            composed = poscor_compose(m2, m1, tol)
+            closure.merge(
+                check_poscor_morphism(composed, tol), prefix=f"pair{pair_count}_"
+            )
+            for m3 in morphisms:
+                if m3.dom.ident != m2.cod.ident:
+                    continue
+                lhs = poscor_compose(m3, composed, tol)
+                rhs = poscor_compose(poscor_compose(m3, m2, tol), m1, tol)
+                assoc = max(assoc, morphism_distance(lhs, rhs))
+        except KsgnslabError:
+            broken += 1
+    rep.add("associativity", assoc, tol.ctol * scale**3)
+    rep.add(
+        "composition_closure",
+        float("inf") if broken else closure.max_residual,
+        max(closure.thresholds.values(), default=tol.ctol),
+    )
+    return rep
+
+
+def functor_laws_reference(c, functor, tol=DEFAULT_TOL):
+    rep = CheckReport()
+    G = c.group
+    scale = 1.0 + max(1.0, _gram_scale(c.module))
+    recover = max(
+        operator_norm(functor.morphisms[g].pullback - c.unitaries[g])
+        for g in range(G.order)
+    )
+    rep.add("unitary_recovery", recover, tol.ctol * scale)
+    unit_gap = morphism_distance(
+        functor.morphisms[G.identity], poscor_identity(functor.obj, tol)
+    )
+    rep.add("unit_law", unit_gap, tol.ctol * scale)
+    law = unitary = 0.0
+    for g in range(G.order):
+        unitary = max(unitary, unitarity_residual(functor.morphisms[g].eta))
+        for h in range(G.order):
+            composed = poscor_compose(functor.morphisms[g], functor.morphisms[h], tol)
+            law = max(law, operator_norm(composed.pullback - c.unitaries[G.mul(g, h)]))
+    rep.add("composition_law", law, tol.ctol * scale)
+    rep.add("unitary_valued", unitary, tol.ctol * scale)
+    return rep
+
+
+# -- build counts ---------------------------------------------------------------
+
+
+def count_tensor_builds(monkeypatch):
+    """Count poscor.interior_tensor builds by (module id, pi coefficient bytes);
+    the counter holds every module so no id is reused during the count."""
+    builds = {}
+    seen = []
+    real = poscor.interior_tensor
+
+    def counting(E, F, pi, tol=DEFAULT_TOL):
+        seen.append(E)
+        key = (id(E), pi.images.tobytes())
+        builds[key] = builds.get(key, 0) + 1
+        return real(E, F, pi, tol)
+
+    monkeypatch.setattr(poscor, "interior_tensor", counting)
+    return builds
+
+
+def test_category_audit_builds_each_tensor_module_once(monkeypatch):
+    objects, morphisms = category_instance(0)
+    builds = count_tensor_builds(monkeypatch)
+    rep = check_category_laws(objects, morphisms, DEFAULT_TOL)
+    assert rep.passed, rep.residuals
+    assert len(builds) > len(objects)
+    assert max(builds.values()) == 1
+
+
+def test_functor_audit_builds_each_tensor_module_once(monkeypatch):
+    c, functor = functor_instance(symmetric_group(3))
+    builds = count_tensor_builds(monkeypatch)
+    rep = check_functor_laws(c, functor, DEFAULT_TOL)
+    assert rep.passed, rep.residuals
+    assert len(builds) > c.group.order
+    assert max(builds.values()) == 1
+
+
+# -- equality with the memo-less audits -------------------------------------------
+
+
+@pytest.mark.parametrize("idx", [0, 1])
+def test_category_audit_equals_memo_less_loops(idx):
+    objects, morphisms = category_instance(idx)
+    rep = check_category_laws(objects, morphisms, DEFAULT_TOL)
+    ref = category_laws_reference(objects, morphisms, DEFAULT_TOL)
+    assert rep.residuals == ref.residuals
+    assert rep.thresholds == ref.thresholds
+
+
+@pytest.mark.parametrize("group", [cyclic_group(2), symmetric_group(3)], ids=["Z2", "S3"])
+def test_functor_audit_equals_memo_less_loops(group):
+    c, functor = functor_instance(group)
+    rep = check_functor_laws(c, functor, DEFAULT_TOL)
+    ref = functor_laws_reference(c, functor, DEFAULT_TOL)
+    assert rep.residuals == ref.residuals
+    assert rep.thresholds == ref.thresholds
+
+
+# -- failed builds are not remembered ---------------------------------------------
+
+
+def test_memo_stores_only_finished_builds():
+    memo = BuildMemo()
+    calls = []
+
+    def failing():
+        calls.append("fail")
+        raise WellDefinednessViolation("build failed")
+
+    for _ in range(2):
+        with pytest.raises(WellDefinednessViolation):
+            memo.get(("k",), (), failing)
+    assert calls == ["fail", "fail"]
+    first = memo.get(("k",), (), lambda: np.ones(2))
+    assert memo.get(("k",), (), failing) is first
+
+
+def test_category_audit_failed_build_still_breaks_closure(monkeypatch):
+    objects, morphisms = category_instance(0)
+    real = poscor.interior_tensor
+    calls = []
+
+    def fail_once(E, F, pi, tol=DEFAULT_TOL):
+        calls.append(E)
+        # the identities build one tensor per object; fail the first build after
+        if len(calls) == len(objects) + 1:
+            raise WellDefinednessViolation("injected")
+        return real(E, F, pi, tol)
+
+    monkeypatch.setattr(poscor, "interior_tensor", fail_once)
+    rep = check_category_laws(objects, morphisms, DEFAULT_TOL)
+    assert rep.residuals["composition_closure"] == float("inf")
+    assert "composition_closure" in rep.failing()
+    assert rep.residuals["associativity"] <= rep.thresholds["associativity"]

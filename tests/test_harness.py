@@ -20,6 +20,7 @@ from ksgnslab.harness import (
     run,
 )
 from ksgnslab.numkernel import Tolerance
+from ksgnslab.reporting import CheckReport
 
 
 SMALL = SizeCaps(instances_per_suite=2)
@@ -245,6 +246,36 @@ def test_failed_choi_certificate_is_recorded_as_failure(suite, check):
     (record,) = [r for r in check_instance(suite, payload, Tolerance()) if r.check == check]
     assert not record.passed
     assert record.residual == float("inf")
+
+
+def test_report_summary_keeps_passes_and_reports_worst_failure():
+    rep = CheckReport()
+    rep.add("a", 1e-9, 1e-8)
+    rep.add("b", 2e-9, 6e-8)
+    assert rep.summary() == (2e-9, 6e-8)
+    rep.add("c", 4e-8, 2e-8)  # fails under the largest threshold's entry
+    rep.add("d", 3e-8, 1e-8)  # the worst ratio
+    assert rep.summary() == (3e-8, 1e-8)
+    rep.add("dim", 1.0, 0.0)
+    assert rep.summary() == (1.0, 0.0)
+    assert CheckReport().summary(empty_threshold=1e-8) == (0.0, 1e-8)
+
+
+def test_failing_subreport_is_recorded_as_failure():
+    # scaling morphism 0's rho by 1 + 4e-8 breaks multiplicativity and unitality
+    # by 4e-8 against a 2e-8 gate, below the same reports' 6e-8 eta gate
+    from ksgnslab import serialize as ser
+    from ksgnslab.cstar import AlgebraElement, StarMap
+
+    payload = generate_instance("category", SizeCaps(), instance_seed(20250809, "category", 0))
+    assert "ksgns_functor" in payload["checks"]
+    rho = ser.load_star_map(payload["morphisms"][0]["rho"])
+    scaled = [AlgebraElement(img.shape, [(1 + 4e-8) * b for b in img.blocks]) for img in rho.images]
+    payload["morphisms"][0]["rho"] = ser.dump_star_map(StarMap(rho.domain, rho.codomain, scaled))
+    records = {r.check: r for r in check_instance("category", payload, Tolerance())}
+    for check in ("morphism_invariants", "closure", "ksgns_morphism"):
+        assert not records[check].passed, check
+        assert records[check].residual > records[check].threshold
 
 
 def test_group_cap_one_degenerates_to_plain_inputs():

@@ -9,6 +9,7 @@ from ksgnslab.cstar import (
     identity_star_map,
     random_automorphism,
     random_element,
+    right_mult_matrix,
     trace_functional,
     unit_element,
 )
@@ -60,6 +61,18 @@ def test_algebra_module_axioms():
         rep = validate_premodule(E)
         assert rep.passed, rep.residuals
         assert np.allclose(E.gram_matrix, np.eye(E.dim))
+
+
+ALL_SHAPES = [(1,), (2,), (3,), (1, 2), (2, 3), (1, 1, 2)]
+
+
+@pytest.mark.parametrize("blocks", ALL_SHAPES)
+def test_algebra_module_action_matches_per_basis_build(blocks):
+    B = AlgebraShape(blocks)
+    reference = np.stack(
+        [right_mult_matrix(basis_element(B, p)) for p in range(B.dim)]
+    )
+    assert np.array_equal(algebra_module(B).action, reference)
 
 
 def test_random_module_axioms(rng):

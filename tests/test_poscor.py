@@ -4,9 +4,11 @@ import pytest
 from ksgnslab.cp import CPMap, Intertwiner, check_morphism, random_blinear_unitary, random_cp
 from ksgnslab.cstar import (
     AlgebraShape,
+    StarMap,
     compose_star_maps,
     identity_automorphism,
     identity_star_map,
+    left_mult_matrix,
     random_element,
 )
 from ksgnslab.errors import ObjectMismatch
@@ -45,6 +47,7 @@ from ksgnslab.poscor import (
     interior_tensor,
     interior_tensor_along,
     ksgns_functor_poscor,
+    left_mult_correspondence,
     make_poscor_morphism,
     morphism_distance,
     poscor_compose,
@@ -62,6 +65,15 @@ from conftest import random_complex
 
 
 # -- interior tensor -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("blocks", [(1,), (2,), (3,), (1, 2), (2, 3), (1, 1, 2)])
+def test_left_mult_correspondence_matches_per_basis_build(blocks, rng):
+    # any linear map will do: each image is read through its coefficients
+    B, C = AlgebraShape((1, 2)), AlgebraShape(blocks)
+    rho = StarMap(B, C, [random_element(C, rng) for _ in range(B.dim)])
+    reference = np.stack([left_mult_matrix(img) for img in rho.images])
+    assert np.array_equal(left_mult_correspondence(rho).images, reference)
 
 
 def test_tensor_with_coefficients_is_identity(rng):

@@ -37,3 +37,37 @@ def test_no_unused_top_level_imports():
         if (unused := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def process_caches(source: str) -> list[str]:
+    """functools.cache / lru_cache in a module, imported by name or used as
+    an attribute of functools."""
+    names = {"cache", "lru_cache"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"{a.name} (line {node.lineno})" for a in node.names if a.name in names]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in names
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            found.append(f"functools.{node.attr} (line {node.lineno})")
+    return found
+
+
+def test_no_process_wide_caches():
+    # memoisation lives in an object the caller passes (poscor.BuildMemo), so
+    # nothing grows for the life of a `verify run`
+    probe = (
+        "import functools\nfrom functools import cached_property, lru_cache\n"
+        "@functools.cache\ndef f(x):\n    return x\n"
+    )
+    assert process_caches(probe) == ["lru_cache (line 2)", "functools.cache (line 3)"]
+    found = {
+        path.name: caches
+        for path in sorted(SRC.glob("*.py"))
+        if (caches := process_caches(path.read_text()))
+    }
+    assert found == {}
