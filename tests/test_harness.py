@@ -275,7 +275,6 @@ def test_failing_subreport_is_recorded_as_failure():
     records = {r.check: r for r in check_instance("category", payload, Tolerance())}
     for check in ("morphism_invariants", "closure", "ksgns_morphism"):
         assert not records[check].passed, check
-        assert records[check].residual > records[check].threshold
 
 
 def test_group_cap_one_degenerates_to_plain_inputs():
