@@ -177,16 +177,17 @@ def random_element(
 def left_mult_matrix(a: AlgebraElement) -> np.ndarray:
     """Matrix of x -> a x on matrix-unit coordinates (block diag of a_i kron I)."""
     mats = [np.kron(b, np.eye(n, dtype=complex)) for b, n in zip(a.blocks, a.shape.blocks)]
-    return _block_diag(mats)
+    return block_diag(mats)
 
 
 def right_mult_matrix(a: AlgebraElement) -> np.ndarray:
     """Matrix of x -> x a on matrix-unit coordinates (block diag of I kron a_i^T)."""
     mats = [np.kron(np.eye(n, dtype=complex), b.T) for b, n in zip(a.blocks, a.shape.blocks)]
-    return _block_diag(mats)
+    return block_diag(mats)
 
 
-def _block_diag(mats: list[np.ndarray]) -> np.ndarray:
+def block_diag(mats: list[np.ndarray]) -> np.ndarray:
+    """The square matrices mats along the diagonal of one complex matrix."""
     total = sum(m.shape[0] for m in mats)
     out = np.zeros((total, total), dtype=complex)
     pos = 0

@@ -21,6 +21,7 @@ import numpy as np
 from .cstar import (
     AlgebraShape,
     Automorphism,
+    block_diag,
     haar_unitary,
     identity_automorphism,
     inner_automorphism,
@@ -221,13 +222,7 @@ def unitary_representation(
     V = haar_unitary(n, rng)
     mats = []
     for g in range(G.order):
-        blocks = [irrep(kind, g) for kind in pieces]
-        D = np.zeros((n, n), dtype=complex)
-        pos = 0
-        for b in blocks:
-            k = b.shape[0]
-            D[pos : pos + k, pos : pos + k] = b
-            pos += k
+        D = block_diag([irrep(kind, g) for kind in pieces])
         mats.append(V @ D @ V.conj().T)
     return mats
 

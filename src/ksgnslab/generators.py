@@ -17,6 +17,7 @@ from .cstar import (
     Automorphism,
     StarMap,
     AlgebraElement,
+    block_diag,
     from_coeffs,
     haar_unitary,
     identity_automorphism,
@@ -25,7 +26,7 @@ from .cstar import (
     random_element,
 )
 from .errors import InvalidConfig
-from .hilbert import HilbertModule, ModuleMap, adjoint_map, module_operator_norm
+from .hilbert import HilbertModule, ModuleMap, adjoint_map, canonical_module, module_operator_norm
 from .numkernel import DEFAULT_TOL, Tolerance
 from .poscor import (
     PosCorMorphism,
@@ -33,6 +34,7 @@ from .poscor import (
     inclusion_unitary,
     interior_tensor_along,
     make_poscor_morphism,
+    tensor_extend_cpmap,
 )
 from .equivariant import scramble_module
 
@@ -45,32 +47,6 @@ def random_shape(rng: np.random.Generator, max_blocks: int = 2, max_block: int =
     if not menu:
         raise InvalidConfig("size caps rule out every algebra shape")
     return AlgebraShape(menu[rng.integers(len(menu))])
-
-
-def canonical_module(B: AlgebraShape, rows: tuple[int, ...]) -> HilbertModule:
-    """(+)_t C^{r_t x m_t} with x.b = x b and <x, y> = x* y blockwise."""
-    if len(rows) != len(B.blocks):
-        raise InvalidConfig("one row count per block required")
-    dims = [r * m for r, m in zip(rows, B.blocks)]
-    d = sum(dims)
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-
-    def flat(t: int, a: int, b: int) -> int:
-        return int(offsets[t] + a * B.blocks[t] + b)
-
-    action = np.zeros((B.dim, d, d), dtype=complex)
-    for p, t, k, l in B.basis_labels():
-        for a in range(rows[t]):
-            action[p, flat(t, a, l), flat(t, a, k)] = 1.0
-    pairing = []
-    for t, m in enumerate(B.blocks):
-        P = np.zeros((d, d, m, m), dtype=complex)
-        for a in range(rows[t]):
-            for b in range(m):
-                for b2 in range(m):
-                    P[flat(t, a, b), flat(t, a, b2), b, b2] = 1.0
-        pairing.append(P)
-    return HilbertModule(B, d, action, pairing)
 
 
 def random_rows(
@@ -95,6 +71,15 @@ def random_module(
     rows = random_rows(B, rng, max_dim, min_dim)
     module, _ = scramble_module(canonical_module(B, rows), rng)
     return module
+
+
+def multiplicity_embedding(
+    blocks: list[np.ndarray], counts: tuple[int, ...], W: np.ndarray
+) -> np.ndarray:
+    """W diag(blocks[0] x counts[0], blocks[1] x counts[1], ...) W*: each block
+    repeated its count times along the diagonal, then conjugated by W."""
+    D = block_diag([b for b, count in zip(blocks, counts) for _ in range(count)])
+    return W @ D @ W.conj().T
 
 
 def random_star_map(
@@ -134,19 +119,10 @@ def random_star_map(
     conjugators = [haar_unitary(p, rng) for p in C.blocks]
 
     def embed(a: AlgebraElement) -> AlgebraElement:
-        out_blocks = []
-        for u, nu in enumerate(multiplicities):
-            p = C.blocks[u]
-            D = np.zeros((p, p), dtype=complex)
-            pos = 0
-            for t, count in enumerate(nu):
-                m = B.blocks[t]
-                for _ in range(count):
-                    D[pos : pos + m, pos : pos + m] = a.blocks[t]
-                    pos += m
-            W = conjugators[u]
-            out_blocks.append(W @ D @ W.conj().T)
-        return AlgebraElement(C, out_blocks)
+        return AlgebraElement(
+            C,
+            [multiplicity_embedding(a.blocks, nu, W) for nu, W in zip(multiplicities, conjugators)],
+        )
 
     images = [
         embed(from_coeffs(B, np.eye(B.dim)[:, p])) for p in range(B.dim)
@@ -183,31 +159,17 @@ def random_representation(
         rows = tuple(sum(m * n for m, n in zip(mu_t, A.blocks)) for mu_t in mu)
     F0 = canonical_module(B, rows)
     conjugators = [haar_unitary(r, rng) for r in rows]
-    dims = [r * m for r, m in zip(rows, B.blocks)]
-    offsets = np.concatenate([[0], np.cumsum(dims)])
 
-    def rep_block(t: int, a_blocks: list[np.ndarray]) -> np.ndarray:
-        r = rows[t]
-        D = np.zeros((r, r), dtype=complex)
-        pos = 0
-        for i, count in enumerate(mu[t]):
-            n = A.blocks[i]
-            for _ in range(count):
-                D[pos : pos + n, pos : pos + n] = a_blocks[i]
-                pos += n
-        W = conjugators[t]
-        return W @ D @ W.conj().T
+    def represent(a: AlgebraElement) -> np.ndarray:
+        # the multiplicity embedding acts on the row index of each C^{r_t x m_t}
+        return block_diag(
+            [
+                np.kron(multiplicity_embedding(a.blocks, nu, W), np.eye(m, dtype=complex))
+                for nu, W, m in zip(mu, conjugators, B.blocks)
+            ]
+        )
 
-    dA = A.dim
-    images = np.zeros((dA, F0.dim, F0.dim), dtype=complex)
-    for p, i, k, l in A.basis_labels():
-        unit_blocks = [np.zeros((n, n), dtype=complex) for n in A.blocks]
-        unit_blocks[i][k, l] = 1.0
-        for t, m in enumerate(B.blocks):
-            T = rep_block(t, unit_blocks)  # acts on the row index
-            block = np.kron(T, np.eye(m, dtype=complex))
-            sl = slice(offsets[t], offsets[t + 1])
-            images[p][sl, sl] = block
+    images = np.stack([represent(from_coeffs(A, e)) for e in np.eye(A.dim)])
     F, S = scramble_module(F0, rng)
     S_inv = np.linalg.inv(S)
     images = np.stack([S_inv @ img @ S for img in images])
@@ -223,6 +185,21 @@ def conjugate_cp(
     moved = np.einsum("qp,qij->pij", alpha.inverse_matrix, phi.images)
     images = np.einsum("ij,pjk,kl->pil", W.matrix, moved, Ws, optimize=True)
     return CPMap(phi.algebra, W.target, images)
+
+
+def random_intertwiner(
+    phi1: CPMap, phi2: CPMap, alpha: Automorphism, rng: np.random.Generator, tol: Tolerance
+) -> tuple[ModuleMap, float]:
+    """A random element eta of the solved intertwiner space of (phi1, phi2, alpha),
+    complex Gaussian in its basis, with its module norm."""
+    basis = intertwiner_space(phi1, phi2, alpha, tol)
+    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    mat = sum(
+        (c * b.matrix for c, b in zip(coeffs, basis)),
+        start=np.zeros((phi2.module.dim, phi1.module.dim), dtype=complex),
+    )
+    eta = ModuleMap(phi1.module, phi2.module, mat)
+    return eta, module_operator_norm(eta)
 
 
 def extend_morphism(
@@ -244,16 +221,9 @@ def extend_morphism(
     phi2 = conjugate_cp(phi, W, alpha)
     if unitary_eta:
         return E2, phi2, Intertwiner(W, alpha)
-    basis = intertwiner_space(phi, phi2, alpha, tol)
-    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    mat = sum(
-        (c * b.matrix for c, b in zip(coeffs, basis)),
-        start=np.zeros((E2.dim, E.dim), dtype=complex),
-    )
-    eta = ModuleMap(E, E2, mat)
-    norm = module_operator_norm(eta)
+    eta, norm = random_intertwiner(phi, phi2, alpha, rng, tol)
     if norm > 1e-9:
-        eta = ModuleMap(E, E2, mat / norm * (0.5 + rng.uniform()))
+        eta = ModuleMap(E, E2, eta.matrix / norm * (0.5 + rng.uniform()))
     else:
         eta = W
     return E2, phi2, Intertwiner(eta, alpha)
@@ -307,14 +277,7 @@ def random_morphism_to_new_object(
     E2, S = scramble_module(tensor.module, rng)
     W = ModuleMap(tensor.module, E2, np.linalg.inv(S))
     alpha = random_automorphism(dom.input_algebra, rng)
-    phi_ext_images = np.stack(
-        [
-            (tensor.q @ np.kron(dom.phi.images[p], np.eye(tensor.right.dim)) @ tensor.s)
-            for p in range(dom.input_algebra.dim)
-        ]
-    )
-    phi_ext = CPMap(dom.input_algebra, tensor.module, phi_ext_images)
-    psi = conjugate_cp(phi_ext, W, alpha)
+    psi = conjugate_cp(tensor_extend_cpmap(dom.phi, tensor, tol), W, alpha)
     cod = PosCorObject(ident, dom.input_algebra, rho.codomain, E2, psi)
     morphism = make_poscor_morphism(
         dom, cod, rho, W.matrix, alpha, dom_tensor=tensor, tol=tol
@@ -328,26 +291,14 @@ def random_endomorphism(
     """An endomorphism of obj: a random element of the commutant of phi,
     composed with the inclusion unitary."""
     inc = inclusion_unitary(obj.module, tol)
-    basis = intertwiner_space(
-        obj.phi, obj.phi, identity_automorphism(obj.input_algebra), tol
-    )
-    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    mat = sum(
-        (c * b.matrix for c, b in zip(coeffs, basis)),
-        start=np.zeros((obj.module.dim, obj.module.dim), dtype=complex),
-    )
-    norm = module_operator_norm(ModuleMap(obj.module, obj.module, mat))
+    ident = identity_automorphism(obj.input_algebra)
+    eta, norm = random_intertwiner(obj.phi, obj.phi, ident, rng, tol)
+    mat = eta.matrix
     if norm <= 1e-9:
         mat, norm = np.eye(obj.module.dim, dtype=complex), 1.0
     eta = (mat / norm) @ inc.iota.matrix
     return make_poscor_morphism(
-        obj,
-        obj,
-        identity_star_map(obj.coefficient),
-        eta,
-        identity_automorphism(obj.input_algebra),
-        dom_tensor=inc.tensor,
-        tol=tol,
+        obj, obj, identity_star_map(obj.coefficient), eta, ident, dom_tensor=inc.tensor, tol=tol
     )
 
 

@@ -62,6 +62,7 @@ from .generators import (
     extend_morphism,
     random_elements,
     random_endomorphism,
+    random_intertwiner,
     random_module,
     random_morphism_to_new_object,
     random_object,
@@ -454,41 +455,38 @@ def _gen_lift(caps: SizeCaps, seed: int) -> dict:
     phi1 = random_cp(A, E1, rng)
     E2, phi2, m1 = extend_morphism(E1, phi1, rng)
     E3, phi3, m2 = extend_morphism(E2, phi2, rng)
+    phis = {"phi1": phi1, "phi2": phi2, "phi3": phi3}
+    return _bundle(seed, A, {"E1": E1, "E2": E2, "E3": E3}, phis, {"m1": m1, "m2": m2})
+
+
+def _bundle(seed: int, A, modules: dict, phis: dict, morphisms: dict) -> dict:
+    """The payload of the lift, idempotency and tensor suites: named modules,
+    CP maps and intertwiners; a map names its modules by looking up the
+    module objects it holds in `modules`."""
+    name = {id(E): k for k, E in modules.items()}
     return {
         "seed": seed,
         "input_algebra": ser.dump_shape(A),
-        "modules": {
-            "E1": ser.dump_module(E1),
-            "E2": ser.dump_module(E2),
-            "E3": ser.dump_module(E3),
-        },
-        "phis": {
-            "phi1": ser.dump_cpmap(phi1, "E1"),
-            "phi2": ser.dump_cpmap(phi2, "E2"),
-            "phi3": ser.dump_cpmap(phi3, "E3"),
-        },
+        "modules": {k: ser.dump_module(E) for k, E in modules.items()},
+        "phis": {k: ser.dump_cpmap(phi, name[id(phi.module)]) for k, phi in phis.items()},
         "morphisms": {
-            "m1": {
-                "eta": ser.dump_module_map(m1.eta, "E1", "E2"),
-                "alpha": ser.dump_automorphism(m1.alpha),
-            },
-            "m2": {
-                "eta": ser.dump_module_map(m2.eta, "E2", "E3"),
-                "alpha": ser.dump_automorphism(m2.alpha),
-            },
+            k: {
+                "eta": ser.dump_module_map(m.eta, name[id(m.eta.source)], name[id(m.eta.target)]),
+                "alpha": ser.dump_automorphism(m.alpha),
+            }
+            for k, m in morphisms.items()
         },
     }
 
 
-def _load_lift(payload: dict):
+def _load_bundle(payload: dict):
+    """Modules, CP maps and intertwiners of a _bundle payload, each by name."""
     mods = {k: ser.load_module(v) for k, v in payload["modules"].items()}
     phis = {k: ser.load_cpmap(v, mods) for k, v in payload["phis"].items()}
-    morphs = {}
-    for name, data in payload["morphisms"].items():
-        morphs[name] = Intertwiner(
-            ser.load_module_map(data["eta"], mods),
-            ser.load_automorphism(data["alpha"]),
-        )
+    morphs = {
+        k: Intertwiner(ser.load_module_map(v["eta"], mods), ser.load_automorphism(v["alpha"]))
+        for k, v in payload["morphisms"].items()
+    }
     return mods, phis, morphs
 
 
@@ -521,7 +519,7 @@ def _family_bound_residual(
 
 
 def _check_lift(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
-    mods, phis, morphs = _load_lift(payload)
+    mods, phis, morphs = _load_bundle(payload)
     E1, E2, E3 = mods["E1"], mods["E2"], mods["E3"]
     phi1, phi2, phi3 = phis["phi1"], phis["phi2"], phis["phi3"]
     m1, m2 = morphs["m1"], morphs["m2"]
@@ -630,34 +628,14 @@ def _gen_idempotency(caps: SizeCaps, seed: int) -> dict:
     E1 = random_module(B, rng, max_dim)
     phi1 = random_cp(A, E1, rng)
     E2, phi2, m = extend_morphism(E1, phi1, rng)
-    return {
-        "seed": seed,
-        "input_algebra": ser.dump_shape(A),
-        "modules": {"E1": ser.dump_module(E1), "E2": ser.dump_module(E2)},
-        "phis": {
-            "phi1": ser.dump_cpmap(phi1, "E1"),
-            "phi2": ser.dump_cpmap(phi2, "E2"),
-        },
-        "morphisms": {
-            "m": {
-                "eta": ser.dump_module_map(m.eta, "E1", "E2"),
-                "alpha": ser.dump_automorphism(m.alpha),
-            }
-        },
-    }
+    return _bundle(seed, A, {"E1": E1, "E2": E2}, {"phi1": phi1, "phi2": phi2}, {"m": m})
 
 
 def _check_idempotency(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
-    mods = {k: ser.load_module(v) for k, v in payload["modules"].items()}
-    phi1 = ser.load_cpmap(payload["phis"]["phi1"], mods)
-    phi2 = ser.load_cpmap(payload["phis"]["phi2"], mods)
-    mdata = payload["morphisms"]["m"]
-    m = Intertwiner(
-        ser.load_module_map(mdata["eta"], mods),
-        ser.load_automorphism(mdata["alpha"]),
-    )
-    t1 = ksgns(mods["E1"], phi1, tol)
-    t2 = ksgns(mods["E2"], phi2, tol)
+    mods, phis, morphs = _load_bundle(payload)
+    m = morphs["m"]
+    t1 = ksgns(mods["E1"], phis["phi1"], tol)
+    t2 = ksgns(mods["E2"], phis["phi2"], tol)
     idem1 = idempotency_unitary(t1, tol)
     idem2 = idempotency_unitary(t2, tol)
     rep = check_idempotency(idem1, t1, tol)
@@ -703,46 +681,20 @@ def _gen_tensor(caps: SizeCaps, seed: int) -> dict:
     rho1 = random_star_map(B, rng, max_block=2, max_out_blocks=1)
     rho2 = random_star_map(rho1.codomain, rng, max_block=3, max_out_blocks=1)
     rho3 = random_star_map(rho2.codomain, rng, max_block=4, max_out_blocks=1)
-    return {
-        "seed": seed,
-        "input_algebra": ser.dump_shape(A),
-        "modules": {
-            "E1": ser.dump_module(E1),
-            "E2": ser.dump_module(E2),
-            "F": ser.dump_module(F),
-        },
-        "phis": {
-            "phi1": ser.dump_cpmap(phi1, "E1"),
-            "phi2": ser.dump_cpmap(phi2, "E2"),
-            "pi": ser.dump_cpmap(pi, "F"),
-        },
-        "morphisms": {
-            "m": {
-                "eta": ser.dump_module_map(m.eta, "E1", "E2"),
-                "alpha": ser.dump_automorphism(m.alpha),
-            }
-        },
-        "star_maps": {
-            "rho1": ser.dump_star_map(rho1),
-            "rho2": ser.dump_star_map(rho2),
-            "rho3": ser.dump_star_map(rho3),
-        },
-    }
+    modules = {"E1": E1, "E2": E2, "F": F}
+    payload = _bundle(seed, A, modules, {"phi1": phi1, "phi2": phi2, "pi": pi}, {"m": m})
+    rhos = {"rho1": rho1, "rho2": rho2, "rho3": rho3}
+    payload["star_maps"] = {k: ser.dump_star_map(rho) for k, rho in rhos.items()}
+    return payload
 
 
 def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
     from .cstar import compose_star_maps
 
-    mods = {k: ser.load_module(v) for k, v in payload["modules"].items()}
+    mods, phis, morphs = _load_bundle(payload)
     E1, E2, F = mods["E1"], mods["E2"], mods["F"]
-    phi1 = ser.load_cpmap(payload["phis"]["phi1"], mods)
-    phi2 = ser.load_cpmap(payload["phis"]["phi2"], mods)
-    pi = ser.load_cpmap(payload["phis"]["pi"], mods)
-    mdata = payload["morphisms"]["m"]
-    m = Intertwiner(
-        ser.load_module_map(mdata["eta"], mods),
-        ser.load_automorphism(mdata["alpha"]),
-    )
+    phi1, phi2, pi = phis["phi1"], phis["phi2"], phis["pi"]
+    m = morphs["m"]
     rho1 = ser.load_star_map(payload["star_maps"]["rho1"])
     rho2 = ser.load_star_map(payload["star_maps"]["rho2"])
     rho3 = ser.load_star_map(payload["star_maps"]["rho3"])
@@ -976,13 +928,8 @@ def _gen_category(caps: SizeCaps, seed: int) -> dict:
 def _sibling_morphism(m, rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL):
     """Second morphism parallel to m: same rho and alpha, eta drawn from the
     solved intertwiner space."""
-    basis = intertwiner_space(m.phi_ext, m.cod.phi, m.alpha, tol)
-    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    mat = sum(
-        (c * b.matrix for c, b in zip(coeffs, basis)),
-        start=np.zeros_like(m.eta.matrix),
-    )
-    norm = module_operator_norm(ModuleMap(m.dom_tensor.module, m.cod.module, mat))
+    eta, norm = random_intertwiner(m.phi_ext, m.cod.phi, m.alpha, rng, tol)
+    mat = eta.matrix
     if norm <= 1e-9:
         mat, norm = m.eta.matrix, 1.0
     return make_poscor_morphism(
@@ -1017,22 +964,13 @@ def _load_category(payload: dict, tol: Tolerance):
 
 def _check_category(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
     objects, morphisms = _load_category(payload, tol)
-    for m in morphisms:
-        rep = check_poscor_morphism(m, tol)
-        if not rep.passed:
-            rec.add(
-                "morphism_invariants",
-                "category morphisms: unital rho and twisted intertwining",
-                *rep.summary(),
-            )
-            break
-    else:
-        rec.add(
-            "morphism_invariants",
-            "category morphisms: unital rho and twisted intertwining",
-            0.0,
-            tol.ctol,
-        )
+    reports = (check_poscor_morphism(m, tol) for m in morphisms)
+    failing = next((rep for rep in reports if not rep.passed), None)
+    rec.add(
+        "morphism_invariants",
+        "category morphisms: unital rho and twisted intertwining",
+        *(failing.summary() if failing is not None else (0.0, tol.ctol)),
+    )
     rep = check_category_laws(objects, morphisms, tol)
     rec.merge(
         rep,
@@ -1179,11 +1117,6 @@ def _check_equivariant_suite(payload: dict, tol: Tolerance, rec: _Recorder) -> N
         max_operator_norm(averaged.images - c.phi.images),
         tol.ctol * (1.0 + c.phi.norm),
     )
-
-
-def _gen_dilation(caps: SizeCaps, seed: int) -> dict:
-    payload = _gen_equivariant(caps, seed)
-    return payload
 
 
 def _check_dilation(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
@@ -1444,33 +1377,21 @@ def _check_uniqueness(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
 # ---------------------------------------------------------------------------
 
 
-_GENERATORS = {
-    "ksgns": _gen_ksgns,
-    "lift": _gen_lift,
-    "idempotency": _gen_idempotency,
-    "tensor": _gen_tensor,
-    "category": _gen_category,
-    "equivariant": _gen_equivariant,
-    "dilation": _gen_dilation,
-    "continuity": _gen_continuity,
-    "uniqueness": _gen_uniqueness,
-}
-
-_CHECKERS = {
-    "ksgns": _check_ksgns,
-    "lift": _check_lift,
-    "idempotency": _check_idempotency,
-    "tensor": _check_tensor,
-    "category": _check_category,
-    "equivariant": _check_equivariant_suite,
-    "dilation": _check_dilation,
-    "continuity": _check_continuity,
-    "uniqueness": _check_uniqueness,
+_SUITES = {  # name: (generator, checker), in SUITE_NAMES order
+    "ksgns": (_gen_ksgns, _check_ksgns),
+    "lift": (_gen_lift, _check_lift),
+    "idempotency": (_gen_idempotency, _check_idempotency),
+    "tensor": (_gen_tensor, _check_tensor),
+    "category": (_gen_category, _check_category),
+    "equivariant": (_gen_equivariant, _check_equivariant_suite),
+    "dilation": (_gen_equivariant, _check_dilation),
+    "continuity": (_gen_continuity, _check_continuity),
+    "uniqueness": (_gen_uniqueness, _check_uniqueness),
 }
 
 
 def generate_instance(suite: str, caps: SizeCaps, seed: int) -> dict:
-    return _GENERATORS[suite](caps, seed)
+    return _SUITES[suite][0](caps, seed)
 
 
 _CONSTRUCTION_THEOREMS = {
@@ -1488,7 +1409,7 @@ _CONSTRUCTION_THEOREMS = {
 def check_instance(suite: str, payload: dict, tol: Tolerance) -> list[CheckRecord]:
     rec = _Recorder(suite, payload.get("seed", 0), tol)
     try:
-        _CHECKERS[suite](payload, tol, rec)
+        _SUITES[suite][1](payload, tol, rec)
     except Exception as exc:  # never abort the suite
         theorem = _CONSTRUCTION_THEOREMS.get(
             type(exc).__name__, "instance construction and validation"
@@ -1528,6 +1449,10 @@ def _load_suite_file(path: str) -> dict:
         raise ParseError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(doc, dict) or "suite" not in doc or "instances" not in doc:
         raise ParseError(f"{path} is not a suite instance file")
+    if not isinstance(doc["instances"], list) or not all(
+        isinstance(payload, dict) for payload in doc["instances"]
+    ):
+        raise ParseError(f"{path}: instances must be a list of instance objects")
     return doc
 
 
@@ -1553,6 +1478,8 @@ def run(config: SuiteConfig, instance_dir: str | None = None) -> Report:
             ]
         for payload in payloads:
             tasks.append((suite, payload, config.tolerance))
+    if instance_dir is not None and not tasks:  # a report of nothing would pass vacuously
+        raise ParseError(f"{instance_dir} holds no instances of the suites {list(config.suites)}")
     if config.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(_run_one, tasks))

@@ -39,7 +39,9 @@ from .cstar import (
     unit_element,
     zero_padded,
 )
-from .errors import ShapeMismatch, SingularGram, SubmoduleViolation, WellDefinednessViolation
+from .errors import (
+    InvalidConfig, ShapeMismatch, SingularGram, SubmoduleViolation, WellDefinednessViolation,
+)
 from .numkernel import (
     DEFAULT_TOL,
     Tolerance,
@@ -360,17 +362,24 @@ class AlphaLinearMap:
         return max_operator_norm(self.matrix @ self.source.action - twisted @ self.matrix)
 
 
+def canonical_module(B: AlgebraShape, rows: tuple[int, ...]) -> HilbertModule:
+    """(+)_t C^{r_t x m_t} with x.b = x b and <x, y> = x* y blockwise; the row
+    a, column k coordinate of block t sits at offset_t + a m_t + k."""
+    if len(rows) != len(B.blocks):
+        raise InvalidConfig("one row count per block required")
+    offsets = np.cumsum([0] + [r * m for r, m in zip(rows, B.blocks)])
+    d = int(offsets[-1])
+    action = np.zeros((B.dim, d, d), dtype=complex)
+    pairing = []
+    for r, m, o, bo in zip(rows, B.blocks, offsets, B.offsets):
+        a, k, l = np.indices((r, m, m)).reshape(3, -1)
+        action[bo + k * m + l, o + a * m + l, o + a * m + k] = 1.0  # x E_kl: column k -> l
+        P = np.zeros((d, d, m, m), dtype=complex)
+        P[o + a * m + k, o + a * m + l, k, l] = 1.0  # <e_ak, e_al> = E_kl
+        pairing.append(P)
+    return HilbertModule(B, d, action, pairing)
+
+
 def algebra_module(shape: AlgebraShape) -> HilbertModule:
     """B viewed as a Hilbert module over itself with <a, b> = a* b."""
-    d = shape.dim
-    T = shape.product_table
-    q, p = np.nonzero(T >= 0)
-    action = np.zeros((d, d, d), dtype=complex)
-    action[p, T[q, p], q] = 1.0  # R(u_p) u_q = u_q u_p
-    pairing = []
-    for n, o in zip(shape.blocks, shape.offsets):
-        P = np.zeros((d, d, n, n), dtype=complex)
-        k, l, l2 = np.indices((n, n, n)).reshape(3, -1)
-        P[o + k * n + l, o + k * n + l2, l, l2] = 1.0  # <E_kl, E_k l2> = E_{l l2}
-        pairing.append(P)
-    return HilbertModule(shape, d, action, pairing)
+    return canonical_module(shape, shape.blocks)

@@ -58,8 +58,8 @@ def dump_cmatrix(M: np.ndarray) -> list:
 def load_cmatrix(data: Any, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     if not isinstance(data, list):
         raise ValidationError("matrix must be a list of rows")
-    if rows == 0 or (rows is None and len(data) == 0):
-        return np.zeros((rows or 0, cols or 0), dtype=complex)
+    if not data and not rows:  # a (0, n) matrix dumps as []
+        return np.zeros((0, cols or 0), dtype=complex)
     M = np.array([[load_complex(z) for z in row] for row in data], dtype=complex)
     if M.ndim == 1:  # zero columns
         M = M.reshape(len(data), 0)

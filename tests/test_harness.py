@@ -7,6 +7,7 @@ import pytest
 from ksgnslab.cli import main as cli_main
 from ksgnslab.errors import InvalidConfig, ParseError
 from ksgnslab.harness import (
+    _SUITES,
     SUITE_NAMES,
     CheckRecord,
     Report,
@@ -91,6 +92,37 @@ def test_parse_error_on_garbage_file(tmp_path):
     cfg = SuiteConfig(seed=1, caps=SMALL, suites=("ksgns",))
     with pytest.raises(ParseError):
         run(cfg, instance_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("where", ["missing", "empty"])
+def test_run_from_directory_without_instances_is_parse_error(tmp_path, where, capsys):
+    d = tmp_path / "inst"
+    if where == "empty":
+        d.mkdir()
+    cfg = SuiteConfig(seed=1, caps=SMALL, suites=("ksgns",))
+    with pytest.raises(ParseError):
+        run(cfg, instance_dir=str(d))
+    assert cli_main(["run", "--in", str(d)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("instances", [5, [5]])
+def test_malformed_instance_list_is_parse_error(tmp_path, instances, capsys):
+    (tmp_path / "ksgns.json").write_text(json.dumps({"suite": "ksgns", "instances": instances}))
+    cfg = SuiteConfig(seed=1, caps=SMALL, suites=("ksgns",))
+    with pytest.raises(ParseError):
+        run(cfg, instance_dir=str(tmp_path))
+    assert cli_main(["run", "--in", str(tmp_path), "--suites", "ksgns"]) == 2
+    capsys.readouterr()
+
+
+def test_run_from_directory_runs_the_suites_it_holds(tmp_path):
+    generate(SuiteConfig(seed=2, caps=SizeCaps(instances_per_suite=1), suites=("ksgns",)),
+             str(tmp_path))
+    cfg = SuiteConfig(seed=2, caps=SMALL, suites=("ksgns", "lift"))
+    report = run(cfg, instance_dir=str(tmp_path))
+    assert {r.suite for r in report.records} == {"ksgns"}
+    assert report.total > 0 and report.all_passed
 
 
 def test_isolation_failing_instance_does_not_abort(tmp_path):
@@ -203,6 +235,7 @@ def test_parallel_jobs_match_serial():
 
 
 def test_every_suite_generates_and_passes():
+    assert tuple(_SUITES) == SUITE_NAMES
     for suite in SUITE_NAMES:
         seed = instance_seed(123, suite, 0)
         payload = generate_instance(suite, SMALL, seed)

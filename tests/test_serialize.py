@@ -33,6 +33,15 @@ def test_matrix_round_trip_bit_exact(rng):
         ser.load_cmatrix(data, 4, 4)
 
 
+def test_zero_row_matrix_rejects_listed_rows():
+    assert ser.dump_cmatrix(np.zeros((0, 3))) == []
+    assert ser.load_cmatrix([], 0, 3).shape == (0, 3)
+    with pytest.raises(ValidationError):
+        ser.load_cmatrix([[[1.0, 0.0]]], 0, 1)
+    with pytest.raises(ValidationError):
+        ser.load_cmatrix([[]], 0, 0)
+
+
 def test_element_and_star_map_round_trip(rng):
     shape = AlgebraShape((2, 1))
     a = random_element(shape, rng)

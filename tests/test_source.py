@@ -71,3 +71,45 @@ def test_no_process_wide_caches():
         if (caches := process_caches(path.read_text()))
     }
     assert found == {}
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def top_level_definitions(source: str) -> list[str]:
+    """Names of the top-level functions and classes of a module."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node.name for node in ast.parse(source).body if isinstance(node, kinds)]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name a module reads, every attribute it takes and every name it imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_no_unreferenced_top_level_definitions():
+    probe = "def used():\n    pass\n\nclass Dead:\n    pass\n\nused()\n"
+    assert [d for d in top_level_definitions(probe) if d not in referenced_names(probe)] == [
+        "Dead"
+    ]
+    corpus = [
+        path
+        for part in ("src", "tests", "scripts", "perfbench")
+        for path in sorted((REPO / part).rglob("*.py"))
+    ]
+    referenced = set().union(*(referenced_names(path.read_text()) for path in corpus))
+    definitions = {
+        f"{path.name}:{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in top_level_definitions(path.read_text())
+    }
+    assert len(definitions) > 200
+    assert sorted(d for d in definitions if d.split(":")[1] not in referenced) == []
