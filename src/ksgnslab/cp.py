@@ -9,6 +9,9 @@ must be PSD.  Complete positivity on a direct sum decomposes summand-wise.
 Every map here is strict for free: the algebras are unital, so approximate
 units collapse to evaluation at 1.  The `strict` flag exists only so that
 serialized instances stay honest about that hypothesis.
+
+The interior tensor product along a CP map, and T (x) I on it, live here,
+below ksgns (F_phi = A (x)_phi E) and poscor (tensoring along rho).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .cstar import (
     AlgebraElement,
     AlgebraShape,
     Automorphism,
+    StarMap,
     unit_element,
     zero_padded,
 )
@@ -29,11 +33,17 @@ from .errors import NonLinearMap, ShapeMismatch
 from .hilbert import (
     HilbertModule,
     ModuleMap,
+    PreModule,
+    Quotient,
     adjoint_map,
+    algebra_module,
     compose_maps,
+    descend,
     identity_map,
     module_operator_norm,
+    quotient_by_null,
     rank_one_sum,
+    same_module,
 )
 from .numkernel import (
     DEFAULT_TOL,
@@ -137,6 +147,79 @@ def check_cp(phi: CPMap, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, list[float
         raise NonLinearMap(f"images fail B-linearity (residual {lin:.3e})")
     verdicts = [psd_verdict(C, tol) for C in choi_blocks(phi)]
     return all(ok for ok, _ in verdicts), [w0 for _, w0 in verdicts]
+
+
+# -- interior tensor product -------------------------------------------------
+
+
+@dataclass
+class TensorModule(Quotient):
+    """E (x)_pi F: the quotient of tensor_premodule and the ingredients that built it."""
+
+    left: HilbertModule
+    right: HilbertModule
+    pi: CPMap
+
+    @property
+    def factor_dims(self) -> tuple[int, int]:
+        return self.left.dim, self.right.dim
+
+
+def tensor_premodule(E: HilbertModule, F: HilbertModule, pi: CPMap) -> PreModule:
+    """Pre-module on {e_i (x) f_j} along a completely positive pi: B -> L(F),
+    with pairing <e_i (x) f_j, e_k (x) f_l> = <f_j, pi(<e_i, e_k>_E) f_l>_F and
+    C acting on the F slot."""
+    if pi.algebra != E.algebra:
+        raise ShapeMismatch("representation domain differs from E's coefficients")
+    if not same_module(pi.module, F):
+        raise ShapeMismatch("representation does not act on F")
+    dE, dF = E.dim, F.dim
+    # N[i, k] = pi(<e_i, e_k>_E) as a matrix on F
+    coeffs = (
+        np.concatenate([P.reshape(dE, dE, -1) for P in E.pairing], axis=2)
+        if dE
+        else np.zeros((0, 0, E.algebra.dim))
+    )
+    N = np.einsum("ikp,pxy->ikxy", coeffs, pi.images, optimize=True)
+    action = np.kron(np.eye(dE, dtype=complex), F.action)  # I (x) R(u_c) for each c
+    pairing = [
+        np.einsum("ikml,jmxy->ijklxy", N, P, optimize=True).reshape(dE * dF, dE * dF, *P.shape[2:])
+        for P in F.pairing
+    ]
+    return PreModule(F.algebra, dE * dF, action, pairing)
+
+
+def interior_tensor(
+    E: HilbertModule, F: HilbertModule, pi: CPMap, tol: Tolerance = DEFAULT_TOL
+) -> TensorModule:
+    """Interior tensor product E (x)_pi F: the quotient of tensor_premodule by
+    its null space.  Along a representation pi this is the tensor product of
+    correspondences; with E = A over itself and pi a CP map it is the KSGNS
+    space F_pi = A (x)_pi F (Lance, Hilbert C*-Modules, ch. 4-5)."""
+    quot = quotient_by_null(tensor_premodule(E, F, pi), tol)
+    return TensorModule(quot.module, quot.q, quot.s, quot.kernel, E, F, pi)
+
+
+def tensor_extend(
+    T: np.ndarray, tm1: TensorModule, tm2: TensorModule, what: str, tol: Tolerance
+) -> np.ndarray:
+    """T (x) I on the quotients for each map of a stack T (..., d2, d1) from
+    tm1's left factor to tm2's; the right factors must agree.  A leak raises
+    WellDefinednessViolation naming `what`."""
+    dF = tm1.right.dim
+    if tm2.right.dim != dF:
+        raise ShapeMismatch("tensor modules with different right factors")
+    return descend(np.kron(T, np.eye(dF, dtype=complex)), tm1, tm2, what, tol)
+
+
+def left_mult_correspondence(rho: StarMap) -> Correspondence:
+    """rho followed by left multiplication: B -> L(C as a module over itself)."""
+    C_mod = algebra_module(rho.codomain)
+    T = rho.codomain.product_table
+    p, r = np.nonzero(T >= 0)
+    images = np.zeros((rho.domain.dim, C_mod.dim, C_mod.dim), dtype=complex)
+    images[:, T[p, r], r] = rho.matrix[p].T  # rho(u_b) u_r = sum_p rho_pb u_p u_r
+    return Correspondence(rho.domain, C_mod, images)
 
 
 # -- generation ------------------------------------------------------------
@@ -290,7 +373,7 @@ def check_morphism(
     Reports the defining residual, the adjoint-side residual
     eta* phi2(alpha(a)) - phi1(a) eta*, and the commutation [phi1(a), eta* eta].
     """
-    if m.eta.source is not phi1.module and m.eta.source.dim != phi1.module.dim:
+    if not same_module(m.eta.source, phi1.module):
         raise ShapeMismatch("morphism source module mismatch")
     rep = CheckReport()
     eta = m.eta.matrix

@@ -490,12 +490,10 @@ def dilate(
     """Dilate to (F_phi, pi_phi, V_phi, U~) with U~_g the compression of
     alpha_g (x) U_g to the quotient."""
     t = triple if triple is not None else ksgns(c.module, c.phi, tol)
-    G = c.group
-    unitaries = [
-        descend(np.kron(c.system_in.action[g].matrix, c.unitaries[g]), t, t, "alpha_g (x) U_g", tol)
-        for g in range(G.order)
-    ]
-    return DilationQuadruple(c, t, unitaries)
+    K = np.stack(
+        [np.kron(c.system_in.action[g].matrix, c.unitaries[g]) for g in range(c.group.order)]
+    )
+    return DilationQuadruple(c, t, list(descend(K, t, t, "alpha_g (x) U_g", tol)))
 
 
 def dilated_correspondence(quad: DilationQuadruple) -> EquivariantCorrespondence:

@@ -77,6 +77,7 @@ from .hilbert import (
     identity_map,
     is_map_positive,
     module_operator_norm,
+    null_leak,
     unitarity_residual,
 )
 from .ksgns import (
@@ -110,7 +111,6 @@ from .poscor import (
     poscor_identity,
     tensor_extend_between,
     tensor_extend_cpmap,
-    tensor_extend_operator,
     tensor_functor_morphism,
     v_rho,
 )
@@ -570,12 +570,12 @@ def _check_lift(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
     )
 
     t1, t2, t3 = ksgns(E1, phi1, tol), ksgns(E2, phi2, tol), ksgns(E3, phi3, tol)
-    K = np.kron(m1.alpha.matrix, m1.eta.matrix)
+    leak, gate = null_leak(t2.q, np.kron(m1.alpha.matrix, m1.eta.matrix), t1.kernel, tol)
     rec.add(
         "lift_well_defined",
         "alpha (x) eta maps null vectors to null vectors",
-        operator_norm(t2.q @ K @ t1.kernel),
-        tol.ctol * (1.0 + operator_norm(K)),
+        leak,
+        gate,
     )
     lifted1 = ksgns_lift(m1, t1, t2, tol)
     rep = check_lift(m1, lifted1, t1, t2, tol)
@@ -712,8 +712,8 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
     )
     T = random_blinear_unitary(E1, rng)
     S = random_blinear_unitary(E1, rng)
-    TI = tensor_extend_operator(T, tm1, tol)
-    SI = tensor_extend_operator(S, tm1, tol)
+    TI = tensor_extend_between(T, tm1, tm1, tol)
+    SI = tensor_extend_between(S, tm1, tm1, tol)
     rec.add(
         "extend_unitary",
         "tensor extension preserves unitaries",
@@ -724,7 +724,7 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
         "extend_adjoint",
         "(T (x) I)* = T* (x) I",
         operator_norm(
-            adjoint_map(TI).matrix - tensor_extend_operator(adjoint_map(T), tm1, tol).matrix
+            adjoint_map(TI).matrix - tensor_extend_between(adjoint_map(T), tm1, tm1, tol).matrix
         ),
         tol.ctol,
     )
@@ -733,7 +733,7 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
         "extend_multiplicative",
         "(S T) (x) I = (S (x) I)(T (x) I)",
         operator_norm(
-            tensor_extend_operator(ST, tm1, tol).matrix - SI.matrix @ TI.matrix
+            tensor_extend_between(ST, tm1, tm1, tol).matrix - SI.matrix @ TI.matrix
         ),
         tol.ctol,
     )
@@ -1470,6 +1470,8 @@ def run(config: SuiteConfig, instance_dir: str | None = None) -> Report:
             if not os.path.exists(path):
                 continue
             doc = _load_suite_file(path)
+            if doc["suite"] != suite:
+                raise ParseError(f"{path} holds {doc['suite']!r} instances, not {suite!r}")
             payloads = doc["instances"]
         else:
             payloads = [

@@ -48,6 +48,7 @@ from .numkernel import (
     herm_power,
     max_operator_norm,
     operator_norm,
+    operator_norms,
     psd_verdict,
     rank_kernel,
     require_finite,
@@ -212,14 +213,13 @@ def quotient_by_null(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> Quotient:
     rank, range_basis, kernel_basis = rank_kernel(G, tol)
     q = range_basis.conj().T
     s = range_basis
-    for p in range(pre.algebra.dim):
-        R = pre.action[p]
-        resid = operator_norm(q @ R @ kernel_basis)
-        if resid > tol.ctol * (1.0 + operator_norm(R)):
-            raise SubmoduleViolation(
-                f"action of basis element {p} leaks out of the null space "
-                f"(residual {resid:.3e})"
-            )
+    resid, gate = null_leak(q, pre.action, kernel_basis, tol)
+    bad = np.flatnonzero(resid > gate)
+    if bad.size:
+        raise SubmoduleViolation(
+            f"action of basis element {bad[0]} leaks out of the null space "
+            f"(residual {resid[bad[0]]:.3e})"
+        )
     new_action = np.einsum("iu,puv,vj->pij", q, pre.action, s, optimize=True)
     new_pairing = [
         np.einsum("ui,vj,uvkl->ijkl", s.conj(), s, P, optimize=True) for P in pre.pairing
@@ -228,13 +228,26 @@ def quotient_by_null(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> Quotient:
     return Quotient(module, q, s, kernel_basis)
 
 
-def descend(K: np.ndarray, src, tgt, what: str, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """q_tgt K s_src: the map K between pre-spaces induces on the quotients held
-    by src and tgt (anything with q, s and kernel).  Raises
-    WellDefinednessViolation, naming `what`, when K leaks ker G_src out of ker G_tgt."""
-    leak = operator_norm(tgt.q @ K @ src.kernel)
-    if leak > tol.ctol * (1.0 + operator_norm(K)):
-        raise WellDefinednessViolation(f"{what} leaks out of the null space ({leak:.3e})")
+def null_leak(
+    q: np.ndarray, K: np.ndarray, kernel: np.ndarray, tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slice leak ||q K[i] kernel|| of a stack K (..., m, n) of pre-space maps
+    and its gate ctol * (1 + ||K[i]||); K[i] preserves the null spaces when
+    its leak stays within its gate."""
+    return operator_norms(q @ K @ kernel), tol.ctol * (1.0 + operator_norms(K))
+
+
+def descend(
+    K: np.ndarray, src: Quotient, tgt: Quotient, what: str, tol: Tolerance = DEFAULT_TOL
+) -> np.ndarray:
+    """q_tgt K s_src for each map of a stack K (..., m, n) between pre-spaces:
+    what it induces on the quotients src and tgt.  Raises
+    WellDefinednessViolation, naming `what` and the first leaking slice's
+    leak, when K leaks ker G_src out of ker G_tgt."""
+    leak, gate = null_leak(tgt.q, K, src.kernel, tol)
+    bad = np.flatnonzero(leak > gate)
+    if bad.size:
+        raise WellDefinednessViolation(f"{what} leaks out of the null space ({leak.flat[bad[0]]:.3e})")
     return tgt.q @ K @ src.s
 
 
@@ -275,8 +288,18 @@ def identity_map(E: HilbertModule) -> ModuleMap:
     return ModuleMap(E, E, np.eye(E.dim, dtype=complex))
 
 
+def same_module(E: PreModule, F: PreModule) -> bool:
+    """E and F are one module: the same object, or the same algebra, action
+    and pairing entry for entry."""
+    return E is F or (
+        E.algebra == F.algebra
+        and np.array_equal(E.action, F.action)
+        and all(np.array_equal(P, Q) for P, Q in zip(E.pairing, F.pairing))
+    )
+
+
 def compose_maps(outer: ModuleMap, inner: ModuleMap) -> ModuleMap:
-    if outer.source is not inner.target and outer.source.dim != inner.target.dim:
+    if not same_module(outer.source, inner.target):
         raise ShapeMismatch("maps do not chain")
     return ModuleMap(inner.source, outer.target, outer.matrix @ inner.matrix)
 

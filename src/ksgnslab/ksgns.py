@@ -1,9 +1,11 @@
 """The KSGNS dilation of a completely positive map and its functorial layer.
 
-Given phi: A -> L(E) completely positive, the dilation space is the quotient
-of the pre-module on the basis {a_p (x) e_q} (dimension dim_A * dim_E) whose
-pairing is <a (x) x, a' (x) x'> = <x, phi(a* a') x'>_E, with B acting on the
-E slot.  Left multiplication descends to the quotient and gives the dilated
+Given phi: A -> L(E) completely positive, the dilation space is the interior
+tensor product F_phi = A (x)_phi E of A, as a module over itself, with E
+along phi (Lance, Hilbert C*-Modules, ch. 5): cp.interior_tensor, which sits
+below this module, quotients the pre-module on {a_p (x) e_q} with pairing
+<a (x) x, a' (x) x'> = <x, phi(a* a') x'>_E and B acting on the E slot.
+Left multiplication L(a) (x) I descends to the quotient and gives the dilated
 representation pi_phi; the embedding V_phi sends x to the class of 1 (x) x,
 which is the unital collapse of the approximate-unit limit.
 
@@ -14,32 +16,28 @@ demands an explicit residual gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cstar import (
-    AlgebraElement,
-    basis_element,
-    left_mult_matrix,
-    unit_element,
-    zero_padded,
-)
+from .cstar import AlgebraElement, identity_star_map, unit_element
 from .cp import (
     CPMap,
     Intertwiner,
     check_cp,
     check_correspondence,
+    interior_tensor,
+    left_mult_correspondence,
+    tensor_extend,
 )
-from .errors import NonConvergentInput, NotCP, ShapeMismatch
+from .errors import NonConvergentInput, NotCP
 from .hilbert import (
     HilbertModule,
     ModuleMap,
-    PreModule,
+    Quotient,
     adjoint_map,
     descend,
     module_operator_norm,
-    quotient_by_null,
     unitarity_residual,
 )
 from .numkernel import DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm, pseudo_inverse
@@ -47,74 +45,37 @@ from .reporting import CheckReport
 
 
 @dataclass
-class KsgnsTriple:
-    """(F_phi, pi_phi, V_phi) plus the quotient data that realized it."""
+class KsgnsTriple(Quotient):
+    """(F_phi, pi_phi, V_phi): the quotient F_phi = A (x)_phi E with its data."""
 
     source: HilbertModule  # E
     phi: CPMap
-    module: HilbertModule  # F_phi
     pi: CPMap  # the dilated representation, a correspondence
     embedding: ModuleMap  # V_phi: E -> F_phi
-    q: np.ndarray
-    s: np.ndarray
-    kernel: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.module.dim
 
 
-def _pair_image_tensor(phi: CPMap) -> np.ndarray:
-    """M[p, r] = matrix of phi(u_p* u_r); zero unless the units chain."""
-    return zero_padded(phi.images)[phi.algebra.product_table[phi.algebra.star_permutation()]]
-
-
-def ksgns_premodule(E: HilbertModule, phi: CPMap) -> PreModule:
-    """Pre-module on {a_p (x) e_q} with the dilation pairing."""
-    A = phi.algebra
-    dA, dE = A.dim, E.dim
-    M = _pair_image_tensor(phi)
-    action = np.stack(
-        [np.kron(np.eye(dA, dtype=complex), E.action[p]) for p in range(E.algebra.dim)]
-    ) if E.algebra.dim else np.zeros((0, dA * dE, dA * dE))
-    pairing = [
-        np.einsum("prjs,qjkl->pqrskl", M, P, optimize=True).reshape(dA * dE, dA * dE, *P.shape[2:])
-        for P in E.pairing
-    ]
-    return PreModule(E.algebra, dA * dE, action, pairing)
-
-
 def ksgns(E: HilbertModule, phi: CPMap, tol: Tolerance = DEFAULT_TOL) -> KsgnsTriple:
     """Dilate a completely positive map to a representation on F_phi.
 
-    Raises NotCP when the Choi certificate fails and SubmoduleViolation (via
-    the quotient) or WellDefinednessViolation when numerics break down.
+    Raises NotCP when the Choi certificate fails, ShapeMismatch when phi acts
+    on another module, and SubmoduleViolation (via the quotient) or
+    WellDefinednessViolation when numerics break down.
     """
-    if phi.module is not E and phi.module.dim != E.dim:
-        raise ShapeMismatch("map does not act on the supplied module")
     ok, mins = check_cp(phi, tol)
     if not ok:
         raise NotCP(f"Choi certificate failed (min eigenvalues {mins})")
     A = phi.algebra
-    dA, dE = A.dim, E.dim
-    pre = ksgns_premodule(E, phi)
-    quot = quotient_by_null(pre, tol)
-    F, q, s = quot.module, quot.q, quot.s
-
-    # left multiplication descends to pi_phi
-    eye = np.eye(dE, dtype=complex)
-    images = np.stack([
-        descend(np.kron(left_mult_matrix(basis_element(A, p)), eye), quot, quot,
-                "left multiplication", tol)
-        for p in range(dA)
-    ])
-    pi = CPMap(A, F, images)
-
+    L = left_mult_correspondence(identity_star_map(A))
+    tm = interior_tensor(L.module, E, phi, tol)
+    pi = CPMap(A, tm.module, tensor_extend(L.images, tm, tm, "left multiplication", tol))
     # V_phi x = class of 1_A (x) x
-    unit_coeffs = unit_element(A).coeffs()
-    V_pre = np.kron(unit_coeffs.reshape(dA, 1), eye)
-    embedding = ModuleMap(E, F, q @ V_pre)
-    return KsgnsTriple(E, phi, F, pi, embedding, q, s, quot.kernel)
+    V_pre = np.kron(unit_element(A).coeffs().reshape(A.dim, 1), np.eye(E.dim, dtype=complex))
+    embedding = ModuleMap(E, tm.module, tm.q @ V_pre)
+    return KsgnsTriple(tm.module, tm.q, tm.s, tm.kernel, E, phi, pi, embedding)
 
 
 def spanning_columns(t: KsgnsTriple) -> np.ndarray:
@@ -185,16 +146,10 @@ def triple_uniqueness_unitary(
 def conjugated_triple(t: KsgnsTriple, Z: ModuleMap) -> KsgnsTriple:
     """Transport a triple along a B-linear unitary Z in L(F_phi)."""
     Zi = adjoint_map(Z).matrix
-    images = np.stack([Z.matrix @ img @ Zi for img in t.pi.images])
-    return KsgnsTriple(
-        t.source,
-        t.phi,
-        t.module,
-        CPMap(t.phi.algebra, t.module, images),
-        ModuleMap(t.source, t.module, Z.matrix @ t.embedding.matrix),
-        t.q,
-        t.s,
-        t.kernel,
+    return replace(
+        t,
+        pi=CPMap(t.phi.algebra, t.module, Z.matrix @ t.pi.images @ Zi),
+        embedding=ModuleMap(t.source, t.module, Z.matrix @ t.embedding.matrix),
     )
 
 

@@ -50,12 +50,18 @@ def operator_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2))
 
 
-def max_operator_norm(stack: np.ndarray) -> float:
-    """Largest singular value over a stack of matrices (..., m, n); 0 when empty."""
+def operator_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a stack (..., m, n), shape (...);
+    0 for empty matrices."""
     stack = require_finite(stack)
     if stack.size == 0:
-        return 0.0
-    return float(np.linalg.norm(stack, 2, axis=(-2, -1)).max())
+        return np.zeros(stack.shape[:-2])
+    return np.linalg.norm(stack, 2, axis=(-2, -1))
+
+
+def max_operator_norm(stack: np.ndarray) -> float:
+    """Largest singular value over a stack of matrices (..., m, n); 0 when empty."""
+    return float(operator_norms(stack).max(initial=0.0))
 
 
 def psd_verdict(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:

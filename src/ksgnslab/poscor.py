@@ -1,10 +1,7 @@
-"""Interior tensor products, the tensor functor, and the correspondence
-category layer.
+"""The tensor functor and the correspondence category layer.
 
-The interior tensor of E (over B) with F (over C) along a representation
-pi: B -> L(F) is the quotient of the pre-module on {e_i (x) f_j} with
-pairing <e_i (x) f_j, e_k (x) f_l> = <f_j, pi(<e_i, e_k>_E) f_l>_F and C
-acting on the F slot.  Tensoring along a unital *-homomorphism rho: B -> C
+The interior tensor E (x)_pi F is built below KSGNS, in cp.interior_tensor,
+and imported here.  Tensoring along a unital *-homomorphism rho: B -> C
 means tensoring with C viewed as a module over itself, with B acting by
 left multiplication through rho.
 
@@ -37,18 +34,22 @@ from .cstar import (
     star_map_distance,
     unit_element,
 )
-from .cp import CPMap, Correspondence, Intertwiner, check_morphism
+from .cp import (
+    CPMap,
+    Intertwiner,
+    TensorModule,
+    check_morphism,
+    interior_tensor,
+    left_mult_correspondence,
+    tensor_extend,
+)
 from .errors import ObjectMismatch, ShapeMismatch, TwistMismatch
 from .hilbert import (
     AlphaLinearMap,
     HilbertModule,
     ModuleMap,
-    PreModule,
     adjoint_map,
-    algebra_module,
-    descend,
     module_operator_norm,
-    quotient_by_null,
     unitarity_residual,
 )
 from .ksgns import KsgnsTriple, ksgns, ksgns_lift
@@ -76,52 +77,7 @@ class BuildMemo:
         return self._done[key][1]
 
 
-# -- interior tensor product -------------------------------------------------
-
-
-@dataclass
-class TensorModule:
-    """E (x)_pi F with its quotient data and the ingredients that built it."""
-
-    module: HilbertModule
-    q: np.ndarray
-    s: np.ndarray
-    kernel: np.ndarray
-    left: HilbertModule
-    right: HilbertModule
-    pi: CPMap
-
-    @property
-    def factor_dims(self) -> tuple[int, int]:
-        return self.left.dim, self.right.dim
-
-
-def interior_tensor(
-    E: HilbertModule, F: HilbertModule, pi: CPMap, tol: Tolerance = DEFAULT_TOL
-) -> TensorModule:
-    """Interior tensor product along a multiplicative unital pi: B -> L(F)."""
-    if pi.algebra != E.algebra:
-        raise ShapeMismatch("representation domain differs from E's coefficients")
-    if pi.module is not F and pi.module.dim != F.dim:
-        raise ShapeMismatch("representation does not act on F")
-    dE, dF = E.dim, F.dim
-    # N[i, k] = pi(<e_i, e_k>_E) as a matrix on F
-    coeffs = (
-        np.concatenate([P.reshape(dE, dE, -1) for P in E.pairing], axis=2)
-        if dE
-        else np.zeros((0, 0, E.algebra.dim))
-    )
-    N = np.einsum("ikp,pxy->ikxy", coeffs, pi.images, optimize=True)
-    action = np.stack(
-        [np.kron(np.eye(dE, dtype=complex), F.action[c]) for c in range(F.algebra.dim)]
-    )
-    pairing = [
-        np.einsum("ikml,jmxy->ijklxy", N, P, optimize=True).reshape(dE * dF, dE * dF, *P.shape[2:])
-        for P in F.pairing
-    ]
-    pre = PreModule(F.algebra, dE * dF, action, pairing)
-    quot = quotient_by_null(pre, tol)
-    return TensorModule(quot.module, quot.q, quot.s, quot.kernel, E, F, pi)
+# -- T (x) I and the tensor functor -------------------------------------------
 
 
 def tensor_extend_between(
@@ -131,18 +87,7 @@ def tensor_extend_between(
     tol: Tolerance = DEFAULT_TOL,
 ) -> ModuleMap:
     """T (x) I between two tensor modules with the same right factor."""
-    dF = tm1.right.dim
-    if tm2.right.dim != dF:
-        raise ShapeMismatch("tensor modules with different right factors")
-    K = np.kron(T.matrix, np.eye(dF, dtype=complex))
-    return ModuleMap(tm1.module, tm2.module, descend(K, tm1, tm2, "T (x) I", tol))
-
-
-def tensor_extend_operator(
-    T: ModuleMap, tm: TensorModule, tol: Tolerance = DEFAULT_TOL
-) -> ModuleMap:
-    """T (x) I in L(E (x)_pi F) for T in L(E)."""
-    return tensor_extend_between(T, tm, tm, tol)
+    return ModuleMap(tm1.module, tm2.module, tensor_extend(T.matrix, tm1, tm2, "T (x) I", tol))
 
 
 def tensor_extend_cpmap(
@@ -155,15 +100,7 @@ def tensor_extend_cpmap(
     memo, built once per (phi, tm) object pair."""
 
     def build() -> CPMap:
-        images = np.stack(
-            [
-                tensor_extend_operator(
-                    ModuleMap(tm.left, tm.left, phi.images[p]), tm, tol
-                ).matrix
-                for p in range(phi.algebra.dim)
-            ]
-        ) if phi.algebra.dim else np.zeros((0, tm.module.dim, tm.module.dim))
-        return CPMap(phi.algebra, tm.module, images)
+        return CPMap(phi.algebra, tm.module, tensor_extend(phi.images, tm, tm, "T (x) I", tol))
 
     if memo is None:
         return build()
@@ -201,16 +138,6 @@ def balanced_relation_residual(
 
 
 # -- tensoring along a *-homomorphism ---------------------------------------
-
-
-def left_mult_correspondence(rho: StarMap) -> Correspondence:
-    """rho followed by left multiplication: B -> L(C as a module over itself)."""
-    C_mod = algebra_module(rho.codomain)
-    T = rho.codomain.product_table
-    p, r = np.nonzero(T >= 0)
-    images = np.zeros((rho.domain.dim, C_mod.dim, C_mod.dim), dtype=complex)
-    images[:, T[p, r], r] = rho.matrix[p].T  # rho(u_b) u_r = sum_p rho_pb u_p u_r
-    return Correspondence(rho.domain, C_mod, images)
 
 
 def interior_tensor_along(

@@ -116,6 +116,17 @@ def test_malformed_instance_list_is_parse_error(tmp_path, instances, capsys):
     capsys.readouterr()
 
 
+def test_suite_file_filed_under_another_suite_is_parse_error(tmp_path, capsys):
+    generate(SuiteConfig(seed=1, caps=SizeCaps(instances_per_suite=1), suites=("lift",)),
+             str(tmp_path))
+    (tmp_path / "lift.json").rename(tmp_path / "ksgns.json")
+    cfg = SuiteConfig(seed=1, caps=SMALL, suites=("ksgns",))
+    with pytest.raises(ParseError, match="holds 'lift' instances, not 'ksgns'"):
+        run(cfg, instance_dir=str(tmp_path))
+    assert cli_main(["run", "--in", str(tmp_path), "--suites", "ksgns"]) == 2
+    capsys.readouterr()
+
+
 def test_run_from_directory_runs_the_suites_it_holds(tmp_path):
     generate(SuiteConfig(seed=2, caps=SizeCaps(instances_per_suite=1), suites=("ksgns",)),
              str(tmp_path))

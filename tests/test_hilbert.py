@@ -153,8 +153,54 @@ def test_descend_on_rank_deficient_quotient(rng):
     K = on_range @ random_complex(rng, 4, 4) @ on_range + ker @ random_complex(rng, 4, 4) @ ker
     assert np.array_equal(descend(K, quot, quot, "probe map"), quot.q @ K @ quot.s)
     leaky = K + on_range @ random_complex(rng, 4, 4) @ ker
-    with pytest.raises(WellDefinednessViolation, match="probe map leaks out of the null space"):
+    with pytest.raises(WellDefinednessViolation, match="probe map leaks out of the null space") as alone:
         descend(leaky, quot, quot, "probe map")
+    # a stack descends slice by slice; a leak in its second slice raises what it raises alone
+    stack = np.stack([K, 2.0 * K])
+    assert np.array_equal(descend(stack, quot, quot, "probe map"), quot.q @ stack @ quot.s)
+    with pytest.raises(WellDefinednessViolation) as stacked:
+        descend(np.stack([K, leaky]), quot, quot, "probe map")
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_constructions_descend_once_per_stack(rng, monkeypatch):
+    # ksgns, tensor_extend_cpmap and dilate gate and compress their whole
+    # stack (basis or group elements) in one descend call
+    import importlib
+
+    from ksgnslab import cp, equivariant, hilbert, poscor
+    from ksgnslab.cp import random_cp
+    from ksgnslab.equivariant import cyclic_group, dilate, random_equivariant
+    from ksgnslab.generators import random_representation
+    from ksgnslab.ksgns import ksgns
+    from ksgnslab.poscor import interior_tensor
+
+    ksgns_module = importlib.import_module("ksgnslab.ksgns")  # the package exports ksgns()
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return descend(*args, **kwargs)
+
+    for mod in (hilbert, cp, ksgns_module, poscor, equivariant):
+        if hasattr(mod, "descend"):
+            monkeypatch.setattr(mod, "descend", counting)
+    A = AlgebraShape((2,))
+    E = random_module(AlgebraShape((1, 2)), rng, max_dim=4)
+    phi = random_cp(A, E, rng)
+    ksgns(E, phi)
+    assert len(calls) == 1
+    F, pi = random_representation(E.algebra, AlgebraShape((2,)), rng, max_dim=4)
+    tm = interior_tensor(E, F, pi)
+    calls.clear()
+    poscor.tensor_extend_cpmap(phi, tm)
+    assert len(calls) == 1
+    c = random_equivariant(A, A, cyclic_group(3), seed=5, copies=1)
+    t = ksgns(c.module, c.phi)
+    calls.clear()
+    dilate(c, triple=t)
+    assert calls == ["alpha_g (x) U_g"]
 
 
 @pytest.mark.parametrize("blocks", [(2,), (1, 2)])
@@ -476,14 +522,13 @@ def test_v_rho_square_diagram(rng):
 def test_quotient_kernel_vectors_are_null(rng):
     # every kernel vector z of the scalarized Gram has tau(<z, z>) ~ 0 and
     # the quotient Gram is positive definite
-    from ksgnslab.cp import random_cp
-    from ksgnslab.ksgns import ksgns_premodule
+    from ksgnslab.cp import random_cp, tensor_premodule
 
     B = AlgebraShape((2,))
     E = random_module(B, rng, max_dim=3)
     A = AlgebraShape((2,))
     phi = random_cp(A, E, rng)
-    pre = ksgns_premodule(E, phi)
+    pre = tensor_premodule(algebra_module(A), E, phi)
     quot = quotient_by_null(pre)
     G = pre.gram()
     lam_max = max(np.linalg.eigvalsh((G + G.conj().T) / 2).max(), 1.0)

@@ -9,7 +9,8 @@ from ksgnslab.cstar import (
     inner_automorphism,
     random_element,
 )
-from ksgnslab.errors import NonConvergentInput, NotCP
+from ksgnslab.equivariant import scramble_module
+from ksgnslab.errors import NonConvergentInput, NotCP, ShapeMismatch
 from ksgnslab.generators import (
     canonical_module,
     extend_morphism,
@@ -99,6 +100,16 @@ def test_ksgns_rejects_non_cp():
         images[p] = unit  # the transpose map is not CP
     with pytest.raises(NotCP):
         ksgns(E, CPMap(A, E, images))
+
+
+def test_ksgns_rejects_map_on_another_module_of_same_dim(rng):
+    # phi acts on E; E2 has E's dimension but another action and pairing
+    E = random_module(AlgebraShape((1, 2)), rng, max_dim=4)
+    phi = random_cp(AlgebraShape((2,)), E, rng)
+    E2, _ = scramble_module(E, rng)
+    assert E2.dim == E.dim
+    with pytest.raises(ShapeMismatch):
+        ksgns(E2, phi)
 
 
 def test_homomorphism_dilates_trivially(rng):

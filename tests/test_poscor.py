@@ -55,7 +55,6 @@ from ksgnslab.poscor import (
     poscor_pseudometric,
     tensor_extend_between,
     tensor_extend_cpmap,
-    tensor_extend_operator,
     tensor_functor_morphism,
     unitarity_residual,
     v_rho,
@@ -121,18 +120,18 @@ def test_tensor_extend_operator_properties(rng):
     E = random_module(B, rng, max_dim=4)
     F, pi = random_representation(B, C, rng, max_dim=4)
     tm = interior_tensor(E, F, pi)
-    ident = tensor_extend_operator(identity_map(E), tm)
+    ident = tensor_extend_between(identity_map(E), tm, tm)
     assert operator_norm(ident.matrix - np.eye(tm.module.dim)) <= 1e-10
     T = random_blinear_unitary(E, rng)
     S = random_blinear_unitary(E, rng)
-    TI, SI = tensor_extend_operator(T, tm), tensor_extend_operator(S, tm)
+    TI, SI = tensor_extend_between(T, tm, tm), tensor_extend_between(S, tm, tm)
     assert unitarity_residual(TI) <= 1e-8
     assert operator_norm(
-        adjoint_map(TI).matrix - tensor_extend_operator(adjoint_map(T), tm).matrix
+        adjoint_map(TI).matrix - tensor_extend_between(adjoint_map(T), tm, tm).matrix
     ) <= 1e-8
     ST = ModuleMap(E, E, S.matrix @ T.matrix)
     assert operator_norm(
-        tensor_extend_operator(ST, tm).matrix - SI.matrix @ TI.matrix
+        tensor_extend_between(ST, tm, tm).matrix - SI.matrix @ TI.matrix
     ) <= 1e-8
     assert module_operator_norm(TI) <= module_operator_norm(T) + 1e-8
 

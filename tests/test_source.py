@@ -113,3 +113,41 @@ def test_no_unreferenced_top_level_definitions():
     }
     assert len(definitions) > 200
     assert sorted(d for d in definitions if d.split(":")[1] not in referenced) == []
+
+
+LOOPS = (
+    ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp
+)
+
+
+def calls_in_loops(source: str, callee: str) -> list[str]:
+    """Functions that call `callee` (by name or as an attribute) inside a
+    for/while loop or a comprehension, with the line of each such call."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for loop in (n for n in ast.walk(fn) if isinstance(n, LOOPS)):
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call) and callee in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    found.add(f"{fn.name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_no_descend_per_element():
+    # descend gates and compresses a whole stack (..., m, n); a loop around it
+    # would gate one basis or group element at a time
+    probe = (
+        "def f(K, q):\n    return descend(K, q, q, 'k')\n\n"
+        "def g(Ks, q):\n    return [descend(K, q, q, 'k') for K in Ks]\n\n"
+        "def h(Ks, q):\n    for K in Ks:\n        hilbert.descend(K, q, q, 'k')\n"
+    )
+    assert calls_in_loops(probe, "descend") == ["g (line 5)", "h (line 9)"]
+    found = {
+        path.name: calls
+        for path in sorted(SRC.glob("*.py"))
+        if (calls := calls_in_loops(path.read_text(), "descend"))
+    }
+    assert found == {}
