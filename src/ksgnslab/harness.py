@@ -28,6 +28,7 @@ from .cp import (
     intertwiner_space,
     random_blinear_unitary,
     random_cp,
+    tensor_extend,
 )
 from .cstar import (
     AlgebraElement,
@@ -712,8 +713,10 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
     )
     T = random_blinear_unitary(E1, rng)
     S = random_blinear_unitary(E1, rng)
-    TI = tensor_extend_between(T, tm1, tm1, tol)
-    SI = tensor_extend_between(S, tm1, tm1, tol)
+    # T (x) I, S (x) I, T* (x) I and (S T) (x) I as one stack
+    stack = np.stack([T.matrix, S.matrix, adjoint_map(T).matrix, S.matrix @ T.matrix])
+    TI, SI, TsI, STI = tensor_extend(stack, tm1, tm1, "T (x) I", tol)
+    TI = ModuleMap(tm1.module, tm1.module, TI)
     rec.add(
         "extend_unitary",
         "tensor extension preserves unitaries",
@@ -723,18 +726,13 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
     rec.add(
         "extend_adjoint",
         "(T (x) I)* = T* (x) I",
-        operator_norm(
-            adjoint_map(TI).matrix - tensor_extend_between(adjoint_map(T), tm1, tm1, tol).matrix
-        ),
+        operator_norm(adjoint_map(TI).matrix - TsI),
         tol.ctol,
     )
-    ST = ModuleMap(E1, E1, S.matrix @ T.matrix)
     rec.add(
         "extend_multiplicative",
         "(S T) (x) I = (S (x) I)(T (x) I)",
-        operator_norm(
-            tensor_extend_between(ST, tm1, tm1, tol).matrix - SI.matrix @ TI.matrix
-        ),
+        operator_norm(STI - SI @ TI.matrix),
         tol.ctol,
     )
     rec.add(

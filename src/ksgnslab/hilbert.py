@@ -45,6 +45,7 @@ from .errors import (
 from .numkernel import (
     DEFAULT_TOL,
     Tolerance,
+    exceeds_gate,
     herm_power,
     max_operator_norm,
     operator_norm,
@@ -143,12 +144,13 @@ def pairing_coeffs(E: PreModule, Y: np.ndarray) -> np.ndarray:
 def max_stacked_norm(shape: AlgebraShape, C: np.ndarray) -> float:
     """Largest C*-norm among the elements of B stacked as C[r, p, j]."""
     C = require_finite(C, "stacked algebra elements")
-    worst = 0.0
-    for n, o in zip(shape.blocks, shape.offsets):
-        blocks = C[:, o : o + n * n].transpose(0, 2, 1).reshape(-1, n, n)
-        if blocks.size:
-            worst = max(worst, float(np.linalg.norm(blocks, 2, axis=(1, 2)).max()))
-    return worst
+    return max(
+        (
+            max_operator_norm(C[:, o : o + n * n].transpose(0, 2, 1).reshape(-1, n, n))
+            for n, o in zip(shape.blocks, shape.offsets)
+        ),
+        default=0.0,
+    )
 
 
 def validate_premodule(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -213,12 +215,11 @@ def quotient_by_null(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> Quotient:
     rank, range_basis, kernel_basis = rank_kernel(G, tol)
     q = range_basis.conj().T
     s = range_basis
-    resid, gate = null_leak(q, pre.action, kernel_basis, tol)
-    bad = np.flatnonzero(resid > gate)
-    if bad.size:
+    leak = first_leak(q, pre.action, kernel_basis, tol)
+    if leak is not None:
         raise SubmoduleViolation(
-            f"action of basis element {bad[0]} leaks out of the null space "
-            f"(residual {resid[bad[0]]:.3e})"
+            f"action of basis element {leak[0]} leaks out of the null space "
+            f"(residual {leak[1]:.3e})"
         )
     new_action = np.einsum("iu,puv,vj->pij", q, pre.action, s, optimize=True)
     new_pairing = [
@@ -237,6 +238,19 @@ def null_leak(
     return operator_norms(q @ K @ kernel), tol.ctol * (1.0 + operator_norms(K))
 
 
+def first_leak(
+    q: np.ndarray, K: np.ndarray, kernel: np.ndarray, tol: Tolerance
+) -> tuple[int, float] | None:
+    """(flat index, leak) of the first slice of K whose null_leak exceeds its
+    gate, or None when all pass; numkernel.exceeds_gate certifies most slices
+    without an SVD."""
+    X = q @ K @ kernel
+    bad = np.flatnonzero(exceeds_gate(X, K, tol))
+    if not bad.size:
+        return None
+    return int(bad[0]), operator_norm(X.reshape(-1, *X.shape[-2:])[bad[0]])
+
+
 def descend(
     K: np.ndarray, src: Quotient, tgt: Quotient, what: str, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
@@ -244,10 +258,9 @@ def descend(
     what it induces on the quotients src and tgt.  Raises
     WellDefinednessViolation, naming `what` and the first leaking slice's
     leak, when K leaks ker G_src out of ker G_tgt."""
-    leak, gate = null_leak(tgt.q, K, src.kernel, tol)
-    bad = np.flatnonzero(leak > gate)
-    if bad.size:
-        raise WellDefinednessViolation(f"{what} leaks out of the null space ({leak.flat[bad[0]]:.3e})")
+    leak = first_leak(tgt.q, K, src.kernel, tol)
+    if leak is not None:
+        raise WellDefinednessViolation(f"{what} leaks out of the null space ({leak[1]:.3e})")
     return tgt.q @ K @ src.s
 
 

@@ -144,10 +144,13 @@ def triple_uniqueness_unitary(
 
 
 def conjugated_triple(t: KsgnsTriple, Z: ModuleMap) -> KsgnsTriple:
-    """Transport a triple along a B-linear unitary Z in L(F_phi)."""
+    """Transport a triple along a B-linear unitary Z in L(F_phi): the quotient
+    map and section move with it (q <- Z q, s <- s Z^-1); the kernel stays."""
     Zi = adjoint_map(Z).matrix
     return replace(
         t,
+        q=Z.matrix @ t.q,
+        s=t.s @ Zi,
         pi=CPMap(t.phi.algebra, t.module, Z.matrix @ t.pi.images @ Zi),
         embedding=ModuleMap(t.source, t.module, Z.matrix @ t.embedding.matrix),
     )

@@ -13,7 +13,9 @@ from ksgnslab.cstar import (
     trace_functional,
     unit_element,
 )
-from ksgnslab.errors import SubmoduleViolation, TwistMismatch, WellDefinednessViolation
+from ksgnslab.errors import (
+    NonFinite, SubmoduleViolation, TwistMismatch, WellDefinednessViolation,
+)
 from ksgnslab.generators import canonical_module, random_module, random_vectors
 from ksgnslab.hilbert import (
     AlphaLinearMap,
@@ -27,6 +29,7 @@ from ksgnslab.hilbert import (
     descend,
     identity_map,
     module_operator_norm,
+    null_leak,
     pairing_coeffs,
     quotient_by_null,
     rank_one_operator,
@@ -34,7 +37,7 @@ from ksgnslab.hilbert import (
     realize,
     validate_premodule,
 )
-from ksgnslab.numkernel import operator_norm
+from ksgnslab.numkernel import DEFAULT_TOL, herm_eig, operator_norm
 from ksgnslab.poscor import (
     alpha_transport,
     alpha_transport_inverse,
@@ -139,16 +142,20 @@ def test_quotient_detects_non_invariant_kernel():
         quotient_by_null(pre)
 
 
-def test_descend_on_rank_deficient_quotient(rng):
-    # scalars, rank-2 Gram on C^4: two null directions
-    B = AlgebraShape((1,))
+def rank_two_quotient(rng):
+    """Scalars on C^4 with a rank-2 Gram (two null directions): the quotient
+    and the projectors onto the Gram range and kernel."""
     Y = random_complex(rng, 2, 4)
     G = Y.conj().T @ Y
-    pre = PreModule(B, 4, np.stack([np.eye(4, dtype=complex)]), [G.reshape(4, 4, 1, 1)])
+    pre = PreModule(AlgebraShape((1,)), 4, np.eye(4, dtype=complex)[None], [G.reshape(4, 4, 1, 1)])
     quot = quotient_by_null(pre)
-    assert quot.module.dim == 2 and quot.kernel.shape == (4, 2)
     ker = quot.kernel @ quot.kernel.conj().T
-    on_range = np.eye(4) - ker
+    return quot, np.eye(4) - ker, ker
+
+
+def test_descend_on_rank_deficient_quotient(rng):
+    quot, on_range, ker = rank_two_quotient(rng)
+    assert quot.module.dim == 2 and quot.kernel.shape == (4, 2)
     # kernel-preserving: blockwise on range (+) kernel
     K = on_range @ random_complex(rng, 4, 4) @ on_range + ker @ random_complex(rng, 4, 4) @ ker
     assert np.array_equal(descend(K, quot, quot, "probe map"), quot.q @ K @ quot.s)
@@ -161,6 +168,86 @@ def test_descend_on_rank_deficient_quotient(rng):
     with pytest.raises(WellDefinednessViolation) as stacked:
         descend(np.stack([K, leaky]), quot, quot, "probe map")
     assert str(stacked.value) == str(alone.value)
+
+
+def patch_svd(monkeypatch, fake):
+    """Replace np.linalg.svd, also where np.linalg.norm(., 2) looks it up."""
+    import numpy.linalg._linalg as linalg_impl
+
+    monkeypatch.setattr(np.linalg, "svd", fake)
+    monkeypatch.setattr(linalg_impl, "svd", fake)
+
+
+def test_descend_passes_frobenius_leak_within_spectral_gate(rng, monkeypatch):
+    # leak q K kernel = 1e-7 W with W unitary: ||.||_F = 1.4e-7 > ctol, but
+    # ||.||_2 = 1e-7 <= ctol * (1 + ||K||) with ||K|| >= 100
+    quot, on_range, ker = rank_two_quotient(rng)
+    K = 100.0 * (on_range @ random_complex(rng, 4, 4) @ on_range + ker)
+    W, _ = np.linalg.qr(random_complex(rng, 2, 2))
+    K = K + quot.s @ (1e-7 * W) @ quot.kernel.conj().T
+    leak, gate = null_leak(quot.q, K, quot.kernel, DEFAULT_TOL)
+    assert np.linalg.norm(quot.q @ K @ quot.kernel) > DEFAULT_TOL.ctol and leak <= gate
+    svd_calls = []
+    real_svd = np.linalg.svd
+    patch_svd(monkeypatch, lambda *a, **k: svd_calls.append(1) or real_svd(*a, **k))
+    stack = np.stack([on_range, K])
+    assert np.array_equal(descend(stack, quot, quot, "probe map"), quot.q @ stack @ quot.s)
+    assert svd_calls  # the exact path decided the second slice
+
+
+def test_leak_messages_name_first_failing_slice(rng):
+    # the same type and text as gating every slice with exact norms
+    quot, on_range, ker = rank_two_quotient(rng)
+    K = on_range + ker
+    leaky = K + on_range @ random_complex(rng, 4, 4) @ ker
+    stack = np.stack([K, leaky, 3.0 * leaky])
+    leak, _ = null_leak(quot.q, stack, quot.kernel, DEFAULT_TOL)
+    expected = f"probe map leaks out of the null space ({leak[1]:.3e})"
+    with pytest.raises(WellDefinednessViolation) as err:
+        descend(stack, quot, quot, "probe map")
+    assert str(err.value) == expected
+    # two basis elements of C + C; e_1 is null and u_1's action moves it onto e_0
+    B = AlgebraShape((1, 1))
+    pairing = [np.zeros((2, 2, 1, 1), dtype=complex), np.zeros((2, 2, 1, 1), dtype=complex)]
+    pairing[0][0, 0, 0, 0] = 1.0
+    action = np.stack([np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]])]).astype(complex)
+    pre = PreModule(B, 2, action, pairing)
+    q, kernel = np.array([[1.0, 0.0]]), np.array([[0.0], [1.0]])
+    leak, _ = null_leak(q, action, kernel, DEFAULT_TOL)
+    with pytest.raises(SubmoduleViolation) as err:
+        quotient_by_null(pre)
+    assert str(err.value) == (
+        f"action of basis element 1 leaks out of the null space (residual {leak[1]:.3e})"
+    )
+
+
+def test_descend_rejects_non_finite_maps(rng):
+    quot, _, _ = rank_two_quotient(rng)
+    full = quotient_by_null(random_module(AlgebraShape((2,)), rng, max_dim=4))
+    assert full.kernel.shape[1] == 0  # nullity 0: the leak stack is empty
+    for q, d in ((quot, 4), (full, full.q.shape[1])):
+        K = np.eye(d, dtype=complex)
+        K[0, -1] = np.inf
+        with pytest.raises(NonFinite):
+            descend(K, q, q, "probe map")
+        K[0, -1] = np.nan
+        with pytest.raises(NonFinite):
+            descend(np.stack([np.eye(d), K]), q, q, "probe map")
+
+
+def test_gates_certify_valid_inputs_without_svd(rng, monkeypatch):
+    quot, on_range, ker = rank_two_quotient(rng)
+    K = on_range @ random_complex(rng, 4, 4) @ on_range + ker @ random_complex(rng, 4, 4) @ ker
+    E = random_module(AlgebraShape((1, 2)), rng, max_dim=4)
+    M = random_complex(rng, 5, 5)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    patch_svd(monkeypatch, no_svd)
+    descend(np.stack([K, 2.0 * K]), quot, quot, "probe map")
+    quotient_by_null(E)
+    herm_eig(M + M.conj().T)
 
 
 def test_constructions_descend_once_per_stack(rng, monkeypatch):

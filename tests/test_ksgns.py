@@ -174,6 +174,19 @@ def test_triple_uniqueness_identity_and_planted(rng):
     assert operator_norm(U.matrix - Z.matrix) <= 1e-8
 
 
+def test_conjugated_triple_is_a_dilation():
+    # the transported triple carries its own quotient data: q <- Z q, s <- s Z^-1
+    rng = np.random.default_rng(3)
+    E = random_module(AlgebraShape((1, 2)), rng, max_dim=4)
+    t = ksgns(E, random_cp(AlgebraShape((2,)), E, rng))
+    Z = random_blinear_unitary(t.module, rng)
+    t2 = conjugated_triple(t, Z)
+    rep = check_triple(t2)
+    assert rep.passed, rep.residuals
+    assert np.allclose(t2.q @ t2.s, np.eye(t.module.dim))
+    assert t2.kernel is t.kernel
+
+
 # -- lifting -------------------------------------------------------------------
 
 

@@ -4,12 +4,16 @@ from hypothesis import given, settings, strategies as st
 
 from ksgnslab.errors import NonFinite, NonHermitian, NotPSD
 from ksgnslab.numkernel import (
+    DEFAULT_TOL,
     Tolerance,
+    exceeds_gate,
     herm_eig,
     herm_expi,
     herm_power,
     max_operator_norm,
     operator_norm,
+    operator_norms,
+    psd_verdict,
     pseudo_inverse,
     rank_kernel,
 )
@@ -50,6 +54,54 @@ def test_non_finite_rejected():
         operator_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(NonFinite):
         herm_eig(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(NonFinite):  # through the exact path, not the Frobenius one
+        exceeds_gate(bad, np.eye(2), DEFAULT_TOL)
+    with pytest.raises(NonFinite):  # also when X is empty
+        exceeds_gate(np.zeros((2, 0)), bad, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("factor", [0.999, 1.001])
+def test_herm_eig_defect_gate_edges(factor):
+    # M = diag(1, 2) + t E_01 has Hermitian defect ||M - M*|| = t and
+    # ||M - M*||_F = t sqrt(2) > ctol, so the exact path decides
+    tol = DEFAULT_TOL
+    N = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    M = np.diag([1.0, 2.0]).astype(complex) + factor * tol.ctol * 3.0 * N
+    gate = tol.ctol * (1.0 + operator_norm(M))
+    defect = operator_norm(M - M.conj().T)
+    assert defect * np.sqrt(2.0) > tol.ctol
+    if defect <= gate:
+        assert factor < 1.0
+        w, _ = herm_eig(M, tol)
+        assert np.allclose(w, [1.0, 2.0])
+    else:
+        assert factor > 1.0
+        with pytest.raises(NonHermitian, match=f"Hermitian defect {defect:.3e} exceeds tolerance"):
+            herm_eig(M, tol)
+
+
+def exact_psd_verdict(M, tol):
+    """psd_verdict's rule with both operator norms taken exactly."""
+    w0 = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0]) if M.size else 0.0
+    gate = tol.ctol * (1.0 + operator_norm(M))
+    return bool(operator_norm(M - M.conj().T) <= gate and w0 >= -gate), w0
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        np.zeros((0, 0)),
+        np.diag([1.0, -0.5e-8]),  # w0 within ctol: no norm of M needed
+        np.diag([1e3, -2e-8]),  # w0 below -ctol, within ctol * (1 + ||M||)
+        np.diag([1.0, -3e-8]),  # w0 below the gate
+        np.diag([1.0, 2.0]) + 5e-9 * np.array([[0.0, 1.0], [0.0, 0.0]]),  # defect within
+        np.diag([1.0, 2.0]) + 4e-8 * np.array([[0.0, 1.0], [0.0, 0.0]]),  # defect over
+    ],
+)
+def test_psd_verdict_matches_exact_gate(M):
+    M = M.astype(complex)
+    assert psd_verdict(M) == exact_psd_verdict(M, DEFAULT_TOL)
 
 
 @settings(max_examples=40, deadline=None)
@@ -102,6 +154,18 @@ def test_operator_norm_examples():
     assert operator_norm(np.eye(4)) == pytest.approx(1.0)
     assert operator_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0)
     assert operator_norm(np.zeros((0, 0))) == 0.0
+
+
+@pytest.mark.parametrize(
+    "shape", [(4, 4), (3, 5), (2, 3, 4), (2, 2, 1, 5), (0, 0), (0, 3), (3, 0), (0, 3, 3), (2, 0, 3)]
+)
+def test_operator_norms_equal_numpy_norm_bitwise(shape, rng):
+    stack = random_complex(rng, *shape)
+    expected = np.linalg.norm(stack, 2, axis=(-2, -1))
+    assert np.array_equal(operator_norms(stack), expected)
+    assert operator_norms(stack).shape == expected.shape
+    if stack.ndim == 2:
+        assert operator_norm(stack) == float(np.linalg.norm(stack, 2))
 
 
 def test_max_operator_norm_over_stacks(rng):

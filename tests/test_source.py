@@ -151,3 +151,34 @@ def test_no_descend_per_element():
         if (calls := calls_in_loops(path.read_text(), "descend"))
     }
     assert found == {}
+
+
+def spectral_norm_calls(source: str) -> list[int]:
+    """Lines of `norm(x, 2, ...)` or `norm(x, ord=2)` calls, by name or as an
+    attribute such as np.linalg.norm."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and "norm" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            ords = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+            if any(isinstance(o, ast.Constant) and o.value == 2 for o in ords):
+                found.append(node.lineno)
+    return found
+
+
+def test_spectral_norms_only_in_numkernel():
+    # numkernel.operator_norms takes the first singular value of the batched
+    # SVD; a 2-norm elsewhere would bypass it and its finiteness check
+    probe = (
+        "import numpy as np\nfrom numpy.linalg import norm\n"
+        "a = np.linalg.norm(x, 2, axis=(1, 2))\nb = norm(x, ord=2)\n"
+        "c = np.linalg.norm(x)\nd = np.linalg.norm(x, 'fro')\n"
+    )
+    assert spectral_norm_calls(probe) == [3, 4]
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "numkernel.py" and (lines := spectral_norm_calls(path.read_text()))
+    }
+    assert found == {}
