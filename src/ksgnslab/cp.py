@@ -79,19 +79,15 @@ class CPMap:
         mat = np.einsum("p,pij->ij", a.coeffs(), self.images)
         return ModuleMap(self.module, self.module, mat)
 
-    def image_map(self, p: int) -> ModuleMap:
-        return ModuleMap(self.module, self.module, self.images[p])
-
     @cached_property
     def norm(self) -> float:
         """max over basis images of the L(E) norm; the scale of the map."""
         return max_operator_norm(self.module.gram_sqrt @ self.images @ self.module.gram_isqrt)
 
     def linearity_residual(self) -> float:
-        return max(
-            (self.image_map(p).linearity_residual() for p in range(self.algebra.dim)),
-            default=0.0,
-        )
+        """max over basis images X and B-basis elements b of ||X R(b) - R(b) X||."""
+        X, R = self.images[:, None], self.module.action
+        return max_operator_norm(X @ R - R @ X)
 
     def hermiticity_residual(self) -> float:
         """max over basis of ||phi(u*) - phi(u)*||."""

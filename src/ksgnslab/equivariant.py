@@ -42,8 +42,8 @@ from .ksgns import (
     KsgnsTriple,
     check_triple,
     conjugated_triple,
-    ksgns,
     ksgns_lift,
+    ksgns_once,
     spanning_rank,
     triple_uniqueness_unitary,
 )
@@ -397,7 +397,9 @@ class EquivariantFunctor:
 
 
 def correspondence_to_functor(
-    c: EquivariantCorrespondence, tol: Tolerance = DEFAULT_TOL
+    c: EquivariantCorrespondence,
+    tol: Tolerance = DEFAULT_TOL,
+    memo: BuildMemo | None = None,
 ) -> EquivariantFunctor:
     obj = PosCorObject(
         ident="E",
@@ -409,7 +411,7 @@ def correspondence_to_functor(
     morphisms = []
     for g in range(c.group.order):
         beta_g = c.system_out.action[g]
-        tw = twist_unitary(c.module, beta_g, tol)
+        tw = twist_unitary(c.module, beta_g, tol, memo)
         eta_g = c.unitaries[g] @ tw.unitary.matrix
         morphisms.append(
             make_poscor_morphism(
@@ -420,6 +422,7 @@ def correspondence_to_functor(
                 c.system_in.action[g],
                 dom_tensor=tw.twisted,
                 tol=tol,
+                memo=memo,
             )
         )
     return EquivariantFunctor(obj, morphisms)
@@ -429,16 +432,18 @@ def check_functor_laws(
     c: EquivariantCorrespondence,
     functor: EquivariantFunctor,
     tol: Tolerance = DEFAULT_TOL,
+    memo: BuildMemo | None = None,
 ) -> CheckReport:
     """F(g) F(h) = F(gh) through pullbacks, unit law, and U_g recovery.
 
-    One BuildMemo lives for this call only.  Across the |G|^2 composites it
-    builds each tensor module once per (module object, rho's codomain and
-    coefficient bytes) and each extended CP map once per (phi, tensor
-    module) object pair.
+    Builds go through the caller's BuildMemo, which lives for one checked
+    instance, or through a fresh one for this call when none is given.
+    Across the |G|^2 composites it builds each tensor module once per
+    (module object, rho's codomain and coefficient bytes) and each extended
+    CP map once per (phi, tensor module) object pair.
     """
     rep = CheckReport()
-    memo = BuildMemo()
+    memo = memo if memo is not None else BuildMemo()
     G = c.group
     E = c.module
     scale = 1.0 + max(1.0, _gram_scale(E))
@@ -486,10 +491,11 @@ def dilate(
     c: EquivariantCorrespondence,
     triple: KsgnsTriple | None = None,
     tol: Tolerance = DEFAULT_TOL,
+    memo: BuildMemo | None = None,
 ) -> DilationQuadruple:
     """Dilate to (F_phi, pi_phi, V_phi, U~) with U~_g the compression of
     alpha_g (x) U_g to the quotient."""
-    t = triple if triple is not None else ksgns(c.module, c.phi, tol)
+    t = triple if triple is not None else ksgns_once(c.module, c.phi, tol, memo)
     K = np.stack(
         [np.kron(c.system_in.action[g].matrix, c.unitaries[g]) for g in range(c.group.order)]
     )
@@ -509,16 +515,18 @@ def categorical_dilation_unitary(
     quad: DilationQuadruple,
     g: int,
     tol: Tolerance = DEFAULT_TOL,
+    memo: BuildMemo | None = None,
 ) -> np.ndarray:
     """U~_g rebuilt as eta~_g . V_g^{-1} . V'_{beta_g}: the composite that the
     functorial proof produces, used to cross-check the direct compression."""
     E = c.module
     t = quad.triple
     beta_g = c.system_out.action[g]
-    tw = twist_unitary(E, beta_g, tol)
+    tw = twist_unitary(E, beta_g, tol, memo)
     eta_g = ModuleMap(tw.twisted.module, E, c.unitaries[g] @ tw.unitary.matrix)
     cu = commuting_unitary(
-        E, c.phi, tw.twisted.right, tw.twisted.pi, triple=t, tensor=tw.twisted, tol=tol
+        E, c.phi, tw.twisted.right, tw.twisted.pi, triple=t, tensor=tw.twisted, tol=tol,
+        memo=memo,
     )
     lifted = ksgns_lift(
         Intertwiner(eta_g, c.system_in.action[g]), cu.left, t, tol

@@ -29,6 +29,7 @@ from .errors import InvalidConfig
 from .hilbert import HilbertModule, ModuleMap, adjoint_map, canonical_module, module_operator_norm
 from .numkernel import DEFAULT_TOL, Tolerance
 from .poscor import (
+    BuildMemo,
     PosCorMorphism,
     PosCorObject,
     inclusion_unitary,
@@ -264,33 +265,37 @@ def random_morphism_to_new_object(
     max_out_blocks: int = 2,
     max_dim: int = 12,
     tol: Tolerance = DEFAULT_TOL,
+    memo: BuildMemo | None = None,
 ) -> tuple[PosCorObject, PosCorMorphism]:
     """Extend a diagram: pick rho out of dom's coefficients, tensor, and make
     the codomain a transported copy of the tensor so that the transport is a
-    unitary morphism component."""
+    unitary morphism component.  With a memo, phi (x) I is built once."""
     rho = random_star_map(dom.coefficient, rng, max_block=max_block, max_out_blocks=max_out_blocks)
     for _ in range(32):
         if dom.module.dim * rho.codomain.dim <= max_dim:
             break
         rho = random_star_map(dom.coefficient, rng, max_block=max_block, max_out_blocks=max_out_blocks)
-    tensor = interior_tensor_along(dom.module, rho, tol)
+    tensor = interior_tensor_along(dom.module, rho, tol, memo)
     E2, S = scramble_module(tensor.module, rng)
     W = ModuleMap(tensor.module, E2, np.linalg.inv(S))
     alpha = random_automorphism(dom.input_algebra, rng)
-    psi = conjugate_cp(tensor_extend_cpmap(dom.phi, tensor, tol), W, alpha)
+    psi = conjugate_cp(tensor_extend_cpmap(dom.phi, tensor, tol, memo), W, alpha)
     cod = PosCorObject(ident, dom.input_algebra, rho.codomain, E2, psi)
     morphism = make_poscor_morphism(
-        dom, cod, rho, W.matrix, alpha, dom_tensor=tensor, tol=tol
+        dom, cod, rho, W.matrix, alpha, dom_tensor=tensor, tol=tol, memo=memo
     )
     return cod, morphism
 
 
 def random_endomorphism(
-    obj: PosCorObject, rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL
+    obj: PosCorObject,
+    rng: np.random.Generator,
+    tol: Tolerance = DEFAULT_TOL,
+    memo: BuildMemo | None = None,
 ) -> PosCorMorphism:
     """An endomorphism of obj: a random element of the commutant of phi,
     composed with the inclusion unitary."""
-    inc = inclusion_unitary(obj.module, tol)
+    inc = inclusion_unitary(obj.module, tol, memo)
     ident = identity_automorphism(obj.input_algebra)
     eta, norm = random_intertwiner(obj.phi, obj.phi, ident, rng, tol)
     mat = eta.matrix
@@ -298,7 +303,8 @@ def random_endomorphism(
         mat, norm = np.eye(obj.module.dim, dtype=complex), 1.0
     eta = (mat / norm) @ inc.iota.matrix
     return make_poscor_morphism(
-        obj, obj, identity_star_map(obj.coefficient), eta, ident, dom_tensor=inc.tensor, tol=tol
+        obj, obj, identity_star_map(obj.coefficient), eta, ident, dom_tensor=inc.tensor, tol=tol,
+        memo=memo,
     )
 
 

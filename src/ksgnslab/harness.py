@@ -90,10 +90,12 @@ from .ksgns import (
     idempotency_unitary,
     ksgns,
     ksgns_lift,
+    ksgns_once,
     triple_uniqueness_unitary,
 )
 from .numkernel import DEFAULT_TOL, Tolerance, herm_expi, max_operator_norm, operator_norm
 from .poscor import (
+    BuildMemo,
     PosCorObject,
     check_category_laws,
     check_commuting_unitary,
@@ -113,6 +115,7 @@ from .poscor import (
     tensor_extend_between,
     tensor_extend_cpmap,
     tensor_functor_morphism,
+    tensor_once,
     v_rho,
 )
 
@@ -375,7 +378,7 @@ def _gen_ksgns(caps: SizeCaps, seed: int) -> dict:
     }
 
 
-def _check_ksgns(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
+def _check_ksgns(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
     E = ser.load_module(payload["module"])
     phi = ser.load_cpmap(payload["phi"], {"module": E})
     rec.add(
@@ -392,7 +395,7 @@ def _check_ksgns(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
         return
     if not ok:
         return
-    t = ksgns(E, phi, tol)
+    t = ksgns_once(E, phi, tol, memo)
     rep = check_triple(t, tol)
     rec.merge(
         rep,
@@ -519,7 +522,7 @@ def _family_bound_residual(
     return worst, scale
 
 
-def _check_lift(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
+def _check_lift(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
     mods, phis, morphs = _load_bundle(payload)
     E1, E2, E3 = mods["E1"], mods["E2"], mods["E3"]
     phi1, phi2, phi3 = phis["phi1"], phis["phi2"], phis["phi3"]
@@ -570,7 +573,9 @@ def _check_lift(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
         sandwich_scale,
     )
 
-    t1, t2, t3 = ksgns(E1, phi1, tol), ksgns(E2, phi2, tol), ksgns(E3, phi3, tol)
+    t1 = ksgns_once(E1, phi1, tol, memo)
+    t2 = ksgns_once(E2, phi2, tol, memo)
+    t3 = ksgns_once(E3, phi3, tol, memo)
     leak, gate = null_leak(t2.q, np.kron(m1.alpha.matrix, m1.eta.matrix), t1.kernel, tol)
     rec.add(
         "lift_well_defined",
@@ -632,13 +637,13 @@ def _gen_idempotency(caps: SizeCaps, seed: int) -> dict:
     return _bundle(seed, A, {"E1": E1, "E2": E2}, {"phi1": phi1, "phi2": phi2}, {"m": m})
 
 
-def _check_idempotency(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
+def _check_idempotency(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
     mods, phis, morphs = _load_bundle(payload)
     m = morphs["m"]
-    t1 = ksgns(mods["E1"], phis["phi1"], tol)
-    t2 = ksgns(mods["E2"], phis["phi2"], tol)
-    idem1 = idempotency_unitary(t1, tol)
-    idem2 = idempotency_unitary(t2, tol)
+    t1 = ksgns_once(mods["E1"], phis["phi1"], tol, memo)
+    t2 = ksgns_once(mods["E2"], phis["phi2"], tol, memo)
+    idem1 = idempotency_unitary(t1, tol, memo)
+    idem2 = idempotency_unitary(t2, tol, memo)
     rep = check_idempotency(idem1, t1, tol)
     rec.merge(
         rep,
@@ -689,7 +694,7 @@ def _gen_tensor(caps: SizeCaps, seed: int) -> dict:
     return payload
 
 
-def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
+def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
     from .cstar import compose_star_maps
 
     mods, phis, morphs = _load_bundle(payload)
@@ -703,8 +708,8 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
 
     from .poscor import balanced_relation_residual
 
-    tm1 = interior_tensor(E1, F, pi, tol)
-    tm2 = interior_tensor(E2, F, pi, tol)
+    tm1 = tensor_once(E1, F, pi, tol, memo)
+    tm2 = tensor_once(E2, F, pi, tol, memo)
     rec.add(
         "balanced",
         "balanced relation x b (x) y = x (x) pi(b) y",
@@ -745,8 +750,8 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
         tol.ctol,
     )
     m_hat = tensor_functor_morphism(m, tm1, tm2, tol)
-    phi1_ext = tensor_extend_cpmap(phi1, tm1, tol)
-    phi2_ext = tensor_extend_cpmap(phi2, tm2, tol)
+    phi1_ext = tensor_extend_cpmap(phi1, tm1, tol, memo)
+    phi2_ext = tensor_extend_cpmap(phi2, tm2, tol, memo)
     rep = check_morphism(m_hat, phi1_ext, phi2_ext, tol)
     rec.add(
         "functor_morphism",
@@ -760,8 +765,8 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
         tol.ctol,
     )
     # inclusion
-    inc1 = inclusion_unitary(E1, tol)
-    inc2 = inclusion_unitary(E2, tol)
+    inc1 = inclusion_unitary(E1, tol, memo)
+    inc2 = inclusion_unitary(E2, tol, memo)
     rec.add(
         "inclusion_unitary",
         "inclusion x (x) b -> x b is unitary",
@@ -785,7 +790,7 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
         tol.ctol,
     )
     # composition of tensorings
-    comp = composition_unitary(E1, rho1, rho2, tol=tol)
+    comp = composition_unitary(E1, rho1, rho2, tol=tol, memo=memo)
     rec.add(
         "composition_unitary",
         "iterated tensoring composes: (x (x) c) (x) d -> x (x) rho(c) d",
@@ -793,11 +798,15 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
         tol.ctol,
     )
     # pentagon over three star maps, all into one shared final module
-    U2 = composition_unitary(comp.inner.module, rho2, rho3, tol=tol)
+    U2 = composition_unitary(comp.inner.module, rho2, rho3, tol=tol, memo=memo)
     sigma = compose_star_maps(U2.rho, rho1)
-    final = interior_tensor_along(E1, sigma, tol)
-    U1 = composition_unitary(E1, rho1, U2.rho, inner=comp.inner, target=final, tol=tol)
-    V1 = composition_unitary(E1, comp.rho, rho3, inner=comp.target, target=final, tol=tol)
+    final = interior_tensor_along(E1, sigma, tol, memo)
+    U1 = composition_unitary(
+        E1, rho1, U2.rho, inner=comp.inner, target=final, tol=tol, memo=memo
+    )
+    V1 = composition_unitary(
+        E1, comp.rho, rho3, inner=comp.target, target=final, tol=tol, memo=memo
+    )
     V2_hat = tensor_extend_between(comp.unitary, U2.double, V1.double, tol)
     rec.add(
         "pentagon",
@@ -843,7 +852,7 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
     # square: (eta (x) I) . V'_chi = V_chi . eta for eta out of a tensor module
     E2p, Sp = scramble_module(comp.inner.module, rng)
     eta_sq = ModuleMap(comp.inner.module, E2p, np.linalg.inv(Sp))
-    tm_sq = interior_tensor_along(E2p, rho2, tol)
+    tm_sq = interior_tensor_along(E2p, rho2, tol, memo)
     eta_sq_hat = tensor_extend_between(eta_sq, comp.double, tm_sq, tol)
     vr_sq = v_rho(E2p, rho2, tensor=tm_sq, tol=tol)
     rec.add(
@@ -855,8 +864,8 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
         tol.ctol * (1.0 + module_operator_norm(eta_sq)),
     )
     # KSGNS commutes with tensoring
-    cu1 = commuting_unitary(E1, phi1, F, pi, tensor=tm1, tol=tol)
-    cu2 = commuting_unitary(E2, phi2, F, pi, tensor=tm2, tol=tol)
+    cu1 = commuting_unitary(E1, phi1, F, pi, tensor=tm1, tol=tol, memo=memo)
+    cu2 = commuting_unitary(E2, phi2, F, pi, tensor=tm2, tol=tol, memo=memo)
     rep = check_commuting_unitary(cu1, tol)
     rec.add(
         "commuting_unitary",
@@ -884,15 +893,20 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
 
 def _gen_category(caps: SizeCaps, seed: int) -> dict:
     rng = np.random.default_rng(seed)
+    memo = BuildMemo()
     A = random_shape(rng, 1, min(2, caps.max_block))
     B1 = random_shape(rng, 1, 2)
     o1 = random_object("O1", A, B1, rng, max_dim=2)
-    o2, a1 = random_morphism_to_new_object(o1, "O2", rng, max_block=2, max_out_blocks=1, max_dim=8)
-    o3, b1 = random_morphism_to_new_object(o2, "O3", rng, max_block=3, max_out_blocks=1, max_dim=12)
-    a2 = _sibling_morphism(a1, rng)
-    b2 = _sibling_morphism(b1, rng)
-    c1 = random_endomorphism(o3, rng)
-    c2 = random_endomorphism(o1, rng)
+    o2, a1 = random_morphism_to_new_object(
+        o1, "O2", rng, max_block=2, max_out_blocks=1, max_dim=8, memo=memo
+    )
+    o3, b1 = random_morphism_to_new_object(
+        o2, "O3", rng, max_block=3, max_out_blocks=1, max_dim=12, memo=memo
+    )
+    a2 = _sibling_morphism(a1, rng, memo=memo)
+    b2 = _sibling_morphism(b1, rng, memo=memo)
+    c1 = random_endomorphism(o3, rng, memo=memo)
+    c2 = random_endomorphism(o1, rng, memo=memo)
     objects = [o1, o2, o3]
     morphisms = [("O1", "O2", a1), ("O1", "O2", a2), ("O2", "O3", b1),
                  ("O2", "O3", b2), ("O3", "O3", c1), ("O1", "O1", c2)]
@@ -923,7 +937,9 @@ def _gen_category(caps: SizeCaps, seed: int) -> dict:
     }
 
 
-def _sibling_morphism(m, rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL):
+def _sibling_morphism(
+    m, rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL, memo: BuildMemo | None = None
+):
     """Second morphism parallel to m: same rho and alpha, eta drawn from the
     solved intertwiner space."""
     eta, norm = random_intertwiner(m.phi_ext, m.cod.phi, m.alpha, rng, tol)
@@ -931,11 +947,11 @@ def _sibling_morphism(m, rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL)
     if norm <= 1e-9:
         mat, norm = m.eta.matrix, 1.0
     return make_poscor_morphism(
-        m.dom, m.cod, m.rho, mat / norm, m.alpha, dom_tensor=m.dom_tensor, tol=tol
+        m.dom, m.cod, m.rho, mat / norm, m.alpha, dom_tensor=m.dom_tensor, tol=tol, memo=memo
     )
 
 
-def _load_category(payload: dict, tol: Tolerance):
+def _load_category(payload: dict, tol: Tolerance, memo: BuildMemo | None = None):
     A = ser.load_shape(payload["input_algebra"])
     objects = []
     by_ident = {}
@@ -949,19 +965,19 @@ def _load_category(payload: dict, tol: Tolerance):
     for mdata in payload["morphisms"]:
         dom, cod = by_ident[mdata["dom"]], by_ident[mdata["cod"]]
         rho = ser.load_star_map(mdata["rho"])
-        tensor = interior_tensor_along(dom.module, rho, tol)
+        tensor = interior_tensor_along(dom.module, rho, tol, memo)
         eta = ser.load_cmatrix(mdata["eta"], cod.module.dim, tensor.module.dim)
         morphisms.append(
             make_poscor_morphism(
                 dom, cod, rho, eta, ser.load_automorphism(mdata["alpha"]),
-                dom_tensor=tensor, tol=tol,
+                dom_tensor=tensor, tol=tol, memo=memo,
             )
         )
     return objects, morphisms
 
 
-def _check_category(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
-    objects, morphisms = _load_category(payload, tol)
+def _check_category(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
+    objects, morphisms = _load_category(payload, tol, memo)
     reports = (check_poscor_morphism(m, tol) for m in morphisms)
     failing = next((rep for rep in reports if not rep.passed), None)
     rec.add(
@@ -969,7 +985,7 @@ def _check_category(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
         "category morphisms: unital rho and twisted intertwining",
         *(failing.summary() if failing is not None else (0.0, tol.ctol)),
     )
-    rep = check_category_laws(objects, morphisms, tol)
+    rep = check_category_laws(objects, morphisms, tol, memo)
     rec.merge(
         rep,
         {
@@ -993,48 +1009,61 @@ def _check_category(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
     # KSGNS endofunctor laws on the category, on one composable pair
     m1 = next(m for m in morphisms if m.dom.ident == "O1" and m.cod.ident == "O2")
     m2 = next(m for m in morphisms if m.dom.ident == "O2" and m.cod.ident == "O3")
-    dil = {o.ident: dilate_object(o, tol) for o in objects}
+    dil = {o.ident: dilate_object(o, tol, memo) for o in objects}
     triples = {ident: t for ident, (_, t) in dil.items()}
     dobjs = {ident: d for ident, (d, _) in dil.items()}
-    k1 = ksgns_functor_poscor(m1, triples["O1"], triples["O2"], dobjs["O1"], dobjs["O2"], tol)
-    k2 = ksgns_functor_poscor(m2, triples["O2"], triples["O3"], dobjs["O2"], dobjs["O3"], tol)
+    k1 = ksgns_functor_poscor(
+        m1, triples["O1"], triples["O2"], dobjs["O1"], dobjs["O2"], tol, memo
+    )
+    k2 = ksgns_functor_poscor(
+        m2, triples["O2"], triples["O3"], dobjs["O2"], dobjs["O3"], tol, memo
+    )
     rep = check_poscor_morphism(k1, tol)
     rec.add(
         "ksgns_morphism",
         "the dilated pair is again a category morphism",
         *rep.summary(),
     )
-    ident1 = poscor_identity(objects[0], tol)
-    k_id = ksgns_functor_poscor(ident1, triples["O1"], triples["O1"], dobjs["O1"], dobjs["O1"], tol)
+    ident1 = poscor_identity(objects[0], tol, memo)
+    k_id = ksgns_functor_poscor(
+        ident1, triples["O1"], triples["O1"], dobjs["O1"], dobjs["O1"], tol, memo
+    )
     rec.add(
         "ksgns_identity",
         "KSGNS functor preserves category identities",
-        morphism_distance(k_id, poscor_identity(dobjs["O1"], tol)),
+        morphism_distance(k_id, poscor_identity(dobjs["O1"], tol, memo)),
         tol.ctol,
     )
     k21 = ksgns_functor_poscor(
-        poscor_compose(m2, m1, tol), triples["O1"], triples["O3"], dobjs["O1"], dobjs["O3"], tol
+        poscor_compose(m2, m1, tol, memo),
+        triples["O1"], triples["O3"], dobjs["O1"], dobjs["O3"], tol, memo,
     )
     rec.add(
         "ksgns_composition",
         "KSGNS functor preserves category composition",
-        morphism_distance(k21, poscor_compose(k2, k1, tol)),
+        morphism_distance(k21, poscor_compose(k2, k1, tol, memo)),
         tol.ctol * (1.0 + m1.norm * m2.norm),
     )
     # idempotency as a natural isomorphism on the category
-    idem1 = idempotency_unitary(triples["O1"], tol)
-    idem2 = idempotency_unitary(triples["O2"], tol)
+    idem1 = idempotency_unitary(triples["O1"], tol, memo)
+    idem2 = idempotency_unitary(triples["O2"], tol, memo)
     dd1 = PosCorObject("O1~~", objects[0].input_algebra, dobjs["O1"].coefficient,
                        idem1.second.module, idem1.second.pi)
     dd2 = PosCorObject("O2~~", objects[0].input_algebra, dobjs["O2"].coefficient,
                        idem2.second.module, idem2.second.pi)
-    kk1 = ksgns_functor_poscor(k1, idem1.second, idem2.second, dd1, dd2, tol)
-    iso1 = idempotency_iso_poscor(objects[0], triples["O1"], dobjs["O1"], dd1, idem1.unitary, tol)
-    iso2 = idempotency_iso_poscor(objects[1], triples["O2"], dobjs["O2"], dd2, idem2.unitary, tol)
+    kk1 = ksgns_functor_poscor(k1, idem1.second, idem2.second, dd1, dd2, tol, memo)
+    iso1 = idempotency_iso_poscor(
+        objects[0], triples["O1"], dobjs["O1"], dd1, idem1.unitary, tol, memo
+    )
+    iso2 = idempotency_iso_poscor(
+        objects[1], triples["O2"], dobjs["O2"], dd2, idem2.unitary, tol, memo
+    )
     rec.add(
         "ksgns_idempotent",
         "KSGNS squared is naturally isomorphic to KSGNS",
-        morphism_distance(poscor_compose(iso2, k1, tol), poscor_compose(kk1, iso1, tol)),
+        morphism_distance(
+            poscor_compose(iso2, k1, tol, memo), poscor_compose(kk1, iso1, tol, memo)
+        ),
         tol.ctol * (1.0 + m1.norm),
     )
 
@@ -1066,7 +1095,9 @@ def _gen_equivariant(caps: SizeCaps, seed: int) -> dict:
     return {"seed": seed, "group": gname, "correspondence": ser.dump_equivariant(c)}
 
 
-def _check_equivariant_suite(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
+def _check_equivariant_suite(
+    payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
+) -> None:
     c = ser.load_equivariant(payload["correspondence"])
     rec.add(
         "system_in",
@@ -1091,8 +1122,8 @@ def _check_equivariant_suite(payload: dict, tol: Tolerance, rec: _Recorder) -> N
         },
     )
     _record_cp(rec, "phi_cp", "averaged map stays completely positive", c.phi, tol)
-    functor = correspondence_to_functor(c, tol)
-    frep = check_functor_laws(c, functor, tol)
+    functor = correspondence_to_functor(c, tol, memo)
+    frep = check_functor_laws(c, functor, tol, memo)
     rec.merge(
         frep,
         {
@@ -1117,9 +1148,9 @@ def _check_equivariant_suite(payload: dict, tol: Tolerance, rec: _Recorder) -> N
     )
 
 
-def _check_dilation(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
+def _check_dilation(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
     c = ser.load_equivariant(payload["correspondence"])
-    quad = dilate(c, tol=tol)
+    quad = dilate(c, tol=tol, memo=memo)
     rep = check_dilation(quad, tol)
     rec.merge(
         rep,
@@ -1156,7 +1187,7 @@ def _check_dilation(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
     )
     worst = 0.0
     for g in range(c.group.order):
-        cat = categorical_dilation_unitary(c, quad, g, tol)
+        cat = categorical_dilation_unitary(c, quad, g, tol, memo)
         worst = max(worst, operator_norm(cat - quad.unitaries[g]))
     rec.add(
         "direct_vs_categorical",
@@ -1253,7 +1284,7 @@ def _gen_continuity(caps: SizeCaps, seed: int, steps: int = 20) -> dict:
     }
 
 
-def _check_continuity(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
+def _check_continuity(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
     mods = {k: ser.load_module(v) for k, v in payload["modules"].items()}
     E1, E2 = mods["E1"], mods["E2"]
     phi1 = ser.load_cpmap(payload["phis"]["phi1"], mods)
@@ -1275,8 +1306,8 @@ def _check_continuity(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
         )
         for s in payload["samples"]
     ]
-    t1 = ksgns(E1, phi1, tol)
-    t2 = ksgns(E2, phi2, tol)
+    t1 = ksgns_once(E1, phi1, tol, memo)
+    t2 = ksgns_once(E2, phi2, tol, memo)
     try:
         probe = continuity_probe(path, target, t1, t2, samples, tol)
     except NonConvergentInput as exc:
@@ -1339,9 +1370,9 @@ def _gen_uniqueness(caps: SizeCaps, seed: int) -> dict:
     return payload
 
 
-def _check_uniqueness(payload: dict, tol: Tolerance, rec: _Recorder) -> None:
+def _check_uniqueness(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
     c = ser.load_equivariant(payload["correspondence"])
-    quad = dilate(c, tol=tol)
+    quad = dilate(c, tol=tol, memo=memo)
     F = quad.triple.module
     Z = ModuleMap(F, F, ser.load_cmatrix(payload["planted"], F.dim, F.dim))
     quad2 = conjugated_quadruple(quad, Z)
@@ -1405,9 +1436,12 @@ _CONSTRUCTION_THEOREMS = {
 
 
 def check_instance(suite: str, payload: dict, tol: Tolerance) -> list[CheckRecord]:
+    """Run one instance's checks.  Every build goes through one BuildMemo,
+    so each tensor module, KSGNS triple and composite is built once per
+    instance; the memo is dropped on return."""
     rec = _Recorder(suite, payload.get("seed", 0), tol)
     try:
-        _SUITES[suite][1](payload, tol, rec)
+        _SUITES[suite][1](payload, tol, rec, BuildMemo())
     except Exception as exc:  # never abort the suite
         theorem = _CONSTRUCTION_THEOREMS.get(
             type(exc).__name__, "instance construction and validation"

@@ -243,7 +243,8 @@ def first_leak(
 ) -> tuple[int, float] | None:
     """(flat index, leak) of the first slice of K whose null_leak exceeds its
     gate, or None when all pass; numkernel.exceeds_gate certifies most slices
-    without an SVD."""
+    without an SVD.  NaN or Inf in K raises NonFinite before any product."""
+    require_finite(K)
     X = q @ K @ kernel
     bad = np.flatnonzero(exceeds_gate(X, K, tol))
     if not bad.size:

@@ -17,6 +17,7 @@ demands an explicit residual gate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,6 +43,9 @@ from .hilbert import (
 )
 from .numkernel import DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm, pseudo_inverse
 from .reporting import CheckReport
+
+if TYPE_CHECKING:
+    from .poscor import BuildMemo
 
 
 @dataclass
@@ -76,6 +80,19 @@ def ksgns(E: HilbertModule, phi: CPMap, tol: Tolerance = DEFAULT_TOL) -> KsgnsTr
     V_pre = np.kron(unit_element(A).coeffs().reshape(A.dim, 1), np.eye(E.dim, dtype=complex))
     embedding = ModuleMap(E, tm.module, tm.q @ V_pre)
     return KsgnsTriple(tm.module, tm.q, tm.s, tm.kernel, E, phi, pi, embedding)
+
+
+def ksgns_once(
+    E: HilbertModule,
+    phi: CPMap,
+    tol: Tolerance = DEFAULT_TOL,
+    memo: BuildMemo | None = None,
+) -> KsgnsTriple:
+    """ksgns(E, phi); with a poscor.BuildMemo, built once per (E, phi) object
+    pair."""
+    if memo is None:
+        return ksgns(E, phi, tol)
+    return memo.get(("ksgns", id(E), id(phi), tol), (E, phi), lambda: ksgns(E, phi, tol))
 
 
 def spanning_columns(t: KsgnsTriple) -> np.ndarray:
@@ -224,9 +241,11 @@ class IdempotencyUnitary:
     second: KsgnsTriple
 
 
-def idempotency_unitary(t: KsgnsTriple, tol: Tolerance = DEFAULT_TOL) -> IdempotencyUnitary:
+def idempotency_unitary(
+    t: KsgnsTriple, tol: Tolerance = DEFAULT_TOL, memo: BuildMemo | None = None
+) -> IdempotencyUnitary:
     """Dilate the dilated representation; its embedding is already unitary."""
-    second = ksgns(t.module, t.pi, tol)
+    second = ksgns_once(t.module, t.pi, tol, memo)
     return IdempotencyUnitary(second.embedding, second)
 
 

@@ -52,20 +52,22 @@ from .hilbert import (
     module_operator_norm,
     unitarity_residual,
 )
-from .ksgns import KsgnsTriple, ksgns, ksgns_lift
+from .ksgns import KsgnsTriple, ksgns_lift, ksgns_once
 from .numkernel import DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm
 from .reporting import CheckReport
 
 
-# -- audit-scoped memo ---------------------------------------------------------
+# -- instance-scoped memo ------------------------------------------------------
 
 
 class BuildMemo:
-    """Finished builds for the length of one audit.
+    """Finished builds for the length of one checked instance.
 
-    Keys name objects by id(); each entry also holds the objects its key
-    names, so no id can be reused while the memo lives.  A build that raises
-    stores nothing: the next request repeats it and raises again.
+    harness.check_instance makes one and drops it on return; the law audits
+    make their own only when called without one.  Keys name objects by id();
+    each entry also holds the objects its key names, so no id can be reused
+    while the memo lives.  A build that raises stores nothing: the next
+    request repeats it and raises again.
     """
 
     def __init__(self) -> None:
@@ -75,6 +77,22 @@ class BuildMemo:
         if key not in self._done:
             self._done[key] = (keep, build())
         return self._done[key][1]
+
+
+def tensor_once(
+    E: HilbertModule,
+    F: HilbertModule,
+    pi: CPMap,
+    tol: Tolerance = DEFAULT_TOL,
+    memo: BuildMemo | None = None,
+) -> TensorModule:
+    """interior_tensor(E, F, pi); with a memo, built once per (E, F, pi)
+    object triple."""
+    if memo is None:
+        return interior_tensor(E, F, pi, tol)
+    return memo.get(
+        ("tensor", id(E), id(F), id(pi), tol), (E, F, pi), lambda: interior_tensor(E, F, pi, tol)
+    )
 
 
 # -- T (x) I and the tensor functor -------------------------------------------
@@ -268,9 +286,12 @@ class TwistUnitary:
 
 
 def twist_unitary(
-    E: HilbertModule, alpha: Automorphism, tol: Tolerance = DEFAULT_TOL
+    E: HilbertModule,
+    alpha: Automorphism,
+    tol: Tolerance = DEFAULT_TOL,
+    memo: BuildMemo | None = None,
 ) -> TwistUnitary:
-    tm = interior_tensor_along(E, alpha.forward, tol)
+    tm = interior_tensor_along(E, alpha.forward, tol, memo)
     dE, dB = E.dim, E.algebra.dim
     inv_actions = np.einsum("pw,pxy->wxy", alpha.inverse_matrix, E.action)
     N_pre = (
@@ -328,12 +349,13 @@ def commuting_unitary(
     triple: KsgnsTriple | None = None,
     tensor: TensorModule | None = None,
     tol: Tolerance = DEFAULT_TOL,
+    memo: BuildMemo | None = None,
 ) -> CommutingUnitary:
-    tm = tensor if tensor is not None else interior_tensor(E, F, pi, tol)
-    phi_ext = tensor_extend_cpmap(phi, tm, tol)
-    left = ksgns(tm.module, phi_ext, tol)
-    t = triple if triple is not None else ksgns(E, phi, tol)
-    right = interior_tensor(t.module, F, pi, tol)
+    tm = tensor if tensor is not None else tensor_once(E, F, pi, tol, memo)
+    phi_ext = tensor_extend_cpmap(phi, tm, tol, memo)
+    left = ksgns_once(tm.module, phi_ext, tol, memo)
+    t = triple if triple is not None else ksgns_once(E, phi, tol, memo)
+    right = tensor_once(t.module, F, pi, tol, memo)
     dA, dE, dF = phi.algebra.dim, E.dim, F.dim
     Q3 = t.q.reshape(t.module.dim, dA, dE)
     S3 = tm.s.reshape(dE, dF, tm.module.dim)
@@ -341,7 +363,7 @@ def commuting_unitary(
         t.module.dim * dF, dA * tm.module.dim
     )
     V = ModuleMap(left.module, right.module, right.q @ M_pre @ left.s)
-    pi_right = tensor_extend_cpmap(t.pi, right, tol)
+    pi_right = tensor_extend_cpmap(t.pi, right, tol, memo)
     return CommutingUnitary(V, t, tm, phi_ext, left, right, pi_right)
 
 
@@ -444,28 +466,35 @@ def poscor_compose(
     tol: Tolerance = DEFAULT_TOL,
     memo: BuildMemo | None = None,
 ) -> PosCorMorphism:
-    """(rho2 rho1, (eta2 . (eta1 (x) I) . U^{-1}, alpha2 alpha1)); a memo
-    reuses the tensor modules and extended CP maps it has already built."""
+    """(rho2 rho1, (eta2 . (eta1 (x) I) . U^{-1}, alpha2 alpha1)); with a
+    memo, built once per (m2, m1) object pair, from the tensor modules and
+    extended CP maps the memo already holds."""
     if m1.cod.ident != m2.dom.ident:
         raise ObjectMismatch(
             f"cannot compose across objects {m1.cod.ident!r} != {m2.dom.ident!r}"
         )
-    comp = composition_unitary(
-        m1.dom.module, m1.rho, m2.rho, inner=m1.dom_tensor, tol=tol, memo=memo
-    )
-    eta1_hat = tensor_extend_between(m1.eta, comp.double, m2.dom_tensor, tol)
-    U_inv = adjoint_map(comp.unitary)
-    eta = m2.eta.matrix @ eta1_hat.matrix @ U_inv.matrix
-    return make_poscor_morphism(
-        m1.dom,
-        m2.cod,
-        comp.rho,
-        eta,
-        compose_automorphisms(m2.alpha, m1.alpha),
-        dom_tensor=comp.target,
-        tol=tol,
-        memo=memo,
-    )
+
+    def build() -> PosCorMorphism:
+        comp = composition_unitary(
+            m1.dom.module, m1.rho, m2.rho, inner=m1.dom_tensor, tol=tol, memo=memo
+        )
+        eta1_hat = tensor_extend_between(m1.eta, comp.double, m2.dom_tensor, tol)
+        U_inv = adjoint_map(comp.unitary)
+        eta = m2.eta.matrix @ eta1_hat.matrix @ U_inv.matrix
+        return make_poscor_morphism(
+            m1.dom,
+            m2.cod,
+            comp.rho,
+            eta,
+            compose_automorphisms(m2.alpha, m1.alpha),
+            dom_tensor=comp.target,
+            tol=tol,
+            memo=memo,
+        )
+
+    if memo is None:
+        return build()
+    return memo.get(("compose", id(m2), id(m1), tol), (m2, m1), build)
 
 
 def check_poscor_morphism(m: PosCorMorphism, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -506,9 +535,9 @@ def poscor_pseudometric(
 
 
 def dilate_object(
-    obj: PosCorObject, tol: Tolerance = DEFAULT_TOL
+    obj: PosCorObject, tol: Tolerance = DEFAULT_TOL, memo: BuildMemo | None = None
 ) -> tuple[PosCorObject, KsgnsTriple]:
-    t = ksgns(obj.module, obj.phi, tol)
+    t = ksgns_once(obj.module, obj.phi, tol, memo)
     dilated = PosCorObject(
         ident=f"{obj.ident}~",
         input_algebra=obj.input_algebra,
@@ -526,6 +555,7 @@ def ksgns_functor_poscor(
     dom_dilated: PosCorObject,
     cod_dilated: PosCorObject,
     tol: Tolerance = DEFAULT_TOL,
+    memo: BuildMemo | None = None,
 ) -> PosCorMorphism:
     """(rho, (eta~ . V^{-1}, alpha)) between the dilated objects."""
     cu = commuting_unitary(
@@ -536,6 +566,7 @@ def ksgns_functor_poscor(
         triple=t_dom,
         tensor=m.dom_tensor,
         tol=tol,
+        memo=memo,
     )
     lifted = ksgns_lift(Intertwiner(m.eta, m.alpha), cu.left, t_cod, tol)
     V_inv = adjoint_map(cu.unitary)
@@ -548,6 +579,7 @@ def ksgns_functor_poscor(
         m.alpha,
         dom_tensor=cu.right,
         tol=tol,
+        memo=memo,
     )
 
 
@@ -558,10 +590,11 @@ def idempotency_iso_poscor(
     double_dilated: PosCorObject,
     idem_unitary: ModuleMap,
     tol: Tolerance = DEFAULT_TOL,
+    memo: BuildMemo | None = None,
 ) -> PosCorMorphism:
     """The canonical (inc, (V_{pi_phi} . iota, 1_A)) from (F_phi, pi_phi) to
     (F_{pi_phi}, pi_{pi_phi})."""
-    inc = inclusion_unitary(dilated.module, tol)
+    inc = inclusion_unitary(dilated.module, tol, memo)
     eta = idem_unitary.matrix @ inc.iota.matrix
     return make_poscor_morphism(
         dilated,
@@ -571,6 +604,7 @@ def idempotency_iso_poscor(
         identity_automorphism(obj.input_algebra),
         dom_tensor=inc.tensor,
         tol=tol,
+        memo=memo,
     )
 
 
@@ -581,24 +615,22 @@ def check_category_laws(
     objects: list[PosCorObject],
     morphisms: list[PosCorMorphism],
     tol: Tolerance = DEFAULT_TOL,
+    memo: BuildMemo | None = None,
 ) -> CheckReport:
     """Left/right identity, associativity, and invariant preservation, over
     every composable pair and triple in the given diagram.
 
-    One BuildMemo lives for this call only.  It builds each tensor module once
-    per (module object, rho's codomain and coefficient bytes), each extended
-    CP map once per (phi, tensor module) object pair, and each composable
-    pair's composite once per (m2, m1) object pair; associativity's right
-    side reuses the composite m3 . m2.  Failed builds are not stored.
+    Builds go through the caller's BuildMemo, which lives for one checked
+    instance, or through a fresh one for this call when none is given.  It
+    builds each tensor module once per (module object, rho's codomain and
+    coefficient bytes), each extended CP map once per (phi, tensor module)
+    object pair, and each composite once per (m2, m1) object pair;
+    associativity's right side reuses the composite m3 . m2.  Failed builds
+    are not stored.
     """
     from .errors import KsgnslabError
 
-    memo = BuildMemo()
-
-    def compose(m2: PosCorMorphism, m1: PosCorMorphism) -> PosCorMorphism:
-        return memo.get(
-            ("compose", id(m2), id(m1)), (m2, m1), lambda: poscor_compose(m2, m1, tol, memo)
-        )
+    memo = memo if memo is not None else BuildMemo()
 
     rep = CheckReport()
     identities = {o.ident: poscor_identity(o, tol, memo) for o in objects}
@@ -630,7 +662,7 @@ def check_category_laws(
             continue
         pair_count += 1
         try:
-            composed = compose(m2, m1)
+            composed = poscor_compose(m2, m1, tol, memo)
             closure.merge(
                 check_poscor_morphism(composed, tol), prefix=f"pair{pair_count}_"
             )
@@ -638,7 +670,7 @@ def check_category_laws(
                 if m3.dom.ident != m2.cod.ident:
                     continue
                 lhs = poscor_compose(m3, composed, tol, memo)
-                rhs = poscor_compose(compose(m3, m2), m1, tol, memo)
+                rhs = poscor_compose(poscor_compose(m3, m2, tol, memo), m1, tol, memo)
                 assoc = max(assoc, morphism_distance(lhs, rhs))
         except KsgnslabError:
             broken += 1
