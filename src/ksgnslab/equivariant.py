@@ -27,7 +27,7 @@ from .cstar import (
     inner_automorphism,
 )
 from .cp import CPMap, Intertwiner, random_cp
-from .errors import ShapeMismatch, SpanningFailure, ValidationError
+from .errors import ShapeMismatch, SpanningFailure, TwistMismatch, ValidationError
 from .hilbert import (
     HilbertModule,
     ModuleMap,
@@ -47,7 +47,7 @@ from .ksgns import (
     spanning_rank,
     triple_uniqueness_unitary,
 )
-from .numkernel import DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm
+from .numkernel import DEFAULT_TOL, Tolerance, exceeds_gate, max_operator_norm, operator_norm
 from .poscor import (
     BuildMemo,
     PosCorMorphism,
@@ -436,6 +436,13 @@ def check_functor_laws(
 ) -> CheckReport:
     """F(g) F(h) = F(gh) through pullbacks, unit law, and U_g recovery.
 
+    F(g) F(h) is built on the tensor of F(gh), E (x)_{beta_gh} B, which
+    correspondence_to_functor already built, not on a fresh tensor along the
+    composed coefficients beta_g beta_h: the group law makes the two star
+    maps equal up to rounding.  Before any composite is built, every
+    ||beta_g beta_h - beta_gh|| is gated at the composition_law threshold;
+    a violation raises TwistMismatch naming (g, h).
+
     Builds go through the caller's BuildMemo, which lives for one checked
     instance, or through a fresh one for this call when none is given.
     Across the |G|^2 composites it builds each tensor module once per
@@ -447,6 +454,7 @@ def check_functor_laws(
     G = c.group
     E = c.module
     scale = 1.0 + max(1.0, _gram_scale(E))
+    _require_group_law(c.system_out, tol.ctol * scale, tol)
     recover = max(
         operator_norm(functor.morphisms[g].pullback - c.unitaries[g])
         for g in range(G.order)
@@ -461,14 +469,33 @@ def check_functor_laws(
     for g in range(G.order):
         unitary = max(unitary, unitarity_residual(functor.morphisms[g].eta))
         for h in range(G.order):
-            composed = poscor_compose(functor.morphisms[g], functor.morphisms[h], tol, memo)
-            law = max(
-                law,
-                operator_norm(composed.pullback - c.unitaries[G.mul(g, h)]),
+            gh = G.mul(g, h)
+            composed = poscor_compose(
+                functor.morphisms[g],
+                functor.morphisms[h],
+                tol,
+                memo,
+                target=functor.morphisms[gh].dom_tensor,
             )
+            law = max(law, operator_norm(composed.pullback - c.unitaries[gh]))
     rep.add("composition_law", law, tol.ctol * scale)
     rep.add("unitary_valued", unitary, tol.ctol * scale)
     return rep
+
+
+def _require_group_law(system: DynamicalSystem, threshold: float, tol: Tolerance) -> None:
+    """Raise TwistMismatch at the first (g, h) whose ||beta_g beta_h - beta_gh||
+    exceeds `threshold`; one stacked gate over all pairs."""
+    G = system.group
+    beta = np.stack([a.matrix for a in system.action])
+    defect = beta[:, None] @ beta - beta[G.table]
+    bad = exceeds_gate(defect, np.zeros_like(defect), Tolerance(tol.rtol, threshold))
+    if bad.any():
+        g, h = (int(i) for i in np.argwhere(bad)[0])
+        raise TwistMismatch(
+            f"beta_{g} beta_{h} and beta_{G.mul(g, h)} differ by "
+            f"{operator_norm(defect[g, h]):.3e}"
+        )
 
 
 # -- dilation -------------------------------------------------------------------

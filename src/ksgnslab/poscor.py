@@ -465,10 +465,17 @@ def poscor_compose(
     m1: PosCorMorphism,
     tol: Tolerance = DEFAULT_TOL,
     memo: BuildMemo | None = None,
+    target: TensorModule | None = None,
 ) -> PosCorMorphism:
     """(rho2 rho1, (eta2 . (eta1 (x) I) . U^{-1}, alpha2 alpha1)); with a
-    memo, built once per (m2, m1) object pair, from the tensor modules and
-    extended CP maps the memo already holds."""
+    memo, built once per (m2, m1, target) object triple, from the tensor
+    modules and extended CP maps the memo already holds.
+
+    `target`, when given, is the tensor module the composite lives on in
+    place of a fresh E (x)_{rho2 rho1} D: a caller that knows rho2 rho1 up to
+    rounding (the group law beta_g beta_h = beta_gh) passes the tensor it
+    already built along that star map.
+    """
     if m1.cod.ident != m2.dom.ident:
         raise ObjectMismatch(
             f"cannot compose across objects {m1.cod.ident!r} != {m2.dom.ident!r}"
@@ -476,7 +483,8 @@ def poscor_compose(
 
     def build() -> PosCorMorphism:
         comp = composition_unitary(
-            m1.dom.module, m1.rho, m2.rho, inner=m1.dom_tensor, tol=tol, memo=memo
+            m1.dom.module, m1.rho, m2.rho, inner=m1.dom_tensor, target=target, tol=tol,
+            memo=memo,
         )
         eta1_hat = tensor_extend_between(m1.eta, comp.double, m2.dom_tensor, tol)
         U_inv = adjoint_map(comp.unitary)
@@ -494,7 +502,7 @@ def poscor_compose(
 
     if memo is None:
         return build()
-    return memo.get(("compose", id(m2), id(m1), tol), (m2, m1), build)
+    return memo.get(("compose", id(m2), id(m1), id(target), tol), (m2, m1, target), build)
 
 
 def check_poscor_morphism(m: PosCorMorphism, tol: Tolerance = DEFAULT_TOL) -> CheckReport:

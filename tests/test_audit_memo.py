@@ -3,7 +3,9 @@
 `check_category_laws` and `check_functor_laws` keep one BuildMemo per call.
 These tests count the interior tensor builds an audit makes, compare the
 audits' residuals with the memo-less loops they replaced (kept below as the
-reference), and check that a build which raises is not remembered.
+reference), and check that a build which raises is not remembered.  The
+functor audit composes F(g) F(h) on the tensor of F(gh); the loop that
+composed on a fresh tensor along beta_g beta_h is kept as a second reference.
 """
 
 import itertools
@@ -43,8 +45,10 @@ def category_instance(idx):
     return _load_category(payload, DEFAULT_TOL)
 
 
+M2 = AlgebraShape((2,))
+
+
 def functor_instance(group):
-    M2 = AlgebraShape((2,))
     c = random_equivariant(M2, M2, group, seed=1, copies=1)
     return c, correspondence_to_functor(c, DEFAULT_TOL)
 
@@ -103,6 +107,17 @@ def category_laws_reference(objects, morphisms, tol=DEFAULT_TOL):
 
 
 def functor_laws_reference(c, functor, tol=DEFAULT_TOL):
+    """The memo-less functor audit, composing F(g) F(h) on the tensor of F(gh)."""
+    return _functor_laws_loop(c, functor, tol, along_group_law=True)
+
+
+def functor_laws_composed_reference(c, functor, tol=DEFAULT_TOL):
+    """The memo-less functor audit as it was before composites moved onto the
+    tensor of F(gh): each composite on a fresh tensor along beta_g beta_h."""
+    return _functor_laws_loop(c, functor, tol, along_group_law=False)
+
+
+def _functor_laws_loop(c, functor, tol, along_group_law):
     rep = CheckReport()
     G = c.group
     scale = 1.0 + max(1.0, _gram_scale(c.module))
@@ -119,8 +134,12 @@ def functor_laws_reference(c, functor, tol=DEFAULT_TOL):
     for g in range(G.order):
         unitary = max(unitary, unitarity_residual(functor.morphisms[g].eta))
         for h in range(G.order):
-            composed = poscor_compose(functor.morphisms[g], functor.morphisms[h], tol)
-            law = max(law, operator_norm(composed.pullback - c.unitaries[G.mul(g, h)]))
+            gh = G.mul(g, h)
+            target = functor.morphisms[gh].dom_tensor if along_group_law else None
+            composed = poscor_compose(
+                functor.morphisms[g], functor.morphisms[h], tol, target=target
+            )
+            law = max(law, operator_norm(composed.pullback - c.unitaries[gh]))
     rep.add("composition_law", law, tol.ctol * scale)
     rep.add("unitary_valued", unitary, tol.ctol * scale)
     return rep
@@ -164,6 +183,29 @@ def test_functor_audit_builds_each_tensor_module_once(monkeypatch):
     assert max(builds.values()) == 1
 
 
+def test_functor_audit_builds_one_tensor_of_e_along_the_group_law(monkeypatch):
+    # S3 with a non-trivial beta: composed along beta_g beta_h, the audit
+    # built 37 tensors of E itself (one per composite and the identity's)
+    c = random_equivariant(M2, M2, symmetric_group(3), seed=11, copies=1)
+    memo = BuildMemo()
+    functor = correspondence_to_functor(c, DEFAULT_TOL, memo)
+    left_factors = []
+    real = poscor.interior_tensor
+
+    def counting(E, F, pi, tol=DEFAULT_TOL):
+        left_factors.append(E)
+        return real(E, F, pi, tol)
+
+    monkeypatch.setattr(poscor, "interior_tensor", counting)
+    rep = check_functor_laws(c, functor, DEFAULT_TOL)
+    monkeypatch.undo()
+    assert rep.passed, rep.residuals
+    assert sum(E is c.module for E in left_factors) <= 1
+    shared = check_functor_laws(c, functor, DEFAULT_TOL, memo)
+    assert shared.residuals == rep.residuals
+    assert shared.thresholds == rep.thresholds
+
+
 # -- equality with the memo-less audits -------------------------------------------
 
 
@@ -183,6 +225,25 @@ def test_functor_audit_equals_memo_less_loops(group):
     ref = functor_laws_reference(c, functor, DEFAULT_TOL)
     assert rep.residuals == ref.residuals
     assert rep.thresholds == ref.thresholds
+
+
+@pytest.mark.parametrize(
+    "group",
+    [cyclic_group(2), cyclic_group(3), cyclic_group(4), symmetric_group(3)],
+    ids=["Z2", "Z3", "Z4", "S3"],
+)
+def test_group_law_composites_agree_with_composed_coefficients(group):
+    c, functor = functor_instance(group)
+    along = functor_laws_reference(c, functor, DEFAULT_TOL)
+    composed = functor_laws_composed_reference(c, functor, DEFAULT_TOL)
+    assert along.passed, along.residuals
+    assert composed.passed, composed.residuals
+    gap = along.residuals["composition_law"] - composed.residuals["composition_law"]
+    assert abs(gap) <= 1e-13
+    # beta is not the identity, so the two references compose along star maps
+    # whose coefficients differ in the last bits
+    eye = np.eye(c.module.algebra.dim)
+    assert any(not np.array_equal(a.matrix, eye) for a in c.system_out.action)
 
 
 # -- failed builds are not remembered ---------------------------------------------

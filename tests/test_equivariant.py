@@ -35,7 +35,7 @@ from ksgnslab.equivariant import (
     uniqueness_unitary,
     unitary_representation,
 )
-from ksgnslab.errors import SpanningFailure, ValidationError
+from ksgnslab.errors import SpanningFailure, TwistMismatch, ValidationError
 from ksgnslab.generators import random_star_map
 from ksgnslab.hilbert import (
     ModuleMap,
@@ -47,8 +47,10 @@ from ksgnslab.hilbert import (
 )
 from ksgnslab.ksgns import check_triple, ksgns
 from ksgnslab.cp import random_blinear_unitary, random_cp
-from ksgnslab.numkernel import operator_norm
+from ksgnslab.harness import check_instance
+from ksgnslab.numkernel import Tolerance, operator_norm
 from ksgnslab.poscor import poscor_compose, unitarity_residual
+from ksgnslab.serialize import dump_equivariant
 
 from conftest import random_complex
 
@@ -249,6 +251,29 @@ def test_functor_round_trip_recovers_unitaries():
         m = fun.morphisms[g]
         assert operator_norm(m.pullback - c.unitaries[g]) <= 1e-8
         assert unitarity_residual(m.eta) <= 1e-8
+
+
+def test_functor_laws_reject_beta_off_the_group_law():
+    c = random_equivariant(AlgebraShape((2,)), AlgebraShape((2,)), symmetric_group(3), seed=11)
+    fun = correspondence_to_functor(c)
+    G = c.group
+    action = list(c.system_out.action)
+    action[1] = action[2]
+    bad = replace(c, system_out=DynamicalSystem(c.system_out.algebra, G, action))
+    g, h = next(
+        (g, h)
+        for g in range(G.order)
+        for h in range(G.order)
+        if operator_norm(action[g].matrix @ action[h].matrix - action[G.mul(g, h)].matrix)
+        > 1e-6
+    )
+    with pytest.raises(TwistMismatch, match=rf"^beta_{g} beta_{h} and beta_{G.mul(g, h)} "):
+        check_functor_laws(bad, fun)
+    payload = {"seed": 11, "group": "S3", "correspondence": dump_equivariant(bad)}
+    records = check_instance("equivariant", payload, Tolerance())
+    failing = {r.check: r.error for r in records if not r.passed}
+    assert "system_out" in failing
+    assert failing["construction"].startswith("TwistMismatch: ")
 
 
 # -- dilation ------------------------------------------------------------------------
