@@ -26,6 +26,7 @@ from .cstar import (
     AlgebraShape,
     Automorphism,
     StarMap,
+    compose_automorphisms,
     unit_element,
     zero_padded,
 )
@@ -322,8 +323,6 @@ class Intertwiner:
 
 
 def compose_intertwiners(outer: Intertwiner, inner: Intertwiner) -> Intertwiner:
-    from .cstar import compose_automorphisms
-
     return Intertwiner(
         compose_maps(outer.eta, inner.eta),
         compose_automorphisms(outer.alpha, inner.alpha),

@@ -420,9 +420,8 @@ def correspondence_to_functor(
                 beta_g.forward,
                 eta_g,
                 c.system_in.action[g],
-                dom_tensor=tw.twisted,
-                tol=tol,
-                memo=memo,
+                tol,
+                memo,
             )
         )
     return EquivariantFunctor(obj, morphisms)
@@ -436,18 +435,20 @@ def check_functor_laws(
 ) -> CheckReport:
     """F(g) F(h) = F(gh) through pullbacks, unit law, and U_g recovery.
 
-    F(g) F(h) is built on the tensor of F(gh), E (x)_{beta_gh} B, which
-    correspondence_to_functor already built, not on a fresh tensor along the
-    composed coefficients beta_g beta_h: the group law makes the two star
-    maps equal up to rounding.  Before any composite is built, every
-    ||beta_g beta_h - beta_gh|| is gated at the composition_law threshold;
-    a violation raises TwistMismatch naming (g, h).
+    F(g) F(h) is composed along beta_gh (poscor_compose(..., rho=)), so it
+    lives on the tensor of F(gh), E (x)_{beta_gh} B, not on a fresh tensor
+    along the composed coefficients beta_g beta_h: the group law makes the
+    two star maps equal up to rounding.  Before any composite is built,
+    every ||beta_g beta_h - beta_gh|| is gated at the composition_law
+    threshold; a violation raises TwistMismatch naming (g, h).
 
     Builds go through the caller's BuildMemo, which lives for one checked
-    instance, or through a fresh one for this call when none is given.
-    Across the |G|^2 composites it builds each tensor module once per
-    (module object, rho's codomain and coefficient bytes) and each extended
-    CP map once per (phi, tensor module) object pair.
+    instance, or through a fresh one for this call when none is given; with
+    the memo that built `functor`, the tensors of F(gh) are found there.
+    Across the |G|^2 composites it builds each tensor module once under its
+    one key (module object, and the left-multiplication correspondence of
+    rho's content) and each extended CP map once per (phi, tensor module)
+    object pair.
     """
     rep = CheckReport()
     memo = memo if memo is not None else BuildMemo()
@@ -475,7 +476,7 @@ def check_functor_laws(
                 functor.morphisms[h],
                 tol,
                 memo,
-                target=functor.morphisms[gh].dom_tensor,
+                rho=functor.morphisms[gh].rho,
             )
             law = max(law, operator_norm(composed.pullback - c.unitaries[gh]))
     rep.add("composition_law", law, tol.ctol * scale)
@@ -516,13 +517,12 @@ class DilationQuadruple:
 
 def dilate(
     c: EquivariantCorrespondence,
-    triple: KsgnsTriple | None = None,
     tol: Tolerance = DEFAULT_TOL,
     memo: BuildMemo | None = None,
 ) -> DilationQuadruple:
     """Dilate to (F_phi, pi_phi, V_phi, U~) with U~_g the compression of
     alpha_g (x) U_g to the quotient."""
-    t = triple if triple is not None else ksgns_once(c.module, c.phi, tol, memo)
+    t = ksgns_once(c.module, c.phi, tol, memo)
     K = np.stack(
         [np.kron(c.system_in.action[g].matrix, c.unitaries[g]) for g in range(c.group.order)]
     )
@@ -545,21 +545,19 @@ def categorical_dilation_unitary(
     memo: BuildMemo | None = None,
 ) -> np.ndarray:
     """U~_g rebuilt as eta~_g . V_g^{-1} . V'_{beta_g}: the composite that the
-    functorial proof produces, used to cross-check the direct compression."""
+    functorial proof produces, used to cross-check the direct compression.
+    quad is dilate(c, tol, memo): the commuting unitary finds its triple in
+    the memo."""
     E = c.module
-    t = quad.triple
     beta_g = c.system_out.action[g]
     tw = twist_unitary(E, beta_g, tol, memo)
     eta_g = ModuleMap(tw.twisted.module, E, c.unitaries[g] @ tw.unitary.matrix)
-    cu = commuting_unitary(
-        E, c.phi, tw.twisted.right, tw.twisted.pi, triple=t, tensor=tw.twisted, tol=tol,
-        memo=memo,
-    )
+    cu = commuting_unitary(c.phi, tw.twisted, tol, memo)
     lifted = ksgns_lift(
-        Intertwiner(eta_g, c.system_in.action[g]), cu.left, t, tol
+        Intertwiner(eta_g, c.system_in.action[g]), cu.left, quad.triple, tol
     )
     V_inv = adjoint_map(cu.unitary).matrix
-    vr = v_rho(t.module, beta_g.forward, tensor=cu.right, tol=tol)
+    vr = v_rho(cu.right)
     return lifted.eta.matrix @ V_inv @ vr.map.matrix
 
 

@@ -281,9 +281,7 @@ def random_morphism_to_new_object(
     alpha = random_automorphism(dom.input_algebra, rng)
     psi = conjugate_cp(tensor_extend_cpmap(dom.phi, tensor, tol, memo), W, alpha)
     cod = PosCorObject(ident, dom.input_algebra, rho.codomain, E2, psi)
-    morphism = make_poscor_morphism(
-        dom, cod, rho, W.matrix, alpha, dom_tensor=tensor, tol=tol, memo=memo
-    )
+    morphism = make_poscor_morphism(dom, cod, rho, W.matrix, alpha, tol, memo)
     return cod, morphism
 
 
@@ -302,10 +300,7 @@ def random_endomorphism(
     if norm <= 1e-9:
         mat, norm = np.eye(obj.module.dim, dtype=complex), 1.0
     eta = (mat / norm) @ inc.iota.matrix
-    return make_poscor_morphism(
-        obj, obj, identity_star_map(obj.coefficient), eta, ident, dom_tensor=inc.tensor, tol=tol,
-        memo=memo,
-    )
+    return make_poscor_morphism(obj, obj, identity_star_map(obj.coefficient), eta, ident, tol, memo)
 
 
 def random_vectors(

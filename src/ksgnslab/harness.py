@@ -33,7 +33,6 @@ from .cp import (
 from .cstar import (
     AlgebraElement,
     identity_automorphism,
-    identity_star_map,
     inner_automorphism,
     random_element,
 )
@@ -97,12 +96,12 @@ from .numkernel import DEFAULT_TOL, Tolerance, herm_expi, max_operator_norm, ope
 from .poscor import (
     BuildMemo,
     PosCorObject,
+    balanced_relation_residual,
     check_category_laws,
     check_commuting_unitary,
     check_poscor_morphism,
     commuting_unitary,
     composition_unitary,
-    dilate_object,
     idempotency_iso_poscor,
     inclusion_unitary,
     interior_tensor,
@@ -695,8 +694,6 @@ def _gen_tensor(caps: SizeCaps, seed: int) -> dict:
 
 
 def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
-    from .cstar import compose_star_maps
-
     mods, phis, morphs = _load_bundle(payload)
     E1, E2, F = mods["E1"], mods["E2"], mods["F"]
     phi1, phi2, pi = phis["phi1"], phis["phi2"], phis["pi"]
@@ -705,9 +702,6 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
     rho2 = ser.load_star_map(payload["star_maps"]["rho2"])
     rho3 = ser.load_star_map(payload["star_maps"]["rho3"])
     rng = _sub_rng(payload["seed"], 3)
-
-    from .poscor import balanced_relation_residual
-
     tm1 = tensor_once(E1, F, pi, tol, memo)
     tm2 = tensor_once(E2, F, pi, tol, memo)
     rec.add(
@@ -782,7 +776,7 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
         ),
         tol.ctol * (1.0 + m.norm),
     )
-    v_inc = v_rho(E1, identity_star_map(E1.algebra), tensor=inc1.tensor, tol=tol)
+    v_inc = v_rho(inc1.tensor)
     rec.add(
         "inclusion_vrho",
         "V_inc is the adjoint of the inclusion unitary",
@@ -797,16 +791,11 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
         unitarity_residual(comp.unitary),
         tol.ctol,
     )
-    # pentagon over three star maps, all into one shared final module
+    # pentagon over three star maps, all into one shared final module: V1
+    # lives along U1's sigma = (rho3 rho2) rho1, not along rho3 (rho2 rho1)
     U2 = composition_unitary(comp.inner.module, rho2, rho3, tol=tol, memo=memo)
-    sigma = compose_star_maps(U2.rho, rho1)
-    final = interior_tensor_along(E1, sigma, tol, memo)
-    U1 = composition_unitary(
-        E1, rho1, U2.rho, inner=comp.inner, target=final, tol=tol, memo=memo
-    )
-    V1 = composition_unitary(
-        E1, comp.rho, rho3, inner=comp.target, target=final, tol=tol, memo=memo
-    )
+    U1 = composition_unitary(E1, rho1, U2.rho, tol=tol, memo=memo)
+    V1 = composition_unitary(E1, comp.rho, rho3, U1.rho, tol, memo)
     V2_hat = tensor_extend_between(comp.unitary, U2.double, V1.double, tol)
     rec.add(
         "pentagon",
@@ -824,7 +813,7 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
         0.0,
     )
     # vrho behavior
-    vr1 = v_rho(E1, rho1, tensor=comp.inner, tol=tol)
+    vr1 = v_rho(comp.inner)
     x_samples = random_vectors(E1, rng, 4)
     contraction = max(
         max(0.0, comp.inner.module.vector_norm(vr1.map.matrix @ x) - E1.vector_norm(x))
@@ -839,8 +828,8 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
         max_operator_norm(V1 @ E1.action - rho_actions @ V1),
         tol.ctol,
     )
-    vr2 = v_rho(comp.inner.module, rho2, tensor=comp.double, tol=tol)
-    vr12 = v_rho(E1, comp.rho, tensor=comp.target, tol=tol)
+    vr2 = v_rho(comp.double)
+    vr12 = v_rho(comp.target)
     rec.add(
         "vrho_chain",
         "U . V_chi . V_rho = V_{chi rho}",
@@ -854,7 +843,7 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
     eta_sq = ModuleMap(comp.inner.module, E2p, np.linalg.inv(Sp))
     tm_sq = interior_tensor_along(E2p, rho2, tol, memo)
     eta_sq_hat = tensor_extend_between(eta_sq, comp.double, tm_sq, tol)
-    vr_sq = v_rho(E2p, rho2, tensor=tm_sq, tol=tol)
+    vr_sq = v_rho(tm_sq)
     rec.add(
         "vrho_square",
         "(eta (x) I) . V'_chi = V_chi . eta",
@@ -864,8 +853,8 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
         tol.ctol * (1.0 + module_operator_norm(eta_sq)),
     )
     # KSGNS commutes with tensoring
-    cu1 = commuting_unitary(E1, phi1, F, pi, tensor=tm1, tol=tol, memo=memo)
-    cu2 = commuting_unitary(E2, phi2, F, pi, tensor=tm2, tol=tol, memo=memo)
+    cu1 = commuting_unitary(phi1, tm1, tol, memo)
+    cu2 = commuting_unitary(phi2, tm2, tol, memo)
     rep = check_commuting_unitary(cu1, tol)
     rec.add(
         "commuting_unitary",
@@ -946,9 +935,7 @@ def _sibling_morphism(
     mat = eta.matrix
     if norm <= 1e-9:
         mat, norm = m.eta.matrix, 1.0
-    return make_poscor_morphism(
-        m.dom, m.cod, m.rho, mat / norm, m.alpha, dom_tensor=m.dom_tensor, tol=tol, memo=memo
-    )
+    return make_poscor_morphism(m.dom, m.cod, m.rho, mat / norm, m.alpha, tol, memo)
 
 
 def _load_category(payload: dict, tol: Tolerance, memo: BuildMemo | None = None):
@@ -967,12 +954,8 @@ def _load_category(payload: dict, tol: Tolerance, memo: BuildMemo | None = None)
         rho = ser.load_star_map(mdata["rho"])
         tensor = interior_tensor_along(dom.module, rho, tol, memo)
         eta = ser.load_cmatrix(mdata["eta"], cod.module.dim, tensor.module.dim)
-        morphisms.append(
-            make_poscor_morphism(
-                dom, cod, rho, eta, ser.load_automorphism(mdata["alpha"]),
-                dom_tensor=tensor, tol=tol, memo=memo,
-            )
-        )
+        alpha = ser.load_automorphism(mdata["alpha"])
+        morphisms.append(make_poscor_morphism(dom, cod, rho, eta, alpha, tol, memo))
     return objects, morphisms
 
 
@@ -1009,35 +992,22 @@ def _check_category(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMe
     # KSGNS endofunctor laws on the category, on one composable pair
     m1 = next(m for m in morphisms if m.dom.ident == "O1" and m.cod.ident == "O2")
     m2 = next(m for m in morphisms if m.dom.ident == "O2" and m.cod.ident == "O3")
-    dil = {o.ident: dilate_object(o, tol, memo) for o in objects}
-    triples = {ident: t for ident, (_, t) in dil.items()}
-    dobjs = {ident: d for ident, (d, _) in dil.items()}
-    k1 = ksgns_functor_poscor(
-        m1, triples["O1"], triples["O2"], dobjs["O1"], dobjs["O2"], tol, memo
-    )
-    k2 = ksgns_functor_poscor(
-        m2, triples["O2"], triples["O3"], dobjs["O2"], dobjs["O3"], tol, memo
-    )
+    k1 = ksgns_functor_poscor(m1, tol, memo)
+    k2 = ksgns_functor_poscor(m2, tol, memo)
     rep = check_poscor_morphism(k1, tol)
     rec.add(
         "ksgns_morphism",
         "the dilated pair is again a category morphism",
         *rep.summary(),
     )
-    ident1 = poscor_identity(objects[0], tol, memo)
-    k_id = ksgns_functor_poscor(
-        ident1, triples["O1"], triples["O1"], dobjs["O1"], dobjs["O1"], tol, memo
-    )
+    k_id = ksgns_functor_poscor(poscor_identity(objects[0], tol, memo), tol, memo)
     rec.add(
         "ksgns_identity",
         "KSGNS functor preserves category identities",
-        morphism_distance(k_id, poscor_identity(dobjs["O1"], tol, memo)),
+        morphism_distance(k_id, poscor_identity(k_id.dom, tol, memo)),
         tol.ctol,
     )
-    k21 = ksgns_functor_poscor(
-        poscor_compose(m2, m1, tol, memo),
-        triples["O1"], triples["O3"], dobjs["O1"], dobjs["O3"], tol, memo,
-    )
+    k21 = ksgns_functor_poscor(poscor_compose(m2, m1, tol, memo), tol, memo)
     rec.add(
         "ksgns_composition",
         "KSGNS functor preserves category composition",
@@ -1045,19 +1015,9 @@ def _check_category(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMe
         tol.ctol * (1.0 + m1.norm * m2.norm),
     )
     # idempotency as a natural isomorphism on the category
-    idem1 = idempotency_unitary(triples["O1"], tol, memo)
-    idem2 = idempotency_unitary(triples["O2"], tol, memo)
-    dd1 = PosCorObject("O1~~", objects[0].input_algebra, dobjs["O1"].coefficient,
-                       idem1.second.module, idem1.second.pi)
-    dd2 = PosCorObject("O2~~", objects[0].input_algebra, dobjs["O2"].coefficient,
-                       idem2.second.module, idem2.second.pi)
-    kk1 = ksgns_functor_poscor(k1, idem1.second, idem2.second, dd1, dd2, tol, memo)
-    iso1 = idempotency_iso_poscor(
-        objects[0], triples["O1"], dobjs["O1"], dd1, idem1.unitary, tol, memo
-    )
-    iso2 = idempotency_iso_poscor(
-        objects[1], triples["O2"], dobjs["O2"], dd2, idem2.unitary, tol, memo
-    )
+    kk1 = ksgns_functor_poscor(k1, tol, memo)
+    iso1 = idempotency_iso_poscor(objects[0], tol, memo)
+    iso2 = idempotency_iso_poscor(objects[1], tol, memo)
     rec.add(
         "ksgns_idempotent",
         "KSGNS squared is naturally isomorphic to KSGNS",

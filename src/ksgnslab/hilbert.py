@@ -34,8 +34,6 @@ from .cstar import (
     AlgebraElement,
     AlgebraShape,
     Automorphism,
-    basis_element,
-    right_mult_matrix,
     unit_element,
     zero_padded,
 )
@@ -169,15 +167,17 @@ def validate_premodule(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> CheckRep
     rep.add("pairing_hermitian", float(np.max(herm, initial=0.0)), tol.ctol * scale)
 
     act_scale = max(1.0, max_operator_norm(pre.action))
-    # <e_i, e_j u_p> - <e_i, e_j> u_p over all basis pairs (i, j)
-    compat = max(
-        max_stacked_norm(B, C @ R - right_mult_matrix(basis_element(B, p)) @ C)
-        for p, R in enumerate(pre.action)
-    )
+    # <e_i, e_j u_p> - <e_i, e_j> u_p over all basis pairs (i, j); right
+    # multiplication by u_p sends coefficient r to T[r, p]
+    T = B.product_table
+    r, p = np.nonzero(T >= 0)
+    right_mult = np.zeros((B.dim, B.dim, B.dim), dtype=complex)
+    right_mult[p, T[r, p], r] = 1.0
+    compat = max(max_stacked_norm(B, C @ R - M @ C) for R, M in zip(pre.action, right_mult))
     rep.add("pairing_action_compat", compat, tol.ctol * scale * act_scale)
 
     # R(u_p u_r) = R(u_r) R(u_p), for each p over all r at once
-    T, Az = B.product_table, zero_padded(pre.action)
+    Az = zero_padded(pre.action)
     anti = max(max_operator_norm(Az[T[p]] - pre.action @ pre.action[p]) for p in range(B.dim))
     rep.add("action_antimultiplicative", anti, tol.ctol * (1.0 + act_scale**2))
     unital = operator_norm(pre.action_matrix(unit_element(B)) - np.eye(d))

@@ -17,7 +17,7 @@ demands an explicit residual gate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from .cp import (
     Intertwiner,
     check_cp,
     check_correspondence,
+    check_morphism,
+    hom_pseudometric,
     interior_tensor,
     left_mult_correspondence,
     tensor_extend,
@@ -82,6 +84,11 @@ def ksgns(E: HilbertModule, phi: CPMap, tol: Tolerance = DEFAULT_TOL) -> KsgnsTr
     return KsgnsTriple(tm.module, tm.q, tm.s, tm.kernel, E, phi, pi, embedding)
 
 
+def build_once(memo: BuildMemo | None, key: tuple, keep: tuple, build: Callable[[], Any]) -> Any:
+    """memo.get(key, keep, build), or a fresh build() when there is no memo."""
+    return build() if memo is None else memo.get(key, keep, build)
+
+
 def ksgns_once(
     E: HilbertModule,
     phi: CPMap,
@@ -90,9 +97,7 @@ def ksgns_once(
 ) -> KsgnsTriple:
     """ksgns(E, phi); with a poscor.BuildMemo, built once per (E, phi) object
     pair."""
-    if memo is None:
-        return ksgns(E, phi, tol)
-    return memo.get(("ksgns", id(E), id(phi), tol), (E, phi), lambda: ksgns(E, phi, tol))
+    return build_once(memo, ("ksgns", id(E), id(phi), tol), (E, phi), lambda: ksgns(E, phi, tol))
 
 
 def spanning_columns(t: KsgnsTriple) -> np.ndarray:
@@ -200,8 +205,6 @@ def check_lift(
     tol: Tolerance = DEFAULT_TOL,
 ) -> CheckReport:
     """Contraction, adjoint formula, intertwining, and embedding compatibility."""
-    from .cp import check_morphism
-
     rep = CheckReport()
     norm_eta = m.norm
     scale = 1.0 + norm_eta
@@ -298,8 +301,6 @@ def continuity_probe(
     10 * ctol the probe raises NonConvergentInput.  The pass constant is a
     pragmatic bound, not a sharp one.
     """
-    from .cp import hom_pseudometric
-
     def max_dist(m: Intertwiner) -> float:
         return max(
             (hom_pseudometric(m, target, x, a) for x, a in samples), default=0.0

@@ -43,7 +43,7 @@ from .cp import (
     left_mult_correspondence,
     tensor_extend,
 )
-from .errors import ObjectMismatch, ShapeMismatch, TwistMismatch
+from .errors import KsgnslabError, ObjectMismatch, ShapeMismatch, TwistMismatch
 from .hilbert import (
     AlphaLinearMap,
     HilbertModule,
@@ -52,7 +52,7 @@ from .hilbert import (
     module_operator_norm,
     unitarity_residual,
 )
-from .ksgns import KsgnsTriple, ksgns_lift, ksgns_once
+from .ksgns import KsgnsTriple, build_once, idempotency_unitary, ksgns_lift, ksgns_once
 from .numkernel import DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm
 from .reporting import CheckReport
 
@@ -64,10 +64,16 @@ class BuildMemo:
     """Finished builds for the length of one checked instance.
 
     harness.check_instance makes one and drops it on return; the law audits
-    make their own only when called without one.  Keys name objects by id();
-    each entry also holds the objects its key names, so no id can be reused
+    make their own only when called without one.  Every tensor module has
+    one key, (E, F, pi) by id(), whichever path asks for it: tensoring along
+    a star map rho first looks up rho's left-multiplication correspondence
+    by rho's content (codomain and coefficient bytes), so equal star maps
+    share it and the tensor built on it.  Triples are keyed by (E, phi),
+    extended CP maps by (phi, tensor module) and composites by (m2, m1, rho).
+    Each entry also holds the objects its key names, so no id can be reused
     while the memo lives.  A build that raises stores nothing: the next
-    request repeats it and raises again.
+    request repeats it and raises again.  Builders take memo=None to build
+    afresh (ksgns.build_once).
     """
 
     def __init__(self) -> None:
@@ -88,10 +94,9 @@ def tensor_once(
 ) -> TensorModule:
     """interior_tensor(E, F, pi); with a memo, built once per (E, F, pi)
     object triple."""
-    if memo is None:
-        return interior_tensor(E, F, pi, tol)
-    return memo.get(
-        ("tensor", id(E), id(F), id(pi), tol), (E, F, pi), lambda: interior_tensor(E, F, pi, tol)
+    return build_once(
+        memo, ("tensor", id(E), id(F), id(pi), tol), (E, F, pi),
+        lambda: interior_tensor(E, F, pi, tol),
     )
 
 
@@ -120,9 +125,7 @@ def tensor_extend_cpmap(
     def build() -> CPMap:
         return CPMap(phi.algebra, tm.module, tensor_extend(phi.images, tm, tm, "T (x) I", tol))
 
-    if memo is None:
-        return build()
-    return memo.get(("extend", id(phi), id(tm), tol), (phi, tm), build)
+    return build_once(memo, ("extend", id(phi), id(tm), tol), (phi, tm), build)
 
 
 def tensor_functor_morphism(
@@ -164,19 +167,15 @@ def interior_tensor_along(
     tol: Tolerance = DEFAULT_TOL,
     memo: BuildMemo | None = None,
 ) -> TensorModule:
-    """E (x)_rho C; with a memo, built once per module object and rho's
-    coefficients (codomain and coefficient matrix)."""
+    """E (x)_rho C, built through tensor_once on rho's left-multiplication
+    correspondence.  With a memo, that correspondence is built once per rho
+    content (codomain and coefficient bytes), so the tensor module has the
+    one (E, C, pi) key of tensor_once whichever path asks for it."""
     if rho.domain != E.algebra:
         raise ShapeMismatch("star map domain differs from E's coefficients")
-
-    def build() -> TensorModule:
-        pi = left_mult_correspondence(rho)
-        return interior_tensor(E, pi.module, pi, tol)
-
-    if memo is None:
-        return build()
-    key = ("along", id(E), rho.codomain, rho.matrix.tobytes(), tol)
-    return memo.get(key, (E,), build)
+    key = ("left_mult", rho.codomain, rho.matrix.tobytes())
+    pi = build_once(memo, key, (), lambda: left_mult_correspondence(rho))
+    return tensor_once(E, pi.module, pi, tol, memo)
 
 
 @dataclass
@@ -199,14 +198,10 @@ class VRho:
     map: CLinearMap
 
 
-def v_rho(
-    E: HilbertModule,
-    rho: StarMap,
-    tensor: TensorModule | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> VRho:
-    tm = tensor if tensor is not None else interior_tensor_along(E, rho, tol)
-    unit_coeffs = unit_element(rho.codomain).coeffs()
+def v_rho(tm: TensorModule) -> VRho:
+    """V_rho on tm = E (x)_rho C: E is tm's left factor, C its right."""
+    E = tm.left
+    unit_coeffs = unit_element(tm.right.algebra).coeffs()
     V_pre = np.kron(np.eye(E.dim, dtype=complex), unit_coeffs.reshape(-1, 1))
     return VRho(tm, CLinearMap(E, tm.module, tm.q @ V_pre))
 
@@ -241,25 +236,29 @@ class CompositionUnitary:
     inner: TensorModule  # E (x)_rho1 C
     double: TensorModule  # (E (x)_rho1 C) (x)_rho2 D
     target: TensorModule  # E (x)_{rho2 rho1} D
-    rho: StarMap  # rho2 . rho1
+    rho: StarMap  # rho2 . rho1, or the star map the caller gave
 
 
 def composition_unitary(
     E: HilbertModule,
     rho1: StarMap,
     rho2: StarMap,
-    inner: TensorModule | None = None,
-    target: TensorModule | None = None,
+    rho: StarMap | None = None,
     tol: Tolerance = DEFAULT_TOL,
     memo: BuildMemo | None = None,
 ) -> CompositionUnitary:
-    """The unitary (x (x) c) (x) d -> x (x) rho2(c) d."""
+    """The unitary (x (x) c) (x) d -> x (x) rho2(c) d.
+
+    `rho`, when given, is the star map the target E (x)_rho D is taken along
+    in place of rho2 rho1, for a caller that knows the two agree up to
+    rounding; it is then the result's `.rho`.
+    """
     if rho1.codomain != rho2.domain:
         raise ShapeMismatch("star maps do not chain")
-    tm12 = inner if inner is not None else interior_tensor_along(E, rho1, tol, memo)
+    tm12 = interior_tensor_along(E, rho1, tol, memo)
     tm123 = interior_tensor_along(tm12.module, rho2, tol, memo)
-    rho = compose_star_maps(rho2, rho1)
-    tm13 = target if target is not None else interior_tensor_along(E, rho, tol, memo)
+    rho = rho if rho is not None else compose_star_maps(rho2, rho1)
+    tm13 = interior_tensor_along(E, rho, tol, memo)
     dE = E.dim
     dC, dD = rho2.domain.dim, rho2.codomain.dim
     # T[v, w, :] = coefficients of rho2(u_v) u_w in D: u_q u_w = u_prod[q, w]
@@ -342,19 +341,17 @@ class CommutingUnitary:
 
 
 def commuting_unitary(
-    E: HilbertModule,
     phi: CPMap,
-    F: HilbertModule,
-    pi: CPMap,
-    triple: KsgnsTriple | None = None,
-    tensor: TensorModule | None = None,
+    tm: TensorModule,
     tol: Tolerance = DEFAULT_TOL,
     memo: BuildMemo | None = None,
 ) -> CommutingUnitary:
-    tm = tensor if tensor is not None else tensor_once(E, F, pi, tol, memo)
+    """The unitary for tm = E (x)_pi F and phi on E; the KSGNS triple of
+    (E, phi) comes from the memo."""
+    E, F, pi = tm.left, tm.right, tm.pi
     phi_ext = tensor_extend_cpmap(phi, tm, tol, memo)
     left = ksgns_once(tm.module, phi_ext, tol, memo)
-    t = triple if triple is not None else ksgns_once(E, phi, tol, memo)
+    t = ksgns_once(E, phi, tol, memo)
     right = tensor_once(t.module, F, pi, tol, memo)
     dA, dE, dF = phi.algebra.dim, E.dim, F.dim
     Q3 = t.q.reshape(t.module.dim, dA, dE)
@@ -426,19 +423,15 @@ def make_poscor_morphism(
     rho: StarMap,
     eta_matrix: np.ndarray,
     alpha: Automorphism,
-    dom_tensor: TensorModule | None = None,
     tol: Tolerance = DEFAULT_TOL,
     memo: BuildMemo | None = None,
 ) -> PosCorMorphism:
+    """eta_matrix is read on interior_tensor_along(dom.module, rho, memo)."""
     if rho.domain != dom.coefficient or rho.codomain != cod.coefficient:
         raise ObjectMismatch("rho does not match the endpoint coefficients")
-    tm = (
-        dom_tensor
-        if dom_tensor is not None
-        else interior_tensor_along(dom.module, rho, tol, memo)
-    )
+    tm = interior_tensor_along(dom.module, rho, tol, memo)
     eta = ModuleMap(tm.module, cod.module, eta_matrix)
-    vr = v_rho(dom.module, rho, tensor=tm, tol=tol)
+    vr = v_rho(tm)
     phi_ext = tensor_extend_cpmap(dom.phi, tm, tol, memo)
     return PosCorMorphism(dom, cod, rho, tm, eta, alpha, vr, phi_ext)
 
@@ -454,9 +447,8 @@ def poscor_identity(
         identity_star_map(obj.coefficient),
         inc.iota.matrix,
         identity_automorphism(obj.input_algebra),
-        dom_tensor=inc.tensor,
-        tol=tol,
-        memo=memo,
+        tol,
+        memo,
     )
 
 
@@ -465,16 +457,16 @@ def poscor_compose(
     m1: PosCorMorphism,
     tol: Tolerance = DEFAULT_TOL,
     memo: BuildMemo | None = None,
-    target: TensorModule | None = None,
+    rho: StarMap | None = None,
 ) -> PosCorMorphism:
     """(rho2 rho1, (eta2 . (eta1 (x) I) . U^{-1}, alpha2 alpha1)); with a
-    memo, built once per (m2, m1, target) object triple, from the tensor
+    memo, built once per (m2, m1, rho) object triple, from the tensor
     modules and extended CP maps the memo already holds.
 
-    `target`, when given, is the tensor module the composite lives on in
-    place of a fresh E (x)_{rho2 rho1} D: a caller that knows rho2 rho1 up to
-    rounding (the group law beta_g beta_h = beta_gh) passes the tensor it
-    already built along that star map.
+    `rho`, when given, is the star map the composite lives along in place of
+    rho2 rho1, and its `.rho`: a caller that knows rho2 rho1 up to rounding
+    (the group law beta_g beta_h = beta_gh) passes the star map whose tensor
+    the memo already holds.
     """
     if m1.cod.ident != m2.dom.ident:
         raise ObjectMismatch(
@@ -482,10 +474,7 @@ def poscor_compose(
         )
 
     def build() -> PosCorMorphism:
-        comp = composition_unitary(
-            m1.dom.module, m1.rho, m2.rho, inner=m1.dom_tensor, target=target, tol=tol,
-            memo=memo,
-        )
+        comp = composition_unitary(m1.dom.module, m1.rho, m2.rho, rho, tol, memo)
         eta1_hat = tensor_extend_between(m1.eta, comp.double, m2.dom_tensor, tol)
         U_inv = adjoint_map(comp.unitary)
         eta = m2.eta.matrix @ eta1_hat.matrix @ U_inv.matrix
@@ -495,14 +484,11 @@ def poscor_compose(
             comp.rho,
             eta,
             compose_automorphisms(m2.alpha, m1.alpha),
-            dom_tensor=comp.target,
-            tol=tol,
-            memo=memo,
+            tol,
+            memo,
         )
 
-    if memo is None:
-        return build()
-    return memo.get(("compose", id(m2), id(m1), id(target), tol), (m2, m1, target), build)
+    return build_once(memo, ("compose", id(m2), id(m1), id(rho), tol), (m2, m1, rho), build)
 
 
 def check_poscor_morphism(m: PosCorMorphism, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -557,62 +543,34 @@ def dilate_object(
 
 
 def ksgns_functor_poscor(
-    m: PosCorMorphism,
-    t_dom: KsgnsTriple,
-    t_cod: KsgnsTriple,
-    dom_dilated: PosCorObject,
-    cod_dilated: PosCorObject,
-    tol: Tolerance = DEFAULT_TOL,
-    memo: BuildMemo | None = None,
+    m: PosCorMorphism, tol: Tolerance = DEFAULT_TOL, memo: BuildMemo | None = None
 ) -> PosCorMorphism:
     """(rho, (eta~ . V^{-1}, alpha)) between the dilated objects."""
-    cu = commuting_unitary(
-        m.dom.module,
-        m.dom.phi,
-        m.dom_tensor.right,
-        m.dom_tensor.pi,
-        triple=t_dom,
-        tensor=m.dom_tensor,
-        tol=tol,
-        memo=memo,
-    )
+    dom_dilated, _ = dilate_object(m.dom, tol, memo)
+    cod_dilated, t_cod = dilate_object(m.cod, tol, memo)
+    cu = commuting_unitary(m.dom.phi, m.dom_tensor, tol, memo)
     lifted = ksgns_lift(Intertwiner(m.eta, m.alpha), cu.left, t_cod, tol)
-    V_inv = adjoint_map(cu.unitary)
-    eta = lifted.eta.matrix @ V_inv.matrix
-    return make_poscor_morphism(
-        dom_dilated,
-        cod_dilated,
-        m.rho,
-        eta,
-        m.alpha,
-        dom_tensor=cu.right,
-        tol=tol,
-        memo=memo,
-    )
+    eta = lifted.eta.matrix @ adjoint_map(cu.unitary).matrix
+    return make_poscor_morphism(dom_dilated, cod_dilated, m.rho, eta, m.alpha, tol, memo)
 
 
 def idempotency_iso_poscor(
-    obj: PosCorObject,
-    t: KsgnsTriple,
-    dilated: PosCorObject,
-    double_dilated: PosCorObject,
-    idem_unitary: ModuleMap,
-    tol: Tolerance = DEFAULT_TOL,
-    memo: BuildMemo | None = None,
+    obj: PosCorObject, tol: Tolerance = DEFAULT_TOL, memo: BuildMemo | None = None
 ) -> PosCorMorphism:
     """The canonical (inc, (V_{pi_phi} . iota, 1_A)) from (F_phi, pi_phi) to
     (F_{pi_phi}, pi_{pi_phi})."""
+    dilated, t = dilate_object(obj, tol, memo)
+    double_dilated, _ = dilate_object(dilated, tol, memo)
     inc = inclusion_unitary(dilated.module, tol, memo)
-    eta = idem_unitary.matrix @ inc.iota.matrix
+    eta = idempotency_unitary(t, tol, memo).unitary.matrix @ inc.iota.matrix
     return make_poscor_morphism(
         dilated,
         double_dilated,
         identity_star_map(dilated.coefficient),
         eta,
         identity_automorphism(obj.input_algebra),
-        dom_tensor=inc.tensor,
-        tol=tol,
-        memo=memo,
+        tol,
+        memo,
     )
 
 
@@ -630,14 +588,12 @@ def check_category_laws(
 
     Builds go through the caller's BuildMemo, which lives for one checked
     instance, or through a fresh one for this call when none is given.  It
-    builds each tensor module once per (module object, rho's codomain and
-    coefficient bytes), each extended CP map once per (phi, tensor module)
-    object pair, and each composite once per (m2, m1) object pair;
-    associativity's right side reuses the composite m3 . m2.  Failed builds
-    are not stored.
+    builds each tensor module once under its one key (module object, and
+    the left-multiplication correspondence of rho's content), each extended
+    CP map once per (phi, tensor module) object pair, and each composite
+    once per (m2, m1) object pair; associativity's right side reuses the
+    composite m3 . m2.  Failed builds are not stored.
     """
-    from .errors import KsgnslabError
-
     memo = memo if memo is not None else BuildMemo()
 
     rep = CheckReport()

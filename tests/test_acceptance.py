@@ -219,8 +219,8 @@ def test_criterion_05_tensor_functor():
         tm1 = interior_tensor(E1, F, pi, TOL)
         tm2 = interior_tensor(E2, F, pi, TOL)
         # commuting unitary and its naturality square
-        cu1 = commuting_unitary(E1, phi1, F, pi, tensor=tm1, tol=TOL)
-        cu2 = commuting_unitary(E2, phi2, F, pi, tensor=tm2, tol=TOL)
+        cu1 = commuting_unitary(phi1, tm1, TOL)
+        cu2 = commuting_unitary(phi2, tm2, TOL)
         worst["commuting"] = max(worst["commuting"], unitarity_residual(cu1.unitary))
         lifted = ksgns_lift(m, cu1.triple, cu2.triple, TOL)
         lifted_hat = tensor_extend_between(lifted.eta, cu1.right, cu2.right, TOL)

@@ -284,9 +284,10 @@ def test_constructions_descend_once_per_stack(rng, monkeypatch):
     poscor.tensor_extend_cpmap(phi, tm)
     assert len(calls) == 1
     c = random_equivariant(A, A, cyclic_group(3), seed=5, copies=1)
-    t = ksgns(c.module, c.phi)
+    memo = poscor.BuildMemo()
+    ksgns_module.ksgns_once(c.module, c.phi, memo=memo)
     calls.clear()
-    dilate(c, triple=t)
+    dilate(c, memo=memo)
     assert calls == ["alpha_g (x) U_g"]
 
 
@@ -522,7 +523,7 @@ def test_inclusion_on_algebra_module():
     assert inc.tensor.module.dim == E.dim
     assert unitarity_residual(inc.iota) <= 1e-10
     # iota sends the class of 1 (x) b to b
-    vr = v_rho(E, identity_star_map(B), tensor=inc.tensor)
+    vr = v_rho(inc.tensor)
     rng = np.random.default_rng(0)
     b = random_element(B, rng)
     assert np.linalg.norm(inc.iota(vr.map(b.coeffs())) - b.coeffs()) <= 1e-10
@@ -559,7 +560,7 @@ def test_v_rho_is_contraction_and_twisted_linear(rng):
     B = AlgebraShape((2,))
     E = random_module(B, rng, max_dim=4)
     rho = random_star_map(B, rng, max_block=3)
-    vr = v_rho(E, rho)
+    vr = v_rho(interior_tensor_along(E, rho))
     for x in random_vectors(E, rng, 20):
         assert vr.tensor.module.vector_norm(vr.map(x)) <= E.vector_norm(x) + 1e-10
     for p in range(B.dim):
@@ -575,9 +576,9 @@ def test_v_rho_chain_diagram(rng):
     rho = random_star_map(B, rng, max_block=3, max_out_blocks=1)
     chi = random_star_map(rho.codomain, rng, max_block=4, max_out_blocks=1)
     comp = composition_unitary(E, rho, chi)
-    vr1 = v_rho(E, rho, tensor=comp.inner)
-    vr2 = v_rho(comp.inner.module, chi, tensor=comp.double)
-    vr12 = v_rho(E, comp.rho, tensor=comp.target)
+    vr1 = v_rho(comp.inner)
+    vr2 = v_rho(comp.double)
+    vr12 = v_rho(comp.target)
     resid = operator_norm(
         comp.unitary.matrix @ vr2.map.matrix @ vr1.map.matrix - vr12.map.matrix
     )
@@ -598,8 +599,8 @@ def test_v_rho_square_diagram(rng):
     eta = ModuleMap(comp.inner.module, E2, np.linalg.inv(S))
     tm2 = interior_tensor_along(E2, chi)
     eta_hat = tensor_extend_between(eta, comp.double, tm2)
-    vr_chi_prime = v_rho(comp.inner.module, chi, tensor=comp.double)
-    vr_chi = v_rho(E2, chi, tensor=tm2)
+    vr_chi_prime = v_rho(comp.double)
+    vr_chi = v_rho(tm2)
     resid = operator_norm(
         eta_hat.matrix @ vr_chi_prime.map.matrix - vr_chi.map.matrix @ eta.matrix
     )
@@ -634,5 +635,5 @@ def test_dim_zero_module_everywhere():
     inc = inclusion_unitary(E0)
     assert inc.tensor.module.dim == 0
     assert module_operator_norm(inc.iota) == 0.0
-    vr = v_rho(E0, identity_star_map(B), tensor=inc.tensor)
+    vr = v_rho(inc.tensor)
     assert vr.map.matrix.shape == (0, 0)

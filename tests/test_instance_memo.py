@@ -50,8 +50,9 @@ def count_builds(monkeypatch):
     return tensors, cps
 
 
-# category instance 1 checks the laws only; dilation instance 1 is over S3
-@pytest.mark.parametrize("suite, idx", [("category", 1), ("dilation", 1)])
+# category instance 1 checks the laws only, instance 7 also the KSGNS functor;
+# dilation instance 1 is over S3
+@pytest.mark.parametrize("suite, idx", [("category", 1), ("category", 7), ("dilation", 1)])
 def test_instance_builds_each_tensor_and_triple_once(monkeypatch, suite, idx):
     data = payload(suite, idx)
     tensors, cps = count_builds(monkeypatch)

@@ -31,10 +31,10 @@ from ksgnslab.hilbert import (
     identity_map,
     module_operator_norm,
 )
-from ksgnslab.ksgns import idempotency_unitary, ksgns, ksgns_lift
+from ksgnslab.ksgns import ksgns, ksgns_lift
 from ksgnslab.numkernel import DEFAULT_TOL, operator_norm
 from ksgnslab.poscor import (
-    PosCorObject,
+    BuildMemo,
     balanced_relation_residual,
     check_category_laws,
     check_commuting_unitary,
@@ -178,7 +178,7 @@ def test_commuting_unitary_checks(rng):
     E = random_module(B, rng, max_dim=3)
     phi = random_cp(A, E, rng)
     F, pi = random_representation(B, C, rng, max_dim=4)
-    cu = commuting_unitary(E, phi, F, pi)
+    cu = commuting_unitary(phi, interior_tensor(E, F, pi))
     rep = check_commuting_unitary(cu)
     assert rep.passed, rep.residuals
     assert cu.left.module.dim == cu.right.module.dim
@@ -195,8 +195,8 @@ def test_commuting_unitary_naturality(rng):
     E2, phi2, m = extend_morphism(E1, phi1, rng)
     F, pi = random_representation(B, C, rng, max_dim=4)
     tm1, tm2 = interior_tensor(E1, F, pi), interior_tensor(E2, F, pi)
-    cu1 = commuting_unitary(E1, phi1, F, pi, tensor=tm1)
-    cu2 = commuting_unitary(E2, phi2, F, pi, tensor=tm2)
+    cu1 = commuting_unitary(phi1, tm1)
+    cu2 = commuting_unitary(phi2, tm2)
     lifted = ksgns_lift(m, cu1.triple, cu2.triple)
     lifted_hat = tensor_extend_between(lifted.eta, cu1.right, cu2.right)
     m_hat = tensor_functor_morphism(m, tm1, tm2)
@@ -214,12 +214,12 @@ def test_pentagon(rng):
     rho1 = random_star_map(B, rng, max_block=2, max_out_blocks=1)
     rho2 = random_star_map(rho1.codomain, rng, max_block=3, max_out_blocks=1)
     rho3 = random_star_map(rho2.codomain, rng, max_block=4, max_out_blocks=1)
-    comp = composition_unitary(E, rho1, rho2)
-    U2 = composition_unitary(comp.inner.module, rho2, rho3)
+    memo = BuildMemo()
+    comp = composition_unitary(E, rho1, rho2, memo=memo)
+    U2 = composition_unitary(comp.inner.module, rho2, rho3, memo=memo)
     sigma = compose_star_maps(U2.rho, rho1)
-    final = interior_tensor_along(E, sigma)
-    U1 = composition_unitary(E, rho1, U2.rho, inner=comp.inner, target=final)
-    V1 = composition_unitary(E, comp.rho, rho3, inner=comp.target, target=final)
+    U1 = composition_unitary(E, rho1, U2.rho, sigma, memo=memo)
+    V1 = composition_unitary(E, comp.rho, rho3, sigma, memo=memo)
     V2_hat = tensor_extend_between(comp.unitary, U2.double, V1.double)
     resid = operator_norm(
         U1.unitary.matrix @ U2.unitary.matrix - V1.unitary.matrix @ V2_hat.matrix
@@ -274,7 +274,6 @@ def test_category_audit_flags_corruption(rng):
         m1.rho,
         m1.eta.matrix + 0.1 * noise / operator_norm(noise),
         m1.alpha,
-        dom_tensor=m1.dom_tensor,
     )
     rep = check_category_laws(objs, [bad, m2], DEFAULT_TOL)
     assert not rep.passed
@@ -288,7 +287,7 @@ def test_poscor_pseudometric(rng):
     a = random_element(A, rng)
     assert poscor_pseudometric(m1, m1, b, x, a) == 0.0
     sibling = make_poscor_morphism(
-        m1.dom, m1.cod, m1.rho, 1.1 * m1.eta.matrix, m1.alpha, dom_tensor=m1.dom_tensor
+        m1.dom, m1.cod, m1.rho, 1.1 * m1.eta.matrix, m1.alpha
     )
     d = poscor_pseudometric(m1, sibling, b, x, a)
     expected = m1.cod.module.vector_norm(0.1 * (m1.pullback @ x))
@@ -301,17 +300,15 @@ def test_poscor_pseudometric(rng):
 def test_ksgns_functor_laws(rng):
     A, objs, m1, m2 = build_chain(rng)
     o1, o2, o3 = objs
-    d1, t1 = dilate_object(o1)
-    d2, t2 = dilate_object(o2)
-    d3, t3 = dilate_object(o3)
-    k1 = ksgns_functor_poscor(m1, t1, t2, d1, d2)
-    k2 = ksgns_functor_poscor(m2, t2, t3, d2, d3)
+    d1, _ = dilate_object(o1)
+    k1 = ksgns_functor_poscor(m1)
+    k2 = ksgns_functor_poscor(m2)
     assert check_poscor_morphism(k1).passed
     assert check_poscor_morphism(k2).passed
     ident = poscor_identity(o1)
-    k_id = ksgns_functor_poscor(ident, t1, t1, d1, d1)
+    k_id = ksgns_functor_poscor(ident)
     assert morphism_distance(k_id, poscor_identity(d1)) <= 1e-8
-    k21 = ksgns_functor_poscor(poscor_compose(m2, m1), t1, t3, d1, d3)
+    k21 = ksgns_functor_poscor(poscor_compose(m2, m1))
     assert morphism_distance(k21, poscor_compose(k2, k1)) <= 1e-8 * (
         1 + m1.norm * m2.norm
     )
@@ -320,15 +317,10 @@ def test_ksgns_functor_laws(rng):
 def test_ksgns_idempotency_natural_iso(rng):
     A, objs, m1, _ = build_chain(rng)
     o1, o2 = objs[0], objs[1]
-    d1, t1 = dilate_object(o1)
-    d2, t2 = dilate_object(o2)
-    k1 = ksgns_functor_poscor(m1, t1, t2, d1, d2)
-    idem1, idem2 = idempotency_unitary(t1), idempotency_unitary(t2)
-    dd1 = PosCorObject("O1~~", A, d1.coefficient, idem1.second.module, idem1.second.pi)
-    dd2 = PosCorObject("O2~~", A, d2.coefficient, idem2.second.module, idem2.second.pi)
-    kk1 = ksgns_functor_poscor(k1, idem1.second, idem2.second, dd1, dd2)
-    iso1 = idempotency_iso_poscor(o1, t1, d1, dd1, idem1.unitary)
-    iso2 = idempotency_iso_poscor(o2, t2, d2, dd2, idem2.unitary)
+    k1 = ksgns_functor_poscor(m1)
+    kk1 = ksgns_functor_poscor(k1)
+    iso1 = idempotency_iso_poscor(o1)
+    iso2 = idempotency_iso_poscor(o2)
     assert check_poscor_morphism(iso1).passed
     assert unitarity_residual(iso1.eta) <= 1e-8
     gap = morphism_distance(
@@ -348,8 +340,7 @@ def test_composition_continuity_along_paths(rng):
     for k in range(1, 9):
         eps = 4.0 ** (-k)
         wobbled = make_poscor_morphism(
-            m1.dom, m1.cod, m1.rho, (1 + eps) * m1.eta.matrix, m1.alpha,
-            dom_tensor=m1.dom_tensor,
+            m1.dom, m1.cod, m1.rho, (1 + eps) * m1.eta.matrix, m1.alpha
         )
         dists.append(
             poscor_pseudometric(poscor_compose(m2, wobbled), base, b, x, a)

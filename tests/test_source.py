@@ -182,3 +182,33 @@ def test_spectral_norms_only_in_numkernel():
         if path.name != "numkernel.py" and (lines := spectral_norm_calls(path.read_text()))
     }
     assert found == {}
+
+
+def function_local_imports(source: str) -> list[str]:
+    """`import` and `from ... import` statements inside a function body, by
+    function name and line."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= {
+                f"{fn.name} (line {node.lineno})"
+                for node in ast.walk(fn)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+            }
+    return sorted(found)
+
+
+def test_no_function_local_imports():
+    # imports sit at module level, where an import cycle shows at once; only
+    # the command-line entry points import lazily
+    probe = (
+        "import os\n\ndef f():\n    import json\n    return json\n\n"
+        "class C:\n    def g(self):\n        from .cp import CPMap\n        return CPMap\n"
+    )
+    assert function_local_imports(probe) == ["f (line 4)", "g (line 9)"]
+    found = {
+        path.name: imports
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "cli.py" and (imports := function_local_imports(path.read_text()))
+    }
+    assert found == {}
