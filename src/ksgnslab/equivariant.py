@@ -27,7 +27,7 @@ from .cstar import (
     inner_automorphism,
 )
 from .cp import CPMap, Intertwiner, random_cp
-from .errors import ShapeMismatch, SpanningFailure, TwistMismatch, ValidationError
+from .errors import ObjectMismatch, ShapeMismatch, SpanningFailure, TwistMismatch, ValidationError
 from .hilbert import (
     HilbertModule,
     ModuleMap,
@@ -40,6 +40,7 @@ from .hilbert import (
 )
 from .ksgns import (
     KsgnsTriple,
+    adopt_triple,
     check_triple,
     conjugated_triple,
     ksgns_lift,
@@ -47,11 +48,12 @@ from .ksgns import (
     spanning_rank,
     triple_uniqueness_unitary,
 )
+from .memo import BuildMemo
 from .numkernel import DEFAULT_TOL, Tolerance, exceeds_gate, max_operator_norm, operator_norm
 from .poscor import (
-    BuildMemo,
     PosCorMorphism,
     PosCorObject,
+    adopt_tensor,
     commuting_unitary,
     make_poscor_morphism,
     morphism_distance,
@@ -401,6 +403,9 @@ def correspondence_to_functor(
     tol: Tolerance = DEFAULT_TOL,
     memo: BuildMemo | None = None,
 ) -> EquivariantFunctor:
+    """F(g) = (beta_g, (U_g . twist, alpha_g)) for each g; eta_g is a matrix
+    on the twist tensor E (x)_{beta_g} B, which F(g) lives on.  Without a
+    memo, each F(g) is built in a throwaway memo of its own."""
     obj = PosCorObject(
         ident="E",
         input_algebra=c.phi.algebra,
@@ -410,8 +415,9 @@ def correspondence_to_functor(
     )
     morphisms = []
     for g in range(c.group.order):
+        scope = BuildMemo.for_call(memo)
         beta_g = c.system_out.action[g]
-        tw = twist_unitary(c.module, beta_g, tol, memo)
+        tw = twist_unitary(c.module, beta_g, tol, scope)
         eta_g = c.unitaries[g] @ tw.unitary.matrix
         morphisms.append(
             make_poscor_morphism(
@@ -421,7 +427,7 @@ def correspondence_to_functor(
                 eta_g,
                 c.system_in.action[g],
                 tol,
-                memo,
+                scope,
             )
         )
     return EquivariantFunctor(obj, morphisms)
@@ -443,19 +449,22 @@ def check_functor_laws(
     threshold; a violation raises TwistMismatch naming (g, h).
 
     Builds go through the caller's BuildMemo, which lives for one checked
-    instance, or through a fresh one for this call when none is given; with
-    the memo that built `functor`, the tensors of F(gh) are found there.
-    Across the |G|^2 composites it builds each tensor module once under its
-    one key (module object, and the left-multiplication correspondence of
-    rho's content) and each extended CP map once per (phi, tensor module)
-    object pair.
+    instance, or through a throwaway one for this call.  The tensor of each
+    F(g) is adopted into the memo where the memo holds none along beta_g, so
+    a memo other than the one that built `functor` also finds the tensors of
+    F(gh).  Across the |G|^2 composites it builds each tensor module once
+    under its one key (module object, and the left-multiplication
+    correspondence of rho's content) and each extended CP map once per
+    (phi, tensor module) object pair.
     """
     rep = CheckReport()
-    memo = memo if memo is not None else BuildMemo()
+    memo = BuildMemo.for_call(memo)
     G = c.group
     E = c.module
     scale = 1.0 + max(1.0, _gram_scale(E))
     _require_group_law(c.system_out, tol.ctol * scale, tol)
+    for m in functor.morphisms:
+        adopt_tensor(m.dom_tensor, m.rho, tol, memo)
     recover = max(
         operator_norm(functor.morphisms[g].pullback - c.unitaries[g])
         for g in range(G.order)
@@ -546,8 +555,12 @@ def categorical_dilation_unitary(
 ) -> np.ndarray:
     """U~_g rebuilt as eta~_g . V_g^{-1} . V'_{beta_g}: the composite that the
     functorial proof produces, used to cross-check the direct compression.
-    quad is dilate(c, tol, memo): the commuting unitary finds its triple in
-    the memo."""
+    The commuting unitary is built on quad's own triple, on which the lift is
+    a matrix: quad.triple is adopted into the memo, and a memo that already
+    holds another triple of (E, phi) raises ObjectMismatch."""
+    memo = BuildMemo.for_call(memo)
+    if not adopt_triple(quad.triple, tol, memo):
+        raise ObjectMismatch("quad's triple differs from the memo's triple of (E, phi)")
     E = c.module
     beta_g = c.system_out.action[g]
     tw = twist_unitary(E, beta_g, tol, memo)

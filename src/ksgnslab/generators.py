@@ -27,9 +27,9 @@ from .cstar import (
 )
 from .errors import InvalidConfig
 from .hilbert import HilbertModule, ModuleMap, adjoint_map, canonical_module, module_operator_norm
+from .memo import BuildMemo
 from .numkernel import DEFAULT_TOL, Tolerance
 from .poscor import (
-    BuildMemo,
     PosCorMorphism,
     PosCorObject,
     inclusion_unitary,

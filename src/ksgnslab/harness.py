@@ -92,9 +92,9 @@ from .ksgns import (
     ksgns_once,
     triple_uniqueness_unitary,
 )
+from .memo import BuildMemo
 from .numkernel import DEFAULT_TOL, Tolerance, herm_expi, max_operator_norm, operator_norm
 from .poscor import (
-    BuildMemo,
     PosCorObject,
     balanced_relation_residual,
     check_category_laws,
@@ -784,7 +784,8 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
         tol.ctol,
     )
     # composition of tensorings
-    comp = composition_unitary(E1, rho1, rho2, tol=tol, memo=memo)
+    tm12 = interior_tensor_along(E1, rho1, tol, memo)
+    comp = composition_unitary(tm12, rho1, rho2, tol=tol, memo=memo)
     rec.add(
         "composition_unitary",
         "iterated tensoring composes: (x (x) c) (x) d -> x (x) rho(c) d",
@@ -793,9 +794,9 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
     )
     # pentagon over three star maps, all into one shared final module: V1
     # lives along U1's sigma = (rho3 rho2) rho1, not along rho3 (rho2 rho1)
-    U2 = composition_unitary(comp.inner.module, rho2, rho3, tol=tol, memo=memo)
-    U1 = composition_unitary(E1, rho1, U2.rho, tol=tol, memo=memo)
-    V1 = composition_unitary(E1, comp.rho, rho3, U1.rho, tol, memo)
+    U2 = composition_unitary(comp.double, rho2, rho3, tol=tol, memo=memo)
+    U1 = composition_unitary(comp.inner, rho1, U2.rho, tol=tol, memo=memo)
+    V1 = composition_unitary(comp.target, comp.rho, rho3, U1.rho, tol, memo)
     V2_hat = tensor_extend_between(comp.unitary, U2.double, V1.double, tol)
     rec.add(
         "pentagon",

@@ -17,7 +17,6 @@ demands an explicit residual gate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -43,11 +42,9 @@ from .hilbert import (
     module_operator_norm,
     unitarity_residual,
 )
+from .memo import BuildMemo
 from .numkernel import DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm, pseudo_inverse
 from .reporting import CheckReport
-
-if TYPE_CHECKING:
-    from .poscor import BuildMemo
 
 
 @dataclass
@@ -84,9 +81,8 @@ def ksgns(E: HilbertModule, phi: CPMap, tol: Tolerance = DEFAULT_TOL) -> KsgnsTr
     return KsgnsTriple(tm.module, tm.q, tm.s, tm.kernel, E, phi, pi, embedding)
 
 
-def build_once(memo: BuildMemo | None, key: tuple, keep: tuple, build: Callable[[], Any]) -> Any:
-    """memo.get(key, keep, build), or a fresh build() when there is no memo."""
-    return build() if memo is None else memo.get(key, keep, build)
+def _triple_key(E: HilbertModule, phi: CPMap, tol: Tolerance) -> tuple[tuple, tuple]:
+    return ("ksgns", id(E), id(phi), tol), (E, phi)
 
 
 def ksgns_once(
@@ -95,9 +91,14 @@ def ksgns_once(
     tol: Tolerance = DEFAULT_TOL,
     memo: BuildMemo | None = None,
 ) -> KsgnsTriple:
-    """ksgns(E, phi); with a poscor.BuildMemo, built once per (E, phi) object
-    pair."""
-    return build_once(memo, ("ksgns", id(E), id(phi), tol), (E, phi), lambda: ksgns(E, phi, tol))
+    """ksgns(E, phi), built once per (E, phi) object pair in the memo."""
+    return BuildMemo.for_call(memo).get(*_triple_key(E, phi, tol), lambda: ksgns(E, phi, tol))
+
+
+def adopt_triple(t: KsgnsTriple, tol: Tolerance, memo: BuildMemo) -> bool:
+    """Let ksgns_once(t.source, t.phi, tol, memo) answer t, a triple built
+    elsewhere, unless the memo already holds another; True when it answers t."""
+    return memo.get(*_triple_key(t.source, t.phi, tol), lambda: t) is t
 
 
 def spanning_columns(t: KsgnsTriple) -> np.ndarray:

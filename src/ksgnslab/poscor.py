@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable
 
 import numpy as np
 
@@ -52,37 +51,24 @@ from .hilbert import (
     module_operator_norm,
     unitarity_residual,
 )
-from .ksgns import KsgnsTriple, build_once, idempotency_unitary, ksgns_lift, ksgns_once
+from .ksgns import KsgnsTriple, idempotency_unitary, ksgns_lift, ksgns_once
+from .memo import BuildMemo
 from .numkernel import DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm
 from .reporting import CheckReport
 
 
-# -- instance-scoped memo ------------------------------------------------------
+# -- memoized builds ------------------------------------------------------------
 
 
-class BuildMemo:
-    """Finished builds for the length of one checked instance.
+def _tensor_key(
+    E: HilbertModule, F: HilbertModule, pi: CPMap, tol: Tolerance
+) -> tuple[tuple, tuple]:
+    return ("tensor", id(E), id(F), id(pi), tol), (E, F, pi)
 
-    harness.check_instance makes one and drops it on return; the law audits
-    make their own only when called without one.  Every tensor module has
-    one key, (E, F, pi) by id(), whichever path asks for it: tensoring along
-    a star map rho first looks up rho's left-multiplication correspondence
-    by rho's content (codomain and coefficient bytes), so equal star maps
-    share it and the tensor built on it.  Triples are keyed by (E, phi),
-    extended CP maps by (phi, tensor module) and composites by (m2, m1, rho).
-    Each entry also holds the objects its key names, so no id can be reused
-    while the memo lives.  A build that raises stores nothing: the next
-    request repeats it and raises again.  Builders take memo=None to build
-    afresh (ksgns.build_once).
-    """
 
-    def __init__(self) -> None:
-        self._done: dict[tuple, tuple] = {}
-
-    def get(self, key: tuple, keep: tuple, build: Callable[[], Any]) -> Any:
-        if key not in self._done:
-            self._done[key] = (keep, build())
-        return self._done[key][1]
+def _along_key(rho: StarMap) -> tuple[tuple, tuple]:
+    """rho's left-multiplication correspondence is keyed by rho's content."""
+    return ("left_mult", rho.domain, rho.codomain, rho.matrix.tobytes()), ()
 
 
 def tensor_once(
@@ -92,11 +78,10 @@ def tensor_once(
     tol: Tolerance = DEFAULT_TOL,
     memo: BuildMemo | None = None,
 ) -> TensorModule:
-    """interior_tensor(E, F, pi); with a memo, built once per (E, F, pi)
-    object triple."""
-    return build_once(
-        memo, ("tensor", id(E), id(F), id(pi), tol), (E, F, pi),
-        lambda: interior_tensor(E, F, pi, tol),
+    """interior_tensor(E, F, pi), built once per (E, F, pi) object triple
+    in the memo: the one key of every tensor module."""
+    return BuildMemo.for_call(memo).get(
+        *_tensor_key(E, F, pi, tol), lambda: interior_tensor(E, F, pi, tol)
     )
 
 
@@ -119,13 +104,13 @@ def tensor_extend_cpmap(
     tol: Tolerance = DEFAULT_TOL,
     memo: BuildMemo | None = None,
 ) -> CPMap:
-    """phi~ = phi(-) (x) I, the tensor-extended CP map on E (x)_pi F; with a
-    memo, built once per (phi, tm) object pair."""
+    """phi~ = phi(-) (x) I, the tensor-extended CP map on E (x)_pi F, built
+    once per (phi, tm) object pair in the memo."""
 
     def build() -> CPMap:
         return CPMap(phi.algebra, tm.module, tensor_extend(phi.images, tm, tm, "T (x) I", tol))
 
-    return build_once(memo, ("extend", id(phi), id(tm), tol), (phi, tm), build)
+    return BuildMemo.for_call(memo).get(("extend", id(phi), id(tm), tol), (phi, tm), build)
 
 
 def tensor_functor_morphism(
@@ -168,14 +153,22 @@ def interior_tensor_along(
     memo: BuildMemo | None = None,
 ) -> TensorModule:
     """E (x)_rho C, built through tensor_once on rho's left-multiplication
-    correspondence.  With a memo, that correspondence is built once per rho
-    content (codomain and coefficient bytes), so the tensor module has the
-    one (E, C, pi) key of tensor_once whichever path asks for it."""
+    correspondence, which the memo holds once per rho content (domain,
+    codomain and coefficient bytes); so the tensor module has the one
+    (E, C, pi) key of tensor_once whichever path asks for it."""
     if rho.domain != E.algebra:
         raise ShapeMismatch("star map domain differs from E's coefficients")
-    key = ("left_mult", rho.codomain, rho.matrix.tobytes())
-    pi = build_once(memo, key, (), lambda: left_mult_correspondence(rho))
+    memo = BuildMemo.for_call(memo)
+    pi = memo.get(*_along_key(rho), lambda: left_mult_correspondence(rho))
     return tensor_once(E, pi.module, pi, tol, memo)
+
+
+def adopt_tensor(tm: TensorModule, rho: StarMap, tol: Tolerance, memo: BuildMemo) -> bool:
+    """Let interior_tensor_along(tm.left, rho, tol, memo) answer tm, a tensor
+    along rho built elsewhere, unless the memo already holds another tensor
+    there; True when it answers tm."""
+    pi = memo.get(*_along_key(rho), lambda: tm.pi)
+    return pi is tm.pi and memo.get(*_tensor_key(tm.left, tm.right, pi, tol), lambda: tm) is tm
 
 
 @dataclass
@@ -240,14 +233,16 @@ class CompositionUnitary:
 
 
 def composition_unitary(
-    E: HilbertModule,
+    tm12: TensorModule,
     rho1: StarMap,
     rho2: StarMap,
     rho: StarMap | None = None,
     tol: Tolerance = DEFAULT_TOL,
     memo: BuildMemo | None = None,
 ) -> CompositionUnitary:
-    """The unitary (x (x) c) (x) d -> x (x) rho2(c) d.
+    """The unitary (x (x) c) (x) d -> x (x) rho2(c) d on tm12 = E (x)_rho1 C,
+    the tensor a caller's matrices live on (poscor_compose passes m1's own);
+    the double and target tensors come from the memo.
 
     `rho`, when given, is the star map the target E (x)_rho D is taken along
     in place of rho2 rho1, for a caller that knows the two agree up to
@@ -255,7 +250,7 @@ def composition_unitary(
     """
     if rho1.codomain != rho2.domain:
         raise ShapeMismatch("star maps do not chain")
-    tm12 = interior_tensor_along(E, rho1, tol, memo)
+    E = tm12.left
     tm123 = interior_tensor_along(tm12.module, rho2, tol, memo)
     rho = rho if rho is not None else compose_star_maps(rho2, rho1)
     tm13 = interior_tensor_along(E, rho, tol, memo)
@@ -440,6 +435,7 @@ def poscor_identity(
     obj: PosCorObject, tol: Tolerance = DEFAULT_TOL, memo: BuildMemo | None = None
 ) -> PosCorMorphism:
     """(inc, (iota, 1_A)) for the inclusion tensor."""
+    memo = BuildMemo.for_call(memo)
     inc = inclusion_unitary(obj.module, tol, memo)
     return make_poscor_morphism(
         obj,
@@ -459,9 +455,10 @@ def poscor_compose(
     memo: BuildMemo | None = None,
     rho: StarMap | None = None,
 ) -> PosCorMorphism:
-    """(rho2 rho1, (eta2 . (eta1 (x) I) . U^{-1}, alpha2 alpha1)); with a
-    memo, built once per (m2, m1, rho) object triple, from the tensor
-    modules and extended CP maps the memo already holds.
+    """(rho2 rho1, (eta2 . (eta1 (x) I) . U^{-1}, alpha2 alpha1)), built
+    once per (m2, m1, rho) object triple in the memo.  It is composed on
+    m1's own tensor, on which eta1 is a matrix; every other tensor module
+    and extended CP map comes from the memo.
 
     `rho`, when given, is the star map the composite lives along in place of
     rho2 rho1, and its `.rho`: a caller that knows rho2 rho1 up to rounding
@@ -473,8 +470,10 @@ def poscor_compose(
             f"cannot compose across objects {m1.cod.ident!r} != {m2.dom.ident!r}"
         )
 
+    memo = BuildMemo.for_call(memo)
+
     def build() -> PosCorMorphism:
-        comp = composition_unitary(m1.dom.module, m1.rho, m2.rho, rho, tol, memo)
+        comp = composition_unitary(m1.dom_tensor, m1.rho, m2.rho, rho, tol, memo)
         eta1_hat = tensor_extend_between(m1.eta, comp.double, m2.dom_tensor, tol)
         U_inv = adjoint_map(comp.unitary)
         eta = m2.eta.matrix @ eta1_hat.matrix @ U_inv.matrix
@@ -488,7 +487,7 @@ def poscor_compose(
             memo,
         )
 
-    return build_once(memo, ("compose", id(m2), id(m1), id(rho), tol), (m2, m1, rho), build)
+    return memo.get(("compose", id(m2), id(m1), id(rho), tol), (m2, m1, rho), build)
 
 
 def check_poscor_morphism(m: PosCorMorphism, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -545,7 +544,14 @@ def dilate_object(
 def ksgns_functor_poscor(
     m: PosCorMorphism, tol: Tolerance = DEFAULT_TOL, memo: BuildMemo | None = None
 ) -> PosCorMorphism:
-    """(rho, (eta~ . V^{-1}, alpha)) between the dilated objects."""
+    """(rho, (eta~ . V^{-1}, alpha)) between the dilated objects.  The new
+    eta is a matrix on F_phi (x)_rho C, which the commuting unitary builds
+    from m's own tensor; m's tensor is adopted into the memo, so the new
+    morphism lives on that module, and a memo that holds another tensor
+    along rho raises ObjectMismatch."""
+    memo = BuildMemo.for_call(memo)
+    if not adopt_tensor(m.dom_tensor, m.rho, tol, memo):
+        raise ObjectMismatch("m's tensor differs from the memo's tensor along its rho")
     dom_dilated, _ = dilate_object(m.dom, tol, memo)
     cod_dilated, t_cod = dilate_object(m.cod, tol, memo)
     cu = commuting_unitary(m.dom.phi, m.dom_tensor, tol, memo)
@@ -559,6 +565,7 @@ def idempotency_iso_poscor(
 ) -> PosCorMorphism:
     """The canonical (inc, (V_{pi_phi} . iota, 1_A)) from (F_phi, pi_phi) to
     (F_{pi_phi}, pi_{pi_phi})."""
+    memo = BuildMemo.for_call(memo)
     dilated, t = dilate_object(obj, tol, memo)
     double_dilated, _ = dilate_object(dilated, tol, memo)
     inc = inclusion_unitary(dilated.module, tol, memo)
@@ -587,14 +594,14 @@ def check_category_laws(
     every composable pair and triple in the given diagram.
 
     Builds go through the caller's BuildMemo, which lives for one checked
-    instance, or through a fresh one for this call when none is given.  It
-    builds each tensor module once under its one key (module object, and
-    the left-multiplication correspondence of rho's content), each extended
-    CP map once per (phi, tensor module) object pair, and each composite
-    once per (m2, m1) object pair; associativity's right side reuses the
+    instance, or through a throwaway one for this call.  It builds each
+    tensor module once under its one key (module object, and the
+    left-multiplication correspondence of rho's content), each extended CP
+    map once per (phi, tensor module) object pair, and each composite once
+    per (m2, m1) object pair; associativity's right side reuses the
     composite m3 . m2.  Failed builds are not stored.
     """
-    memo = memo if memo is not None else BuildMemo()
+    memo = BuildMemo.for_call(memo)
 
     rep = CheckReport()
     identities = {o.ident: poscor_identity(o, tol, memo) for o in objects}

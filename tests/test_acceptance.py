@@ -71,6 +71,7 @@ from ksgnslab.poscor import (
     composition_unitary,
     inclusion_unitary,
     interior_tensor,
+    interior_tensor_along,
     tensor_extend_between,
     tensor_functor_morphism,
     unitarity_residual,
@@ -246,8 +247,8 @@ def test_criterion_05_tensor_functor():
         # composition unitary and naturality
         rho1 = random_star_map(B, rng, max_block=2, max_out_blocks=1)
         rho2 = random_star_map(rho1.codomain, rng, max_block=3, max_out_blocks=1)
-        comp1 = composition_unitary(E1, rho1, rho2, tol=TOL)
-        comp2 = composition_unitary(E2, rho1, rho2, tol=TOL)
+        comp1 = composition_unitary(interior_tensor_along(E1, rho1, TOL), rho1, rho2, tol=TOL)
+        comp2 = composition_unitary(interior_tensor_along(E2, rho1, TOL), rho1, rho2, tol=TOL)
         worst["composition"] = max(
             worst["composition"], unitarity_residual(comp1.unitary)
         )

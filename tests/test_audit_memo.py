@@ -16,14 +16,16 @@ import pytest
 from ksgnslab import poscor
 from ksgnslab.equivariant import (
     _gram_scale,
+    categorical_dilation_unitary,
     check_functor_laws,
     correspondence_to_functor,
     cyclic_group,
+    dilate,
     random_equivariant,
     symmetric_group,
 )
 from ksgnslab.cstar import AlgebraShape
-from ksgnslab.errors import KsgnslabError, WellDefinednessViolation
+from ksgnslab.errors import KsgnslabError, ObjectMismatch, WellDefinednessViolation
 from ksgnslab.harness import SizeCaps, _load_category, generate_instance, instance_seed
 from ksgnslab.hilbert import unitarity_residual
 from ksgnslab.numkernel import DEFAULT_TOL, operator_norm
@@ -31,6 +33,8 @@ from ksgnslab.poscor import (
     BuildMemo,
     check_category_laws,
     check_poscor_morphism,
+    interior_tensor_along,
+    ksgns_functor_poscor,
     morphism_distance,
     poscor_compose,
     poscor_identity,
@@ -177,16 +181,13 @@ def test_functor_audit_builds_each_tensor_module_once(monkeypatch):
     builds = count_tensor_builds(monkeypatch)
     rep = check_functor_laws(c, functor, DEFAULT_TOL)
     assert rep.passed, rep.residuals
-    # all six beta_g of this instance have equal coefficients, and tensors are
-    # keyed by rho's content: E along the inclusion, E along beta, its double
-    assert len(builds) >= 3
+    assert len(builds) > c.group.order
     assert max(builds.values()) == 1
 
 
 def test_functor_audit_builds_one_tensor_of_e_along_the_group_law(monkeypatch):
     # S3 with a non-trivial beta: composed along beta_g beta_h, the audit
-    # built 37 tensors of E itself (one per composite and the identity's);
-    # along beta_gh, it finds the tensors of F(gh) in the memo that built F
+    # built 37 tensors of E itself (one per composite and the identity's)
     c = random_equivariant(M2, M2, symmetric_group(3), seed=11, copies=1)
     memo = BuildMemo()
     functor = correspondence_to_functor(c, DEFAULT_TOL, memo)
@@ -198,13 +199,13 @@ def test_functor_audit_builds_one_tensor_of_e_along_the_group_law(monkeypatch):
         return real(E, F, pi, tol)
 
     monkeypatch.setattr(poscor, "interior_tensor", counting)
-    rep = check_functor_laws(c, functor, DEFAULT_TOL, memo)
+    rep = check_functor_laws(c, functor, DEFAULT_TOL)
     monkeypatch.undo()
     assert rep.passed, rep.residuals
     assert sum(E is c.module for E in left_factors) <= 1
-    fresh = check_functor_laws(c, functor, DEFAULT_TOL)
-    assert fresh.residuals == rep.residuals
-    assert fresh.thresholds == rep.thresholds
+    shared = check_functor_laws(c, functor, DEFAULT_TOL, memo)
+    assert shared.residuals == rep.residuals
+    assert shared.thresholds == rep.thresholds
 
 
 # -- equality with the memo-less audits -------------------------------------------
@@ -283,3 +284,46 @@ def test_category_audit_failed_build_still_breaks_closure(monkeypatch):
     assert rep.residuals["composition_closure"] == float("inf")
     assert "composition_closure" in rep.failing()
     assert rep.residuals["associativity"] <= rep.thresholds["associativity"]
+
+
+# -- objects built outside the memo ------------------------------------------------
+
+
+def test_memo_less_builders_share_within_the_call(monkeypatch):
+    # iota is read on the inclusion tensor, the composite on m1's own tensor:
+    # without a memo the identity builds one tensor and a composite two
+    # (the double and the target), none of them twice
+    objects, morphisms = category_instance(0)
+    m1, m2 = next(
+        (a, b) for a in morphisms for b in morphisms if a is not b and a.cod.ident == b.dom.ident
+    )
+    builds = count_tensor_builds(monkeypatch)
+    poscor_identity(objects[0], DEFAULT_TOL)
+    assert sum(builds.values()) == 1
+    builds.clear()
+    composed = poscor_compose(m2, m1, DEFAULT_TOL)
+    assert sum(builds.values()) == 2
+    assert check_poscor_morphism(composed).passed
+
+
+def test_foreign_objects_raise_object_mismatch():
+    c = random_equivariant(M2, M2, cyclic_group(2), seed=1, copies=1)
+    quad = dilate(c, DEFAULT_TOL)
+    # without a memo, and with the memo that built quad, quad's triple is used
+    memo = BuildMemo()
+    shared = dilate(c, DEFAULT_TOL, memo)
+    for g in range(c.group.order):
+        assert operator_norm(categorical_dilation_unitary(c, quad, g) - quad.unitaries[g]) <= 1e-8
+        cat = categorical_dilation_unitary(c, shared, g, DEFAULT_TOL, memo)
+        assert operator_norm(cat - shared.unitaries[g]) <= 1e-8
+    # a memo that holds another triple of (E, phi) raises instead
+    with pytest.raises(ObjectMismatch):
+        categorical_dilation_unitary(c, quad, 0, DEFAULT_TOL, memo)
+    # likewise a morphism whose tensor is not the memo's tensor along its rho
+    objects, morphisms = category_instance(1)
+    m = morphisms[0]
+    other = BuildMemo()
+    interior_tensor_along(m.dom.module, m.rho, DEFAULT_TOL, other)
+    assert check_poscor_morphism(ksgns_functor_poscor(m, DEFAULT_TOL)).passed
+    with pytest.raises(ObjectMismatch):
+        ksgns_functor_poscor(m, DEFAULT_TOL, other)

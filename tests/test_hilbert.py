@@ -541,7 +541,7 @@ def test_composition_unitary_identity_maps(rng):
     B = AlgebraShape((2,))
     E = random_module(B, rng, max_dim=4)
     ident = identity_star_map(B)
-    comp = composition_unitary(E, ident, ident)
+    comp = composition_unitary(interior_tensor_along(E, ident), ident, ident)
     assert unitarity_residual(comp.unitary) <= 1e-10
     assert comp.target.module.dim == comp.double.module.dim
 
@@ -551,7 +551,7 @@ def test_composition_unitary_random_chain(rng):
     E = random_module(B, rng, max_dim=4)
     rho1 = random_star_map(B, rng, max_block=3, max_out_blocks=2)
     rho2 = random_star_map(rho1.codomain, rng, max_block=4, max_out_blocks=1)
-    comp = composition_unitary(E, rho1, rho2)
+    comp = composition_unitary(interior_tensor_along(E, rho1), rho1, rho2)
     assert unitarity_residual(comp.unitary) <= 1e-8
     assert comp.double.module.dim == comp.target.module.dim
 
@@ -575,7 +575,7 @@ def test_v_rho_chain_diagram(rng):
     E = random_module(B, rng, max_dim=4)
     rho = random_star_map(B, rng, max_block=3, max_out_blocks=1)
     chi = random_star_map(rho.codomain, rng, max_block=4, max_out_blocks=1)
-    comp = composition_unitary(E, rho, chi)
+    comp = composition_unitary(interior_tensor_along(E, rho), rho, chi)
     vr1 = v_rho(comp.inner)
     vr2 = v_rho(comp.double)
     vr12 = v_rho(comp.target)
@@ -594,7 +594,7 @@ def test_v_rho_square_diagram(rng):
     E = random_module(B, rng, max_dim=3)
     rho = random_star_map(B, rng, max_block=2, max_out_blocks=1)
     chi = random_star_map(rho.codomain, rng, max_block=3, max_out_blocks=1)
-    comp = composition_unitary(E, rho, chi)
+    comp = composition_unitary(interior_tensor_along(E, rho), rho, chi)
     E2, S = scramble_module(comp.inner.module, rng)
     eta = ModuleMap(comp.inner.module, E2, np.linalg.inv(S))
     tm2 = interior_tensor_along(E2, chi)

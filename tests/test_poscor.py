@@ -215,11 +215,11 @@ def test_pentagon(rng):
     rho2 = random_star_map(rho1.codomain, rng, max_block=3, max_out_blocks=1)
     rho3 = random_star_map(rho2.codomain, rng, max_block=4, max_out_blocks=1)
     memo = BuildMemo()
-    comp = composition_unitary(E, rho1, rho2, memo=memo)
-    U2 = composition_unitary(comp.inner.module, rho2, rho3, memo=memo)
+    comp = composition_unitary(interior_tensor_along(E, rho1, memo=memo), rho1, rho2, memo=memo)
+    U2 = composition_unitary(comp.double, rho2, rho3, memo=memo)
     sigma = compose_star_maps(U2.rho, rho1)
-    U1 = composition_unitary(E, rho1, U2.rho, sigma, memo=memo)
-    V1 = composition_unitary(E, comp.rho, rho3, sigma, memo=memo)
+    U1 = composition_unitary(comp.inner, rho1, U2.rho, sigma, memo=memo)
+    V1 = composition_unitary(comp.target, comp.rho, rho3, sigma, memo=memo)
     V2_hat = tensor_extend_between(comp.unitary, U2.double, V1.double)
     resid = operator_norm(
         U1.unitary.matrix @ U2.unitary.matrix - V1.unitary.matrix @ V2_hat.matrix
