@@ -102,7 +102,8 @@ def demo_gns() -> int:
         trivial_system,
     )
     from .hilbert import algebra_module
-    from .numkernel import operator_norm
+    from .memo import BuildMemo
+    from .numkernel import DEFAULT_TOL, operator_norm
 
     A = AlgebraShape((2,))
     B = AlgebraShape((1,))
@@ -126,7 +127,7 @@ def demo_gns() -> int:
     rep = check_equivariant(corr)
     print(f"equivariant input check: {'pass' if rep.passed else 'FAIL'} "
           f"(max residual {rep.max_residual:.3e})")
-    quad = dilate(corr)
+    quad = dilate(corr, DEFAULT_TOL, BuildMemo())
     t = quad.triple
     print(f"dilation space dimension: {t.module.dim} (the 2x2 algebra itself)")
     rep = check_dilation(quad)

@@ -46,6 +46,7 @@ from .hilbert import (
     rank_one_sum,
     same_module,
 )
+from .memo import content_key
 from .numkernel import (
     DEFAULT_TOL,
     Tolerance,
@@ -79,6 +80,13 @@ class CPMap:
             raise ShapeMismatch("argument outside the map's domain algebra")
         mat = np.einsum("p,pij->ij", a.coeffs(), self.images)
         return ModuleMap(self.module, self.module, mat)
+
+    @cached_property
+    def key(self) -> bytes:
+        """Content digest of the class, domain, module key, images and flag."""
+        return content_key(
+            type(self).__name__, self.algebra.blocks, self.module.key, self.images, self.strict
+        )
 
     @cached_property
     def norm(self) -> float:

@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ShapeMismatch
+from .memo import content_key
 from .numkernel import (
     DEFAULT_TOL,
     Tolerance,
@@ -257,6 +258,11 @@ class StarMap:
         if not self.images:
             return np.zeros((self.codomain.dim, 0), dtype=complex)
         return np.stack([img.coeffs() for img in self.images], axis=1)
+
+    @cached_property
+    def key(self) -> bytes:
+        """Content digest of the two algebras and the coefficient matrix."""
+        return content_key(self.domain.blocks, self.codomain.blocks, self.matrix)
 
     def __call__(self, a: AlgebraElement) -> AlgebraElement:
         if a.shape != self.domain:

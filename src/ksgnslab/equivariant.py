@@ -27,7 +27,7 @@ from .cstar import (
     inner_automorphism,
 )
 from .cp import CPMap, Intertwiner, random_cp
-from .errors import ObjectMismatch, ShapeMismatch, SpanningFailure, TwistMismatch, ValidationError
+from .errors import ShapeMismatch, SpanningFailure, TwistMismatch, ValidationError
 from .hilbert import (
     HilbertModule,
     ModuleMap,
@@ -40,7 +40,6 @@ from .hilbert import (
 )
 from .ksgns import (
     KsgnsTriple,
-    adopt_triple,
     check_triple,
     conjugated_triple,
     ksgns_lift,
@@ -53,12 +52,12 @@ from .numkernel import DEFAULT_TOL, Tolerance, exceeds_gate, max_operator_norm, 
 from .poscor import (
     PosCorMorphism,
     PosCorObject,
-    adopt_tensor,
     commuting_unitary,
     make_poscor_morphism,
     morphism_distance,
     poscor_compose,
     poscor_identity,
+    tensor_key,
     twist_unitary,
     v_rho,
 )
@@ -399,13 +398,10 @@ class EquivariantFunctor:
 
 
 def correspondence_to_functor(
-    c: EquivariantCorrespondence,
-    tol: Tolerance = DEFAULT_TOL,
-    memo: BuildMemo | None = None,
+    c: EquivariantCorrespondence, tol: Tolerance, memo: BuildMemo
 ) -> EquivariantFunctor:
-    """F(g) = (beta_g, (U_g . twist, alpha_g)) for each g; eta_g is a matrix
-    on the twist tensor E (x)_{beta_g} B, which F(g) lives on.  Without a
-    memo, each F(g) is built in a throwaway memo of its own."""
+    """F(g) = (beta_g, (U_g . twist, alpha_g)) for each g; eta_g is defined
+    on the twist tensor E (x)_{beta_g} B, which F(g) lives on."""
     obj = PosCorObject(
         ident="E",
         input_algebra=c.phi.algebra,
@@ -415,19 +411,12 @@ def correspondence_to_functor(
     )
     morphisms = []
     for g in range(c.group.order):
-        scope = BuildMemo.for_call(memo)
         beta_g = c.system_out.action[g]
-        tw = twist_unitary(c.module, beta_g, tol, scope)
-        eta_g = c.unitaries[g] @ tw.unitary.matrix
+        tw = twist_unitary(c.module, beta_g, tol, memo)
+        eta_g = ModuleMap(tw.twisted.module, c.module, c.unitaries[g] @ tw.unitary.matrix)
         morphisms.append(
             make_poscor_morphism(
-                obj,
-                obj,
-                beta_g.forward,
-                eta_g,
-                c.system_in.action[g],
-                tol,
-                scope,
+                obj, obj, beta_g.forward, eta_g, c.system_in.action[g], tol, memo
             )
         )
     return EquivariantFunctor(obj, morphisms)
@@ -436,8 +425,8 @@ def correspondence_to_functor(
 def check_functor_laws(
     c: EquivariantCorrespondence,
     functor: EquivariantFunctor,
-    tol: Tolerance = DEFAULT_TOL,
-    memo: BuildMemo | None = None,
+    tol: Tolerance,
+    memo: BuildMemo,
 ) -> CheckReport:
     """F(g) F(h) = F(gh) through pullbacks, unit law, and U_g recovery.
 
@@ -449,22 +438,18 @@ def check_functor_laws(
     threshold; a violation raises TwistMismatch naming (g, h).
 
     Builds go through the caller's BuildMemo, which lives for one checked
-    instance, or through a throwaway one for this call.  The tensor of each
-    F(g) is adopted into the memo where the memo holds none along beta_g, so
-    a memo other than the one that built `functor` also finds the tensors of
-    F(gh).  Across the |G|^2 composites it builds each tensor module once
-    under its one key (module object, and the left-multiplication
-    correspondence of rho's content) and each extended CP map once per
-    (phi, tensor module) object pair.
+    instance.  The tensors of the F(g) enter it under their content keys,
+    so a memo other than the one that built `functor` also finds the
+    tensors of F(gh).  Across the |G|^2 composites it builds each tensor
+    module and extended CP map once per content.
     """
     rep = CheckReport()
-    memo = BuildMemo.for_call(memo)
     G = c.group
     E = c.module
     scale = 1.0 + max(1.0, _gram_scale(E))
     _require_group_law(c.system_out, tol.ctol * scale, tol)
-    for m in functor.morphisms:
-        adopt_tensor(m.dom_tensor, m.rho, tol, memo)
+    for tm in (m.dom_tensor for m in functor.morphisms):
+        memo.get(tensor_key(tm.left, tm.right, tm.pi, tol), lambda: tm)
     recover = max(
         operator_norm(functor.morphisms[g].pullback - c.unitaries[g])
         for g in range(G.order)
@@ -524,11 +509,7 @@ class DilationQuadruple:
         return self.triple.module
 
 
-def dilate(
-    c: EquivariantCorrespondence,
-    tol: Tolerance = DEFAULT_TOL,
-    memo: BuildMemo | None = None,
-) -> DilationQuadruple:
+def dilate(c: EquivariantCorrespondence, tol: Tolerance, memo: BuildMemo) -> DilationQuadruple:
     """Dilate to (F_phi, pi_phi, V_phi, U~) with U~_g the compression of
     alpha_g (x) U_g to the quotient."""
     t = ksgns_once(c.module, c.phi, tol, memo)
@@ -550,17 +531,13 @@ def categorical_dilation_unitary(
     c: EquivariantCorrespondence,
     quad: DilationQuadruple,
     g: int,
-    tol: Tolerance = DEFAULT_TOL,
-    memo: BuildMemo | None = None,
+    tol: Tolerance,
+    memo: BuildMemo,
 ) -> np.ndarray:
     """U~_g rebuilt as eta~_g . V_g^{-1} . V'_{beta_g}: the composite that the
     functorial proof produces, used to cross-check the direct compression.
-    The commuting unitary is built on quad's own triple, on which the lift is
-    a matrix: quad.triple is adopted into the memo, and a memo that already
-    holds another triple of (E, phi) raises ObjectMismatch."""
-    memo = BuildMemo.for_call(memo)
-    if not adopt_triple(quad.triple, tol, memo):
-        raise ObjectMismatch("quad's triple differs from the memo's triple of (E, phi)")
+    The lift lands on quad.triple; the commuting unitary's triple of
+    (E, phi) comes from the memo and is content-equal to it."""
     E = c.module
     beta_g = c.system_out.action[g]
     tw = twist_unitary(E, beta_g, tol, memo)

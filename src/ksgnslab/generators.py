@@ -261,15 +261,15 @@ def random_morphism_to_new_object(
     dom: PosCorObject,
     ident: str,
     rng: np.random.Generator,
+    tol: Tolerance,
+    memo: BuildMemo,
     max_block: int = 3,
     max_out_blocks: int = 2,
     max_dim: int = 12,
-    tol: Tolerance = DEFAULT_TOL,
-    memo: BuildMemo | None = None,
 ) -> tuple[PosCorObject, PosCorMorphism]:
     """Extend a diagram: pick rho out of dom's coefficients, tensor, and make
     the codomain a transported copy of the tensor so that the transport is a
-    unitary morphism component.  With a memo, phi (x) I is built once."""
+    unitary morphism component."""
     rho = random_star_map(dom.coefficient, rng, max_block=max_block, max_out_blocks=max_out_blocks)
     for _ in range(32):
         if dom.module.dim * rho.codomain.dim <= max_dim:
@@ -281,15 +281,12 @@ def random_morphism_to_new_object(
     alpha = random_automorphism(dom.input_algebra, rng)
     psi = conjugate_cp(tensor_extend_cpmap(dom.phi, tensor, tol, memo), W, alpha)
     cod = PosCorObject(ident, dom.input_algebra, rho.codomain, E2, psi)
-    morphism = make_poscor_morphism(dom, cod, rho, W.matrix, alpha, tol, memo)
+    morphism = make_poscor_morphism(dom, cod, rho, W, alpha, tol, memo)
     return cod, morphism
 
 
 def random_endomorphism(
-    obj: PosCorObject,
-    rng: np.random.Generator,
-    tol: Tolerance = DEFAULT_TOL,
-    memo: BuildMemo | None = None,
+    obj: PosCorObject, rng: np.random.Generator, tol: Tolerance, memo: BuildMemo
 ) -> PosCorMorphism:
     """An endomorphism of obj: a random element of the commutant of phi,
     composed with the inclusion unitary."""
@@ -299,7 +296,7 @@ def random_endomorphism(
     mat = eta.matrix
     if norm <= 1e-9:
         mat, norm = np.eye(obj.module.dim, dtype=complex), 1.0
-    eta = (mat / norm) @ inc.iota.matrix
+    eta = ModuleMap(inc.tensor.module, obj.module, (mat / norm) @ inc.iota.matrix)
     return make_poscor_morphism(obj, obj, identity_star_map(obj.coefficient), eta, ident, tol, memo)
 
 

@@ -785,7 +785,7 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
     )
     # composition of tensorings
     tm12 = interior_tensor_along(E1, rho1, tol, memo)
-    comp = composition_unitary(tm12, rho1, rho2, tol=tol, memo=memo)
+    comp = composition_unitary(tm12, rho1, rho2, tol, memo)
     rec.add(
         "composition_unitary",
         "iterated tensoring composes: (x (x) c) (x) d -> x (x) rho(c) d",
@@ -794,9 +794,9 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
     )
     # pentagon over three star maps, all into one shared final module: V1
     # lives along U1's sigma = (rho3 rho2) rho1, not along rho3 (rho2 rho1)
-    U2 = composition_unitary(comp.double, rho2, rho3, tol=tol, memo=memo)
-    U1 = composition_unitary(comp.inner, rho1, U2.rho, tol=tol, memo=memo)
-    V1 = composition_unitary(comp.target, comp.rho, rho3, U1.rho, tol, memo)
+    U2 = composition_unitary(comp.double, rho2, rho3, tol, memo)
+    U1 = composition_unitary(comp.inner, rho1, U2.rho, tol, memo)
+    V1 = composition_unitary(comp.target, comp.rho, rho3, tol, memo, U1.rho)
     V2_hat = tensor_extend_between(comp.unitary, U2.double, V1.double, tol)
     rec.add(
         "pentagon",
@@ -883,20 +883,20 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
 
 def _gen_category(caps: SizeCaps, seed: int) -> dict:
     rng = np.random.default_rng(seed)
-    memo = BuildMemo()
+    tol, memo = DEFAULT_TOL, BuildMemo()
     A = random_shape(rng, 1, min(2, caps.max_block))
     B1 = random_shape(rng, 1, 2)
     o1 = random_object("O1", A, B1, rng, max_dim=2)
     o2, a1 = random_morphism_to_new_object(
-        o1, "O2", rng, max_block=2, max_out_blocks=1, max_dim=8, memo=memo
+        o1, "O2", rng, tol, memo, max_block=2, max_out_blocks=1, max_dim=8
     )
     o3, b1 = random_morphism_to_new_object(
-        o2, "O3", rng, max_block=3, max_out_blocks=1, max_dim=12, memo=memo
+        o2, "O3", rng, tol, memo, max_block=3, max_out_blocks=1, max_dim=12
     )
-    a2 = _sibling_morphism(a1, rng, memo=memo)
-    b2 = _sibling_morphism(b1, rng, memo=memo)
-    c1 = random_endomorphism(o3, rng, memo=memo)
-    c2 = random_endomorphism(o1, rng, memo=memo)
+    a2 = _sibling_morphism(a1, rng, tol, memo)
+    b2 = _sibling_morphism(b1, rng, tol, memo)
+    c1 = random_endomorphism(o3, rng, tol, memo)
+    c2 = random_endomorphism(o1, rng, tol, memo)
     objects = [o1, o2, o3]
     morphisms = [("O1", "O2", a1), ("O1", "O2", a2), ("O2", "O3", b1),
                  ("O2", "O3", b2), ("O3", "O3", c1), ("O1", "O1", c2)]
@@ -927,19 +927,18 @@ def _gen_category(caps: SizeCaps, seed: int) -> dict:
     }
 
 
-def _sibling_morphism(
-    m, rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL, memo: BuildMemo | None = None
-):
+def _sibling_morphism(m, rng: np.random.Generator, tol: Tolerance, memo: BuildMemo):
     """Second morphism parallel to m: same rho and alpha, eta drawn from the
     solved intertwiner space."""
     eta, norm = random_intertwiner(m.phi_ext, m.cod.phi, m.alpha, rng, tol)
     mat = eta.matrix
     if norm <= 1e-9:
         mat, norm = m.eta.matrix, 1.0
-    return make_poscor_morphism(m.dom, m.cod, m.rho, mat / norm, m.alpha, tol, memo)
+    eta = ModuleMap(m.eta.source, m.cod.module, mat / norm)
+    return make_poscor_morphism(m.dom, m.cod, m.rho, eta, m.alpha, tol, memo)
 
 
-def _load_category(payload: dict, tol: Tolerance, memo: BuildMemo | None = None):
+def _load_category(payload: dict, tol: Tolerance, memo: BuildMemo):
     A = ser.load_shape(payload["input_algebra"])
     objects = []
     by_ident = {}
@@ -956,7 +955,8 @@ def _load_category(payload: dict, tol: Tolerance, memo: BuildMemo | None = None)
         tensor = interior_tensor_along(dom.module, rho, tol, memo)
         eta = ser.load_cmatrix(mdata["eta"], cod.module.dim, tensor.module.dim)
         alpha = ser.load_automorphism(mdata["alpha"])
-        morphisms.append(make_poscor_morphism(dom, cod, rho, eta, alpha, tol, memo))
+        eta_map = ModuleMap(tensor.module, cod.module, eta)
+        morphisms.append(make_poscor_morphism(dom, cod, rho, eta_map, alpha, tol, memo))
     return objects, morphisms
 
 
@@ -1454,8 +1454,14 @@ def _run_one(args: tuple[str, dict, Tolerance]) -> list[CheckRecord]:
     return check_instance(suite, payload, tol)
 
 
+# residuals can differ in their last bits between BLAS thread counts
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def run(config: SuiteConfig, instance_dir: str | None = None) -> Report:
-    """Execute every enabled suite from files or regenerated instances."""
+    """Execute every enabled suite from files or regenerated instances.  The
+    report's config is the suite config plus the BLAS thread settings of the
+    environment (None where unset)."""
     tasks: list[tuple[str, dict, Tolerance]] = []
     for suite in config.suites:
         if instance_dir is not None:
@@ -1481,7 +1487,8 @@ def run(config: SuiteConfig, instance_dir: str | None = None) -> Report:
     else:
         results = [_run_one(task) for task in tasks]
     records = [r for chunk in results for r in chunk]
-    return Report(config.to_json(), records)
+    blas_threads = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    return Report({**config.to_json(), "blas_threads": blas_threads}, records)
 
 
 def report_emit(report: Report, fmt: str = "text") -> str:

@@ -40,6 +40,7 @@ from .cstar import (
 from .errors import (
     InvalidConfig, ShapeMismatch, SingularGram, SubmoduleViolation, WellDefinednessViolation,
 )
+from .memo import content_key
 from .numkernel import (
     DEFAULT_TOL,
     Tolerance,
@@ -78,6 +79,12 @@ class PreModule:
                 raise ShapeMismatch(f"pairing block {P.shape} != {(d, d, n, n)}")
             mats.append(P)
         self.pairing = mats
+
+    @cached_property
+    def key(self) -> bytes:
+        """Content digest of the algebra, action and pairing: modules with
+        equal keys are one module."""
+        return content_key(self.algebra.blocks, self.action, *self.pairing)
 
     def gram(self) -> np.ndarray:
         if self.dim == 0:
@@ -303,13 +310,8 @@ def identity_map(E: HilbertModule) -> ModuleMap:
 
 
 def same_module(E: PreModule, F: PreModule) -> bool:
-    """E and F are one module: the same object, or the same algebra, action
-    and pairing entry for entry."""
-    return E is F or (
-        E.algebra == F.algebra
-        and np.array_equal(E.action, F.action)
-        and all(np.array_equal(P, Q) for P, Q in zip(E.pairing, F.pairing))
-    )
+    """E and F are one module: equal content keys."""
+    return E.key == F.key
 
 
 def compose_maps(outer: ModuleMap, inner: ModuleMap) -> ModuleMap:

@@ -81,24 +81,9 @@ def ksgns(E: HilbertModule, phi: CPMap, tol: Tolerance = DEFAULT_TOL) -> KsgnsTr
     return KsgnsTriple(tm.module, tm.q, tm.s, tm.kernel, E, phi, pi, embedding)
 
 
-def _triple_key(E: HilbertModule, phi: CPMap, tol: Tolerance) -> tuple[tuple, tuple]:
-    return ("ksgns", id(E), id(phi), tol), (E, phi)
-
-
-def ksgns_once(
-    E: HilbertModule,
-    phi: CPMap,
-    tol: Tolerance = DEFAULT_TOL,
-    memo: BuildMemo | None = None,
-) -> KsgnsTriple:
-    """ksgns(E, phi), built once per (E, phi) object pair in the memo."""
-    return BuildMemo.for_call(memo).get(*_triple_key(E, phi, tol), lambda: ksgns(E, phi, tol))
-
-
-def adopt_triple(t: KsgnsTriple, tol: Tolerance, memo: BuildMemo) -> bool:
-    """Let ksgns_once(t.source, t.phi, tol, memo) answer t, a triple built
-    elsewhere, unless the memo already holds another; True when it answers t."""
-    return memo.get(*_triple_key(t.source, t.phi, tol), lambda: t) is t
+def ksgns_once(E: HilbertModule, phi: CPMap, tol: Tolerance, memo: BuildMemo) -> KsgnsTriple:
+    """ksgns(E, phi), built once per (E, phi) content in the memo."""
+    return memo.get(("ksgns", E.key, phi.key, tol), lambda: ksgns(E, phi, tol))
 
 
 def spanning_columns(t: KsgnsTriple) -> np.ndarray:
@@ -245,9 +230,7 @@ class IdempotencyUnitary:
     second: KsgnsTriple
 
 
-def idempotency_unitary(
-    t: KsgnsTriple, tol: Tolerance = DEFAULT_TOL, memo: BuildMemo | None = None
-) -> IdempotencyUnitary:
+def idempotency_unitary(t: KsgnsTriple, tol: Tolerance, memo: BuildMemo) -> IdempotencyUnitary:
     """Dilate the dilated representation; its embedding is already unitary."""
     second = ksgns_once(t.module, t.pi, tol, memo)
     return IdempotencyUnitary(second.embedding, second)

@@ -1,36 +1,45 @@
-"""The build memo shared by the construction layers.
+"""The build memo shared by the construction layers, and the content keys
+that name its entries.
 
 One BuildMemo lives for one checked instance (harness.check_instance makes
-it and drops it on return).  Builders that take one build each tensor
-module, KSGNS triple, extended CP map and composite once per key; a call
-made without one gets a throwaway memo for that call alone
-(BuildMemo.for_call), so its builds share objects with each other and with
-nothing else.  There is no module-level memo.
+it and drops it on return); every builder that shares work takes it as a
+required argument.  Entries are keyed by content: modules, CP maps and star
+maps carry a `key`, a digest of their data, so two objects with equal keys
+are interchangeable and the memo builds each content once, whichever object
+asks for it.  There is no module-level memo.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, Callable
+
+import numpy as np
+
+
+def content_key(*parts) -> bytes:
+    """blake2b digest of arrays (dtype, shape and bytes), bytes (such as
+    other keys) and any other value by its repr, each length-prefixed."""
+    chunks = []
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            chunks.append(f"{part.dtype.str}{part.shape}".encode())
+            data = part.tobytes()
+        else:
+            data = part if isinstance(part, bytes) else repr(part).encode()
+        chunks += (b"%d:" % len(data), data)
+    return hashlib.blake2b(b"".join(chunks), digest_size=16).digest()
 
 
 class BuildMemo:
-    """Finished builds, each stored under the key that names its inputs.
-
-    Keys name modules, CP maps and morphisms by id() and star maps by
-    content; each entry also holds the objects its key names, so no id can
-    be reused while the memo lives.  A build that raises stores nothing: the
-    next request repeats it and raises again.
-    """
+    """Finished builds, each stored under the content key of its inputs.
+    A build that raises stores nothing: the next request repeats it and
+    raises again."""
 
     def __init__(self) -> None:
-        self._done: dict[tuple, tuple] = {}
+        self._done: dict[tuple, Any] = {}
 
-    @classmethod
-    def for_call(cls, memo: BuildMemo | None) -> BuildMemo:
-        """memo itself, or a throwaway memo for a call made without one."""
-        return memo if memo is not None else cls()
-
-    def get(self, key: tuple, keep: tuple, build: Callable[[], Any]) -> Any:
+    def get(self, key: tuple, build: Callable[[], Any]) -> Any:
         if key not in self._done:
-            self._done[key] = (keep, build())
-        return self._done[key][1]
+            self._done[key] = build()
+        return self._done[key]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,10 +50,11 @@ from .hilbert import (
     ModuleMap,
     adjoint_map,
     module_operator_norm,
+    same_module,
     unitarity_residual,
 )
 from .ksgns import KsgnsTriple, idempotency_unitary, ksgns_lift, ksgns_once
-from .memo import BuildMemo
+from .memo import BuildMemo, content_key
 from .numkernel import DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm
 from .reporting import CheckReport
 
@@ -60,29 +62,16 @@ from .reporting import CheckReport
 # -- memoized builds ------------------------------------------------------------
 
 
-def _tensor_key(
-    E: HilbertModule, F: HilbertModule, pi: CPMap, tol: Tolerance
-) -> tuple[tuple, tuple]:
-    return ("tensor", id(E), id(F), id(pi), tol), (E, F, pi)
-
-
-def _along_key(rho: StarMap) -> tuple[tuple, tuple]:
-    """rho's left-multiplication correspondence is keyed by rho's content."""
-    return ("left_mult", rho.domain, rho.codomain, rho.matrix.tobytes()), ()
+def tensor_key(E: HilbertModule, F: HilbertModule, pi: CPMap, tol: Tolerance) -> tuple:
+    """The one memo key of the tensor module E (x)_pi F."""
+    return ("tensor", E.key, F.key, pi.key, tol)
 
 
 def tensor_once(
-    E: HilbertModule,
-    F: HilbertModule,
-    pi: CPMap,
-    tol: Tolerance = DEFAULT_TOL,
-    memo: BuildMemo | None = None,
+    E: HilbertModule, F: HilbertModule, pi: CPMap, tol: Tolerance, memo: BuildMemo
 ) -> TensorModule:
-    """interior_tensor(E, F, pi), built once per (E, F, pi) object triple
-    in the memo: the one key of every tensor module."""
-    return BuildMemo.for_call(memo).get(
-        *_tensor_key(E, F, pi, tol), lambda: interior_tensor(E, F, pi, tol)
-    )
+    """interior_tensor(E, F, pi), built once per (E, F, pi) content in the memo."""
+    return memo.get(tensor_key(E, F, pi, tol), lambda: interior_tensor(E, F, pi, tol))
 
 
 # -- T (x) I and the tensor functor -------------------------------------------
@@ -98,19 +87,14 @@ def tensor_extend_between(
     return ModuleMap(tm1.module, tm2.module, tensor_extend(T.matrix, tm1, tm2, "T (x) I", tol))
 
 
-def tensor_extend_cpmap(
-    phi: CPMap,
-    tm: TensorModule,
-    tol: Tolerance = DEFAULT_TOL,
-    memo: BuildMemo | None = None,
-) -> CPMap:
+def tensor_extend_cpmap(phi: CPMap, tm: TensorModule, tol: Tolerance, memo: BuildMemo) -> CPMap:
     """phi~ = phi(-) (x) I, the tensor-extended CP map on E (x)_pi F, built
-    once per (phi, tm) object pair in the memo."""
+    once per (phi, tensor) content in the memo."""
 
     def build() -> CPMap:
         return CPMap(phi.algebra, tm.module, tensor_extend(phi.images, tm, tm, "T (x) I", tol))
 
-    return BuildMemo.for_call(memo).get(("extend", id(phi), id(tm), tol), (phi, tm), build)
+    return memo.get(("extend", phi.key, tensor_key(tm.left, tm.right, tm.pi, tol)), build)
 
 
 def tensor_functor_morphism(
@@ -147,28 +131,14 @@ def balanced_relation_residual(
 
 
 def interior_tensor_along(
-    E: HilbertModule,
-    rho: StarMap,
-    tol: Tolerance = DEFAULT_TOL,
-    memo: BuildMemo | None = None,
+    E: HilbertModule, rho: StarMap, tol: Tolerance, memo: BuildMemo
 ) -> TensorModule:
     """E (x)_rho C, built through tensor_once on rho's left-multiplication
-    correspondence, which the memo holds once per rho content (domain,
-    codomain and coefficient bytes); so the tensor module has the one
-    (E, C, pi) key of tensor_once whichever path asks for it."""
+    correspondence, which the memo holds once per rho content."""
     if rho.domain != E.algebra:
         raise ShapeMismatch("star map domain differs from E's coefficients")
-    memo = BuildMemo.for_call(memo)
-    pi = memo.get(*_along_key(rho), lambda: left_mult_correspondence(rho))
+    pi = memo.get(("left_mult", rho.key), lambda: left_mult_correspondence(rho))
     return tensor_once(E, pi.module, pi, tol, memo)
-
-
-def adopt_tensor(tm: TensorModule, rho: StarMap, tol: Tolerance, memo: BuildMemo) -> bool:
-    """Let interior_tensor_along(tm.left, rho, tol, memo) answer tm, a tensor
-    along rho built elsewhere, unless the memo already holds another tensor
-    there; True when it answers tm."""
-    pi = memo.get(*_along_key(rho), lambda: tm.pi)
-    return pi is tm.pi and memo.get(*_tensor_key(tm.left, tm.right, pi, tol), lambda: tm) is tm
 
 
 @dataclass
@@ -207,9 +177,7 @@ class InclusionUnitary:
     iota: ModuleMap
 
 
-def inclusion_unitary(
-    E: HilbertModule, tol: Tolerance = DEFAULT_TOL, memo: BuildMemo | None = None
-) -> InclusionUnitary:
+def inclusion_unitary(E: HilbertModule, tol: Tolerance, memo: BuildMemo) -> InclusionUnitary:
     inc = identity_star_map(E.algebra)
     tm = interior_tensor_along(E, inc, tol, memo)
     dE, dB = E.dim, E.algebra.dim
@@ -236,9 +204,9 @@ def composition_unitary(
     tm12: TensorModule,
     rho1: StarMap,
     rho2: StarMap,
+    tol: Tolerance,
+    memo: BuildMemo,
     rho: StarMap | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-    memo: BuildMemo | None = None,
 ) -> CompositionUnitary:
     """The unitary (x (x) c) (x) d -> x (x) rho2(c) d on tm12 = E (x)_rho1 C,
     the tensor a caller's matrices live on (poscor_compose passes m1's own);
@@ -280,10 +248,7 @@ class TwistUnitary:
 
 
 def twist_unitary(
-    E: HilbertModule,
-    alpha: Automorphism,
-    tol: Tolerance = DEFAULT_TOL,
-    memo: BuildMemo | None = None,
+    E: HilbertModule, alpha: Automorphism, tol: Tolerance, memo: BuildMemo
 ) -> TwistUnitary:
     tm = interior_tensor_along(E, alpha.forward, tol, memo)
     dE, dB = E.dim, E.algebra.dim
@@ -298,17 +263,15 @@ def twist_unitary(
 
 
 def alpha_transport(
-    T: AlphaLinearMap,
-    twisted: TwistUnitary | None = None,
-    tol: Tolerance = DEFAULT_TOL,
+    T: AlphaLinearMap, twisted: TwistUnitary, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[ModuleMap, TwistUnitary]:
     """Transport an alpha-adjointable map to a plain module map T . U on
-    E_src (x)_alpha B."""
-    tw = twisted if twisted is not None else twist_unitary(T.source, T.twist, tol)
-    mismatch = operator_norm(tw.alpha.matrix - T.twist.matrix)
+    E_src (x)_alpha B, along the twist unitary of T's source and twist."""
+    mismatch = operator_norm(twisted.alpha.matrix - T.twist.matrix)
     if mismatch > tol.ctol * (1.0 + operator_norm(T.twist.matrix)):
         raise TwistMismatch(f"twist automorphisms differ by {mismatch:.3e}")
-    return ModuleMap(tw.twisted.module, T.target, T.matrix @ tw.unitary.matrix), tw
+    plain = ModuleMap(twisted.twisted.module, T.target, T.matrix @ twisted.unitary.matrix)
+    return plain, twisted
 
 
 def alpha_transport_inverse(
@@ -336,10 +299,7 @@ class CommutingUnitary:
 
 
 def commuting_unitary(
-    phi: CPMap,
-    tm: TensorModule,
-    tol: Tolerance = DEFAULT_TOL,
-    memo: BuildMemo | None = None,
+    phi: CPMap, tm: TensorModule, tol: Tolerance, memo: BuildMemo
 ) -> CommutingUnitary:
     """The unitary for tm = E (x)_pi F and phi on E; the KSGNS triple of
     (E, phi) comes from the memo."""
@@ -385,6 +345,11 @@ class PosCorObject:
     module: HilbertModule
     phi: CPMap
 
+    @cached_property
+    def key(self) -> bytes:
+        """Content digest of the label, input algebra, module and phi."""
+        return content_key(self.ident, self.input_algebra.blocks, self.module.key, self.phi.key)
+
 
 @dataclass
 class PosCorMorphism:
@@ -403,6 +368,20 @@ class PosCorMorphism:
     vrho: VRho
     phi_ext: CPMap
 
+    @cached_property
+    def key(self) -> bytes:
+        """Content digest of the endpoints, rho, eta with its modules, and alpha."""
+        return content_key(
+            self.dom.key,
+            self.cod.key,
+            self.rho.key,
+            self.eta.source.key,
+            self.eta.target.key,
+            self.eta.matrix,
+            self.alpha.matrix,
+            self.alpha.inverse_matrix,
+        )
+
     @property
     def pullback(self) -> np.ndarray:
         return self.eta.matrix @ self.vrho.map.matrix
@@ -416,32 +395,31 @@ def make_poscor_morphism(
     dom: PosCorObject,
     cod: PosCorObject,
     rho: StarMap,
-    eta_matrix: np.ndarray,
+    eta: ModuleMap,
     alpha: Automorphism,
-    tol: Tolerance = DEFAULT_TOL,
-    memo: BuildMemo | None = None,
+    tol: Tolerance,
+    memo: BuildMemo,
 ) -> PosCorMorphism:
-    """eta_matrix is read on interior_tensor_along(dom.module, rho, memo)."""
+    """(rho, (eta, alpha)) from dom to cod.  eta must be defined on the
+    tensor of dom along rho: a source that differs in content from
+    interior_tensor_along(dom.module, rho, tol, memo) raises ShapeMismatch."""
     if rho.domain != dom.coefficient or rho.codomain != cod.coefficient:
         raise ObjectMismatch("rho does not match the endpoint coefficients")
     tm = interior_tensor_along(dom.module, rho, tol, memo)
-    eta = ModuleMap(tm.module, cod.module, eta_matrix)
+    if not same_module(eta.source, tm.module):
+        raise ShapeMismatch("eta is not defined on the tensor of dom along rho")
     vr = v_rho(tm)
     phi_ext = tensor_extend_cpmap(dom.phi, tm, tol, memo)
     return PosCorMorphism(dom, cod, rho, tm, eta, alpha, vr, phi_ext)
 
 
-def poscor_identity(
-    obj: PosCorObject, tol: Tolerance = DEFAULT_TOL, memo: BuildMemo | None = None
-) -> PosCorMorphism:
+def poscor_identity(obj: PosCorObject, tol: Tolerance, memo: BuildMemo) -> PosCorMorphism:
     """(inc, (iota, 1_A)) for the inclusion tensor."""
-    memo = BuildMemo.for_call(memo)
-    inc = inclusion_unitary(obj.module, tol, memo)
     return make_poscor_morphism(
         obj,
         obj,
         identity_star_map(obj.coefficient),
-        inc.iota.matrix,
+        inclusion_unitary(obj.module, tol, memo).iota,
         identity_automorphism(obj.input_algebra),
         tol,
         memo,
@@ -451,14 +429,14 @@ def poscor_identity(
 def poscor_compose(
     m2: PosCorMorphism,
     m1: PosCorMorphism,
-    tol: Tolerance = DEFAULT_TOL,
-    memo: BuildMemo | None = None,
+    tol: Tolerance,
+    memo: BuildMemo,
     rho: StarMap | None = None,
 ) -> PosCorMorphism:
     """(rho2 rho1, (eta2 . (eta1 (x) I) . U^{-1}, alpha2 alpha1)), built
-    once per (m2, m1, rho) object triple in the memo.  It is composed on
-    m1's own tensor, on which eta1 is a matrix; every other tensor module
-    and extended CP map comes from the memo.
+    once per (m2, m1, rho) content in the memo.  It is composed on m1's
+    tensor, on which eta1 is a matrix; every other tensor module and
+    extended CP map comes from the memo.
 
     `rho`, when given, is the star map the composite lives along in place of
     rho2 rho1, and its `.rho`: a caller that knows rho2 rho1 up to rounding
@@ -470,13 +448,13 @@ def poscor_compose(
             f"cannot compose across objects {m1.cod.ident!r} != {m2.dom.ident!r}"
         )
 
-    memo = BuildMemo.for_call(memo)
-
     def build() -> PosCorMorphism:
-        comp = composition_unitary(m1.dom_tensor, m1.rho, m2.rho, rho, tol, memo)
+        comp = composition_unitary(m1.dom_tensor, m1.rho, m2.rho, tol, memo, rho)
         eta1_hat = tensor_extend_between(m1.eta, comp.double, m2.dom_tensor, tol)
         U_inv = adjoint_map(comp.unitary)
-        eta = m2.eta.matrix @ eta1_hat.matrix @ U_inv.matrix
+        eta = ModuleMap(
+            comp.target.module, m2.cod.module, m2.eta.matrix @ eta1_hat.matrix @ U_inv.matrix
+        )
         return make_poscor_morphism(
             m1.dom,
             m2.cod,
@@ -487,7 +465,8 @@ def poscor_compose(
             memo,
         )
 
-    return memo.get(("compose", id(m2), id(m1), id(rho), tol), (m2, m1, rho), build)
+    along = rho.key if rho is not None else None
+    return memo.get(("compose", m2.key, m1.key, along, tol), build)
 
 
 def check_poscor_morphism(m: PosCorMorphism, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -528,7 +507,7 @@ def poscor_pseudometric(
 
 
 def dilate_object(
-    obj: PosCorObject, tol: Tolerance = DEFAULT_TOL, memo: BuildMemo | None = None
+    obj: PosCorObject, tol: Tolerance, memo: BuildMemo
 ) -> tuple[PosCorObject, KsgnsTriple]:
     t = ksgns_once(obj.module, obj.phi, tol, memo)
     dilated = PosCorObject(
@@ -541,35 +520,31 @@ def dilate_object(
     return dilated, t
 
 
-def ksgns_functor_poscor(
-    m: PosCorMorphism, tol: Tolerance = DEFAULT_TOL, memo: BuildMemo | None = None
-) -> PosCorMorphism:
+def ksgns_functor_poscor(m: PosCorMorphism, tol: Tolerance, memo: BuildMemo) -> PosCorMorphism:
     """(rho, (eta~ . V^{-1}, alpha)) between the dilated objects.  The new
-    eta is a matrix on F_phi (x)_rho C, which the commuting unitary builds
-    from m's own tensor; m's tensor is adopted into the memo, so the new
-    morphism lives on that module, and a memo that holds another tensor
-    along rho raises ObjectMismatch."""
-    memo = BuildMemo.for_call(memo)
-    if not adopt_tensor(m.dom_tensor, m.rho, tol, memo):
-        raise ObjectMismatch("m's tensor differs from the memo's tensor along its rho")
+    eta is defined on F_phi (x)_rho C, the right side of the commuting
+    unitary on m's tensor."""
     dom_dilated, _ = dilate_object(m.dom, tol, memo)
     cod_dilated, t_cod = dilate_object(m.cod, tol, memo)
     cu = commuting_unitary(m.dom.phi, m.dom_tensor, tol, memo)
     lifted = ksgns_lift(Intertwiner(m.eta, m.alpha), cu.left, t_cod, tol)
-    eta = lifted.eta.matrix @ adjoint_map(cu.unitary).matrix
+    eta = ModuleMap(
+        cu.right.module, t_cod.module, lifted.eta.matrix @ adjoint_map(cu.unitary).matrix
+    )
     return make_poscor_morphism(dom_dilated, cod_dilated, m.rho, eta, m.alpha, tol, memo)
 
 
-def idempotency_iso_poscor(
-    obj: PosCorObject, tol: Tolerance = DEFAULT_TOL, memo: BuildMemo | None = None
-) -> PosCorMorphism:
+def idempotency_iso_poscor(obj: PosCorObject, tol: Tolerance, memo: BuildMemo) -> PosCorMorphism:
     """The canonical (inc, (V_{pi_phi} . iota, 1_A)) from (F_phi, pi_phi) to
     (F_{pi_phi}, pi_{pi_phi})."""
-    memo = BuildMemo.for_call(memo)
     dilated, t = dilate_object(obj, tol, memo)
     double_dilated, _ = dilate_object(dilated, tol, memo)
     inc = inclusion_unitary(dilated.module, tol, memo)
-    eta = idempotency_unitary(t, tol, memo).unitary.matrix @ inc.iota.matrix
+    eta = ModuleMap(
+        inc.tensor.module,
+        double_dilated.module,
+        idempotency_unitary(t, tol, memo).unitary.matrix @ inc.iota.matrix,
+    )
     return make_poscor_morphism(
         dilated,
         double_dilated,
@@ -587,22 +562,17 @@ def idempotency_iso_poscor(
 def check_category_laws(
     objects: list[PosCorObject],
     morphisms: list[PosCorMorphism],
-    tol: Tolerance = DEFAULT_TOL,
-    memo: BuildMemo | None = None,
+    tol: Tolerance,
+    memo: BuildMemo,
 ) -> CheckReport:
     """Left/right identity, associativity, and invariant preservation, over
     every composable pair and triple in the given diagram.
 
     Builds go through the caller's BuildMemo, which lives for one checked
-    instance, or through a throwaway one for this call.  It builds each
-    tensor module once under its one key (module object, and the
-    left-multiplication correspondence of rho's content), each extended CP
-    map once per (phi, tensor module) object pair, and each composite once
-    per (m2, m1) object pair; associativity's right side reuses the
-    composite m3 . m2.  Failed builds are not stored.
+    instance, so each tensor module, extended CP map and composite is built
+    once per content; associativity's right side reuses the composite
+    m3 . m2.  Failed builds are not stored.
     """
-    memo = BuildMemo.for_call(memo)
-
     rep = CheckReport()
     identities = {o.ident: poscor_identity(o, tol, memo) for o in objects}
 

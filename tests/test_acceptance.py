@@ -64,6 +64,7 @@ from ksgnslab.ksgns import (
     ksgns_lift,
     spanning_rank,
 )
+from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import Tolerance, operator_norm
 from ksgnslab.poscor import (
     check_category_laws,
@@ -188,7 +189,8 @@ def test_criterion_04_idempotency():
         phi1 = random_cp(A, E1, rng)
         E2, phi2, m = extend_morphism(E1, phi1, rng)
         t1, t2 = ksgns(E1, phi1, TOL), ksgns(E2, phi2, TOL)
-        idem1, idem2 = idempotency_unitary(t1, TOL), idempotency_unitary(t2, TOL)
+        memo = BuildMemo()
+        idem1, idem2 = idempotency_unitary(t1, TOL, memo), idempotency_unitary(t2, TOL, memo)
         dims_ok = dims_ok and idem1.second.module.dim == t1.module.dim
         worst_unit = max(worst_unit, unitarity_residual(idem1.unitary))
         lifted = ksgns_lift(m, t1, t2, TOL)
@@ -219,9 +221,10 @@ def test_criterion_05_tensor_functor():
         F, pi = random_representation(B, C, rng, max_dim=4)
         tm1 = interior_tensor(E1, F, pi, TOL)
         tm2 = interior_tensor(E2, F, pi, TOL)
+        memo = BuildMemo()
         # commuting unitary and its naturality square
-        cu1 = commuting_unitary(phi1, tm1, TOL)
-        cu2 = commuting_unitary(phi2, tm2, TOL)
+        cu1 = commuting_unitary(phi1, tm1, TOL, memo)
+        cu2 = commuting_unitary(phi2, tm2, TOL, memo)
         worst["commuting"] = max(worst["commuting"], unitarity_residual(cu1.unitary))
         lifted = ksgns_lift(m, cu1.triple, cu2.triple, TOL)
         lifted_hat = tensor_extend_between(lifted.eta, cu1.right, cu2.right, TOL)
@@ -235,7 +238,7 @@ def test_criterion_05_tensor_functor():
             ),
         )
         # inclusion unitary and naturality
-        inc1, inc2 = inclusion_unitary(E1, TOL), inclusion_unitary(E2, TOL)
+        inc1, inc2 = inclusion_unitary(E1, TOL, memo), inclusion_unitary(E2, TOL, memo)
         worst["inclusion"] = max(worst["inclusion"], unitarity_residual(inc1.iota))
         eta_inc = tensor_extend_between(m.eta, inc1.tensor, inc2.tensor, TOL)
         worst["inclusion_nat"] = max(
@@ -247,8 +250,9 @@ def test_criterion_05_tensor_functor():
         # composition unitary and naturality
         rho1 = random_star_map(B, rng, max_block=2, max_out_blocks=1)
         rho2 = random_star_map(rho1.codomain, rng, max_block=3, max_out_blocks=1)
-        comp1 = composition_unitary(interior_tensor_along(E1, rho1, TOL), rho1, rho2, tol=TOL)
-        comp2 = composition_unitary(interior_tensor_along(E2, rho1, TOL), rho1, rho2, tol=TOL)
+        along1, along2 = (interior_tensor_along(E, rho1, TOL, memo) for E in (E1, E2))
+        comp1 = composition_unitary(along1, rho1, rho2, TOL, memo)
+        comp2 = composition_unitary(along2, rho1, rho2, TOL, memo)
         worst["composition"] = max(
             worst["composition"], unitarity_residual(comp1.unitary)
         )
@@ -273,13 +277,18 @@ def test_criterion_06_category_laws():
         rng = np.random.default_rng(4000 + seed)
         A = AlgebraShape((2,))
         o1 = random_object("O1", A, AlgebraShape((2,) if seed % 2 else (1,)), rng, max_dim=2)
-        o2, a1 = random_morphism_to_new_object(o1, "O2", rng, max_block=2, max_out_blocks=1)
-        o3, b1 = random_morphism_to_new_object(o2, "O3", rng, max_block=3, max_out_blocks=1)
-        a2 = _sibling_morphism(a1, rng)
-        b2 = _sibling_morphism(b1, rng)
-        c1 = random_endomorphism(o3, rng)
-        c2 = random_endomorphism(o1, rng)
-        rep = check_category_laws([o1, o2, o3], [a1, a2, b1, b2, c1, c2], TOL)
+        memo = BuildMemo()
+        o2, a1 = random_morphism_to_new_object(
+            o1, "O2", rng, TOL, memo, max_block=2, max_out_blocks=1
+        )
+        o3, b1 = random_morphism_to_new_object(
+            o2, "O3", rng, TOL, memo, max_block=3, max_out_blocks=1
+        )
+        a2 = _sibling_morphism(a1, rng, TOL, memo)
+        b2 = _sibling_morphism(b1, rng, TOL, memo)
+        c1 = random_endomorphism(o3, rng, TOL, memo)
+        c2 = random_endomorphism(o1, rng, TOL, memo)
+        rep = check_category_laws([o1, o2, o3], [a1, a2, b1, b2, c1, c2], TOL, memo)
         assert rep.passed, (seed, rep.residuals)
         worst = max(
             worst,
@@ -372,12 +381,13 @@ def test_criterion_08_equivariant_dilation():
                 AlgebraShape((2,)), AlgebraShape((2,)), G,
                 seed=6000 + 100 * G.order + seed, copies=1,
             )
-            quad = dilate(c, tol=TOL)
+            memo = BuildMemo()
+            quad = dilate(c, TOL, memo)
             rep = check_dilation(quad, TOL)
             assert rep.passed, (G.name, seed, rep.failing())
             worst_cond = max(worst_cond, rep.max_residual)
             for g in range(G.order):
-                cat = categorical_dilation_unitary(c, quad, g, TOL)
+                cat = categorical_dilation_unitary(c, quad, g, TOL, memo)
                 worst_cross = max(
                     worst_cross, operator_norm(cat - quad.unitaries[g])
                 )
@@ -387,7 +397,7 @@ def test_criterion_08_equivariant_dilation():
         c = random_equivariant(
             AlgebraShape((2,)), AlgebraShape((2,)), trivial_group(), seed=6400 + seed
         )
-        quad = dilate(c, tol=TOL)
+        quad = dilate(c, TOL, BuildMemo())
         t = ksgns(c.module, c.phi, TOL)
         bit_ok = bit_ok and (
             np.array_equal(quad.triple.q, t.q)
@@ -410,7 +420,7 @@ def test_criterion_09_uniqueness():
             AlgebraShape((2,)), AlgebraShape((2,) if seed % 2 else (1, 2)), G,
             seed=7000 + seed, copies=1,
         )
-        quad = dilate(c, tol=TOL)
+        quad = dilate(c, TOL, BuildMemo())
         Z = random_blinear_unitary(quad.triple.module, rng)
         quad2 = conjugated_quadruple(quad, Z)
         W, rep = uniqueness_unitary(quad, quad2, TOL)

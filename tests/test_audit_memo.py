@@ -1,11 +1,13 @@
 """The category and functor-law audits build each tensor module once.
 
-`check_category_laws` and `check_functor_laws` keep one BuildMemo per call.
-These tests count the interior tensor builds an audit makes, compare the
-audits' residuals with the memo-less loops they replaced (kept below as the
-reference), and check that a build which raises is not remembered.  The
-functor audit composes F(g) F(h) on the tensor of F(gh); the loop that
-composed on a fresh tensor along beta_g beta_h is kept as a second reference.
+`check_category_laws` and `check_functor_laws` build through the BuildMemo
+they are given.  These tests count the interior tensor builds an audit makes
+on a fresh memo, by content, compare the audits' residuals with the
+memo-less loops they replaced (kept below as the reference, each builder
+call on a fresh memo of its own), and check that a build which raises is
+not remembered.  The functor audit composes F(g) F(h) on the tensor of
+F(gh); the loop that composed on a fresh tensor along beta_g beta_h is kept
+as a second reference.
 """
 
 import itertools
@@ -13,7 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ksgnslab import poscor
+from ksgnslab import equivariant, poscor
 from ksgnslab.equivariant import (
     _gram_scale,
     categorical_dilation_unitary,
@@ -25,7 +27,7 @@ from ksgnslab.equivariant import (
     symmetric_group,
 )
 from ksgnslab.cstar import AlgebraShape
-from ksgnslab.errors import KsgnslabError, ObjectMismatch, WellDefinednessViolation
+from ksgnslab.errors import KsgnslabError, WellDefinednessViolation
 from ksgnslab.harness import SizeCaps, _load_category, generate_instance, instance_seed
 from ksgnslab.hilbert import unitarity_residual
 from ksgnslab.numkernel import DEFAULT_TOL, operator_norm
@@ -42,11 +44,12 @@ from ksgnslab.poscor import (
 from ksgnslab.reporting import CheckReport
 
 
+def category_payload(idx):
+    return generate_instance("category", SizeCaps(), instance_seed(20250809, "category", idx))
+
+
 def category_instance(idx):
-    payload = generate_instance(
-        "category", SizeCaps(), instance_seed(20250809, "category", idx)
-    )
-    return _load_category(payload, DEFAULT_TOL)
+    return _load_category(category_payload(idx), DEFAULT_TOL, BuildMemo())
 
 
 M2 = AlgebraShape((2,))
@@ -54,15 +57,23 @@ M2 = AlgebraShape((2,))
 
 def functor_instance(group):
     c = random_equivariant(M2, M2, group, seed=1, copies=1)
-    return c, correspondence_to_functor(c, DEFAULT_TOL)
+    return c, correspondence_to_functor(c, DEFAULT_TOL, BuildMemo())
 
 
 # -- the memo-less audits, as they were before the memo -------------------------
 
 
+def identity(obj, tol):
+    return poscor_identity(obj, tol, BuildMemo())
+
+
+def compose(m2, m1, tol, rho=None):
+    return poscor_compose(m2, m1, tol, BuildMemo(), rho)
+
+
 def category_laws_reference(objects, morphisms, tol=DEFAULT_TOL):
     rep = CheckReport()
-    identities = {o.ident: poscor_identity(o, tol) for o in objects}
+    identities = {o.ident: identity(o, tol) for o in objects}
     left_id = right_id = 0.0
     scale = 1.0
     closure = CheckReport()
@@ -72,11 +83,11 @@ def category_laws_reference(objects, morphisms, tol=DEFAULT_TOL):
         try:
             left_id = max(
                 left_id,
-                morphism_distance(poscor_compose(identities[m.cod.ident], m, tol), m),
+                morphism_distance(compose(identities[m.cod.ident], m, tol), m),
             )
             right_id = max(
                 right_id,
-                morphism_distance(poscor_compose(m, identities[m.dom.ident], tol), m),
+                morphism_distance(compose(m, identities[m.dom.ident], tol), m),
             )
         except KsgnslabError:
             broken += 1
@@ -89,15 +100,15 @@ def category_laws_reference(objects, morphisms, tol=DEFAULT_TOL):
             continue
         pair_count += 1
         try:
-            composed = poscor_compose(m2, m1, tol)
+            composed = compose(m2, m1, tol)
             closure.merge(
                 check_poscor_morphism(composed, tol), prefix=f"pair{pair_count}_"
             )
             for m3 in morphisms:
                 if m3.dom.ident != m2.cod.ident:
                     continue
-                lhs = poscor_compose(m3, composed, tol)
-                rhs = poscor_compose(poscor_compose(m3, m2, tol), m1, tol)
+                lhs = compose(m3, composed, tol)
+                rhs = compose(compose(m3, m2, tol), m1, tol)
                 assoc = max(assoc, morphism_distance(lhs, rhs))
         except KsgnslabError:
             broken += 1
@@ -130,9 +141,7 @@ def _functor_laws_loop(c, functor, tol, along_group_law):
         for g in range(G.order)
     )
     rep.add("unitary_recovery", recover, tol.ctol * scale)
-    unit_gap = morphism_distance(
-        functor.morphisms[G.identity], poscor_identity(functor.obj, tol)
-    )
+    unit_gap = morphism_distance(functor.morphisms[G.identity], identity(functor.obj, tol))
     rep.add("unit_law", unit_gap, tol.ctol * scale)
     law = unitary = 0.0
     for g in range(G.order):
@@ -140,7 +149,7 @@ def _functor_laws_loop(c, functor, tol, along_group_law):
         for h in range(G.order):
             gh = G.mul(g, h)
             rho = functor.morphisms[gh].rho if along_group_law else None
-            composed = poscor_compose(functor.morphisms[g], functor.morphisms[h], tol, rho=rho)
+            composed = compose(functor.morphisms[g], functor.morphisms[h], tol, rho)
             law = max(law, operator_norm(composed.pullback - c.unitaries[gh]))
     rep.add("composition_law", law, tol.ctol * scale)
     rep.add("unitary_valued", unitary, tol.ctol * scale)
@@ -150,16 +159,17 @@ def _functor_laws_loop(c, functor, tol, along_group_law):
 # -- build counts ---------------------------------------------------------------
 
 
+def content(M):
+    return M.dim, M.action.tobytes(), tuple(P.tobytes() for P in M.pairing)
+
+
 def count_tensor_builds(monkeypatch):
-    """Count poscor.interior_tensor builds by (module id, pi coefficient bytes);
-    the counter holds every module so no id is reused during the count."""
+    """Count poscor.interior_tensor builds by the content of (E, F, pi)."""
     builds = {}
-    seen = []
     real = poscor.interior_tensor
 
     def counting(E, F, pi, tol=DEFAULT_TOL):
-        seen.append(E)
-        key = (id(E), pi.images.tobytes())
+        key = (content(E), content(F), pi.images.tobytes())
         builds[key] = builds.get(key, 0) + 1
         return real(E, F, pi, tol)
 
@@ -170,18 +180,29 @@ def count_tensor_builds(monkeypatch):
 def test_category_audit_builds_each_tensor_module_once(monkeypatch):
     objects, morphisms = category_instance(0)
     builds = count_tensor_builds(monkeypatch)
-    rep = check_category_laws(objects, morphisms, DEFAULT_TOL)
+    rep = check_category_laws(objects, morphisms, DEFAULT_TOL, BuildMemo())
     assert rep.passed, rep.residuals
     assert len(builds) > len(objects)
     assert max(builds.values()) == 1
 
 
 def test_functor_audit_builds_each_tensor_module_once(monkeypatch):
+    # here every F(g) has one content, so the |G|^2 composites the audit asks
+    # for are one build: the guard counts the requests, the builds are once
+    # per content
     c, functor = functor_instance(symmetric_group(3))
     builds = count_tensor_builds(monkeypatch)
-    rep = check_functor_laws(c, functor, DEFAULT_TOL)
+    requests = []
+    real = equivariant.poscor_compose
+
+    def requesting(m2, m1, tol, memo, rho=None):
+        requests.append((m2, m1))
+        return real(m2, m1, tol, memo, rho)
+
+    monkeypatch.setattr(equivariant, "poscor_compose", requesting)
+    rep = check_functor_laws(c, functor, DEFAULT_TOL, BuildMemo())
     assert rep.passed, rep.residuals
-    assert len(builds) > c.group.order
+    assert len(requests) > c.group.order
     assert max(builds.values()) == 1
 
 
@@ -191,18 +212,13 @@ def test_functor_audit_builds_one_tensor_of_e_along_the_group_law(monkeypatch):
     c = random_equivariant(M2, M2, symmetric_group(3), seed=11, copies=1)
     memo = BuildMemo()
     functor = correspondence_to_functor(c, DEFAULT_TOL, memo)
-    left_factors = []
-    real = poscor.interior_tensor
-
-    def counting(E, F, pi, tol=DEFAULT_TOL):
-        left_factors.append(E)
-        return real(E, F, pi, tol)
-
-    monkeypatch.setattr(poscor, "interior_tensor", counting)
-    rep = check_functor_laws(c, functor, DEFAULT_TOL)
+    builds = count_tensor_builds(monkeypatch)
+    rep = check_functor_laws(c, functor, DEFAULT_TOL, BuildMemo())
     monkeypatch.undo()
     assert rep.passed, rep.residuals
-    assert sum(E is c.module for E in left_factors) <= 1
+    assert sum(n for (E, _, _), n in builds.items() if E == content(c.module)) <= 1
+    assert len(builds) > c.group.order
+    assert max(builds.values()) == 1
     shared = check_functor_laws(c, functor, DEFAULT_TOL, memo)
     assert shared.residuals == rep.residuals
     assert shared.thresholds == rep.thresholds
@@ -214,7 +230,7 @@ def test_functor_audit_builds_one_tensor_of_e_along_the_group_law(monkeypatch):
 @pytest.mark.parametrize("idx", [0, 1])
 def test_category_audit_equals_memo_less_loops(idx):
     objects, morphisms = category_instance(idx)
-    rep = check_category_laws(objects, morphisms, DEFAULT_TOL)
+    rep = check_category_laws(objects, morphisms, DEFAULT_TOL, BuildMemo())
     ref = category_laws_reference(objects, morphisms, DEFAULT_TOL)
     assert rep.residuals == ref.residuals
     assert rep.thresholds == ref.thresholds
@@ -223,7 +239,7 @@ def test_category_audit_equals_memo_less_loops(idx):
 @pytest.mark.parametrize("group", [cyclic_group(2), symmetric_group(3)], ids=["Z2", "S3"])
 def test_functor_audit_equals_memo_less_loops(group):
     c, functor = functor_instance(group)
-    rep = check_functor_laws(c, functor, DEFAULT_TOL)
+    rep = check_functor_laws(c, functor, DEFAULT_TOL, BuildMemo())
     ref = functor_laws_reference(c, functor, DEFAULT_TOL)
     assert rep.residuals == ref.residuals
     assert rep.thresholds == ref.thresholds
@@ -261,10 +277,10 @@ def test_memo_stores_only_finished_builds():
 
     for _ in range(2):
         with pytest.raises(WellDefinednessViolation):
-            memo.get(("k",), (), failing)
+            memo.get(("k",), failing)
     assert calls == ["fail", "fail"]
-    first = memo.get(("k",), (), lambda: np.ones(2))
-    assert memo.get(("k",), (), failing) is first
+    first = memo.get(("k",), lambda: np.ones(2))
+    assert memo.get(("k",), failing) is first
 
 
 def test_category_audit_failed_build_still_breaks_closure(monkeypatch):
@@ -280,7 +296,7 @@ def test_category_audit_failed_build_still_breaks_closure(monkeypatch):
         return real(E, F, pi, tol)
 
     monkeypatch.setattr(poscor, "interior_tensor", fail_once)
-    rep = check_category_laws(objects, morphisms, DEFAULT_TOL)
+    rep = check_category_laws(objects, morphisms, DEFAULT_TOL, BuildMemo())
     assert rep.residuals["composition_closure"] == float("inf")
     assert "composition_closure" in rep.failing()
     assert rep.residuals["associativity"] <= rep.thresholds["associativity"]
@@ -289,41 +305,46 @@ def test_category_audit_failed_build_still_breaks_closure(monkeypatch):
 # -- objects built outside the memo ------------------------------------------------
 
 
-def test_memo_less_builders_share_within_the_call(monkeypatch):
-    # iota is read on the inclusion tensor, the composite on m1's own tensor:
-    # without a memo the identity builds one tensor and a composite two
-    # (the double and the target), none of them twice
+def test_fresh_memo_builders_share_within_the_call(monkeypatch):
+    # iota is read on the inclusion tensor, the composite on m1's tensor: on
+    # a fresh memo the identity builds one tensor and a composite two (the
+    # double and the target), none of them twice
     objects, morphisms = category_instance(0)
     m1, m2 = next(
         (a, b) for a in morphisms for b in morphisms if a is not b and a.cod.ident == b.dom.ident
     )
     builds = count_tensor_builds(monkeypatch)
-    poscor_identity(objects[0], DEFAULT_TOL)
+    poscor_identity(objects[0], DEFAULT_TOL, BuildMemo())
     assert sum(builds.values()) == 1
     builds.clear()
-    composed = poscor_compose(m2, m1, DEFAULT_TOL)
+    composed = poscor_compose(m2, m1, DEFAULT_TOL, BuildMemo())
     assert sum(builds.values()) == 2
     assert check_poscor_morphism(composed).passed
 
 
-def test_foreign_objects_raise_object_mismatch():
+def test_content_equal_foreign_objects_give_the_same_matrices():
+    # a quadruple or morphism built in another memo is equal in content to
+    # the memo's own, so it reads the same matrices
     c = random_equivariant(M2, M2, cyclic_group(2), seed=1, copies=1)
-    quad = dilate(c, DEFAULT_TOL)
-    # without a memo, and with the memo that built quad, quad's triple is used
-    memo = BuildMemo()
-    shared = dilate(c, DEFAULT_TOL, memo)
+    memo, other = BuildMemo(), BuildMemo()
+    quad = dilate(c, DEFAULT_TOL, memo)
+    foreign = dilate(c, DEFAULT_TOL, other)
+    assert foreign.triple is not quad.triple
     for g in range(c.group.order):
-        assert operator_norm(categorical_dilation_unitary(c, quad, g) - quad.unitaries[g]) <= 1e-8
-        cat = categorical_dilation_unitary(c, shared, g, DEFAULT_TOL, memo)
-        assert operator_norm(cat - shared.unitaries[g]) <= 1e-8
-    # a memo that holds another triple of (E, phi) raises instead
-    with pytest.raises(ObjectMismatch):
-        categorical_dilation_unitary(c, quad, 0, DEFAULT_TOL, memo)
-    # likewise a morphism whose tensor is not the memo's tensor along its rho
-    objects, morphisms = category_instance(1)
-    m = morphisms[0]
-    other = BuildMemo()
-    interior_tensor_along(m.dom.module, m.rho, DEFAULT_TOL, other)
-    assert check_poscor_morphism(ksgns_functor_poscor(m, DEFAULT_TOL)).passed
-    with pytest.raises(ObjectMismatch):
-        ksgns_functor_poscor(m, DEFAULT_TOL, other)
+        cat = categorical_dilation_unitary(c, quad, g, DEFAULT_TOL, memo)
+        assert operator_norm(cat - quad.unitaries[g]) <= 1e-8
+        assert np.array_equal(categorical_dilation_unitary(c, foreign, g, DEFAULT_TOL, memo), cat)
+    payload = category_payload(1)
+    objects, morphisms = _load_category(payload, DEFAULT_TOL, memo)
+    _, loaded_elsewhere = _load_category(payload, DEFAULT_TOL, other)
+    m, f = morphisms[0], loaded_elsewhere[0]
+    assert f is not m and f.dom_tensor is not m.dom_tensor and f.key == m.key
+    k, kf = (ksgns_functor_poscor(x, DEFAULT_TOL, memo) for x in (m, f))
+    assert check_poscor_morphism(k).passed
+    assert kf.key == k.key
+    assert kf.dom_tensor is k.dom_tensor
+    # composites are keyed by content: the foreign pair finds the memo's composite
+    m2 = next(x for x in morphisms if x.dom.ident == m.cod.ident)
+    f2 = loaded_elsewhere[morphisms.index(m2)]
+    composed = poscor_compose(m2, m, DEFAULT_TOL, memo)
+    assert poscor_compose(f2, f, DEFAULT_TOL, memo) is composed

@@ -48,7 +48,8 @@ from ksgnslab.hilbert import (
 from ksgnslab.ksgns import check_triple, ksgns
 from ksgnslab.cp import random_blinear_unitary, random_cp
 from ksgnslab.harness import check_instance
-from ksgnslab.numkernel import Tolerance, operator_norm
+from ksgnslab.memo import BuildMemo
+from ksgnslab.numkernel import DEFAULT_TOL, Tolerance, operator_norm
 from ksgnslab.poscor import poscor_compose, unitarity_residual
 from ksgnslab.serialize import dump_equivariant
 
@@ -235,18 +236,19 @@ def test_averaging_is_idempotent():
 
 def test_functor_laws_z2_involution():
     c = random_equivariant(AlgebraShape((2,)), AlgebraShape((2,)), cyclic_group(2), seed=9)
-    fun = correspondence_to_functor(c)
-    rep = check_functor_laws(c, fun)
+    memo = BuildMemo()
+    fun = correspondence_to_functor(c, DEFAULT_TOL, memo)
+    rep = check_functor_laws(c, fun, DEFAULT_TOL, memo)
     assert rep.passed, rep.residuals
     # the nontrivial morphism composes with itself to the identity pullback
     m = fun.morphisms[1]
-    square = poscor_compose(m, m)
+    square = poscor_compose(m, m, DEFAULT_TOL, memo)
     assert operator_norm(square.pullback - c.unitaries[0]) <= 1e-8
 
 
 def test_functor_round_trip_recovers_unitaries():
     c = random_equivariant(AlgebraShape((2,)), AlgebraShape((1, 2)), cyclic_group(3), seed=10)
-    fun = correspondence_to_functor(c)
+    fun = correspondence_to_functor(c, DEFAULT_TOL, BuildMemo())
     for g in range(c.group.order):
         m = fun.morphisms[g]
         assert operator_norm(m.pullback - c.unitaries[g]) <= 1e-8
@@ -255,7 +257,7 @@ def test_functor_round_trip_recovers_unitaries():
 
 def test_functor_laws_reject_beta_off_the_group_law():
     c = random_equivariant(AlgebraShape((2,)), AlgebraShape((2,)), symmetric_group(3), seed=11)
-    fun = correspondence_to_functor(c)
+    fun = correspondence_to_functor(c, DEFAULT_TOL, BuildMemo())
     G = c.group
     action = list(c.system_out.action)
     action[1] = action[2]
@@ -268,7 +270,7 @@ def test_functor_laws_reject_beta_off_the_group_law():
         > 1e-6
     )
     with pytest.raises(TwistMismatch, match=rf"^beta_{g} beta_{h} and beta_{G.mul(g, h)} "):
-        check_functor_laws(bad, fun)
+        check_functor_laws(bad, fun, DEFAULT_TOL, BuildMemo())
     payload = {"seed": 11, "group": "S3", "correspondence": dump_equivariant(bad)}
     records = check_instance("equivariant", payload, Tolerance())
     failing = {r.check: r.error for r in records if not r.passed}
@@ -282,7 +284,7 @@ def test_functor_laws_reject_beta_off_the_group_law():
 def test_trivial_group_dilation_reproduces_ksgns_bitwise():
     c = random_equivariant(AlgebraShape((2,)), AlgebraShape((2,)), trivial_group(), seed=12)
     t_direct = ksgns(c.module, c.phi)
-    quad = dilate(c)
+    quad = dilate(c, DEFAULT_TOL, BuildMemo())
     assert np.array_equal(quad.triple.module.gram_matrix, t_direct.module.gram_matrix)
     assert np.array_equal(quad.triple.pi.images, t_direct.pi.images)
     assert np.array_equal(quad.triple.embedding.matrix, t_direct.embedding.matrix)
@@ -313,7 +315,7 @@ def test_gns_with_symmetry_dilates_to_nontrivial_unitary():
         system_in, trivial_system(B, G), E, phi, [np.eye(1, dtype=complex)] * 2
     )
     assert check_equivariant(c).passed
-    quad = dilate(c)
+    quad = dilate(c, DEFAULT_TOL, BuildMemo())
     assert quad.triple.module.dim == 4
     rep = check_dilation(quad)
     assert rep.passed, rep.residuals
@@ -329,17 +331,18 @@ def test_gns_with_symmetry_dilates_to_nontrivial_unitary():
 def test_dilation_conditions_and_cross_check(gname):
     G = {"Z2": cyclic_group(2), "S3": symmetric_group(3)}[gname]
     c = random_equivariant(AlgebraShape((2,)), AlgebraShape((2,)), G, seed=13, copies=1)
-    quad = dilate(c)
+    memo = BuildMemo()
+    quad = dilate(c, DEFAULT_TOL, memo)
     rep = check_dilation(quad)
     assert rep.passed, rep.residuals
     for g in range(G.order):
-        cat = categorical_dilation_unitary(c, quad, g)
+        cat = categorical_dilation_unitary(c, quad, g, DEFAULT_TOL, memo)
         assert operator_norm(cat - quad.unitaries[g]) <= 1e-8
 
 
 def test_dilated_pairing_twist_on_random_vectors(rng):
     c = random_equivariant(AlgebraShape((2,)), AlgebraShape((2,)), cyclic_group(2), seed=14)
-    quad = dilate(c)
+    quad = dilate(c, DEFAULT_TOL, BuildMemo())
     F = quad.triple.module
     beta = c.system_out.action
     for g in range(c.group.order):
@@ -356,7 +359,7 @@ def test_dilated_pairing_twist_on_random_vectors(rng):
 
 def test_uniqueness_identity_case():
     c = random_equivariant(AlgebraShape((2,)), AlgebraShape((2,)), cyclic_group(2), seed=15)
-    quad = dilate(c)
+    quad = dilate(c, DEFAULT_TOL, BuildMemo())
     W, rep = uniqueness_unitary(quad, quad)
     assert rep.passed, rep.residuals
     assert operator_norm(W.matrix - np.eye(quad.triple.module.dim)) <= 1e-8
@@ -364,7 +367,7 @@ def test_uniqueness_identity_case():
 
 def test_uniqueness_rejects_non_spanning_dilation():
     c = random_equivariant(AlgebraShape((2,)), AlgebraShape((2,)), cyclic_group(2), seed=15)
-    quad = dilate(c)
+    quad = dilate(c, DEFAULT_TOL, BuildMemo())
     t = quad.triple
     zeroed = replace(t, embedding=ModuleMap(t.source, t.module, np.zeros_like(t.embedding.matrix)))
     broken = DilationQuadruple(quad.source, zeroed, quad.unitaries)
@@ -375,7 +378,7 @@ def test_uniqueness_rejects_non_spanning_dilation():
 
 def test_uniqueness_recovers_planted_unitary(rng):
     c = random_equivariant(AlgebraShape((2,)), AlgebraShape((1, 2)), cyclic_group(3), seed=16)
-    quad = dilate(c)
+    quad = dilate(c, DEFAULT_TOL, BuildMemo())
     Z = random_blinear_unitary(quad.triple.module, rng)
     quad2 = conjugated_quadruple(quad, Z)
     W, rep = uniqueness_unitary(quad, quad2)

@@ -163,6 +163,19 @@ def test_report_json_round_trip_idempotent():
     assert summary["passed"] == report.passed
 
 
+def test_report_config_records_blas_thread_settings(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = SuiteConfig(seed=2, caps=SMALL, suites=("ksgns",))
+    report = run(cfg)
+    assert report.config["blas_threads"] == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None,
+    }
+    assert SuiteConfig.from_json(report.config) == cfg
+    assert {k: v for k, v in report.config.items() if k != "blas_threads"} == cfg.to_json()
+
+
 def test_report_round_trip_with_failure_record():
     rec = CheckRecord("lift", 7, "construction", "some law", float("inf"), 0.0, False, 0.1,
                       error="NotCP: boom")

@@ -37,6 +37,7 @@ from ksgnslab.hilbert import (
     realize,
     validate_premodule,
 )
+from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL, herm_eig, operator_norm
 from ksgnslab.poscor import (
     alpha_transport,
@@ -281,13 +282,13 @@ def test_constructions_descend_once_per_stack(rng, monkeypatch):
     F, pi = random_representation(E.algebra, AlgebraShape((2,)), rng, max_dim=4)
     tm = interior_tensor(E, F, pi)
     calls.clear()
-    poscor.tensor_extend_cpmap(phi, tm)
+    poscor.tensor_extend_cpmap(phi, tm, DEFAULT_TOL, BuildMemo())
     assert len(calls) == 1
     c = random_equivariant(A, A, cyclic_group(3), seed=5, copies=1)
-    memo = poscor.BuildMemo()
-    ksgns_module.ksgns_once(c.module, c.phi, memo=memo)
+    memo = BuildMemo()
+    ksgns_module.ksgns_once(c.module, c.phi, DEFAULT_TOL, memo)
     calls.clear()
-    dilate(c, memo=memo)
+    dilate(c, DEFAULT_TOL, memo)
     assert calls == ["alpha_g (x) U_g"]
 
 
@@ -437,8 +438,9 @@ def test_cauchy_schwarz_scalarized(rng):
 
 def test_twist_identity_gives_inclusion(rng):
     E = random_module(AlgebraShape((2,)), rng, max_dim=4)
-    tw = twist_unitary(E, identity_automorphism(E.algebra))
-    inc = inclusion_unitary(E)
+    memo = BuildMemo()
+    tw = twist_unitary(E, identity_automorphism(E.algebra), DEFAULT_TOL, memo)
+    inc = inclusion_unitary(E, DEFAULT_TOL, memo)
     assert np.allclose(tw.unitary.matrix, inc.iota.matrix)
 
 
@@ -446,7 +448,7 @@ def test_twist_preserves_dimension_and_norm(rng):
     B = AlgebraShape((1, 2))
     E = algebra_module(B)
     alpha = random_automorphism(B, 17)
-    tw = twist_unitary(E, alpha)
+    tw = twist_unitary(E, alpha, DEFAULT_TOL, BuildMemo())
     assert tw.twisted.module.dim == E.dim
     assert tw.unitary.twisted_linearity_residual() <= 1e-10
     for x in random_vectors(tw.twisted.module, rng, 50):
@@ -459,7 +461,7 @@ def test_twist_adjoint_identity(rng):
     B = AlgebraShape((2,))
     E = random_module(B, rng, max_dim=4)
     alpha = random_automorphism(B, 3)
-    tw = twist_unitary(E, alpha)
+    tw = twist_unitary(E, alpha, DEFAULT_TOL, BuildMemo())
     U = tw.unitary.matrix
     U_inv = np.linalg.inv(U)
     for _ in range(10):
@@ -477,7 +479,7 @@ def test_alpha_transport_round_trip(rng):
     # beta_g-style alpha-linear unitary on B: the automorphism itself
     T = AlphaLinearMap(E, E, alpha, alpha.matrix)
     assert T.twisted_linearity_residual() <= 1e-12
-    plain, tw = alpha_transport(T)
+    plain, tw = alpha_transport(T, twist_unitary(E, alpha, DEFAULT_TOL, BuildMemo()))
     assert plain.linearity_residual() <= 1e-10
     assert unitarity_residual(plain) <= 1e-10
     back = alpha_transport_inverse(plain, tw, alpha)
@@ -495,7 +497,7 @@ def test_alpha_transport_of_permutation_twist_unitary(rng):
     U_mat = np.kron(swap, alpha.matrix)
     T = AlphaLinearMap(E, E, alpha, U_mat)
     assert T.twisted_linearity_residual() <= 1e-10
-    plain, tw = alpha_transport(T)
+    plain, tw = alpha_transport(T, twist_unitary(E, alpha, DEFAULT_TOL, BuildMemo()))
     assert unitarity_residual(plain) <= 1e-8
     assert plain.linearity_residual() <= 1e-8
     back = alpha_transport_inverse(plain, tw, alpha)
@@ -508,7 +510,7 @@ def test_alpha_transport_twist_mismatch(rng):
     alpha = random_automorphism(B, 6)
     beta = random_automorphism(B, 7)
     T = AlphaLinearMap(E, E, alpha, alpha.matrix)
-    wrong = twist_unitary(E, beta)
+    wrong = twist_unitary(E, beta, DEFAULT_TOL, BuildMemo())
     with pytest.raises(TwistMismatch):
         alpha_transport(T, twisted=wrong)
 
@@ -519,7 +521,7 @@ def test_alpha_transport_twist_mismatch(rng):
 def test_inclusion_on_algebra_module():
     B = AlgebraShape((2,))
     E = algebra_module(B)
-    inc = inclusion_unitary(E)
+    inc = inclusion_unitary(E, DEFAULT_TOL, BuildMemo())
     assert inc.tensor.module.dim == E.dim
     assert unitarity_residual(inc.iota) <= 1e-10
     # iota sends the class of 1 (x) b to b
@@ -531,7 +533,7 @@ def test_inclusion_on_algebra_module():
 
 def test_inclusion_round_trip_on_vectors(rng):
     E = random_module(AlgebraShape((1, 2)), rng, max_dim=5)
-    inc = inclusion_unitary(E)
+    inc = inclusion_unitary(E, DEFAULT_TOL, BuildMemo())
     iota_star = adjoint_map(inc.iota)
     for x in random_vectors(E, rng, 50):
         assert np.linalg.norm(inc.iota(iota_star(x)) - x) <= 1e-8
@@ -541,7 +543,10 @@ def test_composition_unitary_identity_maps(rng):
     B = AlgebraShape((2,))
     E = random_module(B, rng, max_dim=4)
     ident = identity_star_map(B)
-    comp = composition_unitary(interior_tensor_along(E, ident), ident, ident)
+    memo = BuildMemo()
+    comp = composition_unitary(
+        interior_tensor_along(E, ident, DEFAULT_TOL, memo), ident, ident, DEFAULT_TOL, memo
+    )
     assert unitarity_residual(comp.unitary) <= 1e-10
     assert comp.target.module.dim == comp.double.module.dim
 
@@ -551,7 +556,10 @@ def test_composition_unitary_random_chain(rng):
     E = random_module(B, rng, max_dim=4)
     rho1 = random_star_map(B, rng, max_block=3, max_out_blocks=2)
     rho2 = random_star_map(rho1.codomain, rng, max_block=4, max_out_blocks=1)
-    comp = composition_unitary(interior_tensor_along(E, rho1), rho1, rho2)
+    memo = BuildMemo()
+    comp = composition_unitary(
+        interior_tensor_along(E, rho1, DEFAULT_TOL, memo), rho1, rho2, DEFAULT_TOL, memo
+    )
     assert unitarity_residual(comp.unitary) <= 1e-8
     assert comp.double.module.dim == comp.target.module.dim
 
@@ -560,7 +568,7 @@ def test_v_rho_is_contraction_and_twisted_linear(rng):
     B = AlgebraShape((2,))
     E = random_module(B, rng, max_dim=4)
     rho = random_star_map(B, rng, max_block=3)
-    vr = v_rho(interior_tensor_along(E, rho))
+    vr = v_rho(interior_tensor_along(E, rho, DEFAULT_TOL, BuildMemo()))
     for x in random_vectors(E, rng, 20):
         assert vr.tensor.module.vector_norm(vr.map(x)) <= E.vector_norm(x) + 1e-10
     for p in range(B.dim):
@@ -575,7 +583,10 @@ def test_v_rho_chain_diagram(rng):
     E = random_module(B, rng, max_dim=4)
     rho = random_star_map(B, rng, max_block=3, max_out_blocks=1)
     chi = random_star_map(rho.codomain, rng, max_block=4, max_out_blocks=1)
-    comp = composition_unitary(interior_tensor_along(E, rho), rho, chi)
+    memo = BuildMemo()
+    comp = composition_unitary(
+        interior_tensor_along(E, rho, DEFAULT_TOL, memo), rho, chi, DEFAULT_TOL, memo
+    )
     vr1 = v_rho(comp.inner)
     vr2 = v_rho(comp.double)
     vr12 = v_rho(comp.target)
@@ -594,10 +605,13 @@ def test_v_rho_square_diagram(rng):
     E = random_module(B, rng, max_dim=3)
     rho = random_star_map(B, rng, max_block=2, max_out_blocks=1)
     chi = random_star_map(rho.codomain, rng, max_block=3, max_out_blocks=1)
-    comp = composition_unitary(interior_tensor_along(E, rho), rho, chi)
+    memo = BuildMemo()
+    comp = composition_unitary(
+        interior_tensor_along(E, rho, DEFAULT_TOL, memo), rho, chi, DEFAULT_TOL, memo
+    )
     E2, S = scramble_module(comp.inner.module, rng)
     eta = ModuleMap(comp.inner.module, E2, np.linalg.inv(S))
-    tm2 = interior_tensor_along(E2, chi)
+    tm2 = interior_tensor_along(E2, chi, DEFAULT_TOL, memo)
     eta_hat = tensor_extend_between(eta, comp.double, tm2)
     vr_chi_prime = v_rho(comp.double)
     vr_chi = v_rho(tm2)
@@ -632,7 +646,7 @@ def test_dim_zero_module_everywhere():
     B = AlgebraShape((2,))
     E0 = canonical_module(B, (0,))
     assert E0.dim == 0
-    inc = inclusion_unitary(E0)
+    inc = inclusion_unitary(E0, DEFAULT_TOL, BuildMemo())
     assert inc.tensor.module.dim == 0
     assert module_operator_norm(inc.iota) == 0.0
     vr = v_rho(inc.tensor)

@@ -32,7 +32,8 @@ from ksgnslab.ksgns import (
     spanning_rank,
     triple_uniqueness_unitary,
 )
-from ksgnslab.numkernel import herm_expi, operator_norm
+from ksgnslab.memo import BuildMemo
+from ksgnslab.numkernel import DEFAULT_TOL, herm_expi, operator_norm
 from ksgnslab.poscor import unitarity_residual
 from ksgnslab.cp import intertwiner_space, random_cp
 from ksgnslab.cstar import AlgebraElement
@@ -251,7 +252,7 @@ def test_idempotency_dims_and_unitarity(rng):
     E = random_module(AlgebraShape((2,)), rng, max_dim=3)
     phi = random_cp(A, E, rng)
     t = ksgns(E, phi)
-    idem = idempotency_unitary(t)
+    idem = idempotency_unitary(t, DEFAULT_TOL, BuildMemo())
     assert idem.second.module.dim == t.module.dim
     rep = check_idempotency(idem, t)
     assert rep.passed, rep.residuals
@@ -262,7 +263,8 @@ def test_idempotency_naturality(rng):
     B = AlgebraShape((2,))
     E1, phi1, E2, phi2, m = random_morphism_pair(A, B, rng, max_dim=3)
     t1, t2 = ksgns(E1, phi1), ksgns(E2, phi2)
-    idem1, idem2 = idempotency_unitary(t1), idempotency_unitary(t2)
+    memo = BuildMemo()
+    idem1, idem2 = (idempotency_unitary(t, DEFAULT_TOL, memo) for t in (t1, t2))
     lifted = ksgns_lift(m, t1, t2)
     double = ksgns_lift(lifted, idem1.second, idem2.second)
     resid = operator_norm(

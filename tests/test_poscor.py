@@ -11,7 +11,8 @@ from ksgnslab.cstar import (
     left_mult_matrix,
     random_element,
 )
-from ksgnslab.errors import ObjectMismatch
+from ksgnslab.equivariant import scramble_module
+from ksgnslab.errors import ObjectMismatch, ShapeMismatch
 from ksgnslab.generators import (
     canonical_module,
     random_endomorphism,
@@ -79,7 +80,7 @@ def test_tensor_with_coefficients_is_identity(rng):
     # F = C over itself along the inclusion: dims agree with E
     B = AlgebraShape((2,))
     E = random_module(B, rng, max_dim=4)
-    tm = interior_tensor_along(E, identity_star_map(B))
+    tm = interior_tensor_along(E, identity_star_map(B), DEFAULT_TOL, BuildMemo())
     assert tm.module.dim == E.dim
 
 
@@ -150,8 +151,9 @@ def test_tensor_functor_morphism_laws(rng):
     tms = [interior_tensor(E, F, pi) for E in (E1, E2, E3)]
     h1 = tensor_functor_morphism(m1, tms[0], tms[1])
     h2 = tensor_functor_morphism(m2, tms[1], tms[2])
+    memo = BuildMemo()
     phi_exts = [
-        tensor_extend_cpmap(phi, tm) for phi, tm in zip((phi1, phi2, phi3), tms)
+        tensor_extend_cpmap(phi, tm, DEFAULT_TOL, memo) for phi, tm in zip((phi1, phi2, phi3), tms)
     ]
     rep = check_morphism(h1, phi_exts[0], phi_exts[1])
     assert rep.passed, rep.residuals
@@ -178,7 +180,7 @@ def test_commuting_unitary_checks(rng):
     E = random_module(B, rng, max_dim=3)
     phi = random_cp(A, E, rng)
     F, pi = random_representation(B, C, rng, max_dim=4)
-    cu = commuting_unitary(phi, interior_tensor(E, F, pi))
+    cu = commuting_unitary(phi, interior_tensor(E, F, pi), DEFAULT_TOL, BuildMemo())
     rep = check_commuting_unitary(cu)
     assert rep.passed, rep.residuals
     assert cu.left.module.dim == cu.right.module.dim
@@ -195,8 +197,9 @@ def test_commuting_unitary_naturality(rng):
     E2, phi2, m = extend_morphism(E1, phi1, rng)
     F, pi = random_representation(B, C, rng, max_dim=4)
     tm1, tm2 = interior_tensor(E1, F, pi), interior_tensor(E2, F, pi)
-    cu1 = commuting_unitary(phi1, tm1)
-    cu2 = commuting_unitary(phi2, tm2)
+    memo = BuildMemo()
+    cu1 = commuting_unitary(phi1, tm1, DEFAULT_TOL, memo)
+    cu2 = commuting_unitary(phi2, tm2, DEFAULT_TOL, memo)
     lifted = ksgns_lift(m, cu1.triple, cu2.triple)
     lifted_hat = tensor_extend_between(lifted.eta, cu1.right, cu2.right)
     m_hat = tensor_functor_morphism(m, tm1, tm2)
@@ -214,12 +217,12 @@ def test_pentagon(rng):
     rho1 = random_star_map(B, rng, max_block=2, max_out_blocks=1)
     rho2 = random_star_map(rho1.codomain, rng, max_block=3, max_out_blocks=1)
     rho3 = random_star_map(rho2.codomain, rng, max_block=4, max_out_blocks=1)
-    memo = BuildMemo()
-    comp = composition_unitary(interior_tensor_along(E, rho1, memo=memo), rho1, rho2, memo=memo)
-    U2 = composition_unitary(comp.double, rho2, rho3, memo=memo)
+    tol, memo = DEFAULT_TOL, BuildMemo()
+    comp = composition_unitary(interior_tensor_along(E, rho1, tol, memo), rho1, rho2, tol, memo)
+    U2 = composition_unitary(comp.double, rho2, rho3, tol, memo)
     sigma = compose_star_maps(U2.rho, rho1)
-    U1 = composition_unitary(comp.inner, rho1, U2.rho, sigma, memo=memo)
-    V1 = composition_unitary(comp.target, comp.rho, rho3, sigma, memo=memo)
+    U1 = composition_unitary(comp.inner, rho1, U2.rho, tol, memo, sigma)
+    V1 = composition_unitary(comp.target, comp.rho, rho3, tol, memo, sigma)
     V2_hat = tensor_extend_between(comp.unitary, U2.double, V1.double)
     resid = operator_norm(
         U1.unitary.matrix @ U2.unitary.matrix - V1.unitary.matrix @ V2_hat.matrix
@@ -230,64 +233,91 @@ def test_pentagon(rng):
 # -- category laws ----------------------------------------------------------------
 
 
-def build_chain(rng, seed_base=0):
+def build_chain(rng):
+    """Three objects O1 -> O2 -> O3 and the memo their morphisms were built in."""
     A = AlgebraShape((2,))
+    memo = BuildMemo()
     o1 = random_object("O1", A, AlgebraShape((2,)), rng, max_dim=2)
-    o2, m1 = random_morphism_to_new_object(o1, "O2", rng, max_block=2, max_out_blocks=1)
-    o3, m2 = random_morphism_to_new_object(o2, "O3", rng, max_block=3, max_out_blocks=1)
-    return A, [o1, o2, o3], m1, m2
+    o2, m1 = random_morphism_to_new_object(
+        o1, "O2", rng, DEFAULT_TOL, memo, max_block=2, max_out_blocks=1
+    )
+    o3, m2 = random_morphism_to_new_object(
+        o2, "O3", rng, DEFAULT_TOL, memo, max_block=3, max_out_blocks=1
+    )
+    return A, [o1, o2, o3], m1, m2, memo
 
 
 def test_poscor_identity_and_composition(rng):
-    A, objs, m1, m2 = build_chain(rng)
+    A, objs, m1, m2, memo = build_chain(rng)
     o1, o2, o3 = objs
-    i1, i2 = poscor_identity(o1), poscor_identity(o2)
+    i1, i2 = poscor_identity(o1, DEFAULT_TOL, memo), poscor_identity(o2, DEFAULT_TOL, memo)
     assert check_poscor_morphism(i1).passed
-    assert morphism_distance(poscor_compose(i1, i1), i1) <= 1e-10
-    assert morphism_distance(poscor_compose(m1, i1), m1) <= 1e-10
-    assert morphism_distance(poscor_compose(i2, m1), m1) <= 1e-10
-    composed = poscor_compose(m2, m1)
+    assert morphism_distance(poscor_compose(i1, i1, DEFAULT_TOL, memo), i1) <= 1e-10
+    assert morphism_distance(poscor_compose(m1, i1, DEFAULT_TOL, memo), m1) <= 1e-10
+    assert morphism_distance(poscor_compose(i2, m1, DEFAULT_TOL, memo), m1) <= 1e-10
+    composed = poscor_compose(m2, m1, DEFAULT_TOL, memo)
     assert check_poscor_morphism(composed).passed
     # composing unitary-eta morphisms keeps eta unitary
     assert unitarity_residual(composed.eta) <= 1e-8
 
 
 def test_poscor_compose_rejects_mismatch(rng):
-    A, objs, m1, m2 = build_chain(rng)
+    A, objs, m1, m2, memo = build_chain(rng)
     with pytest.raises(ObjectMismatch):
-        poscor_compose(m1, m2)
+        poscor_compose(m1, m2, DEFAULT_TOL, memo)
+
+
+def test_make_poscor_morphism_rejects_eta_off_the_tensor_along_rho(rng):
+    # m1's matrix on a module of the same dimension but other content
+    A, objs, m1, m2, memo = build_chain(rng)
+    other, _ = scramble_module(m1.eta.source, rng)
+    eta = ModuleMap(other, m1.cod.module, m1.eta.matrix)
+    with pytest.raises(ShapeMismatch):
+        make_poscor_morphism(m1.dom, m1.cod, m1.rho, eta, m1.alpha, DEFAULT_TOL, memo)
+    # the same matrix on m1's own tensor is accepted
+    same = ModuleMap(m1.eta.source, m1.cod.module, m1.eta.matrix)
+    rebuilt = make_poscor_morphism(m1.dom, m1.cod, m1.rho, same, m1.alpha, DEFAULT_TOL, memo)
+    assert rebuilt.key == m1.key
 
 
 def test_category_law_audit(rng):
-    A, objs, m1, m2 = build_chain(rng)
-    c3 = random_endomorphism(objs[2], rng)
-    rep = check_category_laws(objs, [m1, m2, c3], DEFAULT_TOL)
+    A, objs, m1, m2, memo = build_chain(rng)
+    c3 = random_endomorphism(objs[2], rng, DEFAULT_TOL, memo)
+    rep = check_category_laws(objs, [m1, m2, c3], DEFAULT_TOL, memo)
     assert rep.passed, rep.residuals
 
 
 def test_category_audit_flags_corruption(rng):
-    A, objs, m1, m2 = build_chain(rng)
+    A, objs, m1, m2, memo = build_chain(rng)
     noise = random_complex(rng, m1.eta.matrix.shape[0], m1.eta.matrix.shape[1])
     bad = make_poscor_morphism(
         m1.dom,
         m1.cod,
         m1.rho,
-        m1.eta.matrix + 0.1 * noise / operator_norm(noise),
+        ModuleMap(m1.eta.source, m1.cod.module, m1.eta.matrix + 0.1 * noise / operator_norm(noise)),
         m1.alpha,
+        DEFAULT_TOL,
+        memo,
     )
-    rep = check_category_laws(objs, [bad, m2], DEFAULT_TOL)
+    rep = check_category_laws(objs, [bad, m2], DEFAULT_TOL, memo)
     assert not rep.passed
     assert "composition_closure" in rep.failing()
 
 
 def test_poscor_pseudometric(rng):
-    A, objs, m1, m2 = build_chain(rng)
+    A, objs, m1, m2, memo = build_chain(rng)
     b = random_element(m1.dom.coefficient, rng)
     x = random_complex(rng, m1.dom.module.dim)
     a = random_element(A, rng)
     assert poscor_pseudometric(m1, m1, b, x, a) == 0.0
     sibling = make_poscor_morphism(
-        m1.dom, m1.cod, m1.rho, 1.1 * m1.eta.matrix, m1.alpha
+        m1.dom,
+        m1.cod,
+        m1.rho,
+        ModuleMap(m1.eta.source, m1.cod.module, 1.1 * m1.eta.matrix),
+        m1.alpha,
+        DEFAULT_TOL,
+        memo,
     )
     d = poscor_pseudometric(m1, sibling, b, x, a)
     expected = m1.cod.module.vector_norm(0.1 * (m1.pullback @ x))
@@ -298,52 +328,54 @@ def test_poscor_pseudometric(rng):
 
 
 def test_ksgns_functor_laws(rng):
-    A, objs, m1, m2 = build_chain(rng)
+    A, objs, m1, m2, memo = build_chain(rng)
+    tol = DEFAULT_TOL
     o1, o2, o3 = objs
-    d1, _ = dilate_object(o1)
-    k1 = ksgns_functor_poscor(m1)
-    k2 = ksgns_functor_poscor(m2)
+    d1, _ = dilate_object(o1, tol, memo)
+    k1 = ksgns_functor_poscor(m1, tol, memo)
+    k2 = ksgns_functor_poscor(m2, tol, memo)
     assert check_poscor_morphism(k1).passed
     assert check_poscor_morphism(k2).passed
-    ident = poscor_identity(o1)
-    k_id = ksgns_functor_poscor(ident)
-    assert morphism_distance(k_id, poscor_identity(d1)) <= 1e-8
-    k21 = ksgns_functor_poscor(poscor_compose(m2, m1))
-    assert morphism_distance(k21, poscor_compose(k2, k1)) <= 1e-8 * (
+    ident = poscor_identity(o1, tol, memo)
+    k_id = ksgns_functor_poscor(ident, tol, memo)
+    assert morphism_distance(k_id, poscor_identity(d1, tol, memo)) <= 1e-8
+    k21 = ksgns_functor_poscor(poscor_compose(m2, m1, tol, memo), tol, memo)
+    assert morphism_distance(k21, poscor_compose(k2, k1, tol, memo)) <= 1e-8 * (
         1 + m1.norm * m2.norm
     )
 
 
 def test_ksgns_idempotency_natural_iso(rng):
-    A, objs, m1, _ = build_chain(rng)
+    A, objs, m1, _, memo = build_chain(rng)
+    tol = DEFAULT_TOL
     o1, o2 = objs[0], objs[1]
-    k1 = ksgns_functor_poscor(m1)
-    kk1 = ksgns_functor_poscor(k1)
-    iso1 = idempotency_iso_poscor(o1)
-    iso2 = idempotency_iso_poscor(o2)
+    k1 = ksgns_functor_poscor(m1, tol, memo)
+    kk1 = ksgns_functor_poscor(k1, tol, memo)
+    iso1 = idempotency_iso_poscor(o1, tol, memo)
+    iso2 = idempotency_iso_poscor(o2, tol, memo)
     assert check_poscor_morphism(iso1).passed
     assert unitarity_residual(iso1.eta) <= 1e-8
     gap = morphism_distance(
-        poscor_compose(iso2, k1), poscor_compose(kk1, iso1)
+        poscor_compose(iso2, k1, tol, memo), poscor_compose(kk1, iso1, tol, memo)
     )
     assert gap <= 1e-8 * (1 + m1.norm)
 
 
 def test_composition_continuity_along_paths(rng):
     # composed morphisms converge when one factor converges and the other is fixed
-    A, objs, m1, m2 = build_chain(rng)
+    A, objs, m1, m2, memo = build_chain(rng)
+    tol = DEFAULT_TOL
     b = random_element(m1.dom.coefficient, rng)
     x = random_complex(rng, m1.dom.module.dim)
     a = random_element(A, rng)
-    base = poscor_compose(m2, m1)
+    base = poscor_compose(m2, m1, tol, memo)
     dists = []
     for k in range(1, 9):
         eps = 4.0 ** (-k)
-        wobbled = make_poscor_morphism(
-            m1.dom, m1.cod, m1.rho, (1 + eps) * m1.eta.matrix, m1.alpha
-        )
+        eta = ModuleMap(m1.eta.source, m1.cod.module, (1 + eps) * m1.eta.matrix)
+        wobbled = make_poscor_morphism(m1.dom, m1.cod, m1.rho, eta, m1.alpha, tol, memo)
         dists.append(
-            poscor_pseudometric(poscor_compose(m2, wobbled), base, b, x, a)
+            poscor_pseudometric(poscor_compose(m2, wobbled, tol, memo), base, b, x, a)
         )
     assert all(d2 <= d1 + 1e-12 for d1, d2 in zip(dists, dists[1:]))
     assert dists[-1] <= 1e-3 * (dists[0] + 1.0)

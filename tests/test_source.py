@@ -212,3 +212,51 @@ def test_no_function_local_imports():
         if path.name != "cli.py" and (imports := function_local_imports(path.read_text()))
     }
     assert found == {}
+
+
+def defaulted_memo_parameters(source: str) -> list[str]:
+    """Functions whose parameter named `memo` has a default, by name and line."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            if any(a.arg == "memo" for a in defaulted):
+                found.append(f"{fn.name} (line {fn.lineno})")
+    return found
+
+
+def id_calls(source: str) -> list[int]:
+    """Lines of calls to the builtin id()."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "id"
+    ]
+
+
+def test_memo_is_required_and_keyed_by_content():
+    # every builder takes the caller's BuildMemo, and memo keys name objects
+    # by their content key, never by id()
+    probe = (
+        "def f(x, memo):\n    return memo\n\n"
+        "def g(x, tol=None, memo=None):\n    return id(x)\n\n"
+        "def h(x, *, memo=1):\n    return x\n"
+    )
+    assert defaulted_memo_parameters(probe) == ["g (line 4)", "h (line 7)"]
+    assert id_calls(probe) == [5]
+    defaulted = {
+        path.name: found
+        for path in sorted(SRC.glob("*.py"))
+        if (found := defaulted_memo_parameters(path.read_text()))
+    }
+    assert defaulted == {}
+    keyed_by_id = {
+        name: lines
+        for name in ("memo.py", "poscor.py", "ksgns.py", "equivariant.py")
+        if (lines := id_calls((SRC / name).read_text()))
+    }
+    assert keyed_by_id == {}
