@@ -7,8 +7,9 @@ algebras is stored through its images on that basis.  Products of basis
 elements are read from one cached table, AlgebraShape.product_table.
 
 The faithful positive functional used everywhere for scalarization is the
-unnormalized trace tau(a) = sum_i tr(a_i); tau(a* a) > 0 for a != 0, which is
-what lets Gram-matrix kernels detect genuine null vectors downstream.
+unnormalized trace tau(a) = sum_i tr(a_i), AlgebraElement.trace; tau(a* a) > 0
+for a != 0, which is what lets Gram-matrix kernels detect genuine null
+vectors downstream.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .memo import content_key
 from .numkernel import (
     DEFAULT_TOL,
     Tolerance,
-    herm_eig,
     max_operator_norm,
     operator_norm,
     require_finite,
@@ -130,13 +130,6 @@ class AlgebraElement:
         """Coordinates in the matrix-unit basis (row-major per block)."""
         return np.concatenate([b.reshape(-1) for b in self.blocks])
 
-    def is_hermitian(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return (self - self.star()).norm() <= tol.ctol * (1.0 + self.norm())
-
-
-def zero_element(shape: AlgebraShape) -> AlgebraElement:
-    return AlgebraElement(shape, [np.zeros((n, n), dtype=complex) for n in shape.blocks])
-
 
 def unit_element(shape: AlgebraShape) -> AlgebraElement:
     return AlgebraElement(shape, [np.eye(n, dtype=complex) for n in shape.blocks])
@@ -175,18 +168,6 @@ def random_element(
     return AlgebraElement(shape, blocks)
 
 
-def left_mult_matrix(a: AlgebraElement) -> np.ndarray:
-    """Matrix of x -> a x on matrix-unit coordinates (block diag of a_i kron I)."""
-    mats = [np.kron(b, np.eye(n, dtype=complex)) for b, n in zip(a.blocks, a.shape.blocks)]
-    return block_diag(mats)
-
-
-def right_mult_matrix(a: AlgebraElement) -> np.ndarray:
-    """Matrix of x -> x a on matrix-unit coordinates (block diag of I kron a_i^T)."""
-    mats = [np.kron(np.eye(n, dtype=complex), b.T) for b, n in zip(a.blocks, a.shape.blocks)]
-    return block_diag(mats)
-
-
 def block_diag(mats: list[np.ndarray]) -> np.ndarray:
     """The square matrices mats along the diagonal of one complex matrix."""
     total = sum(m.shape[0] for m in mats)
@@ -197,37 +178,6 @@ def block_diag(mats: list[np.ndarray]) -> np.ndarray:
         out[pos : pos + d, pos : pos + d] = m
         pos += d
     return out
-
-
-# -- spec operations ------------------------------------------------------
-
-
-def algebra_ops(
-    a: AlgebraElement, b: AlgebraElement
-) -> tuple[AlgebraElement, AlgebraElement, float]:
-    """Product ab, adjoint a*, and norm ||a|| in one call."""
-    return a * b, a.star(), a.norm()
-
-
-def trace_functional(a: AlgebraElement) -> complex:
-    """The faithful trace tau(a) = sum_i tr(a_i)."""
-    return a.trace()
-
-
-def is_positive(a: AlgebraElement, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
-    """Positivity with witness: every block Hermitian and spectrum >= gate.
-
-    Returns (verdict, minimum eigenvalue across blocks of the hermitized
-    element).  A non-Hermitian element is never positive, but the witness is
-    still reported.
-    """
-    hermitian = a.is_hermitian(tol)
-    min_eig = np.inf
-    for b in a.blocks:
-        w, _ = herm_eig((b + b.conj().T) / 2.0, tol)
-        min_eig = min(min_eig, float(w[0]))
-    gate = -tol.ctol * (1.0 + a.norm())
-    return bool(hermitian and min_eig >= gate), float(min_eig)
 
 
 # -- linear *-maps between algebras ---------------------------------------
@@ -363,15 +313,6 @@ def compose_automorphisms(outer: Automorphism, inner: Automorphism) -> Automorph
         compose_star_maps(outer.forward, inner.forward),
         compose_star_maps(inner.inverse, outer.inverse),
     )
-
-
-def automorphism_defect(alpha: Automorphism, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    rep = check_star_map(alpha.forward, tol)
-    round_trip = operator_norm(
-        alpha.inverse.matrix @ alpha.forward.matrix - np.eye(alpha.shape.dim)
-    )
-    rep.add("inverse_round_trip", round_trip, tol.ctol)
-    return rep
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -547,8 +547,7 @@ def categorical_dilation_unitary(
         Intertwiner(eta_g, c.system_in.action[g]), cu.left, quad.triple, tol
     )
     V_inv = adjoint_map(cu.unitary).matrix
-    vr = v_rho(cu.right)
-    return lifted.eta.matrix @ V_inv @ vr.map.matrix
+    return lifted.eta.matrix @ V_inv @ v_rho(cu.right)
 
 
 def check_dilation(

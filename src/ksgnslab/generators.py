@@ -203,55 +203,49 @@ def random_intertwiner(
     return eta, module_operator_norm(eta)
 
 
+def transported_copy(
+    E: HilbertModule, phi: CPMap, rng: np.random.Generator
+) -> tuple[HilbertModule, CPMap, Intertwiner]:
+    """A transported copy (E', phi') of (E, phi) with the unitary morphism
+    (W, alpha): (E, phi) -> (E', phi'), where W is the transport unitary and
+    phi' = W phi(alpha^{-1}(-)) W* for a random automorphism alpha."""
+    E2, S = scramble_module(E, rng)
+    W = ModuleMap(E, E2, np.linalg.inv(S))
+    alpha = random_automorphism(phi.algebra, rng)
+    return E2, conjugate_cp(phi, W, alpha), Intertwiner(W, alpha)
+
+
 def extend_morphism(
     E: HilbertModule,
     phi: CPMap,
     rng: np.random.Generator,
-    unitary_eta: bool = False,
     tol: Tolerance = DEFAULT_TOL,
 ) -> tuple[HilbertModule, CPMap, Intertwiner]:
-    """A fresh (E', phi') with an intertwiner (eta, alpha): (E, phi) -> (E', phi').
-
-    E' is a transported copy of E and phi' the conjugated map, so the
-    transport unitary intertwines by construction; a random element of the
-    solved intertwiner space is returned unless unitary_eta is set.
-    """
-    E2, S = scramble_module(E, rng)
-    W = ModuleMap(E, E2, np.linalg.inv(S))
-    alpha = random_automorphism(phi.algebra, rng)
-    phi2 = conjugate_cp(phi, W, alpha)
-    if unitary_eta:
-        return E2, phi2, Intertwiner(W, alpha)
-    eta, norm = random_intertwiner(phi, phi2, alpha, rng, tol)
+    """A transported copy (E', phi') of (E, phi) with a random element eta of
+    the solved intertwiner space as the morphism, or the transport unitary
+    when that space is zero."""
+    E2, phi2, unitary = transported_copy(E, phi, rng)
+    eta, norm = random_intertwiner(phi, phi2, unitary.alpha, rng, tol)
     if norm > 1e-9:
         eta = ModuleMap(E, E2, eta.matrix / norm * (0.5 + rng.uniform()))
     else:
-        eta = W
-    return E2, phi2, Intertwiner(eta, alpha)
+        eta = unitary.eta
+    return E2, phi2, Intertwiner(eta, unitary.alpha)
 
 
 def random_morphism_pair(
-    A: AlgebraShape,
-    B: AlgebraShape,
-    rng: np.random.Generator,
-    max_dim: int,
-    unitary_eta: bool = False,
-    tol: Tolerance = DEFAULT_TOL,
+    A: AlgebraShape, B: AlgebraShape, rng: np.random.Generator, max_dim: int
 ) -> tuple[HilbertModule, CPMap, HilbertModule, CPMap, Intertwiner]:
-    """(E1, phi1), (E2, phi2) and an intertwiner between them."""
+    """(E1, phi1) with E1 of dimension at most max_dim, (E2, phi2) and an
+    intertwiner between them."""
     E1 = random_module(B, rng, max_dim)
     phi1 = random_cp(A, E1, rng)
-    E2, phi2, m = extend_morphism(E1, phi1, rng, unitary_eta, tol)
+    E2, phi2, m = extend_morphism(E1, phi1, rng)
     return E1, phi1, E2, phi2, m
 
 
 def random_object(
-    ident: str,
-    A: AlgebraShape,
-    B: AlgebraShape,
-    rng: np.random.Generator,
-    max_dim: int,
-    tol: Tolerance = DEFAULT_TOL,
+    ident: str, A: AlgebraShape, B: AlgebraShape, rng: np.random.Generator, max_dim: int
 ) -> PosCorObject:
     E = random_module(B, rng, max_dim)
     return PosCorObject(ident, A, B, E, random_cp(A, E, rng))
@@ -276,12 +270,10 @@ def random_morphism_to_new_object(
             break
         rho = random_star_map(dom.coefficient, rng, max_block=max_block, max_out_blocks=max_out_blocks)
     tensor = interior_tensor_along(dom.module, rho, tol, memo)
-    E2, S = scramble_module(tensor.module, rng)
-    W = ModuleMap(tensor.module, E2, np.linalg.inv(S))
-    alpha = random_automorphism(dom.input_algebra, rng)
-    psi = conjugate_cp(tensor_extend_cpmap(dom.phi, tensor, tol, memo), W, alpha)
+    phi_ext = tensor_extend_cpmap(dom.phi, tensor, tol, memo)
+    E2, psi, unitary = transported_copy(tensor.module, phi_ext, rng)
     cod = PosCorObject(ident, dom.input_algebra, rho.codomain, E2, psi)
-    morphism = make_poscor_morphism(dom, cod, rho, W, alpha, tol, memo)
+    morphism = make_poscor_morphism(dom, cod, rho, unitary.eta, unitary.alpha, tol, memo)
     return cod, morphism
 
 

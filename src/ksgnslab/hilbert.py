@@ -30,13 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cstar import (
-    AlgebraElement,
-    AlgebraShape,
-    Automorphism,
-    unit_element,
-    zero_padded,
-)
+from .cstar import AlgebraElement, AlgebraShape, Automorphism
 from .errors import (
     InvalidConfig, ShapeMismatch, SingularGram, SubmoduleViolation, WellDefinednessViolation,
 )
@@ -53,7 +47,6 @@ from .numkernel import (
     rank_kernel,
     require_finite,
 )
-from .reporting import CheckReport
 
 
 @dataclass
@@ -90,11 +83,6 @@ class PreModule:
         if self.dim == 0:
             return np.zeros((0, 0), dtype=complex)
         return sum(np.einsum("ijkk->ij", P) for P in self.pairing)
-
-    def action_matrix(self, b: AlgebraElement) -> np.ndarray:
-        if b.shape != self.algebra:
-            raise ShapeMismatch("coefficient outside the module's algebra")
-        return np.einsum("p,pij->ij", b.coeffs(), self.action)
 
     def pair(self, x: np.ndarray, y: np.ndarray) -> AlgebraElement:
         x = np.asarray(x, dtype=complex).reshape(self.dim)
@@ -156,47 +144,6 @@ def max_stacked_norm(shape: AlgebraShape, C: np.ndarray) -> float:
         ),
         default=0.0,
     )
-
-
-def validate_premodule(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Residuals for the pre-module axioms.
-
-    Checks pairing hermiticity <e_i,e_j> = <e_j,e_i>*, compatibility
-    <x, y b> = <x, y> b on the basis, right-action anti-multiplicativity,
-    unitality of the action, and PSD-ness of the scalarized Gram.
-    """
-    rep = CheckReport()
-    B, d = pre.algebra, pre.dim
-    scale = 1.0 + max((operator_norm(P.reshape(d * d, -1)) for P in pre.pairing), default=0.0)
-    C = pairing_coeffs(pre, np.eye(d))
-    # <e_i, e_j> - <e_j, e_i>*: coefficient p of a* is that of a at star(p), conjugated
-    herm = np.abs(C - C.conj().transpose(2, 1, 0)[:, B.star_permutation()])
-    rep.add("pairing_hermitian", float(np.max(herm, initial=0.0)), tol.ctol * scale)
-
-    act_scale = max(1.0, max_operator_norm(pre.action))
-    # <e_i, e_j u_p> - <e_i, e_j> u_p over all basis pairs (i, j); right
-    # multiplication by u_p sends coefficient r to T[r, p]
-    T = B.product_table
-    r, p = np.nonzero(T >= 0)
-    right_mult = np.zeros((B.dim, B.dim, B.dim), dtype=complex)
-    right_mult[p, T[r, p], r] = 1.0
-    compat = max(max_stacked_norm(B, C @ R - M @ C) for R, M in zip(pre.action, right_mult))
-    rep.add("pairing_action_compat", compat, tol.ctol * scale * act_scale)
-
-    # R(u_p u_r) = R(u_r) R(u_p), for each p over all r at once
-    Az = zero_padded(pre.action)
-    anti = max(max_operator_norm(Az[T[p]] - pre.action @ pre.action[p]) for p in range(B.dim))
-    rep.add("action_antimultiplicative", anti, tol.ctol * (1.0 + act_scale**2))
-    unital = operator_norm(pre.action_matrix(unit_element(B)) - np.eye(d))
-    rep.add("action_unital", unital, tol.ctol * (1.0 + act_scale))
-
-    G = pre.gram()
-    if d:
-        w = np.linalg.eigvalsh((G + G.conj().T) / 2.0)
-        rep.add("gram_psd", max(0.0, -float(w[0])), tol.ctol * (1.0 + float(w[-1])))
-    else:
-        rep.add("gram_psd", 0.0, tol.ctol)
-    return rep
 
 
 # -- quotient by the null space -------------------------------------------
@@ -346,13 +293,6 @@ def module_operator_norm(m: ModuleMap) -> float:
     return operator_norm(realize(m))
 
 
-def adjoint_identity_residual(m: ModuleMap, adj: ModuleMap) -> float:
-    """Max over basis pairs of ||<T e_i, e_j>_tgt - <e_i, T* e_j>_src||."""
-    lhs = pairing_coeffs(m.target, m.matrix.T)
-    rhs = pairing_coeffs(m.source, np.eye(m.source.dim)) @ adj.matrix
-    return max_stacked_norm(m.source.algebra, lhs - rhs)
-
-
 def is_map_positive(m: ModuleMap, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """Positivity of an element of L(E) through its realization."""
     return psd_verdict(realize(m), tol)
@@ -365,11 +305,6 @@ def rank_one_sum(E: HilbertModule, X: np.ndarray, Y: np.ndarray) -> ModuleMap:
     k = X.shape[0] * E.algebra.dim
     moved = (E.action @ X.T).transpose(2, 0, 1).reshape(k, E.dim)  # R(u_p) x_r at [r, p]
     return ModuleMap(E, E, moved.T @ pairing_coeffs(E, Y).reshape(k, E.dim))
-
-
-def rank_one_operator(E: HilbertModule, x: np.ndarray, y: np.ndarray) -> ModuleMap:
-    """theta_{x,y}: z -> x . <y, z>."""
-    return rank_one_sum(E, np.reshape(x, (1, E.dim)), np.reshape(y, (1, E.dim)))
 
 
 # -- alpha-twisted maps ----------------------------------------------------
@@ -395,11 +330,6 @@ class AlphaLinearMap:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(x, dtype=complex).reshape(self.source.dim)
-
-    def twisted_linearity_residual(self) -> float:
-        twisted = np.einsum("qp,qij->pij", self.twist.matrix, self.target.action)
-        return max_operator_norm(self.matrix @ self.source.action - twisted @ self.matrix)
-
 
 def canonical_module(B: AlgebraShape, rows: tuple[int, ...]) -> HilbertModule:
     """(+)_t C^{r_t x m_t} with x.b = x b and <x, y> = x* y blockwise; the row

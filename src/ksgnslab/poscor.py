@@ -22,7 +22,6 @@ from functools import cached_property
 import numpy as np
 
 from .cstar import (
-    AlgebraElement,
     AlgebraShape,
     Automorphism,
     StarMap,
@@ -43,7 +42,7 @@ from .cp import (
     left_mult_correspondence,
     tensor_extend,
 )
-from .errors import KsgnslabError, ObjectMismatch, ShapeMismatch, TwistMismatch
+from .errors import KsgnslabError, ObjectMismatch, ShapeMismatch
 from .hilbert import (
     AlphaLinearMap,
     HilbertModule,
@@ -141,32 +140,13 @@ def interior_tensor_along(
     return tensor_once(E, pi.module, pi, tol, memo)
 
 
-@dataclass
-class CLinearMap:
-    """Plain complex-linear map between modules (no linearity invariant)."""
-
-    source: HilbertModule
-    target: HilbertModule
-    matrix: np.ndarray
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=complex).reshape(self.source.dim)
-
-
-@dataclass
-class VRho:
-    """x -> class of x (x) 1_C in E (x)_rho C, a complex-linear contraction."""
-
-    tensor: TensorModule
-    map: CLinearMap
-
-
-def v_rho(tm: TensorModule) -> VRho:
-    """V_rho on tm = E (x)_rho C: E is tm's left factor, C its right."""
+def v_rho(tm: TensorModule) -> np.ndarray:
+    """Matrix of V_rho: x -> class of x (x) 1_C, a complex-linear contraction
+    from E to tm = E (x)_rho C (E is tm's left factor, C its right)."""
     E = tm.left
     unit_coeffs = unit_element(tm.right.algebra).coeffs()
     V_pre = np.kron(np.eye(E.dim, dtype=complex), unit_coeffs.reshape(-1, 1))
-    return VRho(tm, CLinearMap(E, tm.module, tm.q @ V_pre))
+    return tm.q @ V_pre
 
 
 @dataclass
@@ -262,26 +242,6 @@ def twist_unitary(
     return TwistUnitary(alpha, tm, U)
 
 
-def alpha_transport(
-    T: AlphaLinearMap, twisted: TwistUnitary, tol: Tolerance = DEFAULT_TOL
-) -> tuple[ModuleMap, TwistUnitary]:
-    """Transport an alpha-adjointable map to a plain module map T . U on
-    E_src (x)_alpha B, along the twist unitary of T's source and twist."""
-    mismatch = operator_norm(twisted.alpha.matrix - T.twist.matrix)
-    if mismatch > tol.ctol * (1.0 + operator_norm(T.twist.matrix)):
-        raise TwistMismatch(f"twist automorphisms differ by {mismatch:.3e}")
-    plain = ModuleMap(twisted.twisted.module, T.target, T.matrix @ twisted.unitary.matrix)
-    return plain, twisted
-
-
-def alpha_transport_inverse(
-    S: ModuleMap, tw: TwistUnitary, alpha: Automorphism
-) -> AlphaLinearMap:
-    """Inverse transport: S -> S . U^{-1}, an alpha-linear map out of E."""
-    U_inv = np.linalg.inv(tw.unitary.matrix)
-    return AlphaLinearMap(tw.twisted.left, S.target, alpha, S.matrix @ U_inv)
-
-
 # -- KSGNS commutes with tensoring -------------------------------------------
 
 
@@ -365,7 +325,7 @@ class PosCorMorphism:
     dom_tensor: TensorModule
     eta: ModuleMap
     alpha: Automorphism
-    vrho: VRho
+    vrho: np.ndarray  # V_rho on dom_tensor
     phi_ext: CPMap
 
     @cached_property
@@ -384,7 +344,7 @@ class PosCorMorphism:
 
     @property
     def pullback(self) -> np.ndarray:
-        return self.eta.matrix @ self.vrho.map.matrix
+        return self.eta.matrix @ self.vrho
 
     @property
     def norm(self) -> float:
@@ -408,9 +368,8 @@ def make_poscor_morphism(
     tm = interior_tensor_along(dom.module, rho, tol, memo)
     if not same_module(eta.source, tm.module):
         raise ShapeMismatch("eta is not defined on the tensor of dom along rho")
-    vr = v_rho(tm)
     phi_ext = tensor_extend_cpmap(dom.phi, tm, tol, memo)
-    return PosCorMorphism(dom, cod, rho, tm, eta, alpha, vr, phi_ext)
+    return PosCorMorphism(dom, cod, rho, tm, eta, alpha, v_rho(tm), phi_ext)
 
 
 def poscor_identity(obj: PosCorObject, tol: Tolerance, memo: BuildMemo) -> PosCorMorphism:
@@ -486,21 +445,6 @@ def morphism_distance(m1: PosCorMorphism, m2: PosCorMorphism) -> float:
     pull_gap = operator_norm(m1.pullback - m2.pullback)
     alpha_gap = operator_norm(m1.alpha.matrix - m2.alpha.matrix)
     return float(rho_gap + pull_gap + alpha_gap)
-
-
-def poscor_pseudometric(
-    m1: PosCorMorphism,
-    m2: PosCorMorphism,
-    b: AlgebraElement,
-    x: np.ndarray,
-    a: AlgebraElement,
-) -> float:
-    """d_{b,x,a} = ||rho(b) - rho'(b)|| + ||(eta . V_rho)(x) - (xi . V_rho')(x)||
-    + ||alpha(a) - alpha'(a)||."""
-    rho_part = (m1.rho(b) - m2.rho(b)).norm()
-    vec_part = m1.cod.module.vector_norm(m1.pullback @ x - m2.pullback @ x)
-    alpha_part = (m1.alpha(a) - m2.alpha(a)).norm()
-    return float(rho_part + vec_part + alpha_part)
 
 
 # -- KSGNS as an endofunctor on the category ---------------------------------

@@ -26,7 +26,6 @@ from .cp import CPMap
 from .cstar import AlgebraElement, AlgebraShape, Automorphism, StarMap
 from .errors import ValidationError
 from .hilbert import HilbertModule, ModuleMap
-from .ksgns import KsgnsTriple
 from .equivariant import (
     DynamicalSystem,
     EquivariantCorrespondence,
@@ -214,38 +213,6 @@ def load_cpmap(data: Any, modules: dict[str, HilbertModule]) -> CPMap:
         else np.zeros((0, E.dim, E.dim), dtype=complex)
     )
     return CPMap(A, E, stack, strict=bool(data.get("strict", True)))
-
-
-def dump_triple(t: KsgnsTriple) -> dict:
-    """Full dilation data, with q and s so downstream checks can re-embed
-    representatives bit-consistently."""
-    return {
-        "source": dump_module(t.source),
-        "phi": dump_cpmap(t.phi, "source"),
-        "module": dump_module(t.module),
-        "pi": dump_cpmap(t.pi, "module"),
-        "embedding": dump_module_map(t.embedding, "source", "module"),
-        "q": dump_cmatrix(t.q),
-        "s": dump_cmatrix(t.s),
-        "kernel": dump_cmatrix(t.kernel),
-    }
-
-
-def load_triple(data: Any) -> KsgnsTriple:
-    source = load_module(data["source"])
-    module = load_module(data["module"])
-    mods = {"source": source, "module": module}
-    pre_dim = source.dim * load_shape(data["phi"]["algebra"]).dim
-    return KsgnsTriple(
-        source=source,
-        phi=load_cpmap(data["phi"], mods),
-        module=module,
-        pi=load_cpmap(data["pi"], mods),
-        embedding=load_module_map(data["embedding"], mods),
-        q=load_cmatrix(data["q"], module.dim, pre_dim),
-        s=load_cmatrix(data["s"], pre_dim, module.dim),
-        kernel=load_cmatrix(data["kernel"], pre_dim, pre_dim - module.dim),
-    )
 
 
 # -- groups and equivariance ---------------------------------------------------

@@ -55,8 +55,8 @@ def category_instance(idx):
 M2 = AlgebraShape((2,))
 
 
-def functor_instance(group):
-    c = random_equivariant(M2, M2, group, seed=1, copies=1)
+def functor_instance(group, seed):
+    c = random_equivariant(M2, M2, group, seed=seed, copies=1)
     return c, correspondence_to_functor(c, DEFAULT_TOL, BuildMemo())
 
 
@@ -187,10 +187,11 @@ def test_category_audit_builds_each_tensor_module_once(monkeypatch):
 
 
 def test_functor_audit_builds_each_tensor_module_once(monkeypatch):
-    # here every F(g) has one content, so the |G|^2 composites the audit asks
-    # for are one build: the guard counts the requests, the builds are once
+    # seed 11 draws a genuine S3 functor: six beta_g and six F(g) contents;
+    # the guard counts the |G|^2 composites requested, the builds are once
     # per content
-    c, functor = functor_instance(symmetric_group(3))
+    c, functor = functor_instance(symmetric_group(3), 11)
+    assert len({m.key for m in functor.morphisms}) == c.group.order
     builds = count_tensor_builds(monkeypatch)
     requests = []
     real = equivariant.poscor_compose
@@ -236,9 +237,11 @@ def test_category_audit_equals_memo_less_loops(idx):
     assert rep.thresholds == ref.thresholds
 
 
-@pytest.mark.parametrize("group", [cyclic_group(2), symmetric_group(3)], ids=["Z2", "S3"])
-def test_functor_audit_equals_memo_less_loops(group):
-    c, functor = functor_instance(group)
+@pytest.mark.parametrize(
+    "group, seed", [(cyclic_group(2), 1), (symmetric_group(3), 11)], ids=["Z2", "S3"]
+)
+def test_functor_audit_equals_memo_less_loops(group, seed):
+    c, functor = functor_instance(group, seed)
     rep = check_functor_laws(c, functor, DEFAULT_TOL, BuildMemo())
     ref = functor_laws_reference(c, functor, DEFAULT_TOL)
     assert rep.residuals == ref.residuals
@@ -246,12 +249,12 @@ def test_functor_audit_equals_memo_less_loops(group):
 
 
 @pytest.mark.parametrize(
-    "group",
-    [cyclic_group(2), cyclic_group(3), cyclic_group(4), symmetric_group(3)],
+    "group, seed",
+    [(cyclic_group(2), 1), (cyclic_group(3), 1), (cyclic_group(4), 1), (symmetric_group(3), 11)],
     ids=["Z2", "Z3", "Z4", "S3"],
 )
-def test_group_law_composites_agree_with_composed_coefficients(group):
-    c, functor = functor_instance(group)
+def test_group_law_composites_agree_with_composed_coefficients(group, seed):
+    c, functor = functor_instance(group, seed)
     along = functor_laws_reference(c, functor, DEFAULT_TOL)
     composed = functor_laws_composed_reference(c, functor, DEFAULT_TOL)
     assert along.passed, along.residuals

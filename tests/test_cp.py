@@ -30,6 +30,7 @@ from ksgnslab.generators import (
     random_module,
     random_morphism_pair,
     random_vectors,
+    transported_copy,
 )
 from ksgnslab.hilbert import (
     ModuleMap,
@@ -170,7 +171,9 @@ def test_intertwiner_space_contains_identity(rng):
 def test_intertwiner_space_contains_planted_unitary(rng):
     A = AlgebraShape((2,))
     B = AlgebraShape((1, 2))
-    E1, phi1, E2, phi2, m = random_morphism_pair(A, B, rng, max_dim=5, unitary_eta=True)
+    E1 = random_module(B, rng, max_dim=5)
+    phi1 = random_cp(A, E1, rng)
+    E2, phi2, m = transported_copy(E1, phi1, rng)
     basis = intertwiner_space(phi1, phi2, m.alpha)
     W = m.eta.matrix.reshape(-1)
     coeffs = [np.vdot(b.matrix.reshape(-1), W) for b in basis]

@@ -9,7 +9,6 @@ from ksgnslab.cstar import (
     StarMap,
     basis_element,
     identity_automorphism,
-    left_mult_matrix,
 )
 from ksgnslab.equivariant import (
     DilationQuadruple,
@@ -40,10 +39,8 @@ from ksgnslab.generators import random_star_map
 from ksgnslab.hilbert import (
     ModuleMap,
     PreModule,
-    adjoint_identity_residual,
     adjoint_map,
     algebra_module,
-    validate_premodule,
 )
 from ksgnslab.ksgns import check_triple, ksgns
 from ksgnslab.cp import random_blinear_unitary, random_cp
@@ -53,7 +50,12 @@ from ksgnslab.numkernel import DEFAULT_TOL, Tolerance, operator_norm
 from ksgnslab.poscor import poscor_compose, unitarity_residual
 from ksgnslab.serialize import dump_equivariant
 
-from conftest import random_complex
+from conftest import (
+    adjoint_identity_residual,
+    left_mult_matrix,
+    random_complex,
+    validate_premodule,
+)
 
 
 # -- groups --------------------------------------------------------------------

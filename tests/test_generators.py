@@ -7,7 +7,7 @@ import pytest
 from ksgnslab import generators
 from ksgnslab.cp import intertwiner_space, random_cp
 from ksgnslab.cstar import AlgebraShape, haar_unitary
-from ksgnslab.generators import extend_morphism, multiplicity_embedding, random_intertwiner
+from ksgnslab.generators import multiplicity_embedding, random_intertwiner, transported_copy
 from ksgnslab.hilbert import ModuleMap, canonical_module, module_operator_norm
 
 from conftest import random_complex
@@ -76,7 +76,7 @@ def test_random_intertwiner_matches_loop_reference(rng, tol):
     # phi1 of C on C^3 has a three-dimensional commutant, hence intertwiner space
     E1 = generators.random_module(AlgebraShape((1,)), rng, 3, min_dim=3)
     phi1 = random_cp(AlgebraShape((1,)), E1, rng)
-    E2, phi2, m = extend_morphism(E1, phi1, rng, unitary_eta=True)
+    E2, phi2, m = transported_copy(E1, phi1, rng)
     state = rng.bit_generator.state
     eta, norm = random_intertwiner(phi1, phi2, m.alpha, rng, tol)
 

@@ -148,7 +148,7 @@ def test_isolation_failing_instance_does_not_abort(tmp_path):
     assert not report.all_passed
     seeds = {r.instance_seed for r in report.records}
     assert len(seeds) == 3  # the other two instances still ran
-    failing = {r.instance_seed for r in report.failures()}
+    failing = {r.instance_seed for r in report.records if not r.passed}
     assert len(failing) == 1
 
 
@@ -332,6 +332,29 @@ def test_failing_subreport_is_recorded_as_failure():
     records = {r.check: r for r in check_instance("category", payload, Tolerance())}
     for check in ("morphism_invariants", "closure", "ksgns_morphism"):
         assert not records[check].passed, check
+
+
+def test_residual_missing_from_checker_report_fails_the_instance(monkeypatch):
+    # the harness maps the checker's "dim_match" to its "dim_stable" record; a
+    # report without that key fails the instance instead of losing the record
+    from ksgnslab import harness
+
+    real = harness.check_idempotency
+
+    def renamed(*args):
+        rep = real(*args)
+        rep.residuals["dim_matches"] = rep.residuals.pop("dim_match")
+        rep.thresholds["dim_matches"] = rep.thresholds.pop("dim_match")
+        return rep
+
+    payload = generate_instance("idempotency", SizeCaps(), instance_seed(20250809, "idempotency", 0))
+    assert all(r.passed for r in check_instance("idempotency", payload, Tolerance()))
+    monkeypatch.setattr(harness, "check_idempotency", renamed)
+    records = check_instance("idempotency", payload, Tolerance())
+    assert "dim_stable" not in {r.check for r in records}
+    failed = records[-1]
+    assert (failed.check, failed.passed) == ("construction", False)
+    assert failed.error == "KeyError: 'dim_match'"
 
 
 def test_group_cap_one_degenerates_to_plain_inputs():

@@ -9,8 +9,6 @@ from ksgnslab.cstar import (
     identity_star_map,
     random_automorphism,
     random_element,
-    right_mult_matrix,
-    trace_functional,
     unit_element,
 )
 from ksgnslab.errors import (
@@ -22,7 +20,6 @@ from ksgnslab.hilbert import (
     HilbertModule,
     ModuleMap,
     PreModule,
-    adjoint_identity_residual,
     adjoint_map,
     algebra_module,
     compose_maps,
@@ -32,16 +29,12 @@ from ksgnslab.hilbert import (
     null_leak,
     pairing_coeffs,
     quotient_by_null,
-    rank_one_operator,
     rank_one_sum,
     realize,
-    validate_premodule,
 )
 from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL, herm_eig, operator_norm
 from ksgnslab.poscor import (
-    alpha_transport,
-    alpha_transport_inverse,
     composition_unitary,
     inclusion_unitary,
     interior_tensor_along,
@@ -51,7 +44,16 @@ from ksgnslab.poscor import (
 )
 from ksgnslab.generators import random_star_map
 
-from conftest import random_complex
+from conftest import (
+    action_matrix,
+    adjoint_identity_residual,
+    alpha_transport,
+    alpha_transport_inverse,
+    random_complex,
+    right_mult_matrix,
+    twisted_linearity_residual,
+    validate_premodule,
+)
 
 
 def standard_complex_module(d):
@@ -302,7 +304,7 @@ def test_antimultiplicativity_residual_matches_loop(blocks, rng):
     for p in range(B.dim):
         for r in range(B.dim):
             prod = basis_element(B, p) * basis_element(B, r)
-            ref = max(ref, operator_norm(pre.action_matrix(prod) - pre.action[r] @ pre.action[p]))
+            ref = max(ref, operator_norm(action_matrix(pre, prod) - pre.action[r] @ pre.action[p]))
     got = validate_premodule(pre).residuals["action_antimultiplicative"]
     assert ref > 0.1
     assert got == pytest.approx(ref, rel=1e-12)
@@ -335,10 +337,11 @@ def test_adjoint_is_conjugate_transpose_for_scalars():
 
 def test_adjoint_unique_under_perturbation(rng):
     E = random_module(AlgebraShape((2,)), rng, max_dim=4)
-    T = rank_one_operator(E, *random_vectors(E, rng, 2))
+    x, y, u, v = random_vectors(E, rng, 4)
+    T = rank_one_sum(E, x[None], y[None])
     adj = adjoint_map(T)
     good = adjoint_identity_residual(T, adj)
-    K = rank_one_operator(E, *random_vectors(E, rng, 2))
+    K = rank_one_sum(E, u[None], v[None])
     perturbed = ModuleMap(E, E, adj.matrix + 0.1 * K.matrix)
     assert adjoint_identity_residual(T, perturbed) >= 0.01 * module_operator_norm(K)
     assert good <= 1e-10
@@ -356,7 +359,8 @@ def test_module_operator_norm_examples(rng):
 def test_module_norm_cstar_identity(seed):
     rng = np.random.default_rng(seed)
     E = random_module(AlgebraShape((1, 2)), rng, max_dim=5)
-    T = rank_one_operator(E, *random_vectors(E, rng, 2))
+    x, y = random_vectors(E, rng, 2)
+    T = rank_one_sum(E, x[None], y[None])
     n = module_operator_norm(T)
     prod = compose_maps(adjoint_map(T), T)
     assert abs(n**2 - module_operator_norm(prod)) <= 1e-8 * (1.0 + n**2)
@@ -365,25 +369,25 @@ def test_module_norm_cstar_identity(seed):
 def test_rank_one_zero_and_scalar_case(rng):
     E = standard_complex_module(3)
     x, y = random_complex(rng, 3), random_complex(rng, 3)
-    theta = rank_one_operator(E, x, y)
+    theta = rank_one_sum(E, x[None], y[None])
     assert np.allclose(theta.matrix, np.outer(x, y.conj()))
-    zero = rank_one_operator(E, x, np.zeros(3))
+    zero = rank_one_sum(E, x[None], np.zeros((1, 3)))
     assert operator_norm(zero.matrix) == 0.0
 
 
 def test_rank_one_definition_unfolds(rng):
     E = random_module(AlgebraShape((2,)), rng, max_dim=4)
     x, y, z = random_vectors(E, rng, 3)
-    theta = rank_one_operator(E, x, y)
-    explicit = E.action_matrix(E.pair(y, z)) @ x
+    theta = rank_one_sum(E, x[None], y[None])
+    explicit = action_matrix(E, E.pair(y, z)) @ x
     assert np.linalg.norm(theta(z) - explicit) <= 1e-12
 
 
 def test_rank_one_adjoint_swaps(rng):
     E = random_module(AlgebraShape((1, 2)), rng, max_dim=5)
     x, y = random_vectors(E, rng, 2)
-    theta = rank_one_operator(E, x, y)
-    swapped = rank_one_operator(E, y, x)
+    theta = rank_one_sum(E, x[None], y[None])
+    swapped = rank_one_sum(E, y[None], x[None])
     resid = operator_norm(adjoint_map(theta).matrix - swapped.matrix)
     assert resid <= 1e-10 * (1.0 + operator_norm(theta.matrix))
 
@@ -394,7 +398,7 @@ def _rank_one_loop(E, X, Y):
     eye = np.eye(E.dim)
     for x, y in zip(X, Y):
         for j in range(E.dim):
-            cols[:, j] += E.action_matrix(E.pair(y, eye[:, j])) @ x
+            cols[:, j] += action_matrix(E, E.pair(y, eye[:, j])) @ x
     return cols
 
 
@@ -411,7 +415,7 @@ def test_rank_one_sum_matches_pair_loop(blocks, rng):
     ref = _rank_one_loop(E, X, Y)
     assert np.abs(rank_one_sum(E, X, Y).matrix - ref).max() <= 1e-13 * np.abs(ref).max()
     one = _rank_one_loop(E, X[:1], Y[:1])
-    theta = rank_one_operator(E, X[0], Y[0]).matrix
+    theta = rank_one_sum(E, X[:1], Y[:1]).matrix
     assert np.abs(theta - one).max() <= 1e-13 * np.abs(one).max()
     assert not np.any(rank_one_sum(E, X, np.zeros_like(Y)).matrix)
 
@@ -421,15 +425,15 @@ def test_rank_one_sum_on_zero_module():
     assert E.dim == 0
     assert pairing_coeffs(E, np.zeros((3, 0))).shape == (3, E.algebra.dim, 0)
     assert rank_one_sum(E, np.zeros((3, 0)), np.zeros((3, 0))).matrix.shape == (0, 0)
-    assert rank_one_operator(E, np.zeros(0), np.zeros(0)).matrix.shape == (0, 0)
+    assert rank_one_sum(E, np.zeros((1, 0)), np.zeros((1, 0))).matrix.shape == (0, 0)
 
 
 def test_cauchy_schwarz_scalarized(rng):
     E = random_module(AlgebraShape((1, 2)), rng, max_dim=5)
     for _ in range(25):
         x, y = random_vectors(E, rng, 2)
-        lhs = abs(trace_functional(E.pair(x, y))) ** 2
-        rhs = trace_functional(E.pair(x, x)).real * trace_functional(E.pair(y, y)).real
+        lhs = abs(E.pair(x, y).trace()) ** 2
+        rhs = E.pair(x, x).trace().real * E.pair(y, y).trace().real
         assert lhs <= rhs + 1e-8
 
 
@@ -450,7 +454,7 @@ def test_twist_preserves_dimension_and_norm(rng):
     alpha = random_automorphism(B, 17)
     tw = twist_unitary(E, alpha, DEFAULT_TOL, BuildMemo())
     assert tw.twisted.module.dim == E.dim
-    assert tw.unitary.twisted_linearity_residual() <= 1e-10
+    assert twisted_linearity_residual(tw.unitary) <= 1e-10
     for x in random_vectors(tw.twisted.module, rng, 50):
         assert abs(
             E.vector_norm(tw.unitary(x)) - tw.twisted.module.vector_norm(x)
@@ -478,7 +482,7 @@ def test_alpha_transport_round_trip(rng):
     alpha = random_automorphism(B, 5)
     # beta_g-style alpha-linear unitary on B: the automorphism itself
     T = AlphaLinearMap(E, E, alpha, alpha.matrix)
-    assert T.twisted_linearity_residual() <= 1e-12
+    assert twisted_linearity_residual(T) <= 1e-12
     plain, tw = alpha_transport(T, twist_unitary(E, alpha, DEFAULT_TOL, BuildMemo()))
     assert plain.linearity_residual() <= 1e-10
     assert unitarity_residual(plain) <= 1e-10
@@ -496,7 +500,7 @@ def test_alpha_transport_of_permutation_twist_unitary(rng):
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     U_mat = np.kron(swap, alpha.matrix)
     T = AlphaLinearMap(E, E, alpha, U_mat)
-    assert T.twisted_linearity_residual() <= 1e-10
+    assert twisted_linearity_residual(T) <= 1e-10
     plain, tw = alpha_transport(T, twist_unitary(E, alpha, DEFAULT_TOL, BuildMemo()))
     assert unitarity_residual(plain) <= 1e-8
     assert plain.linearity_residual() <= 1e-8
@@ -528,7 +532,7 @@ def test_inclusion_on_algebra_module():
     vr = v_rho(inc.tensor)
     rng = np.random.default_rng(0)
     b = random_element(B, rng)
-    assert np.linalg.norm(inc.iota(vr.map(b.coeffs())) - b.coeffs()) <= 1e-10
+    assert np.linalg.norm(inc.iota(vr @ b.coeffs()) - b.coeffs()) <= 1e-10
 
 
 def test_inclusion_round_trip_on_vectors(rng):
@@ -568,14 +572,15 @@ def test_v_rho_is_contraction_and_twisted_linear(rng):
     B = AlgebraShape((2,))
     E = random_module(B, rng, max_dim=4)
     rho = random_star_map(B, rng, max_block=3)
-    vr = v_rho(interior_tensor_along(E, rho, DEFAULT_TOL, BuildMemo()))
+    tm = interior_tensor_along(E, rho, DEFAULT_TOL, BuildMemo())
+    vr = v_rho(tm)
     for x in random_vectors(E, rng, 20):
-        assert vr.tensor.module.vector_norm(vr.map(x)) <= E.vector_norm(x) + 1e-10
+        assert tm.module.vector_norm(vr @ x) <= E.vector_norm(x) + 1e-10
     for p in range(B.dim):
-        lhs = vr.map.matrix @ E.action[p]
-        rhs = vr.tensor.module.action_matrix(rho.images[p]) @ vr.map.matrix
+        lhs = vr @ E.action[p]
+        rhs = action_matrix(tm.module, rho.images[p]) @ vr
         assert operator_norm(lhs - rhs) <= 1e-10
-    assert np.linalg.norm(vr.map(np.zeros(E.dim))) == 0.0
+    assert np.linalg.norm(vr @ np.zeros(E.dim)) == 0.0
 
 
 def test_v_rho_chain_diagram(rng):
@@ -591,7 +596,7 @@ def test_v_rho_chain_diagram(rng):
     vr2 = v_rho(comp.double)
     vr12 = v_rho(comp.target)
     resid = operator_norm(
-        comp.unitary.matrix @ vr2.map.matrix @ vr1.map.matrix - vr12.map.matrix
+        comp.unitary.matrix @ vr2 @ vr1 - vr12
     )
     assert resid <= 1e-8
 
@@ -616,7 +621,7 @@ def test_v_rho_square_diagram(rng):
     vr_chi_prime = v_rho(comp.double)
     vr_chi = v_rho(tm2)
     resid = operator_norm(
-        eta_hat.matrix @ vr_chi_prime.map.matrix - vr_chi.map.matrix @ eta.matrix
+        eta_hat.matrix @ vr_chi_prime - vr_chi @ eta.matrix
     )
     assert resid <= 1e-8
 
@@ -636,7 +641,7 @@ def test_quotient_kernel_vectors_are_null(rng):
     lam_max = max(np.linalg.eigvalsh((G + G.conj().T) / 2).max(), 1.0)
     for k in range(quot.kernel.shape[1]):
         z = quot.kernel[:, k]
-        assert abs(trace_functional(pre.pair(z, z))) <= 1e-8 * lam_max
+        assert abs(pre.pair(z, z).trace()) <= 1e-8 * lam_max
     if quot.module.dim:
         w = np.linalg.eigvalsh(quot.module.gram_matrix)
         assert w[0] > 1e-10 * w[-1]
@@ -650,4 +655,4 @@ def test_dim_zero_module_everywhere():
     assert inc.tensor.module.dim == 0
     assert module_operator_norm(inc.iota) == 0.0
     vr = v_rho(inc.tensor)
-    assert vr.map.matrix.shape == (0, 0)
+    assert vr.shape == (0, 0)

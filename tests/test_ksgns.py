@@ -18,6 +18,7 @@ from ksgnslab.generators import (
     random_morphism_pair,
     random_representation,
     random_vectors,
+    transported_copy,
 )
 from ksgnslab.hilbert import ModuleMap, adjoint_map, identity_map, module_operator_norm
 from ksgnslab.ksgns import (
@@ -204,7 +205,9 @@ def test_lift_identity_is_identity(rng):
 def test_lift_of_unitary_is_unitary(rng):
     A = AlgebraShape((2,))
     B = AlgebraShape((2,))
-    E1, phi1, E2, phi2, m = random_morphism_pair(A, B, rng, max_dim=4, unitary_eta=True)
+    E1 = random_module(B, rng, max_dim=4)
+    phi1 = random_cp(A, E1, rng)
+    E2, phi2, m = transported_copy(E1, phi1, rng)
     t1, t2 = ksgns(E1, phi1), ksgns(E2, phi2)
     lifted = ksgns_lift(m, t1, t2)
     assert unitarity_residual(lifted.eta) <= 1e-8

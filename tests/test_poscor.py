@@ -8,7 +8,6 @@ from ksgnslab.cstar import (
     compose_star_maps,
     identity_automorphism,
     identity_star_map,
-    left_mult_matrix,
     random_element,
 )
 from ksgnslab.equivariant import scramble_module
@@ -23,6 +22,7 @@ from ksgnslab.generators import (
     random_representation,
     random_star_map,
     random_vectors,
+    transported_copy,
 )
 from ksgnslab.hilbert import (
     ModuleMap,
@@ -53,7 +53,6 @@ from ksgnslab.poscor import (
     morphism_distance,
     poscor_compose,
     poscor_identity,
-    poscor_pseudometric,
     tensor_extend_between,
     tensor_extend_cpmap,
     tensor_functor_morphism,
@@ -61,7 +60,7 @@ from ksgnslab.poscor import (
     v_rho,
 )
 
-from conftest import random_complex
+from conftest import left_mult_matrix, poscor_pseudometric, random_complex
 
 
 # -- interior tensor -----------------------------------------------------------
@@ -164,7 +163,7 @@ def test_tensor_functor_morphism_laws(rng):
     resid = operator_norm(h21.eta.matrix - h2.eta.matrix @ h1.eta.matrix)
     assert resid <= 1e-8 * (1 + m1.norm * m2.norm)
     # unitary eta tensors to unitary eta
-    E2u, phi2u, mu = extend_morphism(E1, phi1, rng, unitary_eta=True)
+    E2u, phi2u, mu = transported_copy(E1, phi1, rng)
     tmu = interior_tensor(E2u, F, pi)
     hu = tensor_functor_morphism(mu, tms[0], tmu)
     assert unitarity_residual(hu.eta) <= 1e-8

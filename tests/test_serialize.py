@@ -9,7 +9,6 @@ from ksgnslab.cp import random_cp
 from ksgnslab.equivariant import cyclic_group, random_equivariant
 from ksgnslab.errors import ValidationError
 from ksgnslab.generators import random_module, random_star_map
-from ksgnslab.ksgns import ksgns
 from ksgnslab.numkernel import operator_norm
 
 from conftest import random_complex
@@ -76,19 +75,6 @@ def test_cpmap_round_trip(rng):
     assert back.strict is True
     with pytest.raises(ValidationError):
         ser.load_cpmap(data, {"other": E})
-
-
-def test_triple_round_trip(rng):
-    A = AlgebraShape((2,))
-    E = random_module(AlgebraShape((2,)), rng, max_dim=3)
-    phi = random_cp(A, E, rng)
-    t = ksgns(E, phi)
-    data = json.loads(json.dumps(ser.dump_triple(t)))
-    back = ser.load_triple(data)
-    assert np.array_equal(t.q, back.q)
-    assert np.array_equal(t.s, back.s)
-    assert np.array_equal(t.pi.images, back.pi.images)
-    assert np.array_equal(t.embedding.matrix, back.embedding.matrix)
 
 
 def test_group_and_equivariant_round_trip():

@@ -96,13 +96,15 @@ def referenced_names(source: str) -> set[str]:
 
 
 def test_no_unreferenced_top_level_definitions():
+    # every src definition has a caller outside the tests: a test oracle
+    # lives in tests/conftest.py, not in src
     probe = "def used():\n    pass\n\nclass Dead:\n    pass\n\nused()\n"
     assert [d for d in top_level_definitions(probe) if d not in referenced_names(probe)] == [
         "Dead"
     ]
     corpus = [
         path
-        for part in ("src", "tests", "scripts", "perfbench")
+        for part in ("src", "scripts", "perfbench")
         for path in sorted((REPO / part).rglob("*.py"))
     ]
     referenced = set().union(*(referenced_names(path.read_text()) for path in corpus))
@@ -260,3 +262,86 @@ def test_memo_is_required_and_keyed_by_content():
         if (lines := id_calls((SRC / name).read_text()))
     }
     assert keyed_by_id == {}
+
+
+def tol_slots(sources: list[str]) -> dict[str, set]:
+    """Per function or method name, the call slots of its `tol` parameter: the
+    positional index as a caller counts it (after self or cls), or None when
+    it is keyword-only."""
+    slots: dict[str, set] = {}
+    for source in sources:
+        for fn in ast.walk(ast.parse(source)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            if positional[:1] in (["self"], ["cls"]):
+                positional = positional[1:]
+            if "tol" in positional:
+                slots.setdefault(fn.name, set()).add(positional.index("tol"))
+            elif any(a.arg == "tol" for a in fn.args.kwonlyargs):
+                slots.setdefault(fn.name, set()).add(None)
+    return slots
+
+
+def reads_tol(node: ast.expr) -> bool:
+    """Whether an expression reads the name `tol` (tol itself, or a Tolerance
+    derived from it)."""
+    return any(isinstance(n, ast.Name) and n.id == "tol" for n in ast.walk(node))
+
+
+def passes_tol(call: ast.Call, slots: set) -> bool:
+    """Whether a call hands an expression that reads `tol` to a tol parameter
+    in one of slots."""
+    given = [k.value for k in call.keywords if k.arg == "tol"] or [
+        call.args[slot] for slot in slots if slot is not None and slot < len(call.args)
+    ]
+    return any(reads_tol(arg) for arg in given)
+
+
+def dropped_tolerances(source: str, slots: dict[str, set]) -> list[str]:
+    """Calls, inside a function with `tol` in scope (a parameter or a local),
+    to a function that takes `tol` without passing it, by caller, callee and
+    line."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs} | {
+            n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+        }
+        if "tol" not in names:
+            continue
+        for call in (n for n in ast.walk(fn) if isinstance(n, ast.Call)):
+            callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            unpacked = any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords
+            )
+            if callee in slots and not unpacked and not passes_tol(call, slots[callee]):
+                found.append(f"{fn.name} -> {callee} (line {call.lineno})")
+    return found
+
+
+def test_tolerance_reaches_every_callee_that_takes_it():
+    # a function that holds a Tolerance passes it on, so no callee falls
+    # back to its default in the middle of a caller's decision
+    probe = (
+        "def f(x, tol):\n    return g(x, tol)\n\n"
+        "def g(x, tol=None):\n    return h(x)\n\n"
+        "def h(x, *, tol=None):\n    return k(x)\n\n"
+        "def k(x):\n    tol = 1\n    return C().m(x, other)\n\n"
+        "class C:\n    def m(self, x, tol=None):\n        return h(x, tol=Tol(tol.rtol))\n\n"
+        "def n(x, tol):\n    return g(x, tol=DEFAULT)\n"
+    )
+    slots = tol_slots([probe])
+    assert slots == {"f": {1}, "g": {1}, "h": {None}, "m": {1}, "n": {1}}
+    assert dropped_tolerances(probe, slots) == [
+        "g -> h (line 5)", "k -> m (line 12)", "n -> g (line 19)"
+    ]
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    slots = tol_slots(list(sources.values()))
+    found = {
+        name: calls for name, source in sources.items()
+        if (calls := dropped_tolerances(source, slots))
+    }
+    assert found == {}
