@@ -46,12 +46,13 @@ from .hilbert import (
     rank_one_sum,
     same_module,
 )
-from .memo import content_key
+from .memo import BuildMemo, content_key
 from .numkernel import (
     DEFAULT_TOL,
     Tolerance,
     herm_expi,
     max_operator_norm,
+    null_space,
     operator_norm,
     psd_verdict,
 )
@@ -154,6 +155,11 @@ def check_cp(phi: CPMap, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, list[float
     return all(ok for ok, _ in verdicts), [w0 for _, w0 in verdicts]
 
 
+def check_cp_once(phi: CPMap, tol: Tolerance, memo: BuildMemo) -> tuple[bool, list[float]]:
+    """check_cp(phi, tol), run once per (phi content, tol) in the memo."""
+    return memo.get(("check_cp", phi.key, tol), lambda: check_cp(phi, tol))
+
+
 # -- interior tensor product -------------------------------------------------
 
 
@@ -230,18 +236,15 @@ def left_mult_correspondence(rho: StarMap) -> Correspondence:
 # -- generation ------------------------------------------------------------
 
 
-def _constraint_null_space(K: np.ndarray, scale: float, tol: Tolerance) -> np.ndarray:
-    """Numerical kernel of a stacked constraint matrix.
-
-    The cutoff is relative to max(sigma_max, scale) so that a constraint
-    system that is pure rounding noise (all coefficients ~eps while the
-    operators that built it are order `scale`) reads as the zero system.
-    """
-    _, svals, Vh = np.linalg.svd(K)
-    top = float(svals[0]) if svals.size else 0.0
-    cutoff = tol.rtol * max(top, scale)
-    mask = np.concatenate([svals <= cutoff, np.ones(Vh.shape[0] - svals.size, bool)])
-    return Vh[mask].conj()
+def intertwining_rows(X2: np.ndarray, X1: np.ndarray) -> np.ndarray:
+    """Rows of eta X1[p] - X2[p] eta = 0 over stacks X2 (P, d2, d2) and X1
+    (P, d1, d1), eta (d2, d1) flattened row-major: per p the block
+    kron(I, X1[p].T) - kron(X2[p], I), all built by one broadcast product."""
+    P, d2, d1 = X2.shape[0], X2.shape[-1], X1.shape[-1]
+    eye1, eye2 = np.eye(d1, dtype=complex), np.eye(d2, dtype=complex)
+    right = eye2[None, :, None, :, None] * X1.transpose(0, 2, 1)[:, None, :, None, :]
+    left = X2[:, :, None, :, None] * eye1[None, None, :, None, :]
+    return (right - left).reshape(P * d2 * d1, d2 * d1)
 
 
 def adjointable_commutant_basis(E: HilbertModule, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -251,18 +254,9 @@ def adjointable_commutant_basis(E: HilbertModule, tol: Tolerance = DEFAULT_TOL) 
     L(E); projecting onto it is the trace-preserving conditional expectation,
     which is completely positive and unital.
     """
-    d = E.dim
-    if d == 0:
-        return np.zeros((0, 0, 0), dtype=complex)
-    eye = np.eye(d, dtype=complex)
-    rows = []
-    scale = 1.0
-    for p in range(E.algebra.dim):
-        R = E.gram_sqrt @ E.action[p] @ E.gram_isqrt
-        scale = max(scale, operator_norm(R))
-        rows.append(np.kron(eye, R.T) - np.kron(R, eye))
-    null = _constraint_null_space(np.vstack(rows), scale, tol)
-    return null.reshape(-1, d, d)
+    R = E.gram_sqrt @ E.action @ E.gram_isqrt
+    null = null_space(intertwining_rows(R, R), max(1.0, max_operator_norm(R)), tol)
+    return null.reshape(len(null), E.dim, E.dim)
 
 
 def commutant_project(basis: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -350,22 +344,11 @@ def intertwiner_space(
     E1, E2 = phi1.module, phi2.module
     if E1.algebra != E2.algebra:
         raise ShapeMismatch("modules over different coefficient algebras")
-    d1, d2 = E1.dim, E2.dim
-    if d1 == 0 or d2 == 0:
-        return []
-    amat = alpha.matrix
-    eye1, eye2 = np.eye(d1, dtype=complex), np.eye(d2, dtype=complex)
-    scale = 1.0
-    rows = []
-    for p in range(E1.algebra.dim):
-        scale = max(scale, operator_norm(E1.action[p]), operator_norm(E2.action[p]))
-        rows.append(np.kron(eye2, E1.action[p].T) - np.kron(E2.action[p], eye1))
-    for p in range(phi1.algebra.dim):
-        twisted = np.einsum("q,qij->ij", amat[:, p], phi2.images)
-        scale = max(scale, operator_norm(twisted), operator_norm(phi1.images[p]))
-        rows.append(np.kron(twisted, eye1) - np.kron(eye2, phi1.images[p].T))
-    null = _constraint_null_space(np.vstack(rows), scale, tol)
-    return [ModuleMap(E1, E2, v.reshape(d2, d1)) for v in null]
+    twisted = np.einsum("qp,qij->pij", alpha.matrix, phi2.images)
+    systems = [(E2.action, E1.action), (twisted, phi1.images)]
+    scale = max(1.0, *(max_operator_norm(X) for pair in systems for X in pair))
+    null = null_space(np.vstack([intertwining_rows(*pair) for pair in systems]), scale, tol)
+    return [ModuleMap(E1, E2, v.reshape(E2.dim, E1.dim)) for v in null]
 
 
 def check_morphism(

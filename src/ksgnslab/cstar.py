@@ -7,7 +7,7 @@ algebras is stored through its images on that basis.  Products of basis
 elements are read from one cached table, AlgebraShape.product_table.
 
 The faithful positive functional used everywhere for scalarization is the
-unnormalized trace tau(a) = sum_i tr(a_i), AlgebraElement.trace; tau(a* a) > 0
+unnormalized trace tau(a) = sum_i tr(a_i); tau(a* a) > 0
 for a != 0, which is what lets Gram-matrix kernels detect genuine null
 vectors downstream.
 """
@@ -122,9 +122,6 @@ class AlgebraElement:
 
     def norm(self) -> float:
         return max(operator_norm(b) for b in self.blocks)
-
-    def trace(self) -> complex:
-        return complex(sum(np.trace(b) for b in self.blocks))
 
     def coeffs(self) -> np.ndarray:
         """Coordinates in the matrix-unit basis (row-major per block)."""

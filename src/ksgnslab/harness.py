@@ -22,7 +22,7 @@ from . import serialize as ser
 from .cp import (
     CPMap,
     Intertwiner,
-    check_cp,
+    check_cp_once,
     check_morphism,
     compose_intertwiners,
     intertwiner_space,
@@ -342,10 +342,12 @@ class _Recorder:
         )
 
 
-def _record_cp(rec: _Recorder, check: str, theorem: str, phi: CPMap, tol: Tolerance) -> bool:
-    """Record the Choi certificate of phi: the most negative Choi eigenvalue when
-    check_cp passes, inf whenever it fails.  Returns the verdict."""
-    ok, mins = check_cp(phi, tol)
+def _record_cp(
+    rec: _Recorder, check: str, theorem: str, phi: CPMap, tol: Tolerance, memo: BuildMemo
+) -> bool:
+    """Record the Choi certificate of phi (check_cp_once): the most negative
+    Choi eigenvalue when it passes, inf whenever it fails.  Returns the verdict."""
+    ok, mins = check_cp_once(phi, tol, memo)
     resid = max(0.0, -min(mins)) if ok else float("inf")
     rec.add(check, theorem, resid, tol.ctol * (1.0 + phi.norm))
     return ok
@@ -386,7 +388,7 @@ def _check_ksgns(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo)
     )
     cp_theorem = "complete positivity via blockwise Choi matrices"
     try:
-        ok = _record_cp(rec, "input_cp", cp_theorem, phi, tol)
+        ok = _record_cp(rec, "input_cp", cp_theorem, phi, tol, memo)
     except KsgnslabError as exc:
         rec.fail("input_cp", cp_theorem, exc)
         return
@@ -1069,7 +1071,7 @@ def _check_equivariant_suite(
             "covariance": ("covariance", "U_g phi(a) = phi(alpha_g(a)) U_g"),
         },
     )
-    _record_cp(rec, "phi_cp", "averaged map stays completely positive", c.phi, tol)
+    _record_cp(rec, "phi_cp", "averaged map stays completely positive", c.phi, tol, memo)
     functor = correspondence_to_functor(c, tol, memo)
     frep = check_functor_laws(c, functor, tol, memo)
     rec.merge(
@@ -1309,7 +1311,7 @@ def _gen_uniqueness(caps: SizeCaps, seed: int) -> dict:
     payload = _gen_equivariant(caps, seed)
     c = ser.load_equivariant(payload["correspondence"])
     tol = DEFAULT_TOL
-    t = ksgns(c.module, c.phi, tol)
+    t = ksgns(c.module, c.phi, tol, BuildMemo())
     rng = _sub_rng(seed, 23)
     Z = random_blinear_unitary(t.module, rng)
     payload["planted"] = ser.dump_cmatrix(Z.matrix)

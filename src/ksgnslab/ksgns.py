@@ -24,7 +24,7 @@ from .cstar import AlgebraElement, identity_star_map, unit_element
 from .cp import (
     CPMap,
     Intertwiner,
-    check_cp,
+    check_cp_once,
     check_correspondence,
     check_morphism,
     hom_pseudometric,
@@ -61,14 +61,14 @@ class KsgnsTriple(Quotient):
         return self.module.dim
 
 
-def ksgns(E: HilbertModule, phi: CPMap, tol: Tolerance = DEFAULT_TOL) -> KsgnsTriple:
+def ksgns(E: HilbertModule, phi: CPMap, tol: Tolerance, memo: BuildMemo) -> KsgnsTriple:
     """Dilate a completely positive map to a representation on F_phi.
 
     Raises NotCP when the Choi certificate fails, ShapeMismatch when phi acts
     on another module, and SubmoduleViolation (via the quotient) or
     WellDefinednessViolation when numerics break down.
     """
-    ok, mins = check_cp(phi, tol)
+    ok, mins = check_cp_once(phi, tol, memo)
     if not ok:
         raise NotCP(f"Choi certificate failed (min eigenvalues {mins})")
     A = phi.algebra
@@ -83,7 +83,7 @@ def ksgns(E: HilbertModule, phi: CPMap, tol: Tolerance = DEFAULT_TOL) -> KsgnsTr
 
 def ksgns_once(E: HilbertModule, phi: CPMap, tol: Tolerance, memo: BuildMemo) -> KsgnsTriple:
     """ksgns(E, phi), built once per (E, phi) content in the memo."""
-    return memo.get(("ksgns", E.key, phi.key, tol), lambda: ksgns(E, phi, tol))
+    return memo.get(("ksgns", E.key, phi.key, tol), lambda: ksgns(E, phi, tol, memo))
 
 
 def spanning_columns(t: KsgnsTriple) -> np.ndarray:

@@ -2,10 +2,17 @@
 
 Everything downstream reduces to a few primitives on complex double matrices:
 Hermitian eigendecomposition, tolerance-based rank/kernel splitting, operator
-norms (one matrix or the largest over a stack), the PSD verdict, and
-pseudo-inverses.  Rank decisions for positive semidefinite matrices always go
-through the Hermitian eigendecomposition, never through LU, so that null
-spaces of Gram matrices stay numerically stable.
+norms (one matrix or the largest over a stack), the PSD verdict, null spaces
+of constraint systems, and pseudo-inverses.  Rank decisions for positive
+semidefinite matrices always go through the Hermitian eigendecomposition, never
+through LU, so that null spaces of Gram matrices stay numerically stable.
+
+null_space takes the SVD of the R factor of K = QR, never of a tall K itself
+(T. F. Chan, ACM TOMS 8, 1982): R has K's singular values and right singular
+vectors, so the cutoff rule rtol * max(sigma_max, scale) is unchanged, and
+K's m x m left factor is never formed.  Through `scale`, a system of pure
+rounding noise (coefficients ~eps from operators of norm ~scale) reads as the
+zero system.
 
 Operator norms are the first singular value of LAPACK's batched SVD, the same
 value numpy.linalg.norm(., 2) returns.  Verdict-only gates of the form
@@ -134,6 +141,17 @@ def rank_kernel(
     else:
         keep = w > tol.rtol * lam_max
     return int(np.count_nonzero(keep)), V[:, keep], V[:, ~keep]
+
+
+def null_space(K: np.ndarray, scale: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal rows v with K v = 0 numerically: the right singular vectors
+    of K (m, n) with singular values at most rtol * max(sigma_max, scale), and
+    those beyond min(m, n).  NaN or Inf in K raises NonFinite."""
+    R = np.linalg.qr(require_finite(K, "constraint system"), mode="r")
+    _, svals, Vh = np.linalg.svd(R)
+    cutoff = tol.rtol * max(float(svals.max(initial=0.0)), scale)
+    mask = np.concatenate([svals <= cutoff, np.ones(Vh.shape[0] - svals.size, bool)])
+    return Vh[mask].conj()
 
 
 def pseudo_inverse(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

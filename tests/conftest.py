@@ -45,6 +45,11 @@ SMALL_SHAPES = [AlgebraShape((1,)), AlgebraShape((2,)), AlgebraShape((1, 2))]
 # -- algebra ------------------------------------------------------------------
 
 
+def algebra_trace(a: AlgebraElement) -> complex:
+    """The unnormalized trace tau(a) = sum_i tr(a_i), faithful on A."""
+    return complex(sum(np.trace(b) for b in a.blocks))
+
+
 def left_mult_matrix(a: AlgebraElement) -> np.ndarray:
     """Matrix of x -> a x on matrix-unit coordinates (block diag of a_i kron I)."""
     return block_diag(
@@ -113,6 +118,16 @@ def adjoint_identity_residual(m: ModuleMap, adj: ModuleMap) -> float:
     lhs = pairing_coeffs(m.target, m.matrix.T)
     rhs = pairing_coeffs(m.source, np.eye(m.source.dim)) @ adj.matrix
     return max_stacked_norm(m.source.algebra, lhs - rhs)
+
+
+# -- constraint systems -------------------------------------------------------
+
+
+def kron_intertwining_rows(X2: np.ndarray, X1: np.ndarray) -> np.ndarray:
+    """cp.intertwining_rows by one np.kron pair per stack element: the rows of
+    eta X1[p] - X2[p] eta = 0 for eta flattened row-major."""
+    eye1, eye2 = np.eye(X1.shape[-1], dtype=complex), np.eye(X2.shape[-1], dtype=complex)
+    return np.vstack([np.kron(eye2, b.T) - np.kron(a, eye1) for a, b in zip(X2, X1)])
 
 
 # -- alpha-twisted maps -------------------------------------------------------

@@ -7,12 +7,10 @@ lines as they complete.  Tolerances are pinned here and nowhere else.
 import time
 
 import numpy as np
-import pytest
 
 from ksgnslab.cp import (
     CPMap,
     Intertwiner,
-    check_cp,
     compose_intertwiners,
     intertwiner_space,
     random_blinear_unitary,
@@ -25,7 +23,6 @@ from ksgnslab.cstar import (
 )
 from ksgnslab.equivariant import (
     check_dilation,
-    check_equivariant,
     conjugated_quadruple,
     categorical_dilation_unitary,
     cyclic_group,
@@ -56,8 +53,6 @@ from ksgnslab.harness import (
 )
 from ksgnslab.hilbert import ModuleMap, adjoint_map, identity_map, module_operator_norm
 from ksgnslab.ksgns import (
-    check_idempotency,
-    check_triple,
     continuity_probe,
     idempotency_unitary,
     ksgns,
@@ -97,7 +92,7 @@ def test_criterion_01_ksgns_reconstruction():
         B = AlgebraShape(SHAPE_MENU[(seed // 5) % 5])
         E = random_module(B, rng, max_dim=6)
         phi = random_cp(A, E, rng)
-        t = ksgns(E, phi, TOL)
+        t = ksgns(E, phi, TOL, BuildMemo())
         Vs = adjoint_map(t.embedding).matrix
         V = t.embedding.matrix
         recon = max(
@@ -141,8 +136,8 @@ def test_criterion_02_gns_dimensions():
 
     trace_rank = oracle_rank([0.5, 0.5])
     pure_rank = oracle_rank([1.0, 0.0])
-    dim_trace = ksgns(E, state([0.5, 0.5]), TOL).module.dim
-    dim_pure = ksgns(E, state([1.0, 0.0]), TOL).module.dim
+    dim_trace = ksgns(E, state([0.5, 0.5]), TOL, BuildMemo()).module.dim
+    dim_pure = ksgns(E, state([1.0, 0.0]), TOL, BuildMemo()).module.dim
     ok = (trace_rank, pure_rank) == (4, 2) and (dim_trace, dim_pure) == (4, 2)
     _report(2, "GNS dimensions", ok, f"trace {dim_trace} (oracle {trace_rank}), "
             f"pure {dim_pure} (oracle {pure_rank})")
@@ -158,7 +153,9 @@ def test_criterion_03_endofunctor_laws():
         phi1 = random_cp(A, E1, rng)
         E2, phi2, m1 = extend_morphism(E1, phi1, rng)
         E3, phi3, m2 = extend_morphism(E2, phi2, rng)
-        t1, t2, t3 = ksgns(E1, phi1, TOL), ksgns(E2, phi2, TOL), ksgns(E3, phi3, TOL)
+        t1, t2, t3 = (
+            ksgns(E, phi, TOL, BuildMemo()) for E, phi in ((E1, phi1), (E2, phi2), (E3, phi3))
+        )
         l1 = ksgns_lift(m1, t1, t2, TOL)
         l2 = ksgns_lift(m2, t2, t3, TOL)
         l21 = ksgns_lift(compose_intertwiners(m2, m1), t1, t3, TOL)
@@ -188,7 +185,7 @@ def test_criterion_04_idempotency():
         E1 = random_module(B, rng, max_dim=4)
         phi1 = random_cp(A, E1, rng)
         E2, phi2, m = extend_morphism(E1, phi1, rng)
-        t1, t2 = ksgns(E1, phi1, TOL), ksgns(E2, phi2, TOL)
+        t1, t2 = ksgns(E1, phi1, TOL, BuildMemo()), ksgns(E2, phi2, TOL, BuildMemo())
         memo = BuildMemo()
         idem1, idem2 = idempotency_unitary(t1, TOL, memo), idempotency_unitary(t2, TOL, memo)
         dims_ok = dims_ok and idem1.second.module.dim == t1.module.dim
@@ -398,7 +395,7 @@ def test_criterion_08_equivariant_dilation():
             AlgebraShape((2,)), AlgebraShape((2,)), trivial_group(), seed=6400 + seed
         )
         quad = dilate(c, TOL, BuildMemo())
-        t = ksgns(c.module, c.phi, TOL)
+        t = ksgns(c.module, c.phi, TOL, BuildMemo())
         bit_ok = bit_ok and (
             np.array_equal(quad.triple.q, t.q)
             and np.array_equal(quad.triple.s, t.s)
@@ -455,7 +452,7 @@ def test_criterion_10_continuity():
         samples = list(
             zip(random_vectors(E1, rng, 3), [random_element(A, rng) for _ in range(3)])
         )
-        t1, t2 = ksgns(E1, phi1, TOL), ksgns(E2, phi2, TOL)
+        t1, t2 = ksgns(E1, phi1, TOL, BuildMemo()), ksgns(E2, phi2, TOL, BuildMemo())
         probe = continuity_probe(path, m, t1, t2, samples, TOL)
         worst_final = max(worst_final, probe.lifted_distances[-1])
         worst_jump = max(

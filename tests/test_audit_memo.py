@@ -35,7 +35,6 @@ from ksgnslab.poscor import (
     BuildMemo,
     check_category_laws,
     check_poscor_morphism,
-    interior_tensor_along,
     ksgns_functor_poscor,
     morphism_distance,
     poscor_compose,

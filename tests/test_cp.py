@@ -12,6 +12,7 @@ from ksgnslab.cp import (
     choi_blocks,
     hom_pseudometric,
     intertwiner_space,
+    intertwining_rows,
     random_blinear_unitary,
     random_cp,
 )
@@ -23,7 +24,7 @@ from ksgnslab.cstar import (
     random_element,
     unit_element,
 )
-from ksgnslab.errors import NonLinearMap
+from ksgnslab.errors import NonFinite, NonLinearMap
 from ksgnslab.generators import (
     canonical_module,
     conjugate_cp,
@@ -37,11 +38,10 @@ from ksgnslab.hilbert import (
     adjoint_map,
     identity_map,
     is_map_positive,
-    module_operator_norm,
 )
 from ksgnslab.numkernel import operator_norm
 
-from conftest import random_complex
+from conftest import kron_intertwining_rows, random_complex
 
 
 def transpose_map_on_m2():
@@ -179,6 +179,56 @@ def test_intertwiner_space_contains_planted_unitary(rng):
     coeffs = [np.vdot(b.matrix.reshape(-1), W) for b in basis]
     recon = sum(c * b.matrix.reshape(-1) for c, b in zip(coeffs, basis))
     assert np.linalg.norm(recon - W) <= 1e-8 * (1.0 + np.linalg.norm(W))
+
+
+def with_negative_zeros(X, rng):
+    """X with a random third of its entries, and every zero, set to -0 - 0j."""
+    X = X.copy()
+    X[(rng.random(X.shape) < 1 / 3) | (X == 0)] = complex(-0.0, -0.0)
+    return X
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+def test_intertwining_rows_match_the_kron_loop(zeros, rng):
+    # both constraint systems the solvers stack: the commutant of a realized
+    # action (X2 = X1), and an intertwiner system with d1 != d2 (module part
+    # and phi part); equal bit for bit, signs of zeros included
+    A, B = AlgebraShape((2,)), AlgebraShape((1, 2))
+    E1, E2 = canonical_module(B, (1, 1)), canonical_module(B, (2, 1))
+    phi1, phi2 = random_cp(A, E1, rng), random_cp(A, E2, rng)
+    twisted = np.einsum("qp,qij->pij", random_automorphism(A, rng).matrix, phi2.images)
+    R = E2.gram_sqrt @ E2.action @ E2.gram_isqrt
+    systems = [(R, R), (E2.action, E1.action), (twisted, phi1.images)]
+    assert E1.dim != E2.dim
+    for X2, X1 in systems:
+        if zeros:
+            X2, X1 = with_negative_zeros(X2, rng), with_negative_zeros(X1, rng)
+        rows = intertwining_rows(X2, X1)
+        expected = kron_intertwining_rows(X2, X1)
+        assert np.array_equal(rows, expected)
+        assert rows.tobytes() == expected.tobytes()
+
+
+def test_zero_dimensional_module_has_empty_solution_spaces(rng):
+    A, B = AlgebraShape((2,)), AlgebraShape((1, 2))
+    E0, E = canonical_module(B, (0, 0)), random_module(B, rng, max_dim=3)
+    assert adjointable_commutant_basis(E0).shape == (0, 0, 0)
+    phi0, phi = random_cp(A, E0, rng), random_cp(A, E, rng)
+    assert phi0.images.shape == (4, 0, 0)
+    alpha = identity_automorphism(A)
+    assert intertwiner_space(phi0, phi, alpha) == []
+    assert intertwiner_space(phi, phi0, alpha) == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_intertwiner_space_rejects_non_finite_maps(bad, rng):
+    A = AlgebraShape((2,))
+    E = random_module(AlgebraShape((2,)), rng, max_dim=4)
+    phi = random_cp(A, E, rng)
+    images = phi.images.copy()
+    images[1, 0, 0] = bad
+    with pytest.raises(NonFinite):
+        intertwiner_space(phi, CPMap(A, E, images), identity_automorphism(A))
 
 
 def test_irreducible_commutant_is_one_dimensional():

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from ksgnslab.cp import CPMap
-from ksgnslab.cstar import (
-    AlgebraShape,
-    StarMap,
-    basis_element,
-    identity_automorphism,
-)
+from ksgnslab.cstar import AlgebraShape, basis_element, identity_automorphism
 from ksgnslab.equivariant import (
     DilationQuadruple,
     DynamicalSystem,
@@ -23,9 +18,7 @@ from ksgnslab.equivariant import (
     correspondence_to_functor,
     cyclic_group,
     dilate,
-    direct_sum_module,
     inner_system,
-    perm_parity,
     random_equivariant,
     sign_homomorphism,
     symmetric_group,
@@ -35,15 +28,14 @@ from ksgnslab.equivariant import (
     unitary_representation,
 )
 from ksgnslab.errors import SpanningFailure, TwistMismatch, ValidationError
-from ksgnslab.generators import random_star_map
 from ksgnslab.hilbert import (
     ModuleMap,
     PreModule,
     adjoint_map,
     algebra_module,
 )
-from ksgnslab.ksgns import check_triple, ksgns
-from ksgnslab.cp import random_blinear_unitary, random_cp
+from ksgnslab.ksgns import ksgns
+from ksgnslab.cp import random_blinear_unitary
 from ksgnslab.harness import check_instance
 from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL, Tolerance, operator_norm
@@ -285,7 +277,7 @@ def test_functor_laws_reject_beta_off_the_group_law():
 
 def test_trivial_group_dilation_reproduces_ksgns_bitwise():
     c = random_equivariant(AlgebraShape((2,)), AlgebraShape((2,)), trivial_group(), seed=12)
-    t_direct = ksgns(c.module, c.phi)
+    t_direct = ksgns(c.module, c.phi, DEFAULT_TOL, BuildMemo())
     quad = dilate(c, DEFAULT_TOL, BuildMemo())
     assert np.array_equal(quad.triple.module.gram_matrix, t_direct.module.gram_matrix)
     assert np.array_equal(quad.triple.pi.images, t_direct.pi.images)

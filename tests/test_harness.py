@@ -1,7 +1,5 @@
 import json
-import os
 
-import numpy as np
 import pytest
 
 from ksgnslab.cli import main as cli_main

@@ -9,7 +9,6 @@ from ksgnslab.cstar import (
     identity_star_map,
     random_automorphism,
     random_element,
-    unit_element,
 )
 from ksgnslab.errors import (
     NonFinite, SubmoduleViolation, TwistMismatch, WellDefinednessViolation,
@@ -17,7 +16,6 @@ from ksgnslab.errors import (
 from ksgnslab.generators import canonical_module, random_module, random_vectors
 from ksgnslab.hilbert import (
     AlphaLinearMap,
-    HilbertModule,
     ModuleMap,
     PreModule,
     adjoint_map,
@@ -30,7 +28,6 @@ from ksgnslab.hilbert import (
     pairing_coeffs,
     quotient_by_null,
     rank_one_sum,
-    realize,
 )
 from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL, herm_eig, operator_norm
@@ -47,6 +44,7 @@ from ksgnslab.generators import random_star_map
 from conftest import (
     action_matrix,
     adjoint_identity_residual,
+    algebra_trace,
     alpha_transport,
     alpha_transport_inverse,
     random_complex,
@@ -279,7 +277,7 @@ def test_constructions_descend_once_per_stack(rng, monkeypatch):
     A = AlgebraShape((2,))
     E = random_module(AlgebraShape((1, 2)), rng, max_dim=4)
     phi = random_cp(A, E, rng)
-    ksgns(E, phi)
+    ksgns(E, phi, DEFAULT_TOL, BuildMemo())
     assert len(calls) == 1
     F, pi = random_representation(E.algebra, AlgebraShape((2,)), rng, max_dim=4)
     tm = interior_tensor(E, F, pi)
@@ -432,8 +430,8 @@ def test_cauchy_schwarz_scalarized(rng):
     E = random_module(AlgebraShape((1, 2)), rng, max_dim=5)
     for _ in range(25):
         x, y = random_vectors(E, rng, 2)
-        lhs = abs(E.pair(x, y).trace()) ** 2
-        rhs = E.pair(x, x).trace().real * E.pair(y, y).trace().real
+        lhs = abs(algebra_trace(E.pair(x, y))) ** 2
+        rhs = algebra_trace(E.pair(x, x)).real * algebra_trace(E.pair(y, y)).real
         assert lhs <= rhs + 1e-8
 
 
@@ -641,7 +639,7 @@ def test_quotient_kernel_vectors_are_null(rng):
     lam_max = max(np.linalg.eigvalsh((G + G.conj().T) / 2).max(), 1.0)
     for k in range(quot.kernel.shape[1]):
         z = quot.kernel[:, k]
-        assert abs(pre.pair(z, z).trace()) <= 1e-8 * lam_max
+        assert abs(algebra_trace(pre.pair(z, z))) <= 1e-8 * lam_max
     if quot.module.dim:
         w = np.linalg.eigvalsh(quot.module.gram_matrix)
         assert w[0] > 1e-10 * w[-1]

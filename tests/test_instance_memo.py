@@ -29,9 +29,9 @@ def content(M):
 
 
 def count_builds(monkeypatch):
-    """Count tensor_premodule calls by the content of (E, F, pi), and the Choi
-    certificates ksgns runs as it builds by the content of (E, phi).  The
-    harness's own input_cp record is a check, not a build, and is not counted."""
+    """Count tensor_premodule calls by the content of (E, F, pi), and Choi
+    certificates by the content of (E, phi): those ksgns runs as it builds and
+    those the harness records, in whichever module binds check_cp."""
     tensors, cps = {}, {}
     real_premodule, real_check_cp = cp.tensor_premodule, cp.check_cp
 
@@ -46,7 +46,9 @@ def count_builds(monkeypatch):
         return real_check_cp(phi, tol)
 
     monkeypatch.setattr(cp, "tensor_premodule", premodule)
-    monkeypatch.setattr(ksgns_module, "check_cp", check_cp)
+    for module in (cp, harness, ksgns_module):
+        if hasattr(module, "check_cp"):
+            monkeypatch.setattr(module, "check_cp", check_cp)
     return tensors, cps
 
 
@@ -71,6 +73,16 @@ def test_instance_builds_each_tensor_and_triple_once(monkeypatch, suite, idx):
     assert len(tensors) >= FEWEST_TENSORS[suite]
     assert max(tensors.values()) == 1
     assert max(cps.values(), default=1) == 1
+
+
+def test_ksgns_suite_certifies_each_map_once(monkeypatch):
+    # the input_cp record and the dilation's own certificate share one run
+    _, cps = count_builds(monkeypatch)
+    for idx in range(10):
+        records = check_instance("ksgns", payload("ksgns", idx), DEFAULT_TOL)
+        assert {"input_cp", "reconstruction"} <= {r.check for r in records}
+    assert len(cps) == 10
+    assert set(cps.values()) == {1}
 
 
 def test_ksgns_functor_block_certifies_each_map_once(monkeypatch):

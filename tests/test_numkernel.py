@@ -11,6 +11,7 @@ from ksgnslab.numkernel import (
     herm_expi,
     herm_power,
     max_operator_norm,
+    null_space,
     operator_norm,
     operator_norms,
     psd_verdict,
@@ -240,3 +241,52 @@ def test_herm_expi_unitary():
     H = M + M.conj().T
     U = herm_expi(H)
     assert operator_norm(U.conj().T @ U - np.eye(4)) <= 1e-12 * (1 + operator_norm(H))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_null_space_rejects_non_finite(bad, rng):
+    K = random_complex(rng, 6, 3)
+    K[4, 1] = bad
+    with pytest.raises(NonFinite):
+        null_space(K, 1.0, DEFAULT_TOL)
+
+
+def kernel_projector(N):
+    """Orthogonal projector onto the span of the rows of N."""
+    return N.T @ N.conj()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.integers(1, 3),
+    st.booleans(),
+    st.data(),
+)
+def test_null_space_finds_a_planted_kernel(seed, m, n, exponent, via_scale, data):
+    # K = U diag(s) V* with sigma_max = 1; rank r singular values at or above
+    # 10x the cutoff, j more at a tenth of it, the rest exactly zero.  The
+    # cutoff rtol * max(sigma_max, scale) is set through scale or through rtol.
+    # Rounding moves either kernel by about eps / cutoff, so the cutoff stays
+    # at 1e-3 or above for the 1e-12 comparison to hold
+    rng = np.random.default_rng(seed)
+    p = min(m, n)
+    r = data.draw(st.integers(1, p))
+    j = data.draw(st.integers(0, p - r))
+    cutoff = 10.0**-exponent
+    tol, scale = (Tolerance(), cutoff / 1e-10) if via_scale else (Tolerance(rtol=cutoff), 0.5)
+    kept = np.concatenate([[1.0], 10.0 ** rng.uniform(np.log10(10.0 * cutoff), 0.0, r - 1)])
+    kept[1:2] = 10.0 * cutoff  # the smallest kept value sits at 10x the cutoff
+    s = np.concatenate([kept, np.full(j, cutoff / 10.0), np.zeros(p - r - j)])
+    U = np.linalg.qr(random_complex(rng, m, m))[0][:, :p]
+    V = np.linalg.qr(random_complex(rng, n, n))[0][:, :p]
+    K = (U * s) @ V.conj().T
+    N = null_space(K, scale, tol)
+    assert N.shape == (n - r, n)
+    assert operator_norm(N.conj() @ N.T - np.eye(n - r)) <= 1e-12
+    _, svals, Vh = np.linalg.svd(K)  # the oracle: the full SVD of K itself
+    keep = svals > tol.rtol * max(float(svals[0]), scale)
+    oracle = Vh[np.concatenate([~keep, np.ones(n - p, bool)])].conj()
+    assert operator_norm(kernel_projector(N) - kernel_projector(oracle)) <= 1e-12

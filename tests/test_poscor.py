@@ -1,38 +1,33 @@
 import numpy as np
 import pytest
 
-from ksgnslab.cp import CPMap, Intertwiner, check_morphism, random_blinear_unitary, random_cp
+from ksgnslab.cp import CPMap, check_morphism, random_blinear_unitary, random_cp
 from ksgnslab.cstar import (
     AlgebraShape,
     StarMap,
     compose_star_maps,
-    identity_automorphism,
     identity_star_map,
     random_element,
 )
 from ksgnslab.equivariant import scramble_module
 from ksgnslab.errors import ObjectMismatch, ShapeMismatch
 from ksgnslab.generators import (
-    canonical_module,
     random_endomorphism,
     random_module,
-    random_morphism_pair,
     random_morphism_to_new_object,
     random_object,
     random_representation,
     random_star_map,
-    random_vectors,
     transported_copy,
 )
 from ksgnslab.hilbert import (
     ModuleMap,
     adjoint_map,
     algebra_module,
-    compose_maps,
     identity_map,
     module_operator_norm,
 )
-from ksgnslab.ksgns import ksgns, ksgns_lift
+from ksgnslab.ksgns import ksgns_lift
 from ksgnslab.numkernel import DEFAULT_TOL, operator_norm
 from ksgnslab.poscor import (
     BuildMemo,
@@ -44,7 +39,6 @@ from ksgnslab.poscor import (
     composition_unitary,
     dilate_object,
     idempotency_iso_poscor,
-    inclusion_unitary,
     interior_tensor,
     interior_tensor_along,
     ksgns_functor_poscor,
@@ -57,7 +51,6 @@ from ksgnslab.poscor import (
     tensor_extend_cpmap,
     tensor_functor_morphism,
     unitarity_residual,
-    v_rho,
 )
 
 from conftest import left_mult_matrix, poscor_pseudometric, random_complex

@@ -9,7 +9,6 @@ from ksgnslab.cp import random_cp
 from ksgnslab.equivariant import cyclic_group, random_equivariant
 from ksgnslab.errors import ValidationError
 from ksgnslab.generators import random_module, random_star_map
-from ksgnslab.numkernel import operator_norm
 
 from conftest import random_complex
 

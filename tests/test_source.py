@@ -6,6 +6,7 @@ from pathlib import Path
 import ksgnslab
 
 SRC = Path(ksgnslab.__file__).parent
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,7 +34,7 @@ def test_no_unused_top_level_imports():
     assert unused_imports(probe) == ["os (line 2)", "linalg (line 3)"]
     found = {
         path.name: unused
-        for path in sorted(SRC.glob("*.py"))
+        for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
         if (unused := unused_imports(path.read_text()))
     }
     assert found == {}
@@ -82,6 +83,25 @@ def top_level_definitions(source: str) -> list[str]:
     return [node.name for node in ast.parse(source).body if isinstance(node, kinds)]
 
 
+def class_methods(source: str) -> list[tuple[str, bool]]:
+    """(Class.method, whether it is a property) for the methods of the
+    top-level classes of a module; dunder methods are left out, since the
+    language calls them."""
+    found = []
+    for cls in ast.parse(source).body:
+        if isinstance(cls, ast.ClassDef):
+            found += [
+                (
+                    f"{cls.name}.{fn.name}",
+                    any("property" in ast.unparse(d) for d in fn.decorator_list),
+                )
+                for fn in cls.body
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not fn.name.startswith("__")
+            ]
+    return found
+
+
 def referenced_names(source: str) -> set[str]:
     """Every name a module reads, every attribute it takes and every name it imports."""
     names = set()
@@ -95,26 +115,73 @@ def referenced_names(source: str) -> set[str]:
     return names
 
 
+def attribute_uses(source: str) -> tuple[set[str], set[str]]:
+    """(attributes a module calls, attributes it reads) on any receiver but a
+    module bound by `import`: np.trace(x) uses no method named trace."""
+    tree = ast.parse(source)
+    modules = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    called, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) not in modules:
+            read.add(node.attr)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if getattr(node.func.value, "id", None) not in modules:
+                called.add(node.func.attr)
+    return called, read
+
+
+def unreferenced(definitions: list[str], methods: list[tuple[str, bool]], corpus: list[str]):
+    """The definitions no corpus module names, the plain methods none calls
+    and the properties none reads.  A method counts by its name alone."""
+    names, called, read = set(), set(), set()
+    for source in corpus:
+        names |= referenced_names(source)
+        calls, reads = attribute_uses(source)
+        called |= calls
+        read |= reads
+    dead = [d for d in definitions if d.split(":")[-1] not in names]
+    return dead + [
+        m for m, prop in methods if m.split(".")[-1] not in (read if prop else called)
+    ]
+
+
 def test_no_unreferenced_top_level_definitions():
-    # every src definition has a caller outside the tests: a test oracle
-    # lives in tests/conftest.py, not in src
-    probe = "def used():\n    pass\n\nclass Dead:\n    pass\n\nused()\n"
-    assert [d for d in top_level_definitions(probe) if d not in referenced_names(probe)] == [
-        "Dead"
+    # every src definition, and every method of a src class, has a user
+    # outside the tests: a test oracle lives in tests/conftest.py, not in src
+    probe = (
+        "import numpy as np\n\ndef used():\n    pass\n\nclass Dead:\n    pass\n\n"
+        "class Live:\n    def __len__(self):\n        return 0\n"
+        "    def called(self):\n        pass\n    def trace(self):\n        pass\n"
+        "    def flag(self):\n        pass\n"
+        "    @property\n    def shown(self):\n        pass\n"
+        "    @property\n    def hidden(self):\n        pass\n\n"
+        "used()\nLive().called()\nnp.trace(x)\nargs.flag\nprint(Live().shown)\n"
+    )
+    assert unreferenced(top_level_definitions(probe), class_methods(probe), [probe]) == [
+        "Dead", "Live.trace", "Live.flag", "Live.hidden"
     ]
     corpus = [
-        path
+        path.read_text()
         for part in ("src", "scripts", "perfbench")
         for path in sorted((REPO / part).rglob("*.py"))
     ]
-    referenced = set().union(*(referenced_names(path.read_text()) for path in corpus))
-    definitions = {
-        f"{path.name}:{name}"
-        for path in sorted(SRC.glob("*.py"))
-        for name in top_level_definitions(path.read_text())
-    }
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    definitions = [
+        f"{name}:{d}" for name, source in sources.items() for d in top_level_definitions(source)
+    ]
+    methods = [
+        (f"{name}:{m}", prop)
+        for name, source in sources.items()
+        for m, prop in class_methods(source)
+    ]
     assert len(definitions) > 200
-    assert sorted(d for d in definitions if d.split(":")[1] not in referenced) == []
+    assert len(methods) > 50
+    assert unreferenced(definitions, methods, corpus) == []
 
 
 LOOPS = (
