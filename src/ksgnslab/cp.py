@@ -191,10 +191,13 @@ def tensor_premodule(E: HilbertModule, F: HilbertModule, pi: CPMap) -> PreModule
         if dE
         else np.zeros((0, 0, E.algebra.dim))
     )
-    N = np.einsum("ikp,pxy->ikxy", coeffs, pi.images, optimize=True)
+    N = np.tensordot(coeffs, pi.images, axes=(2, 0))
     action = np.kron(np.eye(dE, dtype=complex), F.action)  # I (x) R(u_c) for each c
+    # pairing[i, j, k, l] = sum_m N[i, k, m, l] P[j, m]
     pairing = [
-        np.einsum("ikml,jmxy->ijklxy", N, P, optimize=True).reshape(dE * dF, dE * dF, *P.shape[2:])
+        np.tensordot(N, P, axes=(2, 1))
+        .transpose(0, 3, 1, 2, 4, 5)
+        .reshape(dE * dF, dE * dF, *P.shape[2:])
         for P in F.pairing
     ]
     return PreModule(F.algebra, dE * dF, action, pairing)

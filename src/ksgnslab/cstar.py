@@ -224,8 +224,9 @@ def identity_star_map(shape: AlgebraShape) -> StarMap:
 def compose_star_maps(outer: StarMap, inner: StarMap) -> StarMap:
     if inner.codomain != outer.domain:
         raise ShapeMismatch("star maps do not chain")
+    composite = outer.matrix @ inner.matrix
     return StarMap(
-        inner.domain, outer.codomain, [outer(img) for img in inner.images]
+        inner.domain, outer.codomain, [from_coeffs(outer.codomain, c) for c in composite.T]
     )
 
 

@@ -36,6 +36,7 @@ from .hilbert import (
     descend,
     max_stacked_norm,
     pairing_coeffs,
+    transport_pairing,
     unitarity_residual,
 )
 from .ksgns import (
@@ -381,7 +382,7 @@ def average_covariant(
         Uh = unitaries[h]
         Uh_inv = unitaries[group.inv(h)]
         moved = np.einsum("qp,qij->pij", inv_mat, c_phi.images)
-        images += np.einsum("ij,pjk,kl->pil", Uh, moved, Uh_inv, optimize=True)
+        images += Uh @ moved @ Uh_inv
     images /= group.order
     return CPMap(A, c_phi.module, images)
 
@@ -629,9 +630,7 @@ def scramble_module(
     S = W1 @ np.diag(sing).astype(complex) @ W2
     S_inv = W2.conj().T @ np.diag(1.0 / sing).astype(complex) @ W1.conj().T
     action = np.stack([S_inv @ M.action[p] @ S for p in range(M.algebra.dim)])
-    pairing = [
-        np.einsum("ui,vj,uvkl->ijkl", S.conj(), S, P, optimize=True) for P in M.pairing
-    ]
+    pairing = [transport_pairing(S, P) for P in M.pairing]
     return HilbertModule(M.algebra, d, action, pairing), S
 
 

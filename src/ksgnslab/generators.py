@@ -184,8 +184,7 @@ def conjugate_cp(
     intertwines phi and psi when W is unitary."""
     Ws = adjoint_map(W).matrix
     moved = np.einsum("qp,qij->pij", alpha.inverse_matrix, phi.images)
-    images = np.einsum("ij,pjk,kl->pil", W.matrix, moved, Ws, optimize=True)
-    return CPMap(phi.algebra, W.target, images)
+    return CPMap(phi.algebra, W.target, W.matrix @ moved @ Ws)
 
 
 def random_intertwiner(

@@ -89,7 +89,7 @@ class PreModule:
         y = np.asarray(y, dtype=complex).reshape(self.dim)
         return AlgebraElement(
             self.algebra,
-            [np.einsum("i,j,ijkl->kl", x.conj(), y, P) for P in self.pairing],
+            [P.transpose(2, 3, 0, 1) @ y @ x.conj() for P in self.pairing],
         )
 
 
@@ -146,6 +146,14 @@ def max_stacked_norm(shape: AlgebraShape, C: np.ndarray) -> float:
     )
 
 
+def transport_pairing(s: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """One pairing block P (d, d, n, n) pulled back along s (d, r):
+    R[i, j] = sum_uv conj(s[u, i]) s[v, j] P[u, v], the block of
+    <s e_i, s e_j> on the new coordinates, C-contiguous so that reshaping a
+    stored block makes no copy."""
+    return np.ascontiguousarray((s.conj().T @ P.transpose(2, 3, 0, 1) @ s).transpose(2, 3, 0, 1))
+
+
 # -- quotient by the null space -------------------------------------------
 
 
@@ -175,11 +183,8 @@ def quotient_by_null(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> Quotient:
             f"action of basis element {leak[0]} leaks out of the null space "
             f"(residual {leak[1]:.3e})"
         )
-    new_action = np.einsum("iu,puv,vj->pij", q, pre.action, s, optimize=True)
-    new_pairing = [
-        np.einsum("ui,vj,uvkl->ijkl", s.conj(), s, P, optimize=True) for P in pre.pairing
-    ]
-    module = HilbertModule(pre.algebra, rank, new_action, new_pairing)
+    new_pairing = [transport_pairing(s, P) for P in pre.pairing]
+    module = HilbertModule(pre.algebra, rank, q @ pre.action @ s, new_pairing)
     return Quotient(module, q, s, kernel_basis)
 
 

@@ -210,7 +210,8 @@ def composition_unitary(
     T = np.zeros((dC, dD, dD), dtype=complex)
     T[:, w, prod[q, w]] = rho2.matrix[q].T
     S3 = tm12.s.reshape(dE, dC, tm12.module.dim)
-    M_pre = np.einsum("ivu,vwx->ixuw", S3, T, optimize=True).reshape(
+    # M_pre[(i, x), (u, w)] = sum_v S3[i, v, u] T[v, w, x]
+    M_pre = np.tensordot(S3, T, axes=(1, 0)).transpose(0, 3, 1, 2).reshape(
         dE * dD, tm12.module.dim * dD
     )
     U = ModuleMap(tm123.module, tm13.module, tm13.q @ M_pre @ tm123.s)
@@ -271,7 +272,8 @@ def commuting_unitary(
     dA, dE, dF = phi.algebra.dim, E.dim, F.dim
     Q3 = t.q.reshape(t.module.dim, dA, dE)
     S3 = tm.s.reshape(dE, dF, tm.module.dim)
-    M_pre = np.einsum("kpi,iju->kjpu", Q3, S3, optimize=True).reshape(
+    # M_pre[(k, j), (p, u)] = sum_i Q3[k, p, i] S3[i, j, u]
+    M_pre = np.tensordot(Q3, S3, axes=(2, 0)).transpose(0, 2, 1, 3).reshape(
         t.module.dim * dF, dA * tm.module.dim
     )
     V = ModuleMap(left.module, right.module, right.q @ M_pre @ left.s)

@@ -36,22 +36,11 @@ from .equivariant import (
 # -- scalars and matrices -----------------------------------------------------
 
 
-def dump_complex(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def load_complex(data: Any) -> complex:
-    if not isinstance(data, (list, tuple)) or len(data) != 2:
-        raise ValidationError(f"complex scalar must be [re, im], got {data!r}")
-    return complex(float(data[0]), float(data[1]))
-
-
 def dump_cmatrix(M: np.ndarray) -> list:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
         raise ValidationError(f"expected a matrix, got ndim {M.ndim}")
-    return [[dump_complex(z) for z in row] for row in M]
+    return np.stack([M.real, M.imag], -1).tolist()
 
 
 def load_cmatrix(data: Any, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -59,16 +48,21 @@ def load_cmatrix(data: Any, rows: int | None = None, cols: int | None = None) ->
         raise ValidationError("matrix must be a list of rows")
     if not data and not rows:  # a (0, n) matrix dumps as []
         return np.zeros((0, cols or 0), dtype=complex)
-    M = np.array([[load_complex(z) for z in row] for row in data], dtype=complex)
-    if M.ndim == 1:  # zero columns
-        M = M.reshape(len(data), 0)
-    if rows is not None and M.shape[0] != rows:
-        raise ValidationError(f"matrix has {M.shape[0]} rows, expected {rows}")
-    if cols is not None and M.shape[1] != cols:
-        raise ValidationError(f"matrix has {M.shape[1]} cols, expected {cols}")
-    if M.size and not np.all(np.isfinite(M)):
+    try:
+        A = np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"matrix must be rows of [re, im] pairs: {exc}") from exc
+    if A.size == 0 and A.ndim < 3:  # no rows, or rows of zero columns
+        A = A.reshape(len(data), 0, 2)
+    if A.ndim != 3 or A.shape[2] != 2:
+        raise ValidationError(f"matrix must be rows of [re, im] pairs, got shape {A.shape}")
+    if rows is not None and A.shape[0] != rows:
+        raise ValidationError(f"matrix has {A.shape[0]} rows, expected {rows}")
+    if cols is not None and A.shape[1] != cols:
+        raise ValidationError(f"matrix has {A.shape[1]} cols, expected {cols}")
+    if not np.isfinite(A).all():
         raise ValidationError("matrix contains non-finite entries")
-    return M
+    return A.view(complex)[..., 0]
 
 
 # -- algebra layer ------------------------------------------------------------

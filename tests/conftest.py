@@ -120,6 +120,47 @@ def adjoint_identity_residual(m: ModuleMap, adj: ModuleMap) -> float:
     return max_stacked_norm(m.source.algebra, lhs - rhs)
 
 
+# -- contractions -------------------------------------------------------------
+# The package writes these contractions as matrix products; plain np.einsum,
+# with no planned path, spells out each one index by index.
+
+
+def transport_pairing_reference(s: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """hilbert.transport_pairing: R[i, j] = sum_uv conj(s[u, i]) s[v, j] P[u, v]."""
+    return np.einsum("ui,vj,uvkl->ijkl", s.conj(), s, P)
+
+
+def tensor_pairing_reference(E: PreModule, F: PreModule, pi) -> list[np.ndarray]:
+    """Pairing blocks of cp.tensor_premodule(E, F, pi):
+    <e_i (x) f_j, e_k (x) f_l> = <f_j, pi(<e_i, e_k>_E) f_l>_F."""
+    coeffs = pairing_coeffs(E, np.eye(E.dim)).transpose(0, 2, 1)  # [i, k, p]
+    N = np.einsum("ikp,pxy->ikxy", coeffs, pi.images)
+    n = E.dim * F.dim
+    return [np.einsum("ikml,jmxy->ijklxy", N, P).reshape(n, n, *P.shape[2:]) for P in F.pairing]
+
+
+def composition_pre_reference(comp, rho2) -> np.ndarray:
+    """Pre-space map (x (x) c) (x) d -> x (x) rho2(c) d of
+    poscor.composition_unitary: M[(i, x), (u, w)] = sum_v s[(i, v), u] T[v, w, x]
+    with s the section of comp.inner and T[v, w] the coefficients of
+    rho2(u_v) u_w."""
+    T = np.stack([left_mult_matrix(img) for img in rho2.images]).transpose(0, 2, 1)
+    dE, dD, m = comp.inner.left.dim, rho2.codomain.dim, comp.inner.module.dim
+    S3 = comp.inner.s.reshape(dE, rho2.domain.dim, m)
+    return np.einsum("ivu,vwx->ixuw", S3, T).reshape(dE * dD, m * dD)
+
+
+def commuting_pre_reference(cu) -> np.ndarray:
+    """Pre-space map of poscor.commuting_unitary:
+    M[(k, j), (p, u)] = sum_i q[k, (p, i)] s[(i, j), u] with q the quotient map
+    of the KSGNS triple of (E, phi) and s the section of E (x)_pi F."""
+    t, tm = cu.triple, cu.tensor
+    dA, dE, dF = t.phi.algebra.dim, tm.left.dim, tm.right.dim
+    Q3 = t.q.reshape(t.module.dim, dA, dE)
+    S3 = tm.s.reshape(dE, dF, tm.module.dim)
+    return np.einsum("kpi,iju->kjpu", Q3, S3).reshape(t.module.dim * dF, dA * tm.module.dim)
+
+
 # -- constraint systems -------------------------------------------------------
 
 

@@ -13,13 +13,25 @@ from ksgnslab.generators import random_module, random_star_map
 from conftest import random_complex
 
 
+def entrywise_dump(M):
+    """The [re, im] wire format written one scalar at a time: the reference
+    the whole-array codec matches byte for byte."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M, dtype=complex)]
+
+
+def entrywise_load(data):
+    return np.array([[complex(float(z[0]), float(z[1])) for z in row] for row in data], complex)
+
+
 def test_complex_scalar_wire_format():
-    assert ser.dump_complex(1 + 2j) == [1.0, 2.0]
-    assert ser.load_complex([1.0, 2.0]) == 1 + 2j
+    assert ser.dump_cmatrix(np.array([[1 + 2j]])) == [[[1.0, 2.0]]]
+    assert ser.load_cmatrix([[[1.0, 2.0]]], 1, 1)[0, 0] == 1 + 2j
     with pytest.raises(ValidationError):
-        ser.load_complex([1.0])
+        ser.load_cmatrix([[[1.0]]], 1, 1)  # a pair of length 1
     with pytest.raises(ValidationError):
-        ser.load_complex("zz")
+        ser.load_cmatrix([["zz"]], 1, 1)
+    with pytest.raises(ValidationError):
+        ser.load_cmatrix([[[1.0, 2.0, 3.0]]], 1, 1)
 
 
 def test_matrix_round_trip_bit_exact(rng):
@@ -29,6 +41,42 @@ def test_matrix_round_trip_bit_exact(rng):
     assert np.array_equal(M, back)
     with pytest.raises(ValidationError):
         ser.load_cmatrix(data, 4, 4)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (1, 1), (2, 0), (0, 3)])
+def test_matrix_codec_matches_the_entrywise_codec(shape, rng):
+    M = random_complex(rng, *shape)
+    if M.size:
+        M[0, 0] = complex(-0.0, 0.0)
+        M.flat[-1] = complex(0.0, -0.0)
+    text = json.dumps(ser.dump_cmatrix(M))
+    assert text == json.dumps(entrywise_dump(M))
+    back = ser.load_cmatrix(json.loads(text), *shape)
+    assert back.dtype == complex and back.shape == shape
+    assert back.tobytes() == M.tobytes()  # signed zeros included
+    assert back.tobytes() == entrywise_load(json.loads(text)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]],  # ragged rows
+        [[[1.0, 0.0], [2.0]]],  # ragged pairs
+        [[[1.0, 0.0, 0.0]]],  # a pair of length 3
+        [[[None, 0.0]]],
+        [[[{}, 0.0]]],
+        [[[1.0, "zz"]]],
+        [[[float("nan"), 0.0]]],
+        [[[0.0, float("inf")]]],
+        [[[1e400, 0.0]]],
+        [[[10**400, 0.0]]],
+        [[[]]],
+        "[[1.0, 0.0]]",
+    ],
+)
+def test_malformed_matrix_rejected(data):
+    with pytest.raises(ValidationError):
+        ser.load_cmatrix(data)
 
 
 def test_zero_row_matrix_rejects_listed_rows():

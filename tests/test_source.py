@@ -253,6 +253,43 @@ def test_spectral_norms_only_in_numkernel():
     assert found == {}
 
 
+def planned_einsum_calls(source: str) -> list[int]:
+    """Lines of `einsum` calls, by name or as an attribute, that pass
+    `optimize=`, contract more than two operands or unpack their operands."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and "einsum" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            operands = node.args[1:]
+            if (
+                any(k.arg == "optimize" for k in node.keywords)
+                or len(operands) > 2
+                or any(isinstance(a, ast.Starred) for a in operands)
+            ):
+                found.append(node.lineno)
+    return found
+
+
+def test_no_planned_einsums():
+    # numpy plans a contraction path on every call with optimize=, and runs a
+    # contraction of three or more operands unplanned without it: such a
+    # contraction is written as products (@ or np.tensordot) instead
+    probe = (
+        "import numpy as np\nfrom numpy import einsum\n"
+        "a = np.einsum('ij,jk->ik', x, y)\nb = np.einsum('ij,jk->ik', x, y, optimize=True)\n"
+        "c = einsum('i,j,ij->', x, y, z)\nd = np.einsum('ij->', *ops)\n"
+        "e = np.einsum('ijkk->ij', P)\n"
+    )
+    assert planned_einsum_calls(probe) == [4, 5, 6]
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := planned_einsum_calls(path.read_text()))
+    }
+    assert found == {}
+
+
 def function_local_imports(source: str) -> list[str]:
     """`import` and `from ... import` statements inside a function body, by
     function name and line."""
