@@ -55,6 +55,7 @@ from .numkernel import (
     null_space,
     operator_norm,
     psd_verdict,
+    require_finite,
 )
 from .reporting import CheckReport
 
@@ -112,15 +113,26 @@ class Correspondence(CPMap):
 
 
 def check_correspondence(pi: CPMap, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Multiplicativity and unitality residuals for a would-be representation."""
+    """Multiplicativity and unitality residuals for a would-be representation.
+
+    Multiplicativity is max over p, r of ||pi(u_p u_r) - pi(u_p) pi(u_r)||,
+    taken one p at a time over all r on live rows only.  A row that is zero
+    in pi(u_p) and in every pi(u_p u_r) is zero in every difference, and
+    deleting zero rows leaves singular values unchanged.  The products
+    u_p u_r include u_p itself (r its right unit), so the rows live in some
+    pi(u_p u_r) are all the live rows.  The images are gated finite first,
+    so a dropped row never hides a 0 * Inf.
+    """
     rep = CheckReport()
     A = pi.algebra
+    X = require_finite(pi.images, "representation images")
     scale = 1.0 + pi.norm**2
-    # pi(u_p u_r) - pi(u_p) pi(u_r), one p at a time over all r
-    T, Xz = A.product_table, zero_padded(pi.images)
-    mult = max(
-        max_operator_norm(Xz[T[p]] - pi.images[p] @ pi.images) for p in range(A.dim)
-    )
+    T, Xz = A.product_table, zero_padded(X)
+    live = (Xz != 0).any(axis=2)  # live[p, i]: row i of pi(u_p) is nonzero
+    mult = 0.0
+    for p in range(A.dim):
+        R = live[T[p]].any(axis=0)
+        mult = max(mult, max_operator_norm(Xz[np.ix_(T[p], R)] - X[p][R] @ X))
     unital = operator_norm(pi(unit_element(A)).matrix - np.eye(pi.module.dim))
     rep.add("multiplicativity", mult, tol.ctol * scale)
     rep.add("unitality", unital, tol.ctol * scale)

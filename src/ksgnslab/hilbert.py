@@ -82,7 +82,7 @@ class PreModule:
     def gram(self) -> np.ndarray:
         if self.dim == 0:
             return np.zeros((0, 0), dtype=complex)
-        return sum(np.einsum("ijkk->ij", P) for P in self.pairing)
+        return sum(P.trace(axis1=2, axis2=3) for P in self.pairing)
 
     def pair(self, x: np.ndarray, y: np.ndarray) -> AlgebraElement:
         x = np.asarray(x, dtype=complex).reshape(self.dim)

@@ -204,11 +204,9 @@ def composition_unitary(
     tm13 = interior_tensor_along(E, rho, tol, memo)
     dE = E.dim
     dC, dD = rho2.domain.dim, rho2.codomain.dim
-    # T[v, w, :] = coefficients of rho2(u_v) u_w in D: u_q u_w = u_prod[q, w]
-    prod = rho2.codomain.product_table
-    q, w = np.nonzero(prod >= 0)
-    T = np.zeros((dC, dD, dD), dtype=complex)
-    T[:, w, prod[q, w]] = rho2.matrix[q].T
+    # T[v, w, :] = coefficients of rho2(u_v) u_w in D, read off the
+    # left-multiplication correspondence tm123 was built along
+    T = tm123.pi.images.transpose(0, 2, 1)
     S3 = tm12.s.reshape(dE, dC, tm12.module.dim)
     # M_pre[(i, x), (u, w)] = sum_v S3[i, v, u] T[v, w, x]
     M_pre = np.tensordot(S3, T, axes=(1, 0)).transpose(0, 3, 1, 2).reshape(

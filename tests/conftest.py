@@ -161,6 +161,17 @@ def commuting_pre_reference(cu) -> np.ndarray:
     return np.einsum("kpi,iju->kjpu", Q3, S3).reshape(t.module.dim * dF, dA * tm.module.dim)
 
 
+# -- representations ----------------------------------------------------------
+
+
+def multiplicativity_reference(pi) -> float:
+    """cp.check_correspondence's multiplicativity on every row: max over p, r of
+    ||pi(u_p u_r) - pi(u_p) pi(u_r)||, one full (dim A, d, d) stack per p."""
+    T, X = pi.algebra.product_table, pi.images
+    Xz = zero_padded(X)
+    return max(max_operator_norm(Xz[T[p]] - X[p] @ X) for p in range(pi.algebra.dim))
+
+
 # -- constraint systems -------------------------------------------------------
 
 

@@ -39,9 +39,11 @@ from ksgnslab.hilbert import (
     identity_map,
     is_map_positive,
 )
-from ksgnslab.numkernel import operator_norm
+from ksgnslab.ksgns import ksgns
+from ksgnslab.memo import BuildMemo
+from ksgnslab.numkernel import DEFAULT_TOL, operator_norm
 
-from conftest import kron_intertwining_rows, random_complex
+from conftest import kron_intertwining_rows, multiplicativity_reference, random_complex
 
 
 def transpose_map_on_m2():
@@ -259,6 +261,159 @@ def test_check_correspondence_multiplicativity_matches_loop(blocks, rng):
     got = check_correspondence(pi).residuals["multiplicativity"]
     assert ref > 0.1
     assert got == pytest.approx(ref, rel=1e-12)
+
+
+# (A blocks, B blocks) of KSGNS representations with dead rows in every image
+KSGNS_SHAPES = [((1, 2), (1,)), ((2, 1, 1), (2,)), ((2, 2), (1, 2)), ((1, 3), (1,))]
+
+
+def ksgns_pi(shapes, seed, max_dim=3):
+    """The KSGNS pi: A -> L(F_phi) of a random CP phi, and the rng that drew it."""
+    rng = np.random.default_rng(seed)
+    A, B = (AlgebraShape(b) for b in shapes)
+    E = random_module(B, rng, max_dim=max_dim)
+    return ksgns(E, random_cp(A, E, rng), DEFAULT_TOL, BuildMemo()).pi, rng
+
+
+def live_rows(pi):
+    """live[p, i]: row i of pi(u_p) has a nonzero entry."""
+    return (pi.images != 0).any(axis=2)
+
+
+def multiplicativity_fails(pi) -> bool:
+    """Whether check_correspondence's multiplicativity fails, after asserting
+    that it equals the every-row reference to rounding, with the same verdict."""
+    rep = check_correspondence(pi)
+    got, threshold = rep.residuals["multiplicativity"], rep.thresholds["multiplicativity"]
+    ref = multiplicativity_reference(pi)
+    assert got == pytest.approx(ref, rel=1e-12, abs=1e-6 * threshold)
+    assert (got > threshold) == (ref > threshold)
+    return got > threshold
+
+
+def corrupted(pi, q, row, col_values):
+    """pi with row `row` of pi(u_q) shifted by col_values."""
+    images = pi.images.copy()
+    images[q, row] += col_values
+    return CPMap(pi.algebra, pi.module, images)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(KSGNS_SHAPES), st.integers(0, 10**6))
+def test_live_row_multiplicativity_matches_reference_on_ksgns(shapes, seed):
+    pi, _ = ksgns_pi(shapes, seed)
+    assert not live_rows(pi).all()  # rows are dropped
+    assert not multiplicativity_fails(pi)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(KSGNS_SHAPES), st.integers(0, 10**6))
+def test_live_row_multiplicativity_matches_reference_on_dense_conjugate(shapes, seed):
+    pi, rng = ksgns_pi(shapes, seed)
+    U, _ = np.linalg.qr(random_complex(rng, pi.module.dim, pi.module.dim))
+    dense = CPMap(pi.algebra, pi.module, U @ pi.images @ U.conj().T)
+    assert live_rows(dense).all()  # U pi U* has no dead row
+    assert not multiplicativity_fails(dense)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(KSGNS_SHAPES), st.integers(0, 10**6))
+def test_live_row_multiplicativity_sees_rows_live_only_in_the_product(shapes, seed):
+    # corrupt pi(u_t), t = T[p, r] != p, in a row dead in pi(u_p): the row is
+    # live only in pi(u_p u_r), and the residual of p must still see it
+    pi, rng = ksgns_pi(shapes, seed)
+    T, live = pi.algebra.product_table, live_rows(pi)
+    cases = [
+        (p, r, i)
+        for p, r in zip(*np.nonzero(T >= 0))
+        if T[p, r] != p
+        for i in np.flatnonzero(~live[p])
+    ]
+    p, r, i = cases[rng.integers(len(cases))]
+    bad = corrupted(pi, T[p, r], i, 0.1 * random_complex(rng, pi.module.dim))
+    assert not live_rows(bad)[p, i] and live_rows(bad)[T[p, r], i]
+    assert multiplicativity_fails(bad)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([(2,), (1, 2), (3,), (2, 2)]), st.integers(0, 10**6))
+def test_live_row_multiplicativity_sees_a_defect_only_dead_rows_carry(blocks, seed):
+    # a sparse pi with one large defect, row i of pi(u_t), that only the
+    # differences pi(u_t) - pi(u_p) pi(u_r) with u_p u_r = u_t, p != t, show:
+    # row i is zero in every other image and column i in all of them, and
+    # row j is zero except in pi(e), e the right unit of u_t, where it is e_j
+    rng = np.random.default_rng(seed)
+    A = AlgebraShape(blocks)
+    d, i, j = 5, 0, 1
+    X = 0.01 * random_complex(rng, A.dim, d, d)
+    X[:, [i, j], :] = 0.0
+    X[:, :, i] = 0.0
+    t, b, _, m = rng.choice([lab for lab in A.basis_labels() if A.blocks[lab[1]] > 1])
+    X[A.basis_index(b, m, m), j, j] = 1.0
+    X[t, i, j] = 100.0
+    pi = CPMap(A, canonical_module(AlgebraShape((1,)), (d,)), X)
+    assert multiplicativity_reference(pi) >= 100.0
+    assert multiplicativity_fails(pi)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(KSGNS_SHAPES), st.integers(0, 10**6))
+def test_live_row_multiplicativity_sees_products_of_orthogonal_units(shapes, seed):
+    # corrupt pi(u_r) where u_p u_r = 0 so that pi(u_p) pi(u_r) != 0: shift
+    # the row of pi(u_r) that meets pi(u_p)'s largest column
+    pi, rng = ksgns_pi(shapes, seed)
+    T = pi.algebra.product_table
+    p, r = np.transpose(np.nonzero(T < 0))[rng.integers(np.count_nonzero(T < 0))]
+    j = int(np.argmax(np.linalg.norm(pi.images[p], axis=0)))
+    bad = corrupted(pi, r, j, random_complex(rng, pi.module.dim))
+    assert multiplicativity_fails(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_check_correspondence_rejects_non_finite_images(bad):
+    pi, _ = ksgns_pi(((1, 2), (1,)), 3)
+    for pos in np.ndindex(pi.images.shape):  # anywhere in the stack
+        images = pi.images.copy()
+        images[pos] = bad
+        with pytest.raises(NonFinite, match="representation images"):
+            check_correspondence(CPMap(pi.algebra, pi.module, images))
+    # an Inf in pi(u_r) that a dead row of pi(u_p) multiplies: in the full
+    # product that row reads 0 * Inf = NaN, and it is a row the check drops
+    p = 0
+    i = int(np.flatnonzero(~live_rows(pi)[p])[0])
+    r = int(np.flatnonzero(pi.algebra.product_table[p] < 0)[0])
+    images = pi.images.copy()
+    images[r, :, 0] = bad
+    with np.errstate(invalid="ignore"):
+        assert np.isnan((images[p] @ images[r])[i, 0])
+    with pytest.raises(NonFinite, match="representation images"):
+        check_correspondence(CPMap(pi.algebra, pi.module, images))
+
+
+def test_multiplicativity_svds_see_a_third_of_the_rows_on_m3(monkeypatch):
+    # A = M_3: each pi(u_p) lives on the rows of one of the three row blocks
+    # of F's Gram eigen-coordinates, so every multiplicativity SVD stack has
+    # at most dim F / 3 rows; counted from shapes, not from timing
+    rng = np.random.default_rng(7)
+    A = AlgebraShape((3,))
+    E = random_module(AlgebraShape((1, 2)), rng, max_dim=8, min_dim=8)
+    assert E.dim >= 8
+    pi = ksgns(E, random_cp(A, E, rng), DEFAULT_TOL, BuildMemo()).pi
+    d = pi.module.dim
+    assert pi.norm > 0  # cached first, so its own (dim A, d, d) SVD is not counted
+    shapes, svd = [], np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert check_correspondence(pi).passed
+    monkeypatch.undo()
+    stacks = [s for s in shapes if len(s) == 3]
+    assert shapes == stacks + [(d, d)]  # then one unitality SVD
+    assert len(stacks) == A.dim
+    assert all(s[0] == A.dim and s[2] == d and 0 < s[1] <= d // 3 for s in stacks)
 
 
 def test_check_morphism_identity_and_solver_consistency(rng):
