@@ -103,7 +103,7 @@ def demo_gns() -> int:
     )
     from .hilbert import algebra_module
     from .memo import BuildMemo
-    from .numkernel import DEFAULT_TOL, operator_norm
+    from .numkernel import DEFAULT_TOL, max_operator_norm, operator_norm
 
     A = AlgebraShape((2,))
     B = AlgebraShape((1,))
@@ -136,13 +136,8 @@ def demo_gns() -> int:
     U = quad.unitaries[1]
     gap = operator_norm(U - np.eye(t.module.dim))
     print(f"dilated symmetry unitary: ||U~ - I|| = {gap:.3f} (nontrivial)")
-    covar = max(
-        operator_norm(
-            U @ t.pi.images[p]
-            - sum(alpha.matrix[q, p] * t.pi.images[q] for q in range(A.dim)) @ U
-        )
-        for p in range(A.dim)
-    )
+    moved = np.einsum("qp,qij->pij", alpha.matrix, t.pi.images)  # pi(alpha(u_p))
+    covar = max_operator_norm(U @ t.pi.images - moved @ U)
     print(f"covariance U~ pi(a) = pi(alpha(a)) U~: residual {covar:.3e}")
     ok = rep.passed and gap > 0.5
     print("demo:", "pass" if ok else "FAIL")

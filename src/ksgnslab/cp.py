@@ -22,12 +22,12 @@ from functools import cached_property
 import numpy as np
 
 from .cstar import (
-    AlgebraElement,
     AlgebraShape,
     Automorphism,
     StarMap,
     compose_automorphisms,
-    unit_element,
+    element_norms,
+    unit_coeffs,
     zero_padded,
 )
 from .errors import NonLinearMap, ShapeMismatch
@@ -51,7 +51,10 @@ from .numkernel import (
     DEFAULT_TOL,
     Tolerance,
     herm_expi,
+    kron,
+    matvecs,
     max_operator_norm,
+    max_operator_norms,
     null_space,
     operator_norm,
     psd_verdict,
@@ -77,10 +80,11 @@ class CPMap:
                 f"images {self.images.shape} != {(self.algebra.dim, d, d)}"
             )
 
-    def __call__(self, a: AlgebraElement) -> ModuleMap:
-        if a.shape != self.algebra:
+    def __call__(self, a: np.ndarray) -> ModuleMap:
+        """phi(a) for the element with coefficients a (dim A,)."""
+        if np.shape(a) != (self.algebra.dim,):
             raise ShapeMismatch("argument outside the map's domain algebra")
-        mat = np.einsum("p,pij->ij", a.coeffs(), self.images)
+        mat = np.einsum("p,pij->ij", a, self.images)
         return ModuleMap(self.module, self.module, mat)
 
     @cached_property
@@ -133,7 +137,7 @@ def check_correspondence(pi: CPMap, tol: Tolerance = DEFAULT_TOL) -> CheckReport
     for p in range(A.dim):
         R = live[T[p]].any(axis=0)
         mult = max(mult, max_operator_norm(Xz[np.ix_(T[p], R)] - X[p][R] @ X))
-    unital = operator_norm(pi(unit_element(A)).matrix - np.eye(pi.module.dim))
+    unital = operator_norm(pi(unit_coeffs(A)).matrix - np.eye(pi.module.dim))
     rep.add("multiplicativity", mult, tol.ctol * scale)
     rep.add("unitality", unital, tol.ctol * scale)
     return rep
@@ -204,7 +208,7 @@ def tensor_premodule(E: HilbertModule, F: HilbertModule, pi: CPMap) -> PreModule
         else np.zeros((0, 0, E.algebra.dim))
     )
     N = np.tensordot(coeffs, pi.images, axes=(2, 0))
-    action = np.kron(np.eye(dE, dtype=complex), F.action)  # I (x) R(u_c) for each c
+    action = kron(np.eye(dE, dtype=complex), F.action)  # I (x) R(u_c) for each c
     # pairing[i, j, k, l] = sum_m N[i, k, m, l] P[j, m]
     pairing = [
         np.tensordot(N, P, axes=(2, 1))
@@ -235,7 +239,7 @@ def tensor_extend(
     dF = tm1.right.dim
     if tm2.right.dim != dF:
         raise ShapeMismatch("tensor modules with different right factors")
-    return descend(np.kron(T, np.eye(dF, dtype=complex)), tm1, tm2, what, tol)
+    return descend(kron(T, np.eye(dF, dtype=complex)), tm1, tm2, what, tol)
 
 
 def left_mult_correspondence(rho: StarMap) -> Correspondence:
@@ -334,7 +338,7 @@ class Intertwiner:
     eta: ModuleMap
     alpha: Automorphism
 
-    @property
+    @cached_property
     def norm(self) -> float:
         return module_operator_norm(self.eta)
 
@@ -361,7 +365,7 @@ def intertwiner_space(
         raise ShapeMismatch("modules over different coefficient algebras")
     twisted = np.einsum("qp,qij->pij", alpha.matrix, phi2.images)
     systems = [(E2.action, E1.action), (twisted, phi1.images)]
-    scale = max(1.0, *(max_operator_norm(X) for pair in systems for X in pair))
+    scale = max(1.0, *max_operator_norms(*(X for pair in systems for X in pair)))
     null = null_space(np.vstack([intertwining_rows(*pair) for pair in systems]), scale, tol)
     return [ModuleMap(E1, E2, v.reshape(E2.dim, E1.dim)) for v in null]
 
@@ -384,9 +388,10 @@ def check_morphism(
     gate = tol.ctol * (1.0 + norm_eta**2) * (1.0 + phi1.norm + phi2.norm)
     gram = eta_star @ eta
     twisted = np.einsum("qp,qij->pij", amat, phi2.images)
-    inter = max_operator_norm(twisted @ eta - eta @ phi1.images)
-    adj_side = max_operator_norm(eta_star @ twisted - phi1.images @ eta_star)
-    commute = max_operator_norm(phi1.images @ gram - gram @ phi1.images)
+    X1 = phi1.images
+    inter, adj_side, commute = max_operator_norms(
+        twisted @ eta - eta @ X1, eta_star @ twisted - X1 @ eta_star, X1 @ gram - gram @ X1
+    )
     rep.add("intertwining", inter, gate)
     rep.add("adjoint_intertwining", adj_side, gate)
     rep.add("gram_commutation", commute, gate)
@@ -394,12 +399,17 @@ def check_morphism(
 
 
 def hom_pseudometric(
-    m1: Intertwiner, m2: Intertwiner, x: np.ndarray, a: AlgebraElement
-) -> float:
-    """d_{x,a} = ||eta(x) - xi(x)|| + ||alpha(a) - alpha'(a)||."""
-    if m1.eta.source.dim != m2.eta.source.dim or m1.eta.target.dim != m2.eta.target.dim:
+    ms: list[Intertwiner], ref: Intertwiner, X: np.ndarray, C: np.ndarray
+) -> np.ndarray:
+    """d_{x,a}(m, ref) = ||eta(x) - xi(x)|| + ||alpha(a) - alpha'(a)|| for each
+    morphism m = (eta, alpha) of ms, with ref = (xi, alpha'), and each sample
+    (x, a): the rows x of X (R, d) with the coefficient rows a of C (R, dim A).
+    Shape (len(ms), R), from one batched norm per block of each algebra."""
+    eta0, alpha0 = ref.eta.matrix, ref.alpha.matrix
+    if any(m.eta.matrix.shape != eta0.shape or m.alpha.shape != ref.alpha.shape for m in ms):
         raise ShapeMismatch("morphisms between different objects")
-    target = m1.eta.target
-    vec_part = target.vector_norm(m1.eta(x) - m2.eta(x))
-    alg_part = (m1.alpha(a) - m2.alpha(a)).norm()
-    return float(vec_part + alg_part)
+    # (len(ms), 1, ...) stacks, broadcast against the samples
+    etas = np.array([m.eta.matrix for m in ms], complex).reshape(len(ms), 1, *eta0.shape)
+    alphas = np.array([m.alpha.matrix for m in ms], complex).reshape(len(ms), 1, *alpha0.shape)
+    vec_part = ref.eta.target.vector_norm(matvecs(etas, X) - matvecs(eta0, X))
+    return vec_part + element_norms(ref.alpha.shape, matvecs(alphas, C) - ref.alpha(C))

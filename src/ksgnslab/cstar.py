@@ -1,10 +1,14 @@
 """Finite-dimensional C*-algebras: direct sums of full complex matrix blocks.
 
 An algebra A = M_{n_1} (+) ... (+) M_{n_k} is presented by its block sizes.
-Elements are lists of per-block matrices.  The matrix-unit basis is ordered
-block by block, row-major inside each block, and every linear map between
-algebras is stored through its images on that basis.  Products of basis
-elements are read from one cached table, AlgebraShape.product_table.
+The matrix-unit basis is ordered block by block, row-major inside each block.
+Families of elements travel as coefficient stacks (..., dim A); block_stacks
+views one as a (..., n, n) stack per block, so a family's norms, adjoints
+and products take one batched call per block.  AlgebraElement holds a single
+element's blocks where an API takes one.  A linear map between algebras is
+its coefficient matrix, column p holding the image of the matrix unit u_p.
+Products of basis elements are read from one cached table,
+AlgebraShape.product_table.
 
 The faithful positive functional used everywhere for scalarization is the
 unnormalized trace tau(a) = sum_i tr(a_i); tau(a* a) > 0
@@ -24,8 +28,8 @@ from .memo import content_key
 from .numkernel import (
     DEFAULT_TOL,
     Tolerance,
-    max_operator_norm,
-    operator_norm,
+    matvecs,
+    operator_norms,
     require_finite,
 )
 from .reporting import CheckReport
@@ -85,6 +89,9 @@ class AlgebraShape:
 
 @dataclass
 class AlgebraElement:
+    """One element of A as its per-block matrices, where an API takes a
+    single element; families of elements travel as coefficient stacks."""
+
     shape: AlgebraShape
     blocks: list[np.ndarray]
 
@@ -99,41 +106,14 @@ class AlgebraElement:
             mats.append(b)
         self.blocks = mats
 
-    # -- arithmetic -------------------------------------------------------
-
-    def _check(self, other: "AlgebraElement") -> None:
-        if self.shape != other.shape:
-            raise ShapeMismatch("elements live in different algebras")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        return AlgebraElement(self.shape, [a + b for a, b in zip(self.blocks, other.blocks)])
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        return AlgebraElement(self.shape, [a - b for a, b in zip(self.blocks, other.blocks)])
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        return AlgebraElement(self.shape, [a @ b for a, b in zip(self.blocks, other.blocks)])
-
-    def star(self) -> "AlgebraElement":
-        return AlgebraElement(self.shape, [b.conj().T for b in self.blocks])
-
-    def norm(self) -> float:
-        return max(operator_norm(b) for b in self.blocks)
-
     def coeffs(self) -> np.ndarray:
         """Coordinates in the matrix-unit basis (row-major per block)."""
         return np.concatenate([b.reshape(-1) for b in self.blocks])
 
 
-def unit_element(shape: AlgebraShape) -> AlgebraElement:
-    return AlgebraElement(shape, [np.eye(n, dtype=complex) for n in shape.blocks])
-
-
-def basis_element(shape: AlgebraShape, p: int) -> AlgebraElement:
-    return from_coeffs(shape, np.eye(shape.dim, dtype=complex)[:, p])
+def unit_coeffs(shape: AlgebraShape) -> np.ndarray:
+    """Coefficients of the unit of A."""
+    return np.concatenate([np.eye(n, dtype=complex).reshape(-1) for n in shape.blocks])
 
 
 def zero_padded(stack: np.ndarray) -> np.ndarray:
@@ -142,15 +122,36 @@ def zero_padded(stack: np.ndarray) -> np.ndarray:
     return np.concatenate([stack, np.zeros_like(stack[:1])])
 
 
-def from_coeffs(shape: AlgebraShape, vec: np.ndarray) -> AlgebraElement:
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    if vec.size != shape.dim:
-        raise ShapeMismatch(f"coefficient vector of length {vec.size}, expected {shape.dim}")
-    offs = shape.offsets
-    return AlgebraElement(
-        shape,
-        [vec[offs[i] : offs[i + 1]].reshape(n, n) for i, n in enumerate(shape.blocks)],
-    )
+def block_stacks(shape: AlgebraShape, C: np.ndarray) -> list[np.ndarray]:
+    """The elements stacked as coefficient rows C (..., dim A), block by
+    block: one (..., n, n) stack of matrices per block of A."""
+    C = np.asarray(C)
+    return [
+        C[..., o : o + n * n].reshape(*C.shape[:-1], n, n)
+        for n, o in zip(shape.blocks, shape.offsets)
+    ]
+
+
+def element_norms(shape: AlgebraShape, C: np.ndarray) -> np.ndarray:
+    """C*-norms of the elements stacked as coefficient rows C (..., dim A),
+    shape (...): the largest operator norm over the blocks, with one batched
+    SVD per block.  NaN or Inf in C raises NonFinite."""
+    return np.maximum.reduce([operator_norms(S) for S in block_stacks(shape, C)])
+
+
+def adjoints(shape: AlgebraShape, C: np.ndarray) -> np.ndarray:
+    """Coefficient rows of a* for the rows a of C (..., dim A)."""
+    return np.conj(np.asarray(C)[..., shape.star_permutation()])
+
+
+def products(shape: AlgebraShape, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Coefficient rows of x y for every row x of X (R, dim A) and every row
+    y of Y (S, dim A), shape (R, S, dim A): one stacked product per block."""
+    out = np.empty((len(X), len(Y), shape.dim), dtype=complex)
+    for o, Xb, Yb in zip(shape.offsets, block_stacks(shape, X), block_stacks(shape, Y)):
+        prod = Xb[:, None] @ Yb[None, :]
+        out[..., o : o + prod[0, 0].size] = prod.reshape(len(X), len(Y), -1)
+    return out
 
 
 def random_element(
@@ -182,7 +183,10 @@ def block_diag(mats: list[np.ndarray]) -> np.ndarray:
 
 @dataclass
 class StarMap:
-    """Complex-linear map determined by its images on the matrix-unit basis.
+    """Complex-linear map stored as its coefficient matrix
+    (codomain.dim x domain.dim): column p holds the coefficients of the image
+    of the matrix unit u_p.  The images of u_p in codomain block c form the
+    stack block_stacks(codomain, matrix.T)[c], a view of the matrix.
 
     Being a *-homomorphism or unital is a checked property, not structural;
     see check_star_map.
@@ -190,53 +194,40 @@ class StarMap:
 
     domain: AlgebraShape
     codomain: AlgebraShape
-    images: list[AlgebraElement]
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.images) != self.domain.dim:
-            raise ShapeMismatch("one image per domain basis element required")
-        for img in self.images:
-            if img.shape != self.codomain:
-                raise ShapeMismatch("image outside the stated codomain")
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Coefficient matrix (codomain.dim x domain.dim)."""
-        if not self.images:
-            return np.zeros((self.codomain.dim, 0), dtype=complex)
-        return np.stack([img.coeffs() for img in self.images], axis=1)
+        self.matrix = np.ascontiguousarray(require_finite(self.matrix, "star map matrix"))
+        if self.matrix.shape != (self.codomain.dim, self.domain.dim):
+            raise ShapeMismatch(
+                f"star map matrix {self.matrix.shape} != {(self.codomain.dim, self.domain.dim)}"
+            )
 
     @cached_property
     def key(self) -> bytes:
         """Content digest of the two algebras and the coefficient matrix."""
         return content_key(self.domain.blocks, self.codomain.blocks, self.matrix)
 
-    def __call__(self, a: AlgebraElement) -> AlgebraElement:
-        if a.shape != self.domain:
-            raise ShapeMismatch("argument outside the stated domain")
-        return from_coeffs(self.codomain, self.matrix @ a.coeffs())
+    def __call__(self, C: np.ndarray) -> np.ndarray:
+        """Images of the elements stacked as coefficient rows C (..., domain.dim)."""
+        return matvecs(self.matrix, np.asarray(C, dtype=complex))
 
 
 def identity_star_map(shape: AlgebraShape) -> StarMap:
-    return StarMap(shape, shape, [basis_element(shape, p) for p in range(shape.dim)])
+    return StarMap(shape, shape, np.eye(shape.dim, dtype=complex))
 
 
 def compose_star_maps(outer: StarMap, inner: StarMap) -> StarMap:
     if inner.codomain != outer.domain:
         raise ShapeMismatch("star maps do not chain")
-    composite = outer.matrix @ inner.matrix
-    return StarMap(
-        inner.domain, outer.codomain, [from_coeffs(outer.codomain, c) for c in composite.T]
-    )
+    return StarMap(inner.domain, outer.codomain, outer.matrix @ inner.matrix)
 
 
 def star_map_distance(r1: StarMap, r2: StarMap) -> float:
     """Max over basis of ||r1(u) - r2(u)|| in the codomain norm."""
     if r1.domain != r2.domain or r1.codomain != r2.codomain:
         raise ShapeMismatch("star maps between different algebras")
-    return max(
-        (a - b).norm() for a, b in zip(r1.images, r2.images)
-    ) if r1.images else 0.0
+    return float(element_norms(r1.codomain, (r1.matrix - r2.matrix).T).max())
 
 
 def check_star_map(rho: StarMap, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -245,20 +236,31 @@ def check_star_map(rho: StarMap, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     Unitality realizes nondegeneracy in the unital finite-dimensional model.
     """
     rep = CheckReport()
-    dom = rho.domain
-    scale = max((img.norm() for img in rho.images), default=1.0)
+    dom, cod, M = rho.domain, rho.codomain, rho.matrix
     # same-block pairs only: cross-block products then vanish by the star and unit checks
     block = np.repeat(np.arange(len(dom.blocks)), [n * n for n in dom.blocks])
     P, R = np.nonzero(block[:, None] == block)
-    mult = 0.0
-    for c in range(len(rho.codomain.blocks)):
-        X = np.stack([img.blocks[c] for img in rho.images])
-        mult = max(mult, max_operator_norm(zero_padded(X)[dom.product_table[P, R]] - X[P] @ X[R]))
-    star_perm = dom.star_permutation()
-    star = max(
-        (rho.images[star_perm[p]] - rho.images[p].star()).norm() for p in range(dom.dim)
+    T = dom.product_table[P, R]
+    # rows: the images rho(u_p) (the scale), rho(u_p*) - rho(u_p)* (u_p* is
+    # u at star(p)) and rho(1) - 1
+    rows = np.concatenate(
+        [
+            M.T,
+            M[:, dom.star_permutation()].T - adjoints(cod, M.T),
+            (M @ unit_coeffs(dom) - unit_coeffs(cod))[None],
+        ]
     )
-    unital = (rho(unit_element(dom)) - unit_element(rho.codomain)).norm()
+    # one batched SVD per codomain block: the multiplicativity defects
+    # rho(u_p u_r) - rho(u_p) rho(u_r), then the block of every row
+    norms = np.maximum.reduce(
+        [
+            operator_norms(np.concatenate([zero_padded(X)[T] - X[P] @ X[R], S]))
+            for X, S in zip(block_stacks(cod, M.T), block_stacks(cod, rows))
+        ]
+    )
+    mult, scale, star, unital = (
+        float(part.max()) for part in np.split(norms, np.cumsum([len(P), dom.dim, dom.dim]))
+    )
     gate = tol.ctol * (1.0 + scale * scale)
     rep.add("multiplicativity", mult, gate)
     rep.add("star_preservation", star, gate)
@@ -278,6 +280,8 @@ class Automorphism:
             raise ShapeMismatch("automorphism must be an endomap")
         if self.inverse.domain != self.forward.domain:
             raise ShapeMismatch("inverse lives on a different algebra")
+        if self.inverse.codomain != self.forward.domain:
+            raise ShapeMismatch("inverse maps into a different algebra")
 
     @property
     def shape(self) -> AlgebraShape:
@@ -291,11 +295,8 @@ class Automorphism:
     def inverse_matrix(self) -> np.ndarray:
         return self.inverse.matrix
 
-    def __call__(self, a: AlgebraElement) -> AlgebraElement:
-        return self.forward(a)
-
-    def inv(self, a: AlgebraElement) -> AlgebraElement:
-        return self.inverse(a)
+    def __call__(self, C: np.ndarray) -> np.ndarray:
+        return self.forward(C)
 
     def inverted(self) -> "Automorphism":
         return Automorphism(self.inverse, self.forward)
@@ -323,18 +324,15 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def inner_automorphism(shape: AlgebraShape, unitaries: list[np.ndarray]) -> Automorphism:
     """Blockwise conjugation a_i -> u_i a_i u_i*."""
-    fwd = []
-    inv = []
+    fwd = np.zeros((shape.dim, shape.dim), dtype=complex)
+    inv = np.zeros_like(fwd)
+    offs = shape.offsets
     for p, i, k, l in shape.basis_labels():
         unit = np.zeros((shape.blocks[i], shape.blocks[i]), dtype=complex)
         unit[k, l] = 1.0
-        f_blocks = [np.zeros((n, n), dtype=complex) for n in shape.blocks]
-        g_blocks = [np.zeros((n, n), dtype=complex) for n in shape.blocks]
         u = unitaries[i]
-        f_blocks[i] = u @ unit @ u.conj().T
-        g_blocks[i] = u.conj().T @ unit @ u
-        fwd.append(AlgebraElement(shape, f_blocks))
-        inv.append(AlgebraElement(shape, g_blocks))
+        fwd[offs[i] : offs[i + 1], p] = (u @ unit @ u.conj().T).reshape(-1)
+        inv[offs[i] : offs[i + 1], p] = (u.conj().T @ unit @ u).reshape(-1)
     return Automorphism(StarMap(shape, shape, fwd), StarMap(shape, shape, inv))
 
 
@@ -349,20 +347,15 @@ def block_permutation_automorphism(shape: AlgebraShape, perm: list[int]) -> Auto
     for i, j in enumerate(perm):
         inv_perm[j] = i
 
-    def images_for(p_of: list[int]) -> list[AlgebraElement]:
-        images = []
+    def moving_units(p_of: list[int]) -> StarMap:
+        # the matrix unit (k, l) of block i goes to (k, l) of block p_of[i]
+        M = np.zeros((shape.dim, shape.dim), dtype=complex)
         for p, i, k, l in shape.basis_labels():
-            blocks = [np.zeros((n, n), dtype=complex) for n in shape.blocks]
-            tgt = p_of[i]
-            blocks[tgt][k, l] = 1.0
-            images.append(AlgebraElement(shape, blocks))
-        return images
+            M[shape.basis_index(p_of[i], k, l), p] = 1.0
+        return StarMap(shape, shape, M)
 
     # alpha(a)_i = a_{perm[i]}  <=>  matrix unit in block i maps to block inv_perm[i]
-    return Automorphism(
-        StarMap(shape, shape, images_for(inv_perm)),
-        StarMap(shape, shape, images_for(perm)),
-    )
+    return Automorphism(moving_units(inv_perm), moving_units(perm))
 
 
 def random_automorphism(shape: AlgebraShape, seed) -> Automorphism:

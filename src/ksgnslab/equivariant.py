@@ -22,6 +22,7 @@ from .cstar import (
     AlgebraShape,
     Automorphism,
     block_diag,
+    element_norms,
     haar_unitary,
     identity_automorphism,
     inner_automorphism,
@@ -34,7 +35,6 @@ from .hilbert import (
     adjoint_map,
     algebra_module,
     descend,
-    max_stacked_norm,
     pairing_coeffs,
     transport_pairing,
     unitarity_residual,
@@ -49,7 +49,9 @@ from .ksgns import (
     triple_uniqueness_unitary,
 )
 from .memo import BuildMemo
-from .numkernel import DEFAULT_TOL, Tolerance, exceeds_gate, max_operator_norm, operator_norm
+from .numkernel import (
+    DEFAULT_TOL, Tolerance, exceeds_gate, kron, max_operator_norm, operator_norm,
+)
 from .poscor import (
     PosCorMorphism,
     PosCorObject,
@@ -106,6 +108,13 @@ class FiniteGroup:
 
     def inv(self, g: int) -> int:
         return int(self.inverse[g])
+
+    def representation_defect(self, M: np.ndarray) -> float:
+        """max(||M_e - 1||, ||M_g M_h - M_gh|| over all (g, h)) for a stack M
+        (|G|, n, n) indexed by the group, from one batched SVD."""
+        unit = M[self.identity] - np.eye(len(M[0]))
+        law = (M[:, None] @ M - M[self.table]).reshape(-1, *unit.shape)
+        return max_operator_norm(np.concatenate([unit[None], law]))
 
     def element_order(self, g: int) -> int:
         k, x = 1, g
@@ -257,19 +266,7 @@ class DynamicalSystem:
             raise ShapeMismatch("one automorphism per group element required")
 
     def homomorphism_residual(self) -> float:
-        worst = operator_norm(
-            self.action[self.group.identity].matrix - np.eye(self.algebra.dim)
-        )
-        for g, h in itertools.product(range(self.group.order), repeat=2):
-            gh = self.group.mul(g, h)
-            worst = max(
-                worst,
-                operator_norm(
-                    self.action[g].matrix @ self.action[h].matrix
-                    - self.action[gh].matrix
-                ),
-            )
-        return worst
+        return self.group.representation_defect(np.stack([a.matrix for a in self.action]))
 
 
 def trivial_system(shape: AlgebraShape, G: FiniteGroup) -> DynamicalSystem:
@@ -323,40 +320,30 @@ class EquivariantCorrespondence:
 def check_equivariant(
     c: EquivariantCorrespondence, tol: Tolerance = DEFAULT_TOL
 ) -> CheckReport:
-    """Residuals: representation law, twisted linearity and pairing, covariance."""
+    """Residuals: representation law, twisted linearity and pairing, covariance,
+    each over the whole group at once."""
     rep = CheckReport()
-    G = c.group
-    E = c.module
-    d = E.dim
+    G, E, d = c.group, c.module, c.module.dim
     U = np.stack(c.unitaries)
-    beta = c.system_out.action
-    alpha = c.system_in.action
+    beta = np.stack([b.matrix for b in c.system_out.action])
+    alpha = np.stack([a.matrix for a in c.system_in.action])
     u_scale = 1.0 + max_operator_norm(U)
 
-    hom = max(
-        operator_norm(U[G.identity] - np.eye(d)),
-        max_operator_norm(U[:, None] @ U - U[G.table]),
-    )
-    rep.add("representation", hom, tol.ctol * u_scale**2)
+    rep.add("representation", G.representation_defect(U), tol.ctol * u_scale**2)
 
-    lin = 0.0
-    for g in range(G.order):
-        twisted = np.einsum("qp,qij->pij", beta[g].matrix, E.action)
-        lin = max(lin, max_operator_norm(U[g] @ E.action - twisted @ U[g]))
+    twisted = np.einsum("gqp,qij->gpij", beta, E.action)
+    lin = max_operator_norm(U[:, None] @ E.action - twisted @ U[:, None])
     rep.add("twisted_linearity", lin, tol.ctol * u_scale)
 
-    pair_twist = 0.0
+    # <U_g e_i, U_g e_j> - beta_g(<e_i, e_j>) over all g and basis pairs (i, j)
     C = pairing_coeffs(E, np.eye(d))
-    for g in range(G.order):
-        # <U_g e_i, U_g e_j> - beta_g(<e_i, e_j>) over all basis pairs (i, j)
-        lhs = np.tensordot(U[g].conj(), C @ U[g], axes=(0, 0))
-        pair_twist = max(pair_twist, max_stacked_norm(E.algebra, lhs - beta[g].matrix @ C))
+    moved = U.conj().transpose(0, 2, 1) @ (C @ U[:, None]).reshape(G.order, d, -1)
+    gap = moved.reshape(G.order, *C.shape) - beta[:, None] @ C
+    pair_twist = element_norms(E.algebra, gap.transpose(0, 1, 3, 2)).max(initial=0.0)
     rep.add("pairing_twist", pair_twist, tol.ctol * u_scale**2 * (1.0 + _gram_scale(E)))
 
-    cov = 0.0
-    for g in range(G.order):
-        moved = np.einsum("qp,qij->pij", alpha[g].matrix, c.phi.images)
-        cov = max(cov, max_operator_norm(U[g] @ c.phi.images - moved @ U[g]))
+    moved = np.einsum("gqp,qij->gpij", alpha, c.phi.images)
+    cov = max_operator_norm(U[:, None] @ c.phi.images - moved @ U[:, None])
     rep.add("covariance", cov, tol.ctol * u_scale * (1.0 + c.phi.norm))
     return rep
 
@@ -515,7 +502,7 @@ def dilate(c: EquivariantCorrespondence, tol: Tolerance, memo: BuildMemo) -> Dil
     alpha_g (x) U_g to the quotient."""
     t = ksgns_once(c.module, c.phi, tol, memo)
     K = np.stack(
-        [np.kron(c.system_in.action[g].matrix, c.unitaries[g]) for g in range(c.group.order)]
+        [kron(c.system_in.action[g].matrix, c.unitaries[g]) for g in range(c.group.order)]
     )
     return DilationQuadruple(c, t, list(descend(K, t, t, "alpha_g (x) U_g", tol)))
 
@@ -606,7 +593,7 @@ def direct_sum_module(M: HilbertModule, copies: int) -> HilbertModule:
     """M^n with the summand-wise action and pairing."""
     n, d = copies, M.dim
     eye = np.eye(n)
-    action = np.stack([np.kron(eye, M.action[p]) for p in range(M.algebra.dim)])
+    action = np.stack([kron(eye, M.action[p]) for p in range(M.algebra.dim)])
     pairing = [
         np.einsum("cd,ijkl->cidjkl", eye, P).reshape(n * d, n * d, *P.shape[2:])
         for P in M.pairing
@@ -664,7 +651,7 @@ def random_equivariant(
             P = swap
         else:
             P = np.eye(n_copies)
-        unitaries0.append(np.kron(P, system_out.action[g].matrix))
+        unitaries0.append(kron(P, system_out.action[g].matrix))
     E, S = scramble_module(stacked, rng)
     S_inv = np.linalg.inv(S)
     unitaries = [S_inv @ U @ S for U in unitaries0]

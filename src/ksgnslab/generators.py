@@ -16,9 +16,8 @@ from .cstar import (
     AlgebraShape,
     Automorphism,
     StarMap,
-    AlgebraElement,
     block_diag,
-    from_coeffs,
+    block_stacks,
     haar_unitary,
     identity_automorphism,
     identity_star_map,
@@ -28,7 +27,7 @@ from .cstar import (
 from .errors import InvalidConfig
 from .hilbert import HilbertModule, ModuleMap, adjoint_map, canonical_module, module_operator_norm
 from .memo import BuildMemo
-from .numkernel import DEFAULT_TOL, Tolerance
+from .numkernel import DEFAULT_TOL, Tolerance, kron
 from .poscor import (
     PosCorMorphism,
     PosCorObject,
@@ -119,16 +118,17 @@ def random_star_map(
         raise InvalidConfig("codomain blocks do not match the multiplicities")
     conjugators = [haar_unitary(p, rng) for p in C.blocks]
 
-    def embed(a: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(
-            C,
-            [multiplicity_embedding(a.blocks, nu, W) for nu, W in zip(multiplicities, conjugators)],
+    def embed(blocks: list[np.ndarray]) -> np.ndarray:
+        # coefficients of the image of the element with these blocks
+        return np.concatenate(
+            [
+                multiplicity_embedding(blocks, nu, W).reshape(-1)
+                for nu, W in zip(multiplicities, conjugators)
+            ]
         )
 
-    images = [
-        embed(from_coeffs(B, np.eye(B.dim)[:, p])) for p in range(B.dim)
-    ]
-    return StarMap(B, C, images)
+    units = block_stacks(B, np.eye(B.dim, dtype=complex))
+    return StarMap(B, C, np.stack([embed([S[p] for S in units]) for p in range(B.dim)], axis=1))
 
 
 def random_representation(
@@ -161,16 +161,17 @@ def random_representation(
     F0 = canonical_module(B, rows)
     conjugators = [haar_unitary(r, rng) for r in rows]
 
-    def represent(a: AlgebraElement) -> np.ndarray:
+    def represent(blocks: list[np.ndarray]) -> np.ndarray:
         # the multiplicity embedding acts on the row index of each C^{r_t x m_t}
         return block_diag(
             [
-                np.kron(multiplicity_embedding(a.blocks, nu, W), np.eye(m, dtype=complex))
+                kron(multiplicity_embedding(blocks, nu, W), np.eye(m, dtype=complex))
                 for nu, W, m in zip(mu, conjugators, B.blocks)
             ]
         )
 
-    images = np.stack([represent(from_coeffs(A, e)) for e in np.eye(A.dim)])
+    units = block_stacks(A, np.eye(A.dim, dtype=complex))
+    images = np.stack([represent([S[p] for S in units]) for p in range(A.dim)])
     F, S = scramble_module(F0, rng)
     S_inv = np.linalg.inv(S)
     images = np.stack([S_inv @ img @ S for img in images])
@@ -291,16 +292,16 @@ def random_endomorphism(
     return make_poscor_morphism(obj, obj, identity_star_map(obj.coefficient), eta, ident, tol, memo)
 
 
-def random_vectors(
-    E: HilbertModule, rng: np.random.Generator, count: int
-) -> list[np.ndarray]:
-    return [
+def random_vectors(E: HilbertModule, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count random vectors of E as the rows of one (count, dim E) array."""
+    rows = [
         (rng.standard_normal(E.dim) + 1j * rng.standard_normal(E.dim)) / np.sqrt(2.0)
         for _ in range(count)
     ]
+    return np.array(rows, dtype=complex).reshape(count, E.dim)
 
 
-def random_elements(
-    A: AlgebraShape, rng: np.random.Generator, count: int
-) -> list[AlgebraElement]:
-    return [random_element(A, rng) for _ in range(count)]
+def random_elements(A: AlgebraShape, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count random elements of A as coefficient rows, shape (count, dim A)."""
+    rows = [random_element(A, rng).coeffs() for _ in range(count)]
+    return np.array(rows, dtype=complex).reshape(count, A.dim)

@@ -32,8 +32,11 @@ from .cp import (
 )
 from .cstar import (
     AlgebraElement,
+    adjoints,
+    element_norms,
     identity_automorphism,
     inner_automorphism,
+    products,
     random_element,
 )
 from .equivariant import (
@@ -94,7 +97,9 @@ from .ksgns import (
     triple_uniqueness_unitary,
 )
 from .memo import BuildMemo
-from .numkernel import DEFAULT_TOL, Tolerance, herm_expi, max_operator_norm, operator_norm
+from .numkernel import (
+    DEFAULT_TOL, Tolerance, herm_expi, kron, matvecs, max_operator_norm, operator_norm,
+)
 from .poscor import (
     PosCorObject,
     balanced_relation_residual,
@@ -494,29 +499,29 @@ def _load_bundle(payload: dict):
 def _family_bound_residual(
     phi: CPMap, m: Intertwiner, rng: np.random.Generator, families: int = 2
 ) -> tuple[float, float]:
-    """Worst slack in the quadratic-family inequality, with its scale."""
-    E = phi.module
+    """Worst slack in the quadratic-family inequality, with its scale: the
+    couples (i, j) of all families paired in one call, then summed in order."""
+    E, A = phi.module, phi.algebra
     eta = m.eta
     gram = adjoint_map(eta).matrix @ eta.matrix
     norm2 = m.norm**2
-    worst, scale = 0.0, 1.0
+    draws = []
     for _ in range(families):
         n = int(rng.integers(1, 5))
-        xs = random_vectors(E, rng, n)
-        elts = random_elements(phi.algebra, rng, n)
-        lhs = rhs = None
-        for i in range(n):
-            for j in range(n):
-                a = elts[i].star() * elts[j]
-                img = phi(a).matrix
-                term_r = E.pair(xs[i], img @ xs[j])
-                term_l = E.pair(xs[i], img @ (gram @ xs[j]))
-                lhs = term_l if lhs is None else lhs + term_l
-                rhs = term_r if rhs is None else rhs + term_r
-        slack = lhs.norm() - norm2 * rhs.norm()
-        worst = max(worst, slack)
-        scale = max(scale, norm2 * (1.0 + rhs.norm()))
-    return worst, scale
+        draws.append((random_vectors(E, rng, n), random_elements(A, rng, n)))
+    # row (i, j) of family f, row-major inside each family
+    X = np.concatenate([np.repeat(xs, len(xs), axis=0) for xs, _ in draws])
+    Y = np.concatenate([np.tile(xs, (len(xs), 1)) for xs, _ in draws])
+    squares = np.concatenate([products(A, adjoints(A, c), c).reshape(-1, A.dim) for _, c in draws])
+    imgs = np.einsum("kp,pij->kij", squares, phi.images)  # phi(a_i* a_j)
+    pushed = matvecs(imgs, np.stack([matvecs(gram, Y), Y]))
+    terms = E.pair(np.broadcast_to(X, pushed.shape), pushed)  # (lhs / rhs, couple, dim B)
+    # each family's terms added in couple order; np.sum would regroup them
+    cuts = np.cumsum([len(xs) ** 2 for xs, _ in draws])[:-1]
+    sums = [np.add.accumulate(t, axis=1)[:, -1] for t in np.split(terms, cuts, axis=1)]
+    lhs, rhs = element_norms(E.algebra, np.stack(sums, axis=1))
+    worst = max(0.0, float((lhs - norm2 * rhs).max()))
+    return worst, max(1.0, float((norm2 * (1.0 + rhs)).max()))
 
 
 def _check_lift(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
@@ -549,14 +554,15 @@ def _check_lift(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) 
         tol.ctol * scale,
     )
     # positivity sandwich on a sampled a* a
-    a = random_element(phi1.algebra, rng)
-    pos = phi1(a.star() * a).matrix
+    a = random_elements(phi1.algebra, rng, 1)
+    pos = phi1(products(phi1.algebra, adjoints(phi1.algebra, a), a)[0, 0]).matrix
     gram = adjoint_map(m1.eta).matrix @ m1.eta.matrix
     lower_ok, lower_eig = is_map_positive(ModuleMap(E1, E1, pos @ gram), tol)
     upper_ok, upper_eig = is_map_positive(
         ModuleMap(E1, E1, m1.norm**2 * pos - pos @ gram), tol
     )
-    sandwich_scale = tol.ctol * (1.0 + phi1.norm * (1.0 + a.norm() ** 2) * (1.0 + m1.norm**2))
+    a_norm = float(element_norms(phi1.algebra, a)[0])
+    sandwich_scale = tol.ctol * (1.0 + phi1.norm * (1.0 + a_norm**2) * (1.0 + m1.norm**2))
     rec.add(
         "positivity_lower",
         "0 <= phi(a* a) eta* eta",
@@ -573,7 +579,7 @@ def _check_lift(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) 
     t1 = ksgns_once(E1, phi1, tol, memo)
     t2 = ksgns_once(E2, phi2, tol, memo)
     t3 = ksgns_once(E3, phi3, tol, memo)
-    leak, gate = null_leak(t2.q, np.kron(m1.alpha.matrix, m1.eta.matrix), t1.kernel, tol)
+    leak, gate = null_leak(t2.q, kron(m1.alpha.matrix, m1.eta.matrix), t1.kernel, tol)
     rec.add(
         "lift_well_defined",
         "alpha (x) eta maps null vectors to null vectors",
@@ -809,10 +815,9 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
     )
     # vrho behavior
     vr1 = v_rho(comp.inner)
-    x_samples = random_vectors(E1, rng, 4)
+    X = random_vectors(E1, rng, 4)
     contraction = max(
-        max(0.0, comp.inner.module.vector_norm(vr1 @ x) - E1.vector_norm(x))
-        for x in x_samples
+        0.0, float((comp.inner.module.vector_norm(matvecs(vr1, X)) - E1.vector_norm(X)).max())
     )
     rec.add("vrho_contraction", "V_rho is a contraction", contraction, tol.ctol)
     rho_actions = np.einsum("qp,qij->pij", rho1.matrix, comp.inner.module.action)
@@ -1135,14 +1140,11 @@ def _check_dilation(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMe
             ),
         },
     )
-    worst = 0.0
-    for g in range(c.group.order):
-        cat = categorical_dilation_unitary(c, quad, g, tol, memo)
-        worst = max(worst, operator_norm(cat - quad.unitaries[g]))
+    cats = [categorical_dilation_unitary(c, quad, g, tol, memo) for g in range(c.group.order)]
     rec.add(
         "direct_vs_categorical",
         "compressed and functorial dilation unitaries agree",
-        worst,
+        max_operator_norm(np.stack(cats) - np.stack(quad.unitaries)),
         tol.ctol * (1.0 + c.phi.norm),
     )
 
@@ -1193,7 +1195,7 @@ def _gen_continuity(caps: SizeCaps, seed: int, steps: int = 20) -> dict:
             alpha_k = inner_automorphism(A, u_blocks)
             path.append(
                 {
-                    "eta": ser.dump_cmatrix(pi(u).matrix),
+                    "eta": ser.dump_cmatrix(pi(u.coeffs()).matrix),
                     "alpha": ser.dump_automorphism(alpha_k),
                 }
             )
@@ -1210,7 +1212,7 @@ def _gen_continuity(caps: SizeCaps, seed: int, steps: int = 20) -> dict:
     samples = [
         {
             "x": ser.dump_cmatrix(x.reshape(-1, 1)),
-            "a": ser.dump_element(a),
+            "a": ser.dump_element(A, a),
         }
         for x, a in zip(
             [
@@ -1247,17 +1249,15 @@ def _check_continuity(payload: dict, tol: Tolerance, rec: _Recorder, memo: Build
 
     target = load_morphism(payload["target"])
     path = [load_morphism(p) for p in payload["path"]]
-    samples = [
-        (
-            ser.load_cmatrix(s["x"], E1.dim, 1).reshape(-1),
-            ser.load_element(A, s["a"]),
-        )
-        for s in payload["samples"]
-    ]
+    samples = payload["samples"]
+    X = np.array([ser.load_cmatrix(s["x"], E1.dim, 1)[:, 0] for s in samples], dtype=complex)
+    C = np.array([ser.load_element(A, s["a"]) for s in samples], dtype=complex)
     t1 = ksgns_once(E1, phi1, tol, memo)
     t2 = ksgns_once(E2, phi2, tol, memo)
     try:
-        probe = continuity_probe(path, target, t1, t2, samples, tol)
+        probe = continuity_probe(
+            path, target, t1, t2, X.reshape(-1, E1.dim), C.reshape(-1, A.dim), tol
+        )
     except NonConvergentInput as exc:
         rec.fail("input_converges", "morphism path converges in the pseudo-metrics", exc)
         return

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cstar import AlgebraElement, AlgebraShape, Automorphism
+from .cstar import AlgebraShape, Automorphism, element_norms
 from .errors import (
     InvalidConfig, ShapeMismatch, SingularGram, SubmoduleViolation, WellDefinednessViolation,
 )
@@ -40,7 +40,9 @@ from .numkernel import (
     Tolerance,
     exceeds_gate,
     herm_power,
+    matvecs,
     max_operator_norm,
+    max_operator_norms,
     operator_norm,
     operator_norms,
     psd_verdict,
@@ -84,13 +86,21 @@ class PreModule:
             return np.zeros((0, 0), dtype=complex)
         return sum(P.trace(axis1=2, axis2=3) for P in self.pairing)
 
-    def pair(self, x: np.ndarray, y: np.ndarray) -> AlgebraElement:
-        x = np.asarray(x, dtype=complex).reshape(self.dim)
-        y = np.asarray(y, dtype=complex).reshape(self.dim)
-        return AlgebraElement(
-            self.algebra,
-            [P.transpose(2, 3, 0, 1) @ y @ x.conj() for P in self.pairing],
-        )
+    def pair(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """<x, y> for the matching rows x of X and y of Y (..., d), as
+        coefficient rows (..., dim B).  Block t is sum_ij conj(x_i) y_j P_t[i, j]
+        contracted over y first, a couple's own order, so each row is
+        bit-identical to pairing its couple alone."""
+        X = np.asarray(X, dtype=complex)
+        lead = X.shape[:-1]
+        rows = int(np.prod(lead))
+        X = X.reshape(rows, 1, self.dim).conj()
+        Y = np.asarray(Y, dtype=complex).reshape(rows, 1, 1, self.dim)
+        blocks = [
+            matvecs(matvecs(P.transpose(2, 3, 0, 1), Y), X).reshape(rows, n * n)
+            for n, P in zip(self.algebra.blocks, self.pairing)
+        ]
+        return np.concatenate(blocks, axis=1).reshape(*lead, self.algebra.dim)
 
 
 class HilbertModule(PreModule):
@@ -120,30 +130,18 @@ class HilbertModule(PreModule):
     def gram_inv(self) -> np.ndarray:
         return herm_power(self.gram_matrix, -1.0)
 
-    def vector_norm(self, x: np.ndarray) -> float:
-        """||x|| = sqrt(||<x, x>||_B)."""
-        return float(np.sqrt(max(self.pair(x, x).norm(), 0.0)))
+    def vector_norm(self, X: np.ndarray) -> np.ndarray:
+        """||x|| = sqrt(||<x, x>||_B) for each row x of X (..., d), shape (...)."""
+        return np.sqrt(element_norms(self.algebra, self.pair(X, X)))
 
 
 def pairing_coeffs(E: PreModule, Y: np.ndarray) -> np.ndarray:
     """Stacked pairings C[r, p, j] = coefficient p of <y_r, e_j> for the rows y_r
     of Y, shape (R, d); p runs over B's matrix-unit basis in cstar's order, so
-    C[r, :, j] = E.pair(Y[r], e_j).coeffs() and C[r] @ x holds <y_r, x>."""
+    C[r, :, j] = E.pair(Y[r], e_j) and C[r] @ x holds <y_r, x>."""
     d = E.dim
     P = np.concatenate([P.reshape(d, d, n * n) for n, P in zip(E.algebra.blocks, E.pairing)], 2)
     return np.tensordot(np.conj(Y), P, axes=(1, 0)).transpose(0, 2, 1)
-
-
-def max_stacked_norm(shape: AlgebraShape, C: np.ndarray) -> float:
-    """Largest C*-norm among the elements of B stacked as C[r, p, j]."""
-    C = require_finite(C, "stacked algebra elements")
-    return max(
-        (
-            max_operator_norm(C[:, o : o + n * n].transpose(0, 2, 1).reshape(-1, n, n))
-            for n, o in zip(shape.blocks, shape.offsets)
-        ),
-        default=0.0,
-    )
 
 
 def transport_pairing(s: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -288,9 +286,8 @@ def adjoint_map(m: ModuleMap) -> ModuleMap:
 def unitarity_residual(U: ModuleMap) -> float:
     """max(||U* U - 1||, ||U U* - 1||) with the module adjoint."""
     Us = adjoint_map(U).matrix
-    left = operator_norm(Us @ U.matrix - np.eye(U.source.dim))
-    right = operator_norm(U.matrix @ Us - np.eye(U.target.dim))
-    return max(left, right)
+    eyes = np.eye(U.source.dim), np.eye(U.target.dim)
+    return float(max_operator_norms(Us @ U.matrix - eyes[0], U.matrix @ Us - eyes[1]).max())
 
 
 def module_operator_norm(m: ModuleMap) -> float:

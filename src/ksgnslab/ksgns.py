@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cstar import AlgebraElement, identity_star_map, unit_element
+from .cstar import identity_star_map, unit_coeffs
 from .cp import (
     CPMap,
     Intertwiner,
@@ -43,7 +43,9 @@ from .hilbert import (
     unitarity_residual,
 )
 from .memo import BuildMemo
-from .numkernel import DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm, pseudo_inverse
+from .numkernel import (
+    DEFAULT_TOL, Tolerance, kron, matvecs, max_operator_norm, operator_norm, pseudo_inverse,
+)
 from .reporting import CheckReport
 
 
@@ -76,7 +78,7 @@ def ksgns(E: HilbertModule, phi: CPMap, tol: Tolerance, memo: BuildMemo) -> Ksgn
     tm = interior_tensor(L.module, E, phi, tol)
     pi = CPMap(A, tm.module, tensor_extend(L.images, tm, tm, "left multiplication", tol))
     # V_phi x = class of 1_A (x) x
-    V_pre = np.kron(unit_element(A).coeffs().reshape(A.dim, 1), np.eye(E.dim, dtype=complex))
+    V_pre = kron(unit_coeffs(A).reshape(A.dim, 1), np.eye(E.dim, dtype=complex))
     embedding = ModuleMap(E, tm.module, tm.q @ V_pre)
     return KsgnsTriple(tm.module, tm.q, tm.s, tm.kernel, E, phi, pi, embedding)
 
@@ -178,7 +180,7 @@ def ksgns_lift(
     eta~ is the compression of alpha (x) eta to the quotients; the well-
     definedness gate checks that alpha (x) eta maps ker G_1 into ker G_2.
     """
-    K = np.kron(m.alpha.matrix, m.eta.matrix)
+    K = kron(m.alpha.matrix, m.eta.matrix)
     lifted = ModuleMap(t1.module, t2.module, descend(K, t1, t2, "alpha (x) eta", tol))
     return Intertwiner(lifted, m.alpha)
 
@@ -200,7 +202,7 @@ def check_lift(
         tol.ctol * scale,
     )
     # adjoint sends the class of a (x) y to alpha^{-1}(a) (x) eta*(y)
-    K_adj = np.kron(m.alpha.inverse_matrix, adjoint_map(m.eta).matrix)
+    K_adj = kron(m.alpha.inverse_matrix, adjoint_map(m.eta).matrix)
     rep.add(
         "adjoint_formula",
         operator_norm(adjoint_map(lifted.eta).matrix @ t2.q - t1.q @ K_adj),
@@ -275,38 +277,30 @@ def continuity_probe(
     target: Intertwiner,
     t1: KsgnsTriple,
     t2: KsgnsTriple,
-    samples: list[tuple[np.ndarray, AlgebraElement]],
+    X: np.ndarray,
+    C: np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
 ) -> ProbeReport:
     """Push a convergent morphism path through the lift and watch the
-    pseudo-metric distances decay on the given (x, a) samples.
+    pseudo-metric distances decay on the samples (x, a): the rows x of X
+    (R, dim E) with the coefficient rows a of C (R, dim A).  Each path, the
+    input and the lifted one, takes one hom_pseudometric call.
 
     The input path must itself converge: if its distances do not fall to
     10 * ctol the probe raises NonConvergentInput.  The pass constant is a
     pragmatic bound, not a sharp one.
     """
-    def max_dist(m: Intertwiner) -> float:
-        return max(
-            (hom_pseudometric(m, target, x, a) for x, a in samples), default=0.0
-        )
-
-    input_distances = [max_dist(m) for m in path]
+    input_distances = hom_pseudometric(path, target, X, C).max(axis=1, initial=0.0).tolist()
     gate = 10.0 * tol.ctol
     if input_distances and input_distances[-1] > gate:
         raise NonConvergentInput(
             f"input path distance ends at {input_distances[-1]:.3e} > {gate:.1e}"
         )
     lifted_target = ksgns_lift(target, t1, t2, tol)
-    V = t1.embedding.matrix
-    pushed = [(V @ np.asarray(x, dtype=complex).reshape(-1), a) for x, a in samples]
-    lifted_distances = []
-    for m in path:
-        lifted = ksgns_lift(m, t1, t2, tol)
-        lifted_distances.append(
-            max(
-                (hom_pseudometric(lifted, lifted_target, x, a) for x, a in pushed),
-                default=0.0,
-            )
-        )
+    lifted = [ksgns_lift(m, t1, t2, tol) for m in path]
+    pushed = matvecs(t1.embedding.matrix, X)
+    lifted_distances = (
+        hom_pseudometric(lifted, lifted_target, pushed, C).max(axis=1, initial=0.0).tolist()
+    )
     constant = max(1.0, target.norm * (1.0 + t2.phi.norm)) * 10.0
     return ProbeReport(input_distances, lifted_distances, constant, gate)

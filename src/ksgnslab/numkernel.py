@@ -58,6 +58,21 @@ def require_finite(M: np.ndarray, what: str = "matrix") -> np.ndarray:
     return M
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b), bit for bit, as one broadcast multiply of the two
+    operands with their axes interleaved (leading 1s pad the shorter shape)."""
+    a, b = np.asarray(a), np.asarray(b)
+    sa, sb = (1,) * (b.ndim - a.ndim) + a.shape, (1,) * (a.ndim - b.ndim) + b.shape
+    prod = a.reshape([n for m in sa for n in (m, 1)]) * b.reshape([n for m in sb for n in (1, m)])
+    return prod.reshape([m * n for m, n in zip(sa, sb)])
+
+
+def matvecs(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M x for each row x of X (..., n), M one (m, n) matrix or a stack that
+    broadcasts against X's leading axes; each row is bit-identical to M @ x."""
+    return (M @ X[..., None])[..., 0]
+
+
 def operator_norm(M: np.ndarray) -> float:
     """Largest singular value; 0 for empty matrices."""
     return float(operator_norms(M))
@@ -89,6 +104,20 @@ def exceeds_gate(X: np.ndarray, M: np.ndarray, tol: Tolerance) -> np.ndarray:
 def max_operator_norm(stack: np.ndarray) -> float:
     """Largest singular value over a stack of matrices (..., m, n); 0 when empty."""
     return float(operator_norms(stack).max(initial=0.0))
+
+
+def max_operator_norms(*stacks: np.ndarray) -> np.ndarray:
+    """max_operator_norm of each of several stacks (..., m, n), shape
+    (len(stacks),); the stacks whose matrices share a shape go through one
+    batched SVD together."""
+    flat = [np.reshape(S, (int(np.prod(np.shape(S)[:-2])), *np.shape(S)[-2:])) for S in stacks]
+    out = np.zeros(len(flat))
+    for shape in {S.shape[1:] for S in flat}:
+        members = [i for i, S in enumerate(flat) if S.shape[1:] == shape]
+        norms = operator_norms(np.concatenate([flat[i] for i in members]))
+        cuts = np.cumsum([len(flat[i]) for i in members])[:-1]
+        out[members] = [part.max(initial=0.0) for part in np.split(norms, cuts)]
+    return out
 
 
 def psd_verdict(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:

@@ -31,7 +31,7 @@ from .cstar import (
     identity_automorphism,
     identity_star_map,
     star_map_distance,
-    unit_element,
+    unit_coeffs,
 )
 from .cp import (
     CPMap,
@@ -54,7 +54,7 @@ from .hilbert import (
 )
 from .ksgns import KsgnsTriple, idempotency_unitary, ksgns_lift, ksgns_once
 from .memo import BuildMemo, content_key
-from .numkernel import DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm
+from .numkernel import DEFAULT_TOL, Tolerance, kron, max_operator_norm, max_operator_norms
 from .reporting import CheckReport
 
 
@@ -121,7 +121,7 @@ def balanced_relation_residual(
         b = rng.integers(B.dim)
         xb = tm.left.action[b] @ x
         by = tm.pi.images[b] @ y
-        diff = np.kron(xb, y) - np.kron(x, by)
+        diff = kron(xb, y) - kron(x, by)
         worst = max(worst, float(np.linalg.norm(tm.q @ diff)))
     return worst
 
@@ -144,8 +144,7 @@ def v_rho(tm: TensorModule) -> np.ndarray:
     """Matrix of V_rho: x -> class of x (x) 1_C, a complex-linear contraction
     from E to tm = E (x)_rho C (E is tm's left factor, C its right)."""
     E = tm.left
-    unit_coeffs = unit_element(tm.right.algebra).coeffs()
-    V_pre = np.kron(np.eye(E.dim, dtype=complex), unit_coeffs.reshape(-1, 1))
+    V_pre = kron(np.eye(E.dim, dtype=complex), unit_coeffs(tm.right.algebra).reshape(-1, 1))
     return tm.q @ V_pre
 
 
@@ -346,7 +345,7 @@ class PosCorMorphism:
     def pullback(self) -> np.ndarray:
         return self.eta.matrix @ self.vrho
 
-    @property
+    @cached_property
     def norm(self) -> float:
         return module_operator_norm(self.eta)
 
@@ -442,8 +441,9 @@ def morphism_distance(m1: PosCorMorphism, m2: PosCorMorphism) -> float:
     if m1.dom.ident != m2.dom.ident or m1.cod.ident != m2.cod.ident:
         raise ObjectMismatch("morphisms between different objects")
     rho_gap = star_map_distance(m1.rho, m2.rho)
-    pull_gap = operator_norm(m1.pullback - m2.pullback)
-    alpha_gap = operator_norm(m1.alpha.matrix - m2.alpha.matrix)
+    pull_gap, alpha_gap = max_operator_norms(
+        m1.pullback - m2.pullback, m1.alpha.matrix - m2.alpha.matrix
+    )
     return float(rho_gap + pull_gap + alpha_gap)
 
 

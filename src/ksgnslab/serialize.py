@@ -4,7 +4,8 @@ Conventions:
 
 * complex scalars are two-element arrays [re, im] everywhere;
 * algebra shapes are integer arrays; elements are arrays of row-major
-  complex block matrices;
+  complex block matrices, loaded as coefficient rows; star maps carry the
+  image of each matrix unit as an element;
 * modules carry {algebra, dim, action per basis element, pairing per basis
   pair}; maps carry {source_id, target_id, matrix};
 * CP maps carry {algebra, module_id, images, strict}.
@@ -23,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from .cp import CPMap
-from .cstar import AlgebraElement, AlgebraShape, Automorphism, StarMap
+from .cstar import AlgebraShape, Automorphism, StarMap, block_stacks
 from .errors import ValidationError
 from .hilbert import HilbertModule, ModuleMap
 from .equivariant import (
@@ -79,22 +80,23 @@ def load_shape(data: Any) -> AlgebraShape:
         raise ValidationError(f"bad algebra shape {data!r}") from exc
 
 
-def dump_element(a: AlgebraElement) -> list:
-    return [dump_cmatrix(b) for b in a.blocks]
+def dump_element(shape: AlgebraShape, c: np.ndarray) -> list:
+    """The element with coefficients c (dim A,), block by block."""
+    return [dump_cmatrix(b) for b in block_stacks(shape, c)]
 
 
-def load_element(shape: AlgebraShape, data: Any) -> AlgebraElement:
+def load_element(shape: AlgebraShape, data: Any) -> np.ndarray:
+    """Coefficients (dim A,) of a dumped element."""
     if not isinstance(data, list) or len(data) != len(shape.blocks):
         raise ValidationError("element block count does not match the shape")
-    blocks = [load_cmatrix(b, n, n) for b, n in zip(data, shape.blocks)]
-    return AlgebraElement(shape, blocks)
+    return np.concatenate([load_cmatrix(b, n, n).reshape(-1) for b, n in zip(data, shape.blocks)])
 
 
 def dump_star_map(rho: StarMap) -> dict:
     return {
         "domain": dump_shape(rho.domain),
         "codomain": dump_shape(rho.codomain),
-        "images": [dump_element(img) for img in rho.images],
+        "images": [dump_element(rho.codomain, c) for c in rho.matrix.T],
     }
 
 
@@ -104,7 +106,7 @@ def load_star_map(data: Any) -> StarMap:
     images = data["images"]
     if len(images) != dom.dim:
         raise ValidationError("star map needs one image per domain basis element")
-    return StarMap(dom, cod, [load_element(cod, img) for img in images])
+    return StarMap(dom, cod, np.stack([load_element(cod, img) for img in images], axis=1))
 
 
 def dump_automorphism(alpha: Automorphism) -> dict:
@@ -123,15 +125,9 @@ def load_automorphism(data: Any) -> Automorphism:
 
 def dump_module(E: HilbertModule) -> dict:
     d = E.dim
-    pairing = [
-        [
-            dump_element(
-                AlgebraElement(E.algebra, [np.asarray(P[i, j]) for P in E.pairing])
-            )
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
+    blocks = zip(E.algebra.blocks, E.pairing)
+    table = np.concatenate([P.reshape(d, d, n * n) for n, P in blocks], 2)  # <e_i, e_j>
+    pairing = [[dump_element(E.algebra, table[i, j]) for j in range(d)] for i in range(d)]
     return {
         "algebra": dump_shape(E.algebra),
         "dim": d,
@@ -154,12 +150,9 @@ def load_module(data: Any) -> HilbertModule:
     rows = data["pairing"]
     if len(rows) != d or any(len(r) != d for r in rows):
         raise ValidationError("module pairing must be a dim x dim table")
-    pairing = [np.zeros((d, d, n, n), dtype=complex) for n in B.blocks]
-    for i in range(d):
-        for j in range(d):
-            el = load_element(B, rows[i][j])
-            for t in range(len(B.blocks)):
-                pairing[t][i, j] = el.blocks[t]
+    table = np.array([[load_element(B, e) for e in row] for row in rows], dtype=complex)
+    table = table.reshape(d, d, B.dim)
+    pairing = [np.ascontiguousarray(P) for P in block_stacks(B, table)]
     try:
         return HilbertModule(B, d, action, pairing)
     except Exception as exc:

@@ -8,8 +8,9 @@ from ksgnslab.cstar import (
     AlgebraElement,
     AlgebraShape,
     Automorphism,
+    StarMap,
     block_diag,
-    unit_element,
+    element_norms,
     zero_padded,
 )
 from ksgnslab.errors import TwistMismatch
@@ -17,7 +18,6 @@ from ksgnslab.hilbert import (
     AlphaLinearMap,
     ModuleMap,
     PreModule,
-    max_stacked_norm,
     pairing_coeffs,
 )
 from ksgnslab.numkernel import DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm
@@ -43,6 +43,85 @@ SMALL_SHAPES = [AlgebraShape((1,)), AlgebraShape((2,)), AlgebraShape((1, 2))]
 
 
 # -- algebra ------------------------------------------------------------------
+# Single elements, one block at a time: the references for cstar's coefficient
+# stacks (block_stacks, element_norms, adjoints, products).
+
+
+def from_coeffs(shape: AlgebraShape, c: np.ndarray) -> AlgebraElement:
+    """The element with coefficients c, split into its blocks."""
+    c = np.asarray(c, dtype=complex).reshape(shape.dim)
+    offs = shape.offsets
+    return AlgebraElement(
+        shape, [c[offs[i] : offs[i + 1]].reshape(n, n) for i, n in enumerate(shape.blocks)]
+    )
+
+
+def basis_element(shape: AlgebraShape, p: int) -> AlgebraElement:
+    return from_coeffs(shape, np.eye(shape.dim, dtype=complex)[p])
+
+
+def unit_element(shape: AlgebraShape) -> AlgebraElement:
+    return AlgebraElement(shape, [np.eye(n, dtype=complex) for n in shape.blocks])
+
+
+def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    return AlgebraElement(a.shape, [x + y for x, y in zip(a.blocks, b.blocks)])
+
+
+def sub(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    return AlgebraElement(a.shape, [x - y for x, y in zip(a.blocks, b.blocks)])
+
+
+def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    return AlgebraElement(a.shape, [x @ y for x, y in zip(a.blocks, b.blocks)])
+
+
+def star(a: AlgebraElement) -> AlgebraElement:
+    return AlgebraElement(a.shape, [x.conj().T for x in a.blocks])
+
+
+def element_norm(a: AlgebraElement) -> float:
+    """The C*-norm: the largest operator norm over the blocks."""
+    return max(operator_norm(x) for x in a.blocks)
+
+
+def apply_star_map(rho: StarMap, a: AlgebraElement) -> AlgebraElement:
+    return from_coeffs(rho.codomain, rho.matrix @ a.coeffs())
+
+
+def star_map_images(rho: StarMap) -> list[AlgebraElement]:
+    """The image of each matrix unit, as its own element."""
+    return [from_coeffs(rho.codomain, c) for c in rho.matrix.T]
+
+
+def check_star_map_reference(rho: StarMap) -> dict[str, float]:
+    """cstar.check_star_map's residuals image by image: multiplicativity on
+    every same-block pair of matrix units (one stack per codomain block),
+    ||rho(u*) - rho(u)*|| per matrix unit and ||rho(1) - 1||, with the largest
+    image norm as the scale."""
+    dom, images = rho.domain, star_map_images(rho)
+    block = np.repeat(np.arange(len(dom.blocks)), [n * n for n in dom.blocks])
+    P, R = np.nonzero(block[:, None] == block)
+    mult = 0.0
+    for c in range(len(rho.codomain.blocks)):
+        X = np.stack([img.blocks[c] for img in images])
+        mult = max(mult, max_operator_norm(zero_padded(X)[dom.product_table[P, R]] - X[P] @ X[R]))
+    perm = dom.star_permutation()
+    star_gap = max(element_norm(sub(images[perm[p]], star(images[p]))) for p in range(dom.dim))
+    unital = element_norm(sub(apply_star_map(rho, unit_element(dom)), unit_element(rho.codomain)))
+    return {
+        "multiplicativity": mult,
+        "star_preservation": star_gap,
+        "unitality": unital,
+        "scale": max(element_norm(img) for img in images),
+    }
+
+
+def star_map_distance_reference(r1: StarMap, r2: StarMap) -> float:
+    """Max over matrix units u of ||r1(u) - r2(u)||, image by image."""
+    return max(
+        element_norm(sub(a, b)) for a, b in zip(star_map_images(r1), star_map_images(r2))
+    )
 
 
 def algebra_trace(a: AlgebraElement) -> complex:
@@ -70,6 +149,25 @@ def right_mult_matrix(a: AlgebraElement) -> np.ndarray:
 def action_matrix(E: PreModule, b: AlgebraElement) -> np.ndarray:
     """R(b) = sum_p b_p R(u_p), the matrix of x -> x b on E."""
     return np.einsum("p,pij->ij", b.coeffs(), E.action)
+
+
+def pair_reference(E: PreModule, x: np.ndarray, y: np.ndarray) -> AlgebraElement:
+    """<x, y> for one couple, block by block: sum_ij conj(x_i) y_j P_t[i, j]."""
+    return AlgebraElement(E.algebra, [P.transpose(2, 3, 0, 1) @ y @ x.conj() for P in E.pairing])
+
+
+def hom_pseudometric_reference(m1, m2, x: np.ndarray, a: AlgebraElement) -> float:
+    """d_{x,a}(m1, m2) = ||eta(x) - xi(x)|| + ||alpha(a) - alpha'(a)|| for one
+    sample, element by element."""
+    v = m1.eta.matrix @ x - m2.eta.matrix @ x
+    vec_part = np.sqrt(element_norm(pair_reference(m1.eta.target, v, v)))
+    images = (apply_star_map(m.alpha.forward, a) for m in (m1, m2))
+    return float(vec_part + element_norm(sub(*images)))
+
+
+def max_stacked_norm(shape: AlgebraShape, C: np.ndarray) -> float:
+    """Largest C*-norm among the elements of B stacked as C[r, p, j]."""
+    return float(element_norms(shape, C.transpose(0, 2, 1)).max(initial=0.0))
 
 
 def validate_premodule(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -144,7 +242,7 @@ def composition_pre_reference(comp, rho2) -> np.ndarray:
     poscor.composition_unitary: M[(i, x), (u, w)] = sum_v s[(i, v), u] T[v, w, x]
     with s the section of comp.inner and T[v, w] the coefficients of
     rho2(u_v) u_w."""
-    T = np.stack([left_mult_matrix(img) for img in rho2.images]).transpose(0, 2, 1)
+    T = np.stack([left_mult_matrix(img) for img in star_map_images(rho2)]).transpose(0, 2, 1)
     dE, dD, m = comp.inner.left.dim, rho2.codomain.dim, comp.inner.module.dim
     S3 = comp.inner.s.reshape(dE, rho2.domain.dim, m)
     return np.einsum("ivu,vwx->ixuw", S3, T).reshape(dE * dD, m * dD)
@@ -217,7 +315,9 @@ def alpha_transport_inverse(
 def poscor_pseudometric(m1, m2, b: AlgebraElement, x: np.ndarray, a: AlgebraElement) -> float:
     """d_{b,x,a} = ||rho(b) - rho'(b)|| + ||(eta . V_rho)(x) - (xi . V_rho')(x)||
     + ||alpha(a) - alpha'(a)|| for parallel category morphisms m1, m2."""
-    rho_part = (m1.rho(b) - m2.rho(b)).norm()
+    rho_part = element_norm(sub(apply_star_map(m1.rho, b), apply_star_map(m2.rho, b)))
     vec_part = m1.cod.module.vector_norm(m1.pullback @ x - m2.pullback @ x)
-    alpha_part = (m1.alpha(a) - m2.alpha(a)).norm()
+    alpha_part = element_norm(
+        sub(apply_star_map(m1.alpha.forward, a), apply_star_map(m2.alpha.forward, a))
+    )
     return float(rho_part + vec_part + alpha_part)

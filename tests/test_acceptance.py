@@ -21,6 +21,7 @@ from ksgnslab.cstar import (
     identity_automorphism,
     random_element,
 )
+from conftest import add, apply_star_map, element_norm, mul, pair_reference, star
 from ksgnslab.equivariant import (
     check_dilation,
     conjugated_quadruple,
@@ -326,38 +327,39 @@ def test_criterion_07_lemma_inequalities():
             s_l = s_r = t_l = t_r = u_l = u_r = None
             for i in range(n):
                 for j in range(n):
-                    aa = elts[i].star() * elts[j]
-                    img1 = phi1(aa).matrix
-                    v = E1.pair(xs[i], img1 @ (gram @ xs[j]))
-                    w = E1.pair(xs[i], img1 @ xs[j])
-                    s_l = v if s_l is None else s_l + v
-                    s_r = w if s_r is None else s_r + w
-                    moved = m.alpha(elts[i]).star() * m.alpha(elts[j])
-                    img2 = phi2(moved).matrix
-                    v2 = E2.pair(ys[i], img2 @ (cogram @ ys[j]))
-                    w2 = E2.pair(ys[i], img2 @ ys[j])
-                    t_l = v2 if t_l is None else t_l + v2
-                    t_r = w2 if t_r is None else t_r + w2
+                    aa = mul(star(elts[i]), elts[j])
+                    img1 = phi1(aa.coeffs()).matrix
+                    v = pair_reference(E1, xs[i], img1 @ (gram @ xs[j]))
+                    w = pair_reference(E1, xs[i], img1 @ xs[j])
+                    s_l = v if s_l is None else add(s_l, v)
+                    s_r = w if s_r is None else add(s_r, w)
+                    ai, aj = (apply_star_map(m.alpha.forward, e) for e in (elts[i], elts[j]))
+                    img2 = phi2(mul(star(ai), aj).coeffs()).matrix
+                    v2 = pair_reference(E2, ys[i], img2 @ (cogram @ ys[j]))
+                    w2 = pair_reference(E2, ys[i], img2 @ ys[j])
+                    t_l = v2 if t_l is None else add(t_l, v2)
+                    t_r = w2 if t_r is None else add(t_r, w2)
                     # interior-tensor families for the second bound
-                    inner = E1.pair(xs[i], xs[j])
-                    pi_in = pi(inner).matrix
+                    inner = pair_reference(E1, xs[i], xs[j])
+                    pi_in = pi(inner.coeffs()).matrix
                     eta_xi = eta @ xs[i]
                     eta_xj = eta @ xs[j]
-                    pi_out = pi(E2.pair(eta_xi, eta_xj)).matrix
-                    v3 = F.pair(fs[i], pi_out @ fs[j])
-                    w3 = F.pair(fs[i], pi_in @ fs[j])
-                    u_l = v3 if u_l is None else u_l + v3
-                    u_r = w3 if u_r is None else u_r + w3
+                    pi_out = pi(pair_reference(E2, eta_xi, eta_xj).coeffs()).matrix
+                    v3 = pair_reference(F, fs[i], pi_out @ fs[j])
+                    w3 = pair_reference(F, fs[i], pi_in @ fs[j])
+                    u_l = v3 if u_l is None else add(u_l, v3)
+                    u_r = w3 if u_r is None else add(u_r, w3)
             worst = max(
                 worst,
-                s_l.norm() - norm2 * s_r.norm(),
-                t_l.norm() - norm2 * t_r.norm(),
-                u_l.norm() - norm2 * u_r.norm(),
+                *(
+                    element_norm(lhs) - norm2 * element_norm(rhs)
+                    for lhs, rhs in ((s_l, s_r), (t_l, t_r), (u_l, u_r))
+                ),
             )
             samples += 1
         # Properties Lemma part 3 on a sampled square
         a = random_element(A, rng)
-        pos = phi1(a.star() * a).matrix
+        pos = phi1(mul(star(a), a).coeffs()).matrix
         from ksgnslab.hilbert import is_map_positive
 
         _, lo = is_map_positive(ModuleMap(E1, E1, pos @ gram), TOL)
@@ -449,11 +451,10 @@ def test_criterion_10_continuity():
             )
             for k in range(1, 21)
         ]
-        samples = list(
-            zip(random_vectors(E1, rng, 3), [random_element(A, rng) for _ in range(3)])
-        )
+        xs = random_vectors(E1, rng, 3)
+        elts = np.array([random_element(A, rng).coeffs() for _ in range(3)])
         t1, t2 = ksgns(E1, phi1, TOL, BuildMemo()), ksgns(E2, phi2, TOL, BuildMemo())
-        probe = continuity_probe(path, m, t1, t2, samples, TOL)
+        probe = continuity_probe(path, m, t1, t2, xs, elts, TOL)
         worst_final = max(worst_final, probe.lifted_distances[-1])
         worst_jump = max(
             worst_jump,

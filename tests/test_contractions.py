@@ -3,12 +3,14 @@ and a whole checked pass that plans no einsum path."""
 
 import numpy as np
 import numpy._core.einsumfunc as einsumfunc
+import numpy.linalg._linalg as linalg_impl
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ksgnslab import equivariant
 from ksgnslab import serialize as ser
 from ksgnslab.cp import CPMap, random_cp, tensor_premodule
+from ksgnslab import cstar
 from ksgnslab.cstar import AlgebraShape
 from ksgnslab.generators import random_module, random_representation, random_star_map
 from ksgnslab.harness import (
@@ -131,3 +133,35 @@ def test_checked_instances_plan_no_einsum_path(monkeypatch):
     # the patch sees the path einsum plans for itself: one call, after the pass
     np.einsum("ij,jk,kl->il", np.eye(2), np.eye(2), np.eye(2), optimize=True)
     assert calls == ["ij,jk,kl->il"]
+
+
+def test_default_check_pass_stacks_algebra_data(monkeypatch):
+    # one check pass over the 90 default-caps instances: algebra data travels
+    # as coefficient stacks and norms as batched SVDs, not one element or one
+    # matrix at a time (the per-element design built 18,012 AlgebraElements
+    # and made 7,227 SVD calls on this pass)
+    master = 20250809
+    tasks = [
+        (suite, generate_instance(suite, SizeCaps(), instance_seed(master, suite, idx)))
+        for suite in SUITE_NAMES
+        for idx in range(SizeCaps().instances_per_suite)
+    ]
+    counts = {"elements": 0, "svd": 0}
+    real_init, real_svd = cstar.AlgebraElement.__post_init__, np.linalg.svd
+
+    def counting_init(self):
+        counts["elements"] += 1
+        real_init(self)
+
+    def counting_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(cstar.AlgebraElement, "__post_init__", counting_init)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(linalg_impl, "svd", counting_svd)
+    records = [r for suite, p in tasks for r in check_instance(suite, p, DEFAULT_TOL)]
+    assert len(tasks) == 90 and len(records) == 826
+    assert all(r.passed for r in records)
+    assert counts["elements"] <= 2000, counts
+    assert counts["svd"] <= 4000, counts

@@ -18,13 +18,12 @@ from ksgnslab.cp import (
 )
 from ksgnslab.cstar import (
     AlgebraShape,
-    basis_element,
     identity_automorphism,
     random_automorphism,
     random_element,
-    unit_element,
+    unit_coeffs,
 )
-from ksgnslab.errors import NonFinite, NonLinearMap
+from ksgnslab.errors import NonFinite, NonLinearMap, ShapeMismatch
 from ksgnslab.generators import (
     canonical_module,
     conjugate_cp,
@@ -43,7 +42,19 @@ from ksgnslab.ksgns import ksgns
 from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL, operator_norm
 
-from conftest import kron_intertwining_rows, multiplicativity_reference, random_complex
+from conftest import (
+    add,
+    apply_star_map,
+    basis_element,
+    element_norm,
+    hom_pseudometric_reference,
+    kron_intertwining_rows,
+    mul,
+    multiplicativity_reference,
+    pair_reference,
+    random_complex,
+    star,
+)
 
 
 def transpose_map_on_m2():
@@ -99,7 +110,7 @@ def test_random_cp_self_certifies(seed):
     assert ok
     assert phi.hermiticity_residual() <= 1e-10 * (1.0 + phi.norm)
     assert phi.linearity_residual() <= 1e-10 * (1.0 + phi.norm)
-    ok_pos, _ = is_map_positive(phi(unit_element(A)))
+    ok_pos, _ = is_map_positive(phi(unit_coeffs(A)))
     assert ok_pos
 
 
@@ -256,8 +267,8 @@ def test_check_correspondence_multiplicativity_matches_loop(blocks, rng):
     ref = 0.0
     for p in range(A.dim):
         for r in range(A.dim):
-            prod = basis_element(A, p) * basis_element(A, r)
-            ref = max(ref, operator_norm(pi(prod).matrix - pi.images[p] @ pi.images[r]))
+            prod = mul(basis_element(A, p), basis_element(A, r))
+            ref = max(ref, operator_norm(pi(prod.coeffs()).matrix - pi.images[p] @ pi.images[r]))
     got = check_correspondence(pi).residuals["multiplicativity"]
     assert ref > 0.1
     assert got == pytest.approx(ref, rel=1e-12)
@@ -452,12 +463,12 @@ def test_properties_lemma_consequences(rng):
     norm2 = m.norm**2
     for _ in range(10):
         a = random_element(A, rng)
-        square = a.star() * a
-        pos = phi1(square).matrix
+        square = mul(star(a), a)
+        pos = phi1(square.coeffs()).matrix
         # part 1 and 2 are inside check_morphism; part 3 sandwich here
         lo_ok, lo = is_map_positive(ModuleMap(E1, E1, pos @ gram))
         hi_ok, hi = is_map_positive(ModuleMap(E1, E1, norm2 * pos - pos @ gram))
-        scale = (1.0 + norm2) * (1.0 + phi1.norm * (1.0 + a.norm() ** 2))
+        scale = (1.0 + norm2) * (1.0 + phi1.norm * (1.0 + element_norm(a) ** 2))
         assert lo >= -1e-8 * scale
         assert hi >= -1e-8 * scale
 
@@ -476,23 +487,29 @@ def test_bounded_family_inequality(rng):
         s_lhs = s_rhs = t_lhs = t_rhs = None
         for i in range(n):
             for j in range(n):
-                aa = elts[i].star() * elts[j]
-                img1 = phi1(aa).matrix
-                term = E1.pair(xs[i], img1 @ (eta_star_eta @ xs[j]))
-                base = E1.pair(xs[i], img1 @ xs[j])
-                s_lhs = term if s_lhs is None else s_lhs + term
-                s_rhs = base if s_rhs is None else s_rhs + base
-                moved = m.alpha(elts[i]).star() * m.alpha(elts[j])
-                img2 = phi2(moved).matrix
-                term2 = E2.pair(ys[i], img2 @ (eta_eta_star @ ys[j]))
-                base2 = E2.pair(ys[i], img2 @ ys[j])
-                t_lhs = term2 if t_lhs is None else t_lhs + term2
-                t_rhs = base2 if t_rhs is None else t_rhs + base2
-        assert s_lhs.norm() <= norm2 * s_rhs.norm() + 1e-8 * (1 + norm2 * s_rhs.norm())
-        assert t_lhs.norm() <= norm2 * t_rhs.norm() + 1e-8 * (1 + norm2 * t_rhs.norm())
+                aa = mul(star(elts[i]), elts[j])
+                img1 = phi1(aa.coeffs()).matrix
+                term = pair_reference(E1, xs[i], img1 @ (eta_star_eta @ xs[j]))
+                base = pair_reference(E1, xs[i], img1 @ xs[j])
+                s_lhs = term if s_lhs is None else add(s_lhs, term)
+                s_rhs = base if s_rhs is None else add(s_rhs, base)
+                ai, aj = (apply_star_map(m.alpha.forward, e) for e in (elts[i], elts[j]))
+                img2 = phi2(mul(star(ai), aj).coeffs()).matrix
+                term2 = pair_reference(E2, ys[i], img2 @ (eta_eta_star @ ys[j]))
+                base2 = pair_reference(E2, ys[i], img2 @ ys[j])
+                t_lhs = term2 if t_lhs is None else add(t_lhs, term2)
+                t_rhs = base2 if t_rhs is None else add(t_rhs, base2)
+        for lhs, rhs in ((s_lhs, s_rhs), (t_lhs, t_rhs)):
+            bound = norm2 * element_norm(rhs)
+            assert element_norm(lhs) <= bound + 1e-8 * (1 + bound)
 
 
 # -- pseudo-metrics -------------------------------------------------------------
+
+
+def distance(m1: Intertwiner, m2: Intertwiner, x: np.ndarray, a) -> float:
+    """d_{x,a}(m1, m2) for one morphism and one sample."""
+    return float(hom_pseudometric([m1], m2, x[None], a.coeffs()[None])[0, 0])
 
 
 def test_pseudometric_zero_and_exact_value(rng):
@@ -503,11 +520,11 @@ def test_pseudometric_zero_and_exact_value(rng):
     m1 = Intertwiner(identity_map(E), alpha)
     x = random_complex(rng, 3)
     a = random_element(A, rng)
-    assert hom_pseudometric(m1, m1, x, a) == 0.0
+    assert distance(m1, m1, x, a) == 0.0
     delta = 0.37
     m2 = Intertwiner(ModuleMap(E, E, np.eye(3) * (1 + delta)), alpha)
     # on the standard scalar module the distance is exactly delta * ||x||
-    assert hom_pseudometric(m1, m2, x, a) == pytest.approx(
+    assert distance(m1, m2, x, a) == pytest.approx(
         delta * np.linalg.norm(x), rel=1e-12
     )
 
@@ -528,9 +545,36 @@ def test_pseudometric_symmetry_and_triangle(rng):
         m1, m2, m3 = rand_m(), rand_m(), rand_m()
         x = random_complex(rng, E.dim)
         a = random_element(A, rng)
-        d12 = hom_pseudometric(m1, m2, x, a)
-        d21 = hom_pseudometric(m2, m1, x, a)
+        d12 = distance(m1, m2, x, a)
+        d21 = distance(m2, m1, x, a)
         assert d12 == pytest.approx(d21, rel=1e-9, abs=1e-12)
-        d13 = hom_pseudometric(m1, m3, x, a)
-        d32 = hom_pseudometric(m3, m2, x, a)
+        d13 = distance(m1, m3, x, a)
+        d32 = distance(m3, m2, x, a)
         assert d12 <= d13 + d32 + 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([(1,), (2,), (1, 2)]), st.integers(0, 4))
+def test_pseudometric_stacks_match_per_sample_reference(seed, blocks, count):
+    # one call over every (morphism, sample) gives each couple's bits of the
+    # single-sample formula
+    rng = np.random.default_rng(seed)
+    A = AlgebraShape((2,))
+    E = random_module(AlgebraShape(blocks), rng, max_dim=5)
+
+    def rand_m():
+        return Intertwiner(
+            ModuleMap(E, E, random_complex(rng, E.dim, E.dim)),
+            random_automorphism(A, int(rng.integers(1 << 30))),
+        )
+
+    path, ref = [rand_m() for _ in range(count)], rand_m()
+    xs = random_vectors(E, rng, 3)
+    elts = [random_element(A, rng) for _ in range(3)]
+    got = hom_pseudometric(path, ref, xs, np.array([a.coeffs() for a in elts]))
+    other = Intertwiner(ref.eta, random_automorphism(AlgebraShape((1, 1, 1, 1)), seed))
+    with pytest.raises(ShapeMismatch):
+        hom_pseudometric([other], ref, xs, np.array([a.coeffs() for a in elts]))
+    want = [[hom_pseudometric_reference(m, ref, x, a) for x, a in zip(xs, elts)] for m in path]
+    assert got.shape == (count, 3)
+    assert np.array_equal(got, np.array(want).reshape(count, 3))

@@ -5,22 +5,41 @@ from hypothesis import given, settings, strategies as st
 from ksgnslab.cstar import (
     AlgebraShape,
     AlgebraElement,
-    basis_element,
+    Automorphism,
+    adjoints,
     block_permutation_automorphism,
     check_star_map,
     compose_automorphisms,
-    from_coeffs,
+    element_norms,
     identity_star_map,
     inner_automorphism,
+    products,
     random_automorphism,
     random_element,
     StarMap,
-    unit_element,
+    star_map_distance,
+    unit_coeffs,
 )
+from ksgnslab.generators import random_star_map
 from ksgnslab.errors import ShapeMismatch
 from ksgnslab.numkernel import DEFAULT_TOL, operator_norm
 
-from conftest import algebra_trace, left_mult_matrix, right_mult_matrix
+from conftest import (
+    algebra_trace,
+    apply_star_map,
+    basis_element,
+    check_star_map_reference,
+    element_norm,
+    from_coeffs,
+    left_mult_matrix,
+    mul,
+    right_mult_matrix,
+    star,
+    star_map_distance_reference,
+    star_map_images,
+    sub,
+    unit_element,
+)
 
 
 def test_shape_validation():
@@ -34,46 +53,70 @@ def test_shape_validation():
 def test_unit_is_neutral():
     shape = AlgebraShape((2, 1))
     rng = np.random.default_rng(0)
-    b = random_element(shape, rng)
-    prod = unit_element(shape) * b
-    assert max((prod - b).norm(), (b * unit_element(shape) - b).norm()) <= 1e-15
+    b = random_element(shape, rng).coeffs()[None]
+    one = unit_coeffs(shape)[None]
+    assert np.array_equal(products(shape, one, b)[0, 0], b[0])
+    assert np.array_equal(products(shape, b, one)[0, 0], b[0])
+    assert np.array_equal(unit_coeffs(shape), unit_element(shape).coeffs())
 
 
 def test_matrix_unit_adjoint_and_norm():
     shape = AlgebraShape((2,))
-    e12 = basis_element(shape, shape.basis_index(0, 0, 1))
-    e21 = basis_element(shape, shape.basis_index(0, 1, 0))
-    assert (e12.star() - e21).norm() == 0.0
-    assert e12.norm() == pytest.approx(1.0)
+    e12 = np.eye(shape.dim)[shape.basis_index(0, 0, 1)]
+    e21 = np.eye(shape.dim)[shape.basis_index(0, 1, 0)]
+    assert np.array_equal(adjoints(shape, e12), e21)
+    assert element_norms(shape, e12) == pytest.approx(1.0)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([(1,), (2,), (3,), (1, 2)]))
 def test_cstar_identity(seed, blocks):
+    shape = AlgebraShape(blocks)
     rng = np.random.default_rng(seed)
-    a = random_element(AlgebraShape(blocks), rng)
-    assert abs((a.star() * a).norm() - a.norm() ** 2) <= 1e-10 * (1.0 + a.norm() ** 2)
+    a = np.array([random_element(shape, rng).coeffs() for _ in range(3)])
+    squares = products(shape, adjoints(shape, a), a)[np.arange(3), np.arange(3)]
+    norms = element_norms(shape, a)
+    assert np.all(np.abs(element_norms(shape, squares) - norms**2) <= 1e-10 * (1.0 + norms**2))
 
 
 def test_star_involution_exact():
     rng = np.random.default_rng(3)
-    a = random_element(AlgebraShape((2, 2)), rng)
-    assert (a.star().star() - a).norm() == 0.0
+    shape = AlgebraShape((2, 2))
+    a = random_element(shape, rng).coeffs()
+    assert np.array_equal(adjoints(shape, adjoints(shape, a)), a)
 
 
 def test_coeffs_round_trip():
     shape = AlgebraShape((2, 1))
     rng = np.random.default_rng(7)
     a = random_element(shape, rng)
-    assert (from_coeffs(shape, a.coeffs()) - a).norm() == 0.0
+    assert element_norm(sub(from_coeffs(shape, a.coeffs()), a)) == 0.0
 
 
 def test_left_right_mult_matrices():
     shape = AlgebraShape((2, 2))
     rng = np.random.default_rng(9)
     a, b = random_element(shape, rng), random_element(shape, rng)
-    assert np.allclose(left_mult_matrix(a) @ b.coeffs(), (a * b).coeffs())
-    assert np.allclose(right_mult_matrix(a) @ b.coeffs(), (b * a).coeffs())
+    assert np.allclose(left_mult_matrix(a) @ b.coeffs(), mul(a, b).coeffs())
+    assert np.allclose(right_mult_matrix(a) @ b.coeffs(), mul(b, a).coeffs())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([(1,), (2,), (3,), (1, 2), (2, 1, 3)]))
+def test_coefficient_stacks_match_element_formulas(seed, blocks):
+    # one batched call per block gives each element's bits of the formulas
+    # applied to it alone
+    shape = AlgebraShape(blocks)
+    rng = np.random.default_rng(seed)
+    els = [random_element(shape, rng) for _ in range(int(rng.integers(1, 5)))]
+    C = np.array([a.coeffs() for a in els])
+    prods = products(shape, adjoints(shape, C), C)
+    norms = element_norms(shape, C)
+    for i, a in enumerate(els):
+        assert norms[i] == element_norm(a)
+        assert np.array_equal(adjoints(shape, C)[i], star(a).coeffs())
+        for j, b in enumerate(els):
+            assert np.array_equal(prods[i, j], mul(star(a), b).coeffs())
 
 
 def test_trace_examples():
@@ -89,9 +132,9 @@ def test_trace_cyclic_and_faithful(seed):
     rng = np.random.default_rng(seed)
     shape = AlgebraShape((1, 2))
     a, b = random_element(shape, rng), random_element(shape, rng)
-    gap = abs(algebra_trace(a * b) - algebra_trace(b * a))
-    assert gap <= 1e-10 * (1.0 + a.norm() * b.norm())
-    assert algebra_trace(a.star() * a).real > 0.0
+    gap = abs(algebra_trace(mul(a, b)) - algebra_trace(mul(b, a)))
+    assert gap <= 1e-10 * (1.0 + element_norm(a) * element_norm(b))
+    assert algebra_trace(mul(star(a), a)).real > 0.0
 
 
 def test_trace_nondegenerate():
@@ -100,10 +143,10 @@ def test_trace_nondegenerate():
     rng = np.random.default_rng(11)
     c = random_element(shape, rng)
     pairings = np.array(
-        [algebra_trace(c * basis_element(shape, p)) for p in range(shape.dim)]
+        [algebra_trace(mul(c, basis_element(shape, p))) for p in range(shape.dim)]
     )
     # the pairing vector is a permutation of the coefficients of c
-    assert np.linalg.norm(pairings) >= 1e-3 * c.norm()
+    assert np.linalg.norm(pairings) >= 1e-3 * element_norm(c)
     assert np.allclose(np.sort(np.abs(pairings)), np.sort(np.abs(c.coeffs())))
 
 
@@ -115,10 +158,8 @@ def test_check_star_map_identity():
 
 def test_check_star_map_transpose_fails():
     shape = AlgebraShape((2,))
-    images = []
-    for p, i, k, l in shape.basis_labels():
-        images.append(basis_element(shape, shape.basis_index(i, l, k)))
-    transpose = StarMap(shape, shape, images)
+    images = [np.eye(shape.dim)[shape.basis_index(i, l, k)] for p, i, k, l in shape.basis_labels()]
+    transpose = StarMap(shape, shape, np.stack(images, axis=1))
     rep = check_star_map(transpose)
     assert not rep.passed
     assert rep.residuals["multiplicativity"] >= 1.0
@@ -132,7 +173,7 @@ def test_product_table_matches_element_products(blocks):
     assert T.shape == (shape.dim, shape.dim)
     for p in range(shape.dim):
         for r in range(shape.dim):
-            prod = basis_element(shape, p) * basis_element(shape, r)
+            prod = mul(basis_element(shape, p), basis_element(shape, r))
             expected = np.zeros(shape.dim) if T[p, r] < 0 else basis_element(shape, T[p, r]).coeffs()
             assert np.array_equal(prod.coeffs(), expected), (p, r)
 
@@ -141,15 +182,18 @@ def test_product_table_matches_element_products(blocks):
 def test_check_star_map_multiplicativity_matches_loop(blocks, cod, rng):
     dom = AlgebraShape(blocks)
     cod = AlgebraShape(cod)
-    rho = StarMap(dom, cod, [random_element(cod, rng) for _ in range(dom.dim)])
-    # reference: every same-block pair of matrix units, products from AlgebraElement
+    rho = StarMap(
+        dom, cod, np.stack([random_element(cod, rng).coeffs() for _ in range(dom.dim)], axis=1)
+    )
+    # reference: every same-block pair of matrix units, products element by element
+    images = star_map_images(rho)
     ref = 0.0
     for p, i, k, l in dom.basis_labels():
         for r, j, k2, l2 in dom.basis_labels():
             if i == j:
-                prod = basis_element(dom, p) * basis_element(dom, r)
-                diff = rho(prod) - rho.images[p] * rho.images[r]
-                ref = max(ref, diff.norm())
+                prod = mul(basis_element(dom, p), basis_element(dom, r))
+                diff = sub(apply_star_map(rho, prod), mul(images[p], images[r]))
+                ref = max(ref, element_norm(diff))
     got = check_star_map(rho).residuals["multiplicativity"]
     assert ref > 0.1
     assert got == pytest.approx(ref, rel=1e-12)
@@ -161,8 +205,8 @@ def test_check_star_map_block_embedding():
     images = []
     for p in range(B.dim):
         u = basis_element(B, p)
-        images.append(AlgebraElement(C, [u.blocks[0], u.blocks[0]]))
-    rho = StarMap(B, C, images)
+        images.append(AlgebraElement(C, [u.blocks[0], u.blocks[0]]).coeffs())
+    rho = StarMap(B, C, np.stack(images, axis=1))
     rep = check_star_map(rho)
     assert rep.passed
     assert rep.residuals["unitality"] == 0.0
@@ -178,7 +222,7 @@ def test_random_automorphism_is_star_automorphism(seed, blocks):
     round_trip = operator_norm(alpha.inverse.matrix @ alpha.forward.matrix - np.eye(shape.dim))
     assert round_trip <= DEFAULT_TOL.ctol
     # unital
-    assert (alpha(unit_element(shape)) - unit_element(shape)).norm() <= 1e-12
+    assert element_norms(shape, alpha(unit_coeffs(shape)) - unit_coeffs(shape)) <= 1e-12
 
 
 def test_automorphism_of_scalars_is_identity():
@@ -193,7 +237,7 @@ def test_block_swap_is_involution():
     assert operator_norm(square.matrix - np.eye(shape.dim)) <= 1e-14
     rng = np.random.default_rng(2)
     a = random_element(shape, rng)
-    assert np.allclose(swap(a).blocks[0], a.blocks[1])
+    assert np.allclose(from_coeffs(shape, swap(a.coeffs())).blocks[0], a.blocks[1])
 
 
 @settings(max_examples=20, deadline=None)
@@ -202,8 +246,9 @@ def test_automorphisms_are_isometric(seed):
     shape = AlgebraShape((2, 2))
     alpha = random_automorphism(shape, seed)
     rng = np.random.default_rng(seed + 1)
-    a = random_element(shape, rng)
-    assert abs(alpha(a).norm() - a.norm()) <= 1e-10 * (1.0 + a.norm())
+    a = random_element(shape, rng).coeffs()
+    gap = abs(element_norms(shape, alpha(a)) - element_norms(shape, a))
+    assert gap <= 1e-10 * (1.0 + element_norms(shape, a))
 
 
 def test_inner_automorphism_multiplicativity_on_units():
@@ -216,5 +261,49 @@ def test_inner_automorphism_multiplicativity_on_units():
     for p in range(shape.dim):
         for r in range(shape.dim):
             u, v = basis_element(shape, p), basis_element(shape, r)
-            worst = max(worst, (alpha(u * v) - alpha(u) * alpha(v)).norm())
+            f = alpha.forward
+            images = mul(apply_star_map(f, u), apply_star_map(f, v))
+            defect = sub(apply_star_map(f, mul(u, v)), images)
+            worst = max(worst, element_norm(defect))
     assert worst <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(
+        [((1,), (2,)), ((2,), (3,)), ((1, 2), (2, 1)), ((2, 2), (3,)), ((3,), (1, 2))]
+    ),
+)
+def test_star_map_checks_match_per_image_reference(seed, shapes):
+    # batched SVDs are per-matrix bit-identical, so the stacked checks equal
+    # the image-by-image formulas exactly, on arbitrary linear maps and on
+    # *-homomorphisms alike
+    dom, cod = (AlgebraShape(b) for b in shapes)
+    rng = np.random.default_rng(seed)
+
+    def noise(rows: int) -> np.ndarray:
+        return rng.standard_normal((rows, dom.dim)) + 1j * rng.standard_normal((rows, dom.dim))
+
+    hom = random_star_map(dom, rng, max_block=3)
+    near = StarMap(dom, hom.codomain, hom.matrix + 1e-9 * noise(hom.codomain.dim))
+    pairs = [(StarMap(dom, cod, noise(cod.dim)), StarMap(dom, cod, noise(cod.dim))), (hom, near)]
+    for r1, r2 in pairs:
+        rep, ref = check_star_map(r1), check_star_map_reference(r1)
+        for name in ("multiplicativity", "star_preservation", "unitality"):
+            assert np.array_equal(rep.residuals[name], ref[name]), name
+            assert rep.thresholds[name] == DEFAULT_TOL.ctol * (1.0 + ref["scale"] ** 2)
+        assert np.array_equal(star_map_distance(r1, r2), star_map_distance_reference(r1, r2))
+
+
+def test_automorphism_shape_checks():
+    M2, C4 = AlgebraShape((2,)), AlgebraShape((1, 1, 1, 1))
+    ident, eye = identity_star_map(M2), np.eye(4, dtype=complex)
+    with pytest.raises(ShapeMismatch, match="endomap"):
+        Automorphism(StarMap(M2, C4, eye), ident)
+    with pytest.raises(ShapeMismatch, match="inverse lives on a different algebra"):
+        Automorphism(ident, identity_star_map(C4))
+    # same dimension, other algebra: alpha inverse would be read in C4's basis
+    with pytest.raises(ShapeMismatch, match="inverse maps into a different algebra"):
+        Automorphism(ident, StarMap(M2, C4, eye))
+    assert Automorphism(ident, ident).inverted().shape == M2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ksgnslab.cp import CPMap
-from ksgnslab.cstar import AlgebraShape, basis_element, identity_automorphism
+from ksgnslab.cstar import AlgebraShape, element_norms, identity_automorphism
 from ksgnslab.equivariant import (
     DilationQuadruple,
     DynamicalSystem,
@@ -44,8 +44,13 @@ from ksgnslab.serialize import dump_equivariant
 
 from conftest import (
     adjoint_identity_residual,
+    apply_star_map,
+    basis_element,
+    element_norm,
     left_mult_matrix,
+    pair_reference,
     random_complex,
+    sub,
     validate_premodule,
 )
 
@@ -149,8 +154,9 @@ def _pairing_twist_loop(c):
     for g, Ug in enumerate(c.unitaries):
         for i in range(E.dim):
             for j in range(E.dim):
-                lhs = E.pair(Ug @ eye[:, i], Ug @ eye[:, j])
-                worst = max(worst, (lhs - beta[g](E.pair(eye[:, i], eye[:, j]))).norm())
+                lhs = pair_reference(E, Ug @ eye[:, i], Ug @ eye[:, j])
+                rhs = apply_star_map(beta[g].forward, pair_reference(E, eye[:, i], eye[:, j]))
+                worst = max(worst, element_norm(sub(lhs, rhs)))
     return worst
 
 
@@ -345,7 +351,8 @@ def test_dilated_pairing_twist_on_random_vectors(rng):
             y = random_complex(rng, F.dim)
             lhs = F.pair(quad.unitaries[g] @ x, quad.unitaries[g] @ y)
             rhs = beta[g](F.pair(x, y))
-            assert (lhs - rhs).norm() <= 1e-8 * (1 + F.vector_norm(x) * F.vector_norm(y))
+            gap = element_norms(F.algebra, lhs - rhs)
+            assert gap <= 1e-8 * (1 + F.vector_norm(x) * F.vector_norm(y))
 
 
 # -- uniqueness -----------------------------------------------------------------------

@@ -320,13 +320,13 @@ def test_failing_subreport_is_recorded_as_failure():
     # scaling morphism 0's rho by 1 + 4e-8 breaks multiplicativity and unitality
     # by 4e-8 against a 2e-8 gate, below the same reports' 6e-8 eta gate
     from ksgnslab import serialize as ser
-    from ksgnslab.cstar import AlgebraElement, StarMap
+    from ksgnslab.cstar import StarMap
 
     payload = generate_instance("category", SizeCaps(), instance_seed(20250809, "category", 0))
     assert "ksgns_functor" in payload["checks"]
     rho = ser.load_star_map(payload["morphisms"][0]["rho"])
-    scaled = [AlgebraElement(img.shape, [(1 + 4e-8) * b for b in img.blocks]) for img in rho.images]
-    payload["morphisms"][0]["rho"] = ser.dump_star_map(StarMap(rho.domain, rho.codomain, scaled))
+    scaled = StarMap(rho.domain, rho.codomain, (1 + 4e-8) * rho.matrix)
+    payload["morphisms"][0]["rho"] = ser.dump_star_map(scaled)
     records = {r.check: r for r in check_instance("category", payload, Tolerance())}
     for check in ("morphism_invariants", "closure", "ksgns_morphism"):
         assert not records[check].passed, check
@@ -353,6 +353,27 @@ def test_residual_missing_from_checker_report_fails_the_instance(monkeypatch):
     failed = records[-1]
     assert (failed.check, failed.passed) == ("construction", False)
     assert failed.error == "KeyError: 'dim_match'"
+
+
+def test_inverse_in_another_algebra_fails_construction():
+    # an alpha inverse written in the basis of another algebra of the same
+    # dimension is rejected when the payload loads, as a construction record
+    from ksgnslab import serialize as ser
+    from ksgnslab.cstar import AlgebraShape, StarMap
+
+    payloads = (
+        generate_instance("lift", SizeCaps(), instance_seed(20250809, "lift", idx))
+        for idx in range(10)
+    )
+    # the first instance whose algebra has a matrix block: C^dim is another algebra
+    payload = next(p for p in payloads if max(p["input_algebra"]) > 1)
+    alpha = payload["morphisms"]["m1"]["alpha"]
+    inverse = ser.load_star_map(alpha["inverse"])
+    scalars = AlgebraShape((1,) * inverse.domain.dim)
+    alpha["inverse"] = ser.dump_star_map(StarMap(inverse.domain, scalars, inverse.matrix))
+    records = check_instance("lift", payload, Tolerance())
+    assert [(r.check, r.passed) for r in records] == [("construction", False)]
+    assert records[0].error == "ShapeMismatch: inverse maps into a different algebra"
 
 
 def test_group_cap_one_degenerates_to_plain_inputs():

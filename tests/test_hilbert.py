@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ksgnslab.cstar import (
     AlgebraShape,
-    basis_element,
+    element_norms,
     identity_automorphism,
     identity_star_map,
     random_automorphism,
@@ -47,8 +47,16 @@ from conftest import (
     algebra_trace,
     alpha_transport,
     alpha_transport_inverse,
+    basis_element,
+    element_norm,
+    from_coeffs,
+    mul,
+    pair_reference,
     random_complex,
     right_mult_matrix,
+    star,
+    star_map_images,
+    sub,
     twisted_linearity_residual,
     validate_premodule,
 )
@@ -90,8 +98,26 @@ def test_pairing_matches_action_on_algebra_module():
     E = algebra_module(B)
     rng = np.random.default_rng(0)
     a, b = random_element(B, rng), random_element(B, rng)
-    pairing = E.pair(a.coeffs(), b.coeffs())
-    assert (pairing - a.star() * b).norm() <= 1e-12
+    pairing = from_coeffs(B, E.pair(a.coeffs(), b.coeffs()))
+    assert element_norm(sub(pairing, mul(star(a), b))) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([(1,), (2,), (1, 2), (2, 1, 3)]))
+def test_family_pairing_matches_per_couple_reference(seed, blocks):
+    # one stacked call over a family gives each couple the bits of pairing it alone
+    rng = np.random.default_rng(seed)
+    E = random_module(AlgebraShape(blocks), rng, max_dim=7)
+    X, Y = random_complex(rng, 2, 3, E.dim), random_complex(rng, 2, 3, E.dim)
+    got = E.pair(X, Y)
+    assert got.shape == (2, 3, E.algebra.dim)
+    for idx in np.ndindex(2, 3):
+        ref = pair_reference(E, X[idx], Y[idx]).coeffs()
+        assert np.allclose(got[idx], ref, rtol=1e-13, atol=0.0)
+        assert np.array_equal(got[idx], ref)
+    norms = E.vector_norm(X)
+    for idx in np.ndindex(2, 3):
+        assert norms[idx] == np.sqrt(element_norm(pair_reference(E, X[idx], X[idx])))
 
 
 def test_quotient_nondegenerate_input(rng):
@@ -301,7 +327,7 @@ def test_antimultiplicativity_residual_matches_loop(blocks, rng):
     ref = 0.0
     for p in range(B.dim):
         for r in range(B.dim):
-            prod = basis_element(B, p) * basis_element(B, r)
+            prod = mul(basis_element(B, p), basis_element(B, r))
             ref = max(ref, operator_norm(action_matrix(pre, prod) - pre.action[r] @ pre.action[p]))
     got = validate_premodule(pre).residuals["action_antimultiplicative"]
     assert ref > 0.1
@@ -377,7 +403,7 @@ def test_rank_one_definition_unfolds(rng):
     E = random_module(AlgebraShape((2,)), rng, max_dim=4)
     x, y, z = random_vectors(E, rng, 3)
     theta = rank_one_sum(E, x[None], y[None])
-    explicit = action_matrix(E, E.pair(y, z)) @ x
+    explicit = action_matrix(E, from_coeffs(E.algebra, E.pair(y, z))) @ x
     assert np.linalg.norm(theta(z) - explicit) <= 1e-12
 
 
@@ -396,7 +422,7 @@ def _rank_one_loop(E, X, Y):
     eye = np.eye(E.dim)
     for x, y in zip(X, Y):
         for j in range(E.dim):
-            cols[:, j] += action_matrix(E, E.pair(y, eye[:, j])) @ x
+            cols[:, j] += action_matrix(E, from_coeffs(E.algebra, E.pair(y, eye[:, j]))) @ x
     return cols
 
 
@@ -408,7 +434,7 @@ def test_rank_one_sum_matches_pair_loop(blocks, rng):
     assert C.shape == (4, E.algebra.dim, E.dim)
     for r in range(4):
         for j in range(E.dim):
-            ref = E.pair(Y[r], np.eye(E.dim)[:, j]).coeffs()
+            ref = E.pair(Y[r], np.eye(E.dim)[:, j])
             assert np.abs(C[r, :, j] - ref).max() <= 1e-13 * np.abs(ref).max()
     ref = _rank_one_loop(E, X, Y)
     assert np.abs(rank_one_sum(E, X, Y).matrix - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -430,8 +456,11 @@ def test_cauchy_schwarz_scalarized(rng):
     E = random_module(AlgebraShape((1, 2)), rng, max_dim=5)
     for _ in range(25):
         x, y = random_vectors(E, rng, 2)
-        lhs = abs(algebra_trace(E.pair(x, y))) ** 2
-        rhs = algebra_trace(E.pair(x, x)).real * algebra_trace(E.pair(y, y)).real
+        tr = [
+            algebra_trace(from_coeffs(E.algebra, E.pair(u, v))) for u, v in ((x, y), (x, x), (y, y))
+        ]
+        lhs = abs(tr[0]) ** 2
+        rhs = tr[1].real * tr[2].real
         assert lhs <= rhs + 1e-8
 
 
@@ -470,8 +499,8 @@ def test_twist_adjoint_identity(rng):
         x = random_complex(rng, E.dim)
         y = random_complex(rng, E.dim)
         lhs = E.pair(U @ x, y)
-        rhs = alpha.inv(tw.twisted.module.pair(x, U_inv @ y))
-        assert (lhs - rhs).norm() <= 1e-8
+        rhs = alpha.inverse(tw.twisted.module.pair(x, U_inv @ y))
+        assert element_norms(B, lhs - rhs) <= 1e-8
 
 
 def test_alpha_transport_round_trip(rng):
@@ -576,7 +605,7 @@ def test_v_rho_is_contraction_and_twisted_linear(rng):
         assert tm.module.vector_norm(vr @ x) <= E.vector_norm(x) + 1e-10
     for p in range(B.dim):
         lhs = vr @ E.action[p]
-        rhs = action_matrix(tm.module, rho.images[p]) @ vr
+        rhs = action_matrix(tm.module, star_map_images(rho)[p]) @ vr
         assert operator_norm(lhs - rhs) <= 1e-10
     assert np.linalg.norm(vr @ np.zeros(E.dim)) == 0.0
 
@@ -639,7 +668,7 @@ def test_quotient_kernel_vectors_are_null(rng):
     lam_max = max(np.linalg.eigvalsh((G + G.conj().T) / 2).max(), 1.0)
     for k in range(quot.kernel.shape[1]):
         z = quot.kernel[:, k]
-        assert abs(algebra_trace(pre.pair(z, z))) <= 1e-8 * lam_max
+        assert abs(algebra_trace(from_coeffs(pre.algebra, pre.pair(z, z)))) <= 1e-8 * lam_max
     if quot.module.dim:
         w = np.linalg.eigvalsh(quot.module.gram_matrix)
         assert w[0] > 1e-10 * w[-1]

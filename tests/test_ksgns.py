@@ -38,7 +38,7 @@ from ksgnslab.poscor import unitarity_residual
 from ksgnslab.cp import intertwiner_space, random_cp
 from ksgnslab.cstar import AlgebraElement
 
-from conftest import random_complex
+from conftest import element_norm, random_complex
 
 
 def state_on_m2(weights):
@@ -156,8 +156,8 @@ def test_embedding_adjoint_formula(rng):
         y = random_complex(rng, E.dim)
         pre = np.kron(a.coeffs(), y)
         lhs = Vs @ (t.q @ pre)
-        rhs = phi(a).matrix @ y
-        assert np.linalg.norm(lhs - rhs) <= 1e-8 * (1 + a.norm())
+        rhs = phi(a.coeffs()).matrix @ y
+        assert np.linalg.norm(lhs - rhs) <= 1e-8 * (1 + element_norm(a))
 
 
 def test_triple_uniqueness_identity_and_planted(rng):
@@ -294,8 +294,9 @@ def make_linear_path(rng, steps=20):
         )
         for k in range(1, steps + 1)
     ]
-    samples = list(
-        zip(random_vectors(E1, rng, 3), [random_element(A, rng) for _ in range(3)])
+    samples = (
+        random_vectors(E1, rng, 3),
+        np.array([random_element(A, rng).coeffs() for _ in range(3)]),
     )
     return E1, phi1, E2, phi2, m, path, samples
 
@@ -303,7 +304,7 @@ def make_linear_path(rng, steps=20):
 def test_probe_constant_path_is_zero(rng):
     E1, phi1, E2, phi2, m, _, samples = make_linear_path(rng)
     t1, t2 = ksgns(E1, phi1, DEFAULT_TOL, BuildMemo()), ksgns(E2, phi2, DEFAULT_TOL, BuildMemo())
-    probe = continuity_probe([m] * 5, m, t1, t2, samples)
+    probe = continuity_probe([m] * 5, m, t1, t2, *samples)
     assert max(probe.input_distances) == 0.0
     assert max(probe.lifted_distances) == 0.0
     assert probe.passed
@@ -312,7 +313,7 @@ def test_probe_constant_path_is_zero(rng):
 def test_probe_linear_path_decays(rng):
     E1, phi1, E2, phi2, m, path, samples = make_linear_path(rng)
     t1, t2 = ksgns(E1, phi1, DEFAULT_TOL, BuildMemo()), ksgns(E2, phi2, DEFAULT_TOL, BuildMemo())
-    probe = continuity_probe(path, m, t1, t2, samples)
+    probe = continuity_probe(path, m, t1, t2, *samples)
     assert probe.passed
     assert probe.lifted_distances[-1] <= 1e-7
     drops = [
@@ -334,14 +335,15 @@ def test_probe_automorphism_path_decays(rng):
         u_blocks = [herm_expi(eps * blk) for blk in H.blocks]
         path.append(
             Intertwiner(
-                pi(AlgebraElement(A, u_blocks)), inner_automorphism(A, u_blocks)
+                pi(AlgebraElement(A, u_blocks).coeffs()), inner_automorphism(A, u_blocks)
             )
         )
     target = Intertwiner(identity_map(F), identity_automorphism(A))
-    samples = list(
-        zip(random_vectors(F, rng, 3), [random_element(A, rng) for _ in range(3)])
+    samples = (
+        random_vectors(F, rng, 3),
+        np.array([random_element(A, rng).coeffs() for _ in range(3)]),
     )
-    probe = continuity_probe(path, target, t, t, samples)
+    probe = continuity_probe(path, target, t, t, *samples)
     assert probe.passed
     assert probe.lifted_distances[-1] <= 1e-7
 
@@ -353,4 +355,4 @@ def test_probe_rejects_non_convergent_path(rng):
         ModuleMap(E1, E2, m.eta.matrix + 0.5 * np.eye(E2.dim, E1.dim)), m.alpha
     )
     with pytest.raises(NonConvergentInput):
-        continuity_probe(path, off_target, t1, t2, samples)
+        continuity_probe(path, off_target, t1, t2, *samples)

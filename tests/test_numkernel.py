@@ -10,7 +10,10 @@ from ksgnslab.numkernel import (
     herm_eig,
     herm_expi,
     herm_power,
+    kron,
+    matvecs,
     max_operator_norm,
+    max_operator_norms,
     null_space,
     operator_norm,
     operator_norms,
@@ -177,6 +180,54 @@ def test_max_operator_norm_over_stacks(rng):
     stack[1, 2, 0, 0] = np.nan
     with pytest.raises(NonFinite):
         max_operator_norm(stack)
+
+
+def test_max_operator_norms_per_stack(rng):
+    stacks = [
+        random_complex(rng, 3, 4, 3),
+        random_complex(rng, 4, 3),
+        np.zeros((0, 4, 3)),
+        random_complex(rng, 2, 2, 2, 2),
+        random_complex(rng, 5, 2, 2),
+    ]
+    # stacks of one shape share an SVD; each keeps the bits of its own maximum
+    assert np.array_equal(max_operator_norms(*stacks), [max_operator_norm(S) for S in stacks])
+    assert max_operator_norms().shape == (0,)
+    stacks[3][0, 1, 0, 0] = np.inf
+    with pytest.raises(NonFinite):
+        max_operator_norms(*stacks)
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [
+        ((3,), (4,)),
+        ((2, 3), (4, 5)),
+        ((3, 1), (4, 4)),
+        ((3, 3), (5, 2, 2)),
+        ((4, 3, 3), (2, 2)),
+        ((2, 2), (3, 4, 4)),
+        ((0, 3), (2, 2)),
+        ((3, 0), (2,)),
+    ],
+)
+def test_kron_matches_numpy_bytes(a_shape, b_shape, rng):
+    # complex by complex, and by the real identity the call sites pass
+    a, b = random_complex(rng, *a_shape), random_complex(rng, *b_shape)
+    for x, y in ((a, b), (a, b.real), (a.real, b), (np.eye(3), b)):
+        got, want = kron(x, y), np.kron(x, y)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_matvecs_rows_match_single_products(rng):
+    M, X = random_complex(rng, 5, 4), random_complex(rng, 3, 2, 4)
+    stack = random_complex(rng, 2, 5, 4)
+    got, stacked = matvecs(M, X), matvecs(stack, X)
+    assert got.shape == (3, 2, 5) and stacked.shape == (3, 2, 5)
+    for i, j in np.ndindex(3, 2):
+        assert np.array_equal(got[i, j], M @ X[i, j])
+        assert np.array_equal(stacked[i, j], stack[j] @ X[i, j])
 
 
 @settings(max_examples=40, deadline=None)

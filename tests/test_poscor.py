@@ -53,7 +53,7 @@ from ksgnslab.poscor import (
     unitarity_residual,
 )
 
-from conftest import left_mult_matrix, poscor_pseudometric, random_complex
+from conftest import left_mult_matrix, poscor_pseudometric, random_complex, star_map_images
 
 
 # -- interior tensor -----------------------------------------------------------
@@ -63,8 +63,8 @@ from conftest import left_mult_matrix, poscor_pseudometric, random_complex
 def test_left_mult_correspondence_matches_per_basis_build(blocks, rng):
     # any linear map will do: each image is read through its coefficients
     B, C = AlgebraShape((1, 2)), AlgebraShape(blocks)
-    rho = StarMap(B, C, [random_element(C, rng) for _ in range(B.dim)])
-    reference = np.stack([left_mult_matrix(img) for img in rho.images])
+    rho = StarMap(B, C, np.stack([random_element(C, rng).coeffs() for _ in range(B.dim)], axis=1))
+    reference = np.stack([left_mult_matrix(img) for img in star_map_images(rho)])
     assert np.array_equal(left_mult_correspondence(rho).images, reference)
 
 

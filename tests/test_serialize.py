@@ -10,7 +10,7 @@ from ksgnslab.equivariant import cyclic_group, random_equivariant
 from ksgnslab.errors import ValidationError
 from ksgnslab.generators import random_module, random_star_map
 
-from conftest import random_complex
+from conftest import random_complex, star_map_images
 
 
 def entrywise_dump(M):
@@ -91,12 +91,21 @@ def test_zero_row_matrix_rejects_listed_rows():
 def test_element_and_star_map_round_trip(rng):
     shape = AlgebraShape((2, 1))
     a = random_element(shape, rng)
-    back = ser.load_element(shape, json.loads(json.dumps(ser.dump_element(a))))
-    assert all(np.array_equal(x, y) for x, y in zip(a.blocks, back.blocks))
+    data = ser.dump_element(shape, a.coeffs())
+    assert data == [ser.dump_cmatrix(b) for b in a.blocks]
+    back = ser.load_element(shape, json.loads(json.dumps(data)))
+    assert np.array_equal(back, a.coeffs())
     rho = random_star_map(shape, rng, max_block=3)
     data = json.loads(json.dumps(ser.dump_star_map(rho)))
+    # one element per matrix unit, block by block
+    assert data["images"] == [
+        [ser.dump_cmatrix(b) for b in img.blocks] for img in star_map_images(rho)
+    ]
     back = ser.load_star_map(data)
     assert np.array_equal(rho.matrix, back.matrix)
+    for broken in (data["images"][:-1], [img[:-1] for img in data["images"]]):
+        with pytest.raises(ValidationError):
+            ser.load_star_map({**data, "images": broken})
     alpha = random_automorphism(shape, 3)
     back = ser.load_automorphism(json.loads(json.dumps(ser.dump_automorphism(alpha))))
     assert np.array_equal(alpha.matrix, back.matrix)

@@ -222,6 +222,48 @@ def test_no_descend_per_element():
     assert found == {}
 
 
+def test_no_pairings_or_pseudometrics_per_element():
+    # pair, vector_norm and hom_pseudometric take whole families of vectors,
+    # samples and morphisms; a loop around one would pair a couple at a time
+    probe = (
+        "def f(E, X):\n    return E.vector_norm(X)\n\n"
+        "def g(E, xs):\n    return [E.pair(x, x) for x in xs]\n\n"
+        "def h(ms, m, X, C):\n    for k in ms:\n        cp.hom_pseudometric([k], m, X, C)\n"
+    )
+    assert calls_in_loops(probe, "pair") == ["g (line 5)"]
+    assert calls_in_loops(probe, "hom_pseudometric") == ["h (line 9)"]
+    found = {
+        (path.name, callee): calls
+        for path in sorted(SRC.glob("*.py"))
+        for callee in ("pair", "vector_norm", "hom_pseudometric")
+        if (calls := calls_in_loops(path.read_text(), callee))
+    }
+    assert found == {}
+
+
+def kron_calls(source: str) -> list[int]:
+    """Lines of `np.kron` / `numpy.kron` calls."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "kron"
+        and getattr(node.func.value, "id", None) in ("np", "numpy")
+    ]
+
+
+def test_kron_only_through_numkernel():
+    # numkernel.kron is np.kron's bytes without its per-call axis bookkeeping
+    probe = "import numpy as np\na = np.kron(x, y)\nb = kron(x, y)\nc = numpy.kron(x, y)\n"
+    assert kron_calls(probe) == [2, 4]
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := kron_calls(path.read_text()))
+    }
+    assert found == {}
+
+
 def spectral_norm_calls(source: str) -> list[int]:
     """Lines of `norm(x, 2, ...)` or `norm(x, ord=2)` calls, by name or as an
     attribute such as np.linalg.norm."""
