@@ -54,7 +54,7 @@ def main() -> int:
                 for seed in range(args.seeds):
                     rng = np.random.default_rng(1000 * n + 100 * d + 10 * rank + seed)
                     A, E, phi = rank_limited_cp(n, d, rank, rng)
-                    t = ksgns(E, phi, DEFAULT_TOL, BuildMemo())
+                    t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
                     rep = check_triple(t)
                     worst = max(worst, rep.max_residual)
                     dims.append(t.module.dim)

@@ -17,6 +17,7 @@ below ksgns (F_phi = A (x)_phi E) and poscor (tensoring along rho).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 from functools import cached_property
 
 import numpy as np
@@ -40,6 +41,7 @@ from .hilbert import (
     algebra_module,
     compose_maps,
     descend,
+    gram_powers,
     identity_map,
     module_operator_norm,
     quotient_by_null,
@@ -50,6 +52,8 @@ from .memo import BuildMemo, content_key
 from .numkernel import (
     DEFAULT_TOL,
     Tolerance,
+    by_group,
+    dots,
     herm_expi,
     kron,
     matvecs,
@@ -57,8 +61,10 @@ from .numkernel import (
     max_operator_norms,
     null_space,
     operator_norm,
+    operator_norms,
     psd_verdict,
     require_finite,
+    stack_slices,
 )
 from .reporting import CheckReport
 
@@ -97,12 +103,7 @@ class CPMap:
     @cached_property
     def norm(self) -> float:
         """max over basis images of the L(E) norm; the scale of the map."""
-        return max_operator_norm(self.module.gram_sqrt @ self.images @ self.module.gram_isqrt)
-
-    def linearity_residual(self) -> float:
-        """max over basis images X and B-basis elements b of ||X R(b) - R(b) X||."""
-        X, R = self.images[:, None], self.module.action
-        return max_operator_norm(X @ R - R @ X)
+        return max_operator_norm(realized_images([self]))
 
     def hermiticity_residual(self) -> float:
         """max over basis of ||phi(u*) - phi(u)*||."""
@@ -143,37 +144,57 @@ def check_correspondence(pi: CPMap, tol: Tolerance = DEFAULT_TOL) -> CheckReport
     return rep
 
 
-def choi_blocks(phi: CPMap) -> list[np.ndarray]:
-    """Per A-block Choi matrices sum_{kl} E_kl (x) realize(phi(E_kl))."""
-    out = []
-    d = phi.module.dim
-    S, Si = phi.module.gram_sqrt, phi.module.gram_isqrt
-    for i, n in enumerate(phi.algebra.blocks):
-        C = np.zeros((n * d, n * d), dtype=complex)
-        for k in range(n):
-            for l in range(n):
-                img = phi.images[phi.algebra.basis_index(i, k, l)]
-                C[k * d : (k + 1) * d, l * d : (l + 1) * d] = S @ img @ Si
-        out.append(C)
-    return out
+def realized_images(phi: Sequence[CPMap]) -> np.ndarray:
+    """G^(1/2) phi(u_p) G^(-1/2) for maps of one shape, a stack
+    (len(phi), dim A, d, d), with the Gram powers of all modules from one
+    batched eigendecomposition."""
+    S, Si = (stack_slices(gram_powers([p.module for p in phi], power)) for power in (0.5, -0.5))
+    return S[:, None] @ stack_slices([p.images for p in phi]) @ Si[:, None]
 
 
-def check_cp(phi: CPMap, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, list[float]]:
-    """Choi certificate: (is_cp, minimum Choi eigenvalue per A-block).
+def choi_blocks(X: np.ndarray, A: AlgebraShape) -> list[np.ndarray]:
+    """Per A-block Choi matrices sum_{kl} E_kl (x) X[s, kl] of a stack X of
+    realized images (S, dim A, d, d), each block a stack (S, n d, n d)."""
+    d = X.shape[-1]
+    return [
+        X[:, o : o + n * n].reshape(len(X), n, n, d, d).transpose(0, 1, 3, 2, 4)
+        .reshape(len(X), n * d, n * d)
+        for n, o in zip(A.blocks, A.offsets)
+    ]
 
-    Raises NonLinearMap when the images fail B-linearity, since the Choi
-    criterion is only meaningful for maps into L(E).
+
+def check_cp(phi: Sequence[CPMap], tol: Tolerance = DEFAULT_TOL) -> list[tuple]:
+    """Choi certificates of maps of one shape, from one stacked linearity gate
+    and one batched PSD verdict per A-block: (is_cp, minimum Choi eigenvalue
+    per A-block) for each map, grouped by shape.  Each map's norm is cached
+    from the stack.
+
+    Raises NonLinearMap when the images of a map fail B-linearity, since the
+    Choi criterion is only meaningful for maps into L(E).
     """
-    lin = phi.linearity_residual()
-    if lin > tol.ctol * (1.0 + phi.norm):
-        raise NonLinearMap(f"images fail B-linearity (residual {lin:.3e})")
-    verdicts = [psd_verdict(C, tol) for C in choi_blocks(phi)]
-    return all(ok for ok, _ in verdicts), [w0 for _, w0 in verdicts]
+
+    def certify(idx, phi):
+        X = realized_images(phi)
+        todo = [i for i, p in enumerate(phi) if "norm" not in vars(p)]
+        for i, norm in zip(todo, operator_norms(X[todo]).max(axis=1, initial=0.0).tolist()):
+            vars(phi[i])["norm"] = norm
+        # ||phi(u_p) R(u_b) - R(u_b) phi(u_p)|| over all p, b
+        Y = stack_slices([p.images for p in phi])[:, :, None]
+        R = stack_slices([p.module.action for p in phi])[:, None]
+        lin = operator_norms(Y @ R - R @ Y).reshape(len(phi), -1).max(axis=1, initial=0.0)
+        bad = lin > tol.ctol * (1.0 + np.array([p.norm for p in phi]))
+        if np.count_nonzero(bad):
+            raise NonLinearMap(f"images fail B-linearity (residual {lin[bad][0]:.3e})")
+        ok, w0 = zip(*(psd_verdict(C, tol) for C in choi_blocks(X, phi[0].algebra)))
+        return [(bool(np.all(k)), w.tolist()) for k, w in zip(np.transpose(ok), np.transpose(w0))]
+
+    return by_group(certify, [(p.algebra, p.module.algebra, p.module.dim) for p in phi], phi)
 
 
-def check_cp_once(phi: CPMap, tol: Tolerance, memo: BuildMemo) -> tuple[bool, list[float]]:
+def check_cp_once(phi: Sequence[CPMap], tol: Tolerance, memo: BuildMemo) -> list[tuple]:
     """check_cp(phi, tol), run once per (phi content, tol) in the memo."""
-    return memo.get(("check_cp", phi.key, tol), lambda: check_cp(phi, tol))
+    keys = [("check_cp", p.key, tol) for p in phi]
+    return memo.get_all(keys, lambda todo: check_cp([phi[i] for i in todo], tol))
 
 
 # -- interior tensor product -------------------------------------------------
@@ -192,64 +213,87 @@ class TensorModule(Quotient):
         return self.left.dim, self.right.dim
 
 
-def tensor_premodule(E: HilbertModule, F: HilbertModule, pi: CPMap) -> PreModule:
-    """Pre-module on {e_i (x) f_j} along a completely positive pi: B -> L(F),
-    with pairing <e_i (x) f_j, e_k (x) f_l> = <f_j, pi(<e_i, e_k>_E) f_l>_F and
-    C acting on the F slot."""
-    if pi.algebra != E.algebra:
-        raise ShapeMismatch("representation domain differs from E's coefficients")
-    if not same_module(pi.module, F):
-        raise ShapeMismatch("representation does not act on F")
-    dE, dF = E.dim, F.dim
-    # N[i, k] = pi(<e_i, e_k>_E) as a matrix on F
-    coeffs = (
-        np.concatenate([P.reshape(dE, dE, -1) for P in E.pairing], axis=2)
-        if dE
-        else np.zeros((0, 0, E.algebra.dim))
+def tensor_premodule(
+    E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap]
+) -> PreModule:
+    """The stack of pre-modules on {e_i (x) f_j} along completely positive
+    pi: B -> L(F), for matching slices of one shape, with pairing
+    <e_i (x) f_j, e_k (x) f_l> = <f_j, pi(<e_i, e_k>_E) f_l>_F and C acting on
+    the F slot: one stacked contraction for the whole stack."""
+    for e, f, p in zip(E, F, pi):
+        if p.algebra != e.algebra:
+            raise ShapeMismatch("representation domain differs from E's coefficients")
+        if not same_module(p.module, f):
+            raise ShapeMismatch("representation does not act on F")
+    n, dE, dF, B = len(E), E[0].dim, F[0].dim, E[0].algebra
+    # N[s, i, k] = pi_s(<e_i, e_k>_E) as a matrix on F
+    blocks = ([e.pairing[t] for e in E] for t in range(len(B.blocks)))
+    coeffs = np.concatenate(
+        [stack_slices(P).reshape(n, dE * dE, m * m) for P, m in zip(blocks, B.blocks)], axis=2
     )
-    N = np.tensordot(coeffs, pi.images, axes=(2, 0))
-    action = kron(np.eye(dE, dtype=complex), F.action)  # I (x) R(u_c) for each c
-    # pairing[i, j, k, l] = sum_m N[i, k, m, l] P[j, m]
-    pairing = [
-        np.tensordot(N, P, axes=(2, 1))
-        .transpose(0, 3, 1, 2, 4, 5)
-        .reshape(dE * dF, dE * dF, *P.shape[2:])
-        for P in F.pairing
-    ]
-    return PreModule(F.algebra, dE * dF, action, pairing)
+    images = stack_slices([p.images for p in pi]).reshape(n, B.dim, dF * dF)
+    N = dots(coeffs, images).reshape(n, dE, dE, dF, dF)
+    action = kron(np.eye(dE, dtype=complex), stack_slices([f.action for f in F]))  # I (x) R(u_c)
+    # pairing[s, i, j, k, l] = sum_m N[s, i, k, m, l] P[s, j, m]
+    Nt = N.transpose(0, 1, 2, 4, 3).reshape(n, dE * dE * dF, dF)
+    pairing = []
+    for t, m in enumerate(F[0].algebra.blocks):
+        P = stack_slices([f.pairing[t] for f in F]).transpose(0, 2, 1, 3, 4)
+        P = P.reshape(n, dF, dF * m * m)
+        pairing.append(
+            dots(Nt, P).reshape(n, dE, dE, dF, dF, m, m).transpose(0, 1, 4, 2, 3, 5, 6)
+            .reshape(n, dE * dF, dE * dF, m, m)
+        )
+    return PreModule(F[0].algebra, dE * dF, action, pairing)
 
 
 def interior_tensor(
-    E: HilbertModule, F: HilbertModule, pi: CPMap, tol: Tolerance = DEFAULT_TOL
-) -> TensorModule:
-    """Interior tensor product E (x)_pi F: the quotient of tensor_premodule by
-    its null space.  Along a representation pi this is the tensor product of
-    correspondences; with E = A over itself and pi a CP map it is the KSGNS
-    space F_pi = A (x)_pi F (Lance, Hilbert C*-Modules, ch. 4-5)."""
-    quot = quotient_by_null(tensor_premodule(E, F, pi), tol)
-    return TensorModule(quot.module, quot.q, quot.s, quot.kernel, E, F, pi)
+    E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap],
+    tol: Tolerance = DEFAULT_TOL,
+) -> list[TensorModule]:
+    """Interior tensor products E[s] (x)_pi[s] F[s]: the quotients of
+    tensor_premodule by their null spaces, one stacked build per shape.
+    Along a representation pi this is the tensor product of correspondences;
+    with E = A over itself and pi a CP map it is the KSGNS space
+    F_pi = A (x)_pi F (Lance, Hilbert C*-Modules, ch. 4-5)."""
+
+    def build(idx, E, F, pi):
+        quots = quotient_by_null(tensor_premodule(E, F, pi), tol)
+        return [
+            TensorModule(q.module, q.q, q.s, q.kernel, *ins) for q, *ins in zip(quots, E, F, pi)
+        ]
+
+    return by_group(build, [(e.algebra, e.dim, f.algebra, f.dim) for e, f in zip(E, F)], E, F, pi)
 
 
 def tensor_extend(
-    T: np.ndarray, tm1: TensorModule, tm2: TensorModule, what: str, tol: Tolerance
-) -> np.ndarray:
-    """T (x) I on the quotients for each map of a stack T (..., d2, d1) from
-    tm1's left factor to tm2's; the right factors must agree.  A leak raises
-    WellDefinednessViolation naming `what`."""
-    dF = tm1.right.dim
-    if tm2.right.dim != dF:
+    T: Sequence[np.ndarray], tm1: Sequence[TensorModule], tm2: Sequence[TensorModule],
+    what: str, tol: Tolerance,
+) -> list[np.ndarray]:
+    """T[s] (x) I on the quotients for each slice: T[s] a stack (..., d2, d1) of
+    maps from tm1[s]'s left factor to tm2[s]'s, whose right factors must
+    agree.  A leak raises WellDefinednessViolation naming `what`."""
+    if any(b.right.dim != a.right.dim for a, b in zip(tm1, tm2)):
         raise ShapeMismatch("tensor modules with different right factors")
-    return descend(kron(T, np.eye(dF, dtype=complex)), tm1, tm2, what, tol)
+    K = by_group(
+        lambda idx, T, tm: kron(stack_slices(T), np.eye(tm[0].right.dim, dtype=complex)),
+        [(np.shape(t), tm.right.dim) for t, tm in zip(T, tm1)], T, tm1,
+    )
+    return descend(K, tm1, tm2, what, tol)
 
 
-def left_mult_correspondence(rho: StarMap) -> Correspondence:
-    """rho followed by left multiplication: B -> L(C as a module over itself)."""
-    C_mod = algebra_module(rho.codomain)
-    T = rho.codomain.product_table
-    p, r = np.nonzero(T >= 0)
-    images = np.zeros((rho.domain.dim, C_mod.dim, C_mod.dim), dtype=complex)
-    images[:, T[p, r], r] = rho.matrix[p].T  # rho(u_b) u_r = sum_p rho_pb u_p u_r
-    return Correspondence(rho.domain, C_mod, images)
+def left_mult_correspondence(rho: Sequence[StarMap]) -> list[Correspondence]:
+    """rho[s] followed by left multiplication: B -> L(C as a module over
+    itself), for each star map; maps into one C share one module."""
+    modules = {C: algebra_module(C) for C in {r.codomain for r in rho}}
+    out = []
+    for r in rho:
+        C_mod, T = modules[r.codomain], r.codomain.product_table
+        p, q = np.nonzero(T >= 0)
+        images = np.zeros((r.domain.dim, C_mod.dim, C_mod.dim), dtype=complex)
+        images[:, T[p, q], q] = r.matrix[p].T  # rho(u_b) u_q = sum_p rho_pb u_p u_q
+        out.append(Correspondence(r.domain, C_mod, images))
+    return out
 
 
 # -- generation ------------------------------------------------------------

@@ -46,12 +46,12 @@ class AlgebraShape:
             raise ShapeMismatch(f"invalid block sizes {self.blocks}")
         object.__setattr__(self, "blocks", tuple(int(n) for n in self.blocks))
 
-    @property
+    @cached_property
     def dim(self) -> int:
         """Vector-space dimension sum n_i**2 (= size of the matrix-unit basis)."""
         return sum(n * n for n in self.blocks)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         offs = [0]
         for n in self.blocks:

@@ -9,6 +9,13 @@ rather than tested.
 The dilated unitary family is built twice: directly on representatives as
 the compression of alpha_g (x) U_g, and as the categorical composite
 eta~_g . V_g^{-1} . V'_{beta_g}.  Agreement of the two is itself a check.
+
+The group is a stack axis throughout: the twist tensors E (x)_{beta_g} B,
+the commuting and categorical dilation unitaries and the functor laws' Cayley
+table are each one stacked build per shape, never one group element at a
+time.  Every E (x)_{beta_g} B is the twist E_{beta_g} (Lance, Hilbert
+C*-Modules, ch. 4), so its slices share one shape, and batched LAPACK gives
+each slice the bits of a build of its own.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .hilbert import (
     HilbertModule,
     ModuleMap,
     adjoint_map,
+    adjoint_matrices,
     algebra_module,
     descend,
     pairing_coeffs,
@@ -50,11 +58,13 @@ from .ksgns import (
 )
 from .memo import BuildMemo
 from .numkernel import (
-    DEFAULT_TOL, Tolerance, exceeds_gate, kron, max_operator_norm, operator_norm,
+    DEFAULT_TOL, Tolerance, by_shape, exceeds_gate, kron, max_operator_norm, max_operator_norms,
+    operator_norm,
 )
 from .poscor import (
     PosCorMorphism,
     PosCorObject,
+    TwistUnitary,
     commuting_unitary,
     make_poscor_morphism,
     morphism_distance,
@@ -88,20 +98,19 @@ class FiniteGroup:
     def __post_init__(self) -> None:
         self.table = np.asarray(self.table, dtype=int)
         self.inverse = np.asarray(self.inverse, dtype=int)
-        n = self.order
-        if self.table.shape != (n, n):
+        n, T, e = self.order, self.table, self.identity
+        if T.shape != (n, n):
             raise ValidationError("group table has wrong shape")
-        for g, h, k in itertools.product(range(n), repeat=3):
-            if self.table[self.table[g, h], k] != self.table[g, self.table[h, k]]:
-                raise ValidationError("group table is not associative")
-        for g in range(n):
-            if self.table[self.identity, g] != g or self.table[g, self.identity] != g:
-                raise ValidationError("identity law fails")
-            if (
-                self.table[g, self.inverse[g]] != self.identity
-                or self.table[self.inverse[g], g] != self.identity
-            ):
-                raise ValidationError("inverse law fails")
+        if not np.array_equal(T[T], T[:, T]):  # (g h) k = g (h k) for all g, h, k
+            raise ValidationError("group table is not associative")
+        # the two laws checked element by element, in the order of g
+        g, inv = np.arange(n), self.inverse
+        identity_fails = (T[e] != g) | (T[:, e] != g)
+        fails = np.flatnonzero(identity_fails | (T[g, inv] != e) | (T[inv, g] != e))
+        if fails.size:
+            raise ValidationError(
+                "identity law fails" if identity_fails[fails[0]] else "inverse law fails"
+            )
 
     def mul(self, g: int, h: int) -> int:
         return int(self.table[g, h])
@@ -388,8 +397,8 @@ class EquivariantFunctor:
 def correspondence_to_functor(
     c: EquivariantCorrespondence, tol: Tolerance, memo: BuildMemo
 ) -> EquivariantFunctor:
-    """F(g) = (beta_g, (U_g . twist, alpha_g)) for each g; eta_g is defined
-    on the twist tensor E (x)_{beta_g} B, which F(g) lives on."""
+    """F(g) = (beta_g, (U_g . twist, alpha_g)) for every g, over one stacked
+    build of the |G| twist tensors E (x)_{beta_g} B, which the F(g) live on."""
     obj = PosCorObject(
         ident="E",
         input_algebra=c.phi.algebra,
@@ -397,17 +406,27 @@ def correspondence_to_functor(
         module=c.module,
         phi=c.phi,
     )
-    morphisms = []
-    for g in range(c.group.order):
-        beta_g = c.system_out.action[g]
-        tw = twist_unitary(c.module, beta_g, tol, memo)
-        eta_g = ModuleMap(tw.twisted.module, c.module, c.unitaries[g] @ tw.unitary.matrix)
-        morphisms.append(
-            make_poscor_morphism(
-                obj, obj, beta_g.forward, eta_g, c.system_in.action[g], tol, memo
-            )
-        )
-    return EquivariantFunctor(obj, morphisms)
+    beta = c.system_out.action
+    _, etas = _twisted_unitaries(c, tol, memo)
+    n = c.group.order
+    return EquivariantFunctor(
+        obj,
+        make_poscor_morphism(
+            [obj] * n, [obj] * n, [b.forward for b in beta], etas, c.system_in.action, tol, memo
+        ),
+    )
+
+
+def _twisted_unitaries(
+    c: EquivariantCorrespondence, tol: Tolerance, memo: BuildMemo
+) -> tuple[list[TwistUnitary], list[ModuleMap]]:
+    """The twist unitaries along every beta_g, from one stacked twist_unitary,
+    and eta_g = U_g . twist on each E (x)_{beta_g} B."""
+    tws = twist_unitary(c.module, c.system_out.action, tol, memo)
+    return tws, [
+        ModuleMap(tw.twisted.module, c.module, U @ tw.unitary.matrix)
+        for tw, U in zip(tws, c.unitaries)
+    ]
 
 
 def check_functor_laws(
@@ -425,44 +444,34 @@ def check_functor_laws(
     every ||beta_g beta_h - beta_gh|| is gated at the composition_law
     threshold; a violation raises TwistMismatch naming (g, h).
 
-    Builds go through the caller's BuildMemo, which lives for one checked
-    instance.  The tensors of the F(g) enter it under their content keys,
-    so a memo other than the one that built `functor` also finds the
-    tensors of F(gh).  Across the |G|^2 composites it builds each tensor
-    module and extended CP map once per content.
+    The whole Cayley table goes to one poscor_compose call, which composes
+    its distinct contents once each, one stacked product per shape; a
+    failing composite is named by its slice g |G| + h.  Builds go through
+    the caller's BuildMemo, which lives for one checked instance.  The
+    tensors of the F(g) enter it under their content keys, so a memo other
+    than the one that built `functor` also finds the tensors of F(gh).
     """
     rep = CheckReport()
-    G = c.group
-    E = c.module
-    scale = 1.0 + max(1.0, _gram_scale(E))
+    G, F = c.group, functor.morphisms
+    scale = 1.0 + max(1.0, _gram_scale(c.module))
     _require_group_law(c.system_out, tol.ctol * scale, tol)
-    for tm in (m.dom_tensor for m in functor.morphisms):
-        memo.get(tensor_key(tm.left, tm.right, tm.pi, tol), lambda: tm)
-    recover = max(
-        operator_norm(functor.morphisms[g].pullback - c.unitaries[g])
-        for g in range(G.order)
+    tms = [m.dom_tensor for m in F]
+    keys = [tensor_key(tm.left, tm.right, tm.pi, tol) for tm in tms]
+    memo.get_all(keys, lambda todo: [tms[s] for s in todo])
+    unit_gap = morphism_distance(F[G.identity], poscor_identity(functor.obj, tol, memo))
+    g, h = np.divmod(np.arange(G.order**2), G.order)
+    gh = G.table[g, h]
+    composed = poscor_compose(
+        [F[x] for x in g], [F[x] for x in h], tol, memo, rho=[F[x].rho for x in gh]
     )
-    rep.add("unitary_recovery", recover, tol.ctol * scale)
-    unit_gap = morphism_distance(
-        functor.morphisms[G.identity], poscor_identity(functor.obj, tol, memo)
+    U = np.stack(c.unitaries)
+    recover, law = max_operator_norms(
+        np.stack([m.pullback for m in F]) - U, np.stack([m.pullback for m in composed]) - U[gh]
     )
+    rep.add("unitary_recovery", float(recover), tol.ctol * scale)
     rep.add("unit_law", unit_gap, tol.ctol * scale)
-    law = 0.0
-    unitary = 0.0
-    for g in range(G.order):
-        unitary = max(unitary, unitarity_residual(functor.morphisms[g].eta))
-        for h in range(G.order):
-            gh = G.mul(g, h)
-            composed = poscor_compose(
-                functor.morphisms[g],
-                functor.morphisms[h],
-                tol,
-                memo,
-                rho=functor.morphisms[gh].rho,
-            )
-            law = max(law, operator_norm(composed.pullback - c.unitaries[gh]))
-    rep.add("composition_law", law, tol.ctol * scale)
-    rep.add("unitary_valued", unitary, tol.ctol * scale)
+    rep.add("composition_law", float(law), tol.ctol * scale)
+    rep.add("unitary_valued", unitarity_residual([m.eta for m in F]), tol.ctol * scale)
     return rep
 
 
@@ -499,12 +508,11 @@ class DilationQuadruple:
 
 def dilate(c: EquivariantCorrespondence, tol: Tolerance, memo: BuildMemo) -> DilationQuadruple:
     """Dilate to (F_phi, pi_phi, V_phi, U~) with U~_g the compression of
-    alpha_g (x) U_g to the quotient."""
-    t = ksgns_once(c.module, c.phi, tol, memo)
-    K = np.stack(
-        [kron(c.system_in.action[g].matrix, c.unitaries[g]) for g in range(c.group.order)]
-    )
-    return DilationQuadruple(c, t, list(descend(K, t, t, "alpha_g (x) U_g", tol)))
+    alpha_g (x) U_g to the quotient, one stacked descent over the group."""
+    t = ksgns_once([c.module], [c.phi], tol, memo)[0]
+    K = [kron(a.matrix, U) for a, U in zip(c.system_in.action, c.unitaries)]
+    n = c.group.order
+    return DilationQuadruple(c, t, descend(K, [t] * n, [t] * n, "alpha_g (x) U_g", tol))
 
 
 def dilated_correspondence(quad: DilationQuadruple) -> EquivariantCorrespondence:
@@ -518,24 +526,31 @@ def dilated_correspondence(quad: DilationQuadruple) -> EquivariantCorrespondence
 def categorical_dilation_unitary(
     c: EquivariantCorrespondence,
     quad: DilationQuadruple,
-    g: int,
     tol: Tolerance,
     memo: BuildMemo,
 ) -> np.ndarray:
-    """U~_g rebuilt as eta~_g . V_g^{-1} . V'_{beta_g}: the composite that the
-    functorial proof produces, used to cross-check the direct compression.
-    The lift lands on quad.triple; the commuting unitary's triple of
-    (E, phi) comes from the memo and is content-equal to it."""
-    E = c.module
-    beta_g = c.system_out.action[g]
-    tw = twist_unitary(E, beta_g, tol, memo)
-    eta_g = ModuleMap(tw.twisted.module, E, c.unitaries[g] @ tw.unitary.matrix)
-    cu = commuting_unitary(c.phi, tw.twisted, tol, memo)
+    """The stack (|G|, d, d) of U~_g rebuilt as eta~_g . V_g^{-1} . V'_{beta_g}:
+    the composite that the functorial proof produces, used to cross-check
+    the direct compression.  The commuting unitaries (left KSGNS, Choi
+    certificates, right tensors F_phi (x)_{beta_g} B), the lifts and the
+    products each run as one stack over the group.  The lifts land on
+    quad.triple; the commuting unitaries' triple of (E, phi) comes from the
+    memo and is content-equal to it."""
+    n = c.group.order
+    tws, etas = _twisted_unitaries(c, tol, memo)
+    cus = commuting_unitary(c.phi, [tw.twisted for tw in tws], tol, memo)
     lifted = ksgns_lift(
-        Intertwiner(eta_g, c.system_in.action[g]), cu.left, quad.triple, tol
+        [Intertwiner(eta, a) for eta, a in zip(etas, c.system_in.action)],
+        [cu.left for cu in cus],
+        [quad.triple] * n,
+        tol,
     )
-    V_inv = adjoint_map(cu.unitary).matrix
-    return lifted.eta.matrix @ V_inv @ v_rho(cu.right)
+    return np.stack(by_shape(
+        lambda idx, L, Vi, V: L @ Vi @ V,
+        [m.eta.matrix for m in lifted],
+        adjoint_matrices([cu.unitary for cu in cus]),
+        v_rho([cu.right for cu in cus]),
+    ))
 
 
 def check_dilation(

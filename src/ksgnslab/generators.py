@@ -269,11 +269,13 @@ def random_morphism_to_new_object(
         if dom.module.dim * rho.codomain.dim <= max_dim:
             break
         rho = random_star_map(dom.coefficient, rng, max_block=max_block, max_out_blocks=max_out_blocks)
-    tensor = interior_tensor_along(dom.module, rho, tol, memo)
-    phi_ext = tensor_extend_cpmap(dom.phi, tensor, tol, memo)
+    tensor = interior_tensor_along([dom.module], [rho], tol, memo)[0]
+    phi_ext = tensor_extend_cpmap(dom.phi, [tensor], tol, memo)[0]
     E2, psi, unitary = transported_copy(tensor.module, phi_ext, rng)
     cod = PosCorObject(ident, dom.input_algebra, rho.codomain, E2, psi)
-    morphism = make_poscor_morphism(dom, cod, rho, unitary.eta, unitary.alpha, tol, memo)
+    morphism = make_poscor_morphism(
+        [dom], [cod], [rho], [unitary.eta], [unitary.alpha], tol, memo
+    )[0]
     return cod, morphism
 
 
@@ -289,7 +291,8 @@ def random_endomorphism(
     if norm <= 1e-9:
         mat, norm = np.eye(obj.module.dim, dtype=complex), 1.0
     eta = ModuleMap(inc.tensor.module, obj.module, (mat / norm) @ inc.iota.matrix)
-    return make_poscor_morphism(obj, obj, identity_star_map(obj.coefficient), eta, ident, tol, memo)
+    inc = identity_star_map(obj.coefficient)
+    return make_poscor_morphism([obj], [obj], [inc], [eta], [ident], tol, memo)[0]
 
 
 def random_vectors(E: HilbertModule, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -352,7 +352,7 @@ def _record_cp(
 ) -> bool:
     """Record the Choi certificate of phi (check_cp_once): the most negative
     Choi eigenvalue when it passes, inf whenever it fails.  Returns the verdict."""
-    ok, mins = check_cp_once(phi, tol, memo)
+    ok, mins = check_cp_once([phi], tol, memo)[0]
     resid = max(0.0, -min(mins)) if ok else float("inf")
     rec.add(check, theorem, resid, tol.ctol * (1.0 + phi.norm))
     return ok
@@ -399,7 +399,7 @@ def _check_ksgns(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo)
         return
     if not ok:
         return
-    t = ksgns_once(E, phi, tol, memo)
+    t = ksgns_once([E], [phi], tol, memo)[0]
     rep = check_triple(t, tol)
     rec.merge(
         rep,
@@ -576,9 +576,9 @@ def _check_lift(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) 
         sandwich_scale,
     )
 
-    t1 = ksgns_once(E1, phi1, tol, memo)
-    t2 = ksgns_once(E2, phi2, tol, memo)
-    t3 = ksgns_once(E3, phi3, tol, memo)
+    t1 = ksgns_once([E1], [phi1], tol, memo)[0]
+    t2 = ksgns_once([E2], [phi2], tol, memo)[0]
+    t3 = ksgns_once([E3], [phi3], tol, memo)[0]
     leak, gate = null_leak(t2.q, kron(m1.alpha.matrix, m1.eta.matrix), t1.kernel, tol)
     rec.add(
         "lift_well_defined",
@@ -586,7 +586,7 @@ def _check_lift(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) 
         leak,
         gate,
     )
-    lifted1 = ksgns_lift(m1, t1, t2, tol)
+    lifted1 = ksgns_lift([m1], [t1], [t2], tol)[0]
     rep = check_lift(m1, lifted1, t1, t2, tol)
     rec.merge(
         rep,
@@ -607,15 +607,15 @@ def _check_lift(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) 
         },
     )
     ident = Intertwiner(identity_map(E1), identity_automorphism(phi1.algebra))
-    lift_id = ksgns_lift(ident, t1, t1, tol)
+    lift_id = ksgns_lift([ident], [t1], [t1], tol)[0]
     rec.add(
         "functor_identity",
         "KSGNS endofunctor preserves identities",
         operator_norm(lift_id.eta.matrix - np.eye(t1.module.dim)),
         tol.ctol,
     )
-    lifted2 = ksgns_lift(m2, t2, t3, tol)
-    lifted21 = ksgns_lift(compose_intertwiners(m2, m1), t1, t3, tol)
+    lifted2 = ksgns_lift([m2], [t2], [t3], tol)[0]
+    lifted21 = ksgns_lift([compose_intertwiners(m2, m1)], [t1], [t3], tol)[0]
     rec.add(
         "functor_composition",
         "KSGNS endofunctor preserves composition",
@@ -641,8 +641,8 @@ def _gen_idempotency(caps: SizeCaps, seed: int) -> dict:
 def _check_idempotency(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
     mods, phis, morphs = _load_bundle(payload)
     m = morphs["m"]
-    t1 = ksgns_once(mods["E1"], phis["phi1"], tol, memo)
-    t2 = ksgns_once(mods["E2"], phis["phi2"], tol, memo)
+    t1 = ksgns_once([mods["E1"]], [phis["phi1"]], tol, memo)[0]
+    t2 = ksgns_once([mods["E2"]], [phis["phi2"]], tol, memo)[0]
     idem1 = idempotency_unitary(t1, tol, memo)
     idem2 = idempotency_unitary(t2, tol, memo)
     rep = check_idempotency(idem1, t1, tol)
@@ -654,8 +654,8 @@ def _check_idempotency(payload: dict, tol: Tolerance, rec: _Recorder, memo: Buil
             "intertwines": ("intertwines", "V_pi intertwines pi and its dilation"),
         },
     )
-    lifted = ksgns_lift(m, t1, t2, tol)
-    double = ksgns_lift(lifted, idem1.second, idem2.second, tol)
+    lifted = ksgns_lift([m], [t1], [t2], tol)[0]
+    double = ksgns_lift([lifted], [idem1.second], [idem2.second], tol)[0]
     rec.add(
         "naturality",
         "idempotency naturality square V_pi eta~ = eta~~ V_pi",
@@ -680,7 +680,7 @@ def _gen_tensor(caps: SizeCaps, seed: int) -> dict:
     E1, phi1, E2, phi2, m = random_morphism_pair(A, B, rng, min(caps.max_module_dim, 3))
     F, pi = random_representation(B, C, rng, max_dim=4)
     for _ in range(16):  # a vacuous tensor would make every check trivial
-        if interior_tensor(E1, F, pi).module.dim > 0:
+        if interior_tensor([E1], [F], [pi])[0].module.dim > 0:
             break
         F, pi = random_representation(B, C, rng, max_dim=4)
     rho1 = random_star_map(B, rng, max_block=2, max_out_blocks=1)
@@ -702,8 +702,8 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
     rho2 = ser.load_star_map(payload["star_maps"]["rho2"])
     rho3 = ser.load_star_map(payload["star_maps"]["rho3"])
     rng = _sub_rng(payload["seed"], 3)
-    tm1 = tensor_once(E1, F, pi, tol, memo)
-    tm2 = tensor_once(E2, F, pi, tol, memo)
+    tm1 = tensor_once([E1], [F], [pi], tol, memo)[0]
+    tm2 = tensor_once([E2], [F], [pi], tol, memo)[0]
     rec.add(
         "balanced",
         "balanced relation x b (x) y = x (x) pi(b) y",
@@ -714,12 +714,12 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
     S = random_blinear_unitary(E1, rng)
     # T (x) I, S (x) I, T* (x) I and (S T) (x) I as one stack
     stack = np.stack([T.matrix, S.matrix, adjoint_map(T).matrix, S.matrix @ T.matrix])
-    TI, SI, TsI, STI = tensor_extend(stack, tm1, tm1, "T (x) I", tol)
+    TI, SI, TsI, STI = tensor_extend([stack], [tm1], [tm1], "T (x) I", tol)[0]
     TI = ModuleMap(tm1.module, tm1.module, TI)
     rec.add(
         "extend_unitary",
         "tensor extension preserves unitaries",
-        unitarity_residual(TI),
+        unitarity_residual([TI]),
         tol.ctol,
     )
     rec.add(
@@ -744,8 +744,8 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
         tol.ctol,
     )
     m_hat = tensor_functor_morphism(m, tm1, tm2, tol)
-    phi1_ext = tensor_extend_cpmap(phi1, tm1, tol, memo)
-    phi2_ext = tensor_extend_cpmap(phi2, tm2, tol, memo)
+    phi1_ext = tensor_extend_cpmap(phi1, [tm1], tol, memo)[0]
+    phi2_ext = tensor_extend_cpmap(phi2, [tm2], tol, memo)[0]
     rep = check_morphism(m_hat, phi1_ext, phi2_ext, tol)
     rec.add(
         "functor_morphism",
@@ -764,10 +764,10 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
     rec.add(
         "inclusion_unitary",
         "inclusion x (x) b -> x b is unitary",
-        unitarity_residual(inc1.iota),
+        unitarity_residual([inc1.iota]),
         tol.ctol,
     )
-    eta_inc = tensor_extend_between(m.eta, inc1.tensor, inc2.tensor, tol)
+    eta_inc = tensor_extend_between([m.eta], [inc1.tensor], [inc2.tensor], tol)[0]
     rec.add(
         "inclusion_naturality",
         "tensoring with B along the inclusion is naturally trivial",
@@ -776,7 +776,7 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
         ),
         tol.ctol * (1.0 + m.norm),
     )
-    v_inc = v_rho(inc1.tensor)
+    v_inc = v_rho([inc1.tensor])[0]
     rec.add(
         "inclusion_vrho",
         "V_inc is the adjoint of the inclusion unitary",
@@ -784,20 +784,20 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
         tol.ctol,
     )
     # composition of tensorings
-    tm12 = interior_tensor_along(E1, rho1, tol, memo)
-    comp = composition_unitary(tm12, rho1, rho2, tol, memo)
+    tm12 = interior_tensor_along([E1], [rho1], tol, memo)[0]
+    comp = composition_unitary([tm12], [rho1], [rho2], tol, memo)[0]
     rec.add(
         "composition_unitary",
         "iterated tensoring composes: (x (x) c) (x) d -> x (x) rho(c) d",
-        unitarity_residual(comp.unitary),
+        unitarity_residual([comp.unitary]),
         tol.ctol,
     )
     # pentagon over three star maps, all into one shared final module: V1
     # lives along U1's sigma = (rho3 rho2) rho1, not along rho3 (rho2 rho1)
-    U2 = composition_unitary(comp.double, rho2, rho3, tol, memo)
-    U1 = composition_unitary(comp.inner, rho1, U2.rho, tol, memo)
-    V1 = composition_unitary(comp.target, comp.rho, rho3, tol, memo, U1.rho)
-    V2_hat = tensor_extend_between(comp.unitary, U2.double, V1.double, tol)
+    U2 = composition_unitary([comp.double], [rho2], [rho3], tol, memo)[0]
+    U1 = composition_unitary([comp.inner], [rho1], [U2.rho], tol, memo)[0]
+    V1 = composition_unitary([comp.target], [comp.rho], [rho3], tol, memo, [U1.rho])[0]
+    V2_hat = tensor_extend_between([comp.unitary], [U2.double], [V1.double], tol)[0]
     rec.add(
         "pentagon",
         "coherence pentagon U1 U2 = V1 (V2 (x) I)",
@@ -814,7 +814,7 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
         0.0,
     )
     # vrho behavior
-    vr1 = v_rho(comp.inner)
+    vr1 = v_rho([comp.inner])[0]
     X = random_vectors(E1, rng, 4)
     contraction = max(
         0.0, float((comp.inner.module.vector_norm(matvecs(vr1, X)) - E1.vector_norm(X)).max())
@@ -827,8 +827,8 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
         max_operator_norm(vr1 @ E1.action - rho_actions @ vr1),
         tol.ctol,
     )
-    vr2 = v_rho(comp.double)
-    vr12 = v_rho(comp.target)
+    vr2 = v_rho([comp.double])[0]
+    vr12 = v_rho([comp.target])[0]
     rec.add(
         "vrho_chain",
         "U . V_chi . V_rho = V_{chi rho}",
@@ -838,9 +838,9 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
     # square: (eta (x) I) . V'_chi = V_chi . eta for eta out of a tensor module
     E2p, Sp = scramble_module(comp.inner.module, rng)
     eta_sq = ModuleMap(comp.inner.module, E2p, np.linalg.inv(Sp))
-    tm_sq = interior_tensor_along(E2p, rho2, tol, memo)
-    eta_sq_hat = tensor_extend_between(eta_sq, comp.double, tm_sq, tol)
-    vr_sq = v_rho(tm_sq)
+    tm_sq = interior_tensor_along([E2p], [rho2], tol, memo)[0]
+    eta_sq_hat = tensor_extend_between([eta_sq], [comp.double], [tm_sq], tol)[0]
+    vr_sq = v_rho([tm_sq])[0]
     rec.add(
         "vrho_square",
         "(eta (x) I) . V'_chi = V_chi . eta",
@@ -848,17 +848,17 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
         tol.ctol * (1.0 + module_operator_norm(eta_sq)),
     )
     # KSGNS commutes with tensoring
-    cu1 = commuting_unitary(phi1, tm1, tol, memo)
-    cu2 = commuting_unitary(phi2, tm2, tol, memo)
-    rep = check_commuting_unitary(cu1, tol)
+    cu1 = commuting_unitary(phi1, [tm1], tol, memo)[0]
+    cu2 = commuting_unitary(phi2, [tm2], tol, memo)[0]
+    rep = check_commuting_unitary(cu1, tol, memo)
     rec.add(
         "commuting_unitary",
         "KSGNS commutes with tensoring: coordinate unitary",
         *rep.summary(),
     )
-    lifted = ksgns_lift(m, cu1.triple, cu2.triple, tol)
-    lifted_hat = tensor_extend_between(lifted.eta, cu1.right, cu2.right, tol)
-    hat_lifted = ksgns_lift(m_hat, cu1.left, cu2.left, tol)
+    lifted = ksgns_lift([m], [cu1.triple], [cu2.triple], tol)[0]
+    lifted_hat = tensor_extend_between([lifted.eta], [cu1.right], [cu2.right], tol)[0]
+    hat_lifted = ksgns_lift([m_hat], [cu1.left], [cu2.left], tol)[0]
     rec.add(
         "commuting_naturality",
         "KSGNS/tensor commuting square is natural",
@@ -929,7 +929,7 @@ def _sibling_morphism(m, rng: np.random.Generator, tol: Tolerance, memo: BuildMe
     if norm <= 1e-9:
         mat, norm = m.eta.matrix, 1.0
     eta = ModuleMap(m.eta.source, m.cod.module, mat / norm)
-    return make_poscor_morphism(m.dom, m.cod, m.rho, eta, m.alpha, tol, memo)
+    return make_poscor_morphism([m.dom], [m.cod], [m.rho], [eta], [m.alpha], tol, memo)[0]
 
 
 def _load_category(payload: dict, tol: Tolerance, memo: BuildMemo):
@@ -946,11 +946,11 @@ def _load_category(payload: dict, tol: Tolerance, memo: BuildMemo):
     for mdata in payload["morphisms"]:
         dom, cod = by_ident[mdata["dom"]], by_ident[mdata["cod"]]
         rho = ser.load_star_map(mdata["rho"])
-        tensor = interior_tensor_along(dom.module, rho, tol, memo)
+        tensor = interior_tensor_along([dom.module], [rho], tol, memo)[0]
         eta = ser.load_cmatrix(mdata["eta"], cod.module.dim, tensor.module.dim)
         alpha = ser.load_automorphism(mdata["alpha"])
         eta_map = ModuleMap(tensor.module, cod.module, eta)
-        morphisms.append(make_poscor_morphism(dom, cod, rho, eta_map, alpha, tol, memo))
+        morphisms += make_poscor_morphism([dom], [cod], [rho], [eta_map], [alpha], tol, memo)
     return objects, morphisms
 
 
@@ -1002,11 +1002,11 @@ def _check_category(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMe
         morphism_distance(k_id, poscor_identity(k_id.dom, tol, memo)),
         tol.ctol,
     )
-    k21 = ksgns_functor_poscor(poscor_compose(m2, m1, tol, memo), tol, memo)
+    k21 = ksgns_functor_poscor(poscor_compose([m2], [m1], tol, memo)[0], tol, memo)
     rec.add(
         "ksgns_composition",
         "KSGNS functor preserves category composition",
-        morphism_distance(k21, poscor_compose(k2, k1, tol, memo)),
+        morphism_distance(k21, poscor_compose([k2], [k1], tol, memo)[0]),
         tol.ctol * (1.0 + m1.norm * m2.norm),
     )
     # idempotency as a natural isomorphism on the category
@@ -1017,7 +1017,7 @@ def _check_category(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMe
         "ksgns_idempotent",
         "KSGNS squared is naturally isomorphic to KSGNS",
         morphism_distance(
-            poscor_compose(iso2, k1, tol, memo), poscor_compose(kk1, iso1, tol, memo)
+            poscor_compose([iso2], [k1], tol, memo)[0], poscor_compose([kk1], [iso1], tol, memo)[0]
         ),
         tol.ctol * (1.0 + m1.norm),
     )
@@ -1140,11 +1140,12 @@ def _check_dilation(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMe
             ),
         },
     )
-    cats = [categorical_dilation_unitary(c, quad, g, tol, memo) for g in range(c.group.order)]
     rec.add(
         "direct_vs_categorical",
         "compressed and functorial dilation unitaries agree",
-        max_operator_norm(np.stack(cats) - np.stack(quad.unitaries)),
+        max_operator_norm(
+            categorical_dilation_unitary(c, quad, tol, memo) - np.stack(quad.unitaries)
+        ),
         tol.ctol * (1.0 + c.phi.norm),
     )
 
@@ -1252,8 +1253,8 @@ def _check_continuity(payload: dict, tol: Tolerance, rec: _Recorder, memo: Build
     samples = payload["samples"]
     X = np.array([ser.load_cmatrix(s["x"], E1.dim, 1)[:, 0] for s in samples], dtype=complex)
     C = np.array([ser.load_element(A, s["a"]) for s in samples], dtype=complex)
-    t1 = ksgns_once(E1, phi1, tol, memo)
-    t2 = ksgns_once(E2, phi2, tol, memo)
+    t1 = ksgns_once([E1], [phi1], tol, memo)[0]
+    t2 = ksgns_once([E2], [phi2], tol, memo)[0]
     try:
         probe = continuity_probe(
             path, target, t1, t2, X.reshape(-1, E1.dim), C.reshape(-1, A.dim), tol
@@ -1311,7 +1312,7 @@ def _gen_uniqueness(caps: SizeCaps, seed: int) -> dict:
     payload = _gen_equivariant(caps, seed)
     c = ser.load_equivariant(payload["correspondence"])
     tol = DEFAULT_TOL
-    t = ksgns(c.module, c.phi, tol, BuildMemo())
+    t = ksgns([c.module], [c.phi], tol, BuildMemo())[0]
     rng = _sub_rng(seed, 23)
     Z = random_blinear_unitary(t.module, rng)
     payload["planted"] = ser.dump_cmatrix(Z.matrix)

@@ -26,7 +26,8 @@ Zero-dimensional modules are legal everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Sequence
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -38,22 +39,25 @@ from .memo import content_key
 from .numkernel import (
     DEFAULT_TOL,
     Tolerance,
+    by_group,
+    by_shape,
     exceeds_gate,
-    herm_power,
+    herm_powers,
     matvecs,
-    max_operator_norm,
     max_operator_norms,
     operator_norm,
     operator_norms,
     psd_verdict,
     rank_kernel,
     require_finite,
+    stack_slices,
 )
 
 
 @dataclass
 class PreModule:
-    """Right B-module with a possibly degenerate B-valued pairing."""
+    """Right B-module with a possibly degenerate B-valued pairing, or a stack
+    of such modules of one shape when its arrays carry a leading axis."""
 
     algebra: AlgebraShape
     dim: int
@@ -63,15 +67,16 @@ class PreModule:
     def __post_init__(self) -> None:
         d = self.dim
         self.action = require_finite(self.action, "module action")
-        if self.action.shape != (self.algebra.dim, d, d):
+        lead = self.action.shape[:-3]
+        if self.action.shape != (*lead, self.algebra.dim, d, d):
             raise ShapeMismatch(
-                f"action tensor {self.action.shape} != {(self.algebra.dim, d, d)}"
+                f"action tensor {self.action.shape} != {(*lead, self.algebra.dim, d, d)}"
             )
         mats = []
         for n, P in zip(self.algebra.blocks, self.pairing):
             P = require_finite(P, "module pairing")
-            if P.shape != (d, d, n, n):
-                raise ShapeMismatch(f"pairing block {P.shape} != {(d, d, n, n)}")
+            if P.shape != (*lead, d, d, n, n):
+                raise ShapeMismatch(f"pairing block {P.shape} != {(*lead, d, d, n, n)}")
             mats.append(P)
         self.pairing = mats
 
@@ -83,8 +88,11 @@ class PreModule:
 
     def gram(self) -> np.ndarray:
         if self.dim == 0:
-            return np.zeros((0, 0), dtype=complex)
-        return sum(P.trace(axis1=2, axis2=3) for P in self.pairing)
+            return np.zeros((*self.action.shape[:-3], 0, 0), dtype=complex)
+        # each block's trace, summed along its diagonal in trace's order (blocks
+        # up to 8, where add.reduce is a plain loop) without its strided reduction
+        blocks = zip(self.algebra.blocks, self.pairing)
+        return sum(reduce(np.add, (P[..., i, i] for i in range(n))) for n, P in blocks)
 
     def pair(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """<x, y> for the matching rows x of X and y of Y (..., d), as
@@ -108,6 +116,8 @@ class HilbertModule(PreModule):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if self.action.ndim != 3:
+            raise ShapeMismatch("a Hilbert module is one module, not a stack")
         G = self.gram()
         G = (G + G.conj().T) / 2.0
         self.gram_matrix = G
@@ -120,15 +130,15 @@ class HilbertModule(PreModule):
 
     @cached_property
     def gram_sqrt(self) -> np.ndarray:
-        return herm_power(self.gram_matrix, 0.5)
+        return gram_powers([self], 0.5)[0]
 
     @cached_property
     def gram_isqrt(self) -> np.ndarray:
-        return herm_power(self.gram_matrix, -0.5)
+        return gram_powers([self], -0.5)[0]
 
     @cached_property
     def gram_inv(self) -> np.ndarray:
-        return herm_power(self.gram_matrix, -1.0)
+        return gram_powers([self], -1.0)[0]
 
     def vector_norm(self, X: np.ndarray) -> np.ndarray:
         """||x|| = sqrt(||<x, x>||_B) for each row x of X (..., d), shape (...)."""
@@ -145,11 +155,14 @@ def pairing_coeffs(E: PreModule, Y: np.ndarray) -> np.ndarray:
 
 
 def transport_pairing(s: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """One pairing block P (d, d, n, n) pulled back along s (d, r):
+    """Pairing blocks P (..., d, d, n, n) pulled back along s (..., d, r):
     R[i, j] = sum_uv conj(s[u, i]) s[v, j] P[u, v], the block of
     <s e_i, s e_j> on the new coordinates, C-contiguous so that reshaping a
     stored block makes no copy."""
-    return np.ascontiguousarray((s.conj().T @ P.transpose(2, 3, 0, 1) @ s).transpose(2, 3, 0, 1))
+    lead = tuple(range(P.ndim - 4))
+    sh = s.conj().swapaxes(-1, -2)[..., None, None, :, :]
+    moved = sh @ P.transpose(*lead, -2, -1, -4, -3) @ s[..., None, None, :, :]
+    return np.ascontiguousarray(moved.transpose(*lead, -2, -1, -4, -3))
 
 
 # -- quotient by the null space -------------------------------------------
@@ -163,27 +176,45 @@ class Quotient:
     kernel: np.ndarray  # (d, d - rank): kernel basis of the Gram matrix
 
 
-def quotient_by_null(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> Quotient:
-    """Quotient a pre-module by the null space of its pairing.
+def quotient_by_null(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> list[Quotient]:
+    """Quotient each pre-module of a stack (a PreModule whose arrays carry a
+    leading axis; a lone pre-module is a stack of one) by the null space of
+    its pairing: one batched rank_kernel over the Gram matrices, then, per
+    rank, one stacked leak gate and one stacked transport of the action and
+    pairing.  Each slice gets the bits of a quotient of its own.
 
     The null space is detected as ker(G) for the scalarized Gram G; by
     faithfulness of the trace this agrees with {z : <z, z> = 0} whenever the
-    pairing is PSD.  Raises SubmoduleViolation when the kernel is not
-    invariant under the action, which signals an invalid pre-module.
+    pairing is PSD.  Raises SubmoduleViolation when a kernel is not
+    invariant under the action, which signals an invalid pre-module; in a
+    longer stack the message names the first leaking slice.
     """
-    G = pre.gram()
-    rank, range_basis, kernel_basis = rank_kernel(G, tol)
-    q = range_basis.conj().T
-    s = range_basis
-    leak = first_leak(q, pre.action, kernel_basis, tol)
-    if leak is not None:
-        raise SubmoduleViolation(
-            f"action of basis element {leak[0]} leaks out of the null space "
-            f"(residual {leak[1]:.3e})"
-        )
-    new_pairing = [transport_pairing(s, P) for P in pre.pairing]
-    module = HilbertModule(pre.algebra, rank, q @ pre.action @ s, new_pairing)
-    return Quotient(module, q, s, kernel_basis)
+    lone = pre.action.ndim == 3
+    action = pre.action[None] if lone else pre.action
+    pairing = [P[None] for P in pre.pairing] if lone else pre.pairing
+    splits = rank_kernel(pre.gram()[None] if lone else pre.gram(), tol)
+
+    def quotient(idx, splits):
+        take = slice(None) if len(idx) == len(action) else idx
+        s, kernel = (stack_slices([x[k] for x in splits]) for k in (1, 2))
+        q = s.conj().swapaxes(-1, -2)
+        leak = first_leak(q[:, None], action[take], kernel[:, None], tol)
+        if leak is not None:
+            i, b = divmod(leak[0], pre.algebra.dim)
+            where = f" in slice {idx[i]}" if len(action) > 1 else ""
+            raise SubmoduleViolation(
+                f"action of basis element {b} leaks out of the null space{where} "
+                f"(residual {leak[1]:.3e})"
+            )
+        moved = q[:, None] @ action[take] @ s[:, None]
+        blocks = [transport_pairing(s, P[take]) for P in pairing]
+        modules = [
+            HilbertModule(pre.algebra, rank, moved[k], [P[k] for P in blocks])
+            for k, (rank, _, _) in enumerate(splits)
+        ]
+        return [Quotient(M, q[k], r, kr) for k, (M, (_, r, kr)) in enumerate(zip(modules, splits))]
+
+    return by_group(quotient, [rank for rank, _, _ in splits], splits)
 
 
 def null_leak(
@@ -203,23 +234,54 @@ def first_leak(
     without an SVD.  NaN or Inf in K raises NonFinite before any product."""
     require_finite(K)
     X = q @ K @ kernel
-    bad = np.flatnonzero(exceeds_gate(X, K, tol))
-    if not bad.size:
+    bad = exceeds_gate(X, K, tol)
+    if not np.count_nonzero(bad):
         return None
-    return int(bad[0]), operator_norm(X.reshape(-1, *X.shape[-2:])[bad[0]])
+    first = int(np.flatnonzero(bad)[0])
+    return first, operator_norm(X.reshape(-1, *X.shape[-2:])[first])
 
 
 def descend(
-    K: np.ndarray, src: Quotient, tgt: Quotient, what: str, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
-    """q_tgt K s_src for each map of a stack K (..., m, n) between pre-spaces:
-    what it induces on the quotients src and tgt.  Raises
-    WellDefinednessViolation, naming `what` and the first leaking slice's
-    leak, when K leaks ker G_src out of ker G_tgt."""
-    leak = first_leak(tgt.q, K, src.kernel, tol)
-    if leak is not None:
-        raise WellDefinednessViolation(f"{what} leaks out of the null space ({leak[1]:.3e})")
-    return tgt.q @ K @ src.s
+    K: Sequence[np.ndarray], src: Sequence[Quotient], tgt: Sequence[Quotient], what: str,
+    tol: Tolerance = DEFAULT_TOL,
+) -> list[np.ndarray]:
+    """q_tgt K[i] s_src for each slice i: K[i] a stack (..., m, n) of maps
+    between the pre-spaces of src[i] and tgt[i], compressed to what it
+    induces on the quotients, with one stacked gate and product per shape.
+    Raises WellDefinednessViolation, naming `what`, the first leaking
+    slice of a longer stack and its leak, when K[i] leaks ker G_src out of
+    ker G_tgt."""
+
+    def compress(idx, K, q, kernel, s):
+        ex = (slice(None),) + (None,) * (K.ndim - 3)
+        leak = first_leak(q[ex], K, kernel[ex], tol)
+        if leak is not None:
+            i = idx[leak[0] // int(np.prod(K.shape[1:-2]))]
+            where = f" in slice {i}" if len(src) > 1 else ""
+            raise WellDefinednessViolation(
+                f"{what} leaks out of the null space{where} ({leak[1]:.3e})"
+            )
+        return q[ex] @ K @ s[ex]
+
+    return by_shape(compress, K, [t.q for t in tgt], [t.kernel for t in src], [t.s for t in src])
+
+
+GRAM_POWERS = {0.5: "gram_sqrt", -0.5: "gram_isqrt", -1.0: "gram_inv"}
+
+
+def gram_powers(modules: Sequence[HilbertModule], power: float) -> list[np.ndarray]:
+    """Gram power 0.5, -0.5 or -1 of each module, its cached gram_sqrt,
+    gram_isqrt or gram_inv.  A module without it gets all three from one
+    eigendecomposition, batched per dimension, and caches them."""
+    name = GRAM_POWERS[power]
+    todo = [m for m in modules if name not in vars(m)]
+    if todo:
+        fresh = by_shape(
+            lambda idx, G: tuple(herm_powers(G, tuple(GRAM_POWERS))), [m.gram_matrix for m in todo]
+        )
+        for m, powers in zip(todo, fresh):
+            vars(m).update(zip(GRAM_POWERS.values(), powers))
+    return [vars(m)[name] for m in modules]
 
 
 # -- module maps -----------------------------------------------------------
@@ -249,10 +311,6 @@ class ModuleMap:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(x, dtype=complex).reshape(self.source.dim)
 
-    def linearity_residual(self) -> float:
-        return max_operator_norm(
-            self.matrix @ self.source.action - self.target.action @ self.matrix
-        )
 
 
 def identity_map(E: HilbertModule) -> ModuleMap:
@@ -275,19 +333,32 @@ def realize(m: ModuleMap) -> np.ndarray:
     return m.target.gram_sqrt @ m.matrix @ m.source.gram_isqrt
 
 
+def adjoint_matrices(maps: Sequence[ModuleMap]) -> list[np.ndarray]:
+    """Matrices of the unique adjoints G_src^(-1) T^dagger G_tgt of B-linear
+    maps, one stacked product per shape."""
+    if any(m.source.dim and np.all(m.source.gram_matrix == 0) for m in maps):
+        raise SingularGram("source Gram is zero")
+    return by_shape(
+        lambda idx, Gi, Th, G: Gi @ Th @ G,
+        gram_powers([m.source for m in maps], -1.0),
+        [m.matrix.conj().T for m in maps],
+        [m.target.gram_matrix for m in maps],
+    )
+
+
 def adjoint_map(m: ModuleMap) -> ModuleMap:
     """Unique adjoint of a B-linear map: G_src^(-1) T^dagger G_tgt."""
-    if m.source.dim and np.all(m.source.gram_matrix == 0):
-        raise SingularGram("source Gram is zero")
-    mat = m.source.gram_inv @ m.matrix.conj().T @ m.target.gram_matrix
-    return ModuleMap(m.target, m.source, mat)
+    return ModuleMap(m.target, m.source, adjoint_matrices([m])[0])
 
 
-def unitarity_residual(U: ModuleMap) -> float:
-    """max(||U* U - 1||, ||U U* - 1||) with the module adjoint."""
-    Us = adjoint_map(U).matrix
-    eyes = np.eye(U.source.dim), np.eye(U.target.dim)
-    return float(max_operator_norms(Us @ U.matrix - eyes[0], U.matrix @ Us - eyes[1]).max())
+def unitarity_residual(U: Sequence[ModuleMap]) -> float:
+    """max(||U* U - 1||, ||U U* - 1||) with the module adjoint, the largest
+    over a family of maps, from one batched SVD per shape."""
+    defects = [
+        D for Us, X in zip(adjoint_matrices(U), (u.matrix for u in U))
+        for D in (Us @ X - np.eye(len(Us)), X @ Us - np.eye(len(X)))
+    ]
+    return float(max_operator_norms(*defects).max(initial=0.0))
 
 
 def module_operator_norm(m: ModuleMap) -> float:
@@ -297,7 +368,8 @@ def module_operator_norm(m: ModuleMap) -> float:
 
 def is_map_positive(m: ModuleMap, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """Positivity of an element of L(E) through its realization."""
-    return psd_verdict(realize(m), tol)
+    ok, w0 = psd_verdict(realize(m), tol)
+    return bool(ok), float(w0)
 
 
 def rank_one_sum(E: HilbertModule, X: np.ndarray, Y: np.ndarray) -> ModuleMap:

@@ -17,6 +17,7 @@ demands an explicit residual gate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -63,29 +64,43 @@ class KsgnsTriple(Quotient):
         return self.module.dim
 
 
-def ksgns(E: HilbertModule, phi: CPMap, tol: Tolerance, memo: BuildMemo) -> KsgnsTriple:
-    """Dilate a completely positive map to a representation on F_phi.
+def ksgns(
+    E: Sequence[HilbertModule], phi: Sequence[CPMap], tol: Tolerance, memo: BuildMemo
+) -> list[KsgnsTriple]:
+    """Dilate completely positive maps phi[s] on E[s] to representations on
+    their F_phi, with one stacked Choi certificate, tensor build and
+    descent of left multiplication per shape.
 
-    Raises NotCP when the Choi certificate fails, ShapeMismatch when phi acts
+    Raises NotCP when a Choi certificate fails, ShapeMismatch when a phi acts
     on another module, and SubmoduleViolation (via the quotient) or
     WellDefinednessViolation when numerics break down.
     """
-    ok, mins = check_cp_once(phi, tol, memo)
-    if not ok:
-        raise NotCP(f"Choi certificate failed (min eigenvalues {mins})")
-    A = phi.algebra
-    L = left_mult_correspondence(identity_star_map(A))
-    tm = interior_tensor(L.module, E, phi, tol)
-    pi = CPMap(A, tm.module, tensor_extend(L.images, tm, tm, "left multiplication", tol))
+    for ok, mins in check_cp_once(phi, tol, memo):
+        if not ok:
+            raise NotCP(f"Choi certificate failed (min eigenvalues {mins})")
+    A = phi[0].algebra
+    L = left_mult_correspondence([identity_star_map(A)])[0]
+    tms = interior_tensor([L.module] * len(E), E, phi, tol)
+    pis = tensor_extend([L.images] * len(E), tms, tms, "left multiplication", tol)
     # V_phi x = class of 1_A (x) x
-    V_pre = kron(unit_coeffs(A).reshape(A.dim, 1), np.eye(E.dim, dtype=complex))
-    embedding = ModuleMap(E, tm.module, tm.q @ V_pre)
-    return KsgnsTriple(tm.module, tm.q, tm.s, tm.kernel, E, phi, pi, embedding)
+    unit = unit_coeffs(A).reshape(A.dim, 1)
+    return [
+        KsgnsTriple(
+            tm.module, tm.q, tm.s, tm.kernel, e, p, CPMap(A, tm.module, pi),
+            ModuleMap(e, tm.module, tm.q @ kron(unit, np.eye(e.dim, dtype=complex))),
+        )
+        for e, p, tm, pi in zip(E, phi, tms, pis)
+    ]
 
 
-def ksgns_once(E: HilbertModule, phi: CPMap, tol: Tolerance, memo: BuildMemo) -> KsgnsTriple:
-    """ksgns(E, phi), built once per (E, phi) content in the memo."""
-    return memo.get(("ksgns", E.key, phi.key, tol), lambda: ksgns(E, phi, tol, memo))
+def ksgns_once(
+    E: Sequence[HilbertModule], phi: Sequence[CPMap], tol: Tolerance, memo: BuildMemo
+) -> list[KsgnsTriple]:
+    """ksgns(E, phi), built once per (E[s], phi[s]) content in the memo."""
+    keys = [("ksgns", e.key, p.key, tol) for e, p in zip(E, phi)]
+    return memo.get_all(
+        keys, lambda todo: ksgns([E[s] for s in todo], [phi[s] for s in todo], tol, memo)
+    )
 
 
 def spanning_columns(t: KsgnsTriple) -> np.ndarray:
@@ -137,7 +152,7 @@ def triple_uniqueness_unitary(
     rep = CheckReport()
     scale = 1.0 + t1.phi.norm
     Ustar = adjoint_map(U).matrix
-    rep.add("unitary", unitarity_residual(U), tol.ctol * scale)
+    rep.add("unitary", unitarity_residual([U]), tol.ctol * scale)
     rep.add(
         "embedding_match",
         module_operator_norm(
@@ -170,19 +185,23 @@ def conjugated_triple(t: KsgnsTriple, Z: ModuleMap) -> KsgnsTriple:
 
 
 def ksgns_lift(
-    m: Intertwiner,
-    t1: KsgnsTriple,
-    t2: KsgnsTriple,
+    m: Sequence[Intertwiner],
+    t1: Sequence[KsgnsTriple],
+    t2: Sequence[KsgnsTriple],
     tol: Tolerance = DEFAULT_TOL,
-) -> Intertwiner:
-    """Lift an intertwiner (eta, alpha) to (eta~, alpha) on the dilations.
+) -> list[Intertwiner]:
+    """Lift intertwiners m[s] = (eta, alpha) to (eta~, alpha) from the
+    dilation t1[s] to t2[s], all through one stacked descent per shape.
 
     eta~ is the compression of alpha (x) eta to the quotients; the well-
     definedness gate checks that alpha (x) eta maps ker G_1 into ker G_2.
     """
-    K = kron(m.alpha.matrix, m.eta.matrix)
-    lifted = ModuleMap(t1.module, t2.module, descend(K, t1, t2, "alpha (x) eta", tol))
-    return Intertwiner(lifted, m.alpha)
+    K = [kron(x.alpha.matrix, x.eta.matrix) for x in m]
+    lifted = descend(K, t1, t2, "alpha (x) eta", tol)
+    return [
+        Intertwiner(ModuleMap(a.module, b.module, eta), x.alpha)
+        for x, a, b, eta in zip(m, t1, t2, lifted)
+    ]
 
 
 def check_lift(
@@ -234,7 +253,7 @@ class IdempotencyUnitary:
 
 def idempotency_unitary(t: KsgnsTriple, tol: Tolerance, memo: BuildMemo) -> IdempotencyUnitary:
     """Dilate the dilated representation; its embedding is already unitary."""
-    second = ksgns_once(t.module, t.pi, tol, memo)
+    second = ksgns_once([t.module], [t.pi], tol, memo)[0]
     return IdempotencyUnitary(second.embedding, second)
 
 
@@ -244,7 +263,7 @@ def check_idempotency(
     rep = CheckReport()
     V = idem.unitary
     scale = 1.0 + t.phi.norm
-    rep.add("unitary", unitarity_residual(V), tol.ctol * scale)
+    rep.add("unitary", unitarity_residual([V]), tol.ctol * scale)
     rep.add("dim_match", float(idem.second.module.dim - t.module.dim), 0.0)
     inter = max_operator_norm(V.matrix @ t.pi.images - idem.second.pi.images @ V.matrix)
     rep.add("intertwines", inter, tol.ctol * scale)
@@ -296,8 +315,8 @@ def continuity_probe(
         raise NonConvergentInput(
             f"input path distance ends at {input_distances[-1]:.3e} > {gate:.1e}"
         )
-    lifted_target = ksgns_lift(target, t1, t2, tol)
-    lifted = [ksgns_lift(m, t1, t2, tol) for m in path]
+    n = len(path) + 1
+    lifted_target, *lifted = ksgns_lift([target, *path], [t1] * n, [t2] * n, tol)
     pushed = matvecs(t1.embedding.matrix, X)
     lifted_distances = (
         hom_pseudometric(lifted, lifted_target, pushed, C).max(axis=1, initial=0.0).tolist()

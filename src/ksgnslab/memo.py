@@ -12,7 +12,7 @@ asks for it.  There is no module-level memo.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -40,6 +40,21 @@ class BuildMemo:
         self._done: dict[tuple, Any] = {}
 
     def get(self, key: tuple, build: Callable[[], Any]) -> Any:
-        if key not in self._done:
-            self._done[key] = build()
-        return self._done[key]
+        return self.get_all([key], lambda todo: [build()])[0]
+
+    def get_all(self, keys: Sequence[tuple], build: Callable[[list[int]], list]) -> list:
+        """The entries of keys, the missing ones from one call build(todo) that
+        returns the builds of keys[i] for i in todo, the first position of
+        each missing key; a stack of builds that raises stores nothing."""
+        done = self._done
+        if len(keys) == 1:
+            if keys[0] not in done:
+                done[keys[0]] = build([0])[0]
+            return [done[keys[0]]]
+        todo: dict[tuple, int] = {}
+        for i, key in enumerate(keys):
+            if key not in done:
+                todo.setdefault(key, i)
+        if todo:
+            done.update(zip(todo, build(list(todo.values()))))
+        return [done[key] for key in keys]

@@ -22,11 +22,19 @@ Numerical Algorithms, 2002, sec. 6.2) and the gate is at least ctol, a slice
 whose Frobenius norm is within ctol passes without an SVD, and exact norms
 run only for slices near or over the gate.  Recorded residuals never go
 through this shortcut, so they keep their exact values.
+
+Same-shape problems run as stacks: herm_eig, rank_kernel and herm_powers
+take a leading slice axis, and by_shape/by_group hand a builder its slices
+grouped by shape, never padded.  Batched LAPACK gives every matrix the bits
+of a call of its own, and stack_slices keeps each slice's memory layout, on
+which matrix-vector products depend, so a stacked build reproduces the
+builds of its slices bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,6 +57,7 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+TINY = np.finfo(float).tiny
 
 
 def require_finite(M: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -96,7 +105,7 @@ def exceeds_gate(X: np.ndarray, M: np.ndarray, tol: Tolerance) -> np.ndarray:
     X = np.asarray(X, dtype=complex)
     near = ~(np.sqrt(np.sum((X.conj() * X).real, axis=(-2, -1))) <= tol.ctol)
     out = np.zeros(near.shape, dtype=bool)
-    if near.any():
+    if np.count_nonzero(near):
         out[near] = operator_norms(X[near]) > tol.ctol * (1.0 + operator_norms(M[near]))
     return out
 
@@ -120,56 +129,124 @@ def max_operator_norms(*stacks: np.ndarray) -> np.ndarray:
     return out
 
 
-def psd_verdict(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
-    """(M is PSD, minimum eigenvalue of its Hermitian part): the Hermitian defect
-    and the negative part of the spectrum must both stay within ctol * (1 + ||M||)."""
+def dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.dot(A[s], B[s]) for each slice of two stacks (S, m, k) and (S, k, n),
+    each with the bits of a call of its own: one stacked matmul, except at
+    k = 1, where np.dot takes BLAS gemm and matmul a plain loop."""
+    if A.shape[-1] == 1:
+        return np.stack([np.dot(a, b) for a, b in zip(A, B)])
+    return A @ B
+
+
+def psd_verdict(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """(M is PSD, minimum eigenvalue of its Hermitian part) for each matrix of
+    a stack (..., n, n), as arrays of shape (...): the Hermitian defect and the
+    negative part of the spectrum must both stay within ctol * (1 + ||M||)."""
     M = require_finite(M)
-    w0 = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0]) if M.size else 0.0
-    if exceeds_gate(M - M.conj().T, M, tol):
-        return False, w0
-    return bool(w0 >= -tol.ctol or w0 >= -tol.ctol * (1.0 + operator_norm(M))), w0
+    Ms = M.conj().swapaxes(-1, -2)
+    w0 = np.linalg.eigvalsh((M + Ms) / 2.0)[..., 0] if M.size else np.zeros(M.shape[:-2])
+    herm = ~exceeds_gate(M - Ms, M, tol)
+    ok = np.array(herm & (w0 >= -tol.ctol))
+    near = herm & ~ok
+    if np.count_nonzero(near):
+        ok[near] = w0[near] >= -tol.ctol * (1.0 + operator_norms(M[near]))
+    return ok, w0
 
 
 def herm_eig(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of each Hermitian matrix of a stack (..., n, n), by
+    one batched eigh that gives every matrix the bits of a call of its own.
 
-    Returns (eigenvalues ascending, unitary eigenvector matrix).  Raises
-    NonHermitian when the defect exceeds ctol * (1 + ||M||).
+    Returns (eigenvalues ascending, unitary eigenvector matrices).  Raises
+    NonHermitian when a defect exceeds ctol * (1 + ||M||), naming the first.
     """
     M = require_finite(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NonHermitian(f"expected square matrix, got shape {M.shape}")
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise NonHermitian(f"expected square matrices, got shape {M.shape}")
     if M.size == 0:
-        return np.zeros(0), np.zeros((0, 0), dtype=complex)
-    D = M - M.conj().T
-    if exceeds_gate(D, M, tol):
-        raise NonHermitian(f"Hermitian defect {operator_norm(D):.3e} exceeds tolerance")
-    w, V = np.linalg.eigh((M + M.conj().T) / 2.0)
-    return w, V
+        return np.zeros(M.shape[:-1]), np.zeros(M.shape, dtype=complex)
+    D = M - M.conj().swapaxes(-1, -2)
+    bad = exceeds_gate(D, M, tol)
+    if np.count_nonzero(bad):
+        defect = operator_norm(D.reshape(-1, *D.shape[-2:])[np.flatnonzero(bad)[0]])
+        raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds tolerance")
+    return np.linalg.eigh((M + M.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def rank_kernel(
     G: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Split a PSD Hermitian matrix into numerical range and kernel.
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Split each PSD Hermitian matrix of a stack (S, d, d) into numerical range
+    and kernel, from one batched herm_eig; a rank decision per slice.
 
     rank = #{eigenvalues > rtol * lambda_max}.  The range basis columns are
     orthonormal eigenvectors of the kept eigenvalues (ascending order within
-    each part); the kernel basis spans the rest.  Raises NotPSD when the
-    minimum eigenvalue dips below -ctol * (1 + ||G||).
+    each part); the kernel basis spans the rest.  Raises NotPSD, naming the
+    first such slice of a longer stack, when a minimum eigenvalue dips below
+    -ctol * (1 + ||G||).
     """
     w, V = herm_eig(G, tol)
-    if w.size == 0:
-        return 0, np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex)
-    lam_max = float(w[-1])
-    scale = 1.0 + max(abs(float(w[0])), abs(lam_max))
-    if float(w[0]) < -tol.ctol * scale:
-        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below PSD gate")
-    if lam_max <= 0.0:
-        keep = np.zeros(w.shape, dtype=bool)
-    else:
-        keep = w > tol.rtol * lam_max
-    return int(np.count_nonzero(keep)), V[:, keep], V[:, ~keep]
+    splits = []
+    for i, (wi, Vi) in enumerate(zip(w, V)):
+        if wi.size == 0:
+            splits.append((0, Vi, Vi))
+            continue
+        lo, lam_max = float(wi[0]), float(wi[-1])
+        if lo < -tol.ctol * (1.0 + max(abs(lo), abs(lam_max))):
+            where = f" in slice {i}" if len(G) > 1 else ""
+            raise NotPSD(f"minimum eigenvalue {lo:.3e} below PSD gate{where}")
+        keep = wi > tol.rtol * lam_max if lam_max > 0.0 else np.zeros(wi.shape, dtype=bool)
+        splits.append((int(np.count_nonzero(keep)), Vi[:, keep], Vi[:, ~keep]))
+    return splits
+
+
+def by_group(fn: Callable, keys: Sequence, *parts: Sequence) -> list:
+    """fn(idx, *items) for each group of positions idx with equal keys, items
+    being each part's entries at idx; fn's per-position results come back in
+    input order."""
+    if len(keys) == 1:
+        return list(fn([0], *[[p[0]] for p in parts]))
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    out: list = [None] * len(keys)
+    for idx in groups.values():
+        for i, res in zip(idx, fn(idx, *([p[i] for i in idx] for p in parts))):
+            out[i] = res
+    return out
+
+
+def by_shape(fn: Callable, *parts: Sequence[np.ndarray]) -> list:
+    """by_group over the slices (parts[0][i], ...) of equal-length sequences of
+    arrays, grouped by their shapes and passed stacked along a new first
+    axis, never padded: fn(idx, *stacks) returns a stack, or a tuple of them."""
+
+    def stacked(idx, *items):
+        res = fn(idx, *[stack_slices(a) for a in items])
+        return list(zip(*res) if isinstance(res, tuple) else res)
+
+    if len(parts[0]) == 1:  # a stack of one: views that keep each array's layout
+        res = fn([0], *[p[0][None] for p in parts])
+        return list(zip(*res) if isinstance(res, tuple) else res)
+    shapes = list(zip(*[[a.shape for a in p] for p in parts]))
+    if shapes.count(shapes[0]) < len(shapes):
+        return by_group(stacked, shapes, *parts)
+    return stacked(range(len(shapes)), *parts)
+
+
+def stack_slices(items: Sequence) -> np.ndarray:
+    """Same-shape arrays stacked along a new first axis, each slice with the
+    memory layout of its array, on which the bits of a matrix-vector product
+    depend: one array repeated is a broadcast view of it, and transposed
+    (Fortran-ordered) matrices stay transposed."""
+    first = np.asarray(items[0])
+    if len(items) == 1:
+        return first[None]
+    if all(a is items[0] for a in items):
+        return np.broadcast_to(first, (len(items), *first.shape))
+    if first.ndim == 2 and not first.flags.c_contiguous:
+        return np.stack([np.asarray(a).T for a in items]).swapaxes(-1, -2)
+    return np.stack(items)
 
 
 def null_space(K: np.ndarray, scale: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -192,18 +269,21 @@ def pseudo_inverse(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return np.linalg.pinv(M, rcond=tol.rtol)
 
 
-def herm_power(M: np.ndarray, power: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """M**power for Hermitian positive definite M, via eigendecomposition.
+def herm_powers(
+    M: np.ndarray, powers: Sequence[float], tol: Tolerance = DEFAULT_TOL
+) -> list[np.ndarray]:
+    """M**p for each of several powers p and each Hermitian positive definite
+    matrix of a stack (..., n, n), all from one batched eigendecomposition.
 
     Eigenvalues are clipped at rtol * lambda_max so that inverse powers of a
     well-conditioned Gram matrix never blow up on rounding noise.
     """
     w, V = herm_eig(M, tol)
     if w.size == 0:
-        return M.astype(complex)
-    floor = tol.rtol * max(float(w[-1]), 0.0)
-    w = np.maximum(w, max(floor, np.finfo(float).tiny))
-    return (V * (w**power)) @ V.conj().T
+        return [V] * len(powers)
+    w = np.maximum(w, np.maximum(tol.rtol * w[..., -1:], TINY))
+    Vh = V.conj().swapaxes(-1, -2)
+    return [(V * (w**p)[..., None, :]) @ Vh for p in powers]
 
 
 def herm_expi(H: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -48,13 +49,16 @@ from .hilbert import (
     HilbertModule,
     ModuleMap,
     adjoint_map,
+    adjoint_matrices,
     module_operator_norm,
     same_module,
     unitarity_residual,
 )
 from .ksgns import KsgnsTriple, idempotency_unitary, ksgns_lift, ksgns_once
 from .memo import BuildMemo, content_key
-from .numkernel import DEFAULT_TOL, Tolerance, kron, max_operator_norm, max_operator_norms
+from .numkernel import (
+    DEFAULT_TOL, Tolerance, by_group, by_shape, dots, kron, max_operator_norm, max_operator_norms,
+)
 from .reporting import CheckReport
 
 
@@ -67,33 +71,43 @@ def tensor_key(E: HilbertModule, F: HilbertModule, pi: CPMap, tol: Tolerance) ->
 
 
 def tensor_once(
-    E: HilbertModule, F: HilbertModule, pi: CPMap, tol: Tolerance, memo: BuildMemo
-) -> TensorModule:
-    """interior_tensor(E, F, pi), built once per (E, F, pi) content in the memo."""
-    return memo.get(tensor_key(E, F, pi, tol), lambda: interior_tensor(E, F, pi, tol))
+    E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap],
+    tol: Tolerance, memo: BuildMemo,
+) -> list[TensorModule]:
+    """interior_tensor(E, F, pi), built once per (E[s], F[s], pi[s]) content in
+    the memo; the missing ones in one stacked build."""
+    keys = [tensor_key(*slice_, tol) for slice_ in zip(E, F, pi)]
+    return memo.get_all(
+        keys, lambda todo: interior_tensor(*([x[s] for s in todo] for x in (E, F, pi)), tol)
+    )
 
 
 # -- T (x) I and the tensor functor -------------------------------------------
 
 
 def tensor_extend_between(
-    T: ModuleMap,
-    tm1: TensorModule,
-    tm2: TensorModule,
+    T: Sequence[ModuleMap], tm1: Sequence[TensorModule], tm2: Sequence[TensorModule],
     tol: Tolerance = DEFAULT_TOL,
-) -> ModuleMap:
-    """T (x) I between two tensor modules with the same right factor."""
-    return ModuleMap(tm1.module, tm2.module, tensor_extend(T.matrix, tm1, tm2, "T (x) I", tol))
+) -> list[ModuleMap]:
+    """T[s] (x) I between two tensor modules with the same right factor, for
+    each slice."""
+    mats = tensor_extend([t.matrix for t in T], tm1, tm2, "T (x) I", tol)
+    return [ModuleMap(a.module, b.module, X) for a, b, X in zip(tm1, tm2, mats)]
 
 
-def tensor_extend_cpmap(phi: CPMap, tm: TensorModule, tol: Tolerance, memo: BuildMemo) -> CPMap:
-    """phi~ = phi(-) (x) I, the tensor-extended CP map on E (x)_pi F, built
-    once per (phi, tensor) content in the memo."""
+def tensor_extend_cpmap(
+    phi: CPMap, tm: Sequence[TensorModule], tol: Tolerance, memo: BuildMemo
+) -> list[CPMap]:
+    """phi~ = phi(-) (x) I, the tensor-extended CP map on each E (x)_pi F of
+    tm, built once per (phi, tensor) content in the memo."""
 
-    def build() -> CPMap:
-        return CPMap(phi.algebra, tm.module, tensor_extend(phi.images, tm, tm, "T (x) I", tol))
+    def build(todo: list[int]) -> list[CPMap]:
+        tms = [tm[s] for s in todo]
+        images = tensor_extend([phi.images] * len(tms), tms, tms, "T (x) I", tol)
+        return [CPMap(phi.algebra, t.module, X) for t, X in zip(tms, images)]
 
-    return memo.get(("extend", phi.key, tensor_key(tm.left, tm.right, tm.pi, tol)), build)
+    keys = [("extend", phi.key, tensor_key(t.left, t.right, t.pi, tol)) for t in tm]
+    return memo.get_all(keys, build)
 
 
 def tensor_functor_morphism(
@@ -103,7 +117,7 @@ def tensor_functor_morphism(
     tol: Tolerance = DEFAULT_TOL,
 ) -> Intertwiner:
     """(eta, alpha) -> (eta (x) I, alpha) between tensored objects."""
-    return Intertwiner(tensor_extend_between(m.eta, tm1, tm2, tol), m.alpha)
+    return Intertwiner(tensor_extend_between([m.eta], [tm1], [tm2], tol)[0], m.alpha)
 
 
 def balanced_relation_residual(
@@ -130,22 +144,27 @@ def balanced_relation_residual(
 
 
 def interior_tensor_along(
-    E: HilbertModule, rho: StarMap, tol: Tolerance, memo: BuildMemo
-) -> TensorModule:
-    """E (x)_rho C, built through tensor_once on rho's left-multiplication
-    correspondence, which the memo holds once per rho content."""
-    if rho.domain != E.algebra:
+    E: Sequence[HilbertModule], rho: Sequence[StarMap], tol: Tolerance, memo: BuildMemo
+) -> list[TensorModule]:
+    """E[s] (x)_rho[s] C for matching sequences E and rho, built through
+    tensor_once on the left-multiplication correspondences of the rho, which
+    the memo holds once per rho content."""
+    if any(r.domain != e.algebra for e, r in zip(E, rho)):
         raise ShapeMismatch("star map domain differs from E's coefficients")
-    pi = memo.get(("left_mult", rho.key), lambda: left_mult_correspondence(rho))
-    return tensor_once(E, pi.module, pi, tol, memo)
+    keys = [("left_mult", r.key) for r in rho]
+    pi = memo.get_all(keys, lambda todo: left_mult_correspondence([rho[s] for s in todo]))
+    return tensor_once(E, [p.module for p in pi], pi, tol, memo)
 
 
-def v_rho(tm: TensorModule) -> np.ndarray:
-    """Matrix of V_rho: x -> class of x (x) 1_C, a complex-linear contraction
-    from E to tm = E (x)_rho C (E is tm's left factor, C its right)."""
-    E = tm.left
-    V_pre = kron(np.eye(E.dim, dtype=complex), unit_coeffs(tm.right.algebra).reshape(-1, 1))
-    return tm.q @ V_pre
+def v_rho(tm: Sequence[TensorModule]) -> list[np.ndarray]:
+    """Matrices of V_rho: x -> class of x (x) 1_C, a complex-linear contraction
+    from E to each tm[s] = E (x)_rho C (E is its left factor, C its right),
+    one stacked product per shape."""
+    V_pre = {(t.left.dim, t.right.algebra): None for t in tm}
+    for dE, C in V_pre:
+        V_pre[dE, C] = kron(np.eye(dE, dtype=complex), unit_coeffs(C).reshape(-1, 1))
+    pre = [V_pre[t.left.dim, t.right.algebra] for t in tm]
+    return by_shape(lambda idx, q, V: q @ V, [t.q for t in tm], pre)
 
 
 @dataclass
@@ -158,13 +177,8 @@ class InclusionUnitary:
 
 def inclusion_unitary(E: HilbertModule, tol: Tolerance, memo: BuildMemo) -> InclusionUnitary:
     inc = identity_star_map(E.algebra)
-    tm = interior_tensor_along(E, inc, tol, memo)
-    dE, dB = E.dim, E.algebra.dim
-    N_pre = (
-        np.transpose(E.action, (1, 2, 0)).reshape(dE, dE * dB)
-        if dE
-        else np.zeros((0, 0))
-    )
+    tm = interior_tensor_along([E], [inc], tol, memo)[0]
+    N_pre = np.transpose(E.action, (1, 2, 0)).reshape(E.dim, E.dim * E.algebra.dim)
     return InclusionUnitary(tm, ModuleMap(tm.module, E, N_pre @ tm.s))
 
 
@@ -180,39 +194,43 @@ class CompositionUnitary:
 
 
 def composition_unitary(
-    tm12: TensorModule,
-    rho1: StarMap,
-    rho2: StarMap,
-    tol: Tolerance,
-    memo: BuildMemo,
-    rho: StarMap | None = None,
-) -> CompositionUnitary:
-    """The unitary (x (x) c) (x) d -> x (x) rho2(c) d on tm12 = E (x)_rho1 C,
-    the tensor a caller's matrices live on (poscor_compose passes m1's own);
-    the double and target tensors come from the memo.
+    tm12: Sequence[TensorModule], rho1: Sequence[StarMap], rho2: Sequence[StarMap],
+    tol: Tolerance, memo: BuildMemo, rho: Sequence[StarMap] | None = None,
+) -> list[CompositionUnitary]:
+    """The unitaries (x (x) c) (x) d -> x (x) rho2(c) d on tm12[s] = E (x)_rho1[s] C,
+    the tensors a caller's matrices live on (poscor_compose passes m1's own),
+    one stacked product per shape; the double and target tensors come from
+    the memo.
 
-    `rho`, when given, is the star map the target E (x)_rho D is taken along
-    in place of rho2 rho1, for a caller that knows the two agree up to
-    rounding; it is then the result's `.rho`.
+    `rho`, when given, holds the star maps the targets E (x)_rho D are taken
+    along in place of rho2 rho1, for a caller that knows the two agree up
+    to rounding; they are then the results' `.rho`.
     """
-    if rho1.codomain != rho2.domain:
+    if any(r1.codomain != r2.domain for r1, r2 in zip(rho1, rho2)):
         raise ShapeMismatch("star maps do not chain")
-    E = tm12.left
-    tm123 = interior_tensor_along(tm12.module, rho2, tol, memo)
-    rho = rho if rho is not None else compose_star_maps(rho2, rho1)
-    tm13 = interior_tensor_along(E, rho, tol, memo)
-    dE = E.dim
-    dC, dD = rho2.domain.dim, rho2.codomain.dim
+    tm123 = interior_tensor_along([t.module for t in tm12], rho2, tol, memo)
+    rho = rho if rho is not None else [compose_star_maps(r2, r1) for r1, r2 in zip(rho1, rho2)]
+    tm13 = interior_tensor_along([t.left for t in tm12], rho, tol, memo)
+
+    def unitary(idx, S3, T, q, s):
+        # q M_pre s with M_pre[(i, x), (u, w)] = sum_v S3[i, v, u] T[v, w, x]
+        n, dE, dC, m = S3.shape
+        dD = T.shape[-1]
+        M = dots(S3.transpose(0, 1, 3, 2).reshape(n, dE * m, dC), T.reshape(n, dC, dD * dD))
+        M = M.reshape(n, dE, m, dD, dD).transpose(0, 1, 4, 2, 3).reshape(n, dE * dD, m * dD)
+        return q @ M @ s
+
     # T[v, w, :] = coefficients of rho2(u_v) u_w in D, read off the
-    # left-multiplication correspondence tm123 was built along
-    T = tm123.pi.images.transpose(0, 2, 1)
-    S3 = tm12.s.reshape(dE, dC, tm12.module.dim)
-    # M_pre[(i, x), (u, w)] = sum_v S3[i, v, u] T[v, w, x]
-    M_pre = np.tensordot(S3, T, axes=(1, 0)).transpose(0, 3, 1, 2).reshape(
-        dE * dD, tm12.module.dim * dD
+    # left-multiplication correspondence each tm123 was built along
+    U = by_shape(
+        unitary,
+        [t.s.reshape(t.left.dim, r.domain.dim, t.module.dim) for t, r in zip(tm12, rho2)],
+        [t.pi.images.transpose(0, 2, 1) for t in tm123], [t.q for t in tm13], [t.s for t in tm123],
     )
-    U = ModuleMap(tm123.module, tm13.module, tm13.q @ M_pre @ tm123.s)
-    return CompositionUnitary(U, tm12, tm123, tm13, rho)
+    return [
+        CompositionUnitary(ModuleMap(b.module, c.module, u), a, b, c, r)
+        for a, b, c, r, u in zip(tm12, tm123, tm13, rho, U)
+    ]
 
 
 @dataclass
@@ -226,18 +244,19 @@ class TwistUnitary:
 
 
 def twist_unitary(
-    E: HilbertModule, alpha: Automorphism, tol: Tolerance, memo: BuildMemo
-) -> TwistUnitary:
-    tm = interior_tensor_along(E, alpha.forward, tol, memo)
+    E: HilbertModule, alpha: Sequence[Automorphism], tol: Tolerance, memo: BuildMemo
+) -> list[TwistUnitary]:
+    """The twist unitaries of E along each automorphism of a stack, over one
+    stacked build of the twisted tensors E (x)_alpha B."""
+    tms = interior_tensor_along([E] * len(alpha), [a.forward for a in alpha], tol, memo)
     dE, dB = E.dim, E.algebra.dim
-    inv_actions = np.einsum("pw,pxy->wxy", alpha.inverse_matrix, E.action)
-    N_pre = (
-        np.transpose(inv_actions, (1, 2, 0)).reshape(dE, dE * dB)
-        if dE
-        else np.zeros((0, 0))
-    )
-    U = AlphaLinearMap(tm.module, E, alpha.inverted(), N_pre @ tm.s)
-    return TwistUnitary(alpha, tm, U)
+    inv = np.stack([a.inverse_matrix for a in alpha])
+    N_pre = np.einsum("gpw,pxy->gwxy", inv, E.action).transpose(0, 2, 3, 1).reshape(-1, dE, dE * dB)
+    U = by_shape(lambda idx, N, s: N @ s, list(N_pre), [tm.s for tm in tms])
+    return [
+        TwistUnitary(a, tm, AlphaLinearMap(tm.module, E, a.inverted(), u))
+        for a, tm, u in zip(alpha, tms, U)
+    ]
 
 
 # -- KSGNS commutes with tensoring -------------------------------------------
@@ -253,37 +272,51 @@ class CommutingUnitary:
     phi_ext: CPMap  # phi~ on the tensor
     left: KsgnsTriple  # KSGNS of (E (x)_pi F, phi~)
     right: TensorModule  # F_phi (x)_pi F
-    pi_right: CPMap  # pi_phi (-) (x) I on the right side
 
 
 def commuting_unitary(
-    phi: CPMap, tm: TensorModule, tol: Tolerance, memo: BuildMemo
-) -> CommutingUnitary:
-    """The unitary for tm = E (x)_pi F and phi on E; the KSGNS triple of
+    phi: CPMap, tm: Sequence[TensorModule], tol: Tolerance, memo: BuildMemo
+) -> list[CommutingUnitary]:
+    """The unitary for each tm[s] = E (x)_pi F with phi on E: one stacked build
+    of the extended maps, of their KSGNS (the left sides, Choi certificates
+    included) and of the right tensors F_phi (x)_pi F; the KSGNS triple of
     (E, phi) comes from the memo."""
-    E, F, pi = tm.left, tm.right, tm.pi
     phi_ext = tensor_extend_cpmap(phi, tm, tol, memo)
-    left = ksgns_once(tm.module, phi_ext, tol, memo)
-    t = ksgns_once(E, phi, tol, memo)
-    right = tensor_once(t.module, F, pi, tol, memo)
-    dA, dE, dF = phi.algebra.dim, E.dim, F.dim
-    Q3 = t.q.reshape(t.module.dim, dA, dE)
-    S3 = tm.s.reshape(dE, dF, tm.module.dim)
+    left = ksgns_once([t.module for t in tm], phi_ext, tol, memo)
+    t = ksgns_once([phi.module], [phi], tol, memo)[0]
+    right = tensor_once([t.module] * len(tm), [x.right for x in tm], [x.pi for x in tm], tol, memo)
+    dA, dE = phi.algebra.dim, phi.module.dim
     # M_pre[(k, j), (p, u)] = sum_i Q3[k, p, i] S3[i, j, u]
-    M_pre = np.tensordot(Q3, S3, axes=(2, 0)).transpose(0, 2, 1, 3).reshape(
-        t.module.dim * dF, dA * tm.module.dim
+    Q = t.q.reshape(t.module.dim, dA, dE).reshape(t.module.dim * dA, dE)
+
+    def unitary(idx, S3, q, s):
+        n, _, dF, m = S3.shape
+        M = dots(np.broadcast_to(Q, (n, *Q.shape)), S3.reshape(n, dE, dF * m))
+        k = t.module.dim
+        M = M.reshape(n, k, dA, dF, m).transpose(0, 1, 3, 2, 4).reshape(n, k * dF, dA * m)
+        return q @ M @ s
+
+    V = by_shape(
+        unitary, [x.s.reshape(dE, x.right.dim, x.module.dim) for x in tm],
+        [r.q for r in right], [x.s for x in left],
     )
-    V = ModuleMap(left.module, right.module, right.q @ M_pre @ left.s)
-    pi_right = tensor_extend_cpmap(t.pi, right, tol, memo)
-    return CommutingUnitary(V, t, tm, phi_ext, left, right, pi_right)
+    return [
+        CommutingUnitary(ModuleMap(a.module, b.module, v), t, x, p, a, b)
+        for x, p, a, b, v in zip(tm, phi_ext, left, right, V)
+    ]
 
 
-def check_commuting_unitary(cu: CommutingUnitary, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def check_commuting_unitary(
+    cu: CommutingUnitary, tol: Tolerance, memo: BuildMemo
+) -> CheckReport:
+    """Unitarity, intertwining of pi_phi~ with pi_phi (-) (x) I, built here
+    through the memo, and dimensions."""
     rep = CheckReport()
     scale = 1.0 + cu.phi_ext.norm
-    rep.add("unitary", unitarity_residual(cu.unitary), tol.ctol * scale)
+    rep.add("unitary", unitarity_residual([cu.unitary]), tol.ctol * scale)
     U = cu.unitary.matrix
-    inter = max_operator_norm(U @ cu.left.pi.images - cu.pi_right.images @ U)
+    pi_right = tensor_extend_cpmap(cu.triple.pi, [cu.right], tol, memo)[0]
+    inter = max_operator_norm(U @ cu.left.pi.images - pi_right.images @ U)
     rep.add("intertwines", inter, tol.ctol * scale)
     rep.add(
         "dim_match", float(cu.left.module.dim - cu.right.module.dim), 0.0
@@ -351,80 +384,83 @@ class PosCorMorphism:
 
 
 def make_poscor_morphism(
-    dom: PosCorObject,
-    cod: PosCorObject,
-    rho: StarMap,
-    eta: ModuleMap,
-    alpha: Automorphism,
-    tol: Tolerance,
-    memo: BuildMemo,
-) -> PosCorMorphism:
-    """(rho, (eta, alpha)) from dom to cod.  eta must be defined on the
-    tensor of dom along rho: a source that differs in content from
-    interior_tensor_along(dom.module, rho, tol, memo) raises ShapeMismatch."""
-    if rho.domain != dom.coefficient or rho.codomain != cod.coefficient:
+    dom: Sequence[PosCorObject], cod: Sequence[PosCorObject], rho: Sequence[StarMap],
+    eta: Sequence[ModuleMap], alpha: Sequence[Automorphism], tol: Tolerance, memo: BuildMemo,
+) -> list[PosCorMorphism]:
+    """(rho[s], (eta[s], alpha[s])) from dom[s] to cod[s].  Each eta must be
+    defined on the tensor of its dom along its rho: a source that differs in
+    content from interior_tensor_along(dom.module, rho, tol, memo) raises
+    ShapeMismatch."""
+    ends = zip(dom, cod, rho)
+    if any((r.domain, r.codomain) != (d.coefficient, c.coefficient) for d, c, r in ends):
         raise ObjectMismatch("rho does not match the endpoint coefficients")
-    tm = interior_tensor_along(dom.module, rho, tol, memo)
-    if not same_module(eta.source, tm.module):
+    tms = interior_tensor_along([d.module for d in dom], rho, tol, memo)
+    if any(not same_module(e.source, tm.module) for e, tm in zip(eta, tms)):
         raise ShapeMismatch("eta is not defined on the tensor of dom along rho")
-    phi_ext = tensor_extend_cpmap(dom.phi, tm, tol, memo)
-    return PosCorMorphism(dom, cod, rho, tm, eta, alpha, v_rho(tm), phi_ext)
+    phi_ext = by_group(
+        lambda idx, tms, phi: tensor_extend_cpmap(phi[0], tms, tol, memo),
+        [d.phi.key for d in dom], tms, [d.phi for d in dom],
+    )
+    return [
+        PosCorMorphism(*parts, vrho, p)
+        for *parts, vrho, p in zip(dom, cod, rho, tms, eta, alpha, v_rho(tms), phi_ext)
+    ]
 
 
 def poscor_identity(obj: PosCorObject, tol: Tolerance, memo: BuildMemo) -> PosCorMorphism:
     """(inc, (iota, 1_A)) for the inclusion tensor."""
+    iota = inclusion_unitary(obj.module, tol, memo).iota
+    ident = identity_automorphism(obj.input_algebra)
     return make_poscor_morphism(
-        obj,
-        obj,
-        identity_star_map(obj.coefficient),
-        inclusion_unitary(obj.module, tol, memo).iota,
-        identity_automorphism(obj.input_algebra),
-        tol,
-        memo,
-    )
+        [obj], [obj], [identity_star_map(obj.coefficient)], [iota], [ident], tol, memo
+    )[0]
 
 
 def poscor_compose(
-    m2: PosCorMorphism,
-    m1: PosCorMorphism,
-    tol: Tolerance,
-    memo: BuildMemo,
-    rho: StarMap | None = None,
-) -> PosCorMorphism:
-    """(rho2 rho1, (eta2 . (eta1 (x) I) . U^{-1}, alpha2 alpha1)), built
-    once per (m2, m1, rho) content in the memo.  It is composed on m1's
-    tensor, on which eta1 is a matrix; every other tensor module and
-    extended CP map comes from the memo.
+    m2: Sequence[PosCorMorphism], m1: Sequence[PosCorMorphism], tol: Tolerance,
+    memo: BuildMemo, rho: Sequence[StarMap] | None = None,
+) -> list[PosCorMorphism]:
+    """(rho2 rho1, (eta2 . (eta1 (x) I) . U^{-1}, alpha2 alpha1)) for each pair
+    (m2[s], m1[s]), built once per (m2, m1, rho) content in the memo; the
+    missing ones in one stacked build.  Each is composed on m1's tensor, on
+    which eta1 is a matrix; every other tensor module and extended CP map
+    comes from the memo.
 
-    `rho`, when given, is the star map the composite lives along in place of
-    rho2 rho1, and its `.rho`: a caller that knows rho2 rho1 up to rounding
-    (the group law beta_g beta_h = beta_gh) passes the star map whose tensor
-    the memo already holds.
+    `rho`, when given, holds the star maps the composites live along in
+    place of rho2 rho1, and their `.rho`: a caller that knows rho2 rho1 up to
+    rounding (the group law beta_g beta_h = beta_gh) passes the star maps
+    whose tensors the memo already holds.
     """
-    if m1.cod.ident != m2.dom.ident:
-        raise ObjectMismatch(
-            f"cannot compose across objects {m1.cod.ident!r} != {m2.dom.ident!r}"
-        )
+    for a, b in zip(m1, m2):
+        if a.cod.ident != b.dom.ident:
+            raise ObjectMismatch(
+                f"cannot compose across objects {a.cod.ident!r} != {b.dom.ident!r}"
+            )
 
-    def build() -> PosCorMorphism:
-        comp = composition_unitary(m1.dom_tensor, m1.rho, m2.rho, tol, memo, rho)
-        eta1_hat = tensor_extend_between(m1.eta, comp.double, m2.dom_tensor, tol)
-        U_inv = adjoint_map(comp.unitary)
-        eta = ModuleMap(
-            comp.target.module, m2.cod.module, m2.eta.matrix @ eta1_hat.matrix @ U_inv.matrix
+    def build(todo: list[int]) -> list[PosCorMorphism]:
+        M1, M2 = [m1[s] for s in todo], [m2[s] for s in todo]
+        via = None if rho is None else [rho[s] for s in todo]
+        comp = composition_unitary(
+            [m.dom_tensor for m in M1], [m.rho for m in M1], [m.rho for m in M2], tol, memo, via
         )
+        eta1_hat = tensor_extend_between(
+            [m.eta for m in M1], [c.double for c in comp], [m.dom_tensor for m in M2], tol
+        )
+        etas = by_shape(
+            lambda idx, e2, e1, u: e2 @ e1 @ u,
+            [m.eta.matrix for m in M2],
+            [e.matrix for e in eta1_hat],
+            adjoint_matrices([c.unitary for c in comp]),
+        )
+        etas = [ModuleMap(c.target.module, m.cod.module, e) for c, m, e in zip(comp, M2, etas)]
+        alphas = [compose_automorphisms(b.alpha, a.alpha) for a, b in zip(M1, M2)]
         return make_poscor_morphism(
-            m1.dom,
-            m2.cod,
-            comp.rho,
-            eta,
-            compose_automorphisms(m2.alpha, m1.alpha),
-            tol,
-            memo,
+            [m.dom for m in M1], [m.cod for m in M2], [c.rho for c in comp], etas, alphas, tol, memo
         )
 
-    along = rho.key if rho is not None else None
-    return memo.get(("compose", m2.key, m1.key, along, tol), build)
+    along = [None] * len(m1) if rho is None else [r.key for r in rho]
+    keys = [("compose", b.key, a.key, k, tol) for a, b, k in zip(m1, m2, along)]
+    return memo.get_all(keys, build)
 
 
 def check_poscor_morphism(m: PosCorMorphism, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -453,7 +489,7 @@ def morphism_distance(m1: PosCorMorphism, m2: PosCorMorphism) -> float:
 def dilate_object(
     obj: PosCorObject, tol: Tolerance, memo: BuildMemo
 ) -> tuple[PosCorObject, KsgnsTriple]:
-    t = ksgns_once(obj.module, obj.phi, tol, memo)
+    t = ksgns_once([obj.module], [obj.phi], tol, memo)[0]
     dilated = PosCorObject(
         ident=f"{obj.ident}~",
         input_algebra=obj.input_algebra,
@@ -470,12 +506,14 @@ def ksgns_functor_poscor(m: PosCorMorphism, tol: Tolerance, memo: BuildMemo) -> 
     unitary on m's tensor."""
     dom_dilated, _ = dilate_object(m.dom, tol, memo)
     cod_dilated, t_cod = dilate_object(m.cod, tol, memo)
-    cu = commuting_unitary(m.dom.phi, m.dom_tensor, tol, memo)
-    lifted = ksgns_lift(Intertwiner(m.eta, m.alpha), cu.left, t_cod, tol)
+    cu = commuting_unitary(m.dom.phi, [m.dom_tensor], tol, memo)[0]
+    lifted = ksgns_lift([Intertwiner(m.eta, m.alpha)], [cu.left], [t_cod], tol)[0]
     eta = ModuleMap(
         cu.right.module, t_cod.module, lifted.eta.matrix @ adjoint_map(cu.unitary).matrix
     )
-    return make_poscor_morphism(dom_dilated, cod_dilated, m.rho, eta, m.alpha, tol, memo)
+    return make_poscor_morphism(
+        [dom_dilated], [cod_dilated], [m.rho], [eta], [m.alpha], tol, memo
+    )[0]
 
 
 def idempotency_iso_poscor(obj: PosCorObject, tol: Tolerance, memo: BuildMemo) -> PosCorMorphism:
@@ -490,14 +528,14 @@ def idempotency_iso_poscor(obj: PosCorObject, tol: Tolerance, memo: BuildMemo) -
         idempotency_unitary(t, tol, memo).unitary.matrix @ inc.iota.matrix,
     )
     return make_poscor_morphism(
-        dilated,
-        double_dilated,
-        identity_star_map(dilated.coefficient),
-        eta,
-        identity_automorphism(obj.input_algebra),
+        [dilated],
+        [double_dilated],
+        [identity_star_map(dilated.coefficient)],
+        [eta],
+        [identity_automorphism(obj.input_algebra)],
         tol,
         memo,
-    )
+    )[0]
 
 
 # -- category law audit -------------------------------------------------------
@@ -529,11 +567,11 @@ def check_category_laws(
         try:
             left_id = max(
                 left_id,
-                morphism_distance(poscor_compose(identities[m.cod.ident], m, tol, memo), m),
+                morphism_distance(poscor_compose([identities[m.cod.ident]], [m], tol, memo)[0], m),
             )
             right_id = max(
                 right_id,
-                morphism_distance(poscor_compose(m, identities[m.dom.ident], tol, memo), m),
+                morphism_distance(poscor_compose([m], [identities[m.dom.ident]], tol, memo)[0], m),
             )
         except KsgnslabError:
             broken += 1
@@ -547,15 +585,15 @@ def check_category_laws(
             continue
         pair_count += 1
         try:
-            composed = poscor_compose(m2, m1, tol, memo)
+            composed = poscor_compose([m2], [m1], tol, memo)[0]
             closure.merge(
                 check_poscor_morphism(composed, tol), prefix=f"pair{pair_count}_"
             )
             for m3 in morphisms:
                 if m3.dom.ident != m2.cod.ident:
                     continue
-                lhs = poscor_compose(m3, composed, tol, memo)
-                rhs = poscor_compose(poscor_compose(m3, m2, tol, memo), m1, tol, memo)
+                lhs = poscor_compose([m3], [composed], tol, memo)[0]
+                rhs = poscor_compose([poscor_compose([m3], [m2], tol, memo)[0]], [m1], tol, memo)[0]
                 assoc = max(assoc, morphism_distance(lhs, rhs))
         except KsgnslabError:
             broken += 1

@@ -92,6 +92,28 @@ def load_element(shape: AlgebraShape, data: Any) -> np.ndarray:
     return np.concatenate([load_cmatrix(b, n, n).reshape(-1) for b, n in zip(data, shape.blocks)])
 
 
+def load_elements(shape: AlgebraShape, items: Any) -> np.ndarray:
+    """Coefficient rows (len(items), dim A) of a list of dumped elements, each
+    block of all of them parsed as one array.  A list that is anything else
+    goes through load_element item by item, which names the first fault."""
+    count = len(items) if isinstance(items, list) else -1
+    if count >= 0 and all(isinstance(x, list) and len(x) == len(shape.blocks) for x in items):
+        try:
+            blocks = [
+                np.array([x[t] for x in items], dtype=float) for t in range(len(shape.blocks))
+            ]
+        except (TypeError, ValueError, OverflowError):
+            blocks = []
+        sizes = [(count, n, n, 2) for n in shape.blocks]
+        if [b.shape for b in blocks] == sizes and all(np.isfinite(b).all() for b in blocks):
+            return np.concatenate([b.view(complex).reshape(count, -1) for b in blocks], axis=1)
+        if count == 0:
+            return np.zeros((0, shape.dim), dtype=complex)
+    for x in items:
+        load_element(shape, x)
+    raise ValidationError("elements do not stack into one array")
+
+
 def dump_star_map(rho: StarMap) -> dict:
     return {
         "domain": dump_shape(rho.domain),
@@ -106,7 +128,7 @@ def load_star_map(data: Any) -> StarMap:
     images = data["images"]
     if len(images) != dom.dim:
         raise ValidationError("star map needs one image per domain basis element")
-    return StarMap(dom, cod, np.stack([load_element(cod, img) for img in images], axis=1))
+    return StarMap(dom, cod, np.ascontiguousarray(load_elements(cod, images).T))
 
 
 def dump_automorphism(alpha: Automorphism) -> dict:
@@ -150,8 +172,7 @@ def load_module(data: Any) -> HilbertModule:
     rows = data["pairing"]
     if len(rows) != d or any(len(r) != d for r in rows):
         raise ValidationError("module pairing must be a dim x dim table")
-    table = np.array([[load_element(B, e) for e in row] for row in rows], dtype=complex)
-    table = table.reshape(d, d, B.dim)
+    table = load_elements(B, [e for row in rows for e in row]).reshape(d, d, B.dim)
     pairing = [np.ascontiguousarray(P) for P in block_stacks(B, table)]
     try:
         return HilbertModule(B, d, action, pairing)

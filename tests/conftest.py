@@ -4,6 +4,7 @@ package against, and generators of planted cases the package never draws."""
 import numpy as np
 import pytest
 
+from ksgnslab.cp import Intertwiner
 from ksgnslab.cstar import (
     AlgebraElement,
     AlgebraShape,
@@ -18,10 +19,22 @@ from ksgnslab.hilbert import (
     AlphaLinearMap,
     ModuleMap,
     PreModule,
+    adjoint_map,
     pairing_coeffs,
+    unitarity_residual,
 )
+from ksgnslab.ksgns import ksgns_lift
+from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm
-from ksgnslab.poscor import TwistUnitary
+from ksgnslab.poscor import (
+    TwistUnitary,
+    commuting_unitary,
+    morphism_distance,
+    poscor_compose,
+    poscor_identity,
+    twist_unitary,
+    v_rho,
+)
 from ksgnslab.reporting import CheckReport
 
 
@@ -211,6 +224,16 @@ def validate_premodule(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> CheckRep
     return rep
 
 
+def linearity_residual(m) -> float:
+    """max_p ||T R_src(u_p) - R_tgt(u_p) T|| for a module map T, or max over
+    basis images X of ||X R(u_p) - R(u_p) X|| for a CP map: zero when the
+    matrices are B-linear."""
+    if hasattr(m, "images"):
+        X, R = m.images[:, None], m.module.action
+        return max_operator_norm(X @ R - R @ X)
+    return max_operator_norm(m.matrix @ m.source.action - m.target.action @ m.matrix)
+
+
 def adjoint_identity_residual(m: ModuleMap, adj: ModuleMap) -> float:
     """Max over basis pairs of ||<T e_i, e_j>_tgt - <e_i, T* e_j>_src||."""
     lhs = pairing_coeffs(m.target, m.matrix.T)
@@ -321,3 +344,51 @@ def poscor_pseudometric(m1, m2, b: AlgebraElement, x: np.ndarray, a: AlgebraElem
         sub(apply_star_map(m1.alpha.forward, a), apply_star_map(m2.alpha.forward, a))
     )
     return float(rho_part + vec_part + alpha_part)
+
+
+# -- the group loops ----------------------------------------------------------
+# The equivariant pipeline as it ran before it stacked over the group: each
+# builder called for one group element g, or one pair (g, h), at a time, on a
+# memo of its own.  The stacked builds must give every slice these bits.
+
+
+def twist_unitaries_reference(c, tol=DEFAULT_TOL) -> list[TwistUnitary]:
+    """The twist unitary of E along each beta_g, one g at a time."""
+    return [twist_unitary(c.module, [b], tol, BuildMemo())[0] for b in c.system_out.action]
+
+
+def categorical_unitaries_reference(c, quad, tol=DEFAULT_TOL) -> list[np.ndarray]:
+    """U~_g = eta~_g V_g^{-1} V'_{beta_g}, one g at a time."""
+    out = []
+    for beta, alpha, U in zip(c.system_out.action, c.system_in.action, c.unitaries):
+        memo = BuildMemo()
+        tw = twist_unitary(c.module, [beta], tol, memo)[0]
+        eta = ModuleMap(tw.twisted.module, c.module, U @ tw.unitary.matrix)
+        cu = commuting_unitary(c.phi, [tw.twisted], tol, memo)[0]
+        lifted = ksgns_lift([Intertwiner(eta, alpha)], [cu.left], [quad.triple], tol)[0]
+        out.append(lifted.eta.matrix @ adjoint_map(cu.unitary).matrix @ v_rho([cu.right])[0])
+    return out
+
+
+def functor_laws_reference(c, functor, tol=DEFAULT_TOL, along_group_law=True) -> CheckReport:
+    """equivariant.check_functor_laws as the per-(g, h) loop it replaced: the
+    identity and each composite F(g) F(h) built alone on a fresh memo, along
+    beta_gh (along_group_law) or along beta_g beta_h."""
+    rep = CheckReport()
+    G, F = c.group, functor.morphisms
+    scale = 1.0 + max(1.0, operator_norm(c.module.gram_matrix))
+    recover = max(operator_norm(F[g].pullback - c.unitaries[g]) for g in range(G.order))
+    rep.add("unitary_recovery", recover, tol.ctol * scale)
+    unit = poscor_identity(functor.obj, tol, BuildMemo())
+    rep.add("unit_law", morphism_distance(F[G.identity], unit), tol.ctol * scale)
+    law = unitary = 0.0
+    for g in range(G.order):
+        unitary = max(unitary, unitarity_residual([F[g].eta]))
+        for h in range(G.order):
+            gh = G.mul(g, h)
+            rho = [F[gh].rho] if along_group_law else None
+            composed = poscor_compose([F[g]], [F[h]], tol, BuildMemo(), rho)[0]
+            law = max(law, operator_norm(composed.pullback - c.unitaries[gh]))
+    rep.add("composition_law", law, tol.ctol * scale)
+    rep.add("unitary_valued", unitary, tol.ctol * scale)
+    return rep

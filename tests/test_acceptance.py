@@ -93,7 +93,7 @@ def test_criterion_01_ksgns_reconstruction():
         B = AlgebraShape(SHAPE_MENU[(seed // 5) % 5])
         E = random_module(B, rng, max_dim=6)
         phi = random_cp(A, E, rng)
-        t = ksgns(E, phi, TOL, BuildMemo())
+        t = ksgns([E], [phi], TOL, BuildMemo())[0]
         Vs = adjoint_map(t.embedding).matrix
         V = t.embedding.matrix
         recon = max(
@@ -137,8 +137,8 @@ def test_criterion_02_gns_dimensions():
 
     trace_rank = oracle_rank([0.5, 0.5])
     pure_rank = oracle_rank([1.0, 0.0])
-    dim_trace = ksgns(E, state([0.5, 0.5]), TOL, BuildMemo()).module.dim
-    dim_pure = ksgns(E, state([1.0, 0.0]), TOL, BuildMemo()).module.dim
+    dim_trace = ksgns([E], [state([0.5, 0.5])], TOL, BuildMemo())[0].module.dim
+    dim_pure = ksgns([E], [state([1.0, 0.0])], TOL, BuildMemo())[0].module.dim
     ok = (trace_rank, pure_rank) == (4, 2) and (dim_trace, dim_pure) == (4, 2)
     _report(2, "GNS dimensions", ok, f"trace {dim_trace} (oracle {trace_rank}), "
             f"pure {dim_pure} (oracle {pure_rank})")
@@ -154,18 +154,16 @@ def test_criterion_03_endofunctor_laws():
         phi1 = random_cp(A, E1, rng)
         E2, phi2, m1 = extend_morphism(E1, phi1, rng)
         E3, phi3, m2 = extend_morphism(E2, phi2, rng)
-        t1, t2, t3 = (
-            ksgns(E, phi, TOL, BuildMemo()) for E, phi in ((E1, phi1), (E2, phi2), (E3, phi3))
-        )
-        l1 = ksgns_lift(m1, t1, t2, TOL)
-        l2 = ksgns_lift(m2, t2, t3, TOL)
-        l21 = ksgns_lift(compose_intertwiners(m2, m1), t1, t3, TOL)
+        t1, t2, t3 = ksgns([E1, E2, E3], [phi1, phi2, phi3], TOL, BuildMemo())
+        l1 = ksgns_lift([m1], [t1], [t2], TOL)[0]
+        l2 = ksgns_lift([m2], [t2], [t3], TOL)[0]
+        l21 = ksgns_lift([compose_intertwiners(m2, m1)], [t1], [t3], TOL)[0]
         worst_comp = max(
             worst_comp,
             operator_norm(l21.eta.matrix - l2.eta.matrix @ l1.eta.matrix),
         )
         ident = Intertwiner(identity_map(E1), identity_automorphism(A))
-        lid = ksgns_lift(ident, t1, t1, TOL)
+        lid = ksgns_lift([ident], [t1], [t1], TOL)[0]
         worst_id = max(
             worst_id, operator_norm(lid.eta.matrix - np.eye(t1.module.dim))
         )
@@ -186,13 +184,13 @@ def test_criterion_04_idempotency():
         E1 = random_module(B, rng, max_dim=4)
         phi1 = random_cp(A, E1, rng)
         E2, phi2, m = extend_morphism(E1, phi1, rng)
-        t1, t2 = ksgns(E1, phi1, TOL, BuildMemo()), ksgns(E2, phi2, TOL, BuildMemo())
+        t1, t2 = ksgns([E1], [phi1], TOL, BuildMemo())[0], ksgns([E2], [phi2], TOL, BuildMemo())[0]
         memo = BuildMemo()
         idem1, idem2 = idempotency_unitary(t1, TOL, memo), idempotency_unitary(t2, TOL, memo)
         dims_ok = dims_ok and idem1.second.module.dim == t1.module.dim
-        worst_unit = max(worst_unit, unitarity_residual(idem1.unitary))
-        lifted = ksgns_lift(m, t1, t2, TOL)
-        double = ksgns_lift(lifted, idem1.second, idem2.second, TOL)
+        worst_unit = max(worst_unit, unitarity_residual([idem1.unitary]))
+        lifted = ksgns_lift([m], [t1], [t2], TOL)[0]
+        double = ksgns_lift([lifted], [idem1.second], [idem2.second], TOL)[0]
         worst_nat = max(
             worst_nat,
             operator_norm(
@@ -217,17 +215,17 @@ def test_criterion_05_tensor_functor():
         phi1 = random_cp(A, E1, rng)
         E2, phi2, m = extend_morphism(E1, phi1, rng)
         F, pi = random_representation(B, C, rng, max_dim=4)
-        tm1 = interior_tensor(E1, F, pi, TOL)
-        tm2 = interior_tensor(E2, F, pi, TOL)
+        tm1 = interior_tensor([E1], [F], [pi], TOL)[0]
+        tm2 = interior_tensor([E2], [F], [pi], TOL)[0]
         memo = BuildMemo()
         # commuting unitary and its naturality square
-        cu1 = commuting_unitary(phi1, tm1, TOL, memo)
-        cu2 = commuting_unitary(phi2, tm2, TOL, memo)
-        worst["commuting"] = max(worst["commuting"], unitarity_residual(cu1.unitary))
-        lifted = ksgns_lift(m, cu1.triple, cu2.triple, TOL)
-        lifted_hat = tensor_extend_between(lifted.eta, cu1.right, cu2.right, TOL)
+        cu1 = commuting_unitary(phi1, [tm1], TOL, memo)[0]
+        cu2 = commuting_unitary(phi2, [tm2], TOL, memo)[0]
+        worst["commuting"] = max(worst["commuting"], unitarity_residual([cu1.unitary]))
+        lifted = ksgns_lift([m], [cu1.triple], [cu2.triple], TOL)[0]
+        lifted_hat = tensor_extend_between([lifted.eta], [cu1.right], [cu2.right], TOL)[0]
         m_hat = tensor_functor_morphism(m, tm1, tm2, TOL)
-        hat_lifted = ksgns_lift(m_hat, cu1.left, cu2.left, TOL)
+        hat_lifted = ksgns_lift([m_hat], [cu1.left], [cu2.left], TOL)[0]
         worst["commuting_nat"] = max(
             worst["commuting_nat"],
             operator_norm(
@@ -237,8 +235,8 @@ def test_criterion_05_tensor_functor():
         )
         # inclusion unitary and naturality
         inc1, inc2 = inclusion_unitary(E1, TOL, memo), inclusion_unitary(E2, TOL, memo)
-        worst["inclusion"] = max(worst["inclusion"], unitarity_residual(inc1.iota))
-        eta_inc = tensor_extend_between(m.eta, inc1.tensor, inc2.tensor, TOL)
+        worst["inclusion"] = max(worst["inclusion"], unitarity_residual([inc1.iota]))
+        eta_inc = tensor_extend_between([m.eta], [inc1.tensor], [inc2.tensor], TOL)[0]
         worst["inclusion_nat"] = max(
             worst["inclusion_nat"],
             operator_norm(
@@ -248,15 +246,15 @@ def test_criterion_05_tensor_functor():
         # composition unitary and naturality
         rho1 = random_star_map(B, rng, max_block=2, max_out_blocks=1)
         rho2 = random_star_map(rho1.codomain, rng, max_block=3, max_out_blocks=1)
-        along1, along2 = (interior_tensor_along(E, rho1, TOL, memo) for E in (E1, E2))
-        comp1 = composition_unitary(along1, rho1, rho2, TOL, memo)
-        comp2 = composition_unitary(along2, rho1, rho2, TOL, memo)
+        along1, along2 = (interior_tensor_along([E], [rho1], TOL, memo)[0] for E in (E1, E2))
+        comp1 = composition_unitary([along1], [rho1], [rho2], TOL, memo)[0]
+        comp2 = composition_unitary([along2], [rho1], [rho2], TOL, memo)[0]
         worst["composition"] = max(
-            worst["composition"], unitarity_residual(comp1.unitary)
+            worst["composition"], unitarity_residual([comp1.unitary])
         )
-        eta1 = tensor_extend_between(m.eta, comp1.inner, comp2.inner, TOL)
-        eta11 = tensor_extend_between(eta1, comp1.double, comp2.double, TOL)
-        eta_direct = tensor_extend_between(m.eta, comp1.target, comp2.target, TOL)
+        eta1 = tensor_extend_between([m.eta], [comp1.inner], [comp2.inner], TOL)[0]
+        eta11 = tensor_extend_between([eta1], [comp1.double], [comp2.double], TOL)[0]
+        eta_direct = tensor_extend_between([m.eta], [comp1.target], [comp2.target], TOL)[0]
         worst["composition_nat"] = max(
             worst["composition_nat"],
             operator_norm(
@@ -385,11 +383,9 @@ def test_criterion_08_equivariant_dilation():
             rep = check_dilation(quad, TOL)
             assert rep.passed, (G.name, seed, rep.failing())
             worst_cond = max(worst_cond, rep.max_residual)
+            cats = categorical_dilation_unitary(c, quad, TOL, memo)
             for g in range(G.order):
-                cat = categorical_dilation_unitary(c, quad, g, TOL, memo)
-                worst_cross = max(
-                    worst_cross, operator_norm(cat - quad.unitaries[g])
-                )
+                worst_cross = max(worst_cross, operator_norm(cats[g] - quad.unitaries[g]))
     # the trivial group reproduces the plain construction bit for bit
     bit_ok = True
     for seed in range(20):
@@ -397,7 +393,7 @@ def test_criterion_08_equivariant_dilation():
             AlgebraShape((2,)), AlgebraShape((2,)), trivial_group(), seed=6400 + seed
         )
         quad = dilate(c, TOL, BuildMemo())
-        t = ksgns(c.module, c.phi, TOL, BuildMemo())
+        t = ksgns([c.module], [c.phi], TOL, BuildMemo())[0]
         bit_ok = bit_ok and (
             np.array_equal(quad.triple.q, t.q)
             and np.array_equal(quad.triple.s, t.s)
@@ -453,7 +449,7 @@ def test_criterion_10_continuity():
         ]
         xs = random_vectors(E1, rng, 3)
         elts = np.array([random_element(A, rng).coeffs() for _ in range(3)])
-        t1, t2 = ksgns(E1, phi1, TOL, BuildMemo()), ksgns(E2, phi2, TOL, BuildMemo())
+        t1, t2 = ksgns([E1], [phi1], TOL, BuildMemo())[0], ksgns([E2], [phi2], TOL, BuildMemo())[0]
         probe = continuity_probe(path, m, t1, t2, xs, elts, TOL)
         worst_final = max(worst_final, probe.lifted_distances[-1])
         worst_jump = max(

@@ -17,7 +17,6 @@ import pytest
 
 from ksgnslab import equivariant, poscor
 from ksgnslab.equivariant import (
-    _gram_scale,
     categorical_dilation_unitary,
     check_functor_laws,
     correspondence_to_functor,
@@ -29,7 +28,6 @@ from ksgnslab.equivariant import (
 from ksgnslab.cstar import AlgebraShape
 from ksgnslab.errors import KsgnslabError, WellDefinednessViolation
 from ksgnslab.harness import SizeCaps, _load_category, generate_instance, instance_seed
-from ksgnslab.hilbert import unitarity_residual
 from ksgnslab.numkernel import DEFAULT_TOL, operator_norm
 from ksgnslab.poscor import (
     BuildMemo,
@@ -41,6 +39,8 @@ from ksgnslab.poscor import (
     poscor_identity,
 )
 from ksgnslab.reporting import CheckReport
+
+from conftest import functor_laws_reference
 
 
 def category_payload(idx):
@@ -67,7 +67,7 @@ def identity(obj, tol):
 
 
 def compose(m2, m1, tol, rho=None):
-    return poscor_compose(m2, m1, tol, BuildMemo(), rho)
+    return poscor_compose([m2], [m1], tol, BuildMemo(), None if rho is None else [rho])[0]
 
 
 def category_laws_reference(objects, morphisms, tol=DEFAULT_TOL):
@@ -120,39 +120,10 @@ def category_laws_reference(objects, morphisms, tol=DEFAULT_TOL):
     return rep
 
 
-def functor_laws_reference(c, functor, tol=DEFAULT_TOL):
-    """The memo-less functor audit, composing F(g) F(h) on the tensor of F(gh)."""
-    return _functor_laws_loop(c, functor, tol, along_group_law=True)
-
-
 def functor_laws_composed_reference(c, functor, tol=DEFAULT_TOL):
     """The memo-less functor audit as it was before composites moved onto the
     tensor of F(gh): each composite on a fresh tensor along beta_g beta_h."""
-    return _functor_laws_loop(c, functor, tol, along_group_law=False)
-
-
-def _functor_laws_loop(c, functor, tol, along_group_law):
-    rep = CheckReport()
-    G = c.group
-    scale = 1.0 + max(1.0, _gram_scale(c.module))
-    recover = max(
-        operator_norm(functor.morphisms[g].pullback - c.unitaries[g])
-        for g in range(G.order)
-    )
-    rep.add("unitary_recovery", recover, tol.ctol * scale)
-    unit_gap = morphism_distance(functor.morphisms[G.identity], identity(functor.obj, tol))
-    rep.add("unit_law", unit_gap, tol.ctol * scale)
-    law = unitary = 0.0
-    for g in range(G.order):
-        unitary = max(unitary, unitarity_residual(functor.morphisms[g].eta))
-        for h in range(G.order):
-            gh = G.mul(g, h)
-            rho = functor.morphisms[gh].rho if along_group_law else None
-            composed = compose(functor.morphisms[g], functor.morphisms[h], tol, rho)
-            law = max(law, operator_norm(composed.pullback - c.unitaries[gh]))
-    rep.add("composition_law", law, tol.ctol * scale)
-    rep.add("unitary_valued", unitary, tol.ctol * scale)
-    return rep
+    return functor_laws_reference(c, functor, tol, along_group_law=False)
 
 
 # -- build counts ---------------------------------------------------------------
@@ -168,8 +139,9 @@ def count_tensor_builds(monkeypatch):
     real = poscor.interior_tensor
 
     def counting(E, F, pi, tol=DEFAULT_TOL):
-        key = (content(E), content(F), pi.images.tobytes())
-        builds[key] = builds.get(key, 0) + 1
+        for e, f, p in zip(E, F, pi):  # one count per slice of a stacked build
+            key = (content(e), content(f), p.images.tobytes())
+            builds[key] = builds.get(key, 0) + 1
         return real(E, F, pi, tol)
 
     monkeypatch.setattr(poscor, "interior_tensor", counting)
@@ -196,7 +168,7 @@ def test_functor_audit_builds_each_tensor_module_once(monkeypatch):
     real = equivariant.poscor_compose
 
     def requesting(m2, m1, tol, memo, rho=None):
-        requests.append((m2, m1))
+        requests.extend(zip(m2, m1))  # one request per slice of a stacked call
         return real(m2, m1, tol, memo, rho)
 
     monkeypatch.setattr(equivariant, "poscor_compose", requesting)
@@ -319,7 +291,7 @@ def test_fresh_memo_builders_share_within_the_call(monkeypatch):
     poscor_identity(objects[0], DEFAULT_TOL, BuildMemo())
     assert sum(builds.values()) == 1
     builds.clear()
-    composed = poscor_compose(m2, m1, DEFAULT_TOL, BuildMemo())
+    composed = poscor_compose([m2], [m1], DEFAULT_TOL, BuildMemo())[0]
     assert sum(builds.values()) == 2
     assert check_poscor_morphism(composed).passed
 
@@ -332,10 +304,10 @@ def test_content_equal_foreign_objects_give_the_same_matrices():
     quad = dilate(c, DEFAULT_TOL, memo)
     foreign = dilate(c, DEFAULT_TOL, other)
     assert foreign.triple is not quad.triple
+    cats = categorical_dilation_unitary(c, quad, DEFAULT_TOL, memo)
     for g in range(c.group.order):
-        cat = categorical_dilation_unitary(c, quad, g, DEFAULT_TOL, memo)
-        assert operator_norm(cat - quad.unitaries[g]) <= 1e-8
-        assert np.array_equal(categorical_dilation_unitary(c, foreign, g, DEFAULT_TOL, memo), cat)
+        assert operator_norm(cats[g] - quad.unitaries[g]) <= 1e-8
+    assert np.array_equal(categorical_dilation_unitary(c, foreign, DEFAULT_TOL, memo), cats)
     payload = category_payload(1)
     objects, morphisms = _load_category(payload, DEFAULT_TOL, memo)
     _, loaded_elsewhere = _load_category(payload, DEFAULT_TOL, other)
@@ -348,5 +320,5 @@ def test_content_equal_foreign_objects_give_the_same_matrices():
     # composites are keyed by content: the foreign pair finds the memo's composite
     m2 = next(x for x in morphisms if x.dom.ident == m.cod.ident)
     f2 = loaded_elsewhere[morphisms.index(m2)]
-    composed = poscor_compose(m2, m, DEFAULT_TOL, memo)
-    assert poscor_compose(f2, f, DEFAULT_TOL, memo) is composed
+    composed = poscor_compose([m2], [m], DEFAULT_TOL, memo)[0]
+    assert poscor_compose([f2], [f], DEFAULT_TOL, memo)[0] is composed

@@ -67,11 +67,11 @@ def test_tensor_premodule_pairing_matches_einsum(blocks, case, rng):
     E = left_module(B, rng, empty=case == "zero_left")  # dE = 0 when empty
     if case == "zero_pi":  # the zero pairing: its quotient has rank 0
         pi = CPMap(B, F, np.zeros_like(pi.images))
-    pre = tensor_premodule(E, F, pi)
+    pre = tensor_premodule([E], [F], [pi])  # a stack of one
     reference = tensor_pairing_reference(E, F, pi)
     assert len(pre.pairing) == len(reference) == len(C.blocks)
     for P, R, PF in zip(pre.pairing, reference, F.pairing):
-        assert_rounding_close(P, R, *E.pairing, pi.images, PF)
+        assert_rounding_close(P[0], R, *E.pairing, pi.images, PF)
 
 
 def left_module(B, rng, empty):
@@ -87,8 +87,8 @@ def test_composition_unitary_pre_map_matches_einsum(blocks, empty, rng):
     rho1 = random_star_map(B, rng, max_block=3, max_out_blocks=2)
     rho2 = random_star_map(rho1.codomain, rng, max_block=4, max_out_blocks=2)
     memo = BuildMemo()
-    tm12 = interior_tensor_along(E, rho1, DEFAULT_TOL, memo)
-    comp = composition_unitary(tm12, rho1, rho2, DEFAULT_TOL, memo)
+    tm12 = interior_tensor_along([E], [rho1], DEFAULT_TOL, memo)[0]
+    comp = composition_unitary([tm12], [rho1], [rho2], DEFAULT_TOL, memo)[0]
     M = composition_pre_reference(comp, rho2)
     q, s = comp.target.q, comp.double.s
     assert_rounding_close(comp.unitary.matrix, q @ M @ s, q, tm12.s, rho2.matrix, s)
@@ -101,7 +101,7 @@ def test_commuting_unitary_pre_map_matches_einsum(blocks, empty, rng):
     E = left_module(B, rng, empty)
     phi = random_cp(A, E, rng)
     F, pi = random_representation(B, C, rng, max_dim=4)
-    cu = commuting_unitary(phi, interior_tensor(E, F, pi), DEFAULT_TOL, BuildMemo())
+    cu = commuting_unitary(phi, [interior_tensor([E], [F], [pi])[0]], DEFAULT_TOL, BuildMemo())[0]
     M = commuting_pre_reference(cu)
     q, s = cu.right.q, cu.left.s
     assert_rounding_close(cu.unitary.matrix, q @ M @ s, q, cu.triple.q, cu.tensor.s, s)

@@ -14,6 +14,7 @@ from ksgnslab.cp import (
     intertwiner_space,
     intertwining_rows,
     random_blinear_unitary,
+    realized_images,
     random_cp,
 )
 from ksgnslab.cstar import (
@@ -49,6 +50,7 @@ from conftest import (
     element_norm,
     hom_pseudometric_reference,
     kron_intertwining_rows,
+    linearity_residual,
     mul,
     multiplicativity_reference,
     pair_reference,
@@ -82,18 +84,18 @@ def test_transpose_choi_oracle_and_check():
     assert oracle_min == pytest.approx(-1.0)
 
     phi = transpose_map_on_m2()
-    ok, mins = check_cp(phi)
+    ok, mins = check_cp([phi])[0]
     assert not ok
     assert mins[0] == pytest.approx(-1.0, abs=1e-12)
-    (C,) = choi_blocks(phi)
-    assert np.allclose(C, swap)
+    (C,) = choi_blocks(realized_images([phi]), phi.algebra)
+    assert np.allclose(C[0], swap)
 
 
 def test_homomorphisms_are_cp(rng):
     from ksgnslab.generators import random_representation
 
     F, pi = random_representation(AlgebraShape((2,)), AlgebraShape((1, 2)), rng, 6)
-    ok, mins = check_cp(pi)
+    ok, mins = check_cp([pi])[0]
     assert ok
     assert min(mins) >= -1e-12
     assert check_correspondence(pi).passed
@@ -106,10 +108,10 @@ def test_random_cp_self_certifies(seed):
     A = AlgebraShape((2,))
     E = random_module(AlgebraShape((1, 2)), rng, max_dim=5)
     phi = random_cp(A, E, rng)
-    ok, _ = check_cp(phi)
+    ok, _ = check_cp([phi])[0]
     assert ok
     assert phi.hermiticity_residual() <= 1e-10 * (1.0 + phi.norm)
-    assert phi.linearity_residual() <= 1e-10 * (1.0 + phi.norm)
+    assert linearity_residual(phi) <= 1e-10 * (1.0 + phi.norm)
     ok_pos, _ = is_map_positive(phi(unit_coeffs(A)))
     assert ok_pos
 
@@ -129,7 +131,7 @@ def test_check_cp_rejects_non_linear_images(rng):
     images = np.stack([random_complex(rng, E.dim, E.dim)])
     bad = CPMap(A, E, images)
     with pytest.raises(NonLinearMap):
-        check_cp(bad)
+        check_cp([bad])[0]
 
 
 def test_cp_preserved_by_unitary_conjugation(rng):
@@ -138,7 +140,7 @@ def test_cp_preserved_by_unitary_conjugation(rng):
     phi = random_cp(A, E, rng)
     W = random_blinear_unitary(E, rng)
     psi = conjugate_cp(phi, W, identity_automorphism(A))
-    ok, _ = check_cp(psi)
+    ok, _ = check_cp([psi])[0]
     assert ok
 
 
@@ -153,7 +155,7 @@ def test_random_blinear_unitary_stream_and_unitarity(blocks, max_dim, rng):
     assert np.array_equal(gen.standard_normal(5), ref.standard_normal(5))
     assert operator_norm(adjoint_map(W).matrix @ W.matrix - np.eye(d)) <= 1e-10
     act = max(operator_norm(R) for R in E.action)
-    assert W.linearity_residual() <= 1e-10 * (1.0 + act)
+    assert linearity_residual(W) <= 1e-10 * (1.0 + act)
 
 
 def test_commutant_basis_matches_blinear_maps(rng):
@@ -283,7 +285,7 @@ def ksgns_pi(shapes, seed, max_dim=3):
     rng = np.random.default_rng(seed)
     A, B = (AlgebraShape(b) for b in shapes)
     E = random_module(B, rng, max_dim=max_dim)
-    return ksgns(E, random_cp(A, E, rng), DEFAULT_TOL, BuildMemo()).pi, rng
+    return ksgns([E], [random_cp(A, E, rng)], DEFAULT_TOL, BuildMemo())[0].pi, rng
 
 
 def live_rows(pi):
@@ -409,7 +411,7 @@ def test_multiplicativity_svds_see_a_third_of_the_rows_on_m3(monkeypatch):
     A = AlgebraShape((3,))
     E = random_module(AlgebraShape((1, 2)), rng, max_dim=8, min_dim=8)
     assert E.dim >= 8
-    pi = ksgns(E, random_cp(A, E, rng), DEFAULT_TOL, BuildMemo()).pi
+    pi = ksgns([E], [random_cp(A, E, rng)], DEFAULT_TOL, BuildMemo())[0].pi
     d = pi.module.dim
     assert pi.norm > 0  # cached first, so its own (dim A, d, d) SVD is not counted
     shapes, svd = [], np.linalg.svd

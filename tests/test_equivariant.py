@@ -69,6 +69,21 @@ def test_group_constructors():
         FiniteGroup(2, bad, 0, np.zeros(2, dtype=int))
 
 
+@pytest.mark.parametrize(
+    "table, identity, inverse, message",
+    [
+        ([[1, 0], [0, 0]], 0, [0, 1], "group table is not associative"),
+        ([[1, 0], [0, 1]], 0, [0, 1], "identity law fails"),  # 1 is the identity
+        ([[0, 1, 2], [1, 2, 0], [2, 0, 1]], 0, [0, 1, 2], "inverse law fails"),
+    ],
+)
+def test_group_table_laws_are_validated(table, identity, inverse, message):
+    from ksgnslab.equivariant import FiniteGroup
+
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        FiniteGroup(len(table), np.array(table), identity, np.array(inverse))
+
+
 def test_s3_parity_is_homomorphism():
     G = symmetric_group(3)
     signs = sign_homomorphism(G)
@@ -206,7 +221,7 @@ def test_random_equivariant_self_certifies(gname):
     assert rep.passed, (gname, rep.residuals)
     from ksgnslab.cp import check_cp
 
-    ok, _ = check_cp(c.phi)
+    ok, _ = check_cp([c.phi])[0]
     assert ok
 
 
@@ -242,7 +257,7 @@ def test_functor_laws_z2_involution():
     assert rep.passed, rep.residuals
     # the nontrivial morphism composes with itself to the identity pullback
     m = fun.morphisms[1]
-    square = poscor_compose(m, m, DEFAULT_TOL, memo)
+    square = poscor_compose([m], [m], DEFAULT_TOL, memo)[0]
     assert operator_norm(square.pullback - c.unitaries[0]) <= 1e-8
 
 
@@ -252,7 +267,7 @@ def test_functor_round_trip_recovers_unitaries():
     for g in range(c.group.order):
         m = fun.morphisms[g]
         assert operator_norm(m.pullback - c.unitaries[g]) <= 1e-8
-        assert unitarity_residual(m.eta) <= 1e-8
+        assert unitarity_residual([m.eta]) <= 1e-8
 
 
 def test_functor_laws_reject_beta_off_the_group_law():
@@ -283,7 +298,7 @@ def test_functor_laws_reject_beta_off_the_group_law():
 
 def test_trivial_group_dilation_reproduces_ksgns_bitwise():
     c = random_equivariant(AlgebraShape((2,)), AlgebraShape((2,)), trivial_group(), seed=12)
-    t_direct = ksgns(c.module, c.phi, DEFAULT_TOL, BuildMemo())
+    t_direct = ksgns([c.module], [c.phi], DEFAULT_TOL, BuildMemo())[0]
     quad = dilate(c, DEFAULT_TOL, BuildMemo())
     assert np.array_equal(quad.triple.module.gram_matrix, t_direct.module.gram_matrix)
     assert np.array_equal(quad.triple.pi.images, t_direct.pi.images)
@@ -335,9 +350,9 @@ def test_dilation_conditions_and_cross_check(gname):
     quad = dilate(c, DEFAULT_TOL, memo)
     rep = check_dilation(quad)
     assert rep.passed, rep.residuals
+    cats = categorical_dilation_unitary(c, quad, DEFAULT_TOL, memo)
     for g in range(G.order):
-        cat = categorical_dilation_unitary(c, quad, g, DEFAULT_TOL, memo)
-        assert operator_norm(cat - quad.unitaries[g]) <= 1e-8
+        assert operator_norm(cats[g] - quad.unitaries[g]) <= 1e-8
 
 
 def test_dilated_pairing_twist_on_random_vectors(rng):

@@ -278,7 +278,7 @@ def test_generated_ksgns_instances_self_certify(tmp_path):
     for payload in doc["instances"]:
         E = ser.load_module(payload["module"])
         phi = ser.load_cpmap(payload["phi"], {"module": E})
-        ok, _ = check_cp(phi)
+        ok, _ = check_cp([phi])[0]
         assert ok
 
 

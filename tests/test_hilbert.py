@@ -51,6 +51,7 @@ from conftest import (
     element_norm,
     from_coeffs,
     mul,
+    linearity_residual,
     pair_reference,
     random_complex,
     right_mult_matrix,
@@ -122,7 +123,7 @@ def test_family_pairing_matches_per_couple_reference(seed, blocks):
 
 def test_quotient_nondegenerate_input(rng):
     E = random_module(AlgebraShape((2,)), rng, max_dim=4)
-    quot = quotient_by_null(E)
+    quot = quotient_by_null(E)[0]
     assert quot.module.dim == E.dim
     assert operator_norm(quot.q @ quot.s - np.eye(E.dim)) <= 1e-12
 
@@ -136,7 +137,7 @@ def test_quotient_zero_pairing():
         np.stack([np.eye(d, dtype=complex)]),
         [np.zeros((d, d, 1, 1), dtype=complex)],
     )
-    quot = quotient_by_null(pre)
+    quot = quotient_by_null(pre)[0]
     assert quot.module.dim == 0
     assert quot.kernel.shape == (3, 3)
 
@@ -153,7 +154,7 @@ def test_quotient_rank_one_gram():
     # independent oracle: the scalar Gram is [[1,1],[1,1]], rank 1
     G = pre.gram()
     assert np.linalg.matrix_rank(G) == 1
-    quot = quotient_by_null(pre)
+    quot = quotient_by_null(pre)[0]
     assert quot.module.dim == 1
 
 
@@ -166,7 +167,7 @@ def test_quotient_detects_non_invariant_kernel():
     bad = np.stack([np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)])
     pre = PreModule(B, 2, bad, pairing)
     with pytest.raises(SubmoduleViolation):
-        quotient_by_null(pre)
+        quotient_by_null(pre)[0]
 
 
 def rank_two_quotient(rng):
@@ -175,7 +176,7 @@ def rank_two_quotient(rng):
     Y = random_complex(rng, 2, 4)
     G = Y.conj().T @ Y
     pre = PreModule(AlgebraShape((1,)), 4, np.eye(4, dtype=complex)[None], [G.reshape(4, 4, 1, 1)])
-    quot = quotient_by_null(pre)
+    quot = quotient_by_null(pre)[0]
     ker = quot.kernel @ quot.kernel.conj().T
     return quot, np.eye(4) - ker, ker
 
@@ -185,15 +186,15 @@ def test_descend_on_rank_deficient_quotient(rng):
     assert quot.module.dim == 2 and quot.kernel.shape == (4, 2)
     # kernel-preserving: blockwise on range (+) kernel
     K = on_range @ random_complex(rng, 4, 4) @ on_range + ker @ random_complex(rng, 4, 4) @ ker
-    assert np.array_equal(descend(K, quot, quot, "probe map"), quot.q @ K @ quot.s)
+    assert np.array_equal(descend([K], [quot], [quot], "probe map")[0], quot.q @ K @ quot.s)
     leaky = K + on_range @ random_complex(rng, 4, 4) @ ker
     with pytest.raises(WellDefinednessViolation, match="probe map leaks out of the null space") as alone:
-        descend(leaky, quot, quot, "probe map")
+        descend([leaky], [quot], [quot], "probe map")[0]
     # a stack descends slice by slice; a leak in its second slice raises what it raises alone
     stack = np.stack([K, 2.0 * K])
-    assert np.array_equal(descend(stack, quot, quot, "probe map"), quot.q @ stack @ quot.s)
+    assert np.array_equal(descend([stack], [quot], [quot], "probe map")[0], quot.q @ stack @ quot.s)
     with pytest.raises(WellDefinednessViolation) as stacked:
-        descend(np.stack([K, leaky]), quot, quot, "probe map")
+        descend([np.stack([K, leaky])], [quot], [quot], "probe map")[0]
     assert str(stacked.value) == str(alone.value)
 
 
@@ -218,7 +219,7 @@ def test_descend_passes_frobenius_leak_within_spectral_gate(rng, monkeypatch):
     real_svd = np.linalg.svd
     patch_svd(monkeypatch, lambda *a, **k: svd_calls.append(1) or real_svd(*a, **k))
     stack = np.stack([on_range, K])
-    assert np.array_equal(descend(stack, quot, quot, "probe map"), quot.q @ stack @ quot.s)
+    assert np.array_equal(descend([stack], [quot], [quot], "probe map")[0], quot.q @ stack @ quot.s)
     assert svd_calls  # the exact path decided the second slice
 
 
@@ -231,7 +232,7 @@ def test_leak_messages_name_first_failing_slice(rng):
     leak, _ = null_leak(quot.q, stack, quot.kernel, DEFAULT_TOL)
     expected = f"probe map leaks out of the null space ({leak[1]:.3e})"
     with pytest.raises(WellDefinednessViolation) as err:
-        descend(stack, quot, quot, "probe map")
+        descend([stack], [quot], [quot], "probe map")[0]
     assert str(err.value) == expected
     # two basis elements of C + C; e_1 is null and u_1's action moves it onto e_0
     B = AlgebraShape((1, 1))
@@ -242,7 +243,7 @@ def test_leak_messages_name_first_failing_slice(rng):
     q, kernel = np.array([[1.0, 0.0]]), np.array([[0.0], [1.0]])
     leak, _ = null_leak(q, action, kernel, DEFAULT_TOL)
     with pytest.raises(SubmoduleViolation) as err:
-        quotient_by_null(pre)
+        quotient_by_null(pre)[0]
     assert str(err.value) == (
         f"action of basis element 1 leaks out of the null space (residual {leak[1]:.3e})"
     )
@@ -250,16 +251,16 @@ def test_leak_messages_name_first_failing_slice(rng):
 
 def test_descend_rejects_non_finite_maps(rng):
     quot, _, _ = rank_two_quotient(rng)
-    full = quotient_by_null(random_module(AlgebraShape((2,)), rng, max_dim=4))
+    full = quotient_by_null(random_module(AlgebraShape((2,)), rng, max_dim=4))[0]
     assert full.kernel.shape[1] == 0  # nullity 0: the leak stack is empty
     for q, d in ((quot, 4), (full, full.q.shape[1])):
         K = np.eye(d, dtype=complex)
         K[0, -1] = np.inf
         with pytest.raises(NonFinite):
-            descend(K, q, q, "probe map")
+            descend([K], [q], [q], "probe map")[0]
         K[0, -1] = np.nan
         with pytest.raises(NonFinite):
-            descend(np.stack([np.eye(d), K]), q, q, "probe map")
+            descend([np.stack([np.eye(d), K])], [q], [q], "probe map")[0]
 
 
 def test_gates_certify_valid_inputs_without_svd(rng, monkeypatch):
@@ -272,8 +273,8 @@ def test_gates_certify_valid_inputs_without_svd(rng, monkeypatch):
         raise AssertionError("np.linalg.svd called")
 
     patch_svd(monkeypatch, no_svd)
-    descend(np.stack([K, 2.0 * K]), quot, quot, "probe map")
-    quotient_by_null(E)
+    descend([np.stack([K, 2.0 * K])], [quot], [quot], "probe map")[0]
+    quotient_by_null(E)[0]
     herm_eig(M + M.conj().T)
 
 
@@ -303,16 +304,16 @@ def test_constructions_descend_once_per_stack(rng, monkeypatch):
     A = AlgebraShape((2,))
     E = random_module(AlgebraShape((1, 2)), rng, max_dim=4)
     phi = random_cp(A, E, rng)
-    ksgns(E, phi, DEFAULT_TOL, BuildMemo())
+    ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
     assert len(calls) == 1
     F, pi = random_representation(E.algebra, AlgebraShape((2,)), rng, max_dim=4)
-    tm = interior_tensor(E, F, pi)
+    tm = interior_tensor([E], [F], [pi])[0]
     calls.clear()
-    poscor.tensor_extend_cpmap(phi, tm, DEFAULT_TOL, BuildMemo())
+    poscor.tensor_extend_cpmap(phi, [tm], DEFAULT_TOL, BuildMemo())[0]
     assert len(calls) == 1
     c = random_equivariant(A, A, cyclic_group(3), seed=5, copies=1)
     memo = BuildMemo()
-    ksgns_module.ksgns_once(c.module, c.phi, DEFAULT_TOL, memo)
+    ksgns_module.ksgns_once([c.module], [c.phi], DEFAULT_TOL, memo)[0]
     calls.clear()
     dilate(c, DEFAULT_TOL, memo)
     assert calls == ["alpha_g (x) U_g"]
@@ -345,7 +346,7 @@ def test_adjoint_identity_and_involution(rng):
     basis = adjointable_commutant_basis(E1)
     Tr = E1.gram_sqrt @ T.matrix @ E1.gram_isqrt
     T = ModuleMap(E1, E1, E1.gram_isqrt @ commutant_project(basis, Tr) @ E1.gram_sqrt)
-    assert T.linearity_residual() <= 1e-10
+    assert linearity_residual(T) <= 1e-10
     adj = adjoint_map(T)
     assert adjoint_identity_residual(T, adj) <= 1e-8 * (1.0 + module_operator_norm(T))
     again = adjoint_map(adj)
@@ -470,7 +471,7 @@ def test_cauchy_schwarz_scalarized(rng):
 def test_twist_identity_gives_inclusion(rng):
     E = random_module(AlgebraShape((2,)), rng, max_dim=4)
     memo = BuildMemo()
-    tw = twist_unitary(E, identity_automorphism(E.algebra), DEFAULT_TOL, memo)
+    tw = twist_unitary(E, [identity_automorphism(E.algebra)], DEFAULT_TOL, memo)[0]
     inc = inclusion_unitary(E, DEFAULT_TOL, memo)
     assert np.allclose(tw.unitary.matrix, inc.iota.matrix)
 
@@ -479,7 +480,7 @@ def test_twist_preserves_dimension_and_norm(rng):
     B = AlgebraShape((1, 2))
     E = algebra_module(B)
     alpha = random_automorphism(B, 17)
-    tw = twist_unitary(E, alpha, DEFAULT_TOL, BuildMemo())
+    tw = twist_unitary(E, [alpha], DEFAULT_TOL, BuildMemo())[0]
     assert tw.twisted.module.dim == E.dim
     assert twisted_linearity_residual(tw.unitary) <= 1e-10
     for x in random_vectors(tw.twisted.module, rng, 50):
@@ -492,7 +493,7 @@ def test_twist_adjoint_identity(rng):
     B = AlgebraShape((2,))
     E = random_module(B, rng, max_dim=4)
     alpha = random_automorphism(B, 3)
-    tw = twist_unitary(E, alpha, DEFAULT_TOL, BuildMemo())
+    tw = twist_unitary(E, [alpha], DEFAULT_TOL, BuildMemo())[0]
     U = tw.unitary.matrix
     U_inv = np.linalg.inv(U)
     for _ in range(10):
@@ -510,9 +511,9 @@ def test_alpha_transport_round_trip(rng):
     # beta_g-style alpha-linear unitary on B: the automorphism itself
     T = AlphaLinearMap(E, E, alpha, alpha.matrix)
     assert twisted_linearity_residual(T) <= 1e-12
-    plain, tw = alpha_transport(T, twist_unitary(E, alpha, DEFAULT_TOL, BuildMemo()))
-    assert plain.linearity_residual() <= 1e-10
-    assert unitarity_residual(plain) <= 1e-10
+    plain, tw = alpha_transport(T, twist_unitary(E, [alpha], DEFAULT_TOL, BuildMemo())[0])
+    assert linearity_residual(plain) <= 1e-10
+    assert unitarity_residual([plain]) <= 1e-10
     back = alpha_transport_inverse(plain, tw, alpha)
     assert operator_norm(back.matrix - T.matrix) <= 1e-10
 
@@ -528,9 +529,9 @@ def test_alpha_transport_of_permutation_twist_unitary(rng):
     U_mat = np.kron(swap, alpha.matrix)
     T = AlphaLinearMap(E, E, alpha, U_mat)
     assert twisted_linearity_residual(T) <= 1e-10
-    plain, tw = alpha_transport(T, twist_unitary(E, alpha, DEFAULT_TOL, BuildMemo()))
-    assert unitarity_residual(plain) <= 1e-8
-    assert plain.linearity_residual() <= 1e-8
+    plain, tw = alpha_transport(T, twist_unitary(E, [alpha], DEFAULT_TOL, BuildMemo())[0])
+    assert unitarity_residual([plain]) <= 1e-8
+    assert linearity_residual(plain) <= 1e-8
     back = alpha_transport_inverse(plain, tw, alpha)
     assert operator_norm(back.matrix - T.matrix) <= 1e-8
 
@@ -541,7 +542,7 @@ def test_alpha_transport_twist_mismatch(rng):
     alpha = random_automorphism(B, 6)
     beta = random_automorphism(B, 7)
     T = AlphaLinearMap(E, E, alpha, alpha.matrix)
-    wrong = twist_unitary(E, beta, DEFAULT_TOL, BuildMemo())
+    wrong = twist_unitary(E, [beta], DEFAULT_TOL, BuildMemo())[0]
     with pytest.raises(TwistMismatch):
         alpha_transport(T, twisted=wrong)
 
@@ -554,9 +555,9 @@ def test_inclusion_on_algebra_module():
     E = algebra_module(B)
     inc = inclusion_unitary(E, DEFAULT_TOL, BuildMemo())
     assert inc.tensor.module.dim == E.dim
-    assert unitarity_residual(inc.iota) <= 1e-10
+    assert unitarity_residual([inc.iota]) <= 1e-10
     # iota sends the class of 1 (x) b to b
-    vr = v_rho(inc.tensor)
+    vr = v_rho([inc.tensor])[0]
     rng = np.random.default_rng(0)
     b = random_element(B, rng)
     assert np.linalg.norm(inc.iota(vr @ b.coeffs()) - b.coeffs()) <= 1e-10
@@ -575,10 +576,9 @@ def test_composition_unitary_identity_maps(rng):
     E = random_module(B, rng, max_dim=4)
     ident = identity_star_map(B)
     memo = BuildMemo()
-    comp = composition_unitary(
-        interior_tensor_along(E, ident, DEFAULT_TOL, memo), ident, ident, DEFAULT_TOL, memo
-    )
-    assert unitarity_residual(comp.unitary) <= 1e-10
+    tm = interior_tensor_along([E], [ident], DEFAULT_TOL, memo)[0]
+    comp = composition_unitary([tm], [ident], [ident], DEFAULT_TOL, memo)[0]
+    assert unitarity_residual([comp.unitary]) <= 1e-10
     assert comp.target.module.dim == comp.double.module.dim
 
 
@@ -588,10 +588,9 @@ def test_composition_unitary_random_chain(rng):
     rho1 = random_star_map(B, rng, max_block=3, max_out_blocks=2)
     rho2 = random_star_map(rho1.codomain, rng, max_block=4, max_out_blocks=1)
     memo = BuildMemo()
-    comp = composition_unitary(
-        interior_tensor_along(E, rho1, DEFAULT_TOL, memo), rho1, rho2, DEFAULT_TOL, memo
-    )
-    assert unitarity_residual(comp.unitary) <= 1e-8
+    tm = interior_tensor_along([E], [rho1], DEFAULT_TOL, memo)[0]
+    comp = composition_unitary([tm], [rho1], [rho2], DEFAULT_TOL, memo)[0]
+    assert unitarity_residual([comp.unitary]) <= 1e-8
     assert comp.double.module.dim == comp.target.module.dim
 
 
@@ -599,8 +598,8 @@ def test_v_rho_is_contraction_and_twisted_linear(rng):
     B = AlgebraShape((2,))
     E = random_module(B, rng, max_dim=4)
     rho = random_star_map(B, rng, max_block=3)
-    tm = interior_tensor_along(E, rho, DEFAULT_TOL, BuildMemo())
-    vr = v_rho(tm)
+    tm = interior_tensor_along([E], [rho], DEFAULT_TOL, BuildMemo())[0]
+    vr = v_rho([tm])[0]
     for x in random_vectors(E, rng, 20):
         assert tm.module.vector_norm(vr @ x) <= E.vector_norm(x) + 1e-10
     for p in range(B.dim):
@@ -617,11 +616,11 @@ def test_v_rho_chain_diagram(rng):
     chi = random_star_map(rho.codomain, rng, max_block=4, max_out_blocks=1)
     memo = BuildMemo()
     comp = composition_unitary(
-        interior_tensor_along(E, rho, DEFAULT_TOL, memo), rho, chi, DEFAULT_TOL, memo
-    )
-    vr1 = v_rho(comp.inner)
-    vr2 = v_rho(comp.double)
-    vr12 = v_rho(comp.target)
+        [interior_tensor_along([E], [rho], DEFAULT_TOL, memo)[0]], [rho], [chi], DEFAULT_TOL, memo
+    )[0]
+    vr1 = v_rho([comp.inner])[0]
+    vr2 = v_rho([comp.double])[0]
+    vr12 = v_rho([comp.target])[0]
     resid = operator_norm(
         comp.unitary.matrix @ vr2 @ vr1 - vr12
     )
@@ -639,14 +638,14 @@ def test_v_rho_square_diagram(rng):
     chi = random_star_map(rho.codomain, rng, max_block=3, max_out_blocks=1)
     memo = BuildMemo()
     comp = composition_unitary(
-        interior_tensor_along(E, rho, DEFAULT_TOL, memo), rho, chi, DEFAULT_TOL, memo
-    )
+        [interior_tensor_along([E], [rho], DEFAULT_TOL, memo)[0]], [rho], [chi], DEFAULT_TOL, memo
+    )[0]
     E2, S = scramble_module(comp.inner.module, rng)
     eta = ModuleMap(comp.inner.module, E2, np.linalg.inv(S))
-    tm2 = interior_tensor_along(E2, chi, DEFAULT_TOL, memo)
-    eta_hat = tensor_extend_between(eta, comp.double, tm2)
-    vr_chi_prime = v_rho(comp.double)
-    vr_chi = v_rho(tm2)
+    tm2 = interior_tensor_along([E2], [chi], DEFAULT_TOL, memo)[0]
+    eta_hat = tensor_extend_between([eta], [comp.double], [tm2])[0]
+    vr_chi_prime = v_rho([comp.double])[0]
+    vr_chi = v_rho([tm2])[0]
     resid = operator_norm(
         eta_hat.matrix @ vr_chi_prime - vr_chi @ eta.matrix
     )
@@ -662,8 +661,9 @@ def test_quotient_kernel_vectors_are_null(rng):
     E = random_module(B, rng, max_dim=3)
     A = AlgebraShape((2,))
     phi = random_cp(A, E, rng)
-    pre = tensor_premodule(algebra_module(A), E, phi)
-    quot = quotient_by_null(pre)
+    stack = tensor_premodule([algebra_module(A)], [E], [phi])
+    pre = PreModule(stack.algebra, stack.dim, stack.action[0], [P[0] for P in stack.pairing])
+    quot = quotient_by_null(stack)[0]
     G = pre.gram()
     lam_max = max(np.linalg.eigvalsh((G + G.conj().T) / 2).max(), 1.0)
     for k in range(quot.kernel.shape[1]):
@@ -681,5 +681,5 @@ def test_dim_zero_module_everywhere():
     inc = inclusion_unitary(E0, DEFAULT_TOL, BuildMemo())
     assert inc.tensor.module.dim == 0
     assert module_operator_norm(inc.iota) == 0.0
-    vr = v_rho(inc.tensor)
+    vr = v_rho([inc.tensor])[0]
     assert vr.shape == (0, 0)

@@ -36,13 +36,15 @@ def count_builds(monkeypatch):
     real_premodule, real_check_cp = cp.tensor_premodule, cp.check_cp
 
     def premodule(E, F, pi):
-        key = (content(E), content(F), pi.images.tobytes())
-        tensors[key] = tensors.get(key, 0) + 1
+        for e, f, p in zip(E, F, pi):  # one count per slice of a stacked build
+            key = (content(e), content(f), p.images.tobytes())
+            tensors[key] = tensors.get(key, 0) + 1
         return real_premodule(E, F, pi)
 
     def check_cp(phi, tol=DEFAULT_TOL):
-        key = (content(phi.module), phi.images.tobytes())
-        cps[key] = cps.get(key, 0) + 1
+        for p in phi:
+            key = (content(p.module), p.images.tobytes())
+            cps[key] = cps.get(key, 0) + 1
         return real_check_cp(phi, tol)
 
     monkeypatch.setattr(cp, "tensor_premodule", premodule)
@@ -101,9 +103,9 @@ def test_instance_builds_die_with_the_instance(monkeypatch):
     real = poscor.interior_tensor
 
     def tracking(E, F, pi, tol=DEFAULT_TOL):
-        tm = real(E, F, pi, tol)
-        refs.append(weakref.ref(tm))
-        return tm
+        tms = real(E, F, pi, tol)
+        refs.extend(weakref.ref(tm) for tm in tms)
+        return tms
 
     data = payload("category", 0)
     monkeypatch.setattr(poscor, "interior_tensor", tracking)

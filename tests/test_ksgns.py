@@ -74,7 +74,7 @@ def test_gns_dimension_trace_state():
     assert oracle_rank == 4
 
     A, E, phi = state_on_m2([0.5, 0.5])
-    t = ksgns(E, phi, DEFAULT_TOL, BuildMemo())
+    t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
     assert t.module.dim == oracle_rank == 4
     assert check_triple(t).passed
 
@@ -86,7 +86,7 @@ def test_gns_dimension_pure_state():
     assert oracle_rank == 2
 
     A, E, phi = state_on_m2([1.0, 0.0])
-    t = ksgns(E, phi, DEFAULT_TOL, BuildMemo())
+    t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
     assert t.module.dim == oracle_rank == 2
     assert check_triple(t).passed
 
@@ -100,7 +100,7 @@ def test_ksgns_rejects_non_cp():
         unit[l, k] = 1.0
         images[p] = unit  # the transpose map is not CP
     with pytest.raises(NotCP):
-        ksgns(E, CPMap(A, E, images), DEFAULT_TOL, BuildMemo())
+        ksgns([E], [CPMap(A, E, images)], DEFAULT_TOL, BuildMemo())[0]
 
 
 def test_ksgns_rejects_map_on_another_module_of_same_dim(rng):
@@ -110,7 +110,7 @@ def test_ksgns_rejects_map_on_another_module_of_same_dim(rng):
     E2, _ = scramble_module(E, rng)
     assert E2.dim == E.dim
     with pytest.raises(ShapeMismatch):
-        ksgns(E2, phi, DEFAULT_TOL, BuildMemo())
+        ksgns([E2], [phi], DEFAULT_TOL, BuildMemo())[0]
 
 
 def test_homomorphism_dilates_trivially(rng):
@@ -119,9 +119,9 @@ def test_homomorphism_dilates_trivially(rng):
     A = AlgebraShape((2,))
     B = AlgebraShape((1, 2))
     F, pi = random_representation(A, B, rng, max_dim=6)
-    t = ksgns(F, pi, DEFAULT_TOL, BuildMemo())
+    t = ksgns([F], [pi], DEFAULT_TOL, BuildMemo())[0]
     assert t.module.dim == F.dim
-    assert unitarity_residual(t.embedding) <= 1e-8
+    assert unitarity_residual([t.embedding]) <= 1e-8
     V = t.embedding.matrix
     Vs = adjoint_map(t.embedding).matrix
     worst = max(
@@ -138,7 +138,7 @@ def test_reconstruction_and_spanning_over_seeds():
         B = AlgebraShape(shapes[(seed + 1) % len(shapes)])
         E = random_module(B, rng, max_dim=5)
         phi = random_cp(A, E, rng)
-        t = ksgns(E, phi, DEFAULT_TOL, BuildMemo())
+        t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
         rep = check_triple(t)
         assert rep.passed, (seed, rep.residuals)
         assert spanning_rank(t) == t.module.dim
@@ -148,7 +148,7 @@ def test_embedding_adjoint_formula(rng):
     A = AlgebraShape((2,))
     E = random_module(AlgebraShape((2,)), rng, max_dim=4)
     phi = random_cp(A, E, rng)
-    t = ksgns(E, phi, DEFAULT_TOL, BuildMemo())
+    t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
     Vs = adjoint_map(t.embedding).matrix
     # V*(class of a (x) y) = phi(a) y on random representatives
     for _ in range(20):
@@ -164,7 +164,7 @@ def test_triple_uniqueness_identity_and_planted(rng):
     A = AlgebraShape((2,))
     E = random_module(AlgebraShape((1, 2)), rng, max_dim=4)
     phi = random_cp(A, E, rng)
-    t = ksgns(E, phi, DEFAULT_TOL, BuildMemo())
+    t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
     U, rep = triple_uniqueness_unitary(t, t)
     assert rep.passed
     assert operator_norm(U.matrix - np.eye(t.module.dim)) <= 1e-8
@@ -179,7 +179,7 @@ def test_conjugated_triple_is_a_dilation():
     # the transported triple carries its own quotient data: q <- Z q, s <- s Z^-1
     rng = np.random.default_rng(3)
     E = random_module(AlgebraShape((1, 2)), rng, max_dim=4)
-    t = ksgns(E, random_cp(AlgebraShape((2,)), E, rng), DEFAULT_TOL, BuildMemo())
+    t = ksgns([E], [random_cp(AlgebraShape((2,)), E, rng)], DEFAULT_TOL, BuildMemo())[0]
     Z = random_blinear_unitary(t.module, rng)
     t2 = conjugated_triple(t, Z)
     rep = check_triple(t2)
@@ -195,9 +195,9 @@ def test_lift_identity_is_identity(rng):
     A = AlgebraShape((2,))
     E = random_module(AlgebraShape((2,)), rng, max_dim=4)
     phi = random_cp(A, E, rng)
-    t = ksgns(E, phi, DEFAULT_TOL, BuildMemo())
+    t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
     ident = Intertwiner(identity_map(E), identity_automorphism(A))
-    lifted = ksgns_lift(ident, t, t)
+    lifted = ksgns_lift([ident], [t], [t])[0]
     assert operator_norm(lifted.eta.matrix - np.eye(t.module.dim)) <= 1e-10
 
 
@@ -207,9 +207,9 @@ def test_lift_of_unitary_is_unitary(rng):
     E1 = random_module(B, rng, max_dim=4)
     phi1 = random_cp(A, E1, rng)
     E2, phi2, m = transported_copy(E1, phi1, rng)
-    t1, t2 = ksgns(E1, phi1, DEFAULT_TOL, BuildMemo()), ksgns(E2, phi2, DEFAULT_TOL, BuildMemo())
-    lifted = ksgns_lift(m, t1, t2)
-    assert unitarity_residual(lifted.eta) <= 1e-8
+    t1, t2 = ksgns([E1, E2], [phi1, phi2], DEFAULT_TOL, BuildMemo())
+    lifted = ksgns_lift([m], [t1], [t2])[0]
+    assert unitarity_residual([lifted.eta]) <= 1e-8
     rep = check_lift(m, lifted, t1, t2)
     assert rep.passed, rep.residuals
 
@@ -218,8 +218,8 @@ def test_lift_properties_and_contraction(rng):
     A = AlgebraShape((2,))
     B = AlgebraShape((1, 2))
     E1, phi1, E2, phi2, m = random_morphism_pair(A, B, rng, max_dim=4)
-    t1, t2 = ksgns(E1, phi1, DEFAULT_TOL, BuildMemo()), ksgns(E2, phi2, DEFAULT_TOL, BuildMemo())
-    lifted = ksgns_lift(m, t1, t2)
+    t1, t2 = ksgns([E1, E2], [phi1, phi2], DEFAULT_TOL, BuildMemo())
+    lifted = ksgns_lift([m], [t1], [t2])[0]
     rep = check_lift(m, lifted, t1, t2)
     assert rep.passed, rep.residuals
     assert lifted.norm <= m.norm + 1e-8
@@ -234,14 +234,12 @@ def test_lift_functoriality(rng):
     phi1 = random_cp(A, E1, rng)
     E2, phi2, m1 = extend_morphism(E1, phi1, rng)
     E3, phi3, m2 = extend_morphism(E2, phi2, rng)
-    t1, t2, t3 = (
-        ksgns(E, phi, DEFAULT_TOL, BuildMemo()) for E, phi in ((E1, phi1), (E2, phi2), (E3, phi3))
-    )
+    t1, t2, t3 = ksgns([E1, E2, E3], [phi1, phi2, phi3], DEFAULT_TOL, BuildMemo())
     from ksgnslab.cp import compose_intertwiners
 
-    lifted12 = ksgns_lift(m1, t1, t2)
-    lifted23 = ksgns_lift(m2, t2, t3)
-    lifted13 = ksgns_lift(compose_intertwiners(m2, m1), t1, t3)
+    lifted12 = ksgns_lift([m1], [t1], [t2])[0]
+    lifted23 = ksgns_lift([m2], [t2], [t3])[0]
+    lifted13 = ksgns_lift([compose_intertwiners(m2, m1)], [t1], [t3])[0]
     resid = operator_norm(
         lifted13.eta.matrix - lifted23.eta.matrix @ lifted12.eta.matrix
     )
@@ -255,7 +253,7 @@ def test_idempotency_dims_and_unitarity(rng):
     A = AlgebraShape((2,))
     E = random_module(AlgebraShape((2,)), rng, max_dim=3)
     phi = random_cp(A, E, rng)
-    t = ksgns(E, phi, DEFAULT_TOL, BuildMemo())
+    t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
     idem = idempotency_unitary(t, DEFAULT_TOL, BuildMemo())
     assert idem.second.module.dim == t.module.dim
     rep = check_idempotency(idem, t)
@@ -266,11 +264,11 @@ def test_idempotency_naturality(rng):
     A = AlgebraShape((2,))
     B = AlgebraShape((2,))
     E1, phi1, E2, phi2, m = random_morphism_pair(A, B, rng, max_dim=3)
-    t1, t2 = ksgns(E1, phi1, DEFAULT_TOL, BuildMemo()), ksgns(E2, phi2, DEFAULT_TOL, BuildMemo())
+    t1, t2 = ksgns([E1, E2], [phi1, phi2], DEFAULT_TOL, BuildMemo())
     memo = BuildMemo()
     idem1, idem2 = (idempotency_unitary(t, DEFAULT_TOL, memo) for t in (t1, t2))
-    lifted = ksgns_lift(m, t1, t2)
-    double = ksgns_lift(lifted, idem1.second, idem2.second)
+    lifted = ksgns_lift([m], [t1], [t2])[0]
+    double = ksgns_lift([lifted], [idem1.second], [idem2.second])[0]
     resid = operator_norm(
         idem2.unitary.matrix @ lifted.eta.matrix
         - double.eta.matrix @ idem1.unitary.matrix
@@ -303,7 +301,7 @@ def make_linear_path(rng, steps=20):
 
 def test_probe_constant_path_is_zero(rng):
     E1, phi1, E2, phi2, m, _, samples = make_linear_path(rng)
-    t1, t2 = ksgns(E1, phi1, DEFAULT_TOL, BuildMemo()), ksgns(E2, phi2, DEFAULT_TOL, BuildMemo())
+    t1, t2 = ksgns([E1, E2], [phi1, phi2], DEFAULT_TOL, BuildMemo())
     probe = continuity_probe([m] * 5, m, t1, t2, *samples)
     assert max(probe.input_distances) == 0.0
     assert max(probe.lifted_distances) == 0.0
@@ -312,7 +310,7 @@ def test_probe_constant_path_is_zero(rng):
 
 def test_probe_linear_path_decays(rng):
     E1, phi1, E2, phi2, m, path, samples = make_linear_path(rng)
-    t1, t2 = ksgns(E1, phi1, DEFAULT_TOL, BuildMemo()), ksgns(E2, phi2, DEFAULT_TOL, BuildMemo())
+    t1, t2 = ksgns([E1, E2], [phi1, phi2], DEFAULT_TOL, BuildMemo())
     probe = continuity_probe(path, m, t1, t2, *samples)
     assert probe.passed
     assert probe.lifted_distances[-1] <= 1e-7
@@ -327,7 +325,7 @@ def test_probe_automorphism_path_decays(rng):
     A = AlgebraShape((2,))
     B = AlgebraShape((2,))
     F, pi = random_representation(A, B, rng, max_dim=4)
-    t = ksgns(F, pi, DEFAULT_TOL, BuildMemo())
+    t = ksgns([F], [pi], DEFAULT_TOL, BuildMemo())[0]
     H = random_element(A, rng, hermitian=True)
     path = []
     for k in range(1, 21):
@@ -350,7 +348,7 @@ def test_probe_automorphism_path_decays(rng):
 
 def test_probe_rejects_non_convergent_path(rng):
     E1, phi1, E2, phi2, m, path, samples = make_linear_path(rng)
-    t1, t2 = ksgns(E1, phi1, DEFAULT_TOL, BuildMemo()), ksgns(E2, phi2, DEFAULT_TOL, BuildMemo())
+    t1, t2 = ksgns([E1, E2], [phi1, phi2], DEFAULT_TOL, BuildMemo())
     off_target = Intertwiner(
         ModuleMap(E1, E2, m.eta.matrix + 0.5 * np.eye(E2.dim, E1.dim)), m.alpha
     )

@@ -9,7 +9,7 @@ from ksgnslab.numkernel import (
     exceeds_gate,
     herm_eig,
     herm_expi,
-    herm_power,
+    herm_powers,
     kron,
     matvecs,
     max_operator_norm,
@@ -124,14 +124,14 @@ def test_herm_eig_reconstructs(seed, n):
 
 
 def test_rank_kernel_zero_matrix():
-    rank, rng_basis, ker = rank_kernel(np.zeros((3, 3), dtype=complex))
+    rank, rng_basis, ker = rank_kernel([np.zeros((3, 3), dtype=complex)])[0]
     assert rank == 0
     assert ker.shape == (3, 3)
     assert np.allclose(ker.conj().T @ ker, np.eye(3))
 
 
 def test_rank_kernel_diag():
-    rank, rng_basis, ker = rank_kernel(np.diag([1.0, 1.0, 0.0]).astype(complex))
+    rank, rng_basis, ker = rank_kernel([np.diag([1.0, 1.0, 0.0]).astype(complex)])[0]
     assert rank == 2
     assert rng_basis.shape == (3, 2)
     # orthonormal range, range orthogonal to kernel
@@ -145,13 +145,13 @@ def test_rank_kernel_rank_one(seed, n):
     rng = np.random.default_rng(seed)
     x = random_complex(rng, n)
     G = np.outer(x, x.conj())
-    rank, _, _ = rank_kernel(G)
+    rank, _, _ = rank_kernel([G])[0]
     assert rank == (1 if np.linalg.norm(x) > 0 else 0)
 
 
 def test_rank_kernel_rejects_negative():
     with pytest.raises(NotPSD):
-        rank_kernel(np.diag([1.0, -1.0]).astype(complex))
+        rank_kernel([np.diag([1.0, -1.0]).astype(complex)])[0]
 
 
 def test_operator_norm_examples():
@@ -280,8 +280,7 @@ def test_herm_power_inverse_square_root():
     rng = np.random.default_rng(0)
     M = random_complex(rng, 5, 5)
     G = M @ M.conj().T + np.eye(5)
-    S = herm_power(G, 0.5)
-    Si = herm_power(G, -0.5)
+    S, Si = herm_powers(G, [0.5, -0.5])
     assert operator_norm(S @ S - G) <= 1e-10 * operator_norm(G)
     assert operator_norm(S @ Si - np.eye(5)) <= 1e-10
 

@@ -65,14 +65,14 @@ def test_left_mult_correspondence_matches_per_basis_build(blocks, rng):
     B, C = AlgebraShape((1, 2)), AlgebraShape(blocks)
     rho = StarMap(B, C, np.stack([random_element(C, rng).coeffs() for _ in range(B.dim)], axis=1))
     reference = np.stack([left_mult_matrix(img) for img in star_map_images(rho)])
-    assert np.array_equal(left_mult_correspondence(rho).images, reference)
+    assert np.array_equal(left_mult_correspondence([rho])[0].images, reference)
 
 
 def test_tensor_with_coefficients_is_identity(rng):
     # F = C over itself along the inclusion: dims agree with E
     B = AlgebraShape((2,))
     E = random_module(B, rng, max_dim=4)
-    tm = interior_tensor_along(E, identity_star_map(B), DEFAULT_TOL, BuildMemo())
+    tm = interior_tensor_along([E], [identity_star_map(B)], DEFAULT_TOL, BuildMemo())[0]
     assert tm.module.dim == E.dim
 
 
@@ -82,7 +82,7 @@ def test_tensor_with_base_module_gives_target(rng):
     C = AlgebraShape((1, 2))
     F, pi = random_representation(B, C, rng, max_dim=6)
     E = algebra_module(B)
-    tm = interior_tensor(E, F, pi)
+    tm = interior_tensor([E], [F], [pi])[0]
     assert tm.module.dim == F.dim
 
 
@@ -94,7 +94,7 @@ def test_tensor_over_scalars_multiplies_dims(rng):
     F, pi_unused = random_representation(Bc, C, rng, max_dim=4)
     images = np.stack([np.eye(F.dim, dtype=complex)])
     pi = CPMap(Bc, F, images)
-    tm = interior_tensor(E, F, pi)
+    tm = interior_tensor([E], [F], [pi])[0]
     assert tm.module.dim == E.dim * F.dim
 
 
@@ -103,7 +103,7 @@ def test_balanced_relation(rng):
     C = AlgebraShape((2,))
     E = random_module(B, rng, max_dim=4)
     F, pi = random_representation(B, C, rng, max_dim=4)
-    tm = interior_tensor(E, F, pi)
+    tm = interior_tensor([E], [F], [pi])[0]
     assert balanced_relation_residual(tm, rng) <= 1e-10
 
 
@@ -112,19 +112,19 @@ def test_tensor_extend_operator_properties(rng):
     C = AlgebraShape((2,))
     E = random_module(B, rng, max_dim=4)
     F, pi = random_representation(B, C, rng, max_dim=4)
-    tm = interior_tensor(E, F, pi)
-    ident = tensor_extend_between(identity_map(E), tm, tm)
+    tm = interior_tensor([E], [F], [pi])[0]
+    ident = tensor_extend_between([identity_map(E)], [tm], [tm])[0]
     assert operator_norm(ident.matrix - np.eye(tm.module.dim)) <= 1e-10
     T = random_blinear_unitary(E, rng)
     S = random_blinear_unitary(E, rng)
-    TI, SI = tensor_extend_between(T, tm, tm), tensor_extend_between(S, tm, tm)
-    assert unitarity_residual(TI) <= 1e-8
+    TI, SI = tensor_extend_between([T], [tm], [tm])[0], tensor_extend_between([S], [tm], [tm])[0]
+    assert unitarity_residual([TI]) <= 1e-8
     assert operator_norm(
-        adjoint_map(TI).matrix - tensor_extend_between(adjoint_map(T), tm, tm).matrix
+        adjoint_map(TI).matrix - tensor_extend_between([adjoint_map(T)], [tm], [tm])[0].matrix
     ) <= 1e-8
     ST = ModuleMap(E, E, S.matrix @ T.matrix)
     assert operator_norm(
-        tensor_extend_between(ST, tm, tm).matrix - SI.matrix @ TI.matrix
+        tensor_extend_between([ST], [tm], [tm])[0].matrix - SI.matrix @ TI.matrix
     ) <= 1e-8
     assert module_operator_norm(TI) <= module_operator_norm(T) + 1e-8
 
@@ -140,12 +140,13 @@ def test_tensor_functor_morphism_laws(rng):
     E2, phi2, m1 = extend_morphism(E1, phi1, rng)
     E3, phi3, m2 = extend_morphism(E2, phi2, rng)
     F, pi = random_representation(B, C, rng, max_dim=4)
-    tms = [interior_tensor(E, F, pi) for E in (E1, E2, E3)]
+    tms = [interior_tensor([E], [F], [pi])[0] for E in (E1, E2, E3)]
     h1 = tensor_functor_morphism(m1, tms[0], tms[1])
     h2 = tensor_functor_morphism(m2, tms[1], tms[2])
     memo = BuildMemo()
     phi_exts = [
-        tensor_extend_cpmap(phi, tm, DEFAULT_TOL, memo) for phi, tm in zip((phi1, phi2, phi3), tms)
+        tensor_extend_cpmap(phi, [tm], DEFAULT_TOL, memo)[0]
+        for phi, tm in zip((phi1, phi2, phi3), tms)
     ]
     rep = check_morphism(h1, phi_exts[0], phi_exts[1])
     assert rep.passed, rep.residuals
@@ -157,9 +158,9 @@ def test_tensor_functor_morphism_laws(rng):
     assert resid <= 1e-8 * (1 + m1.norm * m2.norm)
     # unitary eta tensors to unitary eta
     E2u, phi2u, mu = transported_copy(E1, phi1, rng)
-    tmu = interior_tensor(E2u, F, pi)
+    tmu = interior_tensor([E2u], [F], [pi])[0]
     hu = tensor_functor_morphism(mu, tms[0], tmu)
-    assert unitarity_residual(hu.eta) <= 1e-8
+    assert unitarity_residual([hu.eta]) <= 1e-8
 
 
 # -- commuting unitary ----------------------------------------------------------
@@ -172,8 +173,8 @@ def test_commuting_unitary_checks(rng):
     E = random_module(B, rng, max_dim=3)
     phi = random_cp(A, E, rng)
     F, pi = random_representation(B, C, rng, max_dim=4)
-    cu = commuting_unitary(phi, interior_tensor(E, F, pi), DEFAULT_TOL, BuildMemo())
-    rep = check_commuting_unitary(cu)
+    cu = commuting_unitary(phi, [interior_tensor([E], [F], [pi])[0]], DEFAULT_TOL, BuildMemo())[0]
+    rep = check_commuting_unitary(cu, DEFAULT_TOL, BuildMemo())
     assert rep.passed, rep.residuals
     assert cu.left.module.dim == cu.right.module.dim
 
@@ -188,14 +189,14 @@ def test_commuting_unitary_naturality(rng):
     phi1 = random_cp(A, E1, rng)
     E2, phi2, m = extend_morphism(E1, phi1, rng)
     F, pi = random_representation(B, C, rng, max_dim=4)
-    tm1, tm2 = interior_tensor(E1, F, pi), interior_tensor(E2, F, pi)
+    tm1, tm2 = interior_tensor([E1], [F], [pi])[0], interior_tensor([E2], [F], [pi])[0]
     memo = BuildMemo()
-    cu1 = commuting_unitary(phi1, tm1, DEFAULT_TOL, memo)
-    cu2 = commuting_unitary(phi2, tm2, DEFAULT_TOL, memo)
-    lifted = ksgns_lift(m, cu1.triple, cu2.triple)
-    lifted_hat = tensor_extend_between(lifted.eta, cu1.right, cu2.right)
+    cu1 = commuting_unitary(phi1, [tm1], DEFAULT_TOL, memo)[0]
+    cu2 = commuting_unitary(phi2, [tm2], DEFAULT_TOL, memo)[0]
+    lifted = ksgns_lift([m], [cu1.triple], [cu2.triple])[0]
+    lifted_hat = tensor_extend_between([lifted.eta], [cu1.right], [cu2.right])[0]
     m_hat = tensor_functor_morphism(m, tm1, tm2)
-    hat_lifted = ksgns_lift(m_hat, cu1.left, cu2.left)
+    hat_lifted = ksgns_lift([m_hat], [cu1.left], [cu2.left])[0]
     resid = operator_norm(
         lifted_hat.matrix @ cu1.unitary.matrix
         - cu2.unitary.matrix @ hat_lifted.eta.matrix
@@ -210,12 +211,13 @@ def test_pentagon(rng):
     rho2 = random_star_map(rho1.codomain, rng, max_block=3, max_out_blocks=1)
     rho3 = random_star_map(rho2.codomain, rng, max_block=4, max_out_blocks=1)
     tol, memo = DEFAULT_TOL, BuildMemo()
-    comp = composition_unitary(interior_tensor_along(E, rho1, tol, memo), rho1, rho2, tol, memo)
-    U2 = composition_unitary(comp.double, rho2, rho3, tol, memo)
+    tm = interior_tensor_along([E], [rho1], tol, memo)[0]
+    comp = composition_unitary([tm], [rho1], [rho2], tol, memo)[0]
+    U2 = composition_unitary([comp.double], [rho2], [rho3], tol, memo)[0]
     sigma = compose_star_maps(U2.rho, rho1)
-    U1 = composition_unitary(comp.inner, rho1, U2.rho, tol, memo, sigma)
-    V1 = composition_unitary(comp.target, comp.rho, rho3, tol, memo, sigma)
-    V2_hat = tensor_extend_between(comp.unitary, U2.double, V1.double)
+    U1 = composition_unitary([comp.inner], [rho1], [U2.rho], tol, memo, [sigma])[0]
+    V1 = composition_unitary([comp.target], [comp.rho], [rho3], tol, memo, [sigma])[0]
+    V2_hat = tensor_extend_between([comp.unitary], [U2.double], [V1.double])[0]
     resid = operator_norm(
         U1.unitary.matrix @ U2.unitary.matrix - V1.unitary.matrix @ V2_hat.matrix
     )
@@ -244,19 +246,19 @@ def test_poscor_identity_and_composition(rng):
     o1, o2, o3 = objs
     i1, i2 = poscor_identity(o1, DEFAULT_TOL, memo), poscor_identity(o2, DEFAULT_TOL, memo)
     assert check_poscor_morphism(i1).passed
-    assert morphism_distance(poscor_compose(i1, i1, DEFAULT_TOL, memo), i1) <= 1e-10
-    assert morphism_distance(poscor_compose(m1, i1, DEFAULT_TOL, memo), m1) <= 1e-10
-    assert morphism_distance(poscor_compose(i2, m1, DEFAULT_TOL, memo), m1) <= 1e-10
-    composed = poscor_compose(m2, m1, DEFAULT_TOL, memo)
+    assert morphism_distance(poscor_compose([i1], [i1], DEFAULT_TOL, memo)[0], i1) <= 1e-10
+    assert morphism_distance(poscor_compose([m1], [i1], DEFAULT_TOL, memo)[0], m1) <= 1e-10
+    assert morphism_distance(poscor_compose([i2], [m1], DEFAULT_TOL, memo)[0], m1) <= 1e-10
+    composed = poscor_compose([m2], [m1], DEFAULT_TOL, memo)[0]
     assert check_poscor_morphism(composed).passed
     # composing unitary-eta morphisms keeps eta unitary
-    assert unitarity_residual(composed.eta) <= 1e-8
+    assert unitarity_residual([composed.eta]) <= 1e-8
 
 
 def test_poscor_compose_rejects_mismatch(rng):
     A, objs, m1, m2, memo = build_chain(rng)
     with pytest.raises(ObjectMismatch):
-        poscor_compose(m1, m2, DEFAULT_TOL, memo)
+        poscor_compose([m1], [m2], DEFAULT_TOL, memo)[0]
 
 
 def test_make_poscor_morphism_rejects_eta_off_the_tensor_along_rho(rng):
@@ -265,10 +267,12 @@ def test_make_poscor_morphism_rejects_eta_off_the_tensor_along_rho(rng):
     other, _ = scramble_module(m1.eta.source, rng)
     eta = ModuleMap(other, m1.cod.module, m1.eta.matrix)
     with pytest.raises(ShapeMismatch):
-        make_poscor_morphism(m1.dom, m1.cod, m1.rho, eta, m1.alpha, DEFAULT_TOL, memo)
+        make_poscor_morphism([m1.dom], [m1.cod], [m1.rho], [eta], [m1.alpha], DEFAULT_TOL, memo)[0]
     # the same matrix on m1's own tensor is accepted
     same = ModuleMap(m1.eta.source, m1.cod.module, m1.eta.matrix)
-    rebuilt = make_poscor_morphism(m1.dom, m1.cod, m1.rho, same, m1.alpha, DEFAULT_TOL, memo)
+    rebuilt = make_poscor_morphism(
+        [m1.dom], [m1.cod], [m1.rho], [same], [m1.alpha], DEFAULT_TOL, memo
+    )[0]
     assert rebuilt.key == m1.key
 
 
@@ -282,15 +286,16 @@ def test_category_law_audit(rng):
 def test_category_audit_flags_corruption(rng):
     A, objs, m1, m2, memo = build_chain(rng)
     noise = random_complex(rng, m1.eta.matrix.shape[0], m1.eta.matrix.shape[1])
+    eta = ModuleMap(m1.eta.source, m1.cod.module, m1.eta.matrix + 0.1 * noise / operator_norm(noise))
     bad = make_poscor_morphism(
-        m1.dom,
-        m1.cod,
-        m1.rho,
-        ModuleMap(m1.eta.source, m1.cod.module, m1.eta.matrix + 0.1 * noise / operator_norm(noise)),
-        m1.alpha,
+        [m1.dom],
+        [m1.cod],
+        [m1.rho],
+        [eta],
+        [m1.alpha],
         DEFAULT_TOL,
         memo,
-    )
+    )[0]
     rep = check_category_laws(objs, [bad, m2], DEFAULT_TOL, memo)
     assert not rep.passed
     assert "composition_closure" in rep.failing()
@@ -303,14 +308,14 @@ def test_poscor_pseudometric(rng):
     a = random_element(A, rng)
     assert poscor_pseudometric(m1, m1, b, x, a) == 0.0
     sibling = make_poscor_morphism(
-        m1.dom,
-        m1.cod,
-        m1.rho,
-        ModuleMap(m1.eta.source, m1.cod.module, 1.1 * m1.eta.matrix),
-        m1.alpha,
+        [m1.dom],
+        [m1.cod],
+        [m1.rho],
+        [ModuleMap(m1.eta.source, m1.cod.module, 1.1 * m1.eta.matrix)],
+        [m1.alpha],
         DEFAULT_TOL,
         memo,
-    )
+    )[0]
     d = poscor_pseudometric(m1, sibling, b, x, a)
     expected = m1.cod.module.vector_norm(0.1 * (m1.pullback @ x))
     assert d == pytest.approx(expected, rel=1e-9)
@@ -331,8 +336,8 @@ def test_ksgns_functor_laws(rng):
     ident = poscor_identity(o1, tol, memo)
     k_id = ksgns_functor_poscor(ident, tol, memo)
     assert morphism_distance(k_id, poscor_identity(d1, tol, memo)) <= 1e-8
-    k21 = ksgns_functor_poscor(poscor_compose(m2, m1, tol, memo), tol, memo)
-    assert morphism_distance(k21, poscor_compose(k2, k1, tol, memo)) <= 1e-8 * (
+    k21 = ksgns_functor_poscor(poscor_compose([m2], [m1], tol, memo)[0], tol, memo)
+    assert morphism_distance(k21, poscor_compose([k2], [k1], tol, memo)[0]) <= 1e-8 * (
         1 + m1.norm * m2.norm
     )
 
@@ -346,9 +351,9 @@ def test_ksgns_idempotency_natural_iso(rng):
     iso1 = idempotency_iso_poscor(o1, tol, memo)
     iso2 = idempotency_iso_poscor(o2, tol, memo)
     assert check_poscor_morphism(iso1).passed
-    assert unitarity_residual(iso1.eta) <= 1e-8
+    assert unitarity_residual([iso1.eta]) <= 1e-8
     gap = morphism_distance(
-        poscor_compose(iso2, k1, tol, memo), poscor_compose(kk1, iso1, tol, memo)
+        poscor_compose([iso2], [k1], tol, memo)[0], poscor_compose([kk1], [iso1], tol, memo)[0]
     )
     assert gap <= 1e-8 * (1 + m1.norm)
 
@@ -360,14 +365,16 @@ def test_composition_continuity_along_paths(rng):
     b = random_element(m1.dom.coefficient, rng)
     x = random_complex(rng, m1.dom.module.dim)
     a = random_element(A, rng)
-    base = poscor_compose(m2, m1, tol, memo)
+    base = poscor_compose([m2], [m1], tol, memo)[0]
     dists = []
     for k in range(1, 9):
         eps = 4.0 ** (-k)
         eta = ModuleMap(m1.eta.source, m1.cod.module, (1 + eps) * m1.eta.matrix)
-        wobbled = make_poscor_morphism(m1.dom, m1.cod, m1.rho, eta, m1.alpha, tol, memo)
+        wobbled = make_poscor_morphism(
+            [m1.dom], [m1.cod], [m1.rho], [eta], [m1.alpha], tol, memo
+        )[0]
         dists.append(
-            poscor_pseudometric(poscor_compose(m2, wobbled, tol, memo), base, b, x, a)
+            poscor_pseudometric(poscor_compose([m2], [wobbled], tol, memo)[0], base, b, x, a)
         )
     assert all(d2 <= d1 + 1e-12 for d1, d2 in zip(dists, dists[1:]))
     assert dists[-1] <= 1e-3 * (dists[0] + 1.0)

@@ -162,3 +162,73 @@ def test_malformed_module_rejected(rng):
     data2["pairing"][0][0][0][0][0][0] = float("nan") if False else 1e400
     with pytest.raises(ValidationError):
         ser.load_module(data2)
+
+
+# -- malformed tables keep the element-wise messages ---------------------------
+# Pairing tables and star-map images are parsed one block stack at a time;
+# malformed data must fail with the message loading its entries one at a
+# time gives.
+
+
+def drop_block(entry):
+    entry.pop()
+
+
+def inf_entry(entry):
+    entry[0][0][0][0] = float("inf")
+
+
+def short_block(entry):
+    entry[-1].pop()
+
+
+def ragged_pair(entry):
+    entry[-1][0][-1] = [1.0]
+
+
+def string_entry(entry):
+    entry[0][0][0][1] = "zz"
+
+
+CORRUPTIONS = [drop_block, inf_entry, short_block, ragged_pair, string_entry]
+
+
+def elementwise_message(shape, entries):
+    with pytest.raises(ValidationError) as err:
+        for e in entries:
+            ser.load_element(shape, e)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+def test_malformed_pairing_table_keeps_its_message(corrupt, rng):
+    E = random_module(AlgebraShape((1, 2)), rng, max_dim=3)
+    data = json.loads(json.dumps(ser.dump_module(E)))
+    corrupt(data["pairing"][1][-1])
+    expected = elementwise_message(E.algebra, [e for row in data["pairing"] for e in row])
+    with pytest.raises(ValidationError) as err:
+        ser.load_module(data)
+    assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+def test_malformed_star_map_keeps_its_message(corrupt, rng):
+    rho = random_star_map(AlgebraShape((2, 1)), rng, max_block=3)
+    data = json.loads(json.dumps(ser.dump_star_map(rho)))
+    corrupt(data["images"][2])
+    expected = elementwise_message(rho.codomain, data["images"])
+    with pytest.raises(ValidationError) as err:
+        ser.load_star_map(data)
+    assert str(err.value) == expected
+
+
+def test_wrong_count_tables_rejected(rng):
+    E = random_module(AlgebraShape((2,)), rng, max_dim=3)
+    data = json.loads(json.dumps(ser.dump_module(E)))
+    for rows in (data["pairing"][:-1], [row[:-1] for row in data["pairing"]]):
+        with pytest.raises(ValidationError, match="^module pairing must be a dim x dim table$"):
+            ser.load_module({**data, "pairing": rows})
+    rho = random_star_map(AlgebraShape((2,)), rng, max_block=2)
+    data = json.loads(json.dumps(ser.dump_star_map(rho)))
+    with pytest.raises(ValidationError, match="^star map needs one image per domain basis"):
+        ser.load_star_map({**data, "images": data["images"] + data["images"][:1]})

@@ -491,3 +491,58 @@ def test_tolerance_reaches_every_callee_that_takes_it():
         if (calls := dropped_tolerances(source, slots))
     }
     assert found == {}
+
+
+GROUP_BUILDERS = (
+    "twist_unitary", "commuting_unitary", "poscor_compose", "interior_tensor_along",
+    "categorical_dilation_unitary",
+)
+
+
+def group_loop_calls(source: str, callees: tuple[str, ...]) -> list[str]:
+    """Calls to callees inside a for loop or comprehension over group
+    elements: one whose iterable reads an `order`, `action`, `unitaries` or
+    `morphisms` attribute or a name mentioning the group."""
+    found = set()
+    for loop in ast.walk(ast.parse(source)):
+        if isinstance(loop, (ast.For, ast.AsyncFor)):
+            iters = [loop.iter]
+        elif isinstance(loop, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            iters = [gen.iter for gen in loop.generators]
+        else:
+            continue
+        attrs = ("order", "action", "unitaries", "morphisms")
+        over_group = any(
+            (isinstance(n, ast.Attribute) and n.attr in attrs)
+            or (isinstance(n, ast.Name) and "group" in n.id.lower())
+            for it in iters for n in ast.walk(it)
+        )
+        if over_group:
+            found |= {
+                f"{name} (line {node.lineno})"
+                for node in ast.walk(loop)
+                if isinstance(node, ast.Call)
+                and (name := getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                in callees
+            }
+    return sorted(found)
+
+
+def test_group_builders_stack_over_the_group():
+    # the equivariant pipeline builds twist tensors, commuting, composition
+    # and categorical dilation unitaries as stacks over G, never one group
+    # element or pair at a time
+    probe = (
+        "def f(c, G):\n    return [twist_unitary(E, [b]) for b in c.system_out.action]\n\n"
+        "def g(c, G):\n    for x in range(G.order):\n        poscor_compose([m], [m])\n\n"
+        "def h(ms):\n    for m in ms:\n        interior_tensor_along([m], [r])\n"
+    )
+    assert group_loop_calls(probe, GROUP_BUILDERS) == [
+        "poscor_compose (line 6)", "twist_unitary (line 2)"
+    ]
+    found = {
+        name: calls
+        for name in ("equivariant.py", "harness.py")
+        if (calls := group_loop_calls((SRC / name).read_text(), GROUP_BUILDERS))
+    }
+    assert found == {}

@@ -1,0 +1,203 @@
+"""The equivariant pipeline stacked over the group equals its group loops.
+
+Twist tensors, commuting and categorical dilation unitaries and the functor
+laws are built as stacks over G (or over the Cayley table); conftest keeps
+the loops they replaced, one group element or pair at a time.  Batched
+eigh and stacked products give every slice the bits of a call of its own,
+so the comparisons are exact.  A corrupted slice must still fail its gate,
+named by its slice, and a check pass must keep its LAPACK call count.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ksgnslab import hilbert, poscor
+from ksgnslab.cstar import AlgebraShape
+from ksgnslab.equivariant import (
+    DynamicalSystem,
+    categorical_dilation_unitary,
+    check_functor_laws,
+    correspondence_to_functor,
+    cyclic_group,
+    dilate,
+    dilated_correspondence,
+    random_equivariant,
+    symmetric_group,
+    trivial_group,
+)
+from ksgnslab.errors import SubmoduleViolation, TwistMismatch, WellDefinednessViolation
+from ksgnslab.harness import check_instance, instance_seed, make_group
+from ksgnslab.memo import BuildMemo
+from ksgnslab.numkernel import DEFAULT_TOL
+from ksgnslab.poscor import twist_unitary
+from ksgnslab.serialize import dump_equivariant
+
+from conftest import (
+    categorical_unitaries_reference,
+    functor_laws_reference,
+    twist_unitaries_reference,
+)
+
+M2 = AlgebraShape((2,))
+GROUPS = {
+    "E": trivial_group(), "Z2": cyclic_group(2), "Z3": cyclic_group(3),
+    "Z4": cyclic_group(4), "S3": symmetric_group(3),
+}
+
+
+def quotient_parts(tm):
+    return [tm.q, tm.s, tm.kernel, tm.module.action, *tm.module.pairing]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(sorted(GROUPS)), st.integers(0, 10**6), st.booleans())
+@example("S3", 11, False)  # a genuine S3 representation: six distinct beta_g
+@example("S3", 11, True)  # trivial beta: one twist tensor content for all g
+@example("E", 3, False)
+def test_stacks_equal_the_group_loops(gname, seed, trivial_beta):
+    c = random_equivariant(M2, M2, GROUPS[gname], seed=seed, copies=1, trivial_beta=trivial_beta)
+    memo = BuildMemo()
+    stacked = twist_unitary(c.module, c.system_out.action, DEFAULT_TOL, memo)
+    for tw, ref in zip(stacked, twist_unitaries_reference(c), strict=True):
+        assert tw.twisted.module.dim == c.module.dim  # E (x)_beta B is the twist E_beta
+        for a, b in zip(quotient_parts(tw.twisted), quotient_parts(ref.twisted), strict=True):
+            assert np.array_equal(a, b)
+        assert np.array_equal(tw.unitary.matrix, ref.unitary.matrix)
+    quad = dilate(c, DEFAULT_TOL, memo)
+    cats = categorical_dilation_unitary(c, quad, DEFAULT_TOL, memo)
+    assert cats.shape == (c.group.order, quad.module.dim, quad.module.dim)
+    assert all(map(np.array_equal, cats, categorical_unitaries_reference(c, quad)))
+    functor = correspondence_to_functor(c, DEFAULT_TOL, memo)
+    rep = check_functor_laws(c, functor, DEFAULT_TOL, memo)
+    ref = functor_laws_reference(c, functor)
+    assert rep.passed, rep.residuals
+    assert rep.residuals == ref.residuals
+    assert rep.thresholds == ref.thresholds
+
+
+@pytest.mark.parametrize(
+    "trivial_beta, builds",
+    # genuine S3: the six twist tensors, the inclusion tensor of the unit
+    # law and the 36 double tensors of the Cayley table, each one stacked
+    # build; trivial beta: one twist tensor content, which the unit law
+    # reuses, and one double tensor content
+    [(False, [6, 1, 36]), (True, [1, 1])],
+)
+def test_one_stacked_build_per_shape(monkeypatch, trivial_beta, builds):
+    c = random_equivariant(M2, M2, symmetric_group(3), seed=11, copies=1, trivial_beta=trivial_beta)
+    slices = []
+    real = poscor.interior_tensor
+
+    def counting(E, F, pi, tol=DEFAULT_TOL):
+        slices.append(len(E))
+        return real(E, F, pi, tol)
+
+    monkeypatch.setattr(poscor, "interior_tensor", counting)
+    memo = BuildMemo()
+    functor = correspondence_to_functor(c, DEFAULT_TOL, memo)
+    assert check_functor_laws(c, functor, DEFAULT_TOL, memo).passed
+    assert slices == builds
+
+
+# -- a corrupted slice fails its stacked gate, by name ---------------------------
+
+
+def s3_instance():
+    return random_equivariant(M2, M2, symmetric_group(3), seed=11, copies=1)
+
+
+def test_corrupted_beta_names_its_pair():
+    c = s3_instance()
+    functor = correspondence_to_functor(c, DEFAULT_TOL, BuildMemo())
+    G, action = c.group, list(c.system_out.action)
+    action[4] = action[3]
+    bad = replace(c, system_out=DynamicalSystem(M2, G, action))
+    defect = [
+        (g, h) for g in range(G.order) for h in range(G.order)
+        if np.abs(action[g].matrix @ action[h].matrix - action[G.mul(g, h)].matrix).max() > 1e-6
+    ]
+    g, h = defect[0]
+    with pytest.raises(TwistMismatch, match=rf"^beta_{g} beta_{h} and beta_{G.mul(g, h)} "):
+        check_functor_laws(bad, functor, DEFAULT_TOL, BuildMemo())
+
+
+def corrupt_unitary(c, g):
+    unitaries = list(c.unitaries)
+    d = len(unitaries[g])
+    unitaries[g] = unitaries[g] + 1e-3 * np.arange(d * d).reshape(d, d)
+    return replace(c, unitaries=unitaries)
+
+
+@pytest.mark.parametrize("g", [1, 4])
+def test_corrupted_unitary_names_its_slice(g):
+    c = s3_instance()
+    # the composites stack the Cayley table row by row, slice g' |G| + h:
+    # F(0) F(g) is the first composite that reads eta_g
+    bad = corrupt_unitary(c, g)
+    functor = correspondence_to_functor(bad, DEFAULT_TOL, BuildMemo())
+    with pytest.raises(WellDefinednessViolation, match=rf"^T \(x\) I .* in slice {g} "):
+        check_functor_laws(bad, functor, DEFAULT_TOL, BuildMemo())
+    # the dilated correspondence has a representation for phi, whose KSGNS
+    # space has null vectors for a corrupted unitary to leak
+    dilated = dilated_correspondence(dilate(c, DEFAULT_TOL, BuildMemo()))
+    bad = corrupt_unitary(dilated, g)
+    # the dilation descends alpha_g (x) U_g as one stack over the group
+    with pytest.raises(WellDefinednessViolation, match=rf"^alpha_g \(x\) U_g .* in slice {g} "):
+        dilate(bad, DEFAULT_TOL, BuildMemo())
+    # the categorical lift stacks alpha_g (x) eta_g over the group
+    quad = dilate(dilated, DEFAULT_TOL, BuildMemo())
+    with pytest.raises(WellDefinednessViolation, match=rf"^alpha \(x\) eta .* in slice {g} "):
+        categorical_dilation_unitary(bad, quad, DEFAULT_TOL, BuildMemo())
+
+
+@pytest.mark.parametrize("g", [2, 5])
+def test_corrupted_null_vector_names_its_slice(monkeypatch, g):
+    # a range vector planted among the kernel vectors of slice g of the
+    # twist stack: the action carries it out of the kernel
+    real = hilbert.rank_kernel
+
+    def corrupting(G, tol=DEFAULT_TOL):
+        splits = real(G, tol)
+        if len(splits) == 6:
+            rank, range_, kernel = splits[g]
+            kernel = kernel.copy()
+            kernel[:, 0] = range_[:, 0]
+            splits[g] = rank, range_, kernel
+        return splits
+
+    monkeypatch.setattr(hilbert, "rank_kernel", corrupting)
+    c = s3_instance()
+    with pytest.raises(SubmoduleViolation, match=rf"leaks out of the null space in slice {g} "):
+        correspondence_to_functor(c, DEFAULT_TOL, BuildMemo())
+
+
+# -- LAPACK call count of a check pass ----------------------------------------------
+
+
+def test_check_pass_eigh_count(monkeypatch):
+    # the criterion-08 task shape (M_2, one copy, Z2/Z3/Z4/S3 five times
+    # each, every correspondence through the equivariant and the dilation
+    # suites): 1,260 eigh calls per check pass with one build per group
+    # element or pair, 280 stacked
+    tasks = []
+    for idx in range(20):
+        gname = ("Z2", "Z3", "Z4", "S3")[idx % 4]
+        seed = instance_seed(20250809, "equivariant", idx)
+        c = random_equivariant(M2, M2, make_group(gname), seed=seed, copies=1)
+        payload = {"seed": seed, "group": gname, "correspondence": dump_equivariant(c)}
+        tasks += [("equivariant", payload), ("dilation", payload)]
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    for suite, payload in tasks:
+        assert all(r.passed for r in check_instance(suite, payload, DEFAULT_TOL))
+    assert len(calls) <= 650
