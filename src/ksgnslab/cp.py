@@ -52,7 +52,6 @@ from .memo import BuildMemo, content_key
 from .numkernel import (
     DEFAULT_TOL,
     Tolerance,
-    by_group,
     dots,
     herm_expi,
     kron,
@@ -163,38 +162,33 @@ def choi_blocks(X: np.ndarray, A: AlgebraShape) -> list[np.ndarray]:
     ]
 
 
-def check_cp(phi: Sequence[CPMap], tol: Tolerance = DEFAULT_TOL) -> list[tuple]:
-    """Choi certificates of maps of one shape, from one stacked linearity gate
-    and one batched PSD verdict per A-block: (is_cp, minimum Choi eigenvalue
-    per A-block) for each map, grouped by shape.  Each map's norm is cached
-    from the stack.
+def check_cp(phi: Sequence[CPMap], tol: Tolerance, memo: BuildMemo) -> list[tuple]:
+    """Choi certificates of maps of one shape, run once per (phi content, tol)
+    in the memo: (is_cp, minimum Choi eigenvalue per A-block) for each map,
+    from one stacked linearity gate and one batched PSD verdict per A-block
+    over the maps the memo lacks.  Each map's norm is cached from the stack.
 
     Raises NonLinearMap when the images of a map fail B-linearity, since the
     Choi criterion is only meaningful for maps into L(E).
     """
 
-    def certify(idx, phi):
-        X = realized_images(phi)
-        todo = [i for i, p in enumerate(phi) if "norm" not in vars(p)]
-        for i, norm in zip(todo, operator_norms(X[todo]).max(axis=1, initial=0.0).tolist()):
-            vars(phi[i])["norm"] = norm
+    def build(todo: list[int]) -> list[tuple]:
+        maps = [phi[i] for i in todo]
+        X = realized_images(maps)
+        fresh = [i for i, p in enumerate(maps) if "norm" not in vars(p)]
+        for i, norm in zip(fresh, operator_norms(X[fresh]).max(axis=1, initial=0.0).tolist()):
+            vars(maps[i])["norm"] = norm
         # ||phi(u_p) R(u_b) - R(u_b) phi(u_p)|| over all p, b
-        Y = stack_slices([p.images for p in phi])[:, :, None]
-        R = stack_slices([p.module.action for p in phi])[:, None]
-        lin = operator_norms(Y @ R - R @ Y).reshape(len(phi), -1).max(axis=1, initial=0.0)
-        bad = lin > tol.ctol * (1.0 + np.array([p.norm for p in phi]))
+        Y = stack_slices([p.images for p in maps])[:, :, None]
+        R = stack_slices([p.module.action for p in maps])[:, None]
+        lin = operator_norms(Y @ R - R @ Y).reshape(len(maps), -1).max(axis=1, initial=0.0)
+        bad = lin > tol.ctol * (1.0 + np.array([p.norm for p in maps]))
         if np.count_nonzero(bad):
             raise NonLinearMap(f"images fail B-linearity (residual {lin[bad][0]:.3e})")
-        ok, w0 = zip(*(psd_verdict(C, tol) for C in choi_blocks(X, phi[0].algebra)))
+        ok, w0 = zip(*(psd_verdict(C, tol) for C in choi_blocks(X, maps[0].algebra)))
         return [(bool(np.all(k)), w.tolist()) for k, w in zip(np.transpose(ok), np.transpose(w0))]
 
-    return by_group(certify, [(p.algebra, p.module.algebra, p.module.dim) for p in phi], phi)
-
-
-def check_cp_once(phi: Sequence[CPMap], tol: Tolerance, memo: BuildMemo) -> list[tuple]:
-    """check_cp(phi, tol), run once per (phi content, tol) in the memo."""
-    keys = [("check_cp", p.key, tol) for p in phi]
-    return memo.get_all(keys, lambda todo: check_cp([phi[i] for i in todo], tol))
+    return memo.get_all([("check_cp", p.key, tol) for p in phi], build)
 
 
 # -- interior tensor product -------------------------------------------------
@@ -247,23 +241,28 @@ def tensor_premodule(
     return PreModule(F[0].algebra, dE * dF, action, pairing)
 
 
+def tensor_key(E: HilbertModule, F: HilbertModule, pi: CPMap, tol: Tolerance) -> tuple:
+    """The one memo key of the tensor module E (x)_pi F."""
+    return ("tensor", E.key, F.key, pi.key, tol)
+
+
 def interior_tensor(
     E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap],
-    tol: Tolerance = DEFAULT_TOL,
+    tol: Tolerance, memo: BuildMemo,
 ) -> list[TensorModule]:
-    """Interior tensor products E[s] (x)_pi[s] F[s]: the quotients of
-    tensor_premodule by their null spaces, one stacked build per shape.
-    Along a representation pi this is the tensor product of correspondences;
-    with E = A over itself and pi a CP map it is the KSGNS space
-    F_pi = A (x)_pi F (Lance, Hilbert C*-Modules, ch. 4-5)."""
+    """Interior tensor products E[s] (x)_pi[s] F[s] of one shape, built once
+    per (E[s], F[s], pi[s]) content in the memo: the quotients of
+    tensor_premodule by their null spaces, the missing ones in one stacked
+    build.  Along a representation pi this is the tensor product of
+    correspondences; with E = A over itself and pi a CP map it is the KSGNS
+    space F_pi = A (x)_pi F (Lance, Hilbert C*-Modules, ch. 4-5)."""
 
-    def build(idx, E, F, pi):
-        quots = quotient_by_null(tensor_premodule(E, F, pi), tol)
-        return [
-            TensorModule(q.module, q.q, q.s, q.kernel, *ins) for q, *ins in zip(quots, E, F, pi)
-        ]
+    def build(todo: list[int]) -> list[TensorModule]:
+        ins = [[x[s] for s in todo] for x in (E, F, pi)]
+        quots = quotient_by_null(tensor_premodule(*ins), tol)
+        return [TensorModule(q.module, q.q, q.s, q.kernel, *slc) for q, *slc in zip(quots, *ins)]
 
-    return by_group(build, [(e.algebra, e.dim, f.algebra, f.dim) for e, f in zip(E, F)], E, F, pi)
+    return memo.get_all([tensor_key(*slc, tol) for slc in zip(E, F, pi)], build)
 
 
 def tensor_extend(
@@ -275,10 +274,7 @@ def tensor_extend(
     agree.  A leak raises WellDefinednessViolation naming `what`."""
     if any(b.right.dim != a.right.dim for a, b in zip(tm1, tm2)):
         raise ShapeMismatch("tensor modules with different right factors")
-    K = by_group(
-        lambda idx, T, tm: kron(stack_slices(T), np.eye(tm[0].right.dim, dtype=complex)),
-        [(np.shape(t), tm.right.dim) for t, tm in zip(T, tm1)], T, tm1,
-    )
+    K = kron(stack_slices(T), np.eye(tm1[0].right.dim, dtype=complex))
     return descend(K, tm1, tm2, what, tol)
 
 

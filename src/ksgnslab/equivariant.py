@@ -12,10 +12,11 @@ eta~_g . V_g^{-1} . V'_{beta_g}.  Agreement of the two is itself a check.
 
 The group is a stack axis throughout: the twist tensors E (x)_{beta_g} B,
 the commuting and categorical dilation unitaries and the functor laws' Cayley
-table are each one stacked build per shape, never one group element at a
-time.  Every E (x)_{beta_g} B is the twist E_{beta_g} (Lance, Hilbert
-C*-Modules, ch. 4), so its slices share one shape, and batched LAPACK gives
-each slice the bits of a build of its own.
+table are each one stacked build, never one group element at a time.  Every
+E (x)_{beta_g} B is the twist E_{beta_g} (Lance, Hilbert C*-Modules, ch. 4),
+so its slices share one shape, which numkernel.stack_slices checks where
+each stack is formed, and batched LAPACK gives each slice the bits of a
+build of its own.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .cstar import (
     identity_automorphism,
     inner_automorphism,
 )
-from .cp import CPMap, Intertwiner, random_cp
+from .cp import CPMap, Intertwiner, random_cp, tensor_key
 from .errors import ShapeMismatch, SpanningFailure, TwistMismatch, ValidationError
 from .hilbert import (
     HilbertModule,
@@ -51,15 +52,15 @@ from .ksgns import (
     KsgnsTriple,
     check_triple,
     conjugated_triple,
+    ksgns,
     ksgns_lift,
-    ksgns_once,
     spanning_rank,
     triple_uniqueness_unitary,
 )
 from .memo import BuildMemo
 from .numkernel import (
-    DEFAULT_TOL, Tolerance, by_shape, exceeds_gate, kron, max_operator_norm, max_operator_norms,
-    operator_norm,
+    DEFAULT_TOL, Tolerance, exceeds_gate, kron, max_operator_norm, max_operator_norms,
+    operator_norm, stack_slices,
 )
 from .poscor import (
     PosCorMorphism,
@@ -70,7 +71,6 @@ from .poscor import (
     morphism_distance,
     poscor_compose,
     poscor_identity,
-    tensor_key,
     twist_unitary,
     v_rho,
 )
@@ -336,12 +336,16 @@ def check_equivariant(
     U = np.stack(c.unitaries)
     beta = np.stack([b.matrix for b in c.system_out.action])
     alpha = np.stack([a.matrix for a in c.system_in.action])
-    u_scale = 1.0 + max_operator_norm(U)
+    twisted = np.einsum("gqp,qij->gpij", beta, E.action)
+    covariant = np.einsum("gqp,qij->gpij", alpha, c.phi.images)
+    # the U scale, twisted linearity and covariance, all (d, d), in one batched SVD
+    u_norm, lin, cov = max_operator_norms(
+        U, U[:, None] @ E.action - twisted @ U[:, None],
+        U[:, None] @ c.phi.images - covariant @ U[:, None],
+    ).tolist()
+    u_scale = 1.0 + u_norm
 
     rep.add("representation", G.representation_defect(U), tol.ctol * u_scale**2)
-
-    twisted = np.einsum("gqp,qij->gpij", beta, E.action)
-    lin = max_operator_norm(U[:, None] @ E.action - twisted @ U[:, None])
     rep.add("twisted_linearity", lin, tol.ctol * u_scale)
 
     # <U_g e_i, U_g e_j> - beta_g(<e_i, e_j>) over all g and basis pairs (i, j)
@@ -350,9 +354,6 @@ def check_equivariant(
     gap = moved.reshape(G.order, *C.shape) - beta[:, None] @ C
     pair_twist = element_norms(E.algebra, gap.transpose(0, 1, 3, 2)).max(initial=0.0)
     rep.add("pairing_twist", pair_twist, tol.ctol * u_scale**2 * (1.0 + _gram_scale(E)))
-
-    moved = np.einsum("gqp,qij->gpij", alpha, c.phi.images)
-    cov = max_operator_norm(U[:, None] @ c.phi.images - moved @ U[:, None])
     rep.add("covariance", cov, tol.ctol * u_scale * (1.0 + c.phi.norm))
     return rep
 
@@ -445,7 +446,7 @@ def check_functor_laws(
     threshold; a violation raises TwistMismatch naming (g, h).
 
     The whole Cayley table goes to one poscor_compose call, which composes
-    its distinct contents once each, one stacked product per shape; a
+    its distinct contents once each, one stacked product; a
     failing composite is named by its slice g |G| + h.  Builds go through
     the caller's BuildMemo, which lives for one checked instance.  The
     tensors of the F(g) enter it under their content keys, so a memo other
@@ -509,7 +510,7 @@ class DilationQuadruple:
 def dilate(c: EquivariantCorrespondence, tol: Tolerance, memo: BuildMemo) -> DilationQuadruple:
     """Dilate to (F_phi, pi_phi, V_phi, U~) with U~_g the compression of
     alpha_g (x) U_g to the quotient, one stacked descent over the group."""
-    t = ksgns_once([c.module], [c.phi], tol, memo)[0]
+    t = ksgns([c.module], [c.phi], tol, memo)[0]
     K = [kron(a.matrix, U) for a, U in zip(c.system_in.action, c.unitaries)]
     n = c.group.order
     return DilationQuadruple(c, t, descend(K, [t] * n, [t] * n, "alpha_g (x) U_g", tol))
@@ -545,12 +546,9 @@ def categorical_dilation_unitary(
         [quad.triple] * n,
         tol,
     )
-    return np.stack(by_shape(
-        lambda idx, L, Vi, V: L @ Vi @ V,
-        [m.eta.matrix for m in lifted],
-        adjoint_matrices([cu.unitary for cu in cus]),
-        v_rho([cu.right for cu in cus]),
-    ))
+    L = stack_slices([m.eta.matrix for m in lifted])
+    Vi = stack_slices(adjoint_matrices([cu.unitary for cu in cus]))
+    return L @ Vi @ stack_slices(v_rho([cu.right for cu in cus]))
 
 
 def check_dilation(
@@ -563,11 +561,10 @@ def check_dilation(
     rep.merge(check_equivariant(dilated_correspondence(quad), tol), prefix="dilated_")
     rep.merge(check_triple(t, tol), prefix="triple_")
     V, U = t.embedding.matrix, np.stack(c.unitaries)
-    compat = max_operator_norm(
-        t.module.gram_sqrt @ (V @ U - quad.unitaries @ V) @ c.module.gram_isqrt
-    )
-    scale = 1.0 + max_operator_norm(U)
-    rep.add("embedding_equivariance", compat, tol.ctol * scale)
+    compat, u_norm = max_operator_norms(
+        t.module.gram_sqrt @ (V @ U - quad.unitaries @ V) @ c.module.gram_isqrt, U
+    ).tolist()
+    rep.add("embedding_equivariance", compat, tol.ctol * (1.0 + u_norm))
     return rep
 
 

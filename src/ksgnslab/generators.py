@@ -270,7 +270,7 @@ def random_morphism_to_new_object(
             break
         rho = random_star_map(dom.coefficient, rng, max_block=max_block, max_out_blocks=max_out_blocks)
     tensor = interior_tensor_along([dom.module], [rho], tol, memo)[0]
-    phi_ext = tensor_extend_cpmap(dom.phi, [tensor], tol, memo)[0]
+    phi_ext = tensor_extend_cpmap([dom.phi], [tensor], tol, memo)[0]
     E2, psi, unitary = transported_copy(tensor.module, phi_ext, rng)
     cod = PosCorObject(ident, dom.input_algebra, rho.codomain, E2, psi)
     morphism = make_poscor_morphism(

@@ -22,7 +22,7 @@ from . import serialize as ser
 from .cp import (
     CPMap,
     Intertwiner,
-    check_cp_once,
+    check_cp,
     check_morphism,
     compose_intertwiners,
     intertwiner_space,
@@ -93,7 +93,6 @@ from .ksgns import (
     idempotency_unitary,
     ksgns,
     ksgns_lift,
-    ksgns_once,
     triple_uniqueness_unitary,
 )
 from .memo import BuildMemo
@@ -119,8 +118,6 @@ from .poscor import (
     poscor_identity,
     tensor_extend_between,
     tensor_extend_cpmap,
-    tensor_functor_morphism,
-    tensor_once,
     v_rho,
 )
 
@@ -350,9 +347,9 @@ class _Recorder:
 def _record_cp(
     rec: _Recorder, check: str, theorem: str, phi: CPMap, tol: Tolerance, memo: BuildMemo
 ) -> bool:
-    """Record the Choi certificate of phi (check_cp_once): the most negative
+    """Record the Choi certificate of phi (check_cp): the most negative
     Choi eigenvalue when it passes, inf whenever it fails.  Returns the verdict."""
-    ok, mins = check_cp_once([phi], tol, memo)[0]
+    ok, mins = check_cp([phi], tol, memo)[0]
     resid = max(0.0, -min(mins)) if ok else float("inf")
     rec.add(check, theorem, resid, tol.ctol * (1.0 + phi.norm))
     return ok
@@ -399,7 +396,7 @@ def _check_ksgns(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo)
         return
     if not ok:
         return
-    t = ksgns_once([E], [phi], tol, memo)[0]
+    t = ksgns([E], [phi], tol, memo)[0]
     rep = check_triple(t, tol)
     rec.merge(
         rep,
@@ -576,9 +573,9 @@ def _check_lift(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) 
         sandwich_scale,
     )
 
-    t1 = ksgns_once([E1], [phi1], tol, memo)[0]
-    t2 = ksgns_once([E2], [phi2], tol, memo)[0]
-    t3 = ksgns_once([E3], [phi3], tol, memo)[0]
+    t1 = ksgns([E1], [phi1], tol, memo)[0]
+    t2 = ksgns([E2], [phi2], tol, memo)[0]
+    t3 = ksgns([E3], [phi3], tol, memo)[0]
     leak, gate = null_leak(t2.q, kron(m1.alpha.matrix, m1.eta.matrix), t1.kernel, tol)
     rec.add(
         "lift_well_defined",
@@ -641,8 +638,8 @@ def _gen_idempotency(caps: SizeCaps, seed: int) -> dict:
 def _check_idempotency(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
     mods, phis, morphs = _load_bundle(payload)
     m = morphs["m"]
-    t1 = ksgns_once([mods["E1"]], [phis["phi1"]], tol, memo)[0]
-    t2 = ksgns_once([mods["E2"]], [phis["phi2"]], tol, memo)[0]
+    t1 = ksgns([mods["E1"]], [phis["phi1"]], tol, memo)[0]
+    t2 = ksgns([mods["E2"]], [phis["phi2"]], tol, memo)[0]
     idem1 = idempotency_unitary(t1, tol, memo)
     idem2 = idempotency_unitary(t2, tol, memo)
     rep = check_idempotency(idem1, t1, tol)
@@ -680,7 +677,7 @@ def _gen_tensor(caps: SizeCaps, seed: int) -> dict:
     E1, phi1, E2, phi2, m = random_morphism_pair(A, B, rng, min(caps.max_module_dim, 3))
     F, pi = random_representation(B, C, rng, max_dim=4)
     for _ in range(16):  # a vacuous tensor would make every check trivial
-        if interior_tensor([E1], [F], [pi])[0].module.dim > 0:
+        if interior_tensor([E1], [F], [pi], DEFAULT_TOL, BuildMemo())[0].module.dim > 0:
             break
         F, pi = random_representation(B, C, rng, max_dim=4)
     rho1 = random_star_map(B, rng, max_block=2, max_out_blocks=1)
@@ -702,8 +699,8 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
     rho2 = ser.load_star_map(payload["star_maps"]["rho2"])
     rho3 = ser.load_star_map(payload["star_maps"]["rho3"])
     rng = _sub_rng(payload["seed"], 3)
-    tm1 = tensor_once([E1], [F], [pi], tol, memo)[0]
-    tm2 = tensor_once([E2], [F], [pi], tol, memo)[0]
+    tm1 = interior_tensor([E1], [F], [pi], tol, memo)[0]
+    tm2 = interior_tensor([E2], [F], [pi], tol, memo)[0]
     rec.add(
         "balanced",
         "balanced relation x b (x) y = x (x) pi(b) y",
@@ -743,9 +740,9 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
         ),
         tol.ctol,
     )
-    m_hat = tensor_functor_morphism(m, tm1, tm2, tol)
-    phi1_ext = tensor_extend_cpmap(phi1, [tm1], tol, memo)[0]
-    phi2_ext = tensor_extend_cpmap(phi2, [tm2], tol, memo)[0]
+    m_hat = Intertwiner(tensor_extend_between([m.eta], [tm1], [tm2], tol)[0], m.alpha)
+    phi1_ext = tensor_extend_cpmap([phi1], [tm1], tol, memo)[0]
+    phi2_ext = tensor_extend_cpmap([phi2], [tm2], tol, memo)[0]
     rep = check_morphism(m_hat, phi1_ext, phi2_ext, tol)
     rec.add(
         "functor_morphism",
@@ -1253,8 +1250,8 @@ def _check_continuity(payload: dict, tol: Tolerance, rec: _Recorder, memo: Build
     samples = payload["samples"]
     X = np.array([ser.load_cmatrix(s["x"], E1.dim, 1)[:, 0] for s in samples], dtype=complex)
     C = np.array([ser.load_element(A, s["a"]) for s in samples], dtype=complex)
-    t1 = ksgns_once([E1], [phi1], tol, memo)[0]
-    t2 = ksgns_once([E2], [phi2], tol, memo)[0]
+    t1 = ksgns([E1], [phi1], tol, memo)[0]
+    t2 = ksgns([E2], [phi2], tol, memo)[0]
     try:
         probe = continuity_probe(
             path, target, t1, t2, X.reshape(-1, E1.dim), C.reshape(-1, A.dim), tol

@@ -39,8 +39,6 @@ from .memo import content_key
 from .numkernel import (
     DEFAULT_TOL,
     Tolerance,
-    by_group,
-    by_shape,
     exceeds_gate,
     herm_powers,
     matvecs,
@@ -178,43 +176,41 @@ class Quotient:
 
 def quotient_by_null(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> list[Quotient]:
     """Quotient each pre-module of a stack (a PreModule whose arrays carry a
-    leading axis; a lone pre-module is a stack of one) by the null space of
-    its pairing: one batched rank_kernel over the Gram matrices, then, per
-    rank, one stacked leak gate and one stacked transport of the action and
-    pairing.  Each slice gets the bits of a quotient of its own.
+    leading axis) by the null space of its pairing: one batched rank_kernel
+    over the Gram matrices, one stacked leak gate and one stacked transport
+    of the action and pairing.  Each slice gets the bits of a quotient of its
+    own.
 
     The null space is detected as ker(G) for the scalarized Gram G; by
     faithfulness of the trace this agrees with {z : <z, z> = 0} whenever the
-    pairing is PSD.  Raises SubmoduleViolation when a kernel is not
-    invariant under the action, which signals an invalid pre-module; in a
-    longer stack the message names the first leaking slice.
+    pairing is PSD.  Raises ShapeMismatch, naming two slices and their ranks,
+    when the slices quotient to different ranks, and SubmoduleViolation when
+    a kernel is not invariant under the action, which signals an invalid
+    pre-module; in a longer stack the message names the first leaking slice.
     """
-    lone = pre.action.ndim == 3
-    action = pre.action[None] if lone else pre.action
-    pairing = [P[None] for P in pre.pairing] if lone else pre.pairing
-    splits = rank_kernel(pre.gram()[None] if lone else pre.gram(), tol)
-
-    def quotient(idx, splits):
-        take = slice(None) if len(idx) == len(action) else idx
-        s, kernel = (stack_slices([x[k] for x in splits]) for k in (1, 2))
-        q = s.conj().swapaxes(-1, -2)
-        leak = first_leak(q[:, None], action[take], kernel[:, None], tol)
-        if leak is not None:
-            i, b = divmod(leak[0], pre.algebra.dim)
-            where = f" in slice {idx[i]}" if len(action) > 1 else ""
-            raise SubmoduleViolation(
-                f"action of basis element {b} leaks out of the null space{where} "
-                f"(residual {leak[1]:.3e})"
-            )
-        moved = q[:, None] @ action[take] @ s[:, None]
-        blocks = [transport_pairing(s, P[take]) for P in pairing]
-        modules = [
-            HilbertModule(pre.algebra, rank, moved[k], [P[k] for P in blocks])
-            for k, (rank, _, _) in enumerate(splits)
-        ]
-        return [Quotient(M, q[k], r, kr) for k, (M, (_, r, kr)) in enumerate(zip(modules, splits))]
-
-    return by_group(quotient, [rank for rank, _, _ in splits], splits)
+    splits = rank_kernel(pre.gram(), tol)
+    ranks = [rank for rank, _, _ in splits]
+    if ranks.count(ranks[0]) < len(ranks):
+        i = next(i for i, rank in enumerate(ranks) if rank != ranks[0])
+        raise ShapeMismatch(
+            f"slices quotient to different ranks: slice 0 to {ranks[0]}, slice {i} to {ranks[i]}"
+        )
+    s, kernel = (stack_slices([x[k] for x in splits]) for k in (1, 2))
+    q = s.conj().swapaxes(-1, -2)
+    leak = first_leak(q[:, None], pre.action, kernel[:, None], tol)
+    if leak is not None:
+        i, b = divmod(leak[0], pre.algebra.dim)
+        where = f" in slice {i}" if len(splits) > 1 else ""
+        raise SubmoduleViolation(
+            f"action of basis element {b} leaks out of the null space{where} "
+            f"(residual {leak[1]:.3e})"
+        )
+    moved = q[:, None] @ pre.action @ s[:, None]
+    blocks = [transport_pairing(s, P) for P in pre.pairing]
+    return [
+        Quotient(HilbertModule(pre.algebra, rank, moved[k], [P[k] for P in blocks]), q[k], r, kr)
+        for k, (rank, r, kr) in enumerate(splits)
+    ]
 
 
 def null_leak(
@@ -245,41 +241,33 @@ def descend(
     K: Sequence[np.ndarray], src: Sequence[Quotient], tgt: Sequence[Quotient], what: str,
     tol: Tolerance = DEFAULT_TOL,
 ) -> list[np.ndarray]:
-    """q_tgt K[i] s_src for each slice i: K[i] a stack (..., m, n) of maps
+    """q_tgt K[i] s_src for each slice i: K[i] (..., m, n) a stack of maps
     between the pre-spaces of src[i] and tgt[i], compressed to what it
-    induces on the quotients, with one stacked gate and product per shape.
-    Raises WellDefinednessViolation, naming `what`, the first leaking
-    slice of a longer stack and its leak, when K[i] leaks ker G_src out of
-    ker G_tgt."""
-
-    def compress(idx, K, q, kernel, s):
-        ex = (slice(None),) + (None,) * (K.ndim - 3)
-        leak = first_leak(q[ex], K, kernel[ex], tol)
-        if leak is not None:
-            i = idx[leak[0] // int(np.prod(K.shape[1:-2]))]
-            where = f" in slice {i}" if len(src) > 1 else ""
-            raise WellDefinednessViolation(
-                f"{what} leaks out of the null space{where} ({leak[1]:.3e})"
-            )
-        return q[ex] @ K @ s[ex]
-
-    return by_shape(compress, K, [t.q for t in tgt], [t.kernel for t in src], [t.s for t in src])
+    induces on the quotients, with one stacked gate and product.  Raises
+    WellDefinednessViolation, naming `what`, the first leaking slice of a
+    longer stack and its leak, when K[i] leaks ker G_src out of ker G_tgt."""
+    K, q = stack_slices(K), stack_slices([t.q for t in tgt])
+    kernel, s = stack_slices([t.kernel for t in src]), stack_slices([t.s for t in src])
+    ex = (slice(None),) + (None,) * (K.ndim - 3)
+    leak = first_leak(q[ex], K, kernel[ex], tol)
+    if leak is not None:
+        where = f" in slice {leak[0] // int(np.prod(K.shape[1:-2]))}" if len(src) > 1 else ""
+        raise WellDefinednessViolation(f"{what} leaks out of the null space{where} ({leak[1]:.3e})")
+    return list(q[ex] @ K @ s[ex])
 
 
 GRAM_POWERS = {0.5: "gram_sqrt", -0.5: "gram_isqrt", -1.0: "gram_inv"}
 
 
 def gram_powers(modules: Sequence[HilbertModule], power: float) -> list[np.ndarray]:
-    """Gram power 0.5, -0.5 or -1 of each module, its cached gram_sqrt,
-    gram_isqrt or gram_inv.  A module without it gets all three from one
-    eigendecomposition, batched per dimension, and caches them."""
+    """Gram power 0.5, -0.5 or -1 of each module of one dimension, its cached
+    gram_sqrt, gram_isqrt or gram_inv.  The modules without it get all three
+    from one batched eigendecomposition and cache them."""
     name = GRAM_POWERS[power]
     todo = [m for m in modules if name not in vars(m)]
     if todo:
-        fresh = by_shape(
-            lambda idx, G: tuple(herm_powers(G, tuple(GRAM_POWERS))), [m.gram_matrix for m in todo]
-        )
-        for m, powers in zip(todo, fresh):
+        fresh = herm_powers(stack_slices([m.gram_matrix for m in todo]), tuple(GRAM_POWERS))
+        for m, *powers in zip(todo, *fresh):
             vars(m).update(zip(GRAM_POWERS.values(), powers))
     return [vars(m)[name] for m in modules]
 
@@ -335,15 +323,12 @@ def realize(m: ModuleMap) -> np.ndarray:
 
 def adjoint_matrices(maps: Sequence[ModuleMap]) -> list[np.ndarray]:
     """Matrices of the unique adjoints G_src^(-1) T^dagger G_tgt of B-linear
-    maps, one stacked product per shape."""
+    maps of one shape, one stacked product."""
     if any(m.source.dim and np.all(m.source.gram_matrix == 0) for m in maps):
         raise SingularGram("source Gram is zero")
-    return by_shape(
-        lambda idx, Gi, Th, G: Gi @ Th @ G,
-        gram_powers([m.source for m in maps], -1.0),
-        [m.matrix.conj().T for m in maps],
-        [m.target.gram_matrix for m in maps],
-    )
+    Gi = stack_slices(gram_powers([m.source for m in maps], -1.0))
+    Th = stack_slices([m.matrix.conj().T for m in maps])
+    return list(Gi @ Th @ stack_slices([m.target.gram_matrix for m in maps]))
 
 
 def adjoint_map(m: ModuleMap) -> ModuleMap:

@@ -25,7 +25,7 @@ from .cstar import identity_star_map, unit_coeffs
 from .cp import (
     CPMap,
     Intertwiner,
-    check_cp_once,
+    check_cp,
     check_correspondence,
     check_morphism,
     hom_pseudometric,
@@ -67,40 +67,36 @@ class KsgnsTriple(Quotient):
 def ksgns(
     E: Sequence[HilbertModule], phi: Sequence[CPMap], tol: Tolerance, memo: BuildMemo
 ) -> list[KsgnsTriple]:
-    """Dilate completely positive maps phi[s] on E[s] to representations on
-    their F_phi, with one stacked Choi certificate, tensor build and
-    descent of left multiplication per shape.
+    """Dilate completely positive maps phi[s] of one shape on E[s] to
+    representations on their F_phi, built once per (E[s], phi[s]) content in
+    the memo: one stacked Choi certificate, tensor build and descent of left
+    multiplication for the ones the memo lacks.
 
     Raises NotCP when a Choi certificate fails, ShapeMismatch when a phi acts
     on another module, and SubmoduleViolation (via the quotient) or
     WellDefinednessViolation when numerics break down.
     """
-    for ok, mins in check_cp_once(phi, tol, memo):
-        if not ok:
-            raise NotCP(f"Choi certificate failed (min eigenvalues {mins})")
-    A = phi[0].algebra
-    L = left_mult_correspondence([identity_star_map(A)])[0]
-    tms = interior_tensor([L.module] * len(E), E, phi, tol)
-    pis = tensor_extend([L.images] * len(E), tms, tms, "left multiplication", tol)
-    # V_phi x = class of 1_A (x) x
-    unit = unit_coeffs(A).reshape(A.dim, 1)
-    return [
-        KsgnsTriple(
-            tm.module, tm.q, tm.s, tm.kernel, e, p, CPMap(A, tm.module, pi),
-            ModuleMap(e, tm.module, tm.q @ kron(unit, np.eye(e.dim, dtype=complex))),
-        )
-        for e, p, tm, pi in zip(E, phi, tms, pis)
-    ]
 
+    def build(todo: list[int]) -> list[KsgnsTriple]:
+        mods, maps = [E[s] for s in todo], [phi[s] for s in todo]
+        for ok, mins in check_cp(maps, tol, memo):
+            if not ok:
+                raise NotCP(f"Choi certificate failed (min eigenvalues {mins})")
+        A = maps[0].algebra
+        L = left_mult_correspondence([identity_star_map(A)])[0]
+        tms = interior_tensor([L.module] * len(mods), mods, maps, tol, memo)
+        pis = tensor_extend([L.images] * len(mods), tms, tms, "left multiplication", tol)
+        # V_phi x = class of 1_A (x) x
+        unit = unit_coeffs(A).reshape(A.dim, 1)
+        return [
+            KsgnsTriple(
+                tm.module, tm.q, tm.s, tm.kernel, e, p, CPMap(A, tm.module, pi),
+                ModuleMap(e, tm.module, tm.q @ kron(unit, np.eye(e.dim, dtype=complex))),
+            )
+            for e, p, tm, pi in zip(mods, maps, tms, pis)
+        ]
 
-def ksgns_once(
-    E: Sequence[HilbertModule], phi: Sequence[CPMap], tol: Tolerance, memo: BuildMemo
-) -> list[KsgnsTriple]:
-    """ksgns(E, phi), built once per (E[s], phi[s]) content in the memo."""
-    keys = [("ksgns", e.key, p.key, tol) for e, p in zip(E, phi)]
-    return memo.get_all(
-        keys, lambda todo: ksgns([E[s] for s in todo], [phi[s] for s in todo], tol, memo)
-    )
+    return memo.get_all([("ksgns", e.key, p.key, tol) for e, p in zip(E, phi)], build)
 
 
 def spanning_columns(t: KsgnsTriple) -> np.ndarray:
@@ -191,7 +187,7 @@ def ksgns_lift(
     tol: Tolerance = DEFAULT_TOL,
 ) -> list[Intertwiner]:
     """Lift intertwiners m[s] = (eta, alpha) to (eta~, alpha) from the
-    dilation t1[s] to t2[s], all through one stacked descent per shape.
+    dilation t1[s] to t2[s], all through one stacked descent.
 
     eta~ is the compression of alpha (x) eta to the quotients; the well-
     definedness gate checks that alpha (x) eta maps ker G_1 into ker G_2.
@@ -253,7 +249,7 @@ class IdempotencyUnitary:
 
 def idempotency_unitary(t: KsgnsTriple, tol: Tolerance, memo: BuildMemo) -> IdempotencyUnitary:
     """Dilate the dilated representation; its embedding is already unitary."""
-    second = ksgns_once([t.module], [t.pi], tol, memo)[0]
+    second = ksgns([t.module], [t.pi], tol, memo)[0]
     return IdempotencyUnitary(second.embedding, second)
 
 

@@ -39,9 +39,6 @@ class BuildMemo:
     def __init__(self) -> None:
         self._done: dict[tuple, Any] = {}
 
-    def get(self, key: tuple, build: Callable[[], Any]) -> Any:
-        return self.get_all([key], lambda todo: [build()])[0]
-
     def get_all(self, keys: Sequence[tuple], build: Callable[[list[int]], list]) -> list:
         """The entries of keys, the missing ones from one call build(todo) that
         returns the builds of keys[i] for i in todo, the first position of

@@ -24,21 +24,23 @@ run only for slices near or over the gate.  Recorded residuals never go
 through this shortcut, so they keep their exact values.
 
 Same-shape problems run as stacks: herm_eig, rank_kernel and herm_powers
-take a leading slice axis, and by_shape/by_group hand a builder its slices
-grouped by shape, never padded.  Batched LAPACK gives every matrix the bits
-of a call of its own, and stack_slices keeps each slice's memory layout, on
-which matrix-vector products depend, so a stacked build reproduces the
-builds of its slices bit for bit.
+take a leading slice axis, and a builder takes one stack whose slices share
+a shape, never padded.  stack_slices forms such a stack and raises
+ShapeMismatch when a slice's shape differs, so the shapes are checked once,
+where the stack is formed.  Batched LAPACK gives every matrix the bits of a
+call of its own, and stack_slices keeps each slice's memory layout, on which
+matrix-vector products depend, so a stacked build reproduces the builds of
+its slices bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import NonFinite, NonHermitian, NotPSD
+from .errors import NonFinite, NonHermitian, NotPSD, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -200,48 +202,18 @@ def rank_kernel(
     return splits
 
 
-def by_group(fn: Callable, keys: Sequence, *parts: Sequence) -> list:
-    """fn(idx, *items) for each group of positions idx with equal keys, items
-    being each part's entries at idx; fn's per-position results come back in
-    input order."""
-    if len(keys) == 1:
-        return list(fn([0], *[[p[0]] for p in parts]))
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    out: list = [None] * len(keys)
-    for idx in groups.values():
-        for i, res in zip(idx, fn(idx, *([p[i] for i in idx] for p in parts))):
-            out[i] = res
-    return out
-
-
-def by_shape(fn: Callable, *parts: Sequence[np.ndarray]) -> list:
-    """by_group over the slices (parts[0][i], ...) of equal-length sequences of
-    arrays, grouped by their shapes and passed stacked along a new first
-    axis, never padded: fn(idx, *stacks) returns a stack, or a tuple of them."""
-
-    def stacked(idx, *items):
-        res = fn(idx, *[stack_slices(a) for a in items])
-        return list(zip(*res) if isinstance(res, tuple) else res)
-
-    if len(parts[0]) == 1:  # a stack of one: views that keep each array's layout
-        res = fn([0], *[p[0][None] for p in parts])
-        return list(zip(*res) if isinstance(res, tuple) else res)
-    shapes = list(zip(*[[a.shape for a in p] for p in parts]))
-    if shapes.count(shapes[0]) < len(shapes):
-        return by_group(stacked, shapes, *parts)
-    return stacked(range(len(shapes)), *parts)
-
-
 def stack_slices(items: Sequence) -> np.ndarray:
     """Same-shape arrays stacked along a new first axis, each slice with the
     memory layout of its array, on which the bits of a matrix-vector product
     depend: one array repeated is a broadcast view of it, and transposed
-    (Fortran-ordered) matrices stay transposed."""
+    (Fortran-ordered) matrices stay transposed.  Raises ShapeMismatch naming
+    the first slice whose shape differs from the first's."""
     first = np.asarray(items[0])
     if len(items) == 1:
         return first[None]
+    for i, a in enumerate(items):
+        if np.shape(a) != first.shape:
+            raise ShapeMismatch(f"slice {i} has shape {np.shape(a)}, slice 0 {first.shape}")
     if all(a is items[0] for a in items):
         return np.broadcast_to(first, (len(items), *first.shape))
     if first.ndim == 2 and not first.flags.c_contiguous:

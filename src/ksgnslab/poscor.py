@@ -42,6 +42,7 @@ from .cp import (
     interior_tensor,
     left_mult_correspondence,
     tensor_extend,
+    tensor_key,
 )
 from .errors import KsgnslabError, ObjectMismatch, ShapeMismatch
 from .hilbert import (
@@ -54,32 +55,12 @@ from .hilbert import (
     same_module,
     unitarity_residual,
 )
-from .ksgns import KsgnsTriple, idempotency_unitary, ksgns_lift, ksgns_once
+from .ksgns import KsgnsTriple, idempotency_unitary, ksgns, ksgns_lift
 from .memo import BuildMemo, content_key
 from .numkernel import (
-    DEFAULT_TOL, Tolerance, by_group, by_shape, dots, kron, max_operator_norm, max_operator_norms,
+    DEFAULT_TOL, Tolerance, dots, kron, max_operator_norm, max_operator_norms, stack_slices,
 )
 from .reporting import CheckReport
-
-
-# -- memoized builds ------------------------------------------------------------
-
-
-def tensor_key(E: HilbertModule, F: HilbertModule, pi: CPMap, tol: Tolerance) -> tuple:
-    """The one memo key of the tensor module E (x)_pi F."""
-    return ("tensor", E.key, F.key, pi.key, tol)
-
-
-def tensor_once(
-    E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap],
-    tol: Tolerance, memo: BuildMemo,
-) -> list[TensorModule]:
-    """interior_tensor(E, F, pi), built once per (E[s], F[s], pi[s]) content in
-    the memo; the missing ones in one stacked build."""
-    keys = [tensor_key(*slice_, tol) for slice_ in zip(E, F, pi)]
-    return memo.get_all(
-        keys, lambda todo: interior_tensor(*([x[s] for s in todo] for x in (E, F, pi)), tol)
-    )
 
 
 # -- T (x) I and the tensor functor -------------------------------------------
@@ -96,28 +77,18 @@ def tensor_extend_between(
 
 
 def tensor_extend_cpmap(
-    phi: CPMap, tm: Sequence[TensorModule], tol: Tolerance, memo: BuildMemo
+    phi: Sequence[CPMap], tm: Sequence[TensorModule], tol: Tolerance, memo: BuildMemo
 ) -> list[CPMap]:
-    """phi~ = phi(-) (x) I, the tensor-extended CP map on each E (x)_pi F of
-    tm, built once per (phi, tensor) content in the memo."""
+    """phi~ = phi[s](-) (x) I, the tensor-extended CP map on each E (x)_pi F
+    of tm, built once per (phi[s], tensor) content in the memo."""
 
     def build(todo: list[int]) -> list[CPMap]:
-        tms = [tm[s] for s in todo]
-        images = tensor_extend([phi.images] * len(tms), tms, tms, "T (x) I", tol)
-        return [CPMap(phi.algebra, t.module, X) for t, X in zip(tms, images)]
+        maps, tms = [phi[s] for s in todo], [tm[s] for s in todo]
+        images = tensor_extend([p.images for p in maps], tms, tms, "T (x) I", tol)
+        return [CPMap(p.algebra, t.module, X) for p, t, X in zip(maps, tms, images)]
 
-    keys = [("extend", phi.key, tensor_key(t.left, t.right, t.pi, tol)) for t in tm]
+    keys = [("extend", p.key, tensor_key(t.left, t.right, t.pi, tol)) for p, t in zip(phi, tm)]
     return memo.get_all(keys, build)
-
-
-def tensor_functor_morphism(
-    m: Intertwiner,
-    tm1: TensorModule,
-    tm2: TensorModule,
-    tol: Tolerance = DEFAULT_TOL,
-) -> Intertwiner:
-    """(eta, alpha) -> (eta (x) I, alpha) between tensored objects."""
-    return Intertwiner(tensor_extend_between([m.eta], [tm1], [tm2], tol)[0], m.alpha)
 
 
 def balanced_relation_residual(
@@ -147,24 +118,24 @@ def interior_tensor_along(
     E: Sequence[HilbertModule], rho: Sequence[StarMap], tol: Tolerance, memo: BuildMemo
 ) -> list[TensorModule]:
     """E[s] (x)_rho[s] C for matching sequences E and rho, built through
-    tensor_once on the left-multiplication correspondences of the rho, which
-    the memo holds once per rho content."""
+    interior_tensor on the left-multiplication correspondences of the rho,
+    which the memo holds once per rho content."""
     if any(r.domain != e.algebra for e, r in zip(E, rho)):
         raise ShapeMismatch("star map domain differs from E's coefficients")
     keys = [("left_mult", r.key) for r in rho]
     pi = memo.get_all(keys, lambda todo: left_mult_correspondence([rho[s] for s in todo]))
-    return tensor_once(E, [p.module for p in pi], pi, tol, memo)
+    return interior_tensor(E, [p.module for p in pi], pi, tol, memo)
 
 
 def v_rho(tm: Sequence[TensorModule]) -> list[np.ndarray]:
     """Matrices of V_rho: x -> class of x (x) 1_C, a complex-linear contraction
     from E to each tm[s] = E (x)_rho C (E is its left factor, C its right),
-    one stacked product per shape."""
+    one stacked product."""
     V_pre = {(t.left.dim, t.right.algebra): None for t in tm}
     for dE, C in V_pre:
         V_pre[dE, C] = kron(np.eye(dE, dtype=complex), unit_coeffs(C).reshape(-1, 1))
     pre = [V_pre[t.left.dim, t.right.algebra] for t in tm]
-    return by_shape(lambda idx, q, V: q @ V, [t.q for t in tm], pre)
+    return list(stack_slices([t.q for t in tm]) @ stack_slices(pre))
 
 
 @dataclass
@@ -199,7 +170,7 @@ def composition_unitary(
 ) -> list[CompositionUnitary]:
     """The unitaries (x (x) c) (x) d -> x (x) rho2(c) d on tm12[s] = E (x)_rho1[s] C,
     the tensors a caller's matrices live on (poscor_compose passes m1's own),
-    one stacked product per shape; the double and target tensors come from
+    one stacked product; the double and target tensors come from
     the memo.
 
     `rho`, when given, holds the star maps the targets E (x)_rho D are taken
@@ -211,25 +182,21 @@ def composition_unitary(
     tm123 = interior_tensor_along([t.module for t in tm12], rho2, tol, memo)
     rho = rho if rho is not None else [compose_star_maps(r2, r1) for r1, r2 in zip(rho1, rho2)]
     tm13 = interior_tensor_along([t.left for t in tm12], rho, tol, memo)
-
-    def unitary(idx, S3, T, q, s):
-        # q M_pre s with M_pre[(i, x), (u, w)] = sum_v S3[i, v, u] T[v, w, x]
-        n, dE, dC, m = S3.shape
-        dD = T.shape[-1]
-        M = dots(S3.transpose(0, 1, 3, 2).reshape(n, dE * m, dC), T.reshape(n, dC, dD * dD))
-        M = M.reshape(n, dE, m, dD, dD).transpose(0, 1, 4, 2, 3).reshape(n, dE * dD, m * dD)
-        return q @ M @ s
-
+    # q M_pre s with M_pre[(i, x), (u, w)] = sum_v S3[i, v, u] T[v, w, x], where
     # T[v, w, :] = coefficients of rho2(u_v) u_w in D, read off the
     # left-multiplication correspondence each tm123 was built along
-    U = by_shape(
-        unitary,
-        [t.s.reshape(t.left.dim, r.domain.dim, t.module.dim) for t, r in zip(tm12, rho2)],
-        [t.pi.images.transpose(0, 2, 1) for t in tm123], [t.q for t in tm13], [t.s for t in tm123],
+    S3 = stack_slices(
+        [t.s.reshape(t.left.dim, r.domain.dim, t.module.dim) for t, r in zip(tm12, rho2)]
     )
+    T = stack_slices([t.pi.images.transpose(0, 2, 1) for t in tm123])
+    q, s = stack_slices([t.q for t in tm13]), stack_slices([t.s for t in tm123])
+    n, dE, dC, m = S3.shape
+    dD = T.shape[-1]
+    M = dots(S3.transpose(0, 1, 3, 2).reshape(n, dE * m, dC), T.reshape(n, dC, dD * dD))
+    M = M.reshape(n, dE, m, dD, dD).transpose(0, 1, 4, 2, 3).reshape(n, dE * dD, m * dD)
     return [
         CompositionUnitary(ModuleMap(b.module, c.module, u), a, b, c, r)
-        for a, b, c, r, u in zip(tm12, tm123, tm13, rho, U)
+        for a, b, c, r, u in zip(tm12, tm123, tm13, rho, q @ M @ s)
     ]
 
 
@@ -252,7 +219,7 @@ def twist_unitary(
     dE, dB = E.dim, E.algebra.dim
     inv = np.stack([a.inverse_matrix for a in alpha])
     N_pre = np.einsum("gpw,pxy->gwxy", inv, E.action).transpose(0, 2, 3, 1).reshape(-1, dE, dE * dB)
-    U = by_shape(lambda idx, N, s: N @ s, list(N_pre), [tm.s for tm in tms])
+    U = stack_slices(N_pre) @ stack_slices([tm.s for tm in tms])
     return [
         TwistUnitary(a, tm, AlphaLinearMap(tm.module, E, a.inverted(), u))
         for a, tm, u in zip(alpha, tms, U)
@@ -281,28 +248,23 @@ def commuting_unitary(
     of the extended maps, of their KSGNS (the left sides, Choi certificates
     included) and of the right tensors F_phi (x)_pi F; the KSGNS triple of
     (E, phi) comes from the memo."""
-    phi_ext = tensor_extend_cpmap(phi, tm, tol, memo)
-    left = ksgns_once([t.module for t in tm], phi_ext, tol, memo)
-    t = ksgns_once([phi.module], [phi], tol, memo)[0]
-    right = tensor_once([t.module] * len(tm), [x.right for x in tm], [x.pi for x in tm], tol, memo)
-    dA, dE = phi.algebra.dim, phi.module.dim
-    # M_pre[(k, j), (p, u)] = sum_i Q3[k, p, i] S3[i, j, u]
-    Q = t.q.reshape(t.module.dim, dA, dE).reshape(t.module.dim * dA, dE)
-
-    def unitary(idx, S3, q, s):
-        n, _, dF, m = S3.shape
-        M = dots(np.broadcast_to(Q, (n, *Q.shape)), S3.reshape(n, dE, dF * m))
-        k = t.module.dim
-        M = M.reshape(n, k, dA, dF, m).transpose(0, 1, 3, 2, 4).reshape(n, k * dF, dA * m)
-        return q @ M @ s
-
-    V = by_shape(
-        unitary, [x.s.reshape(dE, x.right.dim, x.module.dim) for x in tm],
-        [r.q for r in right], [x.s for x in left],
+    phi_ext = tensor_extend_cpmap([phi] * len(tm), tm, tol, memo)
+    left = ksgns([t.module for t in tm], phi_ext, tol, memo)
+    t = ksgns([phi.module], [phi], tol, memo)[0]
+    right = interior_tensor(
+        [t.module] * len(tm), [x.right for x in tm], [x.pi for x in tm], tol, memo
     )
+    dA, dE, k = phi.algebra.dim, phi.module.dim, t.module.dim
+    # M_pre[(k, j), (p, u)] = sum_i Q3[k, p, i] S3[i, j, u]
+    Q = t.q.reshape(k, dA, dE).reshape(k * dA, dE)
+    S3 = stack_slices([x.s.reshape(dE, x.right.dim, x.module.dim) for x in tm])
+    q, s = stack_slices([r.q for r in right]), stack_slices([x.s for x in left])
+    n, _, dF, m = S3.shape
+    M = dots(np.broadcast_to(Q, (n, *Q.shape)), S3.reshape(n, dE, dF * m))
+    M = M.reshape(n, k, dA, dF, m).transpose(0, 1, 3, 2, 4).reshape(n, k * dF, dA * m)
     return [
         CommutingUnitary(ModuleMap(a.module, b.module, v), t, x, p, a, b)
-        for x, p, a, b, v in zip(tm, phi_ext, left, right, V)
+        for x, p, a, b, v in zip(tm, phi_ext, left, right, q @ M @ s)
     ]
 
 
@@ -315,7 +277,7 @@ def check_commuting_unitary(
     scale = 1.0 + cu.phi_ext.norm
     rep.add("unitary", unitarity_residual([cu.unitary]), tol.ctol * scale)
     U = cu.unitary.matrix
-    pi_right = tensor_extend_cpmap(cu.triple.pi, [cu.right], tol, memo)[0]
+    pi_right = tensor_extend_cpmap([cu.triple.pi], [cu.right], tol, memo)[0]
     inter = max_operator_norm(U @ cu.left.pi.images - pi_right.images @ U)
     rep.add("intertwines", inter, tol.ctol * scale)
     rep.add(
@@ -397,10 +359,7 @@ def make_poscor_morphism(
     tms = interior_tensor_along([d.module for d in dom], rho, tol, memo)
     if any(not same_module(e.source, tm.module) for e, tm in zip(eta, tms)):
         raise ShapeMismatch("eta is not defined on the tensor of dom along rho")
-    phi_ext = by_group(
-        lambda idx, tms, phi: tensor_extend_cpmap(phi[0], tms, tol, memo),
-        [d.phi.key for d in dom], tms, [d.phi for d in dom],
-    )
+    phi_ext = tensor_extend_cpmap([d.phi for d in dom], tms, tol, memo)
     return [
         PosCorMorphism(*parts, vrho, p)
         for *parts, vrho, p in zip(dom, cod, rho, tms, eta, alpha, v_rho(tms), phi_ext)
@@ -446,13 +405,12 @@ def poscor_compose(
         eta1_hat = tensor_extend_between(
             [m.eta for m in M1], [c.double for c in comp], [m.dom_tensor for m in M2], tol
         )
-        etas = by_shape(
-            lambda idx, e2, e1, u: e2 @ e1 @ u,
-            [m.eta.matrix for m in M2],
-            [e.matrix for e in eta1_hat],
-            adjoint_matrices([c.unitary for c in comp]),
-        )
-        etas = [ModuleMap(c.target.module, m.cod.module, e) for c, m, e in zip(comp, M2, etas)]
+        e2 = stack_slices([m.eta.matrix for m in M2])
+        e1 = stack_slices([e.matrix for e in eta1_hat])
+        u = stack_slices(adjoint_matrices([c.unitary for c in comp]))
+        etas = [
+            ModuleMap(c.target.module, m.cod.module, e) for c, m, e in zip(comp, M2, e2 @ e1 @ u)
+        ]
         alphas = [compose_automorphisms(b.alpha, a.alpha) for a, b in zip(M1, M2)]
         return make_poscor_morphism(
             [m.dom for m in M1], [m.cod for m in M2], [c.rho for c in comp], etas, alphas, tol, memo
@@ -489,7 +447,7 @@ def morphism_distance(m1: PosCorMorphism, m2: PosCorMorphism) -> float:
 def dilate_object(
     obj: PosCorObject, tol: Tolerance, memo: BuildMemo
 ) -> tuple[PosCorObject, KsgnsTriple]:
-    t = ksgns_once([obj.module], [obj.phi], tol, memo)[0]
+    t = ksgns([obj.module], [obj.phi], tol, memo)[0]
     dilated = PosCorObject(
         ident=f"{obj.ident}~",
         input_algebra=obj.input_algebra,

@@ -19,8 +19,10 @@ from ksgnslab.hilbert import (
     AlphaLinearMap,
     ModuleMap,
     PreModule,
+    Quotient,
     adjoint_map,
     pairing_coeffs,
+    quotient_by_null,
     unitarity_residual,
 )
 from ksgnslab.ksgns import ksgns_lift
@@ -32,6 +34,7 @@ from ksgnslab.poscor import (
     morphism_distance,
     poscor_compose,
     poscor_identity,
+    tensor_extend_between,
     twist_unitary,
     v_rho,
 )
@@ -157,6 +160,12 @@ def right_mult_matrix(a: AlgebraElement) -> np.ndarray:
 
 
 # -- modules ------------------------------------------------------------------
+
+
+def quotient_one(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> Quotient:
+    """hilbert.quotient_by_null on the stack of one that holds pre."""
+    stack = PreModule(pre.algebra, pre.dim, pre.action[None], [P[None] for P in pre.pairing])
+    return quotient_by_null(stack, tol)[0]
 
 
 def action_matrix(E: PreModule, b: AlgebraElement) -> np.ndarray:
@@ -333,6 +342,11 @@ def alpha_transport_inverse(
 
 
 # -- morphisms ----------------------------------------------------------------
+
+
+def tensored_intertwiner(m: Intertwiner, tm1, tm2, tol: Tolerance = DEFAULT_TOL) -> Intertwiner:
+    """(eta, alpha) -> (eta (x) I, alpha) between the tensored objects tm1, tm2."""
+    return Intertwiner(tensor_extend_between([m.eta], [tm1], [tm2], tol)[0], m.alpha)
 
 
 def poscor_pseudometric(m1, m2, b: AlgebraElement, x: np.ndarray, a: AlgebraElement) -> float:

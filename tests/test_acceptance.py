@@ -21,7 +21,9 @@ from ksgnslab.cstar import (
     identity_automorphism,
     random_element,
 )
-from conftest import add, apply_star_map, element_norm, mul, pair_reference, star
+from conftest import (
+    add, apply_star_map, element_norm, mul, pair_reference, star, tensored_intertwiner,
+)
 from ksgnslab.equivariant import (
     check_dilation,
     conjugated_quadruple,
@@ -70,7 +72,6 @@ from ksgnslab.poscor import (
     interior_tensor,
     interior_tensor_along,
     tensor_extend_between,
-    tensor_functor_morphism,
     unitarity_residual,
 )
 
@@ -215,16 +216,16 @@ def test_criterion_05_tensor_functor():
         phi1 = random_cp(A, E1, rng)
         E2, phi2, m = extend_morphism(E1, phi1, rng)
         F, pi = random_representation(B, C, rng, max_dim=4)
-        tm1 = interior_tensor([E1], [F], [pi], TOL)[0]
-        tm2 = interior_tensor([E2], [F], [pi], TOL)[0]
         memo = BuildMemo()
+        tm1 = interior_tensor([E1], [F], [pi], TOL, memo)[0]
+        tm2 = interior_tensor([E2], [F], [pi], TOL, memo)[0]
         # commuting unitary and its naturality square
         cu1 = commuting_unitary(phi1, [tm1], TOL, memo)[0]
         cu2 = commuting_unitary(phi2, [tm2], TOL, memo)[0]
         worst["commuting"] = max(worst["commuting"], unitarity_residual([cu1.unitary]))
         lifted = ksgns_lift([m], [cu1.triple], [cu2.triple], TOL)[0]
         lifted_hat = tensor_extend_between([lifted.eta], [cu1.right], [cu2.right], TOL)[0]
-        m_hat = tensor_functor_morphism(m, tm1, tm2, TOL)
+        m_hat = tensored_intertwiner(m, tm1, tm2, TOL)
         hat_lifted = ksgns_lift([m_hat], [cu1.left], [cu2.left], TOL)[0]
         worst["commuting_nat"] = max(
             worst["commuting_nat"],

@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ksgnslab import equivariant, poscor
+from ksgnslab import cp, equivariant
 from ksgnslab.equivariant import (
     categorical_dilation_unitary,
     check_functor_laws,
@@ -134,17 +134,18 @@ def content(M):
 
 
 def count_tensor_builds(monkeypatch):
-    """Count poscor.interior_tensor builds by the content of (E, F, pi)."""
+    """Count interior tensor builds, the cp.tensor_premodule calls that
+    interior_tensor makes on a memo miss, by the content of (E, F, pi)."""
     builds = {}
-    real = poscor.interior_tensor
+    real = cp.tensor_premodule
 
-    def counting(E, F, pi, tol=DEFAULT_TOL):
+    def counting(E, F, pi):
         for e, f, p in zip(E, F, pi):  # one count per slice of a stacked build
             key = (content(e), content(f), p.images.tobytes())
             builds[key] = builds.get(key, 0) + 1
-        return real(E, F, pi, tol)
+        return real(E, F, pi)
 
-    monkeypatch.setattr(poscor, "interior_tensor", counting)
+    monkeypatch.setattr(cp, "tensor_premodule", counting)
     return builds
 
 
@@ -245,31 +246,31 @@ def test_memo_stores_only_finished_builds():
     memo = BuildMemo()
     calls = []
 
-    def failing():
+    def failing(todo):
         calls.append("fail")
         raise WellDefinednessViolation("build failed")
 
     for _ in range(2):
         with pytest.raises(WellDefinednessViolation):
-            memo.get(("k",), failing)
+            memo.get_all([("k",)], failing)
     assert calls == ["fail", "fail"]
-    first = memo.get(("k",), lambda: np.ones(2))
-    assert memo.get(("k",), failing) is first
+    first = memo.get_all([("k",)], lambda todo: [np.ones(2)])[0]
+    assert memo.get_all([("k",)], failing)[0] is first
 
 
 def test_category_audit_failed_build_still_breaks_closure(monkeypatch):
     objects, morphisms = category_instance(0)
-    real = poscor.interior_tensor
+    real = cp.tensor_premodule
     calls = []
 
-    def fail_once(E, F, pi, tol=DEFAULT_TOL):
+    def fail_once(E, F, pi):
         calls.append(E)
         # the identities build one tensor per object; fail the first build after
         if len(calls) == len(objects) + 1:
             raise WellDefinednessViolation("injected")
-        return real(E, F, pi, tol)
+        return real(E, F, pi)
 
-    monkeypatch.setattr(poscor, "interior_tensor", fail_once)
+    monkeypatch.setattr(cp, "tensor_premodule", fail_once)
     rep = check_category_laws(objects, morphisms, DEFAULT_TOL, BuildMemo())
     assert rep.residuals["composition_closure"] == float("inf")
     assert "composition_closure" in rep.failing()

@@ -84,7 +84,7 @@ def test_transpose_choi_oracle_and_check():
     assert oracle_min == pytest.approx(-1.0)
 
     phi = transpose_map_on_m2()
-    ok, mins = check_cp([phi])[0]
+    ok, mins = check_cp([phi], DEFAULT_TOL, BuildMemo())[0]
     assert not ok
     assert mins[0] == pytest.approx(-1.0, abs=1e-12)
     (C,) = choi_blocks(realized_images([phi]), phi.algebra)
@@ -95,7 +95,7 @@ def test_homomorphisms_are_cp(rng):
     from ksgnslab.generators import random_representation
 
     F, pi = random_representation(AlgebraShape((2,)), AlgebraShape((1, 2)), rng, 6)
-    ok, mins = check_cp([pi])[0]
+    ok, mins = check_cp([pi], DEFAULT_TOL, BuildMemo())[0]
     assert ok
     assert min(mins) >= -1e-12
     assert check_correspondence(pi).passed
@@ -108,7 +108,7 @@ def test_random_cp_self_certifies(seed):
     A = AlgebraShape((2,))
     E = random_module(AlgebraShape((1, 2)), rng, max_dim=5)
     phi = random_cp(A, E, rng)
-    ok, _ = check_cp([phi])[0]
+    ok, _ = check_cp([phi], DEFAULT_TOL, BuildMemo())[0]
     assert ok
     assert phi.hermiticity_residual() <= 1e-10 * (1.0 + phi.norm)
     assert linearity_residual(phi) <= 1e-10 * (1.0 + phi.norm)
@@ -131,7 +131,7 @@ def test_check_cp_rejects_non_linear_images(rng):
     images = np.stack([random_complex(rng, E.dim, E.dim)])
     bad = CPMap(A, E, images)
     with pytest.raises(NonLinearMap):
-        check_cp([bad])[0]
+        check_cp([bad], DEFAULT_TOL, BuildMemo())[0]
 
 
 def test_cp_preserved_by_unitary_conjugation(rng):
@@ -140,7 +140,7 @@ def test_cp_preserved_by_unitary_conjugation(rng):
     phi = random_cp(A, E, rng)
     W = random_blinear_unitary(E, rng)
     psi = conjugate_cp(phi, W, identity_automorphism(A))
-    ok, _ = check_cp([psi])[0]
+    ok, _ = check_cp([psi], DEFAULT_TOL, BuildMemo())[0]
     assert ok
 
 

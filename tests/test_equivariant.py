@@ -221,7 +221,7 @@ def test_random_equivariant_self_certifies(gname):
     assert rep.passed, (gname, rep.residuals)
     from ksgnslab.cp import check_cp
 
-    ok, _ = check_cp([c.phi])[0]
+    ok, _ = check_cp([c.phi], DEFAULT_TOL, BuildMemo())[0]
     assert ok
 
 

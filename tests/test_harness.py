@@ -18,7 +18,8 @@ from ksgnslab.harness import (
     report_emit,
     run,
 )
-from ksgnslab.numkernel import Tolerance
+from ksgnslab.memo import BuildMemo
+from ksgnslab.numkernel import DEFAULT_TOL, Tolerance
 from ksgnslab.reporting import CheckReport
 
 
@@ -278,7 +279,7 @@ def test_generated_ksgns_instances_self_certify(tmp_path):
     for payload in doc["instances"]:
         E = ser.load_module(payload["module"])
         phi = ser.load_cpmap(payload["phi"], {"module": E})
-        ok, _ = check_cp([phi])[0]
+        ok, _ = check_cp([phi], DEFAULT_TOL, BuildMemo())[0]
         assert ok
 
 

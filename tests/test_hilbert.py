@@ -53,6 +53,7 @@ from conftest import (
     mul,
     linearity_residual,
     pair_reference,
+    quotient_one,
     random_complex,
     right_mult_matrix,
     star,
@@ -123,7 +124,7 @@ def test_family_pairing_matches_per_couple_reference(seed, blocks):
 
 def test_quotient_nondegenerate_input(rng):
     E = random_module(AlgebraShape((2,)), rng, max_dim=4)
-    quot = quotient_by_null(E)[0]
+    quot = quotient_one(E)
     assert quot.module.dim == E.dim
     assert operator_norm(quot.q @ quot.s - np.eye(E.dim)) <= 1e-12
 
@@ -137,7 +138,7 @@ def test_quotient_zero_pairing():
         np.stack([np.eye(d, dtype=complex)]),
         [np.zeros((d, d, 1, 1), dtype=complex)],
     )
-    quot = quotient_by_null(pre)[0]
+    quot = quotient_one(pre)
     assert quot.module.dim == 0
     assert quot.kernel.shape == (3, 3)
 
@@ -154,7 +155,7 @@ def test_quotient_rank_one_gram():
     # independent oracle: the scalar Gram is [[1,1],[1,1]], rank 1
     G = pre.gram()
     assert np.linalg.matrix_rank(G) == 1
-    quot = quotient_by_null(pre)[0]
+    quot = quotient_one(pre)
     assert quot.module.dim == 1
 
 
@@ -167,7 +168,7 @@ def test_quotient_detects_non_invariant_kernel():
     bad = np.stack([np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)])
     pre = PreModule(B, 2, bad, pairing)
     with pytest.raises(SubmoduleViolation):
-        quotient_by_null(pre)[0]
+        quotient_one(pre)
 
 
 def rank_two_quotient(rng):
@@ -176,7 +177,7 @@ def rank_two_quotient(rng):
     Y = random_complex(rng, 2, 4)
     G = Y.conj().T @ Y
     pre = PreModule(AlgebraShape((1,)), 4, np.eye(4, dtype=complex)[None], [G.reshape(4, 4, 1, 1)])
-    quot = quotient_by_null(pre)[0]
+    quot = quotient_one(pre)
     ker = quot.kernel @ quot.kernel.conj().T
     return quot, np.eye(4) - ker, ker
 
@@ -243,7 +244,7 @@ def test_leak_messages_name_first_failing_slice(rng):
     q, kernel = np.array([[1.0, 0.0]]), np.array([[0.0], [1.0]])
     leak, _ = null_leak(q, action, kernel, DEFAULT_TOL)
     with pytest.raises(SubmoduleViolation) as err:
-        quotient_by_null(pre)[0]
+        quotient_one(pre)
     assert str(err.value) == (
         f"action of basis element 1 leaks out of the null space (residual {leak[1]:.3e})"
     )
@@ -251,7 +252,7 @@ def test_leak_messages_name_first_failing_slice(rng):
 
 def test_descend_rejects_non_finite_maps(rng):
     quot, _, _ = rank_two_quotient(rng)
-    full = quotient_by_null(random_module(AlgebraShape((2,)), rng, max_dim=4))[0]
+    full = quotient_one(random_module(AlgebraShape((2,)), rng, max_dim=4))
     assert full.kernel.shape[1] == 0  # nullity 0: the leak stack is empty
     for q, d in ((quot, 4), (full, full.q.shape[1])):
         K = np.eye(d, dtype=complex)
@@ -274,7 +275,7 @@ def test_gates_certify_valid_inputs_without_svd(rng, monkeypatch):
 
     patch_svd(monkeypatch, no_svd)
     descend([np.stack([K, 2.0 * K])], [quot], [quot], "probe map")[0]
-    quotient_by_null(E)[0]
+    quotient_one(E)
     herm_eig(M + M.conj().T)
 
 
@@ -307,13 +308,13 @@ def test_constructions_descend_once_per_stack(rng, monkeypatch):
     ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
     assert len(calls) == 1
     F, pi = random_representation(E.algebra, AlgebraShape((2,)), rng, max_dim=4)
-    tm = interior_tensor([E], [F], [pi])[0]
+    tm = interior_tensor([E], [F], [pi], DEFAULT_TOL, BuildMemo())[0]
     calls.clear()
-    poscor.tensor_extend_cpmap(phi, [tm], DEFAULT_TOL, BuildMemo())[0]
+    poscor.tensor_extend_cpmap([phi], [tm], DEFAULT_TOL, BuildMemo())[0]
     assert len(calls) == 1
     c = random_equivariant(A, A, cyclic_group(3), seed=5, copies=1)
     memo = BuildMemo()
-    ksgns_module.ksgns_once([c.module], [c.phi], DEFAULT_TOL, memo)[0]
+    ksgns_module.ksgns([c.module], [c.phi], DEFAULT_TOL, memo)[0]
     calls.clear()
     dilate(c, DEFAULT_TOL, memo)
     assert calls == ["alpha_g (x) U_g"]

@@ -7,7 +7,6 @@ breaks the category audit's closure record.
 """
 
 import gc
-import importlib
 import weakref
 
 import pytest
@@ -15,9 +14,8 @@ import pytest
 from ksgnslab import cp, harness, poscor
 from ksgnslab.errors import WellDefinednessViolation
 from ksgnslab.harness import SizeCaps, check_instance, generate_instance, instance_seed
+from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL
-
-ksgns_module = importlib.import_module("ksgnslab.ksgns")
 
 
 def payload(suite, idx):
@@ -30,10 +28,10 @@ def content(M):
 
 def count_builds(monkeypatch):
     """Count tensor_premodule calls by the content of (E, F, pi), and Choi
-    certificates by the content of (E, phi): those ksgns runs as it builds and
-    those the harness records, in whichever module binds check_cp."""
+    certificates by the content key of phi: the memo misses of check_cp, which
+    both ksgns and the harness's records go through."""
     tensors, cps = {}, {}
-    real_premodule, real_check_cp = cp.tensor_premodule, cp.check_cp
+    real_premodule, real_get_all = cp.tensor_premodule, BuildMemo.get_all
 
     def premodule(E, F, pi):
         for e, f, p in zip(E, F, pi):  # one count per slice of a stacked build
@@ -41,16 +39,16 @@ def count_builds(monkeypatch):
             tensors[key] = tensors.get(key, 0) + 1
         return real_premodule(E, F, pi)
 
-    def check_cp(phi, tol=DEFAULT_TOL):
-        for p in phi:
-            key = (content(p.module), p.images.tobytes())
-            cps[key] = cps.get(key, 0) + 1
-        return real_check_cp(phi, tol)
+    def get_all(memo, keys, build):
+        def certify(todo):
+            for i in todo:  # ("check_cp", phi.key, tol)
+                cps[keys[i][1]] = cps.get(keys[i][1], 0) + 1
+            return build(todo)
+
+        return real_get_all(memo, keys, certify if keys[0][0] == "check_cp" else build)
 
     monkeypatch.setattr(cp, "tensor_premodule", premodule)
-    for module in (cp, harness, ksgns_module):
-        if hasattr(module, "check_cp"):
-            monkeypatch.setattr(module, "check_cp", check_cp)
+    monkeypatch.setattr(BuildMemo, "get_all", get_all)
     return tensors, cps
 
 
@@ -102,8 +100,8 @@ def test_instance_builds_die_with_the_instance(monkeypatch):
     refs = []
     real = poscor.interior_tensor
 
-    def tracking(E, F, pi, tol=DEFAULT_TOL):
-        tms = real(E, F, pi, tol)
+    def tracking(E, F, pi, tol, memo):
+        tms = real(E, F, pi, tol, memo)
         refs.extend(weakref.ref(tm) for tm in tms)
         return tms
 
@@ -119,7 +117,7 @@ def test_instance_builds_die_with_the_instance(monkeypatch):
 def test_failed_build_in_instance_memo_breaks_closure(monkeypatch):
     composing = []
     failed = []
-    real_tensor, real_composition = poscor.interior_tensor, poscor.composition_unitary
+    real_premodule, real_composition = cp.tensor_premodule, poscor.composition_unitary
 
     def composition(*args, **kwargs):
         composing.append(True)
@@ -128,16 +126,16 @@ def test_failed_build_in_instance_memo_breaks_closure(monkeypatch):
         finally:
             composing.pop()
 
-    def fail_once(E, F, pi, tol=DEFAULT_TOL):
+    def fail_once(E, F, pi):
         # the first tensor a composite needs is built inside the audit
         if composing and not failed:
             failed.append(E)
             raise WellDefinednessViolation("injected")
-        return real_tensor(E, F, pi, tol)
+        return real_premodule(E, F, pi)
 
     data = payload("category", 1)
     monkeypatch.setattr(poscor, "composition_unitary", composition)
-    monkeypatch.setattr(poscor, "interior_tensor", fail_once)
+    monkeypatch.setattr(cp, "tensor_premodule", fail_once)
     records = {r.check: r for r in check_instance("category", data, DEFAULT_TOL)}
     assert failed
     assert "construction" not in records

@@ -49,11 +49,12 @@ from ksgnslab.poscor import (
     poscor_identity,
     tensor_extend_between,
     tensor_extend_cpmap,
-    tensor_functor_morphism,
     unitarity_residual,
 )
 
-from conftest import left_mult_matrix, poscor_pseudometric, random_complex, star_map_images
+from conftest import (
+    left_mult_matrix, poscor_pseudometric, random_complex, star_map_images, tensored_intertwiner,
+)
 
 
 # -- interior tensor -----------------------------------------------------------
@@ -82,7 +83,7 @@ def test_tensor_with_base_module_gives_target(rng):
     C = AlgebraShape((1, 2))
     F, pi = random_representation(B, C, rng, max_dim=6)
     E = algebra_module(B)
-    tm = interior_tensor([E], [F], [pi])[0]
+    tm = interior_tensor([E], [F], [pi], DEFAULT_TOL, BuildMemo())[0]
     assert tm.module.dim == F.dim
 
 
@@ -94,7 +95,7 @@ def test_tensor_over_scalars_multiplies_dims(rng):
     F, pi_unused = random_representation(Bc, C, rng, max_dim=4)
     images = np.stack([np.eye(F.dim, dtype=complex)])
     pi = CPMap(Bc, F, images)
-    tm = interior_tensor([E], [F], [pi])[0]
+    tm = interior_tensor([E], [F], [pi], DEFAULT_TOL, BuildMemo())[0]
     assert tm.module.dim == E.dim * F.dim
 
 
@@ -103,7 +104,7 @@ def test_balanced_relation(rng):
     C = AlgebraShape((2,))
     E = random_module(B, rng, max_dim=4)
     F, pi = random_representation(B, C, rng, max_dim=4)
-    tm = interior_tensor([E], [F], [pi])[0]
+    tm = interior_tensor([E], [F], [pi], DEFAULT_TOL, BuildMemo())[0]
     assert balanced_relation_residual(tm, rng) <= 1e-10
 
 
@@ -112,7 +113,7 @@ def test_tensor_extend_operator_properties(rng):
     C = AlgebraShape((2,))
     E = random_module(B, rng, max_dim=4)
     F, pi = random_representation(B, C, rng, max_dim=4)
-    tm = interior_tensor([E], [F], [pi])[0]
+    tm = interior_tensor([E], [F], [pi], DEFAULT_TOL, BuildMemo())[0]
     ident = tensor_extend_between([identity_map(E)], [tm], [tm])[0]
     assert operator_norm(ident.matrix - np.eye(tm.module.dim)) <= 1e-10
     T = random_blinear_unitary(E, rng)
@@ -140,12 +141,12 @@ def test_tensor_functor_morphism_laws(rng):
     E2, phi2, m1 = extend_morphism(E1, phi1, rng)
     E3, phi3, m2 = extend_morphism(E2, phi2, rng)
     F, pi = random_representation(B, C, rng, max_dim=4)
-    tms = [interior_tensor([E], [F], [pi])[0] for E in (E1, E2, E3)]
-    h1 = tensor_functor_morphism(m1, tms[0], tms[1])
-    h2 = tensor_functor_morphism(m2, tms[1], tms[2])
+    tms = [interior_tensor([E], [F], [pi], DEFAULT_TOL, BuildMemo())[0] for E in (E1, E2, E3)]
+    h1 = tensored_intertwiner(m1, tms[0], tms[1])
+    h2 = tensored_intertwiner(m2, tms[1], tms[2])
     memo = BuildMemo()
     phi_exts = [
-        tensor_extend_cpmap(phi, [tm], DEFAULT_TOL, memo)[0]
+        tensor_extend_cpmap([phi], [tm], DEFAULT_TOL, memo)[0]
         for phi, tm in zip((phi1, phi2, phi3), tms)
     ]
     rep = check_morphism(h1, phi_exts[0], phi_exts[1])
@@ -153,13 +154,13 @@ def test_tensor_functor_morphism_laws(rng):
     assert h1.norm <= m1.norm + 1e-8
     from ksgnslab.cp import compose_intertwiners
 
-    h21 = tensor_functor_morphism(compose_intertwiners(m2, m1), tms[0], tms[2])
+    h21 = tensored_intertwiner(compose_intertwiners(m2, m1), tms[0], tms[2])
     resid = operator_norm(h21.eta.matrix - h2.eta.matrix @ h1.eta.matrix)
     assert resid <= 1e-8 * (1 + m1.norm * m2.norm)
     # unitary eta tensors to unitary eta
     E2u, phi2u, mu = transported_copy(E1, phi1, rng)
-    tmu = interior_tensor([E2u], [F], [pi])[0]
-    hu = tensor_functor_morphism(mu, tms[0], tmu)
+    tmu = interior_tensor([E2u], [F], [pi], DEFAULT_TOL, BuildMemo())[0]
+    hu = tensored_intertwiner(mu, tms[0], tmu)
     assert unitarity_residual([hu.eta]) <= 1e-8
 
 
@@ -173,7 +174,8 @@ def test_commuting_unitary_checks(rng):
     E = random_module(B, rng, max_dim=3)
     phi = random_cp(A, E, rng)
     F, pi = random_representation(B, C, rng, max_dim=4)
-    cu = commuting_unitary(phi, [interior_tensor([E], [F], [pi])[0]], DEFAULT_TOL, BuildMemo())[0]
+    tm = interior_tensor([E], [F], [pi], DEFAULT_TOL, BuildMemo())[0]
+    cu = commuting_unitary(phi, [tm], DEFAULT_TOL, BuildMemo())[0]
     rep = check_commuting_unitary(cu, DEFAULT_TOL, BuildMemo())
     assert rep.passed, rep.residuals
     assert cu.left.module.dim == cu.right.module.dim
@@ -189,13 +191,14 @@ def test_commuting_unitary_naturality(rng):
     phi1 = random_cp(A, E1, rng)
     E2, phi2, m = extend_morphism(E1, phi1, rng)
     F, pi = random_representation(B, C, rng, max_dim=4)
-    tm1, tm2 = interior_tensor([E1], [F], [pi])[0], interior_tensor([E2], [F], [pi])[0]
     memo = BuildMemo()
+    tm1 = interior_tensor([E1], [F], [pi], DEFAULT_TOL, memo)[0]
+    tm2 = interior_tensor([E2], [F], [pi], DEFAULT_TOL, memo)[0]
     cu1 = commuting_unitary(phi1, [tm1], DEFAULT_TOL, memo)[0]
     cu2 = commuting_unitary(phi2, [tm2], DEFAULT_TOL, memo)[0]
     lifted = ksgns_lift([m], [cu1.triple], [cu2.triple])[0]
     lifted_hat = tensor_extend_between([lifted.eta], [cu1.right], [cu2.right])[0]
-    m_hat = tensor_functor_morphism(m, tm1, tm2)
+    m_hat = tensored_intertwiner(m, tm1, tm2)
     hat_lifted = ksgns_lift([m_hat], [cu1.left], [cu2.left])[0]
     resid = operator_norm(
         lifted_hat.matrix @ cu1.unitary.matrix

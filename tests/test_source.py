@@ -546,3 +546,37 @@ def test_group_builders_stack_over_the_group():
         if (calls := group_loop_calls((SRC / name).read_text(), GROUP_BUILDERS))
     }
     assert found == {}
+
+
+def memo_twins_and_group_indices(source: str) -> list[str]:
+    """Functions named *_once, and functions or lambdas whose first
+    parameter is `idx`, by name and line."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = getattr(fn, "name", "<lambda>")
+            first = (fn.args.posonlyargs + fn.args.args)[:1]
+            if name.endswith("_once") or [a.arg for a in first] == ["idx"]:
+                found.append(f"{name} (line {fn.lineno})")
+    return found
+
+
+def test_builders_memoize_themselves_and_take_one_stack():
+    # a builder memoizes itself, so no memo-less twin sits beside a *_once
+    # wrapper, and it takes one same-shape stack, so no slice-position
+    # parameter survives from grouping a stack by shape
+    probe = (
+        "def f(x):\n    return x\n\n"
+        "def build_once(x, memo):\n    return x\n\n"
+        "def g(idx, x):\n    return [h(lambda idx, y: y, x)]\n\n"
+        "def k(x, idx):\n    return idx\n"
+    )
+    assert memo_twins_and_group_indices(probe) == [
+        "build_once (line 4)", "g (line 7)", "<lambda> (line 8)"
+    ]
+    found = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := memo_twins_and_group_indices(path.read_text()))
+    }
+    assert found == {}

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ksgnslab import hilbert, poscor
+from ksgnslab import cp, hilbert
+from ksgnslab.cp import interior_tensor
 from ksgnslab.cstar import AlgebraShape
 from ksgnslab.equivariant import (
     DynamicalSystem,
@@ -29,8 +30,12 @@ from ksgnslab.equivariant import (
     symmetric_group,
     trivial_group,
 )
-from ksgnslab.errors import SubmoduleViolation, TwistMismatch, WellDefinednessViolation
+from ksgnslab.errors import (
+    ShapeMismatch, SubmoduleViolation, TwistMismatch, WellDefinednessViolation,
+)
+from ksgnslab.generators import random_module, random_representation
 from ksgnslab.harness import check_instance, instance_seed, make_group
+from ksgnslab.hilbert import PreModule, descend, quotient_by_null
 from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL
 from ksgnslab.poscor import twist_unitary
@@ -39,6 +44,7 @@ from ksgnslab.serialize import dump_equivariant
 from conftest import (
     categorical_unitaries_reference,
     functor_laws_reference,
+    quotient_one,
     twist_unitaries_reference,
 )
 
@@ -90,17 +96,46 @@ def test_stacks_equal_the_group_loops(gname, seed, trivial_beta):
 def test_one_stacked_build_per_shape(monkeypatch, trivial_beta, builds):
     c = random_equivariant(M2, M2, symmetric_group(3), seed=11, copies=1, trivial_beta=trivial_beta)
     slices = []
-    real = poscor.interior_tensor
+    real = cp.tensor_premodule
 
-    def counting(E, F, pi, tol=DEFAULT_TOL):
+    def counting(E, F, pi):  # one call per build, on the memo's misses
         slices.append(len(E))
-        return real(E, F, pi, tol)
+        return real(E, F, pi)
 
-    monkeypatch.setattr(poscor, "interior_tensor", counting)
+    monkeypatch.setattr(cp, "tensor_premodule", counting)
     memo = BuildMemo()
     functor = correspondence_to_functor(c, DEFAULT_TOL, memo)
     assert check_functor_laws(c, functor, DEFAULT_TOL, memo).passed
     assert slices == builds
+
+
+# -- one stack, one shape ----------------------------------------------------------
+
+
+def test_mixed_shape_stacks_name_the_slice(rng):
+    # a builder takes one stack whose slices share a shape; a slice of another
+    # shape raises where the stack is formed, named by its position
+    B = AlgebraShape((2,))
+    E = [random_module(B, rng, max_dim=d) for d in (2, 4)]
+    assert E[0].dim != E[1].dim
+    F, pi = random_representation(B, M2, rng, max_dim=4)
+    with pytest.raises(ShapeMismatch, match=r"^slice 1 has shape "):
+        interior_tensor(E, [F, F], [pi, pi], DEFAULT_TOL, BuildMemo())
+    quots = [quotient_one(e) for e in E]
+    with pytest.raises(ShapeMismatch, match=r"^slice 1 has shape "):
+        descend([np.eye(e.dim) for e in E], quots, quots, "probe map")
+
+
+def test_stack_with_two_ranks_names_both_slices():
+    # scalars on C^2: slice 0 pairs every couple to 1 (Gram rank 1), slice 1
+    # is the standard pairing (rank 2); the stack is not split into ranks
+    pairing = np.stack([np.ones((2, 2)), np.eye(2)]).reshape(2, 2, 2, 1, 1).astype(complex)
+    action = np.broadcast_to(np.eye(2, dtype=complex), (2, 1, 2, 2))
+    pre = PreModule(AlgebraShape((1,)), 2, action, [pairing])
+    assert [quotient_one(PreModule(pre.algebra, 2, action[k], [pairing[k]])).module.dim
+            for k in range(2)] == [1, 2]
+    with pytest.raises(ShapeMismatch, match=r"slice 0 to 1, slice 1 to 2$"):
+        quotient_by_null(pre, DEFAULT_TOL)
 
 
 # -- a corrupted slice fails its stacked gate, by name ---------------------------
