@@ -41,7 +41,6 @@ from .hilbert import (
     algebra_module,
     compose_maps,
     descend,
-    gram_powers,
     identity_map,
     module_operator_norm,
     quotient_by_null,
@@ -145,9 +144,9 @@ def check_correspondence(pi: CPMap, tol: Tolerance = DEFAULT_TOL) -> CheckReport
 
 def realized_images(phi: Sequence[CPMap]) -> np.ndarray:
     """G^(1/2) phi(u_p) G^(-1/2) for maps of one shape, a stack
-    (len(phi), dim A, d, d), with the Gram powers of all modules from one
-    batched eigendecomposition."""
-    S, Si = (stack_slices(gram_powers([p.module for p in phi], power)) for power in (0.5, -0.5))
+    (len(phi), dim A, d, d), from the Gram powers each module caches."""
+    S = stack_slices([p.module.gram_sqrt for p in phi])
+    Si = stack_slices([p.module.gram_isqrt for p in phi])
     return S[:, None] @ stack_slices([p.images for p in phi]) @ Si[:, None]
 
 

@@ -613,10 +613,9 @@ def direct_sum_module(M: HilbertModule, copies: int) -> HilbertModule:
     return HilbertModule(M.algebra, n * d, action, pairing)
 
 
-def scramble_module(
-    M: HilbertModule, rng: np.random.Generator, spread: float = 0.3
-) -> tuple[HilbertModule, np.ndarray]:
-    """Transport M along a random well-conditioned coordinate change S.
+def scramble_module(M: HilbertModule, rng: np.random.Generator) -> tuple[HilbertModule, np.ndarray]:
+    """Transport M along a random well-conditioned coordinate change S, whose
+    singular values lie in [e^-0.3, e^0.3].
 
     Returns (module, S) where S maps new coordinates to old ones; the new
     Gram is S* G S, so the identity-Gram canonical form disappears.
@@ -625,7 +624,7 @@ def scramble_module(
     if d == 0:
         return M, np.zeros((0, 0), dtype=complex)
     W1, W2 = haar_unitary(d, rng), haar_unitary(d, rng)
-    sing = np.exp(rng.uniform(-spread, spread, size=d))
+    sing = np.exp(rng.uniform(-0.3, 0.3, size=d))
     S = W1 @ np.diag(sing).astype(complex) @ W2
     S_inv = W2.conj().T @ np.diag(1.0 / sing).astype(complex) @ W1.conj().T
     action = np.stack([S_inv @ M.action[p] @ S for p in range(M.algebra.dim)])

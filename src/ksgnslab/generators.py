@@ -83,39 +83,24 @@ def multiplicity_embedding(
 
 
 def random_star_map(
-    B: AlgebraShape,
-    rng: np.random.Generator,
-    max_block: int = 4,
-    max_out_blocks: int = 2,
-    codomain: AlgebraShape | None = None,
-    multiplicities: tuple[tuple[int, ...], ...] | None = None,
+    B: AlgebraShape, rng: np.random.Generator, max_block: int = 4, max_out_blocks: int = 2
 ) -> StarMap:
-    """Random unital *-homomorphism out of B.
-
-    When no codomain is supplied, one is built from random multiplicities
-    nu with block sizes p_u = sum_t nu[u][t] m_t.
-    """
-    if multiplicities is None:
-        n_out = int(rng.integers(1, max_out_blocks + 1))
-        multiplicities = []
-        for _ in range(n_out):
-            for _ in range(64):
-                nu = tuple(int(rng.integers(0, 3)) for _ in B.blocks)
-                size = sum(n * m for n, m in zip(nu, B.blocks))
-                if 1 <= size <= max_block:
-                    multiplicities.append(nu)
-                    break
-            else:
-                multiplicities.append(
-                    tuple(1 if i == int(np.argmin(B.blocks)) else 0 for i in range(len(B.blocks)))
-                )
-        multiplicities = tuple(multiplicities)
-    sizes = tuple(
-        sum(n * m for n, m in zip(nu, B.blocks)) for nu in multiplicities
-    )
-    C = codomain if codomain is not None else AlgebraShape(sizes)
-    if tuple(C.blocks) != sizes:
-        raise InvalidConfig("codomain blocks do not match the multiplicities")
+    """Random unital *-homomorphism out of B, into the algebra built from
+    random multiplicities nu with block sizes p_u = sum_t nu[u][t] m_t."""
+    n_out = int(rng.integers(1, max_out_blocks + 1))
+    multiplicities = []
+    for _ in range(n_out):
+        for _ in range(64):
+            nu = tuple(int(rng.integers(0, 3)) for _ in B.blocks)
+            size = sum(n * m for n, m in zip(nu, B.blocks))
+            if 1 <= size <= max_block:
+                multiplicities.append(nu)
+                break
+        else:
+            multiplicities.append(
+                tuple(1 if i == int(np.argmin(B.blocks)) else 0 for i in range(len(B.blocks)))
+            )
+    C = AlgebraShape(tuple(sum(n * m for n, m in zip(nu, B.blocks)) for nu in multiplicities))
     conjugators = [haar_unitary(p, rng) for p in C.blocks]
 
     def embed(blocks: list[np.ndarray]) -> np.ndarray:

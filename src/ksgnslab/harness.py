@@ -494,16 +494,17 @@ def _load_bundle(payload: dict):
 
 
 def _family_bound_residual(
-    phi: CPMap, m: Intertwiner, rng: np.random.Generator, families: int = 2
+    phi: CPMap, m: Intertwiner, rng: np.random.Generator
 ) -> tuple[float, float]:
-    """Worst slack in the quadratic-family inequality, with its scale: the
-    couples (i, j) of all families paired in one call, then summed in order."""
+    """Worst slack in the quadratic-family inequality over two random
+    families, with its scale: the couples (i, j) of both families paired in
+    one call, then summed in order."""
     E, A = phi.module, phi.algebra
     eta = m.eta
     gram = adjoint_map(eta).matrix @ eta.matrix
     norm2 = m.norm**2
     draws = []
-    for _ in range(families):
+    for _ in range(2):
         n = int(rng.integers(1, 5))
         draws.append((random_vectors(E, rng, n), random_elements(A, rng, n)))
     # row (i, j) of family f, row-major inside each family
@@ -1152,7 +1153,10 @@ def _check_dilation(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMe
 # ---------------------------------------------------------------------------
 
 
-def _gen_continuity(caps: SizeCaps, seed: int, steps: int = 20) -> dict:
+CONTINUITY_STEPS = 20  # morphisms on each continuity path
+
+
+def _gen_continuity(caps: SizeCaps, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     A = random_shape(rng, 1, min(2, caps.max_block))
     B = random_shape(rng, 1, min(2, caps.max_block))
@@ -1162,7 +1166,7 @@ def _gen_continuity(caps: SizeCaps, seed: int, steps: int = 20) -> dict:
         basis = intertwiner_space(phi1, phi2, m.alpha)
         direction = basis[int(rng.integers(len(basis)))]
         path = []
-        for k in range(1, steps + 1):
+        for k in range(1, CONTINUITY_STEPS + 1):
             eps = 0.1 * 4.0 ** (-k)
             path.append(
                 {
@@ -1186,7 +1190,7 @@ def _gen_continuity(caps: SizeCaps, seed: int, steps: int = 20) -> dict:
         F, pi = random_representation(A, B, rng, max_dim=min(caps.max_module_dim, 6))
         H = random_element(A, rng, hermitian=True)
         path = []
-        for k in range(1, steps + 1):
+        for k in range(1, CONTINUITY_STEPS + 1):
             eps = 1e-2 * 4.0 ** (-k)
             u_blocks = [herm_expi(eps * blk) for blk in H.blocks]
             u = AlgebraElement(A, u_blocks)

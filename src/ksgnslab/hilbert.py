@@ -40,7 +40,6 @@ from .numkernel import (
     DEFAULT_TOL,
     Tolerance,
     exceeds_gate,
-    herm_powers,
     matvecs,
     max_operator_norms,
     operator_norm,
@@ -110,33 +109,44 @@ class PreModule:
 
 
 class HilbertModule(PreModule):
-    """PreModule whose Gram matrix is positive definite."""
+    """PreModule whose Gram matrix is positive definite.
+
+    The Gram spectrum is taken once, at construction, by one eigh of the
+    Hermitized Gram matrix G: its eigenvalues gate SingularGram, and its
+    eigenvalues and eigenvectors give G^(1/2), G^(-1/2) and G^(-1), each
+    cached on first use.  The powers clip the eigenvalues at
+    max(rtol * lambda_max, tiny), so that inverse powers of a
+    well-conditioned G never blow up on rounding noise."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.action.ndim != 3:
             raise ShapeMismatch("a Hilbert module is one module, not a stack")
         G = self.gram()
-        G = (G + G.conj().T) / 2.0
-        self.gram_matrix = G
-        if self.dim:
-            w = np.linalg.eigvalsh(G)
-            if w[-1] <= 0.0 or w[0] <= DEFAULT_TOL.rtol * w[-1]:
-                raise SingularGram(
-                    f"Gram spectrum [{w[0]:.3e}, {w[-1]:.3e}] is not positive definite"
-                )
+        self.gram_matrix = (G + G.conj().T) / 2.0
+        w, V = np.linalg.eigh(self.gram_matrix)
+        if self.dim and (w[-1] <= 0.0 or w[0] <= DEFAULT_TOL.rtol * w[-1]):
+            raise SingularGram(
+                f"Gram spectrum [{w[0]:.3e}, {w[-1]:.3e}] is not positive definite"
+            )
+        self.gram_spectrum = w, V
+
+    def _gram_power(self, p: float) -> np.ndarray:
+        w, V = self.gram_spectrum
+        w = np.maximum(w, np.maximum(DEFAULT_TOL.rtol * w[-1:], np.finfo(float).tiny))
+        return (V * w**p) @ V.conj().T
 
     @cached_property
     def gram_sqrt(self) -> np.ndarray:
-        return gram_powers([self], 0.5)[0]
+        return self._gram_power(0.5)
 
     @cached_property
     def gram_isqrt(self) -> np.ndarray:
-        return gram_powers([self], -0.5)[0]
+        return self._gram_power(-0.5)
 
     @cached_property
     def gram_inv(self) -> np.ndarray:
-        return gram_powers([self], -1.0)[0]
+        return self._gram_power(-1.0)
 
     def vector_norm(self, X: np.ndarray) -> np.ndarray:
         """||x|| = sqrt(||<x, x>||_B) for each row x of X (..., d), shape (...)."""
@@ -256,22 +266,6 @@ def descend(
     return list(q[ex] @ K @ s[ex])
 
 
-GRAM_POWERS = {0.5: "gram_sqrt", -0.5: "gram_isqrt", -1.0: "gram_inv"}
-
-
-def gram_powers(modules: Sequence[HilbertModule], power: float) -> list[np.ndarray]:
-    """Gram power 0.5, -0.5 or -1 of each module of one dimension, its cached
-    gram_sqrt, gram_isqrt or gram_inv.  The modules without it get all three
-    from one batched eigendecomposition and cache them."""
-    name = GRAM_POWERS[power]
-    todo = [m for m in modules if name not in vars(m)]
-    if todo:
-        fresh = herm_powers(stack_slices([m.gram_matrix for m in todo]), tuple(GRAM_POWERS))
-        for m, *powers in zip(todo, *fresh):
-            vars(m).update(zip(GRAM_POWERS.values(), powers))
-    return [vars(m)[name] for m in modules]
-
-
 # -- module maps -----------------------------------------------------------
 
 
@@ -324,9 +318,7 @@ def realize(m: ModuleMap) -> np.ndarray:
 def adjoint_matrices(maps: Sequence[ModuleMap]) -> list[np.ndarray]:
     """Matrices of the unique adjoints G_src^(-1) T^dagger G_tgt of B-linear
     maps of one shape, one stacked product."""
-    if any(m.source.dim and np.all(m.source.gram_matrix == 0) for m in maps):
-        raise SingularGram("source Gram is zero")
-    Gi = stack_slices(gram_powers([m.source for m in maps], -1.0))
+    Gi = stack_slices([m.source.gram_inv for m in maps])
     Th = stack_slices([m.matrix.conj().T for m in maps])
     return list(Gi @ Th @ stack_slices([m.target.gram_matrix for m in maps]))
 

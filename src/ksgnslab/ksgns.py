@@ -276,16 +276,6 @@ class ProbeReport:
     constant: float
     final_gate: float
 
-    @property
-    def passed(self) -> bool:
-        if not self.lifted_distances:
-            return True
-        bounded = all(
-            lift <= self.constant * max(inp, 1e-300) + self.final_gate
-            for inp, lift in zip(self.input_distances, self.lifted_distances)
-        )
-        return bounded and self.lifted_distances[-1] <= self.final_gate
-
 
 def continuity_probe(
     path: list[Intertwiner],

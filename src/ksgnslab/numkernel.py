@@ -23,14 +23,14 @@ whose Frobenius norm is within ctol passes without an SVD, and exact norms
 run only for slices near or over the gate.  Recorded residuals never go
 through this shortcut, so they keep their exact values.
 
-Same-shape problems run as stacks: herm_eig, rank_kernel and herm_powers
-take a leading slice axis, and a builder takes one stack whose slices share
-a shape, never padded.  stack_slices forms such a stack and raises
-ShapeMismatch when a slice's shape differs, so the shapes are checked once,
-where the stack is formed.  Batched LAPACK gives every matrix the bits of a
-call of its own, and stack_slices keeps each slice's memory layout, on which
-matrix-vector products depend, so a stacked build reproduces the builds of
-its slices bit for bit.
+Same-shape problems run as stacks: herm_eig and rank_kernel take a leading
+slice axis, and a builder takes one stack whose slices share a shape, never
+padded.  stack_slices forms such a stack and raises ShapeMismatch when a
+slice's shape differs, so the shapes are checked once, where the stack is
+formed.  Batched LAPACK gives every matrix the bits of a call of its own, and
+stack_slices keeps each slice's memory layout, on which matrix-vector
+products depend, so a stacked build reproduces the builds of its slices bit
+for bit.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
-TINY = np.finfo(float).tiny
 
 
 def require_finite(M: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -239,23 +238,6 @@ def pseudo_inverse(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if M.size == 0:
         return np.zeros((M.shape[1], M.shape[0]), dtype=complex)
     return np.linalg.pinv(M, rcond=tol.rtol)
-
-
-def herm_powers(
-    M: np.ndarray, powers: Sequence[float], tol: Tolerance = DEFAULT_TOL
-) -> list[np.ndarray]:
-    """M**p for each of several powers p and each Hermitian positive definite
-    matrix of a stack (..., n, n), all from one batched eigendecomposition.
-
-    Eigenvalues are clipped at rtol * lambda_max so that inverse powers of a
-    well-conditioned Gram matrix never blow up on rounding noise.
-    """
-    w, V = herm_eig(M, tol)
-    if w.size == 0:
-        return [V] * len(powers)
-    w = np.maximum(w, np.maximum(tol.rtol * w[..., -1:], TINY))
-    Vh = V.conj().swapaxes(-1, -2)
-    return [(V * (w**p)[..., None, :]) @ Vh for p in powers]
 
 
 def herm_expi(H: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -91,16 +91,15 @@ def tensor_extend_cpmap(
     return memo.get_all(keys, build)
 
 
-def balanced_relation_residual(
-    tm: TensorModule, rng: np.random.Generator, samples: int = 8
-) -> float:
-    """Norm of [x b (x) y] - [x (x) pi(b) y] in the quotient, sampled."""
+def balanced_relation_residual(tm: TensorModule, rng: np.random.Generator) -> float:
+    """Norm of [x b (x) y] - [x (x) pi(b) y] in the quotient, the largest over
+    8 random draws of x, b and y."""
     dE, dF = tm.factor_dims
     if dE == 0 or dF == 0:
         return 0.0
     worst = 0.0
     B = tm.left.algebra
-    for _ in range(samples):
+    for _ in range(8):
         x = (rng.standard_normal(dE) + 1j * rng.standard_normal(dE)) / np.sqrt(2.0)
         y = (rng.standard_normal(dF) + 1j * rng.standard_normal(dF)) / np.sqrt(2.0)
         b = rng.integers(B.dim)

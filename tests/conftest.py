@@ -17,6 +17,7 @@ from ksgnslab.cstar import (
 from ksgnslab.errors import TwistMismatch
 from ksgnslab.hilbert import (
     AlphaLinearMap,
+    HilbertModule,
     ModuleMap,
     PreModule,
     Quotient,
@@ -25,7 +26,7 @@ from ksgnslab.hilbert import (
     quotient_by_null,
     unitarity_residual,
 )
-from ksgnslab.ksgns import ksgns_lift
+from ksgnslab.ksgns import ProbeReport, ksgns_lift
 from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm
 from ksgnslab.poscor import (
@@ -53,6 +54,19 @@ def rng():
 
 def random_complex(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def count_calls(monkeypatch, module, *names: str) -> list[str]:
+    """Wrap each named function of module so that every call appends its
+    name to the returned list, in call order."""
+    calls = []
+    for name in names:
+        def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 SMALL_SHAPES = [AlgebraShape((1,)), AlgebraShape((2,)), AlgebraShape((1, 2))]
@@ -160,6 +174,13 @@ def right_mult_matrix(a: AlgebraElement) -> np.ndarray:
 
 
 # -- modules ------------------------------------------------------------------
+
+
+def scalar_module(G: np.ndarray) -> HilbertModule:
+    """C^d over B = C with Gram matrix G: R(1) = I and <e_i, e_j> = G_ij."""
+    d = len(G)
+    pairing = np.asarray(G, dtype=complex)[:, :, None, None]
+    return HilbertModule(AlgebraShape((1,)), d, np.eye(d, dtype=complex)[None], [pairing])
 
 
 def quotient_one(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> Quotient:
@@ -358,6 +379,22 @@ def poscor_pseudometric(m1, m2, b: AlgebraElement, x: np.ndarray, a: AlgebraElem
         sub(apply_star_map(m1.alpha.forward, a), apply_star_map(m2.alpha.forward, a))
     )
     return float(rho_part + vec_part + alpha_part)
+
+
+# -- continuity probe ---------------------------------------------------------
+
+
+def probe_passed(probe: ProbeReport) -> bool:
+    """A continuity probe's verdict: each lifted distance within the probe's
+    constant times its input distance plus the final gate, and the last one
+    within the final gate; an empty path passes."""
+    if not probe.lifted_distances:
+        return True
+    bounded = all(
+        lift <= probe.constant * max(inp, 1e-300) + probe.final_gate
+        for inp, lift in zip(probe.input_distances, probe.lifted_distances)
+    )
+    return bounded and probe.lifted_distances[-1] <= probe.final_gate
 
 
 # -- the group loops ----------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ksgnslab.cstar import (
     AlgebraShape,
@@ -275,10 +275,12 @@ def test_inner_automorphism_multiplicativity_on_units():
         [((1,), (2,)), ((2,), (3,)), ((1, 2), (2, 1)), ((2, 2), (3,)), ((3,), (1, 2))]
     ),
 )
+@example(seed=22968, shapes=((2,), (3,)))
 def test_star_map_checks_match_per_image_reference(seed, shapes):
     # batched SVDs are per-matrix bit-identical, so the stacked checks equal
     # the image-by-image formulas exactly, on arbitrary linear maps and on
-    # *-homomorphisms alike
+    # *-homomorphisms alike; the gate squares its scale as a product, since
+    # scale ** 2 goes through C pow, one ulp off at the pinned example
     dom, cod = (AlgebraShape(b) for b in shapes)
     rng = np.random.default_rng(seed)
 
@@ -292,7 +294,7 @@ def test_star_map_checks_match_per_image_reference(seed, shapes):
         rep, ref = check_star_map(r1), check_star_map_reference(r1)
         for name in ("multiplicativity", "star_preservation", "unitality"):
             assert np.array_equal(rep.residuals[name], ref[name]), name
-            assert rep.thresholds[name] == DEFAULT_TOL.ctol * (1.0 + ref["scale"] ** 2)
+            assert rep.thresholds[name] == DEFAULT_TOL.ctol * (1.0 + ref["scale"] * ref["scale"])
         assert np.array_equal(star_map_distance(r1, r2), star_map_distance_reference(r1, r2))
 
 

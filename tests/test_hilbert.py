@@ -11,7 +11,7 @@ from ksgnslab.cstar import (
     random_element,
 )
 from ksgnslab.errors import (
-    NonFinite, SubmoduleViolation, TwistMismatch, WellDefinednessViolation,
+    NonFinite, SingularGram, SubmoduleViolation, TwistMismatch, WellDefinednessViolation,
 )
 from ksgnslab.generators import canonical_module, random_module, random_vectors
 from ksgnslab.hilbert import (
@@ -48,6 +48,7 @@ from conftest import (
     alpha_transport,
     alpha_transport_inverse,
     basis_element,
+    count_calls,
     element_norm,
     from_coeffs,
     mul,
@@ -56,6 +57,7 @@ from conftest import (
     quotient_one,
     random_complex,
     right_mult_matrix,
+    scalar_module,
     star,
     star_map_images,
     sub,
@@ -684,3 +686,48 @@ def test_dim_zero_module_everywhere():
     assert module_operator_norm(inc.iota) == 0.0
     vr = v_rho([inc.tensor])[0]
     assert vr.shape == (0, 0)
+
+
+# -- the Gram spectrum ----------------------------------------------------------
+
+
+def test_gram_power_inverse_square_root():
+    M = random_complex(np.random.default_rng(0), 5, 5)
+    G = M @ M.conj().T + np.eye(5)
+    E = scalar_module(G)
+    S, Si = E.gram_sqrt, E.gram_isqrt
+    assert operator_norm(S @ S - G) <= 1e-10 * operator_norm(G)
+    assert operator_norm(S @ Si - np.eye(5)) <= 1e-10
+    assert operator_norm(E.gram_inv @ G - np.eye(5)) <= 1e-10
+
+
+def test_module_takes_one_gram_eigendecomposition(monkeypatch):
+    # the SingularGram gate and the three Gram powers read one spectrum
+    M = random_complex(np.random.default_rng(1), 4, 4)
+    G = M @ M.conj().T + np.eye(4)
+    calls = count_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+    E = scalar_module(G)
+    E.gram_sqrt, E.gram_isqrt, E.gram_inv
+    assert calls == ["eigh"]
+
+
+RTOL = DEFAULT_TOL.rtol
+
+
+@pytest.mark.parametrize(
+    "spectrum, shown",
+    [
+        ((1.0, 0.0), r"\[0\.000e\+00, 1\.000e\+00\]"),
+        ((0.0, 0.0), r"\[0\.000e\+00, 0\.000e\+00\]"),
+        ((-1.0, -2.0), r"\[-2\.000e\+00, -1\.000e\+00\]"),
+    ],
+)
+def test_singular_gram_names_the_spectrum(spectrum, shown):
+    with pytest.raises(SingularGram, match=r"Gram spectrum " + shown + " is not positive definite"):
+        scalar_module(np.diag(spectrum))
+
+
+def test_singular_gram_gate_sits_at_rtol():
+    scalar_module(np.diag([1.0, 1.01 * RTOL]))
+    with pytest.raises(SingularGram):
+        scalar_module(np.diag([1.0, 0.99 * RTOL]))

@@ -9,7 +9,6 @@ from ksgnslab.numkernel import (
     exceeds_gate,
     herm_eig,
     herm_expi,
-    herm_powers,
     kron,
     matvecs,
     max_operator_norm,
@@ -274,15 +273,6 @@ def test_pseudo_inverse_moore_penrose(seed):
     scale = 1.0 + operator_norm(M)
     assert operator_norm(M @ P @ M - M) <= 1e-8 * scale
     assert operator_norm(P @ M @ P - P) <= 1e-8 * scale
-
-
-def test_herm_power_inverse_square_root():
-    rng = np.random.default_rng(0)
-    M = random_complex(rng, 5, 5)
-    G = M @ M.conj().T + np.eye(5)
-    S, Si = herm_powers(G, [0.5, -0.5])
-    assert operator_norm(S @ S - G) <= 1e-10 * operator_norm(G)
-    assert operator_norm(S @ Si - np.eye(5)) <= 1e-10
 
 
 def test_herm_expi_unitary():

@@ -10,7 +10,7 @@ from ksgnslab.equivariant import cyclic_group, random_equivariant
 from ksgnslab.errors import ValidationError
 from ksgnslab.generators import random_module, random_star_map
 
-from conftest import random_complex, star_map_images
+from conftest import random_complex, scalar_module, star_map_images
 
 
 def entrywise_dump(M):
@@ -162,6 +162,14 @@ def test_malformed_module_rejected(rng):
     data2["pairing"][0][0][0][0][0][0] = float("nan") if False else 1e400
     with pytest.raises(ValidationError):
         ser.load_module(data2)
+
+
+
+def test_module_with_singular_gram_rejected():
+    data = json.loads(json.dumps(ser.dump_module(scalar_module(np.eye(2)))))
+    data["pairing"][1][1] = [[[[0.0, 0.0]]]]  # <e_2, e_2> = 0
+    with pytest.raises(ValidationError, match=r"module data rejected: Gram spectrum \[0\.000e"):
+        ser.load_module(data)
 
 
 # -- malformed tables keep the element-wise messages ---------------------------

@@ -43,6 +43,7 @@ from ksgnslab.serialize import dump_equivariant
 
 from conftest import (
     categorical_unitaries_reference,
+    count_calls,
     functor_laws_reference,
     quotient_one,
     twist_unitaries_reference,
@@ -216,8 +217,10 @@ def test_corrupted_null_vector_names_its_slice(monkeypatch, g):
 def test_check_pass_eigh_count(monkeypatch):
     # the criterion-08 task shape (M_2, one copy, Z2/Z3/Z4/S3 five times
     # each, every correspondence through the equivariant and the dilation
-    # suites): 1,260 eigh calls per check pass with one build per group
-    # element or pair, 280 stacked
+    # suites), counting both Hermitian eigen drivers: 1,260 eigh calls per
+    # check pass with one build per group element or pair; 280 eigh and 780
+    # eigvalsh stacked, with each module's Gram decomposed twice; 860 eigh
+    # and 60 eigvalsh with one Gram spectrum per module
     tasks = []
     for idx in range(20):
         gname = ("Z2", "Z3", "Z4", "S3")[idx % 4]
@@ -225,14 +228,7 @@ def test_check_pass_eigh_count(monkeypatch):
         c = random_equivariant(M2, M2, make_group(gname), seed=seed, copies=1)
         payload = {"seed": seed, "group": gname, "correspondence": dump_equivariant(c)}
         tasks += [("equivariant", payload), ("dilation", payload)]
-    calls = []
-    real = np.linalg.eigh
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    calls = count_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
     for suite, payload in tasks:
         assert all(r.passed for r in check_instance(suite, payload, DEFAULT_TOL))
-    assert len(calls) <= 650
+    assert len(calls) <= 920
