@@ -37,12 +37,13 @@ from .hilbert import (
     ModuleMap,
     PreModule,
     Quotient,
-    adjoint_map,
     algebra_module,
     compose_maps,
     descend,
     identity_map,
+    adjoint_matrices,
     module_operator_norm,
+    module_operator_norms,
     quotient_by_null,
     rank_one_sum,
     same_module,
@@ -115,7 +116,7 @@ class Correspondence(CPMap):
     """CPMap whose images are multiplicative and unital (a *-homomorphism)."""
 
 
-def check_correspondence(pi: CPMap, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def check_correspondence(pi: CPMap, tol: Tolerance) -> CheckReport:
     """Multiplicativity and unitality residuals for a would-be representation.
 
     Multiplicativity is max over p, r of ||pi(u_p u_r) - pi(u_p) pi(u_r)||,
@@ -245,6 +246,16 @@ def tensor_key(E: HilbertModule, F: HilbertModule, pi: CPMap, tol: Tolerance) ->
     return ("tensor", E.key, F.key, pi.key, tol)
 
 
+def tensor_quotients(
+    E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap], tol: Tolerance
+) -> list[TensorModule]:
+    """The quotients of tensor_premodule(E, F, pi) by their null spaces, one
+    stacked build: the build step of interior_tensor, and of ksgns, which
+    keeps A (x)_phi E inside its own memo entry."""
+    quots = quotient_by_null(tensor_premodule(E, F, pi), tol)
+    return [TensorModule(q.module, q.q, q.s, q.kernel, *slc) for q, *slc in zip(quots, E, F, pi)]
+
+
 def interior_tensor(
     E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap],
     tol: Tolerance, memo: BuildMemo,
@@ -257,9 +268,7 @@ def interior_tensor(
     space F_pi = A (x)_pi F (Lance, Hilbert C*-Modules, ch. 4-5)."""
 
     def build(todo: list[int]) -> list[TensorModule]:
-        ins = [[x[s] for s in todo] for x in (E, F, pi)]
-        quots = quotient_by_null(tensor_premodule(*ins), tol)
-        return [TensorModule(q.module, q.q, q.s, q.kernel, *slc) for q, *slc in zip(quots, *ins)]
+        return tensor_quotients(*([x[s] for s in todo] for x in (E, F, pi)), tol)
 
     return memo.get_all([tensor_key(*slc, tol) for slc in zip(E, F, pi)], build)
 
@@ -305,7 +314,7 @@ def intertwining_rows(X2: np.ndarray, X1: np.ndarray) -> np.ndarray:
     return (right - left).reshape(P * d2 * d1, d2 * d1)
 
 
-def adjointable_commutant_basis(E: HilbertModule, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def adjointable_commutant_basis(E: HilbertModule, tol: Tolerance) -> np.ndarray:
     """Hilbert-Schmidt-orthonormal basis of the realized commutant of the action.
 
     The commutant of the realized right action equals the realization of
@@ -332,7 +341,7 @@ def random_cp(A: AlgebraShape, E: HilbertModule, seed) -> CPMap:
     """
     rng = np.random.default_rng(seed)
     d = E.dim
-    basis = adjointable_commutant_basis(E)
+    basis = adjointable_commutant_basis(E, DEFAULT_TOL)
     images = np.zeros((A.dim, d, d), dtype=complex)
     for i, n in enumerate(A.blocks):
         m = n * d
@@ -390,7 +399,7 @@ def compose_intertwiners(outer: Intertwiner, inner: Intertwiner) -> Intertwiner:
 
 
 def intertwiner_space(
-    phi1: CPMap, phi2: CPMap, alpha: Automorphism, tol: Tolerance = DEFAULT_TOL
+    phi1: CPMap, phi2: CPMap, alpha: Automorphism, tol: Tolerance
 ) -> list[ModuleMap]:
     """Basis of {eta B-linear : phi2(alpha(a)) eta = eta phi1(a) for all a}.
 
@@ -410,31 +419,39 @@ def intertwiner_space(
 
 
 def check_morphism(
-    m: Intertwiner, phi1: CPMap, phi2: CPMap, tol: Tolerance = DEFAULT_TOL
-) -> CheckReport:
-    """Residual report for the intertwining condition and its consequences.
+    ms: Sequence[Intertwiner], phi1: Sequence[CPMap], phi2: Sequence[CPMap], tol: Tolerance
+) -> list[CheckReport]:
+    """Residual reports for the intertwining condition and its consequences,
+    one per intertwiner ms[s] from phi1[s] to phi2[s] of a stack of one shape:
+    one stacked product and one batched SVD per residual shape, and one for
+    the norms of the etas not yet known.
 
     Reports the defining residual, the adjoint-side residual
     eta* phi2(alpha(a)) - phi1(a) eta*, and the commutation [phi1(a), eta* eta].
     """
-    if not same_module(m.eta.source, phi1.module):
+    if any(not same_module(m.eta.source, p.module) for m, p in zip(ms, phi1)):
         raise ShapeMismatch("morphism source module mismatch")
-    rep = CheckReport()
-    eta = m.eta.matrix
-    eta_star = adjoint_map(m.eta).matrix
-    amat = m.alpha.matrix
-    norm_eta = m.norm
-    gate = tol.ctol * (1.0 + norm_eta**2) * (1.0 + phi1.norm + phi2.norm)
+    fresh = [m for m in ms if "norm" not in vars(m)]
+    for m, norm in zip(fresh, module_operator_norms([m.eta for m in fresh]) if fresh else []):
+        vars(m)["norm"] = float(norm)
+    eta = stack_slices([m.eta.matrix for m in ms])[:, None]
+    eta_star = stack_slices(adjoint_matrices([m.eta for m in ms]))[:, None]
     gram = eta_star @ eta
-    twisted = np.einsum("qp,qij->pij", amat, phi2.images)
-    X1 = phi1.images
-    inter, adj_side, commute = max_operator_norms(
-        twisted @ eta - eta @ X1, eta_star @ twisted - X1 @ eta_star, X1 @ gram - gram @ X1
+    twisted = stack_slices(
+        [np.einsum("qp,qij->pij", m.alpha.matrix, p.images) for m, p in zip(ms, phi2)]
     )
-    rep.add("intertwining", inter, gate)
-    rep.add("adjoint_intertwining", adj_side, gate)
-    rep.add("gram_commutation", commute, gate)
-    return rep
+    X1 = stack_slices([p.images for p in phi1])
+    residuals = max_operator_norms(
+        twisted @ eta - eta @ X1, eta_star @ twisted - X1 @ eta_star, X1 @ gram - gram @ X1, lead=1
+    )
+    names = ("intertwining", "adjoint_intertwining", "gram_commutation")
+    return [
+        CheckReport(
+            dict(zip(names, res.tolist())),
+            dict.fromkeys(names, tol.ctol * (1.0 + m.norm**2) * (1.0 + p1.norm + p2.norm)),
+        )
+        for m, p1, p2, res in zip(ms, phi1, phi2, residuals.T)
+    ]
 
 
 def hom_pseudometric(

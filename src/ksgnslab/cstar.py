@@ -20,17 +20,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ShapeMismatch
 from .memo import content_key
 from .numkernel import (
-    DEFAULT_TOL,
     Tolerance,
     matvecs,
     operator_norms,
     require_finite,
+    stack_slices,
 )
 from .reporting import CheckReport
 
@@ -223,49 +224,58 @@ def compose_star_maps(outer: StarMap, inner: StarMap) -> StarMap:
     return StarMap(inner.domain, outer.codomain, outer.matrix @ inner.matrix)
 
 
-def star_map_distance(r1: StarMap, r2: StarMap) -> float:
-    """Max over basis of ||r1(u) - r2(u)|| in the codomain norm."""
-    if r1.domain != r2.domain or r1.codomain != r2.codomain:
+def star_map_distance(r1: Sequence[StarMap], r2: Sequence[StarMap]) -> np.ndarray:
+    """Max over basis of ||r1[s](u) - r2[s](u)|| in the codomain norm, for each
+    pair of a stack: one element_norms over the image gaps of all the pairs
+    into one codomain."""
+    if any(a.domain != b.domain or a.codomain != b.codomain for a, b in zip(r1, r2)):
         raise ShapeMismatch("star maps between different algebras")
-    return float(element_norms(r1.codomain, (r1.matrix - r2.matrix).T).max())
+    out, stacks = np.zeros(len(r1)), {}
+    for s, r in enumerate(r1):
+        stacks.setdefault(r.codomain, []).append(s)
+    for cod, idx in stacks.items():
+        gaps = [(r1[s].matrix - r2[s].matrix).T for s in idx]
+        starts = np.cumsum([0] + [len(g) for g in gaps[:-1]])
+        out[idx] = np.maximum.reduceat(element_norms(cod, np.concatenate(gaps)), starts)
+    return out
 
 
-def check_star_map(rho: StarMap, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Residuals for multiplicativity, *-preservation, and unitality.
+def check_star_map(rho: Sequence[StarMap], tol: Tolerance) -> list[CheckReport]:
+    """Residuals for multiplicativity, *-preservation, and unitality of each
+    star map of a stack between one pair of algebras, from one batched SVD
+    per codomain block.
 
     Unitality realizes nondegeneracy in the unital finite-dimensional model.
     """
-    rep = CheckReport()
-    dom, cod, M = rho.domain, rho.codomain, rho.matrix
+    dom, cod = rho[0].domain, rho[0].codomain
+    M = stack_slices([r.matrix for r in rho])
     # same-block pairs only: cross-block products then vanish by the star and unit checks
     block = np.repeat(np.arange(len(dom.blocks)), [n * n for n in dom.blocks])
     P, R = np.nonzero(block[:, None] == block)
     T = dom.product_table[P, R]
     # rows: the images rho(u_p) (the scale), rho(u_p*) - rho(u_p)* (u_p* is
-    # u at star(p)) and rho(1) - 1
-    rows = np.concatenate(
-        [
-            M.T,
-            M[:, dom.star_permutation()].T - adjoints(cod, M.T),
-            (M @ unit_coeffs(dom) - unit_coeffs(cod))[None],
-        ]
-    )
+    # u at star(p)) and rho(1) - 1; the images get a zero row for T's -1
+    X = M.swapaxes(1, 2)
+    star_gaps = M[:, :, dom.star_permutation()].swapaxes(1, 2) - adjoints(cod, X)
+    rows = np.concatenate([X, star_gaps, (M @ unit_coeffs(dom) - unit_coeffs(cod))[:, None]], 1)
+    Xz = np.concatenate([X, np.zeros_like(X[:, :1])], axis=1)
     # one batched SVD per codomain block: the multiplicativity defects
     # rho(u_p u_r) - rho(u_p) rho(u_r), then the block of every row
     norms = np.maximum.reduce(
         [
-            operator_norms(np.concatenate([zero_padded(X)[T] - X[P] @ X[R], S]))
-            for X, S in zip(block_stacks(cod, M.T), block_stacks(cod, rows))
+            operator_norms(np.concatenate([Y[:, T] - Y[:, P] @ Y[:, R], S], axis=1))
+            for Y, S in zip(block_stacks(cod, Xz), block_stacks(cod, rows))
         ]
     )
     mult, scale, star, unital = (
-        float(part.max()) for part in np.split(norms, np.cumsum([len(P), dom.dim, dom.dim]))
+        part.max(axis=1).tolist()
+        for part in np.split(norms, np.cumsum([len(P), dom.dim, dom.dim]), axis=1)
     )
-    gate = tol.ctol * (1.0 + scale * scale)
-    rep.add("multiplicativity", mult, gate)
-    rep.add("star_preservation", star, gate)
-    rep.add("unitality", unital, gate)
-    return rep
+    names = ("multiplicativity", "star_preservation", "unitality")
+    return [
+        CheckReport(dict(zip(names, res)), dict.fromkeys(names, tol.ctol * (1.0 + x * x)))
+        for x, *res in zip(scale, mult, star, unital)
+    ]
 
 
 @dataclass

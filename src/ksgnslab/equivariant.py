@@ -459,7 +459,7 @@ def check_functor_laws(
     tms = [m.dom_tensor for m in F]
     keys = [tensor_key(tm.left, tm.right, tm.pi, tol) for tm in tms]
     memo.get_all(keys, lambda todo: [tms[s] for s in todo])
-    unit_gap = morphism_distance(F[G.identity], poscor_identity(functor.obj, tol, memo))
+    unit_gap = morphism_distance([F[G.identity]], [poscor_identity(functor.obj, tol, memo)])[0]
     g, h = np.divmod(np.arange(G.order**2), G.order)
     gh = G.table[g, h]
     composed = poscor_compose(

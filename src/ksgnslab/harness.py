@@ -529,7 +529,7 @@ def _check_lift(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) 
     m1, m2 = morphs["m1"], morphs["m2"]
     rng = _sub_rng(payload["seed"], 2)
 
-    rep = check_morphism(m1, phi1, phi2, tol)
+    rep = check_morphism([m1], [phi1], [phi2], tol)[0]
     rec.merge(
         rep,
         {
@@ -744,7 +744,7 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
     m_hat = Intertwiner(tensor_extend_between([m.eta], [tm1], [tm2], tol)[0], m.alpha)
     phi1_ext = tensor_extend_cpmap([phi1], [tm1], tol, memo)[0]
     phi2_ext = tensor_extend_cpmap([phi2], [tm2], tol, memo)[0]
-    rep = check_morphism(m_hat, phi1_ext, phi2_ext, tol)
+    rep = check_morphism([m_hat], [phi1_ext], [phi2_ext], tol)[0]
     rec.add(
         "functor_morphism",
         "tensored pair intertwines the extended maps",
@@ -940,22 +940,33 @@ def _load_category(payload: dict, tol: Tolerance, memo: BuildMemo):
         obj = PosCorObject(odata["ident"], A, module.algebra, module, phi)
         objects.append(obj)
         by_ident[obj.ident] = obj
-    morphisms = []
-    for mdata in payload["morphisms"]:
-        dom, cod = by_ident[mdata["dom"]], by_ident[mdata["cod"]]
-        rho = ser.load_star_map(mdata["rho"])
-        tensor = interior_tensor_along([dom.module], [rho], tol, memo)[0]
-        eta = ser.load_cmatrix(mdata["eta"], cod.module.dim, tensor.module.dim)
-        alpha = ser.load_automorphism(mdata["alpha"])
-        eta_map = ModuleMap(tensor.module, cod.module, eta)
-        morphisms += make_poscor_morphism([dom], [cod], [rho], [eta_map], [alpha], tol, memo)
+    # one tensor build and make_poscor_morphism call per stack of morphisms
+    # with the same endpoints, rho algebras and eta shape
+    rows = [
+        (by_ident[d["dom"]], by_ident[d["cod"]], ser.load_star_map(d["rho"]), d)
+        for d in payload["morphisms"]
+    ]
+    stacks = {}
+    for s, (dom, cod, rho, d) in enumerate(rows):
+        shape = ser.load_cmatrix(d["eta"], cod.module.dim).shape
+        stacks.setdefault((dom.ident, cod.ident, rho.domain, rho.codomain, shape), []).append(s)
+    morphisms = [None] * len(rows)
+    for idx in stacks.values():
+        dom, cod, rho, data = zip(*(rows[s] for s in idx))
+        tms = interior_tensor_along([o.module for o in dom], rho, tol, memo)
+        etas = [
+            ModuleMap(t.module, c.module, ser.load_cmatrix(d["eta"], c.module.dim, t.module.dim))
+            for t, c, d in zip(tms, cod, data)
+        ]
+        alphas = [ser.load_automorphism(d["alpha"]) for d in data]
+        for s, m in zip(idx, make_poscor_morphism(dom, cod, rho, etas, alphas, tol, memo)):
+            morphisms[s] = m
     return objects, morphisms
 
 
 def _check_category(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
     objects, morphisms = _load_category(payload, tol, memo)
-    reports = (check_poscor_morphism(m, tol) for m in morphisms)
-    failing = next((rep for rep in reports if not rep.passed), None)
+    failing = next((rep for rep in check_poscor_morphism(morphisms, tol) if not rep.passed), None)
     rec.add(
         "morphism_invariants",
         "category morphisms: unital rho and twisted intertwining",
@@ -965,19 +976,10 @@ def _check_category(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMe
     rec.merge(
         rep,
         {
-            "left_identity": (
-                "left_identity",
-                "the inclusion pair is a left identity",
-            ),
-            "right_identity": (
-                "right_identity",
-                "the inclusion pair is a right identity",
-            ),
+            "left_identity": ("left_identity", "the inclusion pair is a left identity"),
+            "right_identity": ("right_identity", "the inclusion pair is a right identity"),
             "associativity": ("associativity", "composition is associative"),
-            "composition_closure": (
-                "closure",
-                "composites satisfy the morphism invariants",
-            ),
+            "composition_closure": ("closure", "composites satisfy the morphism invariants"),
         },
     )
     if "ksgns_functor" not in payload.get("checks", []):
@@ -987,7 +989,7 @@ def _check_category(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMe
     m2 = next(m for m in morphisms if m.dom.ident == "O2" and m.cod.ident == "O3")
     k1 = ksgns_functor_poscor(m1, tol, memo)
     k2 = ksgns_functor_poscor(m2, tol, memo)
-    rep = check_poscor_morphism(k1, tol)
+    rep = check_poscor_morphism([k1], tol)[0]
     rec.add(
         "ksgns_morphism",
         "the dilated pair is again a category morphism",
@@ -997,14 +999,14 @@ def _check_category(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMe
     rec.add(
         "ksgns_identity",
         "KSGNS functor preserves category identities",
-        morphism_distance(k_id, poscor_identity(k_id.dom, tol, memo)),
+        morphism_distance([k_id], [poscor_identity(k_id.dom, tol, memo)])[0],
         tol.ctol,
     )
     k21 = ksgns_functor_poscor(poscor_compose([m2], [m1], tol, memo)[0], tol, memo)
     rec.add(
         "ksgns_composition",
         "KSGNS functor preserves category composition",
-        morphism_distance(k21, poscor_compose([k2], [k1], tol, memo)[0]),
+        morphism_distance([k21], poscor_compose([k2], [k1], tol, memo))[0],
         tol.ctol * (1.0 + m1.norm * m2.norm),
     )
     # idempotency as a natural isomorphism on the category
@@ -1015,8 +1017,8 @@ def _check_category(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMe
         "ksgns_idempotent",
         "KSGNS squared is naturally isomorphic to KSGNS",
         morphism_distance(
-            poscor_compose([iso2], [k1], tol, memo)[0], poscor_compose([kk1], [iso1], tol, memo)[0]
-        ),
+            poscor_compose([iso2], [k1], tol, memo), poscor_compose([kk1], [iso1], tol, memo)
+        )[0],
         tol.ctol * (1.0 + m1.norm),
     )
 
@@ -1163,7 +1165,7 @@ def _gen_continuity(caps: SizeCaps, seed: int) -> dict:
     kind = "linear" if seed % 2 == 0 else "inner"
     if kind == "linear":
         E1, phi1, E2, phi2, m = random_morphism_pair(A, B, rng, min(caps.max_module_dim, 4))
-        basis = intertwiner_space(phi1, phi2, m.alpha)
+        basis = intertwiner_space(phi1, phi2, m.alpha, DEFAULT_TOL)
         direction = basis[int(rng.integers(len(basis)))]
         path = []
         for k in range(1, CONTINUITY_STEPS + 1):

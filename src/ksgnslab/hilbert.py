@@ -340,7 +340,15 @@ def unitarity_residual(U: Sequence[ModuleMap]) -> float:
 
 def module_operator_norm(m: ModuleMap) -> float:
     """Norm in L(E1, E2), computed through the faithful realization."""
-    return operator_norm(realize(m))
+    return float(module_operator_norms([m])[0])
+
+
+def module_operator_norms(maps: Sequence[ModuleMap]) -> np.ndarray:
+    """module_operator_norm of each map of one shape, from one stacked
+    realization and one batched SVD."""
+    S = stack_slices([m.target.gram_sqrt for m in maps])
+    Si = stack_slices([m.source.gram_isqrt for m in maps])
+    return operator_norms(S @ stack_slices([m.matrix for m in maps]) @ Si)
 
 
 def is_map_positive(m: ModuleMap, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:

@@ -2,8 +2,9 @@
 
 Given phi: A -> L(E) completely positive, the dilation space is the interior
 tensor product F_phi = A (x)_phi E of A, as a module over itself, with E
-along phi (Lance, Hilbert C*-Modules, ch. 5): cp.interior_tensor, which sits
-below this module, quotients the pre-module on {a_p (x) e_q} with pairing
+along phi (Lance, Hilbert C*-Modules, ch. 5): cp.tensor_quotients, the
+build step of cp.interior_tensor, which sits below this module, quotients
+the pre-module on {a_p (x) e_q} with pairing
 <a (x) x, a' (x) x'> = <x, phi(a* a') x'>_E and B acting on the E slot.
 Left multiplication L(a) (x) I descends to the quotient and gives the dilated
 representation pi_phi; the embedding V_phi sends x to the class of 1 (x) x,
@@ -29,9 +30,9 @@ from .cp import (
     check_correspondence,
     check_morphism,
     hom_pseudometric,
-    interior_tensor,
     left_mult_correspondence,
     tensor_extend,
+    tensor_quotients,
 )
 from .errors import NonConvergentInput, NotCP
 from .hilbert import (
@@ -70,7 +71,8 @@ def ksgns(
     """Dilate completely positive maps phi[s] of one shape on E[s] to
     representations on their F_phi, built once per (E[s], phi[s]) content in
     the memo: one stacked Choi certificate, tensor build and descent of left
-    multiplication for the ones the memo lacks.
+    multiplication for the ones the memo lacks.  The tensor A (x)_phi E lives
+    in the triple's memo entry only, not under a tensor key of its own.
 
     Raises NotCP when a Choi certificate fails, ShapeMismatch when a phi acts
     on another module, and SubmoduleViolation (via the quotient) or
@@ -84,7 +86,7 @@ def ksgns(
                 raise NotCP(f"Choi certificate failed (min eigenvalues {mins})")
         A = maps[0].algebra
         L = left_mult_correspondence([identity_star_map(A)])[0]
-        tms = interior_tensor([L.module] * len(mods), mods, maps, tol, memo)
+        tms = tensor_quotients([L.module] * len(mods), mods, maps, tol)
         pis = tensor_extend([L.images] * len(mods), tms, tms, "left multiplication", tol)
         # V_phi x = class of 1_A (x) x
         unit = unit_coeffs(A).reshape(A.dim, 1)
@@ -223,7 +225,7 @@ def check_lift(
         operator_norm(adjoint_map(lifted.eta).matrix @ t2.q - t1.q @ K_adj),
         tol.ctol * scale * (1.0 + t1.phi.norm + t2.phi.norm),
     )
-    rep.merge(check_morphism(lifted, t1.pi, t2.pi, tol), prefix="pi_")
+    rep.merge(check_morphism([lifted], [t1.pi], [t2.pi], tol)[0], prefix="pi_")
     rep.add(
         "embedding_compat",
         module_operator_norm(

@@ -116,17 +116,22 @@ def max_operator_norm(stack: np.ndarray) -> float:
     return float(operator_norms(stack).max(initial=0.0))
 
 
-def max_operator_norms(*stacks: np.ndarray) -> np.ndarray:
-    """max_operator_norm of each of several stacks (..., m, n), shape
-    (len(stacks),); the stacks whose matrices share a shape go through one
-    batched SVD together."""
-    flat = [np.reshape(S, (int(np.prod(np.shape(S)[:-2])), *np.shape(S)[-2:])) for S in stacks]
-    out = np.zeros(len(flat))
-    for shape in {S.shape[1:] for S in flat}:
-        members = [i for i, S in enumerate(flat) if S.shape[1:] == shape]
-        norms = operator_norms(np.concatenate([flat[i] for i in members]))
-        cuts = np.cumsum([len(flat[i]) for i in members])[:-1]
-        out[members] = [part.max(initial=0.0) for part in np.split(norms, cuts)]
+def max_operator_norms(*stacks: np.ndarray, lead: int = 0) -> np.ndarray:
+    """max_operator_norm of each of several stacks (*L, ..., m, n) over all
+    but their first `lead` axes L, shape (len(stacks), *L); the stacks whose
+    matrices share a shape go through one batched SVD together."""
+    L = np.shape(stacks[0])[:lead] if lead else ()
+    flat = [
+        np.reshape(S, (*L, int(np.prod(np.shape(S)[lead:-2])), *np.shape(S)[-2:])) for S in stacks
+    ]
+    out = np.zeros((len(flat), *L))
+    for shape in {S.shape[lead + 1 :] for S in flat}:
+        members = [i for i, S in enumerate(flat) if S.shape[lead + 1 :] == shape]
+        norms = operator_norms(np.concatenate([flat[i] for i in members], axis=lead))
+        cuts = np.cumsum([flat[i].shape[lead] for i in members])[:-1]
+        out[members] = [
+            part.max(axis=lead, initial=0.0) for part in np.split(norms, cuts, axis=lead)
+        ]
     return out
 
 

@@ -58,7 +58,7 @@ from .hilbert import (
 from .ksgns import KsgnsTriple, idempotency_unitary, ksgns, ksgns_lift
 from .memo import BuildMemo, content_key
 from .numkernel import (
-    DEFAULT_TOL, Tolerance, dots, kron, max_operator_norm, max_operator_norms, stack_slices,
+    Tolerance, dots, kron, max_operator_norm, max_operator_norms, stack_slices,
 )
 from .reporting import CheckReport
 
@@ -68,7 +68,7 @@ from .reporting import CheckReport
 
 def tensor_extend_between(
     T: Sequence[ModuleMap], tm1: Sequence[TensorModule], tm2: Sequence[TensorModule],
-    tol: Tolerance = DEFAULT_TOL,
+    tol: Tolerance,
 ) -> list[ModuleMap]:
     """T[s] (x) I between two tensor modules with the same right factor, for
     each slice."""
@@ -420,24 +420,45 @@ def poscor_compose(
     return memo.get_all(keys, build)
 
 
-def check_poscor_morphism(m: PosCorMorphism, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    rep = check_star_map(m.rho, tol)
-    inner = check_morphism(
-        Intertwiner(m.eta, m.alpha), m.phi_ext, m.cod.phi, tol
-    )
-    rep.merge(inner, prefix="eta_")
-    return rep
+def morphism_shape(m: PosCorMorphism) -> tuple:
+    """The shapes that morphisms stacked together share: rho's two algebras,
+    alpha's, eta's matrix and the domain module's dimension."""
+    return m.rho.domain, m.rho.codomain, m.alpha.shape, m.eta.matrix.shape, m.dom.module.dim
 
 
-def morphism_distance(m1: PosCorMorphism, m2: PosCorMorphism) -> float:
-    """Coordinate-free distance: rho gap + pullback gap + alpha gap."""
-    if m1.dom.ident != m2.dom.ident or m1.cod.ident != m2.cod.ident:
+def check_poscor_morphism(ms: Sequence[PosCorMorphism], tol: Tolerance) -> list[CheckReport]:
+    """The star-map report of each rho with the intertwiner report of each
+    (eta, alpha) from phi~ to the codomain's phi, prefixed eta_: one stacked
+    check_star_map and check_morphism per group of morphisms of one shape."""
+    reports, stacks = [CheckReport() for _ in ms], {}
+    for s, m in enumerate(ms):
+        stacks.setdefault(morphism_shape(m), []).append(s)
+    for idx in stacks.values():
+        group = [ms[s] for s in idx]
+        star = check_star_map([m.rho for m in group], tol)
+        etas = [Intertwiner(m.eta, m.alpha) for m in group]
+        inner = check_morphism(etas, [m.phi_ext for m in group], [m.cod.phi for m in group], tol)
+        for s, a, b in zip(idx, star, inner):
+            reports[s].merge(a)
+            reports[s].merge(b, prefix="eta_")
+    return reports
+
+
+def morphism_distance(m1: Sequence[PosCorMorphism], m2: Sequence[PosCorMorphism]) -> np.ndarray:
+    """Coordinate-free distance rho gap + pullback gap + alpha gap of each
+    pair (m1[s], m2[s]): one element_norms per rho codomain and one batched
+    SVD per pullback and alpha shape."""
+    if any(a.dom.ident != b.dom.ident or a.cod.ident != b.cod.ident for a, b in zip(m1, m2)):
         raise ObjectMismatch("morphisms between different objects")
-    rho_gap = star_map_distance(m1.rho, m2.rho)
-    pull_gap, alpha_gap = max_operator_norms(
-        m1.pullback - m2.pullback, m1.alpha.matrix - m2.alpha.matrix
-    )
-    return float(rho_gap + pull_gap + alpha_gap)
+    pull = [a.pullback - b.pullback for a, b in zip(m1, m2)]
+    alpha = [a.alpha.matrix - b.alpha.matrix for a, b in zip(m1, m2)]
+    out, stacks = star_map_distance([a.rho for a in m1], [b.rho for b in m2]), {}
+    for s, (P, X) in enumerate(zip(pull, alpha)):
+        stacks.setdefault((P.shape, X.shape), []).append(s)
+    for idx in stacks.values():
+        gap = max_operator_norms(*(np.stack([D[s] for s in idx]) for D in (pull, alpha)), lead=1)
+        out[idx] = out[idx] + gap[0] + gap[1]
+    return out
 
 
 # -- KSGNS as an endofunctor on the category ---------------------------------
@@ -498,6 +519,29 @@ def idempotency_iso_poscor(obj: PosCorObject, tol: Tolerance, memo: BuildMemo) -
 # -- category law audit -------------------------------------------------------
 
 
+def compose_pairs(
+    pairs: Sequence[tuple[PosCorMorphism | None, PosCorMorphism | None]], tol: Tolerance,
+    memo: BuildMemo,
+) -> list[PosCorMorphism | None]:
+    """m2 . m1 for each pair (m2, m1), one poscor_compose call per group of
+    pairs whose factors have the same morphism_shape.  A group whose stacked
+    build raises is built again one pair at a time; a pair that fails on its
+    own, or lacks a factor (None), gives None."""
+    out, stacks = [None] * len(pairs), {}
+    for s, (m2, m1) in enumerate(pairs):
+        if m2 is not None and m1 is not None:
+            stacks.setdefault((morphism_shape(m2), morphism_shape(m1)), []).append(s)
+    for idx in stacks.values():
+        outer, inner = zip(*(pairs[s] for s in idx))
+        try:
+            built = poscor_compose(outer, inner, tol, memo)
+        except KsgnslabError:  # built again alone: only the failing pairs give None
+            built = [None] if len(idx) == 1 else [compose_pairs([pairs[s]], tol, memo)[0] for s in idx]
+        for s, m in zip(idx, built):
+            out[s] = m
+    return out
+
+
 def check_category_laws(
     objects: list[PosCorObject],
     morphisms: list[PosCorMorphism],
@@ -507,54 +551,60 @@ def check_category_laws(
     """Left/right identity, associativity, and invariant preservation, over
     every composable pair and triple in the given diagram.
 
-    Builds go through the caller's BuildMemo, which lives for one checked
-    instance, so each tensor module, extended CP map and composite is built
-    once per content; associativity's right side reuses the composite
-    m3 . m2.  Failed builds are not stored.
+    The composites are built in five levels, each one compose_pairs call,
+    so one stacked poscor_compose build per group of pairs of one shape:
+    the left and right identity composites, the pair composites m2 . m1,
+    the m3 . m2 of each triple, then associativity's sides m3 . (m2 . m1)
+    and (m3 . m2) . m1.  Each law's distances are one stacked
+    morphism_distance, and closure one stacked check_poscor_morphism.  A
+    stacked build that raises is built again one pair at a time; a pair that
+    fails on its own is broken (closure reads inf), and the laws take their
+    maxima over the composites that were built.  Builds go through the
+    caller's BuildMemo, which lives for one checked instance, so each tensor
+    module, extended CP map and composite is built once per content.
     """
-    rep = CheckReport()
     identities = {o.ident: poscor_identity(o, tol, memo) for o in objects}
+    pairs = [
+        (m2, m1) for m1, m2 in itertools.product(morphisms, repeat=2)
+        if m1 is not m2 and m1.cod.ident == m2.dom.ident
+    ]
+    # (pair index, m3) for each composable triple m1 -> m2 -> m3
+    triples = [
+        (k, m3)
+        for k, (m2, _) in enumerate(pairs)
+        for m3 in morphisms
+        if m3.dom.ident == m2.cod.ident
+    ]
+    ident = compose_pairs(
+        [(identities[m.cod.ident], m) for m in morphisms]
+        + [(m, identities[m.dom.ident]) for m in morphisms],
+        tol,
+        memo,
+    )
+    composed = compose_pairs(pairs, tol, memo)
+    tails = compose_pairs([(m3, pairs[k][0]) for k, m3 in triples], tol, memo)
+    lhs = compose_pairs([(m3, composed[k]) for k, m3 in triples], tol, memo)
+    rhs = compose_pairs([(t, pairs[k][1]) for (k, _), t in zip(triples, tails)], tol, memo)
 
-    left_id = right_id = 0.0
-    scale = 1.0
+    def distances(ms1: list, ms2: list) -> np.ndarray:
+        """morphism_distance of each pair whose sides were both built, 0 for the others."""
+        out = np.zeros(len(ms1))
+        built = [s for s, (a, b) in enumerate(zip(ms1, ms2)) if a is not None and b is not None]
+        out[built] = morphism_distance([ms1[s] for s in built], [ms2[s] for s in built])
+        return out
+
+    n = len(morphisms)
+    scale = max([1.0] + [1.0 + m.norm for m in morphisms])
+    id_gaps = distances(ident, morphisms * 2)
+    rep = CheckReport()
+    rep.add("left_identity", id_gaps[:n].max(initial=0.0), tol.ctol * scale)
+    rep.add("right_identity", id_gaps[n:].max(initial=0.0), tol.ctol * scale)
+    rep.add("associativity", distances(lhs, rhs).max(initial=0.0), tol.ctol * scale**3)
     closure = CheckReport()
-    broken = 0
-    for m in morphisms:
-        scale = max(scale, 1.0 + m.norm)
-        try:
-            left_id = max(
-                left_id,
-                morphism_distance(poscor_compose([identities[m.cod.ident]], [m], tol, memo)[0], m),
-            )
-            right_id = max(
-                right_id,
-                morphism_distance(poscor_compose([m], [identities[m.dom.ident]], tol, memo)[0], m),
-            )
-        except KsgnslabError:
-            broken += 1
-    rep.add("left_identity", left_id, tol.ctol * scale)
-    rep.add("right_identity", right_id, tol.ctol * scale)
-
-    assoc = 0.0
-    pair_count = 0
-    for m1, m2 in itertools.product(morphisms, repeat=2):
-        if m1 is m2 or m1.cod.ident != m2.dom.ident:
-            continue
-        pair_count += 1
-        try:
-            composed = poscor_compose([m2], [m1], tol, memo)[0]
-            closure.merge(
-                check_poscor_morphism(composed, tol), prefix=f"pair{pair_count}_"
-            )
-            for m3 in morphisms:
-                if m3.dom.ident != m2.cod.ident:
-                    continue
-                lhs = poscor_compose([m3], [composed], tol, memo)[0]
-                rhs = poscor_compose([poscor_compose([m3], [m2], tol, memo)[0]], [m1], tol, memo)[0]
-                assoc = max(assoc, morphism_distance(lhs, rhs))
-        except KsgnslabError:
-            broken += 1
-    rep.add("associativity", assoc, tol.ctol * scale**3)
+    done = [k for k, c in enumerate(composed) if c is not None]
+    for k, r in zip(done, check_poscor_morphism([composed[k] for k in done], tol)):
+        closure.merge(r, prefix=f"pair{k + 1}_")
     residual, threshold = closure.summary(empty_threshold=tol.ctol)
+    broken = any(c is None for c in (*ident, *composed, *lhs, *rhs))
     rep.add("composition_closure", float("inf") if broken else residual, threshold)
     return rep

@@ -1,6 +1,8 @@
 """Fixtures and test oracles: reference implementations the tests compare the
 package against, and generators of planted cases the package never draws."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from ksgnslab.cstar import (
     element_norms,
     zero_padded,
 )
-from ksgnslab.errors import TwistMismatch
+from ksgnslab.errors import KsgnslabError, TwistMismatch
 from ksgnslab.hilbert import (
     AlphaLinearMap,
     HilbertModule,
@@ -31,6 +33,7 @@ from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm
 from ksgnslab.poscor import (
     TwistUnitary,
+    check_poscor_morphism,
     commuting_unitary,
     morphism_distance,
     poscor_compose,
@@ -431,7 +434,7 @@ def functor_laws_reference(c, functor, tol=DEFAULT_TOL, along_group_law=True) ->
     recover = max(operator_norm(F[g].pullback - c.unitaries[g]) for g in range(G.order))
     rep.add("unitary_recovery", recover, tol.ctol * scale)
     unit = poscor_identity(functor.obj, tol, BuildMemo())
-    rep.add("unit_law", morphism_distance(F[G.identity], unit), tol.ctol * scale)
+    rep.add("unit_law", morphism_distance([F[G.identity]], [unit])[0], tol.ctol * scale)
     law = unitary = 0.0
     for g in range(G.order):
         unitary = max(unitary, unitarity_residual([F[g].eta]))
@@ -442,4 +445,59 @@ def functor_laws_reference(c, functor, tol=DEFAULT_TOL, along_group_law=True) ->
             law = max(law, operator_norm(composed.pullback - c.unitaries[gh]))
     rep.add("composition_law", law, tol.ctol * scale)
     rep.add("unitary_valued", unitary, tol.ctol * scale)
+    return rep
+
+
+def category_laws_reference(objects, morphisms, tol=DEFAULT_TOL) -> CheckReport:
+    """poscor.check_category_laws as the per-pair loops it replaced, before
+    the build memo and the stacked levels: every identity and composite
+    built alone on a fresh memo, every distance and closure check on a stack
+    of one.  A pair whose build raises is broken and skips the rest of its
+    triples."""
+    rep = CheckReport()
+    identities = {o.ident: poscor_identity(o, tol, BuildMemo()) for o in objects}
+
+    def compose(m2, m1):
+        return poscor_compose([m2], [m1], tol, BuildMemo())[0]
+
+    left_id = right_id = 0.0
+    scale = 1.0
+    closure = CheckReport()
+    broken = 0
+    for m in morphisms:
+        scale = max(scale, 1.0 + m.norm)
+        try:
+            left_id = max(
+                left_id, morphism_distance([compose(identities[m.cod.ident], m)], [m])[0]
+            )
+            right_id = max(
+                right_id, morphism_distance([compose(m, identities[m.dom.ident])], [m])[0]
+            )
+        except KsgnslabError:
+            broken += 1
+    rep.add("left_identity", left_id, tol.ctol * scale)
+    rep.add("right_identity", right_id, tol.ctol * scale)
+    assoc = 0.0
+    pair_count = 0
+    for m1, m2 in itertools.product(morphisms, repeat=2):
+        if m1 is m2 or m1.cod.ident != m2.dom.ident:
+            continue
+        pair_count += 1
+        try:
+            composed = compose(m2, m1)
+            closure.merge(check_poscor_morphism([composed], tol)[0], prefix=f"pair{pair_count}_")
+            for m3 in morphisms:
+                if m3.dom.ident != m2.cod.ident:
+                    continue
+                lhs = compose(m3, composed)
+                rhs = compose(compose(m3, m2), m1)
+                assoc = max(assoc, morphism_distance([lhs], [rhs])[0])
+        except KsgnslabError:
+            broken += 1
+    rep.add("associativity", assoc, tol.ctol * scale**3)
+    rep.add(
+        "composition_closure",
+        float("inf") if broken else closure.max_residual,
+        max(closure.thresholds.values(), default=tol.ctol),
+    )
     return rep

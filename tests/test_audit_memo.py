@@ -3,14 +3,12 @@
 `check_category_laws` and `check_functor_laws` build through the BuildMemo
 they are given.  These tests count the interior tensor builds an audit makes
 on a fresh memo, by content, compare the audits' residuals with the
-memo-less loops they replaced (kept below as the reference, each builder
-call on a fresh memo of its own), and check that a build which raises is
+memo-less loops they replaced (kept in conftest as the references, each
+builder call on a fresh memo of its own), and check that a build which raises is
 not remembered.  The functor audit composes F(g) F(h) on the tensor of
 F(gh); the loop that composed on a fresh tensor along beta_g beta_h is kept
 as a second reference.
 """
-
-import itertools
 
 import numpy as np
 import pytest
@@ -26,7 +24,7 @@ from ksgnslab.equivariant import (
     symmetric_group,
 )
 from ksgnslab.cstar import AlgebraShape
-from ksgnslab.errors import KsgnslabError, WellDefinednessViolation
+from ksgnslab.errors import WellDefinednessViolation
 from ksgnslab.harness import SizeCaps, _load_category, generate_instance, instance_seed
 from ksgnslab.numkernel import DEFAULT_TOL, operator_norm
 from ksgnslab.poscor import (
@@ -34,13 +32,11 @@ from ksgnslab.poscor import (
     check_category_laws,
     check_poscor_morphism,
     ksgns_functor_poscor,
-    morphism_distance,
     poscor_compose,
     poscor_identity,
 )
-from ksgnslab.reporting import CheckReport
 
-from conftest import functor_laws_reference
+from conftest import category_laws_reference, functor_laws_reference
 
 
 def category_payload(idx):
@@ -60,64 +56,6 @@ def functor_instance(group, seed):
 
 
 # -- the memo-less audits, as they were before the memo -------------------------
-
-
-def identity(obj, tol):
-    return poscor_identity(obj, tol, BuildMemo())
-
-
-def compose(m2, m1, tol, rho=None):
-    return poscor_compose([m2], [m1], tol, BuildMemo(), None if rho is None else [rho])[0]
-
-
-def category_laws_reference(objects, morphisms, tol=DEFAULT_TOL):
-    rep = CheckReport()
-    identities = {o.ident: identity(o, tol) for o in objects}
-    left_id = right_id = 0.0
-    scale = 1.0
-    closure = CheckReport()
-    broken = 0
-    for m in morphisms:
-        scale = max(scale, 1.0 + m.norm)
-        try:
-            left_id = max(
-                left_id,
-                morphism_distance(compose(identities[m.cod.ident], m, tol), m),
-            )
-            right_id = max(
-                right_id,
-                morphism_distance(compose(m, identities[m.dom.ident], tol), m),
-            )
-        except KsgnslabError:
-            broken += 1
-    rep.add("left_identity", left_id, tol.ctol * scale)
-    rep.add("right_identity", right_id, tol.ctol * scale)
-    assoc = 0.0
-    pair_count = 0
-    for m1, m2 in itertools.product(morphisms, repeat=2):
-        if m1 is m2 or m1.cod.ident != m2.dom.ident:
-            continue
-        pair_count += 1
-        try:
-            composed = compose(m2, m1, tol)
-            closure.merge(
-                check_poscor_morphism(composed, tol), prefix=f"pair{pair_count}_"
-            )
-            for m3 in morphisms:
-                if m3.dom.ident != m2.cod.ident:
-                    continue
-                lhs = compose(m3, composed, tol)
-                rhs = compose(compose(m3, m2, tol), m1, tol)
-                assoc = max(assoc, morphism_distance(lhs, rhs))
-        except KsgnslabError:
-            broken += 1
-    rep.add("associativity", assoc, tol.ctol * scale**3)
-    rep.add(
-        "composition_closure",
-        float("inf") if broken else closure.max_residual,
-        max(closure.thresholds.values(), default=tol.ctol),
-    )
-    return rep
 
 
 def functor_laws_composed_reference(c, functor, tol=DEFAULT_TOL):
@@ -259,19 +197,25 @@ def test_memo_stores_only_finished_builds():
 
 
 def test_category_audit_failed_build_still_breaks_closure(monkeypatch):
+    # one tensor content fails every time it is built, so also when its
+    # stack is built again one pair at a time: the last slice of the first
+    # build after the identities' (one tensor per object)
     objects, morphisms = category_instance(0)
     real = cp.tensor_premodule
-    calls = []
+    calls, bad = [], []
 
-    def fail_once(E, F, pi):
+    def fail_one_content(E, F, pi):
         calls.append(E)
-        # the identities build one tensor per object; fail the first build after
+        slices = [(content(e), content(f), p.images.tobytes()) for e, f, p in zip(E, F, pi)]
         if len(calls) == len(objects) + 1:
+            bad.append(slices[-1])
+        if bad and bad[0] in slices:
             raise WellDefinednessViolation("injected")
         return real(E, F, pi)
 
-    monkeypatch.setattr(cp, "tensor_premodule", fail_once)
+    monkeypatch.setattr(cp, "tensor_premodule", fail_one_content)
     rep = check_category_laws(objects, morphisms, DEFAULT_TOL, BuildMemo())
+    assert bad
     assert rep.residuals["composition_closure"] == float("inf")
     assert "composition_closure" in rep.failing()
     assert rep.residuals["associativity"] <= rep.thresholds["associativity"]
@@ -294,7 +238,7 @@ def test_fresh_memo_builders_share_within_the_call(monkeypatch):
     builds.clear()
     composed = poscor_compose([m2], [m1], DEFAULT_TOL, BuildMemo())[0]
     assert sum(builds.values()) == 2
-    assert check_poscor_morphism(composed).passed
+    assert check_poscor_morphism([composed], DEFAULT_TOL)[0].passed
 
 
 def test_content_equal_foreign_objects_give_the_same_matrices():
@@ -315,7 +259,7 @@ def test_content_equal_foreign_objects_give_the_same_matrices():
     m, f = morphisms[0], loaded_elsewhere[0]
     assert f is not m and f.dom_tensor is not m.dom_tensor and f.key == m.key
     k, kf = (ksgns_functor_poscor(x, DEFAULT_TOL, memo) for x in (m, f))
-    assert check_poscor_morphism(k).passed
+    assert check_poscor_morphism([k], DEFAULT_TOL)[0].passed
     assert kf.key == k.key
     assert kf.dom_tensor is k.dom_tensor
     # composites are keyed by content: the foreign pair finds the memo's composite

@@ -1,0 +1,175 @@
+"""The category audit composes, measures and checks stacks, not pairs.
+
+`poscor.check_category_laws` builds its composites in levels, one
+poscor_compose call per group of pairs of one shape, and takes every
+distance and closure check over whole stacks.  These tests count the calls
+of one default check pass, fail each law record by corrupting one composite
+at a later slice of a stacked call (a slice mixed up with its pair would
+pass silently), and break one slice of a stack on its own.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from numpy.linalg import _linalg as linalg_impl
+
+import conftest
+from ksgnslab import equivariant, harness, poscor
+from ksgnslab.cp import CPMap
+from ksgnslab.cstar import Automorphism, StarMap
+from ksgnslab.errors import WellDefinednessViolation
+from ksgnslab.harness import (
+    SUITE_NAMES, SizeCaps, _load_category, check_instance, generate_instance, instance_seed,
+)
+from ksgnslab.hilbert import ModuleMap
+from ksgnslab.memo import BuildMemo
+from ksgnslab.numkernel import DEFAULT_TOL
+from ksgnslab.poscor import check_category_laws, morphism_distance, poscor_identity
+
+from conftest import category_laws_reference, count_calls
+
+MASTER = 20250809
+
+
+def category_payload(idx):
+    return generate_instance("category", SizeCaps(), instance_seed(MASTER, "category", idx))
+
+
+def test_default_check_pass_stacks_the_category_audit(monkeypatch):
+    # one check pass over the 90 default-caps instances: one composite per
+    # poscor_compose call made 526 calls and 2,579 SVDs; one call per shape
+    # group and level makes 121 and 1,756
+    tasks = [
+        (suite, generate_instance(suite, SizeCaps(), instance_seed(MASTER, suite, idx)))
+        for suite in SUITE_NAMES
+        for idx in range(SizeCaps().instances_per_suite)
+    ]
+    composes = []
+    real = poscor.poscor_compose
+
+    def counting(*args, **kwargs):
+        composes.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    for module in (poscor, harness, equivariant):
+        monkeypatch.setattr(module, "poscor_compose", counting)
+    svds = [count_calls(monkeypatch, module, "svd") for module in (np.linalg, linalg_impl)]
+    records = [r for suite, p in tasks for r in check_instance(suite, p, DEFAULT_TOL)]
+    assert len(records) == 826 and all(r.passed for r in records)
+    assert len(composes) <= 130, len(composes)
+    assert 1000 < sum(map(len, svds)) <= 1900, [len(calls) for calls in svds]
+
+
+def test_stacked_distances_equal_each_pair_alone():
+    # pairs of every shape of category instance 1, each morphism against a
+    # copy with its rho, eta and alpha matrices scaled by its own amount, so
+    # that every gap of every slice is nonzero and distinct
+    _, morphisms = _load_category(category_payload(1), DEFAULT_TOL, BuildMemo())
+    moved = [
+        replace(
+            m,
+            rho=StarMap(m.rho.domain, m.rho.codomain, (1.0 + 1e-3 * k) * m.rho.matrix),
+            eta=ModuleMap(m.eta.source, m.eta.target, (1.0 + 1e-2 * k) * m.eta.matrix),
+            alpha=Automorphism(
+                StarMap(m.alpha.shape, m.alpha.shape, (1.0 + 0.1 * k) * m.alpha.matrix),
+                m.alpha.inverse,
+            ),
+        )
+        for k, m in enumerate(morphisms, start=1)
+    ]
+    stacked = morphism_distance(morphisms + moved, moved + morphisms)
+    alone = [morphism_distance([a], [b])[0] for a, b in zip(morphisms + moved, moved + morphisms)]
+    assert np.array_equal(stacked, alone)
+    assert len(set(stacked[: len(morphisms)].tolist())) == len(morphisms)
+    assert min(stacked) > 0.0
+
+
+# -- negative controls: one corrupted composite at a later slice ------------------
+
+
+def keys_of(payload):
+    objects, morphisms = _load_category(payload, DEFAULT_TOL, BuildMemo())
+    ids = {poscor_identity(o, DEFAULT_TOL, BuildMemo()).key for o in objects}
+    return ids, {m.key for m in morphisms}
+
+
+def scaled_eta(m):
+    return replace(m, eta=ModuleMap(m.eta.source, m.eta.target, 1.5 * m.eta.matrix))
+
+
+def scaled_phi_ext(m):
+    p = m.phi_ext
+    return replace(m, phi_ext=CPMap(p.algebra, p.module, 1.5 * p.images))
+
+
+# record -> (which (m2, m1) slices to corrupt, given the identities' and the
+# loaded morphisms' keys; the corruption).  A scaled eta is still an
+# intertwiner, so only the distance it enters grows; a scaled phi~ enters
+# only the closure check, since composites are keyed and built without it.
+CONTROLS = {
+    "left_identity": (lambda ids, ms, m2, m1: m2.key in ids and m1.key in ms, scaled_eta),
+    "right_identity": (lambda ids, ms, m2, m1: m1.key in ids and m2.key in ms, scaled_eta),
+    "closure": (lambda ids, ms, m2, m1: m2.key in ms and m1.key in ms, scaled_phi_ext),
+    "associativity": (
+        lambda ids, ms, m2, m1: m2.key in ms and m1.key not in ms | ids, scaled_eta
+    ),
+}
+LAW_RECORDS = ("left_identity", "right_identity", "associativity", "closure")
+
+
+@pytest.mark.parametrize("record", sorted(CONTROLS))
+def test_corrupted_later_slice_fails_its_law_by_name(monkeypatch, record):
+    payload = category_payload(0)
+    ids, ms = keys_of(payload)
+    chosen, corrupt = CONTROLS[record]
+    real = poscor.poscor_compose
+    hit = []
+
+    def corrupting(m2, m1, tol, memo, rho=None):
+        out = real(m2, m1, tol, memo, rho)
+        slices = [s for s in range(1, len(m1)) if chosen(ids, ms, m2[s], m1[s])]
+        if not hit and slices:
+            hit.append((slices[-1], len(m1)))
+            out = list(out)
+            out[slices[-1]] = corrupt(out[slices[-1]])
+        return out
+
+    monkeypatch.setattr(poscor, "poscor_compose", corrupting)
+    records = {r.check: r for r in check_instance("category", payload, DEFAULT_TOL)}
+    assert hit and 0 < hit[0][0] < hit[0][1]
+    assert records["morphism_invariants"].passed
+    assert not records[record].passed
+    assert [name for name in LAW_RECORDS if not records[name].passed] == [record]
+
+
+# -- a slice that fails on its own ---------------------------------------------------
+
+
+def test_slice_failing_alone_breaks_only_its_pair(monkeypatch):
+    # a2 . c2 is a later slice of the stacked pair composites; it raises in
+    # its stack and again alone, so its pair is broken, while every other
+    # pair of the stack enters the laws as in the per-pair loops
+    objects, morphisms = _load_category(category_payload(0), DEFAULT_TOL, BuildMemo())
+    _, a2, _, _, _, c2 = morphisms
+    assert (a2.dom.ident, a2.cod.ident, c2.dom.ident, c2.cod.ident) == ("O1", "O2", "O1", "O1")
+    real = poscor.poscor_compose
+    seen = []
+
+    def failing(m2, m1, tol, memo, rho=None):
+        pairs = [(b.key, a.key) for b, a in zip(m2, m1)]
+        if (a2.key, c2.key) in pairs:
+            seen.append((pairs.index((a2.key, c2.key)), len(pairs)))
+            raise WellDefinednessViolation("injected")
+        return real(m2, m1, tol, memo, rho)
+
+    monkeypatch.setattr(poscor, "poscor_compose", failing)
+    monkeypatch.setattr(conftest, "poscor_compose", failing)
+    rep = check_category_laws(objects, morphisms, DEFAULT_TOL, BuildMemo())
+    assert seen[0][0] > 0 and seen[0][1] > 2 and seen[1] == (0, 1)
+    ref = category_laws_reference(objects, morphisms, DEFAULT_TOL)
+    assert rep.residuals["composition_closure"] == ref.residuals["composition_closure"] == np.inf
+    for name in ("left_identity", "right_identity", "associativity"):
+        assert rep.residuals[name] == ref.residuals[name], name
+        assert rep.thresholds[name] == ref.thresholds[name], name
+    assert rep.residuals["associativity"] > 0.0

@@ -98,7 +98,7 @@ def test_homomorphisms_are_cp(rng):
     ok, mins = check_cp([pi], DEFAULT_TOL, BuildMemo())[0]
     assert ok
     assert min(mins) >= -1e-12
-    assert check_correspondence(pi).passed
+    assert check_correspondence(pi, DEFAULT_TOL).passed
 
 
 @settings(max_examples=15, deadline=None)
@@ -161,10 +161,10 @@ def test_random_blinear_unitary_stream_and_unitarity(blocks, max_dim, rng):
 def test_commutant_basis_matches_blinear_maps(rng):
     # over the scalars every map is module linear
     E = canonical_module(AlgebraShape((1,)), (3,))
-    assert adjointable_commutant_basis(E).shape[0] == 9
+    assert adjointable_commutant_basis(E, DEFAULT_TOL).shape[0] == 9
     # over M_2 with the standard module the commutant is the row algebra
     E2 = canonical_module(AlgebraShape((2,)), (2,))
-    assert adjointable_commutant_basis(E2).shape[0] == 4
+    assert adjointable_commutant_basis(E2, DEFAULT_TOL).shape[0] == 4
 
 
 # -- intertwiner spaces --------------------------------------------------------
@@ -174,7 +174,7 @@ def test_intertwiner_space_contains_identity(rng):
     A = AlgebraShape((2,))
     E = random_module(AlgebraShape((2,)), rng, max_dim=4)
     phi = random_cp(A, E, rng)
-    basis = intertwiner_space(phi, phi, identity_automorphism(A))
+    basis = intertwiner_space(phi, phi, identity_automorphism(A), DEFAULT_TOL)
     assert basis
     # project the identity onto the span and compare
     eye = np.eye(E.dim, dtype=complex).reshape(-1)
@@ -189,7 +189,7 @@ def test_intertwiner_space_contains_planted_unitary(rng):
     E1 = random_module(B, rng, max_dim=5)
     phi1 = random_cp(A, E1, rng)
     E2, phi2, m = transported_copy(E1, phi1, rng)
-    basis = intertwiner_space(phi1, phi2, m.alpha)
+    basis = intertwiner_space(phi1, phi2, m.alpha, DEFAULT_TOL)
     W = m.eta.matrix.reshape(-1)
     coeffs = [np.vdot(b.matrix.reshape(-1), W) for b in basis]
     recon = sum(c * b.matrix.reshape(-1) for c, b in zip(coeffs, basis))
@@ -227,12 +227,12 @@ def test_intertwining_rows_match_the_kron_loop(zeros, rng):
 def test_zero_dimensional_module_has_empty_solution_spaces(rng):
     A, B = AlgebraShape((2,)), AlgebraShape((1, 2))
     E0, E = canonical_module(B, (0, 0)), random_module(B, rng, max_dim=3)
-    assert adjointable_commutant_basis(E0).shape == (0, 0, 0)
+    assert adjointable_commutant_basis(E0, DEFAULT_TOL).shape == (0, 0, 0)
     phi0, phi = random_cp(A, E0, rng), random_cp(A, E, rng)
     assert phi0.images.shape == (4, 0, 0)
     alpha = identity_automorphism(A)
-    assert intertwiner_space(phi0, phi, alpha) == []
-    assert intertwiner_space(phi, phi0, alpha) == []
+    assert intertwiner_space(phi0, phi, alpha, DEFAULT_TOL) == []
+    assert intertwiner_space(phi, phi0, alpha, DEFAULT_TOL) == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -243,7 +243,7 @@ def test_intertwiner_space_rejects_non_finite_maps(bad, rng):
     images = phi.images.copy()
     images[1, 0, 0] = bad
     with pytest.raises(NonFinite):
-        intertwiner_space(phi, CPMap(A, E, images), identity_automorphism(A))
+        intertwiner_space(phi, CPMap(A, E, images), identity_automorphism(A), DEFAULT_TOL)
 
 
 def test_irreducible_commutant_is_one_dimensional():
@@ -256,7 +256,7 @@ def test_irreducible_commutant_is_one_dimensional():
         unit[k, l] = 1.0
         images[p] = unit
     phi = CPMap(A, E, images)
-    basis = intertwiner_space(phi, phi, identity_automorphism(A))
+    basis = intertwiner_space(phi, phi, identity_automorphism(A), DEFAULT_TOL)
     assert len(basis) == 1
 
 
@@ -271,7 +271,7 @@ def test_check_correspondence_multiplicativity_matches_loop(blocks, rng):
         for r in range(A.dim):
             prod = mul(basis_element(A, p), basis_element(A, r))
             ref = max(ref, operator_norm(pi(prod.coeffs()).matrix - pi.images[p] @ pi.images[r]))
-    got = check_correspondence(pi).residuals["multiplicativity"]
+    got = check_correspondence(pi, DEFAULT_TOL).residuals["multiplicativity"]
     assert ref > 0.1
     assert got == pytest.approx(ref, rel=1e-12)
 
@@ -296,7 +296,7 @@ def live_rows(pi):
 def multiplicativity_fails(pi) -> bool:
     """Whether check_correspondence's multiplicativity fails, after asserting
     that it equals the every-row reference to rounding, with the same verdict."""
-    rep = check_correspondence(pi)
+    rep = check_correspondence(pi, DEFAULT_TOL)
     got, threshold = rep.residuals["multiplicativity"], rep.thresholds["multiplicativity"]
     ref = multiplicativity_reference(pi)
     assert got == pytest.approx(ref, rel=1e-12, abs=1e-6 * threshold)
@@ -389,7 +389,7 @@ def test_check_correspondence_rejects_non_finite_images(bad):
         images = pi.images.copy()
         images[pos] = bad
         with pytest.raises(NonFinite, match="representation images"):
-            check_correspondence(CPMap(pi.algebra, pi.module, images))
+            check_correspondence(CPMap(pi.algebra, pi.module, images), DEFAULT_TOL)
     # an Inf in pi(u_r) that a dead row of pi(u_p) multiplies: in the full
     # product that row reads 0 * Inf = NaN, and it is a row the check drops
     p = 0
@@ -400,7 +400,7 @@ def test_check_correspondence_rejects_non_finite_images(bad):
     with np.errstate(invalid="ignore"):
         assert np.isnan((images[p] @ images[r])[i, 0])
     with pytest.raises(NonFinite, match="representation images"):
-        check_correspondence(CPMap(pi.algebra, pi.module, images))
+        check_correspondence(CPMap(pi.algebra, pi.module, images), DEFAULT_TOL)
 
 
 def test_multiplicativity_svds_see_a_third_of_the_rows_on_m3(monkeypatch):
@@ -421,7 +421,7 @@ def test_multiplicativity_svds_see_a_third_of_the_rows_on_m3(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    assert check_correspondence(pi).passed
+    assert check_correspondence(pi, DEFAULT_TOL).passed
     monkeypatch.undo()
     stacks = [s for s in shapes if len(s) == 3]
     assert shapes == stacks + [(d, d)]  # then one unitality SVD
@@ -434,10 +434,10 @@ def test_check_morphism_identity_and_solver_consistency(rng):
     B = AlgebraShape((2,))
     E1, phi1, E2, phi2, m = random_morphism_pair(A, B, rng, max_dim=4)
     ident = Intertwiner(identity_map(E1), identity_automorphism(A))
-    rep = check_morphism(ident, phi1, phi1)
+    rep = check_morphism([ident], [phi1], [phi1], DEFAULT_TOL)[0]
     assert rep.passed
     assert rep.max_residual <= 1e-12
-    rep = check_morphism(m, phi1, phi2)
+    rep = check_morphism([m], [phi1], [phi2], DEFAULT_TOL)[0]
     assert rep.passed, rep.residuals
 
 
@@ -448,7 +448,7 @@ def test_check_morphism_rejects_perturbation(rng):
     noise = random_complex(rng, E2.dim, E1.dim)
     noise = 0.1 * noise / operator_norm(noise)
     bad = Intertwiner(ModuleMap(E1, E2, m.eta.matrix + noise), m.alpha)
-    rep = check_morphism(bad, phi1, phi2)
+    rep = check_morphism([bad], [phi1], [phi2], DEFAULT_TOL)[0]
     assert not rep.passed
     assert rep.residuals["intertwining"] >= 0.001
 

@@ -151,7 +151,7 @@ def test_trace_nondegenerate():
 
 
 def test_check_star_map_identity():
-    rep = check_star_map(identity_star_map(AlgebraShape((2, 1))))
+    rep = check_star_map([identity_star_map(AlgebraShape((2, 1)))], DEFAULT_TOL)[0]
     assert rep.passed
     assert rep.max_residual == 0.0
 
@@ -160,7 +160,7 @@ def test_check_star_map_transpose_fails():
     shape = AlgebraShape((2,))
     images = [np.eye(shape.dim)[shape.basis_index(i, l, k)] for p, i, k, l in shape.basis_labels()]
     transpose = StarMap(shape, shape, np.stack(images, axis=1))
-    rep = check_star_map(transpose)
+    rep = check_star_map([transpose], DEFAULT_TOL)[0]
     assert not rep.passed
     assert rep.residuals["multiplicativity"] >= 1.0
     assert rep.residuals["unitality"] <= 1e-15
@@ -194,7 +194,7 @@ def test_check_star_map_multiplicativity_matches_loop(blocks, cod, rng):
                 prod = mul(basis_element(dom, p), basis_element(dom, r))
                 diff = sub(apply_star_map(rho, prod), mul(images[p], images[r]))
                 ref = max(ref, element_norm(diff))
-    got = check_star_map(rho).residuals["multiplicativity"]
+    got = check_star_map([rho], DEFAULT_TOL)[0].residuals["multiplicativity"]
     assert ref > 0.1
     assert got == pytest.approx(ref, rel=1e-12)
 
@@ -207,7 +207,7 @@ def test_check_star_map_block_embedding():
         u = basis_element(B, p)
         images.append(AlgebraElement(C, [u.blocks[0], u.blocks[0]]).coeffs())
     rho = StarMap(B, C, np.stack(images, axis=1))
-    rep = check_star_map(rho)
+    rep = check_star_map([rho], DEFAULT_TOL)[0]
     assert rep.passed
     assert rep.residuals["unitality"] == 0.0
 
@@ -217,7 +217,7 @@ def test_check_star_map_block_embedding():
 def test_random_automorphism_is_star_automorphism(seed, blocks):
     shape = AlgebraShape(blocks)
     alpha = random_automorphism(shape, seed)
-    rep = check_star_map(alpha.forward)
+    rep = check_star_map([alpha.forward], DEFAULT_TOL)[0]
     assert rep.passed, rep.residuals
     round_trip = operator_norm(alpha.inverse.matrix @ alpha.forward.matrix - np.eye(shape.dim))
     assert round_trip <= DEFAULT_TOL.ctol
@@ -291,11 +291,16 @@ def test_star_map_checks_match_per_image_reference(seed, shapes):
     near = StarMap(dom, hom.codomain, hom.matrix + 1e-9 * noise(hom.codomain.dim))
     pairs = [(StarMap(dom, cod, noise(cod.dim)), StarMap(dom, cod, noise(cod.dim))), (hom, near)]
     for r1, r2 in pairs:
-        rep, ref = check_star_map(r1), check_star_map_reference(r1)
-        for name in ("multiplicativity", "star_preservation", "unitality"):
-            assert np.array_equal(rep.residuals[name], ref[name]), name
-            assert rep.thresholds[name] == DEFAULT_TOL.ctol * (1.0 + ref["scale"] * ref["scale"])
-        assert np.array_equal(star_map_distance(r1, r2), star_map_distance_reference(r1, r2))
+        # each map alone, and as the second slice of a stack with its partner
+        ref = check_star_map_reference(r1)
+        gate = DEFAULT_TOL.ctol * (1.0 + ref["scale"] * ref["scale"])
+        for rep in (check_star_map([r1], DEFAULT_TOL)[0], check_star_map([r2, r1], DEFAULT_TOL)[1]):
+            for name in ("multiplicativity", "star_preservation", "unitality"):
+                assert np.array_equal(rep.residuals[name], ref[name]), name
+                assert rep.thresholds[name] == gate
+        gaps = star_map_distance([r2, r1, r1], [r1, r2, r1])
+        assert np.array_equal(gaps[1], star_map_distance_reference(r1, r2))
+        assert gaps[2] == 0.0
 
 
 def test_automorphism_shape_checks():

@@ -346,7 +346,7 @@ def test_adjoint_identity_and_involution(rng):
     # make it B-linear by averaging against the commutant basis
     from ksgnslab.cp import adjointable_commutant_basis, commutant_project
 
-    basis = adjointable_commutant_basis(E1)
+    basis = adjointable_commutant_basis(E1, DEFAULT_TOL)
     Tr = E1.gram_sqrt @ T.matrix @ E1.gram_isqrt
     T = ModuleMap(E1, E1, E1.gram_isqrt @ commutant_project(basis, Tr) @ E1.gram_sqrt)
     assert linearity_residual(T) <= 1e-10
@@ -646,7 +646,7 @@ def test_v_rho_square_diagram(rng):
     E2, S = scramble_module(comp.inner.module, rng)
     eta = ModuleMap(comp.inner.module, E2, np.linalg.inv(S))
     tm2 = interior_tensor_along([E2], [chi], DEFAULT_TOL, memo)[0]
-    eta_hat = tensor_extend_between([eta], [comp.double], [tm2])[0]
+    eta_hat = tensor_extend_between([eta], [comp.double], [tm2], DEFAULT_TOL)[0]
     vr_chi_prime = v_rho([comp.double])[0]
     vr_chi = v_rho([tm2])[0]
     resid = operator_norm(

@@ -126,16 +126,20 @@ def test_failed_build_in_instance_memo_breaks_closure(monkeypatch):
         finally:
             composing.pop()
 
-    def fail_once(E, F, pi):
-        # the first tensor a composite needs is built inside the audit
+    def fail_one_content(E, F, pi):
+        # the first tensor a composite needs is built inside the audit; its
+        # content fails every time, also when its stack is built again one
+        # pair at a time
+        slices = [(content(e), content(f), p.images.tobytes()) for e, f, p in zip(E, F, pi)]
         if composing and not failed:
-            failed.append(E)
+            failed.append(slices[0])
+        if failed and failed[0] in slices:
             raise WellDefinednessViolation("injected")
         return real_premodule(E, F, pi)
 
     data = payload("category", 1)
     monkeypatch.setattr(poscor, "composition_unitary", composition)
-    monkeypatch.setattr(cp, "tensor_premodule", fail_once)
+    monkeypatch.setattr(cp, "tensor_premodule", fail_one_content)
     records = {r.check: r for r in check_instance("category", data, DEFAULT_TOL)}
     assert failed
     assert "construction" not in records

@@ -223,7 +223,7 @@ def test_lift_properties_and_contraction(rng):
     rep = check_lift(m, lifted, t1, t2)
     assert rep.passed, rep.residuals
     assert lifted.norm <= m.norm + 1e-8
-    rep = check_morphism(lifted, t1.pi, t2.pi)
+    rep = check_morphism([lifted], [t1.pi], [t2.pi], DEFAULT_TOL)[0]
     assert rep.passed
 
 
@@ -283,7 +283,7 @@ def make_linear_path(rng, steps=20):
     A = AlgebraShape((2,))
     B = AlgebraShape((2,))
     E1, phi1, E2, phi2, m = random_morphism_pair(A, B, rng, max_dim=4)
-    basis = intertwiner_space(phi1, phi2, m.alpha)
+    basis = intertwiner_space(phi1, phi2, m.alpha, DEFAULT_TOL)
     direction = basis[0]
     path = [
         Intertwiner(

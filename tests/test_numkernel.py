@@ -197,6 +197,21 @@ def test_max_operator_norms_per_stack(rng):
         max_operator_norms(*stacks)
 
 
+def test_max_operator_norms_per_leading_slice(rng):
+    # with lead=1 each stack keeps its first axis: one maximum per slice,
+    # each with the bits of max_operator_norm on that slice alone
+    stacks = [
+        random_complex(rng, 4, 3, 2, 2),
+        random_complex(rng, 4, 2, 3),
+        random_complex(rng, 4, 2, 2),
+        np.zeros((4, 2, 0, 3)),
+    ]
+    got = max_operator_norms(*stacks, lead=1)
+    assert got.shape == (4, 4)
+    want = [[max_operator_norm(S[s]) for s in range(4)] for S in stacks]
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize(
     "a_shape, b_shape",
     [

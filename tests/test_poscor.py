@@ -114,18 +114,20 @@ def test_tensor_extend_operator_properties(rng):
     E = random_module(B, rng, max_dim=4)
     F, pi = random_representation(B, C, rng, max_dim=4)
     tm = interior_tensor([E], [F], [pi], DEFAULT_TOL, BuildMemo())[0]
-    ident = tensor_extend_between([identity_map(E)], [tm], [tm])[0]
+    ident = tensor_extend_between([identity_map(E)], [tm], [tm], DEFAULT_TOL)[0]
     assert operator_norm(ident.matrix - np.eye(tm.module.dim)) <= 1e-10
     T = random_blinear_unitary(E, rng)
     S = random_blinear_unitary(E, rng)
-    TI, SI = tensor_extend_between([T], [tm], [tm])[0], tensor_extend_between([S], [tm], [tm])[0]
+    TI = tensor_extend_between([T], [tm], [tm], DEFAULT_TOL)[0]
+    SI = tensor_extend_between([S], [tm], [tm], DEFAULT_TOL)[0]
     assert unitarity_residual([TI]) <= 1e-8
     assert operator_norm(
-        adjoint_map(TI).matrix - tensor_extend_between([adjoint_map(T)], [tm], [tm])[0].matrix
+        adjoint_map(TI).matrix
+        - tensor_extend_between([adjoint_map(T)], [tm], [tm], DEFAULT_TOL)[0].matrix
     ) <= 1e-8
     ST = ModuleMap(E, E, S.matrix @ T.matrix)
     assert operator_norm(
-        tensor_extend_between([ST], [tm], [tm])[0].matrix - SI.matrix @ TI.matrix
+        tensor_extend_between([ST], [tm], [tm], DEFAULT_TOL)[0].matrix - SI.matrix @ TI.matrix
     ) <= 1e-8
     assert module_operator_norm(TI) <= module_operator_norm(T) + 1e-8
 
@@ -149,7 +151,7 @@ def test_tensor_functor_morphism_laws(rng):
         tensor_extend_cpmap([phi], [tm], DEFAULT_TOL, memo)[0]
         for phi, tm in zip((phi1, phi2, phi3), tms)
     ]
-    rep = check_morphism(h1, phi_exts[0], phi_exts[1])
+    rep = check_morphism([h1], [phi_exts[0]], [phi_exts[1]], DEFAULT_TOL)[0]
     assert rep.passed, rep.residuals
     assert h1.norm <= m1.norm + 1e-8
     from ksgnslab.cp import compose_intertwiners
@@ -197,7 +199,7 @@ def test_commuting_unitary_naturality(rng):
     cu1 = commuting_unitary(phi1, [tm1], DEFAULT_TOL, memo)[0]
     cu2 = commuting_unitary(phi2, [tm2], DEFAULT_TOL, memo)[0]
     lifted = ksgns_lift([m], [cu1.triple], [cu2.triple])[0]
-    lifted_hat = tensor_extend_between([lifted.eta], [cu1.right], [cu2.right])[0]
+    lifted_hat = tensor_extend_between([lifted.eta], [cu1.right], [cu2.right], DEFAULT_TOL)[0]
     m_hat = tensored_intertwiner(m, tm1, tm2)
     hat_lifted = ksgns_lift([m_hat], [cu1.left], [cu2.left])[0]
     resid = operator_norm(
@@ -220,7 +222,7 @@ def test_pentagon(rng):
     sigma = compose_star_maps(U2.rho, rho1)
     U1 = composition_unitary([comp.inner], [rho1], [U2.rho], tol, memo, [sigma])[0]
     V1 = composition_unitary([comp.target], [comp.rho], [rho3], tol, memo, [sigma])[0]
-    V2_hat = tensor_extend_between([comp.unitary], [U2.double], [V1.double])[0]
+    V2_hat = tensor_extend_between([comp.unitary], [U2.double], [V1.double], DEFAULT_TOL)[0]
     resid = operator_norm(
         U1.unitary.matrix @ U2.unitary.matrix - V1.unitary.matrix @ V2_hat.matrix
     )
@@ -248,12 +250,12 @@ def test_poscor_identity_and_composition(rng):
     A, objs, m1, m2, memo = build_chain(rng)
     o1, o2, o3 = objs
     i1, i2 = poscor_identity(o1, DEFAULT_TOL, memo), poscor_identity(o2, DEFAULT_TOL, memo)
-    assert check_poscor_morphism(i1).passed
-    assert morphism_distance(poscor_compose([i1], [i1], DEFAULT_TOL, memo)[0], i1) <= 1e-10
-    assert morphism_distance(poscor_compose([m1], [i1], DEFAULT_TOL, memo)[0], m1) <= 1e-10
-    assert morphism_distance(poscor_compose([i2], [m1], DEFAULT_TOL, memo)[0], m1) <= 1e-10
+    assert check_poscor_morphism([i1], DEFAULT_TOL)[0].passed
+    assert morphism_distance(poscor_compose([i1], [i1], DEFAULT_TOL, memo), [i1])[0] <= 1e-10
+    assert morphism_distance(poscor_compose([m1], [i1], DEFAULT_TOL, memo), [m1])[0] <= 1e-10
+    assert morphism_distance(poscor_compose([i2], [m1], DEFAULT_TOL, memo), [m1])[0] <= 1e-10
     composed = poscor_compose([m2], [m1], DEFAULT_TOL, memo)[0]
-    assert check_poscor_morphism(composed).passed
+    assert check_poscor_morphism([composed], DEFAULT_TOL)[0].passed
     # composing unitary-eta morphisms keeps eta unitary
     assert unitarity_residual([composed.eta]) <= 1e-8
 
@@ -334,13 +336,13 @@ def test_ksgns_functor_laws(rng):
     d1, _ = dilate_object(o1, tol, memo)
     k1 = ksgns_functor_poscor(m1, tol, memo)
     k2 = ksgns_functor_poscor(m2, tol, memo)
-    assert check_poscor_morphism(k1).passed
-    assert check_poscor_morphism(k2).passed
+    assert check_poscor_morphism([k1], tol)[0].passed
+    assert check_poscor_morphism([k2], tol)[0].passed
     ident = poscor_identity(o1, tol, memo)
     k_id = ksgns_functor_poscor(ident, tol, memo)
-    assert morphism_distance(k_id, poscor_identity(d1, tol, memo)) <= 1e-8
+    assert morphism_distance([k_id], [poscor_identity(d1, tol, memo)])[0] <= 1e-8
     k21 = ksgns_functor_poscor(poscor_compose([m2], [m1], tol, memo)[0], tol, memo)
-    assert morphism_distance(k21, poscor_compose([k2], [k1], tol, memo)[0]) <= 1e-8 * (
+    assert morphism_distance([k21], poscor_compose([k2], [k1], tol, memo))[0] <= 1e-8 * (
         1 + m1.norm * m2.norm
     )
 
@@ -353,11 +355,11 @@ def test_ksgns_idempotency_natural_iso(rng):
     kk1 = ksgns_functor_poscor(k1, tol, memo)
     iso1 = idempotency_iso_poscor(o1, tol, memo)
     iso2 = idempotency_iso_poscor(o2, tol, memo)
-    assert check_poscor_morphism(iso1).passed
+    assert check_poscor_morphism([iso1], tol)[0].passed
     assert unitarity_residual([iso1.eta]) <= 1e-8
     gap = morphism_distance(
-        poscor_compose([iso2], [k1], tol, memo)[0], poscor_compose([kk1], [iso1], tol, memo)[0]
-    )
+        poscor_compose([iso2], [k1], tol, memo), poscor_compose([kk1], [iso1], tol, memo)
+    )[0]
     assert gap <= 1e-8 * (1 + m1.norm)
 
 

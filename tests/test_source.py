@@ -548,6 +548,64 @@ def test_group_builders_stack_over_the_group():
     assert found == {}
 
 
+AUDIT_CALLS = ("poscor_compose", "morphism_distance", "check_poscor_morphism")
+
+
+def per_item_calls(source: str, functions: tuple[str, ...], callees: tuple[str, ...]) -> list[str]:
+    """Calls to callees that the named functions (nested functions included)
+    make once per item of a loop or comprehension: in a loop body or test, or
+    in a comprehension's element, conditions or inner iterables.  The
+    iterable a loop starts from is evaluated once and does not count."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name not in functions:
+            continue
+        for loop in ast.walk(fn):
+            if isinstance(loop, (ast.For, ast.AsyncFor)):
+                parts = loop.body + loop.orelse
+            elif isinstance(loop, ast.While):
+                parts = [loop.test, *loop.body, *loop.orelse]
+            elif isinstance(loop, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+                heads = [loop.key, loop.value] if isinstance(loop, ast.DictComp) else [loop.elt]
+                ifs = [c for gen in loop.generators for c in gen.ifs]
+                parts = heads + ifs + [gen.iter for gen in loop.generators[1:]]
+            else:
+                continue
+            found |= {
+                f"{fn.name}: {name} (line {node.lineno})"
+                for part in parts
+                for node in ast.walk(part)
+                if isinstance(node, ast.Call)
+                and (name := getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                in callees
+            }
+    return sorted(found)
+
+
+def test_category_audit_stacks_its_pairs():
+    # the category audit composes, measures and checks whole stacks of
+    # pairs and triples, never one morphism or pair at a time
+    probe = (
+        "def audit(ms, pairs):\n"
+        "    for r in check_poscor_morphism(ms):\n        pass\n"
+        "    for m2, m1 in pairs:\n        poscor_compose([m2], [m1])\n"
+        "    d = [morphism_distance([a], [b]) for a, b in pairs]\n"
+        "    return [x for x in poscor_compose(ms, ms) if check_poscor_morphism([x])]\n\n"
+        "def other(pairs):\n    for m2, m1 in pairs:\n        poscor_compose([m2], [m1])\n"
+    )
+    assert per_item_calls(probe, ("audit",), AUDIT_CALLS) == [
+        "audit: check_poscor_morphism (line 7)",
+        "audit: morphism_distance (line 6)",
+        "audit: poscor_compose (line 5)",
+    ]
+    found = {
+        name: calls
+        for name, fn in (("poscor.py", "check_category_laws"), ("harness.py", "_check_category"))
+        if (calls := per_item_calls((SRC / name).read_text(), (fn,), AUDIT_CALLS))
+    }
+    assert found == {}
+
+
 def memo_twins_and_group_indices(source: str) -> list[str]:
     """Functions named *_once, and functions or lambdas whose first
     parameter is `idx`, by name and line."""
