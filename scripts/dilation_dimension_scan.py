@@ -55,7 +55,7 @@ def main() -> int:
                     rng = np.random.default_rng(1000 * n + 100 * d + 10 * rank + seed)
                     A, E, phi = rank_limited_cp(n, d, rank, rng)
                     t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
-                    rep = check_triple(t)
+                    rep = check_triple(t, DEFAULT_TOL)
                     worst = max(worst, rep.max_residual)
                     dims.append(t.module.dim)
                 assert len(set(dims)) == 1, "dimension should depend only on the rank"

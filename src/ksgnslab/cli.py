@@ -124,13 +124,13 @@ def demo_gns() -> int:
         system_in, system_out, E, phi, [np.eye(1, dtype=complex)] * 2
     )
     print("input: trace state on the 2x2 matrix block, flip symmetry, group Z2")
-    rep = check_equivariant(corr)
+    rep = check_equivariant(corr, DEFAULT_TOL)
     print(f"equivariant input check: {'pass' if rep.passed else 'FAIL'} "
           f"(max residual {rep.max_residual:.3e})")
     quad = dilate(corr, DEFAULT_TOL, BuildMemo())
     t = quad.triple
     print(f"dilation space dimension: {t.module.dim} (the 2x2 algebra itself)")
-    rep = check_dilation(quad)
+    rep = check_dilation(quad, DEFAULT_TOL)
     print(f"dilation conditions:     {'pass' if rep.passed else 'FAIL'} "
           f"(max residual {rep.max_residual:.3e})")
     U = quad.unitaries[1]

@@ -7,11 +7,13 @@ strong continuity of the unitary families is vacuous and recorded as such
 rather than tested.
 
 The dilated unitary family is built twice: directly on representatives as
-the compression of alpha_g (x) U_g, and as the categorical composite
-eta~_g . V_g^{-1} . V'_{beta_g}.  Agreement of the two is itself a check.
+the compression of alpha_g (x) U_g, and as the KSGNS endofunctor applied to
+the functor g -> F(g), built by poscor.ksgns_functor: the pullback
+eta~_g . V_g^{-1} . V'_{beta_g} of each dilated F(g).  Agreement of the two
+is itself a check.
 
 The group is a stack axis throughout: the twist tensors E (x)_{beta_g} B,
-the commuting and categorical dilation unitaries and the functor laws' Cayley
+the F(g), their images under the KSGNS functor and the functor laws' Cayley
 table are each one stacked build, never one group element at a time.  Every
 E (x)_{beta_g} B is the twist E_{beta_g} (Lance, Hilbert C*-Modules, ch. 4),
 so its slices share one shape, which numkernel.stack_slices checks where
@@ -35,13 +37,12 @@ from .cstar import (
     identity_automorphism,
     inner_automorphism,
 )
-from .cp import CPMap, Intertwiner, random_cp, tensor_key
+from .cp import CPMap, random_cp, tensor_key
 from .errors import ShapeMismatch, SpanningFailure, TwistMismatch, ValidationError
 from .hilbert import (
     HilbertModule,
     ModuleMap,
     adjoint_map,
-    adjoint_matrices,
     algebra_module,
     descend,
     pairing_coeffs,
@@ -53,26 +54,23 @@ from .ksgns import (
     check_triple,
     conjugated_triple,
     ksgns,
-    ksgns_lift,
     spanning_rank,
     triple_uniqueness_unitary,
 )
 from .memo import BuildMemo
 from .numkernel import (
-    DEFAULT_TOL, Tolerance, exceeds_gate, kron, max_operator_norm, max_operator_norms,
-    operator_norm, stack_slices,
+    Tolerance, exceeds_gate, kron, max_operator_norm, max_operator_norms, operator_norm,
+    stack_slices,
 )
 from .poscor import (
     PosCorMorphism,
     PosCorObject,
-    TwistUnitary,
-    commuting_unitary,
+    ksgns_functor,
     make_poscor_morphism,
     morphism_distance,
     poscor_compose,
     poscor_identity,
     twist_unitary,
-    v_rho,
 )
 from .reporting import CheckReport
 
@@ -326,9 +324,7 @@ class EquivariantCorrespondence:
         return self.system_in.group
 
 
-def check_equivariant(
-    c: EquivariantCorrespondence, tol: Tolerance = DEFAULT_TOL
-) -> CheckReport:
+def check_equivariant(c: EquivariantCorrespondence, tol: Tolerance) -> CheckReport:
     """Residuals: representation law, twisted linearity and pairing, covariance,
     each over the whole group at once."""
     rep = CheckReport()
@@ -408,7 +404,11 @@ def correspondence_to_functor(
         phi=c.phi,
     )
     beta = c.system_out.action
-    _, etas = _twisted_unitaries(c, tol, memo)
+    tws = twist_unitary(c.module, beta, tol, memo)
+    etas = [
+        ModuleMap(tw.twisted.module, c.module, U @ tw.unitary.matrix)
+        for tw, U in zip(tws, c.unitaries)
+    ]
     n = c.group.order
     return EquivariantFunctor(
         obj,
@@ -416,18 +416,6 @@ def correspondence_to_functor(
             [obj] * n, [obj] * n, [b.forward for b in beta], etas, c.system_in.action, tol, memo
         ),
     )
-
-
-def _twisted_unitaries(
-    c: EquivariantCorrespondence, tol: Tolerance, memo: BuildMemo
-) -> tuple[list[TwistUnitary], list[ModuleMap]]:
-    """The twist unitaries along every beta_g, from one stacked twist_unitary,
-    and eta_g = U_g . twist on each E (x)_{beta_g} B."""
-    tws = twist_unitary(c.module, c.system_out.action, tol, memo)
-    return tws, [
-        ModuleMap(tw.twisted.module, c.module, U @ tw.unitary.matrix)
-        for tw, U in zip(tws, c.unitaries)
-    ]
 
 
 def check_functor_laws(
@@ -525,35 +513,18 @@ def dilated_correspondence(quad: DilationQuadruple) -> EquivariantCorrespondence
 
 
 def categorical_dilation_unitary(
-    c: EquivariantCorrespondence,
-    quad: DilationQuadruple,
-    tol: Tolerance,
-    memo: BuildMemo,
+    c: EquivariantCorrespondence, tol: Tolerance, memo: BuildMemo
 ) -> np.ndarray:
-    """The stack (|G|, d, d) of U~_g rebuilt as eta~_g . V_g^{-1} . V'_{beta_g}:
-    the composite that the functorial proof produces, used to cross-check
-    the direct compression.  The commuting unitaries (left KSGNS, Choi
-    certificates, right tensors F_phi (x)_{beta_g} B), the lifts and the
-    products each run as one stack over the group.  The lifts land on
-    quad.triple; the commuting unitaries' triple of (E, phi) comes from the
-    memo and is content-equal to it."""
-    n = c.group.order
-    tws, etas = _twisted_unitaries(c, tol, memo)
-    cus = commuting_unitary(c.phi, [tw.twisted for tw in tws], tol, memo)
-    lifted = ksgns_lift(
-        [Intertwiner(eta, a) for eta, a in zip(etas, c.system_in.action)],
-        [cu.left for cu in cus],
-        [quad.triple] * n,
-        tol,
-    )
-    L = stack_slices([m.eta.matrix for m in lifted])
-    Vi = stack_slices(adjoint_matrices([cu.unitary for cu in cus]))
-    return L @ Vi @ stack_slices(v_rho([cu.right for cu in cus]))
+    """The stack (|G|, d, d) of U~_g rebuilt by the KSGNS endofunctor: the
+    pullbacks eta~_g . V_g^{-1} . V'_{beta_g} of ksgns_functor applied to the
+    F(g) as one stack, the composite that the functorial proof produces,
+    used to cross-check the direct compression.  The lifts land on the
+    triple of (E, phi) in the memo, which dilate builds."""
+    F = correspondence_to_functor(c, tol, memo).morphisms
+    return stack_slices([k.pullback for k in ksgns_functor(F, tol, memo)])
 
 
-def check_dilation(
-    quad: DilationQuadruple, tol: Tolerance = DEFAULT_TOL
-) -> CheckReport:
+def check_dilation(quad: DilationQuadruple, tol: Tolerance) -> CheckReport:
     """The four quadruple conditions."""
     c = quad.source
     t = quad.triple
@@ -569,7 +540,7 @@ def check_dilation(
 
 
 def uniqueness_unitary(
-    q1: DilationQuadruple, q2: DilationQuadruple, tol: Tolerance = DEFAULT_TOL
+    q1: DilationQuadruple, q2: DilationQuadruple, tol: Tolerance
 ) -> tuple[ModuleMap, CheckReport]:
     """Solve the B-linear unitary W: F' -> F_phi matching the two quadruples:
     the KSGNS matching unitary of the two triples, which must also carry the

@@ -111,7 +111,7 @@ from .poscor import (
     inclusion_unitary,
     interior_tensor,
     interior_tensor_along,
-    ksgns_functor_poscor,
+    ksgns_functor,
     make_poscor_morphism,
     morphism_distance,
     poscor_compose,
@@ -846,8 +846,8 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
         tol.ctol * (1.0 + module_operator_norm(eta_sq)),
     )
     # KSGNS commutes with tensoring
-    cu1 = commuting_unitary(phi1, [tm1], tol, memo)[0]
-    cu2 = commuting_unitary(phi2, [tm2], tol, memo)[0]
+    cu1 = commuting_unitary([phi1], [tm1], tol, memo)[0]
+    cu2 = commuting_unitary([phi2], [tm2], tol, memo)[0]
     rep = check_commuting_unitary(cu1, tol, memo)
     rec.add(
         "commuting_unitary",
@@ -922,7 +922,8 @@ def _gen_category(caps: SizeCaps, seed: int) -> dict:
 def _sibling_morphism(m, rng: np.random.Generator, tol: Tolerance, memo: BuildMemo):
     """Second morphism parallel to m: same rho and alpha, eta drawn from the
     solved intertwiner space."""
-    eta, norm = random_intertwiner(m.phi_ext, m.cod.phi, m.alpha, rng, tol)
+    phi_ext = tensor_extend_cpmap([m.dom.phi], [m.dom_tensor], tol, memo)[0]
+    eta, norm = random_intertwiner(phi_ext, m.cod.phi, m.alpha, rng, tol)
     mat = eta.matrix
     if norm <= 1e-9:
         mat, norm = m.eta.matrix, 1.0
@@ -966,7 +967,8 @@ def _load_category(payload: dict, tol: Tolerance, memo: BuildMemo):
 
 def _check_category(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
     objects, morphisms = _load_category(payload, tol, memo)
-    failing = next((rep for rep in check_poscor_morphism(morphisms, tol) if not rep.passed), None)
+    reports = check_poscor_morphism(morphisms, tol, memo)
+    failing = next((rep for rep in reports if not rep.passed), None)
     rec.add(
         "morphism_invariants",
         "category morphisms: unital rho and twisted intertwining",
@@ -987,22 +989,22 @@ def _check_category(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMe
     # KSGNS endofunctor laws on the category, on one composable pair
     m1 = next(m for m in morphisms if m.dom.ident == "O1" and m.cod.ident == "O2")
     m2 = next(m for m in morphisms if m.dom.ident == "O2" and m.cod.ident == "O3")
-    k1 = ksgns_functor_poscor(m1, tol, memo)
-    k2 = ksgns_functor_poscor(m2, tol, memo)
-    rep = check_poscor_morphism([k1], tol)[0]
+    k1 = ksgns_functor([m1], tol, memo)[0]
+    k2 = ksgns_functor([m2], tol, memo)[0]
+    rep = check_poscor_morphism([k1], tol, memo)[0]
     rec.add(
         "ksgns_morphism",
         "the dilated pair is again a category morphism",
         *rep.summary(),
     )
-    k_id = ksgns_functor_poscor(poscor_identity(objects[0], tol, memo), tol, memo)
+    k_id = ksgns_functor([poscor_identity(objects[0], tol, memo)], tol, memo)[0]
     rec.add(
         "ksgns_identity",
         "KSGNS functor preserves category identities",
         morphism_distance([k_id], [poscor_identity(k_id.dom, tol, memo)])[0],
         tol.ctol,
     )
-    k21 = ksgns_functor_poscor(poscor_compose([m2], [m1], tol, memo)[0], tol, memo)
+    k21 = ksgns_functor(poscor_compose([m2], [m1], tol, memo), tol, memo)[0]
     rec.add(
         "ksgns_composition",
         "KSGNS functor preserves category composition",
@@ -1010,7 +1012,7 @@ def _check_category(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMe
         tol.ctol * (1.0 + m1.norm * m2.norm),
     )
     # idempotency as a natural isomorphism on the category
-    kk1 = ksgns_functor_poscor(k1, tol, memo)
+    kk1 = ksgns_functor([k1], tol, memo)[0]
     iso1 = idempotency_iso_poscor(objects[0], tol, memo)
     iso2 = idempotency_iso_poscor(objects[1], tol, memo)
     rec.add(
@@ -1144,7 +1146,7 @@ def _check_dilation(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMe
         "direct_vs_categorical",
         "compressed and functorial dilation unitaries agree",
         max_operator_norm(
-            categorical_dilation_unitary(c, quad, tol, memo) - np.stack(quad.unitaries)
+            categorical_dilation_unitary(c, tol, memo) - np.stack(quad.unitaries)
         ),
         tol.ctol * (1.0 + c.phi.norm),
     )

@@ -46,7 +46,7 @@ from .hilbert import (
 )
 from .memo import BuildMemo
 from .numkernel import (
-    DEFAULT_TOL, Tolerance, kron, matvecs, max_operator_norm, operator_norm, pseudo_inverse,
+    Tolerance, kron, matvecs, max_operator_norm, operator_norm, pseudo_inverse,
 )
 from .reporting import CheckReport
 
@@ -106,7 +106,7 @@ def spanning_columns(t: KsgnsTriple) -> np.ndarray:
     return np.hstack(t.pi.images @ t.embedding.matrix)
 
 
-def spanning_rank(t: KsgnsTriple, tol: Tolerance = DEFAULT_TOL) -> int:
+def spanning_rank(t: KsgnsTriple, tol: Tolerance) -> int:
     """Rank of the column family {pi(a_p) V e_q} at the rank cutoff."""
     if t.module.dim == 0:
         return 0
@@ -116,7 +116,7 @@ def spanning_rank(t: KsgnsTriple, tol: Tolerance = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(svals > tol.rtol * svals[0]))
 
 
-def check_triple(t: KsgnsTriple, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def check_triple(t: KsgnsTriple, tol: Tolerance) -> CheckReport:
     """Residuals for the two dilation conditions and the adjoint formula."""
     rep = CheckReport()
     scale = 1.0 + t.phi.norm
@@ -137,7 +137,7 @@ def check_triple(t: KsgnsTriple, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
 
 
 def triple_uniqueness_unitary(
-    t1: KsgnsTriple, t2: KsgnsTriple, tol: Tolerance = DEFAULT_TOL
+    t1: KsgnsTriple, t2: KsgnsTriple, tol: Tolerance
 ) -> tuple[ModuleMap, CheckReport]:
     """Solve the B-linear unitary U with U V_1 = V_2 and U pi_1 U* = pi_2.
 
@@ -186,7 +186,7 @@ def ksgns_lift(
     m: Sequence[Intertwiner],
     t1: Sequence[KsgnsTriple],
     t2: Sequence[KsgnsTriple],
-    tol: Tolerance = DEFAULT_TOL,
+    tol: Tolerance,
 ) -> list[Intertwiner]:
     """Lift intertwiners m[s] = (eta, alpha) to (eta~, alpha) from the
     dilation t1[s] to t2[s], all through one stacked descent.
@@ -207,7 +207,7 @@ def check_lift(
     lifted: Intertwiner,
     t1: KsgnsTriple,
     t2: KsgnsTriple,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: Tolerance,
 ) -> CheckReport:
     """Contraction, adjoint formula, intertwining, and embedding compatibility."""
     rep = CheckReport()
@@ -256,7 +256,7 @@ def idempotency_unitary(t: KsgnsTriple, tol: Tolerance, memo: BuildMemo) -> Idem
 
 
 def check_idempotency(
-    idem: IdempotencyUnitary, t: KsgnsTriple, tol: Tolerance = DEFAULT_TOL
+    idem: IdempotencyUnitary, t: KsgnsTriple, tol: Tolerance
 ) -> CheckReport:
     rep = CheckReport()
     V = idem.unitary
@@ -286,7 +286,7 @@ def continuity_probe(
     t2: KsgnsTriple,
     X: np.ndarray,
     C: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: Tolerance,
 ) -> ProbeReport:
     """Push a convergent morphism path through the lift and watch the
     pseudo-metric distances decay on the samples (x, a): the rows x of X

@@ -49,9 +49,7 @@ from .hilbert import (
     AlphaLinearMap,
     HilbertModule,
     ModuleMap,
-    adjoint_map,
     adjoint_matrices,
-    module_operator_norm,
     same_module,
     unitarity_residual,
 )
@@ -241,29 +239,29 @@ class CommutingUnitary:
 
 
 def commuting_unitary(
-    phi: CPMap, tm: Sequence[TensorModule], tol: Tolerance, memo: BuildMemo
+    phi: Sequence[CPMap], tm: Sequence[TensorModule], tol: Tolerance, memo: BuildMemo
 ) -> list[CommutingUnitary]:
-    """The unitary for each tm[s] = E (x)_pi F with phi on E: one stacked build
-    of the extended maps, of their KSGNS (the left sides, Choi certificates
-    included) and of the right tensors F_phi (x)_pi F; the KSGNS triple of
-    (E, phi) comes from the memo."""
-    phi_ext = tensor_extend_cpmap([phi] * len(tm), tm, tol, memo)
+    """The unitary for each tm[s] = E (x)_pi F with phi[s] on E: one stacked
+    build of the extended maps, of their KSGNS (the left sides, Choi
+    certificates included) and of the right tensors F_phi (x)_pi F; the KSGNS
+    triples of (E, phi[s]) come from the memo."""
+    phi_ext = tensor_extend_cpmap(phi, tm, tol, memo)
     left = ksgns([t.module for t in tm], phi_ext, tol, memo)
-    t = ksgns([phi.module], [phi], tol, memo)[0]
+    ts = ksgns([p.module for p in phi], phi, tol, memo)
     right = interior_tensor(
-        [t.module] * len(tm), [x.right for x in tm], [x.pi for x in tm], tol, memo
+        [t.module for t in ts], [x.right for x in tm], [x.pi for x in tm], tol, memo
     )
-    dA, dE, k = phi.algebra.dim, phi.module.dim, t.module.dim
+    dA, dE, k = phi[0].algebra.dim, phi[0].module.dim, ts[0].module.dim
     # M_pre[(k, j), (p, u)] = sum_i Q3[k, p, i] S3[i, j, u]
-    Q = t.q.reshape(k, dA, dE).reshape(k * dA, dE)
     S3 = stack_slices([x.s.reshape(dE, x.right.dim, x.module.dim) for x in tm])
     q, s = stack_slices([r.q for r in right]), stack_slices([x.s for x in left])
     n, _, dF, m = S3.shape
-    M = dots(np.broadcast_to(Q, (n, *Q.shape)), S3.reshape(n, dE, dF * m))
+    Q = stack_slices([t.q for t in ts]).reshape(n, k * dA, dE)
+    M = dots(Q, S3.reshape(n, dE, dF * m))
     M = M.reshape(n, k, dA, dF, m).transpose(0, 1, 3, 2, 4).reshape(n, k * dF, dA * m)
     return [
         CommutingUnitary(ModuleMap(a.module, b.module, v), t, x, p, a, b)
-        for x, p, a, b, v in zip(tm, phi_ext, left, right, q @ M @ s)
+        for t, x, p, a, b, v in zip(ts, tm, phi_ext, left, right, q @ M @ s)
     ]
 
 
@@ -305,21 +303,19 @@ class PosCorObject:
 
 
 @dataclass
-class PosCorMorphism:
-    """(rho, (eta, alpha)): eta lives on E_dom (x)_rho C.
-
-    The pullback eta . V_rho : E_dom -> E_cod is cached; it determines eta
-    (rho is unital) and is the coordinate-free face of the morphism.
+class PosCorMorphism(Intertwiner):
+    """(rho, (eta, alpha)): the intertwiner (eta, alpha) from phi~ = dom.phi
+    (x) I on E_dom (x)_rho C to cod.phi.  phi~ is built where the morphism
+    is checked (check_poscor_morphism), not stored.  The pullback
+    eta . V_rho : E_dom -> E_cod determines eta (rho is unital) and is the
+    coordinate-free face of the morphism.
     """
 
     dom: PosCorObject
     cod: PosCorObject
     rho: StarMap
     dom_tensor: TensorModule
-    eta: ModuleMap
-    alpha: Automorphism
     vrho: np.ndarray  # V_rho on dom_tensor
-    phi_ext: CPMap
 
     @cached_property
     def key(self) -> bytes:
@@ -339,10 +335,6 @@ class PosCorMorphism:
     def pullback(self) -> np.ndarray:
         return self.eta.matrix @ self.vrho
 
-    @cached_property
-    def norm(self) -> float:
-        return module_operator_norm(self.eta)
-
 
 def make_poscor_morphism(
     dom: Sequence[PosCorObject], cod: Sequence[PosCorObject], rho: Sequence[StarMap],
@@ -358,10 +350,9 @@ def make_poscor_morphism(
     tms = interior_tensor_along([d.module for d in dom], rho, tol, memo)
     if any(not same_module(e.source, tm.module) for e, tm in zip(eta, tms)):
         raise ShapeMismatch("eta is not defined on the tensor of dom along rho")
-    phi_ext = tensor_extend_cpmap([d.phi for d in dom], tms, tol, memo)
     return [
-        PosCorMorphism(*parts, vrho, p)
-        for *parts, vrho, p in zip(dom, cod, rho, tms, eta, alpha, v_rho(tms), phi_ext)
+        PosCorMorphism(e, a, d, c, r, tm, vrho)
+        for e, a, d, c, r, tm, vrho in zip(eta, alpha, dom, cod, rho, tms, v_rho(tms))
     ]
 
 
@@ -426,18 +417,24 @@ def morphism_shape(m: PosCorMorphism) -> tuple:
     return m.rho.domain, m.rho.codomain, m.alpha.shape, m.eta.matrix.shape, m.dom.module.dim
 
 
-def check_poscor_morphism(ms: Sequence[PosCorMorphism], tol: Tolerance) -> list[CheckReport]:
+def check_poscor_morphism(
+    ms: Sequence[PosCorMorphism], tol: Tolerance, memo: BuildMemo
+) -> list[CheckReport]:
     """The star-map report of each rho with the intertwiner report of each
-    (eta, alpha) from phi~ to the codomain's phi, prefixed eta_: one stacked
-    check_star_map and check_morphism per group of morphisms of one shape."""
+    morphism from phi~, built here through the memo, to the codomain's phi,
+    prefixed eta_: one stacked check_star_map, tensor_extend_cpmap and
+    check_morphism per group of morphisms of one shape.  check_morphism
+    caches each morphism's norm on it."""
     reports, stacks = [CheckReport() for _ in ms], {}
     for s, m in enumerate(ms):
         stacks.setdefault(morphism_shape(m), []).append(s)
     for idx in stacks.values():
         group = [ms[s] for s in idx]
         star = check_star_map([m.rho for m in group], tol)
-        etas = [Intertwiner(m.eta, m.alpha) for m in group]
-        inner = check_morphism(etas, [m.phi_ext for m in group], [m.cod.phi for m in group], tol)
+        phi_ext = tensor_extend_cpmap(
+            [m.dom.phi for m in group], [m.dom_tensor for m in group], tol, memo
+        )
+        inner = check_morphism(group, phi_ext, [m.cod.phi for m in group], tol)
         for s, a, b in zip(idx, star, inner):
             reports[s].merge(a)
             reports[s].merge(b, prefix="eta_")
@@ -465,40 +462,44 @@ def morphism_distance(m1: Sequence[PosCorMorphism], m2: Sequence[PosCorMorphism]
 
 
 def dilate_object(
-    obj: PosCorObject, tol: Tolerance, memo: BuildMemo
-) -> tuple[PosCorObject, KsgnsTriple]:
-    t = ksgns([obj.module], [obj.phi], tol, memo)[0]
-    dilated = PosCorObject(
-        ident=f"{obj.ident}~",
-        input_algebra=obj.input_algebra,
-        coefficient=obj.coefficient,
-        module=t.module,
-        phi=t.pi,
-    )
-    return dilated, t
+    objs: Sequence[PosCorObject], tol: Tolerance, memo: BuildMemo
+) -> tuple[list[PosCorObject], list[KsgnsTriple]]:
+    """(F_phi, pi_phi) and the KSGNS triple of each object of a same-shape
+    stack, from one ksgns call."""
+    ts = ksgns([o.module for o in objs], [o.phi for o in objs], tol, memo)
+    dilated = [
+        PosCorObject(f"{o.ident}~", o.input_algebra, o.coefficient, t.module, t.pi)
+        for o, t in zip(objs, ts)
+    ]
+    return dilated, ts
 
 
-def ksgns_functor_poscor(m: PosCorMorphism, tol: Tolerance, memo: BuildMemo) -> PosCorMorphism:
-    """(rho, (eta~ . V^{-1}, alpha)) between the dilated objects.  The new
-    eta is defined on F_phi (x)_rho C, the right side of the commuting
-    unitary on m's tensor."""
-    dom_dilated, _ = dilate_object(m.dom, tol, memo)
-    cod_dilated, t_cod = dilate_object(m.cod, tol, memo)
-    cu = commuting_unitary(m.dom.phi, [m.dom_tensor], tol, memo)[0]
-    lifted = ksgns_lift([Intertwiner(m.eta, m.alpha)], [cu.left], [t_cod], tol)[0]
-    eta = ModuleMap(
-        cu.right.module, t_cod.module, lifted.eta.matrix @ adjoint_map(cu.unitary).matrix
-    )
+def ksgns_functor(
+    ms: Sequence[PosCorMorphism], tol: Tolerance, memo: BuildMemo
+) -> list[PosCorMorphism]:
+    """(rho, (eta~ . V^{-1}, alpha)) between the dilated objects, for each
+    morphism of a same-shape stack: eta~ lifts the morphism from the KSGNS
+    of its tensor (E_dom (x)_rho C, phi~) to its codomain's, and V is the
+    commuting unitary on that tensor, so the new eta is defined on
+    F_phi (x)_rho C, V's right side.  The dilated objects, the commuting
+    unitaries, the lifts and eta~ . V^{-1} are one stacked build each."""
+    doms, _ = dilate_object([m.dom for m in ms], tol, memo)
+    cods, t_cod = dilate_object([m.cod for m in ms], tol, memo)
+    cus = commuting_unitary([m.dom.phi for m in ms], [m.dom_tensor for m in ms], tol, memo)
+    lifted = ksgns_lift(ms, [cu.left for cu in cus], t_cod, tol)
+    L = stack_slices([x.eta.matrix for x in lifted])
+    Vi = stack_slices(adjoint_matrices([cu.unitary for cu in cus]))
+    etas = [ModuleMap(cu.right.module, t.module, e) for cu, t, e in zip(cus, t_cod, L @ Vi)]
     return make_poscor_morphism(
-        [dom_dilated], [cod_dilated], [m.rho], [eta], [m.alpha], tol, memo
-    )[0]
+        doms, cods, [m.rho for m in ms], etas, [m.alpha for m in ms], tol, memo
+    )
 
 
 def idempotency_iso_poscor(obj: PosCorObject, tol: Tolerance, memo: BuildMemo) -> PosCorMorphism:
     """The canonical (inc, (V_{pi_phi} . iota, 1_A)) from (F_phi, pi_phi) to
     (F_{pi_phi}, pi_{pi_phi})."""
-    dilated, t = dilate_object(obj, tol, memo)
-    double_dilated, _ = dilate_object(dilated, tol, memo)
+    (dilated,), (t,) = dilate_object([obj], tol, memo)
+    (double_dilated,), _ = dilate_object([dilated], tol, memo)
     inc = inclusion_unitary(dilated.module, tol, memo)
     eta = ModuleMap(
         inc.tensor.module,
@@ -602,7 +603,7 @@ def check_category_laws(
     rep.add("associativity", distances(lhs, rhs).max(initial=0.0), tol.ctol * scale**3)
     closure = CheckReport()
     done = [k for k, c in enumerate(composed) if c is not None]
-    for k, r in zip(done, check_poscor_morphism([composed[k] for k in done], tol)):
+    for k, r in zip(done, check_poscor_morphism([composed[k] for k in done], tol, memo)):
         closure.merge(r, prefix=f"pair{k + 1}_")
     residual, threshold = closure.summary(empty_threshold=tol.ctol)
     broken = any(c is None for c in (*ident, *composed, *lhs, *rhs))

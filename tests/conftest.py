@@ -418,7 +418,7 @@ def categorical_unitaries_reference(c, quad, tol=DEFAULT_TOL) -> list[np.ndarray
         memo = BuildMemo()
         tw = twist_unitary(c.module, [beta], tol, memo)[0]
         eta = ModuleMap(tw.twisted.module, c.module, U @ tw.unitary.matrix)
-        cu = commuting_unitary(c.phi, [tw.twisted], tol, memo)[0]
+        cu = commuting_unitary([c.phi], [tw.twisted], tol, memo)[0]
         lifted = ksgns_lift([Intertwiner(eta, alpha)], [cu.left], [quad.triple], tol)[0]
         out.append(lifted.eta.matrix @ adjoint_map(cu.unitary).matrix @ v_rho([cu.right])[0])
     return out
@@ -485,7 +485,9 @@ def category_laws_reference(objects, morphisms, tol=DEFAULT_TOL) -> CheckReport:
         pair_count += 1
         try:
             composed = compose(m2, m1)
-            closure.merge(check_poscor_morphism([composed], tol)[0], prefix=f"pair{pair_count}_")
+            closure.merge(
+                check_poscor_morphism([composed], tol, BuildMemo())[0], prefix=f"pair{pair_count}_"
+            )
             for m3 in morphisms:
                 if m3.dom.ident != m2.cod.ident:
                     continue

@@ -220,8 +220,8 @@ def test_criterion_05_tensor_functor():
         tm1 = interior_tensor([E1], [F], [pi], TOL, memo)[0]
         tm2 = interior_tensor([E2], [F], [pi], TOL, memo)[0]
         # commuting unitary and its naturality square
-        cu1 = commuting_unitary(phi1, [tm1], TOL, memo)[0]
-        cu2 = commuting_unitary(phi2, [tm2], TOL, memo)[0]
+        cu1 = commuting_unitary([phi1], [tm1], TOL, memo)[0]
+        cu2 = commuting_unitary([phi2], [tm2], TOL, memo)[0]
         worst["commuting"] = max(worst["commuting"], unitarity_residual([cu1.unitary]))
         lifted = ksgns_lift([m], [cu1.triple], [cu2.triple], TOL)[0]
         lifted_hat = tensor_extend_between([lifted.eta], [cu1.right], [cu2.right], TOL)[0]
@@ -384,7 +384,7 @@ def test_criterion_08_equivariant_dilation():
             rep = check_dilation(quad, TOL)
             assert rep.passed, (G.name, seed, rep.failing())
             worst_cond = max(worst_cond, rep.max_residual)
-            cats = categorical_dilation_unitary(c, quad, TOL, memo)
+            cats = categorical_dilation_unitary(c, TOL, memo)
             for g in range(G.order):
                 worst_cross = max(worst_cross, operator_norm(cats[g] - quad.unitaries[g]))
     # the trivial group reproduces the plain construction bit for bit

@@ -31,7 +31,7 @@ from ksgnslab.poscor import (
     BuildMemo,
     check_category_laws,
     check_poscor_morphism,
-    ksgns_functor_poscor,
+    ksgns_functor,
     poscor_compose,
     poscor_identity,
 )
@@ -238,7 +238,7 @@ def test_fresh_memo_builders_share_within_the_call(monkeypatch):
     builds.clear()
     composed = poscor_compose([m2], [m1], DEFAULT_TOL, BuildMemo())[0]
     assert sum(builds.values()) == 2
-    assert check_poscor_morphism([composed], DEFAULT_TOL)[0].passed
+    assert check_poscor_morphism([composed], DEFAULT_TOL, BuildMemo())[0].passed
 
 
 def test_content_equal_foreign_objects_give_the_same_matrices():
@@ -249,21 +249,21 @@ def test_content_equal_foreign_objects_give_the_same_matrices():
     quad = dilate(c, DEFAULT_TOL, memo)
     foreign = dilate(c, DEFAULT_TOL, other)
     assert foreign.triple is not quad.triple
-    cats = categorical_dilation_unitary(c, quad, DEFAULT_TOL, memo)
+    cats = categorical_dilation_unitary(c, DEFAULT_TOL, memo)
     for g in range(c.group.order):
         assert operator_norm(cats[g] - quad.unitaries[g]) <= 1e-8
-    assert np.array_equal(categorical_dilation_unitary(c, foreign, DEFAULT_TOL, memo), cats)
+    assert np.array_equal(categorical_dilation_unitary(c, DEFAULT_TOL, other), cats)
     payload = category_payload(1)
     objects, morphisms = _load_category(payload, DEFAULT_TOL, memo)
     _, loaded_elsewhere = _load_category(payload, DEFAULT_TOL, other)
     m, f = morphisms[0], loaded_elsewhere[0]
     assert f is not m and f.dom_tensor is not m.dom_tensor and f.key == m.key
-    k, kf = (ksgns_functor_poscor(x, DEFAULT_TOL, memo) for x in (m, f))
-    assert check_poscor_morphism([k], DEFAULT_TOL)[0].passed
+    k, kf = (ksgns_functor([x], DEFAULT_TOL, memo)[0] for x in (m, f))
+    assert check_poscor_morphism([k], DEFAULT_TOL, memo)[0].passed
     assert kf.key == k.key
     assert kf.dom_tensor is k.dom_tensor
     # composites are keyed by content: the foreign pair finds the memo's composite
-    m2 = next(x for x in morphisms if x.dom.ident == m.cod.ident)
-    f2 = loaded_elsewhere[morphisms.index(m2)]
+    i = next(i for i, x in enumerate(morphisms) if x.dom.ident == m.cod.ident)
+    m2, f2 = morphisms[i], loaded_elsewhere[i]
     composed = poscor_compose([m2], [m], DEFAULT_TOL, memo)[0]
     assert poscor_compose([f2], [f], DEFAULT_TOL, memo)[0] is composed

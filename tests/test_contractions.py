@@ -102,7 +102,7 @@ def test_commuting_unitary_pre_map_matches_einsum(blocks, empty, rng):
     phi = random_cp(A, E, rng)
     F, pi = random_representation(B, C, rng, max_dim=4)
     tm = interior_tensor([E], [F], [pi], DEFAULT_TOL, BuildMemo())[0]
-    cu = commuting_unitary(phi, [tm], DEFAULT_TOL, BuildMemo())[0]
+    cu = commuting_unitary([phi], [tm], DEFAULT_TOL, BuildMemo())[0]
     M = commuting_pre_reference(cu)
     q, s = cu.right.q, cu.left.s
     assert_rounding_close(cu.unitary.matrix, q @ M @ s, q, cu.triple.q, cu.tensor.s, s)

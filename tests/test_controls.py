@@ -19,15 +19,15 @@ SCALE = 1.0 + 1e-3
 
 
 def categorical_slice_fault(monkeypatch):
-    """V'_{beta_g} of the last group element, inside the stacked build of the
-    categorical dilation unitaries."""
-    real = equivariant.v_rho
+    """V'_{beta_g} of the last group element, in the stack of dilated F(g)
+    whose pullbacks the categorical dilation unitaries are."""
+    real = equivariant.ksgns_functor
 
-    def v_rho(tm):
-        *head, last = real(tm)
-        return [*head, SCALE * last]
+    def ksgns_functor(ms, tol, memo):
+        *head, last = real(ms, tol, memo)
+        return [*head, replace(last, vrho=SCALE * last.vrho)]
 
-    monkeypatch.setattr(equivariant, "v_rho", v_rho)
+    monkeypatch.setattr(equivariant, "ksgns_functor", ksgns_functor)
 
 
 def composition_unitary_fault(monkeypatch):

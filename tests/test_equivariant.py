@@ -137,13 +137,13 @@ def motivating_example():
 
 def test_motivating_example_is_equivariant():
     c = motivating_example()
-    rep = check_equivariant(c)
+    rep = check_equivariant(c, DEFAULT_TOL)
     assert rep.passed, rep.residuals
 
 
 def test_trivial_group_reduces_to_cp_checks():
     c = random_equivariant(AlgebraShape((2,)), AlgebraShape((2,)), trivial_group(), seed=3)
-    rep = check_equivariant(c)
+    rep = check_equivariant(c, DEFAULT_TOL)
     assert rep.passed
     assert len(c.unitaries) == 1
     assert operator_norm(c.unitaries[0] - np.eye(c.module.dim)) <= 1e-12
@@ -157,7 +157,7 @@ def test_corrupted_unitary_is_flagged(rng):
     corrupted = EquivariantCorrespondence(
         c.system_in, c.system_out, c.module, c.phi, bad
     )
-    rep = check_equivariant(corrupted)
+    rep = check_equivariant(corrupted, DEFAULT_TOL)
     assert not rep.passed
     assert rep.max_residual >= 0.001
 
@@ -188,12 +188,12 @@ def test_pairing_twist_flags_non_isometry_and_matches_loop(G, rng):
     scaled = _with_unitary(c, 1, 1.01 * c.unitaries[1])
     noise = random_complex(rng, c.module.dim, c.module.dim)
     noisy = _with_unitary(c, 1, c.unitaries[1] + 0.1 * noise / operator_norm(noise))
-    good, bad = check_equivariant(c), check_equivariant(scaled)
+    good, bad = check_equivariant(c, DEFAULT_TOL), check_equivariant(scaled, DEFAULT_TOL)
     assert good.residuals["pairing_twist"] <= good.thresholds["pairing_twist"]
     assert bad.residuals["pairing_twist"] > bad.thresholds["pairing_twist"]
     assert bad.residuals["twisted_linearity"] <= bad.thresholds["twisted_linearity"]
     for inst in (c, scaled, noisy):
-        batched = check_equivariant(inst).residuals["pairing_twist"]
+        batched = check_equivariant(inst, DEFAULT_TOL).residuals["pairing_twist"]
         assert abs(batched - _pairing_twist_loop(inst)) <= 1e-14
 
 
@@ -207,7 +207,7 @@ def test_pairing_identities_make_no_per_vector_pair_calls(monkeypatch, rng):
 
     monkeypatch.setattr(PreModule, "pair", refuse)
     W = random_blinear_unitary(c.module, rng)
-    assert check_equivariant(c).passed
+    assert check_equivariant(c, DEFAULT_TOL).passed
     assert validate_premodule(c.module).passed
     assert adjoint_identity_residual(W, adjoint_map(W)) <= 1e-10
 
@@ -217,7 +217,7 @@ def test_random_equivariant_self_certifies(gname):
     G = {"Z2": cyclic_group(2), "Z3": cyclic_group(3), "Z4": cyclic_group(4),
          "S3": symmetric_group(3)}[gname]
     c = random_equivariant(AlgebraShape((2,)), AlgebraShape((1, 2)), G, seed=11)
-    rep = check_equivariant(c)
+    rep = check_equivariant(c, DEFAULT_TOL)
     assert rep.passed, (gname, rep.residuals)
     from ksgnslab.cp import check_cp
 
@@ -329,10 +329,10 @@ def test_gns_with_symmetry_dilates_to_nontrivial_unitary():
     c = EquivariantCorrespondence(
         system_in, trivial_system(B, G), E, phi, [np.eye(1, dtype=complex)] * 2
     )
-    assert check_equivariant(c).passed
+    assert check_equivariant(c, DEFAULT_TOL).passed
     quad = dilate(c, DEFAULT_TOL, BuildMemo())
     assert quad.triple.module.dim == 4
-    rep = check_dilation(quad)
+    rep = check_dilation(quad, DEFAULT_TOL)
     assert rep.passed, rep.residuals
     U = quad.unitaries[1]
     assert operator_norm(U - np.eye(4)) >= 1.0  # genuinely nontrivial
@@ -348,9 +348,9 @@ def test_dilation_conditions_and_cross_check(gname):
     c = random_equivariant(AlgebraShape((2,)), AlgebraShape((2,)), G, seed=13, copies=1)
     memo = BuildMemo()
     quad = dilate(c, DEFAULT_TOL, memo)
-    rep = check_dilation(quad)
+    rep = check_dilation(quad, DEFAULT_TOL)
     assert rep.passed, rep.residuals
-    cats = categorical_dilation_unitary(c, quad, DEFAULT_TOL, memo)
+    cats = categorical_dilation_unitary(c, DEFAULT_TOL, memo)
     for g in range(G.order):
         assert operator_norm(cats[g] - quad.unitaries[g]) <= 1e-8
 
@@ -376,7 +376,7 @@ def test_dilated_pairing_twist_on_random_vectors(rng):
 def test_uniqueness_identity_case():
     c = random_equivariant(AlgebraShape((2,)), AlgebraShape((2,)), cyclic_group(2), seed=15)
     quad = dilate(c, DEFAULT_TOL, BuildMemo())
-    W, rep = uniqueness_unitary(quad, quad)
+    W, rep = uniqueness_unitary(quad, quad, DEFAULT_TOL)
     assert rep.passed, rep.residuals
     assert operator_norm(W.matrix - np.eye(quad.triple.module.dim)) <= 1e-8
 
@@ -389,7 +389,7 @@ def test_uniqueness_rejects_non_spanning_dilation():
     broken = DilationQuadruple(quad.source, zeroed, quad.unitaries)
     for q1, q2 in ((quad, broken), (broken, quad)):
         with pytest.raises(SpanningFailure, match=f"spanning rank 0 < dim {t.module.dim}"):
-            uniqueness_unitary(q1, q2)
+            uniqueness_unitary(q1, q2, DEFAULT_TOL)
 
 
 def test_uniqueness_recovers_planted_unitary(rng):
@@ -397,7 +397,7 @@ def test_uniqueness_recovers_planted_unitary(rng):
     quad = dilate(c, DEFAULT_TOL, BuildMemo())
     Z = random_blinear_unitary(quad.triple.module, rng)
     quad2 = conjugated_quadruple(quad, Z)
-    W, rep = uniqueness_unitary(quad, quad2)
+    W, rep = uniqueness_unitary(quad, quad2, DEFAULT_TOL)
     assert rep.passed, rep.residuals
     Z_inv = adjoint_map(Z).matrix
     assert operator_norm(W.matrix - Z_inv) <= 1e-7

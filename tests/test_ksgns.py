@@ -76,7 +76,7 @@ def test_gns_dimension_trace_state():
     A, E, phi = state_on_m2([0.5, 0.5])
     t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
     assert t.module.dim == oracle_rank == 4
-    assert check_triple(t).passed
+    assert check_triple(t, DEFAULT_TOL).passed
 
 
 def test_gns_dimension_pure_state():
@@ -88,7 +88,7 @@ def test_gns_dimension_pure_state():
     A, E, phi = state_on_m2([1.0, 0.0])
     t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
     assert t.module.dim == oracle_rank == 2
-    assert check_triple(t).passed
+    assert check_triple(t, DEFAULT_TOL).passed
 
 
 def test_ksgns_rejects_non_cp():
@@ -139,9 +139,9 @@ def test_reconstruction_and_spanning_over_seeds():
         E = random_module(B, rng, max_dim=5)
         phi = random_cp(A, E, rng)
         t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
-        rep = check_triple(t)
+        rep = check_triple(t, DEFAULT_TOL)
         assert rep.passed, (seed, rep.residuals)
-        assert spanning_rank(t) == t.module.dim
+        assert spanning_rank(t, DEFAULT_TOL) == t.module.dim
 
 
 def test_embedding_adjoint_formula(rng):
@@ -165,12 +165,12 @@ def test_triple_uniqueness_identity_and_planted(rng):
     E = random_module(AlgebraShape((1, 2)), rng, max_dim=4)
     phi = random_cp(A, E, rng)
     t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
-    U, rep = triple_uniqueness_unitary(t, t)
+    U, rep = triple_uniqueness_unitary(t, t, DEFAULT_TOL)
     assert rep.passed
     assert operator_norm(U.matrix - np.eye(t.module.dim)) <= 1e-8
     Z = random_blinear_unitary(t.module, rng)
     t2 = conjugated_triple(t, Z)
-    U, rep = triple_uniqueness_unitary(t, t2)
+    U, rep = triple_uniqueness_unitary(t, t2, DEFAULT_TOL)
     assert rep.passed, rep.residuals
     assert operator_norm(U.matrix - Z.matrix) <= 1e-8
 
@@ -182,7 +182,7 @@ def test_conjugated_triple_is_a_dilation():
     t = ksgns([E], [random_cp(AlgebraShape((2,)), E, rng)], DEFAULT_TOL, BuildMemo())[0]
     Z = random_blinear_unitary(t.module, rng)
     t2 = conjugated_triple(t, Z)
-    rep = check_triple(t2)
+    rep = check_triple(t2, DEFAULT_TOL)
     assert rep.passed, rep.residuals
     assert np.allclose(t2.q @ t2.s, np.eye(t.module.dim))
     assert t2.kernel is t.kernel
@@ -197,7 +197,7 @@ def test_lift_identity_is_identity(rng):
     phi = random_cp(A, E, rng)
     t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
     ident = Intertwiner(identity_map(E), identity_automorphism(A))
-    lifted = ksgns_lift([ident], [t], [t])[0]
+    lifted = ksgns_lift([ident], [t], [t], DEFAULT_TOL)[0]
     assert operator_norm(lifted.eta.matrix - np.eye(t.module.dim)) <= 1e-10
 
 
@@ -208,9 +208,9 @@ def test_lift_of_unitary_is_unitary(rng):
     phi1 = random_cp(A, E1, rng)
     E2, phi2, m = transported_copy(E1, phi1, rng)
     t1, t2 = ksgns([E1, E2], [phi1, phi2], DEFAULT_TOL, BuildMemo())
-    lifted = ksgns_lift([m], [t1], [t2])[0]
+    lifted = ksgns_lift([m], [t1], [t2], DEFAULT_TOL)[0]
     assert unitarity_residual([lifted.eta]) <= 1e-8
-    rep = check_lift(m, lifted, t1, t2)
+    rep = check_lift(m, lifted, t1, t2, DEFAULT_TOL)
     assert rep.passed, rep.residuals
 
 
@@ -219,8 +219,8 @@ def test_lift_properties_and_contraction(rng):
     B = AlgebraShape((1, 2))
     E1, phi1, E2, phi2, m = random_morphism_pair(A, B, rng, max_dim=4)
     t1, t2 = ksgns([E1, E2], [phi1, phi2], DEFAULT_TOL, BuildMemo())
-    lifted = ksgns_lift([m], [t1], [t2])[0]
-    rep = check_lift(m, lifted, t1, t2)
+    lifted = ksgns_lift([m], [t1], [t2], DEFAULT_TOL)[0]
+    rep = check_lift(m, lifted, t1, t2, DEFAULT_TOL)
     assert rep.passed, rep.residuals
     assert lifted.norm <= m.norm + 1e-8
     rep = check_morphism([lifted], [t1.pi], [t2.pi], DEFAULT_TOL)[0]
@@ -237,9 +237,9 @@ def test_lift_functoriality(rng):
     t1, t2, t3 = ksgns([E1, E2, E3], [phi1, phi2, phi3], DEFAULT_TOL, BuildMemo())
     from ksgnslab.cp import compose_intertwiners
 
-    lifted12 = ksgns_lift([m1], [t1], [t2])[0]
-    lifted23 = ksgns_lift([m2], [t2], [t3])[0]
-    lifted13 = ksgns_lift([compose_intertwiners(m2, m1)], [t1], [t3])[0]
+    lifted12 = ksgns_lift([m1], [t1], [t2], DEFAULT_TOL)[0]
+    lifted23 = ksgns_lift([m2], [t2], [t3], DEFAULT_TOL)[0]
+    lifted13 = ksgns_lift([compose_intertwiners(m2, m1)], [t1], [t3], DEFAULT_TOL)[0]
     resid = operator_norm(
         lifted13.eta.matrix - lifted23.eta.matrix @ lifted12.eta.matrix
     )
@@ -256,7 +256,7 @@ def test_idempotency_dims_and_unitarity(rng):
     t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
     idem = idempotency_unitary(t, DEFAULT_TOL, BuildMemo())
     assert idem.second.module.dim == t.module.dim
-    rep = check_idempotency(idem, t)
+    rep = check_idempotency(idem, t, DEFAULT_TOL)
     assert rep.passed, rep.residuals
 
 
@@ -267,8 +267,8 @@ def test_idempotency_naturality(rng):
     t1, t2 = ksgns([E1, E2], [phi1, phi2], DEFAULT_TOL, BuildMemo())
     memo = BuildMemo()
     idem1, idem2 = (idempotency_unitary(t, DEFAULT_TOL, memo) for t in (t1, t2))
-    lifted = ksgns_lift([m], [t1], [t2])[0]
-    double = ksgns_lift([lifted], [idem1.second], [idem2.second])[0]
+    lifted = ksgns_lift([m], [t1], [t2], DEFAULT_TOL)[0]
+    double = ksgns_lift([lifted], [idem1.second], [idem2.second], DEFAULT_TOL)[0]
     resid = operator_norm(
         idem2.unitary.matrix @ lifted.eta.matrix
         - double.eta.matrix @ idem1.unitary.matrix
@@ -302,7 +302,7 @@ def make_linear_path(rng, steps=20):
 def test_probe_constant_path_is_zero(rng):
     E1, phi1, E2, phi2, m, _, samples = make_linear_path(rng)
     t1, t2 = ksgns([E1, E2], [phi1, phi2], DEFAULT_TOL, BuildMemo())
-    probe = continuity_probe([m] * 5, m, t1, t2, *samples)
+    probe = continuity_probe([m] * 5, m, t1, t2, *samples, DEFAULT_TOL)
     assert max(probe.input_distances) == 0.0
     assert max(probe.lifted_distances) == 0.0
     assert probe_passed(probe)
@@ -311,7 +311,7 @@ def test_probe_constant_path_is_zero(rng):
 def test_probe_linear_path_decays(rng):
     E1, phi1, E2, phi2, m, path, samples = make_linear_path(rng)
     t1, t2 = ksgns([E1, E2], [phi1, phi2], DEFAULT_TOL, BuildMemo())
-    probe = continuity_probe(path, m, t1, t2, *samples)
+    probe = continuity_probe(path, m, t1, t2, *samples, DEFAULT_TOL)
     assert probe_passed(probe)
     assert probe.lifted_distances[-1] <= 1e-7
     drops = [
@@ -341,7 +341,7 @@ def test_probe_automorphism_path_decays(rng):
         random_vectors(F, rng, 3),
         np.array([random_element(A, rng).coeffs() for _ in range(3)]),
     )
-    probe = continuity_probe(path, target, t, t, *samples)
+    probe = continuity_probe(path, target, t, t, *samples, DEFAULT_TOL)
     assert probe_passed(probe)
     assert probe.lifted_distances[-1] <= 1e-7
 
@@ -353,4 +353,4 @@ def test_probe_rejects_non_convergent_path(rng):
         ModuleMap(E1, E2, m.eta.matrix + 0.5 * np.eye(E2.dim, E1.dim)), m.alpha
     )
     with pytest.raises(NonConvergentInput):
-        continuity_probe(path, off_target, t1, t2, *samples)
+        continuity_probe(path, off_target, t1, t2, *samples, DEFAULT_TOL)

@@ -41,7 +41,7 @@ from ksgnslab.poscor import (
     idempotency_iso_poscor,
     interior_tensor,
     interior_tensor_along,
-    ksgns_functor_poscor,
+    ksgns_functor,
     left_mult_correspondence,
     make_poscor_morphism,
     morphism_distance,
@@ -177,7 +177,7 @@ def test_commuting_unitary_checks(rng):
     phi = random_cp(A, E, rng)
     F, pi = random_representation(B, C, rng, max_dim=4)
     tm = interior_tensor([E], [F], [pi], DEFAULT_TOL, BuildMemo())[0]
-    cu = commuting_unitary(phi, [tm], DEFAULT_TOL, BuildMemo())[0]
+    cu = commuting_unitary([phi], [tm], DEFAULT_TOL, BuildMemo())[0]
     rep = check_commuting_unitary(cu, DEFAULT_TOL, BuildMemo())
     assert rep.passed, rep.residuals
     assert cu.left.module.dim == cu.right.module.dim
@@ -196,12 +196,12 @@ def test_commuting_unitary_naturality(rng):
     memo = BuildMemo()
     tm1 = interior_tensor([E1], [F], [pi], DEFAULT_TOL, memo)[0]
     tm2 = interior_tensor([E2], [F], [pi], DEFAULT_TOL, memo)[0]
-    cu1 = commuting_unitary(phi1, [tm1], DEFAULT_TOL, memo)[0]
-    cu2 = commuting_unitary(phi2, [tm2], DEFAULT_TOL, memo)[0]
-    lifted = ksgns_lift([m], [cu1.triple], [cu2.triple])[0]
+    cu1 = commuting_unitary([phi1], [tm1], DEFAULT_TOL, memo)[0]
+    cu2 = commuting_unitary([phi2], [tm2], DEFAULT_TOL, memo)[0]
+    lifted = ksgns_lift([m], [cu1.triple], [cu2.triple], DEFAULT_TOL)[0]
     lifted_hat = tensor_extend_between([lifted.eta], [cu1.right], [cu2.right], DEFAULT_TOL)[0]
     m_hat = tensored_intertwiner(m, tm1, tm2)
-    hat_lifted = ksgns_lift([m_hat], [cu1.left], [cu2.left])[0]
+    hat_lifted = ksgns_lift([m_hat], [cu1.left], [cu2.left], DEFAULT_TOL)[0]
     resid = operator_norm(
         lifted_hat.matrix @ cu1.unitary.matrix
         - cu2.unitary.matrix @ hat_lifted.eta.matrix
@@ -250,12 +250,12 @@ def test_poscor_identity_and_composition(rng):
     A, objs, m1, m2, memo = build_chain(rng)
     o1, o2, o3 = objs
     i1, i2 = poscor_identity(o1, DEFAULT_TOL, memo), poscor_identity(o2, DEFAULT_TOL, memo)
-    assert check_poscor_morphism([i1], DEFAULT_TOL)[0].passed
+    assert check_poscor_morphism([i1], DEFAULT_TOL, memo)[0].passed
     assert morphism_distance(poscor_compose([i1], [i1], DEFAULT_TOL, memo), [i1])[0] <= 1e-10
     assert morphism_distance(poscor_compose([m1], [i1], DEFAULT_TOL, memo), [m1])[0] <= 1e-10
     assert morphism_distance(poscor_compose([i2], [m1], DEFAULT_TOL, memo), [m1])[0] <= 1e-10
     composed = poscor_compose([m2], [m1], DEFAULT_TOL, memo)[0]
-    assert check_poscor_morphism([composed], DEFAULT_TOL)[0].passed
+    assert check_poscor_morphism([composed], DEFAULT_TOL, memo)[0].passed
     # composing unitary-eta morphisms keeps eta unitary
     assert unitarity_residual([composed.eta]) <= 1e-8
 
@@ -333,15 +333,15 @@ def test_ksgns_functor_laws(rng):
     A, objs, m1, m2, memo = build_chain(rng)
     tol = DEFAULT_TOL
     o1, o2, o3 = objs
-    d1, _ = dilate_object(o1, tol, memo)
-    k1 = ksgns_functor_poscor(m1, tol, memo)
-    k2 = ksgns_functor_poscor(m2, tol, memo)
-    assert check_poscor_morphism([k1], tol)[0].passed
-    assert check_poscor_morphism([k2], tol)[0].passed
+    (d1,), _ = dilate_object([o1], tol, memo)
+    k1 = ksgns_functor([m1], tol, memo)[0]
+    k2 = ksgns_functor([m2], tol, memo)[0]
+    assert check_poscor_morphism([k1], tol, memo)[0].passed
+    assert check_poscor_morphism([k2], tol, memo)[0].passed
     ident = poscor_identity(o1, tol, memo)
-    k_id = ksgns_functor_poscor(ident, tol, memo)
+    k_id = ksgns_functor([ident], tol, memo)[0]
     assert morphism_distance([k_id], [poscor_identity(d1, tol, memo)])[0] <= 1e-8
-    k21 = ksgns_functor_poscor(poscor_compose([m2], [m1], tol, memo)[0], tol, memo)
+    k21 = ksgns_functor(poscor_compose([m2], [m1], tol, memo), tol, memo)[0]
     assert morphism_distance([k21], poscor_compose([k2], [k1], tol, memo))[0] <= 1e-8 * (
         1 + m1.norm * m2.norm
     )
@@ -351,11 +351,11 @@ def test_ksgns_idempotency_natural_iso(rng):
     A, objs, m1, _, memo = build_chain(rng)
     tol = DEFAULT_TOL
     o1, o2 = objs[0], objs[1]
-    k1 = ksgns_functor_poscor(m1, tol, memo)
-    kk1 = ksgns_functor_poscor(k1, tol, memo)
+    k1 = ksgns_functor([m1], tol, memo)[0]
+    kk1 = ksgns_functor([k1], tol, memo)[0]
     iso1 = idempotency_iso_poscor(o1, tol, memo)
     iso2 = idempotency_iso_poscor(o2, tol, memo)
-    assert check_poscor_morphism([iso1], tol)[0].passed
+    assert check_poscor_morphism([iso1], tol, memo)[0].passed
     assert unitarity_residual([iso1.eta]) <= 1e-8
     gap = morphism_distance(
         poscor_compose([iso2], [k1], tol, memo), poscor_compose([kk1], [iso1], tol, memo)

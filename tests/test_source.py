@@ -495,7 +495,7 @@ def test_tolerance_reaches_every_callee_that_takes_it():
 
 GROUP_BUILDERS = (
     "twist_unitary", "commuting_unitary", "poscor_compose", "interior_tensor_along",
-    "categorical_dilation_unitary",
+    "categorical_dilation_unitary", "ksgns_functor",
 )
 
 
@@ -636,5 +636,82 @@ def test_builders_memoize_themselves_and_take_one_stack():
         path.name: names
         for path in sorted(SRC.glob("*.py"))
         if (names := memo_twins_and_group_indices(path.read_text()))
+    }
+    assert found == {}
+
+
+def functions_calling_all(source: str, callees: set[str]) -> list[str]:
+    """Functions (nested ones included) whose body calls every one of callees."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            called = {
+                getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                for n in ast.walk(fn) if isinstance(n, ast.Call)
+            }
+            if callees <= called:
+                found.append(fn.name)
+    return found
+
+
+# ksgns_functor is the one action of the KSGNS endofunctor on category
+# morphisms; the tensor suite's checker lifts over a general correspondence
+# F (not along a *-homomorphism), where no category morphism exists, to
+# check that the commuting unitaries are natural
+FUNCTOR_STEPS = {"commuting_unitary", "ksgns_lift"}
+FUNCTOR_STEP_CALLERS = {"poscor.py": ["ksgns_functor"], "harness.py": ["_check_tensor"]}
+
+
+def test_one_ksgns_functor_on_category_morphisms():
+    # lifting onto the commuting unitary's left KSGNS is the functor's
+    # action on a morphism, so no second function hand-rolls it
+    probe = (
+        "def f(m):\n    v = commuting_unitary([m.phi], [m.t])\n    return ksgns_lift([m], v)\n\n"
+        "def g(m):\n    def h():\n        return x.commuting_unitary(m), ksgns_lift(m)\n"
+        "    return h\n\n"
+        "def k(m):\n    return commuting_unitary(m)\n"
+    )
+    assert functions_calling_all(probe, FUNCTOR_STEPS) == ["f", "g", "h"]
+    found = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := functions_calling_all(path.read_text(), FUNCTOR_STEPS))
+    }
+    assert found == FUNCTOR_STEP_CALLERS
+
+
+def intertwiner_rewraps(source: str) -> list[str]:
+    """Calls Intertwiner(x.eta, x.alpha) that rewrap one object's own eta
+    and alpha, by line."""
+    found = []
+    for call in ast.walk(ast.parse(source)):
+        if not isinstance(call, ast.Call) or len(call.args) != 2:
+            continue
+        if (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) != "Intertwiner":
+            continue
+        eta, alpha = call.args
+        if (
+            isinstance(eta, ast.Attribute) and eta.attr == "eta"
+            and isinstance(alpha, ast.Attribute) and alpha.attr == "alpha"
+            and ast.dump(eta.value) == ast.dump(alpha.value)
+        ):
+            found.append(call.lineno)
+    return [f"line {n}" for n in sorted(found)]
+
+
+def test_category_morphisms_are_intertwiners():
+    # a PosCorMorphism is a cp.Intertwiner, so no code wraps its eta and
+    # alpha in a second object (whose norm would be taken again)
+    probe = (
+        "a = [Intertwiner(m.eta, m.alpha) for m in ms]\n"
+        "b = cp.Intertwiner(x[0].eta, x[0].alpha)\n"
+        "c = Intertwiner(m.eta, n.alpha)\n"
+        "d = Intertwiner(tensor_extend(m.eta), m.alpha)\n"
+    )
+    assert intertwiner_rewraps(probe) == ["line 1", "line 2"]
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := intertwiner_rewraps(path.read_text()))
     }
     assert found == {}

@@ -1,10 +1,10 @@
 """The equivariant pipeline stacked over the group equals its group loops.
 
-Twist tensors, commuting and categorical dilation unitaries and the functor
-laws are built as stacks over G (or over the Cayley table); conftest keeps
-the loops they replaced, one group element or pair at a time.  Batched
-eigh and stacked products give every slice the bits of a call of its own,
-so the comparisons are exact.  A corrupted slice must still fail its gate,
+Twist tensors, commuting and categorical dilation unitaries, the KSGNS
+functor and the functor laws are built as stacks over G (or over the Cayley
+table); conftest keeps the loops they replaced, one group element or pair at
+a time.  Batched eigh and stacked products give every slice the bits of a
+call of its own, so the comparisons are exact.  A corrupted slice must still fail its gate,
 named by its slice, and a check pass must keep its LAPACK call count.
 """
 
@@ -34,11 +34,13 @@ from ksgnslab.errors import (
     ShapeMismatch, SubmoduleViolation, TwistMismatch, WellDefinednessViolation,
 )
 from ksgnslab.generators import random_module, random_representation
-from ksgnslab.harness import check_instance, instance_seed, make_group
+from ksgnslab.harness import (
+    SizeCaps, _load_category, check_instance, generate_instance, instance_seed, make_group,
+)
 from ksgnslab.hilbert import PreModule, descend, quotient_by_null
 from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL
-from ksgnslab.poscor import twist_unitary
+from ksgnslab.poscor import ksgns_functor, morphism_shape, twist_unitary
 from ksgnslab.serialize import dump_equivariant
 
 from conftest import (
@@ -75,7 +77,7 @@ def test_stacks_equal_the_group_loops(gname, seed, trivial_beta):
             assert np.array_equal(a, b)
         assert np.array_equal(tw.unitary.matrix, ref.unitary.matrix)
     quad = dilate(c, DEFAULT_TOL, memo)
-    cats = categorical_dilation_unitary(c, quad, DEFAULT_TOL, memo)
+    cats = categorical_dilation_unitary(c, DEFAULT_TOL, memo)
     assert cats.shape == (c.group.order, quad.module.dim, quad.module.dim)
     assert all(map(np.array_equal, cats, categorical_unitaries_reference(c, quad)))
     functor = correspondence_to_functor(c, DEFAULT_TOL, memo)
@@ -84,6 +86,33 @@ def test_stacks_equal_the_group_loops(gname, seed, trivial_beta):
     assert rep.passed, rep.residuals
     assert rep.residuals == ref.residuals
     assert rep.thresholds == ref.thresholds
+
+
+def assert_functor_slices_stand_alone(ms):
+    """ksgns_functor over a same-shape stack gives each slice the bits of
+    ksgns_functor on a stack of one, on a fresh memo."""
+    stacked = ksgns_functor(ms, DEFAULT_TOL, BuildMemo())
+    for k, m in zip(stacked, ms, strict=True):
+        alone = ksgns_functor([m], DEFAULT_TOL, BuildMemo())[0]
+        assert k.key == alone.key
+        assert np.array_equal(k.eta.matrix, alone.eta.matrix)
+        assert np.array_equal(k.vrho, alone.vrho)
+
+
+def test_ksgns_functor_slices_equal_stacks_of_one():
+    # the genuine-S3 functor stack: six F(g) along six distinct beta_g
+    c = random_equivariant(M2, M2, symmetric_group(3), seed=11, copies=1)
+    functor = correspondence_to_functor(c, DEFAULT_TOL, BuildMemo())
+    assert_functor_slices_stand_alone(functor.morphisms)
+    # category instance 0's loaded morphisms, one stack per morphism shape
+    payload = generate_instance("category", SizeCaps(), instance_seed(20250809, "category", 0))
+    _, morphisms = _load_category(payload, DEFAULT_TOL, BuildMemo())
+    stacks = {}
+    for m in morphisms:
+        stacks.setdefault(morphism_shape(m), []).append(m)
+    assert max(map(len, stacks.values())) > 1
+    for ms in stacks.values():
+        assert_functor_slices_stand_alone(ms)
 
 
 @pytest.mark.parametrize(
@@ -185,9 +214,8 @@ def test_corrupted_unitary_names_its_slice(g):
     with pytest.raises(WellDefinednessViolation, match=rf"^alpha_g \(x\) U_g .* in slice {g} "):
         dilate(bad, DEFAULT_TOL, BuildMemo())
     # the categorical lift stacks alpha_g (x) eta_g over the group
-    quad = dilate(dilated, DEFAULT_TOL, BuildMemo())
     with pytest.raises(WellDefinednessViolation, match=rf"^alpha \(x\) eta .* in slice {g} "):
-        categorical_dilation_unitary(bad, quad, DEFAULT_TOL, BuildMemo())
+        categorical_dilation_unitary(bad, DEFAULT_TOL, BuildMemo())
 
 
 @pytest.mark.parametrize("g", [2, 5])
