@@ -373,15 +373,16 @@ def random_blinear_unitary(E: HilbertModule, rng: np.random.Generator) -> Module
     Xr = E.gram_sqrt @ X @ E.gram_isqrt
     H = (Xr + Xr.conj().T) / 2.0
     H = H / max(operator_norm(H), 1.0)
-    return ModuleMap(E, E, E.gram_isqrt @ herm_expi(H) @ E.gram_sqrt)
+    return ModuleMap(E, E, E.gram_isqrt @ herm_expi(H, DEFAULT_TOL) @ E.gram_sqrt)
 
 
 # -- intertwiners ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class Intertwiner:
-    """Morphism data (eta, alpha) with phi_2(alpha(a)) eta = eta phi_1(a)."""
+    """Morphism data (eta, alpha) with phi_2(alpha(a)) eta = eta phi_1(a).
+    Equality is identity, since the fields hold arrays."""
 
     eta: ModuleMap
     alpha: Automorphism
@@ -441,9 +442,8 @@ def check_morphism(
         [np.einsum("qp,qij->pij", m.alpha.matrix, p.images) for m, p in zip(ms, phi2)]
     )
     X1 = stack_slices([p.images for p in phi1])
-    residuals = max_operator_norms(
-        twisted @ eta - eta @ X1, eta_star @ twisted - X1 @ eta_star, X1 @ gram - gram @ X1, lead=1
-    )
+    gaps = (twisted @ eta - eta @ X1, eta_star @ twisted - X1 @ eta_star, X1 @ gram - gram @ X1)
+    residuals = max_operator_norms(*(D for gap in gaps for D in gap)).reshape(3, len(ms))
     names = ("intertwining", "adjoint_intertwining", "gram_commutation")
     return [
         CheckReport(

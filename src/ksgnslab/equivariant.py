@@ -10,7 +10,8 @@ The dilated unitary family is built twice: directly on representatives as
 the compression of alpha_g (x) U_g, and as the KSGNS endofunctor applied to
 the functor g -> F(g), built by poscor.ksgns_functor: the pullback
 eta~_g . V_g^{-1} . V'_{beta_g} of each dilated F(g).  Agreement of the two
-is itself a check.
+is itself a check.  The functor is the list of category morphisms F(g) from
+(E, phi) to itself, in the order of G.
 
 The group is a stack axis throughout: the twist tensors E (x)_{beta_g} B,
 the F(g), their images under the KSGNS functor and the functor laws' Cayley
@@ -383,26 +384,13 @@ def average_covariant(
 # -- functorial face -----------------------------------------------------------
 
 
-@dataclass
-class EquivariantFunctor:
-    """The per-element morphism family F(g) = (beta_g, (U_g . twist, alpha_g))."""
-
-    obj: PosCorObject
-    morphisms: list[PosCorMorphism]
-
-
 def correspondence_to_functor(
     c: EquivariantCorrespondence, tol: Tolerance, memo: BuildMemo
-) -> EquivariantFunctor:
-    """F(g) = (beta_g, (U_g . twist, alpha_g)) for every g, over one stacked
-    build of the |G| twist tensors E (x)_{beta_g} B, which the F(g) live on."""
-    obj = PosCorObject(
-        ident="E",
-        input_algebra=c.phi.algebra,
-        coefficient=c.module.algebra,
-        module=c.module,
-        phi=c.phi,
-    )
+) -> list[PosCorMorphism]:
+    """F(g) = (beta_g, (U_g . twist, alpha_g)) from (E, phi) to itself for
+    every g, in the order of G, over one stacked build of the |G| twist
+    tensors E (x)_{beta_g} B, which the F(g) live on."""
+    obj = PosCorObject("E", c.phi.algebra, c.module.algebra, c.module, c.phi)
     beta = c.system_out.action
     tws = twist_unitary(c.module, beta, tol, memo)
     etas = [
@@ -410,19 +398,13 @@ def correspondence_to_functor(
         for tw, U in zip(tws, c.unitaries)
     ]
     n = c.group.order
-    return EquivariantFunctor(
-        obj,
-        make_poscor_morphism(
-            [obj] * n, [obj] * n, [b.forward for b in beta], etas, c.system_in.action, tol, memo
-        ),
+    return make_poscor_morphism(
+        [obj] * n, [obj] * n, [b.forward for b in beta], etas, c.system_in.action, tol, memo
     )
 
 
 def check_functor_laws(
-    c: EquivariantCorrespondence,
-    functor: EquivariantFunctor,
-    tol: Tolerance,
-    memo: BuildMemo,
+    c: EquivariantCorrespondence, F: list[PosCorMorphism], tol: Tolerance, memo: BuildMemo
 ) -> CheckReport:
     """F(g) F(h) = F(gh) through pullbacks, unit law, and U_g recovery.
 
@@ -438,16 +420,16 @@ def check_functor_laws(
     failing composite is named by its slice g |G| + h.  Builds go through
     the caller's BuildMemo, which lives for one checked instance.  The
     tensors of the F(g) enter it under their content keys, so a memo other
-    than the one that built `functor` also finds the tensors of F(gh).
+    than the one that built F also finds the tensors of F(gh).
     """
     rep = CheckReport()
-    G, F = c.group, functor.morphisms
+    G = c.group
     scale = 1.0 + max(1.0, _gram_scale(c.module))
     _require_group_law(c.system_out, tol.ctol * scale, tol)
     tms = [m.dom_tensor for m in F]
     keys = [tensor_key(tm.left, tm.right, tm.pi, tol) for tm in tms]
     memo.get_all(keys, lambda todo: [tms[s] for s in todo])
-    unit_gap = morphism_distance([F[G.identity]], [poscor_identity(functor.obj, tol, memo)])[0]
+    unit_gap = morphism_distance([F[G.identity]], [poscor_identity(F[0].dom, tol, memo)])[0]
     g, h = np.divmod(np.arange(G.order**2), G.order)
     gh = G.table[g, h]
     composed = poscor_compose(
@@ -520,7 +502,7 @@ def categorical_dilation_unitary(
     F(g) as one stack, the composite that the functorial proof produces,
     used to cross-check the direct compression.  The lifts land on the
     triple of (E, phi) in the memo, which dilate builds."""
-    F = correspondence_to_functor(c, tol, memo).morphisms
+    F = correspondence_to_functor(c, tol, memo)
     return stack_slices([k.pullback for k in ksgns_functor(F, tol, memo)])
 
 

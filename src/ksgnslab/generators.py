@@ -201,10 +201,7 @@ def transported_copy(
 
 
 def extend_morphism(
-    E: HilbertModule,
-    phi: CPMap,
-    rng: np.random.Generator,
-    tol: Tolerance = DEFAULT_TOL,
+    E: HilbertModule, phi: CPMap, rng: np.random.Generator, tol: Tolerance
 ) -> tuple[HilbertModule, CPMap, Intertwiner]:
     """A transported copy (E', phi') of (E, phi) with a random element eta of
     the solved intertwiner space as the morphism, or the transport unitary
@@ -225,7 +222,7 @@ def random_morphism_pair(
     intertwiner between them."""
     E1 = random_module(B, rng, max_dim)
     phi1 = random_cp(A, E1, rng)
-    E2, phi2, m = extend_morphism(E1, phi1, rng)
+    E2, phi2, m = extend_morphism(E1, phi1, rng, DEFAULT_TOL)
     return E1, phi1, E2, phi2, m
 
 

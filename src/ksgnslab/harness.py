@@ -90,7 +90,6 @@ from .ksgns import (
     check_triple,
     conjugated_triple,
     continuity_probe,
-    idempotency_unitary,
     ksgns,
     ksgns_lift,
     triple_uniqueness_unitary,
@@ -457,7 +456,7 @@ def _gen_lift(caps: SizeCaps, seed: int) -> dict:
     B = random_shape(rng, caps.max_blocks, min(2, caps.max_block))
     max_dim = min(caps.max_module_dim, 4)
     E1, phi1, E2, phi2, m1 = random_morphism_pair(A, B, rng, max_dim)
-    E3, phi3, m2 = extend_morphism(E2, phi2, rng)
+    E3, phi3, m2 = extend_morphism(E2, phi2, rng, DEFAULT_TOL)
     phis = {"phi1": phi1, "phi2": phi2, "phi3": phi3}
     return _bundle(seed, A, {"E1": E1, "E2": E2, "E3": E3}, phis, {"m1": m1, "m2": m2})
 
@@ -641,9 +640,9 @@ def _check_idempotency(payload: dict, tol: Tolerance, rec: _Recorder, memo: Buil
     m = morphs["m"]
     t1 = ksgns([mods["E1"]], [phis["phi1"]], tol, memo)[0]
     t2 = ksgns([mods["E2"]], [phis["phi2"]], tol, memo)[0]
-    idem1 = idempotency_unitary(t1, tol, memo)
-    idem2 = idempotency_unitary(t2, tol, memo)
-    rep = check_idempotency(idem1, t1, tol)
+    second1 = ksgns([t1.module], [t1.pi], tol, memo)[0]
+    second2 = ksgns([t2.module], [t2.pi], tol, memo)[0]
+    rep = check_idempotency(second1, t1, tol)
     rec.merge(
         rep,
         {
@@ -653,13 +652,13 @@ def _check_idempotency(payload: dict, tol: Tolerance, rec: _Recorder, memo: Buil
         },
     )
     lifted = ksgns_lift([m], [t1], [t2], tol)[0]
-    double = ksgns_lift([lifted], [idem1.second], [idem2.second], tol)[0]
+    double = ksgns_lift([lifted], [second1], [second2], tol)[0]
     rec.add(
         "naturality",
         "idempotency naturality square V_pi eta~ = eta~~ V_pi",
         operator_norm(
-            idem2.unitary.matrix @ lifted.eta.matrix
-            - double.eta.matrix @ idem1.unitary.matrix
+            second2.embedding.matrix @ lifted.eta.matrix
+            - double.eta.matrix @ second1.embedding.matrix
         ),
         tol.ctol * (1.0 + m.norm),
     )
@@ -941,27 +940,15 @@ def _load_category(payload: dict, tol: Tolerance, memo: BuildMemo):
         obj = PosCorObject(odata["ident"], A, module.algebra, module, phi)
         objects.append(obj)
         by_ident[obj.ident] = obj
-    # one tensor build and make_poscor_morphism call per stack of morphisms
-    # with the same endpoints, rho algebras and eta shape
-    rows = [
-        (by_ident[d["dom"]], by_ident[d["cod"]], ser.load_star_map(d["rho"]), d)
-        for d in payload["morphisms"]
-    ]
-    stacks = {}
-    for s, (dom, cod, rho, d) in enumerate(rows):
-        shape = ser.load_cmatrix(d["eta"], cod.module.dim).shape
-        stacks.setdefault((dom.ident, cod.ident, rho.domain, rho.codomain, shape), []).append(s)
-    morphisms = [None] * len(rows)
-    for idx in stacks.values():
-        dom, cod, rho, data = zip(*(rows[s] for s in idx))
-        tms = interior_tensor_along([o.module for o in dom], rho, tol, memo)
-        etas = [
-            ModuleMap(t.module, c.module, ser.load_cmatrix(d["eta"], c.module.dim, t.module.dim))
-            for t, c, d in zip(tms, cod, data)
-        ]
-        alphas = [ser.load_automorphism(d["alpha"]) for d in data]
-        for s, m in zip(idx, make_poscor_morphism(dom, cod, rho, etas, alphas, tol, memo)):
-            morphisms[s] = m
+    morphisms = []
+    for d in payload["morphisms"]:
+        dom, cod, rho = by_ident[d["dom"]], by_ident[d["cod"]], ser.load_star_map(d["rho"])
+        tm = interior_tensor_along([dom.module], [rho], tol, memo)[0]
+        eta = ser.load_cmatrix(d["eta"], cod.module.dim, tm.module.dim)
+        morphisms += make_poscor_morphism(
+            [dom], [cod], [rho], [ModuleMap(tm.module, cod.module, eta)],
+            [ser.load_automorphism(d["alpha"])], tol, memo,
+        )
     return objects, morphisms
 
 
@@ -1079,8 +1066,7 @@ def _check_equivariant_suite(
         },
     )
     _record_cp(rec, "phi_cp", "averaged map stays completely positive", c.phi, tol, memo)
-    functor = correspondence_to_functor(c, tol, memo)
-    frep = check_functor_laws(c, functor, tol, memo)
+    frep = check_functor_laws(c, correspondence_to_functor(c, tol, memo), tol, memo)
     rec.merge(
         frep,
         {
@@ -1196,7 +1182,7 @@ def _gen_continuity(caps: SizeCaps, seed: int) -> dict:
         path = []
         for k in range(1, CONTINUITY_STEPS + 1):
             eps = 1e-2 * 4.0 ** (-k)
-            u_blocks = [herm_expi(eps * blk) for blk in H.blocks]
+            u_blocks = [herm_expi(eps * blk, DEFAULT_TOL) for blk in H.blocks]
             u = AlgebraElement(A, u_blocks)
             alpha_k = inner_automorphism(A, u_blocks)
             path.append(
@@ -1279,31 +1265,17 @@ def _check_continuity(payload: dict, tol: Tolerance, rec: _Recorder, memo: Build
         probe.lifted_distances[-1],
         probe.final_gate,
     )
-    jitter = 1e-9
-    monotone = max(
-        (
-            max(0.0, probe.lifted_distances[i + 1] - probe.lifted_distances[i])
-            for i in range(len(probe.lifted_distances) - 1)
-        ),
-        default=0.0,
-    )
+    lifted, given = np.array(probe.lifted_distances), np.array(probe.input_distances)
     rec.add(
         "lifted_monotone",
         "lifted distances decay monotonically",
-        monotone,
-        jitter,
-    )
-    bound = max(
-        (
-            max(0.0, l - probe.constant * i - probe.final_gate)
-            for i, l in zip(probe.input_distances, probe.lifted_distances)
-        ),
-        default=0.0,
+        np.diff(lifted).max(initial=0.0),
+        1e-9,
     )
     rec.add(
         "lifted_bound",
         "lift is continuous on norm-bounded sets",
-        bound,
+        (lifted - probe.constant * given - probe.final_gate).max(initial=0.0),
         tol.ctol,
     )
 

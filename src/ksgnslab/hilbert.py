@@ -184,7 +184,7 @@ class Quotient:
     kernel: np.ndarray  # (d, d - rank): kernel basis of the Gram matrix
 
 
-def quotient_by_null(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> list[Quotient]:
+def quotient_by_null(pre: PreModule, tol: Tolerance) -> list[Quotient]:
     """Quotient each pre-module of a stack (a PreModule whose arrays carry a
     leading axis) by the null space of its pairing: one batched rank_kernel
     over the Gram matrices, one stacked leak gate and one stacked transport
@@ -249,7 +249,7 @@ def first_leak(
 
 def descend(
     K: Sequence[np.ndarray], src: Sequence[Quotient], tgt: Sequence[Quotient], what: str,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: Tolerance,
 ) -> list[np.ndarray]:
     """q_tgt K[i] s_src for each slice i: K[i] (..., m, n) a stack of maps
     between the pre-spaces of src[i] and tgt[i], compressed to what it
@@ -351,7 +351,7 @@ def module_operator_norms(maps: Sequence[ModuleMap]) -> np.ndarray:
     return operator_norms(S @ stack_slices([m.matrix for m in maps]) @ Si)
 
 
-def is_map_positive(m: ModuleMap, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
+def is_map_positive(m: ModuleMap, tol: Tolerance) -> tuple[bool, float]:
     """Positivity of an element of L(E) through its realization."""
     ok, w0 = psd_verdict(realize(m), tol)
     return bool(ok), float(w0)

@@ -8,7 +8,9 @@ the pre-module on {a_p (x) e_q} with pairing
 <a (x) x, a' (x) x'> = <x, phi(a* a') x'>_E and B acting on the E slot.
 Left multiplication L(a) (x) I descends to the quotient and gives the dilated
 representation pi_phi; the embedding V_phi sends x to the class of 1 (x) x,
-which is the unital collapse of the approximate-unit limit.
+which is the unital collapse of the approximate-unit limit.  Dilating pi_phi
+once more gives the idempotency unitary V_{pi_phi}: F_phi -> F_{pi_phi}, the
+embedding of that second dilation, which is already unitary.
 
 Descent of pi_phi is verified numerically rather than assumed: invariance of
 the Gram kernel under left multiplication is a theorem, but floating point
@@ -241,29 +243,15 @@ def check_lift(
     return rep
 
 
-@dataclass
-class IdempotencyUnitary:
-    """V_{pi_phi}: F_phi -> F_{pi_phi} together with the second-level triple."""
-
-    unitary: ModuleMap
-    second: KsgnsTriple
-
-
-def idempotency_unitary(t: KsgnsTriple, tol: Tolerance, memo: BuildMemo) -> IdempotencyUnitary:
-    """Dilate the dilated representation; its embedding is already unitary."""
-    second = ksgns([t.module], [t.pi], tol, memo)[0]
-    return IdempotencyUnitary(second.embedding, second)
-
-
-def check_idempotency(
-    idem: IdempotencyUnitary, t: KsgnsTriple, tol: Tolerance
-) -> CheckReport:
+def check_idempotency(second: KsgnsTriple, t: KsgnsTriple, tol: Tolerance) -> CheckReport:
+    """Unitarity, dimension match and intertwining of V_{pi_phi}, the
+    embedding of second = ksgns([t.module], [t.pi], ...)[0]."""
     rep = CheckReport()
-    V = idem.unitary
+    V = second.embedding
     scale = 1.0 + t.phi.norm
     rep.add("unitary", unitarity_residual([V]), tol.ctol * scale)
-    rep.add("dim_match", float(idem.second.module.dim - t.module.dim), 0.0)
-    inter = max_operator_norm(V.matrix @ t.pi.images - idem.second.pi.images @ V.matrix)
+    rep.add("dim_match", float(second.module.dim - t.module.dim), 0.0)
+    inter = max_operator_norm(V.matrix @ t.pi.images - second.pi.images @ V.matrix)
     rep.add("intertwines", inter, tol.ctol * scale)
     return rep
 

@@ -15,7 +15,10 @@ rounding noise (coefficients ~eps from operators of norm ~scale) reads as the
 zero system.
 
 Operator norms are the first singular value of LAPACK's batched SVD, the same
-value numpy.linalg.norm(., 2) returns.  Verdict-only gates of the form
+value numpy.linalg.norm(., 2) returns.  max_operator_norms is the one
+per-shape norm batcher: callers hand it gaps of several shapes as they are
+(each slice's residuals, each pair's pullback and alpha gaps), and the
+same-shape ones share one batched SVD.  Verdict-only gates of the form
 ||X|| <= ctol * (1 + ||M||) (Hermitian defects, null-space leaks) go through
 exceeds_gate: since ||X||_2 <= ||X||_F (Higham, Accuracy and Stability of
 Numerical Algorithms, 2002, sec. 6.2) and the gate is at least ctol, a slice
@@ -35,6 +38,7 @@ for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -116,22 +120,20 @@ def max_operator_norm(stack: np.ndarray) -> float:
     return float(operator_norms(stack).max(initial=0.0))
 
 
-def max_operator_norms(*stacks: np.ndarray, lead: int = 0) -> np.ndarray:
-    """max_operator_norm of each of several stacks (*L, ..., m, n) over all
-    but their first `lead` axes L, shape (len(stacks), *L); the stacks whose
+def max_operator_norms(*stacks: np.ndarray) -> np.ndarray:
+    """max_operator_norm of each of several stacks (..., m, n), shape
+    (len(stacks),).  This is the one per-shape norm batcher: the stacks whose
     matrices share a shape go through one batched SVD together."""
-    L = np.shape(stacks[0])[:lead] if lead else ()
-    flat = [
-        np.reshape(S, (*L, int(np.prod(np.shape(S)[lead:-2])), *np.shape(S)[-2:])) for S in stacks
-    ]
-    out = np.zeros((len(flat), *L))
-    for shape in {S.shape[lead + 1 :] for S in flat}:
-        members = [i for i, S in enumerate(flat) if S.shape[lead + 1 :] == shape]
-        norms = operator_norms(np.concatenate([flat[i] for i in members], axis=lead))
-        cuts = np.cumsum([flat[i].shape[lead] for i in members])[:-1]
-        out[members] = [
-            part.max(axis=lead, initial=0.0) for part in np.split(norms, cuts, axis=lead)
-        ]
+    flat = [np.reshape(S, (math.prod(np.shape(S)[:-2]), *np.shape(S)[-2:])) for S in stacks]
+    out, groups = np.zeros(len(flat)), {}
+    for i, S in enumerate(flat):
+        if len(S):  # reduceat has no empty segments: an empty stack keeps its 0
+            groups.setdefault(S.shape[1:], []).append(i)
+    for members in groups.values():
+        starts = np.cumsum([0] + [len(flat[i]) for i in members[:-1]])
+        out[members] = np.maximum.reduceat(
+            operator_norms(np.concatenate([flat[i] for i in members])), starts
+        )
     return out
 
 
@@ -144,7 +146,7 @@ def dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ B
 
 
-def psd_verdict(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def psd_verdict(M: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """(M is PSD, minimum eigenvalue of its Hermitian part) for each matrix of
     a stack (..., n, n), as arrays of shape (...): the Hermitian defect and the
     negative part of the spectrum must both stay within ctol * (1 + ||M||)."""
@@ -159,7 +161,7 @@ def psd_verdict(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray
     return ok, w0
 
 
-def herm_eig(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(M: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of each Hermitian matrix of a stack (..., n, n), by
     one batched eigh that gives every matrix the bits of a call of its own.
 
@@ -179,9 +181,7 @@ def herm_eig(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, n
     return np.linalg.eigh((M + M.conj().swapaxes(-1, -2)) / 2.0)
 
 
-def rank_kernel(
-    G: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> list[tuple[int, np.ndarray, np.ndarray]]:
+def rank_kernel(G: np.ndarray, tol: Tolerance) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Split each PSD Hermitian matrix of a stack (S, d, d) into numerical range
     and kernel, from one batched herm_eig; a rank decision per slice.
 
@@ -225,7 +225,7 @@ def stack_slices(items: Sequence) -> np.ndarray:
     return np.stack(items)
 
 
-def null_space(K: np.ndarray, scale: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def null_space(K: np.ndarray, scale: float, tol: Tolerance) -> np.ndarray:
     """Orthonormal rows v with K v = 0 numerically: the right singular vectors
     of K (m, n) with singular values at most rtol * max(sigma_max, scale), and
     those beyond min(m, n).  NaN or Inf in K raises NonFinite."""
@@ -236,7 +236,7 @@ def null_space(K: np.ndarray, scale: float, tol: Tolerance = DEFAULT_TOL) -> np.
     return Vh[mask].conj()
 
 
-def pseudo_inverse(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def pseudo_inverse(M: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Moore-Penrose inverse with singular values below rtol * sigma_max
     treated as zero."""
     M = require_finite(M)
@@ -245,7 +245,7 @@ def pseudo_inverse(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return np.linalg.pinv(M, rcond=tol.rtol)
 
 
-def herm_expi(H: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def herm_expi(H: np.ndarray, tol: Tolerance) -> np.ndarray:
     """exp(iH) for Hermitian H; the result is unitary."""
     w, V = herm_eig(H, tol)
     return (V * np.exp(1j * w)) @ V.conj().T

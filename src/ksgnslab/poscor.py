@@ -53,7 +53,7 @@ from .hilbert import (
     same_module,
     unitarity_residual,
 )
-from .ksgns import KsgnsTriple, idempotency_unitary, ksgns, ksgns_lift
+from .ksgns import KsgnsTriple, ksgns, ksgns_lift
 from .memo import BuildMemo, content_key
 from .numkernel import (
     Tolerance, dots, kron, max_operator_norm, max_operator_norms, stack_slices,
@@ -286,7 +286,7 @@ def check_commuting_unitary(
 # -- the category layer -------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class PosCorObject:
     """(E over B, phi: A -> L(E)) with an identity label for composition."""
 
@@ -302,13 +302,14 @@ class PosCorObject:
         return content_key(self.ident, self.input_algebra.blocks, self.module.key, self.phi.key)
 
 
-@dataclass
+@dataclass(eq=False)
 class PosCorMorphism(Intertwiner):
     """(rho, (eta, alpha)): the intertwiner (eta, alpha) from phi~ = dom.phi
     (x) I on E_dom (x)_rho C to cod.phi.  phi~ is built where the morphism
     is checked (check_poscor_morphism), not stored.  The pullback
     eta . V_rho : E_dom -> E_cod determines eta (rho is unital) and is the
-    coordinate-free face of the morphism.
+    coordinate-free face of the morphism.  Equality is identity; two
+    morphisms of equal content have equal keys.
     """
 
     dom: PosCorObject
@@ -443,19 +444,14 @@ def check_poscor_morphism(
 
 def morphism_distance(m1: Sequence[PosCorMorphism], m2: Sequence[PosCorMorphism]) -> np.ndarray:
     """Coordinate-free distance rho gap + pullback gap + alpha gap of each
-    pair (m1[s], m2[s]): one element_norms per rho codomain and one batched
-    SVD per pullback and alpha shape."""
+    pair (m1[s], m2[s]): one element_norms per rho codomain, and the pullback
+    and alpha gaps of every pair through one max_operator_norms."""
     if any(a.dom.ident != b.dom.ident or a.cod.ident != b.cod.ident for a, b in zip(m1, m2)):
         raise ObjectMismatch("morphisms between different objects")
     pull = [a.pullback - b.pullback for a, b in zip(m1, m2)]
     alpha = [a.alpha.matrix - b.alpha.matrix for a, b in zip(m1, m2)]
-    out, stacks = star_map_distance([a.rho for a in m1], [b.rho for b in m2]), {}
-    for s, (P, X) in enumerate(zip(pull, alpha)):
-        stacks.setdefault((P.shape, X.shape), []).append(s)
-    for idx in stacks.values():
-        gap = max_operator_norms(*(np.stack([D[s] for s in idx]) for D in (pull, alpha)), lead=1)
-        out[idx] = out[idx] + gap[0] + gap[1]
-    return out
+    gap = max_operator_norms(*pull, *alpha).reshape(2, len(pull))
+    return star_map_distance([a.rho for a in m1], [b.rho for b in m2]) + gap[0] + gap[1]
 
 
 # -- KSGNS as an endofunctor on the category ---------------------------------
@@ -498,13 +494,11 @@ def ksgns_functor(
 def idempotency_iso_poscor(obj: PosCorObject, tol: Tolerance, memo: BuildMemo) -> PosCorMorphism:
     """The canonical (inc, (V_{pi_phi} . iota, 1_A)) from (F_phi, pi_phi) to
     (F_{pi_phi}, pi_{pi_phi})."""
-    (dilated,), (t,) = dilate_object([obj], tol, memo)
-    (double_dilated,), _ = dilate_object([dilated], tol, memo)
+    (dilated,), _ = dilate_object([obj], tol, memo)
+    (double_dilated,), (second,) = dilate_object([dilated], tol, memo)
     inc = inclusion_unitary(dilated.module, tol, memo)
     eta = ModuleMap(
-        inc.tensor.module,
-        double_dilated.module,
-        idempotency_unitary(t, tol, memo).unitary.matrix @ inc.iota.matrix,
+        inc.tensor.module, double_dilated.module, second.embedding.matrix @ inc.iota.matrix
     )
     return make_poscor_morphism(
         [dilated],

@@ -424,16 +424,16 @@ def categorical_unitaries_reference(c, quad, tol=DEFAULT_TOL) -> list[np.ndarray
     return out
 
 
-def functor_laws_reference(c, functor, tol=DEFAULT_TOL, along_group_law=True) -> CheckReport:
+def functor_laws_reference(c, F, tol=DEFAULT_TOL, along_group_law=True) -> CheckReport:
     """equivariant.check_functor_laws as the per-(g, h) loop it replaced: the
     identity and each composite F(g) F(h) built alone on a fresh memo, along
     beta_gh (along_group_law) or along beta_g beta_h."""
     rep = CheckReport()
-    G, F = c.group, functor.morphisms
+    G = c.group
     scale = 1.0 + max(1.0, operator_norm(c.module.gram_matrix))
     recover = max(operator_norm(F[g].pullback - c.unitaries[g]) for g in range(G.order))
     rep.add("unitary_recovery", recover, tol.ctol * scale)
-    unit = poscor_identity(functor.obj, tol, BuildMemo())
+    unit = poscor_identity(F[0].dom, tol, BuildMemo())
     rep.add("unit_law", morphism_distance([F[G.identity]], [unit])[0], tol.ctol * scale)
     law = unitary = 0.0
     for g in range(G.order):

@@ -57,7 +57,6 @@ from ksgnslab.harness import (
 from ksgnslab.hilbert import ModuleMap, adjoint_map, identity_map, module_operator_norm
 from ksgnslab.ksgns import (
     continuity_probe,
-    idempotency_unitary,
     ksgns,
     ksgns_lift,
     spanning_rank,
@@ -153,8 +152,8 @@ def test_criterion_03_endofunctor_laws():
         B = AlgebraShape(SHAPE_MENU[seed % 3])
         E1 = random_module(B, rng, max_dim=4)
         phi1 = random_cp(A, E1, rng)
-        E2, phi2, m1 = extend_morphism(E1, phi1, rng)
-        E3, phi3, m2 = extend_morphism(E2, phi2, rng)
+        E2, phi2, m1 = extend_morphism(E1, phi1, rng, TOL)
+        E3, phi3, m2 = extend_morphism(E2, phi2, rng, TOL)
         t1, t2, t3 = ksgns([E1, E2, E3], [phi1, phi2, phi3], TOL, BuildMemo())
         l1 = ksgns_lift([m1], [t1], [t2], TOL)[0]
         l2 = ksgns_lift([m2], [t2], [t3], TOL)[0]
@@ -184,19 +183,19 @@ def test_criterion_04_idempotency():
         B = AlgebraShape(SHAPE_MENU[seed % 3])
         E1 = random_module(B, rng, max_dim=4)
         phi1 = random_cp(A, E1, rng)
-        E2, phi2, m = extend_morphism(E1, phi1, rng)
+        E2, phi2, m = extend_morphism(E1, phi1, rng, TOL)
         t1, t2 = ksgns([E1], [phi1], TOL, BuildMemo())[0], ksgns([E2], [phi2], TOL, BuildMemo())[0]
         memo = BuildMemo()
-        idem1, idem2 = idempotency_unitary(t1, TOL, memo), idempotency_unitary(t2, TOL, memo)
-        dims_ok = dims_ok and idem1.second.module.dim == t1.module.dim
-        worst_unit = max(worst_unit, unitarity_residual([idem1.unitary]))
+        # the idempotency unitary V_pi is the embedding of the second dilation
+        s1, s2 = (ksgns([t.module], [t.pi], TOL, memo)[0] for t in (t1, t2))
+        dims_ok = dims_ok and s1.module.dim == t1.module.dim
+        worst_unit = max(worst_unit, unitarity_residual([s1.embedding]))
         lifted = ksgns_lift([m], [t1], [t2], TOL)[0]
-        double = ksgns_lift([lifted], [idem1.second], [idem2.second], TOL)[0]
+        double = ksgns_lift([lifted], [s1], [s2], TOL)[0]
         worst_nat = max(
             worst_nat,
             operator_norm(
-                idem2.unitary.matrix @ lifted.eta.matrix
-                - double.eta.matrix @ idem1.unitary.matrix
+                s2.embedding.matrix @ lifted.eta.matrix - double.eta.matrix @ s1.embedding.matrix
             ),
         )
     ok = worst_unit <= 1e-8 and worst_nat <= 1e-8 and dims_ok
@@ -214,7 +213,7 @@ def test_criterion_05_tensor_functor():
         C = AlgebraShape((2,))
         E1 = random_module(B, rng, max_dim=3)
         phi1 = random_cp(A, E1, rng)
-        E2, phi2, m = extend_morphism(E1, phi1, rng)
+        E2, phi2, m = extend_morphism(E1, phi1, rng, TOL)
         F, pi = random_representation(B, C, rng, max_dim=4)
         memo = BuildMemo()
         tm1 = interior_tensor([E1], [F], [pi], TOL, memo)[0]
@@ -310,7 +309,7 @@ def test_criterion_07_lemma_inequalities():
         C = AlgebraShape((2,))
         E1 = random_module(B, rng, max_dim=4)
         phi1 = random_cp(A, E1, rng)
-        E2, phi2, m = extend_morphism(E1, phi1, rng)
+        E2, phi2, m = extend_morphism(E1, phi1, rng, TOL)
         F, pi = random_representation(B, C, rng, max_dim=4)
         eta = m.eta.matrix
         eta_star = adjoint_map(m.eta).matrix
@@ -438,7 +437,7 @@ def test_criterion_10_continuity():
         B = AlgebraShape((2,))
         E1 = random_module(B, rng, max_dim=4)
         phi1 = random_cp(A, E1, rng)
-        E2, phi2, m = extend_morphism(E1, phi1, rng)
+        E2, phi2, m = extend_morphism(E1, phi1, rng, TOL)
         basis = intertwiner_space(phi1, phi2, m.alpha, TOL)
         direction = basis[int(rng.integers(len(basis)))]
         path = [

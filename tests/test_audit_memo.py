@@ -101,7 +101,7 @@ def test_functor_audit_builds_each_tensor_module_once(monkeypatch):
     # the guard counts the |G|^2 composites requested, the builds are once
     # per content
     c, functor = functor_instance(symmetric_group(3), 11)
-    assert len({m.key for m in functor.morphisms}) == c.group.order
+    assert len({m.key for m in functor}) == c.group.order
     builds = count_tensor_builds(monkeypatch)
     requests = []
     real = equivariant.poscor_compose
@@ -267,3 +267,17 @@ def test_content_equal_foreign_objects_give_the_same_matrices():
     m2, f2 = morphisms[i], loaded_elsewhere[i]
     composed = poscor_compose([m2], [m], DEFAULT_TOL, memo)[0]
     assert poscor_compose([f2], [f], DEFAULT_TOL, memo)[0] is composed
+
+
+def test_morphisms_and_objects_compare_by_identity():
+    # == on these classes is identity, so `in` and list.index find each
+    # loaded morphism of category instance 1 without comparing arrays; two
+    # loads of one payload are equal in content, which is equality of keys
+    payload = category_payload(1)
+    _, morphisms = _load_category(payload, DEFAULT_TOL, BuildMemo())
+    _, twins = _load_category(payload, DEFAULT_TOL, BuildMemo())
+    for i, (m, twin) in enumerate(zip(morphisms, twins)):
+        assert m in morphisms and morphisms.index(m) == i
+        assert twin not in morphisms
+        assert m != twin and m.key == twin.key
+        assert m.dom != twin.dom and m.dom.key == twin.dom.key

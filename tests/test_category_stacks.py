@@ -16,7 +16,7 @@ from numpy.linalg import _linalg as linalg_impl
 
 import conftest
 from ksgnslab import equivariant, harness, poscor
-from ksgnslab.cp import CPMap
+from ksgnslab.cp import CPMap, check_morphism
 from ksgnslab.cstar import Automorphism, StarMap
 from ksgnslab.errors import WellDefinednessViolation
 from ksgnslab.harness import (
@@ -25,7 +25,9 @@ from ksgnslab.harness import (
 from ksgnslab.hilbert import ModuleMap
 from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL
-from ksgnslab.poscor import check_category_laws, morphism_distance, poscor_identity
+from ksgnslab.poscor import (
+    check_category_laws, morphism_distance, morphism_shape, poscor_identity, tensor_extend_cpmap,
+)
 
 from conftest import category_laws_reference, count_calls
 
@@ -84,6 +86,43 @@ def test_stacked_distances_equal_each_pair_alone():
     assert np.array_equal(stacked, alone)
     assert len(set(stacked[: len(morphisms)].tolist())) == len(morphisms)
     assert min(stacked) > 0.0
+
+
+def test_stacked_morphism_checks_equal_each_slice_alone():
+    # every shape group of category instance 1, each morphism next to a copy
+    # with its alpha scaled by its own amount, so that the residuals of the
+    # copies are nonzero and distinct; each report, norms and thresholds
+    # included, has the bits of check_morphism on a stack of one
+    memo = BuildMemo()
+    _, morphisms = _load_category(category_payload(1), DEFAULT_TOL, memo)
+    moved = [
+        replace(
+            m,
+            alpha=Automorphism(
+                StarMap(m.alpha.shape, m.alpha.shape, (1.0 + 0.1 * k) * m.alpha.matrix),
+                m.alpha.inverse,
+            ),
+        )
+        for k, m in enumerate(morphisms, start=1)
+    ]
+    groups = {}
+    for m in morphisms + moved:
+        groups.setdefault(morphism_shape(m), []).append(m)
+    assert max(map(len, groups.values())) > 2
+    residuals = []
+    for ms in groups.values():
+        phi1 = tensor_extend_cpmap(
+            [m.dom.phi for m in ms], [m.dom_tensor for m in ms], DEFAULT_TOL, memo
+        )
+        phi2 = [m.cod.phi for m in ms]
+        stacked = check_morphism([replace(m) for m in ms], phi1, phi2, DEFAULT_TOL)
+        for m, p1, p2, rep in zip(ms, phi1, phi2, stacked):
+            alone = check_morphism([replace(m)], [p1], [p2], DEFAULT_TOL)[0]
+            assert rep.residuals == alone.residuals
+            assert rep.thresholds == alone.thresholds
+            if m in moved:
+                residuals.append(rep.residuals["intertwining"])
+    assert min(residuals) > 0.0 and len(set(residuals)) == len(moved)
 
 
 # -- negative controls: one corrupted composite at a later slice ------------------

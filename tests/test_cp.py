@@ -112,7 +112,7 @@ def test_random_cp_self_certifies(seed):
     assert ok
     assert phi.hermiticity_residual() <= 1e-10 * (1.0 + phi.norm)
     assert linearity_residual(phi) <= 1e-10 * (1.0 + phi.norm)
-    ok_pos, _ = is_map_positive(phi(unit_coeffs(A)))
+    ok_pos, _ = is_map_positive(phi(unit_coeffs(A)), DEFAULT_TOL)
     assert ok_pos
 
 
@@ -468,8 +468,8 @@ def test_properties_lemma_consequences(rng):
         square = mul(star(a), a)
         pos = phi1(square.coeffs()).matrix
         # part 1 and 2 are inside check_morphism; part 3 sandwich here
-        lo_ok, lo = is_map_positive(ModuleMap(E1, E1, pos @ gram))
-        hi_ok, hi = is_map_positive(ModuleMap(E1, E1, norm2 * pos - pos @ gram))
+        lo_ok, lo = is_map_positive(ModuleMap(E1, E1, pos @ gram), DEFAULT_TOL)
+        hi_ok, hi = is_map_positive(ModuleMap(E1, E1, norm2 * pos - pos @ gram), DEFAULT_TOL)
         scale = (1.0 + norm2) * (1.0 + phi1.norm * (1.0 + element_norm(a) ** 2))
         assert lo >= -1e-8 * scale
         assert hi >= -1e-8 * scale

@@ -256,7 +256,7 @@ def test_functor_laws_z2_involution():
     rep = check_functor_laws(c, fun, DEFAULT_TOL, memo)
     assert rep.passed, rep.residuals
     # the nontrivial morphism composes with itself to the identity pullback
-    m = fun.morphisms[1]
+    m = fun[1]
     square = poscor_compose([m], [m], DEFAULT_TOL, memo)[0]
     assert operator_norm(square.pullback - c.unitaries[0]) <= 1e-8
 
@@ -265,7 +265,7 @@ def test_functor_round_trip_recovers_unitaries():
     c = random_equivariant(AlgebraShape((2,)), AlgebraShape((1, 2)), cyclic_group(3), seed=10)
     fun = correspondence_to_functor(c, DEFAULT_TOL, BuildMemo())
     for g in range(c.group.order):
-        m = fun.morphisms[g]
+        m = fun[g]
         assert operator_norm(m.pullback - c.unitaries[g]) <= 1e-8
         assert unitarity_residual([m.eta]) <= 1e-8
 

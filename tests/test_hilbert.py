@@ -189,15 +189,17 @@ def test_descend_on_rank_deficient_quotient(rng):
     assert quot.module.dim == 2 and quot.kernel.shape == (4, 2)
     # kernel-preserving: blockwise on range (+) kernel
     K = on_range @ random_complex(rng, 4, 4) @ on_range + ker @ random_complex(rng, 4, 4) @ ker
-    assert np.array_equal(descend([K], [quot], [quot], "probe map")[0], quot.q @ K @ quot.s)
+    got = descend([K], [quot], [quot], "probe map", DEFAULT_TOL)[0]
+    assert np.array_equal(got, quot.q @ K @ quot.s)
     leaky = K + on_range @ random_complex(rng, 4, 4) @ ker
     with pytest.raises(WellDefinednessViolation, match="probe map leaks out of the null space") as alone:
-        descend([leaky], [quot], [quot], "probe map")[0]
+        descend([leaky], [quot], [quot], "probe map", DEFAULT_TOL)[0]
     # a stack descends slice by slice; a leak in its second slice raises what it raises alone
     stack = np.stack([K, 2.0 * K])
-    assert np.array_equal(descend([stack], [quot], [quot], "probe map")[0], quot.q @ stack @ quot.s)
+    got = descend([stack], [quot], [quot], "probe map", DEFAULT_TOL)[0]
+    assert np.array_equal(got, quot.q @ stack @ quot.s)
     with pytest.raises(WellDefinednessViolation) as stacked:
-        descend([np.stack([K, leaky])], [quot], [quot], "probe map")[0]
+        descend([np.stack([K, leaky])], [quot], [quot], "probe map", DEFAULT_TOL)[0]
     assert str(stacked.value) == str(alone.value)
 
 
@@ -222,7 +224,8 @@ def test_descend_passes_frobenius_leak_within_spectral_gate(rng, monkeypatch):
     real_svd = np.linalg.svd
     patch_svd(monkeypatch, lambda *a, **k: svd_calls.append(1) or real_svd(*a, **k))
     stack = np.stack([on_range, K])
-    assert np.array_equal(descend([stack], [quot], [quot], "probe map")[0], quot.q @ stack @ quot.s)
+    got = descend([stack], [quot], [quot], "probe map", DEFAULT_TOL)[0]
+    assert np.array_equal(got, quot.q @ stack @ quot.s)
     assert svd_calls  # the exact path decided the second slice
 
 
@@ -235,7 +238,7 @@ def test_leak_messages_name_first_failing_slice(rng):
     leak, _ = null_leak(quot.q, stack, quot.kernel, DEFAULT_TOL)
     expected = f"probe map leaks out of the null space ({leak[1]:.3e})"
     with pytest.raises(WellDefinednessViolation) as err:
-        descend([stack], [quot], [quot], "probe map")[0]
+        descend([stack], [quot], [quot], "probe map", DEFAULT_TOL)[0]
     assert str(err.value) == expected
     # two basis elements of C + C; e_1 is null and u_1's action moves it onto e_0
     B = AlgebraShape((1, 1))
@@ -260,10 +263,10 @@ def test_descend_rejects_non_finite_maps(rng):
         K = np.eye(d, dtype=complex)
         K[0, -1] = np.inf
         with pytest.raises(NonFinite):
-            descend([K], [q], [q], "probe map")[0]
+            descend([K], [q], [q], "probe map", DEFAULT_TOL)[0]
         K[0, -1] = np.nan
         with pytest.raises(NonFinite):
-            descend([np.stack([np.eye(d), K])], [q], [q], "probe map")[0]
+            descend([np.stack([np.eye(d), K])], [q], [q], "probe map", DEFAULT_TOL)[0]
 
 
 def test_gates_certify_valid_inputs_without_svd(rng, monkeypatch):
@@ -276,9 +279,9 @@ def test_gates_certify_valid_inputs_without_svd(rng, monkeypatch):
         raise AssertionError("np.linalg.svd called")
 
     patch_svd(monkeypatch, no_svd)
-    descend([np.stack([K, 2.0 * K])], [quot], [quot], "probe map")[0]
+    descend([np.stack([K, 2.0 * K])], [quot], [quot], "probe map", DEFAULT_TOL)[0]
     quotient_one(E)
-    herm_eig(M + M.conj().T)
+    herm_eig(M + M.conj().T, DEFAULT_TOL)
 
 
 def test_constructions_descend_once_per_stack(rng, monkeypatch):
@@ -666,7 +669,7 @@ def test_quotient_kernel_vectors_are_null(rng):
     phi = random_cp(A, E, rng)
     stack = tensor_premodule([algebra_module(A)], [E], [phi])
     pre = PreModule(stack.algebra, stack.dim, stack.action[0], [P[0] for P in stack.pairing])
-    quot = quotient_by_null(stack)[0]
+    quot = quotient_by_null(stack, DEFAULT_TOL)[0]
     G = pre.gram()
     lam_max = max(np.linalg.eigvalsh((G + G.conj().T) / 2).max(), 1.0)
     for k in range(quot.kernel.shape[1]):

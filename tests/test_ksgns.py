@@ -26,7 +26,6 @@ from ksgnslab.ksgns import (
     check_triple,
     conjugated_triple,
     continuity_probe,
-    idempotency_unitary,
     ksgns,
     ksgns_lift,
     spanning_rank,
@@ -232,8 +231,8 @@ def test_lift_functoriality(rng):
     B = AlgebraShape((2,))
     E1 = random_module(B, rng, max_dim=3)
     phi1 = random_cp(A, E1, rng)
-    E2, phi2, m1 = extend_morphism(E1, phi1, rng)
-    E3, phi3, m2 = extend_morphism(E2, phi2, rng)
+    E2, phi2, m1 = extend_morphism(E1, phi1, rng, DEFAULT_TOL)
+    E3, phi3, m2 = extend_morphism(E2, phi2, rng, DEFAULT_TOL)
     t1, t2, t3 = ksgns([E1, E2, E3], [phi1, phi2, phi3], DEFAULT_TOL, BuildMemo())
     from ksgnslab.cp import compose_intertwiners
 
@@ -254,9 +253,9 @@ def test_idempotency_dims_and_unitarity(rng):
     E = random_module(AlgebraShape((2,)), rng, max_dim=3)
     phi = random_cp(A, E, rng)
     t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
-    idem = idempotency_unitary(t, DEFAULT_TOL, BuildMemo())
-    assert idem.second.module.dim == t.module.dim
-    rep = check_idempotency(idem, t, DEFAULT_TOL)
+    second = ksgns([t.module], [t.pi], DEFAULT_TOL, BuildMemo())[0]
+    assert second.module.dim == t.module.dim
+    rep = check_idempotency(second, t, DEFAULT_TOL)
     assert rep.passed, rep.residuals
 
 
@@ -266,12 +265,11 @@ def test_idempotency_naturality(rng):
     E1, phi1, E2, phi2, m = random_morphism_pair(A, B, rng, max_dim=3)
     t1, t2 = ksgns([E1, E2], [phi1, phi2], DEFAULT_TOL, BuildMemo())
     memo = BuildMemo()
-    idem1, idem2 = (idempotency_unitary(t, DEFAULT_TOL, memo) for t in (t1, t2))
+    s1, s2 = (ksgns([t.module], [t.pi], DEFAULT_TOL, memo)[0] for t in (t1, t2))
     lifted = ksgns_lift([m], [t1], [t2], DEFAULT_TOL)[0]
-    double = ksgns_lift([lifted], [idem1.second], [idem2.second], DEFAULT_TOL)[0]
+    double = ksgns_lift([lifted], [s1], [s2], DEFAULT_TOL)[0]
     resid = operator_norm(
-        idem2.unitary.matrix @ lifted.eta.matrix
-        - double.eta.matrix @ idem1.unitary.matrix
+        s2.embedding.matrix @ lifted.eta.matrix - double.eta.matrix @ s1.embedding.matrix
     )
     assert resid <= 1e-8 * (1.0 + m.norm)
 
@@ -330,7 +328,7 @@ def test_probe_automorphism_path_decays(rng):
     path = []
     for k in range(1, 21):
         eps = 1e-2 * 4.0 ** (-k)
-        u_blocks = [herm_expi(eps * blk) for blk in H.blocks]
+        u_blocks = [herm_expi(eps * blk, DEFAULT_TOL) for blk in H.blocks]
         path.append(
             Intertwiner(
                 pi(AlgebraElement(A, u_blocks).coeffs()), inner_automorphism(A, u_blocks)

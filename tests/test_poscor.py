@@ -140,8 +140,8 @@ def test_tensor_functor_morphism_laws(rng):
 
     E1 = random_module(B, rng, max_dim=3)
     phi1 = random_cp(A, E1, rng)
-    E2, phi2, m1 = extend_morphism(E1, phi1, rng)
-    E3, phi3, m2 = extend_morphism(E2, phi2, rng)
+    E2, phi2, m1 = extend_morphism(E1, phi1, rng, DEFAULT_TOL)
+    E3, phi3, m2 = extend_morphism(E2, phi2, rng, DEFAULT_TOL)
     F, pi = random_representation(B, C, rng, max_dim=4)
     tms = [interior_tensor([E], [F], [pi], DEFAULT_TOL, BuildMemo())[0] for E in (E1, E2, E3)]
     h1 = tensored_intertwiner(m1, tms[0], tms[1])
@@ -191,7 +191,7 @@ def test_commuting_unitary_naturality(rng):
 
     E1 = random_module(B, rng, max_dim=3)
     phi1 = random_cp(A, E1, rng)
-    E2, phi2, m = extend_morphism(E1, phi1, rng)
+    E2, phi2, m = extend_morphism(E1, phi1, rng, DEFAULT_TOL)
     F, pi = random_representation(B, C, rng, max_dim=4)
     memo = BuildMemo()
     tm1 = interior_tensor([E1], [F], [pi], DEFAULT_TOL, memo)[0]

@@ -362,8 +362,8 @@ def test_no_function_local_imports():
     assert found == {}
 
 
-def defaulted_memo_parameters(source: str) -> list[str]:
-    """Functions whose parameter named `memo` has a default, by name and line."""
+def defaulted_parameters(source: str, name: str) -> list[str]:
+    """Functions whose parameter called `name` has a default, by name and line."""
     found = []
     for fn in ast.walk(ast.parse(source)):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -372,7 +372,7 @@ def defaulted_memo_parameters(source: str) -> list[str]:
             defaulted = positional[len(positional) - len(args.defaults):] + [
                 a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
             ]
-            if any(a.arg == "memo" for a in defaulted):
+            if any(a.arg == name for a in defaulted):
                 found.append(f"{fn.name} (line {fn.lineno})")
     return found
 
@@ -394,12 +394,12 @@ def test_memo_is_required_and_keyed_by_content():
         "def g(x, tol=None, memo=None):\n    return id(x)\n\n"
         "def h(x, *, memo=1):\n    return x\n"
     )
-    assert defaulted_memo_parameters(probe) == ["g (line 4)", "h (line 7)"]
+    assert defaulted_parameters(probe, "memo") == ["g (line 4)", "h (line 7)"]
     assert id_calls(probe) == [5]
     defaulted = {
         path.name: found
         for path in sorted(SRC.glob("*.py"))
-        if (found := defaulted_memo_parameters(path.read_text()))
+        if (found := defaulted_parameters(path.read_text(), "memo"))
     }
     assert defaulted == {}
     keyed_by_id = {
@@ -408,6 +408,24 @@ def test_memo_is_required_and_keyed_by_content():
         if (lines := id_calls((SRC / name).read_text()))
     }
     assert keyed_by_id == {}
+
+
+def test_tolerance_is_required():
+    # a function that takes a Tolerance takes its caller's: with a default,
+    # a decision could fall back to DEFAULT_TOL where no caller sees it
+    probe = (
+        "def f(x, tol):\n    return x\n\n"
+        "def g(x, tol=DEFAULT_TOL):\n    return x\n\n"
+        "def h(x, *, tol=Tolerance()):\n    return x\n\n"
+        "class C:\n    def m(self, tol: Tolerance = DEFAULT_TOL):\n        return tol\n"
+    )
+    assert defaulted_parameters(probe, "tol") == ["g (line 4)", "h (line 7)", "m (line 11)"]
+    found = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := defaulted_parameters(path.read_text(), "tol"))
+    }
+    assert found == {}
 
 
 def tol_slots(sources: list[str]) -> dict[str, set]:

@@ -103,7 +103,7 @@ def test_ksgns_functor_slices_equal_stacks_of_one():
     # the genuine-S3 functor stack: six F(g) along six distinct beta_g
     c = random_equivariant(M2, M2, symmetric_group(3), seed=11, copies=1)
     functor = correspondence_to_functor(c, DEFAULT_TOL, BuildMemo())
-    assert_functor_slices_stand_alone(functor.morphisms)
+    assert_functor_slices_stand_alone(functor)
     # category instance 0's loaded morphisms, one stack per morphism shape
     payload = generate_instance("category", SizeCaps(), instance_seed(20250809, "category", 0))
     _, morphisms = _load_category(payload, DEFAULT_TOL, BuildMemo())
@@ -153,7 +153,7 @@ def test_mixed_shape_stacks_name_the_slice(rng):
         interior_tensor(E, [F, F], [pi, pi], DEFAULT_TOL, BuildMemo())
     quots = [quotient_one(e) for e in E]
     with pytest.raises(ShapeMismatch, match=r"^slice 1 has shape "):
-        descend([np.eye(e.dim) for e in E], quots, quots, "probe map")
+        descend([np.eye(e.dim) for e in E], quots, quots, "probe map", DEFAULT_TOL)
 
 
 def test_stack_with_two_ranks_names_both_slices():
