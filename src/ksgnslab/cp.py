@@ -286,18 +286,23 @@ def tensor_extend(
     return descend(K, tm1, tm2, what, tol)
 
 
-def left_mult_correspondence(rho: Sequence[StarMap]) -> list[Correspondence]:
+def left_mult_correspondence(rho: Sequence[StarMap], memo: BuildMemo) -> list[Correspondence]:
     """rho[s] followed by left multiplication: B -> L(C as a module over
-    itself), for each star map; maps into one C share one module."""
-    modules = {C: algebra_module(C) for C in {r.codomain for r in rho}}
-    out = []
-    for r in rho:
-        C_mod, T = modules[r.codomain], r.codomain.product_table
-        p, q = np.nonzero(T >= 0)
-        images = np.zeros((r.domain.dim, C_mod.dim, C_mod.dim), dtype=complex)
-        images[:, T[p, q], q] = r.matrix[p].T  # rho(u_b) u_q = sum_p rho_pb u_p u_q
-        out.append(Correspondence(r.domain, C_mod, images))
-    return out
+    itself), for each star map, built once per rho content in the memo; maps
+    into one C share the memo's C over itself, keyed by C's shape."""
+
+    def build(todo: list[int]) -> list[Correspondence]:
+        out = []
+        for r in (rho[s] for s in todo):
+            C, T = r.codomain, r.codomain.product_table
+            C_mod = memo.get_all([("algebra_module", C)], lambda _: [algebra_module(C)])[0]
+            p, q = np.nonzero(T >= 0)
+            images = np.zeros((r.domain.dim, C_mod.dim, C_mod.dim), dtype=complex)
+            images[:, T[p, q], q] = r.matrix[p].T  # rho(u_b) u_q = sum_p rho_pb u_p u_q
+            out.append(Correspondence(r.domain, C_mod, images))
+        return out
+
+    return memo.get_all([("left_mult", r.key) for r in rho], build)
 
 
 # -- generation ------------------------------------------------------------

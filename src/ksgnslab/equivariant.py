@@ -33,7 +33,7 @@ from .cstar import (
     AlgebraShape,
     Automorphism,
     block_diag,
-    element_norms,
+    block_stacks,
     haar_unitary,
     identity_automorphism,
     inner_automorphism,
@@ -349,7 +349,7 @@ def check_equivariant(c: EquivariantCorrespondence, tol: Tolerance) -> CheckRepo
     C = pairing_coeffs(E, np.eye(d))
     moved = U.conj().transpose(0, 2, 1) @ (C @ U[:, None]).reshape(G.order, d, -1)
     gap = moved.reshape(G.order, *C.shape) - beta[:, None] @ C
-    pair_twist = element_norms(E.algebra, gap.transpose(0, 1, 3, 2)).max(initial=0.0)
+    pair_twist = max_operator_norms(*block_stacks(E.algebra, gap.transpose(0, 1, 3, 2))).max()
     rep.add("pairing_twist", pair_twist, tol.ctol * u_scale**2 * (1.0 + _gram_scale(E)))
     rep.add("covariance", cov, tol.ctol * u_scale * (1.0 + c.phi.norm))
     return rep

@@ -25,7 +25,7 @@ Zero-dimensional modules are legal everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 from functools import cached_property, reduce
 
@@ -91,6 +91,12 @@ class PreModule:
         blocks = zip(self.algebra.blocks, self.pairing)
         return sum(reduce(np.add, (P[..., i, i] for i in range(n))) for n, P in blocks)
 
+    @cached_property
+    def gram_matrix(self) -> np.ndarray:
+        """The Hermitized Gram matrix (G + G*) / 2 (of each slice of a stack)."""
+        G = self.gram()
+        return (G + G.conj().swapaxes(-1, -2)) / 2.0
+
     def pair(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """<x, y> for the matching rows x of X and y of Y (..., d), as
         coefficient rows (..., dim B).  Block t is sum_ij conj(x_i) y_j P_t[i, j]
@@ -108,28 +114,30 @@ class PreModule:
         return np.concatenate(blocks, axis=1).reshape(*lead, self.algebra.dim)
 
 
+@dataclass
 class HilbertModule(PreModule):
     """PreModule whose Gram matrix is positive definite.
 
-    The Gram spectrum is taken once, at construction, by one eigh of the
-    Hermitized Gram matrix G: its eigenvalues gate SingularGram, and its
-    eigenvalues and eigenvectors give G^(1/2), G^(-1/2) and G^(-1), each
-    cached on first use.  The powers clip the eigenvalues at
-    max(rtol * lambda_max, tiny), so that inverse powers of a
+    The Gram spectrum (w, V) of the Hermitized Gram matrix G is one eigh at
+    construction, or quotient_by_null's slice of one batched eigh, with the
+    same bits.  Its eigenvalues gate SingularGram, here only, and give
+    G^(1/2), G^(-1/2) and G^(-1), each cached on first use, with eigenvalues
+    clipped at max(rtol * lambda_max, tiny), so that inverse powers of a
     well-conditioned G never blow up on rounding noise."""
+
+    gram_spectrum: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.action.ndim != 3:
             raise ShapeMismatch("a Hilbert module is one module, not a stack")
-        G = self.gram()
-        self.gram_matrix = (G + G.conj().T) / 2.0
-        w, V = np.linalg.eigh(self.gram_matrix)
+        if self.gram_spectrum is None:
+            self.gram_spectrum = np.linalg.eigh(self.gram_matrix)
+        w = self.gram_spectrum[0]
         if self.dim and (w[-1] <= 0.0 or w[0] <= DEFAULT_TOL.rtol * w[-1]):
             raise SingularGram(
                 f"Gram spectrum [{w[0]:.3e}, {w[-1]:.3e}] is not positive definite"
             )
-        self.gram_spectrum = w, V
 
     def _gram_power(self, p: float) -> np.ndarray:
         w, V = self.gram_spectrum
@@ -187,9 +195,9 @@ class Quotient:
 def quotient_by_null(pre: PreModule, tol: Tolerance) -> list[Quotient]:
     """Quotient each pre-module of a stack (a PreModule whose arrays carry a
     leading axis) by the null space of its pairing: one batched rank_kernel
-    over the Gram matrices, one stacked leak gate and one stacked transport
-    of the action and pairing.  Each slice gets the bits of a quotient of its
-    own.
+    over the Gram matrices, one stacked leak gate and transport of the action
+    and pairing, and one batched eigh of the quotient Grams for the modules'
+    spectra.  Each slice gets the bits of a quotient of its own.
 
     The null space is detected as ker(G) for the scalarized Gram G; by
     faithfulness of the trace this agrees with {z : <z, z> = 0} whenever the
@@ -217,10 +225,9 @@ def quotient_by_null(pre: PreModule, tol: Tolerance) -> list[Quotient]:
         )
     moved = q[:, None] @ pre.action @ s[:, None]
     blocks = [transport_pairing(s, P) for P in pre.pairing]
-    return [
-        Quotient(HilbertModule(pre.algebra, rank, moved[k], [P[k] for P in blocks]), q[k], r, kr)
-        for k, (rank, r, kr) in enumerate(splits)
-    ]
+    w, V = np.linalg.eigh(PreModule(pre.algebra, ranks[0], moved, blocks).gram_matrix)
+    mods = [HilbertModule(pre.algebra, ranks[0], *x) for x in zip(moved, zip(*blocks), zip(w, V))]
+    return [Quotient(E, qk, r, kr) for E, qk, (_, r, kr) in zip(mods, q, splits)]
 
 
 def null_leak(

@@ -119,8 +119,7 @@ def interior_tensor_along(
     which the memo holds once per rho content."""
     if any(r.domain != e.algebra for e, r in zip(E, rho)):
         raise ShapeMismatch("star map domain differs from E's coefficients")
-    keys = [("left_mult", r.key) for r in rho]
-    pi = memo.get_all(keys, lambda todo: left_mult_correspondence([rho[s] for s in todo]))
+    pi = left_mult_correspondence(rho, memo)
     return interior_tensor(E, [p.module for p in pi], pi, tol, memo)
 
 

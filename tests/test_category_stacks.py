@@ -58,10 +58,14 @@ def test_default_check_pass_stacks_the_category_audit(monkeypatch):
     for module in (poscor, harness, equivariant):
         monkeypatch.setattr(module, "poscor_compose", counting)
     svds = [count_calls(monkeypatch, module, "svd") for module in (np.linalg, linalg_impl)]
+    eighs = [count_calls(monkeypatch, module, "eigh") for module in (np.linalg, linalg_impl)]
     records = [r for suite, p in tasks for r in check_instance(suite, p, DEFAULT_TOL)]
     assert len(records) == 826 and all(r.passed for r in records)
     assert len(composes) <= 130, len(composes)
     assert 1000 < sum(map(len, svds)) <= 1696, [len(calls) for calls in svds]
+    # 1,660 eigh calls with one per quotient module and a C over itself per
+    # left-multiplication build; 1,331 with one per stack of quotients
+    assert sum(map(len, eighs)) <= 1350, [len(calls) for calls in eighs]
 
 
 def test_stacked_distances_equal_each_pair_alone():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ksgnslab.errors import NonFinite, NonHermitian, NotPSD
 from ksgnslab.numkernel import (
+    CERTIFY_MIN_SLICES,
     DEFAULT_TOL,
     Tolerance,
     exceeds_gate,
@@ -210,6 +211,77 @@ def test_max_operator_norms_per_leading_slice(rng):
     assert got.shape == (16,)
     want = [max_operator_norm(S[s]) for S in stacks for s in range(4)]
     assert np.array_equal(got, want)
+
+
+def slice_of(kind, rng, prev, m, n):
+    """One (m, n) slice of a certified-maximum stack: random of norm below
+    1.2; rank one, where sigma_1 = ||X||_F; rank one of norm 1 to within
+    rounding, whose sigma_1 and ||X||_F cross each other by an ulp; zero; a
+    copy of the previous slice (an exact tie); or flat, 0.9 times a partial
+    isometry, whose Frobenius norm tops every unit-norm slice's."""
+    if kind == "random":
+        X = random_complex(rng, m, n)
+        return X * rng.uniform(0.5, 1.2) / np.linalg.norm(X)
+    if kind in ("rank_one", "unit_rank_one"):
+        u, v = random_complex(rng, m), random_complex(rng, n)
+        X = np.outer(u / np.linalg.norm(u), v.conj() / np.linalg.norm(v))
+        return X if kind == "unit_rank_one" else X * rng.uniform(0.1, 1.1)
+    if kind == "flat":
+        Q = np.linalg.qr(random_complex(rng, max(m, n), max(m, n)))[0]
+        return 0.9 * Q[:m, :n]
+    return np.zeros((m, n), dtype=complex) if kind == "zero" or prev is None else prev
+
+
+SLICE_KINDS = ("random", "rank_one", "unit_rank_one", "zero", "tie", "flat")
+
+
+@st.composite
+def certified_stacks(draw):
+    """Stacks at or above the certification cut, of one to four shapes drawn
+    from a small menu so that some share a shape, at scales from where
+    squaring underflows to 1e5."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stacks = []
+    for _ in range(draw(st.integers(1, 4))):
+        m, n = draw(st.sampled_from([(1, 1), (2, 2), (1, 3), (3, 2), (3, 3)]))
+        count = draw(st.integers(CERTIFY_MIN_SLICES, CERTIFY_MIN_SLICES + 40))
+        mix = draw(st.sampled_from([(1, 1, 1, 1, 1, 1), (0, 1, 6, 1, 2, 0), (1, 0, 4, 0, 1, 3)]))
+        kinds = rng.choice(SLICE_KINDS, size=count, p=np.array(mix) / sum(mix))
+        slices = []
+        for kind in kinds:
+            slices.append(slice_of(kind, rng, slices[-1] if slices else None, m, n))
+        stacks.append(np.stack(slices) * 10.0 ** draw(st.sampled_from([-160, -3, 0, 5])))
+    return stacks
+
+
+@settings(max_examples=150, deadline=None)
+@given(certified_stacks())
+def test_certified_maxima_keep_the_bits_of_the_full_maximum(stacks):
+    want = np.array([operator_norms(S).max() for S in stacks])
+    assert max_operator_norms(*stacks).tobytes() == want.tobytes()
+
+
+def test_certified_maxima_skip_slices_and_keep_the_gates(rng, monkeypatch):
+    # a flat slice tops the Frobenius norms, a rank-one slice the operator
+    # norms; neither may be pruned, the small random slices are
+    stack = 0.1 * random_complex(rng, 2 * CERTIFY_MIN_SLICES, 3, 3)
+    stack[5] = 0.9 * np.linalg.qr(random_complex(rng, 3, 3))[0]
+    stack[40] = np.outer(np.ones(3), np.ones(3)) / 3.0
+    want, sizes = operator_norms(stack[40]), []
+    real = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        sizes.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert max_operator_norms(stack, np.zeros((0, 3, 3))).tolist() == [want, 0.0]
+    assert sizes == [1, 1]  # the flat slice, then the rank-one one
+    assert max_operator_norms(np.zeros((0, 3, 3)), np.zeros((40, 2, 2))).tolist() == [0.0, 0.0]
+    for bad in (np.nan, np.inf):
+        stack[50, 1, 2] = bad
+        with pytest.raises(NonFinite):
+            max_operator_norms(stack)
 
 
 @pytest.mark.parametrize(

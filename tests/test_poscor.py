@@ -66,7 +66,7 @@ def test_left_mult_correspondence_matches_per_basis_build(blocks, rng):
     B, C = AlgebraShape((1, 2)), AlgebraShape(blocks)
     rho = StarMap(B, C, np.stack([random_element(C, rng).coeffs() for _ in range(B.dim)], axis=1))
     reference = np.stack([left_mult_matrix(img) for img in star_map_images(rho)])
-    assert np.array_equal(left_mult_correspondence([rho])[0].images, reference)
+    assert np.array_equal(left_mult_correspondence([rho], BuildMemo())[0].images, reference)
 
 
 def test_tensor_with_coefficients_is_identity(rng):

@@ -733,3 +733,66 @@ def test_category_morphisms_are_intertwiners():
         if (lines := intertwiner_rewraps(path.read_text()))
     }
     assert found == {}
+
+
+def maxima_of_calls(source: str, callee: str) -> list[int]:
+    """Lines of `callee(...).max(...)`: a maximum taken over every result of
+    a batched call, by name or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "max"
+        and isinstance(node.func.value, ast.Call)
+        and callee in (getattr(node.func.value.func, "id", None),
+                       getattr(node.func.value.func, "attr", None))
+    ]
+
+
+def test_no_maximum_over_every_element_norm():
+    # a largest C*-norm is numkernel.max_operator_norms over the block stacks,
+    # which certifies a long stack's maximum; element_norms takes every SVD
+    probe = (
+        "a = element_norms(B, C).max(initial=0.0)\nb = cstar.element_norms(B, C).max()\n"
+        "c = max_operator_norms(*block_stacks(B, C)).max()\nd = element_norms(B, C)\n"
+    )
+    assert maxima_of_calls(probe, "element_norms") == [1, 2]
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := maxima_of_calls(path.read_text(), "element_norms"))
+    }
+    assert found == {}
+
+
+def calls_outside_memo(source: str, callee: str) -> list[int]:
+    """Lines of calls to `callee` that are not inside the arguments of a
+    BuildMemo.get_all call."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "get_all"
+        for arg in call.args + [k.value for k in call.keywords]
+        for node in ast.walk(arg)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and id(node) not in inside
+    ]
+
+
+def test_cp_builds_c_over_itself_through_the_memo():
+    # left_mult_correspondence takes C over itself from the instance memo, so
+    # one instance builds each algebra module once
+    probe = (
+        "def f(C, memo):\n    return memo.get_all([C], lambda _: [algebra_module(C)])\n\n"
+        "def g(C):\n    return algebra_module(C)\n"
+    )
+    assert calls_outside_memo(probe, "algebra_module") == [5]
+    source = (SRC / "cp.py").read_text()
+    assert "algebra_module(" in source
+    assert calls_outside_memo(source, "algebra_module") == []

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.linalg import _linalg as linalg_impl
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,13 +32,13 @@ from ksgnslab.equivariant import (
     trivial_group,
 )
 from ksgnslab.errors import (
-    ShapeMismatch, SubmoduleViolation, TwistMismatch, WellDefinednessViolation,
+    ShapeMismatch, SingularGram, SubmoduleViolation, TwistMismatch, WellDefinednessViolation,
 )
 from ksgnslab.generators import random_module, random_representation
 from ksgnslab.harness import (
     SizeCaps, _load_category, check_instance, generate_instance, instance_seed, make_group,
 )
-from ksgnslab.hilbert import PreModule, descend, quotient_by_null
+from ksgnslab.hilbert import HilbertModule, PreModule, descend, quotient_by_null
 from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL
 from ksgnslab.poscor import ksgns_functor, morphism_shape, twist_unitary
@@ -168,6 +169,52 @@ def test_stack_with_two_ranks_names_both_slices():
         quotient_by_null(pre, DEFAULT_TOL)
 
 
+def test_stacked_quotient_spectra_equal_modules_built_alone(monkeypatch):
+    # quotient_by_null takes one batched eigh over a stack's quotient Grams:
+    # every quotient the genuine-S3 functor and its laws build in a stack (the
+    # six twist tensors E (x)_beta_g B, the 36 double tensors of the Cayley
+    # table) has the Gram matrix, spectrum and powers of a HilbertModule
+    # built alone from its action and pairing
+    stacks = []
+    real = cp.quotient_by_null
+
+    def recording(pre, tol):
+        stacks.append(real(pre, tol))
+        return stacks[-1]
+
+    monkeypatch.setattr(cp, "quotient_by_null", recording)
+    c, memo = s3_instance(), BuildMemo()
+    functor = correspondence_to_functor(c, DEFAULT_TOL, memo)
+    assert check_functor_laws(c, functor, DEFAULT_TOL, memo).passed
+    assert [len(quots) for quots in stacks if len(quots) > 1] == [6, 36]
+    stacked = [q.module for quots in stacks for q in quots]
+    for E in stacked:
+        alone = HilbertModule(E.algebra, E.dim, E.action, E.pairing)
+        for name in ("gram_matrix", "gram_sqrt", "gram_isqrt", "gram_inv"):
+            assert np.array_equal(getattr(E, name), getattr(alone, name)), name
+        for a, b in zip(E.gram_spectrum, alone.gram_spectrum, strict=True):
+            assert np.array_equal(a, b)
+
+
+def test_singular_quotient_gram_in_a_stack_raises(monkeypatch):
+    # scalars on C^2, slice 0 with the standard pairing, slice 1 pairing every
+    # couple to 1 (Gram rank 1); a rank decision that keeps slice 1's null
+    # vector leaves its quotient Gram singular, which the gate on the
+    # stack's batched spectrum rejects
+    pairing = np.stack([np.eye(2), np.ones((2, 2))]).reshape(2, 2, 2, 1, 1).astype(complex)
+    action = np.broadcast_to(np.eye(2, dtype=complex), (2, 1, 2, 2))
+    pre = PreModule(AlgebraShape((1,)), 2, action, [pairing])
+
+    def keeping_everything(G, tol):
+        return [(2, V, V[:, :0]) for V in np.linalg.eigh(G)[1]]
+
+    monkeypatch.setattr(hilbert, "rank_kernel", keeping_everything)
+    head = PreModule(pre.algebra, 2, action[:1], [pairing[:1]])
+    assert quotient_by_null(head, DEFAULT_TOL)[0].module.dim == 2
+    with pytest.raises(SingularGram, match=r"is not positive definite$"):
+        quotient_by_null(pre, DEFAULT_TOL)
+
+
 # -- a corrupted slice fails its stacked gate, by name ---------------------------
 
 
@@ -248,7 +295,10 @@ def test_check_pass_eigh_count(monkeypatch):
     # suites), counting both Hermitian eigen drivers: 1,260 eigh calls per
     # check pass with one build per group element or pair; 280 eigh and 780
     # eigvalsh stacked, with each module's Gram decomposed twice; 860 eigh
-    # and 60 eigvalsh with one Gram spectrum per module
+    # and 60 eigvalsh with one Gram spectrum per module; 360 eigh with one
+    # batched eigh per stack of quotients and C over itself built once per
+    # instance.  SVD matrices: 26,885 with every slice's norm taken, 6,445
+    # with certified maxima
     tasks = []
     for idx in range(20):
         gname = ("Z2", "Z3", "Z4", "S3")[idx % 4]
@@ -257,6 +307,15 @@ def test_check_pass_eigh_count(monkeypatch):
         payload = {"seed": seed, "group": gname, "correspondence": dump_equivariant(c)}
         tasks += [("equivariant", payload), ("dilation", payload)]
     calls = count_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+    svd_matrices = []
+    for module in (np.linalg, linalg_impl):
+        def counting(a, *args, _real=module.svd, **kwargs):
+            svd_matrices.append(int(np.prod(np.shape(a)[:-2])))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, "svd", counting)
     for suite, payload in tasks:
         assert all(r.passed for r in check_instance(suite, payload, DEFAULT_TOL))
-    assert len(calls) <= 920
+    assert calls.count("eigh") <= 400, calls.count("eigh")
+    assert len(calls) <= 460
+    assert sum(svd_matrices) <= 6500, sum(svd_matrices)
