@@ -237,8 +237,8 @@ SLICE_KINDS = ("random", "rank_one", "unit_rank_one", "zero", "tie", "flat")
 
 @st.composite
 def certified_stacks(draw):
-    """Stacks at or above the certification cut, of one to four shapes drawn
-    from a small menu so that some share a shape, at scales from where
+    """One to four stacks at or above the certification cut, each of a shape
+    from a small menu, so that some share one, and at a scale from where
     squaring underflows to 1e5."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     stacks = []
