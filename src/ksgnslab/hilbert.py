@@ -123,7 +123,11 @@ class HilbertModule(PreModule):
     same bits.  Its eigenvalues gate SingularGram, here only, and give
     G^(1/2), G^(-1/2) and G^(-1), each cached on first use, with eigenvalues
     clipped at max(rtol * lambda_max, tiny), so that inverse powers of a
-    well-conditioned G never blow up on rounding noise."""
+    well-conditioned G never blow up on rounding noise.
+
+    gram_spectrum must be np.linalg.eigh(gram_matrix) itself; quotient_by_null
+    is its only intended setter.  A supplied spectrum is checked for shape
+    only, so one taken from another module would pass the gate unseen."""
 
     gram_spectrum: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
@@ -133,7 +137,11 @@ class HilbertModule(PreModule):
             raise ShapeMismatch("a Hilbert module is one module, not a stack")
         if self.gram_spectrum is None:
             self.gram_spectrum = np.linalg.eigh(self.gram_matrix)
-        w = self.gram_spectrum[0]
+        w, V = self.gram_spectrum
+        if w.shape != (self.dim,) or V.shape != (self.dim, self.dim):
+            raise ShapeMismatch(
+                f"Gram spectrum of shapes {w.shape}, {V.shape} for a module of dim {self.dim}"
+            )
         if self.dim and (w[-1] <= 0.0 or w[0] <= DEFAULT_TOL.rtol * w[-1]):
             raise SingularGram(
                 f"Gram spectrum [{w[0]:.3e}, {w[-1]:.3e}] is not positive definite"

@@ -264,22 +264,11 @@ def dump_system(sys: DynamicalSystem) -> dict:
 
 
 def load_system(data: Any) -> DynamicalSystem:
-    """The system, its 2|G| star maps A -> A parsed as one load_elements stack;
-    other maps, or images that do not stack, load one at a time, naming the fault."""
-    A, G = load_shape(data["algebra"]), load_group(data["group"])
-    try:
-        maps = [m for a in data["action"] for m in (a["forward"], a["inverse"])]
-        stackable = all(
-            load_shape(m["domain"]) == A == load_shape(m["codomain"]) and len(m["images"]) == A.dim
-            for m in maps
-        )
-        C = load_elements(A, [x for m in maps for x in m["images"]]) if stackable else None
-    except (ValidationError, KeyError, TypeError):
-        C = None
-    if C is None:
-        return DynamicalSystem(A, G, [load_automorphism(a) for a in data["action"]])
-    rho = [StarMap(A, A, np.ascontiguousarray(c.T)) for c in C.reshape(-1, A.dim, A.dim)]
-    return DynamicalSystem(A, G, list(map(Automorphism, rho[::2], rho[1::2])))
+    return DynamicalSystem(
+        load_shape(data["algebra"]),
+        load_group(data["group"]),
+        [load_automorphism(a) for a in data["action"]],
+    )
 
 
 def dump_equivariant(c: EquivariantCorrespondence) -> dict:

@@ -240,45 +240,3 @@ def test_wrong_count_tables_rejected(rng):
     data = json.loads(json.dumps(ser.dump_star_map(rho)))
     with pytest.raises(ValidationError, match="^star map needs one image per domain basis"):
         ser.load_star_map({**data, "images": data["images"] + data["images"][:1]})
-
-
-def system_data(seed=5):
-    c = random_equivariant(AlgebraShape((2,)), AlgebraShape((2,)), cyclic_group(3), seed=seed)
-    return json.loads(json.dumps(ser.dump_system(c.system_out)))
-
-
-def test_system_star_maps_load_as_one_stack():
-    # all 2|G| star maps parsed at once, each with the bytes and layout of
-    # load_automorphism on its own
-    data = system_data()
-    system = ser.load_system(data)
-    alone = [ser.load_automorphism(a) for a in data["action"]]
-    assert len(system.action) == len(alone) == 3
-    for a, b in zip(system.action, alone):
-        for x, y in ((a.forward, b.forward), (a.inverse, b.inverse)):
-            assert x.key == y.key
-            assert x.matrix.flags.c_contiguous and np.array_equal(x.matrix, y.matrix)
-
-
-def per_automorphism_message(data):
-    with pytest.raises(ValidationError) as err:
-        for a in data["action"]:
-            ser.load_automorphism(a)
-    return str(err.value)
-
-
-def test_system_star_map_with_wrong_image_count_keeps_its_message():
-    data = system_data()
-    data["action"][1]["inverse"]["images"].pop()
-    with pytest.raises(ValidationError, match="^star map needs one image per domain basis"):
-        ser.load_system(data)
-    assert per_automorphism_message(data).startswith("star map needs one image per domain basis")
-
-
-@pytest.mark.parametrize("corrupt", CORRUPTIONS)
-def test_malformed_system_star_map_keeps_its_message(corrupt):
-    data = system_data()
-    corrupt(data["action"][2]["forward"]["images"][1])
-    with pytest.raises(ValidationError) as err:
-        ser.load_system(data)
-    assert str(err.value) == per_automorphism_message(data)

@@ -215,6 +215,15 @@ def test_singular_quotient_gram_in_a_stack_raises(monkeypatch):
         quotient_by_null(pre, DEFAULT_TOL)
 
 
+def test_supplied_gram_spectrum_of_another_dimension_raises():
+    # a spectrum handed to HilbertModule must have the module's dimension
+    E = random_module(AlgebraShape((2,)), np.random.default_rng(3), max_dim=3)
+    w, V = np.linalg.eigh(np.eye(E.dim + 1))
+    with pytest.raises(ShapeMismatch, match=r"^Gram spectrum of shapes"):
+        replace(E, gram_spectrum=(w, V))
+    assert np.array_equal(replace(E).gram_spectrum[0], E.gram_spectrum[0])
+
+
 # -- a corrupted slice fails its stacked gate, by name ---------------------------
 
 
