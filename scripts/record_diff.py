@@ -11,7 +11,8 @@ one row per record:
 
 with each workload's payload fingerprint (the sha256 perfbench/run.py
 computes).  `diff` prints, per check name, how many residuals changed and the
-largest |delta residual| with its ratio to the threshold, and exits 1 if any
+largest |delta residual| with its ratio to the threshold, then per workload
+the worst residual / threshold of each dump, and exits 1 if any
 fingerprint, record count, check name, theorem, threshold, verdict or error
 differs.  Run from the repository root:
 
@@ -37,7 +38,7 @@ WORKLOADS = ("suites-default", "prespace-cap", "equivariant-dilation")
 EXTRA_RUNS = (("suites-default", 42),)
 # row fields; every one but the residual must match between two dumps
 FIELDS = ("suite", "seed", "check", "theorem", "residual", "threshold", "passed", "error")
-RESIDUAL = FIELDS.index("residual")
+RESIDUAL, THRESHOLD = FIELDS.index("residual"), FIELDS.index("threshold")
 
 
 def dump(out: str) -> int:
@@ -79,6 +80,14 @@ def _delta(old: str, new: str) -> float:
     return abs(a - b) if math.isfinite(a) and math.isfinite(b) else math.inf
 
 
+def _worst_ratio(records: list[list]) -> float:
+    """The largest residual / threshold over the records with a positive threshold."""
+    return max(
+        (float(r[RESIDUAL]) / float(r[THRESHOLD]) for r in records if float(r[THRESHOLD]) > 0),
+        default=0.0,
+    )
+
+
 def _runs(path: str) -> dict[tuple[str, int], dict]:
     runs = json.loads(Path(path).read_text())["runs"]
     return {(r["workload"], r["master_seed"]): r for r in runs}
@@ -90,10 +99,12 @@ def diff(old_path: str, new_path: str) -> int:
     if old.keys() != new.keys():
         problems.append(f"runs differ: {sorted(old)} vs {sorted(new)}")
     changed: dict[str, list[tuple[float, float]]] = {}
+    worst: dict[str, tuple[float, float]] = {}
     total = 0
     for key in sorted(old.keys() & new.keys()):
         a, b = old[key], new[key]
         label = f"{key[0]} @ {key[1]}"
+        worst[label] = _worst_ratio(a["records"]), _worst_ratio(b["records"])
         if a["fingerprint"] != b["fingerprint"]:
             problems.append(f"{label}: payload fingerprint differs")
         if len(a["records"]) != len(b["records"]):
@@ -115,6 +126,9 @@ def diff(old_path: str, new_path: str) -> int:
         for check in sorted(changed):
             d, ratio = max(changed[check])
             print(f"{check:32} {len(changed[check]):8d} {d:16.3e} {ratio:12.3e}")
+    print(f"{'workload':32} {'worst residual / threshold, old':>32} {'new':>12}")
+    for label, (x, y) in worst.items():
+        print(f"{label:32} {x:32.3e} {y:12.3e}")
     for line in problems:
         print(f"MISMATCH {line}")
     return 1 if problems else 0

@@ -119,10 +119,10 @@ class FiniteGroup:
 
     def representation_defect(self, M: np.ndarray) -> float:
         """max(||M_e - 1||, ||M_g M_h - M_gh|| over all (g, h)) for a stack M
-        (|G|, n, n) indexed by the group, from one batched SVD."""
+        (|G|, n, n) indexed by the group, as one certified maximum."""
         unit = M[self.identity] - np.eye(len(M[0]))
         law = (M[:, None] @ M - M[self.table]).reshape(-1, *unit.shape)
-        return max_operator_norm(np.concatenate([unit[None], law]))
+        return float(max_operator_norms(np.concatenate([unit[None], law]))[0])
 
     def element_order(self, g: int) -> int:
         k, x = 1, g

@@ -19,6 +19,8 @@ module operator norms are exactly realized operator norms.
 Quotients by the pairing's null space use the orthonormal eigenvector basis
 of the Gram range, so the quotient map q and section s satisfy q s = I up to
 eigensolver error, and conditioning is explicit in the kept eigenvalues.
+A Split pre-module's basis is the canonical one of (+)_t K_t (x) C^{n_t}:
+the copies I_{n_t} (x) V_t of the eigenvectors of each Gram block G_t.
 Pairing identities contract all basis pairs at once through pairing_coeffs.
 Zero-dimensional modules are legal everywhere.
 """
@@ -38,6 +40,7 @@ from .errors import (
 from .memo import content_key
 from .numkernel import (
     DEFAULT_TOL,
+    Split,
     Tolerance,
     exceeds_gate,
     matvecs,
@@ -200,9 +203,9 @@ class Quotient:
     kernel: np.ndarray  # (d, d - rank): kernel basis of the Gram matrix
 
 
-def quotient_by_null(pre: PreModule, tol: Tolerance) -> list[Quotient]:
-    """Quotient each pre-module of a stack (a PreModule whose arrays carry a
-    leading axis) by the null space of its pairing: one batched rank_kernel
+def quotient_by_null(pre: PreModule | Split, tol: Tolerance) -> list[Quotient]:
+    """Quotient each pre-module of a stack (a PreModule with a leading axis, or
+    a Split of one) by the null space of its pairing: one batched rank_kernel
     over the Gram matrices, one stacked leak gate and transport of the action
     and pairing, and one batched eigh of the quotient Grams for the modules'
     spectra.  Each slice gets the bits of a quotient of its own.
@@ -214,7 +217,8 @@ def quotient_by_null(pre: PreModule, tol: Tolerance) -> list[Quotient]:
     a kernel is not invariant under the action, which signals an invalid
     pre-module; in a longer stack the message names the first leaking slice.
     """
-    splits = rank_kernel(pre.gram(), tol)
+    pre, copies = pre if isinstance(pre, Split) else (pre, None)
+    splits = rank_kernel(pre.gram() if copies is None else Split(pre.gram(), copies), tol)
     ranks = [rank for rank, _, _ in splits]
     if ranks.count(ranks[0]) < len(ranks):
         i = next(i for i, rank in enumerate(ranks) if rank != ranks[0])
@@ -223,7 +227,8 @@ def quotient_by_null(pre: PreModule, tol: Tolerance) -> list[Quotient]:
         )
     s, kernel = (stack_slices([x[k] for x in splits]) for k in (1, 2))
     q = s.conj().swapaxes(-1, -2)
-    leak = first_leak(q[:, None], pre.action, kernel[:, None], tol)
+    qK = q[:, None] @ pre.action  # shared by the leak gate and the moved action
+    leak = first_leak(qK, pre.action, kernel[:, None], tol)
     if leak is not None:
         i, b = divmod(leak[0], pre.algebra.dim)
         where = f" in slice {i}" if len(splits) > 1 else ""
@@ -231,7 +236,7 @@ def quotient_by_null(pre: PreModule, tol: Tolerance) -> list[Quotient]:
             f"action of basis element {b} leaks out of the null space{where} "
             f"(residual {leak[1]:.3e})"
         )
-    moved = q[:, None] @ pre.action @ s[:, None]
+    moved = qK @ s[:, None]
     blocks = [transport_pairing(s, P) for P in pre.pairing]
     w, V = np.linalg.eigh(PreModule(pre.algebra, ranks[0], moved, blocks).gram_matrix)
     mods = [HilbertModule(pre.algebra, ranks[0], *x) for x in zip(moved, zip(*blocks), zip(w, V))]
@@ -248,13 +253,13 @@ def null_leak(
 
 
 def first_leak(
-    q: np.ndarray, K: np.ndarray, kernel: np.ndarray, tol: Tolerance
+    qK: np.ndarray, K: np.ndarray, kernel: np.ndarray, tol: Tolerance
 ) -> tuple[int, float] | None:
     """(flat index, leak) of the first slice of K whose null_leak exceeds its
-    gate, or None when all pass; numkernel.exceeds_gate certifies most slices
-    without an SVD.  NaN or Inf in K raises NonFinite before any product."""
-    require_finite(K)
-    X = q @ K @ kernel
+    gate, or None when all pass, from the caller's product qK = q K, which
+    its compression q K s shares; numkernel.exceeds_gate certifies most
+    slices without an SVD.  NaN or Inf in K raises NonFinite."""
+    X = qK @ kernel
     bad = exceeds_gate(X, K, tol)
     if not np.count_nonzero(bad):
         return None
@@ -271,14 +276,15 @@ def descend(
     induces on the quotients, with one stacked gate and product.  Raises
     WellDefinednessViolation, naming `what`, the first leaking slice of a
     longer stack and its leak, when K[i] leaks ker G_src out of ker G_tgt."""
-    K, q = stack_slices(K), stack_slices([t.q for t in tgt])
+    K, q = require_finite(stack_slices(K)), stack_slices([t.q for t in tgt])
     kernel, s = stack_slices([t.kernel for t in src]), stack_slices([t.s for t in src])
     ex = (slice(None),) + (None,) * (K.ndim - 3)
-    leak = first_leak(q[ex], K, kernel[ex], tol)
+    qK = q[ex] @ K
+    leak = first_leak(qK, K, kernel[ex], tol)
     if leak is not None:
         where = f" in slice {leak[0] // int(np.prod(K.shape[1:-2]))}" if len(src) > 1 else ""
         raise WellDefinednessViolation(f"{what} leaks out of the null space{where} ({leak[1]:.3e})")
-    return list(q[ex] @ K @ s[ex])
+    return list(qK @ s[ex])
 
 
 # -- module maps -----------------------------------------------------------

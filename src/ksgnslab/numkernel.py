@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -209,25 +209,43 @@ def herm_eig(M: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh((M + M.conj().swapaxes(-1, -2)) / 2.0)
 
 
-def rank_kernel(G: np.ndarray, tol: Tolerance) -> list[tuple[int, np.ndarray, np.ndarray]]:
+class Split(NamedTuple):
+    """Gram matrices (S, d, d), or pre-modules, whose builder knows them block
+    diagonal in equal copies: copies[t] (n_t, b_t) places block t's copies."""
+
+    stack: Any
+    copies: Sequence[np.ndarray]
+
+
+def rank_kernel(G: np.ndarray | Split, tol: Tolerance) -> list[tuple]:
     """Split each PSD Hermitian matrix of a stack (S, d, d) into numerical range
-    and kernel, from one batched herm_eig; a rank decision per slice.
+    and kernel, from batched herm_eig; a rank decision per slice.
 
     rank = #{eigenvalues > rtol * lambda_max}.  The range basis columns are
-    orthonormal eigenvectors of the kept eigenvalues (ascending order within
-    each part); the kernel basis spans the rest.  Raises NotPSD, naming the
-    first such slice of a longer stack, when a minimum eigenvalue dips below
-    -ctol * (1 + ||G||).
-    """
-    w, V = herm_eig(G, tol)
+    orthonormal eigenvectors of the kept eigenvalues, the kernel basis spans
+    the rest.  A Split decomposes copy 0 of each block, one herm_eig per block
+    size, and its eigenvectors are the copies I_{n_t} (x) V_t, each V_t on its
+    copy's coordinates, columns copy by copy; its eigenvalues are not sorted.
+    Raises NotPSD, naming the first such slice of a longer stack, when a
+    minimum eigenvalue dips below -ctol * (1 + ||G||)."""
+    if isinstance(G, Split):
+        G, copies = G
+        V, w, o = np.zeros(G.shape, dtype=complex), np.zeros(G.shape[:2]), 0
+        for b in {c.shape[1] for c in copies}:
+            group = [c for c in copies if c.shape[1] == b]
+            wb, Vb = herm_eig(np.concatenate([G[:, c[0][:, None], c[0]] for c in group]), tol)
+            wb, Vb = wb.reshape(len(group), len(G), b), Vb.reshape(len(group), len(G), b, b)
+            for c, wt, Vt in zip(group, wb, Vb):
+                for rows in c:
+                    w[:, o : o + b], V[:, rows, o : o + b] = wt, Vt
+                    o += b
+    else:
+        w, V = herm_eig(G, tol)
+    ends = (w.min(axis=-1), w.max(axis=-1)) if w.shape[-1] else (np.zeros(len(w)),) * 2
     splits = []
-    for i, (wi, Vi) in enumerate(zip(w, V)):
-        if wi.size == 0:
-            splits.append((0, Vi, Vi))
-            continue
-        lo, lam_max = float(wi[0]), float(wi[-1])
+    for i, (wi, Vi, lo, lam_max) in enumerate(zip(w, V, *(x.tolist() for x in ends))):
         if lo < -tol.ctol * (1.0 + max(abs(lo), abs(lam_max))):
-            where = f" in slice {i}" if len(G) > 1 else ""
+            where = f" in slice {i}" if len(V) > 1 else ""
             raise NotPSD(f"minimum eigenvalue {lo:.3e} below PSD gate{where}")
         keep = wi > tol.rtol * lam_max if lam_max > 0.0 else np.zeros(wi.shape, dtype=bool)
         splits.append((int(np.count_nonzero(keep)), Vi[:, keep], Vi[:, ~keep]))

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ksgnslab.cp import Intertwiner
+from ksgnslab.cp import Intertwiner, tensor_premodule
 from ksgnslab.cstar import (
     AlgebraElement,
     AlgebraShape,
@@ -190,6 +190,13 @@ def quotient_one(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> Quotient:
     """hilbert.quotient_by_null on the stack of one that holds pre."""
     stack = PreModule(pre.algebra, pre.dim, pre.action[None], [P[None] for P in pre.pairing])
     return quotient_by_null(stack, tol)[0]
+
+
+def tensor_quotients_reference(E, F, pi, tol: Tolerance = DEFAULT_TOL) -> list[Quotient]:
+    """cp.tensor_quotients on the generic path, whatever the right factors:
+    the pre-modules of tensor_premodule quotiented through one eigh of each
+    whole Gram matrix."""
+    return quotient_by_null(tensor_premodule(E, F, pi), tol)
 
 
 def action_matrix(E: PreModule, b: AlgebraElement) -> np.ndarray:

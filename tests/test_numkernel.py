@@ -6,6 +6,7 @@ from ksgnslab.errors import NonFinite, NonHermitian, NotPSD
 from ksgnslab.numkernel import (
     CERTIFY_MIN_SLICES,
     DEFAULT_TOL,
+    Split,
     Tolerance,
     exceeds_gate,
     herm_eig,
@@ -152,6 +153,17 @@ def test_rank_kernel_rank_one(seed, n):
 def test_rank_kernel_rejects_negative():
     with pytest.raises(NotPSD):
         rank_kernel([np.diag([1.0, -1.0]).astype(complex)], DEFAULT_TOL)[0]
+
+
+def test_split_rank_decisions_read_the_extremes_over_all_blocks():
+    # C + C, one copy of each 1 x 1 block: lambda_max sits in the first block,
+    # so the second block's 1e-12 falls below the cutoff, and its -1e-3 fails
+    # the PSD gate, though each block alone is sorted and of full rank
+    copies = [np.array([[0]]), np.array([[1]])]
+    rank, range_, _ = rank_kernel(Split(np.diag([1.0, 1e-12])[None] + 0j, copies), DEFAULT_TOL)[0]
+    assert rank == 1 and np.allclose(np.abs(range_[:, 0]), [1.0, 0.0])
+    with pytest.raises(NotPSD):
+        rank_kernel(Split(np.diag([1.0, -1e-3])[None] + 0j, copies), DEFAULT_TOL)
 
 
 def test_operator_norm_examples():

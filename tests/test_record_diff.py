@@ -65,3 +65,16 @@ def test_diff_fails_on_a_changed_payload(record_diff, tmp_path, capsys):
     new = write_dump(tmp_path / "new.json", records(), fingerprint="0" * 64)
     assert record_diff.main(["diff", old, new]) == 1
     assert "payload fingerprint differs" in capsys.readouterr().out
+
+
+def test_diff_prints_each_workloads_worst_ratio(record_diff, tmp_path, capsys):
+    # the worst passing ratio moves with the residual; the failing record's
+    # threshold 0 has no ratio
+    moved = records()
+    moved[1][4] = repr(5e-9)
+    old = write_dump(tmp_path / "old.json", records())
+    new = write_dump(tmp_path / "new.json", moved)
+    assert record_diff.main(["diff", old, new]) == 0
+    out = capsys.readouterr().out.splitlines()
+    line = next(row for row in out if row.startswith("equivariant-"))
+    assert line.split()[-2:] == ["1.665e-07", "2.000e-01"]
