@@ -44,6 +44,7 @@ from .hilbert import (
     adjoint_matrices,
     module_operator_norm,
     module_operator_norms,
+    quotient_by_copies,
     quotient_by_null,
     rank_one_sum,
     same_module,
@@ -132,8 +133,9 @@ def check_correspondence(pi: CPMap, tol: Tolerance) -> CheckReport:
     in pi(u_p) and in every pi(u_p u_r) is zero in every difference, and
     deleting zero rows leaves singular values unchanged.  The products
     u_p u_r include u_p itself (r its right unit), so the rows live in some
-    pi(u_p u_r) are all the live rows.  The images are gated finite first,
-    so a dropped row never hides a 0 * Inf.
+    pi(u_p u_r) are all the live rows, and an exactly zero difference (u_p u_r
+    = 0 for a KSGNS pi on its canonical copies) takes no SVD.  The images are
+    gated finite first, so a dropped row never hides a 0 * Inf.
     """
     rep = CheckReport()
     A = pi.algebra
@@ -144,7 +146,8 @@ def check_correspondence(pi: CPMap, tol: Tolerance) -> CheckReport:
     mult = 0.0
     for p in range(A.dim):
         R = live[T[p]].any(axis=0)
-        mult = max(mult, max_operator_norm(Xz[np.ix_(T[p], R)] - X[p][R] @ X))
+        D = Xz[np.ix_(T[p], R)] - X[p][R] @ X
+        mult = max(mult, max_operator_norm(D[D.any(axis=(1, 2))]))
     unital = operator_norm(pi(unit_coeffs(A)).matrix - np.eye(pi.module.dim))
     rep.add("multiplicativity", mult, tol.ctol * scale)
     rep.add("unitality", unital, tol.ctol * scale)
@@ -266,21 +269,39 @@ def column_split(C: AlgebraShape, dE: int) -> list[np.ndarray]:
             for n, o in zip(C.blocks, C.offsets)]
 
 
+def row_split(A: AlgebraShape, dF: int) -> list[np.ndarray]:
+    """The copies of A (x)_phi F, A over itself: <e_ab (x) f_j, e_cd (x) f_l> = delta_ac
+    <f_j, phi(e_bd) f_l>, so copy a of block t, e_ab (x) f_j at (o_t + a n_t + b) dim F + j."""
+    return [np.arange(o * dF, (o + n * n) * dF).reshape(n, n * dF)
+            for n, o in zip(A.blocks, A.offsets)]
+
+
+def over_itself(M: Sequence[HilbertModule], memo: BuildMemo) -> bool:
+    """Whether every M[s] is its algebra C over itself, dim C > 1: the identity Gram
+    first, a test that needs no memo entry, then the key of the memo's C over itself."""
+    C = M[0].algebra
+    if C.dim < 2 or not np.array_equal(M[0].gram_matrix, np.eye(C.dim)):
+        return False
+    C_mod = memo.get_all([("algebra_module", C)], lambda _: [algebra_module(C)])[0]
+    return {m.key for m in M} == {C_mod.key}
+
+
 def tensor_quotients(
     E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap],
     tol: Tolerance, memo: BuildMemo,
 ) -> list[TensorModule]:
     """The quotients of tensor_premodule(E, F, pi) by their null spaces, one
     stacked build: the build step of interior_tensor, and of ksgns, which
-    keeps A (x)_phi E inside its own memo entry.  The Grams split (column_split)
-    when every F[s] is C over itself, dim C > 1, the pre-spaces are at least
-    SPLIT_MIN_DIM wide and the pi pass their C-linearity gate (NonLinearMap)."""
-    pre, C, G = tensor_premodule(E, F, pi), F[0].algebra, F[0].gram_matrix
-    # C over itself has the identity Gram, a test that needs no memo entry
-    if C.dim > 1 and E[0].dim * C.dim >= SPLIT_MIN_DIM and np.array_equal(G, np.eye(C.dim)):
-        C_mod = memo.get_all([("algebra_module", C)], lambda _: [algebra_module(C)])[0]
-        if {f.key for f in F} == {C_mod.key}:
-            X = stack_slices([p.images for p in pi])
+    keeps A (x)_phi E inside its own memo entry.  Pre-spaces SPLIT_MIN_DIM wide
+    and up split: into row_split's copies, laid out as (+)_t C^{n_t} (x) K_t by
+    quotient_by_copies, when every E[s] is A over itself (dim A > 1); else by
+    column_split when every F[s] is C over itself and pi is C-linear (NonLinearMap)."""
+    pre = tensor_premodule(E, F, pi)
+    if pre.dim >= SPLIT_MIN_DIM and over_itself(E, memo):  # rows first, when both are
+        quots = quotient_by_copies(pre, row_split(E[0].algebra, F[0].dim), tol)
+    else:
+        if pre.dim >= SPLIT_MIN_DIM and over_itself(F, memo):
+            C, X = F[0].algebra, stack_slices([p.images for p in pi])
             D = X.copy()  # pi(u_p) less the copies of its block: 0 for left multiplications
             for c in column_split(C, 1):
                 D[..., c[:, :, None], c[:, None, :]] -= X[..., c[:1, :, None], c[:1, None, :]]
@@ -288,7 +309,7 @@ def tensor_quotients(
             if np.count_nonzero(bad):
                 raise NonLinearMap(f"pi is not C-linear (residual {operator_norm(D[bad][0]):.3e})")
             pre = Split(pre, column_split(C, E[0].dim))
-    quots = quotient_by_null(pre, tol)
+        quots = quotient_by_null(pre, tol)
     return [TensorModule(q.module, q.q, q.s, q.kernel, *slc) for q, *slc in zip(quots, E, F, pi)]
 
 

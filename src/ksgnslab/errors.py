@@ -25,6 +25,10 @@ class SubmoduleViolation(KsgnslabError):
     """A map fails to preserve the null space it must descend through."""
 
 
+class UnequalCopies(KsgnslabError):
+    """A pre-module built as equal copies of one block has copies that differ."""
+
+
 class SingularGram(KsgnslabError):
     """Gram matrix of a purported Hilbert module is numerically singular."""
 

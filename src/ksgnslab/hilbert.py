@@ -20,7 +20,9 @@ Quotients by the pairing's null space use the orthonormal eigenvector basis
 of the Gram range, so the quotient map q and section s satisfy q s = I up to
 eigensolver error, and conditioning is explicit in the kept eigenvalues.
 A Split pre-module's basis is the canonical one of (+)_t K_t (x) C^{n_t}:
-the copies I_{n_t} (x) V_t of the eigenvectors of each Gram block G_t.
+the copies I_{n_t} (x) V_t of the eigenvectors of each Gram block G_t.  An
+orthogonal sum of equal copies, as A (x)_phi E is for A over itself, quotients
+copy 0 alone (quotient_by_copies): F_phi = (+)_t C^{n_t} (x) K_t.
 Pairing identities contract all basis pairs at once through pairing_coeffs.
 Zero-dimensional modules are legal everywhere.
 """
@@ -35,14 +37,15 @@ import numpy as np
 
 from .cstar import AlgebraShape, Automorphism, element_norms
 from .errors import (
-    InvalidConfig, ShapeMismatch, SingularGram, SubmoduleViolation, WellDefinednessViolation,
+    InvalidConfig, ShapeMismatch, SingularGram, SubmoduleViolation, UnequalCopies,
+    WellDefinednessViolation,
 )
 from .memo import content_key
 from .numkernel import (
     DEFAULT_TOL,
     Split,
     Tolerance,
-    exceeds_gate,
+    exceeds_finite_gate,
     matvecs,
     max_operator_norms,
     operator_norm,
@@ -87,12 +90,7 @@ class PreModule:
         return content_key(self.algebra.blocks, self.action, *self.pairing)
 
     def gram(self) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros((*self.action.shape[:-3], 0, 0), dtype=complex)
-        # each block's trace, summed along its diagonal in trace's order (blocks
-        # up to 8, where add.reduce is a plain loop) without its strided reduction
-        blocks = zip(self.algebra.blocks, self.pairing)
-        return sum(reduce(np.add, (P[..., i, i] for i in range(n))) for n, P in blocks)
+        return _scalarized(self.algebra, self.pairing)
 
     @cached_property
     def gram_matrix(self) -> np.ndarray:
@@ -121,16 +119,17 @@ class PreModule:
 class HilbertModule(PreModule):
     """PreModule whose Gram matrix is positive definite.
 
-    The Gram spectrum (w, V) of the Hermitized Gram matrix G is one eigh at
-    construction, or quotient_by_null's slice of one batched eigh, with the
-    same bits.  Its eigenvalues gate SingularGram, here only, and give
+    The Gram spectrum (w ascending, V) of the Hermitized Gram matrix G is one
+    eigh at construction, quotient_by_null's slice of one batched eigh with the
+    same bits, or quotient_by_copies' sorted copies of one eigh per block.
+    Its eigenvalues gate SingularGram, here only, and give
     G^(1/2), G^(-1/2) and G^(-1), each cached on first use, with eigenvalues
     clipped at max(rtol * lambda_max, tiny), so that inverse powers of a
     well-conditioned G never blow up on rounding noise.
 
-    gram_spectrum must be np.linalg.eigh(gram_matrix) itself; quotient_by_null
-    is its only intended setter.  A supplied spectrum is checked for shape
-    only, so one taken from another module would pass the gate unseen."""
+    gram_spectrum must decompose gram_matrix itself; the quotients are its only
+    intended setters.  A supplied spectrum is checked for shape only, so one
+    taken from another module would pass the gate unseen."""
 
     gram_spectrum: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
@@ -170,6 +169,13 @@ class HilbertModule(PreModule):
     def vector_norm(self, X: np.ndarray) -> np.ndarray:
         """||x|| = sqrt(||<x, x>||_B) for each row x of X (..., d), shape (...)."""
         return np.sqrt(element_norms(self.algebra, self.pair(X, X)))
+
+
+def _scalarized(B: AlgebraShape, pairing: Sequence[np.ndarray]) -> np.ndarray:
+    """G_ij = tau(<e_i, e_j>) from pairing blocks (..., d, d, n_t, n_t): each block's
+    trace, summed along its diagonal in trace's order (blocks up to 8, where
+    add.reduce is a plain loop) without its strided reduction."""
+    return sum(reduce(np.add, (P[..., i, i] for i in range(n))) for n, P in zip(B.blocks, pairing))
 
 
 def pairing_coeffs(E: PreModule, Y: np.ndarray) -> np.ndarray:
@@ -218,7 +224,14 @@ def quotient_by_null(pre: PreModule | Split, tol: Tolerance) -> list[Quotient]:
     pre-module; in a longer stack the message names the first leaking slice.
     """
     pre, copies = pre if isinstance(pre, Split) else (pre, None)
-    splits = rank_kernel(pre.gram() if copies is None else Split(pre.gram(), copies), tol)
+    G = pre.gram() if copies is None else Split(pre.gram(), copies)
+    return _quotients(pre.algebra, *_quotient_stack(pre.algebra, G, pre.action, pre.pairing, tol))
+
+
+def _quotient_stack(B: AlgebraShape, G, action, pairing, tol: Tolerance) -> tuple:
+    """quotient_by_null's stacked (s, kernel, action, pairing, w, V) from Grams G (or
+    a Split), action and pairing that its callers have checked finite."""
+    splits = rank_kernel(G, tol)
     ranks = [rank for rank, _, _ in splits]
     if ranks.count(ranks[0]) < len(ranks):
         i = next(i for i, rank in enumerate(ranks) if rank != ranks[0])
@@ -226,21 +239,62 @@ def quotient_by_null(pre: PreModule | Split, tol: Tolerance) -> list[Quotient]:
             f"slices quotient to different ranks: slice 0 to {ranks[0]}, slice {i} to {ranks[i]}"
         )
     s, kernel = (stack_slices([x[k] for x in splits]) for k in (1, 2))
-    q = s.conj().swapaxes(-1, -2)
-    qK = q[:, None] @ pre.action  # shared by the leak gate and the moved action
-    leak = first_leak(qK, pre.action, kernel[:, None], tol)
+    qK = s.conj().swapaxes(-1, -2)[:, None] @ action  # shared by the leak gate and the moved action
+    leak = first_leak(qK, action, kernel[:, None], tol)
     if leak is not None:
-        i, b = divmod(leak[0], pre.algebra.dim)
+        i, b = divmod(leak[0], B.dim)
         where = f" in slice {i}" if len(splits) > 1 else ""
         raise SubmoduleViolation(
             f"action of basis element {b} leaks out of the null space{where} "
             f"(residual {leak[1]:.3e})"
         )
     moved = qK @ s[:, None]
-    blocks = [transport_pairing(s, P) for P in pre.pairing]
-    w, V = np.linalg.eigh(PreModule(pre.algebra, ranks[0], moved, blocks).gram_matrix)
-    mods = [HilbertModule(pre.algebra, ranks[0], *x) for x in zip(moved, zip(*blocks), zip(w, V))]
-    return [Quotient(E, qk, r, kr) for E, qk, (_, r, kr) in zip(mods, q, splits)]
+    blocks = [transport_pairing(s, P) for P in pairing]
+    Gq = _scalarized(B, blocks)
+    w, V = np.linalg.eigh((Gq + Gq.conj().swapaxes(-1, -2)) / 2.0)
+    return s, kernel, moved, blocks, w, V
+
+
+def _quotients(B: AlgebraShape, s, kernel, moved, blocks, w, V) -> list[Quotient]:
+    """One Quotient per slice of _quotient_stack's arrays, q = s*."""
+    mods = [HilbertModule(B, s.shape[-1], *x) for x in zip(moved, zip(*blocks), zip(w, V))]
+    return [Quotient(E, r.conj().T, r, kr) for E, r, kr in zip(mods, s, kernel)]
+
+
+def quotient_by_copies(
+    pre: PreModule, copies: Sequence[np.ndarray], tol: Tolerance
+) -> list[Quotient]:
+    """quotient_by_null of orthogonal sums of equal B-submodules, copies[t] (n_t, b_t)
+    placing block t's (cp.row_split), as (+)_t C^{n_t} (x) K_t: one _quotient_stack of
+    copy 0 per block, whose q, s, kernel, action, pairing and Gram spectrum (sorted)
+    the copies share.  Raises UnequalCopies, before any rank decision, when a
+    copy's Gram block differs from copy 0's beyond exceeds_gate."""
+    G, B, d = pre.gram(), pre.algebra, pre.dim
+    G0s = [G[:, c[:1, :, None], c[:1, None, :]] for c in copies]
+    for t, (c, G0) in enumerate(zip(copies, G0s)):
+        D = G[:, c[1:, :, None], c[1:, None, :]] - G0
+        if np.count_nonzero(bad := exceeds_finite_gate(D, np.broadcast_to(G0, D.shape), tol)):
+            i, a = np.argwhere(bad)[0]
+            raise UnequalCopies(f"copy {a + 1} of block {t} differs from copy 0 in slice {i}")
+    parts = [_quotient_stack(B, G0[:, 0], pre.action[..., c[0][:, None], c[0]],
+                            [P[:, c[0][:, None], c[0]] for P in pre.pairing], tol)
+             for c, G0 in zip(copies, G0s)]
+    S, r = len(G), sum(len(c) * x[0].shape[-1] for c, x in zip(copies, parts))
+    s, kernel, V = (np.zeros((S, d, r), complex), np.zeros((S, d, d - r), complex),
+                    np.zeros((S, r, r), complex))
+    moved, w = np.zeros((S, B.dim, r, r), complex), np.zeros((S, r))
+    blocks, o, ok = [np.zeros((S, r, r, n, n), complex) for n in B.blocks], 0, 0
+    for c, (st, kt, mt, bt, wt, Vt) in zip(copies, parts):
+        for rows in c:  # copy a of block t: K_t at O_t + a r_t, its null space likewise
+            Q, N = slice(o, o + st.shape[-1]), slice(ok, ok + kt.shape[-1])
+            s[:, rows, Q], kernel[:, rows, N], moved[:, :, Q, Q] = st, kt, mt
+            w[:, Q], V[:, Q, Q] = wt, Vt
+            for P, Pt in zip(blocks, bt):
+                P[:, Q, Q] = Pt
+            o, ok = Q.stop, N.stop
+    order = np.argsort(w, axis=-1, kind="stable")
+    w, V = np.take_along_axis(w, order, -1), np.take_along_axis(V, order[:, None], -1)
+    return _quotients(B, s, kernel, moved, blocks, w, V)
 
 
 def null_leak(
@@ -258,9 +312,9 @@ def first_leak(
     """(flat index, leak) of the first slice of K whose null_leak exceeds its
     gate, or None when all pass, from the caller's product qK = q K, which
     its compression q K s shares; numkernel.exceeds_gate certifies most
-    slices without an SVD.  NaN or Inf in K raises NonFinite."""
+    slices without an SVD.  K must be finite: descend and PreModule check it."""
     X = qK @ kernel
-    bad = exceeds_gate(X, K, tol)
+    bad = exceeds_finite_gate(X, K, tol)
     if not np.count_nonzero(bad):
         return None
     first = int(np.flatnonzero(bad)[0])

@@ -115,7 +115,11 @@ def exceeds_gate(X: np.ndarray, M: np.ndarray, tol: Tolerance) -> np.ndarray:
     (..., m, n) with the same leading shape.  A slice with ||X[i]||_F <= ctol
     passes without an SVD; the others take exact operator norms.  NaN or Inf
     in X or M raises NonFinite."""
-    M = require_finite(M)
+    return exceeds_finite_gate(X, require_finite(M), tol)
+
+
+def exceeds_finite_gate(X: np.ndarray, M: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """exceeds_gate for an M its caller has just checked finite, not checked again."""
     X = np.asarray(X, dtype=complex)
     near = ~(np.sqrt(np.sum((X.conj() * X).real, axis=(-2, -1))) <= tol.ctol)
     out = np.zeros(near.shape, dtype=bool)
@@ -181,7 +185,7 @@ def psd_verdict(M: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     M = require_finite(M)
     Ms = M.conj().swapaxes(-1, -2)
     w0 = np.linalg.eigvalsh((M + Ms) / 2.0)[..., 0] if M.size else np.zeros(M.shape[:-2])
-    herm = ~exceeds_gate(M - Ms, M, tol)
+    herm = ~exceeds_finite_gate(M - Ms, M, tol)
     ok = np.array(herm & (w0 >= -tol.ctol))
     near = herm & ~ok
     if np.count_nonzero(near):
@@ -202,7 +206,7 @@ def herm_eig(M: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     if M.size == 0:
         return np.zeros(M.shape[:-1]), np.zeros(M.shape, dtype=complex)
     D = M - M.conj().swapaxes(-1, -2)
-    bad = exceeds_gate(D, M, tol)
+    bad = exceeds_finite_gate(D, M, tol)
     if np.count_nonzero(bad):
         defect = operator_norm(D.reshape(-1, *D.shape[-2:])[np.flatnonzero(bad)[0]])
         raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds tolerance")
@@ -226,6 +230,7 @@ def rank_kernel(G: np.ndarray | Split, tol: Tolerance) -> list[tuple]:
     the rest.  A Split decomposes copy 0 of each block, one herm_eig per block
     size, and its eigenvectors are the copies I_{n_t} (x) V_t, each V_t on its
     copy's coordinates, columns copy by copy; its eigenvalues are not sorted.
+    Row copies (hilbert.quotient_by_copies) come as copy 0's Gram alone, unsplit.
     Raises NotPSD, naming the first such slice of a longer stack, when a
     minimum eigenvalue dips below -ctol * (1 + ||G||)."""
     if isinstance(G, Split):

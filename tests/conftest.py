@@ -2,10 +2,14 @@
 package against, and generators of planted cases the package never draws."""
 
 import itertools
+import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from numpy.linalg import _linalg as linalg_impl
 
+from ksgnslab import hilbert
 from ksgnslab.cp import Intertwiner, tensor_premodule
 from ksgnslab.cstar import (
     AlgebraElement,
@@ -69,6 +73,46 @@ def count_calls(monkeypatch, module, *names: str) -> list[str]:
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class LapackCall(NamedTuple):
+    """One LAPACK call, as lapack_calls records it."""
+
+    driver: str
+    site: str
+    entry: str
+    kind: str
+    matrices: int
+
+
+def lapack_calls(monkeypatch) -> list[LapackCall]:
+    """Record every np.linalg svd, eigh and eigvalsh call from here on (numpy's
+    own, as pinv's SVD, included): the driver; the site, "module.function" of
+    the innermost ksgnslab function outside numkernel that led to it; the entry,
+    the numkernel function that site called ("" when it called numpy itself);
+    the kind, "gated" when an exceeds_gate decided it was needed, "certified"
+    when certified_norms did, else "full"; and the number of matrices."""
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh"):
+        def recording(a, *args, _real=getattr(linalg_impl, name), _name=name, **kwargs):
+            frame, chain = sys._getframe(1), []
+            while frame is not None:
+                mod = frame.f_globals.get("__name__", "")
+                if mod == "ksgnslab.numkernel":
+                    chain.append(frame.f_code.co_name)
+                elif mod.startswith("ksgnslab."):
+                    break
+                frame = frame.f_back
+            site = f"{mod.rsplit('.', 1)[-1]}.{frame.f_code.co_name}" if frame else "?"
+            kind = ("gated" if any(c.startswith("exceeds") for c in chain)
+                    else "certified" if "certified_norms" in chain else "full")
+            matrices = int(np.prod(np.shape(a)[:-2]))
+            calls.append(LapackCall(_name, site, chain[-1] if chain else "", kind, matrices))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+        monkeypatch.setattr(linalg_impl, name, recording)
     return calls
 
 
@@ -197,6 +241,35 @@ def tensor_quotients_reference(E, F, pi, tol: Tolerance = DEFAULT_TOL) -> list[Q
     the pre-modules of tensor_premodule quotiented through one eigh of each
     whole Gram matrix."""
     return quotient_by_null(tensor_premodule(E, F, pi), tol)
+
+
+def recorded_rank_decisions(monkeypatch) -> list:
+    """The Gram argument of every hilbert.rank_kernel call from here on."""
+    grams = []
+    real = hilbert.rank_kernel
+
+    def recording(G, tol):
+        grams.append(G)
+        return real(G, tol)
+
+    monkeypatch.setattr(hilbert, "rank_kernel", recording)
+    return grams
+
+
+def assert_one_module_up_to_a_unitary(tm, ref):
+    """tm and the reference quotient ref agree: the same rank and Gram spectrum
+    within rounding, and bases, action and pairing that differ by a unitary."""
+    r = ref.module.dim
+    assert tm.module.dim == r
+    scale = 1.0 + max(abs(ref.module.gram_spectrum[0]), default=0.0)
+    assert np.allclose(tm.module.gram_spectrum[0], ref.module.gram_spectrum[0], atol=1e-12 * scale)
+    U = ref.q @ tm.s  # the change of basis between the two quotients
+    assert np.allclose(U.conj().T @ U, np.eye(r), atol=1e-10)
+    assert np.allclose(ref.s @ U, tm.s, atol=1e-10)
+    assert np.allclose(ref.q @ tm.kernel, 0.0, atol=1e-10)  # one null space
+    assert np.allclose(tm.module.action, U.conj().T @ ref.module.action @ U, atol=1e-10 * scale)
+    for P, P_ref in zip(tm.module.pairing, ref.module.pairing, strict=True):
+        assert np.allclose(P, transport_pairing_reference(U, P_ref), atol=1e-10 * scale)
 
 
 def action_matrix(E: PreModule, b: AlgebraElement) -> np.ndarray:

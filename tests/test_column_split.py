@@ -14,7 +14,6 @@ of C's dimension that is not C over itself keeps the generic path.
 import numpy as np
 import pytest
 
-from ksgnslab import hilbert
 from ksgnslab.cp import (
     CPMap, column_split, left_mult_correspondence, random_cp, tensor_premodule,
     tensor_quotients,
@@ -27,7 +26,9 @@ from ksgnslab.hilbert import algebra_module, canonical_module, quotient_by_null
 from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL, Split
 
-from conftest import tensor_quotients_reference, transport_pairing_reference
+from conftest import (
+    assert_one_module_up_to_a_unitary, recorded_rank_decisions, tensor_quotients_reference,
+)
 
 B = AlgebraShape((1, 1))
 # per shape of C, the multiplicities of B's two blocks in each block of C
@@ -49,33 +50,6 @@ def embedding(C: AlgebraShape, rng, keep=None) -> StarMap:
         images[0] = P @ images[0] @ P
         cols.append(np.concatenate([x.reshape(-1) for x in images]))
     return StarMap(B, C, np.stack(cols, axis=1))
-
-
-def recorded_rank_decisions(monkeypatch) -> list:
-    """The Gram argument of every hilbert.rank_kernel call from here on."""
-    grams = []
-    real = hilbert.rank_kernel
-
-    def recording(G, tol):
-        grams.append(G)
-        return real(G, tol)
-
-    monkeypatch.setattr(hilbert, "rank_kernel", recording)
-    return grams
-
-
-def assert_one_module_up_to_a_unitary(tm, ref):
-    r = ref.module.dim
-    assert tm.module.dim == r
-    scale = 1.0 + max(abs(ref.module.gram_spectrum[0]), default=0.0)
-    assert np.allclose(tm.module.gram_spectrum[0], ref.module.gram_spectrum[0], atol=1e-12 * scale)
-    U = ref.q @ tm.s  # the change of basis between the two quotients
-    assert np.allclose(U.conj().T @ U, np.eye(r), atol=1e-10)
-    assert np.allclose(ref.s @ U, tm.s, atol=1e-10)
-    assert np.allclose(ref.q @ tm.kernel, 0.0, atol=1e-10)  # one null space
-    assert np.allclose(tm.module.action, U.conj().T @ ref.module.action @ U, atol=1e-10 * scale)
-    for P, P_ref in zip(tm.module.pairing, ref.module.pairing, strict=True):
-        assert np.allclose(P, transport_pairing_reference(U, P_ref), atol=1e-10 * scale)
 
 
 def wide_module(rng):

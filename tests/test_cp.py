@@ -406,7 +406,9 @@ def test_check_correspondence_rejects_non_finite_images(bad):
 def test_multiplicativity_svds_see_a_third_of_the_rows_on_m3(monkeypatch):
     # A = M_3: each pi(u_p) lives on the rows of one of the three row blocks
     # of F's Gram eigen-coordinates, so every multiplicativity SVD stack has
-    # at most dim F / 3 rows; counted from shapes, not from timing
+    # at most dim F / 3 rows, and only the 3 products u_p u_r != 0 take an
+    # SVD, the others' differences being exactly zero; counted from shapes,
+    # not from timing
     rng = np.random.default_rng(7)
     A = AlgebraShape((3,))
     E = random_module(AlgebraShape((1, 2)), rng, max_dim=8, min_dim=8)
@@ -426,7 +428,7 @@ def test_multiplicativity_svds_see_a_third_of_the_rows_on_m3(monkeypatch):
     stacks = [s for s in shapes if len(s) == 3]
     assert shapes == stacks + [(d, d)]  # then one unitality SVD
     assert len(stacks) == A.dim
-    assert all(s[0] == A.dim and s[2] == d and 0 < s[1] <= d // 3 for s in stacks)
+    assert all(s[0] == 3 and s[2] == d and 0 < s[1] <= d // 3 for s in stacks)
 
 
 def test_check_morphism_identity_and_solver_consistency(rng):
