@@ -224,20 +224,15 @@ def quotient_by_null(pre: PreModule | Split, tol: Tolerance) -> list[Quotient]:
     pre-module; in a longer stack the message names the first leaking slice.
     """
     pre, copies = pre if isinstance(pre, Split) else (pre, None)
-    G = pre.gram() if copies is None else Split(pre.gram(), copies)
-    return _quotients(pre.algebra, *_quotient_stack(pre.algebra, G, pre.action, pre.pairing, tol))
+    splits = rank_kernel(pre.gram() if copies is None else Split(pre.gram(), copies), tol)
+    B, action, pairing = pre.algebra, pre.action, pre.pairing
+    return _quotients(B, *_quotient_stack(B, splits, action, pairing, tol))
 
 
-def _quotient_stack(B: AlgebraShape, G, action, pairing, tol: Tolerance) -> tuple:
-    """quotient_by_null's stacked (s, kernel, action, pairing, w, V) from Grams G (or
-    a Split), action and pairing that its callers have checked finite."""
-    splits = rank_kernel(G, tol)
-    ranks = [rank for rank, _, _ in splits]
-    if ranks.count(ranks[0]) < len(ranks):
-        i = next(i for i, rank in enumerate(ranks) if rank != ranks[0])
-        raise ShapeMismatch(
-            f"slices quotient to different ranks: slice 0 to {ranks[0]}, slice {i} to {ranks[i]}"
-        )
+def _quotient_stack(B: AlgebraShape, splits: list[tuple], action, pairing, tol: Tolerance) -> tuple:
+    """quotient_by_null's stacked (s, kernel, action, pairing, w, V) from the rank
+    decisions and the action and pairing, which its callers have checked finite."""
+    _require_one_rank([rank for rank, _, _ in splits])
     s, kernel = (stack_slices([x[k] for x in splits]) for k in (1, 2))
     qK = s.conj().swapaxes(-1, -2)[:, None] @ action  # shared by the leak gate and the moved action
     leak = first_leak(qK, action, kernel[:, None], tol)
@@ -255,6 +250,15 @@ def _quotient_stack(B: AlgebraShape, G, action, pairing, tol: Tolerance) -> tupl
     return s, kernel, moved, blocks, w, V
 
 
+def _require_one_rank(ranks: list[int]) -> None:
+    """Raise ShapeMismatch, naming two slices and their ranks, unless all agree."""
+    if ranks.count(ranks[0]) < len(ranks):
+        i = next(i for i, rank in enumerate(ranks) if rank != ranks[0])
+        raise ShapeMismatch(
+            f"slices quotient to different ranks: slice 0 to {ranks[0]}, slice {i} to {ranks[i]}"
+        )
+
+
 def _quotients(B: AlgebraShape, s, kernel, moved, blocks, w, V) -> list[Quotient]:
     """One Quotient per slice of _quotient_stack's arrays, q = s*."""
     mods = [HilbertModule(B, s.shape[-1], *x) for x in zip(moved, zip(*blocks), zip(w, V))]
@@ -267,8 +271,9 @@ def quotient_by_copies(
     """quotient_by_null of orthogonal sums of equal B-submodules, copies[t] (n_t, b_t)
     placing block t's (cp.row_split), as (+)_t C^{n_t} (x) K_t: one _quotient_stack of
     copy 0 per block, whose q, s, kernel, action, pairing and Gram spectrum (sorted)
-    the copies share.  Raises UnequalCopies, before any rank decision, when a
-    copy's Gram block differs from copy 0's beyond exceeds_gate."""
+    the copies share; a stack whose blocks' ranks differ between slices goes slice
+    by slice.  Raises UnequalCopies, before any rank decision, when a copy's Gram
+    block differs from copy 0's beyond exceeds_gate."""
     G, B, d = pre.gram(), pre.algebra, pre.dim
     G0s = [G[:, c[:1, :, None], c[:1, None, :]] for c in copies]
     for t, (c, G0) in enumerate(zip(copies, G0s)):
@@ -276,9 +281,16 @@ def quotient_by_copies(
         if np.count_nonzero(bad := exceeds_finite_gate(D, np.broadcast_to(G0, D.shape), tol)):
             i, a = np.argwhere(bad)[0]
             raise UnequalCopies(f"copy {a + 1} of block {t} differs from copy 0 in slice {i}")
-    parts = [_quotient_stack(B, G0[:, 0], pre.action[..., c[0][:, None], c[0]],
-                            [P[:, c[0][:, None], c[0]] for P in pre.pairing], tol)
-             for c, G0 in zip(copies, G0s)]
+    splits = [rank_kernel(G0[:, 0], tol) for G0 in G0s]
+    if any(len({rank for rank, _, _ in x}) > 1 for x in splits):  # totals may still agree
+        quots = [quotient_by_copies(PreModule(B, d, pre.action[i : i + 1],
+                                              [P[i : i + 1] for P in pre.pairing]), copies, tol)[0]
+                 for i in range(len(G))]
+        _require_one_rank([x.module.dim for x in quots])
+        return quots
+    parts = [_quotient_stack(B, x, pre.action[..., c[0][:, None], c[0]],
+                             [P[:, c[0][:, None], c[0]] for P in pre.pairing], tol)
+             for c, x in zip(copies, splits)]
     S, r = len(G), sum(len(c) * x[0].shape[-1] for c, x in zip(copies, parts))
     s, kernel, V = (np.zeros((S, d, r), complex), np.zeros((S, d, d - r), complex),
                     np.zeros((S, r, r), complex))

@@ -89,7 +89,8 @@ class LapackCall(NamedTuple):
 def lapack_calls(monkeypatch) -> list[LapackCall]:
     """Record every np.linalg svd, eigh and eigvalsh call from here on (numpy's
     own, as pinv's SVD, included): the driver; the site, "module.function" of
-    the innermost ksgnslab function outside numkernel that led to it; the entry,
+    the innermost ksgnslab function outside numkernel that led to it (a
+    comprehension counts as the function around it); the entry,
     the numkernel function that site called ("" when it called numpy itself);
     the kind, "gated" when an exceeds_gate decided it was needed, "certified"
     when certified_norms did, else "full"; and the number of matrices."""
@@ -101,8 +102,8 @@ def lapack_calls(monkeypatch) -> list[LapackCall]:
                 mod = frame.f_globals.get("__name__", "")
                 if mod == "ksgnslab.numkernel":
                     chain.append(frame.f_code.co_name)
-                elif mod.startswith("ksgnslab."):
-                    break
+                elif mod.startswith("ksgnslab.") and not frame.f_code.co_name.startswith("<"):
+                    break  # the function itself, not a comprehension inside it
                 frame = frame.f_back
             site = f"{mod.rsplit('.', 1)[-1]}.{frame.f_code.co_name}" if frame else "?"
             kind = ("gated" if any(c.startswith("exceeds") for c in chain)

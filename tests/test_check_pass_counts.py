@@ -31,8 +31,10 @@ RECORDED, VERDICT, CONSTRUCTION = "recorded value", "verdict only", "constructio
 SITE_LABELS = {
     ("eigh", "cp.random_blinear_unitary"): CONSTRUCTION,  # exp(iH)
     ("eigh", "hilbert.__post_init__"): CONSTRUCTION,  # a module's Gram spectrum
-    ("eigh", "hilbert._quotient_stack"): CONSTRUCTION,  # rank decisions, quotient spectra
-    ("eigvalsh", "cp.<genexpr>"): RECORDED,  # check_cp's Choi minima
+    ("eigh", "hilbert._quotient_stack"): CONSTRUCTION,  # quotient spectra
+    ("eigh", "hilbert.quotient_by_copies"): CONSTRUCTION,  # rank decisions, block by block
+    ("eigh", "hilbert.quotient_by_null"): CONSTRUCTION,  # rank decisions
+    ("eigvalsh", "cp.build"): RECORDED,  # check_cp's Choi minima
     ("eigvalsh", "hilbert.is_map_positive"): RECORDED,
     ("svd", "cp.build"): RECORDED,  # check_cp caches the maps' norms, the thresholds' scale
     ("svd", "cp.check_correspondence"): RECORDED,
@@ -41,7 +43,8 @@ SITE_LABELS = {
     ("svd", "cp.norm"): RECORDED,
     ("svd", "cp.random_blinear_unitary"): CONSTRUCTION,  # H's scale, then herm_expi's gate
     ("svd", "cp.tensor_quotients"): VERDICT,  # the C-linearity gate
-    ("svd", "cstar.<listcomp>"): RECORDED,  # element_norms of pseudometric samples
+    ("svd", "cstar.check_star_map"): RECORDED,
+    ("svd", "cstar.element_norms"): RECORDED,  # pseudometric samples, vector norms
     ("svd", "equivariant._gram_scale"): RECORDED,
     ("svd", "equivariant._require_group_law"): VERDICT,
     ("svd", "equivariant.check_dilation"): RECORDED,
@@ -59,8 +62,9 @@ SITE_LABELS = {
     ("svd", "hilbert.descend"): VERDICT,  # the well-definedness leak gate
     ("svd", "hilbert.module_operator_norms"): RECORDED,
     ("svd", "hilbert.null_leak"): RECORDED,
-    ("svd", "hilbert.quotient_by_copies"): VERDICT,  # the copy gate
-    ("svd", "hilbert._quotient_stack"): VERDICT,  # Hermitian and leak gates
+    ("svd", "hilbert.quotient_by_copies"): VERDICT,  # the copy and Hermitian gates
+    ("svd", "hilbert.quotient_by_null"): VERDICT,  # the Hermitian gate of rank decisions
+    ("svd", "hilbert._quotient_stack"): VERDICT,  # the leak gate
     ("svd", "hilbert.unitarity_residual"): RECORDED,
     ("svd", "ksgns.check_idempotency"): RECORDED,
     ("svd", "ksgns.check_lift"): RECORDED,

@@ -23,7 +23,7 @@ from ksgnslab.cp import (
 )
 from ksgnslab.cstar import AlgebraShape, StarMap
 from ksgnslab.equivariant import scramble_module
-from ksgnslab.errors import UnequalCopies
+from ksgnslab.errors import ShapeMismatch, UnequalCopies
 from ksgnslab.hilbert import algebra_module, canonical_module
 from ksgnslab.ksgns import ksgns
 from ksgnslab.memo import BuildMemo
@@ -186,3 +186,20 @@ def test_unequal_copies_raise_before_any_rank_decision(monkeypatch, factor, rais
     else:
         tm = tensor_quotients([A_mod], [F], [phi], DEFAULT_TOL, BuildMemo())[0]
         assert len(grams) == 1 and tm.module.dim > 0
+
+
+def test_a_stack_whose_blocks_differ_in_rank_quotients_slice_by_slice():
+    # phi vanishes on A's first block and its block-swapped twin on the second:
+    # the total ranks agree and the blocks' ranks do not, which a stack of one
+    # quotient per block cannot hold; slices of different total ranks still raise
+    rng = np.random.default_rng(17)
+    A, memo = AlgebraShape((2, 2)), BuildMemo()
+    A_mod = algebra_module(A)
+    F, phi = compressed_cp(A, rng, zero_block=True)
+    swapped = CPMap(A, F, np.concatenate([phi.images[4:], phi.images[:4]]))
+    tm = tensor_quotients([A_mod, A_mod], [F, F], [phi, swapped], DEFAULT_TOL, memo)
+    for quot, p in zip(tm, [phi, swapped], strict=True):
+        assert_one_module_up_to_a_unitary(quot, tensor_quotients_reference([A_mod], [F], [p])[0])
+    full = compressed_cp(A, np.random.default_rng(17), zero_block=False)[1]
+    with pytest.raises(ShapeMismatch, match=r"^slices quotient to different ranks: slice 0 to "):
+        tensor_quotients([A_mod, A_mod], [F, F], [phi, full], DEFAULT_TOL, memo)
