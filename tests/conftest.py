@@ -79,7 +79,7 @@ def count_calls(monkeypatch, module, *names: str) -> list[str]:
 class LapackCall(NamedTuple):
     """One LAPACK call, as lapack_calls records it."""
 
-    driver: str
+    routine: str
     site: str
     entry: str
     kind: str
@@ -88,7 +88,7 @@ class LapackCall(NamedTuple):
 
 def lapack_calls(monkeypatch) -> list[LapackCall]:
     """Record every np.linalg svd, eigh and eigvalsh call from here on (numpy's
-    own, as pinv's SVD, included): the driver; the site, "module.function" of
+    own, as pinv's SVD, included): the routine; the site, "module.function" of
     the innermost ksgnslab function outside numkernel that led to it (a
     comprehension counts as the function around it); the entry,
     the numkernel function that site called ("" when it called numpy itself);

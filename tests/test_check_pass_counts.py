@@ -26,7 +26,7 @@ WORKLOADS = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(WORKLOADS)
 
 RECORDED, VERDICT, CONSTRUCTION = "recorded value", "verdict only", "construction"
-# (driver, site) -> what the call's result feeds; a site takes its label from
+# (routine, site) -> what the call's result feeds; a site takes its label from
 # its one role, or "construction" when it builds as well as gates
 SITE_LABELS = {
     ("eigh", "cp.random_blinear_unitary"): CONSTRUCTION,  # exp(iH)
@@ -106,10 +106,10 @@ def test_require_finite_once_per_array_on_a_check_pass(monkeypatch, suites_defau
 def test_every_lapack_site_is_labelled_and_verdicts_take_no_full_svd(monkeypatch, suites_default):
     calls = lapack_calls(monkeypatch)
     check_pass(suites_default)
-    unlabelled = {(c.driver, c.site) for c in calls} - SITE_LABELS.keys()
+    unlabelled = {(c.routine, c.site) for c in calls} - SITE_LABELS.keys()
     assert not unlabelled, f"label these call sites: {sorted(unlabelled)}"
-    full = {c for c in calls if c.driver == "svd" and c.kind == "full"
-            and SITE_LABELS[c.driver, c.site] == VERDICT}
+    full = {c for c in calls if c.routine == "svd" and c.kind == "full"
+            and SITE_LABELS[c.routine, c.site] == VERDICT}
     assert not full, f"verdict-only sites take full SVDs: {sorted(full)}"
 
 
@@ -128,4 +128,4 @@ def test_prespace_cap_eigh_work(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", cubing)
     check_pass(tasks)
     assert sum(cubes) <= 4_000_000, sum(cubes)
-    assert len(cubes) == sum(c.driver == "eigh" for c in calls) <= 15
+    assert len(cubes) == sum(c.routine == "eigh" for c in calls) <= 15
