@@ -75,6 +75,9 @@ from .reporting import CheckReport
 # A narrower Gram costs less whole than split: on a default check pass a tensor_quotients
 # stack took 352 us whole and 453 split at width 8, 716 and 733 at 16, 4,386 and 3,735 at 64
 SPLIT_MIN_DIM = 16
+# The row split pays a rank, leak and spectrum step per block of A: on the workloads' stacks
+# it took +12% to +112% of the whole-Gram time at widths 4-32 and -37% to -69% at 45-99 bar 0% at 48
+ROW_SPLIT_MIN_DIM = 40
 
 
 @dataclass
@@ -133,9 +136,8 @@ def check_correspondence(pi: CPMap, tol: Tolerance) -> CheckReport:
     in pi(u_p) and in every pi(u_p u_r) is zero in every difference, and
     deleting zero rows leaves singular values unchanged.  The products
     u_p u_r include u_p itself (r its right unit), so the rows live in some
-    pi(u_p u_r) are all the live rows, and an exactly zero difference (u_p u_r
-    = 0 for a KSGNS pi on its canonical copies) takes no SVD.  The images are
-    gated finite first, so a dropped row never hides a 0 * Inf.
+    pi(u_p u_r) are all the live rows, and exactly zero differences take no SVD.
+    The images are gated finite first, so a dropped row never hides a 0 * Inf.
     """
     rep = CheckReport()
     A = pi.algebra
@@ -277,8 +279,7 @@ def row_split(A: AlgebraShape, dF: int) -> list[np.ndarray]:
 
 
 def over_itself(M: Sequence[HilbertModule], memo: BuildMemo) -> bool:
-    """Whether every M[s] is its algebra C over itself, dim C > 1: the identity Gram
-    first, a test that needs no memo entry, then the key of the memo's C over itself."""
+    """Whether every M[s] is the memo's C over itself, dim C > 1 (identity Gram first)."""
     C = M[0].algebra
     if C.dim < 2 or not np.array_equal(M[0].gram_matrix, np.eye(C.dim)):
         return False
@@ -292,12 +293,12 @@ def tensor_quotients(
 ) -> list[TensorModule]:
     """The quotients of tensor_premodule(E, F, pi) by their null spaces, one
     stacked build: the build step of interior_tensor, and of ksgns, which
-    keeps A (x)_phi E inside its own memo entry.  Pre-spaces SPLIT_MIN_DIM wide
-    and up split: into row_split's copies, laid out as (+)_t C^{n_t} (x) K_t by
-    quotient_by_copies, when every E[s] is A over itself (dim A > 1); else by
-    column_split when every F[s] is C over itself and pi is C-linear (NonLinearMap)."""
+    keeps A (x)_phi E inside its own memo entry.  From ROW_SPLIT_MIN_DIM wide, when
+    every E[s] is A over itself, quotient_by_copies takes row_split's copies to F_phi
+    = (+)_t C^{n_t} (x) K_t; else from SPLIT_MIN_DIM, when every F[s] is C over
+    itself and pi is C-linear (NonLinearMap), quotient_by_null takes column_split's."""
     pre = tensor_premodule(E, F, pi)
-    if pre.dim >= SPLIT_MIN_DIM and over_itself(E, memo):  # rows first, when both are
+    if pre.dim >= ROW_SPLIT_MIN_DIM and over_itself(E, memo):  # rows first, when both are
         quots = quotient_by_copies(pre, row_split(E[0].algebra, F[0].dim), tol)
     else:
         if pre.dim >= SPLIT_MIN_DIM and over_itself(F, memo):

@@ -20,9 +20,8 @@ Quotients by the pairing's null space use the orthonormal eigenvector basis
 of the Gram range, so the quotient map q and section s satisfy q s = I up to
 eigensolver error, and conditioning is explicit in the kept eigenvalues.
 A Split pre-module's basis is the canonical one of (+)_t K_t (x) C^{n_t}:
-the copies I_{n_t} (x) V_t of the eigenvectors of each Gram block G_t.  An
-orthogonal sum of equal copies, as A (x)_phi E is for A over itself, quotients
-copy 0 alone (quotient_by_copies): F_phi = (+)_t C^{n_t} (x) K_t.
+the copies I_{n_t} (x) V_t of the eigenvectors of each Gram block G_t; row
+copies (quotient_by_copies) transport copy 0 alone: F_phi = (+)_t C^{n_t} (x) K_t.
 Pairing identities contract all basis pairs at once through pairing_coeffs.
 Zero-dimensional modules are legal everywhere.
 """
@@ -121,8 +120,8 @@ class HilbertModule(PreModule):
 
     The Gram spectrum (w ascending, V) of the Hermitized Gram matrix G is one
     eigh at construction, quotient_by_null's slice of one batched eigh with the
-    same bits, or quotient_by_copies' sorted copies of one eigh per block.
-    Its eigenvalues gate SingularGram, here only, and give
+    same bits, or quotient_by_copies' sorted copies of one eigh per block.  Its
+    eigenvalues gate SingularGram, here only, and give
     G^(1/2), G^(-1/2) and G^(-1), each cached on first use, with eigenvalues
     clipped at max(rtol * lambda_max, tiny), so that inverse powers of a
     well-conditioned G never blow up on rounding noise.
@@ -172,9 +171,8 @@ class HilbertModule(PreModule):
 
 
 def _scalarized(B: AlgebraShape, pairing: Sequence[np.ndarray]) -> np.ndarray:
-    """G_ij = tau(<e_i, e_j>) from pairing blocks (..., d, d, n_t, n_t): each block's
-    trace, summed along its diagonal in trace's order (blocks up to 8, where
-    add.reduce is a plain loop) without its strided reduction."""
+    """G_ij = tau(<e_i, e_j>): each pairing block's trace, summed along its diagonal in
+    trace's order (add.reduce's plain loop at n_t <= 8) without its strided reduction."""
     return sum(reduce(np.add, (P[..., i, i] for i in range(n))) for n, P in zip(B.blocks, pairing))
 
 
@@ -225,88 +223,71 @@ def quotient_by_null(pre: PreModule | Split, tol: Tolerance) -> list[Quotient]:
     """
     pre, copies = pre if isinstance(pre, Split) else (pre, None)
     splits = rank_kernel(pre.gram() if copies is None else Split(pre.gram(), copies), tol)
-    B, action, pairing = pre.algebra, pre.action, pre.pairing
-    return _quotients(B, *_quotient_stack(B, splits, action, pairing, tol))
-
-
-def _quotient_stack(B: AlgebraShape, splits: list[tuple], action, pairing, tol: Tolerance) -> tuple:
-    """quotient_by_null's stacked (s, kernel, action, pairing, w, V) from the rank
-    decisions and the action and pairing, which its callers have checked finite."""
-    _require_one_rank([rank for rank, _, _ in splits])
-    s, kernel = (stack_slices([x[k] for x in splits]) for k in (1, 2))
-    qK = s.conj().swapaxes(-1, -2)[:, None] @ action  # shared by the leak gate and the moved action
-    leak = first_leak(qK, action, kernel[:, None], tol)
-    if leak is not None:
-        i, b = divmod(leak[0], B.dim)
-        where = f" in slice {i}" if len(splits) > 1 else ""
-        raise SubmoduleViolation(
-            f"action of basis element {b} leaks out of the null space{where} "
-            f"(residual {leak[1]:.3e})"
-        )
-    moved = qK @ s[:, None]
-    blocks = [transport_pairing(s, P) for P in pairing]
-    Gq = _scalarized(B, blocks)
-    w, V = np.linalg.eigh((Gq + Gq.conj().swapaxes(-1, -2)) / 2.0)
-    return s, kernel, moved, blocks, w, V
-
-
-def _require_one_rank(ranks: list[int]) -> None:
-    """Raise ShapeMismatch, naming two slices and their ranks, unless all agree."""
+    ranks = [rank for rank, _, _ in splits]
     if ranks.count(ranks[0]) < len(ranks):
         i = next(i for i, rank in enumerate(ranks) if rank != ranks[0])
         raise ShapeMismatch(
             f"slices quotient to different ranks: slice 0 to {ranks[0]}, slice {i} to {ranks[i]}"
         )
-
-
-def _quotients(B: AlgebraShape, s, kernel, moved, blocks, w, V) -> list[Quotient]:
-    """One Quotient per slice of _quotient_stack's arrays, q = s*."""
-    mods = [HilbertModule(B, s.shape[-1], *x) for x in zip(moved, zip(*blocks), zip(w, V))]
+    s, kernel = (stack_slices([x[k] for x in splits]) for k in (1, 2))
+    moved, blocks, w, V = _quotient_stack(pre.algebra, s, kernel, pre.action, pre.pairing, tol)
+    mods = [HilbertModule(pre.algebra, ranks[0], *x) for x in zip(moved, zip(*blocks), zip(w, V))]
     return [Quotient(E, r.conj().T, r, kr) for E, r, kr in zip(mods, s, kernel)]
+
+
+def _quotient_stack(B: AlgebraShape, s, kernel, action, pairing, tol: Tolerance) -> tuple:
+    """quotient_by_null's leak gate, moved action and pairing, and Gram spectra."""
+    qK = s.conj().swapaxes(-1, -2)[:, None] @ action  # shared by the leak gate and the moved action
+    leak = first_leak(qK, action, kernel[:, None], tol)
+    if leak is not None:
+        i, b = divmod(leak[0], B.dim)
+        where = f" in slice {i}" if len(s) > 1 else ""
+        raise SubmoduleViolation(
+            f"action of basis element {b} leaks out of the null space{where} "
+            f"(residual {leak[1]:.3e})"
+        )
+    blocks = [transport_pairing(s, P) for P in pairing]
+    G = _scalarized(B, blocks)
+    return (qK @ s[:, None], blocks, *np.linalg.eigh((G + G.conj().swapaxes(-1, -2)) / 2.0))
 
 
 def quotient_by_copies(
     pre: PreModule, copies: Sequence[np.ndarray], tol: Tolerance
 ) -> list[Quotient]:
-    """quotient_by_null of orthogonal sums of equal B-submodules, copies[t] (n_t, b_t)
-    placing block t's (cp.row_split), as (+)_t C^{n_t} (x) K_t: one _quotient_stack of
-    copy 0 per block, whose q, s, kernel, action, pairing and Gram spectrum (sorted)
-    the copies share; a stack whose blocks' ranks differ between slices goes slice
-    by slice.  Raises UnequalCopies, before any rank decision, when a copy's Gram
-    block differs from copy 0's beyond exceeds_gate."""
-    G, B, d = pre.gram(), pre.algebra, pre.dim
-    G0s = [G[:, c[:1, :, None], c[:1, None, :]] for c in copies]
-    for t, (c, G0) in enumerate(zip(copies, G0s)):
+    """quotient_by_null of orthogonal sums of equal submodules, copies[t] (n_t, b_t)
+    placing block t's (cp.row_split), as (+)_t C^{n_t} (x) K_t: rank_kernel's Split
+    gives the bases, one _quotient_stack per block what its copies share (spectra
+    sorted).  Blocks whose ranks differ between slices go to quotient_by_null, and
+    Gram blocks that differ beyond exceeds_gate raise UnequalCopies beforehand."""
+    G, B = pre.gram(), pre.algebra
+    for t, c in enumerate(copies):
+        G0 = G[:, c[:1, :, None], c[:1, None, :]]
         D = G[:, c[1:, :, None], c[1:, None, :]] - G0
         if np.count_nonzero(bad := exceeds_finite_gate(D, np.broadcast_to(G0, D.shape), tol)):
             i, a = np.argwhere(bad)[0]
             raise UnequalCopies(f"copy {a + 1} of block {t} differs from copy 0 in slice {i}")
-    splits = [rank_kernel(G0[:, 0], tol) for G0 in G0s]
-    if any(len({rank for rank, _, _ in x}) > 1 for x in splits):  # totals may still agree
-        quots = [quotient_by_copies(PreModule(B, d, pre.action[i : i + 1],
-                                              [P[i : i + 1] for P in pre.pairing]), copies, tol)[0]
-                 for i in range(len(G))]
-        _require_one_rank([x.module.dim for x in quots])
-        return quots
-    parts = [_quotient_stack(B, x, pre.action[..., c[0][:, None], c[0]],
-                             [P[:, c[0][:, None], c[0]] for P in pre.pairing], tol)
-             for c, x in zip(copies, splits)]
-    S, r = len(G), sum(len(c) * x[0].shape[-1] for c, x in zip(copies, parts))
-    s, kernel, V = (np.zeros((S, d, r), complex), np.zeros((S, d, d - r), complex),
-                    np.zeros((S, r, r), complex))
+    splits = rank_kernel(Split(G, copies), tol)
+    if len({tuple(np.count_nonzero(x[1][c[0]].any(axis=0)) for c in copies) for x in splits}) > 1:
+        return quotient_by_null(pre, tol)  # the totals may still agree
+    s, kernel = (stack_slices([x[k] for x in splits]) for k in (1, 2))
+    parts = []
+    for c in copies:  # copy 0 of block t: its rows, and the columns its eigenvectors fill
+        st, kt = (x[:, c[0]][..., x[0, c[0]].any(axis=0)] for x in (s, kernel))
+        parts.append(_quotient_stack(B, st, kt, pre.action[..., c[0][:, None], c[0]],
+                                     [P[:, c[0][:, None], c[0]] for P in pre.pairing], tol))
+    S, r = s.shape[0], s.shape[-1]
     moved, w = np.zeros((S, B.dim, r, r), complex), np.zeros((S, r))
-    blocks, o, ok = [np.zeros((S, r, r, n, n), complex) for n in B.blocks], 0, 0
-    for c, (st, kt, mt, bt, wt, Vt) in zip(copies, parts):
-        for rows in c:  # copy a of block t: K_t at O_t + a r_t, its null space likewise
-            Q, N = slice(o, o + st.shape[-1]), slice(ok, ok + kt.shape[-1])
-            s[:, rows, Q], kernel[:, rows, N], moved[:, :, Q, Q] = st, kt, mt
-            w[:, Q], V[:, Q, Q] = wt, Vt
-            for P, Pt in zip(blocks, bt):
-                P[:, Q, Q] = Pt
-            o, ok = Q.stop, N.stop
+    V, *blocks = [np.zeros((S, r, r, *x), complex) for x in [()] + [(n, n) for n in B.blocks]]
+    for c, (mt, bt, wt, Vt) in zip(copies, parts):
+        for rows in c:  # copy a of block t: the columns its eigenvectors fill
+            Q = np.flatnonzero(s[0, rows].any(axis=0))
+            moved[:, :, Q[:, None], Q], w[:, Q] = mt, wt
+            for X, Xt in zip([V, *blocks], [Vt, *bt]):
+                X[:, Q[:, None], Q] = Xt
     order = np.argsort(w, axis=-1, kind="stable")
     w, V = np.take_along_axis(w, order, -1), np.take_along_axis(V, order[:, None], -1)
-    return _quotients(B, s, kernel, moved, blocks, w, V)
+    mods = [HilbertModule(B, r, *x) for x in zip(moved, zip(*blocks), zip(w, V))]
+    return [Quotient(E, si.conj().T, si, ki) for E, si, ki in zip(mods, s, kernel)]
 
 
 def null_leak(

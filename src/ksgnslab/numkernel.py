@@ -227,10 +227,9 @@ def rank_kernel(G: np.ndarray | Split, tol: Tolerance) -> list[tuple]:
 
     rank = #{eigenvalues > rtol * lambda_max}.  The range basis columns are
     orthonormal eigenvectors of the kept eigenvalues, the kernel basis spans
-    the rest.  A Split decomposes copy 0 of each block, one herm_eig per block
-    size, and its eigenvectors are the copies I_{n_t} (x) V_t, each V_t on its
-    copy's coordinates, columns copy by copy; its eigenvalues are not sorted.
-    Row copies (hilbert.quotient_by_copies) come as copy 0's Gram alone, unsplit.
+    the rest.  A Split (column or row copies) decomposes copy 0 of each block,
+    one herm_eig per block size, and its eigenvectors are the copies I_{n_t} (x)
+    V_t, each on its copy's coordinates, columns copy by copy; unsorted values.
     Raises NotPSD, naming the first such slice of a longer stack, when a
     minimum eigenvalue dips below -ctol * (1 + ||G||)."""
     if isinstance(G, Split):

@@ -32,7 +32,7 @@ SITE_LABELS = {
     ("eigh", "cp.random_blinear_unitary"): CONSTRUCTION,  # exp(iH)
     ("eigh", "hilbert.__post_init__"): CONSTRUCTION,  # a module's Gram spectrum
     ("eigh", "hilbert._quotient_stack"): CONSTRUCTION,  # quotient spectra
-    ("eigh", "hilbert.quotient_by_copies"): CONSTRUCTION,  # rank decisions, block by block
+    ("eigh", "hilbert.quotient_by_copies"): CONSTRUCTION,  # rank decisions over the copies 0
     ("eigh", "hilbert.quotient_by_null"): CONSTRUCTION,  # rank decisions
     ("eigvalsh", "cp.build"): RECORDED,  # check_cp's Choi minima
     ("eigvalsh", "hilbert.is_map_positive"): RECORDED,

@@ -8,10 +8,12 @@ equal copies of one B-submodule per block t (cp.row_split), and the KSGNS
 space is F_phi = (+)_t C^{n_t} (x) K_t.  Each such quotient must match
 conftest's generic path, which decomposes each whole Gram matrix; pi(e_ab)
 must vanish exactly outside its (a, b) block; only pre-spaces of width
-SPLIT_MIN_DIM and up split, a left factor of A's dimension that is not A
+ROW_SPLIT_MIN_DIM and up split, a left factor of A's dimension that is not A
 over itself keeps the generic path bit for bit, and copies that differ
-beyond rounding raise before any rank decision.  When both factors are
-algebras over themselves, the row split is the one taken.
+beyond rounding raise before any rank decision.  Every rank is decided
+against the largest eigenvalue of the whole Gram, as on the generic path.
+When both factors are algebras over themselves, the row split is the one
+taken from ROW_SPLIT_MIN_DIM up, and the column split below it.
 """
 
 import numpy as np
@@ -27,7 +29,7 @@ from ksgnslab.errors import ShapeMismatch, UnequalCopies
 from ksgnslab.hilbert import algebra_module, canonical_module
 from ksgnslab.ksgns import ksgns
 from ksgnslab.memo import BuildMemo
-from ksgnslab.numkernel import DEFAULT_TOL
+from ksgnslab.numkernel import DEFAULT_TOL, Split
 
 from conftest import (
     assert_one_module_up_to_a_unitary, recorded_rank_decisions, tensor_quotients_reference,
@@ -41,22 +43,30 @@ def compressed_cp(A: AlgebraShape, rng, zero_block: bool):
     """phi = P psi P on a scrambled (+)_t C^{r_t x m_t} over B, psi Choi-sampled
     and P the module projection that drops the second row of B's first block,
     so the tensor has null vectors; with zero_block, phi vanishes on A's first
-    block, whose K_t is then zero-dimensional."""
-    F0 = canonical_module(B, (2, 1))
+    block, whose K_t is then zero-dimensional.  dim F is 10, or 6 when dim A
+    is 9, so dim A dim F reaches ROW_SPLIT_MIN_DIM."""
+    F0 = canonical_module(B, (2, 2) if A.dim > 8 else (4, 3))
     F, S = scramble_module(F0, rng)
-    P = np.linalg.solve(S, np.diag([1.0, 0.0, 1.0, 1.0]) @ S)
+    P = np.linalg.solve(S, np.diag([1.0, 0.0] + [1.0] * (F0.dim - 2)) @ S)
     images = P @ random_cp(A, F, rng).images @ P
     if zero_block:
         images[: A.blocks[0] ** 2] = 0.0
     return F, CPMap(A, F, images)
 
 
-def canonical_places(A: AlgebraShape, ranks: list[int]):
-    """Per block t and copy a, the quotient coordinates O_t + a r_t + k."""
-    places, o = [], 0
-    for n, r in zip(A.blocks, ranks):
-        places.append([np.arange(o + a * r, o + (a + 1) * r) for a in range(n)])
-        o += n * r
+def decided_widths(grams: list) -> list[int]:
+    """The widths of the blocks each recorded rank decision decomposes."""
+    return [w for g in grams for w in
+            ([c.shape[1] for c in g.copies] if isinstance(g, Split) else [g.shape[-1]])]
+
+
+def canonical_places(s: np.ndarray, copies: list[np.ndarray]) -> list[list[np.ndarray]]:
+    """Per block t and copy a, the quotient coordinates its columns of s fill,
+    which must be O_t + a r_t + k, k < r_t: one run per copy, copy by copy."""
+    places = [[np.flatnonzero(s[rows].any(axis=0)) for rows in c] for c in copies]
+    for p in places:
+        r, o = len(p[0]), p[0][:1].sum()
+        assert all(np.array_equal(q, o + a * r + np.arange(r)) for a, q in enumerate(p))
     return places
 
 
@@ -69,17 +79,18 @@ def test_row_split_quotients_match_the_generic_path(monkeypatch, blocks, zero_bl
     F, phi = compressed_cp(A, rng, zero_block)
     grams = recorded_rank_decisions(monkeypatch)
     tm = tensor_quotients([A_mod, A_mod], [F, F], [phi, phi], DEFAULT_TOL, memo)
-    # one rank decision per block of A, on copy 0 alone
-    assert [g.shape for g in grams] == [(2, n * F.dim, n * F.dim) for n in A.blocks]
+    # one rank decision, on copy 0 of every block of A
+    assert len(grams) == 1
+    assert all(map(np.array_equal, grams[0].copies, row_split(A, F.dim)))
     ref = tensor_quotients_reference([A_mod, A_mod], [F, F], [phi, phi])
     for quot, r in zip(tm, ref, strict=True):
         assert_one_module_up_to_a_unitary(quot, r)
         assert quot.module.dim < A.dim * F.dim  # a non-empty kernel
     # q, s and kernel are the canonical copies I_{n_t} (x) V_t, bit for bit
     s, copies = tm[0].s, row_split(A, F.dim)
-    ranks = [int(np.count_nonzero(s[c[0]].any(axis=0))) for c in copies]
+    ranks = [len(p[0]) for p in canonical_places(s, copies)]
     assert zero_block == (ranks[0] == 0) and all(ranks[1:])  # K_0 = 0 when phi kills block 0
-    for c, places in zip(copies, canonical_places(A, ranks)):
+    for c, places in zip(copies, canonical_places(s, copies)):
         for rows, cols in zip(c, places):
             assert np.array_equal(s[np.ix_(rows, cols)], s[np.ix_(c[0], places[0])])
             assert not np.delete(s[:, cols], rows, axis=0).any()
@@ -94,9 +105,7 @@ def test_ksgns_pi_vanishes_exactly_outside_its_block(blocks):
     A = AlgebraShape(blocks)
     F, phi = compressed_cp(A, rng, zero_block=False)
     t = ksgns([F], [phi], DEFAULT_TOL, BuildMemo())[0]
-    copies = row_split(A, F.dim)
-    ranks = [int(np.count_nonzero(t.s[c[0]].any(axis=0))) for c in copies]
-    places = canonical_places(A, ranks)
+    places = canonical_places(t.s, row_split(A, F.dim))
     realized = realized_images([t.pi])[0]
     for p, i, a, b in A.basis_labels():
         outside = np.ones((t.dim, t.dim), bool)
@@ -108,19 +117,19 @@ def test_ksgns_pi_vanishes_exactly_outside_its_block(blocks):
 
 @pytest.mark.parametrize(
     "blocks, rows, splits",
-    # width dim A * dim F: 16 and up split, 8 does not, and A = C never does
-    [((2,), (2, 1), True), ((2,), (2, 0), False), ((1, 2), (2, 1), True), ((1,), (8, 4), False)],
+    # width dim A * dim F: 40 and up split, 32 does not, and A = C never does
+    [((2,), (4, 3), True), ((2,), (2, 3), False), ((1, 2), (2, 3), True), ((1,), (20, 10), False)],
 )
 def test_tensor_quotients_split_rows_by_width_and_algebra(monkeypatch, blocks, rows, splits):
     rng = np.random.default_rng(len(blocks) + sum(rows))
     A, memo = AlgebraShape(blocks), BuildMemo()
     A_mod = algebra_module(A)
     F = canonical_module(B, rows)
-    phi = random_cp(A, F, rng)
+    phi = random_cp(A, F, rng) if A.dim > 1 else CPMap(A, F, np.eye(F.dim)[None])
     grams = recorded_rank_decisions(monkeypatch)
     tm = tensor_quotients([A_mod], [F], [phi], DEFAULT_TOL, memo)[0]
     widths = [n * F.dim for n in A.blocks] if splits else [A.dim * F.dim]
-    assert [g.shape[-1] for g in grams] == widths
+    assert decided_widths(grams) == widths
     assert_one_module_up_to_a_unitary(tm, tensor_quotients_reference([A_mod], [F], [phi])[0])
 
 
@@ -128,7 +137,7 @@ def test_a_left_factor_of_a_dimension_that_is_not_a_takes_the_generic_path(monke
     rng = np.random.default_rng(5)
     A = AlgebraShape((2,))
     E, _ = scramble_module(algebra_module(A), rng)  # A's dimension, another pairing
-    F = canonical_module(B, (2, 1))
+    F = canonical_module(B, (4, 3))
     pi = random_cp(E.algebra, F, rng)
     grams = recorded_rank_decisions(monkeypatch)
     tm = tensor_quotients([E], [F], [pi], DEFAULT_TOL, BuildMemo())[0]
@@ -140,24 +149,27 @@ def test_a_left_factor_of_a_dimension_that_is_not_a_takes_the_generic_path(monke
     assert np.array_equal(tm.module.gram_spectrum[1], ref.module.gram_spectrum[1])
 
 
-def test_both_factors_over_themselves_split_by_rows(monkeypatch):
-    # the KSGNS of a CP map into C over itself: A over itself on the left, C
-    # over itself on the right; the row split is the one taken
+@pytest.mark.parametrize("n, rows", [(3, True), (2, False)])
+def test_both_factors_over_themselves_split_by_rows_from_their_width(monkeypatch, n, rows):
+    # the KSGNS of a CP map from A = M_n into C = C (+) M_n over itself: A over
+    # itself on the left, C over itself on the right; the row split is the one
+    # taken from ROW_SPLIT_MIN_DIM (9 * 10 = 90 wide), the column split below
+    # it (4 * 5 = 20)
     rng = np.random.default_rng(8)
-    A, C, memo = AlgebraShape((2,)), AlgebraShape((1, 2)), BuildMemo()
+    A, C, memo = AlgebraShape((n,)), AlgebraShape((1, n)), BuildMemo()
     A_mod, C_mod = algebra_module(A), algebra_module(C)
-    phi = random_cp(A, C_mod, rng)
-    grams = recorded_rank_decisions(monkeypatch)
-    tm = tensor_quotients([A_mod], [C_mod], [phi], DEFAULT_TOL, memo)[0]
-    assert [g.shape[-1] for g in grams] == [2 * C.dim]
-    assert_one_module_up_to_a_unitary(tm, tensor_quotients_reference([A_mod], [C_mod], [phi])[0])
-    # a *-homomorphism into C over itself: both structures at once, rows again
+    widths = [n * C.dim] if rows else [A.dim * m for m in C.blocks]
+    # a *-homomorphism rho into C, and the CP map L(c)* L(rho(a)) L(c) for a random c
     rho = StarMap(A, C, np.vstack([np.zeros((1, A.dim)), np.eye(A.dim)]))
-    pi = left_mult_correspondence([rho], memo)
-    grams.clear()
-    tm = tensor_quotients([A_mod], [C_mod], pi, DEFAULT_TOL, memo)[0]
-    assert [g.shape[-1] for g in grams] == [2 * C.dim]
-    assert_one_module_up_to_a_unitary(tm, tensor_quotients_reference([A_mod], [C_mod], pi)[0])
+    pi = left_mult_correspondence([rho], memo)[0]
+    L = left_mult_correspondence([StarMap(C, C, np.eye(C.dim))], memo)[0].images
+    Lc = np.tensordot(rng.standard_normal(C.dim) + 1j * rng.standard_normal(C.dim), L, 1)
+    for phi in (pi, CPMap(A, C_mod, Lc.conj().T @ pi.images @ Lc)):
+        grams = recorded_rank_decisions(monkeypatch)
+        tm = tensor_quotients([A_mod], [C_mod], [phi], DEFAULT_TOL, memo)[0]
+        assert decided_widths(grams) == widths
+        ref = tensor_quotients_reference([A_mod], [C_mod], [phi])[0]
+        assert_one_module_up_to_a_unitary(tm, ref)
 
 
 @pytest.mark.parametrize("factor, raises", [(1.0 + 1e-3, True), (1.0 + 4e-16, False)])
@@ -188,16 +200,38 @@ def test_unequal_copies_raise_before_any_rank_decision(monkeypatch, factor, rais
         assert len(grams) == 1 and tm.module.dim > 0
 
 
-def test_a_stack_whose_blocks_differ_in_rank_quotients_slice_by_slice():
+@pytest.mark.parametrize("blocks", [(1, 2), (2, 2)])
+@pytest.mark.parametrize("scale", [1e-12, 1e-17])
+def test_a_block_negligible_against_the_whole_gram_joins_the_kernel(blocks, scale):
+    # phi on A's first block far below rtol times the largest eigenvalue of the
+    # whole Gram: every rank is decided against that eigenvalue, as on the
+    # generic path, not against the largest of the block's own
+    rng = np.random.default_rng(19 + sum(blocks))
+    A, memo = AlgebraShape(blocks), BuildMemo()
+    A_mod = algebra_module(A)
+    F, phi = compressed_cp(A, rng, zero_block=False)
+    images = phi.images.copy()
+    images[: A.blocks[0] ** 2] *= scale
+    phi = CPMap(A, F, images)
+    tm = tensor_quotients([A_mod], [F], [phi], DEFAULT_TOL, memo)[0]
+    ref = tensor_quotients_reference([A_mod], [F], [phi])[0]
+    assert_one_module_up_to_a_unitary(tm, ref)
+    assert not tm.s[row_split(A, F.dim)[0].ravel()].any()  # K_0 = 0
+
+
+def test_a_stack_whose_blocks_differ_in_rank_takes_the_generic_path(monkeypatch):
     # phi vanishes on A's first block and its block-swapped twin on the second:
     # the total ranks agree and the blocks' ranks do not, which a stack of one
-    # quotient per block cannot hold; slices of different total ranks still raise
+    # quotient per block cannot hold, so the whole Grams decide; slices of
+    # different total ranks still raise
     rng = np.random.default_rng(17)
     A, memo = AlgebraShape((2, 2)), BuildMemo()
     A_mod = algebra_module(A)
     F, phi = compressed_cp(A, rng, zero_block=True)
     swapped = CPMap(A, F, np.concatenate([phi.images[4:], phi.images[:4]]))
+    grams = recorded_rank_decisions(monkeypatch)
     tm = tensor_quotients([A_mod, A_mod], [F, F], [phi, swapped], DEFAULT_TOL, memo)
+    assert decided_widths(grams) == [2 * F.dim, 2 * F.dim, A.dim * F.dim]
     for quot, p in zip(tm, [phi, swapped], strict=True):
         assert_one_module_up_to_a_unitary(quot, tensor_quotients_reference([A_mod], [F], [p])[0])
     full = compressed_cp(A, np.random.default_rng(17), zero_block=False)[1]
