@@ -75,8 +75,8 @@ from .reporting import CheckReport
 # A narrower Gram costs less whole than split: on a default check pass a tensor_quotients
 # stack took 352 us whole and 453 split at width 8, 716 and 733 at 16, 4,386 and 3,735 at 64
 SPLIT_MIN_DIM = 16
-# The row split pays a rank, leak and spectrum step per block of A: on the workloads' stacks
-# it took +12% to +112% of the whole-Gram time at widths 4-32 and -37% to -69% at 45-99 bar 0% at 48
+# The row split pays a rank, leak and spectrum step per block of A: on the workloads' stacks it
+# took +4% to +180% of the whole-Gram time at widths 4-32, -2% to -69% at 45-99 (split_widths.py)
 ROW_SPLIT_MIN_DIM = 40
 
 
