@@ -1,4 +1,5 @@
-"""Time the row split against the whole-Gram quotient, per pre-space width.
+"""Time the row split against the whole-Gram quotient, per pre-space width,
+and the live cut against the dense expression, per width of the stack cut.
 
 Collects the tensor_quotients stacks whose left factors are A over itself
 from one check pass of each named workload, then times each stack both
@@ -6,7 +7,17 @@ ways in this process (best of 2 x 3 calls, ROW_SPLIT_MIN_DIM set to 0 and
 out of reach) and prints the mean per (width, blocks of A).  This is the
 measurement behind cp.ROW_SPLIT_MIN_DIM.
 
+With --live it dilates each collected (F, phi) on the row split instead, so
+that every pi_phi is block-sparse, and times the live cut's callers on it
+both ways (numkernel.LIVE_MIN_DIM set to 0 and out of reach): pi's norm and
+multiplicativity (check_correspondence on a copy of pi, so its norm is not
+cached), its conjugation Z pi Z* by a dense unitary, and the descent of left
+multiplication (hilbert.descend), each per the width the cut sees: dim F
+for pi, the pre-space for the descent.  This is the measurement behind
+numkernel.LIVE_MIN_DIM.
+
     PYTHONPATH=src python scripts/split_widths.py suites-default prespace-cap
+    PYTHONPATH=src python scripts/split_widths.py --live suites-default prespace-cap
 
 Run it with one BLAS thread (OPENBLAS_NUM_THREADS=1) for steadier numbers.
 """
@@ -18,8 +29,14 @@ import importlib.util
 import time
 from pathlib import Path
 
-from ksgnslab import cp, harness
-from ksgnslab.numkernel import DEFAULT_TOL
+import numpy as np
+
+from ksgnslab import cp, harness, hilbert, numkernel
+from ksgnslab.cp import CPMap
+from ksgnslab.cstar import identity_star_map
+from ksgnslab.ksgns import ksgns
+from ksgnslab.memo import BuildMemo
+from ksgnslab.numkernel import DEFAULT_TOL, kron, live_products
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,33 +70,65 @@ def collect(names: list[str]) -> list[tuple]:
     return stacks
 
 
-def best(args: tuple, threshold: int) -> float:
-    cp.ROW_SPLIT_MIN_DIM, out = threshold, float("inf")
+def best(run, setting: tuple, threshold: int) -> float:
+    """Best of 3 calls of run() with the threshold setting = (module, name) set."""
+    setattr(*setting, threshold)
+    out = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        cp.tensor_quotients(*args)
+        run()
         out = min(out, time.perf_counter() - start)
     return out
 
 
+def row_runs(args: tuple) -> list[tuple]:
+    """((blocks of A, pre-space width), call) of the stack's quotient."""
+    E, F = args[0], args[1]
+    return [((E[0].algebra.blocks, E[0].dim * F[0].dim), lambda: cp.tensor_quotients(*args))]
+
+
+def live_runs(args: tuple) -> list[tuple]:
+    """((what, width the cut sees), call) for each live-cut caller on the
+    pi_phi of the stack's (F, phi), dilated on the row split."""
+    F, phi, tol = args[1], args[2], args[3]
+    cp.ROW_SPLIT_MIN_DIM = 0
+    triples = ksgns(F, phi, tol, BuildMemo())
+    A = phi[0].algebra
+    L = cp.left_mult_correspondence([identity_star_map(A)], BuildMemo())[0]
+    K = kron(L.images, np.eye(F[0].dim, dtype=complex))
+    runs = []
+    for t in triples:
+        Z = np.linalg.qr(np.random.default_rng(t.dim).standard_normal((t.dim, t.dim)))[0]
+        pi = t.pi
+        runs += [
+            (("pi", t.dim), lambda pi=pi: cp.check_correspondence(CPMap(A, pi.module, pi.images), tol)),
+            (("pi", t.dim), lambda pi=pi, Z=Z: live_products(Z, pi.images, Z.T)),
+            (("descend", len(K[0])), lambda t=t: hilbert.descend([K], [t], [t], "left", tol)),
+        ]
+    return runs
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--live", action="store_true", help="time the live cut instead")
     parser.add_argument("workloads", nargs="+")
-    names = parser.parse_args().workloads
-    saved, totals = cp.ROW_SPLIT_MIN_DIM, collections.defaultdict(lambda: [0, 0.0, 0.0])
-    for args in collect(names):
-        E, F = args[0], args[1]
-        row = min(best(args, 0), best(args, 0))
-        whole = min(best(args, 10**9), best(args, 10**9))
-        entry = totals[E[0].dim * F[0].dim, E[0].algebra.blocks]
-        entry[0] += 1
-        entry[1] += row
-        entry[2] += whole
-    cp.ROW_SPLIT_MIN_DIM = saved
-    for (width, blocks), (n, row, whole) in sorted(totals.items()):
-        print(f"width {width:3d}  A blocks {str(blocks):9}  stacks {n:4d}  "
-              f"row {1e6 * row / n:7.0f} us  whole {1e6 * whole / n:7.0f} us  "
-              f"{100 * (row / whole - 1):+5.0f}%")
+    opts = parser.parse_args()
+    saved = cp.ROW_SPLIT_MIN_DIM, numkernel.LIVE_MIN_DIM
+    setting = (numkernel, "LIVE_MIN_DIM") if opts.live else (cp, "ROW_SPLIT_MIN_DIM")
+    totals = collections.defaultdict(lambda: [0, 0.0, 0.0])
+    for args in collect(opts.workloads):
+        for key, run in (live_runs if opts.live else row_runs)(args):
+            entry = totals[key]
+            entry[0] += 1
+            entry[1] += min(best(run, setting, 0), best(run, setting, 0))
+            entry[2] += min(best(run, setting, 10**9), best(run, setting, 10**9))
+    cp.ROW_SPLIT_MIN_DIM, numkernel.LIVE_MIN_DIM = saved
+    labels = ("live", "dense") if opts.live else ("row", "whole")
+    for (what, width), (n, new, old) in sorted(totals.items(), key=lambda kv: kv[0][::-1]):
+        name = what if opts.live else f"A blocks {str(what):9}"
+        print(f"width {width:3d}  {name:18}  stacks {n:4d}  "
+              f"{labels[0]} {1e6 * new / n:7.0f} us  {labels[1]} {1e6 * old / n:7.0f} us  "
+              f"{100 * (new / old - 1):+5.0f}%")
 
 
 if __name__ == "__main__":

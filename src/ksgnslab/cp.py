@@ -59,6 +59,7 @@ from .numkernel import (
     exceeds_gate,
     herm_expi,
     kron,
+    live_products,
     matvecs,
     max_operator_norm,
     max_operator_norms,
@@ -113,7 +114,7 @@ class CPMap:
 
     @cached_property
     def norm(self) -> float:
-        """max over basis images of the L(E) norm; the scale of the map."""
+        """max over basis images of the L(E) norm, on live blocks; the scale of the map."""
         return max_operator_norm(realized_images([self]))
 
     def hermiticity_residual(self) -> float:
@@ -132,24 +133,23 @@ def check_correspondence(pi: CPMap, tol: Tolerance) -> CheckReport:
     """Multiplicativity and unitality residuals for a would-be representation.
 
     Multiplicativity is max over p, r of ||pi(u_p u_r) - pi(u_p) pi(u_r)||,
-    taken one p at a time over all r on live rows only.  A row that is zero
-    in pi(u_p) and in every pi(u_p u_r) is zero in every difference, and
-    deleting zero rows leaves singular values unchanged.  The products
-    u_p u_r include u_p itself (r its right unit), so the rows live in some
-    pi(u_p u_r) are all the live rows, and exactly zero differences take no SVD.
-    The images are gated finite first, so a dropped row never hides a 0 * Inf.
+    one p at a time, only for the r whose product or target is nonzero (the
+    others differ by exactly zero), on the rows live in some pi(u_p u_r)
+    (pi(u_p)'s among them), by live_products and norms of live blocks.  The
+    images are gated finite first, so a dropped term never hides a 0 * Inf.
     """
     rep = CheckReport()
     A = pi.algebra
     X = require_finite(pi.images, "representation images")
     scale = 1.0 + pi.norm**2
-    T, Xz = A.product_table, zero_padded(X)
-    live = (Xz != 0).any(axis=2)  # live[p, i]: row i of pi(u_p) is nonzero
+    T, Xz, nz = A.product_table, zero_padded(X), X != 0
+    rows, cols = zero_padded(nz.any(axis=2)), nz.any(axis=1)  # rows[p, i]: row i of pi(u_p) != 0
+    formed = rows[T].any(axis=2) | (cols[:, None] & rows[None, :-1]).any(axis=2)
     mult = 0.0
-    for p in range(A.dim):
-        R = live[T[p]].any(axis=0)
-        D = Xz[np.ix_(T[p], R)] - X[p][R] @ X
-        mult = max(mult, max_operator_norm(D[D.any(axis=(1, 2))]))
+    for p, r in enumerate(formed):
+        R = rows[T[p]].any(axis=0)  # the rows live in some pi(u_p u_r)
+        D = Xz[np.ix_(T[p, r], R)] - live_products(X[p][R], X[r])[0]
+        mult = max(mult, max_operator_norm(D))
     unital = operator_norm(pi(unit_coeffs(A)).matrix - np.eye(pi.module.dim))
     rep.add("multiplicativity", mult, tol.ctol * scale)
     rep.add("unitality", unital, tol.ctol * scale)
@@ -161,7 +161,7 @@ def realized_images(phi: Sequence[CPMap]) -> np.ndarray:
     (len(phi), dim A, d, d), from the Gram powers each module caches."""
     S = stack_slices([p.module.gram_sqrt for p in phi])
     Si = stack_slices([p.module.gram_isqrt for p in phi])
-    return S[:, None] @ stack_slices([p.images for p in phi]) @ Si[:, None]
+    return live_products(S[:, None], stack_slices([p.images for p in phi]), Si[:, None])[0]
 
 
 def choi_blocks(X: np.ndarray, A: AlgebraShape) -> list[np.ndarray]:

@@ -45,6 +45,7 @@ from .numkernel import (
     Split,
     Tolerance,
     exceeds_finite_gate,
+    live_products,
     matvecs,
     max_operator_norms,
     operator_norm,
@@ -238,7 +239,7 @@ def quotient_by_null(pre: PreModule | Split, tol: Tolerance) -> list[Quotient]:
 def _quotient_stack(B: AlgebraShape, s, kernel, action, pairing, tol: Tolerance) -> tuple:
     """quotient_by_null's leak gate, moved action and pairing, and Gram spectra."""
     qK = s.conj().swapaxes(-1, -2)[:, None] @ action  # shared by the leak gate and the moved action
-    leak = first_leak(qK, action, kernel[:, None], tol)
+    leak = first_leak(qK @ kernel[:, None], action, tol)
     if leak is not None:
         i, b = divmod(leak[0], B.dim)
         where = f" in slice {i}" if len(s) > 1 else ""
@@ -299,14 +300,10 @@ def null_leak(
     return operator_norms(q @ K @ kernel), tol.ctol * (1.0 + operator_norms(K))
 
 
-def first_leak(
-    qK: np.ndarray, K: np.ndarray, kernel: np.ndarray, tol: Tolerance
-) -> tuple[int, float] | None:
-    """(flat index, leak) of the first slice of K whose null_leak exceeds its
-    gate, or None when all pass, from the caller's product qK = q K, which
-    its compression q K s shares; numkernel.exceeds_gate certifies most
+def first_leak(X: np.ndarray, K: np.ndarray, tol: Tolerance) -> tuple[int, float] | None:
+    """(flat index, leak) of the first slice of K whose null_leak X = q K kernel
+    exceeds its gate, or None when all pass; exceeds_gate certifies most
     slices without an SVD.  K must be finite: descend and PreModule check it."""
-    X = qK @ kernel
     bad = exceeds_finite_gate(X, K, tol)
     if not np.count_nonzero(bad):
         return None
@@ -320,18 +317,19 @@ def descend(
 ) -> list[np.ndarray]:
     """q_tgt K[i] s_src for each slice i: K[i] (..., m, n) a stack of maps
     between the pre-spaces of src[i] and tgt[i], compressed to what it
-    induces on the quotients, with one stacked gate and product.  Raises
+    induces on the quotients, with one stacked gate and product: q K [s |
+    kernel] by live_products, on a block-sparse K's live block.  Raises
     WellDefinednessViolation, naming `what`, the first leaking slice of a
     longer stack and its leak, when K[i] leaks ker G_src out of ker G_tgt."""
     K, q = require_finite(stack_slices(K)), stack_slices([t.q for t in tgt])
     kernel, s = stack_slices([t.kernel for t in src]), stack_slices([t.s for t in src])
     ex = (slice(None),) + (None,) * (K.ndim - 3)
-    qK = q[ex] @ K
-    leak = first_leak(qK, K, kernel[ex], tol)
+    qKs, qKk = live_products(q[ex], K, s[ex], kernel[ex])
+    leak = first_leak(qKk, K, tol)
     if leak is not None:
         where = f" in slice {leak[0] // int(np.prod(K.shape[1:-2]))}" if len(src) > 1 else ""
         raise WellDefinednessViolation(f"{what} leaks out of the null space{where} ({leak[1]:.3e})")
-    return list(qK @ s[ex])
+    return list(qKs)
 
 
 # -- module maps -----------------------------------------------------------

@@ -48,7 +48,7 @@ from .hilbert import (
 )
 from .memo import BuildMemo
 from .numkernel import (
-    Tolerance, kron, matvecs, max_operator_norm, operator_norm, pseudo_inverse,
+    Tolerance, kron, live_products, matvecs, max_operator_norm, operator_norm, pseudo_inverse,
 )
 from .reporting import CheckReport
 
@@ -162,7 +162,7 @@ def triple_uniqueness_unitary(
     )
     rep.add(
         "representation_match",
-        max_operator_norm(U.matrix @ t1.pi.images @ Ustar - t2.pi.images),
+        max_operator_norm(live_products(U.matrix, t1.pi.images, Ustar)[0] - t2.pi.images),
         tol.ctol * scale,
     )
     return U, rep
@@ -176,7 +176,7 @@ def conjugated_triple(t: KsgnsTriple, Z: ModuleMap) -> KsgnsTriple:
         t,
         q=Z.matrix @ t.q,
         s=t.s @ Zi,
-        pi=CPMap(t.phi.algebra, t.module, Z.matrix @ t.pi.images @ Zi),
+        pi=CPMap(t.phi.algebra, t.module, live_products(Z.matrix, t.pi.images, Zi)[0]),
         embedding=ModuleMap(t.source, t.module, Z.matrix @ t.embedding.matrix),
     )
 

@@ -29,6 +29,12 @@ Verdict-only gates ||X|| <= ctol * (1 + ||M||) (Hermitian defects, null-space
 leaks) go through exceeds_gate: a slice with ||X||_F <= ctol passes without
 an SVD, and exact norms run only for slices near or over the gate.
 
+The live cut (live_cuts) takes each slice of a stack, such as the row split's
+pi_phi, to its nonzero rows and columns, which keeps every singular value
+(Higham, sec. 6.2): operator_norms SVDs live blocks, and live_products forms
+L X R as L[:, rows] @ X[rows, cols] @ R[cols, :], one batched call per cut
+shape.  Below LIVE_MIN_DIM, or with no zero row or column, both keep dense bits.
+
 Same-shape problems run as stacks: herm_eig and rank_kernel take a leading
 slice axis, and a builder takes one stack whose slices share a shape, never
 padded.  stack_slices forms such a stack and raises ShapeMismatch when a
@@ -72,6 +78,9 @@ DEFAULT_TOL = Tolerance()
 # max_operator_norms, against 24 ms at 32 and 36 ms certifying none.
 CERTIFY_MIN_SLICES = 32
 CERTIFY_MARGIN = 1e-6
+# Narrower stacks stay dense: on the workloads' row-split pi_phi (split_widths.py --live) the cut
+# took +55% at width 32, +5% at 45 and +71% for the descent at 64, and -17% to -47% at 72-99
+LIVE_MIN_DIM = 72
 
 
 def require_finite(M: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -103,11 +112,53 @@ def operator_norm(M: np.ndarray) -> float:
 
 def operator_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of a stack (..., m, n), shape (...);
-    0 for empty matrices."""
+    0 for empty matrices.  A slice live_cuts cuts takes its live block's."""
     stack = require_finite(stack)
-    if stack.size == 0:
-        return np.zeros(stack.shape[:-2])
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    if (cuts := live_cuts(stack)) is None:
+        return np.linalg.svd(stack, compute_uv=False)[..., 0] if stack.size else np.zeros(
+            stack.shape[:-2])
+    flat, out = stack.reshape(-1, *stack.shape[-2:]), np.zeros(stack.shape[:-2])
+    for idx, rows, cols in cuts:  # all-zero slices are in no cut: norm 0
+        block = flat[idx[:, None, None], rows[:, :, None], cols[:, None, :]]
+        out.flat[idx] = np.linalg.svd(block, compute_uv=False)[:, 0]
+    return out
+
+
+def live_cuts(X: np.ndarray) -> list[tuple] | None:
+    """Per live shape (a, b) > 0: (slices (k,), their nonzero rows (k, a) and columns
+    (k, b)) of a stack X (..., m, n), slices numbered in C order.  None, for the
+    dense expression, when X is narrower than LIVE_MIN_DIM, empty or dense."""
+    if max(X.shape[-2:]) < LIVE_MIN_DIM or not X.size:
+        return None
+    nz = X.reshape(-1, *X.shape[-2:]) != 0
+    rows, cols = nz.any(axis=2), nz.any(axis=1)
+    if rows.all() and cols.all():
+        return None
+    na, nb = rows.sum(axis=1), cols.sum(axis=1)
+    return [(i, np.nonzero(rows[i])[1].reshape(-1, a), np.nonzero(cols[i])[1].reshape(-1, b))
+            for a, b in sorted(set(zip(na.tolist(), nb.tolist())) - {(0, 0)})
+            for i in [np.flatnonzero((na == a) & (nb == b))]]
+
+
+def live_products(L: np.ndarray, X: np.ndarray, *R: np.ndarray) -> list[np.ndarray]:
+    """[L @ X @ r for r in R], or [L @ X], L and R broadcast against X (..., m, n);
+    a slice live_cuts cuts takes L[:, rows] @ X[rows, cols] (@ r[cols, :]), the
+    terms with a zero factor of X dropped, so L and R must be finite."""
+    if (cuts := live_cuts(X)) is None:
+        LX = L @ X
+        return [LX @ r for r in R] if R else [LX]
+    lead, flat = X.shape[:-2] or (1,), X.reshape(-1, *X.shape[-2:])
+    Lb, *Rb = (np.broadcast_to(M, (*lead, *np.shape(M)[-2:])) for M in (L, *R))
+    outs = [np.zeros((len(flat), L.shape[-2], r.shape[-1]), complex) for r in R or [X]]
+    for idx, rows, cols in cuts:
+        at = [i[:, None] for i in np.unravel_index(idx, lead)]
+        LX = Lb[(*at, slice(None), rows)].swapaxes(-1, -2) @ flat[
+            idx[:, None, None], rows[:, :, None], cols[:, None, :]]
+        if not R:
+            outs[0][idx[:, None], :, cols] = LX.swapaxes(-1, -2)
+        for out, r in zip(outs, Rb):
+            out[idx] = LX @ r[(*at, cols)]
+    return [out.reshape(*X.shape[:-2], *out.shape[1:]) for out in outs]
 
 
 def exceeds_gate(X: np.ndarray, M: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -229,20 +280,21 @@ def rank_kernel(G: np.ndarray | Split, tol: Tolerance) -> list[tuple]:
     orthonormal eigenvectors of the kept eigenvalues, the kernel basis spans
     the rest.  A Split (column or row copies) decomposes copy 0 of each block,
     one herm_eig per block size, and its eigenvectors are the copies I_{n_t} (x)
-    V_t, each on its copy's coordinates, columns copy by copy; unsorted values.
+    V_t, each on its copy's coordinates, columns block by block in block order
+    and copy by copy within a block; unsorted values.
     Raises NotPSD, naming the first such slice of a longer stack, when a
     minimum eigenvalue dips below -ctol * (1 + ||G||)."""
     if isinstance(G, Split):
         G, copies = G
-        V, w, o = np.zeros(G.shape, dtype=complex), np.zeros(G.shape[:2]), 0
-        for b in {c.shape[1] for c in copies}:
-            group = [c for c in copies if c.shape[1] == b]
-            wb, Vb = herm_eig(np.concatenate([G[:, c[0][:, None], c[0]] for c in group]), tol)
+        V, w = np.zeros(G.shape, dtype=complex), np.zeros(G.shape[:2])
+        offsets = np.cumsum([0] + [c.size for c in copies]).tolist()  # block t's first column
+        for b in dict.fromkeys(c.shape[1] for c in copies):
+            group = [(t, c) for t, c in enumerate(copies) if c.shape[1] == b]
+            wb, Vb = herm_eig(np.concatenate([G[:, c[0][:, None], c[0]] for _, c in group]), tol)
             wb, Vb = wb.reshape(len(group), len(G), b), Vb.reshape(len(group), len(G), b, b)
-            for c, wt, Vt in zip(group, wb, Vb):
-                for rows in c:
+            for (t, c), wt, Vt in zip(group, wb, Vb):
+                for o, rows in zip(range(offsets[t], offsets[t + 1], max(b, 1)), c):
                     w[:, o : o + b], V[:, rows, o : o + b] = wt, Vt
-                    o += b
     else:
         w, V = herm_eig(G, tol)
     ends = (w.min(axis=-1), w.max(axis=-1)) if w.shape[-1] else (np.zeros(len(w)),) * 2

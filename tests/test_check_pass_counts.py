@@ -5,15 +5,18 @@ Arrays are checked finite where they enter, once: require_finite calls per
 change: every call site is labelled, and a site whose result only feeds a
 verdict may take exact SVDs only where a Frobenius gate or certificate
 (numkernel.exceeds_gate, certified_norms) could not decide.  The row split
-of the KSGNS quotients keeps `prespace-cap`'s eigh work pinned.
+of the KSGNS quotients keeps `prespace-cap`'s eigh work pinned, and the live
+cut of their block-sparse pi_phi its SVD work.
 """
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.linalg import _linalg as linalg_impl
 
 from ksgnslab import harness, numkernel
 from ksgnslab.numkernel import DEFAULT_TOL
@@ -129,3 +132,22 @@ def test_prespace_cap_eigh_work(monkeypatch):
     check_pass(tasks)
     assert sum(cubes) <= 4_000_000, sum(cubes)
     assert len(cubes) == sum(c.routine == "eigh" for c in calls) <= 15
+
+
+def test_prespace_cap_svd_work(monkeypatch):
+    # the sum of m n min(m, n) over the SVD matrices of one check pass, pinv's
+    # included: 52.6M with pi_phi's norms and multiplicativity differences on
+    # whole (dim A, d, d) slices and (33, 99) row blocks, 32.6M on their live
+    # blocks; the dense uniqueness difference (16.9M) stays
+    tasks = WORKLOADS.build("prespace-cap", WORKLOADS.DEFAULT_MASTER_SEED)
+    work = []
+
+    def measuring(a, *args, _real=linalg_impl.svd, **kwargs):
+        *lead, m, n = np.shape(a)
+        work.append(math.prod(lead) * m * n * min(m, n))
+        return _real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", measuring)
+    monkeypatch.setattr(linalg_impl, "svd", measuring)
+    check_pass(tasks)
+    assert sum(work) <= 36_000_000, sum(work)

@@ -24,7 +24,7 @@ from ksgnslab.errors import NonLinearMap
 from ksgnslab.generators import multiplicity_embedding, random_module
 from ksgnslab.hilbert import algebra_module, canonical_module, quotient_by_null
 from ksgnslab.memo import BuildMemo
-from ksgnslab.numkernel import DEFAULT_TOL, Split
+from ksgnslab.numkernel import DEFAULT_TOL, Split, rank_kernel
 
 from conftest import (
     assert_one_module_up_to_a_unitary, recorded_rank_decisions, tensor_quotients_reference,
@@ -134,3 +134,16 @@ def test_a_right_factor_of_c_dimension_that_is_not_c_takes_the_generic_path(monk
     for name in ("q", "s", "kernel"):
         assert np.array_equal(getattr(tm, name), getattr(ref, name))
     assert np.array_equal(tm.module.action, ref.module.action)
+
+
+def test_split_bases_run_block_by_block_in_block_order():
+    # C = C (+) M_2 with dim E = 4: block 0 has one copy of width 4, block 1
+    # two copies of width 8; the quotient's columns are block 0's, then block
+    # 1's copy by copy, whatever order the block sizes come in
+    C = AlgebraShape((1, 2))
+    copies = column_split(C, 4)
+    [(rank, s, kernel)] = rank_kernel(Split(np.eye(4 * C.dim)[None], copies), DEFAULT_TOL)
+    assert rank == 4 * C.dim and kernel.shape == (4 * C.dim, 0)
+    places = [np.flatnonzero(s[rows].any(axis=0)) for c in copies for rows in c]
+    assert np.array_equal(places[0], np.arange(4))  # column 0 of s lies on block 0
+    assert np.array_equal(np.concatenate(places), np.arange(4 * C.dim))

@@ -6,12 +6,15 @@ from ksgnslab.errors import NonFinite, NonHermitian, NotPSD
 from ksgnslab.numkernel import (
     CERTIFY_MIN_SLICES,
     DEFAULT_TOL,
+    LIVE_MIN_DIM,
     Split,
     Tolerance,
     exceeds_gate,
     herm_eig,
     herm_expi,
     kron,
+    live_cuts,
+    live_products,
     matvecs,
     max_operator_norm,
     max_operator_norms,
@@ -223,6 +226,90 @@ def test_max_operator_norms_per_leading_slice(rng):
     assert got.shape == (16,)
     want = [max_operator_norm(S[s]) for S in stacks for s in range(4)]
     assert np.array_equal(got, want)
+
+
+def block_sparse_stack(rng, d: int) -> np.ndarray:
+    """An (8, d, d) stack whose slices need every kind of cut: live blocks of
+    two shapes at scattered rows and columns, two slices of each, a slice
+    with one live row, an all-zero slice, one with a zero column only, and a
+    dense one."""
+    X = np.zeros((8, d, d), dtype=complex)
+    rows, cols = rng.permutation(d)[: d // 3], rng.permutation(d)[: d // 3]
+    for k in (0, 6):
+        X[k][np.ix_(rows, cols)] = random_complex(rng, d // 3, d // 3)
+    X[1][np.ix_(rows[:5], cols[:7])] = random_complex(rng, 5, 7)
+    X[7][np.ix_(rows[-5:], cols[-7:])] = random_complex(rng, 5, 7)
+    X[2, rows[0]] = random_complex(rng, d)
+    X[4] = random_complex(rng, d, d)
+    X[4, :, cols[0]] = 0.0
+    X[5] = random_complex(rng, d, d)
+    return X
+
+
+def test_live_cuts_group_the_slices_by_live_shape(rng):
+    d = LIVE_MIN_DIM
+    X = block_sparse_stack(rng, d)
+    shapes = {(tuple(idx), r.shape[1], c.shape[1]) for idx, r, c in live_cuts(X)}
+    third = d // 3
+    # the all-zero slice 3 is in no cut
+    assert shapes == {((0, 6), third, third), ((1, 7), 5, 7), ((2,), 1, d), ((4,), d, d - 1),
+                      ((5,), d, d)}
+    assert live_cuts(np.zeros((0, d, d))) is None
+    assert live_cuts(X[:, :8, :8]) is None  # narrower than LIVE_MIN_DIM
+    assert live_cuts(X[5:6]) is None  # no zero row or column
+
+
+def test_live_products_and_norms_equal_the_dense_values(rng, monkeypatch):
+    # every cut shape in one stack, an all-zero slice and a one-row slice:
+    # the products and norms equal the dense ones to rounding, and each SVD
+    # sees the live blocks only
+    d = LIVE_MIN_DIM + 3
+    X = block_sparse_stack(rng, d).reshape(2, 4, d, d)
+    L, R1, R2 = random_complex(rng, 2, 1, 4, d), random_complex(rng, d, 5), random_complex(rng, d, 0)
+    scale = np.abs(X).max() * d * d
+    for got, want in zip(live_products(L, X, R1, R2), (L @ X @ R1, L @ X @ R2), strict=True):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= 1e-14 * scale
+    [LX] = live_products(L[0, 0], X)
+    assert np.abs(LX - L[0, 0] @ X).max() <= 1e-14 * scale
+    svds, real = [], np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        svds.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    norms = operator_norms(X)
+    monkeypatch.undo()
+    assert norms.shape == (2, 4)
+    assert np.allclose(norms, np.linalg.norm(X, 2, axis=(-2, -1)), rtol=1e-14, atol=0.0)
+    assert norms[0, 3] == 0.0  # the all-zero slice takes no SVD
+    assert sorted(svds) == sorted([(2, d // 3, d // 3), (2, 5, 7), (1, 1, d), (1, d, d - 1),
+                                   (1, d, d)])
+    for empty in (np.zeros((0, d, d)), np.zeros((3, d, 0))):
+        assert operator_norms(empty).shape == empty.shape[:-2]
+        assert live_products(L[0, 0], empty, R1[: empty.shape[-1]])[0].shape == (
+            len(empty), 4, 5)
+
+
+@pytest.mark.parametrize("d", [LIVE_MIN_DIM - 1, LIVE_MIN_DIM])
+def test_live_cut_keeps_the_dense_bits_below_its_width_and_on_dense_slices(rng, d):
+    # narrower than LIVE_MIN_DIM every slice keeps the dense expression; from
+    # it, so does a stack with no zero row or column, and in a mixed stack
+    # each dense slice keeps its bits
+    X = block_sparse_stack(rng, d)
+    L, R = random_complex(rng, 4, d), random_complex(rng, d, 3)
+    got, want = live_products(L, X, R)[0], L @ X @ R
+    norms, dense_norms = operator_norms(X), np.linalg.svd(X, compute_uv=False)[:, 0]
+    if d < LIVE_MIN_DIM:
+        assert got.tobytes() == want.tobytes()
+        assert norms.tobytes() == dense_norms.tobytes()
+    assert got[5].tobytes() == want[5].tobytes()
+    assert norms[5] == dense_norms[5]
+    dense = X[4:6] + (X[4:6] == 0)  # no zero entry left
+    assert live_products(L, dense, R)[0].tobytes() == (L @ dense @ R).tobytes()
+    assert live_products(L, dense)[0].tobytes() == (L @ dense).tobytes()
+    assert operator_norms(dense).tobytes() == np.linalg.svd(dense, compute_uv=False)[:, 0].tobytes()
 
 
 def slice_of(kind, rng, prev, m, n):
