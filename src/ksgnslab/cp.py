@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .hilbert import (
     adjoint_matrices,
     module_operator_norm,
     module_operator_norms,
+    quotient_by_columns,
     quotient_by_copies,
     quotient_by_null,
     rank_one_sum,
@@ -73,8 +75,9 @@ from .numkernel import (
 from .reporting import CheckReport
 
 
-# A narrower Gram costs less whole than split: on a default check pass a tensor_quotients
-# stack took 352 us whole and 453 split at width 8, 716 and 733 at 16, 4,386 and 3,735 at 64
+# A narrower Gram costs less whole than in closed form: on the workloads' stacks the closed
+# form took +16% to +95% of the whole-Gram time at widths 0-15, -18% to -37% at 16 (but +15%
+# to +35% for 4 stacks over M_2 + M_2) and -22% to -87% at 32-64 (split_widths.py --columns)
 SPLIT_MIN_DIM = 16
 # The row split pays a rank, leak and spectrum step per block of A: on the workloads' stacks it
 # took +4% to +180% of the whole-Gram time at widths 4-32, -2% to -69% at 45-99 (split_widths.py)
@@ -223,6 +226,29 @@ class TensorModule(Quotient):
         return self.left.dim, self.right.dim
 
 
+def paired_images(
+    E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap],
+    at: np.ndarray | None = None,
+) -> np.ndarray:
+    """N[s, i, k] = pi_s(<e_i, e_k>_E) on F_s (on its coordinates `at` if given), from
+    one stacked product; ShapeMismatch unless each pi_s maps E_s's B into L(F_s)."""
+    for e, f, p in zip(E, F, pi):
+        if p.algebra != e.algebra:
+            raise ShapeMismatch("representation domain differs from E's coefficients")
+        if not same_module(p.module, f):
+            raise ShapeMismatch("representation does not act on F")
+    n, dE, B = len(E), E[0].dim, E[0].algebra
+    blocks = ([e.pairing[t] for e in E] for t in range(len(B.blocks)))
+    coeffs = np.concatenate(
+        [stack_slices(P).reshape(n, dE * dE, m * m) for P, m in zip(blocks, B.blocks)], axis=2
+    )
+    images = stack_slices([p.images for p in pi])
+    if at is not None:
+        images = images[:, :, at[:, None], at]
+    m = images.shape[-1]
+    return dots(coeffs, images.reshape(n, B.dim, m * m)).reshape(n, dE, dE, m, m)
+
+
 def tensor_premodule(
     E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap]
 ) -> PreModule:
@@ -230,19 +256,8 @@ def tensor_premodule(
     pi: B -> L(F), for matching slices of one shape, with pairing
     <e_i (x) f_j, e_k (x) f_l> = <f_j, pi(<e_i, e_k>_E) f_l>_F and C acting on
     the F slot: one stacked contraction for the whole stack."""
-    for e, f, p in zip(E, F, pi):
-        if p.algebra != e.algebra:
-            raise ShapeMismatch("representation domain differs from E's coefficients")
-        if not same_module(p.module, f):
-            raise ShapeMismatch("representation does not act on F")
-    n, dE, dF, B = len(E), E[0].dim, F[0].dim, E[0].algebra
-    # N[s, i, k] = pi_s(<e_i, e_k>_E) as a matrix on F
-    blocks = ([e.pairing[t] for e in E] for t in range(len(B.blocks)))
-    coeffs = np.concatenate(
-        [stack_slices(P).reshape(n, dE * dE, m * m) for P, m in zip(blocks, B.blocks)], axis=2
-    )
-    images = stack_slices([p.images for p in pi]).reshape(n, B.dim, dF * dF)
-    N = dots(coeffs, images).reshape(n, dE, dE, dF, dF)
+    N = paired_images(E, F, pi)
+    n, dE, dF = len(E), E[0].dim, F[0].dim
     action = kron(np.eye(dE, dtype=complex), stack_slices([f.action for f in F]))  # I (x) R(u_c)
     # pairing[s, i, j, k, l] = sum_m N[s, i, k, m, l] P[s, j, m]
     Nt = N.transpose(0, 1, 2, 4, 3).reshape(n, dE * dE * dF, dF)
@@ -287,6 +302,28 @@ def over_itself(M: Sequence[HilbertModule], memo: BuildMemo) -> bool:
     return {m.key for m in M} == {C_mod.key}
 
 
+def column_quotients(
+    E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap], tol: Tolerance
+) -> list[Quotient] | None:
+    """E[s] (x)_pi[s] C, every F[s] C over itself, by quotient_by_columns on copy 0's
+    Gram blocks read off paired_images after the C-linearity gate (NonLinearMap);
+    None when a block's rank differs between slices."""
+    C, S, dE = F[0].algebra, len(E), E[0].dim
+    units = column_split(C, 1)  # units[t][k, a]: e^t_ak
+    N = paired_images(E, F, pi, np.concatenate([c[0] for c in units]))  # on copy 0 of each block
+    X = stack_slices([p.images for p in pi])
+    D = X.copy()  # pi(u_p) less the copies of its block: 0 for left multiplications
+    for c in units:
+        D[..., c[:, :, None], c[:, None, :]] -= X[..., c[:1, :, None], c[:1, None, :]]
+    bad = exceeds_gate(D, X, tol)
+    if np.count_nonzero(bad):
+        raise NonLinearMap(f"pi is not C-linear (residual {operator_norm(D[bad][0]):.3e})")
+    o = list(accumulate(C.blocks, initial=0))
+    gram = Split([N[..., i:j, i:j].transpose(0, 1, 3, 2, 4).reshape(S, dE * n, dE * n)
+                  for i, j, n in zip(o[:-1], o[1:], C.blocks)])  # [i n_t + a, k n_t + b]
+    return quotient_by_columns(C, gram, column_split(C, dE), tol)
+
+
 def tensor_quotients(
     E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap],
     tol: Tolerance, memo: BuildMemo,
@@ -296,21 +333,16 @@ def tensor_quotients(
     keeps A (x)_phi E inside its own memo entry.  From ROW_SPLIT_MIN_DIM wide, when
     every E[s] is A over itself, quotient_by_copies takes row_split's copies to F_phi
     = (+)_t C^{n_t} (x) K_t; else from SPLIT_MIN_DIM, when every F[s] is C over
-    itself and pi is C-linear (NonLinearMap), quotient_by_null takes column_split's."""
-    pre = tensor_premodule(E, F, pi)
-    if pre.dim >= ROW_SPLIT_MIN_DIM and over_itself(E, memo):  # rows first, when both are
-        quots = quotient_by_copies(pre, row_split(E[0].algebra, F[0].dim), tol)
-    else:
-        if pre.dim >= SPLIT_MIN_DIM and over_itself(F, memo):
-            C, X = F[0].algebra, stack_slices([p.images for p in pi])
-            D = X.copy()  # pi(u_p) less the copies of its block: 0 for left multiplications
-            for c in column_split(C, 1):
-                D[..., c[:, :, None], c[:, None, :]] -= X[..., c[:1, :, None], c[:1, None, :]]
-            bad = exceeds_gate(D, X, tol)
-            if np.count_nonzero(bad):
-                raise NonLinearMap(f"pi is not C-linear (residual {operator_norm(D[bad][0]):.3e})")
-            pre = Split(pre, column_split(C, E[0].dim))
-        quots = quotient_by_null(pre, tol)
+    itself, column_quotients writes E (x)_pi C with no pre-module.  A stack whose
+    blocks' ranks differ between slices takes the whole Grams."""
+    quots, width = None, E[0].dim * F[0].dim
+    if width >= ROW_SPLIT_MIN_DIM and over_itself(E, memo):  # rows first, when both are
+        copies = row_split(E[0].algebra, F[0].dim)
+        quots = quotient_by_copies(tensor_premodule(E, F, pi), copies, tol)
+    elif width >= SPLIT_MIN_DIM and over_itself(F, memo):
+        quots = column_quotients(E, F, pi, tol)
+    if quots is None:
+        quots = quotient_by_null(tensor_premodule(E, F, pi), tol)
     return [TensorModule(q.module, q.q, q.s, q.kernel, *slc) for q, *slc in zip(quots, E, F, pi)]
 
 

@@ -19,9 +19,9 @@ module operator norms are exactly realized operator norms.
 Quotients by the pairing's null space use the orthonormal eigenvector basis
 of the Gram range, so the quotient map q and section s satisfy q s = I up to
 eigensolver error, and conditioning is explicit in the kept eigenvalues.
-A Split pre-module's basis is the canonical one of (+)_t K_t (x) C^{n_t}:
-the copies I_{n_t} (x) V_t of the eigenvectors of each Gram block G_t; row
-copies (quotient_by_copies) transport copy 0 alone: F_phi = (+)_t C^{n_t} (x) K_t.
+Grams in equal copies quotient on the bases I_{n_t} (x) V_t of copy 0's blocks:
+row copies transport copy 0 alone, F_phi = (+)_t C^{n_t} (x) K_t, and column
+copies write E (x)_pi C = (+)_t K_t (x) C^{n_t} in closed form, with no transport.
 Pairing identities contract all basis pairs at once through pairing_coeffs.
 Zero-dimensional modules are legal everywhere.
 """
@@ -121,7 +121,8 @@ class HilbertModule(PreModule):
 
     The Gram spectrum (w ascending, V) of the Hermitized Gram matrix G is one
     eigh at construction, quotient_by_null's slice of one batched eigh with the
-    same bits, or quotient_by_copies' sorted copies of one eigh per block.  Its
+    same bits, quotient_by_copies' sorted copies of one eigh per block, or
+    quotient_by_columns' sorted diagonal G and a permutation.  Its
     eigenvalues gate SingularGram, here only, and give
     G^(1/2), G^(-1/2) and G^(-1), each cached on first use, with eigenvalues
     clipped at max(rtol * lambda_max, tiny), so that inverse powers of a
@@ -208,12 +209,12 @@ class Quotient:
     kernel: np.ndarray  # (d, d - rank): kernel basis of the Gram matrix
 
 
-def quotient_by_null(pre: PreModule | Split, tol: Tolerance) -> list[Quotient]:
-    """Quotient each pre-module of a stack (a PreModule with a leading axis, or
-    a Split of one) by the null space of its pairing: one batched rank_kernel
-    over the Gram matrices, one stacked leak gate and transport of the action
-    and pairing, and one batched eigh of the quotient Grams for the modules'
-    spectra.  Each slice gets the bits of a quotient of its own.
+def quotient_by_null(pre: PreModule, tol: Tolerance) -> list[Quotient]:
+    """Quotient each pre-module of a stack (a PreModule with a leading axis) by
+    the null space of its pairing: one batched rank_kernel over the Gram
+    matrices, one stacked leak gate and transport of the action and pairing,
+    and one batched eigh of the quotient Grams for the modules' spectra.  Each
+    slice gets the bits of a quotient of its own.
 
     The null space is detected as ker(G) for the scalarized Gram G; by
     faithfulness of the trace this agrees with {z : <z, z> = 0} whenever the
@@ -222,8 +223,7 @@ def quotient_by_null(pre: PreModule | Split, tol: Tolerance) -> list[Quotient]:
     a kernel is not invariant under the action, which signals an invalid
     pre-module; in a longer stack the message names the first leaking slice.
     """
-    pre, copies = pre if isinstance(pre, Split) else (pre, None)
-    splits = rank_kernel(pre.gram() if copies is None else Split(pre.gram(), copies), tol)
+    splits = rank_kernel(pre.gram(), tol)
     ranks = [rank for rank, _, _ in splits]
     if ranks.count(ranks[0]) < len(ranks):
         i = next(i for i, rank in enumerate(ranks) if rank != ranks[0])
@@ -232,24 +232,49 @@ def quotient_by_null(pre: PreModule | Split, tol: Tolerance) -> list[Quotient]:
         )
     s, kernel = (stack_slices([x[k] for x in splits]) for k in (1, 2))
     moved, blocks, w, V = _quotient_stack(pre.algebra, s, kernel, pre.action, pre.pairing, tol)
-    mods = [HilbertModule(pre.algebra, ranks[0], *x) for x in zip(moved, zip(*blocks), zip(w, V))]
+    return _quotients(pre.algebra, s, kernel, moved, zip(*blocks), w, V)
+
+
+def _quotients(B: AlgebraShape, s, kernel, *module) -> list[Quotient]:
+    """The Quotients on stacked bases, modules from (action, pairing, w, V) stacks."""
+    mods = [HilbertModule(B, s.shape[-1], a, P, (w, V)) for a, P, w, V in zip(*module)]
     return [Quotient(E, r.conj().T, r, kr) for E, r, kr in zip(mods, s, kernel)]
+
+
+def _leak_error(S: int, i: int, b: int, leak: float) -> SubmoduleViolation:
+    """The leak of basis element b's action out of the null space in slice i of S."""
+    where = f" in slice {i}" if S > 1 else ""
+    return SubmoduleViolation(
+        f"action of basis element {b} leaks out of the null space{where} (residual {leak:.3e})"
+    )
 
 
 def _quotient_stack(B: AlgebraShape, s, kernel, action, pairing, tol: Tolerance) -> tuple:
     """quotient_by_null's leak gate, moved action and pairing, and Gram spectra."""
     qK = s.conj().swapaxes(-1, -2)[:, None] @ action  # shared by the leak gate and the moved action
-    leak = first_leak(qK @ kernel[:, None], action, tol)
-    if leak is not None:
-        i, b = divmod(leak[0], B.dim)
-        where = f" in slice {i}" if len(s) > 1 else ""
-        raise SubmoduleViolation(
-            f"action of basis element {b} leaks out of the null space{where} "
-            f"(residual {leak[1]:.3e})"
-        )
+    if (leak := first_leak(qK @ kernel[:, None], action, tol)) is not None:
+        raise _leak_error(len(s), *divmod(leak[0], B.dim), leak[1])
     blocks = [transport_pairing(s, P) for P in pairing]
     G = _scalarized(B, blocks)
     return (qK @ s[:, None], blocks, *np.linalg.eigh((G + G.conj().swapaxes(-1, -2)) / 2.0))
+
+
+def split_bases(decided: list[tuple], copies: Sequence[np.ndarray]) -> tuple | None:
+    """Stacks (range, kernel) I_{n_t} (x) V_t of rank_kernel's Split decisions, copy a
+    of block t on coordinates copies[t][a], columns block by block and copy by copy;
+    None when a block's rank differs between slices."""
+    if any(np.count_nonzero(r != r[0]) for r, _, _ in decided):
+        return None
+    ranks = [int(r[0]) for r, _, _ in decided]
+    d, r = sum(c.size for c in copies), sum(len(c) * k for c, k in zip(copies, ranks))
+    s, kernel = (np.zeros((len(decided[0][0]), d, m), complex) for m in (r, d - r))
+    o = ko = 0
+    for c, k, (_, _, V) in zip(copies, ranks, decided):
+        z = V.shape[-1] - k  # the kernel's width
+        for rows in c:
+            s[:, rows, o : o + k], kernel[:, rows, ko : ko + z] = V[..., z:], V[..., :z]
+            o, ko = o + k, ko + z
+    return s, kernel
 
 
 def quotient_by_copies(
@@ -257,38 +282,71 @@ def quotient_by_copies(
 ) -> list[Quotient]:
     """quotient_by_null of orthogonal sums of equal submodules, copies[t] (n_t, b_t)
     placing block t's (cp.row_split), as (+)_t C^{n_t} (x) K_t: rank_kernel's Split
-    gives the bases, one _quotient_stack per block what its copies share (spectra
-    sorted).  Blocks whose ranks differ between slices go to quotient_by_null, and
-    Gram blocks that differ beyond exceeds_gate raise UnequalCopies beforehand."""
-    G, B = pre.gram(), pre.algebra
+    of copy 0's Gram blocks gives the bases (split_bases), one _quotient_stack per
+    block what its copies share (spectra sorted).  Blocks whose ranks differ between slices go to
+    quotient_by_null, and Gram blocks that differ beyond exceeds_gate raise
+    UnequalCopies beforehand."""
+    G, B, G0 = pre.gram(), pre.algebra, []
     for t, c in enumerate(copies):
-        G0 = G[:, c[:1, :, None], c[:1, None, :]]
-        D = G[:, c[1:, :, None], c[1:, None, :]] - G0
-        if np.count_nonzero(bad := exceeds_finite_gate(D, np.broadcast_to(G0, D.shape), tol)):
+        G0.append(G[:, c[:1, :, None], c[:1, None, :]])
+        D = G[:, c[1:, :, None], c[1:, None, :]] - G0[-1]
+        if np.count_nonzero(bad := exceeds_finite_gate(D, np.broadcast_to(G0[-1], D.shape), tol)):
             i, a = np.argwhere(bad)[0]
             raise UnequalCopies(f"copy {a + 1} of block {t} differs from copy 0 in slice {i}")
-    splits = rank_kernel(Split(G, copies), tol)
-    if len({tuple(np.count_nonzero(x[1][c[0]].any(axis=0)) for c in copies) for x in splits}) > 1:
+    decided = rank_kernel(Split([g[:, 0] for g in G0]), tol)
+    if (bases := split_bases(decided, copies)) is None:
         return quotient_by_null(pre, tol)  # the totals may still agree
-    s, kernel = (stack_slices([x[k] for x in splits]) for k in (1, 2))
-    parts = []
-    for c in copies:  # copy 0 of block t: its rows, and the columns its eigenvectors fill
-        st, kt = (x[:, c[0]][..., x[0, c[0]].any(axis=0)] for x in (s, kernel))
-        parts.append(_quotient_stack(B, st, kt, pre.action[..., c[0][:, None], c[0]],
-                                     [P[:, c[0][:, None], c[0]] for P in pre.pairing], tol))
+    s, kernel = bases
     S, r = s.shape[0], s.shape[-1]
     moved, w = np.zeros((S, B.dim, r, r), complex), np.zeros((S, r))
     V, *blocks = [np.zeros((S, r, r, *x), complex) for x in [()] + [(n, n) for n in B.blocks]]
-    for c, (mt, bt, wt, Vt) in zip(copies, parts):
-        for rows in c:  # copy a of block t: the columns its eigenvectors fill
-            Q = np.flatnonzero(s[0, rows].any(axis=0))
-            moved[:, :, Q[:, None], Q], w[:, Q] = mt, wt
-            for X, Xt in zip([V, *blocks], [Vt, *bt]):
-                X[:, Q[:, None], Q] = Xt
+    o = 0
+    for c, (k, _, Vt) in zip(copies, decided):  # copy 0 of block t: its rows and kept columns
+        z = Vt.shape[-1] - int(k[0])
+        st, kt = np.ascontiguousarray(Vt[..., z:]), np.ascontiguousarray(Vt[..., :z])
+        mt, bt, wt, Vq = _quotient_stack(B, st, kt, pre.action[..., c[0][:, None], c[0]],
+                                         [P[:, c[0][:, None], c[0]] for P in pre.pairing], tol)
+        Q = o + np.arange(len(c) * int(k[0])).reshape(len(c), int(k[0]))  # Q[a]: copy a's
+        moved[:, :, Q[:, :, None], Q[:, None]], w[:, Q] = mt[:, :, None], wt[:, None]
+        for X, Xt in zip([V, *blocks], [Vq, *bt]):
+            X[:, Q[:, :, None], Q[:, None]] = Xt[:, None]
+        o += Q.size
     order = np.argsort(w, axis=-1, kind="stable")
     w, V = np.take_along_axis(w, order, -1), np.take_along_axis(V, order[:, None], -1)
-    mods = [HilbertModule(B, r, *x) for x in zip(moved, zip(*blocks), zip(w, V))]
-    return [Quotient(E, si.conj().T, si, ki) for E, si, ki in zip(mods, s, kernel)]
+    return _quotients(B, s, kernel, moved, zip(*blocks), w, V)
+
+
+def quotient_by_columns(
+    B: AlgebraShape, gram: Split, copies: Sequence[np.ndarray], tol: Tolerance
+) -> list[Quotient] | None:
+    """E (x)_pi B, B = (+)_t M_{n_t} over itself, from rank_kernel's decisions on copy
+    0's Gram blocks (copies = cp.column_split): with v_a, w_a block t's kept eigenpairs,
+    O_t + k r_t + a is v_a (x) e^t_.k, R(e^t_kl) moves copy k to l, <v_a (x) e_k, v_b (x)
+    e_l> = w_a delta_ab e^t_kl, and the kernel leaks under R(e^t_kl), of norm 1, by
+    V_t,keep* V_t,drop.  None when a block's rank differs between slices."""
+    decided = rank_kernel(gram, tol)
+    if (bases := split_bases(decided, copies)) is None:
+        return None
+    (s, kernel), ranks = bases, [int(k[0]) for k, _, _ in decided]
+    S, d, unit = len(s), s.shape[-1], np.ones((len(s), 1, 1))
+    kept = [(V[..., V.shape[-1] - r :], V[..., : V.shape[-1] - r], w[:, w.shape[-1] - r :])
+            for (_, w, V), r in zip(decided, ranks)]
+    leaks = [(*leak, t) for t, (keep, drop, _) in enumerate(kept)
+             if (leak := first_leak(keep.conj().swapaxes(-1, -2) @ drop, unit, tol))]
+    if leaks:
+        i, leak, t = min(leaks)  # the first leaking slice
+        raise _leak_error(S, i, B.offsets[t], leak)
+    action, O = np.zeros((B.dim, d, d), complex), 0
+    blocks = [np.zeros((S, d, d, n, n), complex) for n in B.blocks]
+    for n, o, r, P, (_, _, w) in zip(B.blocks, B.offsets, ranks, blocks, kept):
+        k, l, a = np.arange(n)[:, None, None], np.arange(n)[:, None], np.arange(r)
+        action[o + k * n + l, O + l * r + a, O + k * r + a] = 1.0  # copy k to copy l
+        P[:, O + k * r + a, O + l * r + a, k, l] = w[:, None, None]
+        O += n * r
+    w = np.concatenate([np.tile(w, n) for n, (_, _, w) in zip(B.blocks, kept)], axis=1)
+    order = np.argsort(w, axis=-1, kind="stable")
+    V = (np.arange(d)[:, None] == order[:, None, :]).astype(complex)  # column j: e_order[j]
+    return _quotients(B, s, kernel, [action] * S, zip(*blocks), np.sort(w, kind="stable"), V)
 
 
 def null_leak(

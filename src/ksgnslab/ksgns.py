@@ -20,6 +20,7 @@ demands an explicit residual gate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -65,6 +66,11 @@ class KsgnsTriple(Quotient):
     @property
     def dim(self) -> int:
         return self.module.dim
+
+    @cached_property
+    def spanning_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The thin SVD of conj(spanning_columns), pinv's: for the rank and the inverse."""
+        return np.linalg.svd(spanning_columns(self).conj(), full_matrices=False)
 
 
 def ksgns(
@@ -112,7 +118,7 @@ def spanning_rank(t: KsgnsTriple, tol: Tolerance) -> int:
     """Rank of the column family {pi(a_p) V e_q} at the rank cutoff."""
     if t.module.dim == 0:
         return 0
-    svals = np.linalg.svd(spanning_columns(t), compute_uv=False)
+    svals = t.spanning_svd[1]
     if svals.size == 0 or svals[0] == 0.0:
         return 0
     return int(np.count_nonzero(svals > tol.rtol * svals[0]))
@@ -146,9 +152,8 @@ def triple_uniqueness_unitary(
     Both triples must dilate the same (E, phi); U is solved on the spanning
     columns by pseudo-inverse.
     """
-    U = ModuleMap(
-        t1.module, t2.module, spanning_columns(t2) @ pseudo_inverse(spanning_columns(t1), tol)
-    )
+    pinv = pseudo_inverse(spanning_columns(t1), tol, t1.spanning_svd)
+    U = ModuleMap(t1.module, t2.module, spanning_columns(t2) @ pinv)
     rep = CheckReport()
     scale = 1.0 + t1.phi.norm
     Ustar = adjoint_map(U).matrix

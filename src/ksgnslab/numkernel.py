@@ -49,7 +49,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Sequence
+from functools import reduce
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -265,11 +266,10 @@ def herm_eig(M: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Split(NamedTuple):
-    """Gram matrices (S, d, d), or pre-modules, whose builder knows them block
-    diagonal in equal copies: copies[t] (n_t, b_t) places block t's copies."""
+    """Copy 0's Gram blocks of Grams whose builder knows them block diagonal in
+    equal copies: blocks[t] (S, b_t, b_t), block t's for each of S slices."""
 
-    stack: Any
-    copies: Sequence[np.ndarray]
+    blocks: Sequence[np.ndarray]
 
 
 def rank_kernel(G: np.ndarray | Split, tol: Tolerance) -> list[tuple]:
@@ -278,34 +278,34 @@ def rank_kernel(G: np.ndarray | Split, tol: Tolerance) -> list[tuple]:
 
     rank = #{eigenvalues > rtol * lambda_max}.  The range basis columns are
     orthonormal eigenvectors of the kept eigenvalues, the kernel basis spans
-    the rest.  A Split (column or row copies) decomposes copy 0 of each block,
-    one herm_eig per block size, and its eigenvectors are the copies I_{n_t} (x)
-    V_t, each on its copy's coordinates, columns block by block in block order
-    and copy by copy within a block; unsorted values.
+    the rest.  A Split takes one herm_eig per block size and decides its
+    slices' blocks against the lambda_max and minimum over all of them; it
+    returns per block t (ranks (S,), eigenvalues (S, b_t) ascending,
+    eigenvectors (S, b_t, b_t)), the last ranks[s] columns kept.
     Raises NotPSD, naming the first such slice of a longer stack, when a
     minimum eigenvalue dips below -ctol * (1 + ||G||)."""
-    if isinstance(G, Split):
-        G, copies = G
-        V, w = np.zeros(G.shape, dtype=complex), np.zeros(G.shape[:2])
-        offsets = np.cumsum([0] + [c.size for c in copies]).tolist()  # block t's first column
-        for b in dict.fromkeys(c.shape[1] for c in copies):
-            group = [(t, c) for t, c in enumerate(copies) if c.shape[1] == b]
-            wb, Vb = herm_eig(np.concatenate([G[:, c[0][:, None], c[0]] for _, c in group]), tol)
-            wb, Vb = wb.reshape(len(group), len(G), b), Vb.reshape(len(group), len(G), b, b)
-            for (t, c), wt, Vt in zip(group, wb, Vb):
-                for o, rows in zip(range(offsets[t], offsets[t + 1], max(b, 1)), c):
-                    w[:, o : o + b], V[:, rows, o : o + b] = wt, Vt
+    if not isinstance(G, Split):
+        S, eig = len(G), [herm_eig(G, tol)]
     else:
-        w, V = herm_eig(G, tol)
-    ends = (w.min(axis=-1), w.max(axis=-1)) if w.shape[-1] else (np.zeros(len(w)),) * 2
-    splits = []
-    for i, (wi, Vi, lo, lam_max) in enumerate(zip(w, V, *(x.tolist() for x in ends))):
-        if lo < -tol.ctol * (1.0 + max(abs(lo), abs(lam_max))):
-            where = f" in slice {i}" if len(V) > 1 else ""
-            raise NotPSD(f"minimum eigenvalue {lo:.3e} below PSD gate{where}")
-        keep = wi > tol.rtol * lam_max if lam_max > 0.0 else np.zeros(wi.shape, dtype=bool)
-        splits.append((int(np.count_nonzero(keep)), Vi[:, keep], Vi[:, ~keep]))
-    return splits
+        S, eig = len(G.blocks[0]), [()] * len(G.blocks)
+        for b in dict.fromkeys(x.shape[-1] for x in G.blocks):
+            ts = [t for t, x in enumerate(G.blocks) if x.shape[-1] == b]
+            M = np.concatenate([G.blocks[t] for t in ts]) if ts[1:] else G.blocks[ts[0]]
+            w, V = herm_eig(M, tol)
+            for k, t in enumerate(ts):
+                eig[t] = w[k * S : (k + 1) * S], V[k * S : (k + 1) * S]
+    ends = [(w[:, 0], w[:, -1]) for w, _ in eig if w.shape[-1]] or [(np.zeros(S),) * 2]
+    lo, hi = (reduce(f, x).tolist() for f, x in zip((np.minimum, np.maximum), zip(*ends)))
+    cut = []
+    for i, (lo_i, hi_i) in enumerate(zip(lo, hi)):
+        if lo_i < -tol.ctol * (1.0 + max(abs(lo_i), abs(hi_i))):
+            where = f" in slice {i}" if S > 1 else ""
+            raise NotPSD(f"minimum eigenvalue {lo_i:.3e} below PSD gate{where}")
+        cut.append(tol.rtol * hi_i if hi_i > 0.0 else np.inf)  # keep nothing at lambda_max <= 0
+    if isinstance(G, Split):
+        return [(np.count_nonzero(w > np.array(cut)[:, None], axis=-1), w, V) for w, V in eig]
+    keep = [wi > c for wi, c in zip(eig[0][0], cut)]
+    return [(int(np.count_nonzero(k)), Vi[:, k], Vi[:, ~k]) for Vi, k in zip(eig[0][1], keep)]
 
 
 def stack_slices(items: Sequence) -> np.ndarray:
@@ -338,13 +338,17 @@ def null_space(K: np.ndarray, scale: float, tol: Tolerance) -> np.ndarray:
     return Vh[mask].conj()
 
 
-def pseudo_inverse(M: np.ndarray, tol: Tolerance) -> np.ndarray:
+def pseudo_inverse(M: np.ndarray, tol: Tolerance, svd: tuple | None = None) -> np.ndarray:
     """Moore-Penrose inverse with singular values below rtol * sigma_max
-    treated as zero."""
+    treated as zero, by np.linalg.pinv's steps and bits: the thin SVD
+    (u, s, vh) of conj(M), or the one given as svd, then the cutoff."""
     M = require_finite(M)
     if M.size == 0:
         return np.zeros((M.shape[1], M.shape[0]), dtype=complex)
-    return np.linalg.pinv(M, rcond=tol.rtol)
+    u, s, vt = svd or np.linalg.svd(M.conj(), full_matrices=False)
+    large = s > np.asarray(tol.rtol)[..., None] * np.amax(s, axis=-1, keepdims=True)
+    s = np.divide(1, s, out=np.zeros_like(s), where=large)
+    return np.matmul(np.transpose(vt), np.multiply(s[..., None], np.transpose(u)))
 
 
 def herm_expi(H: np.ndarray, tol: Tolerance) -> np.ndarray:

@@ -72,18 +72,18 @@ def content(M):
 
 
 def count_tensor_builds(monkeypatch):
-    """Count interior tensor builds, the cp.tensor_premodule calls that
+    """Count interior tensor builds, the cp.tensor_quotients calls that
     interior_tensor makes on a memo miss, by the content of (E, F, pi)."""
     builds = {}
-    real = cp.tensor_premodule
+    real = cp.tensor_quotients
 
-    def counting(E, F, pi):
+    def counting(E, F, pi, tol, memo):
         for e, f, p in zip(E, F, pi):  # one count per slice of a stacked build
             key = (content(e), content(f), p.images.tobytes())
             builds[key] = builds.get(key, 0) + 1
-        return real(E, F, pi)
+        return real(E, F, pi, tol, memo)
 
-    monkeypatch.setattr(cp, "tensor_premodule", counting)
+    monkeypatch.setattr(cp, "tensor_quotients", counting)
     return builds
 
 
@@ -201,19 +201,19 @@ def test_category_audit_failed_build_still_breaks_closure(monkeypatch):
     # stack is built again one pair at a time: the last slice of the first
     # build after the identities' (one tensor per object)
     objects, morphisms = category_instance(0)
-    real = cp.tensor_premodule
+    real = cp.tensor_quotients
     calls, bad = [], []
 
-    def fail_one_content(E, F, pi):
+    def fail_one_content(E, F, pi, tol, memo):
         calls.append(E)
         slices = [(content(e), content(f), p.images.tobytes()) for e, f, p in zip(E, F, pi)]
         if len(calls) == len(objects) + 1:
             bad.append(slices[-1])
         if bad and bad[0] in slices:
             raise WellDefinednessViolation("injected")
-        return real(E, F, pi)
+        return real(E, F, pi, tol, memo)
 
-    monkeypatch.setattr(cp, "tensor_premodule", fail_one_content)
+    monkeypatch.setattr(cp, "tensor_quotients", fail_one_content)
     rep = check_category_laws(objects, morphisms, DEFAULT_TOL, BuildMemo())
     assert bad
     assert rep.residuals["composition_closure"] == float("inf")

@@ -1,33 +1,40 @@
 """Tensors whose right factor is its coefficient algebra C over itself
-quotient through one eigh per distinct Gram block.
+quotient in closed form, from one Gram block per block of C.
 
 Along a C-linear pi: B -> L(C), the Gram of E (x)_pi C is, up to a fixed
-coordinate map, n_t equal copies of one block per block t of C
-(cp.column_split).  Each such quotient must match conftest's generic path,
-which decomposes each whole Gram matrix: the same rank, the same Gram
-spectrum within rounding, and bases and modules that differ by a unitary.
-tensor_quotients splits pre-spaces of width SPLIT_MIN_DIM and up; a pi
-that fails C-linearity raises before any rank decision, and a right factor
-of C's dimension that is not C over itself keeps the generic path.
+coordinate map, n_t equal copies of one block Gamma_t per block t of C
+(cp.column_split), and E (x)_pi C = (+)_t K_t (x) C^{n_t}: the action of a
+matrix unit is a 0/1 copy permutation and the pairing diag(w_t) (x) e_kl.
+Each such quotient must match conftest's generic path, which decomposes
+each whole Gram matrix: the same rank, the same Gram spectrum within
+rounding, and bases and modules that differ by a unitary; its action and
+pairing must be s* R s and s* P s of the pre-module, which the closed form
+never builds.  tensor_quotients splits pre-spaces of width SPLIT_MIN_DIM
+and up; a pi that fails C-linearity raises before any rank decision, an
+eigenvector basis that leaks raises, a stack whose blocks' ranks differ
+between slices takes the whole Grams, and a right factor of C's dimension
+that is not C over itself keeps the generic path.
 """
 
 import numpy as np
 import pytest
 
+from ksgnslab import cp, numkernel
 from ksgnslab.cp import (
-    CPMap, column_split, left_mult_correspondence, random_cp, tensor_premodule,
-    tensor_quotients,
+    CPMap, column_quotients, column_split, left_mult_correspondence, random_cp,
+    tensor_premodule, tensor_quotients,
 )
 from ksgnslab.cstar import AlgebraShape, StarMap, block_stacks, haar_unitary
 from ksgnslab.equivariant import scramble_module
-from ksgnslab.errors import NonLinearMap
+from ksgnslab.errors import NonLinearMap, ShapeMismatch, SubmoduleViolation
 from ksgnslab.generators import multiplicity_embedding, random_module
-from ksgnslab.hilbert import algebra_module, canonical_module, quotient_by_null
+from ksgnslab.hilbert import algebra_module, canonical_module, split_bases, transport_pairing
 from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL, Split, rank_kernel
 
 from conftest import (
-    assert_one_module_up_to_a_unitary, recorded_rank_decisions, tensor_quotients_reference,
+    assert_one_module_up_to_a_unitary, count_calls, recorded_rank_decisions,
+    tensor_quotients_reference,
 )
 
 B = AlgebraShape((1, 1))
@@ -60,8 +67,8 @@ def wide_module(rng):
 @pytest.mark.parametrize("blocks", sorted(MULTIPLICITIES))
 @pytest.mark.parametrize("case", ["unital", "rank_deficient", "zero_dim", "cp"])
 def test_split_quotients_match_the_generic_path(blocks, case):
-    # the split path at every width, zero included: quotient_by_null on
-    # column_split's blocks against one eigh of each whole Gram
+    # the closed form at every width, zero included, against one eigh of
+    # each whole Gram
     rng = np.random.default_rng(sum(blocks) + len(case))
     C, memo = AlgebraShape(blocks), BuildMemo()
     C_mod = algebra_module(C)
@@ -71,8 +78,7 @@ def test_split_quotients_match_the_generic_path(blocks, case):
     else:
         keep = 1 if case == "rank_deficient" else None
         pi = left_mult_correspondence([embedding(C, rng, keep) for _ in range(2)], memo)
-    pre = tensor_premodule([E, E], [C_mod, C_mod], pi)
-    split = quotient_by_null(Split(pre, column_split(C, E.dim)), DEFAULT_TOL)
+    split = column_quotients([E, E], [C_mod, C_mod], pi, DEFAULT_TOL)
     reference = tensor_quotients_reference([E, E], [C_mod, C_mod], pi)
     for quot, ref in zip(split, reference, strict=True):
         assert_one_module_up_to_a_unitary(quot, ref)
@@ -142,8 +148,150 @@ def test_split_bases_run_block_by_block_in_block_order():
     # 1's copy by copy, whatever order the block sizes come in
     C = AlgebraShape((1, 2))
     copies = column_split(C, 4)
-    [(rank, s, kernel)] = rank_kernel(Split(np.eye(4 * C.dim)[None], copies), DEFAULT_TOL)
-    assert rank == 4 * C.dim and kernel.shape == (4 * C.dim, 0)
+    decided = rank_kernel(Split([np.eye(c.shape[1])[None] for c in copies]), DEFAULT_TOL)
+    [s], [kernel] = split_bases(decided, copies)
+    assert s.shape == (4 * C.dim, 4 * C.dim) and kernel.shape == (4 * C.dim, 0)
     places = [np.flatnonzero(s[rows].any(axis=0)) for c in copies for rows in c]
     assert np.array_equal(places[0], np.arange(4))  # column 0 of s lies on block 0
     assert np.array_equal(np.concatenate(places), np.arange(4 * C.dim))
+
+
+def block_places(s: np.ndarray, copies: list[np.ndarray]) -> list[tuple[int, int]]:
+    """Per block t, (O_t, r_t): copy k's columns of s must be O_t + k r_t + alpha."""
+    out, o = [], 0
+    for c in copies:
+        places = [np.flatnonzero(s[rows].any(axis=0)) for rows in c]
+        r = len(places[0])
+        assert all(np.array_equal(p, o + k * r + np.arange(r)) for k, p in enumerate(places))
+        out.append((o, r))
+        o += len(c) * r
+    return out
+
+
+@pytest.mark.parametrize(
+    "blocks, keep",
+    # compressed to the first coordinate of C's first block (M_2, M_3), the
+    # structural null vectors of C (+) M_2, and pi zero on its block C
+    [((2,), 1), ((3,), 1), ((3,), 2), ((1, 2), None), ((1, 2), 0)],
+)
+def test_closed_form_is_the_pre_module_compressed(blocks, keep):
+    rng = np.random.default_rng(3 * sum(blocks) + (keep or 0))
+    C, memo = AlgebraShape(blocks), BuildMemo()
+    C_mod = algebra_module(C)
+    E = [wide_module(rng)] * 2
+    pi = left_mult_correspondence([embedding(C, rng, keep) for _ in range(2)], memo)
+    quots = column_quotients(E, [C_mod] * 2, pi, DEFAULT_TOL)
+    pre = tensor_premodule(E, [C_mod] * 2, pi)  # built here only
+    copies = column_split(C, E[0].dim)
+    for i, quot in enumerate(quots):
+        M, s = quot.module, quot.s
+        assert 0 < M.dim < pre.dim  # null vectors
+        lam = 1.0 + np.linalg.eigvalsh(pre.gram_matrix[i])[-1]
+        assert np.abs(M.action - s.conj().T @ pre.action[i] @ s).max() <= 1e-12 * lam
+        for P, P_pre in zip(M.pairing, pre.pairing, strict=True):
+            assert np.abs(P - transport_pairing(s, P_pre[i])).max() <= 1e-12 * lam
+        # the action is 0/1 exactly, the pairing exactly diag(w_t) (x) e_kl
+        assert np.all((M.action == 0) | (M.action == 1))
+        places = block_places(s, copies)
+        assert keep != 0 or places[0][1] == 0  # K_0 = 0 where pi vanishes
+        diag = []
+        for n, (o, r), P in zip(C.blocks, places, M.pairing):
+            w = P[o + np.arange(r), o + np.arange(r), 0, 0]
+            expected = np.zeros_like(P)
+            for k in range(n):
+                for l in range(n):
+                    rows, cols = o + k * r + np.arange(r), o + l * r + np.arange(r)
+                    expected[rows, cols, k, l] = w
+            assert np.array_equal(P, expected)
+            diag.append(np.tile(w.real, n))
+        assert np.array_equal(M.gram_spectrum[0], np.sort(np.concatenate(diag)))
+        assert np.array_equal(M.gram_matrix, np.diag(np.concatenate(diag)).astype(complex))
+    for quot, ref in zip(quots, tensor_quotients_reference(E, [C_mod] * 2, pi), strict=True):
+        assert_one_module_up_to_a_unitary(quot, ref)
+
+
+def test_eigenvectors_that_leak_raise_naming_the_slice(monkeypatch):
+    # slice 1's top eigenvector turned by 1e-6 towards a dropped one: the
+    # basis stays a rank decision's, and the kernel leaks out under the action
+    rng = np.random.default_rng(23)
+    C, memo = AlgebraShape((2,)), BuildMemo()
+    C_mod = algebra_module(C)
+    E = [wide_module(rng)] * 2
+    pi = left_mult_correspondence([embedding(C, rng, keep=1)] * 2, memo)
+    real = numkernel.herm_eig
+
+    def rotating(M, tol):
+        w, V = real(M, tol)
+        V = V.copy()
+        V[1, :, -1] = np.cos(1e-6) * V[1, :, -1] + np.sin(1e-6) * V[1, :, 0]
+        return w, V
+
+    assert column_quotients(E, [C_mod] * 2, pi, DEFAULT_TOL)[0].module.dim < E[0].dim * C.dim
+    monkeypatch.setattr(numkernel, "herm_eig", rotating)
+    with pytest.raises(SubmoduleViolation, match=r"^action of basis element 0 leaks out of "
+                       r"the null space in slice 1 \(residual 1\.0"):
+        column_quotients(E, [C_mod] * 2, pi, DEFAULT_TOL)
+
+
+def test_a_stack_whose_blocks_differ_in_rank_takes_the_generic_path(monkeypatch):
+    # C = M_2 (+) M_2, pi onto the second block in slice 0 and onto the first
+    # in slice 1: the total ranks agree and the blocks' ranks do not, so the
+    # whole Grams decide, with the generic path's bits
+    rng = np.random.default_rng(29)
+    C, memo = AlgebraShape((2, 2)), BuildMemo()
+    C_mod = algebra_module(C)
+    E = wide_module(rng)
+    W = haar_unitary(2, rng)
+    half = np.stack([np.outer(W[:, p], W[:, p].conj()).reshape(-1) for p in range(B.dim)], 1)
+    zero = np.zeros_like(half)
+    rho = [StarMap(B, C, np.vstack(x)) for x in ([zero, half], [half, zero])]
+    pi = left_mult_correspondence(rho, memo)
+    grams = recorded_rank_decisions(monkeypatch)
+    tm = tensor_quotients([E, E], [C_mod, C_mod], pi, DEFAULT_TOL, memo)
+    assert isinstance(grams[0], Split) and isinstance(grams[1], np.ndarray) and len(grams) == 2
+    ranks = np.array([k for k, _, _ in rank_kernel(grams[0], DEFAULT_TOL)]).T  # (slice, block)
+    assert ranks[0].tolist() == ranks[1].tolist()[::-1] and ranks[0, 0] == 0 < ranks[0, 1]
+    for quot, ref in zip(tm, tensor_quotients_reference([E, E], [C_mod, C_mod], pi), strict=True):
+        for name in ("q", "s", "kernel"):
+            assert np.array_equal(getattr(quot, name), getattr(ref, name))
+        assert np.array_equal(quot.module.action, ref.module.action)
+        for a, b in zip(quot.module.gram_spectrum, ref.module.gram_spectrum, strict=True):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("blocks, dim", [((2,), 4), ((2,), 5), ((2,), 8), ((1, 2), 4), ((3,), 2)])
+def test_the_closed_form_builds_no_pre_module_and_no_quotient_eigh(monkeypatch, blocks, dim):
+    # at widths dim E dim C the split takes: one eigh per block size of C, on
+    # copy 0's Gram blocks, and no other
+    rng = np.random.default_rng(dim + len(blocks))
+    C, memo = AlgebraShape(blocks), BuildMemo()
+    C_mod = algebra_module(C)
+    assert dim * C.dim >= cp.SPLIT_MIN_DIM
+    E = canonical_module(B, (dim // 2, dim - dim // 2))
+    pi = left_mult_correspondence([embedding(C, rng, keep=1)] * 3, memo)
+    built = count_calls(monkeypatch, cp, "tensor_premodule")
+    sizes = []
+
+    def sizing(a, *args, _real=np.linalg.eigh, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return _real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", sizing)
+    tm = tensor_quotients([E] * 3, [C_mod] * 3, pi, DEFAULT_TOL, memo)
+    assert built == [] and sorted(sizes) == sorted({dim * n for n in C.blocks})
+    monkeypatch.undo()
+    assert_one_module_up_to_a_unitary(tm[2], tensor_quotients_reference([E], [C_mod], pi[2:])[0])
+
+
+def test_the_closed_form_keeps_the_tensor_shape_checks():
+    # a pi on another module of C's dimension, or over another algebra than
+    # E's coefficients, is refused before any Gram block is read
+    rng = np.random.default_rng(31)
+    C, memo = AlgebraShape((2,)), BuildMemo()
+    C_mod = algebra_module(C)
+    E = canonical_module(B, (2, 2))
+    F, _ = scramble_module(C_mod, rng)
+    with pytest.raises(ShapeMismatch, match=r"^representation does not act on F$"):
+        tensor_quotients([E], [C_mod], [random_cp(B, F, rng)], DEFAULT_TOL, memo)
+    with pytest.raises(ShapeMismatch, match=r"^representation domain differs from E's "):
+        tensor_quotients([E], [C_mod], [random_cp(C, C_mod, rng)], DEFAULT_TOL, memo)

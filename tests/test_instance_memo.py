@@ -1,12 +1,13 @@
 """check_instance builds through one BuildMemo that lives for the instance.
 
-These tests count the interior tensor pre-modules and Choi certificates one
+These tests count the interior tensor builds and Choi certificates one
 checked instance builds, check that nothing built inside an instance
 outlives it, and check that a build which raises inside the memo still
 breaks the category audit's closure record.
 """
 
 import gc
+import importlib
 import weakref
 
 import pytest
@@ -27,17 +28,18 @@ def content(M):
 
 
 def count_builds(monkeypatch):
-    """Count tensor_premodule calls by the content of (E, F, pi), and Choi
-    certificates by the content key of phi: the memo misses of check_cp, which
-    both ksgns and the harness's records go through."""
+    """Count tensor builds, the slices of cp.tensor_quotients calls (interior_tensor's
+    and ksgns's), by the content of (E, F, pi), and Choi certificates by the
+    content key of phi: the memo misses of check_cp, which both ksgns and the
+    harness's records go through."""
     tensors, cps = {}, {}
-    real_premodule, real_get_all = cp.tensor_premodule, BuildMemo.get_all
+    real_quotients, real_get_all = cp.tensor_quotients, BuildMemo.get_all
 
-    def premodule(E, F, pi):
+    def quotients(E, F, pi, tol, memo):
         for e, f, p in zip(E, F, pi):  # one count per slice of a stacked build
             key = (content(e), content(f), p.images.tobytes())
             tensors[key] = tensors.get(key, 0) + 1
-        return real_premodule(E, F, pi)
+        return real_quotients(E, F, pi, tol, memo)
 
     def get_all(memo, keys, build):
         def certify(todo):
@@ -47,7 +49,8 @@ def count_builds(monkeypatch):
 
         return real_get_all(memo, keys, certify if keys[0][0] == "check_cp" else build)
 
-    monkeypatch.setattr(cp, "tensor_premodule", premodule)
+    for module in (cp, importlib.import_module("ksgnslab.ksgns")):
+        monkeypatch.setattr(module, "tensor_quotients", quotients)
     monkeypatch.setattr(BuildMemo, "get_all", get_all)
     return tensors, cps
 
@@ -117,7 +120,7 @@ def test_instance_builds_die_with_the_instance(monkeypatch):
 def test_failed_build_in_instance_memo_breaks_closure(monkeypatch):
     composing = []
     failed = []
-    real_premodule, real_composition = cp.tensor_premodule, poscor.composition_unitary
+    real_quotients, real_composition = cp.tensor_quotients, poscor.composition_unitary
 
     def composition(*args, **kwargs):
         composing.append(True)
@@ -126,7 +129,7 @@ def test_failed_build_in_instance_memo_breaks_closure(monkeypatch):
         finally:
             composing.pop()
 
-    def fail_one_content(E, F, pi):
+    def fail_one_content(E, F, pi, tol, memo):
         # the first tensor a composite needs is built inside the audit; its
         # content fails every time, also when its stack is built again one
         # pair at a time
@@ -135,11 +138,11 @@ def test_failed_build_in_instance_memo_breaks_closure(monkeypatch):
             failed.append(slices[0])
         if failed and failed[0] in slices:
             raise WellDefinednessViolation("injected")
-        return real_premodule(E, F, pi)
+        return real_quotients(E, F, pi, tol, memo)
 
     data = payload("category", 1)
     monkeypatch.setattr(poscor, "composition_unitary", composition)
-    monkeypatch.setattr(cp, "tensor_premodule", fail_one_content)
+    monkeypatch.setattr(cp, "tensor_quotients", fail_one_content)
     records = {r.check: r for r in check_instance("category", data, DEFAULT_TOL)}
     assert failed
     assert "construction" not in records

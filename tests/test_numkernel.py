@@ -162,11 +162,13 @@ def test_split_rank_decisions_read_the_extremes_over_all_blocks():
     # C + C, one copy of each 1 x 1 block: lambda_max sits in the first block,
     # so the second block's 1e-12 falls below the cutoff, and its -1e-3 fails
     # the PSD gate, though each block alone is sorted and of full rank
-    copies = [np.array([[0]]), np.array([[1]])]
-    rank, range_, _ = rank_kernel(Split(np.diag([1.0, 1e-12])[None] + 0j, copies), DEFAULT_TOL)[0]
-    assert rank == 1 and np.allclose(np.abs(range_[:, 0]), [1.0, 0.0])
+    def blocks(second):
+        return Split([np.ones((1, 1, 1), complex), np.full((1, 1, 1), second, complex)])
+
+    (r0, w0, V0), (r1, _, _) = rank_kernel(blocks(1e-12), DEFAULT_TOL)
+    assert r0.tolist() == [1] and r1.tolist() == [0] and np.allclose(np.abs(V0), 1.0)
     with pytest.raises(NotPSD):
-        rank_kernel(Split(np.diag([1.0, -1e-3])[None] + 0j, copies), DEFAULT_TOL)
+        rank_kernel(blocks(-1e-3), DEFAULT_TOL)
 
 
 def test_operator_norm_examples():
@@ -459,6 +461,19 @@ def test_pseudo_inverse_moore_penrose(seed):
     scale = 1.0 + operator_norm(M)
     assert operator_norm(M @ P @ M - M) <= 1e-8 * scale
     assert operator_norm(P @ M @ P - P) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("shape, rank", [((5, 3), 3), ((3, 5), 2), ((6, 6), 4), ((4, 1), 1)])
+def test_pseudo_inverse_keeps_the_bits_of_pinv_with_a_given_svd(shape, rank):
+    # np.linalg.pinv's steps: the thin SVD of conj(M), then the rtol * sigma_max
+    # cutoff; an SVD taken once and handed over gives the same bits
+    rng = np.random.default_rng(sum(shape) + rank)
+    M = random_complex(rng, shape[0], rank) @ random_complex(rng, rank, shape[1])
+    expected = np.linalg.pinv(M, rcond=DEFAULT_TOL.rtol)
+    assert np.array_equal(pseudo_inverse(M, DEFAULT_TOL), expected)
+    svd = np.linalg.svd(M.conj(), full_matrices=False)
+    assert np.array_equal(pseudo_inverse(M, DEFAULT_TOL, svd), expected)
+    assert np.array_equal(pseudo_inverse(M, DEFAULT_TOL, svd), expected)  # svd left as it was
 
 
 def test_herm_expi_unitary():

@@ -21,7 +21,8 @@ import pytest
 
 from ksgnslab import cp
 from ksgnslab.cp import (
-    CPMap, left_mult_correspondence, random_cp, realized_images, row_split, tensor_quotients,
+    CPMap, left_mult_correspondence, random_cp, realized_images, row_split, tensor_premodule,
+    tensor_quotients,
 )
 from ksgnslab.cstar import AlgebraShape, StarMap
 from ksgnslab.equivariant import scramble_module
@@ -57,7 +58,7 @@ def compressed_cp(A: AlgebraShape, rng, zero_block: bool):
 def decided_widths(grams: list) -> list[int]:
     """The widths of the blocks each recorded rank decision decomposes."""
     return [w for g in grams for w in
-            ([c.shape[1] for c in g.copies] if isinstance(g, Split) else [g.shape[-1]])]
+            ([b.shape[-1] for b in g.blocks] if isinstance(g, Split) else [g.shape[-1]])]
 
 
 def canonical_places(s: np.ndarray, copies: list[np.ndarray]) -> list[list[np.ndarray]]:
@@ -81,7 +82,9 @@ def test_row_split_quotients_match_the_generic_path(monkeypatch, blocks, zero_bl
     tm = tensor_quotients([A_mod, A_mod], [F, F], [phi, phi], DEFAULT_TOL, memo)
     # one rank decision, on copy 0 of every block of A
     assert len(grams) == 1
-    assert all(map(np.array_equal, grams[0].copies, row_split(A, F.dim)))
+    G = tensor_premodule([A_mod, A_mod], [F, F], [phi, phi]).gram()
+    for block, c in zip(grams[0].blocks, row_split(A, F.dim), strict=True):
+        assert np.array_equal(block, G[:, c[0][:, None], c[0]])
     ref = tensor_quotients_reference([A_mod, A_mod], [F, F], [phi, phi])
     for quot, r in zip(tm, ref, strict=True):
         assert_one_module_up_to_a_unitary(quot, r)

@@ -40,7 +40,7 @@ from ksgnslab.harness import (
 )
 from ksgnslab.hilbert import HilbertModule, PreModule, descend, quotient_by_null
 from ksgnslab.memo import BuildMemo
-from ksgnslab.numkernel import DEFAULT_TOL
+from ksgnslab.numkernel import DEFAULT_TOL, Split
 from ksgnslab.poscor import ksgns_functor, morphism_shape, twist_unitary
 from ksgnslab.serialize import dump_equivariant
 
@@ -119,21 +119,22 @@ def test_ksgns_functor_slices_equal_stacks_of_one():
 @pytest.mark.parametrize(
     "trivial_beta, builds",
     # genuine S3: the six twist tensors, the inclusion tensor of the unit
-    # law and the 36 double tensors of the Cayley table, each one stacked
-    # build; trivial beta: one twist tensor content, which the unit law
-    # reuses, and one double tensor content
-    [(False, [6, 1, 36]), (True, [1, 1])],
+    # law and the double tensors of the Cayley table, each one stacked
+    # build: 30, since two twist tensors written in closed form are one
+    # content (5 x 6); trivial beta: one twist tensor content, which the
+    # unit law reuses, and one double tensor content
+    [(False, [6, 1, 30]), (True, [1, 1])],
 )
 def test_one_stacked_build_per_shape(monkeypatch, trivial_beta, builds):
     c = random_equivariant(M2, M2, symmetric_group(3), seed=11, copies=1, trivial_beta=trivial_beta)
     slices = []
-    real = cp.tensor_premodule
+    real = cp.tensor_quotients
 
-    def counting(E, F, pi):  # one call per build, on the memo's misses
+    def counting(E, F, pi, tol, memo):  # one call per build, on the memo's misses
         slices.append(len(E))
-        return real(E, F, pi)
+        return real(E, F, pi, tol, memo)
 
-    monkeypatch.setattr(cp, "tensor_premodule", counting)
+    monkeypatch.setattr(cp, "tensor_quotients", counting)
     memo = BuildMemo()
     functor = correspondence_to_functor(c, DEFAULT_TOL, memo)
     assert check_functor_laws(c, functor, DEFAULT_TOL, memo).passed
@@ -170,23 +171,24 @@ def test_stack_with_two_ranks_names_both_slices():
 
 
 def test_stacked_quotient_spectra_equal_modules_built_alone(monkeypatch):
-    # quotient_by_null takes one batched eigh over a stack's quotient Grams:
-    # every quotient the genuine-S3 functor and its laws build in a stack (the
-    # six twist tensors E (x)_beta_g B, the 36 double tensors of the Cayley
-    # table) has the Gram matrix, spectrum and powers of a HilbertModule
-    # built alone from its action and pairing
+    # quotient_by_null takes one batched eigh over a stack's quotient Grams,
+    # and column_quotients writes their spectra in closed form: every
+    # quotient the genuine-S3 functor and its laws build in a stack (the six
+    # twist tensors E (x)_beta_g B, the 30 double tensor contents of the
+    # Cayley table) has the Gram matrix, spectrum and powers of a
+    # HilbertModule built alone from its action and pairing
     stacks = []
-    real = cp.quotient_by_null
+    for name in ("quotient_by_null", "column_quotients"):
+        def recording(*args, _real=getattr(cp, name), _name=name):
+            stacks.append((_name, _real(*args)))
+            return stacks[-1][1]
 
-    def recording(pre, tol):
-        stacks.append(real(pre, tol))
-        return stacks[-1]
-
-    monkeypatch.setattr(cp, "quotient_by_null", recording)
+        monkeypatch.setattr(cp, name, recording)
     c, memo = s3_instance(), BuildMemo()
     functor = correspondence_to_functor(c, DEFAULT_TOL, memo)
     assert check_functor_laws(c, functor, DEFAULT_TOL, memo).passed
-    assert [len(quots) for quots in stacks if len(quots) > 1] == [6, 36]
+    stacks = [quots for _, quots in stacks]
+    assert [len(quots) for quots in stacks if len(quots) > 1] == [6, 30]
     stacked = [q.module for quots in stacks for q in quots]
     for E in stacked:
         alone = HilbertModule(E.algebra, E.dim, E.action, E.pairing)
@@ -282,11 +284,11 @@ def test_corrupted_null_vector_names_its_slice(monkeypatch, g):
 
     def corrupting(G, tol=DEFAULT_TOL):
         splits = real(G, tol)
-        if len(splits) == 6:
-            rank, range_, kernel = splits[g]
-            kernel = kernel.copy()
-            kernel[:, 0] = range_[:, 0]
-            splits[g] = rank, range_, kernel
+        if isinstance(G, Split) and len(G.blocks[0]) == 6:  # the twist tensors' blocks
+            ranks, w, V = splits[0]
+            V = V.copy()
+            V[g, :, 0] = V[g, :, -1]  # the top range vector as kernel vector 0
+            splits[0] = ranks, w, V
         return splits
 
     monkeypatch.setattr(hilbert, "rank_kernel", corrupting)
@@ -306,11 +308,13 @@ def test_check_pass_eigh_count(monkeypatch):
     # eigvalsh stacked, with each module's Gram decomposed twice; 860 eigh
     # and 60 eigvalsh with one Gram spectrum per module; 360 eigh with one
     # batched eigh per stack of quotients and C over itself built once per
-    # instance.  The eigh matrices' sum of n^3: 20.06M with every rank
-    # decision on its whole Gram, 3.39M with one eigh per distinct block of
-    # the tensors along C over itself; 2.77M with the 16-wide KSGNS quotients
-    # split by the blocks of A over itself as well, which took more time than
-    # it saved below ROW_SPLIT_MIN_DIM = 40.  SVD matrices: 26,885 with every
+    # instance; 260 with the tensors along C over itself written in closed
+    # form, with no eigh of their quotient Grams.  The eigh matrices' sum of
+    # n^3: 20.06M with every rank decision on its whole Gram, 3.39M with one
+    # eigh per distinct block of the tensors along C over itself; 2.77M with
+    # the 16-wide KSGNS quotients split by the blocks of A over itself as
+    # well, which took more time than it saved below ROW_SPLIT_MIN_DIM = 40;
+    # 3.09M with no quotient-Gram eigh after a column split.  SVD matrices: 26,885 with every
     # slice's norm taken, 6,445 with certified maxima, 4,447 with check_cp's
     # linearity gate certified and the group law a certified maximum
     tasks = []
@@ -337,7 +341,7 @@ def test_check_pass_eigh_count(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", cubing)
     for suite, payload in tasks:
         assert all(r.passed for r in check_instance(suite, payload, DEFAULT_TOL))
-    assert calls.count("eigh") <= 400, calls.count("eigh")
+    assert calls.count("eigh") <= 270, calls.count("eigh")
     assert len(calls) <= 460
     assert sum(cubes) <= 3_400_000, sum(cubes)
     assert sum(svd_matrices) <= 4500, sum(svd_matrices)
