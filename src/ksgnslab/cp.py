@@ -38,6 +38,7 @@ from .hilbert import (
     ModuleMap,
     PreModule,
     Quotient,
+    QuotientSlice,
     algebra_module,
     compose_maps,
     descend,
@@ -45,6 +46,7 @@ from .hilbert import (
     adjoint_matrices,
     module_operator_norm,
     module_operator_norms,
+    module_stack,
     quotient_by_columns,
     quotient_by_copies,
     quotient_by_null,
@@ -75,12 +77,14 @@ from .numkernel import (
 from .reporting import CheckReport
 
 
-# A narrower Gram costs less whole than in closed form: on the workloads' stacks the closed
-# form took +16% to +95% of the whole-Gram time at widths 0-15, -18% to -37% at 16 (but +15%
-# to +35% for 4 stacks over M_2 + M_2) and -22% to -87% at 32-64 (split_widths.py --columns)
+# A narrower Gram costs less whole than in closed form: on the workloads' stacks, with quotients
+# built and checked once per stack, the closed form took +39% to +92% of the whole-Gram time at
+# widths 0-15, -24% at 16 (but +31% for 4 stacks over M_2 + M_2) and -17% to -85% at 32-64
+# (split_widths.py --columns)
 SPLIT_MIN_DIM = 16
 # The row split pays a rank, leak and spectrum step per block of A: on the workloads' stacks it
-# took +4% to +180% of the whole-Gram time at widths 4-32, -2% to -69% at 45-99 (split_widths.py)
+# took +4% to +158% of the whole-Gram time at widths 4-32 (but -26% for 2 stacks at 24) and -7%
+# to -73% at 45-99 (split_widths.py, quotients built and checked once per stack)
 ROW_SPLIT_MIN_DIM = 40
 
 
@@ -118,7 +122,7 @@ class CPMap:
     @cached_property
     def norm(self) -> float:
         """max over basis images of the L(E) norm, on live blocks; the scale of the map."""
-        return max_operator_norm(realized_images([self]))
+        return max_operator_norm(realized_images(module_stack([self.module]), self.images[None]))
 
     def hermiticity_residual(self) -> float:
         """max over basis of ||phi(u*) - phi(u)*||."""
@@ -159,12 +163,10 @@ def check_correspondence(pi: CPMap, tol: Tolerance) -> CheckReport:
     return rep
 
 
-def realized_images(phi: Sequence[CPMap]) -> np.ndarray:
-    """G^(1/2) phi(u_p) G^(-1/2) for maps of one shape, a stack
-    (len(phi), dim A, d, d), from the Gram powers each module caches."""
-    S = stack_slices([p.module.gram_sqrt for p in phi])
-    Si = stack_slices([p.module.gram_isqrt for p in phi])
-    return live_products(S[:, None], stack_slices([p.images for p in phi]), Si[:, None])[0]
+def realized_images(E: HilbertModule, X: np.ndarray) -> np.ndarray:
+    """G^(1/2) X[s, p] G^(-1/2) for a stack X (S, dim A, d, d) of images of
+    maps on the slices of a module stack E, from the Gram powers E caches."""
+    return live_products(E.gram_sqrt[:, None], X, E.gram_isqrt[:, None])[0]
 
 
 def choi_blocks(X: np.ndarray, A: AlgebraShape) -> list[np.ndarray]:
@@ -190,13 +192,13 @@ def check_cp(phi: Sequence[CPMap], tol: Tolerance, memo: BuildMemo) -> list[tupl
 
     def build(todo: list[int]) -> list[tuple]:
         maps = [phi[i] for i in todo]
-        X = realized_images(maps)
+        E, Y = module_stack([p.module for p in maps]), stack_slices([p.images for p in maps])
+        X = realized_images(E, Y)
         fresh = [i for i, p in enumerate(maps) if "norm" not in vars(p)]
         for i, norm in zip(fresh, operator_norms(X[fresh]).max(axis=1, initial=0.0).tolist()):
             vars(maps[i])["norm"] = norm
         # ||phi(u_p) R(u_b) - R(u_b) phi(u_p)|| over all p, b, exact where Frobenius can't pass it
-        Y = stack_slices([p.images for p in maps])[:, :, None]
-        R = stack_slices([p.module.action for p in maps])[:, None]
+        Y, R = Y[:, :, None], E.action[:, None]
         D = Y @ R - R @ Y
         gate = tol.ctol * (1.0 + np.array([p.norm for p in maps]))
         fro = np.sqrt(np.sum((D.conj() * D).real, axis=(-2, -1))).max(axis=(1, 2), initial=0.0)
@@ -214,8 +216,9 @@ def check_cp(phi: Sequence[CPMap], tol: Tolerance, memo: BuildMemo) -> list[tupl
 
 
 @dataclass
-class TensorModule(Quotient):
-    """E (x)_pi F: the quotient of tensor_premodule and the ingredients that built it."""
+class TensorModule(QuotientSlice):
+    """E (x)_pi F: a slice of the quotient of tensor_premodule, with the
+    ingredients that built it."""
 
     left: HilbertModule
     right: HilbertModule
@@ -238,9 +241,9 @@ def paired_images(
         if not same_module(p.module, f):
             raise ShapeMismatch("representation does not act on F")
     n, dE, B = len(E), E[0].dim, E[0].algebra
-    blocks = ([e.pairing[t] for e in E] for t in range(len(B.blocks)))
+    pairing = module_stack(E).pairing
     coeffs = np.concatenate(
-        [stack_slices(P).reshape(n, dE * dE, m * m) for P, m in zip(blocks, B.blocks)], axis=2
+        [P.reshape(n, dE * dE, m * m) for P, m in zip(pairing, B.blocks)], axis=2
     )
     images = stack_slices([p.images for p in pi])
     if at is not None:
@@ -257,14 +260,13 @@ def tensor_premodule(
     <e_i (x) f_j, e_k (x) f_l> = <f_j, pi(<e_i, e_k>_E) f_l>_F and C acting on
     the F slot: one stacked contraction for the whole stack."""
     N = paired_images(E, F, pi)
-    n, dE, dF = len(E), E[0].dim, F[0].dim
-    action = kron(np.eye(dE, dtype=complex), stack_slices([f.action for f in F]))  # I (x) R(u_c)
+    n, dE, dF, Fs = len(E), E[0].dim, F[0].dim, module_stack(F)
+    action = kron(np.eye(dE, dtype=complex), Fs.action)  # I (x) R(u_c)
     # pairing[s, i, j, k, l] = sum_m N[s, i, k, m, l] P[s, j, m]
     Nt = N.transpose(0, 1, 2, 4, 3).reshape(n, dE * dE * dF, dF)
     pairing = []
-    for t, m in enumerate(F[0].algebra.blocks):
-        P = stack_slices([f.pairing[t] for f in F]).transpose(0, 2, 1, 3, 4)
-        P = P.reshape(n, dF, dF * m * m)
+    for P, m in zip(Fs.pairing, F[0].algebra.blocks):
+        P = P.transpose(0, 2, 1, 3, 4).reshape(n, dF, dF * m * m)
         pairing.append(
             dots(Nt, P).reshape(n, dE, dE, dF, dF, m, m).transpose(0, 1, 4, 2, 3, 5, 6)
             .reshape(n, dE * dF, dE * dF, m, m)
@@ -304,7 +306,7 @@ def over_itself(M: Sequence[HilbertModule], memo: BuildMemo) -> bool:
 
 def column_quotients(
     E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap], tol: Tolerance
-) -> list[Quotient] | None:
+) -> Quotient | None:
     """E[s] (x)_pi[s] C, every F[s] C over itself, by quotient_by_columns on copy 0's
     Gram blocks read off paired_images after the C-linearity gate (NonLinearMap);
     None when a block's rank differs between slices."""
@@ -329,8 +331,9 @@ def tensor_quotients(
     tol: Tolerance, memo: BuildMemo,
 ) -> list[TensorModule]:
     """The quotients of tensor_premodule(E, F, pi) by their null spaces, one
-    stacked build: the build step of interior_tensor, and of ksgns, which
-    keeps A (x)_phi E inside its own memo entry.  From ROW_SPLIT_MIN_DIM wide, when
+    quotient stack, handed on as its slices: the build step of
+    interior_tensor, and of ksgns, which keeps A (x)_phi E inside its own memo
+    entry.  From ROW_SPLIT_MIN_DIM wide, when
     every E[s] is A over itself, quotient_by_copies takes row_split's copies to F_phi
     = (+)_t C^{n_t} (x) K_t; else from SPLIT_MIN_DIM, when every F[s] is C over
     itself, column_quotients writes E (x)_pi C with no pre-module.  A stack whose
@@ -343,7 +346,7 @@ def tensor_quotients(
         quots = column_quotients(E, F, pi, tol)
     if quots is None:
         quots = quotient_by_null(tensor_premodule(E, F, pi), tol)
-    return [TensorModule(q.module, q.q, q.s, q.kernel, *slc) for q, *slc in zip(quots, E, F, pi)]
+    return [TensorModule(quots, i, *slc) for i, slc in enumerate(zip(E, F, pi))]
 
 
 def interior_tensor(
@@ -366,8 +369,8 @@ def interior_tensor(
 def tensor_extend(
     T: Sequence[np.ndarray], tm1: Sequence[TensorModule], tm2: Sequence[TensorModule],
     what: str, tol: Tolerance,
-) -> list[np.ndarray]:
-    """T[s] (x) I on the quotients for each slice: T[s] a stack (..., d2, d1) of
+) -> np.ndarray:
+    """T[s] (x) I on the quotients, a stack over s: T[s] a stack (..., d2, d1) of
     maps from tm1[s]'s left factor to tm2[s]'s, whose right factors must
     agree.  A leak raises WellDefinednessViolation naming `what`."""
     if any(b.right.dim != a.right.dim for a, b in zip(tm1, tm2)):
@@ -531,7 +534,7 @@ def check_morphism(
     for m, norm in zip(fresh, module_operator_norms([m.eta for m in fresh]) if fresh else []):
         vars(m)["norm"] = float(norm)
     eta = stack_slices([m.eta.matrix for m in ms])[:, None]
-    eta_star = stack_slices(adjoint_matrices([m.eta for m in ms]))[:, None]
+    eta_star = adjoint_matrices([m.eta for m in ms])[:, None]
     gram = eta_star @ eta
     twisted = stack_slices(
         [np.einsum("qp,qij->pij", m.alpha.matrix, p.images) for m, p in zip(ms, phi2)]

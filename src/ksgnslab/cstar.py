@@ -198,7 +198,7 @@ class StarMap:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        self.matrix = np.ascontiguousarray(require_finite(self.matrix, "star map matrix"))
+        self.matrix = np.ascontiguousarray(self.matrix, dtype=complex)
         if self.matrix.shape != (self.codomain.dim, self.domain.dim):
             raise ShapeMismatch(
                 f"star map matrix {self.matrix.shape} != {(self.codomain.dim, self.domain.dim)}"

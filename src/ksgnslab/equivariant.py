@@ -483,7 +483,7 @@ def dilate(c: EquivariantCorrespondence, tol: Tolerance, memo: BuildMemo) -> Dil
     t = ksgns([c.module], [c.phi], tol, memo)[0]
     K = [kron(a.matrix, U) for a, U in zip(c.system_in.action, c.unitaries)]
     n = c.group.order
-    return DilationQuadruple(c, t, descend(K, [t] * n, [t] * n, "alpha_g (x) U_g", tol))
+    return DilationQuadruple(c, t, list(descend(K, [t] * n, [t] * n, "alpha_g (x) U_g", tol)))
 
 
 def dilated_correspondence(quad: DilationQuadruple) -> EquivariantCorrespondence:

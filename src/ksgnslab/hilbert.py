@@ -9,6 +9,14 @@ A (pre-)module over B is a coordinate space C^d carrying
   (d, d, n_t, n_t) holding the t-th block of <e_i, e_j>.  The pairing is
   conjugate-linear in the first slot and linear in the second.
 
+A module may be a stack of modules of one shape, its arrays with a leading
+axis: builders produce and consume stacks.  A stack is checked once, where its
+data enters (load, generation, the quotients' eigenvectors): one pairing block
+per block of B and the shapes in PreModule, finite entries and the
+SingularGram gate on the batched Gram spectrum in HilbertModule.  ModuleView
+reads slices of a checked stack, which no check runs on again; module_stack and
+quotient_bases turn a list of slices back into the stack they came from.
+
 Scalarizing the pairing through the faithful trace gives the Gram matrix
 G_ij = tau(<e_i, e_j>).  Null-space detection, vector norms of the ambient
 Hilbert-space realization, operator norms, and adjoints all run through G:
@@ -60,28 +68,30 @@ from .numkernel import (
 @dataclass
 class PreModule:
     """Right B-module with a possibly degenerate B-valued pairing, or a stack
-    of such modules of one shape when its arrays carry a leading axis."""
+    of such modules of one shape when its arrays carry a leading axis.  One
+    pairing block per block of B and the shapes are checked here, once for a
+    whole stack; finite entries where it becomes a HilbertModule, or in the
+    rank decisions on its Gram."""
 
     algebra: AlgebraShape
     dim: int
-    action: np.ndarray  # (dim_B, d, d); action[p] = R(u_p)
-    pairing: list[np.ndarray]  # per B-block t: (d, d, n_t, n_t)
+    action: np.ndarray  # (..., dim_B, d, d); action[p] = R(u_p)
+    pairing: list[np.ndarray]  # per B-block t: (..., d, d, n_t, n_t)
 
     def __post_init__(self) -> None:
-        d = self.dim
-        self.action = require_finite(self.action, "module action")
+        d, blocks = self.dim, self.algebra.blocks
+        if len(self.pairing) != len(blocks):
+            raise ShapeMismatch(f"{len(self.pairing)} pairing blocks for {len(blocks)} blocks of B")
+        self.action = np.asarray(self.action, dtype=complex)
         lead = self.action.shape[:-3]
         if self.action.shape != (*lead, self.algebra.dim, d, d):
             raise ShapeMismatch(
                 f"action tensor {self.action.shape} != {(*lead, self.algebra.dim, d, d)}"
             )
-        mats = []
-        for n, P in zip(self.algebra.blocks, self.pairing):
-            P = require_finite(P, "module pairing")
+        self.pairing = [np.asarray(P, dtype=complex) for P in self.pairing]
+        for n, P in zip(blocks, self.pairing):
             if P.shape != (*lead, d, d, n, n):
                 raise ShapeMismatch(f"pairing block {P.shape} != {(*lead, d, d, n, n)}")
-            mats.append(P)
-        self.pairing = mats
 
     @cached_property
     def key(self) -> bytes:
@@ -117,16 +127,18 @@ class PreModule:
 
 @dataclass
 class HilbertModule(PreModule):
-    """PreModule whose Gram matrix is positive definite.
+    """PreModule whose Gram matrix is positive definite, or a stack of them.
 
     The Gram spectrum (w ascending, V) of the Hermitized Gram matrix G is one
-    eigh at construction, quotient_by_null's slice of one batched eigh with the
-    same bits, quotient_by_copies' sorted copies of one eigh per block, or
-    quotient_by_columns' sorted diagonal G and a permutation.  Its
-    eigenvalues gate SingularGram, here only, and give
-    G^(1/2), G^(-1/2) and G^(-1), each cached on first use, with eigenvalues
-    clipped at max(rtol * lambda_max, tiny), so that inverse powers of a
-    well-conditioned G never blow up on rounding noise.
+    batched eigh at construction, or a quotient's: quotient_by_null's batched
+    eigh of the quotient Grams, quotient_by_copies' sorted copies of one eigh
+    per block, or quotient_by_columns' sorted diagonal G and a permutation.  It
+    is checked here with the action and pairing, once for a whole stack: finite
+    entries, shapes and the SingularGram gate, which names the first singular
+    slice of a longer stack.  It gives G^(1/2), G^(-1/2) and G^(-1), each
+    cached for the whole stack on first use, with eigenvalues clipped at
+    max(rtol * lambda_max, tiny), so that inverse powers of a well-conditioned
+    G never blow up on rounding noise.
 
     gram_spectrum must decompose gram_matrix itself; the quotients are its only
     intended setters.  A supplied spectrum is checked for shape only, so one
@@ -136,24 +148,29 @@ class HilbertModule(PreModule):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.action.ndim != 3:
-            raise ShapeMismatch("a Hilbert module is one module, not a stack")
+        require_finite(self.action, "module action")
+        for P in self.pairing:
+            require_finite(P, "module pairing")
         if self.gram_spectrum is None:
             self.gram_spectrum = np.linalg.eigh(self.gram_matrix)
         w, V = self.gram_spectrum
-        if w.shape != (self.dim,) or V.shape != (self.dim, self.dim):
+        lead, d = self.action.shape[:-3], self.dim
+        if w.shape != (*lead, d) or V.shape != (*lead, d, d):
             raise ShapeMismatch(
-                f"Gram spectrum of shapes {w.shape}, {V.shape} for a module of dim {self.dim}"
+                f"Gram spectrum of shapes {w.shape}, {V.shape} for a module of dim {d}"
             )
-        if self.dim and (w[-1] <= 0.0 or w[0] <= DEFAULT_TOL.rtol * w[-1]):
-            raise SingularGram(
-                f"Gram spectrum [{w[0]:.3e}, {w[-1]:.3e}] is not positive definite"
-            )
+        bad = (w[..., -1:] <= 0.0) | (w[..., :1] <= DEFAULT_TOL.rtol * w[..., -1:])
+        if np.count_nonzero(bad):
+            i = int(np.flatnonzero(bad)[0])
+            lo, hi = w.reshape(-1, d)[i, [0, -1]]
+            where = f" in slice {i}" if w.size > d else ""
+            spectrum = f"Gram spectrum [{lo:.3e}, {hi:.3e}]"
+            raise SingularGram(f"{spectrum}{where} is not positive definite")
 
     def _gram_power(self, p: float) -> np.ndarray:
         w, V = self.gram_spectrum
-        w = np.maximum(w, np.maximum(DEFAULT_TOL.rtol * w[-1:], np.finfo(float).tiny))
-        return (V * w**p) @ V.conj().T
+        w = np.maximum(w, np.maximum(DEFAULT_TOL.rtol * w[..., -1:], np.finfo(float).tiny))
+        return (V * w[..., None, :] ** p) @ V.conj().swapaxes(-1, -2)
 
     @cached_property
     def gram_sqrt(self) -> np.ndarray:
@@ -167,9 +184,66 @@ class HilbertModule(PreModule):
     def gram_inv(self) -> np.ndarray:
         return self._gram_power(-1.0)
 
+    @cached_property
+    def origin(self) -> tuple[HilbertModule, int]:
+        """(stack, index) of one module, which module_stack reads: a module of
+        its own is slice 0 of itself as a stack of one."""
+        return ModuleView(self, np.newaxis), 0
+
     def vector_norm(self, X: np.ndarray) -> np.ndarray:
         """||x|| = sqrt(||<x, x>||_B) for each row x of X (..., d), shape (...)."""
         return np.sqrt(element_norms(self.algebra, self.pair(X, X)))
+
+
+def _read(name: str) -> cached_property:
+    """A ModuleView's `name`, read on first use: its stack's `name` at its index."""
+    return cached_property(lambda self: getattr(self.origin[0], name)[self.origin[1]])
+
+
+class ModuleView(HilbertModule):
+    """Slices idx of a checked module stack: an index gives one module, an
+    index array or a slice a stack, np.newaxis a module as a stack of one.
+    Its arrays, Gram spectrum and Gram powers are the stack's at idx, read on
+    first use and covered by the stack's checks and gate, so none runs again."""
+
+    def __init__(self, stack: HilbertModule, idx) -> None:
+        self.origin, self.algebra, self.dim = (stack, idx), stack.algebra, stack.dim
+
+    action, gram_matrix, gram_sqrt, gram_isqrt, gram_inv = map(
+        _read, ("action", "gram_matrix", "gram_sqrt", "gram_isqrt", "gram_inv"))
+    pairing = cached_property(lambda self: [P[self.origin[1]] for P in self.origin[0].pairing])
+    gram_spectrum = cached_property(
+        lambda self: tuple(x[self.origin[1]] for x in self.origin[0].gram_spectrum))
+
+
+class _Joined:
+    """Modules of no one stack, as one: each array stacked from theirs when
+    first read (stack_slices names a slice of another shape)."""
+
+    def __init__(self, mods: Sequence[HilbertModule]) -> None:
+        self.mods, self.algebra, self.dim = mods, mods[0].algebra, mods[0].dim
+
+    def __getattr__(self, name: str):
+        parts = [getattr(m, name) for m in self.mods]
+        if isinstance(parts[0], (list, tuple)):  # the pairing blocks, the Gram spectrum
+            value = [stack_slices(p) for p in zip(*parts)]
+        else:
+            value = stack_slices(parts)
+        setattr(self, name, value)
+        return value
+
+
+def module_stack(mods: Sequence[HilbertModule]) -> HilbertModule:
+    """The modules mods as one stack, slice s mods[s]: the stack they are
+    slices of, whole when they are all of it in order, else a view of those
+    slices.  Modules of no one stack are joined, their arrays stacked when
+    read."""
+    stack, idx = mods[0].origin[0], []
+    for m in mods:
+        if m.origin[0] is not stack:
+            return ModuleView(_Joined(mods), slice(None))
+        idx.append(m.origin[1])
+    return stack if idx == list(range(len(stack.action))) else ModuleView(stack, np.array(idx))
 
 
 def _scalarized(B: AlgebraShape, pairing: Sequence[np.ndarray]) -> np.ndarray:
@@ -203,18 +277,56 @@ def transport_pairing(s: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Quotient:
+    """The quotients of a stack of S pre-modules by their null spaces: module,
+    the stack of quotient modules; q (S, rank, d), the quotient maps onto
+    eigen-coordinates; s (S, d, rank), the sections, q s = I; kernel (S, d,
+    d - rank), bases of the Gram kernels.  quotient[i] is slice i."""
+
     module: HilbertModule
-    q: np.ndarray  # (rank, d): quotient map onto eigen-coordinates
-    s: np.ndarray  # (d, rank): section, q s = I
-    kernel: np.ndarray  # (d, d - rank): kernel basis of the Gram matrix
+    q: np.ndarray
+    s: np.ndarray
+    kernel: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.s)
+
+    def __getitem__(self, i: int) -> QuotientSlice:
+        return QuotientSlice(self, range(len(self))[i])
 
 
-def quotient_by_null(pre: PreModule, tol: Tolerance) -> list[Quotient]:
+@dataclass
+class QuotientSlice:
+    """Slice `index` of a quotient stack: its module, q, s and kernel are
+    views of the stack's."""
+
+    stack: Quotient
+    index: int
+
+    def __post_init__(self) -> None:
+        st, i = self.stack, self.index
+        self.module = ModuleView(st.module, i)
+        self.q, self.s, self.kernel = st.q[i], st.s[i], st.kernel[i]
+
+
+def quotient_bases(quots: Sequence[QuotientSlice], *names: str) -> list[np.ndarray]:
+    """The stacks of the arrays `names` (of q, s and kernel) of the slices
+    quots, slice s quots[s]: their stack's arrays, whole when they are all of
+    it in order, else those slices; slices of no one stack have theirs stacked."""
+    stack, idx = quots[0].stack, []
+    for t in quots:
+        if t.stack is not stack:
+            return [stack_slices([getattr(x, name) for x in quots]) for name in names]
+        idx.append(t.index)
+    at = slice(None) if idx == list(range(len(stack))) else np.array(idx)
+    return [getattr(stack, name)[at] for name in names]
+
+
+def quotient_by_null(pre: PreModule, tol: Tolerance) -> Quotient:
     """Quotient each pre-module of a stack (a PreModule with a leading axis) by
-    the null space of its pairing: one batched rank_kernel over the Gram
-    matrices, one stacked leak gate and transport of the action and pairing,
-    and one batched eigh of the quotient Grams for the modules' spectra.  Each
-    slice gets the bits of a quotient of its own.
+    the null space of its pairing, as one quotient stack: one batched
+    rank_kernel over the Gram matrices, one stacked leak gate and transport of
+    the action and pairing, and one batched eigh of the quotient Grams for the
+    modules' spectra.  Each slice gets the bits of a quotient of its own.
 
     The null space is detected as ker(G) for the scalarized Gram G; by
     faithfulness of the trace this agrees with {z : <z, z> = 0} whenever the
@@ -223,22 +335,26 @@ def quotient_by_null(pre: PreModule, tol: Tolerance) -> list[Quotient]:
     a kernel is not invariant under the action, which signals an invalid
     pre-module; in a longer stack the message names the first leaking slice.
     """
-    splits = rank_kernel(pre.gram(), tol)
-    ranks = [rank for rank, _, _ in splits]
-    if ranks.count(ranks[0]) < len(ranks):
-        i = next(i for i, rank in enumerate(ranks) if rank != ranks[0])
+    (ranks, _, V), = rank_kernel(pre.gram(), tol)
+    if np.count_nonzero(other := ranks != ranks[0]):
+        i = int(np.flatnonzero(other)[0])
         raise ShapeMismatch(
             f"slices quotient to different ranks: slice 0 to {ranks[0]}, slice {i} to {ranks[i]}"
         )
-    s, kernel = (stack_slices([x[k] for x in splits]) for k in (1, 2))
+    V = require_finite(V, "Gram eigenvectors")
+    z = V.shape[-1] - int(ranks[0])  # the kernel's width
+    # copies with Fortran-ordered slices, a column selection's layout, on which the bits depend
+    s, kernel = (np.ascontiguousarray(x.swapaxes(-1, -2)).swapaxes(-1, -2)
+                 for x in (V[..., z:], V[..., :z]))
     moved, blocks, w, V = _quotient_stack(pre.algebra, s, kernel, pre.action, pre.pairing, tol)
-    return _quotients(pre.algebra, s, kernel, moved, zip(*blocks), w, V)
+    return _quotients(pre.algebra, s, kernel, moved, blocks, w, V)
 
 
-def _quotients(B: AlgebraShape, s, kernel, *module) -> list[Quotient]:
-    """The Quotients on stacked bases, modules from (action, pairing, w, V) stacks."""
-    mods = [HilbertModule(B, s.shape[-1], a, P, (w, V)) for a, P, w, V in zip(*module)]
-    return [Quotient(E, r.conj().T, r, kr) for E, r, kr in zip(mods, s, kernel)]
+def _quotients(B: AlgebraShape, s, kernel, action, pairing, w, V) -> Quotient:
+    """The quotient stack on the bases s and kernel, its module stack (checked
+    there) from the stacks of its action, pairing and Gram spectrum."""
+    module = HilbertModule(B, s.shape[-1], action, pairing, (w, V))
+    return Quotient(module, s.conj().swapaxes(-1, -2), s, kernel)
 
 
 def _leak_error(S: int, i: int, b: int, leak: float) -> SubmoduleViolation:
@@ -261,8 +377,8 @@ def _quotient_stack(B: AlgebraShape, s, kernel, action, pairing, tol: Tolerance)
 
 def split_bases(decided: list[tuple], copies: Sequence[np.ndarray]) -> tuple | None:
     """Stacks (range, kernel) I_{n_t} (x) V_t of rank_kernel's Split decisions, copy a
-    of block t on coordinates copies[t][a], columns block by block and copy by copy;
-    None when a block's rank differs between slices."""
+    of block t on coordinates copies[t][a], columns block by block and copy by copy,
+    checked finite; None when a block's rank differs between slices."""
     if any(np.count_nonzero(r != r[0]) for r, _, _ in decided):
         return None
     ranks = [int(r[0]) for r, _, _ in decided]
@@ -274,12 +390,12 @@ def split_bases(decided: list[tuple], copies: Sequence[np.ndarray]) -> tuple | N
         for rows in c:
             s[:, rows, o : o + k], kernel[:, rows, ko : ko + z] = V[..., z:], V[..., :z]
             o, ko = o + k, ko + z
-    return s, kernel
+    return require_finite(s, "Gram eigenvectors"), require_finite(kernel, "Gram eigenvectors")
 
 
 def quotient_by_copies(
     pre: PreModule, copies: Sequence[np.ndarray], tol: Tolerance
-) -> list[Quotient]:
+) -> Quotient:
     """quotient_by_null of orthogonal sums of equal submodules, copies[t] (n_t, b_t)
     placing block t's (cp.row_split), as (+)_t C^{n_t} (x) K_t: rank_kernel's Split
     of copy 0's Gram blocks gives the bases (split_bases), one _quotient_stack per
@@ -313,12 +429,12 @@ def quotient_by_copies(
         o += Q.size
     order = np.argsort(w, axis=-1, kind="stable")
     w, V = np.take_along_axis(w, order, -1), np.take_along_axis(V, order[:, None], -1)
-    return _quotients(B, s, kernel, moved, zip(*blocks), w, V)
+    return _quotients(B, s, kernel, moved, blocks, w, V)
 
 
 def quotient_by_columns(
     B: AlgebraShape, gram: Split, copies: Sequence[np.ndarray], tol: Tolerance
-) -> list[Quotient] | None:
+) -> Quotient | None:
     """E (x)_pi B, B = (+)_t M_{n_t} over itself, from rank_kernel's decisions on copy
     0's Gram blocks (copies = cp.column_split): with v_a, w_a block t's kept eigenpairs,
     O_t + k r_t + a is v_a (x) e^t_.k, R(e^t_kl) moves copy k to l, <v_a (x) e_k, v_b (x)
@@ -346,7 +462,8 @@ def quotient_by_columns(
     w = np.concatenate([np.tile(w, n) for n, (_, _, w) in zip(B.blocks, kept)], axis=1)
     order = np.argsort(w, axis=-1, kind="stable")
     V = (np.arange(d)[:, None] == order[:, None, :]).astype(complex)  # column j: e_order[j]
-    return _quotients(B, s, kernel, [action] * S, zip(*blocks), np.sort(w, kind="stable"), V)
+    action = np.broadcast_to(action, (S, *action.shape))
+    return _quotients(B, s, kernel, action, blocks, np.sort(w, kind="stable"), V)
 
 
 def null_leak(
@@ -370,24 +487,24 @@ def first_leak(X: np.ndarray, K: np.ndarray, tol: Tolerance) -> tuple[int, float
 
 
 def descend(
-    K: Sequence[np.ndarray], src: Sequence[Quotient], tgt: Sequence[Quotient], what: str,
+    K: Sequence[np.ndarray], src: Sequence[QuotientSlice], tgt: Sequence[QuotientSlice], what: str,
     tol: Tolerance,
-) -> list[np.ndarray]:
-    """q_tgt K[i] s_src for each slice i: K[i] (..., m, n) a stack of maps
-    between the pre-spaces of src[i] and tgt[i], compressed to what it
+) -> np.ndarray:
+    """q_tgt K[i] s_src for each slice i, a stack: K[i] (..., m, n) a stack of
+    maps between the pre-spaces of src[i] and tgt[i], compressed to what it
     induces on the quotients, with one stacked gate and product: q K [s |
     kernel] by live_products, on a block-sparse K's live block.  Raises
     WellDefinednessViolation, naming `what`, the first leaking slice of a
     longer stack and its leak, when K[i] leaks ker G_src out of ker G_tgt."""
-    K, q = require_finite(stack_slices(K)), stack_slices([t.q for t in tgt])
-    kernel, s = stack_slices([t.kernel for t in src]), stack_slices([t.s for t in src])
+    (q,), (s, kernel) = quotient_bases(tgt, "q"), quotient_bases(src, "s", "kernel")
+    K = require_finite(K)
     ex = (slice(None),) + (None,) * (K.ndim - 3)
     qKs, qKk = live_products(q[ex], K, s[ex], kernel[ex])
     leak = first_leak(qKk, K, tol)
     if leak is not None:
-        where = f" in slice {leak[0] // int(np.prod(K.shape[1:-2]))}" if len(src) > 1 else ""
+        where = f" in slice {leak[0] // int(np.prod(K.shape[1:-2]))}" if len(K) > 1 else ""
         raise WellDefinednessViolation(f"{what} leaks out of the null space{where} ({leak[1]:.3e})")
-    return list(qKs)
+    return qKs
 
 
 # -- module maps -----------------------------------------------------------
@@ -398,7 +515,8 @@ class ModuleMap:
     """B-linear map between Hilbert modules over the same algebra.
 
     In finite dimension every B-linear map is adjointable, with adjoint
-    G_src^(-1) T^dagger G_tgt; adjoint_map applies that formula.
+    G_src^(-1) T^dagger G_tgt; adjoint_map applies that formula.  Its matrix
+    is checked finite where it enters (load, generation), not here.
     """
 
     source: HilbertModule
@@ -408,7 +526,7 @@ class ModuleMap:
     def __post_init__(self) -> None:
         if self.source.algebra != self.target.algebra:
             raise ShapeMismatch("module map across different coefficient algebras")
-        self.matrix = require_finite(self.matrix, "module map matrix")
+        self.matrix = np.asarray(self.matrix, dtype=complex)
         if self.matrix.shape != (self.target.dim, self.source.dim):
             raise ShapeMismatch(
                 f"matrix {self.matrix.shape} != {(self.target.dim, self.source.dim)}"
@@ -439,12 +557,12 @@ def realize(m: ModuleMap) -> np.ndarray:
     return m.target.gram_sqrt @ m.matrix @ m.source.gram_isqrt
 
 
-def adjoint_matrices(maps: Sequence[ModuleMap]) -> list[np.ndarray]:
+def adjoint_matrices(maps: Sequence[ModuleMap]) -> np.ndarray:
     """Matrices of the unique adjoints G_src^(-1) T^dagger G_tgt of B-linear
-    maps of one shape, one stacked product."""
-    Gi = stack_slices([m.source.gram_inv for m in maps])
+    maps of one shape, a stack from one stacked product."""
+    Gi = module_stack([m.source for m in maps]).gram_inv
     Th = stack_slices([m.matrix.conj().T for m in maps])
-    return list(Gi @ Th @ stack_slices([m.target.gram_matrix for m in maps]))
+    return Gi @ Th @ module_stack([m.target for m in maps]).gram_matrix
 
 
 def adjoint_map(m: ModuleMap) -> ModuleMap:
@@ -454,12 +572,10 @@ def adjoint_map(m: ModuleMap) -> ModuleMap:
 
 def unitarity_residual(U: Sequence[ModuleMap]) -> float:
     """max(||U* U - 1||, ||U U* - 1||) with the module adjoint, the largest
-    over a family of maps, from one batched SVD per shape."""
-    defects = [
-        D for Us, X in zip(adjoint_matrices(U), (u.matrix for u in U))
-        for D in (Us @ X - np.eye(len(Us)), X @ Us - np.eye(len(X)))
-    ]
-    return float(max_operator_norms(*defects).max(initial=0.0))
+    over a family of maps of one shape, from one batched SVD per shape."""
+    Us, X = adjoint_matrices(U), stack_slices([u.matrix for u in U])
+    defects = Us @ X - np.eye(X.shape[-1]), X @ Us - np.eye(X.shape[-2])
+    return float(max_operator_norms(*defects).max())
 
 
 def module_operator_norm(m: ModuleMap) -> float:
@@ -470,8 +586,8 @@ def module_operator_norm(m: ModuleMap) -> float:
 def module_operator_norms(maps: Sequence[ModuleMap]) -> np.ndarray:
     """module_operator_norm of each map of one shape, from one stacked
     realization and one batched SVD."""
-    S = stack_slices([m.target.gram_sqrt for m in maps])
-    Si = stack_slices([m.source.gram_isqrt for m in maps])
+    S = module_stack([m.target for m in maps]).gram_sqrt
+    Si = module_stack([m.source for m in maps]).gram_isqrt
     return operator_norms(S @ stack_slices([m.matrix for m in maps]) @ Si)
 
 
@@ -507,7 +623,7 @@ class AlphaLinearMap:
             raise ShapeMismatch("twisted map across different coefficient algebras")
         if self.twist.shape != self.source.algebra:
             raise ShapeMismatch("twist automorphism lives on the wrong algebra")
-        self.matrix = require_finite(self.matrix, "twisted map matrix")
+        self.matrix = np.asarray(self.matrix, dtype=complex)
         if self.matrix.shape != (self.target.dim, self.source.dim):
             raise ShapeMismatch("twisted map matrix has wrong shape")
 

@@ -41,7 +41,9 @@ from .errors import NonConvergentInput, NotCP
 from .hilbert import (
     HilbertModule,
     ModuleMap,
+    ModuleView,
     Quotient,
+    QuotientSlice,
     adjoint_map,
     descend,
     module_operator_norm,
@@ -55,8 +57,9 @@ from .reporting import CheckReport
 
 
 @dataclass
-class KsgnsTriple(Quotient):
-    """(F_phi, pi_phi, V_phi): the quotient F_phi = A (x)_phi E with its data."""
+class KsgnsTriple(QuotientSlice):
+    """(F_phi, pi_phi, V_phi): a slice of the quotient stack of the F_phi =
+    A (x)_phi E built together, with its data."""
 
     source: HilbertModule  # E
     phi: CPMap
@@ -100,7 +103,7 @@ def ksgns(
         unit = unit_coeffs(A).reshape(A.dim, 1)
         return [
             KsgnsTriple(
-                tm.module, tm.q, tm.s, tm.kernel, e, p, CPMap(A, tm.module, pi),
+                tm.stack, tm.index, e, p, CPMap(A, tm.module, pi),
                 ModuleMap(e, tm.module, tm.q @ kron(unit, np.eye(e.dim, dtype=complex))),
             )
             for e, p, tm, pi in zip(mods, maps, tms, pis)
@@ -175,12 +178,14 @@ def triple_uniqueness_unitary(
 
 def conjugated_triple(t: KsgnsTriple, Z: ModuleMap) -> KsgnsTriple:
     """Transport a triple along a B-linear unitary Z in L(F_phi): the quotient
-    map and section move with it (q <- Z q, s <- s Z^-1); the kernel stays."""
+    map and section move with it (q <- Z q, s <- s Z^-1), a stack of one; the
+    module and kernel stay."""
     Zi = adjoint_map(Z).matrix
+    module = ModuleView(t.module, np.newaxis)
     return replace(
         t,
-        q=Z.matrix @ t.q,
-        s=t.s @ Zi,
+        stack=Quotient(module, (Z.matrix @ t.q)[None], (t.s @ Zi)[None], t.kernel[None]),
+        index=0,
         pi=CPMap(t.phi.algebra, t.module, live_products(Z.matrix, t.pi.images, Zi)[0]),
         embedding=ModuleMap(t.source, t.module, Z.matrix @ t.embedding.matrix),
     )

@@ -36,8 +36,9 @@ L X R as L[:, rows] @ X[rows, cols] @ R[cols, :], one batched call per cut
 shape.  Below LIVE_MIN_DIM, or with no zero row or column, both keep dense bits.
 
 Same-shape problems run as stacks: herm_eig and rank_kernel take a leading
-slice axis, and a builder takes one stack whose slices share a shape, never
-padded.  stack_slices forms such a stack and raises ShapeMismatch when a
+slice axis (rank_kernel decides a whole stack at once, one block of decisions),
+and a builder takes one stack whose slices share a shape, never padded.
+stack_slices forms such a stack from arrays and raises ShapeMismatch when a
 slice's shape differs, so the shapes are checked once, where the stack is
 formed.  Batched LAPACK gives every matrix the bits of a call of its own, and
 stack_slices keeps each slice's memory layout, on which matrix-vector
@@ -80,7 +81,8 @@ DEFAULT_TOL = Tolerance()
 CERTIFY_MIN_SLICES = 32
 CERTIFY_MARGIN = 1e-6
 # Narrower stacks stay dense: on the workloads' row-split pi_phi (split_widths.py --live) the cut
-# took +55% at width 32, +5% at 45 and +71% for the descent at 64, and -17% to -47% at 72-99
+# took +52% to +91% at width 32, +3% to +8% at 45, -0% to +31% at 54 and +66% for the descent at
+# 64, and -19% to -40% at 72-99
 LIVE_MIN_DIM = 72
 
 
@@ -274,26 +276,24 @@ class Split(NamedTuple):
 
 def rank_kernel(G: np.ndarray | Split, tol: Tolerance) -> list[tuple]:
     """Split each PSD Hermitian matrix of a stack (S, d, d) into numerical range
-    and kernel, from batched herm_eig; a rank decision per slice.
+    and kernel, from batched herm_eig: a rank decision per slice.
 
-    rank = #{eigenvalues > rtol * lambda_max}.  The range basis columns are
-    orthonormal eigenvectors of the kept eigenvalues, the kernel basis spans
-    the rest.  A Split takes one herm_eig per block size and decides its
-    slices' blocks against the lambda_max and minimum over all of them; it
-    returns per block t (ranks (S,), eigenvalues (S, b_t) ascending,
-    eigenvectors (S, b_t, b_t)), the last ranks[s] columns kept.
+    rank = #{eigenvalues > rtol * lambda_max}.  Returns per block, the stack
+    itself being one, (ranks (S,), eigenvalues (S, b) ascending, eigenvectors
+    (S, b, b)): the last ranks[s] columns of slice s are orthonormal
+    eigenvectors of its kept eigenvalues and span its range, the others its
+    kernel.  A Split takes one herm_eig per block size and decides its
+    slices' blocks against the lambda_max and minimum over all of them.
     Raises NotPSD, naming the first such slice of a longer stack, when a
     minimum eigenvalue dips below -ctol * (1 + ||G||)."""
-    if not isinstance(G, Split):
-        S, eig = len(G), [herm_eig(G, tol)]
-    else:
-        S, eig = len(G.blocks[0]), [()] * len(G.blocks)
-        for b in dict.fromkeys(x.shape[-1] for x in G.blocks):
-            ts = [t for t, x in enumerate(G.blocks) if x.shape[-1] == b]
-            M = np.concatenate([G.blocks[t] for t in ts]) if ts[1:] else G.blocks[ts[0]]
-            w, V = herm_eig(M, tol)
-            for k, t in enumerate(ts):
-                eig[t] = w[k * S : (k + 1) * S], V[k * S : (k + 1) * S]
+    blocks = G.blocks if isinstance(G, Split) else [G]
+    S, eig = len(blocks[0]), [()] * len(blocks)
+    for b in dict.fromkeys(x.shape[-1] for x in blocks):
+        ts = [t for t, x in enumerate(blocks) if x.shape[-1] == b]
+        M = np.concatenate([blocks[t] for t in ts]) if ts[1:] else blocks[ts[0]]
+        w, V = herm_eig(M, tol)
+        for k, t in enumerate(ts):
+            eig[t] = w[k * S : (k + 1) * S], V[k * S : (k + 1) * S]
     ends = [(w[:, 0], w[:, -1]) for w, _ in eig if w.shape[-1]] or [(np.zeros(S),) * 2]
     lo, hi = (reduce(f, x).tolist() for f, x in zip((np.minimum, np.maximum), zip(*ends)))
     cut = []
@@ -302,10 +302,7 @@ def rank_kernel(G: np.ndarray | Split, tol: Tolerance) -> list[tuple]:
             where = f" in slice {i}" if S > 1 else ""
             raise NotPSD(f"minimum eigenvalue {lo_i:.3e} below PSD gate{where}")
         cut.append(tol.rtol * hi_i if hi_i > 0.0 else np.inf)  # keep nothing at lambda_max <= 0
-    if isinstance(G, Split):
-        return [(np.count_nonzero(w > np.array(cut)[:, None], axis=-1), w, V) for w, V in eig]
-    keep = [wi > c for wi, c in zip(eig[0][0], cut)]
-    return [(int(np.count_nonzero(k)), Vi[:, k], Vi[:, ~k]) for Vi, k in zip(eig[0][1], keep)]
+    return [((w > np.array(cut)[:, None]).sum(axis=-1), w, V) for w, V in eig]
 
 
 def stack_slices(items: Sequence) -> np.ndarray:

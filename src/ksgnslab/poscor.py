@@ -50,6 +50,7 @@ from .hilbert import (
     HilbertModule,
     ModuleMap,
     adjoint_matrices,
+    quotient_bases,
     same_module,
     unitarity_residual,
 )
@@ -123,7 +124,7 @@ def interior_tensor_along(
     return interior_tensor(E, [p.module for p in pi], pi, tol, memo)
 
 
-def v_rho(tm: Sequence[TensorModule]) -> list[np.ndarray]:
+def v_rho(tm: Sequence[TensorModule]) -> np.ndarray:
     """Matrices of V_rho: x -> class of x (x) 1_C, a complex-linear contraction
     from E to each tm[s] = E (x)_rho C (E is its left factor, C its right),
     one stacked product."""
@@ -131,7 +132,7 @@ def v_rho(tm: Sequence[TensorModule]) -> list[np.ndarray]:
     for dE, C in V_pre:
         V_pre[dE, C] = kron(np.eye(dE, dtype=complex), unit_coeffs(C).reshape(-1, 1))
     pre = [V_pre[t.left.dim, t.right.algebra] for t in tm]
-    return list(stack_slices([t.q for t in tm]) @ stack_slices(pre))
+    return quotient_bases(tm, "q")[0] @ stack_slices(pre)
 
 
 @dataclass
@@ -181,11 +182,10 @@ def composition_unitary(
     # q M_pre s with M_pre[(i, x), (u, w)] = sum_v S3[i, v, u] T[v, w, x], where
     # T[v, w, :] = coefficients of rho2(u_v) u_w in D, read off the
     # left-multiplication correspondence each tm123 was built along
-    S3 = stack_slices(
-        [t.s.reshape(t.left.dim, r.domain.dim, t.module.dim) for t, r in zip(tm12, rho2)]
-    )
+    (S,) = quotient_bases(tm12, "s")
+    S3 = S.reshape(len(S), tm12[0].left.dim, rho2[0].domain.dim, S.shape[-1])
     T = stack_slices([t.pi.images.transpose(0, 2, 1) for t in tm123])
-    q, s = stack_slices([t.q for t in tm13]), stack_slices([t.s for t in tm123])
+    (q,), (s,) = quotient_bases(tm13, "q"), quotient_bases(tm123, "s")
     n, dE, dC, m = S3.shape
     dD = T.shape[-1]
     M = dots(S3.transpose(0, 1, 3, 2).reshape(n, dE * m, dC), T.reshape(n, dC, dD * dD))
@@ -215,7 +215,7 @@ def twist_unitary(
     dE, dB = E.dim, E.algebra.dim
     inv = np.stack([a.inverse_matrix for a in alpha])
     N_pre = np.einsum("gpw,pxy->gwxy", inv, E.action).transpose(0, 2, 3, 1).reshape(-1, dE, dE * dB)
-    U = stack_slices(N_pre) @ stack_slices([tm.s for tm in tms])
+    U = N_pre @ quotient_bases(tms, "s")[0]
     return [
         TwistUnitary(a, tm, AlphaLinearMap(tm.module, E, a.inverted(), u))
         for a, tm, u in zip(alpha, tms, U)
@@ -252,10 +252,11 @@ def commuting_unitary(
     )
     dA, dE, k = phi[0].algebra.dim, phi[0].module.dim, ts[0].module.dim
     # M_pre[(k, j), (p, u)] = sum_i Q3[k, p, i] S3[i, j, u]
-    S3 = stack_slices([x.s.reshape(dE, x.right.dim, x.module.dim) for x in tm])
-    q, s = stack_slices([r.q for r in right]), stack_slices([x.s for x in left])
+    (S,) = quotient_bases(tm, "s")
+    S3 = S.reshape(len(S), dE, tm[0].right.dim, S.shape[-1])
+    (q,), (s,) = quotient_bases(right, "q"), quotient_bases(left, "s")
     n, _, dF, m = S3.shape
-    Q = stack_slices([t.q for t in ts]).reshape(n, k * dA, dE)
+    Q = quotient_bases(ts, "q")[0].reshape(n, k * dA, dE)
     M = dots(Q, S3.reshape(n, dE, dF * m))
     M = M.reshape(n, k, dA, dF, m).transpose(0, 1, 3, 2, 4).reshape(n, k * dF, dA * m)
     return [
@@ -392,12 +393,12 @@ def poscor_compose(
         comp = composition_unitary(
             [m.dom_tensor for m in M1], [m.rho for m in M1], [m.rho for m in M2], tol, memo, via
         )
-        eta1_hat = tensor_extend_between(
-            [m.eta for m in M1], [c.double for c in comp], [m.dom_tensor for m in M2], tol
+        e1 = tensor_extend(
+            [m.eta.matrix for m in M1], [c.double for c in comp], [m.dom_tensor for m in M2],
+            "T (x) I", tol,
         )
         e2 = stack_slices([m.eta.matrix for m in M2])
-        e1 = stack_slices([e.matrix for e in eta1_hat])
-        u = stack_slices(adjoint_matrices([c.unitary for c in comp]))
+        u = adjoint_matrices([c.unitary for c in comp])
         etas = [
             ModuleMap(c.target.module, m.cod.module, e) for c, m, e in zip(comp, M2, e2 @ e1 @ u)
         ]
@@ -483,7 +484,7 @@ def ksgns_functor(
     cus = commuting_unitary([m.dom.phi for m in ms], [m.dom_tensor for m in ms], tol, memo)
     lifted = ksgns_lift(ms, [cu.left for cu in cus], t_cod, tol)
     L = stack_slices([x.eta.matrix for x in lifted])
-    Vi = stack_slices(adjoint_matrices([cu.unitary for cu in cus]))
+    Vi = adjoint_matrices([cu.unitary for cu in cus])
     etas = [ModuleMap(cu.right.module, t.module, e) for cu, t, e in zip(cus, t_cod, L @ Vi)]
     return make_poscor_morphism(
         doms, cods, [m.rho for m in ms], etas, [m.alpha for m in ms], tol, memo

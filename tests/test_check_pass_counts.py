@@ -1,7 +1,8 @@
 """What one check pass of a benchmark workload spends on validation and LAPACK.
 
-Arrays are checked finite where they enter, once: require_finite calls per
-`suites-default` check pass are pinned.  LAPACK runs only where a record can
+Arrays are checked finite where they enter, once per stack, and builders read
+stacks whole: require_finite and stack_slices calls per `suites-default` and
+`equivariant-dilation` check pass are pinned.  LAPACK runs only where a record can
 change: every call site is labelled, and a site whose result only feeds a
 verdict may take exact SVDs only where a Frobenius gate or certificate
 (numkernel.exceeds_gate, certified_norms) could not decide.  The row split
@@ -91,21 +92,44 @@ def check_pass(tasks):
         assert all(r.passed for r in harness.check_instance(suite, payload, DEFAULT_TOL))
 
 
-def test_require_finite_once_per_array_on_a_check_pass(monkeypatch, suites_default):
-    # 15,843 calls with exceeds_gate re-checking the M that herm_eig,
-    # psd_verdict and first_leak's callers had just checked, and a quotient's
-    # Gram taken from a pre-module built (and checked) for it alone
-    calls, real = [], numkernel.require_finite
+def counted(monkeypatch, name: str) -> list:
+    """Every call of numkernel.<name> from here on, wherever ksgnslab bound it."""
+    calls, real = [], getattr(numkernel, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    for module in [m for name, m in sys.modules.items() if name.startswith("ksgnslab.")]:
-        if getattr(module, "require_finite", None) is real:
-            monkeypatch.setattr(module, "require_finite", counting)
+    for module in [m for key, m in sys.modules.items() if key.startswith("ksgnslab.")]:
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_require_finite_once_per_array_on_a_check_pass(monkeypatch, suites_default):
+    # require_finite: 15,843 calls with exceeds_gate re-checking the M that
+    # herm_eig, psd_verdict and first_leak's callers had just checked, and a
+    # quotient's Gram taken from a pre-module built (and checked) for it
+    # alone; 12,703 with every slice a module, map and star map checked on
+    # its own; 5,661 with stacks checked once, where data enters.
+    # stack_slices: 11,320 (8,929 stacks of one) re-stacking the fields of
+    # one-slice objects; 3,129 with builders reading the quotient and module
+    # stacks whole
+    finite, stacked = counted(monkeypatch, "require_finite"), counted(monkeypatch, "stack_slices")
     check_pass(suites_default)
-    assert len(calls) <= 14_100, len(calls)
+    assert len(finite) <= 6_000, len(finite)
+    assert len(stacked) <= 4_000, len(stacked)
+
+
+def test_equivariant_dilation_checks_and_stacks_once_per_stack(monkeypatch):
+    # require_finite 5,442 and stack_slices 2,320 calls per check pass with one
+    # checked object per slice of the twist, functor and Cayley-table stacks;
+    # 1,912 and 660 with the stacks the objects
+    tasks = WORKLOADS.build("equivariant-dilation", WORKLOADS.DEFAULT_MASTER_SEED)
+    finite, stacked = counted(monkeypatch, "require_finite"), counted(monkeypatch, "stack_slices")
+    check_pass(tasks)
+    assert len(finite) <= 2_500, len(finite)
+    assert len(stacked) <= 1_500, len(stacked)
 
 
 def test_every_lapack_site_is_labelled_and_verdicts_take_no_full_svd(monkeypatch, suites_default):

@@ -11,11 +11,13 @@ from ksgnslab.cstar import (
     random_element,
 )
 from ksgnslab.errors import (
-    NonFinite, SingularGram, SubmoduleViolation, TwistMismatch, WellDefinednessViolation,
+    NonFinite, ShapeMismatch, SingularGram, SubmoduleViolation, TwistMismatch,
+    WellDefinednessViolation,
 )
 from ksgnslab.generators import canonical_module, random_module, random_vectors
 from ksgnslab.hilbert import (
     AlphaLinearMap,
+    HilbertModule,
     ModuleMap,
     PreModule,
     adjoint_map,
@@ -734,3 +736,18 @@ def test_singular_gram_gate_sits_at_rtol():
     scalar_module(np.diag([1.0, 1.01 * RTOL]))
     with pytest.raises(SingularGram):
         scalar_module(np.diag([1.0, 0.99 * RTOL]))
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_a_pairing_list_of_the_wrong_length_raises(count):
+    # one pairing block per block of B = C (+) M_2: a zip over the blocks took
+    # a short list as a module whose Gram and key read block 0 alone, here the
+    # identity, and dropped a long list's extra block; a stack is gated too
+    B = AlgebraShape((1, 2))
+    action = np.zeros((B.dim, 2, 2), complex)
+    blocks = [np.eye(2, dtype=complex).reshape(2, 2, 1, 1), np.zeros((2, 2, 2, 2), complex)]
+    pairing = (blocks * 2)[:count]
+    with pytest.raises(ShapeMismatch, match=rf"^{count} pairing blocks for 2 blocks of B$"):
+        HilbertModule(B, 2, action, pairing)
+    with pytest.raises(ShapeMismatch, match=rf"^{count} pairing blocks for 2 blocks of B$"):
+        PreModule(B, 2, action[None], [P[None] for P in pairing])

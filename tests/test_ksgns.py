@@ -184,7 +184,7 @@ def test_conjugated_triple_is_a_dilation():
     rep = check_triple(t2, DEFAULT_TOL)
     assert rep.passed, rep.residuals
     assert np.allclose(t2.q @ t2.s, np.eye(t.module.dim))
-    assert t2.kernel is t.kernel
+    assert t2.kernel.shape == t.kernel.shape and np.array_equal(t2.kernel, t.kernel)
 
 
 # -- lifting -------------------------------------------------------------------

@@ -128,15 +128,17 @@ def test_herm_eig_reconstructs(seed, n):
 
 
 def test_rank_kernel_zero_matrix():
-    rank, rng_basis, ker = rank_kernel([np.zeros((3, 3), dtype=complex)], DEFAULT_TOL)[0]
+    ((rank,), _, (V,)), = rank_kernel(np.zeros((1, 3, 3), dtype=complex), DEFAULT_TOL)
     assert rank == 0
+    ker = V[:, : 3 - rank]
     assert ker.shape == (3, 3)
     assert np.allclose(ker.conj().T @ ker, np.eye(3))
 
 
 def test_rank_kernel_diag():
-    rank, rng_basis, ker = rank_kernel([np.diag([1.0, 1.0, 0.0]).astype(complex)], DEFAULT_TOL)[0]
+    ((rank,), _, (V,)), = rank_kernel(np.diag([1.0, 1.0, 0.0]).astype(complex)[None], DEFAULT_TOL)
     assert rank == 2
+    rng_basis, ker = V[:, 3 - rank :], V[:, : 3 - rank]
     assert rng_basis.shape == (3, 2)
     # orthonormal range, range orthogonal to kernel
     assert np.allclose(rng_basis.conj().T @ rng_basis, np.eye(2), atol=1e-12)
@@ -149,13 +151,13 @@ def test_rank_kernel_rank_one(seed, n):
     rng = np.random.default_rng(seed)
     x = random_complex(rng, n)
     G = np.outer(x, x.conj())
-    rank, _, _ = rank_kernel([G], DEFAULT_TOL)[0]
+    ((rank,), _, _), = rank_kernel(G[None], DEFAULT_TOL)
     assert rank == (1 if np.linalg.norm(x) > 0 else 0)
 
 
 def test_rank_kernel_rejects_negative():
     with pytest.raises(NotPSD):
-        rank_kernel([np.diag([1.0, -1.0]).astype(complex)], DEFAULT_TOL)[0]
+        rank_kernel(np.diag([1.0, -1.0]).astype(complex)[None], DEFAULT_TOL)
 
 
 def test_split_rank_decisions_read_the_extremes_over_all_blocks():

@@ -796,3 +796,58 @@ def test_cp_builds_c_over_itself_through_the_memo():
     source = (SRC / "cp.py").read_text()
     assert "algebra_module(" in source
     assert calls_outside_memo(source, "algebra_module") == []
+
+
+# fields of quotients, tensor modules and modules: builders read them as stacks
+SLICE_FIELDS = {
+    "q", "s", "kernel", "module", "left", "right", "source", "target", "action", "pairing",
+    "gram_spectrum", "gram_matrix", "gram_sqrt", "gram_isqrt", "gram_inv",
+}
+STACKERS = {"stack_slices", "stack", "concatenate", "array", "asarray"}
+
+
+def restacked_fields(source: str) -> list[str]:
+    """Calls that stack a comprehension reading a field in SLICE_FIELDS of the
+    objects it runs over, such as stack_slices([t.q for t in tms]) or
+    np.stack([m.source.gram_inv for m in maps]), by function and line."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in (n for n in ast.walk(fn) if isinstance(n, ast.Call)):
+            callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            for comp in call.args[:1] if callee in STACKERS else []:
+                if not isinstance(comp, (ast.ListComp, ast.GeneratorExp)):
+                    continue
+                targets = {n.id for gen in comp.generators for n in ast.walk(gen.target)
+                           if isinstance(n, ast.Name)}
+                for node in ast.walk(comp.elt):
+                    chain = set()
+                    while isinstance(node, ast.Attribute):
+                        chain.add(node.attr)
+                        node = node.value
+                    if isinstance(node, ast.Name) and node.id in targets and chain & SLICE_FIELDS:
+                        found.add(f"{fn.name} (line {call.lineno})")
+    return sorted(found)
+
+
+def test_builders_read_quotient_and_module_stacks_whole():
+    # quotients and modules are stacks; a builder reads their arrays whole
+    # (hilbert.module_stack and quotient_bases gather a list of slices into
+    # their stack) and never stacks one field of a list of their slices again
+    probe = (
+        "def f(tms, maps, mods):\n"
+        "    q = stack_slices([t.q for t in tms])\n"
+        "    G = np.stack([m.source.gram_inv for m in maps])\n"
+        "    S = stack_slices([t.s.reshape(2, 2) for t in tms])\n"
+        "    X = stack_slices([p.images for p in maps])\n"
+        "    M = np.stack([kron(eye, E.action[p]) for p in range(4)])\n"
+        "    return module_stack(mods).pairing\n"
+    )
+    assert restacked_fields(probe) == ["f (line 2)", "f (line 3)", "f (line 4)"]
+    found = {
+        path.name: calls
+        for path in sorted(SRC.glob("*.py"))
+        if (calls := restacked_fields(path.read_text()))
+    }
+    assert found == {}

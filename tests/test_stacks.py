@@ -32,7 +32,8 @@ from ksgnslab.equivariant import (
     trivial_group,
 )
 from ksgnslab.errors import (
-    ShapeMismatch, SingularGram, SubmoduleViolation, TwistMismatch, WellDefinednessViolation,
+    NonFinite, ShapeMismatch, SingularGram, SubmoduleViolation, TwistMismatch, ValidationError,
+    WellDefinednessViolation,
 )
 from ksgnslab.generators import random_module, random_representation
 from ksgnslab.harness import (
@@ -42,7 +43,7 @@ from ksgnslab.hilbert import HilbertModule, PreModule, descend, quotient_by_null
 from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL, Split
 from ksgnslab.poscor import ksgns_functor, morphism_shape, twist_unitary
-from ksgnslab.serialize import dump_equivariant
+from ksgnslab.serialize import dump_equivariant, load_equivariant
 
 from conftest import (
     categorical_unitaries_reference,
@@ -176,14 +177,22 @@ def test_stacked_quotient_spectra_equal_modules_built_alone(monkeypatch):
     # quotient the genuine-S3 functor and its laws build in a stack (the six
     # twist tensors E (x)_beta_g B, the 30 double tensor contents of the
     # Cayley table) has the Gram matrix, spectrum and powers of a
-    # HilbertModule built alone from its action and pairing
-    stacks = []
+    # HilbertModule built alone from its action and pairing, and each slice,
+    # a view of its stack, has the bits of the tensor built alone from its
+    # own E, F and pi: quotient maps, action, pairing, spectrum and powers
+    stacks, builds = [], []
     for name in ("quotient_by_null", "column_quotients"):
         def recording(*args, _real=getattr(cp, name), _name=name):
             stacks.append((_name, _real(*args)))
             return stacks[-1][1]
 
         monkeypatch.setattr(cp, name, recording)
+
+    def building(E, F, pi, tol, memo, _real=cp.tensor_quotients):
+        builds.append((E, F, pi, _real(E, F, pi, tol, memo)))
+        return builds[-1][-1]
+
+    monkeypatch.setattr(cp, "tensor_quotients", building)
     c, memo = s3_instance(), BuildMemo()
     functor = correspondence_to_functor(c, DEFAULT_TOL, memo)
     assert check_functor_laws(c, functor, DEFAULT_TOL, memo).passed
@@ -196,25 +205,77 @@ def test_stacked_quotient_spectra_equal_modules_built_alone(monkeypatch):
             assert np.array_equal(getattr(E, name), getattr(alone, name)), name
         for a, b in zip(E.gram_spectrum, alone.gram_spectrum, strict=True):
             assert np.array_equal(a, b)
+    monkeypatch.undo()
+    sliced = [slc for *ins, tms in builds if len(tms) > 1 for slc in zip(*ins, tms)]
+    assert len(sliced) == 36
+    for E, F, pi, tm in sliced:
+        alone = cp.tensor_quotients([E], [F], [pi], DEFAULT_TOL, BuildMemo())[0]
+        for a, b in zip(quotient_parts(tm), quotient_parts(alone), strict=True):
+            assert np.array_equal(a, b)
+        for name in ("gram_matrix", "gram_sqrt", "gram_isqrt", "gram_inv"):
+            assert np.array_equal(getattr(tm.module, name), getattr(alone.module, name)), name
+        for a, b in zip(tm.module.gram_spectrum, alone.module.gram_spectrum, strict=True):
+            assert np.array_equal(a, b)
 
 
 def test_singular_quotient_gram_in_a_stack_raises(monkeypatch):
-    # scalars on C^2, slice 0 with the standard pairing, slice 1 pairing every
-    # couple to 1 (Gram rank 1); a rank decision that keeps slice 1's null
-    # vector leaves its quotient Gram singular, which the gate on the
-    # stack's batched spectrum rejects
-    pairing = np.stack([np.eye(2), np.ones((2, 2))]).reshape(2, 2, 2, 1, 1).astype(complex)
-    action = np.broadcast_to(np.eye(2, dtype=complex), (2, 1, 2, 2))
-    pre = PreModule(AlgebraShape((1,)), 2, action, [pairing])
-
+    # scalars on C^2, slice i pairing every couple to 1 (Gram rank 1), the
+    # others the standard pairing; a rank decision that keeps slice i's null
+    # vector leaves its quotient Gram singular, which the gate on the stack's
+    # batched spectrum rejects, naming slice i
     def keeping_everything(G, tol):
-        return [(2, V, V[:, :0]) for V in np.linalg.eigh(G)[1]]
+        return [(np.full(len(G), 2), *np.linalg.eigh(G))]
 
     monkeypatch.setattr(hilbert, "rank_kernel", keeping_everything)
-    head = PreModule(pre.algebra, 2, action[:1], [pairing[:1]])
-    assert quotient_by_null(head, DEFAULT_TOL)[0].module.dim == 2
-    with pytest.raises(SingularGram, match=r"is not positive definite$"):
-        quotient_by_null(pre, DEFAULT_TOL)
+    action = np.broadcast_to(np.eye(2, dtype=complex), (3, 1, 2, 2))
+    for i in (1, 2):
+        pairing = np.stack([np.eye(2)] * 3).astype(complex)
+        pairing[i] = 1.0
+        pairing = pairing.reshape(3, 2, 2, 1, 1)
+        pre = PreModule(AlgebraShape((1,)), 2, action, [pairing])
+        head = PreModule(pre.algebra, 2, action[:1], [pairing[:1]])
+        assert quotient_by_null(head, DEFAULT_TOL)[0].module.dim == 2
+        with pytest.raises(SingularGram, match=rf"\] in slice {i} is not positive definite$"):
+            quotient_by_null(pre, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("i", [0, 2])
+@pytest.mark.parametrize("where", ["action", "pairing"])
+def test_a_nan_in_any_slice_of_a_stack_raises(monkeypatch, where, i):
+    # a stack is checked once, where it is built: a NaN in slice i of a
+    # module stack, of a pre-module stack on its way to a quotient, or of the
+    # eigenvectors a quotient stack is built on raises NonFinite
+    c = s3_instance()
+    tw = twist_unitary(c.module, c.system_out.action[:3], DEFAULT_TOL, BuildMemo())[0]
+    E = tw.twisted.stack.module
+    action, pairing = E.action.copy(), [P.copy() for P in E.pairing]
+    (action if where == "action" else pairing[0])[i, 0, 0, 0] = np.nan
+    with pytest.raises(NonFinite, match=f"^module {where} contains NaN"):
+        HilbertModule(E.algebra, E.dim, action, pairing, E.gram_spectrum)
+    with pytest.raises(NonFinite):
+        quotient_by_null(PreModule(E.algebra, E.dim, action, pairing), DEFAULT_TOL)
+    real = hilbert.rank_kernel
+
+    def planting(G, tol):
+        (ranks, w, V), = real(G, tol)
+        V = V.copy()
+        V[i, 0, -1] = np.nan  # in slice i's range basis
+        return [(ranks, w, V)]
+
+    monkeypatch.setattr(hilbert, "rank_kernel", planting)
+    with pytest.raises(NonFinite):
+        quotient_by_null(PreModule(E.algebra, E.dim, E.action, E.pairing), DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("field", ["module", "phi", "unitaries"])
+def test_a_nan_in_a_loaded_payload_is_rejected_on_load(field):
+    # payloads enter through serialize, which checks every matrix finite
+    data = dump_equivariant(s3_instance())
+    target = {"module": data["module"]["action"][0], "phi": data["phi"]["images"][1],
+              "unitaries": data["unitaries"][2]}[field]
+    target[0][0][0] = float("nan")
+    with pytest.raises(ValidationError, match="non-finite"):
+        load_equivariant(data)
 
 
 def test_supplied_gram_spectrum_of_another_dimension_raises():
