@@ -224,6 +224,8 @@ class _Joined:
         self.mods, self.algebra, self.dim = mods, mods[0].algebra, mods[0].dim
 
     def __getattr__(self, name: str):
+        if name.startswith("_"):  # no module array: copy and pickle probes, or mods unset
+            raise AttributeError(name)
         parts = [getattr(m, name) for m in self.mods]
         if isinstance(parts[0], (list, tuple)):  # the pairing blocks, the Gram spectrum
             value = [stack_slices(p) for p in zip(*parts)]
