@@ -36,6 +36,7 @@ from .errors import NonLinearMap, ShapeMismatch
 from .hilbert import (
     HilbertModule,
     ModuleMap,
+    ModuleView,
     PreModule,
     Quotient,
     QuotientSlice,
@@ -46,7 +47,6 @@ from .hilbert import (
     adjoint_matrices,
     module_operator_norm,
     module_operator_norms,
-    module_stack,
     quotient_by_columns,
     quotient_by_copies,
     quotient_by_null,
@@ -122,7 +122,7 @@ class CPMap:
     @cached_property
     def norm(self) -> float:
         """max over basis images of the L(E) norm, on live blocks; the scale of the map."""
-        return max_operator_norm(realized_images(module_stack([self.module]), self.images[None]))
+        return max_operator_norm(realized_images(ModuleView([self.module]), self.images[None]))
 
     def hermiticity_residual(self) -> float:
         """max over basis of ||phi(u*) - phi(u)*||."""
@@ -192,7 +192,7 @@ def check_cp(phi: Sequence[CPMap], tol: Tolerance, memo: BuildMemo) -> list[tupl
 
     def build(todo: list[int]) -> list[tuple]:
         maps = [phi[i] for i in todo]
-        E, Y = module_stack([p.module for p in maps]), stack_slices([p.images for p in maps])
+        E, Y = ModuleView([p.module for p in maps]), stack_slices([p.images for p in maps])
         X = realized_images(E, Y)
         fresh = [i for i, p in enumerate(maps) if "norm" not in vars(p)]
         for i, norm in zip(fresh, operator_norms(X[fresh]).max(axis=1, initial=0.0).tolist()):
@@ -241,7 +241,7 @@ def paired_images(
         if not same_module(p.module, f):
             raise ShapeMismatch("representation does not act on F")
     n, dE, B = len(E), E[0].dim, E[0].algebra
-    pairing = module_stack(E).pairing
+    pairing = ModuleView(E).pairing
     coeffs = np.concatenate(
         [P.reshape(n, dE * dE, m * m) for P, m in zip(pairing, B.blocks)], axis=2
     )
@@ -260,7 +260,7 @@ def tensor_premodule(
     <e_i (x) f_j, e_k (x) f_l> = <f_j, pi(<e_i, e_k>_E) f_l>_F and C acting on
     the F slot: one stacked contraction for the whole stack."""
     N = paired_images(E, F, pi)
-    n, dE, dF, Fs = len(E), E[0].dim, F[0].dim, module_stack(F)
+    n, dE, dF, Fs = len(E), E[0].dim, F[0].dim, ModuleView(F)
     action = kron(np.eye(dE, dtype=complex), Fs.action)  # I (x) R(u_c)
     # pairing[s, i, j, k, l] = sum_m N[s, i, k, m, l] P[s, j, m]
     Nt = N.transpose(0, 1, 2, 4, 3).reshape(n, dE * dE * dF, dF)

@@ -481,7 +481,7 @@ def dilate(c: EquivariantCorrespondence, tol: Tolerance, memo: BuildMemo) -> Dil
     """Dilate to (F_phi, pi_phi, V_phi, U~) with U~_g the compression of
     alpha_g (x) U_g to the quotient, one stacked descent over the group."""
     t = ksgns([c.module], [c.phi], tol, memo)[0]
-    K = [kron(a.matrix, U) for a, U in zip(c.system_in.action, c.unitaries)]
+    K = stack_slices([kron(a.matrix, U) for a, U in zip(c.system_in.action, c.unitaries)])
     n = c.group.order
     return DilationQuadruple(c, t, list(descend(K, [t] * n, [t] * n, "alpha_g (x) U_g", tol)))
 

@@ -14,8 +14,8 @@ axis: builders produce and consume stacks.  A stack is checked once, where its
 data enters (load, generation, the quotients' eigenvectors): one pairing block
 per block of B and the shapes in PreModule, finite entries and the
 SingularGram gate on the batched Gram spectrum in HilbertModule.  ModuleView
-reads slices of a checked stack, which no check runs on again; module_stack and
-quotient_bases turn a list of slices back into the stack they came from.
+reads slices of a checked stack, which no check runs on again; gather turns a
+list of slices back into the stack they came from.
 
 Scalarizing the pairing through the faithful trace gives the Gram matrix
 G_ij = tau(<e_i, e_j>).  Null-space detection, vector norms of the ambient
@@ -145,6 +145,7 @@ class HilbertModule(PreModule):
     taken from another module would pass the gate unseen."""
 
     gram_spectrum: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    stack = None  # a module of its own; a ModuleView's module stack, which gather reads
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -184,68 +185,67 @@ class HilbertModule(PreModule):
     def gram_inv(self) -> np.ndarray:
         return self._gram_power(-1.0)
 
-    @cached_property
-    def origin(self) -> tuple[HilbertModule, int]:
-        """(stack, index) of one module, which module_stack reads: a module of
-        its own is slice 0 of itself as a stack of one."""
-        return ModuleView(self, np.newaxis), 0
-
     def vector_norm(self, X: np.ndarray) -> np.ndarray:
         """||x|| = sqrt(||<x, x>||_B) for each row x of X (..., d), shape (...)."""
         return np.sqrt(element_norms(self.algebra, self.pair(X, X)))
 
 
-def _read(name: str) -> cached_property:
-    """A ModuleView's `name`, read on first use: its stack's `name` at its index."""
-    return cached_property(lambda self: getattr(self.origin[0], name)[self.origin[1]])
+def _at(value, idx):
+    """value[idx], entry by entry for a list of arrays (pairing blocks, Gram spectrum)."""
+    return [x[idx] for x in value] if isinstance(value, (list, tuple)) else value[idx]
 
 
-class ModuleView(HilbertModule):
-    """Slices idx of a checked module stack: an index gives one module, an
-    index array or a slice a stack, np.newaxis a module as a stack of one.
-    Its arrays, Gram spectrum and Gram powers are the stack's at idx, read on
-    first use and covered by the stack's checks and gate, so none runs again."""
+def gather(items: Sequence, name: str):
+    """Field `name` of items (quotient slices or module views, each slice `index`
+    of its `stack`) as one stack, slice s items[s]'s: the field of the stack they
+    are all slices of, whole when they are all of it in order, else at their
+    indices; one item's own, as a stack of one.  Items of no one stack, as modules
+    of their own (whose stack is None), have theirs stacked by stack_slices,
+    which names a slice of another shape."""
+    if len(items) == 1:
+        return _at(getattr(items[0], name), np.newaxis)
+    stack, idx = items[0].stack, []
+    for x in items:
+        if stack is None or x.stack is not stack:
+            parts = [getattr(x, name) for x in items]
+            if isinstance(parts[0], (list, tuple)):
+                return [stack_slices(p) for p in zip(*parts)]
+            return stack_slices(parts)
+        idx.append(x.index)
+    value = getattr(stack, name)
+    n = len(value[0] if isinstance(value, (list, tuple)) else value)
+    return value if idx == list(range(n)) else _at(value, np.array(idx))
 
-    def __init__(self, stack: HilbertModule, idx) -> None:
-        self.origin, self.algebra, self.dim = (stack, idx), stack.algebra, stack.dim
 
-    action, gram_matrix, gram_sqrt, gram_isqrt, gram_inv = map(
-        _read, ("action", "gram_matrix", "gram_sqrt", "gram_isqrt", "gram_inv"))
-    pairing = cached_property(lambda self: [P[self.origin[1]] for P in self.origin[0].pairing])
-    gram_spectrum = cached_property(
-        lambda self: tuple(x[self.origin[1]] for x in self.origin[0].gram_spectrum))
+class _Field:
+    """A ModuleView's field, read on first use and kept: its stack's at its
+    index, or gathered (a plain descriptor: cached_property locks on every
+    first read, a cost views pay by the thousand per check pass)."""
 
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
 
-class _Joined:
-    """Modules of no one stack, as one: each array stacked from theirs when
-    first read (stack_slices names a slice of another shape)."""
-
-    def __init__(self, mods: Sequence[HilbertModule]) -> None:
-        self.mods, self.algebra, self.dim = mods, mods[0].algebra, mods[0].dim
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):  # no module array: copy and pickle probes, or mods unset
-            raise AttributeError(name)
-        parts = [getattr(m, name) for m in self.mods]
-        if isinstance(parts[0], (list, tuple)):  # the pairing blocks, the Gram spectrum
-            value = [stack_slices(p) for p in zip(*parts)]
-        else:
-            value = stack_slices(parts)
-        setattr(self, name, value)
+    def __get__(self, view: ModuleView, owner: type | None = None):
+        stack, name = view.stack, self.name
+        value = gather(stack, name) if view.index is None else _at(getattr(stack, name), view.index)
+        view.__dict__[name] = value
         return value
 
 
-def module_stack(mods: Sequence[HilbertModule]) -> HilbertModule:
-    """The modules mods as one stack, slice s mods[s]: the stack they are
-    slices of, whole when they are all of it in order, else a view of those
-    slices.  Modules of no one stack are joined, their arrays stacked when
-    read."""
-    stack, idx = mods[0].origin[0], []
-    for m in mods:
-        if m.origin[0] is not stack:
-            return ModuleView(_Joined(mods), slice(None))
-        idx.append(m.origin[1])
-    return stack if idx == list(range(len(stack.action))) else ModuleView(stack, np.array(idx))
+class ModuleView(HilbertModule):
+    """Modules read from checked stacks: slice `index` of the module stack `stack`
+    (an int gives one module, a slice a stack), or, with index None, the modules
+    `stack` as one stack, slice s stack[s], each field gathered.  Its action,
+    pairing, Gram spectrum and Gram powers are read on first use and covered by
+    the stacks' checks and gate, so none runs again."""
+
+    def __init__(self, stack, index=None) -> None:
+        self.stack, self.index = stack, index
+        one = stack if index is not None else stack[0]
+        self.algebra, self.dim = one.algebra, one.dim
+
+    action, pairing, gram_spectrum, gram_matrix, gram_sqrt, gram_isqrt, gram_inv = (
+        _Field() for _ in range(7))
 
 
 def _scalarized(B: AlgebraShape, pairing: Sequence[np.ndarray]) -> np.ndarray:
@@ -299,7 +299,7 @@ class Quotient:
 @dataclass
 class QuotientSlice:
     """Slice `index` of a quotient stack: its module, q, s and kernel are
-    views of the stack's."""
+    views of the stack's, which gather reads back whole."""
 
     stack: Quotient
     index: int
@@ -308,19 +308,6 @@ class QuotientSlice:
         st, i = self.stack, self.index
         self.module = ModuleView(st.module, i)
         self.q, self.s, self.kernel = st.q[i], st.s[i], st.kernel[i]
-
-
-def quotient_bases(quots: Sequence[QuotientSlice], *names: str) -> list[np.ndarray]:
-    """The stacks of the arrays `names` (of q, s and kernel) of the slices
-    quots, slice s quots[s]: their stack's arrays, whole when they are all of
-    it in order, else those slices; slices of no one stack have theirs stacked."""
-    stack, idx = quots[0].stack, []
-    for t in quots:
-        if t.stack is not stack:
-            return [stack_slices([getattr(x, name) for x in quots]) for name in names]
-        idx.append(t.index)
-    at = slice(None) if idx == list(range(len(stack))) else np.array(idx)
-    return [getattr(stack, name)[at] for name in names]
 
 
 def quotient_by_null(pre: PreModule, tol: Tolerance) -> Quotient:
@@ -489,16 +476,16 @@ def first_leak(X: np.ndarray, K: np.ndarray, tol: Tolerance) -> tuple[int, float
 
 
 def descend(
-    K: Sequence[np.ndarray], src: Sequence[QuotientSlice], tgt: Sequence[QuotientSlice], what: str,
+    K: np.ndarray, src: Sequence[QuotientSlice], tgt: Sequence[QuotientSlice], what: str,
     tol: Tolerance,
 ) -> np.ndarray:
-    """q_tgt K[i] s_src for each slice i, a stack: K[i] (..., m, n) a stack of
+    """q_tgt K[i] s_src for each slice i, a stack: K (S, ..., m, n) a stack of
     maps between the pre-spaces of src[i] and tgt[i], compressed to what it
     induces on the quotients, with one stacked gate and product: q K [s |
     kernel] by live_products, on a block-sparse K's live block.  Raises
     WellDefinednessViolation, naming `what`, the first leaking slice of a
     longer stack and its leak, when K[i] leaks ker G_src out of ker G_tgt."""
-    (q,), (s, kernel) = quotient_bases(tgt, "q"), quotient_bases(src, "s", "kernel")
+    q, s, kernel = gather(tgt, "q"), gather(src, "s"), gather(src, "kernel")
     K = require_finite(K)
     ex = (slice(None),) + (None,) * (K.ndim - 3)
     qKs, qKk = live_products(q[ex], K, s[ex], kernel[ex])
@@ -562,9 +549,9 @@ def realize(m: ModuleMap) -> np.ndarray:
 def adjoint_matrices(maps: Sequence[ModuleMap]) -> np.ndarray:
     """Matrices of the unique adjoints G_src^(-1) T^dagger G_tgt of B-linear
     maps of one shape, a stack from one stacked product."""
-    Gi = module_stack([m.source for m in maps]).gram_inv
+    Gi = ModuleView([m.source for m in maps]).gram_inv
     Th = stack_slices([m.matrix.conj().T for m in maps])
-    return Gi @ Th @ module_stack([m.target for m in maps]).gram_matrix
+    return Gi @ Th @ ModuleView([m.target for m in maps]).gram_matrix
 
 
 def adjoint_map(m: ModuleMap) -> ModuleMap:
@@ -588,8 +575,8 @@ def module_operator_norm(m: ModuleMap) -> float:
 def module_operator_norms(maps: Sequence[ModuleMap]) -> np.ndarray:
     """module_operator_norm of each map of one shape, from one stacked
     realization and one batched SVD."""
-    S = module_stack([m.target for m in maps]).gram_sqrt
-    Si = module_stack([m.source for m in maps]).gram_isqrt
+    S = ModuleView([m.target for m in maps]).gram_sqrt
+    Si = ModuleView([m.source for m in maps]).gram_isqrt
     return operator_norms(S @ stack_slices([m.matrix for m in maps]) @ Si)
 
 

@@ -52,6 +52,7 @@ from .hilbert import (
 from .memo import BuildMemo
 from .numkernel import (
     Tolerance, kron, live_products, matvecs, max_operator_norm, operator_norm, pseudo_inverse,
+    stack_slices,
 )
 from .reporting import CheckReport
 
@@ -179,12 +180,12 @@ def triple_uniqueness_unitary(
 def conjugated_triple(t: KsgnsTriple, Z: ModuleMap) -> KsgnsTriple:
     """Transport a triple along a B-linear unitary Z in L(F_phi): the quotient
     map and section move with it (q <- Z q, s <- s Z^-1), a stack of one; the
-    module and kernel stay."""
-    Zi = adjoint_map(Z).matrix
-    module = ModuleView(t.module, np.newaxis)
+    module and kernel stay, views of t's."""
+    Zi, one = adjoint_map(Z).matrix, slice(t.index, t.index + 1)
     return replace(
         t,
-        stack=Quotient(module, (Z.matrix @ t.q)[None], (t.s @ Zi)[None], t.kernel[None]),
+        stack=Quotient(ModuleView(t.stack.module, one), (Z.matrix @ t.q)[None], (t.s @ Zi)[None],
+                       t.stack.kernel[one]),
         index=0,
         pi=CPMap(t.phi.algebra, t.module, live_products(Z.matrix, t.pi.images, Zi)[0]),
         embedding=ModuleMap(t.source, t.module, Z.matrix @ t.embedding.matrix),
@@ -206,7 +207,7 @@ def ksgns_lift(
     eta~ is the compression of alpha (x) eta to the quotients; the well-
     definedness gate checks that alpha (x) eta maps ker G_1 into ker G_2.
     """
-    K = [kron(x.alpha.matrix, x.eta.matrix) for x in m]
+    K = stack_slices([kron(x.alpha.matrix, x.eta.matrix) for x in m])
     lifted = descend(K, t1, t2, "alpha (x) eta", tol)
     return [
         Intertwiner(ModuleMap(a.module, b.module, eta), x.alpha)

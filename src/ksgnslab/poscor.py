@@ -50,7 +50,7 @@ from .hilbert import (
     HilbertModule,
     ModuleMap,
     adjoint_matrices,
-    quotient_bases,
+    gather,
     same_module,
     unitarity_residual,
 )
@@ -132,7 +132,7 @@ def v_rho(tm: Sequence[TensorModule]) -> np.ndarray:
     for dE, C in V_pre:
         V_pre[dE, C] = kron(np.eye(dE, dtype=complex), unit_coeffs(C).reshape(-1, 1))
     pre = [V_pre[t.left.dim, t.right.algebra] for t in tm]
-    return quotient_bases(tm, "q")[0] @ stack_slices(pre)
+    return gather(tm, "q") @ stack_slices(pre)
 
 
 @dataclass
@@ -182,10 +182,10 @@ def composition_unitary(
     # q M_pre s with M_pre[(i, x), (u, w)] = sum_v S3[i, v, u] T[v, w, x], where
     # T[v, w, :] = coefficients of rho2(u_v) u_w in D, read off the
     # left-multiplication correspondence each tm123 was built along
-    (S,) = quotient_bases(tm12, "s")
+    S = gather(tm12, "s")
     S3 = S.reshape(len(S), tm12[0].left.dim, rho2[0].domain.dim, S.shape[-1])
     T = stack_slices([t.pi.images.transpose(0, 2, 1) for t in tm123])
-    (q,), (s,) = quotient_bases(tm13, "q"), quotient_bases(tm123, "s")
+    q, s = gather(tm13, "q"), gather(tm123, "s")
     n, dE, dC, m = S3.shape
     dD = T.shape[-1]
     M = dots(S3.transpose(0, 1, 3, 2).reshape(n, dE * m, dC), T.reshape(n, dC, dD * dD))
@@ -215,7 +215,7 @@ def twist_unitary(
     dE, dB = E.dim, E.algebra.dim
     inv = np.stack([a.inverse_matrix for a in alpha])
     N_pre = np.einsum("gpw,pxy->gwxy", inv, E.action).transpose(0, 2, 3, 1).reshape(-1, dE, dE * dB)
-    U = N_pre @ quotient_bases(tms, "s")[0]
+    U = N_pre @ gather(tms, "s")
     return [
         TwistUnitary(a, tm, AlphaLinearMap(tm.module, E, a.inverted(), u))
         for a, tm, u in zip(alpha, tms, U)
@@ -252,11 +252,11 @@ def commuting_unitary(
     )
     dA, dE, k = phi[0].algebra.dim, phi[0].module.dim, ts[0].module.dim
     # M_pre[(k, j), (p, u)] = sum_i Q3[k, p, i] S3[i, j, u]
-    (S,) = quotient_bases(tm, "s")
+    S = gather(tm, "s")
     S3 = S.reshape(len(S), dE, tm[0].right.dim, S.shape[-1])
-    (q,), (s,) = quotient_bases(right, "q"), quotient_bases(left, "s")
+    q, s = gather(right, "q"), gather(left, "s")
     n, _, dF, m = S3.shape
-    Q = quotient_bases(ts, "q")[0].reshape(n, k * dA, dE)
+    Q = gather(ts, "q").reshape(n, k * dA, dE)
     M = dots(Q, S3.reshape(n, dE, dF * m))
     M = M.reshape(n, k, dA, dF, m).transpose(0, 1, 3, 2, 4).reshape(n, k * dF, dA * m)
     return [

@@ -35,10 +35,10 @@ from ksgnslab.generators import (
 )
 from ksgnslab.hilbert import (
     ModuleMap,
+    ModuleView,
     adjoint_map,
     identity_map,
     is_map_positive,
-    module_stack,
 )
 from ksgnslab.ksgns import ksgns
 from ksgnslab.memo import BuildMemo
@@ -88,7 +88,7 @@ def test_transpose_choi_oracle_and_check():
     ok, mins = check_cp([phi], DEFAULT_TOL, BuildMemo())[0]
     assert not ok
     assert mins[0] == pytest.approx(-1.0, abs=1e-12)
-    (C,) = choi_blocks(realized_images(module_stack([phi.module]), phi.images[None]), phi.algebra)
+    (C,) = choi_blocks(realized_images(ModuleView([phi.module]), phi.images[None]), phi.algebra)
     assert np.allclose(C[0], swap)
 
 

@@ -184,7 +184,12 @@ def test_conjugated_triple_is_a_dilation():
     rep = check_triple(t2, DEFAULT_TOL)
     assert rep.passed, rep.residuals
     assert np.allclose(t2.q @ t2.s, np.eye(t.module.dim))
-    assert t2.kernel.shape == t.kernel.shape and np.array_equal(t2.kernel, t.kernel)
+    # the kernel and module are not copied: views of t's very bytes (pointer, shape and
+    # strides, which also holds for an empty kernel, where np.shares_memory reads False)
+    for a, b in [(t2.kernel, t.kernel), (t2.module.action, t.module.action),
+                 (t2.module.gram_inv, t.module.gram_inv)]:
+        assert a.__array_interface__ == b.__array_interface__
+    assert np.shares_memory(t2.module.action, t.module.action)
 
 
 # -- lifting -------------------------------------------------------------------

@@ -833,8 +833,9 @@ def restacked_fields(source: str) -> list[str]:
 
 def test_builders_read_quotient_and_module_stacks_whole():
     # quotients and modules are stacks; a builder reads their arrays whole
-    # (hilbert.module_stack and quotient_bases gather a list of slices into
-    # their stack) and never stacks one field of a list of their slices again
+    # (hilbert.gather, and ModuleView over a list of modules, read a list of
+    # slices from their stack) and never stacks one field of a list of their
+    # slices again
     probe = (
         "def f(tms, maps, mods):\n"
         "    q = stack_slices([t.q for t in tms])\n"
@@ -842,7 +843,7 @@ def test_builders_read_quotient_and_module_stacks_whole():
         "    S = stack_slices([t.s.reshape(2, 2) for t in tms])\n"
         "    X = stack_slices([p.images for p in maps])\n"
         "    M = np.stack([kron(eye, E.action[p]) for p in range(4)])\n"
-        "    return module_stack(mods).pairing\n"
+        "    return ModuleView(mods).pairing\n"
     )
     assert restacked_fields(probe) == ["f (line 2)", "f (line 3)", "f (line 4)"]
     found = {
