@@ -1,30 +1,16 @@
-"""Time the row and the column split against the whole-Gram quotient, per
-pre-space width, and the live cut against the dense expression, per width of
-the stack cut.
+"""Time the live cut against the dense expression, per width of the stack cut.
 
 Collects the tensor_quotients stacks whose left factors are A over itself
-from one check pass of each named workload, then times each stack both
-ways in this process (best of 2 x 3 calls, ROW_SPLIT_MIN_DIM set to 0 and
-out of reach) and prints the mean per (width, blocks of A).  This is the
-measurement behind cp.ROW_SPLIT_MIN_DIM.
-
-With --columns it collects the stacks whose right factors are C over itself
-(and that the row split does not take), and times the closed form
-(cp.column_quotients) against the whole Gram per (width, blocks of C), with
-cp.SPLIT_MIN_DIM set to 0 and out of reach.  This is the measurement behind
-cp.SPLIT_MIN_DIM.
-
-With --live it dilates each collected (F, phi) on the row split instead, so
-that every pi_phi is block-sparse, and times the live cut's callers on it
-both ways (numkernel.LIVE_MIN_DIM set to 0 and out of reach): pi's norm and
-multiplicativity (check_correspondence on a copy of pi, so its norm is not
-cached), its conjugation Z pi Z* by a dense unitary, and the descent of left
-multiplication (hilbert.descend), each per the width the cut sees: dim F
-for pi, the pre-space for the descent.  This is the measurement behind
+from one check pass of each named workload, dilates each collected (F, phi),
+so that every pi_phi is block-sparse on the row split's copies, and times the
+live cut's callers on it both ways (numkernel.LIVE_MIN_DIM set to 0 and out of
+reach, best of 2 x 3 calls): pi's norm and multiplicativity
+(check_correspondence on a copy of pi, so its norm is not cached), its
+conjugation Z pi Z* by a dense unitary, and the descent of left multiplication
+(hilbert.descend), each per the width the cut sees: dim F for pi, the
+pre-space for the descent.  This is the measurement behind
 numkernel.LIVE_MIN_DIM.
 
-    PYTHONPATH=src python scripts/split_widths.py suites-default prespace-cap
-    PYTHONPATH=src python scripts/split_widths.py --columns suites-default equivariant-dilation
     PYTHONPATH=src python scripts/split_widths.py --live suites-default prespace-cap
 
 Run it with one BLAS thread (OPENBLAS_NUM_THREADS=1) for steadier numbers.
@@ -32,7 +18,6 @@ Run it with one BLAS thread (OPENBLAS_NUM_THREADS=1) for steadier numbers.
 
 import argparse
 import collections
-import functools
 import importlib
 import importlib.util
 import time
@@ -57,20 +42,13 @@ def load_workloads():
     return module
 
 
-def collect(names: list[str], columns: bool) -> list[tuple]:
-    """The arguments of every A-over-itself tensor_quotients call of one check pass,
-    or with `columns` of every C-over-itself call that the row split does not take."""
+def collect(names: list[str]) -> list[tuple]:
+    """The arguments of every A-over-itself tensor_quotients call of one check pass."""
     workloads, real, stacks = load_workloads(), cp.tensor_quotients, []
     callers = (cp, importlib.import_module("ksgnslab.ksgns"))
 
-    def wanted(E, F, memo) -> bool:
-        if not columns:
-            return cp.over_itself(E, memo)
-        rows = E[0].dim * F[0].dim >= cp.ROW_SPLIT_MIN_DIM and cp.over_itself(E, memo)
-        return not rows and cp.over_itself(F, memo)
-
     def recording(E, F, pi, tol, memo):
-        if wanted(E, F, memo):
+        if cp.over_itself(E, memo):
             stacks.append((E, F, pi, tol, memo))
         return real(E, F, pi, tol, memo)
 
@@ -86,9 +64,9 @@ def collect(names: list[str], columns: bool) -> list[tuple]:
     return stacks
 
 
-def best(run, setting: tuple, threshold: int) -> float:
-    """Best of 3 calls of run() with the threshold setting = (module, name) set."""
-    setattr(*setting, threshold)
+def best(run, threshold: int) -> float:
+    """Best of 3 calls of run() with numkernel.LIVE_MIN_DIM set to threshold."""
+    numkernel.LIVE_MIN_DIM = threshold
     out = float("inf")
     for _ in range(3):
         start = time.perf_counter()
@@ -97,19 +75,10 @@ def best(run, setting: tuple, threshold: int) -> float:
     return out
 
 
-def quotient_runs(args: tuple, side: int) -> list[tuple]:
-    """((blocks of the factor over itself, args[side], and the pre-space width),
-    call) of the stack's quotient."""
-    E, F = args[0], args[1]
-    blocks = args[side][0].algebra.blocks
-    return [((blocks, E[0].dim * F[0].dim), lambda: cp.tensor_quotients(*args))]
-
-
 def live_runs(args: tuple) -> list[tuple]:
     """((what, width the cut sees), call) for each live-cut caller on the
     pi_phi of the stack's (F, phi), dilated on the row split."""
     F, phi, tol = args[1], args[2], args[3]
-    cp.ROW_SPLIT_MIN_DIM = 0
     triples = ksgns(F, phi, tol, BuildMemo())
     A = phi[0].algebra
     L = cp.left_mult_correspondence([identity_star_map(A)], BuildMemo())[0]
@@ -128,32 +97,21 @@ def live_runs(args: tuple) -> list[tuple]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--columns", action="store_true", help="time the column split instead")
-    mode.add_argument("--live", action="store_true", help="time the live cut instead")
+    parser.add_argument("--live", action="store_true", required=True, help="time the live cut")
     parser.add_argument("workloads", nargs="+")
     opts = parser.parse_args()
-    saved = cp.ROW_SPLIT_MIN_DIM, cp.SPLIT_MIN_DIM, numkernel.LIVE_MIN_DIM
-    if opts.live:
-        setting, runs, labels, what = (numkernel, "LIVE_MIN_DIM"), live_runs, ("live", "dense"), ""
-    elif opts.columns:
-        setting, labels, what = (cp, "SPLIT_MIN_DIM"), ("cols", "whole"), "C blocks "
-        runs = functools.partial(quotient_runs, side=1)
-    else:
-        setting, labels, what = (cp, "ROW_SPLIT_MIN_DIM"), ("row", "whole"), "A blocks "
-        runs = functools.partial(quotient_runs, side=0)
+    saved = numkernel.LIVE_MIN_DIM
     totals = collections.defaultdict(lambda: [0, 0.0, 0.0])
-    for args in collect(opts.workloads, opts.columns):
-        for key, run in runs(args):
+    for args in collect(opts.workloads):
+        for key, run in live_runs(args):
             entry = totals[key]
             entry[0] += 1
-            entry[1] += min(best(run, setting, 0), best(run, setting, 0))
-            entry[2] += min(best(run, setting, 10**9), best(run, setting, 10**9))
-    cp.ROW_SPLIT_MIN_DIM, cp.SPLIT_MIN_DIM, numkernel.LIVE_MIN_DIM = saved
+            entry[1] += min(best(run, 0), best(run, 0))
+            entry[2] += min(best(run, 10**9), best(run, 10**9))
+    numkernel.LIVE_MIN_DIM = saved
     for (key, width), (n, new, old) in sorted(totals.items(), key=lambda kv: kv[0][::-1]):
-        name = f"{what}{str(key):9}" if what else key
-        print(f"width {width:3d}  {name:18}  stacks {n:4d}  "
-              f"{labels[0]} {1e6 * new / n:7.0f} us  {labels[1]} {1e6 * old / n:7.0f} us  "
+        print(f"width {width:3d}  {key:18}  stacks {n:4d}  "
+              f"live {1e6 * new / n:7.0f} us  dense {1e6 * old / n:7.0f} us  "
               f"{100 * (new / old - 1):+5.0f}%")
 
 

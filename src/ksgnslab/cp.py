@@ -34,6 +34,7 @@ from .cstar import (
 )
 from .errors import NonLinearMap, ShapeMismatch
 from .hilbert import (
+    Copies,
     HilbertModule,
     ModuleMap,
     ModuleView,
@@ -75,17 +76,6 @@ from .numkernel import (
     stack_slices,
 )
 from .reporting import CheckReport
-
-
-# A narrower Gram costs less whole than in closed form: on the workloads' stacks, with quotients
-# built and checked once per stack, the closed form took +39% to +92% of the whole-Gram time at
-# widths 0-15, -24% at 16 (but +31% for 4 stacks over M_2 + M_2) and -17% to -85% at 32-64
-# (split_widths.py --columns)
-SPLIT_MIN_DIM = 16
-# The row split pays a rank, leak and spectrum step per block of A: on the workloads' stacks it
-# took +4% to +158% of the whole-Gram time at widths 4-32 (but -26% for 2 stacks at 24) and -7%
-# to -73% at 45-99 (split_widths.py, quotients built and checked once per stack)
-ROW_SPLIT_MIN_DIM = 40
 
 
 @dataclass
@@ -279,39 +269,47 @@ def tensor_key(E: HilbertModule, F: HilbertModule, pi: CPMap, tol: Tolerance) ->
     return ("tensor", E.key, F.key, pi.key, tol)
 
 
-def column_split(C: AlgebraShape, dE: int) -> list[np.ndarray]:
+def column_split(C: AlgebraShape, dE: int) -> Copies:
     """The Gram copies of E (x)_pi C, C over itself and pi(x) left multiplication
     by c = pi(x) 1, so <e_i (x) e^t_ak, e_j (x) e^s_cl> is c_ij^t_ac if s = t and
     k = l, else 0: per block t of C, e_i (x) e^t_ak's coordinate at [k, i n_t + a]."""
     at = np.arange(dE * C.dim).reshape(dE, C.dim)  # e_i (x) u_p at [i, p]
-    return [at[:, o : o + n * n].reshape(dE, n, n).transpose(2, 0, 1).reshape(n, dE * n)
-            for n, o in zip(C.blocks, C.offsets)]
+    return Copies([at[:, o : o + n * n].reshape(dE, n, n).transpose(2, 0, 1).reshape(n, dE * n)
+                   for n, o in zip(C.blocks, C.offsets)])
 
 
-def row_split(A: AlgebraShape, dF: int) -> list[np.ndarray]:
+def row_split(A: AlgebraShape, dF: int) -> Copies:
     """The copies of A (x)_phi F, A over itself: <e_ab (x) f_j, e_cd (x) f_l> = delta_ac
     <f_j, phi(e_bd) f_l>, so copy a of block t, e_ab (x) f_j at (o_t + a n_t + b) dim F + j."""
-    return [np.arange(o * dF, (o + n * n) * dF).reshape(n, n * dF)
-            for n, o in zip(A.blocks, A.offsets)]
+    return Copies([np.arange(o * dF, (o + n * n) * dF).reshape(n, n * dF)
+                   for n, o in zip(A.blocks, A.offsets)])
+
+
+def memo_copies(split, shape: AlgebraShape, dim: int, memo: BuildMemo) -> Copies:
+    """split(shape, dim), row_split or column_split, built once per instance in the
+    memo, with the layouts its quotients build."""
+    return memo.get_all([(split.__name__, shape.blocks, dim)], lambda _: [split(shape, dim)])[0]
 
 
 def over_itself(M: Sequence[HilbertModule], memo: BuildMemo) -> bool:
-    """Whether every M[s] is the memo's C over itself, dim C > 1 (identity Gram first)."""
+    """Whether every M[s] is the memo's C over itself, dim C > 1: identity Gram first,
+    then identity with the memo's module, and content keys only for other objects."""
     C = M[0].algebra
-    if C.dim < 2 or not np.array_equal(M[0].gram_matrix, np.eye(C.dim)):
+    if C.dim < 2 or M[0].dim != C.dim or not (M[0].gram_matrix == np.eye(C.dim)).all():
         return False
     C_mod = memo.get_all([("algebra_module", C)], lambda _: [algebra_module(C)])[0]
-    return {m.key for m in M} == {C_mod.key}
+    return all(m is C_mod for m in M) or {m.key for m in M} == {C_mod.key}
 
 
 def column_quotients(
-    E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap], tol: Tolerance
+    E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap], tol: Tolerance,
+    memo: BuildMemo,
 ) -> Quotient | None:
     """E[s] (x)_pi[s] C, every F[s] C over itself, by quotient_by_columns on copy 0's
     Gram blocks read off paired_images after the C-linearity gate (NonLinearMap);
     None when a block's rank differs between slices."""
     C, S, dE = F[0].algebra, len(E), E[0].dim
-    units = column_split(C, 1)  # units[t][k, a]: e^t_ak
+    units = memo_copies(column_split, C, 1, memo)  # units[t][k, a]: e^t_ak
     N = paired_images(E, F, pi, np.concatenate([c[0] for c in units]))  # on copy 0 of each block
     X = stack_slices([p.images for p in pi])
     D = X.copy()  # pi(u_p) less the copies of its block: 0 for left multiplications
@@ -323,7 +321,7 @@ def column_quotients(
     o = list(accumulate(C.blocks, initial=0))
     gram = Split([N[..., i:j, i:j].transpose(0, 1, 3, 2, 4).reshape(S, dE * n, dE * n)
                   for i, j, n in zip(o[:-1], o[1:], C.blocks)])  # [i n_t + a, k n_t + b]
-    return quotient_by_columns(C, gram, column_split(C, dE), tol)
+    return quotient_by_columns(C, gram, memo_copies(column_split, C, dE, memo), tol)
 
 
 def tensor_quotients(
@@ -333,17 +331,18 @@ def tensor_quotients(
     """The quotients of tensor_premodule(E, F, pi) by their null spaces, one
     quotient stack, handed on as its slices: the build step of
     interior_tensor, and of ksgns, which keeps A (x)_phi E inside its own memo
-    entry.  From ROW_SPLIT_MIN_DIM wide, when
-    every E[s] is A over itself, quotient_by_copies takes row_split's copies to F_phi
-    = (+)_t C^{n_t} (x) K_t; else from SPLIT_MIN_DIM, when every F[s] is C over
-    itself, column_quotients writes E (x)_pi C with no pre-module.  A stack whose
-    blocks' ranks differ between slices takes the whole Grams."""
-    quots, width = None, E[0].dim * F[0].dim
-    if width >= ROW_SPLIT_MIN_DIM and over_itself(E, memo):  # rows first, when both are
-        copies = row_split(E[0].algebra, F[0].dim)
+    entry.  The structure alone picks the quotient, at every width: when every
+    E[s] is A over itself, quotient_by_copies takes row_split's copies to F_phi
+    = (+)_t C^{n_t} (x) K_t; else, when every F[s] is C over itself,
+    column_quotients writes E (x)_pi C with no pre-module; else, and for a stack
+    whose blocks' ranks differ between slices, quotient_by_null takes the whole
+    Grams.  Each structured quotient has the canonical basis I_{n_t} (x) V_t."""
+    quots = None
+    if over_itself(E, memo):  # rows first, when both are
+        copies = memo_copies(row_split, E[0].algebra, F[0].dim, memo)
         quots = quotient_by_copies(tensor_premodule(E, F, pi), copies, tol)
-    elif width >= SPLIT_MIN_DIM and over_itself(F, memo):
-        quots = column_quotients(E, F, pi, tol)
+    elif over_itself(F, memo):
+        quots = column_quotients(E, F, pi, tol, memo)
     if quots is None:
         quots = quotient_by_null(tensor_premodule(E, F, pi), tol)
     return [TensorModule(quots, i, *slc) for i, slc in enumerate(zip(E, F, pi))]

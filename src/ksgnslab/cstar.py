@@ -7,8 +7,9 @@ views one as a (..., n, n) stack per block, so a family's norms, adjoints
 and products take one batched call per block.  AlgebraElement holds a single
 element's blocks where an API takes one.  A linear map between algebras is
 its coefficient matrix, column p holding the image of the matrix unit u_p.
-Products of basis elements are read from one cached table,
-AlgebraShape.product_table.
+Products of basis elements are read from one read-only table per tuple of
+block sizes, AlgebraShape.product_table, which every shape with those blocks
+shares.
 
 The faithful positive functional used everywhere for scalarization is the
 unnormalized trace tau(a) = sum_i tr(a_i); tau(a* a) > 0
@@ -34,6 +35,9 @@ from .numkernel import (
     stack_slices,
 )
 from .reporting import CheckReport
+
+# product tables by block sizes: one small table per algebra shape a run meets
+_PRODUCT_TABLES: dict[tuple[int, ...], np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -74,11 +78,16 @@ class AlgebraShape:
     @cached_property
     def product_table(self) -> np.ndarray:
         """T[p, r] = index of u_p u_r, or -1 where the product is 0:
-        E^i_kl E^j_k'l' = delta_ij delta_lk' E^i_kl'."""
-        _, i, k, l = np.array(list(self.basis_labels())).reshape(-1, 4).T
-        target = np.array(self.offsets)[i] + k * np.array(self.blocks)[i]
-        chain = (i[:, None] == i) & (l[:, None] == k)
-        return np.where(chain, target[:, None] + l, -1)
+        E^i_kl E^j_k'l' = delta_ij delta_lk' E^i_kl'.  Built once per tuple of
+        block sizes and read-only, since every shape with these blocks shares it."""
+        if (T := _PRODUCT_TABLES.get(self.blocks)) is None:
+            _, i, k, l = np.array(list(self.basis_labels())).reshape(-1, 4).T
+            target = np.array(self.offsets)[i] + k * np.array(self.blocks)[i]
+            chain = (i[:, None] == i) & (l[:, None] == k)
+            T = np.where(chain, target[:, None] + l, -1)
+            T.flags.writeable = False
+            T = _PRODUCT_TABLES.setdefault(self.blocks, T)
+        return T
 
     def star_permutation(self) -> np.ndarray:
         """Permutation sending each matrix unit to its adjoint's index."""

@@ -27,9 +27,13 @@ module operator norms are exactly realized operator norms.
 Quotients by the pairing's null space use the orthonormal eigenvector basis
 of the Gram range, so the quotient map q and section s satisfy q s = I up to
 eigensolver error, and conditioning is explicit in the kept eigenvalues.
-Grams in equal copies quotient on the bases I_{n_t} (x) V_t of copy 0's blocks:
-row copies transport copy 0 alone, F_phi = (+)_t C^{n_t} (x) K_t, and column
-copies write E (x)_pi C = (+)_t K_t (x) C^{n_t} in closed form, with no transport.
+A tensor with an algebra over itself on either side has a Gram in equal
+copies (Lance, Hilbert C*-Modules, ch. 4-5), which quotients at every width
+on the canonical bases I_{n_t} (x) V_t of copy 0's blocks, however degenerate
+their spectra: row copies transport copy 0 alone, F_phi = (+)_t C^{n_t} (x)
+K_t, and column copies write E (x)_pi C = (+)_t K_t (x) C^{n_t} in closed
+form.  The CopyLayout of each ranks, which the Copies held in a BuildMemo
+build once, puts copy 0's pieces on every copy with index arrays.
 Pairing identities contract all basis pairs at once through pairing_coeffs.
 Zero-dimensional modules are legal everywhere.
 """
@@ -364,95 +368,146 @@ def _quotient_stack(B: AlgebraShape, s, kernel, action, pairing, tol: Tolerance)
     return (qK @ s[:, None], blocks, *np.linalg.eigh((G + G.conj().swapaxes(-1, -2)) / 2.0))
 
 
-def split_bases(decided: list[tuple], copies: Sequence[np.ndarray]) -> tuple | None:
-    """Stacks (range, kernel) I_{n_t} (x) V_t of rank_kernel's Split decisions, copy a
-    of block t on coordinates copies[t][a], columns block by block and copy by copy,
-    checked finite; None when a block's rank differs between slices."""
-    if any(np.count_nonzero(r != r[0]) for r, _, _ in decided):
+class Copies(list):
+    """The coordinates of a pre-space whose Gram is, per block t of an algebra, n_t
+    equal copies of one block: entry t (n_t, b_t), row a copy a's (cp.row_split,
+    cp.column_split).  It keeps the CopyLayout of each ranks it is decided at, so
+    the Copies a BuildMemo holds build each layout once per instance."""
+
+    def layout(self, decided: list[tuple]) -> CopyLayout:
+        """The layout at the ranks of rank_kernel's decisions, slice 0's."""
+        ranks, layouts = tuple(int(k[0]) for k, _, _ in decided), vars(self).setdefault("at", {})
+        if ranks not in layouts:
+            layouts[ranks] = CopyLayout(self, ranks)
+        return layouts[ranks]
+
+
+class CopyLayout:
+    """Index arrays of a quotient of Copies at ranks k_t: copy a of block t takes range
+    coordinates O_t + a k_t + j and kernel coordinates Z_t + a z_t + j (z_t = b_t - k_t).
+    An entry indexes the pieces of all blocks as _pieces lays them out, -1 the zero
+    after them: s (d, r) and kernel (d, d - r) hold copy 0's kept and dropped
+    eigenvector columns on every copy, diagonal (r, r) block t's k_t x k_t pieces on
+    the diagonal block of every copy, and spread (r,) its k_t values on every copy."""
+
+    def __init__(self, copies: Copies, ranks: tuple[int, ...]) -> None:
+        self.blocks, self.ranks = [len(c) for c in copies], ranks
+        d, r = sum(c.size for c in copies), sum(n * k for n, k in zip(self.blocks, ranks))
+        self.s, self.kernel, self.diagonal = (np.full(x, -1) for x in [(d, r), (d, d - r), (r, r)])
+        self.spread = np.zeros(r, int)
+        O = Z = vo = po = wo = 0  # where block t's coordinates and pieces start
+        for c, n, k in zip(copies, self.blocks, ranks):
+            b = c.shape[1]
+            z, V, a = b - k, vo + np.arange(b * b).reshape(b, b), np.arange(n)[:, None]
+            Q, K = O + a * k + np.arange(k), Z + a * z + np.arange(z)  # copy a's coordinates
+            self.s[c[:, :, None], Q[:, None]] = V[:, z:]
+            self.kernel[c[:, :, None], K[:, None]] = V[:, :z]
+            self.diagonal[Q[:, :, None], Q[:, None]] = po + np.arange(k * k).reshape(k, k)
+            self.spread[Q] = wo + np.arange(k)
+            O, Z, vo, po, wo = O + n * k, Z + n * z, vo + b * b, po + k * k, wo + k
+
+    @cached_property
+    def closed_form(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """For column copies, of B = (+)_t M_{n_t} over itself: the read-only 0/1 action
+        (dim B, r, r), R(e^t_kl) moving copy k to l, and per block t the index array (r,
+        r, n_t, n_t) of its pairing into the values, <v_a (x) e_k, v_a (x) e_l> = w_a e^t_kl."""
+        r, pairing = len(self.spread), []
+        action = np.zeros((sum(n * n for n in self.blocks), r, r), complex)
+        O = o = wo = 0
+        for n, k in zip(self.blocks, self.ranks):
+            kk, l, a = np.arange(n)[:, None, None], np.arange(n)[:, None], np.arange(k)
+            action[o + kk * n + l, O + l * k + a, O + kk * k + a] = 1.0  # copy kk to copy l
+            pairing.append(np.full((r, r, n, n), -1))
+            pairing[-1][O + kk * k + a, O + l * k + a, kk, l] = wo + a
+            O, o, wo = O + n * k, o + n * n, wo + k
+        action.flags.writeable = False
+        return action, pairing
+
+
+def _pieces(pieces: Sequence[np.ndarray], axis: int, width: int = 2) -> np.ndarray:
+    """What a CopyLayout's index arrays take at `axis`: the pieces of all blocks, their
+    `width` axes from `axis` on flattened into one, concatenated there, then a zero."""
+    flat = [X.reshape(*X.shape[:axis], -1, *X.shape[axis + width :]) for X in pieces]
+    zero = np.zeros((*flat[0].shape[:axis], 1, *flat[0].shape[axis + 1 :]), complex)
+    return np.concatenate([*flat, zero], axis=axis)
+
+
+def split_bases(decided: list[tuple], copies: Copies) -> tuple | None:
+    """Stacks (range, kernel) I_{n_t} (x) V_t of rank_kernel's Split decisions on copy 0's
+    Gram blocks, placed by the copies' layout and checked finite; None when a block's
+    rank differs between slices."""
+    if any(np.count_nonzero(k != k[0]) for k, _, _ in decided):
         return None
-    ranks = [int(r[0]) for r, _, _ in decided]
-    d, r = sum(c.size for c in copies), sum(len(c) * k for c, k in zip(copies, ranks))
-    s, kernel = (np.zeros((len(decided[0][0]), d, m), complex) for m in (r, d - r))
-    o = ko = 0
-    for c, k, (_, _, V) in zip(copies, ranks, decided):
-        z = V.shape[-1] - k  # the kernel's width
-        for rows in c:
-            s[:, rows, o : o + k], kernel[:, rows, ko : ko + z] = V[..., z:], V[..., :z]
-            o, ko = o + k, ko + z
-    return require_finite(s, "Gram eigenvectors"), require_finite(kernel, "Gram eigenvectors")
+    V, at = _pieces([V for _, _, V in decided], 1), copies.layout(decided)
+    V = require_finite(V, "Gram eigenvectors")
+    return V.take(at.s, axis=1), V.take(at.kernel, axis=1)
 
 
-def quotient_by_copies(
-    pre: PreModule, copies: Sequence[np.ndarray], tol: Tolerance
-) -> Quotient:
-    """quotient_by_null of orthogonal sums of equal submodules, copies[t] (n_t, b_t)
-    placing block t's (cp.row_split), as (+)_t C^{n_t} (x) K_t: rank_kernel's Split
-    of copy 0's Gram blocks gives the bases (split_bases), one _quotient_stack per
-    block what its copies share (spectra sorted).  Blocks whose ranks differ between slices go to
-    quotient_by_null, and Gram blocks that differ beyond exceeds_gate raise
-    UnequalCopies beforehand."""
+def _sorted_quotients(B: AlgebraShape, s, kernel, action, pairing, w, V) -> Quotient:
+    """_quotients with the spectrum w (S, r) sorted ascending, V's columns with it."""
+    order, rows = np.argsort(w, axis=-1, kind="stable"), np.arange(len(w))[:, None]
+    w, V = w[rows, order], V[rows[..., None], np.arange(V.shape[-1])[:, None], order[:, None]]
+    return _quotients(B, s, kernel, action, pairing, w, V)
+
+
+def quotient_by_copies(pre: PreModule, copies: Copies, tol: Tolerance) -> Quotient:
+    """quotient_by_null of orthogonal sums of equal submodules, copies[t] placing block
+    t's (cp.row_split), as (+)_t C^{n_t} (x) K_t: split_bases on copy 0's Gram blocks,
+    and one _quotient_stack per block what its copies share, which the layout puts on
+    every copy.  Gram blocks that differ beyond exceeds_gate raise UnequalCopies, and
+    blocks whose ranks differ between slices go to quotient_by_null."""
     G, B, G0 = pre.gram(), pre.algebra, []
     for t, c in enumerate(copies):
         G0.append(G[:, c[:1, :, None], c[:1, None, :]])
         D = G[:, c[1:, :, None], c[1:, None, :]] - G0[-1]
-        if np.count_nonzero(bad := exceeds_finite_gate(D, np.broadcast_to(G0[-1], D.shape), tol)):
+        if np.count_nonzero(D) and np.count_nonzero(
+                bad := exceeds_finite_gate(D, np.broadcast_to(G0[-1], D.shape), tol)):
             i, a = np.argwhere(bad)[0]
             raise UnequalCopies(f"copy {a + 1} of block {t} differs from copy 0 in slice {i}")
     decided = rank_kernel(Split([g[:, 0] for g in G0]), tol)
     if (bases := split_bases(decided, copies)) is None:
         return quotient_by_null(pre, tol)  # the totals may still agree
-    s, kernel = bases
-    S, r = s.shape[0], s.shape[-1]
-    moved, w = np.zeros((S, B.dim, r, r), complex), np.zeros((S, r))
-    V, *blocks = [np.zeros((S, r, r, *x), complex) for x in [()] + [(n, n) for n in B.blocks]]
-    o = 0
-    for c, (k, _, Vt) in zip(copies, decided):  # copy 0 of block t: its rows and kept columns
-        z = Vt.shape[-1] - int(k[0])
-        st, kt = np.ascontiguousarray(Vt[..., z:]), np.ascontiguousarray(Vt[..., :z])
-        mt, bt, wt, Vq = _quotient_stack(B, st, kt, pre.action[..., c[0][:, None], c[0]],
-                                         [P[:, c[0][:, None], c[0]] for P in pre.pairing], tol)
-        Q = o + np.arange(len(c) * int(k[0])).reshape(len(c), int(k[0]))  # Q[a]: copy a's
-        moved[:, :, Q[:, :, None], Q[:, None]], w[:, Q] = mt[:, :, None], wt[:, None]
-        for X, Xt in zip([V, *blocks], [Vq, *bt]):
-            X[:, Q[:, :, None], Q[:, None]] = Xt[:, None]
-        o += Q.size
-    order = np.argsort(w, axis=-1, kind="stable")
-    w, V = np.take_along_axis(w, order, -1), np.take_along_axis(V, order[:, None], -1)
-    return _quotients(B, s, kernel, moved, blocks, w, V)
+    parts = []
+    for c, (k, _, V) in zip(copies, decided):  # copy 0 of block t: its rows and kept columns
+        z, i, j = V.shape[-1] - int(k[0]), c[0][:, None], c[0]
+        st, kt = np.ascontiguousarray(V[..., z:]), np.ascontiguousarray(V[..., :z])
+        pairing = [P[:, i, j] for P in pre.pairing]
+        parts.append(_quotient_stack(B, st, kt, pre.action[..., i, j], pairing, tol))
+    (moved, blocks, w, V), at = zip(*parts), copies.layout(decided)
+    return _sorted_quotients(
+        B, *bases, _pieces(moved, 2).take(at.diagonal, axis=2),
+        [_pieces(P, 1).take(at.diagonal, axis=1) for P in zip(*blocks)],
+        np.concatenate(w, axis=1)[:, at.spread], _pieces(V, 1).take(at.diagonal, axis=1),
+    )
 
 
 def quotient_by_columns(
-    B: AlgebraShape, gram: Split, copies: Sequence[np.ndarray], tol: Tolerance
+    B: AlgebraShape, gram: Split, copies: Copies, tol: Tolerance
 ) -> Quotient | None:
-    """E (x)_pi B, B = (+)_t M_{n_t} over itself, from rank_kernel's decisions on copy
-    0's Gram blocks (copies = cp.column_split): with v_a, w_a block t's kept eigenpairs,
-    O_t + k r_t + a is v_a (x) e^t_.k, R(e^t_kl) moves copy k to l, <v_a (x) e_k, v_b (x)
-    e_l> = w_a delta_ab e^t_kl, and the kernel leaks under R(e^t_kl), of norm 1, by
-    V_t,keep* V_t,drop.  None when a block's rank differs between slices."""
+    """E (x)_pi B, B = (+)_t M_{n_t} over itself, from split_bases on copy 0's Gram
+    blocks (copies = cp.column_split), in the layout's closed form: with v_a, w_a block
+    t's kept eigenpairs, O_t + k r_t + a is v_a (x) e^t_.k, R(e^t_kl) moves copy k to l,
+    and <v_a (x) e_k, v_b (x) e_l> = w_a delta_ab e^t_kl.  The kernel leaks under
+    R(e^t_kl), of norm 1, by V_t,keep* V_t,drop.  None when a block's rank differs
+    between slices."""
     decided = rank_kernel(gram, tol)
     if (bases := split_bases(decided, copies)) is None:
         return None
-    (s, kernel), ranks = bases, [int(k[0]) for k, _, _ in decided]
-    S, d, unit = len(s), s.shape[-1], np.ones((len(s), 1, 1))
+    at, S, unit = copies.layout(decided), len(bases[0]), np.ones((len(bases[0]), 1, 1))
     kept = [(V[..., V.shape[-1] - r :], V[..., : V.shape[-1] - r], w[:, w.shape[-1] - r :])
-            for (_, w, V), r in zip(decided, ranks)]
+            for (_, w, V), r in zip(decided, at.ranks)]
     leaks = [(*leak, t) for t, (keep, drop, _) in enumerate(kept)
              if (leak := first_leak(keep.conj().swapaxes(-1, -2) @ drop, unit, tol))]
     if leaks:
         i, leak, t = min(leaks)  # the first leaking slice
         raise _leak_error(S, i, B.offsets[t], leak)
-    action, O = np.zeros((B.dim, d, d), complex), 0
-    blocks = [np.zeros((S, d, d, n, n), complex) for n in B.blocks]
-    for n, o, r, P, (_, _, w) in zip(B.blocks, B.offsets, ranks, blocks, kept):
-        k, l, a = np.arange(n)[:, None, None], np.arange(n)[:, None], np.arange(r)
-        action[o + k * n + l, O + l * r + a, O + k * r + a] = 1.0  # copy k to copy l
-        P[:, O + k * r + a, O + l * r + a, k, l] = w[:, None, None]
-        O += n * r
-    w = np.concatenate([np.tile(w, n) for n, (_, _, w) in zip(B.blocks, kept)], axis=1)
-    order = np.argsort(w, axis=-1, kind="stable")
-    V = (np.arange(d)[:, None] == order[:, None, :]).astype(complex)  # column j: e_order[j]
-    action = np.broadcast_to(action, (S, *action.shape))
-    return _quotients(B, s, kernel, action, blocks, np.sort(w, kind="stable"), V)
+    (action, pairing), r = at.closed_form, len(at.spread)
+    w = _pieces([w for _, _, w in kept], 1, width=1)
+    return _sorted_quotients(
+        B, *bases, np.broadcast_to(action, (S, *action.shape)),
+        [w.take(P, axis=1) for P in pairing], w.real.take(at.spread, axis=1),
+        np.broadcast_to(np.eye(r, dtype=complex), (S, r, r)),
+    )
 
 
 def null_leak(

@@ -173,10 +173,13 @@ def exceeds_gate(X: np.ndarray, M: np.ndarray, tol: Tolerance) -> np.ndarray:
 
 
 def exceeds_finite_gate(X: np.ndarray, M: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """exceeds_gate for an M its caller has just checked finite, not checked again."""
+    """exceeds_gate for an M its caller has just checked finite, not checked again.
+    An all-zero X, as most leaks and copy differences are, passes with no norm."""
     X = np.asarray(X, dtype=complex)
+    out = np.zeros(X.shape[:-2], dtype=bool)
+    if not np.count_nonzero(X):
+        return out
     near = ~(np.sqrt(np.sum((X.conj() * X).real, axis=(-2, -1))) <= tol.ctol)
-    out = np.zeros(near.shape, dtype=bool)
     if np.count_nonzero(near):
         out[near] = operator_norms(X[near]) > tol.ctol * (1.0 + operator_norms(M[near]))
     return out

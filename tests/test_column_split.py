@@ -9,11 +9,14 @@ Each such quotient must match conftest's generic path, which decomposes
 each whole Gram matrix: the same rank, the same Gram spectrum within
 rounding, and bases and modules that differ by a unitary; its action and
 pairing must be s* R s and s* P s of the pre-module, which the closed form
-never builds.  tensor_quotients splits pre-spaces of width SPLIT_MIN_DIM
-and up; a pi that fails C-linearity raises before any rank decision, an
-eigenvector basis that leaks raises, a stack whose blocks' ranks differ
-between slices takes the whole Grams, and a right factor of C's dimension
-that is not C over itself keeps the generic path.
+never builds.  tensor_quotients takes the closed form at every width, zero
+included, whenever the right factor is C over itself and the left factor is
+not an algebra over itself (whose rows go first), so a degenerate Gram
+eigenspace gets the canonical basis I_{n_t} (x) V_t at any width; a pi that
+fails C-linearity raises before any rank decision, an eigenvector basis that
+leaks raises, a stack whose blocks' ranks differ between slices takes the
+whole Grams, and a right factor of C's dimension that is not C over itself
+keeps the generic path.
 """
 
 import numpy as np
@@ -78,7 +81,7 @@ def test_split_quotients_match_the_generic_path(blocks, case):
     else:
         keep = 1 if case == "rank_deficient" else None
         pi = left_mult_correspondence([embedding(C, rng, keep) for _ in range(2)], memo)
-    split = column_quotients([E, E], [C_mod, C_mod], pi, DEFAULT_TOL)
+    split = column_quotients([E, E], [C_mod, C_mod], pi, DEFAULT_TOL, memo)
     reference = tensor_quotients_reference([E, E], [C_mod, C_mod], pi)
     for quot, ref in zip(split, reference, strict=True):
         assert_one_module_up_to_a_unitary(quot, ref)
@@ -87,19 +90,24 @@ def test_split_quotients_match_the_generic_path(blocks, case):
 
 
 @pytest.mark.parametrize(
-    "blocks, dim, splits",
-    # width dim E * dim C: 16 and up split, 8 does not, and C = the complex numbers never does
-    [((2,), 4, True), ((2,), 2, False), ((1, 2), 4, True), ((1,), 16, False)],
+    "blocks, dim, closed",
+    # the structure decides, at every width dim E * dim C (0, 1-15, 16-39): C over
+    # itself takes the closed form, but E of dim 2 is B over itself, whose rows go
+    # first, and C = the complex numbers is never split
+    [((2,), 4, True), ((2,), 2, False), ((1, 2), 4, True), ((1,), 16, False), ((2,), 0, True),
+     ((1, 2), 1, True), ((2,), 3, True), ((3,), 1, True), ((3,), 3, True), ((1, 2), 7, True)],
 )
-def test_tensor_quotients_split_wide_pre_spaces_over_c(monkeypatch, blocks, dim, splits):
+def test_tensor_quotients_split_wide_pre_spaces_over_c(monkeypatch, blocks, dim, closed):
     rng = np.random.default_rng(dim)
     C, memo = AlgebraShape(blocks), BuildMemo()
     C_mod = algebra_module(C)
     E = canonical_module(B, (dim // 2, dim - dim // 2))
     pi = left_mult_correspondence([embedding(C, rng)], memo)
     grams = recorded_rank_decisions(monkeypatch)
+    columns = count_calls(monkeypatch, cp, "column_quotients")
     tm = tensor_quotients([E], [C_mod], pi, DEFAULT_TOL, memo)[0]
-    assert len(grams) == 1 and isinstance(grams[0], Split) == splits
+    assert len(grams) == 1 and isinstance(grams[0], Split) == (C.dim > 1)
+    assert bool(columns) == closed
     assert_one_module_up_to_a_unitary(tm, tensor_quotients_reference([E], [C_mod], pi)[0])
 
 
@@ -180,7 +188,7 @@ def test_closed_form_is_the_pre_module_compressed(blocks, keep):
     C_mod = algebra_module(C)
     E = [wide_module(rng)] * 2
     pi = left_mult_correspondence([embedding(C, rng, keep) for _ in range(2)], memo)
-    quots = column_quotients(E, [C_mod] * 2, pi, DEFAULT_TOL)
+    quots = column_quotients(E, [C_mod] * 2, pi, DEFAULT_TOL, memo)
     pre = tensor_premodule(E, [C_mod] * 2, pi)  # built here only
     copies = column_split(C, E[0].dim)
     for i, quot in enumerate(quots):
@@ -226,11 +234,11 @@ def test_eigenvectors_that_leak_raise_naming_the_slice(monkeypatch):
         V[1, :, -1] = np.cos(1e-6) * V[1, :, -1] + np.sin(1e-6) * V[1, :, 0]
         return w, V
 
-    assert column_quotients(E, [C_mod] * 2, pi, DEFAULT_TOL)[0].module.dim < E[0].dim * C.dim
+    assert column_quotients(E, [C_mod] * 2, pi, DEFAULT_TOL, memo)[0].module.dim < E[0].dim * C.dim
     monkeypatch.setattr(numkernel, "herm_eig", rotating)
     with pytest.raises(SubmoduleViolation, match=r"^action of basis element 0 leaks out of "
                        r"the null space in slice 1 \(residual 1\.0"):
-        column_quotients(E, [C_mod] * 2, pi, DEFAULT_TOL)
+        column_quotients(E, [C_mod] * 2, pi, DEFAULT_TOL, memo)
 
 
 def test_a_stack_whose_blocks_differ_in_rank_takes_the_generic_path(monkeypatch):
@@ -259,14 +267,17 @@ def test_a_stack_whose_blocks_differ_in_rank_takes_the_generic_path(monkeypatch)
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("blocks, dim", [((2,), 4), ((2,), 5), ((2,), 8), ((1, 2), 4), ((3,), 2)])
+@pytest.mark.parametrize(
+    "blocks, dim",
+    [((2,), 4), ((2,), 5), ((2,), 8), ((1, 2), 4), ((3,), 2), ((2,), 1), ((2,), 3), ((1, 2), 1)],
+)
 def test_the_closed_form_builds_no_pre_module_and_no_quotient_eigh(monkeypatch, blocks, dim):
-    # at widths dim E dim C the split takes: one eigh per block size of C, on
-    # copy 0's Gram blocks, and no other
+    # at every width dim E dim C, below 16 as above it: one eigh per block size of
+    # C, on copy 0's Gram blocks, and no other; E of dim 2 is B over itself, so
+    # its rows go first, on the pre-module
     rng = np.random.default_rng(dim + len(blocks))
     C, memo = AlgebraShape(blocks), BuildMemo()
     C_mod = algebra_module(C)
-    assert dim * C.dim >= cp.SPLIT_MIN_DIM
     E = canonical_module(B, (dim // 2, dim - dim // 2))
     pi = left_mult_correspondence([embedding(C, rng, keep=1)] * 3, memo)
     built = count_calls(monkeypatch, cp, "tensor_premodule")
@@ -278,7 +289,10 @@ def test_the_closed_form_builds_no_pre_module_and_no_quotient_eigh(monkeypatch, 
 
     monkeypatch.setattr(np.linalg, "eigh", sizing)
     tm = tensor_quotients([E] * 3, [C_mod] * 3, pi, DEFAULT_TOL, memo)
-    assert built == [] and sorted(sizes) == sorted({dim * n for n in C.blocks})
+    if dim == B.dim:  # the rows of B over itself: no Gram wider than one copy, dim C
+        assert built == ["tensor_premodule"] and max(sizes) == C.dim
+    else:
+        assert built == [] and sorted(sizes) == sorted({dim * n for n in C.blocks})
     monkeypatch.undo()
     assert_one_module_up_to_a_unitary(tm[2], tensor_quotients_reference([E], [C_mod], pi[2:])[0])
 
@@ -295,3 +309,24 @@ def test_the_closed_form_keeps_the_tensor_shape_checks():
         tensor_quotients([E], [C_mod], [random_cp(B, F, rng)], DEFAULT_TOL, memo)
     with pytest.raises(ShapeMismatch, match=r"^representation domain differs from E's "):
         tensor_quotients([E], [C_mod], [random_cp(C, C_mod, rng)], DEFAULT_TOL, memo)
+
+
+def test_a_degenerate_gram_eigenspace_below_width_16_gets_the_canonical_basis():
+    # E = C^1 (+) C^2 over B with the identity Gram, along a unital embedding into
+    # C = M_2: the Gram of E (x)_pi C is two projections per vector of E, so its
+    # eigenvalue 1 has multiplicity 2 dim E on a pre-space 12 wide.  The closed form
+    # lays it out as I_2 (x) V on the copies, not in the basis an eigh of the whole
+    # Gram returns, and it is the generic path's quotient up to a unitary
+    rng = np.random.default_rng(37)
+    C, memo = AlgebraShape((2,)), BuildMemo()
+    C_mod = algebra_module(C)
+    E = canonical_module(B, (1, 2))
+    pi = left_mult_correspondence([embedding(C, rng)], memo)
+    tm = tensor_quotients([E], [C_mod], pi, DEFAULT_TOL, memo)[0]
+    w = tm.module.gram_spectrum[0]
+    assert E.dim * C.dim == 12 and np.allclose(w, 1.0) and len(w) == 2 * E.dim
+    copies = column_split(C, E.dim)
+    (o, r), = block_places(tm.s, copies)
+    blocks = [tm.s[np.ix_(rows, o + k * r + np.arange(r))] for k, rows in enumerate(copies[0])]
+    assert np.array_equal(blocks[0], blocks[1])
+    assert_one_module_up_to_a_unitary(tm, tensor_quotients_reference([E], [C_mod], pi)[0])

@@ -7,13 +7,13 @@ For A = (+)_t M_{n_t} over itself, <e_ab (x) x, e_cd (x) y> = delta_ac
 equal copies of one B-submodule per block t (cp.row_split), and the KSGNS
 space is F_phi = (+)_t C^{n_t} (x) K_t.  Each such quotient must match
 conftest's generic path, which decomposes each whole Gram matrix; pi(e_ab)
-must vanish exactly outside its (a, b) block; only pre-spaces of width
-ROW_SPLIT_MIN_DIM and up split, a left factor of A's dimension that is not A
-over itself keeps the generic path bit for bit, and copies that differ
-beyond rounding raise before any rank decision.  Every rank is decided
-against the largest eigenvalue of the whole Gram, as on the generic path.
-When both factors are algebras over themselves, the row split is the one
-taken from ROW_SPLIT_MIN_DIM up, and the column split below it.
+must vanish exactly outside its (a, b) block; pre-spaces of every width split
+when A, of dimension 2 or more, is over itself, a left factor of A's
+dimension that is not A over itself keeps the generic path bit for bit, and
+copies that differ beyond rounding raise before any rank decision.  Every
+rank is decided against the largest eigenvalue of the whole Gram, as on the
+generic path.  When both factors are algebras over themselves, the rows go
+first.
 """
 
 import numpy as np
@@ -45,7 +45,7 @@ def compressed_cp(A: AlgebraShape, rng, zero_block: bool):
     and P the module projection that drops the second row of B's first block,
     so the tensor has null vectors; with zero_block, phi vanishes on A's first
     block, whose K_t is then zero-dimensional.  dim F is 10, or 6 when dim A
-    is 9, so dim A dim F reaches ROW_SPLIT_MIN_DIM."""
+    is 9."""
     F0 = canonical_module(B, (2, 2) if A.dim > 8 else (4, 3))
     F, S = scramble_module(F0, rng)
     P = np.linalg.solve(S, np.diag([1.0, 0.0] + [1.0] * (F0.dim - 2)) @ S)
@@ -120,8 +120,11 @@ def test_ksgns_pi_vanishes_exactly_outside_its_block(blocks):
 
 @pytest.mark.parametrize(
     "blocks, rows, splits",
-    # width dim A * dim F: 40 and up split, 32 does not, and A = C never does
-    [((2,), (4, 3), True), ((2,), (2, 3), False), ((1, 2), (2, 3), True), ((1,), (20, 10), False)],
+    # the structure decides, at every width dim A * dim F (0, 1-15, 16-39, 40 and up):
+    # A over itself splits, and A = C never does
+    [((2,), (4, 3), True), ((2,), (2, 3), True), ((1, 2), (2, 3), True), ((1,), (20, 10), False),
+     ((2,), (0, 0), True), ((2,), (1, 0), True), ((1, 2), (1, 1), True), ((2,), (2, 1), True),
+     ((3,), (1, 1), True), ((1, 2), (1, 3), True), ((1,), (3, 1), False)],
 )
 def test_tensor_quotients_split_rows_by_width_and_algebra(monkeypatch, blocks, rows, splits):
     rng = np.random.default_rng(len(blocks) + sum(rows))
@@ -152,12 +155,12 @@ def test_a_left_factor_of_a_dimension_that_is_not_a_takes_the_generic_path(monke
     assert np.array_equal(tm.module.gram_spectrum[1], ref.module.gram_spectrum[1])
 
 
-@pytest.mark.parametrize("n, rows", [(3, True), (2, False)])
+@pytest.mark.parametrize("n, rows", [(3, True), (2, True), (1, False)])
 def test_both_factors_over_themselves_split_by_rows_from_their_width(monkeypatch, n, rows):
     # the KSGNS of a CP map from A = M_n into C = C (+) M_n over itself: A over
-    # itself on the left, C over itself on the right; the row split is the one
-    # taken from ROW_SPLIT_MIN_DIM (9 * 10 = 90 wide), the column split below
-    # it (4 * 5 = 20)
+    # itself on the left, C over itself on the right; the rows go first at every
+    # width (9 * 10 = 90, 4 * 5 = 20), and the columns when A = C is not split
+    # (1 * 2 = 2)
     rng = np.random.default_rng(8)
     A, C, memo = AlgebraShape((n,)), AlgebraShape((1, n)), BuildMemo()
     A_mod, C_mod = algebra_module(A), algebra_module(C)

@@ -852,3 +852,43 @@ def test_builders_read_quotient_and_module_stacks_whole():
         if (calls := restacked_fields(path.read_text()))
     }
     assert found == {}
+
+
+def number_constants(source: str) -> list[str]:
+    """Module-level names bound to a number literal, such as a width threshold
+    X_MIN_DIM = 16, by name and line."""
+    found = []
+    for node in ast.parse(source).body:
+        value = getattr(node, "value", None)
+        numeric = isinstance(value, ast.Constant) and type(value.value) in (int, float)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and numeric:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [f"{t.id} (line {node.lineno})" for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def ordering_comparisons(source: str, function: str) -> list[int] | None:
+    """Lines of the <, <=, > and >= comparisons in the named top-level function,
+    or None when the module defines no such function."""
+    for fn in ast.parse(source).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name == function:
+            ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+            return [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Compare)
+                    and any(isinstance(op, ordering) for op in node.ops)]
+    return None
+
+
+def test_tensor_quotients_chooses_by_structure_alone():
+    # cp holds no width threshold, and tensor_quotients compares no width: the
+    # structure of its factors alone picks the quotient, at every width
+    probe = (
+        "SPLIT_MIN_DIM = 16\nLIMIT: float = 0.5\nNAME = 'x'\nFLAG = True\n\n"
+        "def tensor_quotients(E, F):\n    if E.dim * F.dim >= SPLIT_MIN_DIM:\n"
+        "        return 1\n    return 0 if E is F else 2\n"
+    )
+    assert number_constants(probe) == ["SPLIT_MIN_DIM (line 1)", "LIMIT (line 2)"]
+    assert ordering_comparisons(probe, "tensor_quotients") == [7]
+    assert ordering_comparisons(probe, "interior_tensor") is None
+    source = (SRC / "cp.py").read_text()
+    assert number_constants(source) == []
+    assert ordering_comparisons(source, "tensor_quotients") == []
