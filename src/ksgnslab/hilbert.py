@@ -374,12 +374,16 @@ class Copies(list):
     cp.column_split).  It keeps the CopyLayout of each ranks it is decided at, so
     the Copies a BuildMemo holds build each layout once per instance."""
 
+    def __init__(self, at: Sequence[np.ndarray]) -> None:
+        super().__init__(at)
+        self.layouts: dict[tuple[int, ...], CopyLayout] = {}
+
     def layout(self, decided: list[tuple]) -> CopyLayout:
         """The layout at the ranks of rank_kernel's decisions, slice 0's."""
-        ranks, layouts = tuple(int(k[0]) for k, _, _ in decided), vars(self).setdefault("at", {})
-        if ranks not in layouts:
-            layouts[ranks] = CopyLayout(self, ranks)
-        return layouts[ranks]
+        ranks = tuple(int(k[0]) for k, _, _ in decided)
+        if ranks not in self.layouts:
+            self.layouts[ranks] = CopyLayout(self, ranks)
+        return self.layouts[ranks]
 
 
 class CopyLayout:
