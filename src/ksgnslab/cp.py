@@ -306,8 +306,9 @@ def column_quotients(
     memo: BuildMemo,
 ) -> Quotient | None:
     """E[s] (x)_pi[s] C, every F[s] C over itself, by quotient_by_columns on copy 0's
-    Gram blocks read off paired_images after the C-linearity gate (NonLinearMap);
-    None when a block's rank differs between slices."""
+    Gram blocks read off paired_images after the C-linearity gate (NonLinearMap),
+    with the memo's copies of C and of E (x) C; None when a block's rank differs
+    between slices."""
     C, S, dE = F[0].algebra, len(E), E[0].dim
     units = memo_copies(column_split, C, 1, memo)  # units[t][k, a]: e^t_ak
     N = paired_images(E, F, pi, np.concatenate([c[0] for c in units]))  # on copy 0 of each block
