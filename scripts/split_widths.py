@@ -47,10 +47,10 @@ def collect(names: list[str]) -> list[tuple]:
     workloads, real, stacks = load_workloads(), cp.tensor_quotients, []
     callers = (cp, importlib.import_module("ksgnslab.ksgns"))
 
-    def recording(E, F, pi, tol, memo):
-        if cp.over_itself(E, memo):
-            stacks.append((E, F, pi, tol, memo))
-        return real(E, F, pi, tol, memo)
+    def recording(E, F, pi, tol):
+        if cp.over_itself(E):
+            stacks.append((E, F, pi, tol))
+        return real(E, F, pi, tol)
 
     for module in callers:
         module.tensor_quotients = recording

@@ -54,7 +54,7 @@ from .hilbert import (
     rank_one_sum,
     same_module,
 )
-from .memo import BuildMemo, content_key
+from .memo import BuildMemo, content_key, structure
 from .numkernel import (
     CERTIFY_MARGIN,
     DEFAULT_TOL,
@@ -272,45 +272,46 @@ def tensor_key(E: HilbertModule, F: HilbertModule, pi: CPMap, tol: Tolerance) ->
 def column_split(C: AlgebraShape, dE: int) -> Copies:
     """The Gram copies of E (x)_pi C, C over itself and pi(x) left multiplication
     by c = pi(x) 1, so <e_i (x) e^t_ak, e_j (x) e^s_cl> is c_ij^t_ac if s = t and
-    k = l, else 0: per block t of C, e_i (x) e^t_ak's coordinate at [k, i n_t + a]."""
-    at = np.arange(dE * C.dim).reshape(dE, C.dim)  # e_i (x) u_p at [i, p]
-    return Copies([at[:, o : o + n * n].reshape(dE, n, n).transpose(2, 0, 1).reshape(n, dE * n)
-                   for n, o in zip(C.blocks, C.offsets)])
+    k = l, else 0: per block t of C, e_i (x) e^t_ak's coordinate at [k, i n_t + a].
+    One per block sizes and dim E, shared by the process with its layouts."""
+
+    def build() -> Copies:
+        at = np.arange(dE * C.dim).reshape(dE, C.dim)  # e_i (x) u_p at [i, p]
+        return Copies([at[:, o : o + n * n].reshape(dE, n, n).transpose(2, 0, 1)
+                       .reshape(n, dE * n) for n, o in zip(C.blocks, C.offsets)])
+
+    return structure(("column_split", C.blocks, dE), build)
 
 
 def row_split(A: AlgebraShape, dF: int) -> Copies:
     """The copies of A (x)_phi F, A over itself: <e_ab (x) f_j, e_cd (x) f_l> = delta_ac
-    <f_j, phi(e_bd) f_l>, so copy a of block t, e_ab (x) f_j at (o_t + a n_t + b) dim F + j."""
-    return Copies([np.arange(o * dF, (o + n * n) * dF).reshape(n, n * dF)
-                   for n, o in zip(A.blocks, A.offsets)])
+    <f_j, phi(e_bd) f_l>, so copy a of block t, e_ab (x) f_j at (o_t + a n_t + b) dim F + j.
+    One per block sizes and dim F, shared by the process with its layouts."""
+    return structure(("row_split", A.blocks, dF), lambda: Copies(
+        [np.arange(o * dF, (o + n * n) * dF).reshape(n, n * dF)
+         for n, o in zip(A.blocks, A.offsets)]))
 
 
-def memo_copies(split, shape: AlgebraShape, dim: int, memo: BuildMemo) -> Copies:
-    """split(shape, dim), row_split or column_split, built once per instance in the
-    memo, with the layouts its quotients build."""
-    return memo.get_all([(split.__name__, shape.blocks, dim)], lambda _: [split(shape, dim)])[0]
-
-
-def over_itself(M: Sequence[HilbertModule], memo: BuildMemo) -> bool:
-    """Whether every M[s] is the memo's C over itself, dim C > 1: identity Gram first,
-    then identity with the memo's module, and content keys only for other objects."""
+def over_itself(M: Sequence[HilbertModule]) -> bool:
+    """Whether every M[s] is C over itself, dim C > 1: identity Gram first, then
+    identity with the process's algebra module, and content keys only for other
+    objects."""
     C = M[0].algebra
     if C.dim < 2 or M[0].dim != C.dim or not (M[0].gram_matrix == np.eye(C.dim)).all():
         return False
-    C_mod = memo.get_all([("algebra_module", C)], lambda _: [algebra_module(C)])[0]
+    C_mod = algebra_module(C)
     return all(m is C_mod for m in M) or {m.key for m in M} == {C_mod.key}
 
 
 def column_quotients(
     E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap], tol: Tolerance,
-    memo: BuildMemo,
 ) -> Quotient | None:
     """E[s] (x)_pi[s] C, every F[s] C over itself, by quotient_by_columns on copy 0's
     Gram blocks read off paired_images after the C-linearity gate (NonLinearMap),
-    with the memo's copies of C and of E (x) C; None when a block's rank differs
+    with the process's copies of C and of E (x) C; None when a block's rank differs
     between slices."""
     C, S, dE = F[0].algebra, len(E), E[0].dim
-    units = memo_copies(column_split, C, 1, memo)  # units[t][k, a]: e^t_ak
+    units = column_split(C, 1)  # units[t][k, a]: e^t_ak
     N = paired_images(E, F, pi, np.concatenate([c[0] for c in units]))  # on copy 0 of each block
     X = stack_slices([p.images for p in pi])
     D = X.copy()  # pi(u_p) less the copies of its block: 0 for left multiplications
@@ -322,12 +323,11 @@ def column_quotients(
     o = list(accumulate(C.blocks, initial=0))
     gram = Split([N[..., i:j, i:j].transpose(0, 1, 3, 2, 4).reshape(S, dE * n, dE * n)
                   for i, j, n in zip(o[:-1], o[1:], C.blocks)])  # [i n_t + a, k n_t + b]
-    return quotient_by_columns(C, gram, memo_copies(column_split, C, dE, memo), tol)
+    return quotient_by_columns(C, gram, column_split(C, dE), tol)
 
 
 def tensor_quotients(
-    E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap],
-    tol: Tolerance, memo: BuildMemo,
+    E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap], tol: Tolerance,
 ) -> list[TensorModule]:
     """The quotients of tensor_premodule(E, F, pi) by their null spaces, one
     quotient stack, handed on as its slices: the build step of
@@ -339,11 +339,11 @@ def tensor_quotients(
     whose blocks' ranks differ between slices, quotient_by_null takes the whole
     Grams.  Each structured quotient has the canonical basis I_{n_t} (x) V_t."""
     quots = None
-    if over_itself(E, memo):  # rows first, when both are
-        copies = memo_copies(row_split, E[0].algebra, F[0].dim, memo)
+    if over_itself(E):  # rows first, when both are
+        copies = row_split(E[0].algebra, F[0].dim)
         quots = quotient_by_copies(tensor_premodule(E, F, pi), copies, tol)
-    elif over_itself(F, memo):
-        quots = column_quotients(E, F, pi, tol, memo)
+    elif over_itself(F):
+        quots = column_quotients(E, F, pi, tol)
     if quots is None:
         quots = quotient_by_null(tensor_premodule(E, F, pi), tol)
     return [TensorModule(quots, i, *slc) for i, slc in enumerate(zip(E, F, pi))]
@@ -361,7 +361,7 @@ def interior_tensor(
     space F_pi = A (x)_pi F (Lance, Hilbert C*-Modules, ch. 4-5)."""
 
     def build(todo: list[int]) -> list[TensorModule]:
-        return tensor_quotients(*([x[s] for s in todo] for x in (E, F, pi)), tol, memo)
+        return tensor_quotients(*([x[s] for s in todo] for x in (E, F, pi)), tol)
 
     return memo.get_all([tensor_key(*slc, tol) for slc in zip(E, F, pi)], build)
 
@@ -382,13 +382,13 @@ def tensor_extend(
 def left_mult_correspondence(rho: Sequence[StarMap], memo: BuildMemo) -> list[Correspondence]:
     """rho[s] followed by left multiplication: B -> L(C as a module over
     itself), for each star map, built once per rho content in the memo; maps
-    into one C share the memo's C over itself, keyed by C's shape."""
+    into one C share the process's C over itself."""
 
     def build(todo: list[int]) -> list[Correspondence]:
         out = []
         for r in (rho[s] for s in todo):
             C, T = r.codomain, r.codomain.product_table
-            C_mod = memo.get_all([("algebra_module", C)], lambda _: [algebra_module(C)])[0]
+            C_mod = algebra_module(C)
             p, q = np.nonzero(T >= 0)
             images = np.zeros((r.domain.dim, C_mod.dim, C_mod.dim), dtype=complex)
             images[:, T[p, q], q] = r.matrix[p].T  # rho(u_b) u_q = sum_p rho_pb u_p u_q

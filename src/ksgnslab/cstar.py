@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeMismatch
-from .memo import content_key
+from .memo import content_key, structure
 from .numkernel import (
     Tolerance,
     matvecs,
@@ -35,10 +35,6 @@ from .numkernel import (
     stack_slices,
 )
 from .reporting import CheckReport
-
-# product tables by block sizes: one small table per algebra shape a run meets
-_PRODUCT_TABLES: dict[tuple[int, ...], np.ndarray] = {}
-
 
 @dataclass(frozen=True)
 class AlgebraShape:
@@ -78,16 +74,19 @@ class AlgebraShape:
     @cached_property
     def product_table(self) -> np.ndarray:
         """T[p, r] = index of u_p u_r, or -1 where the product is 0:
-        E^i_kl E^j_k'l' = delta_ij delta_lk' E^i_kl'.  Built once per tuple of
-        block sizes and read-only, since every shape with these blocks shares it."""
-        if (T := _PRODUCT_TABLES.get(self.blocks)) is None:
+        E^i_kl E^j_k'l' = delta_ij delta_lk' E^i_kl'.  Built once per process and
+        block sizes (memo.structure) and read-only, since every shape with these
+        blocks shares it."""
+
+        def build() -> np.ndarray:
             _, i, k, l = np.array(list(self.basis_labels())).reshape(-1, 4).T
             target = np.array(self.offsets)[i] + k * np.array(self.blocks)[i]
             chain = (i[:, None] == i) & (l[:, None] == k)
             T = np.where(chain, target[:, None] + l, -1)
             T.flags.writeable = False
-            T = _PRODUCT_TABLES.setdefault(self.blocks, T)
-        return T
+            return T
+
+        return structure(("product_table", self.blocks), build)
 
     def star_permutation(self) -> np.ndarray:
         """Permutation sending each matrix unit to its adjoint's index."""

@@ -1376,8 +1376,17 @@ def check_instance(suite: str, payload: dict, tol: Tolerance) -> list[CheckRecor
     return rec.records
 
 
+# Payloads store planted unitaries and morphism matrices in the quotient
+# coordinates of the tensors their generator built, so a file checks clean only
+# under the quotient bases it was generated with.  Version 2: the canonical bases
+# I_{n_t} (x) V_t of every tensor along an algebra over itself; files written
+# before carry no version.
+BASIS_VERSION = 2
+
+
 def generate(config: SuiteConfig, out_dir: str) -> list[str]:
-    """Write one instance file per enabled suite; deterministic per seed."""
+    """Write one instance file per enabled suite, stamped with BASIS_VERSION;
+    deterministic per seed."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for suite in config.suites:
@@ -1388,6 +1397,7 @@ def generate(config: SuiteConfig, out_dir: str) -> list[str]:
         doc = {
             "suite": suite,
             "master_seed": config.seed,
+            "basis_version": BASIS_VERSION,
             "caps": asdict(config.caps),
             "instances": instances,
         }
@@ -1411,6 +1421,11 @@ def _load_suite_file(path: str) -> dict:
         isinstance(payload, dict) for payload in doc["instances"]
     ):
         raise ParseError(f"{path}: instances must be a list of instance objects")
+    if doc.get("basis_version") != BASIS_VERSION:
+        raise ParseError(
+            f"{path} has basis version {doc.get('basis_version')!r}, not {BASIS_VERSION}: "
+            "generate it again with `verify gen`"
+        )
     return doc
 
 

@@ -32,8 +32,9 @@ copies (Lance, Hilbert C*-Modules, ch. 4-5), which quotients at every width
 on the canonical bases I_{n_t} (x) V_t of copy 0's blocks, however degenerate
 their spectra: row copies transport copy 0 alone, F_phi = (+)_t C^{n_t} (x)
 K_t, and column copies write E (x)_pi C = (+)_t K_t (x) C^{n_t} in closed
-form.  The CopyLayout of each ranks, which the Copies held in a BuildMemo
-build once, puts copy 0's pieces on every copy with index arrays.
+form.  The CopyLayout of each ranks, which the process-wide Copies of each
+block sizes and dimension build once, puts copy 0's pieces on every copy with
+index arrays.
 Pairing identities contract all basis pairs at once through pairing_coeffs.
 Zero-dimensional modules are legal everywhere.
 """
@@ -51,7 +52,7 @@ from .errors import (
     InvalidConfig, ShapeMismatch, SingularGram, SubmoduleViolation, UnequalCopies,
     WellDefinednessViolation,
 )
-from .memo import content_key
+from .memo import content_key, structure
 from .numkernel import (
     DEFAULT_TOL,
     Split,
@@ -371,11 +372,12 @@ def _quotient_stack(B: AlgebraShape, s, kernel, action, pairing, tol: Tolerance)
 class Copies(list):
     """The coordinates of a pre-space whose Gram is, per block t of an algebra, n_t
     equal copies of one block: entry t (n_t, b_t), row a copy a's (cp.row_split,
-    cp.column_split).  It keeps the CopyLayout of each ranks it is decided at, so
-    the Copies a BuildMemo holds build each layout once per instance."""
+    cp.column_split), read-only.  It keeps the CopyLayout of each ranks it is
+    decided at, so the Copies the process shares per block sizes and dimension
+    build each layout once per process."""
 
     def __init__(self, at: Sequence[np.ndarray]) -> None:
-        super().__init__(at)
+        super().__init__(_read_only(*at))
         self.layouts: dict[tuple[int, ...], CopyLayout] = {}
 
     def layout(self, decided: list[tuple]) -> CopyLayout:
@@ -409,10 +411,11 @@ class CopyLayout:
             self.diagonal[Q[:, :, None], Q[:, None]] = po + np.arange(k * k).reshape(k, k)
             self.spread[Q] = wo + np.arange(k)
             O, Z, vo, po, wo = O + n * k, Z + n * z, vo + b * b, po + k * k, wo + k
+        _read_only(self.s, self.kernel, self.diagonal, self.spread)
 
     @cached_property
     def closed_form(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """For column copies, of B = (+)_t M_{n_t} over itself: the read-only 0/1 action
+        """For column copies, of B = (+)_t M_{n_t} over itself, read-only: the 0/1 action
         (dim B, r, r), R(e^t_kl) moving copy k to l, and per block t the index array (r,
         r, n_t, n_t) of its pairing into the values, <v_a (x) e_k, v_a (x) e_l> = w_a e^t_kl."""
         r, pairing = len(self.spread), []
@@ -424,8 +427,14 @@ class CopyLayout:
             pairing.append(np.full((r, r, n, n), -1))
             pairing[-1][O + kk * k + a, O + l * k + a, kk, l] = wo + a
             O, o, wo = O + n * k, o + n * n, wo + k
-        action.flags.writeable = False
-        return action, pairing
+        return _read_only(action)[0], _read_only(*pairing)
+
+
+def _read_only(*arrays: np.ndarray) -> list[np.ndarray]:
+    """arrays, each made read-only: structure shared by the whole process."""
+    for X in arrays:
+        X.flags.writeable = False
+    return list(arrays)
 
 
 def _pieces(pieces: Sequence[np.ndarray], axis: int, width: int = 2) -> np.ndarray:
@@ -697,5 +706,14 @@ def canonical_module(B: AlgebraShape, rows: tuple[int, ...]) -> HilbertModule:
 
 
 def algebra_module(shape: AlgebraShape) -> HilbertModule:
-    """B viewed as a Hilbert module over itself with <a, b> = a* b."""
-    return canonical_module(shape, shape.blocks)
+    """B viewed as a Hilbert module over itself with <a, b> = a* b: one read-only
+    module per block sizes, shared by the process (memo.structure), its Gram
+    powers (the identity) with it."""
+
+    def build() -> HilbertModule:
+        E = canonical_module(shape, shape.blocks)
+        _read_only(E.action, *E.pairing, *E.gram_spectrum, E.gram_matrix, E.gram_sqrt,
+                   E.gram_isqrt, E.gram_inv)
+        return E
+
+    return structure(("algebra_module", shape.blocks), build)

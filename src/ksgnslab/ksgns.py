@@ -98,7 +98,7 @@ def ksgns(
                 raise NotCP(f"Choi certificate failed (min eigenvalues {mins})")
         A = maps[0].algebra
         L = left_mult_correspondence([identity_star_map(A)], memo)[0]
-        tms = tensor_quotients([L.module] * len(mods), mods, maps, tol, memo)
+        tms = tensor_quotients([L.module] * len(mods), mods, maps, tol)
         pis = tensor_extend([L.images] * len(mods), tms, tms, "left multiplication", tol)
         # V_phi x = class of 1_A (x) x
         unit = unit_coeffs(A).reshape(A.dim, 1)

@@ -1,12 +1,19 @@
-"""The build memo shared by the construction layers, and the content keys
-that name its entries.
+"""The build memo shared by the construction layers, the content keys that
+name its entries, and the process's table of block-size structure.
 
-One BuildMemo lives for one checked instance (harness.check_instance makes
-it and drops it on return); every builder that shares work takes it as a
-required argument.  Entries are keyed by content: modules, CP maps and star
-maps carry a `key`, a digest of their data, so two objects with equal keys
-are interchangeable and the memo builds each content once, whichever object
-asks for it.  There is no module-level memo.
+Content-keyed builds live per instance: one BuildMemo lives for one checked
+instance (harness.check_instance makes it and drops it on return); every
+builder that shares work takes it as a required argument.  Entries are keyed
+by content: modules, CP maps and star maps carry a `key`, a digest of their
+data, so two objects with equal keys are interchangeable and the memo builds
+each content once, whichever object asks for it.
+
+Block-size structure lives per process: what depends on block sizes and
+dimensions alone (an algebra's product table and its module over itself, the
+row and column copies of a tensor's Gram and their layouts) is built once, on
+first request, into one module-level table that `structure` reads, and is
+read-only, since every instance of the process shares it.  It grows with the
+shapes a run meets, not with its instances.
 """
 
 from __future__ import annotations
@@ -29,6 +36,18 @@ def content_key(*parts) -> bytes:
             data = part if isinstance(part, bytes) else repr(part).encode()
         chunks += (b"%d:" % len(data), data)
     return hashlib.blake2b(b"".join(chunks), digest_size=16).digest()
+
+
+_STRUCTURE: dict[tuple, Any] = {}
+
+
+def structure(key: tuple, build: Callable[[], Any]) -> Any:
+    """The process's build under key, a builder's name with the block sizes and
+    dimensions that alone decide it: build() on the first request, which must
+    return read-only data, and that same object on every later one."""
+    if (value := _STRUCTURE.get(key)) is None:
+        value = _STRUCTURE[key] = build()
+    return value
 
 
 class BuildMemo:

@@ -19,6 +19,7 @@ platform.
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 from typing import Any
 
 import numpy as np
@@ -64,6 +65,21 @@ def load_cmatrix(data: Any, rows: int | None = None, cols: int | None = None) ->
     if not np.isfinite(A).all():
         raise ValidationError("matrix contains non-finite entries")
     return A.view(complex)[..., 0]
+
+
+def load_cmatrices(items: Any, rows: int, cols: int) -> np.ndarray:
+    """Matrices (len(items), rows, cols) of a list of dumped matrices of one
+    shape, parsed as one array.  A list that is anything else goes through
+    load_cmatrix item by item, which names the first fault."""
+    if isinstance(items, list) and rows * cols:
+        try:
+            A = np.array(items, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            A = None
+        if A is not None and A.shape == (len(items), rows, cols, 2) and np.isfinite(A).all():
+            return A.view(complex)[..., 0]
+    stack = [load_cmatrix(m, rows, cols) for m in items]
+    return np.stack(stack) if stack else np.zeros((0, rows, cols), dtype=complex)
 
 
 # -- algebra layer ------------------------------------------------------------
@@ -123,12 +139,25 @@ def dump_star_map(rho: StarMap) -> dict:
 
 
 def load_star_map(data: Any) -> StarMap:
-    dom = load_shape(data["domain"])
-    cod = load_shape(data["codomain"])
-    images = data["images"]
-    if len(images) != dom.dim:
-        raise ValidationError("star map needs one image per domain basis element")
-    return StarMap(dom, cod, np.ascontiguousarray(load_elements(cod, images).T))
+    return load_star_maps([data])[0]
+
+
+def load_star_maps(items: list) -> list[StarMap]:
+    """load_star_map of each item; the images of maps that all share one
+    codomain are parsed by one load_elements call."""
+    heads = []
+    for data in items:
+        dom, cod, images = load_shape(data["domain"]), load_shape(data["codomain"]), data["images"]
+        if len(images) != dom.dim:
+            raise ValidationError("star map needs one image per domain basis element")
+        heads.append((dom, cod, images))
+    if len({cod for _, cod, _ in heads}) != 1:
+        return [StarMap(dom, cod, np.ascontiguousarray(load_elements(cod, images).T))
+                for dom, cod, images in heads]
+    coeffs = load_elements(heads[0][1], [x for _, _, images in heads for x in images])
+    ends = list(accumulate(dom.dim for dom, _, _ in heads))
+    return [StarMap(dom, cod, np.ascontiguousarray(coeffs[end - dom.dim : end].T))
+            for (dom, cod, _), end in zip(heads, ends)]
 
 
 def dump_automorphism(alpha: Automorphism) -> dict:
@@ -139,7 +168,14 @@ def dump_automorphism(alpha: Automorphism) -> dict:
 
 
 def load_automorphism(data: Any) -> Automorphism:
-    return Automorphism(load_star_map(data["forward"]), load_star_map(data["inverse"]))
+    return load_automorphisms([data])[0]
+
+
+def load_automorphisms(items: list) -> list[Automorphism]:
+    """load_automorphism of each item, every forward and inverse image parsed
+    by one load_elements call when all the maps share one codomain."""
+    maps = load_star_maps([m for data in items for m in (data["forward"], data["inverse"])])
+    return [Automorphism(*maps[i : i + 2]) for i in range(0, len(maps), 2)]
 
 
 # -- module layer -------------------------------------------------------------
@@ -164,11 +200,7 @@ def load_module(data: Any) -> HilbertModule:
     action_rows = data["action"]
     if len(action_rows) != B.dim:
         raise ValidationError("module action needs one matrix per basis element")
-    action = (
-        np.stack([load_cmatrix(m, d, d) for m in action_rows])
-        if B.dim
-        else np.zeros((0, d, d), dtype=complex)
-    )
+    action = load_cmatrices(action_rows, d, d)
     rows = data["pairing"]
     if len(rows) != d or any(len(r) != d for r in rows):
         raise ValidationError("module pairing must be a dim x dim table")
@@ -215,11 +247,7 @@ def load_cpmap(data: Any, modules: dict[str, HilbertModule]) -> CPMap:
     images = data["images"]
     if len(images) != A.dim:
         raise ValidationError("cp map needs one image per basis element")
-    stack = (
-        np.stack([load_cmatrix(img, E.dim, E.dim) for img in images])
-        if A.dim
-        else np.zeros((0, E.dim, E.dim), dtype=complex)
-    )
+    stack = load_cmatrices(images, E.dim, E.dim)
     return CPMap(A, E, stack, strict=bool(data.get("strict", True)))
 
 
@@ -267,7 +295,7 @@ def load_system(data: Any) -> DynamicalSystem:
     return DynamicalSystem(
         load_shape(data["algebra"]),
         load_group(data["group"]),
-        [load_automorphism(a) for a in data["action"]],
+        load_automorphisms(data["action"]),
     )
 
 
@@ -286,9 +314,7 @@ def load_equivariant(data: Any) -> EquivariantCorrespondence:
     phi = load_cpmap(data["phi"], {"module": module})
     sys_in = load_system(data["system_in"])
     sys_out = load_system(data["system_out"])
-    unitaries = [
-        load_cmatrix(U, module.dim, module.dim) for U in data["unitaries"]
-    ]
+    unitaries = list(load_cmatrices(data["unitaries"], module.dim, module.dim))
     return EquivariantCorrespondence(sys_in, sys_out, module, phi, unitaries)
 
 

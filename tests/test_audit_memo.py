@@ -77,11 +77,11 @@ def count_tensor_builds(monkeypatch):
     builds = {}
     real = cp.tensor_quotients
 
-    def counting(E, F, pi, tol, memo):
+    def counting(E, F, pi, tol):
         for e, f, p in zip(E, F, pi):  # one count per slice of a stacked build
             key = (content(e), content(f), p.images.tobytes())
             builds[key] = builds.get(key, 0) + 1
-        return real(E, F, pi, tol, memo)
+        return real(E, F, pi, tol)
 
     monkeypatch.setattr(cp, "tensor_quotients", counting)
     return builds
@@ -204,14 +204,14 @@ def test_category_audit_failed_build_still_breaks_closure(monkeypatch):
     real = cp.tensor_quotients
     calls, bad = [], []
 
-    def fail_one_content(E, F, pi, tol, memo):
+    def fail_one_content(E, F, pi, tol):
         calls.append(E)
         slices = [(content(e), content(f), p.images.tobytes()) for e, f, p in zip(E, F, pi)]
         if len(calls) == len(objects) + 1:
             bad.append(slices[-1])
         if bad and bad[0] in slices:
             raise WellDefinednessViolation("injected")
-        return real(E, F, pi, tol, memo)
+        return real(E, F, pi, tol)
 
     monkeypatch.setattr(cp, "tensor_quotients", fail_one_content)
     rep = check_category_laws(objects, morphisms, DEFAULT_TOL, BuildMemo())

@@ -7,7 +7,9 @@ change: every call site is labelled, and a site whose result only feeds a
 verdict may take exact SVDs only where a Frobenius gate or certificate
 (numkernel.exceeds_gate, certified_norms) could not decide.  The row split
 of the KSGNS quotients keeps `prespace-cap`'s eigh work pinned, and the live
-cut of their block-sparse pi_phi its SVD work.
+cut of their block-sparse pi_phi its SVD work.  Block-size structure is built
+once per process, so a second check pass builds none, and content keys per
+pass are pinned.
 """
 
 import importlib.util
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 from numpy.linalg import _linalg as linalg_impl
 
-from ksgnslab import harness, numkernel
+from ksgnslab import harness, hilbert, memo, numkernel
 from ksgnslab.numkernel import DEFAULT_TOL
 
 from conftest import lapack_calls
@@ -92,9 +94,9 @@ def check_pass(tasks):
         assert all(r.passed for r in harness.check_instance(suite, payload, DEFAULT_TOL))
 
 
-def counted(monkeypatch, name: str) -> list:
-    """Every call of numkernel.<name> from here on, wherever ksgnslab bound it."""
-    calls, real = [], getattr(numkernel, name)
+def counted(monkeypatch, name: str, source=numkernel) -> list:
+    """Every call of source.<name> from here on, wherever ksgnslab bound it."""
+    calls, real = [], getattr(source, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
@@ -130,6 +132,41 @@ def test_equivariant_dilation_checks_and_stacks_once_per_stack(monkeypatch):
     check_pass(tasks)
     assert len(finite) <= 2_500, len(finite)
     assert len(stacked) <= 1_500, len(stacked)
+
+
+def test_a_second_equivariant_dilation_pass_builds_no_block_size_structure(monkeypatch):
+    # 40 algebra modules, 120 Copies and 80 CopyLayouts per pass when every
+    # instance memo built its own; the first pass of a process builds what the
+    # process has not met yet (0, 4 and 3 after the workload's generation), a
+    # second builds nothing
+    tasks = WORKLOADS.build("equivariant-dilation", WORKLOADS.DEFAULT_MASTER_SEED)
+    check_pass(tasks)
+    modules, layouts, shapes = [], [], set(memo._STRUCTURE)
+    real_module, real_layout = hilbert.canonical_module, hilbert.CopyLayout
+
+    class CountingLayout(real_layout):
+        def __init__(self, *args):
+            layouts.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(hilbert, "canonical_module",
+                        lambda *args: modules.append(args) or real_module(*args))
+    monkeypatch.setattr(hilbert, "CopyLayout", CountingLayout)
+    check_pass(tasks)
+    assert (len(modules), len(layouts)) == (0, 0)
+    assert set(memo._STRUCTURE) == shapes
+
+
+@pytest.mark.parametrize("workload, pin",
+                         [("suites-default", 2_236), ("equivariant-dilation", 901)])
+def test_content_keys_per_check_pass(monkeypatch, workload, pin):
+    # memo.content_key calls per check pass: 2,236 and 901 with C over itself
+    # built and keyed in every instance memo, 2,180-2,185 and 861-862 with one per
+    # process (fewer once the process has keyed its own)
+    tasks = WORKLOADS.build(workload, WORKLOADS.DEFAULT_MASTER_SEED)
+    keys = counted(monkeypatch, "content_key", source=memo)
+    check_pass(tasks)
+    assert len(keys) <= pin, len(keys)
 
 
 def test_every_lapack_site_is_labelled_and_verdicts_take_no_full_svd(monkeypatch, suites_default):

@@ -81,7 +81,7 @@ def test_split_quotients_match_the_generic_path(blocks, case):
     else:
         keep = 1 if case == "rank_deficient" else None
         pi = left_mult_correspondence([embedding(C, rng, keep) for _ in range(2)], memo)
-    split = column_quotients([E, E], [C_mod, C_mod], pi, DEFAULT_TOL, memo)
+    split = column_quotients([E, E], [C_mod, C_mod], pi, DEFAULT_TOL)
     reference = tensor_quotients_reference([E, E], [C_mod, C_mod], pi)
     for quot, ref in zip(split, reference, strict=True):
         assert_one_module_up_to_a_unitary(quot, ref)
@@ -105,7 +105,7 @@ def test_tensor_quotients_split_wide_pre_spaces_over_c(monkeypatch, blocks, dim,
     pi = left_mult_correspondence([embedding(C, rng)], memo)
     grams = recorded_rank_decisions(monkeypatch)
     columns = count_calls(monkeypatch, cp, "column_quotients")
-    tm = tensor_quotients([E], [C_mod], pi, DEFAULT_TOL, memo)[0]
+    tm = tensor_quotients([E], [C_mod], pi, DEFAULT_TOL)[0]
     assert len(grams) == 1 and isinstance(grams[0], Split) == (C.dim > 1)
     assert bool(columns) == closed
     assert_one_module_up_to_a_unitary(tm, tensor_quotients_reference([E], [C_mod], pi)[0])
@@ -124,14 +124,14 @@ def right_multiplication(C_mod, d: np.ndarray) -> np.ndarray:
     ids=["unequal_copies", "mass_off_the_blocks"],
 )
 def test_a_pi_that_fails_c_linearity_raises_before_any_rank_decision(monkeypatch, d):
-    C, memo = AlgebraShape((2,)), BuildMemo()
+    C = AlgebraShape((2,))
     C_mod = algebra_module(C)
     E = wide_module(np.random.default_rng(7))
     images = np.stack([right_multiplication(C_mod, d), np.eye(C.dim)]).astype(complex)
     pi = CPMap(B, C_mod, images)
     grams = recorded_rank_decisions(monkeypatch)
     with pytest.raises(NonLinearMap, match=r"^pi is not C-linear \(residual "):
-        tensor_quotients([E], [C_mod], [pi], DEFAULT_TOL, memo)
+        tensor_quotients([E], [C_mod], [pi], DEFAULT_TOL)
     assert grams == []  # never quotiented on its blocks alone
 
 
@@ -142,7 +142,7 @@ def test_a_right_factor_of_c_dimension_that_is_not_c_takes_the_generic_path(monk
     E = wide_module(rng)
     pi = random_cp(B, F, rng)
     grams = recorded_rank_decisions(monkeypatch)
-    tm = tensor_quotients([E], [F], [pi], DEFAULT_TOL, BuildMemo())[0]
+    tm = tensor_quotients([E], [F], [pi], DEFAULT_TOL)[0]
     assert len(grams) == 1 and isinstance(grams[0], np.ndarray)
     ref = tensor_quotients_reference([E], [F], [pi])[0]
     for name in ("q", "s", "kernel"):
@@ -188,7 +188,7 @@ def test_closed_form_is_the_pre_module_compressed(blocks, keep):
     C_mod = algebra_module(C)
     E = [wide_module(rng)] * 2
     pi = left_mult_correspondence([embedding(C, rng, keep) for _ in range(2)], memo)
-    quots = column_quotients(E, [C_mod] * 2, pi, DEFAULT_TOL, memo)
+    quots = column_quotients(E, [C_mod] * 2, pi, DEFAULT_TOL)
     pre = tensor_premodule(E, [C_mod] * 2, pi)  # built here only
     copies = column_split(C, E[0].dim)
     for i, quot in enumerate(quots):
@@ -234,11 +234,11 @@ def test_eigenvectors_that_leak_raise_naming_the_slice(monkeypatch):
         V[1, :, -1] = np.cos(1e-6) * V[1, :, -1] + np.sin(1e-6) * V[1, :, 0]
         return w, V
 
-    assert column_quotients(E, [C_mod] * 2, pi, DEFAULT_TOL, memo)[0].module.dim < E[0].dim * C.dim
+    assert column_quotients(E, [C_mod] * 2, pi, DEFAULT_TOL)[0].module.dim < E[0].dim * C.dim
     monkeypatch.setattr(numkernel, "herm_eig", rotating)
     with pytest.raises(SubmoduleViolation, match=r"^action of basis element 0 leaks out of "
                        r"the null space in slice 1 \(residual 1\.0"):
-        column_quotients(E, [C_mod] * 2, pi, DEFAULT_TOL, memo)
+        column_quotients(E, [C_mod] * 2, pi, DEFAULT_TOL)
 
 
 def test_a_stack_whose_blocks_differ_in_rank_takes_the_generic_path(monkeypatch):
@@ -255,7 +255,7 @@ def test_a_stack_whose_blocks_differ_in_rank_takes_the_generic_path(monkeypatch)
     rho = [StarMap(B, C, np.vstack(x)) for x in ([zero, half], [half, zero])]
     pi = left_mult_correspondence(rho, memo)
     grams = recorded_rank_decisions(monkeypatch)
-    tm = tensor_quotients([E, E], [C_mod, C_mod], pi, DEFAULT_TOL, memo)
+    tm = tensor_quotients([E, E], [C_mod, C_mod], pi, DEFAULT_TOL)
     assert isinstance(grams[0], Split) and isinstance(grams[1], np.ndarray) and len(grams) == 2
     ranks = np.array([k for k, _, _ in rank_kernel(grams[0], DEFAULT_TOL)]).T  # (slice, block)
     assert ranks[0].tolist() == ranks[1].tolist()[::-1] and ranks[0, 0] == 0 < ranks[0, 1]
@@ -288,7 +288,7 @@ def test_the_closed_form_builds_no_pre_module_and_no_quotient_eigh(monkeypatch, 
         return _real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", sizing)
-    tm = tensor_quotients([E] * 3, [C_mod] * 3, pi, DEFAULT_TOL, memo)
+    tm = tensor_quotients([E] * 3, [C_mod] * 3, pi, DEFAULT_TOL)
     if dim == B.dim:  # the rows of B over itself: no Gram wider than one copy, dim C
         assert built == ["tensor_premodule"] and max(sizes) == C.dim
     else:
@@ -301,14 +301,14 @@ def test_the_closed_form_keeps_the_tensor_shape_checks():
     # a pi on another module of C's dimension, or over another algebra than
     # E's coefficients, is refused before any Gram block is read
     rng = np.random.default_rng(31)
-    C, memo = AlgebraShape((2,)), BuildMemo()
+    C = AlgebraShape((2,))
     C_mod = algebra_module(C)
     E = canonical_module(B, (2, 2))
     F, _ = scramble_module(C_mod, rng)
     with pytest.raises(ShapeMismatch, match=r"^representation does not act on F$"):
-        tensor_quotients([E], [C_mod], [random_cp(B, F, rng)], DEFAULT_TOL, memo)
+        tensor_quotients([E], [C_mod], [random_cp(B, F, rng)], DEFAULT_TOL)
     with pytest.raises(ShapeMismatch, match=r"^representation domain differs from E's "):
-        tensor_quotients([E], [C_mod], [random_cp(C, C_mod, rng)], DEFAULT_TOL, memo)
+        tensor_quotients([E], [C_mod], [random_cp(C, C_mod, rng)], DEFAULT_TOL)
 
 
 def test_a_degenerate_gram_eigenspace_below_width_16_gets_the_canonical_basis():
@@ -322,7 +322,7 @@ def test_a_degenerate_gram_eigenspace_below_width_16_gets_the_canonical_basis():
     C_mod = algebra_module(C)
     E = canonical_module(B, (1, 2))
     pi = left_mult_correspondence([embedding(C, rng)], memo)
-    tm = tensor_quotients([E], [C_mod], pi, DEFAULT_TOL, memo)[0]
+    tm = tensor_quotients([E], [C_mod], pi, DEFAULT_TOL)[0]
     w = tm.module.gram_spectrum[0]
     assert E.dim * C.dim == 12 and np.allclose(w, 1.0) and len(w) == 2 * E.dim
     copies = column_split(C, E.dim)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -6,6 +7,7 @@ from ksgnslab.cli import main as cli_main
 from ksgnslab.errors import InvalidConfig, ParseError
 from ksgnslab.harness import (
     _SUITES,
+    BASIS_VERSION,
     SUITE_NAMES,
     CheckRecord,
     Report,
@@ -123,6 +125,29 @@ def test_suite_file_filed_under_another_suite_is_parse_error(tmp_path, capsys):
     with pytest.raises(ParseError, match="holds 'lift' instances, not 'ksgns'"):
         run(cfg, instance_dir=str(tmp_path))
     assert cli_main(["run", "--in", str(tmp_path), "--suites", "ksgns"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("version", [None, 1])
+def test_suite_file_of_another_basis_version_is_refused(tmp_path, version, capsys):
+    # payloads keep maps in the quotient coordinates their generator built, so a
+    # file from before the canonical bases fails records instead of checking clean
+    cfg = SuiteConfig(seed=3, caps=SizeCaps(instances_per_suite=2), suites=("uniqueness",))
+    generate(cfg, str(tmp_path))
+    path = tmp_path / "uniqueness.json"
+    doc = json.loads(path.read_text())
+    assert doc["basis_version"] == BASIS_VERSION
+    report = run(cfg, instance_dir=str(tmp_path))
+    assert report.total > 0 and report.all_passed
+    if version is None:
+        del doc["basis_version"]
+    else:
+        doc["basis_version"] = version
+    path.write_text(json.dumps(doc))
+    refused = re.escape(f"{path} has basis version {version!r}, not {BASIS_VERSION}")
+    with pytest.raises(ParseError, match=f"^{refused}"):
+        run(cfg, instance_dir=str(tmp_path))
+    assert cli_main(["run", "--in", str(tmp_path), "--suites", "uniqueness"]) == 2
     capsys.readouterr()
 
 

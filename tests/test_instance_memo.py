@@ -1,20 +1,28 @@
-"""check_instance builds through one BuildMemo that lives for the instance.
+"""check_instance builds through one BuildMemo that lives for the instance,
+and reads block-size structure from one table that lives for the process.
 
 These tests count the interior tensor builds and Choi certificates one
 checked instance builds, check that nothing built inside an instance
-outlives it, and check that a build which raises inside the memo still
-breaks the category audit's closure record.
+outlives it, check that a build which raises inside the memo still breaks
+the category audit's closure record, and check that instances share one
+read-only algebra module, Copies and CopyLayout per shape.
 """
 
 import gc
 import importlib
 import weakref
 
+import numpy as np
 import pytest
 
 from ksgnslab import cp, harness, poscor
+from ksgnslab import serialize as ser
+from ksgnslab.cstar import AlgebraShape
+from ksgnslab.equivariant import random_equivariant
 from ksgnslab.errors import WellDefinednessViolation
-from ksgnslab.harness import SizeCaps, check_instance, generate_instance, instance_seed
+from ksgnslab.harness import (
+    SizeCaps, check_instance, generate_instance, instance_seed, make_group,
+)
 from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL
 
@@ -35,11 +43,11 @@ def count_builds(monkeypatch):
     tensors, cps = {}, {}
     real_quotients, real_get_all = cp.tensor_quotients, BuildMemo.get_all
 
-    def quotients(E, F, pi, tol, memo):
+    def quotients(E, F, pi, tol):
         for e, f, p in zip(E, F, pi):  # one count per slice of a stacked build
             key = (content(e), content(f), p.images.tobytes())
             tensors[key] = tensors.get(key, 0) + 1
-        return real_quotients(E, F, pi, tol, memo)
+        return real_quotients(E, F, pi, tol)
 
     def get_all(memo, keys, build):
         def certify(todo):
@@ -129,7 +137,7 @@ def test_failed_build_in_instance_memo_breaks_closure(monkeypatch):
         finally:
             composing.pop()
 
-    def fail_one_content(E, F, pi, tol, memo):
+    def fail_one_content(E, F, pi, tol):
         # the first tensor a composite needs is built inside the audit; its
         # content fails every time, also when its stack is built again one
         # pair at a time
@@ -138,7 +146,7 @@ def test_failed_build_in_instance_memo_breaks_closure(monkeypatch):
             failed.append(slices[0])
         if failed and failed[0] in slices:
             raise WellDefinednessViolation("injected")
-        return real_quotients(E, F, pi, tol, memo)
+        return real_quotients(E, F, pi, tol)
 
     data = payload("category", 1)
     monkeypatch.setattr(poscor, "composition_unitary", composition)
@@ -150,3 +158,50 @@ def test_failed_build_in_instance_memo_breaks_closure(monkeypatch):
     assert not records["closure"].passed
     assert records["associativity"].passed
     assert records["morphism_invariants"].passed
+
+
+def m2_payload(seed, group):
+    """An equivariant-suite payload over A = B = M_2, as the equivariant-dilation
+    workload draws them."""
+    M2 = AlgebraShape((2,))
+    c = random_equivariant(M2, M2, make_group(group), seed=seed, copies=1)
+    return {"seed": seed, "group": group, "correspondence": ser.dump_equivariant(c)}
+
+
+def assert_read_only(*arrays):
+    for X in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            X[(0,) * X.ndim] = 0
+
+
+def test_instances_share_one_read_only_algebra_module(monkeypatch):
+    seen, real = [], cp.algebra_module
+
+    def recording(C):
+        seen[-1].append(real(C))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(cp, "algebra_module", recording)
+    for seed, group in ((1, "Z2"), (2, "S3")):
+        seen.append([])
+        assert all(r.passed for r in check_instance("equivariant", m2_payload(seed, group),
+                                                    DEFAULT_TOL))
+    first, second = seen
+    assert first and second  # each instance asks for M_2 over itself
+    E = first[0]
+    assert E.algebra == AlgebraShape((2,)) and all(F is E for F in first + second)
+    assert_read_only(E.action, *E.pairing, *E.gram_spectrum, E.gram_matrix, E.gram_sqrt,
+                     E.gram_isqrt, E.gram_inv)
+
+
+def test_copies_and_their_layouts_are_shared_and_read_only():
+    C = AlgebraShape((1, 2))
+    for split in (cp.row_split, cp.column_split):
+        copies = split(C, 3)
+        assert split(AlgebraShape((1, 2)), 3) is copies and split(C, 2) is not copies
+        layout = copies.layout([(np.array([1]), None, None), (np.array([2]), None, None)])
+        again = copies.layout([(np.array([1, 1]), None, None), (np.array([2]), None, None)])
+        assert again is layout  # the ranks of slice 0 decide it
+        assert_read_only(*copies, layout.s, layout.kernel, layout.diagonal, layout.spread)
+    action, pairing = layout.closed_form
+    assert_read_only(action, *pairing)

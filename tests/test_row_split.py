@@ -75,11 +75,11 @@ def canonical_places(s: np.ndarray, copies: list[np.ndarray]) -> list[list[np.nd
 @pytest.mark.parametrize("zero_block", [False, True])
 def test_row_split_quotients_match_the_generic_path(monkeypatch, blocks, zero_block):
     rng = np.random.default_rng(sum(blocks) + 10 * zero_block)
-    A, memo = AlgebraShape(blocks), BuildMemo()
-    A_mod = memo.get_all([("algebra_module", A)], lambda _: [algebra_module(A)])[0]
+    A = AlgebraShape(blocks)
+    A_mod = algebra_module(A)
     F, phi = compressed_cp(A, rng, zero_block)
     grams = recorded_rank_decisions(monkeypatch)
-    tm = tensor_quotients([A_mod, A_mod], [F, F], [phi, phi], DEFAULT_TOL, memo)
+    tm = tensor_quotients([A_mod, A_mod], [F, F], [phi, phi], DEFAULT_TOL)
     # one rank decision, on copy 0 of every block of A
     assert len(grams) == 1
     G = tensor_premodule([A_mod, A_mod], [F, F], [phi, phi]).gram()
@@ -128,12 +128,12 @@ def test_ksgns_pi_vanishes_exactly_outside_its_block(blocks):
 )
 def test_tensor_quotients_split_rows_by_width_and_algebra(monkeypatch, blocks, rows, splits):
     rng = np.random.default_rng(len(blocks) + sum(rows))
-    A, memo = AlgebraShape(blocks), BuildMemo()
+    A = AlgebraShape(blocks)
     A_mod = algebra_module(A)
     F = canonical_module(B, rows)
     phi = random_cp(A, F, rng) if A.dim > 1 else CPMap(A, F, np.eye(F.dim)[None])
     grams = recorded_rank_decisions(monkeypatch)
-    tm = tensor_quotients([A_mod], [F], [phi], DEFAULT_TOL, memo)[0]
+    tm = tensor_quotients([A_mod], [F], [phi], DEFAULT_TOL)[0]
     widths = [n * F.dim for n in A.blocks] if splits else [A.dim * F.dim]
     assert decided_widths(grams) == widths
     assert_one_module_up_to_a_unitary(tm, tensor_quotients_reference([A_mod], [F], [phi])[0])
@@ -146,7 +146,7 @@ def test_a_left_factor_of_a_dimension_that_is_not_a_takes_the_generic_path(monke
     F = canonical_module(B, (4, 3))
     pi = random_cp(E.algebra, F, rng)
     grams = recorded_rank_decisions(monkeypatch)
-    tm = tensor_quotients([E], [F], [pi], DEFAULT_TOL, BuildMemo())[0]
+    tm = tensor_quotients([E], [F], [pi], DEFAULT_TOL)[0]
     assert len(grams) == 1 and grams[0].shape[-1] == E.dim * F.dim
     ref = tensor_quotients_reference([E], [F], [pi])[0]
     for name in ("q", "s", "kernel"):
@@ -172,7 +172,7 @@ def test_both_factors_over_themselves_split_by_rows_from_their_width(monkeypatch
     Lc = np.tensordot(rng.standard_normal(C.dim) + 1j * rng.standard_normal(C.dim), L, 1)
     for phi in (pi, CPMap(A, C_mod, Lc.conj().T @ pi.images @ Lc)):
         grams = recorded_rank_decisions(monkeypatch)
-        tm = tensor_quotients([A_mod], [C_mod], [phi], DEFAULT_TOL, memo)[0]
+        tm = tensor_quotients([A_mod], [C_mod], [phi], DEFAULT_TOL)[0]
         assert decided_widths(grams) == widths
         ref = tensor_quotients_reference([A_mod], [C_mod], [phi])[0]
         assert_one_module_up_to_a_unitary(tm, ref)
@@ -199,10 +199,10 @@ def test_unequal_copies_raise_before_any_rank_decision(monkeypatch, factor, rais
     named = r"^copy 1 of block 0 differs from copy 0 in slice 0$"
     if raises:
         with pytest.raises(UnequalCopies, match=named):
-            tensor_quotients([A_mod], [F], [phi], DEFAULT_TOL, BuildMemo())
+            tensor_quotients([A_mod], [F], [phi], DEFAULT_TOL)
         assert grams == []
     else:
-        tm = tensor_quotients([A_mod], [F], [phi], DEFAULT_TOL, BuildMemo())[0]
+        tm = tensor_quotients([A_mod], [F], [phi], DEFAULT_TOL)[0]
         assert len(grams) == 1 and tm.module.dim > 0
 
 
@@ -213,13 +213,13 @@ def test_a_block_negligible_against_the_whole_gram_joins_the_kernel(blocks, scal
     # whole Gram: every rank is decided against that eigenvalue, as on the
     # generic path, not against the largest of the block's own
     rng = np.random.default_rng(19 + sum(blocks))
-    A, memo = AlgebraShape(blocks), BuildMemo()
+    A = AlgebraShape(blocks)
     A_mod = algebra_module(A)
     F, phi = compressed_cp(A, rng, zero_block=False)
     images = phi.images.copy()
     images[: A.blocks[0] ** 2] *= scale
     phi = CPMap(A, F, images)
-    tm = tensor_quotients([A_mod], [F], [phi], DEFAULT_TOL, memo)[0]
+    tm = tensor_quotients([A_mod], [F], [phi], DEFAULT_TOL)[0]
     ref = tensor_quotients_reference([A_mod], [F], [phi])[0]
     assert_one_module_up_to_a_unitary(tm, ref)
     assert not tm.s[row_split(A, F.dim)[0].ravel()].any()  # K_0 = 0
@@ -231,15 +231,15 @@ def test_a_stack_whose_blocks_differ_in_rank_takes_the_generic_path(monkeypatch)
     # quotient per block cannot hold, so the whole Grams decide; slices of
     # different total ranks still raise
     rng = np.random.default_rng(17)
-    A, memo = AlgebraShape((2, 2)), BuildMemo()
+    A = AlgebraShape((2, 2))
     A_mod = algebra_module(A)
     F, phi = compressed_cp(A, rng, zero_block=True)
     swapped = CPMap(A, F, np.concatenate([phi.images[4:], phi.images[:4]]))
     grams = recorded_rank_decisions(monkeypatch)
-    tm = tensor_quotients([A_mod, A_mod], [F, F], [phi, swapped], DEFAULT_TOL, memo)
+    tm = tensor_quotients([A_mod, A_mod], [F, F], [phi, swapped], DEFAULT_TOL)
     assert decided_widths(grams) == [2 * F.dim, 2 * F.dim, A.dim * F.dim]
     for quot, p in zip(tm, [phi, swapped], strict=True):
         assert_one_module_up_to_a_unitary(quot, tensor_quotients_reference([A_mod], [F], [p])[0])
     full = compressed_cp(A, np.random.default_rng(17), zero_block=False)[1]
     with pytest.raises(ShapeMismatch, match=r"^slices quotient to different ranks: slice 0 to "):
-        tensor_quotients([A_mod, A_mod], [F, F], [phi, full], DEFAULT_TOL, memo)
+        tensor_quotients([A_mod, A_mod], [F, F], [phi, full], DEFAULT_TOL)

@@ -250,3 +250,95 @@ def test_loaded_shapes_with_equal_blocks_share_one_read_only_product_table():
     assert ser.load_shape([2, 1]).product_table is not first.product_table
     with pytest.raises(ValueError, match="read-only"):
         first.product_table[0, 0] = 1
+
+
+# -- stacked lists keep the item-wise messages ----------------------------------
+# A module action, CP images and unitaries parse as one array each, and all
+# forward and inverse images of a dynamical system as one element stack; one
+# bad item must fail with the message loading the items one at a time gives.
+
+
+def drop_row(matrix):
+    matrix.pop()
+
+
+def inf_scalar(matrix):
+    matrix[0][0][0] = float("inf")
+
+
+def string_scalar(matrix):
+    matrix[0][0][1] = "zz"
+
+
+def ragged_scalar(matrix):
+    matrix[-1][-1] = [1.0]
+
+
+MATRIX_CORRUPTIONS = [drop_row, inf_scalar, string_scalar, ragged_scalar]
+
+
+def itemwise_message(items, rows, cols):
+    with pytest.raises(ValidationError) as err:
+        for m in items:
+            ser.load_cmatrix(m, rows, cols)
+    return str(err.value)
+
+
+def equivariant_data():
+    c = random_equivariant(AlgebraShape((2,)), AlgebraShape((2,)), cyclic_group(3), seed=4)
+    return c, json.loads(json.dumps(ser.dump_equivariant(c)))
+
+
+@pytest.mark.parametrize("corrupt", MATRIX_CORRUPTIONS)
+@pytest.mark.parametrize("field", ["action", "images", "unitaries"])
+def test_malformed_matrix_list_keeps_its_message(corrupt, field):
+    c, data = equivariant_data()
+    items = {"action": data["module"]["action"], "images": data["phi"]["images"],
+             "unitaries": data["unitaries"]}[field]
+    corrupt(items[1])
+    expected = itemwise_message(items, c.module.dim, c.module.dim)
+    with pytest.raises(ValidationError) as err:
+        ser.load_equivariant(data)
+    assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+@pytest.mark.parametrize("system", ["system_in", "system_out"])
+def test_malformed_system_action_keeps_its_message(corrupt, system):
+    c, data = equivariant_data()
+    action = data[system]["action"]
+    corrupt(action[1]["inverse"]["images"][2])
+    images = [x for a in action for m in (a["forward"], a["inverse"]) for x in m["images"]]
+    expected = elementwise_message(AlgebraShape((2,)), images)
+    with pytest.raises(ValidationError) as err:
+        ser.load_equivariant(data)
+    assert str(err.value) == expected
+
+
+def test_system_star_map_with_a_wrong_image_count_keeps_its_message():
+    _, data = equivariant_data()
+    star_map = data["system_in"]["action"][2]["forward"]
+    star_map["images"].pop()
+    with pytest.raises(ValidationError) as err:
+        ser.load_star_map(star_map)
+    expected = str(err.value)
+    assert expected == "star map needs one image per domain basis element"
+    with pytest.raises(ValidationError) as err:
+        ser.load_equivariant(data)
+    assert str(err.value) == expected
+
+
+def test_stacked_lists_load_what_the_items_load():
+    c, data = equivariant_data()
+    back = ser.load_equivariant(data)
+    d = c.module.dim
+    for items, loaded in ((data["module"]["action"], back.module.action),
+                          (data["phi"]["images"], back.phi.images),
+                          (data["unitaries"], np.array(back.unitaries))):
+        assert loaded.tobytes() == np.array([ser.load_cmatrix(m, d, d) for m in items]).tobytes()
+    for system, loaded in ((data["system_in"], back.system_in),
+                           (data["system_out"], back.system_out)):
+        for a, alpha in zip(system["action"], loaded.action, strict=True):
+            forward, inverse = (ser.load_star_map(a[k]).matrix for k in ("forward", "inverse"))
+            assert alpha.matrix.tobytes() == forward.tobytes()
+            assert alpha.inverse_matrix.tobytes() == inverse.tobytes()

@@ -59,8 +59,9 @@ def process_caches(source: str) -> list[str]:
 
 
 def test_no_process_wide_caches():
-    # memoisation lives in an object the caller passes (poscor.BuildMemo), so
-    # nothing grows for the life of a `verify run`
+    # content-keyed memoisation lives in an object the caller passes
+    # (memo.BuildMemo), so nothing grows with the instances of a `verify run`;
+    # block-size structure goes through memo.structure, keyed by shapes
     probe = (
         "import functools\nfrom functools import cached_property, lru_cache\n"
         "@functools.cache\ndef f(x):\n    return x\n"
@@ -765,37 +766,56 @@ def test_no_maximum_over_every_element_norm():
     assert found == {}
 
 
-def calls_outside_memo(source: str, callee: str) -> list[int]:
-    """Lines of calls to `callee` that are not inside the arguments of a
-    BuildMemo.get_all call."""
+def calls_inside_memo(source: str, callee: str) -> list[int]:
+    """Lines of calls to `callee` inside the arguments of a BuildMemo.get_all
+    call."""
     tree = ast.parse(source)
-    inside = {
-        id(node)
+    return [
+        node.lineno
         for call in ast.walk(tree)
         if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "get_all"
         for arg in call.args + [k.value for k in call.keywords]
         for node in ast.walk(arg)
-    }
-    return [
-        node.lineno
-        for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-        and id(node) not in inside
     ]
 
 
-def test_cp_builds_c_over_itself_through_the_memo():
-    # left_mult_correspondence takes C over itself from the instance memo, so
-    # one instance builds each algebra module once
+def structure_keys(source: str) -> dict[str, str]:
+    """Per function, the name its memo.structure call files its build under:
+    the first entry of the key tuple."""
+    return {
+        fn.name: call.args[0].elts[0].value
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, ast.FunctionDef)
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "structure"
+    }
+
+
+# what depends on block sizes and a dimension alone
+STRUCTURE_BUILDERS = ("algebra_module", "column_split", "product_table", "row_split")
+
+
+def test_block_size_structure_is_built_once_per_process_not_per_instance():
+    # C over itself, the row and column copies and the product tables go through
+    # the process's table (memo.structure), each under its own name, and no
+    # instance memo is asked for one
     probe = (
         "def f(C, memo):\n    return memo.get_all([C], lambda _: [algebra_module(C)])\n\n"
-        "def g(C):\n    return algebra_module(C)\n"
+        "def g(C):\n    return structure(('g', C.blocks), lambda: algebra_module(C))\n"
     )
-    assert calls_outside_memo(probe, "algebra_module") == [5]
-    source = (SRC / "cp.py").read_text()
-    assert "algebra_module(" in source
-    assert calls_outside_memo(source, "algebra_module") == []
+    assert calls_inside_memo(probe, "algebra_module") == [2]
+    assert structure_keys(probe) == {"g": "g"}
+    found, inside = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        found.update(structure_keys(source))
+        inside.update({(path.name, name): lines for name in STRUCTURE_BUILDERS
+                       if (lines := calls_inside_memo(source, name))})
+        assert "memo_copies" not in source, path.name
+    assert found == {name: name for name in STRUCTURE_BUILDERS}
+    assert inside == {}
 
 
 # fields of quotients, tensor modules and modules: builders read them as stacks

@@ -131,9 +131,9 @@ def test_one_stacked_build_per_shape(monkeypatch, trivial_beta, builds):
     slices = []
     real = cp.tensor_quotients
 
-    def counting(E, F, pi, tol, memo):  # one call per build, on the memo's misses
+    def counting(E, F, pi, tol):  # one call per build, on the memo's misses
         slices.append(len(E))
-        return real(E, F, pi, tol, memo)
+        return real(E, F, pi, tol)
 
     monkeypatch.setattr(cp, "tensor_quotients", counting)
     memo = BuildMemo()
@@ -188,8 +188,8 @@ def test_stacked_quotient_spectra_equal_modules_built_alone(monkeypatch):
 
         monkeypatch.setattr(cp, name, recording)
 
-    def building(E, F, pi, tol, memo, _real=cp.tensor_quotients):
-        builds.append((E, F, pi, _real(E, F, pi, tol, memo)))
+    def building(E, F, pi, tol, _real=cp.tensor_quotients):
+        builds.append((E, F, pi, _real(E, F, pi, tol)))
         return builds[-1][-1]
 
     monkeypatch.setattr(cp, "tensor_quotients", building)
@@ -209,7 +209,7 @@ def test_stacked_quotient_spectra_equal_modules_built_alone(monkeypatch):
     sliced = [slc for *ins, tms in builds if len(tms) > 1 for slc in zip(*ins, tms)]
     assert len(sliced) == 36
     for E, F, pi, tm in sliced:
-        alone = cp.tensor_quotients([E], [F], [pi], DEFAULT_TOL, BuildMemo())[0]
+        alone = cp.tensor_quotients([E], [F], [pi], DEFAULT_TOL)[0]
         for a, b in zip(quotient_parts(tm), quotient_parts(alone), strict=True):
             assert np.array_equal(a, b)
         for name in ("gram_matrix", "gram_sqrt", "gram_isqrt", "gram_inv"):
