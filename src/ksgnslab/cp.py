@@ -74,6 +74,7 @@ from .numkernel import (
     psd_verdict,
     require_finite,
     stack_slices,
+    svd_norm,
 )
 from .reporting import CheckReport
 
@@ -398,6 +399,22 @@ def left_mult_correspondence(rho: Sequence[StarMap], memo: BuildMemo) -> list[Co
     return memo.get_all([("left_mult", r.key) for r in rho], build)
 
 
+def left_multiplication(A: AlgebraShape) -> np.ndarray:
+    """Left multiplication x -> u_p x by each matrix unit of A on A over itself
+    (algebra_module(A)), the images of left_mult_correspondence along A's
+    identity: one read-only stack per block sizes, shared by the process."""
+
+    def build() -> np.ndarray:
+        T = A.product_table
+        p, q = np.nonzero(T >= 0)
+        images = np.zeros((A.dim, A.dim, A.dim), dtype=complex)
+        images[p, T[p, q], q] = 1.0  # u_p u_q = u_T[p, q]
+        images.flags.writeable = False
+        return images
+
+    return structure(("left_multiplication", A.blocks), build)
+
+
 # -- generation ------------------------------------------------------------
 
 
@@ -446,7 +463,7 @@ def random_cp(A: AlgebraShape, E: HilbertModule, seed) -> CPMap:
         Y = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
         C = Y @ Y.conj().T
         if m:
-            C = C / max(operator_norm(C), 1.0)
+            C = C / max(svd_norm(C), 1.0)
         for k in range(n):
             for l in range(n):
                 block = C[k * d : (k + 1) * d, l * d : (l + 1) * d]
@@ -470,7 +487,7 @@ def random_blinear_unitary(E: HilbertModule, rng: np.random.Generator) -> Module
     X = rank_one_sum(E, V[:, 0], V[:, 1]).matrix
     Xr = E.gram_sqrt @ X @ E.gram_isqrt
     H = (Xr + Xr.conj().T) / 2.0
-    H = H / max(operator_norm(H), 1.0)
+    H = H / max(svd_norm(H), 1.0)
     return ModuleMap(E, E, E.gram_isqrt @ herm_expi(H, DEFAULT_TOL) @ E.gram_sqrt)
 
 

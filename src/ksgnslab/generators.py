@@ -25,9 +25,9 @@ from .cstar import (
     random_element,
 )
 from .errors import InvalidConfig
-from .hilbert import HilbertModule, ModuleMap, adjoint_map, canonical_module, module_operator_norm
+from .hilbert import HilbertModule, ModuleMap, adjoint_map, canonical_module
 from .memo import BuildMemo
-from .numkernel import DEFAULT_TOL, Tolerance, kron
+from .numkernel import DEFAULT_TOL, Tolerance, kron, svd_norm
 from .poscor import (
     PosCorMorphism,
     PosCorObject,
@@ -185,7 +185,7 @@ def random_intertwiner(
         start=np.zeros((phi2.module.dim, phi1.module.dim), dtype=complex),
     )
     eta = ModuleMap(phi1.module, phi2.module, mat)
-    return eta, module_operator_norm(eta)
+    return eta, svd_norm(eta.target.gram_sqrt @ mat @ eta.source.gram_isqrt)
 
 
 def transported_copy(

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cstar import identity_star_map, unit_coeffs
+from .cstar import unit_coeffs
 from .cp import (
     CPMap,
     Intertwiner,
@@ -33,7 +33,7 @@ from .cp import (
     check_correspondence,
     check_morphism,
     hom_pseudometric,
-    left_mult_correspondence,
+    left_multiplication,
     tensor_extend,
     tensor_quotients,
 )
@@ -45,6 +45,7 @@ from .hilbert import (
     Quotient,
     QuotientSlice,
     adjoint_map,
+    algebra_module,
     descend,
     module_operator_norm,
     unitarity_residual,
@@ -97,9 +98,9 @@ def ksgns(
             if not ok:
                 raise NotCP(f"Choi certificate failed (min eigenvalues {mins})")
         A = maps[0].algebra
-        L = left_mult_correspondence([identity_star_map(A)], memo)[0]
-        tms = tensor_quotients([L.module] * len(mods), mods, maps, tol)
-        pis = tensor_extend([L.images] * len(mods), tms, tms, "left multiplication", tol)
+        tms = tensor_quotients([algebra_module(A)] * len(mods), mods, maps, tol)
+        L = [left_multiplication(A)] * len(mods)
+        pis = tensor_extend(L, tms, tms, "left multiplication", tol)
         # V_phi x = class of 1_A (x) x
         unit = unit_coeffs(A).reshape(A.dim, 1)
         return [

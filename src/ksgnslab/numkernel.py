@@ -80,6 +80,9 @@ DEFAULT_TOL = Tolerance()
 # max_operator_norms, against 24 ms at 32 and 36 ms certifying none.
 CERTIFY_MIN_SLICES = 32
 CERTIFY_MARGIN = 1e-6
+# lambda_max = sigma_1^2 strictly inside this range keeps sigma_1 to rounding; out of it
+# squaring underflows or overflows, and the slice takes the SVD's sigma_1
+GRAM_RANGE = (1e-280, 1e280)
 # Narrower stacks stay dense: on the workloads' row-split pi_phi (split_widths.py --live) the cut
 # took +52% to +91% at width 32, +3% to +8% at 45, -0% to +31% at 54 and +66% for the descent at
 # 64, and -19% to -40% at 72-99
@@ -114,16 +117,69 @@ def operator_norm(M: np.ndarray) -> float:
 
 
 def operator_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of a stack (..., m, n), shape (...);
-    0 for empty matrices.  A slice live_cuts cuts takes its live block's."""
-    stack = require_finite(stack)
+    """Largest singular value of each matrix of a stack (..., m, n), shape (...),
+    as sqrt(lambda_max) of its smaller Gram (gram_norms); 0 for empty matrices.
+    A slice live_cuts cuts takes its live block's.  NaN or Inf raises NonFinite."""
+    return live_block_norms(np.asarray(stack, dtype=complex), gram_norms)
+
+
+def svd_norm(M: np.ndarray) -> float:
+    """LAPACK's largest singular value of M (on its live block, as live_cuts
+    cuts it), the bits that three generation scales were recorded with:
+    random_cp's Choi scale, random_blinear_unitary's H scale and the norm
+    random_intertwiner returns, whose payloads would move with operator_norm's
+    rounding.  ROADMAP item 1's re-record step can move them onto operator_norm
+    and delete this function."""
+    return float(live_block_norms(require_finite(M), svd_norms))
+
+
+def live_block_norms(stack: np.ndarray, norms) -> np.ndarray:
+    """norms(X) of each slice of a finite stack (..., m, n), shape (...): of a
+    slice live_cuts cuts, its live block's, one call per cut shape."""
     if (cuts := live_cuts(stack)) is None:
-        return np.linalg.svd(stack, compute_uv=False)[..., 0] if stack.size else np.zeros(
-            stack.shape[:-2])
+        return norms(stack)
     flat, out = stack.reshape(-1, *stack.shape[-2:]), np.zeros(stack.shape[:-2])
     for idx, rows, cols in cuts:  # all-zero slices are in no cut: norm 0
-        block = flat[idx[:, None, None], rows[:, :, None], cols[:, None, :]]
-        out.flat[idx] = np.linalg.svd(block, compute_uv=False)[:, 0]
+        out.flat[idx] = norms(flat[idx[:, None, None], rows[:, :, None], cols[:, None, :]])
+    return out
+
+
+def gram_norms(X: np.ndarray) -> np.ndarray:
+    """sqrt(lambda_max) of the smaller Gram of each slice of a stack X (..., m, n)
+    (X* X when m >= n, else X X*), from one batched eigvalsh; 0 for empty
+    matrices.  A slice whose lambda_max is not strictly inside GRAM_RANGE, where
+    squaring would lose range, takes svd_norms' sigma_1.  NaN or Inf in X raises
+    NonFinite."""
+    m, n = X.shape[-2:]
+    if not X.size:
+        return np.zeros(X.shape[:-2])
+    lo, hi = GRAM_RANGE
+    Xh = X.conj().swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = Xh @ X if m >= n else X @ Xh
+        # the trace ||X||_F^2 bounds lambda_max in [trace / min(m, n), trace], and is
+        # not finite when X is not, or when squaring overflowed
+        t = G.trace(0, -2, -1).real.ravel().tolist()  # as floats: cheaper than reductions
+        if 2 * min(m, n) * lo < min(t) and sum(t) < hi / 2:  # a NaN fails the sum
+            return np.sqrt(np.linalg.eigvalsh(G)[..., -1])
+        X = require_finite(X)
+        # a diagonal entry below hi keeps every entry of the Gram finite, and one at
+        # hi or above puts lambda_max there too
+        fits = np.diagonal(G, 0, -2, -1).real.max(axis=-1) < hi
+        lam = np.full(X.shape[:-2], np.inf)
+        lam[fits] = np.linalg.eigvalsh(G[fits])[..., -1]
+        odd = ~((lam > lo) & (lam < hi))
+        out = np.sqrt(lam, out=lam)
+    out[odd] = svd_norms(X[odd])
+    return out
+
+
+def svd_norms(X: np.ndarray) -> np.ndarray:
+    """LAPACK's largest singular value of each slice of a finite stack X (..., m, n),
+    from one batched SVD of its nonzero slices; 0 for zero or empty matrices."""
+    out, live = np.zeros(X.shape[:-2]), X.any(axis=(-2, -1))
+    if np.count_nonzero(live):
+        out[live] = np.linalg.svd(X[live], compute_uv=False)[..., 0]
     return out
 
 

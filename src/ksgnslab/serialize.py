@@ -96,6 +96,15 @@ def load_shape(data: Any) -> AlgebraShape:
         raise ValidationError(f"bad algebra shape {data!r}") from exc
 
 
+def shared_shape(data: Any, shapes: dict[str, AlgebraShape]) -> AlgebraShape:
+    """load_shape of data through shapes, the block lists one payload load has
+    read so far: each distinct list is parsed once, and equal lists share its
+    AlgebraShape."""
+    if (shape := shapes.get(key := repr(data))) is None:
+        shape = shapes[key] = load_shape(data)
+    return shape
+
+
 def dump_element(shape: AlgebraShape, c: np.ndarray) -> list:
     """The element with coefficients c (dim A,), block by block."""
     return [dump_cmatrix(b) for b in block_stacks(shape, c)]
@@ -142,12 +151,14 @@ def load_star_map(data: Any) -> StarMap:
     return load_star_maps([data])[0]
 
 
-def load_star_maps(items: list) -> list[StarMap]:
+def load_star_maps(items: list, shapes: dict | None = None) -> list[StarMap]:
     """load_star_map of each item; the images of maps that all share one
-    codomain are parsed by one load_elements call."""
-    heads = []
+    codomain are parsed by one load_elements call, and the maps' block lists
+    are read through shapes (shared_shape), a new dict by default."""
+    heads, shapes = [], {} if shapes is None else shapes
     for data in items:
-        dom, cod, images = load_shape(data["domain"]), load_shape(data["codomain"]), data["images"]
+        dom, cod = shared_shape(data["domain"], shapes), shared_shape(data["codomain"], shapes)
+        images = data["images"]
         if len(images) != dom.dim:
             raise ValidationError("star map needs one image per domain basis element")
         heads.append((dom, cod, images))
@@ -171,10 +182,12 @@ def load_automorphism(data: Any) -> Automorphism:
     return load_automorphisms([data])[0]
 
 
-def load_automorphisms(items: list) -> list[Automorphism]:
+def load_automorphisms(items: list, shapes: dict | None = None) -> list[Automorphism]:
     """load_automorphism of each item, every forward and inverse image parsed
-    by one load_elements call when all the maps share one codomain."""
-    maps = load_star_maps([m for data in items for m in (data["forward"], data["inverse"])])
+    by one load_elements call when all the maps share one codomain, and block
+    lists read through shapes as in load_star_maps."""
+    maps = load_star_maps([m for data in items for m in (data["forward"], data["inverse"])],
+                          shapes)
     return [Automorphism(*maps[i : i + 2]) for i in range(0, len(maps), 2)]
 
 
@@ -194,8 +207,8 @@ def dump_module(E: HilbertModule) -> dict:
     }
 
 
-def load_module(data: Any) -> HilbertModule:
-    B = load_shape(data["algebra"])
+def load_module(data: Any, shapes: dict | None = None) -> HilbertModule:
+    B = shared_shape(data["algebra"], {} if shapes is None else shapes)
     d = int(data["dim"])
     action_rows = data["action"]
     if len(action_rows) != B.dim:
@@ -238,8 +251,10 @@ def dump_cpmap(phi: CPMap, module_id: str) -> dict:
     }
 
 
-def load_cpmap(data: Any, modules: dict[str, HilbertModule]) -> CPMap:
-    A = load_shape(data["algebra"])
+def load_cpmap(
+    data: Any, modules: dict[str, HilbertModule], shapes: dict | None = None
+) -> CPMap:
+    A = shared_shape(data["algebra"], {} if shapes is None else shapes)
     try:
         E = modules[data["module_id"]]
     except KeyError as exc:
@@ -291,11 +306,15 @@ def dump_system(sys: DynamicalSystem) -> dict:
     }
 
 
-def load_system(data: Any) -> DynamicalSystem:
+def load_system(data: Any, shapes: dict | None = None) -> DynamicalSystem:
+    """The system, its algebra and every automorphism's block lists read through
+    shapes (shared_shape), a new dict by default: one AlgebraShape per distinct
+    block list."""
+    shapes = {} if shapes is None else shapes
     return DynamicalSystem(
-        load_shape(data["algebra"]),
+        shared_shape(data["algebra"], shapes),
         load_group(data["group"]),
-        load_automorphisms(data["action"]),
+        load_automorphisms(data["action"], shapes),
     )
 
 
@@ -310,10 +329,12 @@ def dump_equivariant(c: EquivariantCorrespondence) -> dict:
 
 
 def load_equivariant(data: Any) -> EquivariantCorrespondence:
-    module = load_module(data["module"])
-    phi = load_cpmap(data["phi"], {"module": module})
-    sys_in = load_system(data["system_in"])
-    sys_out = load_system(data["system_out"])
+    """The correspondence, with one AlgebraShape per distinct block list in it."""
+    shapes: dict[str, AlgebraShape] = {}
+    module = load_module(data["module"], shapes)
+    phi = load_cpmap(data["phi"], {"module": module}, shapes)
+    sys_in = load_system(data["system_in"], shapes)
+    sys_out = load_system(data["system_out"], shapes)
     unitaries = list(load_cmatrices(data["unitaries"], module.dim, module.dim))
     return EquivariantCorrespondence(sys_in, sys_out, module, phi, unitaries)
 

@@ -4,12 +4,14 @@ Arrays are checked finite where they enter, once per stack, and builders read
 stacks whole: require_finite and stack_slices calls per `suites-default` and
 `equivariant-dilation` check pass are pinned.  LAPACK runs only where a record can
 change: every call site is labelled, and a site whose result only feeds a
-verdict may take exact SVDs only where a Frobenius gate or certificate
-(numkernel.exceeds_gate, certified_norms) could not decide.  The row split
-of the KSGNS quotients keeps `prespace-cap`'s eigh work pinned, and the live
-cut of their block-sparse pi_phi its SVD work.  Block-size structure is built
-once per process, so a second check pass builds none, and content keys per
-pass are pinned.
+verdict may take exact norms (eigvalsh of a smaller Gram) only where a
+Frobenius gate or certificate (numkernel.exceeds_gate, certified_norms) could
+not decide.  Operator norms come from eigvalsh, so the SVD matrices per pass
+are pinned to the sites that still need an SVD, and the eigvalsh matrices per
+pass beside them.  The row split of the KSGNS quotients keeps `prespace-cap`'s
+eigh work pinned, and the live cut of their block-sparse pi_phi its SVD work.
+Block-size structure is built once per process, so a second check pass builds
+none, and content keys and block-list parses per pass are pinned.
 """
 
 import importlib.util
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 from numpy.linalg import _linalg as linalg_impl
 
-from ksgnslab import harness, hilbert, memo, numkernel
+from ksgnslab import harness, hilbert, memo, numkernel, serialize
 from ksgnslab.numkernel import DEFAULT_TOL
 
 from conftest import lapack_calls
@@ -41,46 +43,48 @@ SITE_LABELS = {
     ("eigh", "hilbert.quotient_by_columns"): CONSTRUCTION,  # rank decisions over the copies 0
     ("eigh", "hilbert.quotient_by_copies"): CONSTRUCTION,  # rank decisions over the copies 0
     ("eigh", "hilbert.quotient_by_null"): CONSTRUCTION,  # rank decisions
-    ("eigvalsh", "cp.build"): RECORDED,  # check_cp's Choi minima
+    # operator norms: sqrt(lambda_max) of the smaller Gram
+    ("eigvalsh", "cp.build"): RECORDED,  # check_cp's Choi minima, and the maps' norms it caches
+    ("eigvalsh", "cp.check_correspondence"): RECORDED,
+    ("eigvalsh", "cp.check_morphism"): RECORDED,
+    ("eigvalsh", "cp.column_quotients"): VERDICT,  # the C-linearity gate
+    ("eigvalsh", "cp.hermiticity_residual"): RECORDED,
+    ("eigvalsh", "cp.norm"): RECORDED,
+    ("eigvalsh", "cp.random_blinear_unitary"): CONSTRUCTION,  # herm_expi's gate
+    ("eigvalsh", "cstar.check_star_map"): RECORDED,
+    ("eigvalsh", "cstar.element_norms"): RECORDED,  # pseudometric samples, vector norms
+    ("eigvalsh", "equivariant._gram_scale"): RECORDED,
+    ("eigvalsh", "equivariant._require_group_law"): VERDICT,
+    ("eigvalsh", "equivariant.check_dilation"): RECORDED,
+    ("eigvalsh", "equivariant.check_equivariant"): RECORDED,
+    ("eigvalsh", "equivariant.check_functor_laws"): RECORDED,
+    ("eigvalsh", "equivariant.representation_defect"): RECORDED,
+    ("eigvalsh", "equivariant.uniqueness_unitary"): RECORDED,
+    ("eigvalsh", "harness._check_dilation"): RECORDED,
+    ("eigvalsh", "harness._check_equivariant_suite"): RECORDED,
+    ("eigvalsh", "harness._check_idempotency"): RECORDED,
+    ("eigvalsh", "harness._check_ksgns"): RECORDED,
+    ("eigvalsh", "harness._check_lift"): RECORDED,
+    ("eigvalsh", "harness._check_tensor"): RECORDED,
+    ("eigvalsh", "harness._check_uniqueness"): RECORDED,
+    ("eigvalsh", "hilbert.descend"): VERDICT,  # the well-definedness leak gate
     ("eigvalsh", "hilbert.is_map_positive"): RECORDED,
-    ("svd", "cp.build"): RECORDED,  # check_cp caches the maps' norms, the thresholds' scale
-    ("svd", "cp.check_correspondence"): RECORDED,
-    ("svd", "cp.check_morphism"): RECORDED,
-    ("svd", "cp.hermiticity_residual"): RECORDED,
-    ("svd", "cp.norm"): RECORDED,
-    ("svd", "cp.random_blinear_unitary"): CONSTRUCTION,  # H's scale, then herm_expi's gate
-    ("svd", "cp.column_quotients"): VERDICT,  # the C-linearity gate
-    ("svd", "cstar.check_star_map"): RECORDED,
-    ("svd", "cstar.element_norms"): RECORDED,  # pseudometric samples, vector norms
-    ("svd", "equivariant._gram_scale"): RECORDED,
-    ("svd", "equivariant._require_group_law"): VERDICT,
-    ("svd", "equivariant.check_dilation"): RECORDED,
-    ("svd", "equivariant.check_equivariant"): RECORDED,
-    ("svd", "equivariant.check_functor_laws"): RECORDED,
-    ("svd", "equivariant.representation_defect"): RECORDED,
-    ("svd", "equivariant.uniqueness_unitary"): RECORDED,
-    ("svd", "harness._check_dilation"): RECORDED,
-    ("svd", "harness._check_equivariant_suite"): RECORDED,
-    ("svd", "harness._check_idempotency"): RECORDED,
-    ("svd", "harness._check_ksgns"): RECORDED,
-    ("svd", "harness._check_lift"): RECORDED,
-    ("svd", "harness._check_tensor"): RECORDED,
-    ("svd", "harness._check_uniqueness"): RECORDED,
-    ("svd", "hilbert.descend"): VERDICT,  # the well-definedness leak gate
-    ("svd", "hilbert.module_operator_norms"): RECORDED,
-    ("svd", "hilbert.null_leak"): RECORDED,
-    ("svd", "hilbert.quotient_by_columns"): VERDICT,  # the Hermitian and leak gates
-    ("svd", "hilbert.quotient_by_copies"): VERDICT,  # the copy and Hermitian gates
-    ("svd", "hilbert.quotient_by_null"): VERDICT,  # the Hermitian gate of rank decisions
-    ("svd", "hilbert._quotient_stack"): VERDICT,  # the leak gate
-    ("svd", "hilbert.unitarity_residual"): RECORDED,
-    ("svd", "ksgns.check_idempotency"): RECORDED,
-    ("svd", "ksgns.check_lift"): RECORDED,
-    ("svd", "ksgns.check_triple"): RECORDED,
+    ("eigvalsh", "hilbert.module_operator_norms"): RECORDED,
+    ("eigvalsh", "hilbert.null_leak"): RECORDED,
+    ("eigvalsh", "hilbert.quotient_by_columns"): VERDICT,  # the Hermitian and leak gates
+    ("eigvalsh", "hilbert.quotient_by_copies"): VERDICT,  # the copy and Hermitian gates
+    ("eigvalsh", "hilbert.quotient_by_null"): VERDICT,  # the Hermitian gate of rank decisions
+    ("eigvalsh", "hilbert._quotient_stack"): VERDICT,  # the leak gate
+    ("eigvalsh", "hilbert.unitarity_residual"): RECORDED,
+    ("eigvalsh", "ksgns.check_idempotency"): RECORDED,
+    ("eigvalsh", "ksgns.check_lift"): RECORDED,
+    ("eigvalsh", "ksgns.check_triple"): RECORDED,
+    ("eigvalsh", "ksgns.triple_uniqueness_unitary"): RECORDED,
+    ("eigvalsh", "poscor.check_commuting_unitary"): RECORDED,
+    ("eigvalsh", "poscor.morphism_distance"): RECORDED,
+    # the SVDs a check pass still takes
+    ("svd", "cp.random_blinear_unitary"): CONSTRUCTION,  # H's scale, kept on LAPACK's SVD
     ("svd", "ksgns.spanning_svd"): RECORDED,  # the spanning rank, and U's pseudo-inverse
-    ("svd", "ksgns.triple_uniqueness_unitary"): RECORDED,
-    ("svd", "poscor.check_commuting_unitary"): RECORDED,
-    ("svd", "poscor.morphism_distance"): RECORDED,
 }
 
 
@@ -158,25 +162,64 @@ def test_a_second_equivariant_dilation_pass_builds_no_block_size_structure(monke
 
 
 @pytest.mark.parametrize("workload, pin",
-                         [("suites-default", 2_236), ("equivariant-dilation", 901)])
+                         [("suites-default", 1_984), ("equivariant-dilation", 822)])
 def test_content_keys_per_check_pass(monkeypatch, workload, pin):
     # memo.content_key calls per check pass: 2,236 and 901 with C over itself
     # built and keyed in every instance memo, 2,180-2,185 and 861-862 with one per
-    # process (fewer once the process has keyed its own)
+    # process (fewer once the process has keyed its own), 1,984 and 822 with
+    # each KSGNS build reading A's left multiplication from the process's table
+    # instead of keying identity_star_map(A) in its instance memo
     tasks = WORKLOADS.build(workload, WORKLOADS.DEFAULT_MASTER_SEED)
     keys = counted(monkeypatch, "content_key", source=memo)
     check_pass(tasks)
     assert len(keys) <= pin, len(keys)
 
 
+@pytest.mark.parametrize("workload, pin",
+                         [("suites-default", 756), ("equivariant-dilation", 40)])
+def test_block_lists_parsed_per_check_pass(monkeypatch, workload, pin):
+    # serialize.load_shape calls per check pass: 2,766 and 1,360 with every star
+    # map's domain and codomain parsed anew; 756 and 40 with one AlgebraShape per
+    # distinct block list in each load_equivariant and load_system call
+    tasks = WORKLOADS.build(workload, WORKLOADS.DEFAULT_MASTER_SEED)
+    shapes = counted(monkeypatch, "load_shape", source=serialize)
+    check_pass(tasks)
+    assert len(shapes) <= pin, len(shapes)
+
+
 def test_every_lapack_site_is_labelled_and_verdicts_take_no_full_svd(monkeypatch, suites_default):
+    # a verdict-only site takes no full norm, through the SVD or the Gram eigensolve
     calls = lapack_calls(monkeypatch)
     check_pass(suites_default)
     unlabelled = {(c.routine, c.site) for c in calls} - SITE_LABELS.keys()
     assert not unlabelled, f"label these call sites: {sorted(unlabelled)}"
-    full = {c for c in calls if c.routine == "svd" and c.kind == "full"
+    full = {c for c in calls if c.routine in ("svd", "eigvalsh") and c.kind == "full"
             and SITE_LABELS[c.routine, c.site] == VERDICT}
-    assert not full, f"verdict-only sites take full SVDs: {sorted(full)}"
+    assert not full, f"verdict-only sites take full norms: {sorted(full)}"
+
+
+@pytest.mark.parametrize("workload, svd_sites, eigvalsh_pin", [
+    ("suites-default", {"cp.random_blinear_unitary": 30, "ksgns.spanning_svd": 40}, 10_141),
+    ("equivariant-dilation", {"ksgns.spanning_svd": 20}, 4_399),
+    ("prespace-cap", {"cp.random_blinear_unitary": 3, "ksgns.spanning_svd": 3}, 261),
+])
+def test_svd_and_eigvalsh_matrices_per_check_pass(monkeypatch, workload, svd_sites, eigvalsh_pin):
+    # SVD matrices per check pass: 9,966, 4,313 and 264 with every operator norm
+    # the first singular value of an SVD; with norms from the smaller Gram's
+    # eigvalsh only the spanning SVD (rank and pseudo-inverse) and the H scale
+    # of random_blinear_unitary, kept on the SVD for its payload bits, remain,
+    # and all-zero slices take no LAPACK call.  eigvalsh matrices: 245, 106 and
+    # 3 (PSD verdicts alone), 10,141, 4,399 and 261 with the norms
+    tasks = WORKLOADS.build(workload, WORKLOADS.DEFAULT_MASTER_SEED)
+    calls = lapack_calls(monkeypatch)
+    check_pass(tasks)
+    svds = {}
+    for c in calls:
+        if c.routine == "svd":
+            svds[c.site] = svds.get(c.site, 0) + c.matrices
+    assert svds == svd_sites
+    eigvalsh = sum(c.matrices for c in calls if c.routine == "eigvalsh")
+    assert eigvalsh <= eigvalsh_pin, eigvalsh
 
 
 def test_suites_default_eigh_calls(monkeypatch, suites_default):
@@ -229,16 +272,24 @@ def test_prespace_cap_svd_work(monkeypatch):
     # whole (dim A, d, d) slices and (33, 99) row blocks, 32.6M on their live
     # blocks, 30.7M with one SVD of each triple's spanning columns where the
     # spanning rank and the uniqueness pseudo-inverse took one each (1.87M);
-    # the dense uniqueness difference (16.9M) stays
+    # 3.75M with the norms on the Gram eigensolve, leaving the spanning SVDs
+    # and random_blinear_unitary's H scale.  The sum of k^3 over the norms'
+    # (k, k) Grams: 43.3M with no live cut, 27.0M on the live blocks
     tasks = WORKLOADS.build("prespace-cap", WORKLOADS.DEFAULT_MASTER_SEED)
-    work = []
+    work, grams = [], []
 
     def measuring(a, *args, _real=linalg_impl.svd, **kwargs):
         *lead, m, n = np.shape(a)
         work.append(math.prod(lead) * m * n * min(m, n))
         return _real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", measuring)
-    monkeypatch.setattr(linalg_impl, "svd", measuring)
+    def cubing(a, *args, _real=linalg_impl.eigvalsh, **kwargs):
+        grams.append(math.prod(np.shape(a)[:-2]) * np.shape(a)[-1] ** 3)
+        return _real(a, *args, **kwargs)
+
+    for module in (np.linalg, linalg_impl):
+        monkeypatch.setattr(module, "svd", measuring)
+        monkeypatch.setattr(module, "eigvalsh", cubing)
     check_pass(tasks)
-    assert sum(work) <= 31_500_000, sum(work)
+    assert sum(work) <= 3_750_000, sum(work)
+    assert sum(grams) <= 27_100_000, sum(grams)

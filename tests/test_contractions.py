@@ -138,31 +138,33 @@ def test_checked_instances_plan_no_einsum_path(monkeypatch):
 
 def test_default_check_pass_stacks_algebra_data(monkeypatch):
     # one check pass over the 90 default-caps instances: algebra data travels
-    # as coefficient stacks and norms as batched SVDs, not one element or one
-    # matrix at a time (the per-element design built 18,012 AlgebraElements
-    # and made 7,227 SVD calls on this pass)
+    # as coefficient stacks and norms as batched eigensolves, not one element or
+    # one matrix at a time (the per-element design built 18,012 AlgebraElements
+    # and made 7,227 SVD calls on this pass; norms now take eigvalsh of a
+    # Gram where they took an SVD, so both routines count)
     master = 20250809
     tasks = [
         (suite, generate_instance(suite, SizeCaps(), instance_seed(master, suite, idx)))
         for suite in SUITE_NAMES
         for idx in range(SizeCaps().instances_per_suite)
     ]
-    counts = {"elements": 0, "svd": 0}
-    real_init, real_svd = cstar.AlgebraElement.__post_init__, np.linalg.svd
+    counts = {"elements": 0, "svd_eigvalsh": 0}
+    real_init = cstar.AlgebraElement.__post_init__
 
     def counting_init(self):
         counts["elements"] += 1
         real_init(self)
 
-    def counting_svd(*args, **kwargs):
-        counts["svd"] += 1
-        return real_svd(*args, **kwargs)
-
     monkeypatch.setattr(cstar.AlgebraElement, "__post_init__", counting_init)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(linalg_impl, "svd", counting_svd)
+    for module in (np.linalg, linalg_impl):
+        for name in ("svd", "eigvalsh"):
+            def counting(*args, _real=getattr(module, name), **kwargs):
+                counts["svd_eigvalsh"] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
     records = [r for suite, p in tasks for r in check_instance(suite, p, DEFAULT_TOL)]
     assert len(tasks) == 90 and len(records) == 826
     assert all(r.passed for r in records)
     assert counts["elements"] <= 2000, counts
-    assert counts["svd"] <= 4000, counts
+    assert counts["svd_eigvalsh"] <= 4000, counts

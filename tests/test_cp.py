@@ -407,9 +407,10 @@ def test_check_correspondence_rejects_non_finite_images(bad):
 def test_multiplicativity_svds_see_a_third_of_the_rows_on_m3(monkeypatch):
     # A = M_3: each pi(u_p) lives on one of the three row blocks and one of
     # the three column blocks of F's Gram eigen-coordinates, so every
-    # multiplicativity SVD sees a live block at most dim F / 3 wide both
+    # multiplicativity norm sees a live block at most dim F / 3 wide both
     # ways, and only the 3 products u_p u_r != 0 per p are formed, the other
-    # pairs differing by exactly zero; counted from shapes, not from timing
+    # pairs differing by exactly zero; counted from the shapes of the Gram
+    # eigensolves, not from timing
     rng = np.random.default_rng(7)
     A = AlgebraShape((3,))
     E = random_module(AlgebraShape((1, 2)), rng, max_dim=8, min_dim=8)
@@ -417,20 +418,20 @@ def test_multiplicativity_svds_see_a_third_of_the_rows_on_m3(monkeypatch):
     pi = ksgns([E], [random_cp(A, E, rng)], DEFAULT_TOL, BuildMemo())[0].pi
     d = pi.module.dim
     assert d >= LIVE_MIN_DIM
-    assert pi.norm > 0  # cached first, so its own (dim A, d, d) SVD is not counted
-    shapes, svd = [], np.linalg.svd
+    assert pi.norm > 0  # cached first, so its own (dim A, d, d) norms are not counted
+    shapes, eigvalsh = [], np.linalg.eigvalsh
 
-    def recording_svd(a, *args, **kwargs):
+    def recording(a, *args, **kwargs):
         shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     assert check_correspondence(pi, DEFAULT_TOL).passed
     monkeypatch.undo()
     stacks = [s for s in shapes if len(s) == 3]
-    assert shapes == stacks + [(d, d)]  # then one unitality SVD
+    assert shapes == stacks + [(d, d)]  # then the unitality norm's Gram
     assert sum(s[0] for s in stacks) == 3 * A.dim
-    assert all(0 < s[1] <= d // 3 and 0 < s[2] <= d // 3 for s in stacks)
+    assert all(0 < s[1] == s[2] <= d // 3 for s in stacks)
 
 
 def test_check_morphism_identity_and_solver_consistency(rng):

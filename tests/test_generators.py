@@ -91,5 +91,8 @@ def test_random_intertwiner_matches_loop_reference(rng, tol):
     )
     assert eta.source is E1 and eta.target is E2
     assert np.array_equal(eta.matrix, mat)
-    assert norm == module_operator_norm(ModuleMap(E1, E2, mat))
+    # the norm keeps LAPACK's sigma_1 of the realized map, the bits payloads hold,
+    # and agrees with the module norm to rounding
+    assert norm == np.linalg.norm(E2.gram_sqrt @ mat @ E1.gram_isqrt, 2)
+    assert norm == pytest.approx(module_operator_norm(ModuleMap(E1, E2, mat)), rel=1e-14, abs=0.0)
     assert rng.bit_generator.state == ref_rng.bit_generator.state

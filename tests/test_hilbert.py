@@ -206,11 +206,13 @@ def test_descend_on_rank_deficient_quotient(rng):
 
 
 def patch_svd(monkeypatch, fake):
-    """Replace np.linalg.svd, also where np.linalg.norm(., 2) looks it up."""
+    """Replace np.linalg.svd, also where np.linalg.norm(., 2) looks it up, and
+    np.linalg.eigvalsh, through which operator norms take sigma_1."""
     import numpy.linalg._linalg as linalg_impl
 
-    monkeypatch.setattr(np.linalg, "svd", fake)
-    monkeypatch.setattr(linalg_impl, "svd", fake)
+    for name in ("svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, fake)
+        monkeypatch.setattr(linalg_impl, name, fake)
 
 
 def test_descend_passes_frobenius_leak_within_spectral_gate(rng, monkeypatch):
@@ -222,13 +224,14 @@ def test_descend_passes_frobenius_leak_within_spectral_gate(rng, monkeypatch):
     K = K + quot.s @ (1e-7 * W) @ quot.kernel.conj().T
     leak, gate = null_leak(quot.q, K, quot.kernel, DEFAULT_TOL)
     assert np.linalg.norm(quot.q @ K @ quot.kernel) > DEFAULT_TOL.ctol and leak <= gate
-    svd_calls = []
-    real_svd = np.linalg.svd
-    patch_svd(monkeypatch, lambda *a, **k: svd_calls.append(1) or real_svd(*a, **k))
+    norm_calls = []
+    real_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *a, **k: norm_calls.append(1) or real_eigvalsh(*a, **k))
     stack = np.stack([on_range, K])
     got = descend([stack], [quot], [quot], "probe map", DEFAULT_TOL)[0]
     assert np.array_equal(got, quot.q @ stack @ quot.s)
-    assert svd_calls  # the exact path decided the second slice
+    assert norm_calls  # the exact path decided the second slice
 
 
 def test_leak_messages_name_first_failing_slice(rng):
@@ -278,7 +281,7 @@ def test_gates_certify_valid_inputs_without_svd(rng, monkeypatch):
     M = random_complex(rng, 5, 5)
 
     def no_svd(*args, **kwargs):
-        raise AssertionError("np.linalg.svd called")
+        raise AssertionError("np.linalg.svd or eigvalsh called")
 
     patch_svd(monkeypatch, no_svd)
     descend([np.stack([K, 2.0 * K])], [quot], [quot], "probe map", DEFAULT_TOL)[0]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from ksgnslab.errors import NonFinite, NonHermitian, NotPSD
 from ksgnslab.numkernel import (
     CERTIFY_MIN_SLICES,
     DEFAULT_TOL,
+    GRAM_RANGE,
     LIVE_MIN_DIM,
     Split,
     Tolerance,
@@ -173,6 +176,25 @@ def test_split_rank_decisions_read_the_extremes_over_all_blocks():
         rank_kernel(blocks(-1e-3), DEFAULT_TOL)
 
 
+def gram_norm_reference(X: np.ndarray) -> float:
+    """The norm contract for one (m, n) matrix, written out: sqrt of the largest
+    eigenvalue of its smaller Gram, X* X when m >= n, else X X*, unless that
+    eigenvalue is not strictly inside GRAM_RANGE, then LAPACK's sigma_1 (as
+    numpy.linalg.norm(X, 2) takes it); 0 for an empty matrix."""
+    m, n = X.shape
+    if not X.size:
+        return 0.0
+    G = X.conj().T @ X if m >= n else X @ X.conj().T
+    lam = np.linalg.eigvalsh(G)[-1]
+    return np.sqrt(lam) if GRAM_RANGE[0] < lam < GRAM_RANGE[1] else np.linalg.norm(X, 2)
+
+
+def gram_norms_reference(stack: np.ndarray) -> np.ndarray:
+    """gram_norm_reference of each matrix of a stack (..., m, n), one at a time."""
+    flat = stack.reshape(math.prod(stack.shape[:-2]), *stack.shape[-2:])
+    return np.array([gram_norm_reference(X) for X in flat], dtype=float).reshape(stack.shape[:-2])
+
+
 def test_operator_norm_examples():
     assert operator_norm(np.eye(4)) == pytest.approx(1.0)
     assert operator_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0)
@@ -183,12 +205,14 @@ def test_operator_norm_examples():
     "shape", [(4, 4), (3, 5), (2, 3, 4), (2, 2, 1, 5), (0, 0), (0, 3), (3, 0), (0, 3, 3), (2, 0, 3)]
 )
 def test_operator_norms_equal_numpy_norm_bitwise(shape, rng):
+    # the bits of the Gram contract, one matrix at a time; numpy's 2-norm to rounding
     stack = random_complex(rng, *shape)
-    expected = np.linalg.norm(stack, 2, axis=(-2, -1))
-    assert np.array_equal(operator_norms(stack), expected)
+    expected = gram_norms_reference(stack)
+    assert operator_norms(stack).tobytes() == expected.tobytes()
     assert operator_norms(stack).shape == expected.shape
+    assert np.allclose(expected, np.linalg.norm(stack, 2, axis=(-2, -1)), rtol=1e-14, atol=0.0)
     if stack.ndim == 2:
-        assert operator_norm(stack) == float(np.linalg.norm(stack, 2))
+        assert operator_norm(stack) == gram_norm_reference(stack)
 
 
 def test_max_operator_norm_over_stacks(rng):
@@ -265,8 +289,8 @@ def test_live_cuts_group_the_slices_by_live_shape(rng):
 
 def test_live_products_and_norms_equal_the_dense_values(rng, monkeypatch):
     # every cut shape in one stack, an all-zero slice and a one-row slice:
-    # the products and norms equal the dense ones to rounding, and each SVD
-    # sees the live blocks only
+    # the products and norms equal the dense ones to rounding, and each Gram
+    # eigensolve sees the smaller Gram of the live blocks only
     d = LIVE_MIN_DIM + 3
     X = block_sparse_stack(rng, d).reshape(2, 4, d, d)
     L, R1, R2 = random_complex(rng, 2, 1, 4, d), random_complex(rng, d, 5), random_complex(rng, d, 0)
@@ -276,20 +300,21 @@ def test_live_products_and_norms_equal_the_dense_values(rng, monkeypatch):
         assert np.abs(got - want).max(initial=0.0) <= 1e-14 * scale
     [LX] = live_products(L[0, 0], X)
     assert np.abs(LX - L[0, 0] @ X).max() <= 1e-14 * scale
-    svds, real = [], np.linalg.svd
+    grams, real = [], np.linalg.eigvalsh
 
     def recording(a, *args, **kwargs):
-        svds.append(np.shape(a))
+        grams.append(np.shape(a))
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recording)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     norms = operator_norms(X)
     monkeypatch.undo()
     assert norms.shape == (2, 4)
     assert np.allclose(norms, np.linalg.norm(X, 2, axis=(-2, -1)), rtol=1e-14, atol=0.0)
-    assert norms[0, 3] == 0.0  # the all-zero slice takes no SVD
-    assert sorted(svds) == sorted([(2, d // 3, d // 3), (2, 5, 7), (1, 1, d), (1, d, d - 1),
-                                   (1, d, d)])
+    assert norms[0, 3] == 0.0  # the all-zero slice takes no eigensolve
+    # live blocks (2, d/3, d/3), (2, 5, 7), (1, 1, d), (1, d, d - 1) and (1, d, d)
+    assert sorted(grams) == sorted([(2, d // 3, d // 3), (2, 5, 5), (1, 1, 1), (1, d - 1, d - 1),
+                                    (1, d, d)])
     for empty in (np.zeros((0, d, d)), np.zeros((3, d, 0))):
         assert operator_norms(empty).shape == empty.shape[:-2]
         assert live_products(L[0, 0], empty, R1[: empty.shape[-1]])[0].shape == (
@@ -304,7 +329,7 @@ def test_live_cut_keeps_the_dense_bits_below_its_width_and_on_dense_slices(rng, 
     X = block_sparse_stack(rng, d)
     L, R = random_complex(rng, 4, d), random_complex(rng, d, 3)
     got, want = live_products(L, X, R)[0], L @ X @ R
-    norms, dense_norms = operator_norms(X), np.linalg.svd(X, compute_uv=False)[:, 0]
+    norms, dense_norms = operator_norms(X), gram_norms_reference(X)
     if d < LIVE_MIN_DIM:
         assert got.tobytes() == want.tobytes()
         assert norms.tobytes() == dense_norms.tobytes()
@@ -313,7 +338,7 @@ def test_live_cut_keeps_the_dense_bits_below_its_width_and_on_dense_slices(rng, 
     dense = X[4:6] + (X[4:6] == 0)  # no zero entry left
     assert live_products(L, dense, R)[0].tobytes() == (L @ dense @ R).tobytes()
     assert live_products(L, dense)[0].tobytes() == (L @ dense).tobytes()
-    assert operator_norms(dense).tobytes() == np.linalg.svd(dense, compute_uv=False)[:, 0].tobytes()
+    assert operator_norms(dense).tobytes() == gram_norms_reference(dense).tobytes()
 
 
 def slice_of(kind, rng, prev, m, n):
@@ -370,14 +395,14 @@ def test_certified_maxima_skip_slices_and_keep_the_gates(rng, monkeypatch):
     stack = 0.1 * random_complex(rng, 2 * CERTIFY_MIN_SLICES, 3, 3)
     stack[5] = 0.9 * np.linalg.qr(random_complex(rng, 3, 3))[0]
     stack[40] = np.outer(np.ones(3), np.ones(3)) / 3.0
-    want, sizes = operator_norms(stack[40]), []
-    real = np.linalg.svd
+    want, sizes = gram_norm_reference(stack[40]), []
+    real = np.linalg.eigvalsh
 
     def counting(a, *args, **kwargs):
         sizes.append(len(a))
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     assert max_operator_norms(stack, np.zeros((0, 3, 3))).tolist() == [want, 0.0]
     assert sizes == [1, 1]  # the flat slice, then the rank-one one
     assert max_operator_norms(np.zeros((0, 3, 3)), np.zeros((40, 2, 2))).tolist() == [0.0, 0.0]
@@ -385,6 +410,72 @@ def test_certified_maxima_skip_slices_and_keep_the_gates(rng, monkeypatch):
         stack[50, 1, 2] = bad
         with pytest.raises(NonFinite):
             max_operator_norms(stack)
+
+
+NORM_SCALES = (1e-160, 1e-3, 1.0, 1e5, 1e150)
+
+
+@st.composite
+def norm_stacks(draw):
+    """A stack (N, m, n) with m < n, m = n, m > n, 0 x n or n x 0, N from one
+    to past the certification cut, slices of the certified-maximum kinds at
+    one scale: 1e-160, where the Gram underflows, up to 1e150, where
+    lambda_max passes GRAM_RANGE."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.sampled_from([(1, 4), (2, 5), (1, 1), (3, 3), (4, 1), (5, 2), (0, 3), (3, 0)]))
+    count = draw(st.integers(1, CERTIFY_MIN_SLICES + 8))
+    if not m * n:
+        return np.zeros((count, m, n), dtype=complex)
+    slices = []
+    for kind in rng.choice(SLICE_KINDS, size=count):
+        slices.append(slice_of(kind, rng, slices[-1] if slices else None, m, n))
+    return np.stack(slices) * draw(st.sampled_from(NORM_SCALES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(norm_stacks(), st.data())
+def test_operator_norms_keep_the_gram_contract(S, data):
+    """operator_norms' contract on every slice of a stack S (N, m, n), k = min(m, n)
+    and p = max(m, n), u = eps / 2 the unit roundoff:
+
+    (a) |sigma - ||X||_2| <= 4 m n eps ||X||_2 against numpy.linalg.norm(X, 2).
+    The smaller Gram is formed with |G^ - G| <= sqrt(2) gamma_{p+2} |X|* |X|
+    entrywise (complex inner products of length p, Higham 2002, sec. 3.6), so
+    ||G^ - G||_2 <= ||X||_F^2 sqrt(2) gamma_{p+2} <= sqrt(2) k (p + 2) u sigma_1^2
+    / (1 - (p + 2) u); eigvalsh returns the exact lambda_max of G^ + F with
+    ||F||_2 <= c_k u ||G^||_2, so by Weyl's inequality |lambda^ - sigma_1^2| <=
+    (sqrt(2) k (p + 2) + c_k) u sigma_1^2 to first order.  The square root
+    halves that relative error and adds u; LAPACK's SVD puts the reference
+    within c'_k u sigma_1.  With k (p + 2) <= 3 k p = 3 m n and c_k, c'_k <= k
+    <= m n, the gap is at most (2.2 + 0.5 + 1 + 1) m n u < 4 m n eps, first order.
+    Out of GRAM_RANGE (the 1e-160 and 1e150 slices) the SVD's sigma_1 is the
+    reference itself.
+    (b) The bits of the contract one matrix at a time (gram_norm_reference),
+    batched, per slice through operator_norm, on a wide zero-padded copy that
+    live_cuts takes back to each slice, and as the stack's certified maximum.
+    (c) A NaN or Inf anywhere raises NonFinite, batched, per slice, padded and
+    through max_operator_norms.
+    """
+    N, m, n = S.shape
+    norms, ref = operator_norms(S), np.linalg.norm(S, 2, axis=(-2, -1))
+    assert np.all(np.abs(norms - ref) <= 4 * m * n * np.finfo(float).eps * ref)
+    assert norms.tobytes() == gram_norms_reference(S).tobytes()
+    assert norms.tobytes() == np.array([operator_norm(X) for X in S], dtype=float).tobytes()
+    padded = np.zeros((N, LIVE_MIN_DIM, LIVE_MIN_DIM), dtype=complex)
+    rows = np.sort(np.random.default_rng(N).permutation(LIVE_MIN_DIM)[:m])
+    cols = np.sort(np.random.default_rng(m + n).permutation(LIVE_MIN_DIM)[:n])
+    padded[:, rows[:, None], cols] = S  # its live block is the slice, in order
+    assert operator_norms(padded).tobytes() == norms.tobytes()
+    assert max_operator_norms(S, padded).tobytes() == np.repeat(norms.max(), 2).tobytes()
+    if not S.size:
+        return
+    where = tuple(data.draw(st.integers(0, size - 1)) for size in S.shape)
+    bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.nan)]))
+    for X in (S, padded):
+        X[where if X is S else (where[0], rows[where[1]], cols[where[2]])] = bad
+        for norm in (operator_norms, max_operator_norms, lambda X: operator_norm(X[where[0]])):
+            with pytest.raises(NonFinite):
+                norm(X)
 
 
 @pytest.mark.parametrize(

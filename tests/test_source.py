@@ -794,13 +794,14 @@ def structure_keys(source: str) -> dict[str, str]:
 
 
 # what depends on block sizes and a dimension alone
-STRUCTURE_BUILDERS = ("algebra_module", "column_split", "product_table", "row_split")
+STRUCTURE_BUILDERS = (
+    "algebra_module", "column_split", "left_multiplication", "product_table", "row_split")
 
 
 def test_block_size_structure_is_built_once_per_process_not_per_instance():
-    # C over itself, the row and column copies and the product tables go through
-    # the process's table (memo.structure), each under its own name, and no
-    # instance memo is asked for one
+    # C over itself, its left multiplication, the row and column copies and the
+    # product tables go through the process's table (memo.structure), each under
+    # its own name, and no instance memo is asked for one
     probe = (
         "def f(C, memo):\n    return memo.get_all([C], lambda _: [algebra_module(C)])\n\n"
         "def g(C):\n    return structure(('g', C.blocks), lambda: algebra_module(C))\n"
