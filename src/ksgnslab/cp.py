@@ -539,7 +539,7 @@ def check_morphism(
 ) -> list[CheckReport]:
     """Residual reports for the intertwining condition and its consequences,
     one per intertwiner ms[s] from phi1[s] to phi2[s] of a stack of one shape:
-    one stacked product and one batched SVD per residual shape, and one for
+    one stacked product and one batched norm per residual shape, and one for
     the norms of the etas not yet known.
 
     Reports the defining residual, the adjoint-side residual

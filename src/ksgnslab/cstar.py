@@ -144,7 +144,7 @@ def block_stacks(shape: AlgebraShape, C: np.ndarray) -> list[np.ndarray]:
 def element_norms(shape: AlgebraShape, C: np.ndarray) -> np.ndarray:
     """C*-norms of the elements stacked as coefficient rows C (..., dim A),
     shape (...): the largest operator norm over the blocks, with one batched
-    SVD per block.  NaN or Inf in C raises NonFinite."""
+    norm per block.  NaN or Inf in C raises NonFinite."""
     return np.maximum.reduce([operator_norms(S) for S in block_stacks(shape, C)])
 
 
@@ -250,7 +250,7 @@ def star_map_distance(r1: Sequence[StarMap], r2: Sequence[StarMap]) -> np.ndarra
 
 def check_star_map(rho: Sequence[StarMap], tol: Tolerance) -> list[CheckReport]:
     """Residuals for multiplicativity, *-preservation, and unitality of each
-    star map of a stack between one pair of algebras, from one batched SVD
+    star map of a stack between one pair of algebras, from one batched norm
     per codomain block.
 
     Unitality realizes nondegeneracy in the unital finite-dimensional model.
@@ -267,7 +267,7 @@ def check_star_map(rho: Sequence[StarMap], tol: Tolerance) -> list[CheckReport]:
     star_gaps = M[:, :, dom.star_permutation()].swapaxes(1, 2) - adjoints(cod, X)
     rows = np.concatenate([X, star_gaps, (M @ unit_coeffs(dom) - unit_coeffs(cod))[:, None]], 1)
     Xz = np.concatenate([X, np.zeros_like(X[:, :1])], axis=1)
-    # one batched SVD per codomain block: the multiplicativity defects
+    # one batched norm per codomain block: the multiplicativity defects
     # rho(u_p u_r) - rho(u_p) rho(u_r), then the block of every row
     norms = np.maximum.reduce(
         [

@@ -335,7 +335,7 @@ def check_equivariant(c: EquivariantCorrespondence, tol: Tolerance) -> CheckRepo
     alpha = np.stack([a.matrix for a in c.system_in.action])
     twisted = np.einsum("gqp,qij->gpij", beta, E.action)
     covariant = np.einsum("gqp,qij->gpij", alpha, c.phi.images)
-    # the U scale, twisted linearity and covariance, all (d, d), in one batched SVD
+    # the U scale, twisted linearity and covariance, all (d, d), in one batched norm
     u_norm, lin, cov = max_operator_norms(
         U, U[:, None] @ E.action - twisted @ U[:, None],
         U[:, None] @ c.phi.images - covariant @ U[:, None],

@@ -535,7 +535,7 @@ def null_leak(
 def first_leak(X: np.ndarray, K: np.ndarray, tol: Tolerance) -> tuple[int, float] | None:
     """(flat index, leak) of the first slice of K whose null_leak X = q K kernel
     exceeds its gate, or None when all pass; exceeds_gate certifies most
-    slices without an SVD.  K must be finite: descend and PreModule check it."""
+    slices without an exact norm.  K must be finite: descend and PreModule check it."""
     bad = exceeds_finite_gate(X, K, tol)
     if not np.count_nonzero(bad):
         return None
@@ -629,7 +629,7 @@ def adjoint_map(m: ModuleMap) -> ModuleMap:
 
 def unitarity_residual(U: Sequence[ModuleMap]) -> float:
     """max(||U* U - 1||, ||U U* - 1||) with the module adjoint, the largest
-    over a family of maps of one shape, from one batched SVD per shape."""
+    over a family of maps of one shape, from one batched norm per shape."""
     Us, X = adjoint_matrices(U), stack_slices([u.matrix for u in U])
     defects = Us @ X - np.eye(X.shape[-1]), X @ Us - np.eye(X.shape[-2])
     return float(max_operator_norms(*defects).max())
@@ -642,7 +642,7 @@ def module_operator_norm(m: ModuleMap) -> float:
 
 def module_operator_norms(maps: Sequence[ModuleMap]) -> np.ndarray:
     """module_operator_norm of each map of one shape, from one stacked
-    realization and one batched SVD."""
+    realization and one batched norm."""
     S = ModuleView([m.target for m in maps]).gram_sqrt
     Si = ModuleView([m.source for m in maps]).gram_isqrt
     return operator_norms(S @ stack_slices([m.matrix for m in maps]) @ Si)

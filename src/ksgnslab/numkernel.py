@@ -14,26 +14,38 @@ K's m x m left factor is never formed.  Through `scale`, a system of pure
 rounding noise (coefficients ~eps from operators of norm ~scale) reads as the
 zero system.
 
-Operator norms are the first singular value of LAPACK's batched SVD, the same
-value numpy.linalg.norm(., 2) returns.  max_operator_norms is the one
-per-shape norm batcher: callers hand it gaps of several shapes as they are
-(each slice's residuals, each pair's pullback and alpha gaps), and the
-same-shape ones share one batched SVD.  Since ||X||_2 <= ||X||_F (Higham,
-Accuracy and Stability of Numerical Algorithms, 2002, sec. 6.2), a stack of
-at least CERTIFY_MIN_SLICES slices gets a certified maximum: the norm m of
-its largest-Frobenius slice, then SVDs only of slices with ||X||_F (1 +
+Operator norms are sigma_1 = sqrt(lambda_max) of each matrix's smaller Gram,
+X* X when m >= n, else X X* (||X||_2^2 = lambda_max(X* X), Higham, Accuracy
+and Stability of Numerical Algorithms, 2002, sec. 6.2), from one batched
+eigvalsh per stack.  The Gram's rounding is at most sqrt(2) gamma_{p+2}
+|X|* |X| entrywise (p = max(m, n)), so by Weyl's inequality, with the
+eigensolvers' backward errors, the norm is within 4 m n eps sigma_1 of
+numpy.linalg.norm(., 2) to first order.  Squaring loses range near underflow
+and overflow: a slice whose lambda_max is not strictly inside GRAM_RANGE
+takes the first singular value of LAPACK's SVD (svd_norms) instead, and NaN
+or Inf raises NonFinite.  A matrix gets the same bits batched or alone, on
+its live block, and as a certified maximum.  svd_norm keeps the SVD's bits
+for the three generation scales whose payloads hold them.
+
+max_operator_norms is the one per-shape norm batcher: callers hand it gaps
+of several shapes as they are (each slice's residuals, each pair's pullback
+and alpha gaps), and the same-shape ones share one batched eigensolve.
+Since ||X||_2 <= ||X||_F (Higham, sec. 6.2), a stack of at least
+CERTIFY_MIN_SLICES slices gets a certified maximum: the norm m of its
+largest-Frobenius slice, then exact norms only of slices with ||X||_F (1 +
 CERTIFY_MARGIN) >= m.  Its bits cannot move: a computed sigma_1 stays below
 the computed ||X||_F times 1 + delta, delta a small multiple of the unit
 roundoff, far below 1e-6 (slices too small to square are never pruned).
 Verdict-only gates ||X|| <= ctol * (1 + ||M||) (Hermitian defects, null-space
 leaks) go through exceeds_gate: a slice with ||X||_F <= ctol passes without
-an SVD, and exact norms run only for slices near or over the gate.
+an exact norm, and exact norms run only for slices near or over the gate.
 
 The live cut (live_cuts) takes each slice of a stack, such as the row split's
 pi_phi, to its nonzero rows and columns, which keeps every singular value
-(Higham, sec. 6.2): operator_norms SVDs live blocks, and live_products forms
-L X R as L[:, rows] @ X[rows, cols] @ R[cols, :], one batched call per cut
-shape.  Below LIVE_MIN_DIM, or with no zero row or column, both keep dense bits.
+(Higham, sec. 6.2): operator_norms takes the Grams of live blocks, and
+live_products forms L X R as L[:, rows] @ X[rows, cols] @ R[cols, :], one
+batched call per cut shape.  Below LIVE_MIN_DIM, or with no zero row or
+column, both keep dense bits.
 
 Same-shape problems run as stacks: herm_eig and rank_kernel take a leading
 slice axis (rank_kernel decides a whole stack at once, one block of decisions),
@@ -51,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -133,7 +145,7 @@ def svd_norm(M: np.ndarray) -> float:
     return float(live_block_norms(require_finite(M), svd_norms))
 
 
-def live_block_norms(stack: np.ndarray, norms) -> np.ndarray:
+def live_block_norms(stack: np.ndarray, norms: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """norms(X) of each slice of a finite stack (..., m, n), shape (...): of a
     slice live_cuts cuts, its live block's, one call per cut shape."""
     if (cuts := live_cuts(stack)) is None:
@@ -157,17 +169,19 @@ def gram_norms(X: np.ndarray) -> np.ndarray:
     Xh = X.conj().swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
         G = Xh @ X if m >= n else X @ Xh
-        # the trace ||X||_F^2 bounds lambda_max in [trace / min(m, n), trace], and is
+        # the Gram's trace ||X||_F^2 bounds lambda_max from above; the traces' sum is
         # not finite when X is not, or when squaring overflowed
-        t = G.trace(0, -2, -1).real.ravel().tolist()  # as floats: cheaper than reductions
-        if 2 * min(m, n) * lo < min(t) and sum(t) < hi / 2:  # a NaN fails the sum
-            return np.sqrt(np.linalg.eigvalsh(G)[..., -1])
-        X = require_finite(X)
-        # a diagonal entry below hi keeps every entry of the Gram finite, and one at
-        # hi or above puts lambda_max there too
-        fits = np.diagonal(G, 0, -2, -1).real.max(axis=-1) < hi
-        lam = np.full(X.shape[:-2], np.inf)
-        lam[fits] = np.linalg.eigvalsh(G[fits])[..., -1]
+        if np.add.reduce(G.diagonal(0, -2, -1).real, axis=None) < hi / 2:
+            lam = np.linalg.eigvalsh(G)[..., -1]
+            if lo < min(lam.ravel().tolist()):
+                return np.sqrt(lam)
+        else:
+            X = require_finite(X)
+            # a diagonal entry below hi keeps every entry of the Gram finite, and one
+            # at hi or above puts lambda_max there too
+            fits = G.diagonal(0, -2, -1).real.max(axis=-1) < hi
+            lam = np.full(X.shape[:-2], np.inf)
+            lam[fits] = np.linalg.eigvalsh(G[fits])[..., -1]
         odd = ~((lam > lo) & (lam < hi))
         out = np.sqrt(lam, out=lam)
     out[odd] = svd_norms(X[odd])
@@ -223,7 +237,7 @@ def live_products(L: np.ndarray, X: np.ndarray, *R: np.ndarray) -> list[np.ndarr
 def exceeds_gate(X: np.ndarray, M: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Whether ||X[i]|| > ctol * (1 + ||M[i]||) for each slice of stacks X and M
     (..., m, n) with the same leading shape.  A slice with ||X[i]||_F <= ctol
-    passes without an SVD; the others take exact operator norms.  NaN or Inf
+    passes without an exact norm; the others take exact operator norms.  NaN or Inf
     in X or M raises NonFinite."""
     return exceeds_finite_gate(X, require_finite(M), tol)
 
@@ -249,7 +263,7 @@ def max_operator_norm(stack: np.ndarray) -> float:
 def max_operator_norms(*stacks: np.ndarray) -> np.ndarray:
     """max_operator_norm of each of several stacks (..., m, n), shape
     (len(stacks),), bit for bit.  This is the one per-shape norm batcher: the
-    stacks whose matrices share a shape go through one batched SVD together,
+    stacks whose matrices share a shape go through one batched eigensolve together,
     a long stack as its certified maximum."""
     flat = [np.reshape(S, (math.prod(np.shape(S)[:-2]), *np.shape(S)[-2:])) for S in stacks]
     out, groups = np.zeros(len(flat)), {}

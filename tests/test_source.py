@@ -280,8 +280,8 @@ def spectral_norm_calls(source: str) -> list[int]:
 
 
 def test_spectral_norms_only_in_numkernel():
-    # numkernel.operator_norms takes the first singular value of the batched
-    # SVD; a 2-norm elsewhere would bypass it and its finiteness check
+    # numkernel.operator_norms takes sigma_1 from the smaller Gram's batched
+    # eigvalsh; a 2-norm elsewhere would bypass it and its finiteness check
     probe = (
         "import numpy as np\nfrom numpy.linalg import norm\n"
         "a = np.linalg.norm(x, 2, axis=(1, 2))\nb = norm(x, ord=2)\n"
