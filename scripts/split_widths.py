@@ -27,7 +27,6 @@ import numpy as np
 
 from ksgnslab import cp, harness, hilbert, numkernel
 from ksgnslab.cp import CPMap
-from ksgnslab.cstar import identity_star_map
 from ksgnslab.ksgns import ksgns
 from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL, kron, live_products
@@ -81,8 +80,7 @@ def live_runs(args: tuple) -> list[tuple]:
     F, phi, tol = args[1], args[2], args[3]
     triples = ksgns(F, phi, tol, BuildMemo())
     A = phi[0].algebra
-    L = cp.left_mult_correspondence([identity_star_map(A)], BuildMemo())[0]
-    K = kron(L.images, np.eye(F[0].dim, dtype=complex))
+    K = kron(cp.left_multiplication(A), np.eye(F[0].dim, dtype=complex))
     runs = []
     for t in triples:
         Z = np.linalg.qr(np.random.default_rng(t.dim).standard_normal((t.dim, t.dim)))[0]

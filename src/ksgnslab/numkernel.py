@@ -88,16 +88,19 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 # A stack shorter than CERTIFY_MIN_SLICES saves less than its Frobenius pass
-# costs: certifying every stack took a default-caps check pass 37 ms in
-# max_operator_norms, against 24 ms at 32 and 36 ms certifying none.
+# costs: on the Gram kernel, certifying every stack took a default-caps check
+# pass 56-65 ms in max_operator_norms, against 39-48 ms at 32 (49 ms at 24, 48
+# ms at 48 and 64) and 49-50 ms certifying none; an equivariant-dilation pass
+# 53-64 ms, against 45-49 ms at 32 (44-46 ms at 48 and 64) and 61-65 ms
+# certifying none (best of 5 and of 7 passes, one BLAS thread).
 CERTIFY_MIN_SLICES = 32
 CERTIFY_MARGIN = 1e-6
 # lambda_max = sigma_1^2 strictly inside this range keeps sigma_1 to rounding; out of it
 # squaring underflows or overflows, and the slice takes the SVD's sigma_1
 GRAM_RANGE = (1e-280, 1e280)
-# Narrower stacks stay dense: on the workloads' row-split pi_phi (split_widths.py --live) the cut
-# took +52% to +91% at width 32, +3% to +8% at 45, -0% to +31% at 54 and +66% for the descent at
-# 64, and -19% to -40% at 72-99
+# Narrower stacks stay dense: on the workloads' row-split pi_phi (split_widths.py --live, Gram
+# kernel) the cut took +80% to +85% at width 32, +5% to +9% at 45, -6% to +0% at 54 and +75% for
+# the descent at 64, and -22% to -44% at 72-99
 LIVE_MIN_DIM = 72
 
 
@@ -146,8 +149,8 @@ def svd_norm(M: np.ndarray) -> float:
 
 
 def live_block_norms(stack: np.ndarray, norms: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """norms(X) of each slice of a finite stack (..., m, n), shape (...): of a
-    slice live_cuts cuts, its live block's, one call per cut shape."""
+    """norms(X) of each slice of a stack (..., m, n), shape (...): of a slice
+    live_cuts cuts, its live block's, one call per cut shape."""
     if (cuts := live_cuts(stack)) is None:
         return norms(stack)
     flat, out = stack.reshape(-1, *stack.shape[-2:]), np.zeros(stack.shape[:-2])
