@@ -96,10 +96,12 @@ def load_shape(data: Any) -> AlgebraShape:
         raise ValidationError(f"bad algebra shape {data!r}") from exc
 
 
-def shared_shape(data: Any, shapes: dict[str, AlgebraShape]) -> AlgebraShape:
+def shared_shape(data: Any, shapes: dict[str, AlgebraShape] | None) -> AlgebraShape:
     """load_shape of data through shapes, the block lists one payload load has
     read so far: each distinct list is parsed once, and equal lists share its
-    AlgebraShape."""
+    AlgebraShape; with no dict, load_shape itself."""
+    if shapes is None:
+        return load_shape(data)
     if (shape := shapes.get(key := repr(data))) is None:
         shape = shapes[key] = load_shape(data)
     return shape
@@ -208,7 +210,7 @@ def dump_module(E: HilbertModule) -> dict:
 
 
 def load_module(data: Any, shapes: dict | None = None) -> HilbertModule:
-    B = shared_shape(data["algebra"], {} if shapes is None else shapes)
+    B = shared_shape(data["algebra"], shapes)
     d = int(data["dim"])
     action_rows = data["action"]
     if len(action_rows) != B.dim:
@@ -254,7 +256,7 @@ def dump_cpmap(phi: CPMap, module_id: str) -> dict:
 def load_cpmap(
     data: Any, modules: dict[str, HilbertModule], shapes: dict | None = None
 ) -> CPMap:
-    A = shared_shape(data["algebra"], {} if shapes is None else shapes)
+    A = shared_shape(data["algebra"], shapes)
     try:
         E = modules[data["module_id"]]
     except KeyError as exc:
