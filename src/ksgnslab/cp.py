@@ -149,8 +149,8 @@ def check_correspondence(pi: CPMap, tol: Tolerance) -> CheckReport:
         D = Xz[np.ix_(T[p, r], R)] - live_products(X[p][R], X[r])[0]
         mult = max(mult, max_operator_norm(D))
     unital = operator_norm(pi(unit_coeffs(A)).matrix - np.eye(pi.module.dim))
-    rep.add("multiplicativity", mult, tol.ctol * scale)
-    rep.add("unitality", unital, tol.ctol * scale)
+    rep.add("multiplicative", mult, tol.ctol * scale)
+    rep.add("unital", unital, tol.ctol * scale)
     return rep
 
 
@@ -186,17 +186,19 @@ def check_cp(phi: Sequence[CPMap], tol: Tolerance, memo: BuildMemo) -> list[tupl
         E, Y = ModuleView([p.module for p in maps]), stack_slices([p.images for p in maps])
         X = realized_images(E, Y)
         fresh = [i for i, p in enumerate(maps) if "norm" not in vars(p)]
-        for i, norm in zip(fresh, operator_norms(X[fresh]).max(axis=1, initial=0.0).tolist()):
-            vars(maps[i])["norm"] = norm
+        if fresh:  # no norm call for an empty stack
+            for i, norm in zip(fresh, operator_norms(X[fresh]).max(axis=1, initial=0.0).tolist()):
+                vars(maps[i])["norm"] = norm
         # ||phi(u_p) R(u_b) - R(u_b) phi(u_p)|| over all p, b, exact where Frobenius can't pass it
         Y, R = Y[:, :, None], E.action[:, None]
         D = Y @ R - R @ Y
         gate = tol.ctol * (1.0 + np.array([p.norm for p in maps]))
         fro = np.sqrt(np.sum((D.conj() * D).real, axis=(-2, -1))).max(axis=(1, 2), initial=0.0)
         near = ~(fro * (1.0 + CERTIFY_MARGIN) <= gate)
-        lin = operator_norms(D[near]).max(axis=(1, 2), initial=0.0)
-        if np.count_nonzero(lin > gate[near]):
-            raise NonLinearMap(f"images fail B-linearity (residual {lin[lin > gate[near]][0]:.3e})")
+        if np.count_nonzero(near):
+            lin = operator_norms(D[near]).max(axis=(1, 2), initial=0.0)
+            if np.count_nonzero(bad := lin > gate[near]):
+                raise NonLinearMap(f"images fail B-linearity (residual {lin[bad][0]:.3e})")
         ok, w0 = zip(*(psd_verdict(C, tol) for C in choi_blocks(X, maps[0].algebra)))
         return [(bool(np.all(k)), w.tolist()) for k, w in zip(np.transpose(ok), np.transpose(w0))]
 
@@ -386,17 +388,22 @@ def left_mult_correspondence(rho: Sequence[StarMap], memo: BuildMemo) -> list[Co
     into one C share the process's C over itself."""
 
     def build(todo: list[int]) -> list[Correspondence]:
-        out = []
-        for r in (rho[s] for s in todo):
-            C, T = r.codomain, r.codomain.product_table
-            C_mod = algebra_module(C)
-            p, q = np.nonzero(T >= 0)
-            images = np.zeros((r.domain.dim, C_mod.dim, C_mod.dim), dtype=complex)
-            images[:, T[p, q], q] = r.matrix[p].T  # rho(u_b) u_q = sum_p rho_pb u_p u_q
-            out.append(Correspondence(r.domain, C_mod, images))
-        return out
+        return [
+            Correspondence(r.domain, algebra_module(r.codomain), left_images(r.matrix, r.codomain))
+            for r in (rho[s] for s in todo)
+        ]
 
     return memo.get_all([("left_mult", r.key) for r in rho], build)
+
+
+def left_images(rho: np.ndarray, C: AlgebraShape) -> np.ndarray:
+    """Images (dim B, dim C, dim C) on C over itself of left multiplication by
+    rho(u_b), rho (dim C, dim B) the matrix of a map B -> C."""
+    T = C.product_table
+    p, q = np.nonzero(T >= 0)
+    images = np.zeros((rho.shape[1], C.dim, C.dim), dtype=complex)
+    images[:, T[p, q], q] = rho[p].T  # rho(u_b) u_q = sum_p rho_pb u_p u_q
+    return images
 
 
 def left_multiplication(A: AlgebraShape) -> np.ndarray:
@@ -405,10 +412,7 @@ def left_multiplication(A: AlgebraShape) -> np.ndarray:
     identity: one read-only stack per block sizes, shared by the process."""
 
     def build() -> np.ndarray:
-        T = A.product_table
-        p, q = np.nonzero(T >= 0)
-        images = np.zeros((A.dim, A.dim, A.dim), dtype=complex)
-        images[p, T[p, q], q] = 1.0  # u_p u_q = u_T[p, q]
+        images = left_images(np.eye(A.dim), A)
         images.flags.writeable = False
         return images
 
@@ -559,7 +563,7 @@ def check_morphism(
     X1 = stack_slices([p.images for p in phi1])
     gaps = (twisted @ eta - eta @ X1, eta_star @ twisted - X1 @ eta_star, X1 @ gram - gram @ X1)
     residuals = max_operator_norms(*(D for gap in gaps for D in gap)).reshape(3, len(ms))
-    names = ("intertwining", "adjoint_intertwining", "gram_commutation")
+    names = ("morphism", "morphism_adjoint", "morphism_commutant")
     return [
         CheckReport(
             dict(zip(names, res.tolist())),

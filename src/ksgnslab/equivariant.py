@@ -412,7 +412,7 @@ def check_functor_laws(
     lives on the tensor of F(gh), E (x)_{beta_gh} B, not on a fresh tensor
     along the composed coefficients beta_g beta_h: the group law makes the
     two star maps equal up to rounding.  Before any composite is built,
-    every ||beta_g beta_h - beta_gh|| is gated at the composition_law
+    every ||beta_g beta_h - beta_gh|| is gated at the functor_composition
     threshold; a violation raises TwistMismatch naming (g, h).
 
     The whole Cayley table goes to one poscor_compose call, which composes
@@ -439,9 +439,9 @@ def check_functor_laws(
     recover, law = max_operator_norms(
         np.stack([m.pullback for m in F]) - U, np.stack([m.pullback for m in composed]) - U[gh]
     )
-    rep.add("unitary_recovery", float(recover), tol.ctol * scale)
-    rep.add("unit_law", unit_gap, tol.ctol * scale)
-    rep.add("composition_law", float(law), tol.ctol * scale)
+    rep.add("functor_recovery", float(recover), tol.ctol * scale)
+    rep.add("functor_unit", unit_gap, tol.ctol * scale)
+    rep.add("functor_composition", float(law), tol.ctol * scale)
     rep.add("unitary_valued", unitarity_residual([m.eta for m in F]), tol.ctol * scale)
     return rep
 
@@ -512,7 +512,7 @@ def check_dilation(quad: DilationQuadruple, tol: Tolerance) -> CheckReport:
     t = quad.triple
     rep = CheckReport()
     rep.merge(check_equivariant(dilated_correspondence(quad), tol), prefix="dilated_")
-    rep.merge(check_triple(t, tol), prefix="triple_")
+    rep.merge(check_triple(t, tol))
     V, U = t.embedding.matrix, np.stack(c.unitaries)
     compat, u_norm = max_operator_norms(
         t.module.gram_sqrt @ (V @ U - quad.unitaries @ V) @ c.module.gram_isqrt, U

@@ -321,11 +321,12 @@ class _Recorder:
             )
         )
 
-    def merge(self, report, names: dict[str, tuple[str, str]]) -> None:
-        """Pull named residuals out of a CheckReport with anchor labels.  A
-        name the report lacks raises KeyError, so the instance fails."""
-        for key, (check, theorem) in names.items():
-            self.add(check, theorem, report.residuals[key], report.thresholds[key])
+    def merge(self, report, theorems: dict[str, str]) -> None:
+        """Record each residual of a CheckReport that theorems names, in the
+        map's order, under its report name with its theorem.  A name the
+        report lacks raises KeyError, so the instance fails."""
+        for check, theorem in theorems.items():
+            self.add(check, theorem, report.residuals[check], report.thresholds[check])
 
     def fail(self, check: str, theorem: str, error: Exception) -> None:
         self.records.append(
@@ -396,47 +397,27 @@ def _check_ksgns(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo)
     if not ok:
         return
     t = ksgns([E], [phi], tol, memo)[0]
-    rep = check_triple(t, tol)
     rec.merge(
-        rep,
+        check_triple(t, tol),
         {
-            "reconstruction": (
-                "reconstruction",
-                "KSGNS dilation identity phi(a) = V* pi(a) V",
-            ),
-            "spanning_defect": (
-                "spanning",
-                "density of pi(A) V E in the dilation space",
-            ),
-            "embedding_adjoint_formula": (
-                "embedding_adjoint",
-                "embedding adjoint formula V*[a (x) y] = phi(a) y",
-            ),
-            "pi_multiplicativity": (
-                "pi_multiplicative",
-                "dilated representation is a *-homomorphism",
-            ),
-            "pi_unitality": (
-                "pi_unital",
-                "dilated representation is unital (nondegenerate)",
-            ),
+            "reconstruction": "KSGNS dilation identity phi(a) = V* pi(a) V",
+            "spanning": "density of pi(A) V E in the dilation space",
+            "embedding_adjoint": "embedding adjoint formula V*[a (x) y] = phi(a) y",
+            "pi_multiplicative": "dilated representation is a *-homomorphism",
+            "pi_unital": "dilated representation is unital (nondegenerate)",
         },
     )
     rng = _sub_rng(payload["seed"], 1)
     Z = random_blinear_unitary(t.module, rng)
     t2 = conjugated_triple(t, Z)
     U, repu = triple_uniqueness_unitary(t, t2, tol)
-    rec.merge(
-        repu,
-        {
-            "unitary": ("uniqueness_unitary", "KSGNS triple unique up to a module unitary"),
-            "embedding_match": ("uniqueness_embedding", "matching unitary carries V to V'"),
-            "representation_match": (
-                "uniqueness_representation",
-                "matching unitary conjugates pi to pi'",
-            ),
-        },
-    )
+    # uniqueness_*: the uniqueness suite records this triple under its report names
+    rec.add("uniqueness_unitary", "KSGNS triple unique up to a module unitary",
+            repu.residuals["unitary"], repu.thresholds["unitary"])
+    rec.add("uniqueness_embedding", "matching unitary carries V to V'",
+            repu.residuals["embedding_match"], repu.thresholds["embedding_match"])
+    rec.add("uniqueness_representation", "matching unitary conjugates pi to pi'",
+            repu.residuals["representation_match"], repu.thresholds["representation_match"])
     rec.add(
         "uniqueness_planted",
         "solved unitary recovers the planted conjugation",
@@ -528,19 +509,12 @@ def _check_lift(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) 
     m1, m2 = morphs["m1"], morphs["m2"]
     rng = _sub_rng(payload["seed"], 2)
 
-    rep = check_morphism([m1], [phi1], [phi2], tol)[0]
     rec.merge(
-        rep,
+        check_morphism([m1], [phi1], [phi2], tol)[0],
         {
-            "intertwining": ("morphism", "intertwiner condition with automorphism twist"),
-            "adjoint_intertwining": (
-                "morphism_adjoint",
-                "adjoint side: eta* phi2(alpha(a)) = phi1(a) eta*",
-            ),
-            "gram_commutation": (
-                "morphism_commutant",
-                "phi1(a) commutes with eta* eta",
-            ),
+            "morphism": "intertwiner condition with automorphism twist",
+            "morphism_adjoint": "adjoint side: eta* phi2(alpha(a)) = phi1(a) eta*",
+            "morphism_commutant": "phi1(a) commutes with eta* eta",
         },
     )
     worst, scale = _family_bound_residual(phi1, m1, rng)
@@ -584,23 +558,13 @@ def _check_lift(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) 
         gate,
     )
     lifted1 = ksgns_lift([m1], [t1], [t2], tol)[0]
-    rep = check_lift(m1, lifted1, t1, t2, tol)
     rec.merge(
-        rep,
+        check_lift(m1, lifted1, t1, t2, tol),
         {
-            "contraction": ("lift_contraction", "lift norm bound ||eta~|| <= ||eta||"),
-            "adjoint_formula": (
-                "lift_adjoint",
-                "lift adjoint acts through alpha inverse",
-            ),
-            "pi_intertwining": (
-                "lift_morphism",
-                "lifted pair intertwines the dilated representations",
-            ),
-            "embedding_compat": (
-                "lift_embedding",
-                "lift intertwines the embeddings: eta~ V1 = V2 eta",
-            ),
+            "lift_contraction": "lift norm bound ||eta~|| <= ||eta||",
+            "lift_adjoint": "lift adjoint acts through alpha inverse",
+            "lift_morphism": "lifted pair intertwines the dilated representations",
+            "lift_embedding": "lift intertwines the embeddings: eta~ V1 = V2 eta",
         },
     )
     ident = Intertwiner(identity_map(E1), identity_automorphism(phi1.algebra))
@@ -642,13 +606,12 @@ def _check_idempotency(payload: dict, tol: Tolerance, rec: _Recorder, memo: Buil
     t2 = ksgns([mods["E2"]], [phis["phi2"]], tol, memo)[0]
     second1 = ksgns([t1.module], [t1.pi], tol, memo)[0]
     second2 = ksgns([t2.module], [t2.pi], tol, memo)[0]
-    rep = check_idempotency(second1, t1, tol)
     rec.merge(
-        rep,
+        check_idempotency(second1, t1, tol),
         {
-            "unitary": ("unitary", "second embedding V_pi is unitary"),
-            "dim_match": ("dim_stable", "second dilation has the same dimension"),
-            "intertwines": ("intertwines", "V_pi intertwines pi and its dilation"),
+            "unitary": "second embedding V_pi is unitary",
+            "dim_stable": "second dilation has the same dimension",
+            "intertwines": "V_pi intertwines pi and its dilation",
         },
     )
     lifted = ksgns_lift([m], [t1], [t2], tol)[0]
@@ -961,14 +924,13 @@ def _check_category(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMe
         "category morphisms: unital rho and twisted intertwining",
         *(failing.summary() if failing is not None else (0.0, tol.ctol)),
     )
-    rep = check_category_laws(objects, morphisms, tol, memo)
     rec.merge(
-        rep,
+        check_category_laws(objects, morphisms, tol, memo),
         {
-            "left_identity": ("left_identity", "the inclusion pair is a left identity"),
-            "right_identity": ("right_identity", "the inclusion pair is a right identity"),
-            "associativity": ("associativity", "composition is associative"),
-            "composition_closure": ("closure", "composites satisfy the morphism invariants"),
+            "left_identity": "the inclusion pair is a left identity",
+            "right_identity": "the inclusion pair is a right identity",
+            "associativity": "composition is associative",
+            "closure": "composites satisfy the morphism invariants",
         },
     )
     if "ksgns_functor" not in payload.get("checks", []):
@@ -1055,31 +1017,23 @@ def _check_equivariant_suite(
         c.system_out.homomorphism_residual(),
         tol.ctol,
     )
-    rep = check_equivariant(c, tol)
     rec.merge(
-        rep,
+        check_equivariant(c, tol),
         {
-            "representation": ("representation", "U is a unitary group homomorphism"),
-            "twisted_linearity": ("twisted_linearity", "U_g is beta_g-linear"),
-            "pairing_twist": ("pairing_twist", "<U_g x, U_g y> = beta_g(<x, y>)"),
-            "covariance": ("covariance", "U_g phi(a) = phi(alpha_g(a)) U_g"),
+            "representation": "U is a unitary group homomorphism",
+            "twisted_linearity": "U_g is beta_g-linear",
+            "pairing_twist": "<U_g x, U_g y> = beta_g(<x, y>)",
+            "covariance": "U_g phi(a) = phi(alpha_g(a)) U_g",
         },
     )
     _record_cp(rec, "phi_cp", "averaged map stays completely positive", c.phi, tol, memo)
-    frep = check_functor_laws(c, correspondence_to_functor(c, tol, memo), tol, memo)
     rec.merge(
-        frep,
+        check_functor_laws(c, correspondence_to_functor(c, tol, memo), tol, memo),
         {
-            "unitary_recovery": (
-                "functor_recovery",
-                "round trip recovers U_g = eta_g V_{beta_g}",
-            ),
-            "unit_law": ("functor_unit", "the identity element maps to the identity morphism"),
-            "composition_law": (
-                "functor_composition",
-                "the morphism family composes along the group law",
-            ),
-            "unitary_valued": ("unitary_valued", "the functor is unitary valued"),
+            "functor_recovery": "round trip recovers U_g = eta_g V_{beta_g}",
+            "functor_unit": "the identity element maps to the identity morphism",
+            "functor_composition": "the morphism family composes along the group law",
+            "unitary_valued": "the functor is unitary valued",
         },
     )
     averaged = average_covariant(c.phi, c.system_in, c.unitaries, c.group)
@@ -1094,38 +1048,16 @@ def _check_equivariant_suite(
 def _check_dilation(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
     c = ser.load_equivariant(payload["correspondence"])
     quad = dilate(c, tol=tol, memo=memo)
-    rep = check_dilation(quad, tol)
     rec.merge(
-        rep,
+        check_dilation(quad, tol),
         {
-            "dilated_representation": (
-                "dilated_representation",
-                "the dilated family is a unitary group homomorphism",
-            ),
-            "dilated_twisted_linearity": (
-                "dilated_twisted_linearity",
-                "dilated unitaries are beta_g-linear",
-            ),
-            "dilated_pairing_twist": (
-                "dilated_pairing_twist",
-                "dilated unitaries twist the pairing by beta_g",
-            ),
-            "dilated_covariance": (
-                "dilated_covariance",
-                "pi(alpha_g(a)) U~_g = U~_g pi(a)",
-            ),
-            "triple_reconstruction": (
-                "reconstruction",
-                "KSGNS dilation identity phi(a) = V* pi(a) V",
-            ),
-            "triple_spanning_defect": (
-                "spanning",
-                "density of pi(A) V E in the dilation space",
-            ),
-            "embedding_equivariance": (
-                "embedding_equivariance",
-                "V_phi U_g = U~_g V_phi",
-            ),
+            "dilated_representation": "the dilated family is a unitary group homomorphism",
+            "dilated_twisted_linearity": "dilated unitaries are beta_g-linear",
+            "dilated_pairing_twist": "dilated unitaries twist the pairing by beta_g",
+            "dilated_covariance": "pi(alpha_g(a)) U~_g = U~_g pi(a)",
+            "reconstruction": "KSGNS dilation identity phi(a) = V* pi(a) V",
+            "spanning": "density of pi(A) V E in the dilation space",
+            "embedding_equivariance": "V_phi U_g = U~_g V_phi",
         },
     )
     rec.add(
@@ -1306,16 +1238,10 @@ def _check_uniqueness(payload: dict, tol: Tolerance, rec: _Recorder, memo: Build
     rec.merge(
         rep,
         {
-            "unitary": ("unitary", "the matching map W is a module unitary"),
-            "representation_match": (
-                "representation_match",
-                "W conjugates pi' to pi",
-            ),
-            "embedding_match": ("embedding_match", "W V' = V"),
-            "unitary_family_match": (
-                "unitary_family_match",
-                "W conjugates the dilated family U'~ to U~",
-            ),
+            "unitary": "the matching map W is a module unitary",
+            "representation_match": "W conjugates pi' to pi",
+            "embedding_match": "W V' = V",
+            "unitary_family_match": "W conjugates the dilated family U'~ to U~",
         },
     )
     Z_inv = adjoint_map(Z).matrix

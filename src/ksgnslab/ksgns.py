@@ -139,12 +139,12 @@ def check_triple(t: KsgnsTriple, tol: Tolerance) -> CheckReport:
     recon = max_operator_norm(E.gram_sqrt @ (Vs @ t.pi.images @ V - t.phi.images) @ E.gram_isqrt)
     rep.add("reconstruction", recon, tol.ctol * scale)
     rep.add(
-        "spanning_defect", float(t.module.dim - spanning_rank(t, tol)), 0.0
+        "spanning", float(t.module.dim - spanning_rank(t, tol)), 0.0
     )
     # V*(class of a (x) y) = phi(a) y, checked on all pre-basis columns
     dA, dE = t.phi.algebra.dim, E.dim
     W = (Vs @ t.q).reshape(dE, dA, dE).transpose(1, 0, 2)  # W[p] = V* q on a_p (x) E
-    rep.add("embedding_adjoint_formula", max_operator_norm(W - t.phi.images), tol.ctol * scale)
+    rep.add("embedding_adjoint", max_operator_norm(W - t.phi.images), tol.ctol * scale)
     rep.merge(check_correspondence(t.pi, tol), prefix="pi_")
     return rep
 
@@ -228,20 +228,20 @@ def check_lift(
     norm_eta = m.norm
     scale = 1.0 + norm_eta
     rep.add(
-        "contraction",
+        "lift_contraction",
         max(0.0, lifted.norm - norm_eta),
         tol.ctol * scale,
     )
     # adjoint sends the class of a (x) y to alpha^{-1}(a) (x) eta*(y)
     K_adj = kron(m.alpha.inverse_matrix, adjoint_map(m.eta).matrix)
     rep.add(
-        "adjoint_formula",
+        "lift_adjoint",
         operator_norm(adjoint_map(lifted.eta).matrix @ t2.q - t1.q @ K_adj),
         tol.ctol * scale * (1.0 + t1.phi.norm + t2.phi.norm),
     )
-    rep.merge(check_morphism([lifted], [t1.pi], [t2.pi], tol)[0], prefix="pi_")
+    rep.merge(check_morphism([lifted], [t1.pi], [t2.pi], tol)[0], prefix="lift_")
     rep.add(
-        "embedding_compat",
+        "lift_embedding",
         module_operator_norm(
             ModuleMap(
                 t1.source,
@@ -262,7 +262,7 @@ def check_idempotency(second: KsgnsTriple, t: KsgnsTriple, tol: Tolerance) -> Ch
     V = second.embedding
     scale = 1.0 + t.phi.norm
     rep.add("unitary", unitarity_residual([V]), tol.ctol * scale)
-    rep.add("dim_match", float(second.module.dim - t.module.dim), 0.0)
+    rep.add("dim_stable", float(second.module.dim - t.module.dim), 0.0)
     inter = max_operator_norm(V.matrix @ t.pi.images - second.pi.images @ V.matrix)
     rep.add("intertwines", inter, tol.ctol * scale)
     return rep

@@ -9,8 +9,9 @@ data, so two objects with equal keys are interchangeable and the memo builds
 each content once, whichever object asks for it.
 
 Block-size structure lives per process: what depends on block sizes and
-dimensions alone (an algebra's product table and its module over itself, the
-row and column copies of a tensor's Gram and their layouts) is built once, on
+dimensions alone (the shape a block list loads as, an algebra's product table
+and its module over itself, the row and column copies of a tensor's Gram and
+their layouts) is built once, on
 first request, into one module-level table that `structure` reads, and is
 read-only, since every instance of the process shares it.  It grows with the
 shapes a run meets, not with its instances.

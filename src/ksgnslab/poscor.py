@@ -601,5 +601,5 @@ def check_category_laws(
         closure.merge(r, prefix=f"pair{k + 1}_")
     residual, threshold = closure.summary(empty_threshold=tol.ctol)
     broken = any(c is None for c in (*ident, *composed, *lhs, *rhs))
-    rep.add("composition_closure", float("inf") if broken else residual, threshold)
+    rep.add("closure", float("inf") if broken else residual, threshold)
     return rep

@@ -13,6 +13,10 @@ class CheckReport:
     thresholds: dict[str, float] = field(default_factory=dict)
 
     def add(self, name: str, residual: float, threshold: float) -> None:
+        """Add one residual; a name the report already holds raises ValueError,
+        so no merge can overwrite a residual unseen."""
+        if name in self.residuals:
+            raise ValueError(f"report already holds {name!r}")
         self.residuals[name] = float(residual)
         self.thresholds[name] = float(threshold)
 

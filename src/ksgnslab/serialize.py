@@ -28,6 +28,7 @@ from .cp import CPMap
 from .cstar import AlgebraShape, Automorphism, StarMap, block_stacks
 from .errors import ValidationError
 from .hilbert import HilbertModule, ModuleMap
+from .memo import structure
 from .equivariant import (
     DynamicalSystem,
     EquivariantCorrespondence,
@@ -90,21 +91,13 @@ def dump_shape(shape: AlgebraShape) -> list[int]:
 
 
 def load_shape(data: Any) -> AlgebraShape:
+    """The AlgebraShape of a block list: one per block sizes, shared by the
+    process (AlgebraShape is frozen)."""
     try:
-        return AlgebraShape(tuple(int(n) for n in data))
+        blocks = tuple(int(n) for n in data)
+        return structure(("load_shape", blocks), lambda: AlgebraShape(blocks))
     except Exception as exc:
         raise ValidationError(f"bad algebra shape {data!r}") from exc
-
-
-def shared_shape(data: Any, shapes: dict[str, AlgebraShape] | None) -> AlgebraShape:
-    """load_shape of data through shapes, the block lists one payload load has
-    read so far: each distinct list is parsed once, and equal lists share its
-    AlgebraShape; with no dict, load_shape itself."""
-    if shapes is None:
-        return load_shape(data)
-    if (shape := shapes.get(key := repr(data))) is None:
-        shape = shapes[key] = load_shape(data)
-    return shape
 
 
 def dump_element(shape: AlgebraShape, c: np.ndarray) -> list:
@@ -153,13 +146,12 @@ def load_star_map(data: Any) -> StarMap:
     return load_star_maps([data])[0]
 
 
-def load_star_maps(items: list, shapes: dict | None = None) -> list[StarMap]:
+def load_star_maps(items: list) -> list[StarMap]:
     """load_star_map of each item; the images of maps that all share one
-    codomain are parsed by one load_elements call, and the maps' block lists
-    are read through shapes (shared_shape), a new dict by default."""
-    heads, shapes = [], {} if shapes is None else shapes
+    codomain are parsed by one load_elements call."""
+    heads = []
     for data in items:
-        dom, cod = shared_shape(data["domain"], shapes), shared_shape(data["codomain"], shapes)
+        dom, cod = load_shape(data["domain"]), load_shape(data["codomain"])
         images = data["images"]
         if len(images) != dom.dim:
             raise ValidationError("star map needs one image per domain basis element")
@@ -184,12 +176,10 @@ def load_automorphism(data: Any) -> Automorphism:
     return load_automorphisms([data])[0]
 
 
-def load_automorphisms(items: list, shapes: dict | None = None) -> list[Automorphism]:
+def load_automorphisms(items: list) -> list[Automorphism]:
     """load_automorphism of each item, every forward and inverse image parsed
-    by one load_elements call when all the maps share one codomain, and block
-    lists read through shapes as in load_star_maps."""
-    maps = load_star_maps([m for data in items for m in (data["forward"], data["inverse"])],
-                          shapes)
+    by one load_elements call when all the maps share one codomain."""
+    maps = load_star_maps([m for data in items for m in (data["forward"], data["inverse"])])
     return [Automorphism(*maps[i : i + 2]) for i in range(0, len(maps), 2)]
 
 
@@ -209,8 +199,8 @@ def dump_module(E: HilbertModule) -> dict:
     }
 
 
-def load_module(data: Any, shapes: dict | None = None) -> HilbertModule:
-    B = shared_shape(data["algebra"], shapes)
+def load_module(data: Any) -> HilbertModule:
+    B = load_shape(data["algebra"])
     d = int(data["dim"])
     action_rows = data["action"]
     if len(action_rows) != B.dim:
@@ -253,10 +243,8 @@ def dump_cpmap(phi: CPMap, module_id: str) -> dict:
     }
 
 
-def load_cpmap(
-    data: Any, modules: dict[str, HilbertModule], shapes: dict | None = None
-) -> CPMap:
-    A = shared_shape(data["algebra"], shapes)
+def load_cpmap(data: Any, modules: dict[str, HilbertModule]) -> CPMap:
+    A = load_shape(data["algebra"])
     try:
         E = modules[data["module_id"]]
     except KeyError as exc:
@@ -308,15 +296,11 @@ def dump_system(sys: DynamicalSystem) -> dict:
     }
 
 
-def load_system(data: Any, shapes: dict | None = None) -> DynamicalSystem:
-    """The system, its algebra and every automorphism's block lists read through
-    shapes (shared_shape), a new dict by default: one AlgebraShape per distinct
-    block list."""
-    shapes = {} if shapes is None else shapes
+def load_system(data: Any) -> DynamicalSystem:
     return DynamicalSystem(
-        shared_shape(data["algebra"], shapes),
+        load_shape(data["algebra"]),
         load_group(data["group"]),
-        load_automorphisms(data["action"], shapes),
+        load_automorphisms(data["action"]),
     )
 
 
@@ -331,12 +315,10 @@ def dump_equivariant(c: EquivariantCorrespondence) -> dict:
 
 
 def load_equivariant(data: Any) -> EquivariantCorrespondence:
-    """The correspondence, with one AlgebraShape per distinct block list in it."""
-    shapes: dict[str, AlgebraShape] = {}
-    module = load_module(data["module"], shapes)
-    phi = load_cpmap(data["phi"], {"module": module}, shapes)
-    sys_in = load_system(data["system_in"], shapes)
-    sys_out = load_system(data["system_out"], shapes)
+    module = load_module(data["module"])
+    phi = load_cpmap(data["phi"], {"module": module})
+    sys_in = load_system(data["system_in"])
+    sys_out = load_system(data["system_out"])
     unitaries = list(load_cmatrices(data["unitaries"], module.dim, module.dim))
     return EquivariantCorrespondence(sys_in, sys_out, module, phi, unitaries)
 

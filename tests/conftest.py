@@ -513,9 +513,9 @@ def functor_laws_reference(c, F, tol=DEFAULT_TOL, along_group_law=True) -> Check
     G = c.group
     scale = 1.0 + max(1.0, operator_norm(c.module.gram_matrix))
     recover = max(operator_norm(F[g].pullback - c.unitaries[g]) for g in range(G.order))
-    rep.add("unitary_recovery", recover, tol.ctol * scale)
+    rep.add("functor_recovery", recover, tol.ctol * scale)
     unit = poscor_identity(F[0].dom, tol, BuildMemo())
-    rep.add("unit_law", morphism_distance([F[G.identity]], [unit])[0], tol.ctol * scale)
+    rep.add("functor_unit", morphism_distance([F[G.identity]], [unit])[0], tol.ctol * scale)
     law = unitary = 0.0
     for g in range(G.order):
         unitary = max(unitary, unitarity_residual([F[g].eta]))
@@ -524,7 +524,7 @@ def functor_laws_reference(c, F, tol=DEFAULT_TOL, along_group_law=True) -> Check
             rho = [F[gh].rho] if along_group_law else None
             composed = poscor_compose([F[g]], [F[h]], tol, BuildMemo(), rho)[0]
             law = max(law, operator_norm(composed.pullback - c.unitaries[gh]))
-    rep.add("composition_law", law, tol.ctol * scale)
+    rep.add("functor_composition", law, tol.ctol * scale)
     rep.add("unitary_valued", unitary, tol.ctol * scale)
     return rep
 
@@ -579,7 +579,7 @@ def category_laws_reference(objects, morphisms, tol=DEFAULT_TOL) -> CheckReport:
             broken += 1
     rep.add("associativity", assoc, tol.ctol * scale**3)
     rep.add(
-        "composition_closure",
+        "closure",
         float("inf") if broken else closure.max_residual,
         max(closure.thresholds.values(), default=tol.ctol),
     )

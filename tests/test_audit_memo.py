@@ -169,7 +169,7 @@ def test_group_law_composites_agree_with_composed_coefficients(group, seed):
     composed = functor_laws_composed_reference(c, functor, DEFAULT_TOL)
     assert along.passed, along.residuals
     assert composed.passed, composed.residuals
-    gap = along.residuals["composition_law"] - composed.residuals["composition_law"]
+    gap = along.residuals["functor_composition"] - composed.residuals["functor_composition"]
     assert abs(gap) <= 1e-13
     # beta is not the identity, so the two references compose along star maps
     # whose coefficients differ in the last bits
@@ -216,8 +216,8 @@ def test_category_audit_failed_build_still_breaks_closure(monkeypatch):
     monkeypatch.setattr(cp, "tensor_quotients", fail_one_content)
     rep = check_category_laws(objects, morphisms, DEFAULT_TOL, BuildMemo())
     assert bad
-    assert rep.residuals["composition_closure"] == float("inf")
-    assert "composition_closure" in rep.failing()
+    assert rep.residuals["closure"] == float("inf")
+    assert "closure" in rep.failing()
     assert rep.residuals["associativity"] <= rep.thresholds["associativity"]
 
 

@@ -130,7 +130,7 @@ def test_stacked_morphism_checks_equal_each_slice_alone():
             assert rep.residuals == alone.residuals
             assert rep.thresholds == alone.thresholds
             if m in moved:
-                residuals.append(rep.residuals["intertwining"])
+                residuals.append(rep.residuals["morphism"])
     assert min(residuals) > 0.0 and len(set(residuals)) == len(moved)
 
 
@@ -227,7 +227,7 @@ def test_slice_failing_alone_breaks_only_its_pair(monkeypatch):
     rep = check_category_laws(objects, morphisms, DEFAULT_TOL, BuildMemo())
     assert seen[0][0] > 0 and seen[0][1] > 2 and seen[1] == (0, 1)
     ref = category_laws_reference(objects, morphisms, DEFAULT_TOL)
-    assert rep.residuals["composition_closure"] == ref.residuals["composition_closure"] == np.inf
+    assert rep.residuals["closure"] == ref.residuals["closure"] == np.inf
     for name in ("left_identity", "right_identity", "associativity"):
         assert rep.residuals[name] == ref.residuals[name], name
         assert rep.thresholds[name] == ref.thresholds[name], name

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from numpy.linalg import _linalg as linalg_impl
 
-from ksgnslab import harness, hilbert, memo, numkernel, serialize
+from ksgnslab import cstar, harness, hilbert, memo, numkernel
 from ksgnslab.numkernel import DEFAULT_TOL
 
 from conftest import lapack_calls
@@ -175,16 +175,25 @@ def test_content_keys_per_check_pass(monkeypatch, workload, pin):
     assert len(keys) <= pin, len(keys)
 
 
-@pytest.mark.parametrize("workload, pin",
-                         [("suites-default", 756), ("equivariant-dilation", 40)])
-def test_block_lists_parsed_per_check_pass(monkeypatch, workload, pin):
-    # serialize.load_shape calls per check pass: 2,766 and 1,360 with every star
-    # map's domain and codomain parsed anew; 756 and 40 with one AlgebraShape per
-    # distinct block list in each load_equivariant and load_system call
+@pytest.mark.parametrize("workload", ["suites-default", "equivariant-dilation"])
+def test_block_lists_parsed_per_check_pass(monkeypatch, workload):
+    # AlgebraShapes made per check pass: 2,766 and 1,360 with every star map's
+    # domain and codomain parsed anew; 756 and 40 with one per distinct block
+    # list in each load_equivariant and load_system call; with one per block
+    # sizes for the process (memo.structure), none on a second pass
     tasks = WORKLOADS.build(workload, WORKLOADS.DEFAULT_MASTER_SEED)
-    shapes = counted(monkeypatch, "load_shape", source=serialize)
     check_pass(tasks)
-    assert len(shapes) <= pin, len(shapes)
+    made, real = [], cstar.AlgebraShape.__post_init__
+
+    def counting(shape):
+        made.append(shape.blocks)
+        real(shape)
+
+    monkeypatch.setattr(cstar.AlgebraShape, "__post_init__", counting)
+    assert cstar.AlgebraShape((1, 2)).dim == 5 and made == [(1, 2)]
+    made.clear()
+    check_pass(tasks)
+    assert made == []
 
 
 def test_every_lapack_site_is_labelled_and_verdicts_take_no_full_svd(monkeypatch, suites_default):
@@ -293,3 +302,27 @@ def test_prespace_cap_svd_work(monkeypatch):
     check_pass(tasks)
     assert sum(work) <= 3_750_000, sum(work)
     assert sum(grams) <= 27_100_000, sum(grams)
+
+
+def test_check_cp_takes_no_norm_of_an_empty_stack(monkeypatch, suites_default):
+    # numkernel.gram_norms calls on a stack of no matrices per check pass: 323,
+    # 301 of them from cp.check_cp's build, which took the norms of the maps
+    # whose norm was not yet cached when every norm was, and the exact
+    # linearity norms of the slices the Frobenius gate could not pass when it
+    # passed every slice; check_cp now skips both
+    empty, real = [], numkernel.gram_norms
+
+    def recording(X):
+        if math.prod(X.shape[:-2]) == 0:
+            frame = sys._getframe(1)
+            while frame is not None and not (
+                frame.f_code.co_name == "check_cp" and frame.f_globals["__name__"] == "ksgnslab.cp"
+            ):
+                frame = frame.f_back
+            empty.append(frame is not None)
+        return real(X)
+
+    monkeypatch.setattr(numkernel, "gram_norms", recording)
+    check_pass(suites_default)
+    assert empty.count(True) == 0
+    assert len(empty) <= 22, len(empty)

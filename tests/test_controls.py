@@ -128,7 +128,7 @@ def test_an_entry_outside_the_live_block_reaches_the_norm_and_multiplicativity(w
     assert bad.norm == pytest.approx(dense, rel=1e-15, abs=0.0)
     assert bad.norm - t.pi.norm > 1e-13  # (1 + 1e-12)^(1/2): the planted entry moved it
     rep = check_correspondence(bad, DEFAULT_TOL)
-    assert rep.residuals["multiplicativity"] == pytest.approx(1e-6, rel=1e-6)
+    assert rep.residuals["multiplicative"] == pytest.approx(1e-6, rel=1e-6)
     assert not rep.passed
     with pytest.raises(NonFinite):
         check_correspondence(planted(t.pi, np.nan), DEFAULT_TOL)

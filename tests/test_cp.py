@@ -13,6 +13,8 @@ from ksgnslab.cp import (
     hom_pseudometric,
     intertwiner_space,
     intertwining_rows,
+    left_mult_correspondence,
+    left_multiplication,
     random_blinear_unitary,
     realized_images,
     random_cp,
@@ -20,6 +22,7 @@ from ksgnslab.cp import (
 from ksgnslab.cstar import (
     AlgebraShape,
     identity_automorphism,
+    identity_star_map,
     random_automorphism,
     random_element,
     unit_coeffs,
@@ -272,7 +275,7 @@ def test_check_correspondence_multiplicativity_matches_loop(blocks, rng):
         for r in range(A.dim):
             prod = mul(basis_element(A, p), basis_element(A, r))
             ref = max(ref, operator_norm(pi(prod.coeffs()).matrix - pi.images[p] @ pi.images[r]))
-    got = check_correspondence(pi, DEFAULT_TOL).residuals["multiplicativity"]
+    got = check_correspondence(pi, DEFAULT_TOL).residuals["multiplicative"]
     assert ref > 0.1
     assert got == pytest.approx(ref, rel=1e-12)
 
@@ -298,7 +301,7 @@ def multiplicativity_fails(pi) -> bool:
     """Whether check_correspondence's multiplicativity fails, after asserting
     that it equals the every-row reference to rounding, with the same verdict."""
     rep = check_correspondence(pi, DEFAULT_TOL)
-    got, threshold = rep.residuals["multiplicativity"], rep.thresholds["multiplicativity"]
+    got, threshold = rep.residuals["multiplicative"], rep.thresholds["multiplicative"]
     ref = multiplicativity_reference(pi)
     assert got == pytest.approx(ref, rel=1e-12, abs=1e-6 * threshold)
     assert (got > threshold) == (ref > threshold)
@@ -455,7 +458,7 @@ def test_check_morphism_rejects_perturbation(rng):
     bad = Intertwiner(ModuleMap(E1, E2, m.eta.matrix + noise), m.alpha)
     rep = check_morphism([bad], [phi1], [phi2], DEFAULT_TOL)[0]
     assert not rep.passed
-    assert rep.residuals["intertwining"] >= 0.001
+    assert rep.residuals["morphism"] >= 0.001
 
 
 # -- lemma content -------------------------------------------------------------
@@ -585,3 +588,19 @@ def test_pseudometric_stacks_match_per_sample_reference(seed, blocks, count):
     want = [[hom_pseudometric_reference(m, ref, x, a) for x, a in zip(xs, elts)] for m in path]
     assert got.shape == (count, 3)
     assert np.array_equal(got, np.array(want).reshape(count, 3))
+
+
+@pytest.mark.parametrize(
+    "blocks", [(1,), (2,), (3,), (1, 2), (2, 2), (1, 3), (2, 3), (1, 1, 2)], ids=str
+)
+def test_left_multiplication_is_left_mult_correspondence_along_the_identity(blocks):
+    # one builder for both: u_p u_q = u_T[p, q], bit for bit, sign bits included
+    A = AlgebraShape(blocks)
+    images = left_multiplication(A)
+    along = left_mult_correspondence([identity_star_map(A)], BuildMemo())[0].images
+    T = A.product_table
+    p, q = np.nonzero(T >= 0)
+    ref = np.zeros((A.dim, A.dim, A.dim), dtype=complex)
+    ref[p, T[p, q], q] = 1.0
+    assert images.shape == along.shape == ref.shape
+    assert images.tobytes() == along.tobytes() == ref.tobytes()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -59,6 +60,22 @@ def test_reports_deterministic_modulo_wall_time():
     r2 = run(cfg)
     assert strip_times(r1) == strip_times(r2)
     assert r1.all_passed
+
+
+# sha256 of the JSON list of [suite, check, theorem] of every record, in record
+# order, of the default run at each master seed
+LABEL_DIGESTS = {
+    42: "387d78297ac0140844b6ae948134f63ce166c6f135a74c3074905d1027495941",
+    20250809: "a8ae80eca24bd79f3b02871724967e3852bba8b03d5d2eb79974f104a324c1a1",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LABEL_DIGESTS))
+def test_default_run_check_names_theorems_and_order_are_pinned(seed):
+    # a renamed check, a changed theorem or a moved record changes the digest
+    labels = [[r.suite, r.check, r.theorem] for r in run(SuiteConfig(seed=seed)).records]
+    assert len(labels) == 826
+    assert hashlib.sha256(json.dumps(labels).encode()).hexdigest() == LABEL_DIGESTS[seed]
 
 
 def test_generate_files_byte_identical(tmp_path):
@@ -342,6 +359,19 @@ def test_report_summary_keeps_passes_and_reports_worst_failure():
     assert CheckReport().summary(empty_threshold=1e-8) == (0.0, 1e-8)
 
 
+def test_report_refuses_a_name_it_already_holds():
+    # a prefix that makes a merged name collide raises, instead of the merge
+    # overwriting the residual already there
+    rep, inner = CheckReport(), CheckReport()
+    rep.add("pi_unital", 1e-9, 1e-8)
+    inner.add("unital", 2.0, 1e-8)
+    with pytest.raises(ValueError, match="'pi_unital'"):
+        rep.merge(inner, prefix="pi_")
+    assert rep.residuals == {"pi_unital": 1e-9}
+    with pytest.raises(ValueError, match="'pi_unital'"):
+        rep.add("pi_unital", 0.0, 1e-8)
+
+
 def test_failing_subreport_is_recorded_as_failure():
     # scaling morphism 0's rho by 1 + 4e-8 breaks multiplicativity and unitality
     # by 4e-8 against a 2e-8 gate, below the same reports' 6e-8 eta gate
@@ -359,16 +389,16 @@ def test_failing_subreport_is_recorded_as_failure():
 
 
 def test_residual_missing_from_checker_report_fails_the_instance(monkeypatch):
-    # the harness maps the checker's "dim_match" to its "dim_stable" record; a
-    # report without that key fails the instance instead of losing the record
+    # the harness records the checker's "dim_stable" under that name; a report
+    # without that key fails the instance instead of losing the record
     from ksgnslab import harness
 
     real = harness.check_idempotency
 
     def renamed(*args):
         rep = real(*args)
-        rep.residuals["dim_matches"] = rep.residuals.pop("dim_match")
-        rep.thresholds["dim_matches"] = rep.thresholds.pop("dim_match")
+        rep.residuals["dim_stables"] = rep.residuals.pop("dim_stable")
+        rep.thresholds["dim_stables"] = rep.thresholds.pop("dim_stable")
         return rep
 
     payload = generate_instance("idempotency", SizeCaps(), instance_seed(20250809, "idempotency", 0))
@@ -378,7 +408,7 @@ def test_residual_missing_from_checker_report_fails_the_instance(monkeypatch):
     assert "dim_stable" not in {r.check for r in records}
     failed = records[-1]
     assert (failed.check, failed.passed) == ("construction", False)
-    assert failed.error == "KeyError: 'dim_match'"
+    assert failed.error == "KeyError: 'dim_stable'"
 
 
 def test_inverse_in_another_algebra_fails_construction():

@@ -303,7 +303,7 @@ def test_category_audit_flags_corruption(rng):
     )[0]
     rep = check_category_laws(objs, [bad, m2], DEFAULT_TOL, memo)
     assert not rep.passed
-    assert "composition_closure" in rep.failing()
+    assert "closure" in rep.failing()
 
 
 def test_poscor_pseudometric(rng):

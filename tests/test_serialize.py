@@ -243,10 +243,10 @@ def test_wrong_count_tables_rejected(rng):
 
 
 def test_loaded_shapes_with_equal_blocks_share_one_read_only_product_table():
-    # serialize.load_shape makes a new AlgebraShape per star map; the product
-    # table is built once per block sizes, and a shared table cannot be written
+    # serialize.load_shape loads one AlgebraShape per block sizes for the
+    # process, with its product table, and a shared table cannot be written
     first, second = ser.load_shape([1, 2]), ser.load_shape([1, 2])
-    assert first is not second and first.product_table is second.product_table
+    assert first is second and first.product_table is second.product_table
     assert ser.load_shape([2, 1]).product_table is not first.product_table
     with pytest.raises(ValueError, match="read-only"):
         first.product_table[0, 0] = 1

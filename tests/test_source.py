@@ -795,7 +795,8 @@ def structure_keys(source: str) -> dict[str, str]:
 
 # what depends on block sizes and a dimension alone
 STRUCTURE_BUILDERS = (
-    "algebra_module", "column_split", "left_multiplication", "product_table", "row_split")
+    "algebra_module", "column_split", "left_multiplication", "load_shape", "product_table",
+    "row_split")
 
 
 def test_block_size_structure_is_built_once_per_process_not_per_instance():
@@ -913,3 +914,36 @@ def test_tensor_quotients_chooses_by_structure_alone():
     source = (SRC / "cp.py").read_text()
     assert number_constants(source) == []
     assert ordering_comparisons(source, "tensor_quotients") == []
+
+
+def merge_map_faults(source: str) -> dict[int, list[str]]:
+    """Per rec.merge call, by line, the keys of its map whose theorem is not a
+    plain string, or ["<map>"] when the map is not a dict literal."""
+    found = {}
+    for call in ast.walk(ast.parse(source)):
+        if not (isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "merge"
+                and getattr(call.func.value, "id", None) == "rec"):
+            continue
+        names = call.args[1] if len(call.args) == 2 else None
+        if not isinstance(names, ast.Dict):
+            found[call.lineno] = ["<map>"]
+            continue
+        found[call.lineno] = [
+            ast.unparse(k) for k, v in zip(names.keys, names.values)
+            if not (isinstance(v, ast.Constant) and isinstance(v.value, str))
+        ]
+    return found
+
+
+def test_harness_merges_record_names_to_theorems():
+    # a checker reports under the record names, so every map the harness
+    # merges a report through is {record name: theorem}, never a rename
+    # {report key: (record name, theorem)}
+    probe = (
+        "rec.merge(rep, {'a': 't', 'b': ('c', 't')})\n"
+        "rec.merge(rep, names)\nother.merge(rep, prefix='x_')\n"
+    )
+    assert merge_map_faults(probe) == {1: ["'b'"], 2: ["<map>"]}
+    found = merge_map_faults((SRC / "harness.py").read_text())
+    assert len(found) == 9
+    assert {line: keys for line, keys in found.items() if keys} == {}
