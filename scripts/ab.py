@@ -35,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CLAIM_WINS = 0.9  # the share of pairs the change must win
 SPEED = re.compile(r"machine speed ([0-9.]+) of the reference")
+PROGRESS = ("verify_s", "setup_s")  # the metrics of each pair's progress line
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -128,8 +129,9 @@ def round_of_pairs(args, workload: str, sides: list[tuple[str, Path]], metrics: 
             result = bench(tree, workload, seed, args.seconds)
             runs[side].append({"pair": i, "seed": seed, "position": order.index(side), **result})
         p, c = (runs[side][-1] for side in ("parent", "change"))
-        print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: verify_s "
-              f"{p['metrics']['verify_s']['value']:.4f} -> {c['metrics']['verify_s']['value']:.4f}"
+        shifts = ", ".join(f"{name} {p['metrics'][name]['value']:.4f} -> "
+                           f"{c['metrics'][name]['value']:.4f}" for name in PROGRESS)
+        print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: {shifts}"
               f" (speed {p['machine_speed']} / {c['machine_speed']})", flush=True)
     values = {side: [{k: v["value"] for k, v in r["metrics"].items()} for r in rs]
               for side, rs in runs.items()}

@@ -57,7 +57,7 @@ from .hilbert import (
 from .memo import BuildMemo, content_key, structure
 from .numkernel import (
     CERTIFY_MARGIN,
-    DEFAULT_TOL,
+    GENERATION_TOL,
     Split,
     Tolerance,
     dots,
@@ -446,9 +446,10 @@ def adjointable_commutant_basis(E: HilbertModule, tol: Tolerance) -> np.ndarray:
 
 
 def commutant_project(basis: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Hilbert-Schmidt orthogonal projection onto span(basis)."""
-    coeffs = np.einsum("kij,ij->k", basis.conj(), X)
-    return np.einsum("k,kij->ij", coeffs, basis)
+    """Hilbert-Schmidt orthogonal projections of the matrices X (..., d, d)
+    onto span(basis)."""
+    coeffs = np.einsum("kij,...ij->...k", basis.conj(), X)
+    return np.einsum("...k,kij->...ij", coeffs, basis)
 
 
 def random_cp(A: AlgebraShape, E: HilbertModule, seed) -> CPMap:
@@ -460,7 +461,7 @@ def random_cp(A: AlgebraShape, E: HilbertModule, seed) -> CPMap:
     """
     rng = np.random.default_rng(seed)
     d = E.dim
-    basis = adjointable_commutant_basis(E, DEFAULT_TOL)
+    basis = adjointable_commutant_basis(E, GENERATION_TOL)
     images = np.zeros((A.dim, d, d), dtype=complex)
     for i, n in enumerate(A.blocks):
         m = n * d
@@ -468,12 +469,11 @@ def random_cp(A: AlgebraShape, E: HilbertModule, seed) -> CPMap:
         C = Y @ Y.conj().T
         if m:
             C = C / max(svd_norm(C), 1.0)
-        for k in range(n):
-            for l in range(n):
-                block = C[k * d : (k + 1) * d, l * d : (l + 1) * d]
-                proj = commutant_project(basis, block)
-                images[A.basis_index(i, k, l)] = E.gram_isqrt @ proj @ E.gram_sqrt
-    return CPMap(A, E, images)
+        # the (k, l) blocks as views of C: einsum's summation order follows strides
+        blocks = C.reshape(n, d, n, d).transpose(0, 2, 1, 3)
+        o = A.offsets[i]
+        images[o : o + n * n] = commutant_project(basis, blocks).reshape(n * n, d, d)
+    return CPMap(A, E, E.gram_isqrt @ images @ E.gram_sqrt)
 
 
 def random_blinear_unitary(E: HilbertModule, rng: np.random.Generator) -> ModuleMap:
@@ -492,7 +492,7 @@ def random_blinear_unitary(E: HilbertModule, rng: np.random.Generator) -> Module
     Xr = E.gram_sqrt @ X @ E.gram_isqrt
     H = (Xr + Xr.conj().T) / 2.0
     H = H / max(svd_norm(H), 1.0)
-    return ModuleMap(E, E, E.gram_isqrt @ herm_expi(H, DEFAULT_TOL) @ E.gram_sqrt)
+    return ModuleMap(E, E, E.gram_isqrt @ herm_expi(H, GENERATION_TOL) @ E.gram_sqrt)
 
 
 # -- intertwiners ----------------------------------------------------------

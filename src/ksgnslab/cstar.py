@@ -176,13 +176,15 @@ def random_element(
 
 
 def block_diag(mats: list[np.ndarray]) -> np.ndarray:
-    """The square matrices mats along the diagonal of one complex matrix."""
-    total = sum(m.shape[0] for m in mats)
-    out = np.zeros((total, total), dtype=complex)
+    """The square matrices mats along the diagonal of one complex matrix; of
+    stacks (..., n, n), whose leading shapes broadcast, a stack of them."""
+    total = sum(m.shape[-1] for m in mats)
+    lead = np.broadcast_shapes(*(m.shape[:-2] for m in mats))
+    out = np.zeros((*lead, total, total), dtype=complex)
     pos = 0
     for m in mats:
-        d = m.shape[0]
-        out[pos : pos + d, pos : pos + d] = m
+        d = m.shape[-1]
+        out[..., pos : pos + d, pos : pos + d] = m
         pos += d
     return out
 
@@ -341,16 +343,15 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def inner_automorphism(shape: AlgebraShape, unitaries: list[np.ndarray]) -> Automorphism:
-    """Blockwise conjugation a_i -> u_i a_i u_i*."""
+    """Blockwise conjugation a_i -> u_i a_i u_i*: per block, one stacked
+    product over all its matrix units in each direction."""
     fwd = np.zeros((shape.dim, shape.dim), dtype=complex)
     inv = np.zeros_like(fwd)
-    offs = shape.offsets
-    for p, i, k, l in shape.basis_labels():
-        unit = np.zeros((shape.blocks[i], shape.blocks[i]), dtype=complex)
-        unit[k, l] = 1.0
-        u = unitaries[i]
-        fwd[offs[i] : offs[i + 1], p] = (u @ unit @ u.conj().T).reshape(-1)
-        inv[offs[i] : offs[i + 1], p] = (u.conj().T @ unit @ u).reshape(-1)
+    for n, o, u in zip(shape.blocks, shape.offsets, unitaries):
+        units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+        span = slice(o, o + n * n)
+        fwd[span, span] = (u @ units @ u.conj().T).reshape(n * n, n * n).T
+        inv[span, span] = (u.conj().T @ units @ u).reshape(n * n, n * n).T
     return Automorphism(StarMap(shape, shape, fwd), StarMap(shape, shape, inv))
 
 

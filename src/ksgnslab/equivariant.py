@@ -558,7 +558,7 @@ def direct_sum_module(M: HilbertModule, copies: int) -> HilbertModule:
     """M^n with the summand-wise action and pairing."""
     n, d = copies, M.dim
     eye = np.eye(n)
-    action = np.stack([kron(eye, M.action[p]) for p in range(M.algebra.dim)])
+    action = kron(eye, M.action)
     pairing = [
         np.einsum("cd,ijkl->cidjkl", eye, P).reshape(n * d, n * d, *P.shape[2:])
         for P in M.pairing
@@ -580,7 +580,7 @@ def scramble_module(M: HilbertModule, rng: np.random.Generator) -> tuple[Hilbert
     sing = np.exp(rng.uniform(-0.3, 0.3, size=d))
     S = W1 @ np.diag(sing).astype(complex) @ W2
     S_inv = W2.conj().T @ np.diag(1.0 / sing).astype(complex) @ W1.conj().T
-    action = np.stack([S_inv @ M.action[p] @ S for p in range(M.algebra.dim)])
+    action = S_inv @ M.action @ S
     pairing = [transport_pairing(S, P) for P in M.pairing]
     return HilbertModule(M.algebra, d, action, pairing), S
 

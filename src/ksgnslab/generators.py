@@ -27,7 +27,7 @@ from .cstar import (
 from .errors import InvalidConfig
 from .hilbert import HilbertModule, ModuleMap, adjoint_map, canonical_module
 from .memo import BuildMemo
-from .numkernel import DEFAULT_TOL, Tolerance, kron, svd_norm
+from .numkernel import GENERATION_TOL, Tolerance, kron, svd_norm
 from .poscor import (
     PosCorMorphism,
     PosCorObject,
@@ -77,7 +77,7 @@ def multiplicity_embedding(
     blocks: list[np.ndarray], counts: tuple[int, ...], W: np.ndarray
 ) -> np.ndarray:
     """W diag(blocks[0] x counts[0], blocks[1] x counts[1], ...) W*: each block
-    repeated its count times along the diagonal, then conjugated by W."""
+    (or stack of blocks) repeated its count times along the diagonal, then conjugated by W."""
     D = block_diag([b for b, count in zip(blocks, counts) for _ in range(count)])
     return W @ D @ W.conj().T
 
@@ -102,18 +102,13 @@ def random_star_map(
             )
     C = AlgebraShape(tuple(sum(n * m for n, m in zip(nu, B.blocks)) for nu in multiplicities))
     conjugators = [haar_unitary(p, rng) for p in C.blocks]
-
-    def embed(blocks: list[np.ndarray]) -> np.ndarray:
-        # coefficients of the image of the element with these blocks
-        return np.concatenate(
-            [
-                multiplicity_embedding(blocks, nu, W).reshape(-1)
-                for nu, W in zip(multiplicities, conjugators)
-            ]
-        )
-
+    # the images of all the matrix units of B, one stack per block of C
     units = block_stacks(B, np.eye(B.dim, dtype=complex))
-    return StarMap(B, C, np.stack([embed([S[p] for S in units]) for p in range(B.dim)], axis=1))
+    images = [
+        multiplicity_embedding(units, nu, W).reshape(B.dim, -1)
+        for nu, W in zip(multiplicities, conjugators)
+    ]
+    return StarMap(B, C, np.concatenate(images, axis=1).T)
 
 
 def random_representation(
@@ -145,22 +140,17 @@ def random_representation(
         rows = tuple(sum(m * n for m, n in zip(mu_t, A.blocks)) for mu_t in mu)
     F0 = canonical_module(B, rows)
     conjugators = [haar_unitary(r, rng) for r in rows]
-
-    def represent(blocks: list[np.ndarray]) -> np.ndarray:
-        # the multiplicity embedding acts on the row index of each C^{r_t x m_t}
-        return block_diag(
-            [
-                kron(multiplicity_embedding(blocks, nu, W), np.eye(m, dtype=complex))
-                for nu, W, m in zip(mu, conjugators, B.blocks)
-            ]
-        )
-
+    # the multiplicity embedding acts on the row index of each C^{r_t x m_t},
+    # for all the matrix units of A at once
     units = block_stacks(A, np.eye(A.dim, dtype=complex))
-    images = np.stack([represent([S[p] for S in units]) for p in range(A.dim)])
+    images = block_diag(
+        [
+            kron(multiplicity_embedding(units, nu, W), np.eye(m, dtype=complex))
+            for nu, W, m in zip(mu, conjugators, B.blocks)
+        ]
+    )
     F, S = scramble_module(F0, rng)
-    S_inv = np.linalg.inv(S)
-    images = np.stack([S_inv @ img @ S for img in images])
-    return F, Correspondence(A, F, images)
+    return F, Correspondence(A, F, np.linalg.inv(S) @ images @ S)
 
 
 def conjugate_cp(
@@ -222,7 +212,7 @@ def random_morphism_pair(
     intertwiner between them."""
     E1 = random_module(B, rng, max_dim)
     phi1 = random_cp(A, E1, rng)
-    E2, phi2, m = extend_morphism(E1, phi1, rng, DEFAULT_TOL)
+    E2, phi2, m = extend_morphism(E1, phi1, rng, GENERATION_TOL)
     return E1, phi1, E2, phi2, m
 
 

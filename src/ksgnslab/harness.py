@@ -94,9 +94,9 @@ from .ksgns import (
     ksgns_lift,
     triple_uniqueness_unitary,
 )
-from .memo import BuildMemo
+from .memo import BuildMemo, structure
 from .numkernel import (
-    DEFAULT_TOL, Tolerance, herm_expi, kron, matvecs, max_operator_norm, operator_norm,
+    GENERATION_TOL, Tolerance, herm_expi, kron, matvecs, max_operator_norm, operator_norm,
 )
 from .poscor import (
     PosCorObject,
@@ -137,13 +137,21 @@ GROUP_MENU = ("Z2", "Z3", "Z4", "S3")
 
 
 def make_group(name: str):
-    if name == "S3":
-        return symmetric_group(3)
-    if name == "E":
-        return trivial_group()
-    if name.startswith("Z"):
-        return cyclic_group(int(name[1:]))
-    raise InvalidConfig(f"unknown group {name!r}")
+    """The named group, built once per process (memo.structure), read-only."""
+
+    def build():
+        if name == "S3":
+            G = symmetric_group(3)
+        elif name == "E":
+            G = trivial_group()
+        elif name.startswith("Z"):
+            G = cyclic_group(int(name[1:]))
+        else:
+            raise InvalidConfig(f"unknown group {name!r}")
+        G.table.flags.writeable = G.inverse.flags.writeable = False
+        return G
+
+    return structure(("make_group", name), build)
 
 
 @dataclass(frozen=True)
@@ -437,7 +445,7 @@ def _gen_lift(caps: SizeCaps, seed: int) -> dict:
     B = random_shape(rng, caps.max_blocks, min(2, caps.max_block))
     max_dim = min(caps.max_module_dim, 4)
     E1, phi1, E2, phi2, m1 = random_morphism_pair(A, B, rng, max_dim)
-    E3, phi3, m2 = extend_morphism(E2, phi2, rng, DEFAULT_TOL)
+    E3, phi3, m2 = extend_morphism(E2, phi2, rng, GENERATION_TOL)
     phis = {"phi1": phi1, "phi2": phi2, "phi3": phi3}
     return _bundle(seed, A, {"E1": E1, "E2": E2, "E3": E3}, phis, {"m1": m1, "m2": m2})
 
@@ -640,7 +648,7 @@ def _gen_tensor(caps: SizeCaps, seed: int) -> dict:
     E1, phi1, E2, phi2, m = random_morphism_pair(A, B, rng, min(caps.max_module_dim, 3))
     F, pi = random_representation(B, C, rng, max_dim=4)
     for _ in range(16):  # a vacuous tensor would make every check trivial
-        if interior_tensor([E1], [F], [pi], DEFAULT_TOL, BuildMemo())[0].module.dim > 0:
+        if interior_tensor([E1], [F], [pi], GENERATION_TOL, BuildMemo())[0].module.dim > 0:
             break
         F, pi = random_representation(B, C, rng, max_dim=4)
     rho1 = random_star_map(B, rng, max_block=2, max_out_blocks=1)
@@ -837,7 +845,7 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
 
 def _gen_category(caps: SizeCaps, seed: int) -> dict:
     rng = np.random.default_rng(seed)
-    tol, memo = DEFAULT_TOL, BuildMemo()
+    tol, memo = GENERATION_TOL, BuildMemo()
     A = random_shape(rng, 1, min(2, caps.max_block))
     B1 = random_shape(rng, 1, 2)
     o1 = random_object("O1", A, B1, rng, max_dim=2)
@@ -1085,7 +1093,7 @@ def _gen_continuity(caps: SizeCaps, seed: int) -> dict:
     kind = "linear" if seed % 2 == 0 else "inner"
     if kind == "linear":
         E1, phi1, E2, phi2, m = random_morphism_pair(A, B, rng, min(caps.max_module_dim, 4))
-        basis = intertwiner_space(phi1, phi2, m.alpha, DEFAULT_TOL)
+        basis = intertwiner_space(phi1, phi2, m.alpha, GENERATION_TOL)
         direction = basis[int(rng.integers(len(basis)))]
         path = []
         for k in range(1, CONTINUITY_STEPS + 1):
@@ -1114,7 +1122,7 @@ def _gen_continuity(caps: SizeCaps, seed: int) -> dict:
         path = []
         for k in range(1, CONTINUITY_STEPS + 1):
             eps = 1e-2 * 4.0 ** (-k)
-            u_blocks = [herm_expi(eps * blk, DEFAULT_TOL) for blk in H.blocks]
+            u_blocks = [herm_expi(eps * blk, GENERATION_TOL) for blk in H.blocks]
             u = AlgebraElement(A, u_blocks)
             alpha_k = inner_automorphism(A, u_blocks)
             path.append(
@@ -1220,7 +1228,7 @@ def _check_continuity(payload: dict, tol: Tolerance, rec: _Recorder, memo: Build
 def _gen_uniqueness(caps: SizeCaps, seed: int) -> dict:
     payload = _gen_equivariant(caps, seed)
     c = ser.load_equivariant(payload["correspondence"])
-    tol = DEFAULT_TOL
+    tol = GENERATION_TOL
     t = ksgns([c.module], [c.phi], tol, BuildMemo())[0]
     rng = _sub_rng(seed, 23)
     Z = random_blinear_unitary(t.module, rng)

@@ -87,6 +87,10 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
+# The one tolerance of instance generation, for its rank cutoffs and exp(iH)
+# gates: --tol/--rtol never reach it, so a seed names one payload however checked.
+GENERATION_TOL = Tolerance()
+
 # A stack shorter than CERTIFY_MIN_SLICES saves less than its Frobenius pass
 # costs: on the Gram kernel, certifying every stack took a default-caps check
 # pass 56-65 ms in max_operator_norms, against 39-48 ms at 32 (49 ms at 24, 48

@@ -39,11 +39,16 @@ from .equivariant import (
 # -- scalars and matrices -----------------------------------------------------
 
 
+def dump_cmatrices(X: np.ndarray) -> list:
+    """The dumped matrices of a stack X (..., rows, cols), from one tolist."""
+    X = np.asarray(X, dtype=complex)
+    return np.stack([X.real, X.imag], -1).tolist()
+
+
 def dump_cmatrix(M: np.ndarray) -> list:
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2:
-        raise ValidationError(f"expected a matrix, got ndim {M.ndim}")
-    return np.stack([M.real, M.imag], -1).tolist()
+    if np.ndim(M) != 2:
+        raise ValidationError(f"expected a matrix, got ndim {np.ndim(M)}")
+    return dump_cmatrices(np.asarray(M)[None])[0]
 
 
 def load_cmatrix(data: Any, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -100,9 +105,15 @@ def load_shape(data: Any) -> AlgebraShape:
         raise ValidationError(f"bad algebra shape {data!r}") from exc
 
 
+def dump_elements(shape: AlgebraShape, C: np.ndarray) -> list:
+    """The dumped elements of coefficient rows C (count, dim A), each block of
+    all of them dumped as one stack."""
+    return [list(x) for x in zip(*(dump_cmatrices(S) for S in block_stacks(shape, C)))]
+
+
 def dump_element(shape: AlgebraShape, c: np.ndarray) -> list:
     """The element with coefficients c (dim A,), block by block."""
-    return [dump_cmatrix(b) for b in block_stacks(shape, c)]
+    return dump_elements(shape, np.asarray(c)[None])[0]
 
 
 def load_element(shape: AlgebraShape, data: Any) -> np.ndarray:
@@ -138,7 +149,7 @@ def dump_star_map(rho: StarMap) -> dict:
     return {
         "domain": dump_shape(rho.domain),
         "codomain": dump_shape(rho.codomain),
-        "images": [dump_element(rho.codomain, c) for c in rho.matrix.T],
+        "images": dump_elements(rho.codomain, rho.matrix.T),
     }
 
 
@@ -187,15 +198,14 @@ def load_automorphisms(items: list) -> list[Automorphism]:
 
 
 def dump_module(E: HilbertModule) -> dict:
-    d = E.dim
-    blocks = zip(E.algebra.blocks, E.pairing)
-    table = np.concatenate([P.reshape(d, d, n * n) for n, P in blocks], 2)  # <e_i, e_j>
-    pairing = [[dump_element(E.algebra, table[i, j]) for j in range(d)] for i in range(d)]
+    d, B = E.dim, E.algebra
+    table = np.concatenate([P.reshape(d * d, n * n) for n, P in zip(B.blocks, E.pairing)], 1)
+    pairing = dump_elements(B, table)  # <e_i, e_j>, row-major in (i, j)
     return {
-        "algebra": dump_shape(E.algebra),
+        "algebra": dump_shape(B),
         "dim": d,
-        "action": [dump_cmatrix(E.action[p]) for p in range(E.algebra.dim)],
-        "pairing": pairing,
+        "action": dump_cmatrices(E.action),
+        "pairing": [pairing[i * d : (i + 1) * d] for i in range(d)],
     }
 
 
@@ -238,7 +248,7 @@ def dump_cpmap(phi: CPMap, module_id: str) -> dict:
     return {
         "algebra": dump_shape(phi.algebra),
         "module_id": module_id,
-        "images": [dump_cmatrix(img) for img in phi.images],
+        "images": dump_cmatrices(phi.images),
         "strict": bool(phi.strict),
     }
 
@@ -310,7 +320,7 @@ def dump_equivariant(c: EquivariantCorrespondence) -> dict:
         "system_out": dump_system(c.system_out),
         "module": dump_module(c.module),
         "phi": dump_cpmap(c.phi, "module"),
-        "unitaries": [dump_cmatrix(U) for U in c.unitaries],
+        "unitaries": dump_cmatrices(c.unitaries),
     }
 
 

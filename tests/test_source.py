@@ -795,8 +795,8 @@ def structure_keys(source: str) -> dict[str, str]:
 
 # what depends on block sizes and a dimension alone
 STRUCTURE_BUILDERS = (
-    "algebra_module", "column_split", "left_multiplication", "load_shape", "product_table",
-    "row_split")
+    "algebra_module", "column_split", "left_multiplication", "load_shape", "make_group",
+    "product_table", "row_split")
 
 
 def test_block_size_structure_is_built_once_per_process_not_per_instance():
@@ -947,3 +947,42 @@ def test_harness_merges_record_names_to_theorems():
     found = merge_map_faults((SRC / "harness.py").read_text())
     assert len(found) == 9
     assert {line: keys for line, keys in found.items() if keys} == {}
+
+
+def names_read(source: str, wanted) -> dict[str, set]:
+    """Per top-level function whose name `wanted` accepts, the names it reads."""
+    return {
+        fn.name: {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+        for fn in ast.parse(source).body
+        if isinstance(fn, ast.FunctionDef) and wanted(fn.name)
+    }
+
+
+# the functions that generate instances, per file
+GENERATION = {
+    "harness.py": lambda name: name.startswith("_gen_"),
+    "generators.py": lambda name: True,
+    "cp.py": lambda name: name.startswith("random_"),
+    "cstar.py": lambda name: name.startswith("random_"),
+    "equivariant.py": lambda name: name.startswith("random_"),
+}
+
+
+def test_generation_reads_one_named_tolerance():
+    # generation decides its ranks and gates with GENERATION_TOL, so no
+    # generator can read the checkers' default where a seed's payload is made
+    probe = "def _gen_a(c):\n    return f(DEFAULT_TOL)\n\ndef _check_a(p):\n    return DEFAULT_TOL\n"
+    assert names_read(probe, GENERATION["harness.py"]) == {"_gen_a": {"f", "DEFAULT_TOL"}}
+    read = {
+        (name, fn): names
+        for name, wanted in GENERATION.items()
+        for fn, names in names_read((SRC / name).read_text(), wanted).items()
+    }
+    assert len(read) > 20
+    assert sorted(key for key, names in read.items() if "DEFAULT_TOL" in names) == []
+    assert sorted(key for key, names in read.items() if "GENERATION_TOL" in names) == [
+        ("cp.py", "random_blinear_unitary"), ("cp.py", "random_cp"),
+        ("generators.py", "random_morphism_pair"), ("harness.py", "_gen_category"),
+        ("harness.py", "_gen_continuity"), ("harness.py", "_gen_lift"),
+        ("harness.py", "_gen_tensor"), ("harness.py", "_gen_uniqueness"),
+    ]
