@@ -16,8 +16,8 @@ from ksgnslab import harness
 from ksgnslab import serialize as ser
 from ksgnslab.cp import adjointable_commutant_basis, random_cp
 from ksgnslab.cstar import AlgebraShape, block_diag, block_stacks, haar_unitary, inner_automorphism
-from ksgnslab.generators import random_module
-from ksgnslab.numkernel import GENERATION_TOL, Tolerance, svd_norm
+from ksgnslab.generators import multiplicity_embedding, random_module
+from ksgnslab.numkernel import GENERATION_TOL, Tolerance, kron, svd_norm
 
 from conftest import count_calls, random_complex
 
@@ -149,6 +149,28 @@ def test_block_diag_of_stacks_is_the_block_diag_of_each_slice(rng):
     for s in range(4):
         assert np.array_equal(stacked[s], block_diag([mats[0][s], mats[1][s], mats[2]]))
     assert block_diag([np.zeros((0, 0)), mats[0]]).shape == (4, 2, 2)
+
+
+@pytest.mark.parametrize("blocks", [(1,), (2,), (1, 2), (2, 2)])
+def test_stacked_generator_products_keep_the_bits_of_each_slice(blocks, rng):
+    # random_star_map and random_representation embed all the matrix units at
+    # once; scramble_module and direct_sum_module move the whole action
+    B = AlgebraShape(blocks)
+    units = block_stacks(B, np.eye(B.dim, dtype=complex))
+    counts = tuple(range(1, len(blocks) + 1))
+    W = haar_unitary(sum(c * n for c, n in zip(counts, blocks)), rng)
+    stacked = multiplicity_embedding(units, counts, W)
+    for p in range(B.dim):
+        one = multiplicity_embedding([S[p] for S in units], counts, W)
+        assert stacked[p].tobytes() == one.tobytes()
+    M = random_module(B, rng, max_dim=5)
+    S = random_complex(rng, M.dim, M.dim) + 2.0 * np.eye(M.dim)
+    S_inv = np.linalg.inv(S)
+    moved = S_inv @ M.action @ S
+    summed = kron(np.eye(2), M.action)
+    for p in range(B.dim):
+        assert moved[p].tobytes() == (S_inv @ M.action[p] @ S).tobytes()
+        assert summed[p].tobytes() == kron(np.eye(2), M.action[p]).tobytes()
 
 
 def item_random_cp_images(A, E, seed):
