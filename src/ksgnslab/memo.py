@@ -11,7 +11,7 @@ each content once, whichever object asks for it.
 Block-size structure lives per process: what depends on block sizes and
 dimensions alone (the shape a block list loads as, an algebra's product table
 and its module over itself, the row and column copies of a tensor's Gram and
-their layouts) is built once, on
+their layouts, the groups instances are generated over) is built once, on
 first request, into one module-level table that `structure` reads, and is
 read-only, since every instance of the process shares it.  It grows with the
 shapes a run meets, not with its instances.
