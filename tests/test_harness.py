@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 
+import numpy as np
 import pytest
 
 from ksgnslab.cli import main as cli_main
@@ -409,6 +410,39 @@ def test_residual_missing_from_checker_report_fails_the_instance(monkeypatch):
     failed = records[-1]
     assert (failed.check, failed.passed) == ("construction", False)
     assert failed.error == "KeyError: 'dim_stable'"
+
+
+def test_early_exits_record_their_input_failure_last():
+    # a non-Hermitian phi fails input_hermitian, then check_cp raises, and
+    # the ksgns checker stops at input_cp; a target off the continuity path
+    # stops the continuity checker at input_converges
+    from ksgnslab import serialize as ser
+
+    payload = generate_instance("ksgns", SizeCaps(), instance_seed(20250809, "ksgns", 0))
+    E = ser.load_module(payload["module"])
+    phi = ser.load_cpmap(payload["phi"], {"module": E})
+    phi.images[0, 0, -1] += 0.5
+    payload["phi"] = ser.dump_cpmap(phi, "module")
+    records = check_instance("ksgns", payload, Tolerance())
+    assert [(r.check, r.passed) for r in records] == [
+        ("input_hermitian", False), ("input_cp", False)
+    ]
+    last = records[-1]
+    assert (last.theorem, last.residual, last.threshold) == (
+        "complete positivity via blockwise Choi matrices", float("inf"), 0.0
+    )
+    assert last.error.startswith("NonLinearMap: ")
+
+    payload = generate_instance(
+        "continuity", SizeCaps(), instance_seed(20250809, "continuity", 0)
+    )
+    payload["target"]["eta"] = (1.5 * np.asarray(payload["target"]["eta"])).tolist()
+    (record,) = check_instance("continuity", payload, Tolerance())
+    assert (record.check, record.theorem, record.residual, record.threshold) == (
+        "input_converges", "morphism path converges in the pseudo-metrics", float("inf"), 0.0
+    )
+    assert not record.passed
+    assert record.error.startswith("NonConvergentInput: ")
 
 
 def test_inverse_in_another_algebra_fails_construction():
