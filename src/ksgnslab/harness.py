@@ -6,6 +6,11 @@ instance is bit-identical to its serialized form.  A failing instance never
 aborts a suite: exceptions become failing records and every remaining check
 still runs.  Thresholds scale as ctol * (1 + instance scale) where the scale
 is a product of the participating operator norms.
+
+Each suite declares its records once, as an ordered theorem table {check
+name: theorem} beside its checker; `_SUITES` holds (generator, checker,
+table) per suite.  Checkers record by check name alone, and a name the table
+does not declare, or declares before the previous record's, fails the instance.
 """
 
 from __future__ import annotations
@@ -300,66 +305,57 @@ class Report:
 
 
 class _Recorder:
-    """Collects timed check records for one instance."""
+    """Collects timed check records for one instance under the theorems of
+    its suite's table.  Each record's check must be declared there and come
+    after the previous record's check; an instance may skip declared checks.
+    A check that breaks this raises ValueError naming it, so the instance
+    fails as its construction record."""
 
-    def __init__(self, suite: str, seed: int, tol: Tolerance):
+    def __init__(self, suite: str, seed: int, theorems: dict[str, str]):
         self.suite = suite
         self.seed = seed
-        self.tol = tol
+        self.theorems = theorems
         self.records: list[CheckRecord] = []
+        self._pending = iter(theorems.items())  # the table after the last record's check
         self._mark = time.perf_counter()
 
-    def _elapsed(self) -> float:
+    def _theorem(self, check: str) -> str:
+        """The declared theorem of check; the checks before it are passed for good."""
+        for name, theorem in self._pending:
+            if name == check:
+                return theorem
+        fault = "out of order in" if check in self.theorems else "not declared by"
+        raise ValueError(f"check {check!r} is {fault} the {self.suite} suite's table")
+
+    def record(self, check: str, theorem: str, residual: float, threshold: float,
+               error: Exception | None = None) -> None:
+        """Append one record, timed since the previous one."""
         now = time.perf_counter()
         dt, self._mark = now - self._mark, now
-        return dt
+        self.records.append(CheckRecord(
+            self.suite, self.seed, check, theorem, residual, threshold, residual <= threshold,
+            dt, "" if error is None else f"{type(error).__name__}: {error}",
+        ))
 
-    def add(self, check: str, theorem: str, residual: float, threshold: float) -> None:
-        residual = float(residual)
-        self.records.append(
-            CheckRecord(
-                self.suite,
-                self.seed,
-                check,
-                theorem,
-                residual,
-                float(threshold),
-                bool(residual <= threshold),
-                self._elapsed(),
-            )
-        )
+    def add(self, check: str, residual: float, threshold: float) -> None:
+        self.record(check, self._theorem(check), float(residual), float(threshold))
 
-    def merge(self, report, theorems: dict[str, str]) -> None:
-        """Record each residual of a CheckReport that theorems names, in the
-        map's order, under its report name with its theorem.  A name the
-        report lacks raises KeyError, so the instance fails."""
-        for check, theorem in theorems.items():
-            self.add(check, theorem, report.residuals[check], report.thresholds[check])
+    def merge(self, report, *checks: str) -> None:
+        """Record the residuals of a CheckReport that checks name, in that
+        order.  A name the report lacks raises KeyError, so the instance fails."""
+        for check in checks:
+            self.add(check, report.residuals[check], report.thresholds[check])
 
-    def fail(self, check: str, theorem: str, error: Exception) -> None:
-        self.records.append(
-            CheckRecord(
-                self.suite,
-                self.seed,
-                check,
-                theorem,
-                float("inf"),
-                0.0,
-                False,
-                self._elapsed(),
-                error=f"{type(error).__name__}: {error}",
-            )
-        )
+    def fail(self, check: str, error: Exception) -> None:
+        self.record(check, self._theorem(check), float("inf"), 0.0, error)
 
 
-def _record_cp(
-    rec: _Recorder, check: str, theorem: str, phi: CPMap, tol: Tolerance, memo: BuildMemo
-) -> bool:
+def _record_cp(rec: _Recorder, check: str, phi: CPMap, tol: Tolerance, memo: BuildMemo) -> bool:
     """Record the Choi certificate of phi (check_cp): the most negative
     Choi eigenvalue when it passes, inf whenever it fails.  Returns the verdict."""
     ok, mins = check_cp([phi], tol, memo)[0]
     resid = max(0.0, -min(mins)) if ok else float("inf")
-    rec.add(check, theorem, resid, tol.ctol * (1.0 + phi.norm))
+    rec.add(check, resid, tol.ctol * (1.0 + phi.norm))
     return ok
 
 
@@ -387,50 +383,49 @@ def _gen_ksgns(caps: SizeCaps, seed: int) -> dict:
     }
 
 
+_KSGNS_THEOREMS = {
+    "input_hermitian": "positive maps preserve adjoints",
+    "input_cp": "complete positivity via blockwise Choi matrices",
+    "reconstruction": "KSGNS dilation identity phi(a) = V* pi(a) V",
+    "spanning": "density of pi(A) V E in the dilation space",
+    "embedding_adjoint": "embedding adjoint formula V*[a (x) y] = phi(a) y",
+    "pi_multiplicative": "dilated representation is a *-homomorphism",
+    "pi_unital": "dilated representation is unital (nondegenerate)",
+    "uniqueness_unitary": "KSGNS triple unique up to a module unitary",
+    "uniqueness_embedding": "matching unitary carries V to V'",
+    "uniqueness_representation": "matching unitary conjugates pi to pi'",
+    "uniqueness_planted": "solved unitary recovers the planted conjugation",
+}
+
+
 def _check_ksgns(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
     E = ser.load_module(payload["module"])
     phi = ser.load_cpmap(payload["phi"], {"module": E})
-    rec.add(
-        "input_hermitian",
-        "positive maps preserve adjoints",
-        phi.hermiticity_residual(),
-        tol.ctol * (1.0 + phi.norm),
-    )
-    cp_theorem = "complete positivity via blockwise Choi matrices"
+    rec.add("input_hermitian", phi.hermiticity_residual(), tol.ctol * (1.0 + phi.norm))
     try:
-        ok = _record_cp(rec, "input_cp", cp_theorem, phi, tol, memo)
+        ok = _record_cp(rec, "input_cp", phi, tol, memo)
     except KsgnslabError as exc:
-        rec.fail("input_cp", cp_theorem, exc)
+        rec.fail("input_cp", exc)
         return
     if not ok:
         return
     t = ksgns([E], [phi], tol, memo)[0]
     rec.merge(
         check_triple(t, tol),
-        {
-            "reconstruction": "KSGNS dilation identity phi(a) = V* pi(a) V",
-            "spanning": "density of pi(A) V E in the dilation space",
-            "embedding_adjoint": "embedding adjoint formula V*[a (x) y] = phi(a) y",
-            "pi_multiplicative": "dilated representation is a *-homomorphism",
-            "pi_unital": "dilated representation is unital (nondegenerate)",
-        },
+        "reconstruction", "spanning", "embedding_adjoint", "pi_multiplicative", "pi_unital",
     )
     rng = _sub_rng(payload["seed"], 1)
     Z = random_blinear_unitary(t.module, rng)
     t2 = conjugated_triple(t, Z)
     U, repu = triple_uniqueness_unitary(t, t2, tol)
     # uniqueness_*: the uniqueness suite records this triple under its report names
-    rec.add("uniqueness_unitary", "KSGNS triple unique up to a module unitary",
-            repu.residuals["unitary"], repu.thresholds["unitary"])
-    rec.add("uniqueness_embedding", "matching unitary carries V to V'",
+    rec.add("uniqueness_unitary", repu.residuals["unitary"], repu.thresholds["unitary"])
+    rec.add("uniqueness_embedding",
             repu.residuals["embedding_match"], repu.thresholds["embedding_match"])
-    rec.add("uniqueness_representation", "matching unitary conjugates pi to pi'",
+    rec.add("uniqueness_representation",
             repu.residuals["representation_match"], repu.thresholds["representation_match"])
     rec.add(
-        "uniqueness_planted",
-        "solved unitary recovers the planted conjugation",
-        operator_norm(U.matrix - Z.matrix),
-        tol.ctol * (1.0 + phi.norm),
+        "uniqueness_planted", operator_norm(U.matrix - Z.matrix), tol.ctol * (1.0 + phi.norm)
     )
 
 
@@ -510,6 +505,23 @@ def _family_bound_residual(
     return worst, max(1.0, float((norm2 * (1.0 + rhs)).max()))
 
 
+_LIFT_THEOREMS = {
+    "morphism": "intertwiner condition with automorphism twist",
+    "morphism_adjoint": "adjoint side: eta* phi2(alpha(a)) = phi1(a) eta*",
+    "morphism_commutant": "phi1(a) commutes with eta* eta",
+    "family_bound": "quadratic-family norm bound for intertwiners",
+    "positivity_lower": "0 <= phi(a* a) eta* eta",
+    "positivity_upper": "phi(a* a) eta* eta <= ||eta||^2 phi(a* a)",
+    "lift_well_defined": "alpha (x) eta maps null vectors to null vectors",
+    "lift_contraction": "lift norm bound ||eta~|| <= ||eta||",
+    "lift_adjoint": "lift adjoint acts through alpha inverse",
+    "lift_morphism": "lifted pair intertwines the dilated representations",
+    "lift_embedding": "lift intertwines the embeddings: eta~ V1 = V2 eta",
+    "functor_identity": "KSGNS endofunctor preserves identities",
+    "functor_composition": "KSGNS endofunctor preserves composition",
+}
+
+
 def _check_lift(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
     mods, phis, morphs = _load_bundle(payload)
     E1, E2, E3 = mods["E1"], mods["E2"], mods["E3"]
@@ -519,19 +531,10 @@ def _check_lift(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) 
 
     rec.merge(
         check_morphism([m1], [phi1], [phi2], tol)[0],
-        {
-            "morphism": "intertwiner condition with automorphism twist",
-            "morphism_adjoint": "adjoint side: eta* phi2(alpha(a)) = phi1(a) eta*",
-            "morphism_commutant": "phi1(a) commutes with eta* eta",
-        },
+        "morphism", "morphism_adjoint", "morphism_commutant",
     )
     worst, scale = _family_bound_residual(phi1, m1, rng)
-    rec.add(
-        "family_bound",
-        "quadratic-family norm bound for intertwiners",
-        worst,
-        tol.ctol * scale,
-    )
+    rec.add("family_bound", worst, tol.ctol * scale)
     # positivity sandwich on a sampled a* a
     a = random_elements(phi1.algebra, rng, 1)
     pos = phi1(products(phi1.algebra, adjoints(phi1.algebra, a), a)[0, 0]).matrix
@@ -542,52 +545,26 @@ def _check_lift(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) 
     )
     a_norm = float(element_norms(phi1.algebra, a)[0])
     sandwich_scale = tol.ctol * (1.0 + phi1.norm * (1.0 + a_norm**2) * (1.0 + m1.norm**2))
-    rec.add(
-        "positivity_lower",
-        "0 <= phi(a* a) eta* eta",
-        max(0.0, -lower_eig),
-        sandwich_scale,
-    )
-    rec.add(
-        "positivity_upper",
-        "phi(a* a) eta* eta <= ||eta||^2 phi(a* a)",
-        max(0.0, -upper_eig),
-        sandwich_scale,
-    )
+    rec.add("positivity_lower", max(0.0, -lower_eig), sandwich_scale)
+    rec.add("positivity_upper", max(0.0, -upper_eig), sandwich_scale)
 
     t1 = ksgns([E1], [phi1], tol, memo)[0]
     t2 = ksgns([E2], [phi2], tol, memo)[0]
     t3 = ksgns([E3], [phi3], tol, memo)[0]
     leak, gate = null_leak(t2.q, kron(m1.alpha.matrix, m1.eta.matrix), t1.kernel, tol)
-    rec.add(
-        "lift_well_defined",
-        "alpha (x) eta maps null vectors to null vectors",
-        leak,
-        gate,
-    )
+    rec.add("lift_well_defined", leak, gate)
     lifted1 = ksgns_lift([m1], [t1], [t2], tol)[0]
     rec.merge(
         check_lift(m1, lifted1, t1, t2, tol),
-        {
-            "lift_contraction": "lift norm bound ||eta~|| <= ||eta||",
-            "lift_adjoint": "lift adjoint acts through alpha inverse",
-            "lift_morphism": "lifted pair intertwines the dilated representations",
-            "lift_embedding": "lift intertwines the embeddings: eta~ V1 = V2 eta",
-        },
+        "lift_contraction", "lift_adjoint", "lift_morphism", "lift_embedding",
     )
     ident = Intertwiner(identity_map(E1), identity_automorphism(phi1.algebra))
     lift_id = ksgns_lift([ident], [t1], [t1], tol)[0]
-    rec.add(
-        "functor_identity",
-        "KSGNS endofunctor preserves identities",
-        operator_norm(lift_id.eta.matrix - np.eye(t1.module.dim)),
-        tol.ctol,
-    )
+    rec.add("functor_identity", operator_norm(lift_id.eta.matrix - np.eye(t1.module.dim)), tol.ctol)
     lifted2 = ksgns_lift([m2], [t2], [t3], tol)[0]
     lifted21 = ksgns_lift([compose_intertwiners(m2, m1)], [t1], [t3], tol)[0]
     rec.add(
         "functor_composition",
-        "KSGNS endofunctor preserves composition",
         operator_norm(lifted21.eta.matrix - lifted2.eta.matrix @ lifted1.eta.matrix),
         tol.ctol * (1.0 + m1.norm * m2.norm),
     )
@@ -607,6 +584,14 @@ def _gen_idempotency(caps: SizeCaps, seed: int) -> dict:
     return _bundle(seed, A, {"E1": E1, "E2": E2}, {"phi1": phi1, "phi2": phi2}, {"m": m})
 
 
+_IDEMPOTENCY_THEOREMS = {
+    "unitary": "second embedding V_pi is unitary",
+    "dim_stable": "second dilation has the same dimension",
+    "intertwines": "V_pi intertwines pi and its dilation",
+    "naturality": "idempotency naturality square V_pi eta~ = eta~~ V_pi",
+}
+
+
 def _check_idempotency(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
     mods, phis, morphs = _load_bundle(payload)
     m = morphs["m"]
@@ -614,19 +599,11 @@ def _check_idempotency(payload: dict, tol: Tolerance, rec: _Recorder, memo: Buil
     t2 = ksgns([mods["E2"]], [phis["phi2"]], tol, memo)[0]
     second1 = ksgns([t1.module], [t1.pi], tol, memo)[0]
     second2 = ksgns([t2.module], [t2.pi], tol, memo)[0]
-    rec.merge(
-        check_idempotency(second1, t1, tol),
-        {
-            "unitary": "second embedding V_pi is unitary",
-            "dim_stable": "second dilation has the same dimension",
-            "intertwines": "V_pi intertwines pi and its dilation",
-        },
-    )
+    rec.merge(check_idempotency(second1, t1, tol), "unitary", "dim_stable", "intertwines")
     lifted = ksgns_lift([m], [t1], [t2], tol)[0]
     double = ksgns_lift([lifted], [second1], [second2], tol)[0]
     rec.add(
         "naturality",
-        "idempotency naturality square V_pi eta~ = eta~~ V_pi",
         operator_norm(
             second2.embedding.matrix @ lifted.eta.matrix
             - double.eta.matrix @ second1.embedding.matrix
@@ -661,6 +638,29 @@ def _gen_tensor(caps: SizeCaps, seed: int) -> dict:
     return payload
 
 
+_TENSOR_THEOREMS = {
+    "balanced": "balanced relation x b (x) y = x (x) pi(b) y",
+    "extend_unitary": "tensor extension preserves unitaries",
+    "extend_adjoint": "(T (x) I)* = T* (x) I",
+    "extend_multiplicative": "(S T) (x) I = (S (x) I)(T (x) I)",
+    "extend_norm": "||T (x) I|| <= ||T||",
+    "functor_morphism": "tensored pair intertwines the extended maps",
+    "functor_norm": "||eta (x) I|| <= ||eta||",
+    "inclusion_unitary": "inclusion x (x) b -> x b is unitary",
+    "inclusion_naturality": "tensoring with B along the inclusion is naturally trivial",
+    "inclusion_vrho": "V_inc is the adjoint of the inclusion unitary",
+    "composition_unitary": "iterated tensoring composes: (x (x) c) (x) d -> x (x) rho(c) d",
+    "pentagon": "coherence pentagon U1 U2 = V1 (V2 (x) I)",
+    "composition_dims": "iterated and composed tensors have equal dimension",
+    "vrho_contraction": "V_rho is a contraction",
+    "vrho_twisted": "V_rho(x b) = V_rho(x) . rho(b)",
+    "vrho_chain": "U . V_chi . V_rho = V_{chi rho}",
+    "vrho_square": "(eta (x) I) . V'_chi = V_chi . eta",
+    "commuting_unitary": "KSGNS commutes with tensoring: coordinate unitary",
+    "commuting_naturality": "KSGNS/tensor commuting square is natural",
+}
+
+
 def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
     mods, phis, morphs = _load_bundle(payload)
     E1, E2, F = mods["E1"], mods["E2"], mods["F"]
@@ -674,7 +674,6 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
     tm2 = interior_tensor([E2], [F], [pi], tol, memo)[0]
     rec.add(
         "balanced",
-        "balanced relation x b (x) y = x (x) pi(b) y",
         balanced_relation_residual(tm1, rng),
         tol.ctol * (1.0 + operator_norm(tm1.module.gram_matrix)),
     )
@@ -684,82 +683,36 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
     stack = np.stack([T.matrix, S.matrix, adjoint_map(T).matrix, S.matrix @ T.matrix])
     TI, SI, TsI, STI = tensor_extend([stack], [tm1], [tm1], "T (x) I", tol)[0]
     TI = ModuleMap(tm1.module, tm1.module, TI)
+    rec.add("extend_unitary", unitarity_residual([TI]), tol.ctol)
+    rec.add("extend_adjoint", operator_norm(adjoint_map(TI).matrix - TsI), tol.ctol)
+    rec.add("extend_multiplicative", operator_norm(STI - SI @ TI.matrix), tol.ctol)
     rec.add(
-        "extend_unitary",
-        "tensor extension preserves unitaries",
-        unitarity_residual([TI]),
-        tol.ctol,
-    )
-    rec.add(
-        "extend_adjoint",
-        "(T (x) I)* = T* (x) I",
-        operator_norm(adjoint_map(TI).matrix - TsI),
-        tol.ctol,
-    )
-    rec.add(
-        "extend_multiplicative",
-        "(S T) (x) I = (S (x) I)(T (x) I)",
-        operator_norm(STI - SI @ TI.matrix),
-        tol.ctol,
-    )
-    rec.add(
-        "extend_norm",
-        "||T (x) I|| <= ||T||",
-        max(
-            0.0,
-            module_operator_norm(TI) - module_operator_norm(T),
-        ),
-        tol.ctol,
+        "extend_norm", max(0.0, module_operator_norm(TI) - module_operator_norm(T)), tol.ctol
     )
     m_hat = Intertwiner(tensor_extend_between([m.eta], [tm1], [tm2], tol)[0], m.alpha)
     phi1_ext = tensor_extend_cpmap([phi1], [tm1], tol, memo)[0]
     phi2_ext = tensor_extend_cpmap([phi2], [tm2], tol, memo)[0]
     rep = check_morphism([m_hat], [phi1_ext], [phi2_ext], tol)[0]
-    rec.add(
-        "functor_morphism",
-        "tensored pair intertwines the extended maps",
-        *rep.summary(),
-    )
-    rec.add(
-        "functor_norm",
-        "||eta (x) I|| <= ||eta||",
-        max(0.0, m_hat.norm - m.norm),
-        tol.ctol,
-    )
+    rec.add("functor_morphism", *rep.summary())
+    rec.add("functor_norm", max(0.0, m_hat.norm - m.norm), tol.ctol)
     # inclusion
     inc1 = inclusion_unitary(E1, tol, memo)
     inc2 = inclusion_unitary(E2, tol, memo)
-    rec.add(
-        "inclusion_unitary",
-        "inclusion x (x) b -> x b is unitary",
-        unitarity_residual([inc1.iota]),
-        tol.ctol,
-    )
+    rec.add("inclusion_unitary", unitarity_residual([inc1.iota]), tol.ctol)
     eta_inc = tensor_extend_between([m.eta], [inc1.tensor], [inc2.tensor], tol)[0]
     rec.add(
         "inclusion_naturality",
-        "tensoring with B along the inclusion is naturally trivial",
         operator_norm(
             inc2.iota.matrix @ eta_inc.matrix - m.eta.matrix @ inc1.iota.matrix
         ),
         tol.ctol * (1.0 + m.norm),
     )
     v_inc = v_rho([inc1.tensor])[0]
-    rec.add(
-        "inclusion_vrho",
-        "V_inc is the adjoint of the inclusion unitary",
-        operator_norm(v_inc - adjoint_map(inc1.iota).matrix),
-        tol.ctol,
-    )
+    rec.add("inclusion_vrho", operator_norm(v_inc - adjoint_map(inc1.iota).matrix), tol.ctol)
     # composition of tensorings
     tm12 = interior_tensor_along([E1], [rho1], tol, memo)[0]
     comp = composition_unitary([tm12], [rho1], [rho2], tol, memo)[0]
-    rec.add(
-        "composition_unitary",
-        "iterated tensoring composes: (x (x) c) (x) d -> x (x) rho(c) d",
-        unitarity_residual([comp.unitary]),
-        tol.ctol,
-    )
+    rec.add("composition_unitary", unitarity_residual([comp.unitary]), tol.ctol)
     # pentagon over three star maps, all into one shared final module: V1
     # lives along U1's sigma = (rho3 rho2) rho1, not along rho3 (rho2 rho1)
     U2 = composition_unitary([comp.double], [rho2], [rho3], tol, memo)[0]
@@ -768,41 +721,25 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
     V2_hat = tensor_extend_between([comp.unitary], [U2.double], [V1.double], tol)[0]
     rec.add(
         "pentagon",
-        "coherence pentagon U1 U2 = V1 (V2 (x) I)",
         operator_norm(
             U1.unitary.matrix @ U2.unitary.matrix
             - V1.unitary.matrix @ V2_hat.matrix
         ),
         tol.ctol,
     )
-    rec.add(
-        "composition_dims",
-        "iterated and composed tensors have equal dimension",
-        float(comp.double.module.dim - comp.target.module.dim),
-        0.0,
-    )
+    rec.add("composition_dims", float(comp.double.module.dim - comp.target.module.dim), 0.0)
     # vrho behavior
     vr1 = v_rho([comp.inner])[0]
     X = random_vectors(E1, rng, 4)
     contraction = max(
         0.0, float((comp.inner.module.vector_norm(matvecs(vr1, X)) - E1.vector_norm(X)).max())
     )
-    rec.add("vrho_contraction", "V_rho is a contraction", contraction, tol.ctol)
+    rec.add("vrho_contraction", contraction, tol.ctol)
     rho_actions = np.einsum("qp,qij->pij", rho1.matrix, comp.inner.module.action)
-    rec.add(
-        "vrho_twisted",
-        "V_rho(x b) = V_rho(x) . rho(b)",
-        max_operator_norm(vr1 @ E1.action - rho_actions @ vr1),
-        tol.ctol,
-    )
+    rec.add("vrho_twisted", max_operator_norm(vr1 @ E1.action - rho_actions @ vr1), tol.ctol)
     vr2 = v_rho([comp.double])[0]
     vr12 = v_rho([comp.target])[0]
-    rec.add(
-        "vrho_chain",
-        "U . V_chi . V_rho = V_{chi rho}",
-        operator_norm(comp.unitary.matrix @ vr2 @ vr1 - vr12),
-        tol.ctol,
-    )
+    rec.add("vrho_chain", operator_norm(comp.unitary.matrix @ vr2 @ vr1 - vr12), tol.ctol)
     # square: (eta (x) I) . V'_chi = V_chi . eta for eta out of a tensor module
     E2p, Sp = scramble_module(comp.inner.module, rng)
     eta_sq = ModuleMap(comp.inner.module, E2p, np.linalg.inv(Sp))
@@ -811,7 +748,6 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
     vr_sq = v_rho([tm_sq])[0]
     rec.add(
         "vrho_square",
-        "(eta (x) I) . V'_chi = V_chi . eta",
         operator_norm(eta_sq_hat.matrix @ vr2 - vr_sq @ eta_sq.matrix),
         tol.ctol * (1.0 + module_operator_norm(eta_sq)),
     )
@@ -819,17 +755,12 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
     cu1 = commuting_unitary([phi1], [tm1], tol, memo)[0]
     cu2 = commuting_unitary([phi2], [tm2], tol, memo)[0]
     rep = check_commuting_unitary(cu1, tol, memo)
-    rec.add(
-        "commuting_unitary",
-        "KSGNS commutes with tensoring: coordinate unitary",
-        *rep.summary(),
-    )
+    rec.add("commuting_unitary", *rep.summary())
     lifted = ksgns_lift([m], [cu1.triple], [cu2.triple], tol)[0]
     lifted_hat = tensor_extend_between([lifted.eta], [cu1.right], [cu2.right], tol)[0]
     hat_lifted = ksgns_lift([m_hat], [cu1.left], [cu2.left], tol)[0]
     rec.add(
         "commuting_naturality",
-        "KSGNS/tensor commuting square is natural",
         operator_norm(
             lifted_hat.matrix @ cu1.unitary.matrix
             - cu2.unitary.matrix @ hat_lifted.eta.matrix
@@ -923,23 +854,29 @@ def _load_category(payload: dict, tol: Tolerance, memo: BuildMemo):
     return objects, morphisms
 
 
+_CATEGORY_THEOREMS = {
+    "morphism_invariants": "category morphisms: unital rho and twisted intertwining",
+    "left_identity": "the inclusion pair is a left identity",
+    "right_identity": "the inclusion pair is a right identity",
+    "associativity": "composition is associative",
+    "closure": "composites satisfy the morphism invariants",
+    "ksgns_morphism": "the dilated pair is again a category morphism",
+    "ksgns_identity": "KSGNS functor preserves category identities",
+    "ksgns_composition": "KSGNS functor preserves category composition",
+    "ksgns_idempotent": "KSGNS squared is naturally isomorphic to KSGNS",
+}
+
+
 def _check_category(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
     objects, morphisms = _load_category(payload, tol, memo)
     reports = check_poscor_morphism(morphisms, tol, memo)
     failing = next((rep for rep in reports if not rep.passed), None)
     rec.add(
-        "morphism_invariants",
-        "category morphisms: unital rho and twisted intertwining",
-        *(failing.summary() if failing is not None else (0.0, tol.ctol)),
+        "morphism_invariants", *(failing.summary() if failing is not None else (0.0, tol.ctol))
     )
     rec.merge(
         check_category_laws(objects, morphisms, tol, memo),
-        {
-            "left_identity": "the inclusion pair is a left identity",
-            "right_identity": "the inclusion pair is a right identity",
-            "associativity": "composition is associative",
-            "closure": "composites satisfy the morphism invariants",
-        },
+        "left_identity", "right_identity", "associativity", "closure",
     )
     if "ksgns_functor" not in payload.get("checks", []):
         return
@@ -949,22 +886,16 @@ def _check_category(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMe
     k1 = ksgns_functor([m1], tol, memo)[0]
     k2 = ksgns_functor([m2], tol, memo)[0]
     rep = check_poscor_morphism([k1], tol, memo)[0]
-    rec.add(
-        "ksgns_morphism",
-        "the dilated pair is again a category morphism",
-        *rep.summary(),
-    )
+    rec.add("ksgns_morphism", *rep.summary())
     k_id = ksgns_functor([poscor_identity(objects[0], tol, memo)], tol, memo)[0]
     rec.add(
         "ksgns_identity",
-        "KSGNS functor preserves category identities",
         morphism_distance([k_id], [poscor_identity(k_id.dom, tol, memo)])[0],
         tol.ctol,
     )
     k21 = ksgns_functor(poscor_compose([m2], [m1], tol, memo), tol, memo)[0]
     rec.add(
         "ksgns_composition",
-        "KSGNS functor preserves category composition",
         morphism_distance([k21], poscor_compose([k2], [k1], tol, memo))[0],
         tol.ctol * (1.0 + m1.norm * m2.norm),
     )
@@ -974,7 +905,6 @@ def _check_category(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMe
     iso2 = idempotency_iso_poscor(objects[1], tol, memo)
     rec.add(
         "ksgns_idempotent",
-        "KSGNS squared is naturally isomorphic to KSGNS",
         morphism_distance(
             poscor_compose([iso2], [k1], tol, memo), poscor_compose([kk1], [iso1], tol, memo)
         )[0],
@@ -1009,48 +939,55 @@ def _gen_equivariant(caps: SizeCaps, seed: int) -> dict:
     return {"seed": seed, "group": gname, "correspondence": ser.dump_equivariant(c)}
 
 
+_EQUIVARIANT_THEOREMS = {
+    "system_in": "the input action is a group homomorphism into automorphisms",
+    "system_out": "the output action is a group homomorphism into automorphisms",
+    "representation": "U is a unitary group homomorphism",
+    "twisted_linearity": "U_g is beta_g-linear",
+    "pairing_twist": "<U_g x, U_g y> = beta_g(<x, y>)",
+    "covariance": "U_g phi(a) = phi(alpha_g(a)) U_g",
+    "phi_cp": "averaged map stays completely positive",
+    "functor_recovery": "round trip recovers U_g = eta_g V_{beta_g}",
+    "functor_unit": "the identity element maps to the identity morphism",
+    "functor_composition": "the morphism family composes along the group law",
+    "unitary_valued": "the functor is unitary valued",
+    "averaging_fixed_point": "covariant averaging is idempotent",
+}
+
+
 def _check_equivariant_suite(
     payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
 ) -> None:
     c = ser.load_equivariant(payload["correspondence"])
-    rec.add(
-        "system_in",
-        "the input action is a group homomorphism into automorphisms",
-        c.system_in.homomorphism_residual(),
-        tol.ctol,
-    )
-    rec.add(
-        "system_out",
-        "the output action is a group homomorphism into automorphisms",
-        c.system_out.homomorphism_residual(),
-        tol.ctol,
-    )
+    rec.add("system_in", c.system_in.homomorphism_residual(), tol.ctol)
+    rec.add("system_out", c.system_out.homomorphism_residual(), tol.ctol)
     rec.merge(
         check_equivariant(c, tol),
-        {
-            "representation": "U is a unitary group homomorphism",
-            "twisted_linearity": "U_g is beta_g-linear",
-            "pairing_twist": "<U_g x, U_g y> = beta_g(<x, y>)",
-            "covariance": "U_g phi(a) = phi(alpha_g(a)) U_g",
-        },
+        "representation", "twisted_linearity", "pairing_twist", "covariance",
     )
-    _record_cp(rec, "phi_cp", "averaged map stays completely positive", c.phi, tol, memo)
+    _record_cp(rec, "phi_cp", c.phi, tol, memo)
     rec.merge(
         check_functor_laws(c, correspondence_to_functor(c, tol, memo), tol, memo),
-        {
-            "functor_recovery": "round trip recovers U_g = eta_g V_{beta_g}",
-            "functor_unit": "the identity element maps to the identity morphism",
-            "functor_composition": "the morphism family composes along the group law",
-            "unitary_valued": "the functor is unitary valued",
-        },
+        "functor_recovery", "functor_unit", "functor_composition", "unitary_valued",
     )
     averaged = average_covariant(c.phi, c.system_in, c.unitaries, c.group)
     rec.add(
         "averaging_fixed_point",
-        "covariant averaging is idempotent",
         max_operator_norm(averaged.images - c.phi.images),
         tol.ctol * (1.0 + c.phi.norm),
     )
+
+
+_DILATION_THEOREMS = {
+    "dilated_representation": "the dilated family is a unitary group homomorphism",
+    "dilated_twisted_linearity": "dilated unitaries are beta_g-linear",
+    "dilated_pairing_twist": "dilated unitaries twist the pairing by beta_g",
+    "dilated_covariance": "pi(alpha_g(a)) U~_g = U~_g pi(a)",
+    "reconstruction": "KSGNS dilation identity phi(a) = V* pi(a) V",
+    "spanning": "density of pi(A) V E in the dilation space",
+    "embedding_equivariance": "V_phi U_g = U~_g V_phi",
+    "direct_vs_categorical": "compressed and functorial dilation unitaries agree",
+}
 
 
 def _check_dilation(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
@@ -1058,19 +995,11 @@ def _check_dilation(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMe
     quad = dilate(c, tol=tol, memo=memo)
     rec.merge(
         check_dilation(quad, tol),
-        {
-            "dilated_representation": "the dilated family is a unitary group homomorphism",
-            "dilated_twisted_linearity": "dilated unitaries are beta_g-linear",
-            "dilated_pairing_twist": "dilated unitaries twist the pairing by beta_g",
-            "dilated_covariance": "pi(alpha_g(a)) U~_g = U~_g pi(a)",
-            "reconstruction": "KSGNS dilation identity phi(a) = V* pi(a) V",
-            "spanning": "density of pi(A) V E in the dilation space",
-            "embedding_equivariance": "V_phi U_g = U~_g V_phi",
-        },
+        "dilated_representation", "dilated_twisted_linearity", "dilated_pairing_twist",
+        "dilated_covariance", "reconstruction", "spanning", "embedding_equivariance",
     )
     rec.add(
         "direct_vs_categorical",
-        "compressed and functorial dilation unitaries agree",
         max_operator_norm(
             categorical_dilation_unitary(c, tol, memo) - np.stack(quad.unitaries)
         ),
@@ -1166,6 +1095,14 @@ def _gen_continuity(caps: SizeCaps, seed: int) -> dict:
     }
 
 
+_CONTINUITY_THEOREMS = {
+    "input_converges": "morphism path converges in the pseudo-metrics",
+    "lifted_final": "lifted path converges in the pseudo-metrics",
+    "lifted_monotone": "lifted distances decay monotonically",
+    "lifted_bound": "lift is continuous on norm-bounded sets",
+}
+
+
 def _check_continuity(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
     mods = {k: ser.load_module(v) for k, v in payload["modules"].items()}
     E1, E2 = mods["E1"], mods["E2"]
@@ -1191,30 +1128,14 @@ def _check_continuity(payload: dict, tol: Tolerance, rec: _Recorder, memo: Build
             path, target, t1, t2, X.reshape(-1, E1.dim), C.reshape(-1, A.dim), tol
         )
     except NonConvergentInput as exc:
-        rec.fail("input_converges", "morphism path converges in the pseudo-metrics", exc)
+        rec.fail("input_converges", exc)
         return
-    rec.add(
-        "input_converges",
-        "morphism path converges in the pseudo-metrics",
-        probe.input_distances[-1],
-        10.0 * tol.ctol,
-    )
-    rec.add(
-        "lifted_final",
-        "lifted path converges in the pseudo-metrics",
-        probe.lifted_distances[-1],
-        probe.final_gate,
-    )
+    rec.add("input_converges", probe.input_distances[-1], 10.0 * tol.ctol)
+    rec.add("lifted_final", probe.lifted_distances[-1], probe.final_gate)
     lifted, given = np.array(probe.lifted_distances), np.array(probe.input_distances)
-    rec.add(
-        "lifted_monotone",
-        "lifted distances decay monotonically",
-        np.diff(lifted).max(initial=0.0),
-        1e-9,
-    )
+    rec.add("lifted_monotone", np.diff(lifted).max(initial=0.0), 1e-9)
     rec.add(
         "lifted_bound",
-        "lift is continuous on norm-bounded sets",
         (lifted - probe.constant * given - probe.final_gate).max(initial=0.0),
         tol.ctol,
     )
@@ -1236,6 +1157,15 @@ def _gen_uniqueness(caps: SizeCaps, seed: int) -> dict:
     return payload
 
 
+_UNIQUENESS_THEOREMS = {
+    "unitary": "the matching map W is a module unitary",
+    "representation_match": "W conjugates pi' to pi",
+    "embedding_match": "W V' = V",
+    "unitary_family_match": "W conjugates the dilated family U'~ to U~",
+    "planted_recovery": "W recovers the inverse of the planted unitary",
+}
+
+
 def _check_uniqueness(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
     c = ser.load_equivariant(payload["correspondence"])
     quad = dilate(c, tol=tol, memo=memo)
@@ -1243,22 +1173,9 @@ def _check_uniqueness(payload: dict, tol: Tolerance, rec: _Recorder, memo: Build
     Z = ModuleMap(F, F, ser.load_cmatrix(payload["planted"], F.dim, F.dim))
     quad2 = conjugated_quadruple(quad, Z)
     W, rep = uniqueness_unitary(quad, quad2, tol)
-    rec.merge(
-        rep,
-        {
-            "unitary": "the matching map W is a module unitary",
-            "representation_match": "W conjugates pi' to pi",
-            "embedding_match": "W V' = V",
-            "unitary_family_match": "W conjugates the dilated family U'~ to U~",
-        },
-    )
+    rec.merge(rep, "unitary", "representation_match", "embedding_match", "unitary_family_match")
     Z_inv = adjoint_map(Z).matrix
-    rec.add(
-        "planted_recovery",
-        "W recovers the inverse of the planted unitary",
-        operator_norm(W.matrix - Z_inv),
-        10.0 * tol.ctol,
-    )
+    rec.add("planted_recovery", operator_norm(W.matrix - Z_inv), 10.0 * tol.ctol)
 
 
 # ---------------------------------------------------------------------------
@@ -1266,16 +1183,16 @@ def _check_uniqueness(payload: dict, tol: Tolerance, rec: _Recorder, memo: Build
 # ---------------------------------------------------------------------------
 
 
-_SUITES = {  # name: (generator, checker), in SUITE_NAMES order
-    "ksgns": (_gen_ksgns, _check_ksgns),
-    "lift": (_gen_lift, _check_lift),
-    "idempotency": (_gen_idempotency, _check_idempotency),
-    "tensor": (_gen_tensor, _check_tensor),
-    "category": (_gen_category, _check_category),
-    "equivariant": (_gen_equivariant, _check_equivariant_suite),
-    "dilation": (_gen_equivariant, _check_dilation),
-    "continuity": (_gen_continuity, _check_continuity),
-    "uniqueness": (_gen_uniqueness, _check_uniqueness),
+_SUITES = {  # name: (generator, checker, theorem table), in SUITE_NAMES order
+    "ksgns": (_gen_ksgns, _check_ksgns, _KSGNS_THEOREMS),
+    "lift": (_gen_lift, _check_lift, _LIFT_THEOREMS),
+    "idempotency": (_gen_idempotency, _check_idempotency, _IDEMPOTENCY_THEOREMS),
+    "tensor": (_gen_tensor, _check_tensor, _TENSOR_THEOREMS),
+    "category": (_gen_category, _check_category, _CATEGORY_THEOREMS),
+    "equivariant": (_gen_equivariant, _check_equivariant_suite, _EQUIVARIANT_THEOREMS),
+    "dilation": (_gen_equivariant, _check_dilation, _DILATION_THEOREMS),
+    "continuity": (_gen_continuity, _check_continuity, _CONTINUITY_THEOREMS),
+    "uniqueness": (_gen_uniqueness, _check_uniqueness, _UNIQUENESS_THEOREMS),
 }
 
 
@@ -1299,14 +1216,15 @@ def check_instance(suite: str, payload: dict, tol: Tolerance) -> list[CheckRecor
     """Run one instance's checks.  Every build goes through one BuildMemo,
     so each tensor module, KSGNS triple and composite is built once per
     instance; the memo is dropped on return."""
-    rec = _Recorder(suite, payload.get("seed", 0), tol)
+    _, checker, theorems = _SUITES[suite]
+    rec = _Recorder(suite, payload.get("seed", 0), theorems)
     try:
-        _SUITES[suite][1](payload, tol, rec, BuildMemo())
+        checker(payload, tol, rec, BuildMemo())
     except Exception as exc:  # never abort the suite
         theorem = _CONSTRUCTION_THEOREMS.get(
             type(exc).__name__, "instance construction and validation"
         )
-        rec.fail("construction", theorem, exc)
+        rec.record("construction", theorem, float("inf"), 0.0, exc)
     return rec.records
 
 

@@ -71,12 +71,73 @@ LABEL_DIGESTS = {
 }
 
 
+@pytest.fixture(scope="module")
+def default_run():
+    """The records of the default run at a master seed, run once per module."""
+    runs = {}
+
+    def records(seed):
+        if seed not in runs:
+            runs[seed] = run(SuiteConfig(seed=seed)).records
+        return runs[seed]
+
+    return records
+
+
 @pytest.mark.parametrize("seed", sorted(LABEL_DIGESTS))
-def test_default_run_check_names_theorems_and_order_are_pinned(seed):
+def test_default_run_check_names_theorems_and_order_are_pinned(seed, default_run):
     # a renamed check, a changed theorem or a moved record changes the digest
-    labels = [[r.suite, r.check, r.theorem] for r in run(SuiteConfig(seed=seed)).records]
+    labels = [[r.suite, r.check, r.theorem] for r in default_run(seed)]
     assert len(labels) == 826
     assert hashlib.sha256(json.dumps(labels).encode()).hexdigest() == LABEL_DIGESTS[seed]
+
+
+def test_default_run_records_every_declared_check(default_run):
+    # the suite tables declare exactly the (suite, check, theorem) triples the
+    # default run records: none is left unused, and no record is undeclared
+    declared = {
+        (suite, check, theorem)
+        for suite, (_, _, table) in _SUITES.items()
+        for check, theorem in table.items()
+    }
+    assert len(declared) == 85
+    assert {(r.suite, r.check, r.theorem) for r in default_run(20250809)} == declared
+
+
+@pytest.mark.parametrize("checks, error", [
+    (["unitary", "naturality"], None),  # declared checks may be skipped
+    (["unitary", "naturality", "dim_stable"],
+     "ValueError: check 'dim_stable' is out of order in the idempotency suite's table"),
+    (["unitary", "unitary"],
+     "ValueError: check 'unitary' is out of order in the idempotency suite's table"),
+    (["unitary", "dim_stables"],
+     "ValueError: check 'dim_stables' is not declared by the idempotency suite's table"),
+], ids=["skipped", "reordered", "repeated", "undeclared"])
+def test_check_out_of_its_table_fails_the_instance(monkeypatch, checks, error):
+    # a checker that records an undeclared check, or a declared one after a
+    # later one, fails the instance as its construction record, naming the check
+    from ksgnslab import harness
+
+    generator, _, table = _SUITES["idempotency"]
+
+    def reordered(payload, tol, rec, memo):
+        for check in checks[:-1]:
+            rec.add(check, 0.0, 1.0)
+        rec.merge(CheckReport({checks[-1]: 0.0}, {checks[-1]: 1.0}), checks[-1])
+
+    monkeypatch.setitem(harness._SUITES, "idempotency", (generator, reordered, table))
+    payload = generator(SizeCaps(), instance_seed(20250809, "idempotency", 0))
+    records = check_instance("idempotency", payload, Tolerance())
+    if error is None:
+        assert [(r.check, r.theorem, r.passed) for r in records] == [
+            (check, table[check], True) for check in checks
+        ]
+        return
+    assert [(r.check, r.passed) for r in records] == [
+        *((check, True) for check in checks[:-1]), ("construction", False)
+    ]
+    assert records[-1].theorem == "instance construction and validation"
+    assert records[-1].error == error
 
 
 def test_generate_files_byte_identical(tmp_path):

@@ -916,37 +916,58 @@ def test_tensor_quotients_chooses_by_structure_alone():
     assert ordering_comparisons(source, "tensor_quotients") == []
 
 
-def merge_map_faults(source: str) -> dict[int, list[str]]:
-    """Per rec.merge call, by line, the keys of its map whose theorem is not a
-    plain string, or ["<map>"] when the map is not a dict literal."""
+# the recorder calls a checker names its checks in, with the arguments that are
+# check names: all of rec.add and rec.fail's first, rec.merge's after the report
+RECORD_CALLS = {"add": slice(0, 1), "fail": slice(0, 1), "merge": slice(1, None)}
+
+
+def recorded_checks(source: str) -> dict[str, list[str]]:
+    """Per top-level function, the check names it passes to rec.add,
+    rec.merge, rec.fail and _record_cp, in source order; a name that is not
+    a string literal reads "<expr>"."""
     found = {}
-    for call in ast.walk(ast.parse(source)):
-        if not (isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "merge"
-                and getattr(call.func.value, "id", None) == "rec"):
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef):
             continue
-        names = call.args[1] if len(call.args) == 2 else None
-        if not isinstance(names, ast.Dict):
-            found[call.lineno] = ["<map>"]
-            continue
-        found[call.lineno] = [
-            ast.unparse(k) for k, v in zip(names.keys, names.values)
-            if not (isinstance(v, ast.Constant) and isinstance(v.value, str))
+        calls = []
+        for call in ast.walk(fn):
+            func = getattr(call, "func", None)
+            if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "rec":
+                args = call.args[RECORD_CALLS.get(func.attr, slice(0))]
+            elif isinstance(func, ast.Name) and func.id == "_record_cp":
+                args = call.args[1:2]
+            else:
+                continue
+            calls += [(arg.lineno, arg.col_offset, arg) for arg in args]
+        names = [
+            arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str) else "<expr>"
+            for *_, arg in sorted(calls, key=lambda c: c[:2])
         ]
+        if names:
+            found[fn.name] = names
     return found
 
 
-def test_harness_merges_record_names_to_theorems():
-    # a checker reports under the record names, so every map the harness
-    # merges a report through is {record name: theorem}, never a rename
-    # {report key: (record name, theorem)}
+def test_checkers_record_declared_checks_in_table_order():
+    # a checker names each record's check by a literal its suite's table
+    # declares, and in source order never names one the table puts before the
+    # last; the recorder refuses either at run time too
+    from ksgnslab.harness import _SUITES
+
     probe = (
-        "rec.merge(rep, {'a': 't', 'b': ('c', 't')})\n"
-        "rec.merge(rep, names)\nother.merge(rep, prefix='x_')\n"
+        "def _check_a(p, rec):\n    rec.add('x', 0.0, 1.0)\n    rec.merge(rep, 'y', n)\n"
+        "    _record_cp(rec, 'z', phi, tol, memo)\n    rec.fail('z', exc)\n"
+        "    other.add('w')\n\ndef _gen_a(c):\n    return c\n"
     )
-    assert merge_map_faults(probe) == {1: ["'b'"], 2: ["<map>"]}
-    found = merge_map_faults((SRC / "harness.py").read_text())
-    assert len(found) == 9
-    assert {line: keys for line, keys in found.items() if keys} == {}
+    assert recorded_checks(probe) == {"_check_a": ["x", "y", "<expr>", "z", "z"]}
+    tables = {checker.__name__: table for _, checker, table in _SUITES.values()}
+    found = recorded_checks((SRC / "harness.py").read_text())
+    assert found.pop("_record_cp") == ["<expr>"]  # the name its caller passes
+    assert sorted(found) == sorted(tables)
+    for name, checks in found.items():
+        assert [c for c in checks if c not in tables[name]] == [], name
+        order = [list(tables[name]).index(c) for c in checks]
+        assert order == sorted(order), name
 
 
 def names_read(source: str, wanted) -> dict[str, set]:
