@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import KsgnslabError, ParseError, ValidationError
+from .errors import KsgnslabError
 from .harness import (
     SUITE_NAMES,
     SizeCaps,
@@ -182,10 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KsgnslabError as exc:
+    except (KsgnslabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
