@@ -3,7 +3,7 @@
 Per-instance seeds derive from the master seed through a counter-based
 SeedSequence split, so suites reproduce under reordering and a regenerated
 instance is bit-identical to its serialized form.  A failing instance never
-aborts a suite: exceptions become failing records and every remaining check
+aborts a suite: exceptions become failing records and every remaining instance
 still runs.  Thresholds scale as ctol * (1 + instance scale) where the scale
 is a product of the participating operator norms.
 
@@ -327,7 +327,7 @@ class _Recorder:
         fault = "out of order in" if check in self.theorems else "not declared by"
         raise ValueError(f"check {check!r} is {fault} the {self.suite} suite's table")
 
-    def record(self, check: str, theorem: str, residual: float, threshold: float,
+    def _record(self, check: str, theorem: str, residual: float, threshold: float,
                error: Exception | None = None) -> None:
         """Append one record, timed since the previous one."""
         now = time.perf_counter()
@@ -338,7 +338,7 @@ class _Recorder:
         ))
 
     def add(self, check: str, residual: float, threshold: float) -> None:
-        self.record(check, self._theorem(check), float(residual), float(threshold))
+        self._record(check, self._theorem(check), float(residual), float(threshold))
 
     def merge(self, report, *checks: str) -> None:
         """Record the residuals of a CheckReport that checks name, in that
@@ -347,7 +347,7 @@ class _Recorder:
             self.add(check, report.residuals[check], report.thresholds[check])
 
     def fail(self, check: str, error: Exception) -> None:
-        self.record(check, self._theorem(check), float("inf"), 0.0, error)
+        self._record(check, self._theorem(check), float("inf"), 0.0, error)
 
 
 def _record_cp(rec: _Recorder, check: str, phi: CPMap, tol: Tolerance, memo: BuildMemo) -> bool:
@@ -1224,7 +1224,7 @@ def check_instance(suite: str, payload: dict, tol: Tolerance) -> list[CheckRecor
         theorem = _CONSTRUCTION_THEOREMS.get(
             type(exc).__name__, "instance construction and validation"
         )
-        rec.record("construction", theorem, float("inf"), 0.0, exc)
+        rec._record("construction", theorem, float("inf"), 0.0, exc)
     return rec.records
 
 
