@@ -11,7 +11,7 @@ conjugation Z pi Z* by a dense unitary, and the descent of left multiplication
 pre-space for the descent.  This is the measurement behind
 numkernel.LIVE_MIN_DIM.
 
-    PYTHONPATH=src python scripts/split_widths.py --live suites-default prespace-cap
+    PYTHONPATH=src python scripts/split_widths.py suites-default prespace-cap
 
 Run it with one BLAS thread (OPENBLAS_NUM_THREADS=1) for steadier numbers.
 """
@@ -95,7 +95,6 @@ def live_runs(args: tuple) -> list[tuple]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--live", action="store_true", required=True, help="time the live cut")
     parser.add_argument("workloads", nargs="+")
     opts = parser.parse_args()
     saved = numkernel.LIVE_MIN_DIM

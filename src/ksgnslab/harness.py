@@ -3,9 +3,11 @@
 Per-instance seeds derive from the master seed through a counter-based
 SeedSequence split, so suites reproduce under reordering and a regenerated
 instance is bit-identical to its serialized form.  A failing instance never
-aborts a suite: exceptions become failing records and every remaining instance
-still runs.  Thresholds scale as ctol * (1 + instance scale) where the scale
-is a product of the participating operator norms.
+aborts a suite: any exception its checker raises ends it as one failing
+`construction` record (check_instance), and every remaining instance still
+runs.  Thresholds scale as ctol * (1 + instance scale) where the scale
+is a product of the participating operator norms.  A record's and a config's
+JSON are their dataclass fields; nothing reads a report back.
 
 Each suite declares its records once, as an ordered theorem table {check
 name: theorem} beside its checker; `_SUITES` holds (generator, checker,
@@ -37,6 +39,7 @@ from .cp import (
 )
 from .cstar import (
     AlgebraElement,
+    Automorphism,
     adjoints,
     element_norms,
     identity_automorphism,
@@ -60,12 +63,7 @@ from .equivariant import (
     trivial_group,
     uniqueness_unitary,
 )
-from .errors import (
-    InvalidConfig,
-    KsgnslabError,
-    NonConvergentInput,
-    ParseError,
-)
+from .errors import InvalidConfig, ParseError
 from .generators import (
     extend_morphism,
     random_elements,
@@ -191,25 +189,6 @@ class SuiteConfig:
         if self.caps.max_module_dim * max_input_dim(self.caps) > 200:
             raise InvalidConfig("caps allow dilation pre-spaces beyond 200 dimensions")
 
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "tolerance": {"rtol": self.tolerance.rtol, "ctol": self.tolerance.ctol},
-            "caps": asdict(self.caps),
-            "suites": list(self.suites),
-            "jobs": self.jobs,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SuiteConfig":
-        return cls(
-            seed=int(data["seed"]),
-            tolerance=Tolerance(**data["tolerance"]),
-            caps=SizeCaps(**data["caps"]),
-            suites=tuple(data["suites"]),
-            jobs=int(data.get("jobs", 1)),
-        )
-
 
 def max_input_dim(caps: SizeCaps) -> int:
     """Largest vector-space dimension the input algebra may take."""
@@ -232,34 +211,6 @@ class CheckRecord:
     passed: bool
     wall_time: float
     error: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "instance_seed": self.instance_seed,
-            "check": self.check,
-            "theorem": self.theorem,
-            "residual": None if not np.isfinite(self.residual) else float(self.residual),
-            "threshold": float(self.threshold),
-            "passed": bool(self.passed),
-            "wall_time": float(self.wall_time),
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CheckRecord":
-        residual = data["residual"]
-        return cls(
-            suite=data["suite"],
-            instance_seed=int(data["instance_seed"]),
-            check=data["check"],
-            theorem=data["theorem"],
-            residual=float("inf") if residual is None else float(residual),
-            threshold=float(data["threshold"]),
-            passed=bool(data["passed"]),
-            wall_time=float(data["wall_time"]),
-            error=data.get("error", ""),
-        )
 
 
 @dataclass
@@ -285,23 +236,18 @@ class Report:
         return max(finite, default=0.0)
 
     def to_json(self) -> dict:
-        return {
-            "config": self.config,
-            "records": [r.to_json() for r in self.records],
-            "summary": {
-                "total": self.total,
-                "passed": self.passed,
-                "failed": self.total - self.passed,
-                "max_residual": self.max_residual,
-            },
+        """The fields as JSON, a non-finite residual as null, and the summary."""
+        data = asdict(self)
+        for r in data["records"]:
+            if not np.isfinite(r["residual"]):
+                r["residual"] = None
+        data["summary"] = {
+            "total": self.total,
+            "passed": self.passed,
+            "failed": self.total - self.passed,
+            "max_residual": self.max_residual,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Report":
-        return cls(
-            config=data["config"],
-            records=[CheckRecord.from_json(r) for r in data["records"]],
-        )
+        return data
 
 
 class _Recorder:
@@ -309,7 +255,8 @@ class _Recorder:
     its suite's table.  Each record's check must be declared there and come
     after the previous record's check; an instance may skip declared checks.
     A check that breaks this raises ValueError naming it, so the instance
-    fails as its construction record."""
+    fails as its construction record; any other exception a checker raises
+    ends the instance there too, as the recorder writes no failure itself."""
 
     def __init__(self, suite: str, seed: int, theorems: dict[str, str]):
         self.suite = suite
@@ -345,9 +292,6 @@ class _Recorder:
         order.  A name the report lacks raises KeyError, so the instance fails."""
         for check in checks:
             self.add(check, report.residuals[check], report.thresholds[check])
-
-    def fail(self, check: str, error: Exception) -> None:
-        self._record(check, self._theorem(check), float("inf"), 0.0, error)
 
 
 def _record_cp(rec: _Recorder, check: str, phi: CPMap, tol: Tolerance, memo: BuildMemo) -> bool:
@@ -402,12 +346,7 @@ def _check_ksgns(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo)
     E = ser.load_module(payload["module"])
     phi = ser.load_cpmap(payload["phi"], {"module": E})
     rec.add("input_hermitian", phi.hermiticity_residual(), tol.ctol * (1.0 + phi.norm))
-    try:
-        ok = _record_cp(rec, "input_cp", phi, tol, memo)
-    except KsgnslabError as exc:
-        rec.fail("input_cp", exc)
-        return
-    if not ok:
+    if not _record_cp(rec, "input_cp", phi, tol, memo):
         return
     t = ksgns([E], [phi], tol, memo)[0]
     rec.merge(
@@ -811,13 +750,24 @@ def _gen_category(caps: SizeCaps, seed: int) -> dict:
                 "dom": dom,
                 "cod": cod,
                 "rho": ser.dump_star_map(m.rho),
-                "eta": ser.dump_cmatrix(m.eta.matrix),
-                "alpha": ser.dump_automorphism(m.alpha),
+                **_dump_eta_alpha(m.eta.matrix, m.alpha),
             }
             for dom, cod, m in morphisms
         ],
         "checks": ["laws", "ksgns_functor"] if deep else ["laws"],
     }
+
+
+def _dump_eta_alpha(eta: np.ndarray, alpha: Automorphism) -> dict:
+    """A morphism's matrix and automorphism, as the category and continuity
+    payloads write them."""
+    return {"eta": ser.dump_cmatrix(eta), "alpha": ser.dump_automorphism(alpha)}
+
+
+def _load_eta_alpha(data: dict, source, target) -> tuple[ModuleMap, Automorphism]:
+    """The map source -> target and the automorphism of a _dump_eta_alpha payload."""
+    eta = ser.load_cmatrix(data["eta"], target.dim, source.dim)
+    return ModuleMap(source, target, eta), ser.load_automorphism(data["alpha"])
 
 
 def _sibling_morphism(m, rng: np.random.Generator, tol: Tolerance, memo: BuildMemo):
@@ -846,11 +796,8 @@ def _load_category(payload: dict, tol: Tolerance, memo: BuildMemo):
     for d in payload["morphisms"]:
         dom, cod, rho = by_ident[d["dom"]], by_ident[d["cod"]], ser.load_star_map(d["rho"])
         tm = interior_tensor_along([dom.module], [rho], tol, memo)[0]
-        eta = ser.load_cmatrix(d["eta"], cod.module.dim, tm.module.dim)
-        morphisms += make_poscor_morphism(
-            [dom], [cod], [rho], [ModuleMap(tm.module, cod.module, eta)],
-            [ser.load_automorphism(d["alpha"])], tol, memo,
-        )
+        eta, alpha = _load_eta_alpha(d, tm.module, cod.module)
+        morphisms += make_poscor_morphism([dom], [cod], [rho], [eta], [alpha], tol, memo)
     return objects, morphisms
 
 
@@ -1024,52 +971,22 @@ def _gen_continuity(caps: SizeCaps, seed: int) -> dict:
         E1, phi1, E2, phi2, m = random_morphism_pair(A, B, rng, min(caps.max_module_dim, 4))
         basis = intertwiner_space(phi1, phi2, m.alpha, GENERATION_TOL)
         direction = basis[int(rng.integers(len(basis)))]
-        path = []
-        for k in range(1, CONTINUITY_STEPS + 1):
-            eps = 0.1 * 4.0 ** (-k)
-            path.append(
-                {
-                    "eta": ser.dump_cmatrix(m.eta.matrix + eps * direction.matrix),
-                    "alpha": ser.dump_automorphism(m.alpha),
-                }
-            )
-        target = {
-            "eta": ser.dump_cmatrix(m.eta.matrix),
-            "alpha": ser.dump_automorphism(m.alpha),
-        }
-        mod_payload = {
-            "E1": ser.dump_module(E1),
-            "E2": ser.dump_module(E2),
-        }
-        phi_payload = {
-            "phi1": ser.dump_cpmap(phi1, "E1"),
-            "phi2": ser.dump_cpmap(phi2, "E2"),
-        }
+        path = [
+            (m.eta.matrix + 0.1 * 4.0 ** (-k) * direction.matrix, m.alpha)
+            for k in range(1, CONTINUITY_STEPS + 1)
+        ]
+        target = (m.eta.matrix, m.alpha)
     else:
-        F, pi = random_representation(A, B, rng, max_dim=min(caps.max_module_dim, 6))
+        E1, pi = random_representation(A, B, rng, max_dim=min(caps.max_module_dim, 6))
+        E2, phi1, phi2 = E1, pi, pi
         H = random_element(A, rng, hermitian=True)
         path = []
         for k in range(1, CONTINUITY_STEPS + 1):
             eps = 1e-2 * 4.0 ** (-k)
             u_blocks = [herm_expi(eps * blk, GENERATION_TOL) for blk in H.blocks]
             u = AlgebraElement(A, u_blocks)
-            alpha_k = inner_automorphism(A, u_blocks)
-            path.append(
-                {
-                    "eta": ser.dump_cmatrix(pi(u.coeffs()).matrix),
-                    "alpha": ser.dump_automorphism(alpha_k),
-                }
-            )
-        target = {
-            "eta": ser.dump_cmatrix(np.eye(F.dim, dtype=complex)),
-            "alpha": ser.dump_automorphism(identity_automorphism(A)),
-        }
-        mod_payload = {"E1": ser.dump_module(F), "E2": ser.dump_module(F)}
-        phi_payload = {
-            "phi1": ser.dump_cpmap(pi, "E1"),
-            "phi2": ser.dump_cpmap(pi, "E2"),
-        }
-    E1_dim = len(mod_payload["E1"]["pairing"])
+            path.append((pi(u.coeffs()).matrix, inner_automorphism(A, u_blocks)))
+        target = (np.eye(E1.dim, dtype=complex), identity_automorphism(A))
     samples = [
         {
             "x": ser.dump_cmatrix(x.reshape(-1, 1)),
@@ -1077,7 +994,7 @@ def _gen_continuity(caps: SizeCaps, seed: int) -> dict:
         }
         for x, a in zip(
             [
-                (rng.standard_normal(E1_dim) + 1j * rng.standard_normal(E1_dim))
+                (rng.standard_normal(E1.dim) + 1j * rng.standard_normal(E1.dim))
                 for _ in range(3)
             ],
             random_elements(A, rng, 3),
@@ -1087,10 +1004,10 @@ def _gen_continuity(caps: SizeCaps, seed: int) -> dict:
         "seed": seed,
         "kind": kind,
         "input_algebra": ser.dump_shape(A),
-        "modules": mod_payload,
-        "phis": phi_payload,
-        "target": target,
-        "path": path,
+        "modules": {"E1": ser.dump_module(E1), "E2": ser.dump_module(E2)},
+        "phis": {"phi1": ser.dump_cpmap(phi1, "E1"), "phi2": ser.dump_cpmap(phi2, "E2")},
+        "target": _dump_eta_alpha(*target),
+        "path": [_dump_eta_alpha(eta, alpha) for eta, alpha in path],
         "samples": samples,
     }
 
@@ -1109,27 +1026,16 @@ def _check_continuity(payload: dict, tol: Tolerance, rec: _Recorder, memo: Build
     phi1 = ser.load_cpmap(payload["phis"]["phi1"], mods)
     phi2 = ser.load_cpmap(payload["phis"]["phi2"], mods)
     A = phi1.algebra
-
-    def load_morphism(data) -> Intertwiner:
-        return Intertwiner(
-            ModuleMap(E1, E2, ser.load_cmatrix(data["eta"], E2.dim, E1.dim)),
-            ser.load_automorphism(data["alpha"]),
-        )
-
-    target = load_morphism(payload["target"])
-    path = [load_morphism(p) for p in payload["path"]]
+    target = Intertwiner(*_load_eta_alpha(payload["target"], E1, E2))
+    path = [Intertwiner(*_load_eta_alpha(p, E1, E2)) for p in payload["path"]]
     samples = payload["samples"]
     X = np.array([ser.load_cmatrix(s["x"], E1.dim, 1)[:, 0] for s in samples], dtype=complex)
     C = np.array([ser.load_element(A, s["a"]) for s in samples], dtype=complex)
     t1 = ksgns([E1], [phi1], tol, memo)[0]
     t2 = ksgns([E2], [phi2], tol, memo)[0]
-    try:
-        probe = continuity_probe(
-            path, target, t1, t2, X.reshape(-1, E1.dim), C.reshape(-1, A.dim), tol
-        )
-    except NonConvergentInput as exc:
-        rec.fail("input_converges", exc)
-        return
+    probe = continuity_probe(
+        path, target, t1, t2, X.reshape(-1, E1.dim), C.reshape(-1, A.dim), tol
+    )
     rec.add("input_converges", probe.input_distances[-1], 10.0 * tol.ctol)
     rec.add("lifted_final", probe.lifted_distances[-1], probe.final_gate)
     lifted, given = np.array(probe.lifted_distances), np.array(probe.input_distances)
@@ -1320,7 +1226,7 @@ def run(config: SuiteConfig, instance_dir: str | None = None) -> Report:
         results = [_run_one(task) for task in tasks]
     records = [r for chunk in results for r in chunk]
     blas_threads = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
-    return Report({**config.to_json(), "blas_threads": blas_threads}, records)
+    return Report({**asdict(config), "blas_threads": blas_threads}, records)
 
 
 def report_emit(report: Report, fmt: str = "text") -> str:

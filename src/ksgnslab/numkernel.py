@@ -102,7 +102,7 @@ CERTIFY_MARGIN = 1e-6
 # lambda_max = sigma_1^2 strictly inside this range keeps sigma_1 to rounding; out of it
 # squaring underflows or overflows, and the slice takes the SVD's sigma_1
 GRAM_RANGE = (1e-280, 1e280)
-# Narrower stacks stay dense: on the workloads' row-split pi_phi (split_widths.py --live, Gram
+# Narrower stacks stay dense: on the workloads' row-split pi_phi (split_widths.py, Gram
 # kernel) the cut took +80% to +85% at width 32, +5% to +9% at 45, -6% to +0% at 54 and +75% for
 # the descent at 64, and -22% to -44% at 72-99
 LIVE_MIN_DIM = 72

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -255,15 +256,19 @@ def test_isolation_failing_instance_does_not_abort(tmp_path):
     assert len(failing) == 1
 
 
-def test_report_json_round_trip_idempotent():
+def test_report_json_is_the_records_fields_and_summary():
     cfg = SuiteConfig(seed=2, caps=SMALL, suites=("ksgns",))
     report = run(cfg)
-    text = report_emit(report, "json")
-    parsed = Report.from_json(json.loads(text))
-    assert report_emit(parsed, "json") == text
-    summary = json.loads(text)["summary"]
-    assert summary["total"] == report.total
-    assert summary["passed"] == report.passed
+    doc = json.loads(report_emit(report, "json"))
+    assert report.all_passed
+    assert doc["records"] == [asdict(r) for r in report.records]
+    assert doc["summary"] == {
+        "total": report.total,
+        "passed": report.passed,
+        "failed": report.total - report.passed,
+        "max_residual": report.max_residual,
+    }
+    assert doc["config"]["suites"] == ["ksgns"]
 
 
 def test_report_config_records_blas_thread_settings(monkeypatch):
@@ -272,23 +277,34 @@ def test_report_config_records_blas_thread_settings(monkeypatch):
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     cfg = SuiteConfig(seed=2, caps=SMALL, suites=("ksgns",))
     report = run(cfg)
-    assert report.config["blas_threads"] == {
-        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None,
+    blas_threads = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
+    assert report.config == {**asdict(cfg), "blas_threads": blas_threads}
+    assert json.loads(report_emit(report, "json"))["config"] == {
+        "seed": 2,
+        "tolerance": {"rtol": 1e-10, "ctol": 1e-8},
+        "caps": asdict(SMALL),
+        "suites": ["ksgns"],
+        "jobs": 1,
+        "blas_threads": blas_threads,
     }
-    assert SuiteConfig.from_json(report.config) == cfg
-    assert {k: v for k, v in report.config.items() if k != "blas_threads"} == cfg.to_json()
 
 
-def test_report_round_trip_with_failure_record():
-    rec = CheckRecord("lift", 7, "construction", "some law", float("inf"), 0.0, False, 0.1,
-                      error="NotCP: boom")
-    report = Report({}, [rec])
-    text = report_emit(report, "json")
-    parsed = Report.from_json(json.loads(text))
-    assert parsed.records[0].residual == float("inf")
-    assert parsed.records[0].error == "NotCP: boom"
-    assert report_emit(parsed, "json") == text
-    assert "inf" in report_emit(parsed, "text")
+def test_report_json_writes_an_infinite_residual_as_null():
+    failed = CheckRecord("lift", 7, "construction", "some law", float("inf"), 0.0, False, 0.1,
+                         error="NotCP: boom")
+    passed = CheckRecord("lift", 7, "morphism", "other law", 2e-9, 1e-8, True, 0.2)
+    report = Report({}, [failed, passed])
+    doc = json.loads(report_emit(report, "json"))
+    assert doc["records"][0] == {
+        "suite": "lift", "instance_seed": 7, "check": "construction", "theorem": "some law",
+        "residual": None, "threshold": 0.0, "passed": False, "wall_time": 0.1,
+        "error": "NotCP: boom",
+    }
+    assert doc["records"][1]["residual"] == 2e-9
+    assert doc["summary"] == {"total": 2, "passed": 1, "failed": 1, "max_residual": 2e-9}
+    text = report_emit(report, "text")
+    assert "inf" in text and "[NotCP: boom]" in text
+    assert "total 2  passed 1  failed 1" in text
 
 
 def test_text_report_contains_fail_line():
@@ -474,9 +490,9 @@ def test_residual_missing_from_checker_report_fails_the_instance(monkeypatch):
 
 
 def test_early_exits_record_their_input_failure_last():
-    # a non-Hermitian phi fails input_hermitian, then check_cp raises, and
-    # the ksgns checker stops at input_cp; a target off the continuity path
-    # stops the continuity checker at input_converges
+    # a phi that is not B-linear fails input_hermitian, then check_cp raises
+    # and the ksgns instance ends as its construction record; a target off the
+    # continuity path ends the continuity instance the same way
     from ksgnslab import serialize as ser
 
     payload = generate_instance("ksgns", SizeCaps(), instance_seed(20250809, "ksgns", 0))
@@ -486,13 +502,13 @@ def test_early_exits_record_their_input_failure_last():
     payload["phi"] = ser.dump_cpmap(phi, "module")
     records = check_instance("ksgns", payload, Tolerance())
     assert [(r.check, r.passed) for r in records] == [
-        ("input_hermitian", False), ("input_cp", False)
+        ("input_hermitian", False), ("construction", False)
     ]
     last = records[-1]
-    assert (last.theorem, last.residual, last.threshold) == (
-        "complete positivity via blockwise Choi matrices", float("inf"), 0.0
+    assert (last.theorem, last.residual, last.threshold, last.error) == (
+        "operator images land in the adjointable operators", float("inf"), 0.0,
+        "NonLinearMap: images fail B-linearity (residual 7.017e-01)",
     )
-    assert last.error.startswith("NonLinearMap: ")
 
     payload = generate_instance(
         "continuity", SizeCaps(), instance_seed(20250809, "continuity", 0)
@@ -500,7 +516,7 @@ def test_early_exits_record_their_input_failure_last():
     payload["target"]["eta"] = (1.5 * np.asarray(payload["target"]["eta"])).tolist()
     (record,) = check_instance("continuity", payload, Tolerance())
     assert (record.check, record.theorem, record.residual, record.threshold) == (
-        "input_converges", "morphism path converges in the pseudo-metrics", float("inf"), 0.0
+        "construction", "morphism path converges in the pseudo-metrics", float("inf"), 0.0
     )
     assert not record.passed
     assert record.error.startswith("NonConvergentInput: ")

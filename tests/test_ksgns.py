@@ -11,7 +11,6 @@ from ksgnslab.cstar import (
 from ksgnslab.equivariant import scramble_module
 from ksgnslab.errors import NonConvergentInput, NotCP, ShapeMismatch
 from ksgnslab.generators import (
-    canonical_module,
     extend_morphism,
     random_module,
     random_morphism_pair,
@@ -19,7 +18,7 @@ from ksgnslab.generators import (
     random_vectors,
     transported_copy,
 )
-from ksgnslab.hilbert import ModuleMap, adjoint_map, identity_map
+from ksgnslab.hilbert import ModuleMap, adjoint_map, canonical_module, identity_map
 from ksgnslab.ksgns import (
     check_idempotency,
     check_lift,
@@ -87,6 +86,33 @@ def test_gns_dimension_pure_state():
     A, E, phi = state_on_m2([1.0, 0.0])
     t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
     assert t.module.dim == oracle_rank == 2
+    assert check_triple(t, DEFAULT_TOL).passed
+
+
+def rank_limited_cp(n: int, d: int, rank: int, rng) -> CPMap:
+    """A CP map from M_n into L(C^d) whose Choi matrix has rank `rank`."""
+    A = AlgebraShape((n,))
+    E = canonical_module(AlgebraShape((1,)), (d,))
+    Y = random_complex(rng, n * d, rank)
+    choi = Y @ Y.conj().T
+    choi /= np.linalg.norm(choi, 2)
+    images = np.zeros((A.dim, d, d), dtype=complex)
+    for p, i, k, l in A.basis_labels():
+        images[p] = choi[k * d : (k + 1) * d, l * d : (l + 1) * d]
+    return CPMap(A, E, images)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "n, d, rank",
+    [(n, d, r) for n in range(1, 4) for d in range(1, 4) for r in range(1, n * d + 1)],
+)
+def test_dilation_dimension_is_block_size_times_choi_rank(n, d, rank, seed):
+    # the quotient keeps n copies of the Choi matrix's range: dim F_phi = n r
+    rng = np.random.default_rng(1000 * n + 100 * d + 10 * rank + seed)
+    phi = rank_limited_cp(n, d, rank, rng)
+    t = ksgns([phi.module], [phi], DEFAULT_TOL, BuildMemo())[0]
+    assert t.module.dim == n * rank
     assert check_triple(t, DEFAULT_TOL).passed
 
 

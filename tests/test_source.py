@@ -116,10 +116,10 @@ def referenced_names(source: str) -> set[str]:
     return names
 
 
-def attribute_uses(source: str) -> tuple[set[str], set[str]]:
+def attribute_uses(source: str | ast.Module) -> tuple[set[str], set[str]]:
     """(attributes a module calls, attributes it reads) on any receiver but a
     module bound by `import`: np.trace(x) uses no method named trace."""
-    tree = ast.parse(source)
+    tree = ast.parse(source) if isinstance(source, str) else source
     modules = {
         alias.asname or alias.name.split(".")[0]
         for node in ast.walk(tree)
@@ -183,6 +183,55 @@ def test_no_unreferenced_top_level_definitions():
     assert len(definitions) > 200
     assert len(methods) > 50
     assert unreferenced(definitions, methods, corpus) == []
+
+
+def self_referenced_methods(sources: dict[str, str], corpus: dict[str, str]) -> list[str]:
+    """The methods and properties of the classes in sources that no corpus
+    module uses outside the method's own body.  A method counts by its name
+    alone, as in unreferenced."""
+    uses = {name: attribute_uses(source) for name, source in corpus.items()}
+    found = []
+    for name, source in sources.items():
+        called = set().union(*(c for other, (c, _) in uses.items() if other != name))
+        read = set().union(*(r for other, (_, r) in uses.items() if other != name))
+        properties = dict(class_methods(source))
+        tree = ast.parse(source)
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for i, fn in enumerate(cls.body):
+                method = f"{cls.name}.{getattr(fn, 'name', '')}"
+                if method not in properties:
+                    continue
+                cls.body[i] = ast.Pass()  # the method's own body uses nothing
+                calls, reads = attribute_uses(tree)
+                cls.body[i] = fn
+                if fn.name not in (read | reads if properties[method] else called | calls):
+                    found.append(f"{name}:{method}")
+    return found
+
+
+def test_no_method_used_only_by_its_own_body():
+    # a method its own body calls, as Report.from_json called
+    # CheckRecord.from_json, is no more used than one nothing calls
+    probe = (
+        "class Tree:\n    def walk(self):\n        return [c.walk() for c in self.kids]\n"
+        "    def size(self):\n        return len(self.walk())\n"
+        "    @property\n    def depth(self):\n        return 1 + max(c.depth for c in self.kids)\n"
+    )
+    assert self_referenced_methods({"t.py": probe}, {"t.py": probe}) == [
+        "t.py:Tree.size", "t.py:Tree.depth"
+    ]
+    user = "print(Tree().size())\n"
+    assert self_referenced_methods({"t.py": probe}, {"t.py": probe, "u.py": user}) == [
+        "t.py:Tree.depth"
+    ]
+    corpus = {
+        str(path.relative_to(REPO)): path.read_text()
+        for part in ("src", "scripts", "perfbench")
+        for path in sorted((REPO / part).rglob("*.py"))
+    }
+    sources = {name: source for name, source in corpus.items() if name.startswith("src/")}
+    assert len(sources) > 10
+    assert self_referenced_methods(sources, corpus) == []
 
 
 LOOPS = (
