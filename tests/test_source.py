@@ -210,8 +210,8 @@ def self_referenced_methods(sources: dict[str, str], corpus: dict[str, str]) -> 
 
 
 def test_no_method_used_only_by_its_own_body():
-    # a method its own body calls, as Report.from_json called
-    # CheckRecord.from_json, is no more used than one nothing calls
+    # a method that only its own body calls, as a recursive reader does, is
+    # no more used than one nothing calls: only the tests would reach it
     probe = (
         "class Tree:\n    def walk(self):\n        return [c.walk() for c in self.kids]\n"
         "    def size(self):\n        return len(self.walk())\n"
