@@ -5,13 +5,12 @@
     verify demo gns
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-IO error.  The environment variable VERIFY_SEED overrides the config seed.
+IO error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import asdict
 
@@ -42,17 +41,13 @@ def _parse_caps(pairs: list[str]) -> SizeCaps:
 
 
 def _config_from_args(args) -> SuiteConfig:
-    seed = args.seed
-    env_seed = os.environ.get("VERIFY_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
     tol = Tolerance()
     if getattr(args, "tol", None) is not None:
         tol = Tolerance(ctol=float(args.tol))
     if getattr(args, "rtol", None) is not None:
         tol = Tolerance(rtol=float(args.rtol), ctol=tol.ctol)
     return SuiteConfig(
-        seed=seed,
+        seed=args.seed,
         tolerance=tol,
         caps=_parse_caps(args.caps or []),
         suites=tuple(args.suites) if args.suites else SUITE_NAMES,

@@ -7,8 +7,8 @@ block M_n of A the n*d x n*d matrix sum_{kl} E_kl (x) realize(phi(E_kl))
 must be PSD.  Complete positivity on a direct sum decomposes summand-wise.
 
 Every map here is strict for free: the algebras are unital, so approximate
-units collapse to evaluation at 1.  The `strict` flag exists only so that
-serialized instances stay honest about that hypothesis.
+units collapse to evaluation at 1.  Serialized maps state it as `"strict":
+true`, and a map that claims otherwise is malformed input (serialize).
 
 The interior tensor product along a CP map, and T (x) I on it, live here,
 below ksgns (F_phi = A (x)_phi E) and poscor (tensoring along rho).
@@ -86,7 +86,6 @@ class CPMap:
     algebra: AlgebraShape
     module: HilbertModule
     images: np.ndarray  # (dim_A, d, d)
-    strict: bool = True  # automatic in the unital model; kept for honesty
 
     def __post_init__(self) -> None:
         d = self.module.dim
@@ -105,10 +104,8 @@ class CPMap:
 
     @cached_property
     def key(self) -> bytes:
-        """Content digest of the class, domain, module key, images and flag."""
-        return content_key(
-            type(self).__name__, self.algebra.blocks, self.module.key, self.images, self.strict
-        )
+        """Content digest of the class, domain, module key and images."""
+        return content_key(type(self).__name__, self.algebra.blocks, self.module.key, self.images)
 
     @cached_property
     def norm(self) -> float:

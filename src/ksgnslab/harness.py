@@ -11,7 +11,8 @@ JSON are their dataclass fields; nothing reads a report back.
 
 Each suite declares its records once, as an ordered theorem table {check
 name: theorem} beside its checker; `_SUITES` holds (generator, checker,
-table) per suite.  Checkers record by check name alone, and a name the table
+table) per suite.  A checker yields named residuals, (check, residual,
+threshold); the harness records them (check_instance), and a name the table
 does not declare, or declares before the previous record's, fails the instance.
 """
 
@@ -250,57 +251,18 @@ class Report:
         return data
 
 
-class _Recorder:
-    """Collects timed check records for one instance under the theorems of
-    its suite's table.  Each record's check must be declared there and come
-    after the previous record's check; an instance may skip declared checks.
-    A check that breaks this raises ValueError naming it, so the instance
-    fails as its construction record; any other exception a checker raises
-    ends the instance there too, as the recorder writes no failure itself."""
-
-    def __init__(self, suite: str, seed: int, theorems: dict[str, str]):
-        self.suite = suite
-        self.seed = seed
-        self.theorems = theorems
-        self.records: list[CheckRecord] = []
-        self._pending = iter(theorems.items())  # the table after the last record's check
-        self._mark = time.perf_counter()
-
-    def _theorem(self, check: str) -> str:
-        """The declared theorem of check; the checks before it are passed for good."""
-        for name, theorem in self._pending:
-            if name == check:
-                return theorem
-        fault = "out of order in" if check in self.theorems else "not declared by"
-        raise ValueError(f"check {check!r} is {fault} the {self.suite} suite's table")
-
-    def _record(self, check: str, theorem: str, residual: float, threshold: float,
-               error: Exception | None = None) -> None:
-        """Append one record, timed since the previous one."""
-        now = time.perf_counter()
-        dt, self._mark = now - self._mark, now
-        self.records.append(CheckRecord(
-            self.suite, self.seed, check, theorem, residual, threshold, residual <= threshold,
-            dt, "" if error is None else f"{type(error).__name__}: {error}",
-        ))
-
-    def add(self, check: str, residual: float, threshold: float) -> None:
-        self._record(check, self._theorem(check), float(residual), float(threshold))
-
-    def merge(self, report, *checks: str) -> None:
-        """Record the residuals of a CheckReport that checks name, in that
-        order.  A name the report lacks raises KeyError, so the instance fails."""
-        for check in checks:
-            self.add(check, report.residuals[check], report.thresholds[check])
+def _named(report, *checks: str):
+    """The (check, residual, threshold) of a CheckReport's checks, in that
+    order.  A name the report lacks raises KeyError, so the instance fails."""
+    for check in checks:
+        yield check, report.residuals[check], report.thresholds[check]
 
 
-def _record_cp(rec: _Recorder, check: str, phi: CPMap, tol: Tolerance, memo: BuildMemo) -> bool:
-    """Record the Choi certificate of phi (check_cp): the most negative
-    Choi eigenvalue when it passes, inf whenever it fails.  Returns the verdict."""
+def _cp_certificate(phi: CPMap, tol: Tolerance, memo: BuildMemo) -> tuple[bool, tuple]:
+    """The Choi verdict of phi (check_cp) with its (residual, threshold): the
+    most negative Choi eigenvalue when it passes, inf whenever it fails."""
     ok, mins = check_cp([phi], tol, memo)[0]
-    resid = max(0.0, -min(mins)) if ok else float("inf")
-    rec.add(check, resid, tol.ctol * (1.0 + phi.norm))
-    return ok
+    return ok, (max(0.0, -min(mins)) if ok else float("inf"), tol.ctol * (1.0 + phi.norm))
 
 
 def _sub_rng(seed: int, salt: int) -> np.random.Generator:
@@ -342,14 +304,16 @@ _KSGNS_THEOREMS = {
 }
 
 
-def _check_ksgns(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
+def _check_ksgns(payload: dict, tol: Tolerance, memo: BuildMemo):
     E = ser.load_module(payload["module"])
     phi = ser.load_cpmap(payload["phi"], {"module": E})
-    rec.add("input_hermitian", phi.hermiticity_residual(), tol.ctol * (1.0 + phi.norm))
-    if not _record_cp(rec, "input_cp", phi, tol, memo):
+    yield "input_hermitian", phi.hermiticity_residual(), tol.ctol * (1.0 + phi.norm)
+    ok, certificate = _cp_certificate(phi, tol, memo)
+    yield "input_cp", *certificate
+    if not ok:
         return
     t = ksgns([E], [phi], tol, memo)[0]
-    rec.merge(
+    yield from _named(
         check_triple(t, tol),
         "reconstruction", "spanning", "embedding_adjoint", "pi_multiplicative", "pi_unital",
     )
@@ -358,12 +322,12 @@ def _check_ksgns(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo)
     t2 = conjugated_triple(t, Z)
     U, repu = triple_uniqueness_unitary(t, t2, tol)
     # uniqueness_*: the uniqueness suite records this triple under its report names
-    rec.add("uniqueness_unitary", repu.residuals["unitary"], repu.thresholds["unitary"])
-    rec.add("uniqueness_embedding",
-            repu.residuals["embedding_match"], repu.thresholds["embedding_match"])
-    rec.add("uniqueness_representation",
-            repu.residuals["representation_match"], repu.thresholds["representation_match"])
-    rec.add(
+    yield "uniqueness_unitary", repu.residuals["unitary"], repu.thresholds["unitary"]
+    yield ("uniqueness_embedding",
+           repu.residuals["embedding_match"], repu.thresholds["embedding_match"])
+    yield ("uniqueness_representation",
+           repu.residuals["representation_match"], repu.thresholds["representation_match"])
+    yield (
         "uniqueness_planted", operator_norm(U.matrix - Z.matrix), tol.ctol * (1.0 + phi.norm)
     )
 
@@ -461,19 +425,19 @@ _LIFT_THEOREMS = {
 }
 
 
-def _check_lift(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
+def _check_lift(payload: dict, tol: Tolerance, memo: BuildMemo):
     mods, phis, morphs = _load_bundle(payload)
     E1, E2, E3 = mods["E1"], mods["E2"], mods["E3"]
     phi1, phi2, phi3 = phis["phi1"], phis["phi2"], phis["phi3"]
     m1, m2 = morphs["m1"], morphs["m2"]
     rng = _sub_rng(payload["seed"], 2)
 
-    rec.merge(
+    yield from _named(
         check_morphism([m1], [phi1], [phi2], tol)[0],
         "morphism", "morphism_adjoint", "morphism_commutant",
     )
     worst, scale = _family_bound_residual(phi1, m1, rng)
-    rec.add("family_bound", worst, tol.ctol * scale)
+    yield "family_bound", worst, tol.ctol * scale
     # positivity sandwich on a sampled a* a
     a = random_elements(phi1.algebra, rng, 1)
     pos = phi1(products(phi1.algebra, adjoints(phi1.algebra, a), a)[0, 0]).matrix
@@ -484,25 +448,25 @@ def _check_lift(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) 
     )
     a_norm = float(element_norms(phi1.algebra, a)[0])
     sandwich_scale = tol.ctol * (1.0 + phi1.norm * (1.0 + a_norm**2) * (1.0 + m1.norm**2))
-    rec.add("positivity_lower", max(0.0, -lower_eig), sandwich_scale)
-    rec.add("positivity_upper", max(0.0, -upper_eig), sandwich_scale)
+    yield "positivity_lower", max(0.0, -lower_eig), sandwich_scale
+    yield "positivity_upper", max(0.0, -upper_eig), sandwich_scale
 
     t1 = ksgns([E1], [phi1], tol, memo)[0]
     t2 = ksgns([E2], [phi2], tol, memo)[0]
     t3 = ksgns([E3], [phi3], tol, memo)[0]
     leak, gate = null_leak(t2.q, kron(m1.alpha.matrix, m1.eta.matrix), t1.kernel, tol)
-    rec.add("lift_well_defined", leak, gate)
+    yield "lift_well_defined", leak, gate
     lifted1 = ksgns_lift([m1], [t1], [t2], tol)[0]
-    rec.merge(
+    yield from _named(
         check_lift(m1, lifted1, t1, t2, tol),
         "lift_contraction", "lift_adjoint", "lift_morphism", "lift_embedding",
     )
     ident = Intertwiner(identity_map(E1), identity_automorphism(phi1.algebra))
     lift_id = ksgns_lift([ident], [t1], [t1], tol)[0]
-    rec.add("functor_identity", operator_norm(lift_id.eta.matrix - np.eye(t1.module.dim)), tol.ctol)
+    yield "functor_identity", operator_norm(lift_id.eta.matrix - np.eye(t1.module.dim)), tol.ctol
     lifted2 = ksgns_lift([m2], [t2], [t3], tol)[0]
     lifted21 = ksgns_lift([compose_intertwiners(m2, m1)], [t1], [t3], tol)[0]
-    rec.add(
+    yield (
         "functor_composition",
         operator_norm(lifted21.eta.matrix - lifted2.eta.matrix @ lifted1.eta.matrix),
         tol.ctol * (1.0 + m1.norm * m2.norm),
@@ -531,17 +495,17 @@ _IDEMPOTENCY_THEOREMS = {
 }
 
 
-def _check_idempotency(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
+def _check_idempotency(payload: dict, tol: Tolerance, memo: BuildMemo):
     mods, phis, morphs = _load_bundle(payload)
     m = morphs["m"]
     t1 = ksgns([mods["E1"]], [phis["phi1"]], tol, memo)[0]
     t2 = ksgns([mods["E2"]], [phis["phi2"]], tol, memo)[0]
     second1 = ksgns([t1.module], [t1.pi], tol, memo)[0]
     second2 = ksgns([t2.module], [t2.pi], tol, memo)[0]
-    rec.merge(check_idempotency(second1, t1, tol), "unitary", "dim_stable", "intertwines")
+    yield from _named(check_idempotency(second1, t1, tol), "unitary", "dim_stable", "intertwines")
     lifted = ksgns_lift([m], [t1], [t2], tol)[0]
     double = ksgns_lift([lifted], [second1], [second2], tol)[0]
-    rec.add(
+    yield (
         "naturality",
         operator_norm(
             second2.embedding.matrix @ lifted.eta.matrix
@@ -600,7 +564,7 @@ _TENSOR_THEOREMS = {
 }
 
 
-def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
+def _check_tensor(payload: dict, tol: Tolerance, memo: BuildMemo):
     mods, phis, morphs = _load_bundle(payload)
     E1, E2, F = mods["E1"], mods["E2"], mods["F"]
     phi1, phi2, pi = phis["phi1"], phis["phi2"], phis["pi"]
@@ -611,7 +575,7 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
     rng = _sub_rng(payload["seed"], 3)
     tm1 = interior_tensor([E1], [F], [pi], tol, memo)[0]
     tm2 = interior_tensor([E2], [F], [pi], tol, memo)[0]
-    rec.add(
+    yield (
         "balanced",
         balanced_relation_residual(tm1, rng),
         tol.ctol * (1.0 + operator_norm(tm1.module.gram_matrix)),
@@ -622,24 +586,24 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
     stack = np.stack([T.matrix, S.matrix, adjoint_map(T).matrix, S.matrix @ T.matrix])
     TI, SI, TsI, STI = tensor_extend([stack], [tm1], [tm1], "T (x) I", tol)[0]
     TI = ModuleMap(tm1.module, tm1.module, TI)
-    rec.add("extend_unitary", unitarity_residual([TI]), tol.ctol)
-    rec.add("extend_adjoint", operator_norm(adjoint_map(TI).matrix - TsI), tol.ctol)
-    rec.add("extend_multiplicative", operator_norm(STI - SI @ TI.matrix), tol.ctol)
-    rec.add(
+    yield "extend_unitary", unitarity_residual([TI]), tol.ctol
+    yield "extend_adjoint", operator_norm(adjoint_map(TI).matrix - TsI), tol.ctol
+    yield "extend_multiplicative", operator_norm(STI - SI @ TI.matrix), tol.ctol
+    yield (
         "extend_norm", max(0.0, module_operator_norm(TI) - module_operator_norm(T)), tol.ctol
     )
     m_hat = Intertwiner(tensor_extend_between([m.eta], [tm1], [tm2], tol)[0], m.alpha)
     phi1_ext = tensor_extend_cpmap([phi1], [tm1], tol, memo)[0]
     phi2_ext = tensor_extend_cpmap([phi2], [tm2], tol, memo)[0]
     rep = check_morphism([m_hat], [phi1_ext], [phi2_ext], tol)[0]
-    rec.add("functor_morphism", *rep.summary())
-    rec.add("functor_norm", max(0.0, m_hat.norm - m.norm), tol.ctol)
+    yield "functor_morphism", *rep.summary()
+    yield "functor_norm", max(0.0, m_hat.norm - m.norm), tol.ctol
     # inclusion
     inc1 = inclusion_unitary(E1, tol, memo)
     inc2 = inclusion_unitary(E2, tol, memo)
-    rec.add("inclusion_unitary", unitarity_residual([inc1.iota]), tol.ctol)
+    yield "inclusion_unitary", unitarity_residual([inc1.iota]), tol.ctol
     eta_inc = tensor_extend_between([m.eta], [inc1.tensor], [inc2.tensor], tol)[0]
-    rec.add(
+    yield (
         "inclusion_naturality",
         operator_norm(
             inc2.iota.matrix @ eta_inc.matrix - m.eta.matrix @ inc1.iota.matrix
@@ -647,18 +611,18 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
         tol.ctol * (1.0 + m.norm),
     )
     v_inc = v_rho([inc1.tensor])[0]
-    rec.add("inclusion_vrho", operator_norm(v_inc - adjoint_map(inc1.iota).matrix), tol.ctol)
+    yield "inclusion_vrho", operator_norm(v_inc - adjoint_map(inc1.iota).matrix), tol.ctol
     # composition of tensorings
     tm12 = interior_tensor_along([E1], [rho1], tol, memo)[0]
     comp = composition_unitary([tm12], [rho1], [rho2], tol, memo)[0]
-    rec.add("composition_unitary", unitarity_residual([comp.unitary]), tol.ctol)
+    yield "composition_unitary", unitarity_residual([comp.unitary]), tol.ctol
     # pentagon over three star maps, all into one shared final module: V1
     # lives along U1's sigma = (rho3 rho2) rho1, not along rho3 (rho2 rho1)
     U2 = composition_unitary([comp.double], [rho2], [rho3], tol, memo)[0]
     U1 = composition_unitary([comp.inner], [rho1], [U2.rho], tol, memo)[0]
     V1 = composition_unitary([comp.target], [comp.rho], [rho3], tol, memo, [U1.rho])[0]
     V2_hat = tensor_extend_between([comp.unitary], [U2.double], [V1.double], tol)[0]
-    rec.add(
+    yield (
         "pentagon",
         operator_norm(
             U1.unitary.matrix @ U2.unitary.matrix
@@ -666,26 +630,26 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
         ),
         tol.ctol,
     )
-    rec.add("composition_dims", float(comp.double.module.dim - comp.target.module.dim), 0.0)
+    yield "composition_dims", float(comp.double.module.dim - comp.target.module.dim), 0.0
     # vrho behavior
     vr1 = v_rho([comp.inner])[0]
     X = random_vectors(E1, rng, 4)
     contraction = max(
         0.0, float((comp.inner.module.vector_norm(matvecs(vr1, X)) - E1.vector_norm(X)).max())
     )
-    rec.add("vrho_contraction", contraction, tol.ctol)
+    yield "vrho_contraction", contraction, tol.ctol
     rho_actions = np.einsum("qp,qij->pij", rho1.matrix, comp.inner.module.action)
-    rec.add("vrho_twisted", max_operator_norm(vr1 @ E1.action - rho_actions @ vr1), tol.ctol)
+    yield "vrho_twisted", max_operator_norm(vr1 @ E1.action - rho_actions @ vr1), tol.ctol
     vr2 = v_rho([comp.double])[0]
     vr12 = v_rho([comp.target])[0]
-    rec.add("vrho_chain", operator_norm(comp.unitary.matrix @ vr2 @ vr1 - vr12), tol.ctol)
+    yield "vrho_chain", operator_norm(comp.unitary.matrix @ vr2 @ vr1 - vr12), tol.ctol
     # square: (eta (x) I) . V'_chi = V_chi . eta for eta out of a tensor module
     E2p, Sp = scramble_module(comp.inner.module, rng)
     eta_sq = ModuleMap(comp.inner.module, E2p, np.linalg.inv(Sp))
     tm_sq = interior_tensor_along([E2p], [rho2], tol, memo)[0]
     eta_sq_hat = tensor_extend_between([eta_sq], [comp.double], [tm_sq], tol)[0]
     vr_sq = v_rho([tm_sq])[0]
-    rec.add(
+    yield (
         "vrho_square",
         operator_norm(eta_sq_hat.matrix @ vr2 - vr_sq @ eta_sq.matrix),
         tol.ctol * (1.0 + module_operator_norm(eta_sq)),
@@ -694,11 +658,11 @@ def _check_tensor(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
     cu1 = commuting_unitary([phi1], [tm1], tol, memo)[0]
     cu2 = commuting_unitary([phi2], [tm2], tol, memo)[0]
     rep = check_commuting_unitary(cu1, tol, memo)
-    rec.add("commuting_unitary", *rep.summary())
+    yield "commuting_unitary", *rep.summary()
     lifted = ksgns_lift([m], [cu1.triple], [cu2.triple], tol)[0]
     lifted_hat = tensor_extend_between([lifted.eta], [cu1.right], [cu2.right], tol)[0]
     hat_lifted = ksgns_lift([m_hat], [cu1.left], [cu2.left], tol)[0]
-    rec.add(
+    yield (
         "commuting_naturality",
         operator_norm(
             lifted_hat.matrix @ cu1.unitary.matrix
@@ -814,14 +778,14 @@ _CATEGORY_THEOREMS = {
 }
 
 
-def _check_category(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
+def _check_category(payload: dict, tol: Tolerance, memo: BuildMemo):
     objects, morphisms = _load_category(payload, tol, memo)
     reports = check_poscor_morphism(morphisms, tol, memo)
     failing = next((rep for rep in reports if not rep.passed), None)
-    rec.add(
+    yield (
         "morphism_invariants", *(failing.summary() if failing is not None else (0.0, tol.ctol))
     )
-    rec.merge(
+    yield from _named(
         check_category_laws(objects, morphisms, tol, memo),
         "left_identity", "right_identity", "associativity", "closure",
     )
@@ -833,15 +797,15 @@ def _check_category(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMe
     k1 = ksgns_functor([m1], tol, memo)[0]
     k2 = ksgns_functor([m2], tol, memo)[0]
     rep = check_poscor_morphism([k1], tol, memo)[0]
-    rec.add("ksgns_morphism", *rep.summary())
+    yield "ksgns_morphism", *rep.summary()
     k_id = ksgns_functor([poscor_identity(objects[0], tol, memo)], tol, memo)[0]
-    rec.add(
+    yield (
         "ksgns_identity",
         morphism_distance([k_id], [poscor_identity(k_id.dom, tol, memo)])[0],
         tol.ctol,
     )
     k21 = ksgns_functor(poscor_compose([m2], [m1], tol, memo), tol, memo)[0]
-    rec.add(
+    yield (
         "ksgns_composition",
         morphism_distance([k21], poscor_compose([k2], [k1], tol, memo))[0],
         tol.ctol * (1.0 + m1.norm * m2.norm),
@@ -850,7 +814,7 @@ def _check_category(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMe
     kk1 = ksgns_functor([k1], tol, memo)[0]
     iso1 = idempotency_iso_poscor(objects[0], tol, memo)
     iso2 = idempotency_iso_poscor(objects[1], tol, memo)
-    rec.add(
+    yield (
         "ksgns_idempotent",
         morphism_distance(
             poscor_compose([iso2], [k1], tol, memo), poscor_compose([kk1], [iso1], tol, memo)
@@ -902,23 +866,21 @@ _EQUIVARIANT_THEOREMS = {
 }
 
 
-def _check_equivariant_suite(
-    payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo
-) -> None:
+def _check_equivariant_suite(payload: dict, tol: Tolerance, memo: BuildMemo):
     c = ser.load_equivariant(payload["correspondence"])
-    rec.add("system_in", c.system_in.homomorphism_residual(), tol.ctol)
-    rec.add("system_out", c.system_out.homomorphism_residual(), tol.ctol)
-    rec.merge(
+    yield "system_in", c.system_in.homomorphism_residual(), tol.ctol
+    yield "system_out", c.system_out.homomorphism_residual(), tol.ctol
+    yield from _named(
         check_equivariant(c, tol),
         "representation", "twisted_linearity", "pairing_twist", "covariance",
     )
-    _record_cp(rec, "phi_cp", c.phi, tol, memo)
-    rec.merge(
+    yield "phi_cp", *_cp_certificate(c.phi, tol, memo)[1]
+    yield from _named(
         check_functor_laws(c, correspondence_to_functor(c, tol, memo), tol, memo),
         "functor_recovery", "functor_unit", "functor_composition", "unitary_valued",
     )
     averaged = average_covariant(c.phi, c.system_in, c.unitaries, c.group)
-    rec.add(
+    yield (
         "averaging_fixed_point",
         max_operator_norm(averaged.images - c.phi.images),
         tol.ctol * (1.0 + c.phi.norm),
@@ -937,15 +899,15 @@ _DILATION_THEOREMS = {
 }
 
 
-def _check_dilation(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
+def _check_dilation(payload: dict, tol: Tolerance, memo: BuildMemo):
     c = ser.load_equivariant(payload["correspondence"])
     quad = dilate(c, tol=tol, memo=memo)
-    rec.merge(
+    yield from _named(
         check_dilation(quad, tol),
         "dilated_representation", "dilated_twisted_linearity", "dilated_pairing_twist",
         "dilated_covariance", "reconstruction", "spanning", "embedding_equivariance",
     )
-    rec.add(
+    yield (
         "direct_vs_categorical",
         max_operator_norm(
             categorical_dilation_unitary(c, tol, memo) - np.stack(quad.unitaries)
@@ -1020,7 +982,7 @@ _CONTINUITY_THEOREMS = {
 }
 
 
-def _check_continuity(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
+def _check_continuity(payload: dict, tol: Tolerance, memo: BuildMemo):
     mods = {k: ser.load_module(v) for k, v in payload["modules"].items()}
     E1, E2 = mods["E1"], mods["E2"]
     phi1 = ser.load_cpmap(payload["phis"]["phi1"], mods)
@@ -1036,11 +998,11 @@ def _check_continuity(payload: dict, tol: Tolerance, rec: _Recorder, memo: Build
     probe = continuity_probe(
         path, target, t1, t2, X.reshape(-1, E1.dim), C.reshape(-1, A.dim), tol
     )
-    rec.add("input_converges", probe.input_distances[-1], 10.0 * tol.ctol)
-    rec.add("lifted_final", probe.lifted_distances[-1], probe.final_gate)
+    yield "input_converges", probe.input_distances[-1], 10.0 * tol.ctol
+    yield "lifted_final", probe.lifted_distances[-1], probe.final_gate
     lifted, given = np.array(probe.lifted_distances), np.array(probe.input_distances)
-    rec.add("lifted_monotone", np.diff(lifted).max(initial=0.0), 1e-9)
-    rec.add(
+    yield "lifted_monotone", np.diff(lifted).max(initial=0.0), 1e-9
+    yield (
         "lifted_bound",
         (lifted - probe.constant * given - probe.final_gate).max(initial=0.0),
         tol.ctol,
@@ -1072,16 +1034,16 @@ _UNIQUENESS_THEOREMS = {
 }
 
 
-def _check_uniqueness(payload: dict, tol: Tolerance, rec: _Recorder, memo: BuildMemo) -> None:
+def _check_uniqueness(payload: dict, tol: Tolerance, memo: BuildMemo):
     c = ser.load_equivariant(payload["correspondence"])
     quad = dilate(c, tol=tol, memo=memo)
     F = quad.triple.module
     Z = ModuleMap(F, F, ser.load_cmatrix(payload["planted"], F.dim, F.dim))
     quad2 = conjugated_quadruple(quad, Z)
     W, rep = uniqueness_unitary(quad, quad2, tol)
-    rec.merge(rep, "unitary", "representation_match", "embedding_match", "unitary_family_match")
+    yield from _named(rep, "unitary", "representation_match", "embedding_match", "unitary_family_match")
     Z_inv = adjoint_map(Z).matrix
-    rec.add("planted_recovery", operator_norm(W.matrix - Z_inv), 10.0 * tol.ctol)
+    yield "planted_recovery", operator_norm(W.matrix - Z_inv), 10.0 * tol.ctol
 
 
 # ---------------------------------------------------------------------------
@@ -1119,19 +1081,38 @@ _CONSTRUCTION_THEOREMS = {
 
 
 def check_instance(suite: str, payload: dict, tol: Tolerance) -> list[CheckRecord]:
-    """Run one instance's checks.  Every build goes through one BuildMemo,
-    so each tensor module, KSGNS triple and composite is built once per
-    instance; the memo is dropped on return."""
+    """Run one instance's checks and record the named residuals its checker
+    yields, each timed since the previous record, under the theorems of the
+    suite's table.  Each check must be declared there after the previous
+    record's (declared checks may be skipped); one that is not raises
+    ValueError naming it.  Any exception ends the instance as one failing
+    `construction` record after the records made before it.  Every build goes
+    through one BuildMemo, so each tensor module, KSGNS triple and composite
+    is built once per instance; the memo is dropped on return."""
     _, checker, theorems = _SUITES[suite]
-    rec = _Recorder(suite, payload.get("seed", 0), theorems)
+    seed, records = payload.get("seed", 0), []
+    pending = iter(theorems.items())  # the table after the last record's check
+    mark = time.perf_counter()
     try:
-        checker(payload, tol, rec, BuildMemo())
+        for check, residual, threshold in checker(payload, tol, BuildMemo()):
+            theorem = next((t for name, t in pending if name == check), None)
+            if theorem is None:
+                fault = "out of order in" if check in theorems else "not declared by"
+                raise ValueError(f"check {check!r} is {fault} the {suite} suite's table")
+            residual, threshold, now = float(residual), float(threshold), time.perf_counter()
+            records.append(CheckRecord(
+                suite, seed, check, theorem, residual, threshold, residual <= threshold, now - mark
+            ))
+            mark = now
     except Exception as exc:  # never abort the suite
         theorem = _CONSTRUCTION_THEOREMS.get(
             type(exc).__name__, "instance construction and validation"
         )
-        rec._record("construction", theorem, float("inf"), 0.0, exc)
-    return rec.records
+        records.append(CheckRecord(
+            suite, seed, "construction", theorem, float("inf"), 0.0, False,
+            time.perf_counter() - mark, f"{type(exc).__name__}: {exc}",
+        ))
+    return records
 
 
 # Payloads store planted unitaries and morphism matrices in the quotient
@@ -1142,22 +1123,26 @@ def check_instance(suite: str, payload: dict, tol: Tolerance) -> list[CheckRecor
 BASIS_VERSION = 2
 
 
+def _instances(config: SuiteConfig, suite: str) -> list[dict]:
+    """The suite's payloads for the config's master seed and caps, in index order."""
+    return [
+        generate_instance(suite, config.caps, instance_seed(config.seed, suite, idx))
+        for idx in range(config.caps.instances_per_suite)
+    ]
+
+
 def generate(config: SuiteConfig, out_dir: str) -> list[str]:
     """Write one instance file per enabled suite, stamped with BASIS_VERSION;
     deterministic per seed."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for suite in config.suites:
-        instances = []
-        for idx in range(config.caps.instances_per_suite):
-            seed = instance_seed(config.seed, suite, idx)
-            instances.append(generate_instance(suite, config.caps, seed))
         doc = {
             "suite": suite,
             "master_seed": config.seed,
             "basis_version": BASIS_VERSION,
             "caps": asdict(config.caps),
-            "instances": instances,
+            "instances": _instances(config, suite),
         }
         path = os.path.join(out_dir, f"{suite}.json")
         with open(path, "w") as fh:
@@ -1211,10 +1196,7 @@ def run(config: SuiteConfig, instance_dir: str | None = None) -> Report:
                 raise ParseError(f"{path} holds {doc['suite']!r} instances, not {suite!r}")
             payloads = doc["instances"]
         else:
-            payloads = [
-                generate_instance(suite, config.caps, instance_seed(config.seed, suite, idx))
-                for idx in range(config.caps.instances_per_suite)
-            ]
+            payloads = _instances(config, suite)
         for payload in payloads:
             tasks.append((suite, payload, config.tolerance))
     if instance_dir is not None and not tasks:  # a report of nothing would pass vacuously

@@ -589,9 +589,6 @@ class ModuleMap:
                 f"matrix {self.matrix.shape} != {(self.target.dim, self.source.dim)}"
             )
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=complex).reshape(self.source.dim)
-
 
 
 def identity_map(E: HilbertModule) -> ModuleMap:
@@ -683,9 +680,6 @@ class AlphaLinearMap:
         self.matrix = np.asarray(self.matrix, dtype=complex)
         if self.matrix.shape != (self.target.dim, self.source.dim):
             raise ShapeMismatch("twisted map matrix has wrong shape")
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=complex).reshape(self.source.dim)
 
 def canonical_module(B: AlgebraShape, rows: tuple[int, ...]) -> HilbertModule:
     """(+)_t C^{r_t x m_t} with x.b = x b and <x, y> = x* y blockwise; the row

@@ -8,7 +8,7 @@ Conventions:
   image of each matrix unit as an element;
 * modules carry {algebra, dim, action per basis element, pairing per basis
   pair}; maps carry {source_id, target_id, matrix};
-* CP maps carry {algebra, module_id, images, strict}.
+* CP maps carry {algebra, module_id, images, strict}; strict is always true.
 
 Python's json round-trips doubles exactly (shortest-repr), so a dumped
 instance reloads bit-identically and deterministic constructions built from
@@ -249,7 +249,7 @@ def dump_cpmap(phi: CPMap, module_id: str) -> dict:
         "algebra": dump_shape(phi.algebra),
         "module_id": module_id,
         "images": dump_cmatrices(phi.images),
-        "strict": bool(phi.strict),
+        "strict": True,  # every map of the unital model is strict
     }
 
 
@@ -262,8 +262,9 @@ def load_cpmap(data: Any, modules: dict[str, HilbertModule]) -> CPMap:
     images = data["images"]
     if len(images) != A.dim:
         raise ValidationError("cp map needs one image per basis element")
-    stack = load_cmatrices(images, E.dim, E.dim)
-    return CPMap(A, E, stack, strict=bool(data.get("strict", True)))
+    if data.get("strict", True) is not True:
+        raise ValidationError(f"cp maps of unital algebras are strict, not {data['strict']!r}")
+    return CPMap(A, E, load_cmatrices(images, E.dim, E.dim))
 
 
 # -- groups and equivariance ---------------------------------------------------

@@ -10,6 +10,7 @@ from ksgnslab.cli import main as cli_main
 from ksgnslab.errors import InvalidConfig, ParseError
 from ksgnslab.harness import (
     _SUITES,
+    _named,
     BASIS_VERSION,
     SUITE_NAMES,
     CheckRecord,
@@ -113,18 +114,22 @@ def test_default_run_records_every_declared_check(default_run):
      "ValueError: check 'unitary' is out of order in the idempotency suite's table"),
     (["unitary", "dim_stables"],
      "ValueError: check 'dim_stables' is not declared by the idempotency suite's table"),
-], ids=["skipped", "reordered", "repeated", "undeclared"])
+    (["unitary", "dim_stable", RuntimeError("no dilation")], "RuntimeError: no dilation"),
+], ids=["skipped", "reordered", "repeated", "undeclared", "raised"])
 def test_check_out_of_its_table_fails_the_instance(monkeypatch, checks, error):
-    # a checker that records an undeclared check, or a declared one after a
-    # later one, fails the instance as its construction record, naming the check
+    # a checker that yields an undeclared check, or a declared one after a
+    # later one, fails the instance as its construction record, naming the
+    # check; one that raises keeps the records it yielded before
     from ksgnslab import harness
 
     generator, _, table = _SUITES["idempotency"]
 
-    def reordered(payload, tol, rec, memo):
+    def reordered(payload, tol, memo):
         for check in checks[:-1]:
-            rec.add(check, 0.0, 1.0)
-        rec.merge(CheckReport({checks[-1]: 0.0}, {checks[-1]: 1.0}), checks[-1])
+            yield check, 0.0, 1.0
+        if isinstance(checks[-1], Exception):
+            raise checks[-1]
+        yield from _named(CheckReport({checks[-1]: 0.0}, {checks[-1]: 1.0}), checks[-1])
 
     monkeypatch.setitem(harness._SUITES, "idempotency", (generator, reordered, table))
     payload = generator(SizeCaps(), instance_seed(20250809, "idempotency", 0))
@@ -341,18 +346,6 @@ def test_cli_run_writes_report_file(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["summary"]["failed"] == 0
     assert doc["records"]
-    capsys.readouterr()
-
-
-def test_cli_env_seed_override(tmp_path, monkeypatch, capsys):
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("VERIFY_SEED", "77")
-    cli_main(["gen", "--seed", "3", "--out", str(d1), "--suites", "ksgns",
-              "--caps", "instances_per_suite=1"])
-    monkeypatch.delenv("VERIFY_SEED")
-    cli_main(["gen", "--seed", "77", "--out", str(d2), "--suites", "ksgns",
-              "--caps", "instances_per_suite=1"])
-    assert (d1 / "ksgns.json").read_bytes() == (d2 / "ksgns.json").read_bytes()
     capsys.readouterr()
 
 

@@ -128,7 +128,8 @@ def test_cpmap_round_trip(rng):
     data = json.loads(json.dumps(ser.dump_cpmap(phi, "E")))
     back = ser.load_cpmap(data, {"E": E})
     assert np.array_equal(phi.images, back.images)
-    assert back.strict is True
+    with pytest.raises(ValidationError, match="strict"):  # the unital model has no other
+        ser.load_cpmap({**data, "strict": False}, {"E": E})
     with pytest.raises(ValidationError):
         ser.load_cpmap(data, {"other": E})
 

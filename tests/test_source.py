@@ -965,32 +965,29 @@ def test_tensor_quotients_chooses_by_structure_alone():
     assert ordering_comparisons(source, "tensor_quotients") == []
 
 
-# the recorder calls a checker names its checks in, with the arguments that are
-# check names: all of rec.add and rec.fail's first, rec.merge's after the report
-RECORD_CALLS = {"add": slice(0, 1), "fail": slice(0, 1), "merge": slice(1, None)}
-
-
 def recorded_checks(source: str) -> dict[str, list[str]]:
-    """Per top-level function, the check names it passes to rec.add,
-    rec.merge, rec.fail and _record_cp, in source order; a name that is not
-    a string literal reads "<expr>"."""
+    """Per top-level function, the check names it yields, in source order:
+    each yielded tuple's first element, and the names a `yield from _named`
+    passes after the report; a name that is not a string literal reads
+    "<expr>"."""
     found = {}
     for fn in ast.parse(source).body:
         if not isinstance(fn, ast.FunctionDef):
             continue
-        calls = []
-        for call in ast.walk(fn):
-            func = getattr(call, "func", None)
-            if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "rec":
-                args = call.args[RECORD_CALLS.get(func.attr, slice(0))]
-            elif isinstance(func, ast.Name) and func.id == "_record_cp":
-                args = call.args[1:2]
+        named = []
+        for node in ast.walk(fn):
+            value = getattr(node, "value", None)
+            if isinstance(node, ast.Yield) and value is not None:
+                args = value.elts[:1] if isinstance(value, ast.Tuple) else [value]
+            elif isinstance(node, ast.YieldFrom) and isinstance(value, ast.Call) \
+                    and getattr(value.func, "id", None) == "_named":
+                args = value.args[1:]
             else:
                 continue
-            calls += [(arg.lineno, arg.col_offset, arg) for arg in args]
+            named += [(arg.lineno, arg.col_offset, arg) for arg in args]
         names = [
             arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str) else "<expr>"
-            for *_, arg in sorted(calls, key=lambda c: c[:2])
+            for *_, arg in sorted(named, key=lambda c: c[:2])
         ]
         if names:
             found[fn.name] = names
@@ -1000,18 +997,18 @@ def recorded_checks(source: str) -> dict[str, list[str]]:
 def test_checkers_record_declared_checks_in_table_order():
     # a checker names each record's check by a literal its suite's table
     # declares, and in source order never names one the table puts before the
-    # last; the recorder refuses either at run time too
+    # last; check_instance refuses either at run time too
     from ksgnslab.harness import _SUITES
 
     probe = (
-        "def _check_a(p, rec):\n    rec.add('x', 0.0, 1.0)\n    rec.merge(rep, 'y', n)\n"
-        "    _record_cp(rec, 'z', phi, tol, memo)\n    rec.fail('z', exc)\n"
-        "    other.add('w')\n\ndef _gen_a(c):\n    return c\n"
+        "def _check_a(p, tol, memo):\n    yield 'x', 0.0, 1.0\n    yield from _named(rep, 'y', n)\n"
+        "    yield ('z', *cert)\n    yield name, 0.0, 1.0\n    yield from other(rep, 'w')\n\n"
+        "def _gen_a(c):\n    return c\n"
     )
-    assert recorded_checks(probe) == {"_check_a": ["x", "y", "<expr>", "z", "z"]}
+    assert recorded_checks(probe) == {"_check_a": ["x", "y", "<expr>", "z", "<expr>"]}
     tables = {checker.__name__: table for _, checker, table in _SUITES.values()}
     found = recorded_checks((SRC / "harness.py").read_text())
-    assert found.pop("_record_cp") == ["<expr>"]  # the name its caller passes
+    assert found.pop("_named") == ["<expr>"]  # the names its caller passes
     assert sorted(found) == sorted(tables)
     for name, checks in found.items():
         assert [c for c in checks if c not in tables[name]] == [], name
