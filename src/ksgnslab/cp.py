@@ -128,10 +128,11 @@ def check_correspondence(pi: CPMap, tol: Tolerance) -> CheckReport:
     """Multiplicativity and unitality residuals for a would-be representation.
 
     Multiplicativity is max over p, r of ||pi(u_p u_r) - pi(u_p) pi(u_r)||,
-    one p at a time, only for the r whose product or target is nonzero (the
-    others differ by exactly zero), on the rows live in some pi(u_p u_r)
-    (pi(u_p)'s among them), by live_products and norms of live blocks.  The
-    images are gated finite first, so a dropped term never hides a 0 * Inf.
+    formed one p at a time, only for the r whose product or target is nonzero
+    (the others differ by exactly zero), on the rows live in some pi(u_p u_r)
+    (pi(u_p)'s among them), by live_products, and normed in one
+    max_operator_norms of all p's gaps.  The images are gated finite first, so
+    a dropped term never hides a 0 * Inf.
     """
     rep = CheckReport()
     A = pi.algebra
@@ -140,11 +141,11 @@ def check_correspondence(pi: CPMap, tol: Tolerance) -> CheckReport:
     T, Xz, nz = A.product_table, zero_padded(X), X != 0
     rows, cols = zero_padded(nz.any(axis=2)), nz.any(axis=1)  # rows[p, i]: row i of pi(u_p) != 0
     formed = rows[T].any(axis=2) | (cols[:, None] & rows[None, :-1]).any(axis=2)
-    mult = 0.0
+    gaps = []
     for p, r in enumerate(formed):
         R = rows[T[p]].any(axis=0)  # the rows live in some pi(u_p u_r)
-        D = Xz[np.ix_(T[p, r], R)] - live_products(X[p][R], X[r])[0]
-        mult = max(mult, max_operator_norm(D))
+        gaps.append(Xz[np.ix_(T[p, r], R)] - live_products(X[p][R], X[r])[0])
+    mult = float(max_operator_norms(*gaps).max(initial=0.0))
     unital = operator_norm(pi(unit_coeffs(A)).matrix - np.eye(pi.module.dim))
     rep.add("multiplicative", mult, tol.ctol * scale)
     rep.add("unital", unital, tol.ctol * scale)

@@ -117,12 +117,12 @@ class FiniteGroup:
     def inv(self, g: int) -> int:
         return int(self.inverse[g])
 
-    def representation_defect(self, M: np.ndarray) -> float:
-        """max(||M_e - 1||, ||M_g M_h - M_gh|| over all (g, h)) for a stack M
-        (|G|, n, n) indexed by the group, as one certified maximum."""
+    def representation_gaps(self, M: np.ndarray) -> np.ndarray:
+        """M_e - 1, then M_g M_h - M_gh over all (g, h), as one stack (1 + |G|^2, n, n),
+        for a stack M (|G|, n, n) indexed by the group."""
         unit = M[self.identity] - np.eye(len(M[0]))
         law = (M[:, None] @ M - M[self.table]).reshape(-1, *unit.shape)
-        return float(max_operator_norms(np.concatenate([unit[None], law]))[0])
+        return np.concatenate([unit[None], law])
 
     def element_order(self, g: int) -> int:
         k, x = 1, g
@@ -274,7 +274,9 @@ class DynamicalSystem:
             raise ShapeMismatch("one automorphism per group element required")
 
     def homomorphism_residual(self) -> float:
-        return self.group.representation_defect(np.stack([a.matrix for a in self.action]))
+        """max(||alpha_e - 1||, ||alpha_g alpha_h - alpha_gh|| over all (g, h))."""
+        alpha = np.stack([a.matrix for a in self.action])
+        return max_operator_norm(self.group.representation_gaps(alpha))
 
 
 def trivial_system(shape: AlgebraShape, G: FiniteGroup) -> DynamicalSystem:
@@ -335,22 +337,22 @@ def check_equivariant(c: EquivariantCorrespondence, tol: Tolerance) -> CheckRepo
     alpha = np.stack([a.matrix for a in c.system_in.action])
     twisted = np.einsum("gqp,qij->gpij", beta, E.action)
     covariant = np.einsum("gqp,qij->gpij", alpha, c.phi.images)
-    # the U scale, twisted linearity and covariance, all (d, d), in one batched norm
-    u_norm, lin, cov = max_operator_norms(
-        U, U[:, None] @ E.action - twisted @ U[:, None],
-        U[:, None] @ c.phi.images - covariant @ U[:, None],
-    ).tolist()
-    u_scale = 1.0 + u_norm
-
-    rep.add("representation", G.representation_defect(U), tol.ctol * u_scale**2)
-    rep.add("twisted_linearity", lin, tol.ctol * u_scale)
-
     # <U_g e_i, U_g e_j> - beta_g(<e_i, e_j>) over all g and basis pairs (i, j)
     C = pairing_coeffs(E, np.eye(d))
     moved = U.conj().transpose(0, 2, 1) @ (C @ U[:, None]).reshape(G.order, d, -1)
     gap = moved.reshape(G.order, *C.shape) - beta[:, None] @ C
-    pair_twist = max_operator_norms(*block_stacks(E.algebra, gap.transpose(0, 1, 3, 2))).max()
-    rep.add("pairing_twist", pair_twist, tol.ctol * u_scale**2 * (1.0 + _gram_scale(E)))
+    # the U scale, the representation law, twisted linearity, covariance and the
+    # Gram scale, all (d, d), and the pairing gap's blocks, in one batched norm
+    u_norm, law, lin, cov, gram, *pair_twist = max_operator_norms(
+        U, G.representation_gaps(U), U[:, None] @ E.action - twisted @ U[:, None],
+        U[:, None] @ c.phi.images - covariant @ U[:, None], E.gram_matrix,
+        *block_stacks(E.algebra, gap.transpose(0, 1, 3, 2)),
+    ).tolist()
+    u_scale = 1.0 + u_norm
+
+    rep.add("representation", law, tol.ctol * u_scale**2)
+    rep.add("twisted_linearity", lin, tol.ctol * u_scale)
+    rep.add("pairing_twist", max(pair_twist), tol.ctol * u_scale**2 * (1.0 + gram))
     rep.add("covariance", cov, tol.ctol * u_scale * (1.0 + c.phi.norm))
     return rep
 

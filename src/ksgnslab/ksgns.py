@@ -52,8 +52,8 @@ from .hilbert import (
 )
 from .memo import BuildMemo
 from .numkernel import (
-    Tolerance, kron, live_products, matvecs, max_operator_norm, operator_norm, pseudo_inverse,
-    stack_slices,
+    Tolerance, kron, live_products, matvecs, max_operator_norm, max_operator_norms, operator_norm,
+    pseudo_inverse, stack_slices,
 )
 from .reporting import CheckReport
 
@@ -136,15 +136,17 @@ def check_triple(t: KsgnsTriple, tol: Tolerance) -> CheckReport:
     E = t.source
     Vs = adjoint_map(t.embedding).matrix
     V = t.embedding.matrix
-    recon = max_operator_norm(E.gram_sqrt @ (Vs @ t.pi.images @ V - t.phi.images) @ E.gram_isqrt)
+    # V*(class of a (x) y) = phi(a) y, checked on all pre-basis columns
+    dA, dE = t.phi.algebra.dim, E.dim
+    W = (Vs @ t.q).reshape(dE, dA, dE).transpose(1, 0, 2)  # W[p] = V* q on a_p (x) E
+    recon, adjoint = max_operator_norms(
+        E.gram_sqrt @ (Vs @ t.pi.images @ V - t.phi.images) @ E.gram_isqrt, W - t.phi.images
+    ).tolist()
     rep.add("reconstruction", recon, tol.ctol * scale)
     rep.add(
         "spanning", float(t.module.dim - spanning_rank(t, tol)), 0.0
     )
-    # V*(class of a (x) y) = phi(a) y, checked on all pre-basis columns
-    dA, dE = t.phi.algebra.dim, E.dim
-    W = (Vs @ t.q).reshape(dE, dA, dE).transpose(1, 0, 2)  # W[p] = V* q on a_p (x) E
-    rep.add("embedding_adjoint", max_operator_norm(W - t.phi.images), tol.ctol * scale)
+    rep.add("embedding_adjoint", adjoint, tol.ctol * scale)
     rep.merge(check_correspondence(t.pi, tol), prefix="pi_")
     return rep
 

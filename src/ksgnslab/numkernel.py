@@ -27,15 +27,32 @@ or Inf raises NonFinite.  A matrix gets the same bits batched or alone, on
 its live block, and as a certified maximum.  svd_norm keeps the SVD's bits
 for the three generation scales whose payloads hold them.
 
-max_operator_norms is the one per-shape norm batcher: callers hand it gaps
-of several shapes as they are (each slice's residuals, each pair's pullback
-and alpha gaps), and the same-shape ones share one batched eigensolve.
-Since ||X||_2 <= ||X||_F (Higham, sec. 6.2), a stack of at least
-CERTIFY_MIN_SLICES slices gets a certified maximum: the norm m of its
-largest-Frobenius slice, then exact norms only of slices with ||X||_F (1 +
-CERTIFY_MARGIN) >= m.  Its bits cannot move: a computed sigma_1 stays below
-the computed ||X||_F times 1 + delta, delta a small multiple of the unit
-roundoff, far below 1e-6 (slices too small to square are never pruned).
+max_operator_norms is the one per-shape norm batcher, and max_operator_norm
+is it on one stack: callers hand it gaps of several shapes as they are (each
+slice's residuals, each pair's pullback and alpha gaps), and the same-shape
+ones form one batch with certified maxima.  Let G be a slice's smaller Gram,
+k its order and G^ = G / tr G, PSD with eigenvalues mu_i summing to 1, so that
+sigma_1^2 = tr G mu_max.  Then tr G / k <= sigma_1^2 <= tr G and
+
+    tr G (||G^^4||_F / ||G^^2||_F)^(1/2) <= sigma_1^2 <= tr G ||G^^4||_F^(1/4),
+
+(G^^p the p-th power of G^), the upper bounds since ||G^^p||_F >= mu_max^p,
+the lower one since ||G^^(p+1)||_F <= mu_max ||G^^p||_F for PSD G^ (Horn and
+Johnson, Matrix Analysis, 2013, ch. 5).  A slice whose upper bound, times
+1 + CERTIFY_MARGIN, is below the largest lower bound in its stack cannot hold
+the maximum and reads 0: the trace rung runs on every slice, the power rung on
+the slices it leaves, and the rest take exact norms in one gram_norms call, so
+a computed maximum keeps its bits with one eigensolve per batch.  Normalising
+by the trace keeps every entry of the powers within [0, 1] at any scale; a
+slice whose trace is not finite or not strictly inside GRAM_RANGE takes the
+exact path, and a zero slice reads 0 with no LAPACK call.  The rounding stays
+far below CERTIFY_MARGIN = 1e-6: a product of two of these matrices is off by
+at most gamma_k (about k u) times |A| |B| entrywise, ||G^||_F^2 <= mu_max and
+||G^^p||_F >= mu_max^p, so ||G^^2||_F and ||G^^4||_F carry relative errors of
+at most k gamma_k and about 3 k^(3/2) gamma_k, below 2e-11 at k < LIVE_MIN_DIM;
+the Gram's own rounding moves mu_max by at most sqrt(2) k gamma_{p+2}, and the
+exact path is within 4 m n eps, both below 1e-11 there.  A batch shorter than
+BOUND_MIN_SLICES, or as wide as LIVE_MIN_DIM, takes every slice's exact norm.
 Verdict-only gates ||X|| <= ctol * (1 + ||M||) (Hermitian defects, null-space
 leaks) go through exceeds_gate: a slice with ||X||_F <= ctol passes without
 an exact norm, and exact norms run only for slices near or over the gate.
@@ -60,6 +77,7 @@ for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -91,13 +109,13 @@ DEFAULT_TOL = Tolerance()
 # gates: --tol/--rtol never reach it, so a seed names one payload however checked.
 GENERATION_TOL = Tolerance()
 
-# A stack shorter than CERTIFY_MIN_SLICES saves less than its Frobenius pass
-# costs: on the Gram kernel, certifying every stack took a default-caps check
-# pass 56-65 ms in max_operator_norms, against 39-48 ms at 32 (49 ms at 24, 48
-# ms at 48 and 64) and 49-50 ms certifying none; an equivariant-dilation pass
-# 53-64 ms, against 45-49 ms at 32 (44-46 ms at 48 and 64) and 61-65 ms
-# certifying none (best of 5 and of 7 passes, one BLAS thread).
-CERTIFY_MIN_SLICES = 32
+# A same-shape batch of fewer slices takes every slice's exact norm: its bounds cost
+# more than the eigensolves they save.  Against 20, a check pass took +10.5% at 2,
+# +3.0% at 8 and -0.1% at 32 on equivariant-dilation, +0.8% at 8 and +0.8% at 32 on
+# suites-default (median of paired ratios, fresh processes alternating, best of 7
+# passes each, one BLAS thread); at 24 and above the 23-slice batches of Z2's dilated
+# check_equivariant take no bounds.
+BOUND_MIN_SLICES = 20
 CERTIFY_MARGIN = 1e-6
 # lambda_max = sigma_1^2 strictly inside this range keeps sigma_1 to rounding; out of it
 # squaring underflows or overflows, and the slice takes the SVD's sigma_1
@@ -169,13 +187,11 @@ def gram_norms(X: np.ndarray) -> np.ndarray:
     matrices.  A slice whose lambda_max is not strictly inside GRAM_RANGE, where
     squaring would lose range, takes svd_norms' sigma_1.  NaN or Inf in X raises
     NonFinite."""
-    m, n = X.shape[-2:]
     if not X.size:
         return np.zeros(X.shape[:-2])
     lo, hi = GRAM_RANGE
-    Xh = X.conj().swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
-        G = Xh @ X if m >= n else X @ Xh
+        G = smaller_gram(X)
         # the Gram's trace ||X||_F^2 bounds lambda_max from above; the traces' sum is
         # not finite when X is not, or when squaring overflowed
         if np.add.reduce(G.diagonal(0, -2, -1).real, axis=None) < hi / 2:
@@ -193,6 +209,12 @@ def gram_norms(X: np.ndarray) -> np.ndarray:
         out = np.sqrt(lam, out=lam)
     out[odd] = svd_norms(X[odd])
     return out
+
+
+def smaller_gram(X: np.ndarray) -> np.ndarray:
+    """X* X of each slice of a stack X (..., m, n) when m >= n, else X X*."""
+    Xh = X.conj().swapaxes(-1, -2)
+    return Xh @ X if X.shape[-2] >= X.shape[-1] else X @ Xh
 
 
 def svd_norms(X: np.ndarray) -> np.ndarray:
@@ -263,43 +285,83 @@ def exceeds_finite_gate(X: np.ndarray, M: np.ndarray, tol: Tolerance) -> np.ndar
 
 
 def max_operator_norm(stack: np.ndarray) -> float:
-    """Largest singular value over a stack of matrices (..., m, n); 0 when empty."""
-    return float(operator_norms(stack).max(initial=0.0))
+    """Largest singular value over a stack of matrices (..., m, n), its
+    certified_maxima as one segment; 0 when empty."""
+    shape = np.shape(stack)
+    if not (count := math.prod(shape[:-2])):
+        return 0.0
+    return float(certified_maxima(np.reshape(stack, (count, *shape[-2:])), [count])[0])
 
 
 def max_operator_norms(*stacks: np.ndarray) -> np.ndarray:
     """max_operator_norm of each of several stacks (..., m, n), shape
     (len(stacks),), bit for bit.  This is the one per-shape norm batcher: the
-    stacks whose matrices share a shape go through one batched eigensolve together,
-    a long stack as its certified maximum."""
-    flat = [np.reshape(S, (math.prod(np.shape(S)[:-2]), *np.shape(S)[-2:])) for S in stacks]
-    out, groups = np.zeros(len(flat)), {}
-    for i, S in enumerate(flat):
-        if len(S):  # reduceat has no empty segments: an empty stack keeps its 0
-            groups.setdefault(S.shape[1:], []).append(i)
+    stacks whose matrices share a shape go through one certified_maxima together."""
+    out, groups = np.zeros(len(stacks)), {}
+    for i, S in enumerate(stacks):
+        shape = np.shape(S)
+        if count := math.prod(shape[:-2]):  # an empty stack keeps its 0
+            groups.setdefault(shape[-2:], []).append((i, np.reshape(S, (count, *shape[-2:]))))
     for members in groups.values():
-        sizes = [len(flat[i]) for i in members]
-        starts = np.cumsum([0] + sizes[:-1])
-        norms = certified_norms(np.concatenate([flat[i] for i in members]), starts, sizes)
-        out[members] = np.maximum.reduceat(norms, starts)
+        at, flat = zip(*members)
+        X = flat[0] if len(flat) == 1 else np.concatenate(flat)
+        out[list(at)] = certified_maxima(X, [len(S) for S in flat])
     return out
 
 
-def certified_norms(X: np.ndarray, starts: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """Norms of the slices of X (N, m, n) that can set the maximum of their segment
-    (sizes[k] slices from starts[k]); 0 for those a long segment's certificate prunes."""
-    if max(sizes) < CERTIFY_MIN_SLICES:
-        return operator_norms(X)
+def certified_maxima(X: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """The largest operator norm in each segment of X (N, m, n), the segments
+    sizes[0], sizes[1], ... slices long in order, each maximum with the bits of
+    its slice's operator_norms.  A batch of at least BOUND_MIN_SLICES slices
+    narrower than LIVE_MIN_DIM takes exact norms only of the slices that
+    bounded_norms cannot rule out."""
+    N, m, n = X.shape
+    if N < BOUND_MIN_SLICES or max(m, n) >= LIVE_MIN_DIM or max(sizes) < 2 or not X.size:
+        norms = operator_norms(X)
+    else:
+        norms = bounded_norms(np.asarray(X, dtype=complex), sizes)
+    if len(sizes) == 1:
+        return norms.max(keepdims=True)
+    return np.maximum.reduceat(norms, list(itertools.accumulate(sizes[:-1], initial=0)))
+
+
+def bounded_norms(X: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Exact norms, from one gram_norms call, of the slices of X (N, m, n) whose
+    upper bound on sigma_1^2 reaches the largest lower bound in their segment;
+    0 for the others and for zero slices.  The bounds (module docstring) come in
+    two rungs: tr G and tr G / k (k = min(m, n)) for every slice, then tr G times
+    powers of G^ = G / tr G for the slices left.  A slice whose tr G is not
+    strictly inside GRAM_RANGE takes the exact path."""
+    N, m, n = X.shape
+    k, (lo, hi) = min(m, n), GRAM_RANGE
+    starts = list(itertools.accumulate(sizes[:-1], initial=0))
     seg = np.repeat(np.arange(len(sizes)), sizes)
-    long = (np.asarray(sizes) >= CERTIFY_MIN_SLICES)[seg]
-    X = require_finite(X)
-    fro, norms = np.sqrt(np.sum((X.conj() * X).real, axis=(-2, -1))), np.zeros(len(X))
-    first = ~long | (fro == np.maximum.reduceat(fro, starts)[seg])
-    norms[first] = operator_norms(X[first])
-    m = np.maximum.reduceat(norms, starts)[seg]
-    rest = ~first & ((fro * (1.0 + CERTIFY_MARGIN) >= m) | (fro < np.sqrt(np.finfo(float).tiny)))
-    if np.count_nonzero(rest):
-        norms[rest] = operator_norms(X[rest])
+    flat = np.ascontiguousarray(X).reshape(N, -1).view(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.square(flat) @ np.ones(flat.shape[1])  # tr G = ||X||_F^2
+    exact = ~((t > lo) & (t < hi))  # NaN, Inf and traces out of range
+    if np.count_nonzero(exact):
+        t[exact] = 0.0  # no bound, and no place among the bounded slices
+        exact[exact] = X[exact].any(axis=(-2, -1))  # a zero slice reads 0
+    bound = np.maximum.reduceat(t, starts) / k  # tr G / k <= sigma_1^2 of each segment's largest
+    at = np.flatnonzero((t > 0.0) & (t * (1.0 + CERTIFY_MARGIN) >= bound[seg]))
+    if k > 1 and len(at) > 1:  # at k = 1 the trace is sigma_1^2 itself
+        tr = t[at]
+        P = smaller_gram(X if len(at) == N else X[at])
+        P *= (1.0 / tr)[:, None, None]  # G^
+        Q = P @ P
+        np.matmul(Q, Q, out=P)  # G^^4
+        f2 = P.diagonal(0, -2, -1).real.sum(axis=-1)  # tr G^^4 = ||G^^2||_F^2
+        flat = P.reshape(len(at), -1).view(float)
+        f4 = np.sqrt(np.square(flat, out=flat) @ np.ones(2 * k * k))  # ||G^^4||_F
+        lower = np.zeros(N)
+        lower[at] = tr * np.sqrt(f4 / np.sqrt(f2))
+        bound = np.maximum(bound, np.maximum.reduceat(lower, starts))
+        at = at[tr * f4**0.25 * (1.0 + CERTIFY_MARGIN) >= bound[seg[at]]]
+    keep = exact  # with the slices the bounds leave
+    keep[at] = True
+    norms = np.zeros(N)
+    norms[keep] = gram_norms(X[keep])
     return norms
 
 

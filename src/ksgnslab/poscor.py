@@ -546,17 +546,18 @@ def check_category_laws(
     """Left/right identity, associativity, and invariant preservation, over
     every composable pair and triple in the given diagram.
 
-    The composites are built in five levels, each one compose_pairs call,
-    so one stacked poscor_compose build per group of pairs of one shape:
-    the left and right identity composites, the pair composites m2 . m1,
-    the m3 . m2 of each triple, then associativity's sides m3 . (m2 . m1)
-    and (m3 . m2) . m1.  Each law's distances are one stacked
-    morphism_distance, and closure one stacked check_poscor_morphism.  A
-    stacked build that raises is built again one pair at a time; a pair that
-    fails on its own is broken (closure reads inf), and the laws take their
-    maxima over the composites that were built.  Builds go through the
-    caller's BuildMemo, which lives for one checked instance, so each tensor
-    module, extended CP map and composite is built once per content.
+    The composites are built in two rounds, each one compose_pairs call, so
+    one stacked poscor_compose build per group of pairs of one shape: first
+    everything made of the given morphisms alone, the left and right identity
+    composites, the pair composites m2 . m1 and the m3 . m2 of each triple;
+    then associativity's sides m3 . (m2 . m1) and (m3 . m2) . m1 from those.
+    Each law's distances are one stacked morphism_distance, and closure one
+    stacked check_poscor_morphism.  A stacked build that raises is built again
+    one pair at a time; a pair that fails on its own is broken (closure reads
+    inf), and the laws take their maxima over the composites that were built.
+    Builds go through the caller's BuildMemo, which lives for one checked
+    instance, so each tensor module, extended CP map and composite is built
+    once per content.
     """
     identities = {o.ident: poscor_identity(o, tol, memo) for o in objects}
     pairs = [
@@ -570,16 +571,23 @@ def check_category_laws(
         for m3 in morphisms
         if m3.dom.ident == m2.cod.ident
     ]
-    ident = compose_pairs(
+    n, p = len(morphisms), len(pairs)
+    first = compose_pairs(
         [(identities[m.cod.ident], m) for m in morphisms]
-        + [(m, identities[m.dom.ident]) for m in morphisms],
+        + [(m, identities[m.dom.ident]) for m in morphisms]
+        + pairs
+        + [(m3, pairs[k][0]) for k, m3 in triples],
         tol,
         memo,
     )
-    composed = compose_pairs(pairs, tol, memo)
-    tails = compose_pairs([(m3, pairs[k][0]) for k, m3 in triples], tol, memo)
-    lhs = compose_pairs([(m3, composed[k]) for k, m3 in triples], tol, memo)
-    rhs = compose_pairs([(t, pairs[k][1]) for (k, _), t in zip(triples, tails)], tol, memo)
+    ident, composed, tails = first[: 2 * n], first[2 * n : 2 * n + p], first[2 * n + p :]
+    sides = compose_pairs(
+        [(m3, composed[k]) for k, m3 in triples]
+        + [(t, pairs[k][1]) for (k, _), t in zip(triples, tails)],
+        tol,
+        memo,
+    )
+    lhs, rhs = sides[: len(triples)], sides[len(triples) :]
 
     def distances(ms1: list, ms2: list) -> np.ndarray:
         """morphism_distance of each pair whose sides were both built, 0 for the others."""
@@ -588,7 +596,6 @@ def check_category_laws(
         out[built] = morphism_distance([ms1[s] for s in built], [ms2[s] for s in built])
         return out
 
-    n = len(morphisms)
     scale = max([1.0] + [1.0 + m.norm for m in morphisms])
     id_gaps = distances(ident, morphisms * 2)
     rep = CheckReport()

@@ -84,6 +84,7 @@ class LapackCall(NamedTuple):
     entry: str
     kind: str
     matrices: int
+    width: int
 
 
 def lapack_calls(monkeypatch) -> list[LapackCall]:
@@ -93,7 +94,8 @@ def lapack_calls(monkeypatch) -> list[LapackCall]:
     comprehension counts as the function around it); the entry,
     the numkernel function that site called ("" when it called numpy itself);
     the kind, "gated" when an exceeds_gate decided it was needed, "certified"
-    when certified_norms did, else "full"; and the number of matrices."""
+    when it ran under certified_maxima, else "full"; the number of matrices;
+    and their last dimension."""
     calls = []
     for name in ("svd", "eigh", "eigvalsh"):
         def recording(a, *args, _real=getattr(linalg_impl, name), _name=name, **kwargs):
@@ -107,9 +109,10 @@ def lapack_calls(monkeypatch) -> list[LapackCall]:
                 frame = frame.f_back
             site = f"{mod.rsplit('.', 1)[-1]}.{frame.f_code.co_name}" if frame else "?"
             kind = ("gated" if any(c.startswith("exceeds") for c in chain)
-                    else "certified" if "certified_norms" in chain else "full")
+                    else "certified" if "certified_maxima" in chain else "full")
             matrices = int(np.prod(np.shape(a)[:-2]))
-            calls.append(LapackCall(_name, site, chain[-1] if chain else "", kind, matrices))
+            calls.append(LapackCall(_name, site, chain[-1] if chain else "", kind, matrices,
+                                    np.shape(a)[-1]))
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recording)

@@ -5,10 +5,10 @@ stacks whole: require_finite and stack_slices calls per `suites-default` and
 `equivariant-dilation` check pass are pinned.  LAPACK runs only where a record can
 change: every call site is labelled, and a site whose result only feeds a
 verdict may take exact norms (eigvalsh of a smaller Gram) only where a
-Frobenius gate or certificate (numkernel.exceeds_gate, certified_norms) could
-not decide.  Operator norms come from eigvalsh, so the SVD matrices per pass
-are pinned to the sites that still need an SVD, and the eigvalsh matrices per
-pass beside them.  The row split of the KSGNS quotients keeps `prespace-cap`'s
+Frobenius gate (numkernel.exceeds_gate) or the bounds of a certified maximum
+(numkernel.certified_maxima) could not decide.  Operator norms come from
+eigvalsh, so the SVD matrices per pass are pinned to the sites that still need
+an SVD, and the eigvalsh matrices per pass beside them, in total and by width.  The row split of the KSGNS quotients keeps `prespace-cap`'s
 eigh work pinned, and the live cut of their block-sparse pi_phi its SVD work.
 Block-size structure is built once per process, so a second check pass builds
 none, and content keys and block-list parses per pass are pinned.
@@ -58,7 +58,7 @@ SITE_LABELS = {
     ("eigvalsh", "equivariant.check_dilation"): RECORDED,
     ("eigvalsh", "equivariant.check_equivariant"): RECORDED,
     ("eigvalsh", "equivariant.check_functor_laws"): RECORDED,
-    ("eigvalsh", "equivariant.representation_defect"): RECORDED,
+    ("eigvalsh", "equivariant.homomorphism_residual"): RECORDED,
     ("eigvalsh", "equivariant.uniqueness_unitary"): RECORDED,
     ("eigvalsh", "harness._check_dilation"): RECORDED,
     ("eigvalsh", "harness._check_equivariant_suite"): RECORDED,
@@ -208,8 +208,8 @@ def test_every_lapack_site_is_labelled_and_verdicts_take_no_full_svd(monkeypatch
 
 
 @pytest.mark.parametrize("workload, svd_sites, eigvalsh_pin", [
-    ("suites-default", {"cp.random_blinear_unitary": 30, "ksgns.spanning_svd": 40}, 10_141),
-    ("equivariant-dilation", {"ksgns.spanning_svd": 20}, 4_399),
+    ("suites-default", {"cp.random_blinear_unitary": 30, "ksgns.spanning_svd": 40}, 8_742),
+    ("equivariant-dilation", {"ksgns.spanning_svd": 20}, 2_621),
     ("prespace-cap", {"cp.random_blinear_unitary": 3, "ksgns.spanning_svd": 3}, 261),
 ])
 def test_svd_and_eigvalsh_matrices_per_check_pass(monkeypatch, workload, svd_sites, eigvalsh_pin):
@@ -218,7 +218,8 @@ def test_svd_and_eigvalsh_matrices_per_check_pass(monkeypatch, workload, svd_sit
     # eigvalsh only the spanning SVD (rank and pseudo-inverse) and the H scale
     # of random_blinear_unitary, kept on the SVD for its payload bits, remain,
     # and all-zero slices take no LAPACK call.  eigvalsh matrices: 245, 106 and
-    # 3 (PSD verdicts alone), 10,141, 4,399 and 261 with the norms
+    # 3 (PSD verdicts alone), 10,141, 4,399 and 261 with the norms, 8,742,
+    # 2,621 and 261 with the Gram-power bounds of certified maxima
     tasks = WORKLOADS.build(workload, WORKLOADS.DEFAULT_MASTER_SEED)
     calls = lapack_calls(monkeypatch)
     check_pass(tasks)
@@ -229,6 +230,40 @@ def test_svd_and_eigvalsh_matrices_per_check_pass(monkeypatch, workload, svd_sit
     assert svds == svd_sites
     eigvalsh = sum(c.matrices for c in calls if c.routine == "eigvalsh")
     assert eigvalsh <= eigvalsh_pin, eigvalsh
+
+
+# eigvalsh matrices per check pass by width (the order of the Gram), with
+# certified maxima from Gram-power bounds; with the Frobenius certificate of
+# stacks of 32 or more slices they were, by width:
+#   suites-default {1: 3019, 2: 3887, 3: 35, 4: 1483, 5: 74, 6: 127, 8: 932,
+#     10: 39, 12: 22, 15: 28, 16: 297, 18: 50, 20: 14, 24: 9, 25: 14, 32: 67,
+#     45: 22, 54: 22}
+#   equivariant-dilation {2: 152, 4: 2766, 8: 266, 16: 1215}
+#   prespace-cap as below
+# The 16-wide matrices of equivariant-dilation are the dilated check_equivariant's
+# rounding-noise stacks, which a Frobenius bound cannot prune.
+EIGVALSH_BY_WIDTH = {
+    "suites-default": {1: 2784, 2: 3518, 3: 35, 4: 1154, 5: 74, 6: 127, 8: 588, 10: 39,
+                       12: 22, 15: 28, 16: 195, 18: 50, 20: 14, 24: 9, 25: 14, 32: 47,
+                       45: 22, 54: 22},
+    "equivariant-dilation": {2: 145, 4: 1788, 8: 266, 16: 422},
+    "prespace-cap": {8: 37, 9: 37, 11: 37, 24: 37, 27: 37, 33: 37, 72: 13, 81: 13, 99: 13},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(EIGVALSH_BY_WIDTH))
+def test_eigvalsh_matrices_by_width_per_check_pass(monkeypatch, workload):
+    # no width takes more eigensolves than it does here, and none appears anew
+    tasks = WORKLOADS.build(workload, WORKLOADS.DEFAULT_MASTER_SEED)
+    calls = lapack_calls(monkeypatch)
+    check_pass(tasks)
+    by_width = {}
+    for c in calls:
+        if c.routine == "eigvalsh":
+            by_width[c.width] = by_width.get(c.width, 0) + c.matrices
+    pins = EIGVALSH_BY_WIDTH[workload]
+    assert by_width.keys() <= pins.keys(), sorted(by_width.keys() - pins.keys())
+    assert all(by_width[w] <= pins[w] for w in by_width), by_width
 
 
 def test_suites_default_eigh_calls(monkeypatch, suites_default):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ksgnslab.errors import NonFinite, NonHermitian, NotPSD
 from ksgnslab.numkernel import (
-    CERTIFY_MIN_SLICES,
+    BOUND_MIN_SLICES,
     DEFAULT_TOL,
     GRAM_RANGE,
     LIVE_MIN_DIM,
@@ -342,60 +342,80 @@ def test_live_cut_keeps_the_dense_bits_below_its_width_and_on_dense_slices(rng, 
 
 
 def slice_of(kind, rng, prev, m, n):
-    """One (m, n) slice of a certified-maximum stack: random of norm below
-    1.2; rank one, where sigma_1 = ||X||_F; rank one of norm 1 to within
-    rounding, whose sigma_1 and ||X||_F cross each other by an ulp; zero; a
-    copy of the previous slice (an exact tie); or flat, 0.9 times a partial
-    isometry, whose Frobenius norm tops every unit-norm slice's."""
-    if kind == "random":
+    """One (m, n) slice of a certified-maximum stack: random of norm below 1.2;
+    rank one, where sigma_1^2 = tr G and every Gram-power bound is tight; rank
+    one of norm 1 to within rounding; zero; a copy of the previous slice (an
+    exact tie) or the previous slice times 1 + 2^-40 (a near tie, well inside
+    CERTIFY_MARGIN); flat, 0.9 times a partial isometry, whose Frobenius norm
+    tops every unit-norm slice's; unitary, a partial isometry, all singular
+    values 1; or tiny, a random slice 1e-200 times smaller, whose Gram underflows
+    at every scale of the stack."""
+    if kind in ("random", "tiny"):
         X = random_complex(rng, m, n)
-        return X * rng.uniform(0.5, 1.2) / np.linalg.norm(X)
+        return X * rng.uniform(0.5, 1.2) / np.linalg.norm(X) * (1e-200 if kind == "tiny" else 1.0)
     if kind in ("rank_one", "unit_rank_one"):
         u, v = random_complex(rng, m), random_complex(rng, n)
         X = np.outer(u / np.linalg.norm(u), v.conj() / np.linalg.norm(v))
         return X if kind == "unit_rank_one" else X * rng.uniform(0.1, 1.1)
-    if kind == "flat":
+    if kind in ("flat", "unitary"):
         Q = np.linalg.qr(random_complex(rng, max(m, n), max(m, n)))[0]
-        return 0.9 * Q[:m, :n]
-    return np.zeros((m, n), dtype=complex) if kind == "zero" or prev is None else prev
+        return Q[:m, :n] * (0.9 if kind == "flat" else 1.0)
+    if kind == "zero" or prev is None:
+        return np.zeros((m, n), dtype=complex)
+    return prev * (1.0 + 2.0**-40) if kind == "near_tie" else prev
 
 
-SLICE_KINDS = ("random", "rank_one", "unit_rank_one", "zero", "tie", "flat")
+SLICE_KINDS = ("random", "rank_one", "unit_rank_one", "zero", "tie", "near_tie", "flat",
+               "unitary", "tiny")
+CERTIFIED_SCALES = (1e-150, 1e-80, 1e-3, 1.0, 1e5, 1e80, 1e150)
 
 
 @st.composite
 def certified_stacks(draw):
-    """One to four stacks at or above the certification cut, each of a shape
-    from a small menu, so that some share one, and at a scale from where
-    squaring underflows to 1e5."""
+    """One to four stacks of 2 to 60 slices, each (m, n) with m and n from 1 to
+    LIVE_MIN_DIM - 1 (mostly narrow, m = n or not; a stack may take an earlier
+    one's shape, so that they share a batch), mixed from the slice kinds and
+    scaled by one of 1e-150, where the Gram underflows, through 1e-80 and 1e80,
+    where its fourth power would leave the range unnormalised, to 1e150, where
+    it overflows."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = st.one_of(st.integers(1, 6), st.integers(7, LIVE_MIN_DIM - 1))
     stacks = []
     for _ in range(draw(st.integers(1, 4))):
-        m, n = draw(st.sampled_from([(1, 1), (2, 2), (1, 3), (3, 2), (3, 3)]))
-        count = draw(st.integers(CERTIFY_MIN_SLICES, CERTIFY_MIN_SLICES + 40))
-        mix = draw(st.sampled_from([(1, 1, 1, 1, 1, 1), (0, 1, 6, 1, 2, 0), (1, 0, 4, 0, 1, 3)]))
+        if stacks and draw(st.booleans()):
+            m, n = stacks[draw(st.integers(0, len(stacks) - 1))].shape[1:]
+        else:
+            m, n = draw(width), draw(width)
+        count = draw(st.integers(2, 60))
+        mix = draw(st.sampled_from([np.ones(len(SLICE_KINDS)), (1, 0, 4, 1, 2, 4, 1, 1, 1),
+                                    (4, 1, 0, 1, 1, 1, 1, 0, 2)]))
         kinds = rng.choice(SLICE_KINDS, size=count, p=np.array(mix) / sum(mix))
         slices = []
         for kind in kinds:
             slices.append(slice_of(kind, rng, slices[-1] if slices else None, m, n))
-        stacks.append(np.stack(slices) * 10.0 ** draw(st.sampled_from([-160, -3, 0, 5])))
+        stacks.append(np.stack(slices) * draw(st.sampled_from(CERTIFIED_SCALES)))
     return stacks
 
 
 @settings(max_examples=150, deadline=None)
 @given(certified_stacks())
 def test_certified_maxima_keep_the_bits_of_the_full_maximum(stacks):
+    # pyproject turns RuntimeWarnings into errors, so a Gram power that leaves
+    # the range fails here as well
     want = np.array([operator_norms(S).max() for S in stacks])
     assert max_operator_norms(*stacks).tobytes() == want.tobytes()
+    assert [max_operator_norm(S) for S in stacks] == want.tolist()
 
 
 def test_certified_maxima_skip_slices_and_keep_the_gates(rng, monkeypatch):
-    # a flat slice tops the Frobenius norms, a rank-one slice the operator
-    # norms; neither may be pruned, the small random slices are
-    stack = 0.1 * random_complex(rng, 2 * CERTIFY_MIN_SLICES, 3, 3)
+    # small random slices fall to the trace, a flat slice (the largest trace) to
+    # its Gram powers, under the rank-one slice's lower bound: one eigensolve, of
+    # the rank-one slice alone; zero and empty stacks take none, and a slice too
+    # small to normalise takes the exact path
+    stack = 0.1 * random_complex(rng, 2 * BOUND_MIN_SLICES, 3, 3)
     stack[5] = 0.9 * np.linalg.qr(random_complex(rng, 3, 3))[0]
-    stack[40] = np.outer(np.ones(3), np.ones(3)) / 3.0
-    want, sizes = gram_norm_reference(stack[40]), []
+    stack[33] = np.outer(np.ones(3), np.ones(3)) / 3.0
+    want, sizes = gram_norm_reference(stack[33]), []
     real = np.linalg.eigvalsh
 
     def counting(a, *args, **kwargs):
@@ -404,10 +424,15 @@ def test_certified_maxima_skip_slices_and_keep_the_gates(rng, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     assert max_operator_norms(stack, np.zeros((0, 3, 3))).tolist() == [want, 0.0]
-    assert sizes == [1, 1]  # the flat slice, then the rank-one one
+    assert sizes == [1]
+    sizes.clear()
     assert max_operator_norms(np.zeros((0, 3, 3)), np.zeros((40, 2, 2))).tolist() == [0.0, 0.0]
+    assert sizes == []
+    stack[7] = 1e-200 * stack[33]
+    assert max_operator_norm(stack) == want
+    assert sizes == [2]
     for bad in (np.nan, np.inf):
-        stack[50, 1, 2] = bad
+        stack[38, 1, 2] = bad
         with pytest.raises(NonFinite):
             max_operator_norms(stack)
 
@@ -423,7 +448,7 @@ def norm_stacks(draw):
     lambda_max passes GRAM_RANGE."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m, n = draw(st.sampled_from([(1, 4), (2, 5), (1, 1), (3, 3), (4, 1), (5, 2), (0, 3), (3, 0)]))
-    count = draw(st.integers(1, CERTIFY_MIN_SLICES + 8))
+    count = draw(st.integers(1, BOUND_MIN_SLICES + 8))
     if not m * n:
         return np.zeros((count, m, n), dtype=complex)
     slices = []

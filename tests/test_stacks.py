@@ -380,7 +380,10 @@ def test_check_pass_eigh_count(monkeypatch):
     # slice's norm taken, 6,445 with certified maxima, 4,447 with check_cp's
     # linearity gate certified and the group law a certified maximum, 20 (the
     # spanning SVDs) with operator norms from the smaller Gram's eigvalsh, which
-    # adds 624 eigvalsh calls to the 60 PSD verdicts
+    # adds 624 eigvalsh calls to the 60 PSD verdicts; 500 with the Gram-power
+    # bounds' one eigensolve per batch in place of the Frobenius certificate's
+    # two, and one norm batch each per check_equivariant (its representation
+    # law and Gram scale included), check_triple and check_correspondence
     tasks = []
     for idx in range(20):
         gname = ("Z2", "Z3", "Z4", "S3")[idx % 4]
@@ -406,6 +409,6 @@ def test_check_pass_eigh_count(monkeypatch):
     for suite, payload in tasks:
         assert all(r.passed for r in check_instance(suite, payload, DEFAULT_TOL))
     assert calls.count("eigh") <= 270, calls.count("eigh")
-    assert calls.count("eigvalsh") <= 684, calls.count("eigvalsh")
+    assert calls.count("eigvalsh") <= 500, calls.count("eigvalsh")
     assert sum(cubes) <= 2_500_000, sum(cubes)
     assert sum(svd_matrices) <= 20, sum(svd_matrices)
