@@ -43,16 +43,17 @@ Johnson, Matrix Analysis, 2013, ch. 5).  A slice whose upper bound, times
 the maximum and reads 0: the trace rung runs on every slice, the power rung on
 the slices it leaves, and the rest take exact norms in one gram_norms call, so
 a computed maximum keeps its bits with one eigensolve per batch.  Normalising
-by the trace keeps every entry of the powers within [0, 1] at any scale; a
-slice whose trace is not finite or not strictly inside GRAM_RANGE takes the
-exact path, and a zero slice reads 0 with no LAPACK call.  The rounding stays
-far below CERTIFY_MARGIN = 1e-6: a product of two of these matrices is off by
-at most gamma_k (about k u) times |A| |B| entrywise, ||G^||_F^2 <= mu_max and
-||G^^p||_F >= mu_max^p, so ||G^^2||_F and ||G^^4||_F carry relative errors of
-at most k gamma_k and about 3 k^(3/2) gamma_k, below 2e-11 at k < LIVE_MIN_DIM;
-the Gram's own rounding moves mu_max by at most sqrt(2) k gamma_{p+2}, and the
-exact path is within 4 m n eps, both below 1e-11 there.  A batch shorter than
-BOUND_MIN_SLICES, or as wide as LIVE_MIN_DIM, takes every slice's exact norm.
+by the trace keeps every entry of the powers at modulus at most 1 at any
+scale; a slice whose trace is not finite or not strictly inside GRAM_RANGE
+takes the exact path, and a zero slice reads 0 with no LAPACK call.  The
+rounding stays far below CERTIFY_MARGIN = 1e-6: a product of two of these
+matrices is off by at most gamma_k (about k u) times |A| |B| entrywise,
+||G^||_F^2 <= mu_max and ||G^^p||_F >= mu_max^p, so ||G^^2||_F and ||G^^4||_F
+carry relative errors of at most k gamma_k and about 3 k^(3/2) gamma_k, below
+2e-11 at k < LIVE_MIN_DIM; the Gram's own rounding moves mu_max by at most
+sqrt(2) k gamma_{max(m, n) + 2}, and the exact path is within 4 m n eps, both
+below 1e-11 there.  A batch shorter than BOUND_MIN_SLICES, or as wide as
+LIVE_MIN_DIM, takes every slice's exact norm.
 Verdict-only gates ||X|| <= ctol * (1 + ||M||) (Hermitian defects, null-space
 leaks) go through exceeds_gate: a slice with ||X||_F <= ctol passes without
 an exact norm, and exact norms run only for slices near or over the gate.
