@@ -76,7 +76,6 @@ from .numkernel import (
     stack_slices,
     svd_norm,
 )
-from .reporting import CheckReport
 
 
 @dataclass
@@ -124,8 +123,8 @@ class Correspondence(CPMap):
     """CPMap whose images are multiplicative and unital (a *-homomorphism)."""
 
 
-def check_correspondence(pi: CPMap, tol: Tolerance) -> CheckReport:
-    """Multiplicativity and unitality residuals for a would-be representation.
+def check_correspondence(pi: CPMap, tol: Tolerance) -> list[tuple]:
+    """Multiplicativity and unitality records for a would-be representation.
 
     Multiplicativity is max over p, r of ||pi(u_p u_r) - pi(u_p) pi(u_r)||,
     formed one p at a time, only for the r whose product or target is nonzero
@@ -134,7 +133,6 @@ def check_correspondence(pi: CPMap, tol: Tolerance) -> CheckReport:
     max_operator_norms of all p's gaps.  The images are gated finite first, so
     a dropped term never hides a 0 * Inf.
     """
-    rep = CheckReport()
     A = pi.algebra
     X = require_finite(pi.images, "representation images")
     scale = 1.0 + pi.norm**2
@@ -147,9 +145,7 @@ def check_correspondence(pi: CPMap, tol: Tolerance) -> CheckReport:
         gaps.append(Xz[np.ix_(T[p, r], R)] - live_products(X[p][R], X[r])[0])
     mult = float(max_operator_norms(*gaps).max(initial=0.0))
     unital = operator_norm(pi(unit_coeffs(A)).matrix - np.eye(pi.module.dim))
-    rep.add("multiplicative", mult, tol.ctol * scale)
-    rep.add("unital", unital, tol.ctol * scale)
-    return rep
+    return [("multiplicative", mult, tol.ctol * scale), ("unital", unital, tol.ctol * scale)]
 
 
 def realized_images(E: HilbertModule, X: np.ndarray) -> np.ndarray:
@@ -538,13 +534,13 @@ def intertwiner_space(
 
 def check_morphism(
     ms: Sequence[Intertwiner], phi1: Sequence[CPMap], phi2: Sequence[CPMap], tol: Tolerance
-) -> list[CheckReport]:
-    """Residual reports for the intertwining condition and its consequences,
+) -> list[list[tuple]]:
+    """The records of the intertwining condition and its consequences,
     one per intertwiner ms[s] from phi1[s] to phi2[s] of a stack of one shape:
     one stacked product and one batched norm per residual shape, and one for
     the norms of the etas not yet known.
 
-    Reports the defining residual, the adjoint-side residual
+    Records the defining residual, the adjoint-side residual
     eta* phi2(alpha(a)) - phi1(a) eta*, and the commutation [phi1(a), eta* eta].
     """
     if any(not same_module(m.eta.source, p.module) for m, p in zip(ms, phi1)):
@@ -561,13 +557,13 @@ def check_morphism(
     X1 = stack_slices([p.images for p in phi1])
     gaps = (twisted @ eta - eta @ X1, eta_star @ twisted - X1 @ eta_star, X1 @ gram - gram @ X1)
     residuals = max_operator_norms(*(D for gap in gaps for D in gap)).reshape(3, len(ms))
-    names = ("morphism", "morphism_adjoint", "morphism_commutant")
+    gates = [
+        tol.ctol * (1.0 + m.norm**2) * (1.0 + p1.norm + p2.norm)
+        for m, p1, p2 in zip(ms, phi1, phi2)
+    ]
     return [
-        CheckReport(
-            dict(zip(names, res.tolist())),
-            dict.fromkeys(names, tol.ctol * (1.0 + m.norm**2) * (1.0 + p1.norm + p2.norm)),
-        )
-        for m, p1, p2, res in zip(ms, phi1, phi2, residuals.T)
+        [("morphism", a, gate), ("morphism_adjoint", b, gate), ("morphism_commutant", c, gate)]
+        for (a, b, c), gate in zip(residuals.T.tolist(), gates)
     ]
 
 

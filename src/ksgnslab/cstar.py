@@ -34,7 +34,6 @@ from .numkernel import (
     require_finite,
     stack_slices,
 )
-from .reporting import CheckReport
 
 @dataclass(frozen=True)
 class AlgebraShape:
@@ -250,8 +249,8 @@ def star_map_distance(r1: Sequence[StarMap], r2: Sequence[StarMap]) -> np.ndarra
     return out
 
 
-def check_star_map(rho: Sequence[StarMap], tol: Tolerance) -> list[CheckReport]:
-    """Residuals for multiplicativity, *-preservation, and unitality of each
+def check_star_map(rho: Sequence[StarMap], tol: Tolerance) -> list[list[tuple]]:
+    """Records of multiplicativity, *-preservation, and unitality of each
     star map of a stack between one pair of algebras, from one batched norm
     per codomain block.
 
@@ -281,10 +280,9 @@ def check_star_map(rho: Sequence[StarMap], tol: Tolerance) -> list[CheckReport]:
         part.max(axis=1).tolist()
         for part in np.split(norms, np.cumsum([len(P), dom.dim, dom.dim]), axis=1)
     )
-    names = ("multiplicativity", "star_preservation", "unitality")
     return [
-        CheckReport(dict(zip(names, res)), dict.fromkeys(names, tol.ctol * (1.0 + x * x)))
-        for x, *res in zip(scale, mult, star, unital)
+        [("multiplicativity", m, gate), ("star_preservation", s, gate), ("unitality", u, gate)]
+        for m, s, u, gate in zip(mult, star, unital, (tol.ctol * (1.0 + x * x) for x in scale))
     ]
 
 

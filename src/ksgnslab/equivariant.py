@@ -52,9 +52,9 @@ from .hilbert import (
 )
 from .ksgns import (
     KsgnsTriple,
-    check_triple,
     conjugated_triple,
     ksgns,
+    reconstruction_gaps,
     spanning_rank,
     triple_uniqueness_unitary,
 )
@@ -73,7 +73,6 @@ from .poscor import (
     poscor_identity,
     twist_unitary,
 )
-from .reporting import CheckReport
 
 
 # -- finite groups -----------------------------------------------------------
@@ -327,10 +326,9 @@ class EquivariantCorrespondence:
         return self.system_in.group
 
 
-def check_equivariant(c: EquivariantCorrespondence, tol: Tolerance) -> CheckReport:
-    """Residuals: representation law, twisted linearity and pairing, covariance,
+def check_equivariant(c: EquivariantCorrespondence, tol: Tolerance) -> list[tuple]:
+    """Records: representation law, twisted linearity and pairing, covariance,
     each over the whole group at once."""
-    rep = CheckReport()
     G, E, d = c.group, c.module, c.module.dim
     U = np.stack(c.unitaries)
     beta = np.stack([b.matrix for b in c.system_out.action])
@@ -349,12 +347,12 @@ def check_equivariant(c: EquivariantCorrespondence, tol: Tolerance) -> CheckRepo
         *block_stacks(E.algebra, gap.transpose(0, 1, 3, 2)),
     ).tolist()
     u_scale = 1.0 + u_norm
-
-    rep.add("representation", law, tol.ctol * u_scale**2)
-    rep.add("twisted_linearity", lin, tol.ctol * u_scale)
-    rep.add("pairing_twist", max(pair_twist), tol.ctol * u_scale**2 * (1.0 + gram))
-    rep.add("covariance", cov, tol.ctol * u_scale * (1.0 + c.phi.norm))
-    return rep
+    return [
+        ("representation", law, tol.ctol * u_scale**2),
+        ("twisted_linearity", lin, tol.ctol * u_scale),
+        ("pairing_twist", max(pair_twist), tol.ctol * u_scale**2 * (1.0 + gram)),
+        ("covariance", cov, tol.ctol * u_scale * (1.0 + c.phi.norm)),
+    ]
 
 
 def _gram_scale(E: HilbertModule) -> float:
@@ -407,7 +405,7 @@ def correspondence_to_functor(
 
 def check_functor_laws(
     c: EquivariantCorrespondence, F: list[PosCorMorphism], tol: Tolerance, memo: BuildMemo
-) -> CheckReport:
+) -> list[tuple]:
     """F(g) F(h) = F(gh) through pullbacks, unit law, and U_g recovery.
 
     F(g) F(h) is composed along beta_gh (poscor_compose(..., rho=)), so it
@@ -424,7 +422,6 @@ def check_functor_laws(
     tensors of the F(g) enter it under their content keys, so a memo other
     than the one that built F also finds the tensors of F(gh).
     """
-    rep = CheckReport()
     G = c.group
     scale = 1.0 + max(1.0, _gram_scale(c.module))
     _require_group_law(c.system_out, tol.ctol * scale, tol)
@@ -441,11 +438,12 @@ def check_functor_laws(
     recover, law = max_operator_norms(
         np.stack([m.pullback for m in F]) - U, np.stack([m.pullback for m in composed]) - U[gh]
     )
-    rep.add("functor_recovery", float(recover), tol.ctol * scale)
-    rep.add("functor_unit", unit_gap, tol.ctol * scale)
-    rep.add("functor_composition", float(law), tol.ctol * scale)
-    rep.add("unitary_valued", unitarity_residual([m.eta for m in F]), tol.ctol * scale)
-    return rep
+    return [
+        ("functor_recovery", float(recover), tol.ctol * scale),
+        ("functor_unit", unit_gap, tol.ctol * scale),
+        ("functor_composition", float(law), tol.ctol * scale),
+        ("unitary_valued", unitarity_residual([m.eta for m in F]), tol.ctol * scale),
+    ]
 
 
 def _require_group_law(system: DynamicalSystem, threshold: float, tol: Tolerance) -> None:
@@ -508,39 +506,49 @@ def categorical_dilation_unitary(
     return stack_slices([k.pullback for k in ksgns_functor(F, tol, memo)])
 
 
-def check_dilation(quad: DilationQuadruple, tol: Tolerance) -> CheckReport:
-    """The four quadruple conditions."""
+def check_dilation(quad: DilationQuadruple, tol: Tolerance) -> list[tuple]:
+    """The four quadruple conditions: the dilated family's equivariance laws,
+    the two dilation conditions of the triple, and V_phi's equivariance."""
     c = quad.source
     t = quad.triple
-    rep = CheckReport()
-    rep.merge(check_equivariant(dilated_correspondence(quad), tol), prefix="dilated_")
-    rep.merge(check_triple(t, tol))
+    law, lin, pair, cov = check_equivariant(dilated_correspondence(quad), tol)
     V, U = t.embedding.matrix, np.stack(c.unitaries)
-    compat, u_norm = max_operator_norms(
-        t.module.gram_sqrt @ (V @ U - quad.unitaries @ V) @ c.module.gram_isqrt, U
+    compat, u_norm, recon = max_operator_norms(
+        t.module.gram_sqrt @ (V @ U - quad.unitaries @ V) @ c.module.gram_isqrt, U,
+        reconstruction_gaps(t),
     ).tolist()
-    rep.add("embedding_equivariance", compat, tol.ctol * (1.0 + u_norm))
-    return rep
+    return [
+        ("dilated_representation", *law[1:]),
+        ("dilated_twisted_linearity", *lin[1:]),
+        ("dilated_pairing_twist", *pair[1:]),
+        ("dilated_covariance", *cov[1:]),
+        ("reconstruction", recon, tol.ctol * (1.0 + t.phi.norm)),
+        ("spanning", float(t.module.dim - spanning_rank(t, tol)), 0.0),
+        ("embedding_equivariance", compat, tol.ctol * (1.0 + u_norm)),
+    ]
 
 
 def uniqueness_unitary(
     q1: DilationQuadruple, q2: DilationQuadruple, tol: Tolerance
-) -> tuple[ModuleMap, CheckReport]:
+) -> tuple[ModuleMap, list[tuple]]:
     """Solve the B-linear unitary W: F' -> F_phi matching the two quadruples:
     the KSGNS matching unitary of the two triples, which must also carry the
-    dilated unitary family of q2 to that of q1."""
+    dilated unitary family of q2 to that of q1; with the matching unitary's
+    records and the family's."""
     for t in (q1.triple, q2.triple):
         rank = spanning_rank(t, tol)
         if rank < t.module.dim:
             raise SpanningFailure(f"spanning rank {rank} < dim {t.module.dim}")
-    W, rep = triple_uniqueness_unitary(q2.triple, q1.triple, tol)
+    W, records = triple_uniqueness_unitary(q2.triple, q1.triple, tol)
     Ws = adjoint_map(W).matrix
-    rep.add(
-        "unitary_family_match",
-        max_operator_norm(W.matrix @ np.stack(q2.unitaries) @ Ws - np.stack(q1.unitaries)),
-        tol.ctol * (1.0 + q1.triple.phi.norm),
-    )
-    return W, rep
+    return W, [
+        *records,
+        (
+            "unitary_family_match",
+            max_operator_norm(W.matrix @ np.stack(q2.unitaries) @ Ws - np.stack(q1.unitaries)),
+            tol.ctol * (1.0 + q1.triple.phi.norm),
+        ),
+    ]
 
 
 def conjugated_quadruple(quad: DilationQuadruple, Z: ModuleMap) -> DilationQuadruple:

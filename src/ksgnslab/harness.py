@@ -12,8 +12,9 @@ JSON are their dataclass fields; nothing reads a report back.
 Each suite declares its records once, as an ordered theorem table {check
 name: theorem} beside its checker; `_SUITES` holds (generator, checker,
 table) per suite.  A checker yields named residuals, (check, residual,
-threshold); the harness records them (check_instance), and a name the table
-does not declare, or declares before the previous record's, fails the instance.
+threshold), its own and those a library checker returns as a list; the harness
+records them (check_instance), and a name the table does not declare, or
+declares before the previous record's, fails the instance.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ from .ksgns import (
 from .memo import BuildMemo, structure
 from .numkernel import (
     GENERATION_TOL, Tolerance, herm_expi, kron, matvecs, max_operator_norm, operator_norm,
+    summarize,
 )
 from .poscor import (
     PosCorObject,
@@ -251,13 +253,6 @@ class Report:
         return data
 
 
-def _named(report, *checks: str):
-    """The (check, residual, threshold) of a CheckReport's checks, in that
-    order.  A name the report lacks raises KeyError, so the instance fails."""
-    for check in checks:
-        yield check, report.residuals[check], report.thresholds[check]
-
-
 def _cp_certificate(phi: CPMap, tol: Tolerance, memo: BuildMemo) -> tuple[bool, tuple]:
     """The Choi verdict of phi (check_cp) with its (residual, threshold): the
     most negative Choi eigenvalue when it passes, inf whenever it fails."""
@@ -313,20 +308,15 @@ def _check_ksgns(payload: dict, tol: Tolerance, memo: BuildMemo):
     if not ok:
         return
     t = ksgns([E], [phi], tol, memo)[0]
-    yield from _named(
-        check_triple(t, tol),
-        "reconstruction", "spanning", "embedding_adjoint", "pi_multiplicative", "pi_unital",
-    )
+    yield from check_triple(t, tol)
     rng = _sub_rng(payload["seed"], 1)
     Z = random_blinear_unitary(t.module, rng)
     t2 = conjugated_triple(t, Z)
-    U, repu = triple_uniqueness_unitary(t, t2, tol)
-    # uniqueness_*: the uniqueness suite records this triple under its report names
-    yield "uniqueness_unitary", repu.residuals["unitary"], repu.thresholds["unitary"]
-    yield ("uniqueness_embedding",
-           repu.residuals["embedding_match"], repu.thresholds["embedding_match"])
-    yield ("uniqueness_representation",
-           repu.residuals["representation_match"], repu.thresholds["representation_match"])
+    U, (unitary, representation, embedding) = triple_uniqueness_unitary(t, t2, tol)
+    # the uniqueness suite's records, under this suite's names and in its table's order
+    yield "uniqueness_unitary", *unitary[1:]
+    yield "uniqueness_embedding", *embedding[1:]
+    yield "uniqueness_representation", *representation[1:]
     yield (
         "uniqueness_planted", operator_norm(U.matrix - Z.matrix), tol.ctol * (1.0 + phi.norm)
     )
@@ -432,10 +422,7 @@ def _check_lift(payload: dict, tol: Tolerance, memo: BuildMemo):
     m1, m2 = morphs["m1"], morphs["m2"]
     rng = _sub_rng(payload["seed"], 2)
 
-    yield from _named(
-        check_morphism([m1], [phi1], [phi2], tol)[0],
-        "morphism", "morphism_adjoint", "morphism_commutant",
-    )
+    yield from check_morphism([m1], [phi1], [phi2], tol)[0]
     worst, scale = _family_bound_residual(phi1, m1, rng)
     yield "family_bound", worst, tol.ctol * scale
     # positivity sandwich on a sampled a* a
@@ -457,10 +444,7 @@ def _check_lift(payload: dict, tol: Tolerance, memo: BuildMemo):
     leak, gate = null_leak(t2.q, kron(m1.alpha.matrix, m1.eta.matrix), t1.kernel, tol)
     yield "lift_well_defined", leak, gate
     lifted1 = ksgns_lift([m1], [t1], [t2], tol)[0]
-    yield from _named(
-        check_lift(m1, lifted1, t1, t2, tol),
-        "lift_contraction", "lift_adjoint", "lift_morphism", "lift_embedding",
-    )
+    yield from check_lift(m1, lifted1, t1, t2, tol)
     ident = Intertwiner(identity_map(E1), identity_automorphism(phi1.algebra))
     lift_id = ksgns_lift([ident], [t1], [t1], tol)[0]
     yield "functor_identity", operator_norm(lift_id.eta.matrix - np.eye(t1.module.dim)), tol.ctol
@@ -502,7 +486,7 @@ def _check_idempotency(payload: dict, tol: Tolerance, memo: BuildMemo):
     t2 = ksgns([mods["E2"]], [phis["phi2"]], tol, memo)[0]
     second1 = ksgns([t1.module], [t1.pi], tol, memo)[0]
     second2 = ksgns([t2.module], [t2.pi], tol, memo)[0]
-    yield from _named(check_idempotency(second1, t1, tol), "unitary", "dim_stable", "intertwines")
+    yield from check_idempotency(second1, t1, tol)
     lifted = ksgns_lift([m], [t1], [t2], tol)[0]
     double = ksgns_lift([lifted], [second1], [second2], tol)[0]
     yield (
@@ -595,8 +579,7 @@ def _check_tensor(payload: dict, tol: Tolerance, memo: BuildMemo):
     m_hat = Intertwiner(tensor_extend_between([m.eta], [tm1], [tm2], tol)[0], m.alpha)
     phi1_ext = tensor_extend_cpmap([phi1], [tm1], tol, memo)[0]
     phi2_ext = tensor_extend_cpmap([phi2], [tm2], tol, memo)[0]
-    rep = check_morphism([m_hat], [phi1_ext], [phi2_ext], tol)[0]
-    yield "functor_morphism", *rep.summary()
+    yield "functor_morphism", *summarize(check_morphism([m_hat], [phi1_ext], [phi2_ext], tol)[0])
     yield "functor_norm", max(0.0, m_hat.norm - m.norm), tol.ctol
     # inclusion
     inc1 = inclusion_unitary(E1, tol, memo)
@@ -657,8 +640,7 @@ def _check_tensor(payload: dict, tol: Tolerance, memo: BuildMemo):
     # KSGNS commutes with tensoring
     cu1 = commuting_unitary([phi1], [tm1], tol, memo)[0]
     cu2 = commuting_unitary([phi2], [tm2], tol, memo)[0]
-    rep = check_commuting_unitary(cu1, tol, memo)
-    yield "commuting_unitary", *rep.summary()
+    yield "commuting_unitary", *summarize(check_commuting_unitary(cu1, tol, memo))
     lifted = ksgns_lift([m], [cu1.triple], [cu2.triple], tol)[0]
     lifted_hat = tensor_extend_between([lifted.eta], [cu1.right], [cu2.right], tol)[0]
     hat_lifted = ksgns_lift([m_hat], [cu1.left], [cu2.left], tol)[0]
@@ -780,15 +762,10 @@ _CATEGORY_THEOREMS = {
 
 def _check_category(payload: dict, tol: Tolerance, memo: BuildMemo):
     objects, morphisms = _load_category(payload, tol, memo)
-    reports = check_poscor_morphism(morphisms, tol, memo)
-    failing = next((rep for rep in reports if not rep.passed), None)
-    yield (
-        "morphism_invariants", *(failing.summary() if failing is not None else (0.0, tol.ctol))
-    )
-    yield from _named(
-        check_category_laws(objects, morphisms, tol, memo),
-        "left_identity", "right_identity", "associativity", "closure",
-    )
+    # the first failing morphism's worst record, (0, ctol) when every one passes
+    summaries = map(summarize, check_poscor_morphism(morphisms, tol, memo))
+    yield "morphism_invariants", *next((s for s in summaries if s[0] > s[1]), (0.0, tol.ctol))
+    yield from check_category_laws(objects, morphisms, tol, memo)
     if "ksgns_functor" not in payload.get("checks", []):
         return
     # KSGNS endofunctor laws on the category, on one composable pair
@@ -796,8 +773,7 @@ def _check_category(payload: dict, tol: Tolerance, memo: BuildMemo):
     m2 = next(m for m in morphisms if m.dom.ident == "O2" and m.cod.ident == "O3")
     k1 = ksgns_functor([m1], tol, memo)[0]
     k2 = ksgns_functor([m2], tol, memo)[0]
-    rep = check_poscor_morphism([k1], tol, memo)[0]
-    yield "ksgns_morphism", *rep.summary()
+    yield "ksgns_morphism", *summarize(check_poscor_morphism([k1], tol, memo)[0])
     k_id = ksgns_functor([poscor_identity(objects[0], tol, memo)], tol, memo)[0]
     yield (
         "ksgns_identity",
@@ -870,15 +846,9 @@ def _check_equivariant_suite(payload: dict, tol: Tolerance, memo: BuildMemo):
     c = ser.load_equivariant(payload["correspondence"])
     yield "system_in", c.system_in.homomorphism_residual(), tol.ctol
     yield "system_out", c.system_out.homomorphism_residual(), tol.ctol
-    yield from _named(
-        check_equivariant(c, tol),
-        "representation", "twisted_linearity", "pairing_twist", "covariance",
-    )
+    yield from check_equivariant(c, tol)
     yield "phi_cp", *_cp_certificate(c.phi, tol, memo)[1]
-    yield from _named(
-        check_functor_laws(c, correspondence_to_functor(c, tol, memo), tol, memo),
-        "functor_recovery", "functor_unit", "functor_composition", "unitary_valued",
-    )
+    yield from check_functor_laws(c, correspondence_to_functor(c, tol, memo), tol, memo)
     averaged = average_covariant(c.phi, c.system_in, c.unitaries, c.group)
     yield (
         "averaging_fixed_point",
@@ -902,11 +872,7 @@ _DILATION_THEOREMS = {
 def _check_dilation(payload: dict, tol: Tolerance, memo: BuildMemo):
     c = ser.load_equivariant(payload["correspondence"])
     quad = dilate(c, tol=tol, memo=memo)
-    yield from _named(
-        check_dilation(quad, tol),
-        "dilated_representation", "dilated_twisted_linearity", "dilated_pairing_twist",
-        "dilated_covariance", "reconstruction", "spanning", "embedding_equivariance",
-    )
+    yield from check_dilation(quad, tol)
     yield (
         "direct_vs_categorical",
         max_operator_norm(
@@ -1040,8 +1006,8 @@ def _check_uniqueness(payload: dict, tol: Tolerance, memo: BuildMemo):
     F = quad.triple.module
     Z = ModuleMap(F, F, ser.load_cmatrix(payload["planted"], F.dim, F.dim))
     quad2 = conjugated_quadruple(quad, Z)
-    W, rep = uniqueness_unitary(quad, quad2, tol)
-    yield from _named(rep, "unitary", "representation_match", "embedding_match", "unitary_family_match")
+    W, records = uniqueness_unitary(quad, quad2, tol)
+    yield from records
     Z_inv = adjoint_map(Z).matrix
     yield "planted_recovery", operator_norm(W.matrix - Z_inv), 10.0 * tol.ctol
 

@@ -104,6 +104,19 @@ class Tolerance:
             raise ValueError(f"ctol must be positive, got {self.ctol}")
 
 
+def summarize(records: Sequence[tuple], empty_threshold: float = 0.0) -> tuple[float, float]:
+    """One (residual, threshold) pair for a checker's records (check, residual,
+    threshold).  A passing list gives its largest residual and largest
+    threshold, a failing one its worst failing entry (largest residual /
+    threshold ratio), so the pair fails too; an empty list gives (0,
+    empty_threshold)."""
+    failing = [(r, t) for _, r, t in records if r > t]
+    if not failing:
+        return (max((r for _, r, _ in records), default=0.0),
+                max((t for *_, t in records), default=empty_threshold))
+    return max(failing, key=lambda rt: rt[0] / rt[1] if rt[1] > 0 else math.inf)
+
+
 DEFAULT_TOL = Tolerance()
 
 # The one tolerance of instance generation, for its rank cutoffs and exp(iH)

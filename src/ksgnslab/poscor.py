@@ -57,9 +57,8 @@ from .hilbert import (
 from .ksgns import KsgnsTriple, ksgns, ksgns_lift
 from .memo import BuildMemo, content_key
 from .numkernel import (
-    Tolerance, dots, kron, max_operator_norm, max_operator_norms, stack_slices,
+    Tolerance, dots, kron, max_operator_norm, max_operator_norms, stack_slices, summarize,
 )
-from .reporting import CheckReport
 
 
 # -- T (x) I and the tensor functor -------------------------------------------
@@ -267,20 +266,19 @@ def commuting_unitary(
 
 def check_commuting_unitary(
     cu: CommutingUnitary, tol: Tolerance, memo: BuildMemo
-) -> CheckReport:
+) -> list[tuple]:
     """Unitarity, intertwining of pi_phi~ with pi_phi (-) (x) I, built here
     through the memo, and dimensions."""
-    rep = CheckReport()
     scale = 1.0 + cu.phi_ext.norm
-    rep.add("unitary", unitarity_residual([cu.unitary]), tol.ctol * scale)
+    unitary = unitarity_residual([cu.unitary])
     U = cu.unitary.matrix
     pi_right = tensor_extend_cpmap([cu.triple.pi], [cu.right], tol, memo)[0]
     inter = max_operator_norm(U @ cu.left.pi.images - pi_right.images @ U)
-    rep.add("intertwines", inter, tol.ctol * scale)
-    rep.add(
-        "dim_match", float(cu.left.module.dim - cu.right.module.dim), 0.0
-    )
-    return rep
+    return [
+        ("unitary", unitary, tol.ctol * scale),
+        ("intertwines", inter, tol.ctol * scale),
+        ("dim_match", float(cu.left.module.dim - cu.right.module.dim), 0.0),
+    ]
 
 
 # -- the category layer -------------------------------------------------------
@@ -420,13 +418,13 @@ def morphism_shape(m: PosCorMorphism) -> tuple:
 
 def check_poscor_morphism(
     ms: Sequence[PosCorMorphism], tol: Tolerance, memo: BuildMemo
-) -> list[CheckReport]:
-    """The star-map report of each rho with the intertwiner report of each
-    morphism from phi~, built here through the memo, to the codomain's phi,
-    prefixed eta_: one stacked check_star_map, tensor_extend_cpmap and
+) -> list[list[tuple]]:
+    """The star-map records of each rho, then the intertwiner records of each
+    morphism from phi~, built here through the memo, to the codomain's phi:
+    one stacked check_star_map, tensor_extend_cpmap and
     check_morphism per group of morphisms of one shape.  check_morphism
     caches each morphism's norm on it."""
-    reports, stacks = [CheckReport() for _ in ms], {}
+    reports, stacks = [[] for _ in ms], {}
     for s, m in enumerate(ms):
         stacks.setdefault(morphism_shape(m), []).append(s)
     for idx in stacks.values():
@@ -437,8 +435,7 @@ def check_poscor_morphism(
         )
         inner = check_morphism(group, phi_ext, [m.cod.phi for m in group], tol)
         for s, a, b in zip(idx, star, inner):
-            reports[s].merge(a)
-            reports[s].merge(b, prefix="eta_")
+            reports[s] = a + b
     return reports
 
 
@@ -542,7 +539,7 @@ def check_category_laws(
     morphisms: list[PosCorMorphism],
     tol: Tolerance,
     memo: BuildMemo,
-) -> CheckReport:
+) -> list[tuple]:
     """Left/right identity, associativity, and invariant preservation, over
     every composable pair and triple in the given diagram.
 
@@ -598,15 +595,14 @@ def check_category_laws(
 
     scale = max([1.0] + [1.0 + m.norm for m in morphisms])
     id_gaps = distances(ident, morphisms * 2)
-    rep = CheckReport()
-    rep.add("left_identity", id_gaps[:n].max(initial=0.0), tol.ctol * scale)
-    rep.add("right_identity", id_gaps[n:].max(initial=0.0), tol.ctol * scale)
-    rep.add("associativity", distances(lhs, rhs).max(initial=0.0), tol.ctol * scale**3)
-    closure = CheckReport()
-    done = [k for k, c in enumerate(composed) if c is not None]
-    for k, r in zip(done, check_poscor_morphism([composed[k] for k in done], tol, memo)):
-        closure.merge(r, prefix=f"pair{k + 1}_")
-    residual, threshold = closure.summary(empty_threshold=tol.ctol)
+    assoc = distances(lhs, rhs).max(initial=0.0)
+    done = [c for c in composed if c is not None]
+    closure = [r for rep in check_poscor_morphism(done, tol, memo) for r in rep]
+    residual, threshold = summarize(closure, empty_threshold=tol.ctol)
     broken = any(c is None for c in (*ident, *composed, *lhs, *rhs))
-    rep.add("closure", float("inf") if broken else residual, threshold)
-    return rep
+    return [
+        ("left_identity", id_gaps[:n].max(initial=0.0), tol.ctol * scale),
+        ("right_identity", id_gaps[n:].max(initial=0.0), tol.ctol * scale),
+        ("associativity", assoc, tol.ctol * scale**3),
+        ("closure", float("inf") if broken else residual, threshold),
+    ]

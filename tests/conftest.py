@@ -34,7 +34,9 @@ from ksgnslab.hilbert import (
 )
 from ksgnslab.ksgns import ProbeReport, ksgns_lift
 from ksgnslab.memo import BuildMemo
-from ksgnslab.numkernel import DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm
+from ksgnslab.numkernel import (
+    DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm, summarize,
+)
 from ksgnslab.poscor import (
     TwistUnitary,
     check_poscor_morphism,
@@ -46,7 +48,28 @@ from ksgnslab.poscor import (
     twist_unitary,
     v_rho,
 )
-from ksgnslab.reporting import CheckReport
+
+
+def passed(records) -> bool:
+    """A checker's verdict: the summary of its records (check, residual,
+    threshold) passes."""
+    residual, threshold = summarize(records)
+    return residual <= threshold
+
+
+def residuals(records) -> dict:
+    """{check: residual} of a checker's records."""
+    return {check: residual for check, residual, _ in records}
+
+
+def thresholds(records) -> dict:
+    """{check: threshold} of a checker's records."""
+    return {check: threshold for check, _, threshold in records}
+
+
+def failing(records) -> list:
+    """The checks whose residual exceeds their threshold, in record order."""
+    return [check for check, residual, threshold in records if residual > threshold]
 
 
 @pytest.fixture
@@ -300,20 +323,20 @@ def max_stacked_norm(shape: AlgebraShape, C: np.ndarray) -> float:
     return float(element_norms(shape, C.transpose(0, 2, 1)).max(initial=0.0))
 
 
-def validate_premodule(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Residuals for the pre-module axioms.
+def validate_premodule(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> list[tuple]:
+    """Records of the pre-module axioms.
 
     Checks pairing hermiticity <e_i,e_j> = <e_j,e_i>*, compatibility
     <x, y b> = <x, y> b on the basis, right-action anti-multiplicativity,
     unitality of the action, and PSD-ness of the scalarized Gram.
     """
-    rep = CheckReport()
+    rep = []
     B, d = pre.algebra, pre.dim
     scale = 1.0 + max((operator_norm(P.reshape(d * d, -1)) for P in pre.pairing), default=0.0)
     C = pairing_coeffs(pre, np.eye(d))
     # <e_i, e_j> - <e_j, e_i>*: coefficient p of a* is that of a at star(p), conjugated
     herm = np.abs(C - C.conj().transpose(2, 1, 0)[:, B.star_permutation()])
-    rep.add("pairing_hermitian", float(np.max(herm, initial=0.0)), tol.ctol * scale)
+    rep.append(("pairing_hermitian", float(np.max(herm, initial=0.0)), tol.ctol * scale))
 
     act_scale = max(1.0, max_operator_norm(pre.action))
     # <e_i, e_j u_p> - <e_i, e_j> u_p over all basis pairs (i, j); right
@@ -323,21 +346,21 @@ def validate_premodule(pre: PreModule, tol: Tolerance = DEFAULT_TOL) -> CheckRep
     right_mult = np.zeros((B.dim, B.dim, B.dim), dtype=complex)
     right_mult[p, T[r, p], r] = 1.0
     compat = max(max_stacked_norm(B, C @ R - M @ C) for R, M in zip(pre.action, right_mult))
-    rep.add("pairing_action_compat", compat, tol.ctol * scale * act_scale)
+    rep.append(("pairing_action_compat", compat, tol.ctol * scale * act_scale))
 
     # R(u_p u_r) = R(u_r) R(u_p), for each p over all r at once
     Az = zero_padded(pre.action)
     anti = max(max_operator_norm(Az[T[p]] - pre.action @ pre.action[p]) for p in range(B.dim))
-    rep.add("action_antimultiplicative", anti, tol.ctol * (1.0 + act_scale**2))
+    rep.append(("action_antimultiplicative", anti, tol.ctol * (1.0 + act_scale**2)))
     unital = operator_norm(action_matrix(pre, unit_element(B)) - np.eye(d))
-    rep.add("action_unital", unital, tol.ctol * (1.0 + act_scale))
+    rep.append(("action_unital", unital, tol.ctol * (1.0 + act_scale)))
 
     G = pre.gram()
     if d:
         w = np.linalg.eigvalsh((G + G.conj().T) / 2.0)
-        rep.add("gram_psd", max(0.0, -float(w[0])), tol.ctol * (1.0 + float(w[-1])))
+        rep.append(("gram_psd", max(0.0, -float(w[0])), tol.ctol * (1.0 + float(w[-1]))))
     else:
-        rep.add("gram_psd", 0.0, tol.ctol)
+        rep.append(("gram_psd", 0.0, tol.ctol))
     return rep
 
 
@@ -508,17 +531,17 @@ def categorical_unitaries_reference(c, quad, tol=DEFAULT_TOL) -> list[np.ndarray
     return out
 
 
-def functor_laws_reference(c, F, tol=DEFAULT_TOL, along_group_law=True) -> CheckReport:
+def functor_laws_reference(c, F, tol=DEFAULT_TOL, along_group_law=True) -> list[tuple]:
     """equivariant.check_functor_laws as the per-(g, h) loop it replaced: the
     identity and each composite F(g) F(h) built alone on a fresh memo, along
     beta_gh (along_group_law) or along beta_g beta_h."""
-    rep = CheckReport()
+    rep = []
     G = c.group
     scale = 1.0 + max(1.0, operator_norm(c.module.gram_matrix))
     recover = max(operator_norm(F[g].pullback - c.unitaries[g]) for g in range(G.order))
-    rep.add("functor_recovery", recover, tol.ctol * scale)
+    rep.append(("functor_recovery", recover, tol.ctol * scale))
     unit = poscor_identity(F[0].dom, tol, BuildMemo())
-    rep.add("functor_unit", morphism_distance([F[G.identity]], [unit])[0], tol.ctol * scale)
+    rep.append(("functor_unit", morphism_distance([F[G.identity]], [unit])[0], tol.ctol * scale))
     law = unitary = 0.0
     for g in range(G.order):
         unitary = max(unitary, unitarity_residual([F[g].eta]))
@@ -527,18 +550,18 @@ def functor_laws_reference(c, F, tol=DEFAULT_TOL, along_group_law=True) -> Check
             rho = [F[gh].rho] if along_group_law else None
             composed = poscor_compose([F[g]], [F[h]], tol, BuildMemo(), rho)[0]
             law = max(law, operator_norm(composed.pullback - c.unitaries[gh]))
-    rep.add("functor_composition", law, tol.ctol * scale)
-    rep.add("unitary_valued", unitary, tol.ctol * scale)
+    rep.append(("functor_composition", law, tol.ctol * scale))
+    rep.append(("unitary_valued", unitary, tol.ctol * scale))
     return rep
 
 
-def category_laws_reference(objects, morphisms, tol=DEFAULT_TOL) -> CheckReport:
+def category_laws_reference(objects, morphisms, tol=DEFAULT_TOL) -> list[tuple]:
     """poscor.check_category_laws as the per-pair loops it replaced, before
     the build memo and the stacked levels: every identity and composite
     built alone on a fresh memo, every distance and closure check on a stack
     of one.  A pair whose build raises is broken and skips the rest of its
     triples."""
-    rep = CheckReport()
+    rep = []
     identities = {o.ident: poscor_identity(o, tol, BuildMemo()) for o in objects}
 
     def compose(m2, m1):
@@ -546,7 +569,7 @@ def category_laws_reference(objects, morphisms, tol=DEFAULT_TOL) -> CheckReport:
 
     left_id = right_id = 0.0
     scale = 1.0
-    closure = CheckReport()
+    closure = []
     broken = 0
     for m in morphisms:
         scale = max(scale, 1.0 + m.norm)
@@ -559,19 +582,15 @@ def category_laws_reference(objects, morphisms, tol=DEFAULT_TOL) -> CheckReport:
             )
         except KsgnslabError:
             broken += 1
-    rep.add("left_identity", left_id, tol.ctol * scale)
-    rep.add("right_identity", right_id, tol.ctol * scale)
+    rep.append(("left_identity", left_id, tol.ctol * scale))
+    rep.append(("right_identity", right_id, tol.ctol * scale))
     assoc = 0.0
-    pair_count = 0
     for m1, m2 in itertools.product(morphisms, repeat=2):
         if m1 is m2 or m1.cod.ident != m2.dom.ident:
             continue
-        pair_count += 1
         try:
             composed = compose(m2, m1)
-            closure.merge(
-                check_poscor_morphism([composed], tol, BuildMemo())[0], prefix=f"pair{pair_count}_"
-            )
+            closure += check_poscor_morphism([composed], tol, BuildMemo())[0]
             for m3 in morphisms:
                 if m3.dom.ident != m2.cod.ident:
                     continue
@@ -580,10 +599,10 @@ def category_laws_reference(objects, morphisms, tol=DEFAULT_TOL) -> CheckReport:
                 assoc = max(assoc, morphism_distance([lhs], [rhs])[0])
         except KsgnslabError:
             broken += 1
-    rep.add("associativity", assoc, tol.ctol * scale**3)
-    rep.add(
+    rep.append(("associativity", assoc, tol.ctol * scale**3))
+    rep.append((
         "closure",
-        float("inf") if broken else closure.max_residual,
-        max(closure.thresholds.values(), default=tol.ctol),
-    )
+        float("inf") if broken else max((r for _, r, _ in closure), default=0.0),
+        max((t for *_, t in closure), default=tol.ctol),
+    ))
     return rep

@@ -208,8 +208,8 @@ def test_every_lapack_site_is_labelled_and_verdicts_take_no_full_svd(monkeypatch
 
 
 @pytest.mark.parametrize("workload, svd_sites, eigvalsh_pin", [
-    ("suites-default", {"cp.random_blinear_unitary": 30, "ksgns.spanning_svd": 40}, 8_742),
-    ("equivariant-dilation", {"ksgns.spanning_svd": 20}, 2_621),
+    ("suites-default", {"cp.random_blinear_unitary": 30, "ksgns.spanning_svd": 40}, 8_662),
+    ("equivariant-dilation", {"ksgns.spanning_svd": 20}, 2_361),
     ("prespace-cap", {"cp.random_blinear_unitary": 3, "ksgns.spanning_svd": 3}, 261),
 ])
 def test_svd_and_eigvalsh_matrices_per_check_pass(monkeypatch, workload, svd_sites, eigvalsh_pin):
@@ -219,7 +219,9 @@ def test_svd_and_eigvalsh_matrices_per_check_pass(monkeypatch, workload, svd_sit
     # of random_blinear_unitary, kept on the SVD for its payload bits, remain,
     # and all-zero slices take no LAPACK call.  eigvalsh matrices: 245, 106 and
     # 3 (PSD verdicts alone), 10,141, 4,399 and 261 with the norms, 8,742,
-    # 2,621 and 261 with the Gram-power bounds of certified maxima
+    # 2,621 and 261 with the Gram-power bounds of certified maxima, 8,662,
+    # 2,361 and 261 with check_dilation building only the records its suite
+    # records (no embedding_adjoint, no check_correspondence of pi_phi)
     tasks = WORKLOADS.build(workload, WORKLOADS.DEFAULT_MASTER_SEED)
     calls = lapack_calls(monkeypatch)
     check_pass(tasks)
@@ -233,8 +235,13 @@ def test_svd_and_eigvalsh_matrices_per_check_pass(monkeypatch, workload, svd_sit
 
 
 # eigvalsh matrices per check pass by width (the order of the Gram), with
-# certified maxima from Gram-power bounds; with the Frobenius certificate of
-# stacks of 32 or more slices they were, by width:
+# certified maxima from Gram-power bounds and check_dilation building only the
+# records its suite records; before that trim they were, by width:
+#   suites-default {1: 2784, 2: 3518, 3: 35, 4: 1154, 5: 74, 6: 127, 8: 588,
+#     10: 39, 12: 22, 15: 28, 16: 195, 18: 50, 20: 14, 24: 9, 25: 14, 32: 47,
+#     45: 22, 54: 22}
+#   equivariant-dilation {2: 145, 4: 1788, 8: 266, 16: 422}
+# and with the Frobenius certificate of stacks of 32 or more slices, by width:
 #   suites-default {1: 3019, 2: 3887, 3: 35, 4: 1483, 5: 74, 6: 127, 8: 932,
 #     10: 39, 12: 22, 15: 28, 16: 297, 18: 50, 20: 14, 24: 9, 25: 14, 32: 67,
 #     45: 22, 54: 22}
@@ -243,10 +250,10 @@ def test_svd_and_eigvalsh_matrices_per_check_pass(monkeypatch, workload, svd_sit
 # The 16-wide matrices of equivariant-dilation are the dilated check_equivariant's
 # rounding-noise stacks, which a Frobenius bound cannot prune.
 EIGVALSH_BY_WIDTH = {
-    "suites-default": {1: 2784, 2: 3518, 3: 35, 4: 1154, 5: 74, 6: 127, 8: 588, 10: 39,
-                       12: 22, 15: 28, 16: 195, 18: 50, 20: 14, 24: 9, 25: 14, 32: 47,
+    "suites-default": {1: 2784, 2: 3487, 3: 35, 4: 1118, 5: 74, 6: 127, 8: 576, 10: 39,
+                       12: 22, 15: 28, 16: 194, 18: 50, 20: 14, 24: 9, 25: 14, 32: 47,
                        45: 22, 54: 22},
-    "equivariant-dilation": {2: 145, 4: 1788, 8: 266, 16: 422},
+    "equivariant-dilation": {2: 145, 4: 1708, 8: 106, 16: 402},
     "prespace-cap": {8: 37, 9: 37, 11: 37, 24: 37, 27: 37, 33: 37, 72: 13, 81: 13, 99: 13},
 }
 

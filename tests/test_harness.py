@@ -10,7 +10,6 @@ from ksgnslab.cli import main as cli_main
 from ksgnslab.errors import InvalidConfig, ParseError
 from ksgnslab.harness import (
     _SUITES,
-    _named,
     BASIS_VERSION,
     SUITE_NAMES,
     CheckRecord,
@@ -25,8 +24,7 @@ from ksgnslab.harness import (
     run,
 )
 from ksgnslab.memo import BuildMemo
-from ksgnslab.numkernel import DEFAULT_TOL, Tolerance
-from ksgnslab.reporting import CheckReport
+from ksgnslab.numkernel import DEFAULT_TOL, Tolerance, summarize
 
 
 SMALL = SizeCaps(instances_per_suite=2)
@@ -115,32 +113,41 @@ def test_default_run_records_every_declared_check(default_run):
     (["unitary", "dim_stables"],
      "ValueError: check 'dim_stables' is not declared by the idempotency suite's table"),
     (["unitary", "dim_stable", RuntimeError("no dilation")], "RuntimeError: no dilation"),
-], ids=["skipped", "reordered", "repeated", "undeclared", "raised"])
+    (["unitary", ("dim_stable", "dim_stable")],
+     "ValueError: check 'dim_stable' is out of order in the idempotency suite's table"),
+], ids=["skipped", "reordered", "repeated", "undeclared", "raised", "repeated_by_library"])
 def test_check_out_of_its_table_fails_the_instance(monkeypatch, checks, error):
     # a checker that yields an undeclared check, or a declared one after a
     # later one, fails the instance as its construction record, naming the
-    # check; one that raises keeps the records it yielded before
+    # check; one that raises keeps the records it yielded before.  The last
+    # checks come as a library checker returns them, one list (a tuple of
+    # names here), so a list that names a check twice fails the instance too
+    # instead of one record overwriting the other
     from ksgnslab import harness
 
     generator, _, table = _SUITES["idempotency"]
+    *direct, last = checks
+    library = () if isinstance(last, Exception) else last if isinstance(last, tuple) else (last,)
 
     def reordered(payload, tol, memo):
-        for check in checks[:-1]:
+        for check in direct:
             yield check, 0.0, 1.0
-        if isinstance(checks[-1], Exception):
-            raise checks[-1]
-        yield from _named(CheckReport({checks[-1]: 0.0}, {checks[-1]: 1.0}), checks[-1])
+        if isinstance(last, Exception):
+            raise last
+        yield from [(check, 0.0, 1.0) for check in library]
 
     monkeypatch.setitem(harness._SUITES, "idempotency", (generator, reordered, table))
     payload = generator(SizeCaps(), instance_seed(20250809, "idempotency", 0))
     records = check_instance("idempotency", payload, Tolerance())
+    names = [*direct, *library]
     if error is None:
         assert [(r.check, r.theorem, r.passed) for r in records] == [
-            (check, table[check], True) for check in checks
+            (check, table[check], True) for check in names
         ]
         return
+    recorded = names if isinstance(last, Exception) else names[:-1]
     assert [(r.check, r.passed) for r in records] == [
-        *((check, True) for check in checks[:-1]), ("construction", False)
+        *((check, True) for check in recorded), ("construction", False)
     ]
     assert records[-1].theorem == "instance construction and validation"
     assert records[-1].error == error
@@ -364,6 +371,27 @@ def test_cli_demo(capsys):
     assert "nontrivial" in out
 
 
+def test_cli_demo_fails_when_its_input_check_fails(monkeypatch, capsys):
+    # the exit code reads the equivariant input check's verdict as well as the
+    # dilation's: only the first call, on the input, fails here; the second,
+    # inside check_dilation, checks the dilated correspondence for real
+    from ksgnslab import equivariant
+
+    real, calls = equivariant.check_equivariant, []
+
+    def failing_input(c, tol):
+        calls.append(c)
+        records = real(c, tol)
+        return [("representation", 1.0, 0.0), *records[1:]] if len(calls) == 1 else records
+
+    monkeypatch.setattr(equivariant, "check_equivariant", failing_input)
+    assert cli_main(["demo", "gns"]) == 1
+    assert len(calls) == 2
+    out = capsys.readouterr().out
+    assert "equivariant input check: FAIL" in out
+    assert "dilation conditions:     pass" in out
+
+
 def test_parallel_jobs_match_serial():
     cfg1 = SuiteConfig(seed=4, caps=SMALL, suites=("ksgns",), jobs=1)
     cfg2 = SuiteConfig(seed=4, caps=SMALL, suites=("ksgns",), jobs=2)
@@ -418,29 +446,14 @@ def test_failed_choi_certificate_is_recorded_as_failure(suite, check):
 
 
 def test_report_summary_keeps_passes_and_reports_worst_failure():
-    rep = CheckReport()
-    rep.add("a", 1e-9, 1e-8)
-    rep.add("b", 2e-9, 6e-8)
-    assert rep.summary() == (2e-9, 6e-8)
-    rep.add("c", 4e-8, 2e-8)  # fails under the largest threshold's entry
-    rep.add("d", 3e-8, 1e-8)  # the worst ratio
-    assert rep.summary() == (3e-8, 1e-8)
-    rep.add("dim", 1.0, 0.0)
-    assert rep.summary() == (1.0, 0.0)
-    assert CheckReport().summary(empty_threshold=1e-8) == (0.0, 1e-8)
-
-
-def test_report_refuses_a_name_it_already_holds():
-    # a prefix that makes a merged name collide raises, instead of the merge
-    # overwriting the residual already there
-    rep, inner = CheckReport(), CheckReport()
-    rep.add("pi_unital", 1e-9, 1e-8)
-    inner.add("unital", 2.0, 1e-8)
-    with pytest.raises(ValueError, match="'pi_unital'"):
-        rep.merge(inner, prefix="pi_")
-    assert rep.residuals == {"pi_unital": 1e-9}
-    with pytest.raises(ValueError, match="'pi_unital'"):
-        rep.add("pi_unital", 0.0, 1e-8)
+    rep = [("a", 1e-9, 1e-8), ("b", 2e-9, 6e-8)]
+    assert summarize(rep) == (2e-9, 6e-8)
+    rep.append(("c", 4e-8, 2e-8))  # fails under the largest threshold's entry
+    rep.append(("d", 3e-8, 1e-8))  # the worst ratio
+    assert summarize(rep) == (3e-8, 1e-8)
+    rep.append(("dim", 1.0, 0.0))
+    assert summarize(rep) == (1.0, 0.0)
+    assert summarize([], empty_threshold=1e-8) == (0.0, 1e-8)
 
 
 def test_failing_subreport_is_recorded_as_failure():
@@ -460,17 +473,14 @@ def test_failing_subreport_is_recorded_as_failure():
 
 
 def test_residual_missing_from_checker_report_fails_the_instance(monkeypatch):
-    # the harness records the checker's "dim_stable" under that name; a report
-    # without that key fails the instance instead of losing the record
+    # the harness records the library checker's "dim_stable" under that name;
+    # a list that names it otherwise fails the instance instead of losing the record
     from ksgnslab import harness
 
     real = harness.check_idempotency
 
     def renamed(*args):
-        rep = real(*args)
-        rep.residuals["dim_stables"] = rep.residuals.pop("dim_stable")
-        rep.thresholds["dim_stables"] = rep.thresholds.pop("dim_stable")
-        return rep
+        return [("dim_stables" if c == "dim_stable" else c, r, t) for c, r, t in real(*args)]
 
     payload = generate_instance("idempotency", SizeCaps(), instance_seed(20250809, "idempotency", 0))
     assert all(r.passed for r in check_instance("idempotency", payload, Tolerance()))
@@ -479,7 +489,9 @@ def test_residual_missing_from_checker_report_fails_the_instance(monkeypatch):
     assert "dim_stable" not in {r.check for r in records}
     failed = records[-1]
     assert (failed.check, failed.passed) == ("construction", False)
-    assert failed.error == "KeyError: 'dim_stable'"
+    assert failed.error == (
+        "ValueError: check 'dim_stables' is not declared by the idempotency suite's table"
+    )
 
 
 def test_early_exits_record_their_input_failure_last():

@@ -36,7 +36,7 @@ from ksgnslab.poscor import unitarity_residual
 from ksgnslab.cp import intertwiner_space, random_cp
 from ksgnslab.cstar import AlgebraElement
 
-from conftest import element_norm, probe_passed, random_complex
+from conftest import element_norm, passed, probe_passed, random_complex
 
 
 def state_on_m2(weights):
@@ -74,7 +74,7 @@ def test_gns_dimension_trace_state():
     A, E, phi = state_on_m2([0.5, 0.5])
     t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
     assert t.module.dim == oracle_rank == 4
-    assert check_triple(t, DEFAULT_TOL).passed
+    assert passed(check_triple(t, DEFAULT_TOL))
 
 
 def test_gns_dimension_pure_state():
@@ -86,7 +86,7 @@ def test_gns_dimension_pure_state():
     A, E, phi = state_on_m2([1.0, 0.0])
     t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
     assert t.module.dim == oracle_rank == 2
-    assert check_triple(t, DEFAULT_TOL).passed
+    assert passed(check_triple(t, DEFAULT_TOL))
 
 
 def rank_limited_cp(n: int, d: int, rank: int, rng) -> CPMap:
@@ -113,7 +113,7 @@ def test_dilation_dimension_is_block_size_times_choi_rank(n, d, rank, seed):
     phi = rank_limited_cp(n, d, rank, rng)
     t = ksgns([phi.module], [phi], DEFAULT_TOL, BuildMemo())[0]
     assert t.module.dim == n * rank
-    assert check_triple(t, DEFAULT_TOL).passed
+    assert passed(check_triple(t, DEFAULT_TOL))
 
 
 def test_ksgns_rejects_non_cp():
@@ -165,7 +165,7 @@ def test_reconstruction_and_spanning_over_seeds():
         phi = random_cp(A, E, rng)
         t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
         rep = check_triple(t, DEFAULT_TOL)
-        assert rep.passed, (seed, rep.residuals)
+        assert passed(rep), (seed, rep)
         assert spanning_rank(t, DEFAULT_TOL) == t.module.dim
 
 
@@ -191,12 +191,12 @@ def test_triple_uniqueness_identity_and_planted(rng):
     phi = random_cp(A, E, rng)
     t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
     U, rep = triple_uniqueness_unitary(t, t, DEFAULT_TOL)
-    assert rep.passed
+    assert passed(rep)
     assert operator_norm(U.matrix - np.eye(t.module.dim)) <= 1e-8
     Z = random_blinear_unitary(t.module, rng)
     t2 = conjugated_triple(t, Z)
     U, rep = triple_uniqueness_unitary(t, t2, DEFAULT_TOL)
-    assert rep.passed, rep.residuals
+    assert passed(rep), rep
     assert operator_norm(U.matrix - Z.matrix) <= 1e-8
 
 
@@ -208,7 +208,7 @@ def test_conjugated_triple_is_a_dilation():
     Z = random_blinear_unitary(t.module, rng)
     t2 = conjugated_triple(t, Z)
     rep = check_triple(t2, DEFAULT_TOL)
-    assert rep.passed, rep.residuals
+    assert passed(rep), rep
     assert np.allclose(t2.q @ t2.s, np.eye(t.module.dim))
     # the kernel and module are not copied: views of t's very bytes (pointer, shape and
     # strides, which also holds for an empty kernel, where np.shares_memory reads False)
@@ -240,8 +240,10 @@ def test_lift_of_unitary_is_unitary(rng):
     t1, t2 = ksgns([E1, E2], [phi1, phi2], DEFAULT_TOL, BuildMemo())
     lifted = ksgns_lift([m], [t1], [t2], DEFAULT_TOL)[0]
     assert unitarity_residual([lifted.eta]) <= 1e-8
+    # with the lifted pair's whole morphism check, of which the lift suite records one
     rep = check_lift(m, lifted, t1, t2, DEFAULT_TOL)
-    assert rep.passed, rep.residuals
+    rep += check_morphism([lifted], [t1.pi], [t2.pi], DEFAULT_TOL)[0]
+    assert passed(rep), rep
 
 
 def test_lift_properties_and_contraction(rng):
@@ -251,10 +253,10 @@ def test_lift_properties_and_contraction(rng):
     t1, t2 = ksgns([E1, E2], [phi1, phi2], DEFAULT_TOL, BuildMemo())
     lifted = ksgns_lift([m], [t1], [t2], DEFAULT_TOL)[0]
     rep = check_lift(m, lifted, t1, t2, DEFAULT_TOL)
-    assert rep.passed, rep.residuals
+    assert passed(rep), rep
     assert lifted.norm <= m.norm + 1e-8
     rep = check_morphism([lifted], [t1.pi], [t2.pi], DEFAULT_TOL)[0]
-    assert rep.passed
+    assert passed(rep)
 
 
 def test_lift_functoriality(rng):
@@ -287,7 +289,7 @@ def test_idempotency_dims_and_unitarity(rng):
     second = ksgns([t.module], [t.pi], DEFAULT_TOL, BuildMemo())[0]
     assert second.module.dim == t.module.dim
     rep = check_idempotency(second, t, DEFAULT_TOL)
-    assert rep.passed, rep.residuals
+    assert passed(rep), rep
 
 
 def test_idempotency_naturality(rng):

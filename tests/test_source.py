@@ -181,7 +181,7 @@ def test_no_unreferenced_top_level_definitions():
         for m, prop in class_methods(source)
     ]
     assert len(definitions) > 200
-    assert len(methods) > 50
+    assert len(methods) > 40  # src has 47; the floor shows the scan finds methods
     assert unreferenced(definitions, methods, corpus) == []
 
 
@@ -965,11 +965,79 @@ def test_tensor_quotients_chooses_by_structure_alone():
     assert ordering_comparisons(source, "tensor_quotients") == []
 
 
-def recorded_checks(source: str) -> dict[str, list[str]]:
+def library_functions(*sources: str) -> dict[str, ast.FunctionDef]:
+    """The top-level functions of the given module sources, by name."""
+    return {
+        fn.name: fn
+        for source in sources
+        for fn in ast.parse(source).body
+        if isinstance(fn, ast.FunctionDef)
+    }
+
+
+def own_nodes(fn: ast.FunctionDef):
+    """The nodes of a function's body, not of the functions defined inside it."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def held_checks(expr: ast.expr, scope: ast.FunctionDef, library: dict) -> list[str]:
+    """The check names of the records an expression holds, in source order.  A
+    call of a library function holds what its return statements list (of a
+    (map, records) pair, the records; of a stacked checker's list of lists,
+    one slice's), and so does a slice of that call; a name holds what the call
+    it was assigned from holds.  In a list of records, a record tuple's first
+    element names its check, and a starred name spreads what that name holds.
+    A name that is not a string literal, and anything else, reads "<expr>"."""
+    if isinstance(expr, ast.Subscript):
+        expr = expr.value
+    if isinstance(expr, ast.Name):
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(n, ast.Name) and n.id == expr.id
+                for target in node.targets for n in ast.walk(target)
+            ):
+                expr = node.value
+                break
+    if not (isinstance(expr, ast.Call) and getattr(expr.func, "id", None) in library):
+        return ["<expr>"]
+    fn = library[expr.func.id]
+
+    def records(value: ast.expr) -> list[tuple]:
+        if isinstance(value, ast.Tuple):  # (map, records)
+            return records(value.elts[-1])
+        if isinstance(value, ast.ListComp):
+            return records(value.elt)
+        if not isinstance(value, ast.List):
+            return [(value.lineno, value.col_offset, ["<expr>"])]
+        found = []
+        for elt in value.elts:
+            if isinstance(elt, ast.List):
+                found += records(elt)
+            elif isinstance(elt, ast.Starred):
+                found.append((elt.lineno, elt.col_offset, held_checks(elt.value, fn, library)))
+            else:
+                first = elt.elts[0] if isinstance(elt, ast.Tuple) and elt.elts else None
+                literal = isinstance(first, ast.Constant) and isinstance(first.value, str)
+                found.append((elt.lineno, elt.col_offset, [first.value if literal else "<expr>"]))
+        return found
+
+    returned = [
+        entry for node in own_nodes(fn) if isinstance(node, ast.Return) and node.value is not None
+        for entry in records(node.value)
+    ]
+    return [name for *_, names in sorted(returned, key=lambda e: e[:2]) for name in names]
+
+
+def recorded_checks(source: str, library: dict) -> dict[str, list[str]]:
     """Per top-level function, the check names it yields, in source order:
-    each yielded tuple's first element, and the names a `yield from _named`
-    passes after the report; a name that is not a string literal reads
-    "<expr>"."""
+    each yielded tuple's first element, and the names a `yield from` holds
+    (held_checks, through the library checkers in `library`); a name that is
+    not a string literal reads "<expr>"."""
     found = {}
     for fn in ast.parse(source).body:
         if not isinstance(fn, ast.FunctionDef):
@@ -978,42 +1046,55 @@ def recorded_checks(source: str) -> dict[str, list[str]]:
         for node in ast.walk(fn):
             value = getattr(node, "value", None)
             if isinstance(node, ast.Yield) and value is not None:
-                args = value.elts[:1] if isinstance(value, ast.Tuple) else [value]
-            elif isinstance(node, ast.YieldFrom) and isinstance(value, ast.Call) \
-                    and getattr(value.func, "id", None) == "_named":
-                args = value.args[1:]
-            else:
-                continue
-            named += [(arg.lineno, arg.col_offset, arg) for arg in args]
-        names = [
-            arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str) else "<expr>"
-            for *_, arg in sorted(named, key=lambda c: c[:2])
-        ]
-        if names:
-            found[fn.name] = names
+                arg = value.elts[0] if isinstance(value, ast.Tuple) else value
+                literal = isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                named.append((node.lineno, node.col_offset, [arg.value if literal else "<expr>"]))
+            elif isinstance(node, ast.YieldFrom):
+                named.append((node.lineno, node.col_offset, held_checks(value, fn, library)))
+        if named:
+            found[fn.name] = [name for *_, names in sorted(named, key=lambda c: c[:2]) for name in names]
     return found
+
+
+def declared_in_order(checks: list[str], table: dict) -> bool:
+    """Whether a theorem table declares every check, each after the previous one's."""
+    if any(check not in table for check in checks):
+        return False
+    order = [list(table).index(check) for check in checks]
+    return order == sorted(order)
 
 
 def test_checkers_record_declared_checks_in_table_order():
     # a checker names each record's check by a literal its suite's table
     # declares, and in source order never names one the table puts before the
-    # last; check_instance refuses either at run time too
+    # last, also through the records a library checker returns; check_instance
+    # refuses either at run time too
     from ksgnslab.harness import _SUITES
 
     probe = (
-        "def _check_a(p, tol, memo):\n    yield 'x', 0.0, 1.0\n    yield from _named(rep, 'y', n)\n"
-        "    yield ('z', *cert)\n    yield name, 0.0, 1.0\n    yield from other(rep, 'w')\n\n"
+        "def check_b(t):\n    (_, r, g), *_ = check_c(t)[0]\n"
+        "    return [('y', r, g), (name, 0.0, 1.0)]\n\n"
+        "def check_c(t):\n    return t, [[('u', 0.0, 1.0), ('v', 0.0, 1.0)] for _ in t]\n\n"
+        "def _check_a(p, tol, memo):\n    yield 'x', 0.0, 1.0\n    yield from check_b(p)\n"
+        "    yield ('z', *cert)\n    yield name, 0.0, 1.0\n    m, records = check_c(p)\n"
+        "    yield from records[0]\n    yield from other(p)\n\n"
         "def _gen_a(c):\n    return c\n"
     )
-    assert recorded_checks(probe) == {"_check_a": ["x", "y", "<expr>", "z", "<expr>"]}
+    found = recorded_checks(probe, library_functions(probe))
+    assert found == {"_check_a": ["x", "y", "<expr>", "z", "<expr>", "u", "v", "<expr>"]}
+    table = dict.fromkeys(["x", "y", "z", "u", "v"])
+    assert declared_in_order(["x", "y", "z", "u", "v"], table)
+    assert not declared_in_order(["x", "y", "<expr>", "z"], table)  # check_b's computed name
+    assert not declared_in_order(["x", "u", "z"], table)  # check_c's records before z
     tables = {checker.__name__: table for _, checker, table in _SUITES.values()}
-    found = recorded_checks((SRC / "harness.py").read_text())
-    assert found.pop("_named") == ["<expr>"]  # the names its caller passes
+    library = library_functions(*(path.read_text() for path in sorted(SRC.glob("*.py"))))
+    found = recorded_checks((SRC / "harness.py").read_text(), library)
     assert sorted(found) == sorted(tables)
     for name, checks in found.items():
-        assert [c for c in checks if c not in tables[name]] == [], name
-        order = [list(tables[name]).index(c) for c in checks]
-        assert order == sorted(order), name
+        assert declared_in_order(checks, tables[name]), (name, checks)
+    # the library checkers' records reach the harness's checkers whole
+    assert found["_check_uniqueness"] == list(tables["_check_uniqueness"])
+    assert found["_check_dilation"] == list(tables["_check_dilation"])
 
 
 def names_read(source: str, wanted) -> dict[str, set]:

@@ -49,7 +49,10 @@ from conftest import (
     categorical_unitaries_reference,
     count_calls,
     functor_laws_reference,
+    passed,
     quotient_one,
+    residuals,
+    thresholds,
     twist_unitaries_reference,
 )
 
@@ -85,9 +88,9 @@ def test_stacks_equal_the_group_loops(gname, seed, trivial_beta):
     functor = correspondence_to_functor(c, DEFAULT_TOL, memo)
     rep = check_functor_laws(c, functor, DEFAULT_TOL, memo)
     ref = functor_laws_reference(c, functor)
-    assert rep.passed, rep.residuals
-    assert rep.residuals == ref.residuals
-    assert rep.thresholds == ref.thresholds
+    assert passed(rep), rep
+    assert residuals(rep) == residuals(ref)
+    assert thresholds(rep) == thresholds(ref)
 
 
 def assert_functor_slices_stand_alone(ms):
@@ -138,7 +141,7 @@ def test_one_stacked_build_per_shape(monkeypatch, trivial_beta, builds):
     monkeypatch.setattr(cp, "tensor_quotients", counting)
     memo = BuildMemo()
     functor = correspondence_to_functor(c, DEFAULT_TOL, memo)
-    assert check_functor_laws(c, functor, DEFAULT_TOL, memo).passed
+    assert passed(check_functor_laws(c, functor, DEFAULT_TOL, memo))
     assert slices == builds
 
 
@@ -195,7 +198,7 @@ def test_stacked_quotient_spectra_equal_modules_built_alone(monkeypatch):
     monkeypatch.setattr(cp, "tensor_quotients", building)
     c, memo = s3_instance(), BuildMemo()
     functor = correspondence_to_functor(c, DEFAULT_TOL, memo)
-    assert check_functor_laws(c, functor, DEFAULT_TOL, memo).passed
+    assert passed(check_functor_laws(c, functor, DEFAULT_TOL, memo))
     stacks = [quots for _, quots in stacks]
     assert [len(quots) for quots in stacks if len(quots) > 1] == [6, 30]
     stacked = [q.module for quots in stacks for q in quots]
