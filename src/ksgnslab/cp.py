@@ -542,9 +542,13 @@ def check_morphism(
 
     Records the defining residual, the adjoint-side residual
     eta* phi2(alpha(a)) - phi1(a) eta*, and the commutation [phi1(a), eta* eta].
+    An eta whose source is not, in content, phi1's module or whose target is
+    not phi2's raises ShapeMismatch.
     """
     if any(not same_module(m.eta.source, p.module) for m, p in zip(ms, phi1)):
         raise ShapeMismatch("morphism source module mismatch")
+    if any(not same_module(m.eta.target, p.module) for m, p in zip(ms, phi2)):
+        raise ShapeMismatch("morphism target module mismatch")
     fresh = [m for m in ms if "norm" not in vars(m)]
     for m, norm in zip(fresh, module_operator_norms([m.eta for m in fresh]) if fresh else []):
         vars(m)["norm"] = float(norm)

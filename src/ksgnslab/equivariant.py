@@ -355,10 +355,6 @@ def check_equivariant(c: EquivariantCorrespondence, tol: Tolerance) -> list[tupl
     ]
 
 
-def _gram_scale(E: HilbertModule) -> float:
-    return operator_norm(E.gram_matrix)
-
-
 def average_covariant(
     c_phi: CPMap,
     system_in: DynamicalSystem,
@@ -415,15 +411,15 @@ def check_functor_laws(
     every ||beta_g beta_h - beta_gh|| is gated at the functor_composition
     threshold; a violation raises TwistMismatch naming (g, h).
 
-    The whole Cayley table goes to one poscor_compose call, which composes
-    its distinct contents once each, one stacked product; a
-    failing composite is named by its slice g |G| + h.  Builds go through
+    The whole Cayley table goes to one poscor_compose call, one stacked
+    product of all |G|^2 composites; a failing composite is named by its
+    slice g |G| + h.  Builds go through
     the caller's BuildMemo, which lives for one checked instance.  The
     tensors of the F(g) enter it under their content keys, so a memo other
     than the one that built F also finds the tensors of F(gh).
     """
     G = c.group
-    scale = 1.0 + max(1.0, _gram_scale(c.module))
+    scale = 1.0 + max(1.0, operator_norm(c.module.gram_matrix))
     _require_group_law(c.system_out, tol.ctol * scale, tol)
     tms = [m.dom_tensor for m in F]
     keys = [tensor_key(tm.left, tm.right, tm.pi, tol) for tm in tms]
@@ -448,16 +444,16 @@ def check_functor_laws(
 
 def _require_group_law(system: DynamicalSystem, threshold: float, tol: Tolerance) -> None:
     """Raise TwistMismatch at the first (g, h) whose ||beta_g beta_h - beta_gh||
-    exceeds `threshold`; one stacked gate over all pairs."""
+    exceeds `threshold`; one stacked gate over all pairs, slice g |G| + h."""
     G = system.group
-    beta = np.stack([a.matrix for a in system.action])
-    defect = beta[:, None] @ beta - beta[G.table]
+    defect = G.representation_gaps(np.stack([a.matrix for a in system.action]))[1:]
     bad = exceeds_gate(defect, np.zeros_like(defect), Tolerance(tol.rtol, threshold))
     if bad.any():
-        g, h = (int(i) for i in np.argwhere(bad)[0])
+        first = int(np.flatnonzero(bad)[0])
+        g, h = divmod(first, G.order)
         raise TwistMismatch(
             f"beta_{g} beta_{h} and beta_{G.mul(g, h)} differ by "
-            f"{operator_norm(defect[g, h]):.3e}"
+            f"{operator_norm(defect[first]):.3e}"
         )
 
 
@@ -600,15 +596,12 @@ def random_equivariant(
     B: AlgebraShape,
     G: FiniteGroup,
     seed,
-    max_group_order: int = 12,
     copies: int | None = None,
     trivial_beta: bool = False,
 ) -> EquivariantCorrespondence:
     """Seeded equivariant correspondence: the module is a scrambled B^n, the
     unitary family is a copy permutation times the blockwise beta action, and
     phi is a Choi-sampled CP map made covariant by group averaging."""
-    if G.order > max_group_order:
-        raise ValidationError(f"group order {G.order} exceeds cap {max_group_order}")
     rng = np.random.default_rng(seed)
     system_in = inner_system(A, G, rng)
     system_out = (

@@ -819,8 +819,7 @@ def _gen_equivariant(caps: SizeCaps, seed: int) -> dict:
     G = make_group(gname)
     copies = 1 if B.dim >= 4 else 2
     c = random_equivariant(
-        A, B, G, seed=np.random.SeedSequence([seed, 17]),
-        max_group_order=caps.max_group_order, copies=copies,
+        A, B, G, seed=np.random.SeedSequence([seed, 17]), copies=copies,
         trivial_beta=bool(rng.integers(4) == 0),
     )
     return {"seed": seed, "group": gname, "correspondence": ser.dump_equivariant(c)}

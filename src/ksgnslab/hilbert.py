@@ -596,8 +596,8 @@ def identity_map(E: HilbertModule) -> ModuleMap:
 
 
 def same_module(E: PreModule, F: PreModule) -> bool:
-    """E and F are one module: equal content keys."""
-    return E.key == F.key
+    """E and F are one module: the same object, or equal content keys."""
+    return E is F or E.key == F.key
 
 
 def compose_maps(outer: ModuleMap, inner: ModuleMap) -> ModuleMap:

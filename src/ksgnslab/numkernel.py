@@ -301,10 +301,7 @@ def exceeds_finite_gate(X: np.ndarray, M: np.ndarray, tol: Tolerance) -> np.ndar
 def max_operator_norm(stack: np.ndarray) -> float:
     """Largest singular value over a stack of matrices (..., m, n), its
     certified_maxima as one segment; 0 when empty."""
-    shape = np.shape(stack)
-    if not (count := math.prod(shape[:-2])):
-        return 0.0
-    return float(certified_maxima(np.reshape(stack, (count, *shape[-2:])), [count])[0])
+    return float(max_operator_norms(stack)[0])
 
 
 def max_operator_norms(*stacks: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -55,7 +54,7 @@ from .hilbert import (
     unitarity_residual,
 )
 from .ksgns import KsgnsTriple, ksgns, ksgns_lift
-from .memo import BuildMemo, content_key
+from .memo import BuildMemo
 from .numkernel import (
     Tolerance, dots, kron, max_operator_norm, max_operator_norms, stack_slices, summarize,
 )
@@ -294,11 +293,6 @@ class PosCorObject:
     module: HilbertModule
     phi: CPMap
 
-    @cached_property
-    def key(self) -> bytes:
-        """Content digest of the label, input algebra, module and phi."""
-        return content_key(self.ident, self.input_algebra.blocks, self.module.key, self.phi.key)
-
 
 @dataclass(eq=False)
 class PosCorMorphism(Intertwiner):
@@ -306,8 +300,7 @@ class PosCorMorphism(Intertwiner):
     (x) I on E_dom (x)_rho C to cod.phi.  phi~ is built where the morphism
     is checked (check_poscor_morphism), not stored.  The pullback
     eta . V_rho : E_dom -> E_cod determines eta (rho is unital) and is the
-    coordinate-free face of the morphism.  Equality is identity; two
-    morphisms of equal content have equal keys.
+    coordinate-free face of the morphism.  Equality is identity.
     """
 
     dom: PosCorObject
@@ -315,20 +308,6 @@ class PosCorMorphism(Intertwiner):
     rho: StarMap
     dom_tensor: TensorModule
     vrho: np.ndarray  # V_rho on dom_tensor
-
-    @cached_property
-    def key(self) -> bytes:
-        """Content digest of the endpoints, rho, eta with its modules, and alpha."""
-        return content_key(
-            self.dom.key,
-            self.cod.key,
-            self.rho.key,
-            self.eta.source.key,
-            self.eta.target.key,
-            self.eta.matrix,
-            self.alpha.matrix,
-            self.alpha.inverse_matrix,
-        )
 
     @property
     def pullback(self) -> np.ndarray:
@@ -339,16 +318,17 @@ def make_poscor_morphism(
     dom: Sequence[PosCorObject], cod: Sequence[PosCorObject], rho: Sequence[StarMap],
     eta: Sequence[ModuleMap], alpha: Sequence[Automorphism], tol: Tolerance, memo: BuildMemo,
 ) -> list[PosCorMorphism]:
-    """(rho[s], (eta[s], alpha[s])) from dom[s] to cod[s].  Each eta must be
-    defined on the tensor of its dom along its rho: a source that differs in
-    content from interior_tensor_along(dom.module, rho, tol, memo) raises
-    ShapeMismatch."""
+    """(rho[s], (eta[s], alpha[s])) from dom[s] to cod[s].  An eta whose source
+    differs in content from the tensor of its dom along its rho
+    (interior_tensor_along), or whose target from cod.module, raises ShapeMismatch."""
     ends = zip(dom, cod, rho)
     if any((r.domain, r.codomain) != (d.coefficient, c.coefficient) for d, c, r in ends):
         raise ObjectMismatch("rho does not match the endpoint coefficients")
     tms = interior_tensor_along([d.module for d in dom], rho, tol, memo)
     if any(not same_module(e.source, tm.module) for e, tm in zip(eta, tms)):
         raise ShapeMismatch("eta is not defined on the tensor of dom along rho")
+    if any(not same_module(e.target, c.module) for e, c in zip(eta, cod)):
+        raise ShapeMismatch("eta does not map into cod's module")
     return [
         PosCorMorphism(e, a, d, c, r, tm, vrho)
         for e, a, d, c, r, tm, vrho in zip(eta, alpha, dom, cod, rho, tms, v_rho(tms))
@@ -369,10 +349,10 @@ def poscor_compose(
     memo: BuildMemo, rho: Sequence[StarMap] | None = None,
 ) -> list[PosCorMorphism]:
     """(rho2 rho1, (eta2 . (eta1 (x) I) . U^{-1}, alpha2 alpha1)) for each pair
-    (m2[s], m1[s]), built once per (m2, m1, rho) content in the memo; the
-    missing ones in one stacked build.  Each is composed on m1's tensor, on
-    which eta1 is a matrix; every other tensor module and extended CP map
-    comes from the memo.
+    (m2[s], m1[s]), one stacked build, which builds a pair that repeats
+    another's content again.  Each is composed on m1's tensor, on which eta1
+    is a matrix; every other tensor module and extended CP map comes from
+    the memo.
 
     `rho`, when given, holds the star maps the composites live along in
     place of rho2 rho1, and their `.rho`: a caller that knows rho2 rho1 up to
@@ -384,30 +364,22 @@ def poscor_compose(
             raise ObjectMismatch(
                 f"cannot compose across objects {a.cod.ident!r} != {b.dom.ident!r}"
             )
-
-    def build(todo: list[int]) -> list[PosCorMorphism]:
-        M1, M2 = [m1[s] for s in todo], [m2[s] for s in todo]
-        via = None if rho is None else [rho[s] for s in todo]
-        comp = composition_unitary(
-            [m.dom_tensor for m in M1], [m.rho for m in M1], [m.rho for m in M2], tol, memo, via
-        )
-        e1 = tensor_extend(
-            [m.eta.matrix for m in M1], [c.double for c in comp], [m.dom_tensor for m in M2],
-            "T (x) I", tol,
-        )
-        e2 = stack_slices([m.eta.matrix for m in M2])
-        u = adjoint_matrices([c.unitary for c in comp])
-        etas = [
-            ModuleMap(c.target.module, m.cod.module, e) for c, m, e in zip(comp, M2, e2 @ e1 @ u)
-        ]
-        alphas = [compose_automorphisms(b.alpha, a.alpha) for a, b in zip(M1, M2)]
-        return make_poscor_morphism(
-            [m.dom for m in M1], [m.cod for m in M2], [c.rho for c in comp], etas, alphas, tol, memo
-        )
-
-    along = [None] * len(m1) if rho is None else [r.key for r in rho]
-    keys = [("compose", b.key, a.key, k, tol) for a, b, k in zip(m1, m2, along)]
-    return memo.get_all(keys, build)
+    comp = composition_unitary(
+        [m.dom_tensor for m in m1], [m.rho for m in m1], [m.rho for m in m2], tol, memo, rho
+    )
+    e1 = tensor_extend(
+        [m.eta.matrix for m in m1], [c.double for c in comp], [m.dom_tensor for m in m2],
+        "T (x) I", tol,
+    )
+    e2 = stack_slices([m.eta.matrix for m in m2])
+    u = adjoint_matrices([c.unitary for c in comp])
+    etas = [
+        ModuleMap(c.target.module, m.cod.module, e) for c, m, e in zip(comp, m2, e2 @ e1 @ u)
+    ]
+    alphas = [compose_automorphisms(b.alpha, a.alpha) for a, b in zip(m1, m2)]
+    return make_poscor_morphism(
+        [m.dom for m in m1], [m.cod for m in m2], [c.rho for c in comp], etas, alphas, tol, memo
+    )
 
 
 def morphism_shape(m: PosCorMorphism) -> tuple:
@@ -546,41 +518,50 @@ def check_category_laws(
     The composites are built in two rounds, each one compose_pairs call, so
     one stacked poscor_compose build per group of pairs of one shape: first
     everything made of the given morphisms alone, the left and right identity
-    composites, the pair composites m2 . m1 and the m3 . m2 of each triple;
-    then associativity's sides m3 . (m2 . m1) and (m3 . m2) . m1 from those.
+    composites, the pair composites m2 . m1 of two positions and the
+    self-composite m . m of each endomorphism that is a pair's m2; then
+    associativity's sides m3 . (m2 . m1) and (m3 . m2) . m1 from those, each
+    tail m3 . m2 read by morphism index from the first round.
     Each law's distances are one stacked morphism_distance, and closure one
     stacked check_poscor_morphism.  A stacked build that raises is built again
     one pair at a time; a pair that fails on its own is broken (closure reads
     inf), and the laws take their maxima over the composites that were built.
     Builds go through the caller's BuildMemo, which lives for one checked
-    instance, so each tensor module, extended CP map and composite is built
-    once per content.
+    instance, so each tensor module and extended CP map is built once per
+    content.
     """
     identities = {o.ident: poscor_identity(o, tol, memo) for o in objects}
+    n = len(morphisms)
+    ends = [(m.dom.ident, m.cod.ident) for m in morphisms]
+    # (i2, i1) for each composable pair m1 -> m2 of two positions
     pairs = [
-        (m2, m1) for m1, m2 in itertools.product(morphisms, repeat=2)
-        if m1 is not m2 and m1.cod.ident == m2.dom.ident
+        (i2, i1) for i1, i2 in itertools.product(range(n), repeat=2)
+        if i1 != i2 and ends[i1][1] == ends[i2][0]
     ]
-    # (pair index, m3) for each composable triple m1 -> m2 -> m3
+    # (pair index, i3) for each composable triple m1 -> m2 -> m3
     triples = [
-        (k, m3)
-        for k, (m2, _) in enumerate(pairs)
-        for m3 in morphisms
-        if m3.dom.ident == m2.cod.ident
+        (k, i3)
+        for k, (i2, _) in enumerate(pairs)
+        for i3 in range(n)
+        if ends[i3][0] == ends[i2][1]
     ]
-    n, p = len(morphisms), len(pairs)
+    # each endomorphism that is a pair's m2 is also its triples' m3 once
+    loops = list(dict.fromkeys(i2 for i2, _ in pairs if ends[i2][0] == ends[i2][1]))
+    # the first round's index of each composite m_i . m_j
+    at = {ij: k for k, ij in enumerate(pairs + [(i, i) for i in loops])}
     first = compose_pairs(
         [(identities[m.cod.ident], m) for m in morphisms]
         + [(m, identities[m.dom.ident]) for m in morphisms]
-        + pairs
-        + [(m3, pairs[k][0]) for k, m3 in triples],
+        + [(morphisms[i], morphisms[j]) for i, j in at],
         tol,
         memo,
     )
-    ident, composed, tails = first[: 2 * n], first[2 * n : 2 * n + p], first[2 * n + p :]
+    ident, composites = first[: 2 * n], first[2 * n :]
+    composed = composites[: len(pairs)]
+    tails = [composites[at[i3, pairs[k][0]]] for k, i3 in triples]
     sides = compose_pairs(
-        [(m3, composed[k]) for k, m3 in triples]
-        + [(t, pairs[k][1]) for (k, _), t in zip(triples, tails)],
+        [(morphisms[i3], composed[k]) for k, i3 in triples]
+        + [(t, morphisms[pairs[k][1]]) for (k, _), t in zip(triples, tails)],
         tol,
         memo,
     )

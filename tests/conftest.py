@@ -33,11 +33,12 @@ from ksgnslab.hilbert import (
     unitarity_residual,
 )
 from ksgnslab.ksgns import ProbeReport, ksgns_lift
-from ksgnslab.memo import BuildMemo
+from ksgnslab.memo import BuildMemo, content_key
 from ksgnslab.numkernel import (
     DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm, summarize,
 )
 from ksgnslab.poscor import (
+    PosCorObject,
     TwistUnitary,
     check_poscor_morphism,
     commuting_unitary,
@@ -70,6 +71,24 @@ def thresholds(records) -> dict:
 def failing(records) -> list:
     """The checks whose residual exceeds their threshold, in record order."""
     return [check for check, residual, threshold in records if residual > threshold]
+
+
+def poscor_key(x) -> bytes:
+    """Content digest of a category object (its label, input algebra, module
+    and phi) or morphism (its endpoints', rho, eta with its modules, and
+    alpha): two builds of equal content have equal digests."""
+    if isinstance(x, PosCorObject):
+        return content_key(x.ident, x.input_algebra.blocks, x.module.key, x.phi.key)
+    return content_key(
+        poscor_key(x.dom),
+        poscor_key(x.cod),
+        x.rho.key,
+        x.eta.source.key,
+        x.eta.target.key,
+        x.eta.matrix,
+        x.alpha.matrix,
+        x.alpha.inverse_matrix,
+    )
 
 
 @pytest.fixture

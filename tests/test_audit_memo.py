@@ -37,7 +37,8 @@ from ksgnslab.poscor import (
 )
 
 from conftest import (
-    category_laws_reference, failing, functor_laws_reference, passed, residuals, thresholds,
+    category_laws_reference, failing, functor_laws_reference, passed, poscor_key, residuals,
+    thresholds,
 )
 
 
@@ -103,7 +104,7 @@ def test_functor_audit_builds_each_tensor_module_once(monkeypatch):
     # the guard counts the |G|^2 composites requested, the builds are once
     # per content
     c, functor = functor_instance(symmetric_group(3), 11)
-    assert len({m.key for m in functor}) == c.group.order
+    assert len({poscor_key(m) for m in functor}) == c.group.order
     builds = count_tensor_builds(monkeypatch)
     requests = []
     real = equivariant.poscor_compose
@@ -259,16 +260,19 @@ def test_content_equal_foreign_objects_give_the_same_matrices():
     objects, morphisms = _load_category(payload, DEFAULT_TOL, memo)
     _, loaded_elsewhere = _load_category(payload, DEFAULT_TOL, other)
     m, f = morphisms[0], loaded_elsewhere[0]
-    assert f is not m and f.dom_tensor is not m.dom_tensor and f.key == m.key
+    assert f is not m and f.dom_tensor is not m.dom_tensor and poscor_key(f) == poscor_key(m)
     k, kf = (ksgns_functor([x], DEFAULT_TOL, memo)[0] for x in (m, f))
     assert passed(check_poscor_morphism([k], DEFAULT_TOL, memo)[0])
-    assert kf.key == k.key
+    assert poscor_key(kf) == poscor_key(k)
     assert kf.dom_tensor is k.dom_tensor
-    # composites are keyed by content: the foreign pair finds the memo's composite
+    # composites are built from content: the foreign pair's has the bits of the memo's own
     i = next(i for i, x in enumerate(morphisms) if x.dom.ident == m.cod.ident)
     m2, f2 = morphisms[i], loaded_elsewhere[i]
     composed = poscor_compose([m2], [m], DEFAULT_TOL, memo)[0]
-    assert poscor_compose([f2], [f], DEFAULT_TOL, memo)[0] is composed
+    composed_foreign = poscor_compose([f2], [f], DEFAULT_TOL, memo)[0]
+    assert np.array_equal(composed_foreign.eta.matrix, composed.eta.matrix)
+    assert np.array_equal(composed_foreign.alpha.matrix, composed.alpha.matrix)
+    assert np.array_equal(composed_foreign.pullback, composed.pullback)
 
 
 def test_morphisms_and_objects_compare_by_identity():
@@ -281,5 +285,5 @@ def test_morphisms_and_objects_compare_by_identity():
     for i, (m, twin) in enumerate(zip(morphisms, twins)):
         assert m in morphisms and morphisms.index(m) == i
         assert twin not in morphisms
-        assert m != twin and m.key == twin.key
-        assert m.dom != twin.dom and m.dom.key == twin.dom.key
+        assert m != twin and poscor_key(m) == poscor_key(twin)
+        assert m.dom != twin.dom and poscor_key(m.dom) == poscor_key(twin.dom)

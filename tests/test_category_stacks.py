@@ -1,11 +1,12 @@
 """The category audit composes, measures and checks stacks, not pairs.
 
-`poscor.check_category_laws` builds its composites in levels, one
-poscor_compose call per group of pairs of one shape, and takes every
-distance and closure check over whole stacks.  These tests count the calls
-of one default check pass, fail each law record by corrupting one composite
-at a later slice of a stacked call (a slice mixed up with its pair would
-pass silently), and break one slice of a stack on its own.
+`poscor.check_category_laws` builds its composites in two rounds, one
+poscor_compose call per group of pairs of one shape, each pair of positions
+once, and takes every distance and closure check over whole stacks.  These
+tests count the calls and slices of one default check pass, fail each law
+record by corrupting one composite at a later slice of a stacked call (a
+slice mixed up with its pair would pass silently), and break one slice of a
+stack on its own.
 """
 
 from dataclasses import replace
@@ -29,7 +30,9 @@ from ksgnslab.poscor import (
     check_category_laws, morphism_distance, morphism_shape, poscor_identity, tensor_extend_cpmap,
 )
 
-from conftest import category_laws_reference, count_calls, residuals, thresholds
+from conftest import (
+    category_laws_reference, count_calls, passed, poscor_key, residuals, thresholds,
+)
 
 MASTER = 20250809
 
@@ -75,6 +78,27 @@ def test_default_check_pass_stacks_the_category_audit(monkeypatch):
     # 1,660 eigh calls with one per quotient module and a C over itself per
     # left-multiplication build; 1,331 with one per stack of quotients
     assert sum(map(len, eighs)) <= 1350, [len(calls) for calls in eighs]
+
+
+def test_category_audit_composes_each_pair_of_positions_once(monkeypatch):
+    # the slices check_category_laws hands poscor_compose over the category
+    # instances of a default check pass: 500 when every triple's tail m3 . m2
+    # was requested again (the build memo found 90 of them by content), 410
+    # with each tail read by morphism index from the pair composites or from
+    # the one self-composite of its endomorphism
+    slices = []
+    real = poscor.poscor_compose
+
+    def counting(m2, m1, tol, memo, rho=None):
+        slices.append(len(m1))
+        return real(m2, m1, tol, memo, rho)
+
+    monkeypatch.setattr(poscor, "poscor_compose", counting)
+    for idx in range(SizeCaps().instances_per_suite):
+        memo = BuildMemo()
+        objects, morphisms = _load_category(category_payload(idx), DEFAULT_TOL, memo)
+        assert passed(check_category_laws(objects, morphisms, DEFAULT_TOL, memo))
+    assert sum(slices) == 410, sum(slices)
 
 
 def test_stacked_distances_equal_each_pair_alone():
@@ -143,8 +167,8 @@ def test_stacked_morphism_checks_equal_each_slice_alone():
 
 def keys_of(payload):
     objects, morphisms = _load_category(payload, DEFAULT_TOL, BuildMemo())
-    ids = {poscor_identity(o, DEFAULT_TOL, BuildMemo()).key for o in objects}
-    return ids, {m.key for m in morphisms}
+    ids = {poscor_key(poscor_identity(o, DEFAULT_TOL, BuildMemo())) for o in objects}
+    return ids, {poscor_key(m) for m in morphisms}
 
 
 def scaled_eta(m, monkeypatch):
@@ -167,16 +191,16 @@ def scaled_phi_ext(m, monkeypatch):
 
 
 # record -> (which (m2, m1) slices to corrupt, given the identities' and the
-# loaded morphisms' keys; the corruption).  A scaled eta is still an
-# intertwiner, so only the distance it enters grows; a scaled phi~ enters
-# only the closure check, since composites are keyed and built without it.
+# loaded morphisms' keys and the pair's; the corruption).  A scaled eta is
+# still an intertwiner, so only the distance it enters grows; a scaled phi~
+# enters only the closure check, since composites are built without it.
+# Closure reads the composites of two distinct morphisms, not an
+# endomorphism's self-composite m . m, which only associativity's tails read.
 CONTROLS = {
-    "left_identity": (lambda ids, ms, m2, m1: m2.key in ids and m1.key in ms, scaled_eta),
-    "right_identity": (lambda ids, ms, m2, m1: m1.key in ids and m2.key in ms, scaled_eta),
-    "closure": (lambda ids, ms, m2, m1: m2.key in ms and m1.key in ms, scaled_phi_ext),
-    "associativity": (
-        lambda ids, ms, m2, m1: m2.key in ms and m1.key not in ms | ids, scaled_eta
-    ),
+    "left_identity": (lambda ids, ms, k2, k1: k2 in ids and k1 in ms, scaled_eta),
+    "right_identity": (lambda ids, ms, k2, k1: k1 in ids and k2 in ms, scaled_eta),
+    "closure": (lambda ids, ms, k2, k1: k2 in ms and k1 in ms and k2 != k1, scaled_phi_ext),
+    "associativity": (lambda ids, ms, k2, k1: k2 in ms and k1 not in ms | ids, scaled_eta),
 }
 LAW_RECORDS = ("left_identity", "right_identity", "associativity", "closure")
 
@@ -191,7 +215,8 @@ def test_corrupted_later_slice_fails_its_law_by_name(monkeypatch, record):
 
     def corrupting(m2, m1, tol, memo, rho=None):
         out = real(m2, m1, tol, memo, rho)
-        slices = [s for s in range(1, len(m1)) if chosen(ids, ms, m2[s], m1[s])]
+        keys = [(poscor_key(b), poscor_key(a)) for b, a in zip(m2, m1)]
+        slices = [s for s in range(1, len(m1)) if chosen(ids, ms, *keys[s])]
         if not hit and slices:
             hit.append((slices[-1], len(m1)))
             out = list(out)
@@ -217,12 +242,12 @@ def test_slice_failing_alone_breaks_only_its_pair(monkeypatch):
     _, a2, _, _, _, c2 = morphisms
     assert (a2.dom.ident, a2.cod.ident, c2.dom.ident, c2.cod.ident) == ("O1", "O2", "O1", "O1")
     real = poscor.poscor_compose
-    seen = []
+    seen, target = [], (poscor_key(a2), poscor_key(c2))
 
     def failing(m2, m1, tol, memo, rho=None):
-        pairs = [(b.key, a.key) for b, a in zip(m2, m1)]
-        if (a2.key, c2.key) in pairs:
-            seen.append((pairs.index((a2.key, c2.key)), len(pairs)))
+        pairs = [(poscor_key(b), poscor_key(a)) for b, a in zip(m2, m1)]
+        if target in pairs:
+            seen.append((pairs.index(target), len(pairs)))
             raise WellDefinednessViolation("injected")
         return real(m2, m1, tol, memo, rho)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +29,7 @@ from ksgnslab.cstar import (
     random_element,
     unit_coeffs,
 )
+from ksgnslab.equivariant import scramble_module
 from ksgnslab.errors import NonFinite, NonLinearMap, ShapeMismatch
 from ksgnslab.generators import (
     canonical_module,
@@ -36,6 +39,7 @@ from ksgnslab.generators import (
     random_vectors,
     transported_copy,
 )
+from ksgnslab.harness import SizeCaps, _load_category, generate_instance, instance_seed
 from ksgnslab.hilbert import (
     ModuleMap,
     ModuleView,
@@ -46,6 +50,7 @@ from ksgnslab.hilbert import (
 from ksgnslab.ksgns import ksgns
 from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL, LIVE_MIN_DIM, operator_norm, summarize
+from ksgnslab.poscor import tensor_extend_cpmap
 
 from conftest import (
     add,
@@ -462,6 +467,21 @@ def test_check_morphism_rejects_perturbation(rng):
     rep = check_morphism([bad], [phi1], [phi2], DEFAULT_TOL)[0]
     assert not passed(rep)
     assert residuals(rep)["morphism"] >= 0.001
+
+
+def test_check_morphism_rejects_eta_into_another_module(rng):
+    # default category instance 0: morphism 0 with its eta into a module of
+    # the same dimension as phi2's and other content; checked, it passed all
+    # three records
+    memo = BuildMemo()
+    payload = generate_instance("category", SizeCaps(), instance_seed(20250809, "category", 0))
+    m = _load_category(payload, DEFAULT_TOL, memo)[1][0]
+    other, _ = scramble_module(m.cod.module, rng)
+    moved = replace(m, eta=ModuleMap(m.eta.source, other, m.eta.matrix))
+    phi1 = tensor_extend_cpmap([m.dom.phi], [m.dom_tensor], DEFAULT_TOL, memo)
+    with pytest.raises(ShapeMismatch):
+        check_morphism([moved], phi1, [m.cod.phi], DEFAULT_TOL)
+    assert passed(check_morphism([replace(m)], phi1, [m.cod.phi], DEFAULT_TOL)[0])
 
 
 # -- lemma content -------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ksgnslab.cp import CPMap
-from ksgnslab.cstar import AlgebraShape, element_norms, identity_automorphism
+from ksgnslab.cstar import AlgebraShape, block_diag, element_norms, identity_automorphism
 from ksgnslab.equivariant import (
     DilationQuadruple,
     DynamicalSystem,
@@ -18,6 +18,7 @@ from ksgnslab.equivariant import (
     correspondence_to_functor,
     cyclic_group,
     dilate,
+    direct_sum_module,
     inner_system,
     random_equivariant,
     sign_homomorphism,
@@ -29,24 +30,27 @@ from ksgnslab.equivariant import (
 )
 from ksgnslab.errors import SpanningFailure, TwistMismatch, ValidationError
 from ksgnslab.hilbert import (
+    HilbertModule,
     ModuleMap,
     PreModule,
+    Quotient,
     adjoint_map,
     algebra_module,
 )
-from ksgnslab.ksgns import check_triple, ksgns
+from ksgnslab.ksgns import check_triple, ksgns, triple_uniqueness_unitary
 from ksgnslab.cp import random_blinear_unitary
-from ksgnslab.harness import check_instance
+from ksgnslab.harness import SizeCaps, check_instance, generate_instance, instance_seed
 from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL, operator_norm, summarize, Tolerance
 from ksgnslab.poscor import poscor_compose, unitarity_residual
-from ksgnslab.serialize import dump_equivariant
+from ksgnslab.serialize import dump_equivariant, load_equivariant
 
 from conftest import (
     adjoint_identity_residual,
     apply_star_map,
     basis_element,
     element_norm,
+    failing,
     left_mult_matrix,
     pair_reference,
     passed,
@@ -406,3 +410,46 @@ def test_uniqueness_recovers_planted_unitary(rng):
     assert passed(rep), rep
     Z_inv = adjoint_map(Z).matrix
     assert operator_norm(W.matrix - Z_inv) <= 1e-7
+
+
+def doubled_quadruple(quad: DilationQuadruple) -> DilationQuadruple:
+    """(F (+) F, pi (+) pi, [V; 0], U~ (+) U~): a dilation of the same (E, phi)
+    and family that is not minimal, the second copy of F outside the span of
+    pi(A) V E.  Its module is a one-slice quotient stack, q and s padded with
+    zeros."""
+    t, V = quad.triple, quad.triple.embedding.matrix
+    F = direct_sum_module(t.module, 2)
+    stack = Quotient(
+        HilbertModule(F.algebra, F.dim, F.action[None], [P[None] for P in F.pairing]),
+        np.vstack([t.q, np.zeros_like(t.q)])[None],
+        np.hstack([t.s, np.zeros_like(t.s)])[None],
+        t.kernel[None],
+    )
+    doubled = replace(t, stack=stack, index=0)
+    return DilationQuadruple(
+        quad.source,
+        replace(
+            doubled,
+            pi=CPMap(t.phi.algebra, doubled.module, block_diag([t.pi.images, t.pi.images])),
+            embedding=ModuleMap(t.source, doubled.module, np.vstack([V, np.zeros_like(V)])),
+        ),
+        [block_diag([U, U]) for U in quad.unitaries],
+    )
+
+
+@pytest.mark.parametrize("idx", range(10))
+def test_uniqueness_needs_a_minimal_dilation(idx):
+    # the default dilation instances against their doubles F (+) F: every
+    # dilation condition but spanning holds, the matching map solved on the
+    # spanning columns embeds V and U~ but is no unitary onto F (+) F, and
+    # uniqueness_unitary refuses the pair before solving
+    payload = generate_instance("dilation", SizeCaps(), instance_seed(20250809, "dilation", idx))
+    quad = dilate(load_equivariant(payload["correspondence"]), DEFAULT_TOL, BuildMemo())
+    doubled = doubled_quadruple(quad)
+    r = quad.triple.module.dim
+    assert failing(check_dilation(quad, DEFAULT_TOL)) == []
+    assert failing(check_dilation(doubled, DEFAULT_TOL)) == ["spanning"]
+    _, records = triple_uniqueness_unitary(quad.triple, doubled.triple, DEFAULT_TOL)
+    assert failing(records) == ["unitary", "representation_match"]
+    with pytest.raises(SpanningFailure, match=f"^spanning rank {r} < dim {2 * r}$"):
+        uniqueness_unitary(quad, doubled, DEFAULT_TOL)

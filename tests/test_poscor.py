@@ -20,6 +20,7 @@ from ksgnslab.generators import (
     random_star_map,
     transported_copy,
 )
+from ksgnslab.harness import SizeCaps, _load_category, generate_instance, instance_seed
 from ksgnslab.hilbert import (
     ModuleMap,
     adjoint_map,
@@ -53,8 +54,8 @@ from ksgnslab.poscor import (
 )
 
 from conftest import (
-    failing, left_mult_matrix, passed, poscor_pseudometric, random_complex, star_map_images,
-    tensored_intertwiner,
+    failing, left_mult_matrix, passed, poscor_key, poscor_pseudometric, random_complex,
+    star_map_images, tensored_intertwiner,
 )
 
 
@@ -279,7 +280,24 @@ def test_make_poscor_morphism_rejects_eta_off_the_tensor_along_rho(rng):
     rebuilt = make_poscor_morphism(
         [m1.dom], [m1.cod], [m1.rho], [same], [m1.alpha], DEFAULT_TOL, memo
     )[0]
-    assert rebuilt.key == m1.key
+    assert poscor_key(rebuilt) == poscor_key(m1)
+
+
+def test_make_poscor_morphism_rejects_eta_into_another_module(rng):
+    # default category instance 0: morphism 0's eta into a module of the same
+    # dimension as its codomain's and other content; accepted, it passed all
+    # six records of check_poscor_morphism
+    memo = BuildMemo()
+    payload = generate_instance("category", SizeCaps(), instance_seed(20250809, "category", 0))
+    m = _load_category(payload, DEFAULT_TOL, memo)[1][0]
+    other, _ = scramble_module(m.cod.module, rng)
+    eta = ModuleMap(m.eta.source, other, m.eta.matrix)
+    with pytest.raises(ShapeMismatch):
+        make_poscor_morphism([m.dom], [m.cod], [m.rho], [eta], [m.alpha], DEFAULT_TOL, memo)
+    # the same matrix into the codomain's own module is accepted
+    same = ModuleMap(m.eta.source, m.cod.module, m.eta.matrix)
+    rebuilt = make_poscor_morphism([m.dom], [m.cod], [m.rho], [same], [m.alpha], DEFAULT_TOL, memo)
+    assert passed(check_poscor_morphism(rebuilt, DEFAULT_TOL, memo)[0])
 
 
 def test_category_law_audit(rng):
