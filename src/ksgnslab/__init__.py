@@ -4,8 +4,8 @@ equivariant dilation of finite-group dynamical correspondences."""
 
 from .numkernel import Tolerance, DEFAULT_TOL
 from .cstar import AlgebraShape, AlgebraElement, StarMap, Automorphism
-from .hilbert import HilbertModule, ModuleMap, AlphaLinearMap, PreModule
-from .cp import CPMap, Correspondence, Intertwiner
+from .hilbert import HilbertModule, ModuleMap, PreModule
+from .cp import CPMap, Intertwiner
 from .ksgns import KsgnsTriple, ksgns
 from .equivariant import (
     FiniteGroup,
@@ -26,10 +26,8 @@ __all__ = [
     "Automorphism",
     "HilbertModule",
     "ModuleMap",
-    "AlphaLinearMap",
     "PreModule",
     "CPMap",
-    "Correspondence",
     "Intertwiner",
     "KsgnsTriple",
     "ksgns",

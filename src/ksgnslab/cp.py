@@ -37,13 +37,13 @@ from .hilbert import (
     Copies,
     HilbertModule,
     ModuleMap,
-    ModuleView,
     PreModule,
     Quotient,
     QuotientSlice,
     algebra_module,
     compose_maps,
     descend,
+    gather,
     identity_map,
     adjoint_matrices,
     module_operator_norm,
@@ -80,7 +80,8 @@ from .numkernel import (
 
 @dataclass
 class CPMap:
-    """Linear map A -> L(E) given by images on the matrix-unit basis of A."""
+    """Linear map A -> L(E) given by images on the matrix-unit basis of A; a
+    representation when check_correspondence passes."""
 
     algebra: AlgebraShape
     module: HilbertModule
@@ -103,13 +104,13 @@ class CPMap:
 
     @cached_property
     def key(self) -> bytes:
-        """Content digest of the class, domain, module key and images."""
-        return content_key(type(self).__name__, self.algebra.blocks, self.module.key, self.images)
+        """Content digest of the domain, module key and images."""
+        return content_key(self.algebra.blocks, self.module.key, self.images)
 
     @cached_property
     def norm(self) -> float:
         """max over basis images of the L(E) norm, on live blocks; the scale of the map."""
-        return max_operator_norm(realized_images(ModuleView([self.module]), self.images[None]))
+        return max_operator_norm(realized_images([self.module], self.images[None]))
 
     def hermiticity_residual(self) -> float:
         """max over basis of ||phi(u*) - phi(u)*||."""
@@ -117,10 +118,6 @@ class CPMap:
         adj = E.gram_inv @ self.images.conj().transpose(0, 2, 1) @ E.gram_matrix
         diff = self.images[self.algebra.star_permutation()] - adj
         return max_operator_norm(E.gram_sqrt @ diff @ E.gram_isqrt)
-
-
-class Correspondence(CPMap):
-    """CPMap whose images are multiplicative and unital (a *-homomorphism)."""
 
 
 def check_correspondence(pi: CPMap, tol: Tolerance) -> list[tuple]:
@@ -148,10 +145,11 @@ def check_correspondence(pi: CPMap, tol: Tolerance) -> list[tuple]:
     return [("multiplicative", mult, tol.ctol * scale), ("unital", unital, tol.ctol * scale)]
 
 
-def realized_images(E: HilbertModule, X: np.ndarray) -> np.ndarray:
+def realized_images(E: Sequence[HilbertModule], X: np.ndarray) -> np.ndarray:
     """G^(1/2) X[s, p] G^(-1/2) for a stack X (S, dim A, d, d) of images of
-    maps on the slices of a module stack E, from the Gram powers E caches."""
-    return live_products(E.gram_sqrt[:, None], X, E.gram_isqrt[:, None])[0]
+    maps on the modules E[s], from the Gram powers their stack caches."""
+    S, Si = gather(E, "gram_sqrt"), gather(E, "gram_isqrt")
+    return live_products(S[:, None], X, Si[:, None])[0]
 
 
 def choi_blocks(X: np.ndarray, A: AlgebraShape) -> list[np.ndarray]:
@@ -177,14 +175,14 @@ def check_cp(phi: Sequence[CPMap], tol: Tolerance, memo: BuildMemo) -> list[tupl
 
     def build(todo: list[int]) -> list[tuple]:
         maps = [phi[i] for i in todo]
-        E, Y = ModuleView([p.module for p in maps]), stack_slices([p.images for p in maps])
+        E, Y = [p.module for p in maps], stack_slices([p.images for p in maps])
         X = realized_images(E, Y)
         fresh = [i for i, p in enumerate(maps) if "norm" not in vars(p)]
         if fresh:  # no norm call for an empty stack
             for i, norm in zip(fresh, operator_norms(X[fresh]).max(axis=1, initial=0.0).tolist()):
                 vars(maps[i])["norm"] = norm
         # ||phi(u_p) R(u_b) - R(u_b) phi(u_p)|| over all p, b, exact where Frobenius can't pass it
-        Y, R = Y[:, :, None], E.action[:, None]
+        Y, R = Y[:, :, None], gather(E, "action")[:, None]
         D = Y @ R - R @ Y
         gate = tol.ctol * (1.0 + np.array([p.norm for p in maps]))
         fro = np.sqrt(np.sum((D.conj() * D).real, axis=(-2, -1))).max(axis=(1, 2), initial=0.0)
@@ -228,7 +226,7 @@ def paired_images(
         if not same_module(p.module, f):
             raise ShapeMismatch("representation does not act on F")
     n, dE, B = len(E), E[0].dim, E[0].algebra
-    pairing = ModuleView(E).pairing
+    pairing = gather(E, "pairing")
     coeffs = np.concatenate(
         [P.reshape(n, dE * dE, m * m) for P, m in zip(pairing, B.blocks)], axis=2
     )
@@ -247,12 +245,12 @@ def tensor_premodule(
     <e_i (x) f_j, e_k (x) f_l> = <f_j, pi(<e_i, e_k>_E) f_l>_F and C acting on
     the F slot: one stacked contraction for the whole stack."""
     N = paired_images(E, F, pi)
-    n, dE, dF, Fs = len(E), E[0].dim, F[0].dim, ModuleView(F)
-    action = kron(np.eye(dE, dtype=complex), Fs.action)  # I (x) R(u_c)
+    n, dE, dF = len(E), E[0].dim, F[0].dim
+    action = kron(np.eye(dE, dtype=complex), gather(F, "action"))  # I (x) R(u_c)
     # pairing[s, i, j, k, l] = sum_m N[s, i, k, m, l] P[s, j, m]
     Nt = N.transpose(0, 1, 2, 4, 3).reshape(n, dE * dE * dF, dF)
     pairing = []
-    for P, m in zip(Fs.pairing, F[0].algebra.blocks):
+    for P, m in zip(gather(F, "pairing"), F[0].algebra.blocks):
         P = P.transpose(0, 2, 1, 3, 4).reshape(n, dF, dF * m * m)
         pairing.append(
             dots(Nt, P).reshape(n, dE, dE, dF, dF, m, m).transpose(0, 1, 4, 2, 3, 5, 6)
@@ -376,14 +374,14 @@ def tensor_extend(
     return descend(K, tm1, tm2, what, tol)
 
 
-def left_mult_correspondence(rho: Sequence[StarMap], memo: BuildMemo) -> list[Correspondence]:
+def left_mult_correspondence(rho: Sequence[StarMap], memo: BuildMemo) -> list[CPMap]:
     """rho[s] followed by left multiplication: B -> L(C as a module over
     itself), for each star map, built once per rho content in the memo; maps
     into one C share the process's C over itself."""
 
-    def build(todo: list[int]) -> list[Correspondence]:
+    def build(todo: list[int]) -> list[CPMap]:
         return [
-            Correspondence(r.domain, algebra_module(r.codomain), left_images(r.matrix, r.codomain))
+            CPMap(r.domain, algebra_module(r.codomain), left_images(r.matrix, r.codomain))
             for r in (rho[s] for s in todo)
         ]
 
@@ -518,10 +516,13 @@ def intertwiner_space(
     """Basis of {eta B-linear : phi2(alpha(a)) eta = eta phi1(a) for all a}.
 
     Solved as the numerical kernel of the stacked linear constraint system;
-    an empty basis is legal (only eta = 0 intertwines).
+    an empty basis is legal (only eta = 0 intertwines).  An alpha on another
+    algebra than phi1's raises ShapeMismatch.
     """
     if phi1.algebra != phi2.algebra:
         raise ShapeMismatch("maps over different algebras")
+    if alpha.shape != phi1.algebra:
+        raise ShapeMismatch("alpha acts on another algebra than phi1's")
     E1, E2 = phi1.module, phi2.module
     if E1.algebra != E2.algebra:
         raise ShapeMismatch("modules over different coefficient algebras")
@@ -543,8 +544,10 @@ def check_morphism(
     Records the defining residual, the adjoint-side residual
     eta* phi2(alpha(a)) - phi1(a) eta*, and the commutation [phi1(a), eta* eta].
     An eta whose source is not, in content, phi1's module or whose target is
-    not phi2's raises ShapeMismatch.
+    not phi2's, or an alpha on another algebra than phi1's, raises ShapeMismatch.
     """
+    if any(m.alpha.shape != p.algebra for m, p in zip(ms, phi1)):
+        raise ShapeMismatch("alpha acts on another algebra than phi1's")
     if any(not same_module(m.eta.source, p.module) for m, p in zip(ms, phi1)):
         raise ShapeMismatch("morphism source module mismatch")
     if any(not same_module(m.eta.target, p.module) for m, p in zip(ms, phi2)):

@@ -316,9 +316,6 @@ class Automorphism:
     def __call__(self, C: np.ndarray) -> np.ndarray:
         return self.forward(C)
 
-    def inverted(self) -> "Automorphism":
-        return Automorphism(self.inverse, self.forward)
-
 
 def identity_automorphism(shape: AlgebraShape) -> Automorphism:
     ident = identity_star_map(shape)

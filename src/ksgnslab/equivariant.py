@@ -388,10 +388,9 @@ def correspondence_to_functor(
     tensors E (x)_{beta_g} B, which the F(g) live on."""
     obj = PosCorObject("E", c.phi.algebra, c.module.algebra, c.module, c.phi)
     beta = c.system_out.action
-    tws = twist_unitary(c.module, beta, tol, memo)
+    tms, twists = twist_unitary(c.module, beta, tol, memo)
     etas = [
-        ModuleMap(tw.twisted.module, c.module, U @ tw.unitary.matrix)
-        for tw, U in zip(tws, c.unitaries)
+        ModuleMap(tm.module, c.module, U @ twist) for tm, U, twist in zip(tms, c.unitaries, twists)
     ]
     n = c.group.order
     return make_poscor_morphism(

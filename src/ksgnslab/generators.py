@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cp import CPMap, Correspondence, Intertwiner, intertwiner_space, random_cp
+from .cp import CPMap, Intertwiner, intertwiner_space, random_cp
 from .cstar import (
     AlgebraShape,
     Automorphism,
@@ -113,7 +113,7 @@ def random_star_map(
 
 def random_representation(
     A: AlgebraShape, B: AlgebraShape, rng: np.random.Generator, max_dim: int
-) -> tuple[HilbertModule, Correspondence]:
+) -> tuple[HilbertModule, CPMap]:
     """A module F over B with a unital *-representation pi: A -> L(F).
 
     Row counts are r_t = sum_i mu[t][i] n_i, so a multiplicity embedding of A
@@ -150,7 +150,7 @@ def random_representation(
         ]
     )
     F, S = scramble_module(F0, rng)
-    return F, Correspondence(A, F, np.linalg.inv(S) @ images @ S)
+    return F, CPMap(A, F, np.linalg.inv(S) @ images @ S)
 
 
 def conjugate_cp(

@@ -19,10 +19,10 @@ declares before the previous record's, fails the instance.
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -1167,7 +1167,7 @@ def run(config: SuiteConfig, instance_dir: str | None = None) -> Report:
     if instance_dir is not None and not tasks:  # a report of nothing would pass vacuously
         raise ParseError(f"{instance_dir} holds no instances of the suites {list(config.suites)}")
     if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(_run_one, tasks))
     else:
         results = [_run_one(task) for task in tasks]

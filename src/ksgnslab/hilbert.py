@@ -14,8 +14,8 @@ axis: builders produce and consume stacks.  A stack is checked once, where its
 data enters (load, generation, the quotients' eigenvectors): one pairing block
 per block of B and the shapes in PreModule, finite entries and the
 SingularGram gate on the batched Gram spectrum in HilbertModule.  ModuleView
-reads slices of a checked stack, which no check runs on again; gather turns a
-list of slices back into the stack they came from.
+reads a slice of a checked stack, which no check runs on again; gather turns a
+list of modules or slices back into the stack they came from.
 
 Scalarizing the pairing through the faithful trace gives the Gram matrix
 G_ij = tau(<e_i, e_j>).  Null-space detection, vector norms of the ambient
@@ -47,7 +47,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .cstar import AlgebraShape, Automorphism, element_norms
+from .cstar import AlgebraShape, element_norms
 from .errors import (
     InvalidConfig, ShapeMismatch, SingularGram, SubmoduleViolation, UnequalCopies,
     WellDefinednessViolation,
@@ -201,12 +201,12 @@ def _at(value, idx):
 
 
 def gather(items: Sequence, name: str):
-    """Field `name` of items (quotient slices or module views, each slice `index`
-    of its `stack`) as one stack, slice s items[s]'s: the field of the stack they
-    are all slices of, whole when they are all of it in order, else at their
-    indices; one item's own, as a stack of one.  Items of no one stack, as modules
-    of their own (whose stack is None), have theirs stacked by stack_slices,
-    which names a slice of another shape."""
+    """Field `name` of items (modules, or quotient slices and module views, each
+    slice `index` of its `stack`) as one stack, slice s items[s]'s: the field of
+    the stack they are all slices of, whole when they are all of it in order,
+    else at their indices; one item's own, as a stack of one.  Items of no one
+    stack, as modules of their own (whose stack is None), have theirs stacked by
+    stack_slices, which names a slice of another shape."""
     if len(items) == 1:
         return _at(getattr(items[0], name), np.newaxis)
     stack, idx = items[0].stack, []
@@ -224,30 +224,27 @@ def gather(items: Sequence, name: str):
 
 class _Field:
     """A ModuleView's field, read on first use and kept: its stack's at its
-    index, or gathered (a plain descriptor: cached_property locks on every
-    first read, a cost views pay by the thousand per check pass)."""
+    index (a plain descriptor: cached_property locks on every first read, a
+    cost views pay by the thousand per check pass)."""
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.name = name
 
     def __get__(self, view: ModuleView, owner: type | None = None):
-        stack, name = view.stack, self.name
-        value = gather(stack, name) if view.index is None else _at(getattr(stack, name), view.index)
-        view.__dict__[name] = value
+        value = _at(getattr(view.stack, self.name), view.index)
+        view.__dict__[self.name] = value
         return value
 
 
 class ModuleView(HilbertModule):
-    """Modules read from checked stacks: slice `index` of the module stack `stack`
-    (an int gives one module, a slice a stack), or, with index None, the modules
-    `stack` as one stack, slice s stack[s], each field gathered.  Its action,
-    pairing, Gram spectrum and Gram powers are read on first use and covered by
-    the stacks' checks and gate, so none runs again."""
+    """Slice `index` of the checked module stack `stack` (an int gives one
+    module, a slice a stack).  Its action, pairing, Gram spectrum and Gram
+    powers are read on first use and covered by the stack's checks and gate, so
+    none runs again."""
 
-    def __init__(self, stack, index=None) -> None:
+    def __init__(self, stack: HilbertModule, index) -> None:
         self.stack, self.index = stack, index
-        one = stack if index is not None else stack[0]
-        self.algebra, self.dim = one.algebra, one.dim
+        self.algebra, self.dim = stack.algebra, stack.dim
 
     action, pairing, gram_spectrum, gram_matrix, gram_sqrt, gram_isqrt, gram_inv = (
         _Field() for _ in range(7))
@@ -614,9 +611,9 @@ def realize(m: ModuleMap) -> np.ndarray:
 def adjoint_matrices(maps: Sequence[ModuleMap]) -> np.ndarray:
     """Matrices of the unique adjoints G_src^(-1) T^dagger G_tgt of B-linear
     maps of one shape, a stack from one stacked product."""
-    Gi = ModuleView([m.source for m in maps]).gram_inv
+    Gi = gather([m.source for m in maps], "gram_inv")
     Th = stack_slices([m.matrix.conj().T for m in maps])
-    return Gi @ Th @ ModuleView([m.target for m in maps]).gram_matrix
+    return Gi @ Th @ gather([m.target for m in maps], "gram_matrix")
 
 
 def adjoint_map(m: ModuleMap) -> ModuleMap:
@@ -640,8 +637,8 @@ def module_operator_norm(m: ModuleMap) -> float:
 def module_operator_norms(maps: Sequence[ModuleMap]) -> np.ndarray:
     """module_operator_norm of each map of one shape, from one stacked
     realization and one batched norm."""
-    S = ModuleView([m.target for m in maps]).gram_sqrt
-    Si = ModuleView([m.source for m in maps]).gram_isqrt
+    S = gather([m.target for m in maps], "gram_sqrt")
+    Si = gather([m.source for m in maps], "gram_isqrt")
     return operator_norms(S @ stack_slices([m.matrix for m in maps]) @ Si)
 
 
@@ -659,27 +656,6 @@ def rank_one_sum(E: HilbertModule, X: np.ndarray, Y: np.ndarray) -> ModuleMap:
     moved = (E.action @ X.T).transpose(2, 0, 1).reshape(k, E.dim)  # R(u_p) x_r at [r, p]
     return ModuleMap(E, E, moved.T @ pairing_coeffs(E, Y).reshape(k, E.dim))
 
-
-# -- alpha-twisted maps ----------------------------------------------------
-
-
-@dataclass
-class AlphaLinearMap:
-    """Map f with f(x b) = f(x) alpha(b): matrix R_tgt(alpha(b)) f = f R_src(b)."""
-
-    source: HilbertModule
-    target: HilbertModule
-    twist: Automorphism
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.source.algebra != self.target.algebra:
-            raise ShapeMismatch("twisted map across different coefficient algebras")
-        if self.twist.shape != self.source.algebra:
-            raise ShapeMismatch("twist automorphism lives on the wrong algebra")
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.shape != (self.target.dim, self.source.dim):
-            raise ShapeMismatch("twisted map matrix has wrong shape")
 
 def canonical_module(B: AlgebraShape, rows: tuple[int, ...]) -> HilbertModule:
     """(+)_t C^{r_t x m_t} with x.b = x b and <x, y> = x* y blockwise; the row

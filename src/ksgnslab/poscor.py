@@ -45,7 +45,6 @@ from .cp import (
 )
 from .errors import KsgnslabError, ObjectMismatch, ShapeMismatch
 from .hilbert import (
-    AlphaLinearMap,
     HilbertModule,
     ModuleMap,
     adjoint_matrices,
@@ -194,30 +193,19 @@ def composition_unitary(
     ]
 
 
-@dataclass
-class TwistUnitary:
-    """E (x)_alpha B -> E, x (x) b -> x alpha^{-1}(b): an alpha^{-1}-adjointable
-    unitary identifying the twisted module with E."""
-
-    alpha: Automorphism
-    twisted: TensorModule
-    unitary: AlphaLinearMap  # twist alpha^{-1}
-
-
 def twist_unitary(
     E: HilbertModule, alpha: Sequence[Automorphism], tol: Tolerance, memo: BuildMemo
-) -> list[TwistUnitary]:
-    """The twist unitaries of E along each automorphism of a stack, over one
-    stacked build of the twisted tensors E (x)_alpha B."""
+) -> tuple[list[TensorModule], np.ndarray]:
+    """The twisted tensors E (x)_alpha[g] B, one stacked build, and the stack
+    (len(alpha), dim E, dim E) of the twist unitaries U_g: E (x)_alpha[g] B -> E,
+    x (x) b -> x alpha[g]^{-1}(b), which identify each twisted module with E.
+    U_g is alpha[g]^{-1}-linear, U_g(z b) = U_g(z) alpha[g]^{-1}(b): as matrices
+    R_E(alpha[g]^{-1}(b)) U_g = U_g R(b), R the twisted module's action."""
     tms = interior_tensor_along([E] * len(alpha), [a.forward for a in alpha], tol, memo)
     dE, dB = E.dim, E.algebra.dim
     inv = np.stack([a.inverse_matrix for a in alpha])
     N_pre = np.einsum("gpw,pxy->gwxy", inv, E.action).transpose(0, 2, 3, 1).reshape(-1, dE, dE * dB)
-    U = N_pre @ gather(tms, "s")
-    return [
-        TwistUnitary(a, tm, AlphaLinearMap(tm.module, E, a.inverted(), u))
-        for a, tm, u in zip(alpha, tms, U)
-    ]
+    return tms, N_pre @ gather(tms, "s")
 
 
 # -- KSGNS commutes with tensoring -------------------------------------------
@@ -320,10 +308,13 @@ def make_poscor_morphism(
 ) -> list[PosCorMorphism]:
     """(rho[s], (eta[s], alpha[s])) from dom[s] to cod[s].  An eta whose source
     differs in content from the tensor of its dom along its rho
-    (interior_tensor_along), or whose target from cod.module, raises ShapeMismatch."""
+    (interior_tensor_along), or whose target from cod.module, raises ShapeMismatch;
+    an alpha that is not an automorphism of dom.input_algebra ObjectMismatch."""
     ends = zip(dom, cod, rho)
     if any((r.domain, r.codomain) != (d.coefficient, c.coefficient) for d, c, r in ends):
         raise ObjectMismatch("rho does not match the endpoint coefficients")
+    if any(a.shape != d.input_algebra for a, d in zip(alpha, dom)):
+        raise ObjectMismatch("alpha is not an automorphism of the input algebra")
     tms = interior_tensor_along([d.module for d in dom], rho, tol, memo)
     if any(not same_module(e.source, tm.module) for e, tm in zip(eta, tms)):
         raise ShapeMismatch("eta is not defined on the tensor of dom along rho")

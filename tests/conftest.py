@@ -22,7 +22,6 @@ from ksgnslab.cstar import (
 )
 from ksgnslab.errors import KsgnslabError, TwistMismatch
 from ksgnslab.hilbert import (
-    AlphaLinearMap,
     HilbertModule,
     ModuleMap,
     PreModule,
@@ -39,7 +38,6 @@ from ksgnslab.numkernel import (
 )
 from ksgnslab.poscor import (
     PosCorObject,
-    TwistUnitary,
     check_poscor_morphism,
     commuting_unitary,
     morphism_distance,
@@ -465,30 +463,32 @@ def kron_intertwining_rows(X2: np.ndarray, X1: np.ndarray) -> np.ndarray:
 # -- alpha-twisted maps -------------------------------------------------------
 
 
-def twisted_linearity_residual(T: AlphaLinearMap) -> float:
-    """max_p ||T R_src(u_p) - R_tgt(alpha(u_p)) T||: zero when T(x b) = T(x) alpha(b)."""
-    twisted = np.einsum("qp,qij->pij", T.twist.matrix, T.target.action)
-    return max_operator_norm(T.matrix @ T.source.action - twisted @ T.matrix)
+def twisted_linearity_residual(
+    T: np.ndarray, source: HilbertModule, target: HilbertModule, twist: np.ndarray
+) -> float:
+    """max_p ||T R_src(u_p) - R_tgt(alpha(u_p)) T|| for the matrix T of a map from
+    source to target and the matrix twist of an automorphism alpha of their
+    algebra: zero when T(x b) = T(x) alpha(b)."""
+    twisted = np.einsum("qp,qij->pij", twist, target.action)
+    return max_operator_norm(T @ source.action - twisted @ T)
 
 
 def alpha_transport(
-    T: AlphaLinearMap, twisted: TwistUnitary, tol: Tolerance = DEFAULT_TOL
-) -> tuple[ModuleMap, TwistUnitary]:
-    """Transport an alpha-adjointable map to a plain module map T . U on
-    E_src (x)_alpha B, along the twist unitary of T's source and twist."""
-    mismatch = operator_norm(twisted.alpha.matrix - T.twist.matrix)
-    if mismatch > tol.ctol * (1.0 + operator_norm(T.twist.matrix)):
+    T: np.ndarray, target: HilbertModule, alpha: Automorphism, beta: Automorphism, tm,
+    U: np.ndarray, tol: Tolerance = DEFAULT_TOL,
+) -> ModuleMap:
+    """Transport an alpha-linear map T, a matrix from E into target, to the
+    plain module map T . U on tm = E (x)_beta B, along the twist unitary U of E
+    along beta (poscor.twist_unitary); TwistMismatch unless beta = alpha."""
+    mismatch = operator_norm(beta.matrix - alpha.matrix)
+    if mismatch > tol.ctol * (1.0 + operator_norm(alpha.matrix)):
         raise TwistMismatch(f"twist automorphisms differ by {mismatch:.3e}")
-    plain = ModuleMap(twisted.twisted.module, T.target, T.matrix @ twisted.unitary.matrix)
-    return plain, twisted
+    return ModuleMap(tm.module, target, T @ U)
 
 
-def alpha_transport_inverse(
-    S: ModuleMap, tw: TwistUnitary, alpha: Automorphism
-) -> AlphaLinearMap:
-    """Inverse transport: S -> S . U^{-1}, an alpha-linear map out of E."""
-    U_inv = np.linalg.inv(tw.unitary.matrix)
-    return AlphaLinearMap(tw.twisted.left, S.target, alpha, S.matrix @ U_inv)
+def alpha_transport_inverse(S: ModuleMap, U: np.ndarray) -> np.ndarray:
+    """Inverse transport: S -> S . U^{-1}, the matrix of an alpha-linear map out of E."""
+    return S.matrix @ np.linalg.inv(U)
 
 
 # -- morphisms ----------------------------------------------------------------
@@ -532,9 +532,14 @@ def probe_passed(probe: ProbeReport) -> bool:
 # memo of its own.  The stacked builds must give every slice these bits.
 
 
-def twist_unitaries_reference(c, tol=DEFAULT_TOL) -> list[TwistUnitary]:
-    """The twist unitary of E along each beta_g, one g at a time."""
-    return [twist_unitary(c.module, [b], tol, BuildMemo())[0] for b in c.system_out.action]
+def twist_unitaries_reference(c, tol=DEFAULT_TOL) -> list[tuple]:
+    """The twisted tensor and twist unitary (tm, U) of E along each beta_g, one g
+    at a time."""
+    out = []
+    for b in c.system_out.action:
+        (tm,), (U,) = twist_unitary(c.module, [b], tol, BuildMemo())
+        out.append((tm, U))
+    return out
 
 
 def categorical_unitaries_reference(c, quad, tol=DEFAULT_TOL) -> list[np.ndarray]:
@@ -542,9 +547,9 @@ def categorical_unitaries_reference(c, quad, tol=DEFAULT_TOL) -> list[np.ndarray
     out = []
     for beta, alpha, U in zip(c.system_out.action, c.system_in.action, c.unitaries):
         memo = BuildMemo()
-        tw = twist_unitary(c.module, [beta], tol, memo)[0]
-        eta = ModuleMap(tw.twisted.module, c.module, U @ tw.unitary.matrix)
-        cu = commuting_unitary([c.phi], [tw.twisted], tol, memo)[0]
+        (tm,), (twist,) = twist_unitary(c.module, [beta], tol, memo)
+        eta = ModuleMap(tm.module, c.module, U @ twist)
+        cu = commuting_unitary([c.phi], [tm], tol, memo)[0]
         lifted = ksgns_lift([Intertwiner(eta, alpha)], [cu.left], [quad.triple], tol)[0]
         out.append(lifted.eta.matrix @ adjoint_map(cu.unitary).matrix @ v_rho([cu.right])[0])
     return out

@@ -42,7 +42,6 @@ from ksgnslab.generators import (
 from ksgnslab.harness import SizeCaps, _load_category, generate_instance, instance_seed
 from ksgnslab.hilbert import (
     ModuleMap,
-    ModuleView,
     adjoint_map,
     identity_map,
     is_map_positive,
@@ -99,7 +98,7 @@ def test_transpose_choi_oracle_and_check():
     ok, mins = check_cp([phi], DEFAULT_TOL, BuildMemo())[0]
     assert not ok
     assert mins[0] == pytest.approx(-1.0, abs=1e-12)
-    (C,) = choi_blocks(realized_images(ModuleView([phi.module]), phi.images[None]), phi.algebra)
+    (C,) = choi_blocks(realized_images([phi.module], phi.images[None]), phi.algebra)
     assert np.allclose(C[0], swap)
 
 
@@ -482,6 +481,19 @@ def test_check_morphism_rejects_eta_into_another_module(rng):
     with pytest.raises(ShapeMismatch):
         check_morphism([moved], phi1, [m.cod.phi], DEFAULT_TOL)
     assert passed(check_morphism([replace(m)], phi1, [m.cod.phi], DEFAULT_TOL)[0])
+
+
+def test_intertwiner_space_rejects_alpha_on_another_algebra(rng):
+    # an alpha on M_3 for maps on C: the einsum of alpha with phi2's images
+    # broadcast C's size-1 axis and solved a system of the wrong shape
+    A, B = AlgebraShape((1,)), AlgebraShape((2,))
+    E1, phi1, E2, phi2, m = random_morphism_pair(A, B, rng, max_dim=4)
+    M3 = identity_automorphism(AlgebraShape((3,)))
+    with pytest.raises(ShapeMismatch, match="alpha acts on another algebra than phi1's"):
+        intertwiner_space(phi1, phi2, M3, DEFAULT_TOL)
+    with pytest.raises(ShapeMismatch, match="alpha acts on another algebra than phi1's"):
+        check_morphism([Intertwiner(m.eta, M3)], [phi1], [phi2], DEFAULT_TOL)
+    assert passed(check_morphism([m], [phi1], [phi2], DEFAULT_TOL)[0])
 
 
 # -- lemma content -------------------------------------------------------------

@@ -316,4 +316,4 @@ def test_automorphism_shape_checks():
     # same dimension, other algebra: alpha inverse would be read in C4's basis
     with pytest.raises(ShapeMismatch, match="inverse maps into a different algebra"):
         Automorphism(ident, StarMap(M2, C4, eye))
-    assert Automorphism(ident, ident).inverted().shape == M2
+    assert Automorphism(ident, ident).shape == M2

@@ -1,12 +1,19 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ksgnslab
+from ksgnslab import serialize as ser
 from ksgnslab.cli import main as cli_main
+from ksgnslab.cstar import AlgebraShape, identity_automorphism
 from ksgnslab.errors import InvalidConfig, ParseError
 from ksgnslab.harness import (
     _SUITES,
@@ -525,6 +532,33 @@ def test_early_exits_record_their_input_failure_last():
     )
     assert not record.passed
     assert record.error.startswith("NonConvergentInput: ")
+
+
+@pytest.mark.parametrize(("suite", "morphism", "error"), [
+    ("category", 0, "ObjectMismatch: alpha is not an automorphism of the input algebra"),
+    ("lift", "m1", "ShapeMismatch: alpha acts on another algebra than phi1's"),
+])
+def test_alpha_on_another_algebra_fails_construction_first(suite, morphism, error):
+    # default instance 0 (A = C) with one morphism's alpha on M_3: the einsum of
+    # alpha with phi2's images broadcast A's size-1 axis, so the instance passed
+    # its morphism records and only a later matmul raised ValueError
+    payload = generate_instance(suite, SizeCaps(), instance_seed(20250809, suite, 0))
+    assert ser.load_shape(payload["input_algebra"]) == AlgebraShape((1,))
+    M3 = identity_automorphism(AlgebraShape((3,)))
+    payload["morphisms"][morphism]["alpha"] = ser.dump_automorphism(M3)
+    (record,) = check_instance(suite, payload, Tolerance())
+    assert (record.check, record.passed, record.error) == ("construction", False, error)
+
+
+def test_importing_the_harness_leaves_the_process_pool_unloaded():
+    # concurrent.futures loads its process pool, and multiprocessing with it, on
+    # the first read of ProcessPoolExecutor, which only run with jobs > 1 makes
+    path = os.pathsep.join([str(Path(ksgnslab.__file__).parent.parent),
+                            os.environ.get("PYTHONPATH", "")])
+    code = "import sys, ksgnslab.harness; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_inverse_in_another_algebra_fails_construction():

@@ -16,7 +16,6 @@ from ksgnslab.errors import (
 )
 from ksgnslab.generators import canonical_module, random_module, random_vectors
 from ksgnslab.hilbert import (
-    AlphaLinearMap,
     HilbertModule,
     ModuleMap,
     PreModule,
@@ -484,36 +483,34 @@ def test_cauchy_schwarz_scalarized(rng):
 def test_twist_identity_gives_inclusion(rng):
     E = random_module(AlgebraShape((2,)), rng, max_dim=4)
     memo = BuildMemo()
-    tw = twist_unitary(E, [identity_automorphism(E.algebra)], DEFAULT_TOL, memo)[0]
+    _, (U,) = twist_unitary(E, [identity_automorphism(E.algebra)], DEFAULT_TOL, memo)
     inc = inclusion_unitary(E, DEFAULT_TOL, memo)
-    assert np.allclose(tw.unitary.matrix, inc.iota.matrix)
+    assert np.allclose(U, inc.iota.matrix)
 
 
 def test_twist_preserves_dimension_and_norm(rng):
     B = AlgebraShape((1, 2))
     E = algebra_module(B)
     alpha = random_automorphism(B, 17)
-    tw = twist_unitary(E, [alpha], DEFAULT_TOL, BuildMemo())[0]
-    assert tw.twisted.module.dim == E.dim
-    assert twisted_linearity_residual(tw.unitary) <= 1e-10
-    for x in random_vectors(tw.twisted.module, rng, 50):
-        assert abs(
-            E.vector_norm(tw.unitary.matrix @ x) - tw.twisted.module.vector_norm(x)
-        ) <= 1e-8
+    (tm,), (U,) = twist_unitary(E, [alpha], DEFAULT_TOL, BuildMemo())
+    assert tm.module.dim == E.dim
+    # U is alpha^-1-linear: U(z b) = U(z) alpha^-1(b)
+    assert twisted_linearity_residual(U, tm.module, E, alpha.inverse_matrix) <= 1e-10
+    for x in random_vectors(tm.module, rng, 50):
+        assert abs(E.vector_norm(U @ x) - tm.module.vector_norm(x)) <= 1e-8
 
 
 def test_twist_adjoint_identity(rng):
     B = AlgebraShape((2,))
     E = random_module(B, rng, max_dim=4)
     alpha = random_automorphism(B, 3)
-    tw = twist_unitary(E, [alpha], DEFAULT_TOL, BuildMemo())[0]
-    U = tw.unitary.matrix
+    (tm,), (U,) = twist_unitary(E, [alpha], DEFAULT_TOL, BuildMemo())
     U_inv = np.linalg.inv(U)
     for _ in range(10):
         x = random_complex(rng, E.dim)
         y = random_complex(rng, E.dim)
         lhs = E.pair(U @ x, y)
-        rhs = alpha.inverse(tw.twisted.module.pair(x, U_inv @ y))
+        rhs = alpha.inverse(tm.module.pair(x, U_inv @ y))
         assert element_norms(B, lhs - rhs) <= 1e-8
 
 
@@ -522,13 +519,14 @@ def test_alpha_transport_round_trip(rng):
     E = algebra_module(B)
     alpha = random_automorphism(B, 5)
     # beta_g-style alpha-linear unitary on B: the automorphism itself
-    T = AlphaLinearMap(E, E, alpha, alpha.matrix)
-    assert twisted_linearity_residual(T) <= 1e-12
-    plain, tw = alpha_transport(T, twist_unitary(E, [alpha], DEFAULT_TOL, BuildMemo())[0])
+    T = alpha.matrix
+    assert twisted_linearity_residual(T, E, E, alpha.matrix) <= 1e-12
+    (tm,), (U,) = twist_unitary(E, [alpha], DEFAULT_TOL, BuildMemo())
+    plain = alpha_transport(T, E, alpha, alpha, tm, U)
     assert linearity_residual(plain) <= 1e-10
     assert unitarity_residual([plain]) <= 1e-10
-    back = alpha_transport_inverse(plain, tw, alpha)
-    assert operator_norm(back.matrix - T.matrix) <= 1e-10
+    back = alpha_transport_inverse(plain, U)
+    assert operator_norm(back - T) <= 1e-10
 
 
 def test_alpha_transport_of_permutation_twist_unitary(rng):
@@ -539,14 +537,14 @@ def test_alpha_transport_of_permutation_twist_unitary(rng):
     alpha = random_automorphism(B, 21)
     E = direct_sum_module(algebra_module(B), 2)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    U_mat = np.kron(swap, alpha.matrix)
-    T = AlphaLinearMap(E, E, alpha, U_mat)
-    assert twisted_linearity_residual(T) <= 1e-10
-    plain, tw = alpha_transport(T, twist_unitary(E, [alpha], DEFAULT_TOL, BuildMemo())[0])
+    T = np.kron(swap, alpha.matrix)
+    assert twisted_linearity_residual(T, E, E, alpha.matrix) <= 1e-10
+    (tm,), (U,) = twist_unitary(E, [alpha], DEFAULT_TOL, BuildMemo())
+    plain = alpha_transport(T, E, alpha, alpha, tm, U)
     assert unitarity_residual([plain]) <= 1e-8
     assert linearity_residual(plain) <= 1e-8
-    back = alpha_transport_inverse(plain, tw, alpha)
-    assert operator_norm(back.matrix - T.matrix) <= 1e-8
+    back = alpha_transport_inverse(plain, U)
+    assert operator_norm(back - T) <= 1e-8
 
 
 def test_alpha_transport_twist_mismatch(rng):
@@ -554,10 +552,9 @@ def test_alpha_transport_twist_mismatch(rng):
     E = algebra_module(B)
     alpha = random_automorphism(B, 6)
     beta = random_automorphism(B, 7)
-    T = AlphaLinearMap(E, E, alpha, alpha.matrix)
-    wrong = twist_unitary(E, [beta], DEFAULT_TOL, BuildMemo())[0]
+    (tm,), (U,) = twist_unitary(E, [beta], DEFAULT_TOL, BuildMemo())
     with pytest.raises(TwistMismatch):
-        alpha_transport(T, twisted=wrong)
+        alpha_transport(alpha.matrix, E, alpha, beta, tm, U)
 
 
 # -- inclusion, composition, v_rho --------------------------------------------

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ksgnslab import serialize as ser
 from ksgnslab.cp import CPMap, Intertwiner, check_morphism, random_blinear_unitary
 from ksgnslab.cstar import (
     AlgebraShape,
@@ -18,6 +21,7 @@ from ksgnslab.generators import (
     random_vectors,
     transported_copy,
 )
+from ksgnslab.harness import SizeCaps, generate_instance, instance_seed
 from ksgnslab.hilbert import ModuleMap, adjoint_map, canonical_module, identity_map
 from ksgnslab.ksgns import (
     check_idempotency,
@@ -36,7 +40,7 @@ from ksgnslab.poscor import unitarity_residual
 from ksgnslab.cp import intertwiner_space, random_cp
 from ksgnslab.cstar import AlgebraElement
 
-from conftest import element_norm, passed, probe_passed, random_complex
+from conftest import element_norm, failing, passed, probe_passed, random_complex
 
 
 def state_on_m2(weights):
@@ -385,3 +389,52 @@ def test_probe_rejects_non_convergent_path(rng):
     )
     with pytest.raises(NonConvergentInput):
         continuity_probe(path, off_target, t1, t2, *samples, DEFAULT_TOL)
+
+
+# -- uniqueness against an independently built dilation ------------------------
+
+
+def default_cp_map(suite: str, idx: int) -> tuple:
+    """(E, phi) of default instance idx of the ksgns or uniqueness suite."""
+    payload = generate_instance(suite, SizeCaps(), instance_seed(20250809, suite, idx))
+    if suite == "ksgns":
+        E = ser.load_module(payload["module"])
+        return E, ser.load_cpmap(payload["phi"], {"module": E})
+    c = ser.load_equivariant(payload["correspondence"])
+    return c.module, c.phi
+
+
+def pulled_back(t2, E, phi, W: ModuleMap, alpha: np.ndarray):
+    """A dilation t2 of a transported copy (E', phi') of (E, phi), (W, alpha) the
+    transport, pulled back to (E, phi): pi(a) = pi'(alpha(a)) and V = V' W, with
+    alpha the matrix of the automorphism."""
+    images = np.einsum("qp,qij->pij", alpha, t2.pi.images)
+    return dataclasses.replace(
+        t2, source=E, phi=phi, pi=CPMap(phi.algebra, t2.module, images),
+        embedding=ModuleMap(E, t2.module, t2.embedding.matrix @ W.matrix),
+    )
+
+
+@pytest.mark.parametrize("suite", ["ksgns", "uniqueness"])
+@pytest.mark.parametrize("idx", range(10))
+def test_uniqueness_against_a_dilation_of_a_transported_copy(suite, idx):
+    # the transported copy is dilated afresh, on its own memo, so its Gram, null
+    # space and quotient basis are its own; the matching unitary still exists
+    # and is the lift of the transport.  Pulled back along the identity in
+    # place of alpha, the match fails wherever alpha moves A
+    E, phi = default_cp_map(suite, idx)
+    A = phi.algebra
+    t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
+    E2, phi2, m = transported_copy(E, phi, np.random.default_rng(idx))
+    t2 = ksgns([E2], [phi2], DEFAULT_TOL, BuildMemo())[0]
+    U, records = triple_uniqueness_unitary(t, pulled_back(t2, E, phi, m.eta, m.alpha.matrix),
+                                           DEFAULT_TOL)
+    assert failing(records) == []
+    lifted = ksgns_lift([m], [t], [t2], DEFAULT_TOL)[0]
+    assert operator_norm(U.matrix - lifted.eta.matrix) <= 10 * DEFAULT_TOL.ctol
+    _, control = triple_uniqueness_unitary(t, pulled_back(t2, E, phi, m.eta, np.eye(A.dim)),
+                                           DEFAULT_TOL)
+    moved = operator_norm(m.alpha.matrix - np.eye(A.dim)) > 10 * DEFAULT_TOL.ctol
+    assert failing(control) == (["unitary", "representation_match"] if moved else [])
+    # C has no other automorphism, and every other default A has a block M_n, n > 1
+    assert moved == (A.dim > 1)

@@ -27,7 +27,7 @@ from ksgnslab.cp import (
 from ksgnslab.cstar import AlgebraShape, StarMap
 from ksgnslab.equivariant import scramble_module
 from ksgnslab.errors import ShapeMismatch, UnequalCopies
-from ksgnslab.hilbert import ModuleView, algebra_module, canonical_module
+from ksgnslab.hilbert import algebra_module, canonical_module
 from ksgnslab.ksgns import ksgns
 from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL, Split
@@ -109,7 +109,7 @@ def test_ksgns_pi_vanishes_exactly_outside_its_block(blocks):
     F, phi = compressed_cp(A, rng, zero_block=False)
     t = ksgns([F], [phi], DEFAULT_TOL, BuildMemo())[0]
     places = canonical_places(t.s, row_split(A, F.dim))
-    realized = realized_images(ModuleView([t.pi.module]), t.pi.images[None])[0]
+    realized = realized_images([t.pi.module], t.pi.images[None])[0]
     for p, i, a, b in A.basis_labels():
         outside = np.ones((t.dim, t.dim), bool)
         outside[np.ix_(places[i][a], places[i][b])] = False

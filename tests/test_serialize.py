@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from ksgnslab import serialize as ser
-from ksgnslab.cstar import AlgebraShape, random_automorphism, random_element
-from ksgnslab.cp import random_cp
+from ksgnslab.cstar import AlgebraShape, identity_star_map, random_automorphism, random_element
+from ksgnslab.cp import left_mult_correspondence, random_cp
 from ksgnslab.equivariant import cyclic_group, random_equivariant
 from ksgnslab.errors import ValidationError
-from ksgnslab.generators import random_module, random_star_map
+from ksgnslab.generators import random_module, random_representation, random_star_map
+from ksgnslab.memo import BuildMemo
 
 from conftest import random_complex, scalar_module, star_map_images
 
@@ -343,3 +344,20 @@ def test_stacked_lists_load_what_the_items_load():
             forward, inverse = (ser.load_star_map(a[k]).matrix for k in ("forward", "inverse"))
             assert alpha.matrix.tobytes() == forward.tobytes()
             assert alpha.inverse_matrix.tobytes() == inverse.tobytes()
+
+
+@pytest.mark.parametrize("which", ["random_representation", "left_multiplication"])
+def test_representation_keeps_its_key_across_a_round_trip(which):
+    # a generated representation and its payload twin are one map to the memo:
+    # equal module keys and images give equal keys, whatever built the map
+    if which == "random_representation":
+        _, pi = random_representation(
+            AlgebraShape((2,)), AlgebraShape((1, 2)), np.random.default_rng(3), max_dim=4
+        )
+    else:
+        (pi,) = left_mult_correspondence([identity_star_map(AlgebraShape((2,)))], BuildMemo())
+    F = ser.load_module(ser.dump_module(pi.module))
+    twin = ser.load_cpmap(ser.dump_cpmap(pi, "F"), {"F": F})
+    assert F.key == pi.module.key
+    assert np.array_equal(twin.images, pi.images)
+    assert twin.key == pi.key

@@ -904,9 +904,8 @@ def restacked_fields(source: str) -> list[str]:
 
 def test_builders_read_quotient_and_module_stacks_whole():
     # quotients and modules are stacks; a builder reads their arrays whole
-    # (hilbert.gather, and ModuleView over a list of modules, read a list of
-    # slices from their stack) and never stacks one field of a list of their
-    # slices again
+    # (hilbert.gather reads a list of modules or slices from their stack) and
+    # never stacks one field of a list of their slices again
     probe = (
         "def f(tms, maps, mods):\n"
         "    q = stack_slices([t.q for t in tms])\n"
@@ -914,7 +913,7 @@ def test_builders_read_quotient_and_module_stacks_whole():
         "    S = stack_slices([t.s.reshape(2, 2) for t in tms])\n"
         "    X = stack_slices([p.images for p in maps])\n"
         "    M = np.stack([kron(eye, E.action[p]) for p in range(4)])\n"
-        "    return ModuleView(mods).pairing\n"
+        "    return gather(mods, 'pairing')\n"
     )
     assert restacked_fields(probe) == ["f (line 2)", "f (line 3)", "f (line 4)"]
     found = {

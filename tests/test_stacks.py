@@ -76,12 +76,13 @@ def quotient_parts(tm):
 def test_stacks_equal_the_group_loops(gname, seed, trivial_beta):
     c = random_equivariant(M2, M2, GROUPS[gname], seed=seed, copies=1, trivial_beta=trivial_beta)
     memo = BuildMemo()
-    stacked = twist_unitary(c.module, c.system_out.action, DEFAULT_TOL, memo)
-    for tw, ref in zip(stacked, twist_unitaries_reference(c), strict=True):
-        assert tw.twisted.module.dim == c.module.dim  # E (x)_beta B is the twist E_beta
-        for a, b in zip(quotient_parts(tw.twisted), quotient_parts(ref.twisted), strict=True):
+    tms, stacked = twist_unitary(c.module, c.system_out.action, DEFAULT_TOL, memo)
+    assert stacked.shape == (c.group.order, c.module.dim, c.module.dim)
+    for tm, U, (ref_tm, ref_U) in zip(tms, stacked, twist_unitaries_reference(c), strict=True):
+        assert tm.module.dim == c.module.dim  # E (x)_beta B is the twist E_beta
+        for a, b in zip(quotient_parts(tm), quotient_parts(ref_tm), strict=True):
             assert np.array_equal(a, b)
-        assert np.array_equal(tw.unitary.matrix, ref.unitary.matrix)
+        assert np.array_equal(U, ref_U)
     quad = dilate(c, DEFAULT_TOL, memo)
     cats = categorical_dilation_unitary(c, DEFAULT_TOL, memo)
     assert cats.shape == (c.group.order, quad.module.dim, quad.module.dim)
@@ -250,8 +251,8 @@ def test_a_nan_in_any_slice_of_a_stack_raises(monkeypatch, where, i):
     # module stack, of a pre-module stack on its way to a quotient, or of the
     # eigenvectors a quotient stack is built on raises NonFinite
     c = s3_instance()
-    tw = twist_unitary(c.module, c.system_out.action[:3], DEFAULT_TOL, BuildMemo())[0]
-    E = tw.twisted.stack.module
+    tms, _ = twist_unitary(c.module, c.system_out.action[:3], DEFAULT_TOL, BuildMemo())
+    E = tms[0].stack.module
     action, pairing = E.action.copy(), [P.copy() for P in E.pairing]
     (action if where == "action" else pairing[0])[i, 0, 0, 0] = np.nan
     with pytest.raises(NonFinite, match=f"^module {where} contains NaN"):
