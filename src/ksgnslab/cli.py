@@ -11,6 +11,7 @@ IO error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import KsgnslabError
 from .harness import (
+    BLAS_THREAD_VARS,
     SUITE_NAMES,
     SizeCaps,
     SuiteConfig,
@@ -55,8 +57,16 @@ def _config_from_args(args) -> SuiteConfig:
     )
 
 
+def _blas_note() -> None:
+    """Generated instances follow the BLAS thread count: say so unless one is pinned."""
+    if "1" not in map(os.environ.get, BLAS_THREAD_VARS):
+        print(f"note: none of {', '.join(BLAS_THREAD_VARS)} is 1, so the generated "
+              "instances can differ from the ones pinned at one BLAS thread", file=sys.stderr)
+
+
 def _cmd_gen(args) -> int:
     config = _config_from_args(args)
+    _blas_note()
     paths = generate(config, args.out)
     for path in paths:
         print(path)
@@ -65,7 +75,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _config_from_args(args)
-    report = run(config, instance_dir=getattr(args, "in_dir", None))
+    if args.in_dir is None:  # the instances are generated here
+        _blas_note()
+    report = run(config, instance_dir=args.in_dir)
     text = report_emit(report, args.format)
     if args.out:
         with open(args.out, "w") as fh:

@@ -52,6 +52,7 @@ from .hilbert import (
     quotient_by_copies,
     quotient_by_null,
     rank_one_sum,
+    read_only,
     same_module,
 )
 from .memo import BuildMemo, content_key, structure
@@ -60,8 +61,9 @@ from .numkernel import (
     GENERATION_TOL,
     Split,
     Tolerance,
+    any_nonzero,
     dots,
-    exceeds_gate,
+    exceeds_finite_gate,
     herm_expi,
     kron,
     live_products,
@@ -217,24 +219,25 @@ class TensorModule(QuotientSlice):
 def paired_images(
     E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap],
     at: np.ndarray | None = None,
-) -> np.ndarray:
-    """N[s, i, k] = pi_s(<e_i, e_k>_E) on F_s (on its coordinates `at` if given), from
-    one stacked product; ShapeMismatch unless each pi_s maps E_s's B into L(F_s)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """N[s, i, k] = pi_s(<e_i, e_k>_E) on F_s (on its block `at` if given, (k, k) flat
+    indices into (dim F, dim F)), from one stacked product, and the stack of pi's
+    images; ShapeMismatch unless each pi_s maps E_s's B into L(F_s)."""
     for e, f, p in zip(E, F, pi):
-        if p.algebra != e.algebra:
+        if p.algebra.blocks != e.algebra.blocks:
             raise ShapeMismatch("representation domain differs from E's coefficients")
-        if not same_module(p.module, f):
+        if p.module is not f and not same_module(p.module, f):
             raise ShapeMismatch("representation does not act on F")
     n, dE, B = len(E), E[0].dim, E[0].algebra
     pairing = gather(E, "pairing")
     coeffs = np.concatenate(
         [P.reshape(n, dE * dE, m * m) for P, m in zip(pairing, B.blocks)], axis=2
     )
-    images = stack_slices([p.images for p in pi])
+    images = X = stack_slices([p.images for p in pi])
     if at is not None:
-        images = images[:, :, at[:, None], at]
+        images = images.reshape(n, B.dim, -1).take(at, axis=2)
     m = images.shape[-1]
-    return dots(coeffs, images.reshape(n, B.dim, m * m)).reshape(n, dE, dE, m, m)
+    return dots(coeffs, images.reshape(n, B.dim, m * m)).reshape(n, dE, dE, m, m), X
 
 
 def tensor_premodule(
@@ -244,7 +247,7 @@ def tensor_premodule(
     pi: B -> L(F), for matching slices of one shape, with pairing
     <e_i (x) f_j, e_k (x) f_l> = <f_j, pi(<e_i, e_k>_E) f_l>_F and C acting on
     the F slot: one stacked contraction for the whole stack."""
-    N = paired_images(E, F, pi)
+    N = paired_images(E, F, pi)[0]
     n, dE, dF = len(E), E[0].dim, F[0].dim
     action = kron(np.eye(dE, dtype=complex), gather(F, "action"))  # I (x) R(u_c)
     # pairing[s, i, j, k, l] = sum_m N[s, i, k, m, l] P[s, j, m]
@@ -288,14 +291,16 @@ def row_split(A: AlgebraShape, dF: int) -> Copies:
 
 
 def over_itself(M: Sequence[HilbertModule]) -> bool:
-    """Whether every M[s] is C over itself, dim C > 1: identity Gram first, then
-    identity with the process's algebra module, and content keys only for other
-    objects."""
-    C = M[0].algebra
-    if C.dim < 2 or M[0].dim != C.dim or not (M[0].gram_matrix == np.eye(C.dim)).all():
+    """Whether every M[s] is C over itself, dim C > 1: of C's dimension, then the
+    process's algebra module itself, then an identity Gram, and content keys only
+    for other objects."""
+    if (C := M[0].algebra).dim < 2 or M[0].dim != C.dim:
         return False
-    C_mod = algebra_module(C)
-    return all(m is C_mod for m in M) or {m.key for m in M} == {C_mod.key}
+    if set(map(id, M)) == {id(C_mod := algebra_module(C))}:
+        return True
+    if any_nonzero(M[0].gram_matrix != C_mod.gram_matrix):  # the identity
+        return False
+    return {m.key for m in M} == {C_mod.key}
 
 
 def column_quotients(
@@ -304,16 +309,15 @@ def column_quotients(
     """E[s] (x)_pi[s] C, every F[s] C over itself, by quotient_by_columns on copy 0's
     Gram blocks read off paired_images after the C-linearity gate (NonLinearMap),
     with the process's copies of C and of E (x) C; None when a block's rank differs
-    between slices."""
+    between slices.  The gate takes no norm when every pi(u_p) is exactly the copies
+    of its block, and NaN or Inf in pi's images raises NonFinite."""
     C, S, dE = F[0].algebra, len(E), E[0].dim
-    units = column_split(C, 1)  # units[t][k, a]: e^t_ak
-    N = paired_images(E, F, pi, np.concatenate([c[0] for c in units]))  # on copy 0 of each block
-    X = stack_slices([p.images for p in pi])
-    D = X.copy()  # pi(u_p) less the copies of its block: 0 for left multiplications
-    for c in units:
-        D[..., c[:, :, None], c[:, None, :]] -= X[..., c[:1, :, None], c[:1, None, :]]
-    bad = exceeds_gate(D, X, tol)
-    if np.count_nonzero(bad):
+    first, ref, on = column_split(C, 1).counterparts  # of the copies e^t_.k of C's blocks
+    N, X = paired_images(E, F, pi, first)  # on copy 0 of each block
+    X = require_finite(X)
+    Xf = X.reshape(S, -1, C.dim * C.dim)
+    D = (Xf - Xf.take(ref, axis=2) * on).reshape(X.shape)  # pi(u_p) less the copies
+    if any_nonzero(D) and any_nonzero(bad := exceeds_finite_gate(D, X, tol)):
         raise NonLinearMap(f"pi is not C-linear (residual {operator_norm(D[bad][0]):.3e})")
     o = list(accumulate(C.blocks, initial=0))
     gram = Split([N[..., i:j, i:j].transpose(0, 1, 3, 2, 4).reshape(S, dE * n, dE * n)
@@ -403,12 +407,8 @@ def left_multiplication(A: AlgebraShape) -> np.ndarray:
     (algebra_module(A)), the images of left_mult_correspondence along A's
     identity: one read-only stack per block sizes, shared by the process."""
 
-    def build() -> np.ndarray:
-        images = left_images(np.eye(A.dim), A)
-        images.flags.writeable = False
-        return images
-
-    return structure(("left_multiplication", A.blocks), build)
+    return structure(("left_multiplication", A.blocks),
+                     lambda: read_only(left_images(np.eye(A.dim), A))[0])
 
 
 # -- generation ------------------------------------------------------------

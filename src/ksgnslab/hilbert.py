@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Sequence
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from .numkernel import (
     DEFAULT_TOL,
     Split,
     Tolerance,
+    any_nonzero,
     exceeds_finite_gate,
     live_products,
     matvecs,
@@ -166,7 +167,7 @@ class HilbertModule(PreModule):
                 f"Gram spectrum of shapes {w.shape}, {V.shape} for a module of dim {d}"
             )
         bad = (w[..., -1:] <= 0.0) | (w[..., :1] <= DEFAULT_TOL.rtol * w[..., -1:])
-        if np.count_nonzero(bad):
+        if any_nonzero(bad):
             i = int(np.flatnonzero(bad)[0])
             lo, hi = w.reshape(-1, d)[i, [0, -1]]
             where = f" in slice {i}" if w.size > d else ""
@@ -190,6 +191,9 @@ class HilbertModule(PreModule):
     def gram_inv(self) -> np.ndarray:
         return self._gram_power(-1.0)
 
+    def __getitem__(self, index) -> ModuleView:
+        return ModuleView(self, index)
+
     def vector_norm(self, X: np.ndarray) -> np.ndarray:
         """||x|| = sqrt(||<x, x>||_B) for each row x of X (..., d), shape (...)."""
         return np.sqrt(element_norms(self.algebra, self.pair(X, X)))
@@ -209,28 +213,26 @@ def gather(items: Sequence, name: str):
     stack_slices, which names a slice of another shape."""
     if len(items) == 1:
         return _at(getattr(items[0], name), np.newaxis)
-    stack, idx = items[0].stack, []
-    for x in items:
-        if stack is None or x.stack is not stack:
-            parts = [getattr(x, name) for x in items]
-            if isinstance(parts[0], (list, tuple)):
-                return [stack_slices(p) for p in zip(*parts)]
-            return stack_slices(parts)
-        idx.append(x.index)
+    if (stack := items[0].stack) is None or not all([x.stack is stack for x in items]):
+        parts = [getattr(x, name) for x in items]
+        if isinstance(parts[0], (list, tuple)):
+            return [stack_slices(p) for p in zip(*parts)]
+        return stack_slices(parts)
+    idx = [x.index for x in items]
     value = getattr(stack, name)
     n = len(value[0] if isinstance(value, (list, tuple)) else value)
     return value if idx == list(range(n)) else _at(value, np.array(idx))
 
 
 class _Field:
-    """A ModuleView's field, read on first use and kept: its stack's at its
-    index (a plain descriptor: cached_property locks on every first read, a
-    cost views pay by the thousand per check pass)."""
+    """A slice's field, read on first use and kept: its stack's at its index (a
+    plain descriptor: cached_property locks on every first read, a cost views
+    pay by the thousand per check pass)."""
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.name = name
 
-    def __get__(self, view: ModuleView, owner: type | None = None):
+    def __get__(self, view, owner: type | None = None):
         value = _at(getattr(view.stack, self.name), view.index)
         view.__dict__[self.name] = value
         return value
@@ -252,8 +254,15 @@ class ModuleView(HilbertModule):
 
 def _scalarized(B: AlgebraShape, pairing: Sequence[np.ndarray]) -> np.ndarray:
     """G_ij = tau(<e_i, e_j>): each pairing block's trace, summed along its diagonal in
-    trace's order (add.reduce's plain loop at n_t <= 8) without its strided reduction."""
-    return sum(reduce(np.add, (P[..., i, i] for i in range(n))) for n, P in zip(B.blocks, pairing))
+    trace's order (add.reduce's plain loop at n_t <= 8) without its strided reduction,
+    and the blocks' traces summed from 0 in block order."""
+    G = 0
+    for n, P in zip(B.blocks, pairing):
+        trace = P[..., 0, 0]
+        for i in range(1, n):
+            trace = trace + P[..., i, i]
+        G = G + trace
+    return G
 
 
 def pairing_coeffs(E: PreModule, Y: np.ndarray) -> np.ndarray:
@@ -300,16 +309,14 @@ class Quotient:
 
 @dataclass
 class QuotientSlice:
-    """Slice `index` of a quotient stack: its module, q, s and kernel are
-    views of the stack's, which gather reads back whole."""
+    """Slice `index` of a quotient stack: its module (a ModuleView), q, s and
+    kernel are views of the stack's, read on first use, which gather reads back
+    whole."""
 
     stack: Quotient
     index: int
 
-    def __post_init__(self) -> None:
-        st, i = self.stack, self.index
-        self.module = ModuleView(st.module, i)
-        self.q, self.s, self.kernel = st.q[i], st.s[i], st.kernel[i]
+    q, s, kernel, module = _Field(), _Field(), _Field(), _Field()
 
 
 def quotient_by_null(pre: PreModule, tol: Tolerance) -> Quotient:
@@ -374,13 +381,28 @@ class Copies(list):
     build each layout once per process."""
 
     def __init__(self, at: Sequence[np.ndarray]) -> None:
-        super().__init__(_read_only(*at))
+        super().__init__(read_only(*at))
         self.layouts: dict[tuple[int, ...], CopyLayout] = {}
+        self.dim = sum(c.size for c in self)
 
-    def layout(self, decided: list[tuple]) -> CopyLayout:
-        """The layout at the ranks of rank_kernel's decisions, slice 0's."""
-        ranks = tuple(int(k[0]) for k, _, _ in decided)
-        if ranks not in self.layouts:
+    @cached_property
+    def counterparts(self) -> list[np.ndarray]:
+        """As flat indices into a (d, d) matrix, read-only: the block on copy 0's
+        coordinates of every block, and per entry its copy-0 counterpart, with 1 on the
+        copies' blocks and 0 off them."""
+        d, ref, on = self.dim, np.arange(self.dim**2), np.zeros(self.dim**2)
+        for X in (c[:, :, None] * d + c[:, None, :] for c in self):  # X[a, i, j]
+            ref[X], on[X] = X[0], 1.0
+        first = np.concatenate([c[0] for c in self])
+        return read_only(first[:, None] * d + first, ref, on)
+
+    def layout(self, decided: list[tuple]) -> CopyLayout | None:
+        """The layout at the ranks of rank_kernel's decisions, slice 0's; None when a
+        block's rank differs between slices."""
+        for k, _, _ in decided:
+            if any_nonzero(k != k[0]):
+                return None
+        if (ranks := tuple([int(k[0]) for k, _, _ in decided])) not in self.layouts:
             self.layouts[ranks] = CopyLayout(self, ranks)
         return self.layouts[ranks]
 
@@ -391,13 +413,15 @@ class CopyLayout:
     An entry indexes the pieces of all blocks as _pieces lays them out, -1 the zero
     after them: s (d, r) and kernel (d, d - r) hold copy 0's kept and dropped
     eigenvector columns on every copy, diagonal (r, r) block t's k_t x k_t pieces on
-    the diagonal block of every copy, and spread (r,) its k_t values on every copy."""
+    the diagonal block of every copy, and spread (r,) its k_t values on every copy;
+    index (r, 1) is 0, ..., r - 1; after, diagonal and spread for pieces that follow
+    the eigenvectors', the k_t x k_t ones first (one _pieces call for both)."""
 
     def __init__(self, copies: Copies, ranks: tuple[int, ...]) -> None:
-        self.blocks, self.ranks = [len(c) for c in copies], ranks
-        d, r = sum(c.size for c in copies), sum(n * k for n, k in zip(self.blocks, ranks))
+        self.blocks, self.ranks, self.stacked = [len(c) for c in copies], ranks, {}
+        d, r = copies.dim, sum(n * k for n, k in zip(self.blocks, ranks))
         self.s, self.kernel, self.diagonal = (np.full(x, -1) for x in [(d, r), (d, d - r), (r, r)])
-        self.spread = np.zeros(r, int)
+        self.spread, self.index = np.zeros(r, int), np.arange(r)[:, None]
         O = Z = vo = po = wo = 0  # where block t's coordinates and pieces start
         for c, n, k in zip(copies, self.blocks, ranks):
             b = c.shape[1]
@@ -408,26 +432,30 @@ class CopyLayout:
             self.diagonal[Q[:, :, None], Q[:, None]] = po + np.arange(k * k).reshape(k, k)
             self.spread[Q] = wo + np.arange(k)
             O, Z, vo, po, wo = O + n * k, Z + n * z, vo + b * b, po + k * k, wo + k
-        _read_only(self.s, self.kernel, self.diagonal, self.spread)
+        self.eigenvectors = vo  # their pieces' length
+        self.after = np.where(self.diagonal < 0, -1, self.diagonal + vo), self.spread + vo + po
+        read_only(self.s, self.kernel, self.diagonal, self.spread, self.index, *self.after)
 
     @cached_property
     def closed_form(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """For column copies, of B = (+)_t M_{n_t} over itself, read-only: the 0/1 action
         (dim B, r, r), R(e^t_kl) moving copy k to l, and per block t the index array (r,
-        r, n_t, n_t) of its pairing into the values, <v_a (x) e_k, v_a (x) e_l> = w_a e^t_kl."""
+        r, n_t, n_t) of its pairing into the values, <v_a (x) e_k, v_a (x) e_l> = w_a e^t_kl,
+        and spread, for the values laid out after the eigenvectors' pieces."""
         r, pairing = len(self.spread), []
         action = np.zeros((sum(n * n for n in self.blocks), r, r), complex)
-        O = o = wo = 0
+        O, o, wo = 0, 0, self.eigenvectors
         for n, k in zip(self.blocks, self.ranks):
             kk, l, a = np.arange(n)[:, None, None], np.arange(n)[:, None], np.arange(k)
             action[o + kk * n + l, O + l * k + a, O + kk * k + a] = 1.0  # copy kk to copy l
             pairing.append(np.full((r, r, n, n), -1))
             pairing[-1][O + kk * k + a, O + l * k + a, kk, l] = wo + a
             O, o, wo = O + n * k, o + n * n, wo + k
-        return _read_only(action)[0], _read_only(*pairing)
+        spread = self.spread + self.eigenvectors
+        return read_only(action)[0], read_only(*pairing), read_only(spread)[0]
 
 
-def _read_only(*arrays: np.ndarray) -> list[np.ndarray]:
+def read_only(*arrays: np.ndarray) -> list[np.ndarray]:
     """arrays, each made read-only: structure shared by the whole process."""
     for X in arrays:
         X.flags.writeable = False
@@ -442,81 +470,73 @@ def _pieces(pieces: Sequence[np.ndarray], axis: int, width: int = 2) -> np.ndarr
     return np.concatenate([*flat, zero], axis=axis)
 
 
-def split_bases(decided: list[tuple], copies: Copies) -> tuple | None:
-    """Stacks (range, kernel) I_{n_t} (x) V_t of rank_kernel's Split decisions on copy 0's
-    Gram blocks, placed by the copies' layout and checked finite; None when a block's
-    rank differs between slices."""
-    if any(np.count_nonzero(k != k[0]) for k, _, _ in decided):
-        return None
-    V, at = _pieces([V for _, _, V in decided], 1), copies.layout(decided)
-    V = require_finite(V, "Gram eigenvectors")
-    return V.take(at.s, axis=1), V.take(at.kernel, axis=1)
-
-
-def _sorted_quotients(B: AlgebraShape, s, kernel, action, pairing, w, V) -> Quotient:
-    """_quotients with the spectrum w (S, r) sorted ascending, V's columns with it."""
-    order, rows = np.argsort(w, axis=-1, kind="stable"), np.arange(len(w))[:, None]
-    w, V = w[rows, order], V[rows[..., None], np.arange(V.shape[-1])[:, None], order[:, None]]
-    return _quotients(B, s, kernel, action, pairing, w, V)
-
-
 def quotient_by_copies(pre: PreModule, copies: Copies, tol: Tolerance) -> Quotient:
     """quotient_by_null of orthogonal sums of equal submodules, copies[t] placing block
-    t's (cp.row_split), as (+)_t C^{n_t} (x) K_t: split_bases on copy 0's Gram blocks,
-    and one _quotient_stack per block what its copies share, which the layout puts on
-    every copy.  Gram blocks that differ beyond exceeds_gate raise UnequalCopies, and
-    blocks whose ranks differ between slices go to quotient_by_null."""
-    G, B, G0 = pre.gram(), pre.algebra, []
+    t's (cp.row_split), as (+)_t C^{n_t} (x) K_t: the rank decision on copy 0's Gram
+    blocks, and one _quotient_stack per block what its copies share, which the layout
+    puts on every copy.  Copies that are not copy 0's bit for bit take the gate, and
+    beyond it raise UnequalCopies; blocks whose ranks differ between slices go to
+    quotient_by_null."""
+    G, B, S, G0 = _scalarized(pre.algebra, pre.pairing), pre.algebra, pre.action.shape[0], []
     for t, c in enumerate(copies):
         G0.append(G[:, c[:1, :, None], c[:1, None, :]])
         D = G[:, c[1:, :, None], c[1:, None, :]] - G0[-1]
-        if np.count_nonzero(D) and np.count_nonzero(
+        if any_nonzero(D) and any_nonzero(
                 bad := exceeds_finite_gate(D, np.broadcast_to(G0[-1], D.shape), tol)):
             i, a = np.argwhere(bad)[0]
             raise UnequalCopies(f"copy {a + 1} of block {t} differs from copy 0 in slice {i}")
     decided = rank_kernel(Split([g[:, 0] for g in G0]), tol)
-    if (bases := split_bases(decided, copies)) is None:
+    if (at := copies.layout(decided)) is None:
         return quotient_by_null(pre, tol)  # the totals may still agree
-    parts = []
-    for c, (k, _, V) in zip(copies, decided):  # copy 0 of block t: its rows and kept columns
-        z, i, j = V.shape[-1] - int(k[0]), c[0][:, None], c[0]
-        st, kt = np.ascontiguousarray(V[..., z:]), np.ascontiguousarray(V[..., :z])
+    bases, parts = [require_finite(V, "Gram eigenvectors") for _, _, V in decided], []
+    for c, X, k in zip(copies, bases, at.ranks):  # copy 0: its rows, kept columns
+        z, i, j = X.shape[-1] - k, c[0][:, None], c[0]
+        st, kt = np.ascontiguousarray(X[..., z:]), np.ascontiguousarray(X[..., :z])
         pairing = [P[:, i, j] for P in pre.pairing]
         parts.append(_quotient_stack(B, st, kt, pre.action[..., i, j], pairing, tol))
-    (moved, blocks, w, V), at = zip(*parts), copies.layout(decided)
-    return _sorted_quotients(
-        B, *bases, _pieces(moved, 2).take(at.diagonal, axis=2),
-        [_pieces(P, 1).take(at.diagonal, axis=1) for P in zip(*blocks)],
-        np.concatenate(w, axis=1)[:, at.spread], _pieces(V, 1).take(at.diagonal, axis=1),
-    )
+    (moved, pairing, w, V), (diagonal, spread) = zip(*parts), at.after
+    pieces = _pieces([*bases, *V, *w], 1)  # copy 0's eigenvectors, then its spectra
+    w = pieces.real.take(spread, axis=1)  # the copies' spectra, sorted with V
+    order, rows = w.argsort(axis=-1, kind="stable"), np.arange(S)[:, None]
+    V = pieces.take(diagonal, axis=1)[rows[..., None], at.index, order[:, None]]
+    return _quotients(B, pieces.take(at.s, axis=1), pieces.take(at.kernel, axis=1),
+                      _pieces(moved, 2).take(at.diagonal, axis=2),
+                      [_pieces(P, 1).take(at.diagonal, axis=1) for P in zip(*pairing)],
+                      w[rows, order], V)
 
 
 def quotient_by_columns(
     B: AlgebraShape, gram: Split, copies: Copies, tol: Tolerance
 ) -> Quotient | None:
-    """E (x)_pi B, B = (+)_t M_{n_t} over itself, from split_bases on copy 0's Gram
+    """E (x)_pi B, B = (+)_t M_{n_t} over itself, from the rank decision on copy 0's Gram
     blocks (copies = cp.column_split), in the layout's closed form: with v_a, w_a block
     t's kept eigenpairs, O_t + k r_t + a is v_a (x) e^t_.k, R(e^t_kl) moves copy k to l,
-    and <v_a (x) e_k, v_b (x) e_l> = w_a delta_ab e^t_kl.  The kernel leaks under
-    R(e^t_kl), of norm 1, by V_t,keep* V_t,drop.  None when a block's rank differs
+    and <v_a (x) e_k, v_b (x) e_l> = w_a delta_ab e^t_kl; sorted, the Gram spectrum's
+    eigenvectors are the identity's columns in the order of the sort.  The kernel leaks
+    under R(e^t_kl), of norm 1, by V_t,keep* V_t,drop.  None when a block's rank differs
     between slices."""
     decided = rank_kernel(gram, tol)
-    if (bases := split_bases(decided, copies)) is None:
+    if (at := copies.layout(decided)) is None:
         return None
-    at, S, unit = copies.layout(decided), len(bases[0]), np.ones((len(bases[0]), 1, 1))
-    kept = [(V[..., V.shape[-1] - r :], V[..., : V.shape[-1] - r], w[:, w.shape[-1] - r :])
-            for (_, w, V), r in zip(decided, at.ranks)]
-    leaks = [(*leak, t) for t, (keep, drop, _) in enumerate(kept)
-             if (leak := first_leak(keep.conj().swapaxes(-1, -2) @ drop, unit, tol))]
+    bases, kept, leaks = [require_finite(V, "Gram eigenvectors") for _, _, V in decided], [], []
+    unit = np.ones((S := bases[0].shape[0], 1, 1))
+    for t, ((_, w, _), V, r) in enumerate(zip(decided, bases, at.ranks)):
+        z = V.shape[-1] - r
+        if leak := first_leak(V[..., z:].conj().swapaxes(-1, -2) @ V[..., :z], unit, tol):
+            leaks.append((*leak, t))
+        kept.append(w[:, z:])
     if leaks:
         i, leak, t = min(leaks)  # the first leaking slice
         raise _leak_error(S, i, B.offsets[t], leak)
-    (action, pairing), r = at.closed_form, len(at.spread)
-    w = _pieces([w for _, _, w in kept], 1, width=1)
-    return _sorted_quotients(
-        B, *bases, np.broadcast_to(action, (S, *action.shape)),
-        [w.take(P, axis=1) for P in pairing], w.real.take(at.spread, axis=1),
-        np.broadcast_to(np.eye(r, dtype=complex), (S, r, r)),
+    pieces, (action, pairing, spread) = _pieces([*bases, *kept], 1), at.closed_form
+    if (stacked := at.stacked.get(S)) is None:  # the action of S slices, kept per S
+        stacked = at.stacked[S] = np.broadcast_to(action, (S, *action.shape))
+    spectrum = pieces.real.take(spread, axis=1)
+    order = spectrum.argsort(axis=-1, kind="stable")
+    return _quotients(
+        B, pieces.take(at.s, axis=1), pieces.take(at.kernel, axis=1),
+        stacked, [pieces.take(P, axis=1) for P in pairing],
+        spectrum[np.arange(S)[:, None], order], (at.index == order[:, None]).astype(complex),
     )
 
 
@@ -534,7 +554,7 @@ def first_leak(X: np.ndarray, K: np.ndarray, tol: Tolerance) -> tuple[int, float
     exceeds its gate, or None when all pass; exceeds_gate certifies most
     slices without an exact norm.  K must be finite: descend and PreModule check it."""
     bad = exceeds_finite_gate(X, K, tol)
-    if not np.count_nonzero(bad):
+    if not any_nonzero(bad):
         return None
     first = int(np.flatnonzero(bad)[0])
     return first, operator_norm(X.reshape(-1, *X.shape[-2:])[first])
@@ -682,7 +702,7 @@ def algebra_module(shape: AlgebraShape) -> HilbertModule:
 
     def build() -> HilbertModule:
         E = canonical_module(shape, shape.blocks)
-        _read_only(E.action, *E.pairing, *E.gram_spectrum, E.gram_matrix, E.gram_sqrt,
+        read_only(E.action, *E.pairing, *E.gram_spectrum, E.gram_matrix, E.gram_sqrt,
                    E.gram_isqrt, E.gram_inv)
         return E
 

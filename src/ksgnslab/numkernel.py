@@ -81,7 +81,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -138,11 +138,12 @@ GRAM_RANGE = (1e-280, 1e280)
 # kernel) the cut took +80% to +85% at width 32, +5% to +9% at 45, -6% to +0% at 54 and +75% for
 # the descent at 64, and -22% to -44% at 72-99
 LIVE_MIN_DIM = 72
+any_nonzero = partial(np.logical_or.reduce, axis=None)  # ndarray.any, no Python wrappers
 
 
 def require_finite(M: np.ndarray, what: str = "matrix") -> np.ndarray:
     M = np.asarray(M, dtype=complex)
-    if not np.isfinite(M).all():
+    if not np.logical_and.reduce(np.isfinite(M), axis=None):
         raise NonFinite(f"{what} contains NaN or Inf entries")
     return M
 
@@ -288,12 +289,11 @@ def exceeds_gate(X: np.ndarray, M: np.ndarray, tol: Tolerance) -> np.ndarray:
 def exceeds_finite_gate(X: np.ndarray, M: np.ndarray, tol: Tolerance) -> np.ndarray:
     """exceeds_gate for an M its caller has just checked finite, not checked again.
     An all-zero X, as most leaks and copy differences are, passes with no norm."""
-    X = np.asarray(X, dtype=complex)
     out = np.zeros(X.shape[:-2], dtype=bool)
-    if not np.count_nonzero(X):
+    if not any_nonzero(X):
         return out
-    near = ~(np.sqrt(np.sum((X.conj() * X).real, axis=(-2, -1))) <= tol.ctol)
-    if np.count_nonzero(near):
+    near = ~(np.sqrt(np.add.reduce((X.conj() * X).real, axis=(-2, -1))) <= tol.ctol)
+    if any_nonzero(near):
         out[near] = operator_norms(X[near]) > tol.ctol * (1.0 + operator_norms(M[near]))
     return out
 
@@ -412,12 +412,13 @@ def herm_eig(M: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
         raise NonHermitian(f"expected square matrices, got shape {M.shape}")
     if M.size == 0:
         return np.zeros(M.shape[:-1]), np.zeros(M.shape, dtype=complex)
-    D = M - M.conj().swapaxes(-1, -2)
+    Mh = M.conj().swapaxes(-1, -2)
+    D = M - Mh
     bad = exceeds_finite_gate(D, M, tol)
-    if np.count_nonzero(bad):
+    if any_nonzero(bad):
         defect = operator_norm(D.reshape(-1, *D.shape[-2:])[np.flatnonzero(bad)[0]])
         raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds tolerance")
-    return np.linalg.eigh((M + M.conj().swapaxes(-1, -2)) / 2.0)
+    return np.linalg.eigh((M + Mh) / 2.0)
 
 
 class Split(NamedTuple):
@@ -439,23 +440,24 @@ def rank_kernel(G: np.ndarray | Split, tol: Tolerance) -> list[tuple]:
     slices' blocks against the lambda_max and minimum over all of them.
     Raises NotPSD, naming the first such slice of a longer stack, when a
     minimum eigenvalue dips below -ctol * (1 + ||G||)."""
-    blocks = G.blocks if isinstance(G, Split) else [G]
-    S, eig = len(blocks[0]), [()] * len(blocks)
-    for b in dict.fromkeys(x.shape[-1] for x in blocks):
+    blocks = G.blocks if type(G) is Split else [G]
+    S, eig = blocks[0].shape[0], list(blocks)
+    for b in {x.shape[-1]: None for x in blocks}:  # one herm_eig per block size
         ts = [t for t, x in enumerate(blocks) if x.shape[-1] == b]
-        M = np.concatenate([blocks[t] for t in ts]) if ts[1:] else blocks[ts[0]]
-        w, V = herm_eig(M, tol)
+        w, V = herm_eig(np.concatenate([blocks[t] for t in ts]) if ts[1:] else blocks[ts[0]], tol)
         for k, t in enumerate(ts):
             eig[t] = w[k * S : (k + 1) * S], V[k * S : (k + 1) * S]
-    ends = [(w[:, 0], w[:, -1]) for w, _ in eig if w.shape[-1]] or [(np.zeros(S),) * 2]
-    lo, hi = (reduce(f, x).tolist() for f, x in zip((np.minimum, np.maximum), zip(*ends)))
-    cut = []
-    for i, (lo_i, hi_i) in enumerate(zip(lo, hi)):
-        if lo_i < -tol.ctol * (1.0 + max(abs(lo_i), abs(hi_i))):
+    ends = [w for w, _ in eig if w.shape[-1]] or [np.zeros((S, 1))]  # 0 with no width
+    lo, hi = ends[0][:, 0], ends[0][:, -1]  # over the blocks of each slice
+    for w in ends[1:]:
+        lo, hi = np.minimum(lo, w[:, 0]), np.maximum(hi, w[:, -1])
+    for i, (l, h) in enumerate(zip(lo.tolist(), hi.tolist())):  # max(|l|, |h|), as l <= h
+        if l < -tol.ctol * (1.0 + (h if h > -l else -l)):
             where = f" in slice {i}" if S > 1 else ""
-            raise NotPSD(f"minimum eigenvalue {lo_i:.3e} below PSD gate{where}")
-        cut.append(tol.rtol * hi_i if hi_i > 0.0 else np.inf)  # keep nothing at lambda_max <= 0
-    return [((w > np.array(cut)[:, None]).sum(axis=-1), w, V) for w, V in eig]
+            raise NotPSD(f"minimum eigenvalue {l:.3e} below PSD gate{where}")
+    cut = tol.rtol * hi[:, None]
+    cut[hi <= 0.0] = np.inf  # keep nothing at lambda_max <= 0
+    return [(np.add.reduce(w > cut, axis=-1), w, V) for w, V in eig]
 
 
 def stack_slices(items: Sequence) -> np.ndarray:
@@ -468,13 +470,13 @@ def stack_slices(items: Sequence) -> np.ndarray:
     if len(items) == 1:
         return first[None]
     for i, a in enumerate(items):
-        if np.shape(a) != first.shape:
+        if (a.shape if type(a) is np.ndarray else np.shape(a)) != first.shape:
             raise ShapeMismatch(f"slice {i} has shape {np.shape(a)}, slice 0 {first.shape}")
-    if all(a is items[0] for a in items):
+    if len(set(map(id, items))) == 1:
         return np.broadcast_to(first, (len(items), *first.shape))
     if first.ndim == 2 and not first.flags.c_contiguous:
-        return np.stack([np.asarray(a).T for a in items]).swapaxes(-1, -2)
-    return np.stack(items)
+        return np.array([np.asarray(a).T for a in items]).swapaxes(-1, -2)
+    return np.array(items)  # np.stack's array, from one call
 
 
 def null_space(K: np.ndarray, scale: float, tol: Tolerance) -> np.ndarray:

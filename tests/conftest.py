@@ -10,7 +10,7 @@ import pytest
 from numpy.linalg import _linalg as linalg_impl
 
 from ksgnslab import hilbert
-from ksgnslab.cp import Intertwiner, tensor_premodule
+from ksgnslab.cp import CPMap, Intertwiner, tensor_premodule
 from ksgnslab.cstar import (
     AlgebraElement,
     AlgebraShape,
@@ -24,6 +24,7 @@ from ksgnslab.errors import KsgnslabError, TwistMismatch
 from ksgnslab.hilbert import (
     HilbertModule,
     ModuleMap,
+    ModuleView,
     PreModule,
     Quotient,
     adjoint_map,
@@ -31,7 +32,7 @@ from ksgnslab.hilbert import (
     quotient_by_null,
     unitarity_residual,
 )
-from ksgnslab.ksgns import ProbeReport, ksgns_lift
+from ksgnslab.ksgns import KsgnsTriple, ProbeReport, ksgns_lift
 from ksgnslab.memo import BuildMemo, content_key
 from ksgnslab.numkernel import (
     DEFAULT_TOL, Tolerance, max_operator_norm, operator_norm, summarize,
@@ -285,6 +286,46 @@ def tensor_quotients_reference(E, F, pi, tol: Tolerance = DEFAULT_TOL) -> list[Q
     the pre-modules of tensor_premodule quotiented through one eigh of each
     whole Gram matrix."""
     return quotient_by_null(tensor_premodule(E, F, pi), tol)
+
+
+def stinespring_triple(E: HilbertModule, phi, tol: Tolerance = DEFAULT_TOL):
+    """The minimal Stinespring dilation (H, pi, V) of phi: A -> L(E), E a Hilbert
+    space (B = C), from the Kraus operators of each A-block's Choi matrix of the
+    realized phi, with np.linalg.eigh alone and no quotient code, wrapped as a
+    one-slice KSGNS triple.  With G^(1/2) phi(e_kl) G^(-1/2) = sum_j X_j[k]* X_j[l]
+    (X_j the n x d Kraus rows of block M_n, from the Choi eigenvectors kept above
+    rtol times the largest eigenvalue of all blocks), H = (+)_t C^{n_t} (x) C^{r_t},
+    pi(e_kl) = e_kl (x) I, and V maps x to sum_{k, j} (conj(X_j[k]) . x) e_k (x) f_j on the
+    realized coordinates, V G^(1/2) on E's; H's Gram is the identity."""
+    A, G = phi.algebra, E.pairing[0][:, :, 0, 0]
+    w, U = np.linalg.eigh((G + G.conj().T) / 2.0)
+    root, iroot = (U * w**0.5) @ U.conj().T, (U * w**-0.5) @ U.conj().T
+    realized, d = root @ phi.images @ iroot, E.dim
+    spectra = []
+    for n, o in zip(A.blocks, A.offsets):
+        choi = realized[o : o + n * n].reshape(n, n, d, d).transpose(0, 2, 1, 3)
+        choi = choi.reshape(n * d, n * d)  # [k i, l j] = realized(e_kl)[i, j]
+        spectra.append(np.linalg.eigh((choi + choi.conj().T) / 2.0))
+    cut = tol.rtol * max(lam[-1] for lam, _ in spectra)
+    rows, images = [], []
+    for n, (lam, W) in zip(A.blocks, spectra):
+        kraus = (W[:, lam > cut] * lam[lam > cut] ** 0.5).T.reshape(-1, n, d)  # X_j, (r, n, d)
+        rows.append(kraus.conj().transpose(1, 0, 2).reshape(-1, d))  # V's rows (k, j)
+        units = np.eye(n * n).reshape(n * n, n, n)
+        images.append(np.stack([np.kron(u, np.eye(len(kraus))) for u in units]))
+    V, h = np.vstack(rows), sum(len(x) for x in rows)
+    pi_images = np.zeros((A.dim, h, h), dtype=complex)
+    p = o = 0
+    for X in images:
+        pi_images[p : p + len(X), o : o + X.shape[1], o : o + X.shape[1]] = X
+        p, o = p + len(X), o + X.shape[1]
+    H = scalar_module(np.eye(h))
+    stack = Quotient(HilbertModule(H.algebra, h, H.action[None], [P[None] for P in H.pairing]),
+                     np.eye(h, dtype=complex)[None], np.eye(h, dtype=complex)[None],
+                     np.zeros((1, h, 0), dtype=complex))
+    module = ModuleView(stack.module, 0)
+    pi, embedding = CPMap(A, module, pi_images), ModuleMap(E, module, V @ root)
+    return KsgnsTriple(stack, 0, E, phi, pi, embedding)
 
 
 def recorded_rank_decisions(monkeypatch) -> list:

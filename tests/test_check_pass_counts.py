@@ -33,6 +33,11 @@ _spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH 
 WORKLOADS = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(WORKLOADS)
 
+_spec = importlib.util.spec_from_file_location(
+    "quotient_costs", Path(__file__).resolve().parent.parent / "scripts" / "quotient_costs.py")
+QUOTIENT_COSTS = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(QUOTIENT_COSTS)
+
 RECORDED, VERDICT, CONSTRUCTION = "recorded value", "verdict only", "construction"
 # (routine, site) -> what the call's result feeds; a site takes its label from
 # its one role, or "construction" when it builds as well as gates
@@ -175,6 +180,30 @@ def test_content_keys_per_check_pass(monkeypatch, workload, pin):
     keys = counted(monkeypatch, "content_key", source=memo)
     check_pass(tasks)
     assert len(keys) <= pin, len(keys)
+
+
+# Python-level calls (cProfile's total) per tensor_quotients build of a check pass,
+# replayed warm, per quotient path: 353 and 387 (equivariant-dilation rows and
+# columns), 339, 301 and 285 (suites-default rows, columns and null) with each stage
+# a loop of takes, concatenations and gates over the blocks and slices; 228, 156,
+# 234, 147 and 214 with pi's images stacked once and the C-linearity gate one take,
+# copy 0's eigenvectors and spectra in one row of pieces, the dispatch reading the
+# process's algebra module first, slices reading their stack lazily, and the gates'
+# verdicts without numpy's Python wrappers
+STRUCTURED_CALLS = {
+    "equivariant-dilation": {"rows": 229, "columns": 156},
+    "suites-default": {"rows": 234, "columns": 147, "null": 214},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(STRUCTURED_CALLS))
+def test_python_calls_per_structured_build(workload):
+    tasks = WORKLOADS.build(workload, WORKLOADS.DEFAULT_MASTER_SEED)
+    QUOTIENT_COSTS.recorded_builds(tasks)  # the warm-up pass
+    builds = QUOTIENT_COSTS.recorded_builds(tasks)
+    calls = {path: (QUOTIENT_COSTS.python_calls(builds[path]) - 1) / len(builds[path])
+             for path in STRUCTURED_CALLS[workload]}
+    assert all(calls[p] <= pin for p, pin in STRUCTURED_CALLS[workload].items()), calls
 
 
 @pytest.mark.parametrize("workload", ["suites-default", "equivariant-dilation"])

@@ -29,9 +29,11 @@ from ksgnslab.cp import (
 )
 from ksgnslab.cstar import AlgebraShape, StarMap, block_stacks, haar_unitary
 from ksgnslab.equivariant import scramble_module
-from ksgnslab.errors import NonLinearMap, ShapeMismatch, SubmoduleViolation
+from ksgnslab.errors import NonFinite, NonLinearMap, ShapeMismatch, SubmoduleViolation
 from ksgnslab.generators import multiplicity_embedding, random_module
-from ksgnslab.hilbert import algebra_module, canonical_module, split_bases, transport_pairing
+from ksgnslab.hilbert import (
+    algebra_module, canonical_module, quotient_by_columns, transport_pairing,
+)
 from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL, Split, rank_kernel
 
@@ -135,6 +137,42 @@ def test_a_pi_that_fails_c_linearity_raises_before_any_rank_decision(monkeypatch
     assert grams == []  # never quotiented on its blocks alone
 
 
+@pytest.mark.parametrize("entry", [(0, 1), (1, 3)], ids=["off_the_copies", "copy_1_only"])
+def test_the_c_linearity_gate_names_an_entry_off_the_copies_or_of_one_copy(monkeypatch, entry):
+    # on C = M_2 over itself copy 0 holds coordinates 0 and 2, copy 1 coordinates
+    # 1 and 3 (column_split(C, 1)): pi(u_p) of a C-linear pi is the copies of one
+    # block.  An entry between the copies, or one of copy 1 whose copy-0 twin
+    # stays, breaks that, and the gate names the residual before any rank decision
+    rng = np.random.default_rng(41)
+    C, memo = AlgebraShape((2,)), BuildMemo()
+    C_mod = algebra_module(C)
+    E = wide_module(rng)
+    [pi] = left_mult_correspondence([embedding(C, rng)], memo)
+    images = pi.images.copy()
+    images[1][entry] += 1e-3
+    grams = recorded_rank_decisions(monkeypatch)
+    with pytest.raises(NonLinearMap, match=r"^pi is not C-linear \(residual 1\.000e-03\)$"):
+        tensor_quotients([E, E], [C_mod, C_mod], [pi, CPMap(B, C_mod, images)], DEFAULT_TOL)
+    assert grams == []
+
+
+@pytest.mark.parametrize("bad, entry", [(np.nan, (0, 0)), (np.inf, (0, 1))])
+def test_images_of_pi_that_are_not_finite_raise_before_any_rank_decision(monkeypatch, bad, entry):
+    # a NaN on copy 0, an Inf between the copies: the images are checked finite
+    # before the C-linearity gate takes a norm of them
+    rng = np.random.default_rng(43)
+    C, memo = AlgebraShape((2,)), BuildMemo()
+    C_mod = algebra_module(C)
+    E = wide_module(rng)
+    [pi] = left_mult_correspondence([embedding(C, rng)], memo)
+    images = pi.images.copy()
+    images[1][entry] = bad
+    grams = recorded_rank_decisions(monkeypatch)
+    with pytest.raises(NonFinite, match=r"^matrix contains NaN or Inf entries$"):
+        tensor_quotients([E], [C_mod], [CPMap(B, C_mod, images)], DEFAULT_TOL)
+    assert grams == []
+
+
 def test_a_right_factor_of_c_dimension_that_is_not_c_takes_the_generic_path(monkeypatch):
     rng = np.random.default_rng(11)
     C = AlgebraShape((2,))
@@ -156,8 +194,9 @@ def test_split_bases_run_block_by_block_in_block_order():
     # 1's copy by copy, whatever order the block sizes come in
     C = AlgebraShape((1, 2))
     copies = column_split(C, 4)
-    decided = rank_kernel(Split([np.eye(c.shape[1])[None] for c in copies]), DEFAULT_TOL)
-    [s], [kernel] = split_bases(decided, copies)
+    gram = Split([np.eye(c.shape[1], dtype=complex)[None] for c in copies])
+    [quot] = quotient_by_columns(C, gram, copies, DEFAULT_TOL)
+    s, kernel = quot.s, quot.kernel
     assert s.shape == (4 * C.dim, 4 * C.dim) and kernel.shape == (4 * C.dim, 0)
     places = [np.flatnonzero(s[rows].any(axis=0)) for c in copies for rows in c]
     assert np.array_equal(places[0], np.arange(4))  # column 0 of s lies on block 0

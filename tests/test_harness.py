@@ -363,6 +363,34 @@ def test_cli_run_writes_report_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("threads", ["1", None])
+def test_cli_notes_blas_threads_when_it_generates(tmp_path, monkeypatch, capsys, threads):
+    # generated instances follow the BLAS thread count, so gen, and run without --in,
+    # say so on stderr unless a BLAS thread variable is 1; the report is unchanged
+    from ksgnslab.harness import BLAS_THREAD_VARS
+
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if threads:
+        monkeypatch.setenv("OMP_NUM_THREADS", threads)
+    note = ("note: none of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS is 1, so "
+            "the generated instances can differ from the ones pinned at one BLAS thread\n")
+    expected = "" if threads else note
+    caps = ["--suites", "uniqueness", "--caps", "instances_per_suite=1"]
+    assert cli_main(["gen", "--seed", "4", "--out", str(tmp_path / "inst"), *caps]) == 0
+    assert capsys.readouterr().err == expected
+    assert cli_main(["run", "--seed", "4", "--format", "json", *caps]) == 0
+    generated = capsys.readouterr()
+    assert generated.err == expected
+    assert cli_main(["run", "--in", str(tmp_path / "inst"), "--format", "json", *caps]) == 0
+    loaded = capsys.readouterr()
+    assert loaded.err == ""
+    records = [json.loads(x.out)["records"] for x in (generated, loaded)]
+    for r in records[0] + records[1]:
+        del r["wall_time"]
+    assert records[0] == records[1]
+
+
 def test_cli_bad_caps_is_usage_error(tmp_path, capsys):
     out = str(tmp_path / "x")
     assert cli_main(["gen", "--out", out, "--caps", "nonsense=3"]) == 2

@@ -202,6 +202,8 @@ def test_copies_and_their_layouts_are_shared_and_read_only():
         layout = copies.layout([(np.array([1]), None, None), (np.array([2]), None, None)])
         again = copies.layout([(np.array([1, 1]), None, None), (np.array([2]), None, None)])
         assert again is layout  # the ranks of slice 0 decide it
-        assert_read_only(*copies, layout.s, layout.kernel, layout.diagonal, layout.spread)
-    action, pairing = layout.closed_form
-    assert_read_only(action, *pairing)
+        assert_read_only(*copies, *copies.counterparts,
+                         layout.s, layout.kernel, layout.diagonal, layout.spread, layout.index,
+                         *layout.after)
+    action, pairing, spread = layout.closed_form
+    assert_read_only(action, *pairing, spread)

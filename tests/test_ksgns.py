@@ -40,7 +40,9 @@ from ksgnslab.poscor import unitarity_residual
 from ksgnslab.cp import intertwiner_space, random_cp
 from ksgnslab.cstar import AlgebraElement
 
-from conftest import element_norm, failing, passed, probe_passed, random_complex
+from conftest import (
+    element_norm, failing, passed, probe_passed, random_complex, stinespring_triple,
+)
 
 
 def state_on_m2(weights):
@@ -438,3 +440,31 @@ def test_uniqueness_against_a_dilation_of_a_transported_copy(suite, idx):
     assert failing(control) == (["unitary", "representation_match"] if moved else [])
     # C has no other automorphism, and every other default A has a block M_n, n > 1
     assert moved == (A.dim > 1)
+
+
+def test_ksgns_spaces_over_c_match_the_stinespring_dilation_of_their_kraus_operators():
+    # every default ksgns and uniqueness instance with B = C: the KSGNS triple of
+    # (E, phi) and the Stinespring triple built from the Kraus operators of phi's
+    # Choi blocks, with no quotient code, are one dilation: the same dimension and
+    # a unitary U with U V = V', U pi U* = pi' (Lance, Hilbert C*-Modules, ch. 5)
+    pairs = []
+    for suite in ("ksgns", "uniqueness"):
+        for idx in range(10):
+            payload = generate_instance(suite, SizeCaps(), instance_seed(20250809, suite, idx))
+            if suite == "ksgns":
+                E = ser.load_module(payload["module"])
+                pairs.append((suite, E, ser.load_cpmap(payload["phi"], {"module": E})))
+            else:
+                c = ser.load_equivariant(payload["correspondence"])
+                pairs.append((suite, c.module, c.phi))
+    over_c = [(suite, E, phi) for suite, E, phi in pairs if E.algebra.blocks == (1,)]
+    found = [suite for suite, _, _ in over_c]
+    assert (found.count("ksgns"), found.count("uniqueness")) == (1, 4)
+    for _, E, phi in over_c:
+        t = ksgns([E], [phi], DEFAULT_TOL, BuildMemo())[0]
+        oracle = stinespring_triple(E, phi)
+        assert t.module.dim == oracle.module.dim
+        _, records = triple_uniqueness_unitary(t, oracle, DEFAULT_TOL)
+        assert [check for check, _, _ in records] == [
+            "unitary", "representation_match", "embedding_match"]
+        assert failing(records) == []

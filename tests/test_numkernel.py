@@ -176,6 +176,21 @@ def test_split_rank_decisions_read_the_extremes_over_all_blocks():
         rank_kernel(blocks(-1e-3), DEFAULT_TOL)
 
 
+def test_split_rank_decisions_keep_their_hermitian_and_psd_gates_by_name():
+    # two block sizes, two slices: the defect or the negative eigenvalue sits in
+    # slice 1 of the wider block, and the gates name it as on a whole Gram
+    eye2, eye3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
+    skew = eye3.copy()
+    skew[0, 1] = 1e-3  # not Hermitian: M - M* has norm 1e-3
+    with pytest.raises(NonHermitian, match=r"^Hermitian defect 1\.000e-03 exceeds tolerance$"):
+        rank_kernel(Split([np.stack([eye2, eye2]), np.stack([eye3, skew])]), DEFAULT_TOL)
+    negative = np.diag([1.0, -0.5, 1.0]).astype(complex)
+    with pytest.raises(NotPSD, match=r"^minimum eigenvalue -5\.000e-01 below PSD gate in slice 1$"):
+        rank_kernel(Split([np.stack([eye2, eye2]), np.stack([eye3, negative])]), DEFAULT_TOL)
+    with pytest.raises(NotPSD, match=r"^minimum eigenvalue -5\.000e-01 below PSD gate$"):
+        rank_kernel(Split([eye2[None], negative[None]]), DEFAULT_TOL)
+
+
 def gram_norm_reference(X: np.ndarray) -> float:
     """The norm contract for one (m, n) matrix, written out: sqrt of the largest
     eigenvalue of its smaller Gram, X* X when m >= n, else X X*, unless that

@@ -206,6 +206,29 @@ def test_unequal_copies_raise_before_any_rank_decision(monkeypatch, factor, rais
         assert len(grams) == 1 and tm.module.dim > 0
 
 
+def test_unequal_copies_name_copy_2_of_a_3x3_block_and_the_slice(monkeypatch):
+    # A = C (+) M_3: copy 2 of block 1 scaled in slice 1 of two is named, before
+    # any rank decision, by its copy, block and slice
+    rng = np.random.default_rng(47)
+    A = AlgebraShape((1, 3))
+    A_mod = algebra_module(A)
+    F, phi = compressed_cp(A, rng, zero_block=False)
+    c = row_split(A, F.dim)[1][2]
+    real = cp.tensor_premodule
+
+    def corrupting(E, F, pi):
+        pre = real(E, F, pi)
+        for P in pre.pairing:
+            P[1, c[:, None], c] *= 1.0 + 1e-3
+        return pre
+
+    monkeypatch.setattr(cp, "tensor_premodule", corrupting)
+    grams = recorded_rank_decisions(monkeypatch)
+    with pytest.raises(UnequalCopies, match=r"^copy 2 of block 1 differs from copy 0 in slice 1$"):
+        tensor_quotients([A_mod, A_mod], [F, F], [phi, phi], DEFAULT_TOL)
+    assert grams == []
+
+
 @pytest.mark.parametrize("blocks", [(1, 2), (2, 2)])
 @pytest.mark.parametrize("scale", [1e-12, 1e-17])
 def test_a_block_negligible_against_the_whole_gram_joins_the_kernel(blocks, scale):
