@@ -33,6 +33,7 @@ from .numkernel import (
     operator_norms,
     require_finite,
     stack_slices,
+    stackwise,
 )
 
 @dataclass(frozen=True)
@@ -45,6 +46,13 @@ class AlgebraShape:
         if len(self.blocks) < 1 or any(n < 1 for n in self.blocks):
             raise ShapeMismatch(f"invalid block sizes {self.blocks}")
         object.__setattr__(self, "blocks", tuple(int(n) for n in self.blocks))
+
+    def __eq__(self, other: object) -> bool:
+        """Equal block sizes, the dataclass comparison, first trying identity:
+        loaded shapes are one object per block sizes (serialize.load_shape)."""
+        if self is other:
+            return True
+        return self.blocks == other.blocks if other.__class__ is self.__class__ else NotImplemented
 
     @cached_property
     def dim(self) -> int:
@@ -239,14 +247,14 @@ def star_map_distance(r1: Sequence[StarMap], r2: Sequence[StarMap]) -> np.ndarra
     into one codomain."""
     if any(a.domain != b.domain or a.codomain != b.codomain for a, b in zip(r1, r2)):
         raise ShapeMismatch("star maps between different algebras")
-    out, stacks = np.zeros(len(r1)), {}
-    for s, r in enumerate(r1):
-        stacks.setdefault(r.codomain, []).append(s)
-    for cod, idx in stacks.items():
-        gaps = [(r1[s].matrix - r2[s].matrix).T for s in idx]
+
+    def distances(pairs: list) -> np.ndarray:  # pairs into one codomain
+        gaps = [(a.matrix - b.matrix).T for a, b in pairs]
         starts = np.cumsum([0] + [len(g) for g in gaps[:-1]])
-        out[idx] = np.maximum.reduceat(element_norms(cod, np.concatenate(gaps)), starts)
-    return out
+        norms = element_norms(pairs[0][0].codomain, np.concatenate(gaps))
+        return np.maximum.reduceat(norms, starts)
+
+    return np.array(stackwise(list(zip(r1, r2)), lambda pair: pair[0].codomain, distances), float)
 
 
 def check_star_map(rho: Sequence[StarMap], tol: Tolerance) -> list[list[tuple]]:

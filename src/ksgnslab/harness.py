@@ -65,7 +65,7 @@ from .equivariant import (
     trivial_group,
     uniqueness_unitary,
 )
-from .errors import InvalidConfig, ParseError
+from .errors import InvalidConfig, KsgnslabError, ParseError
 from .generators import (
     extend_morphism,
     random_elements,
@@ -102,7 +102,7 @@ from .ksgns import (
 from .memo import BuildMemo, structure
 from .numkernel import (
     GENERATION_TOL, Tolerance, herm_expi, kron, matvecs, max_operator_norm, operator_norm,
-    summarize,
+    stackwise, summarize,
 )
 from .poscor import (
     PosCorObject,
@@ -359,14 +359,14 @@ def _bundle(seed: int, A, modules: dict, phis: dict, morphisms: dict) -> dict:
 
 
 def _load_bundle(payload: dict):
-    """Modules, CP maps and intertwiners of a _bundle payload, each by name."""
+    """Modules, CP maps and intertwiners of a _bundle payload, each by name;
+    the intertwiners' maps and automorphisms each load as one stack."""
     mods = {k: ser.load_module(v) for k, v in payload["modules"].items()}
     phis = {k: ser.load_cpmap(v, mods) for k, v in payload["phis"].items()}
-    morphs = {
-        k: Intertwiner(ser.load_module_map(v["eta"], mods), ser.load_automorphism(v["alpha"]))
-        for k, v in payload["morphisms"].items()
-    }
-    return mods, phis, morphs
+    data = payload["morphisms"]
+    etas = ser.load_module_maps([v["eta"] for v in data.values()], mods)
+    alphas = ser.load_automorphisms([v["alpha"] for v in data.values()])
+    return mods, phis, dict(zip(data, map(Intertwiner, etas, alphas)))
 
 
 def _family_bound_residual(
@@ -553,9 +553,8 @@ def _check_tensor(payload: dict, tol: Tolerance, memo: BuildMemo):
     E1, E2, F = mods["E1"], mods["E2"], mods["F"]
     phi1, phi2, pi = phis["phi1"], phis["phi2"], phis["pi"]
     m = morphs["m"]
-    rho1 = ser.load_star_map(payload["star_maps"]["rho1"])
-    rho2 = ser.load_star_map(payload["star_maps"]["rho2"])
-    rho3 = ser.load_star_map(payload["star_maps"]["rho3"])
+    star_maps = payload["star_maps"]
+    rho1, rho2, rho3 = ser.load_star_maps([star_maps[k] for k in ("rho1", "rho2", "rho3")])
     rng = _sub_rng(payload["seed"], 3)
     tm1 = interior_tensor([E1], [F], [pi], tol, memo)[0]
     tm2 = interior_tensor([E2], [F], [pi], tol, memo)[0]
@@ -710,12 +709,6 @@ def _dump_eta_alpha(eta: np.ndarray, alpha: Automorphism) -> dict:
     return {"eta": ser.dump_cmatrix(eta), "alpha": ser.dump_automorphism(alpha)}
 
 
-def _load_eta_alpha(data: dict, source, target) -> tuple[ModuleMap, Automorphism]:
-    """The map source -> target and the automorphism of a _dump_eta_alpha payload."""
-    eta = ser.load_cmatrix(data["eta"], target.dim, source.dim)
-    return ModuleMap(source, target, eta), ser.load_automorphism(data["alpha"])
-
-
 def _sibling_morphism(m, rng: np.random.Generator, tol: Tolerance, memo: BuildMemo):
     """Second morphism parallel to m: same rho and alpha, eta drawn from the
     solved intertwiner space."""
@@ -728,23 +721,54 @@ def _sibling_morphism(m, rng: np.random.Generator, tol: Tolerance, memo: BuildMe
     return make_poscor_morphism([m.dom], [m.cod], [m.rho], [eta], [m.alpha], tol, memo)[0]
 
 
+def _alone_on_failure(build):
+    """build, but a stack whose build raises is built again one item at a time,
+    so that a faulty item raises as it does alone."""
+
+    def stacked(stack: list) -> list:
+        try:
+            return build(stack)
+        except KsgnslabError:
+            return [build([item])[0] for item in stack]
+
+    return stacked
+
+
+def _tensor_shape(morphism: tuple) -> tuple:
+    """The shape of the tensor of a morphism (dom, cod, rho, ...) along its rho."""
+    dom, rho = morphism[0], morphism[2]
+    return dom.module.algebra, dom.module.dim, rho.codomain
+
+
 def _load_category(payload: dict, tol: Tolerance, memo: BuildMemo):
+    """The objects and morphisms of a category payload.  The morphisms' star
+    maps, automorphisms and matrices each load as one stack; their tensors
+    and the morphisms build as one stack per tensor shape."""
     A = ser.load_shape(payload["input_algebra"])
     objects = []
-    by_ident = {}
     for odata in payload["objects"]:
         module = ser.load_module(odata["module"])
         phi = ser.load_cpmap(odata["phi"], {odata["ident"]: module})
-        obj = PosCorObject(odata["ident"], A, module.algebra, module, phi)
-        objects.append(obj)
-        by_ident[obj.ident] = obj
-    morphisms = []
-    for d in payload["morphisms"]:
-        dom, cod, rho = by_ident[d["dom"]], by_ident[d["cod"]], ser.load_star_map(d["rho"])
-        tm = interior_tensor_along([dom.module], [rho], tol, memo)[0]
-        eta, alpha = _load_eta_alpha(d, tm.module, cod.module)
-        morphisms += make_poscor_morphism([dom], [cod], [rho], [eta], [alpha], tol, memo)
-    return objects, morphisms
+        objects.append(PosCorObject(odata["ident"], A, module.algebra, module, phi))
+    by_ident = {obj.ident: obj for obj in objects}
+    data = payload["morphisms"]
+    doms, cods = ([by_ident[d[end]] for d in data] for end in ("dom", "cod"))
+    rhos = ser.load_star_maps([d["rho"] for d in data])
+    alphas = ser.load_automorphisms([d["alpha"] for d in data])
+
+    @_alone_on_failure
+    def tensors(stack: list) -> list:
+        return interior_tensor_along([d.module for d, *_ in stack], [r for *_, r in stack], tol, memo)
+
+    @_alone_on_failure
+    def morphisms(stack: list) -> list:
+        return make_poscor_morphism(*zip(*stack), tol, memo)
+
+    tms = stackwise(list(zip(doms, cods, rhos)), _tensor_shape, tensors)
+    shapes = [(cod.module.dim, tm.module.dim) for cod, tm in zip(cods, tms)]
+    etas = ser.load_cmatrix_list([d["eta"] for d in data], shapes)
+    maps = [ModuleMap(tm.module, cod.module, eta) for tm, cod, eta in zip(tms, cods, etas)]
+    return objects, stackwise(list(zip(doms, cods, rhos, maps, alphas)), _tensor_shape, morphisms)
 
 
 _CATEGORY_THEOREMS = {
@@ -953,11 +977,14 @@ def _check_continuity(payload: dict, tol: Tolerance, memo: BuildMemo):
     phi1 = ser.load_cpmap(payload["phis"]["phi1"], mods)
     phi2 = ser.load_cpmap(payload["phis"]["phi2"], mods)
     A = phi1.algebra
-    target = Intertwiner(*_load_eta_alpha(payload["target"], E1, E2))
-    path = [Intertwiner(*_load_eta_alpha(p, E1, E2)) for p in payload["path"]]
+    # the path's steps, then the target, each section as one stack
+    steps = [*payload["path"], payload["target"]]
+    etas = ser.load_cmatrices([p["eta"] for p in steps], E2.dim, E1.dim)
+    alphas = ser.load_automorphisms([p["alpha"] for p in steps])
+    *path, target = (Intertwiner(ModuleMap(E1, E2, eta), a) for eta, a in zip(etas, alphas))
     samples = payload["samples"]
-    X = np.array([ser.load_cmatrix(s["x"], E1.dim, 1)[:, 0] for s in samples], dtype=complex)
-    C = np.array([ser.load_element(A, s["a"]) for s in samples], dtype=complex)
+    X = ser.load_cmatrices([s["x"] for s in samples], E1.dim, 1)[..., 0]
+    C = ser.load_elements(A, [s["a"] for s in samples])
     t1 = ksgns([E1], [phi1], tol, memo)[0]
     t2 = ksgns([E2], [phi2], tol, memo)[0]
     probe = continuity_probe(

@@ -82,7 +82,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -472,11 +472,26 @@ def stack_slices(items: Sequence) -> np.ndarray:
     for i, a in enumerate(items):
         if (a.shape if type(a) is np.ndarray else np.shape(a)) != first.shape:
             raise ShapeMismatch(f"slice {i} has shape {np.shape(a)}, slice 0 {first.shape}")
-    if len(set(map(id, items))) == 1:
-        return np.broadcast_to(first, (len(items), *first.shape))
+    if len(set(map(id, items))) == 1:  # np.broadcast_to's read-only view, in one call
+        return np.nditer((first,), ["multi_index", "refs_ok", "zerosize_ok"], ["readonly"],
+                         itershape=(len(items), *first.shape), order="C").itviews[0]
     if first.ndim == 2 and not first.flags.c_contiguous:
         return np.array([np.asarray(a).T for a in items]).swapaxes(-1, -2)
     return np.array(items)  # np.stack's array, from one call
+
+
+def stackwise(
+    items: Sequence, shape: Callable[[Any], Any], build: Callable[[list], Sequence]
+) -> list:
+    """build(stack) for each stack of the items of one shape(item), in the order
+    of their first items, each result put back at its item's position."""
+    out, stacks = [None] * len(items), {}
+    for i, item in enumerate(items):
+        stacks.setdefault(shape(item), []).append(i)
+    for idx in stacks.values():
+        for i, x in zip(idx, build([items[i] for i in idx])):
+            out[i] = x
+    return out
 
 
 def null_space(K: np.ndarray, scale: float, tol: Tolerance) -> np.ndarray:

@@ -55,7 +55,8 @@ from .hilbert import (
 from .ksgns import KsgnsTriple, ksgns, ksgns_lift
 from .memo import BuildMemo
 from .numkernel import (
-    Tolerance, dots, kron, max_operator_norm, max_operator_norms, stack_slices, summarize,
+    Tolerance, dots, kron, max_operator_norm, max_operator_norms, stack_slices, stackwise,
+    summarize,
 )
 
 
@@ -387,19 +388,16 @@ def check_poscor_morphism(
     one stacked check_star_map, tensor_extend_cpmap and
     check_morphism per group of morphisms of one shape.  check_morphism
     caches each morphism's norm on it."""
-    reports, stacks = [[] for _ in ms], {}
-    for s, m in enumerate(ms):
-        stacks.setdefault(morphism_shape(m), []).append(s)
-    for idx in stacks.values():
-        group = [ms[s] for s in idx]
+
+    def reports(group: list[PosCorMorphism]) -> list[list[tuple]]:
         star = check_star_map([m.rho for m in group], tol)
         phi_ext = tensor_extend_cpmap(
             [m.dom.phi for m in group], [m.dom_tensor for m in group], tol, memo
         )
-        inner = check_morphism(group, phi_ext, [m.cod.phi for m in group], tol)
-        for s, a, b in zip(idx, star, inner):
-            reports[s] = a + b
-    return reports
+        return [a + b for a, b in zip(star, check_morphism(group, phi_ext,
+                                                           [m.cod.phi for m in group], tol))]
+
+    return stackwise(ms, morphism_shape, reports)
 
 
 def morphism_distance(m1: Sequence[PosCorMorphism], m2: Sequence[PosCorMorphism]) -> np.ndarray:
@@ -482,19 +480,19 @@ def compose_pairs(
     pairs whose factors have the same morphism_shape.  A group whose stacked
     build raises is built again one pair at a time; a pair that fails on its
     own, or lacks a factor (None), gives None."""
-    out, stacks = [None] * len(pairs), {}
-    for s, (m2, m1) in enumerate(pairs):
-        if m2 is not None and m1 is not None:
-            stacks.setdefault((morphism_shape(m2), morphism_shape(m1)), []).append(s)
-    for idx in stacks.values():
-        outer, inner = zip(*(pairs[s] for s in idx))
+
+    def composites(stack: list[tuple]) -> list[PosCorMorphism | None]:
+        if None in stack[0]:
+            return [None] * len(stack)
         try:
-            built = poscor_compose(outer, inner, tol, memo)
+            return poscor_compose(*zip(*stack), tol, memo)
         except KsgnslabError:  # built again alone: only the failing pairs give None
-            built = [None] if len(idx) == 1 else [compose_pairs([pairs[s]], tol, memo)[0] for s in idx]
-        for s, m in zip(idx, built):
-            out[s] = m
-    return out
+            return [None] if len(stack) == 1 else [compose_pairs([p], tol, memo)[0] for p in stack]
+
+    def shape(pair: tuple) -> tuple | None:
+        return None if None in pair else (morphism_shape(pair[0]), morphism_shape(pair[1]))
+
+    return stackwise(pairs, shape, composites)
 
 
 def check_category_laws(

@@ -20,15 +20,16 @@ from __future__ import annotations
 
 import json
 from itertools import accumulate
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from .cp import CPMap
 from .cstar import AlgebraShape, Automorphism, StarMap, block_stacks
-from .errors import ValidationError
+from .errors import ShapeMismatch, ValidationError
 from .hilbert import HilbertModule, ModuleMap
 from .memo import structure
+from .numkernel import stackwise
 from .equivariant import (
     DynamicalSystem,
     EquivariantCorrespondence,
@@ -52,6 +53,8 @@ def dump_cmatrix(M: np.ndarray) -> list:
 
 
 def load_cmatrix(data: Any, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    """The matrix of one dumped matrix, checked: [re, im] pairs, the shape
+    (rows, cols) where given, finite entries."""
     if not isinstance(data, list):
         raise ValidationError("matrix must be a list of rows")
     if not data and not rows:  # a (0, n) matrix dumps as []
@@ -73,19 +76,72 @@ def load_cmatrix(data: Any, rows: int | None = None, cols: int | None = None) ->
     return A.view(complex)[..., 0]
 
 
+# A payload section (a module's action, a path's automorphisms, a category's
+# star maps) loads through one stacked loader: its fast path parses the whole
+# list as one array per shape and checks it whole (finite entries, shapes and
+# counts), and raises ValidationError when the list does not stack.  Its one
+# fallback then loads the items one at a time and raises the first fault again
+# with the item's index in front of its message.
+
+
+def _loaded(kind: str, items: Any, stacked: Callable[[Any], Any], one: Callable[[Any], Any]):
+    """stacked(items), or where it raises ValidationError, [one(x) for x in
+    items] with the first item's ValidationError raised again as `kind i: ...`."""
+    try:
+        return stacked(items)
+    except ValidationError:
+        pass
+    loaded = []
+    for i, item in enumerate(items):
+        try:
+            loaded.append(one(item))
+        except ValidationError as exc:
+            raise ValidationError(f"{kind} {i}: {exc}") from exc
+    return loaded
+
+
+def _matrix_stack(items: Any, rows: int, cols: int) -> np.ndarray:
+    """Matrices (len(items), rows, cols) of nonzero size, parsed as one array."""
+    if not isinstance(items, list) or not rows * cols:
+        raise ValidationError("not a stack of nonempty matrices")
+    try:
+        A = np.array(items, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError("not a stack of matrices") from exc
+    if A.shape != (len(items), rows, cols, 2) or not np.isfinite(A).all():
+        raise ValidationError("not a stack of finite matrices")
+    return A.view(complex)[..., 0]
+
+
 def load_cmatrices(items: Any, rows: int, cols: int) -> np.ndarray:
     """Matrices (len(items), rows, cols) of a list of dumped matrices of one
-    shape, parsed as one array.  A list that is anything else goes through
-    load_cmatrix item by item, which names the first fault."""
-    if isinstance(items, list) and rows * cols:
-        try:
-            A = np.array(items, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            A = None
-        if A is not None and A.shape == (len(items), rows, cols, 2) and np.isfinite(A).all():
-            return A.view(complex)[..., 0]
-    stack = [load_cmatrix(m, rows, cols) for m in items]
-    return np.stack(stack) if stack else np.zeros((0, rows, cols), dtype=complex)
+    shape, parsed as one array; a faulty item is named by its index."""
+    M = _loaded("matrix", items, lambda x: _matrix_stack(x, rows, cols),
+                lambda m: load_cmatrix(m, rows, cols))
+    return M if isinstance(M, np.ndarray) else np.array(M, complex).reshape(len(M), rows, cols)
+
+
+def load_cmatrix_list(items: list, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
+    """The matrices of a list of dumped matrices, item i of shape shapes[i]:
+    those of one shape parsed as one array; a faulty item is named by its index."""
+    return _loaded(
+        "matrix", list(zip(items, shapes)),
+        lambda pairs: stackwise(pairs, lambda pair: pair[1],
+                                lambda stack: _matrix_stack([m for m, _ in stack], *stack[0][1])),
+        lambda pair: load_cmatrix(pair[0], *pair[1]),
+    )
+
+
+def _integral(value: Any) -> int:
+    """value as an int, where int() leaves it equal; ValidationError otherwise
+    (2.5, "2", None), where int() would truncate or convert."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{value!r} is not an integer") from exc
+    if n != value:
+        raise ValidationError(f"{value!r} is not an integer")
+    return n
 
 
 # -- algebra layer ------------------------------------------------------------
@@ -96,12 +152,13 @@ def dump_shape(shape: AlgebraShape) -> list[int]:
 
 
 def load_shape(data: Any) -> AlgebraShape:
-    """The AlgebraShape of a block list: one per block sizes, shared by the
-    process (AlgebraShape is frozen)."""
+    """The AlgebraShape of a block list, one per block sizes for the process
+    (AlgebraShape is frozen): found by the list's entries as given, before
+    any is converted, and built from their integer values on first sight."""
     try:
-        blocks = tuple(int(n) for n in data)
-        return structure(("load_shape", blocks), lambda: AlgebraShape(blocks))
-    except Exception as exc:
+        return structure(("load_shape", tuple(data)),
+                         lambda: AlgebraShape(tuple(map(_integral, data))))
+    except (TypeError, ValidationError, ShapeMismatch) as exc:
         raise ValidationError(f"bad algebra shape {data!r}") from exc
 
 
@@ -116,33 +173,40 @@ def dump_element(shape: AlgebraShape, c: np.ndarray) -> list:
     return dump_elements(shape, np.asarray(c)[None])[0]
 
 
-def load_element(shape: AlgebraShape, data: Any) -> np.ndarray:
-    """Coefficients (dim A,) of a dumped element."""
+def _element(shape: AlgebraShape, data: Any) -> np.ndarray:
+    """Coefficients (dim A,) of one dumped element."""
     if not isinstance(data, list) or len(data) != len(shape.blocks):
         raise ValidationError("element block count does not match the shape")
     return np.concatenate([load_cmatrix(b, n, n).reshape(-1) for b, n in zip(data, shape.blocks)])
 
 
+def _element_stack(shape: AlgebraShape, items: Any) -> np.ndarray:
+    """Coefficient rows (len(items), dim A), each block of all the elements
+    parsed as one array."""
+    count, k, n = len(items), len(shape.blocks), shape.blocks[0]
+    if shape.blocks == (n,) * k:  # blocks of one size: the count is the second axis
+        parts, sizes = [items], [(count, k, n, n, 2)]
+    elif set(map(type, items)) <= {list} and set(map(len, items)) <= {k}:
+        parts = [[x[t] for x in items] for t in range(k)]
+        sizes = [(count, n, n, 2) for n in shape.blocks]
+    else:
+        raise ValidationError("elements of another block count")
+    try:
+        blocks = [np.array(part, dtype=float) for part in parts]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError("not a stack of elements") from exc
+    if [b.shape for b in blocks] != sizes or not all(np.isfinite(b).all() for b in blocks):
+        raise ValidationError("not a stack of finite elements")
+    C = [b.view(complex).reshape(count, -1) for b in blocks]
+    return C[0] if len(C) == 1 else np.concatenate(C, axis=1)
+
+
 def load_elements(shape: AlgebraShape, items: Any) -> np.ndarray:
     """Coefficient rows (len(items), dim A) of a list of dumped elements, each
-    block of all of them parsed as one array.  A list that is anything else
-    goes through load_element item by item, which names the first fault."""
-    count = len(items) if isinstance(items, list) else -1
-    if count >= 0 and all(isinstance(x, list) and len(x) == len(shape.blocks) for x in items):
-        try:
-            blocks = [
-                np.array([x[t] for x in items], dtype=float) for t in range(len(shape.blocks))
-            ]
-        except (TypeError, ValueError, OverflowError):
-            blocks = []
-        sizes = [(count, n, n, 2) for n in shape.blocks]
-        if [b.shape for b in blocks] == sizes and all(np.isfinite(b).all() for b in blocks):
-            return np.concatenate([b.view(complex).reshape(count, -1) for b in blocks], axis=1)
-        if count == 0:
-            return np.zeros((0, shape.dim), dtype=complex)
-    for x in items:
-        load_element(shape, x)
-    raise ValidationError("elements do not stack into one array")
+    block of all of them parsed as one array; a faulty item is named by its
+    index."""
+    C = _loaded("element", items, lambda x: _element_stack(shape, x), lambda x: _element(shape, x))
+    return C if isinstance(C, np.ndarray) else np.array(C, complex).reshape(len(C), shape.dim)
 
 
 def dump_star_map(rho: StarMap) -> dict:
@@ -153,27 +217,37 @@ def dump_star_map(rho: StarMap) -> dict:
     }
 
 
-def load_star_map(data: Any) -> StarMap:
-    return load_star_maps([data])[0]
+def _star_map(data: Any) -> StarMap:
+    """The StarMap of one dumped star map."""
+    dom, cod = load_shape(data["domain"]), load_shape(data["codomain"])
+    if len(data["images"]) != dom.dim:
+        raise ValidationError("star map needs one image per domain basis element")
+    return StarMap(dom, cod, load_elements(cod, data["images"]).T)
+
+
+def _star_map_stack(items: list) -> list[StarMap]:
+    """The StarMaps of dumped star maps, the images of all those into one
+    codomain parsed by one _element_stack."""
+    heads = []
+    for data in items:
+        dom, cod, images = load_shape(data["domain"]), load_shape(data["codomain"]), data["images"]
+        if len(images) != dom.dim:
+            raise ValidationError("star map image count")
+        heads.append((dom, cod, images))
+
+    def maps(stack: list) -> list[StarMap]:  # the maps into one codomain
+        C = _element_stack(stack[0][1], [x for _, _, images in stack for x in images])
+        ends = accumulate(dom.dim for dom, _, _ in stack)
+        return [StarMap(dom, cod, C[end - dom.dim : end].T)
+                for (dom, cod, _), end in zip(stack, ends)]
+
+    return stackwise(heads, lambda head: head[1], maps)
 
 
 def load_star_maps(items: list) -> list[StarMap]:
-    """load_star_map of each item; the images of maps that all share one
-    codomain are parsed by one load_elements call."""
-    heads = []
-    for data in items:
-        dom, cod = load_shape(data["domain"]), load_shape(data["codomain"])
-        images = data["images"]
-        if len(images) != dom.dim:
-            raise ValidationError("star map needs one image per domain basis element")
-        heads.append((dom, cod, images))
-    if len({cod for _, cod, _ in heads}) != 1:
-        return [StarMap(dom, cod, np.ascontiguousarray(load_elements(cod, images).T))
-                for dom, cod, images in heads]
-    coeffs = load_elements(heads[0][1], [x for _, _, images in heads for x in images])
-    ends = list(accumulate(dom.dim for dom, _, _ in heads))
-    return [StarMap(dom, cod, np.ascontiguousarray(coeffs[end - dom.dim : end].T))
-            for (dom, cod, _), end in zip(heads, ends)]
+    """The StarMaps of a list of dumped star maps, the images of those into
+    one codomain parsed as one array; a faulty item is named by its index."""
+    return _loaded("star map", items, _star_map_stack, _star_map)
 
 
 def dump_automorphism(alpha: Automorphism) -> dict:
@@ -183,15 +257,17 @@ def dump_automorphism(alpha: Automorphism) -> dict:
     }
 
 
-def load_automorphism(data: Any) -> Automorphism:
-    return load_automorphisms([data])[0]
+def _automorphism_stack(items: list) -> list[Automorphism]:
+    maps = _star_map_stack([m for data in items for m in (data["forward"], data["inverse"])])
+    return [Automorphism(*maps[i : i + 2]) for i in range(0, len(maps), 2)]
 
 
 def load_automorphisms(items: list) -> list[Automorphism]:
-    """load_automorphism of each item, every forward and inverse image parsed
-    by one load_elements call when all the maps share one codomain."""
-    maps = load_star_maps([m for data in items for m in (data["forward"], data["inverse"])])
-    return [Automorphism(*maps[i : i + 2]) for i in range(0, len(maps), 2)]
+    """The Automorphisms of a list of dumped automorphisms, every forward and
+    inverse image on one algebra parsed as one array; a faulty item is named
+    by its index."""
+    return _loaded("automorphism", items, _automorphism_stack,
+                   lambda x: Automorphism(*load_star_maps([x["forward"], x["inverse"]])))
 
 
 # -- module layer -------------------------------------------------------------
@@ -211,13 +287,13 @@ def dump_module(E: HilbertModule) -> dict:
 
 def load_module(data: Any) -> HilbertModule:
     B = load_shape(data["algebra"])
-    d = int(data["dim"])
+    d = _integral(data["dim"])
     action_rows = data["action"]
     if len(action_rows) != B.dim:
         raise ValidationError("module action needs one matrix per basis element")
     action = load_cmatrices(action_rows, d, d)
     rows = data["pairing"]
-    if len(rows) != d or any(len(r) != d for r in rows):
+    if len(rows) != d or set(map(len, rows)) - {d}:
         raise ValidationError("module pairing must be a dim x dim table")
     table = load_elements(B, [e for row in rows for e in row]).reshape(d, d, B.dim)
     pairing = [np.ascontiguousarray(P) for P in block_stacks(B, table)]
@@ -235,13 +311,15 @@ def dump_module_map(m: ModuleMap, source_id: str, target_id: str) -> dict:
     }
 
 
-def load_module_map(data: Any, modules: dict[str, HilbertModule]) -> ModuleMap:
+def load_module_maps(items: list, modules: dict[str, HilbertModule]) -> list[ModuleMap]:
+    """The ModuleMaps of a list of dumped module maps between `modules`, by
+    id, the matrices of one shape parsed as one array (load_cmatrix_list)."""
     try:
-        src = modules[data["source_id"]]
-        tgt = modules[data["target_id"]]
+        ends = [(modules[x["source_id"]], modules[x["target_id"]]) for x in items]
     except KeyError as exc:
         raise ValidationError(f"unknown module id {exc}") from exc
-    return ModuleMap(src, tgt, load_cmatrix(data["matrix"], tgt.dim, src.dim))
+    mats = load_cmatrix_list([x["matrix"] for x in items], [(t.dim, s.dim) for s, t in ends])
+    return [ModuleMap(s, t, M) for (s, t), M in zip(ends, mats)]
 
 
 def dump_cpmap(phi: CPMap, module_id: str) -> dict:
@@ -284,15 +362,28 @@ def dump_group(G: FiniteGroup) -> dict:
 
 
 def load_group(data: Any) -> FiniteGroup:
-    try:
-        return FiniteGroup(
-            order=int(data["order"]),
-            table=np.asarray(data["table"], dtype=int),
-            identity=int(data["identity"]),
-            inverse=np.asarray(data["inverse"], dtype=int),
+    """The FiniteGroup of a dumped group, one per content for the process:
+    found by its fields as given (order, identity, table, inverse, perms and
+    name) before any is converted, and on first sight built from their integer
+    values, validated and made read-only."""
+
+    def build() -> FiniteGroup:
+        G = FiniteGroup(
+            order=_integral(data["order"]),
+            table=np.array([list(map(_integral, row)) for row in data["table"]], dtype=int),
+            identity=_integral(data["identity"]),
+            inverse=np.array(list(map(_integral, data["inverse"])), dtype=int),
             perms=tuple(tuple(p) for p in data["perms"]) if "perms" in data else None,
             name=str(data.get("name", "G")),
         )
+        G.table.flags.writeable = G.inverse.flags.writeable = False
+        return G
+
+    try:
+        perms = tuple(map(tuple, data["perms"])) if "perms" in data else None
+        content = (data["order"], data["identity"], tuple(map(tuple, data["table"])),
+                   tuple(data["inverse"]), perms, data.get("name", "G"))
+        return structure(("load_group", *content), build)
     except ValidationError:
         raise
     except Exception as exc:
@@ -307,14 +398,6 @@ def dump_system(sys: DynamicalSystem) -> dict:
     }
 
 
-def load_system(data: Any) -> DynamicalSystem:
-    return DynamicalSystem(
-        load_shape(data["algebra"]),
-        load_group(data["group"]),
-        load_automorphisms(data["action"]),
-    )
-
-
 def dump_equivariant(c: EquivariantCorrespondence) -> dict:
     return {
         "system_in": dump_system(c.system_in),
@@ -326,10 +409,17 @@ def dump_equivariant(c: EquivariantCorrespondence) -> dict:
 
 
 def load_equivariant(data: Any) -> EquivariantCorrespondence:
+    """The correspondence of a dumped one; the automorphisms of both systems
+    load as one stack, system_in's first."""
     module = load_module(data["module"])
     phi = load_cpmap(data["phi"], {"module": module})
-    sys_in = load_system(data["system_in"])
-    sys_out = load_system(data["system_out"])
+    systems = [data["system_in"], data["system_out"]]
+    alphas = load_automorphisms([a for system in systems for a in system["action"]])
+    cut = len(systems[0]["action"])
+    sys_in, sys_out = (
+        DynamicalSystem(load_shape(system["algebra"]), load_group(system["group"]), action)
+        for system, action in zip(systems, (alphas[:cut], alphas[cut:]))
+    )
     unitaries = list(load_cmatrices(data["unitaries"], module.dim, module.dim))
     return EquivariantCorrespondence(sys_in, sys_out, module, phi, unitaries)
 

@@ -11,7 +11,9 @@ eigvalsh, so the SVD matrices per pass are pinned to the sites that still need
 an SVD, and the eigvalsh matrices per pass beside them, in total and by width.  The row split of the KSGNS quotients keeps `prespace-cap`'s
 eigh work pinned, and the live cut of their block-sparse pi_phi its SVD work.
 Block-size structure is built once per process, so a second check pass builds
-none, and content keys and block-list parses per pass are pinned.
+none, and content keys and block-list parses per pass are pinned.  Payload
+sections load as stacks and groups are interned by content: array parses,
+group validations and the category loader's tensor builds per pass are pinned.
 """
 
 import importlib.util
@@ -23,7 +25,7 @@ import numpy as np
 import pytest
 from numpy.linalg import _linalg as linalg_impl
 
-from ksgnslab import cstar, harness, hilbert, memo, numkernel
+from ksgnslab import cstar, equivariant, harness, hilbert, memo, numkernel, serialize
 from ksgnslab.numkernel import DEFAULT_TOL
 
 from conftest import lapack_calls
@@ -204,6 +206,49 @@ def test_python_calls_per_structured_build(workload):
     calls = {path: (QUOTIENT_COSTS.python_calls(builds[path]) - 1) / len(builds[path])
              for path in STRUCTURED_CALLS[workload]}
     assert all(calls[p] <= pin for p, pin in STRUCTURED_CALLS[workload].items()), calls
+
+
+@pytest.mark.parametrize("workload, pin", [("suites-default", 750), ("equivariant-dilation", 200)])
+def test_payload_parses_per_check_pass(monkeypatch, workload, pin):
+    # parses of a list of dumped arrays per check pass: 380 + 370 + 630 and
+    # 0 + 120 + 120 (load_cmatrix, load_cmatrices and load_elements calls)
+    # with each morphism's matrix and automorphism, each star map and each
+    # sample parsed on its own; 10 + 435 + 305 and 0 + 120 + 80 (load_cmatrix,
+    # _matrix_stack and _element_stack, where the stacked loaders parse) with
+    # each payload section one parse per shape
+    tasks = WORKLOADS.build(workload, WORKLOADS.DEFAULT_MASTER_SEED)
+    parses = [counted(monkeypatch, name, source=serialize)
+              for name in ("load_cmatrix", "_matrix_stack", "_element_stack")]
+    check_pass(tasks)
+    assert sum(map(len, parses)) <= pin, [len(p) for p in parses]
+
+
+@pytest.mark.parametrize("workload", ["suites-default", "equivariant-dilation"])
+def test_each_group_is_validated_once_per_process(monkeypatch, workload):
+    # FiniteGroup validations per check pass: 60 and 80 with every system's
+    # group checked on every load; with the groups interned by content
+    # (serialize.load_group), at most one per distinct group (4 on either
+    # workload) in the first pass of a process, none after
+    tasks = WORKLOADS.build(workload, WORKLOADS.DEFAULT_MASTER_SEED)
+    checked, real = [], equivariant.FiniteGroup.__post_init__
+    monkeypatch.setattr(equivariant.FiniteGroup, "__post_init__",
+                        lambda G: checked.append(G.name) or real(G))
+    check_pass(tasks)
+    assert len(checked) == len(set(checked)) <= 4, checked
+    checked.clear()
+    check_pass(tasks)
+    assert checked == []
+
+
+def test_category_tensors_build_per_shape_on_a_check_pass(monkeypatch, suites_default):
+    # the harness's interior_tensor_along calls over the category suite's
+    # loads: 60 with one per morphism, 20 with one per tensor shape (1 or 3
+    # per instance)
+    calls, real = [], harness.interior_tensor_along
+    monkeypatch.setattr(harness, "interior_tensor_along",
+                        lambda *args: calls.append(1) or real(*args))
+    check_pass([task for task in suites_default if task[0] == "category"])
+    assert len(calls) <= 20, len(calls)
 
 
 @pytest.mark.parametrize("workload", ["suites-default", "equivariant-dilation"])

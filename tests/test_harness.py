@@ -499,7 +499,7 @@ def test_failing_subreport_is_recorded_as_failure():
 
     payload = generate_instance("category", SizeCaps(), instance_seed(20250809, "category", 0))
     assert "ksgns_functor" in payload["checks"]
-    rho = ser.load_star_map(payload["morphisms"][0]["rho"])
+    (rho,) = ser.load_star_maps([payload["morphisms"][0]["rho"]])
     scaled = StarMap(rho.domain, rho.codomain, (1 + 4e-8) * rho.matrix)
     payload["morphisms"][0]["rho"] = ser.dump_star_map(scaled)
     records = {r.check: r for r in check_instance("category", payload, Tolerance())}
@@ -602,7 +602,7 @@ def test_inverse_in_another_algebra_fails_construction():
     # the first instance whose algebra has a matrix block: C^dim is another algebra
     payload = next(p for p in payloads if max(p["input_algebra"]) > 1)
     alpha = payload["morphisms"]["m1"]["alpha"]
-    inverse = ser.load_star_map(alpha["inverse"])
+    (inverse,) = ser.load_star_maps([alpha["inverse"]])
     scalars = AlgebraShape((1,) * inverse.domain.dim)
     alpha["inverse"] = ser.dump_star_map(StarMap(inverse.domain, scalars, inverse.matrix))
     records = check_instance("lift", payload, Tolerance())
@@ -625,3 +625,59 @@ def test_small_full_run_residuals_within_gate():
     report = run(cfg)
     assert report.all_passed
     assert report.max_residual <= 1e-8
+
+
+def record_bits(report):
+    """The records of a report as tuples, residual and threshold by their
+    exact bits, every field but wall_time."""
+    return [
+        (r.suite, r.instance_seed, r.check, r.theorem, r.residual.hex(), r.threshold.hex(),
+         r.passed, r.error)
+        for r in report.records
+    ]
+
+
+def test_files_and_memory_give_the_same_records_for_every_suite(tmp_path):
+    # `verify gen` files, read back through json, take the stacked loaders'
+    # one-array path as the in-memory payloads do: every record of every suite
+    # at the default seed is equal, bit for bit
+    cfg = SuiteConfig()
+    generate(cfg, str(tmp_path))
+    from_files = run(cfg, instance_dir=str(tmp_path))
+    assert {r.suite for r in from_files.records} == set(cfg.suites)
+    assert from_files.all_passed
+    assert record_bits(from_files) == record_bits(run(cfg))
+
+
+def inf_image(star_map: dict) -> None:
+    """An infinite entry in the first image of a dumped star map."""
+    star_map["images"][0][0][0][0] = float("inf")
+
+
+def drop_a_block(star_map: dict) -> None:
+    """One block too many in the last image of a dumped star map."""
+    star_map["images"][-1].append(star_map["images"][-1][0])
+
+
+@pytest.mark.parametrize("corrupt", [inf_image, drop_a_block])
+@pytest.mark.parametrize("suite, section, named", [
+    ("continuity", lambda p: p["path"][6]["alpha"]["forward"], "automorphism 6: star map 0: "),
+    ("category", lambda p: p["morphisms"][2]["rho"], "star map 2: "),
+    ("lift", lambda p: p["morphisms"]["m2"]["alpha"]["inverse"], "automorphism 1: star map 1: "),
+    # both systems' automorphisms are one section, system_in's first: instance
+    # 1's group is Z4, so system_out's automorphism 1 is the section's item 5
+    ("equivariant", lambda p: p["correspondence"]["system_out"]["action"][1]["forward"],
+     "automorphism 5: star map 0: "),
+])
+def test_a_faulty_item_of_a_stacked_section_is_named(suite, section, named, corrupt):
+    # one corrupt item in the middle of a section loaded as one stack still
+    # ends the instance as its one construction record, under the theorem it
+    # had, and the message names the item by its index in the section
+    payload = generate_instance(suite, SizeCaps(), instance_seed(20250809, suite, 1))
+    if suite == "equivariant":
+        assert payload["group"] == "Z4"
+    corrupt(section(payload))
+    (record,) = check_instance(suite, payload, Tolerance())
+    assert (record.check, record.passed) == ("construction", False)
+    assert record.theorem == "instance construction and validation"
+    assert record.error.startswith(f"ValidationError: {named}element "), record.error

@@ -94,7 +94,7 @@ def test_element_and_star_map_round_trip(rng):
     a = random_element(shape, rng)
     data = ser.dump_element(shape, a.coeffs())
     assert data == [ser.dump_cmatrix(b) for b in a.blocks]
-    back = ser.load_element(shape, json.loads(json.dumps(data)))
+    (back,) = ser.load_elements(shape, [json.loads(json.dumps(data))])
     assert np.array_equal(back, a.coeffs())
     rho = random_star_map(shape, rng, max_block=3)
     data = json.loads(json.dumps(ser.dump_star_map(rho)))
@@ -102,13 +102,13 @@ def test_element_and_star_map_round_trip(rng):
     assert data["images"] == [
         [ser.dump_cmatrix(b) for b in img.blocks] for img in star_map_images(rho)
     ]
-    back = ser.load_star_map(data)
+    (back,) = ser.load_star_maps([data])
     assert np.array_equal(rho.matrix, back.matrix)
     for broken in (data["images"][:-1], [img[:-1] for img in data["images"]]):
         with pytest.raises(ValidationError):
-            ser.load_star_map({**data, "images": broken})
+            ser.load_star_maps([{**data, "images": broken}])
     alpha = random_automorphism(shape, 3)
-    back = ser.load_automorphism(json.loads(json.dumps(ser.dump_automorphism(alpha))))
+    (back,) = ser.load_automorphisms([json.loads(json.dumps(ser.dump_automorphism(alpha)))])
     assert np.array_equal(alpha.matrix, back.matrix)
     assert np.array_equal(alpha.inverse_matrix, back.inverse_matrix)
 
@@ -174,10 +174,10 @@ def test_module_with_singular_gram_rejected():
         ser.load_module(data)
 
 
-# -- malformed tables keep the element-wise messages ---------------------------
+# -- malformed tables name their faulty entry ----------------------------------
 # Pairing tables and star-map images are parsed one block stack at a time;
-# malformed data must fail with the message loading its entries one at a
-# time gives.
+# malformed data must fail with the message the first faulty entry gives
+# alone, named by its index.
 
 
 def drop_block(entry):
@@ -203,11 +203,22 @@ def string_entry(entry):
 CORRUPTIONS = [drop_block, inf_entry, short_block, ragged_pair, string_entry]
 
 
+def itemwise_message(kind, items, load):
+    """The message a stacked loader gives for items: the first item that
+    fails loaded alone (`load([item])`, which names it `kind 0`), named by its
+    index in items."""
+    for i, item in enumerate(items):
+        try:
+            load([item])
+        except ValidationError as exc:
+            alone = f"{kind} 0: "
+            assert str(exc).startswith(alone), str(exc)
+            return f"{kind} {i}: {str(exc)[len(alone):]}"
+    raise AssertionError("no item fails")
+
+
 def elementwise_message(shape, entries):
-    with pytest.raises(ValidationError) as err:
-        for e in entries:
-            ser.load_element(shape, e)
-    return str(err.value)
+    return itemwise_message("element", entries, lambda items: ser.load_elements(shape, items))
 
 
 @pytest.mark.parametrize("corrupt", CORRUPTIONS)
@@ -226,9 +237,10 @@ def test_malformed_star_map_keeps_its_message(corrupt, rng):
     rho = random_star_map(AlgebraShape((2, 1)), rng, max_block=3)
     data = json.loads(json.dumps(ser.dump_star_map(rho)))
     corrupt(data["images"][2])
-    expected = elementwise_message(rho.codomain, data["images"])
+    expected = "star map 0: " + elementwise_message(rho.codomain, data["images"])
+    assert expected.startswith("star map 0: element 2: ")
     with pytest.raises(ValidationError) as err:
-        ser.load_star_map(data)
+        ser.load_star_maps([data])
     assert str(err.value) == expected
 
 
@@ -240,8 +252,8 @@ def test_wrong_count_tables_rejected(rng):
             ser.load_module({**data, "pairing": rows})
     rho = random_star_map(AlgebraShape((2,)), rng, max_block=2)
     data = json.loads(json.dumps(ser.dump_star_map(rho)))
-    with pytest.raises(ValidationError, match="^star map needs one image per domain basis"):
-        ser.load_star_map({**data, "images": data["images"] + data["images"][:1]})
+    with pytest.raises(ValidationError, match="^star map 1: star map needs one image per domain"):
+        ser.load_star_maps([data, {**data, "images": data["images"] + data["images"][:1]}])
 
 
 def test_loaded_shapes_with_equal_blocks_share_one_read_only_product_table():
@@ -254,10 +266,10 @@ def test_loaded_shapes_with_equal_blocks_share_one_read_only_product_table():
         first.product_table[0, 0] = 1
 
 
-# -- stacked lists keep the item-wise messages ----------------------------------
+# -- stacked lists name their faulty item ----------------------------------------
 # A module action, CP images and unitaries parse as one array each, and all
-# forward and inverse images of a dynamical system as one element stack; one
-# bad item must fail with the message loading the items one at a time gives.
+# forward and inverse images of both dynamical systems as one element stack;
+# one bad item must fail with the message it gives alone, named by its index.
 
 
 def drop_row(matrix):
@@ -279,13 +291,6 @@ def ragged_scalar(matrix):
 MATRIX_CORRUPTIONS = [drop_row, inf_scalar, string_scalar, ragged_scalar]
 
 
-def itemwise_message(items, rows, cols):
-    with pytest.raises(ValidationError) as err:
-        for m in items:
-            ser.load_cmatrix(m, rows, cols)
-    return str(err.value)
-
-
 def equivariant_data():
     c = random_equivariant(AlgebraShape((2,)), AlgebraShape((2,)), cyclic_group(3), seed=4)
     return c, json.loads(json.dumps(ser.dump_equivariant(c)))
@@ -298,7 +303,9 @@ def test_malformed_matrix_list_keeps_its_message(corrupt, field):
     items = {"action": data["module"]["action"], "images": data["phi"]["images"],
              "unitaries": data["unitaries"]}[field]
     corrupt(items[1])
-    expected = itemwise_message(items, c.module.dim, c.module.dim)
+    d = c.module.dim
+    expected = itemwise_message("matrix", items, lambda x: ser.load_cmatrices(x, d, d))
+    assert expected.startswith("matrix 1: ")
     with pytest.raises(ValidationError) as err:
         ser.load_equivariant(data)
     assert str(err.value) == expected
@@ -310,8 +317,11 @@ def test_malformed_system_action_keeps_its_message(corrupt, system):
     c, data = equivariant_data()
     action = data[system]["action"]
     corrupt(action[1]["inverse"]["images"][2])
-    images = [x for a in action for m in (a["forward"], a["inverse"]) for x in m["images"]]
-    expected = elementwise_message(AlgebraShape((2,)), images)
+    images = action[1]["inverse"]["images"]
+    # both systems' automorphisms are one section, system_in's first
+    index = 1 if system == "system_in" else len(data["system_in"]["action"]) + 1
+    named = f"automorphism {index}: star map 1: "
+    expected = named + elementwise_message(AlgebraShape((2,)), images)
     with pytest.raises(ValidationError) as err:
         ser.load_equivariant(data)
     assert str(err.value) == expected
@@ -322,12 +332,12 @@ def test_system_star_map_with_a_wrong_image_count_keeps_its_message():
     star_map = data["system_in"]["action"][2]["forward"]
     star_map["images"].pop()
     with pytest.raises(ValidationError) as err:
-        ser.load_star_map(star_map)
-    expected = str(err.value)
-    assert expected == "star map needs one image per domain basis element"
+        ser.load_star_maps([star_map])
+    alone = "star map needs one image per domain basis element"
+    assert str(err.value) == f"star map 0: {alone}"
     with pytest.raises(ValidationError) as err:
         ser.load_equivariant(data)
-    assert str(err.value) == expected
+    assert str(err.value) == f"automorphism 2: star map 0: {alone}"
 
 
 def test_stacked_lists_load_what_the_items_load():
@@ -341,7 +351,7 @@ def test_stacked_lists_load_what_the_items_load():
     for system, loaded in ((data["system_in"], back.system_in),
                            (data["system_out"], back.system_out)):
         for a, alpha in zip(system["action"], loaded.action, strict=True):
-            forward, inverse = (ser.load_star_map(a[k]).matrix for k in ("forward", "inverse"))
+            forward, inverse = (ser.load_star_maps([a[k]])[0].matrix for k in ("forward", "inverse"))
             assert alpha.matrix.tobytes() == forward.tobytes()
             assert alpha.inverse_matrix.tobytes() == inverse.tobytes()
 
@@ -361,3 +371,68 @@ def test_representation_keeps_its_key_across_a_round_trip(which):
     assert F.key == pi.module.key
     assert np.array_equal(twin.images, pi.images)
     assert twin.key == pi.key
+
+
+# -- sizes and group entries are integers, not truncated ----------------------
+
+
+@pytest.mark.parametrize("blocks", [[2.5], [1, 1.5], ["2"], [None], [float("nan")]])
+def test_a_block_list_of_non_integers_is_rejected(blocks):
+    # int() would truncate 2.5 to 2 and read "2" as 2
+    with pytest.raises(ValidationError, match="bad algebra shape"):
+        ser.load_shape(blocks)
+
+
+def test_integral_sizes_load_as_their_integers():
+    assert ser.load_shape([2.0, 1]) is ser.load_shape([2, 1])
+    assert ser.load_shape([2.0, 1]).blocks == (2, 1)
+
+
+def test_a_module_of_non_integral_dimension_is_rejected(rng):
+    data = json.loads(json.dumps(ser.dump_module(random_module(AlgebraShape((2,)), rng, 3))))
+    assert ser.load_module({**data, "dim": float(data["dim"])}).dim == data["dim"]
+    with pytest.raises(ValidationError, match="not an integer"):
+        ser.load_module({**data, "dim": data["dim"] + 0.9})
+
+
+def fractional(data, field):
+    """A copy of a dumped group with 0.5 added to one integer of `field`."""
+    data = json.loads(json.dumps(data))
+    if field in ("order", "identity"):
+        data[field] += 0.5
+    elif field == "table":
+        data["table"][1][1] += 0.5
+    else:
+        data["inverse"][1] += 0.5
+    return data
+
+
+@pytest.mark.parametrize("field", ["order", "identity", "table", "inverse"])
+def test_a_group_with_a_non_integral_entry_is_rejected(field):
+    # int() and dtype=int would truncate the entry and load another group
+    data = ser.dump_group(cyclic_group(3))
+    with pytest.raises(ValidationError, match="not an integer"):
+        ser.load_group(fractional(data, field))
+
+
+def test_loaded_groups_are_one_read_only_group_per_content(monkeypatch):
+    # a group's laws are checked on first sight, and each later load of the
+    # same content is that group; other content is another group
+    from ksgnslab import equivariant
+
+    data = {**ser.dump_group(cyclic_group(5)), "name": "Z5 as loaded here"}
+    checked, real = [], equivariant.FiniteGroup.__post_init__
+    monkeypatch.setattr(equivariant.FiniteGroup, "__post_init__",
+                        lambda G: checked.append(G.name) or real(G))
+    first = ser.load_group(json.loads(json.dumps(data)))
+    assert checked == ["Z5 as loaded here"]
+    assert ser.load_group(json.loads(json.dumps(data))) is first and len(checked) == 1
+    assert ser.load_group({**data, "name": "another"}) is not first and len(checked) == 2
+    for array in (first.table, first.inverse):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    broken = {**data, "name": "Z5 with a broken table"}
+    broken["table"] = [list(reversed(row)) for row in data["table"]]
+    for _ in range(2):  # a group that fails its laws is not kept
+        with pytest.raises(ValidationError):
+            ser.load_group(broken)

@@ -842,10 +842,11 @@ def structure_keys(source: str) -> dict[str, str]:
     }
 
 
-# what depends on block sizes and a dimension alone
+# what depends on block sizes and a dimension alone, and the groups, by name
+# or by content
 STRUCTURE_BUILDERS = (
-    "algebra_module", "column_split", "left_multiplication", "load_shape", "make_group",
-    "product_table", "row_split")
+    "algebra_module", "column_split", "left_multiplication", "load_group", "load_shape",
+    "make_group", "product_table", "row_split")
 
 
 def test_block_size_structure_is_built_once_per_process_not_per_instance():
