@@ -311,8 +311,11 @@ class EquivariantCorrespondence:
     unitaries: list[np.ndarray]  # one (d, d) matrix per group element
 
     def __post_init__(self) -> None:
-        G = self.system_in.group
-        if self.system_out.group.order != G.order:
+        G, H = self.system_in.group, self.system_out.group
+        if H is not G and not (
+            (G.order, G.identity, G.perms, G.name) == (H.order, H.identity, H.perms, H.name)
+            and np.array_equal(G.table, H.table) and np.array_equal(G.inverse, H.inverse)
+        ):
             raise ShapeMismatch("the two systems carry different groups")
         if len(self.unitaries) != G.order:
             raise ShapeMismatch("one unitary per group element required")

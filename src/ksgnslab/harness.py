@@ -65,7 +65,7 @@ from .equivariant import (
     trivial_group,
     uniqueness_unitary,
 )
-from .errors import InvalidConfig, KsgnslabError, ParseError
+from .errors import InvalidConfig, KsgnslabError, ParseError, ValidationError
 from .generators import (
     extend_morphism,
     random_elements,
@@ -143,7 +143,8 @@ GROUP_MENU = ("Z2", "Z3", "Z4", "S3")
 
 
 def make_group(name: str):
-    """The named group, built once per process (memo.structure), read-only."""
+    """The named group, built once per process (memo.structure), read-only:
+    the group serialize.load_group gives for its dumped content."""
 
     def build():
         if name == "S3":
@@ -155,7 +156,7 @@ def make_group(name: str):
         else:
             raise InvalidConfig(f"unknown group {name!r}")
         G.table.flags.writeable = G.inverse.flags.writeable = False
-        return G
+        return ser.load_group(ser.dump_group(G), G)
 
     return structure(("make_group", name), build)
 
@@ -264,6 +265,13 @@ def _sub_rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, salt]))
 
 
+def _drawn_on_input_algebra(payload: dict, *phis: CPMap) -> None:
+    """Raise ValidationError unless each CP map is on the payload's input_algebra."""
+    A = ser.load_shape(payload["input_algebra"])
+    if any(phi.algebra != A for phi in phis):
+        raise ValidationError(f"a CP map drawn on input_algebra {A.blocks} is on another algebra")
+
+
 # ---------------------------------------------------------------------------
 # ksgns suite
 # ---------------------------------------------------------------------------
@@ -302,6 +310,7 @@ _KSGNS_THEOREMS = {
 def _check_ksgns(payload: dict, tol: Tolerance, memo: BuildMemo):
     E = ser.load_module(payload["module"])
     phi = ser.load_cpmap(payload["phi"], {"module": E})
+    _drawn_on_input_algebra(payload, phi)
     yield "input_hermitian", phi.hermiticity_residual(), tol.ctol * (1.0 + phi.norm)
     ok, certificate = _cp_certificate(phi, tol, memo)
     yield "input_cp", *certificate
@@ -419,6 +428,7 @@ def _check_lift(payload: dict, tol: Tolerance, memo: BuildMemo):
     mods, phis, morphs = _load_bundle(payload)
     E1, E2, E3 = mods["E1"], mods["E2"], mods["E3"]
     phi1, phi2, phi3 = phis["phi1"], phis["phi2"], phis["phi3"]
+    _drawn_on_input_algebra(payload, phi1, phi2, phi3)
     m1, m2 = morphs["m1"], morphs["m2"]
     rng = _sub_rng(payload["seed"], 2)
 
@@ -481,6 +491,7 @@ _IDEMPOTENCY_THEOREMS = {
 
 def _check_idempotency(payload: dict, tol: Tolerance, memo: BuildMemo):
     mods, phis, morphs = _load_bundle(payload)
+    _drawn_on_input_algebra(payload, phis["phi1"], phis["phi2"])
     m = morphs["m"]
     t1 = ksgns([mods["E1"]], [phis["phi1"]], tol, memo)[0]
     t2 = ksgns([mods["E2"]], [phis["phi2"]], tol, memo)[0]
@@ -552,6 +563,7 @@ def _check_tensor(payload: dict, tol: Tolerance, memo: BuildMemo):
     mods, phis, morphs = _load_bundle(payload)
     E1, E2, F = mods["E1"], mods["E2"], mods["F"]
     phi1, phi2, pi = phis["phi1"], phis["phi2"], phis["pi"]
+    _drawn_on_input_algebra(payload, phi1, phi2)
     m = morphs["m"]
     star_maps = payload["star_maps"]
     rho1, rho2, rho3 = ser.load_star_maps([star_maps[k] for k in ("rho1", "rho2", "rho3")])
@@ -747,9 +759,11 @@ def _load_category(payload: dict, tol: Tolerance, memo: BuildMemo):
     A = ser.load_shape(payload["input_algebra"])
     objects = []
     for odata in payload["objects"]:
-        module = ser.load_module(odata["module"])
-        phi = ser.load_cpmap(odata["phi"], {odata["ident"]: module})
-        objects.append(PosCorObject(odata["ident"], A, module.algebra, module, phi))
+        ident, module = odata["ident"], ser.load_module(odata["module"])
+        phi = ser.load_cpmap(odata["phi"], {ident: module})
+        if ser.load_shape(odata["coefficient"]) != module.algebra:
+            raise ValidationError(f"object {ident}'s coefficient is not its module's algebra")
+        objects.append(PosCorObject(ident, A, module.algebra, module, phi))
     by_ident = {obj.ident: obj for obj in objects}
     data = payload["morphisms"]
     doms, cods = ([by_ident[d[end]] for d in data] for end in ("dom", "cod"))
@@ -785,12 +799,15 @@ _CATEGORY_THEOREMS = {
 
 
 def _check_category(payload: dict, tol: Tolerance, memo: BuildMemo):
+    checks = payload.get("checks", [])
+    if unknown := set(checks) - {"laws", "ksgns_functor"}:
+        raise ValidationError(f"unknown category checks {sorted(unknown)}")
     objects, morphisms = _load_category(payload, tol, memo)
     # the first failing morphism's worst record, (0, ctol) when every one passes
     summaries = map(summarize, check_poscor_morphism(morphisms, tol, memo))
     yield "morphism_invariants", *next((s for s in summaries if s[0] > s[1]), (0.0, tol.ctol))
     yield from check_category_laws(objects, morphisms, tol, memo)
-    if "ksgns_functor" not in payload.get("checks", []):
+    if "ksgns_functor" not in checks:
         return
     # KSGNS endofunctor laws on the category, on one composable pair
     m1 = next(m for m in morphisms if m.dom.ident == "O1" and m.cod.ident == "O2")
@@ -849,6 +866,14 @@ def _gen_equivariant(caps: SizeCaps, seed: int) -> dict:
     return {"seed": seed, "group": gname, "correspondence": ser.dump_equivariant(c)}
 
 
+def _load_correspondence(payload: dict):
+    """The payload's correspondence, whose group must be named as the payload's group."""
+    c = ser.load_equivariant(payload["correspondence"])
+    if (name := c.group.name) != payload["group"]:
+        raise ValidationError(f"a correspondence over {name!r} in a {payload['group']!r} payload")
+    return c
+
+
 _EQUIVARIANT_THEOREMS = {
     "system_in": "the input action is a group homomorphism into automorphisms",
     "system_out": "the output action is a group homomorphism into automorphisms",
@@ -866,7 +891,7 @@ _EQUIVARIANT_THEOREMS = {
 
 
 def _check_equivariant_suite(payload: dict, tol: Tolerance, memo: BuildMemo):
-    c = ser.load_equivariant(payload["correspondence"])
+    c = _load_correspondence(payload)
     yield "system_in", c.system_in.homomorphism_residual(), tol.ctol
     yield "system_out", c.system_out.homomorphism_residual(), tol.ctol
     yield from check_equivariant(c, tol)
@@ -893,7 +918,7 @@ _DILATION_THEOREMS = {
 
 
 def _check_dilation(payload: dict, tol: Tolerance, memo: BuildMemo):
-    c = ser.load_equivariant(payload["correspondence"])
+    c = _load_correspondence(payload)
     quad = dilate(c, tol=tol, memo=memo)
     yield from check_dilation(quad, tol)
     yield (
@@ -976,6 +1001,11 @@ def _check_continuity(payload: dict, tol: Tolerance, memo: BuildMemo):
     E1, E2 = mods["E1"], mods["E2"]
     phi1 = ser.load_cpmap(payload["phis"]["phi1"], mods)
     phi2 = ser.load_cpmap(payload["phis"]["phi2"], mods)
+    _drawn_on_input_algebra(payload, phi1, phi2)
+    # an inner path runs from one map to itself, a linear one between two maps
+    kind = "inner" if phi1.key == phi2.key else "linear"
+    if payload["kind"] != kind:
+        raise ValidationError(f"a {payload['kind']!r} path between the CP maps of a {kind} one")
     A = phi1.algebra
     # the path's steps, then the target, each section as one stack
     steps = [*payload["path"], payload["target"]]
@@ -1027,7 +1057,7 @@ _UNIQUENESS_THEOREMS = {
 
 
 def _check_uniqueness(payload: dict, tol: Tolerance, memo: BuildMemo):
-    c = ser.load_equivariant(payload["correspondence"])
+    c = _load_correspondence(payload)
     quad = dilate(c, tol=tol, memo=memo)
     F = quad.triple.module
     Z = ModuleMap(F, F, ser.load_cmatrix(payload["planted"], F.dim, F.dim))

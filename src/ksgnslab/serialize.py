@@ -10,6 +10,12 @@ Conventions:
   pair}; maps carry {source_id, target_id, matrix};
 * CP maps carry {algebra, module_id, images, strict}; strict is always true.
 
+One parser, _matrices, reads every float of a payload: a section loads as one
+parse per matrix shape, and a faulty item is named by its index in its
+section.  Rules between fields (the algebra each CP map is drawn on, the one
+group of a correspondence) are checked where they are read: in the harness's
+checkers and in EquivariantCorrespondence.
+
 Python's json round-trips doubles exactly (shortest-repr), so a dumped
 instance reloads bit-identically and deterministic constructions built from
 it (quotient coordinates in particular) reproduce exactly on the same
@@ -30,11 +36,7 @@ from .errors import ShapeMismatch, ValidationError
 from .hilbert import HilbertModule, ModuleMap
 from .memo import structure
 from .numkernel import stackwise
-from .equivariant import (
-    DynamicalSystem,
-    EquivariantCorrespondence,
-    FiniteGroup,
-)
+from .equivariant import DynamicalSystem, EquivariantCorrespondence, FiniteGroup
 
 
 # -- scalars and matrices -----------------------------------------------------
@@ -52,84 +54,68 @@ def dump_cmatrix(M: np.ndarray) -> list:
     return dump_cmatrices(np.asarray(M)[None])[0]
 
 
-def load_cmatrix(data: Any, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """The matrix of one dumped matrix, checked: [re, im] pairs, the shape
-    (rows, cols) where given, finite entries."""
-    if not isinstance(data, list):
+def _matrices(items: Any, rows: int | None, cols: int | None) -> np.ndarray:
+    """Matrices (len(items), rows, cols) of a list of dumped matrices, parsed as
+    one array and checked: lists of rows of [re, im] pairs, the shape (rows,
+    cols) where given, finite entries.  A matrix of no rows dumps as []."""
+    if not isinstance(items, list) or set(map(type, items)) - {list}:
         raise ValidationError("matrix must be a list of rows")
-    if not data and not rows:  # a (0, n) matrix dumps as []
-        return np.zeros((0, cols or 0), dtype=complex)
     try:
-        A = np.array(data, dtype=float)
+        A = np.array(items, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"matrix must be rows of [re, im] pairs: {exc}") from exc
-    if A.size == 0 and A.ndim < 3:  # no rows, or rows of zero columns
-        A = A.reshape(len(data), 0, 2)
-    if A.ndim != 3 or A.shape[2] != 2:
-        raise ValidationError(f"matrix must be rows of [re, im] pairs, got shape {A.shape}")
-    if rows is not None and A.shape[0] != rows:
-        raise ValidationError(f"matrix has {A.shape[0]} rows, expected {rows}")
-    if cols is not None and A.shape[1] != cols:
-        raise ValidationError(f"matrix has {A.shape[1]} cols, expected {cols}")
+    if A.size == 0 and A.ndim < 4:  # no matrices, matrices of no rows, or rows of no columns
+        A = A.reshape(A.shape + (rows or 0, cols or 0)[A.ndim - 1 :] + (2,))
+    if A.ndim != 4 or A.shape[3] != 2:
+        raise ValidationError(f"matrix must be rows of [re, im] pairs, got shape {A.shape[1:]}")
+    if rows is not None and A.shape[1] != rows:
+        raise ValidationError(f"matrix has {A.shape[1]} rows, expected {rows}")
+    if cols is not None and A.shape[2] != cols:
+        raise ValidationError(f"matrix has {A.shape[2]} cols, expected {cols}")
     if not np.isfinite(A).all():
         raise ValidationError("matrix contains non-finite entries")
     return A.view(complex)[..., 0]
 
 
-# A payload section (a module's action, a path's automorphisms, a category's
-# star maps) loads through one stacked loader: its fast path parses the whole
-# list as one array per shape and checks it whole (finite entries, shapes and
-# counts), and raises ValidationError when the list does not stack.  Its one
-# fallback then loads the items one at a time and raises the first fault again
-# with the item's index in front of its message.
+def load_cmatrix(data: Any, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    """The matrix of one dumped matrix, checked as _matrices checks a list."""
+    return _matrices([data], rows, cols)[0]
 
 
-def _loaded(kind: str, items: Any, stacked: Callable[[Any], Any], one: Callable[[Any], Any]):
-    """stacked(items), or where it raises ValidationError, [one(x) for x in
-    items] with the first item's ValidationError raised again as `kind i: ...`."""
+# A payload section (a module's action, a path's automorphisms) is a list of
+# dumped items of one kind, loaded by one parse of the whole list.  Where that
+# raises, _named parses each item alone and names the first that raises.  Each
+# nested part loads through its own named loader (elements inside star maps,
+# star maps inside automorphisms): `automorphism 6: star map 0: element 1: ...`.
+
+
+def _named(kind: str, parse: Callable[[list], Any], items: Any) -> Any:
+    """parse(items), or where it raises ValidationError, the error of the first
+    item that raises parsed alone, as `kind i: ...` (the section's own error
+    where no item does)."""
     try:
-        return stacked(items)
+        return parse(items)
     except ValidationError:
-        pass
-    loaded = []
-    for i, item in enumerate(items):
-        try:
-            loaded.append(one(item))
-        except ValidationError as exc:
-            raise ValidationError(f"{kind} {i}: {exc}") from exc
-    return loaded
-
-
-def _matrix_stack(items: Any, rows: int, cols: int) -> np.ndarray:
-    """Matrices (len(items), rows, cols) of nonzero size, parsed as one array."""
-    if not isinstance(items, list) or not rows * cols:
-        raise ValidationError("not a stack of nonempty matrices")
-    try:
-        A = np.array(items, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError("not a stack of matrices") from exc
-    if A.shape != (len(items), rows, cols, 2) or not np.isfinite(A).all():
-        raise ValidationError("not a stack of finite matrices")
-    return A.view(complex)[..., 0]
+        for i, item in enumerate(items if isinstance(items, list) else ()):
+            try:
+                parse([item])
+            except ValidationError as exc:
+                raise ValidationError(f"{kind} {i}: {exc}") from exc
+        raise
 
 
 def load_cmatrices(items: Any, rows: int, cols: int) -> np.ndarray:
     """Matrices (len(items), rows, cols) of a list of dumped matrices of one
     shape, parsed as one array; a faulty item is named by its index."""
-    M = _loaded("matrix", items, lambda x: _matrix_stack(x, rows, cols),
-                lambda m: load_cmatrix(m, rows, cols))
-    return M if isinstance(M, np.ndarray) else np.array(M, complex).reshape(len(M), rows, cols)
+    return _named("matrix", lambda x: _matrices(x, rows, cols), items)
 
 
 def load_cmatrix_list(items: list, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
     """The matrices of a list of dumped matrices, item i of shape shapes[i]:
     those of one shape parsed as one array; a faulty item is named by its index."""
-    return _loaded(
-        "matrix", list(zip(items, shapes)),
-        lambda pairs: stackwise(pairs, lambda pair: pair[1],
-                                lambda stack: _matrix_stack([m for m, _ in stack], *stack[0][1])),
-        lambda pair: load_cmatrix(pair[0], *pair[1]),
-    )
+    return _named("matrix", lambda pairs: stackwise(
+        pairs, lambda pair: pair[1], lambda stack: _matrices([m for m, _ in stack], *stack[0][1])
+    ), list(zip(items, shapes)))
 
 
 def _integral(value: Any) -> int:
@@ -173,40 +159,25 @@ def dump_element(shape: AlgebraShape, c: np.ndarray) -> list:
     return dump_elements(shape, np.asarray(c)[None])[0]
 
 
-def _element(shape: AlgebraShape, data: Any) -> np.ndarray:
-    """Coefficients (dim A,) of one dumped element."""
-    if not isinstance(data, list) or len(data) != len(shape.blocks):
+def _elements(shape: AlgebraShape, items: Any) -> np.ndarray:
+    """Coefficient rows (len(items), dim A) of dumped elements, the blocks of
+    all of them parsed as one matrix stack per block (one stack where the
+    blocks are of one size)."""
+    k = len(shape.blocks)
+    if not isinstance(items, list) or set(map(type, items)) - {list} or set(map(len, items)) - {k}:
         raise ValidationError("element block count does not match the shape")
-    return np.concatenate([load_cmatrix(b, n, n).reshape(-1) for b, n in zip(data, shape.blocks)])
-
-
-def _element_stack(shape: AlgebraShape, items: Any) -> np.ndarray:
-    """Coefficient rows (len(items), dim A), each block of all the elements
-    parsed as one array."""
-    count, k, n = len(items), len(shape.blocks), shape.blocks[0]
-    if shape.blocks == (n,) * k:  # blocks of one size: the count is the second axis
-        parts, sizes = [items], [(count, k, n, n, 2)]
-    elif set(map(type, items)) <= {list} and set(map(len, items)) <= {k}:
-        parts = [[x[t] for x in items] for t in range(k)]
-        sizes = [(count, n, n, 2) for n in shape.blocks]
-    else:
-        raise ValidationError("elements of another block count")
-    try:
-        blocks = [np.array(part, dtype=float) for part in parts]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError("not a stack of elements") from exc
-    if [b.shape for b in blocks] != sizes or not all(np.isfinite(b).all() for b in blocks):
-        raise ValidationError("not a stack of finite elements")
-    C = [b.view(complex).reshape(count, -1) for b in blocks]
-    return C[0] if len(C) == 1 else np.concatenate(C, axis=1)
+    count, n = len(items), shape.blocks[0]
+    if shape.blocks == (n,) * k:
+        return _matrices([b for x in items for b in x], n, n).reshape(count, shape.dim)
+    return np.concatenate([_matrices([x[t] for x in items], m, m).reshape(count, m * m)
+                           for t, m in enumerate(shape.blocks)], axis=1)
 
 
 def load_elements(shape: AlgebraShape, items: Any) -> np.ndarray:
     """Coefficient rows (len(items), dim A) of a list of dumped elements, each
     block of all of them parsed as one array; a faulty item is named by its
     index."""
-    C = _loaded("element", items, lambda x: _element_stack(shape, x), lambda x: _element(shape, x))
-    return C if isinstance(C, np.ndarray) else np.array(C, complex).reshape(len(C), shape.dim)
+    return _named("element", lambda x: _elements(shape, x), items)
 
 
 def dump_star_map(rho: StarMap) -> dict:
@@ -217,26 +188,18 @@ def dump_star_map(rho: StarMap) -> dict:
     }
 
 
-def _star_map(data: Any) -> StarMap:
-    """The StarMap of one dumped star map."""
-    dom, cod = load_shape(data["domain"]), load_shape(data["codomain"])
-    if len(data["images"]) != dom.dim:
-        raise ValidationError("star map needs one image per domain basis element")
-    return StarMap(dom, cod, load_elements(cod, data["images"]).T)
-
-
-def _star_map_stack(items: list) -> list[StarMap]:
+def _star_maps(items: list) -> list[StarMap]:
     """The StarMaps of dumped star maps, the images of all those into one
-    codomain parsed by one _element_stack."""
+    codomain loaded as one list of elements."""
     heads = []
     for data in items:
         dom, cod, images = load_shape(data["domain"]), load_shape(data["codomain"]), data["images"]
         if len(images) != dom.dim:
-            raise ValidationError("star map image count")
+            raise ValidationError("star map needs one image per domain basis element")
         heads.append((dom, cod, images))
 
     def maps(stack: list) -> list[StarMap]:  # the maps into one codomain
-        C = _element_stack(stack[0][1], [x for _, _, images in stack for x in images])
+        C = load_elements(stack[0][1], [x for _, _, images in stack for x in images])
         ends = accumulate(dom.dim for dom, _, _ in stack)
         return [StarMap(dom, cod, C[end - dom.dim : end].T)
                 for (dom, cod, _), end in zip(stack, ends)]
@@ -247,7 +210,7 @@ def _star_map_stack(items: list) -> list[StarMap]:
 def load_star_maps(items: list) -> list[StarMap]:
     """The StarMaps of a list of dumped star maps, the images of those into
     one codomain parsed as one array; a faulty item is named by its index."""
-    return _loaded("star map", items, _star_map_stack, _star_map)
+    return _named("star map", _star_maps, items)
 
 
 def dump_automorphism(alpha: Automorphism) -> dict:
@@ -257,8 +220,8 @@ def dump_automorphism(alpha: Automorphism) -> dict:
     }
 
 
-def _automorphism_stack(items: list) -> list[Automorphism]:
-    maps = _star_map_stack([m for data in items for m in (data["forward"], data["inverse"])])
+def _automorphisms(items: list) -> list[Automorphism]:
+    maps = load_star_maps([m for data in items for m in (data["forward"], data["inverse"])])
     return [Automorphism(*maps[i : i + 2]) for i in range(0, len(maps), 2)]
 
 
@@ -266,8 +229,7 @@ def load_automorphisms(items: list) -> list[Automorphism]:
     """The Automorphisms of a list of dumped automorphisms, every forward and
     inverse image on one algebra parsed as one array; a faulty item is named
     by its index."""
-    return _loaded("automorphism", items, _automorphism_stack,
-                   lambda x: Automorphism(*load_star_maps([x["forward"], x["inverse"]])))
+    return _named("automorphism", _automorphisms, items)
 
 
 # -- module layer -------------------------------------------------------------
@@ -304,11 +266,7 @@ def load_module(data: Any) -> HilbertModule:
 
 
 def dump_module_map(m: ModuleMap, source_id: str, target_id: str) -> dict:
-    return {
-        "source_id": source_id,
-        "target_id": target_id,
-        "matrix": dump_cmatrix(m.matrix),
-    }
+    return {"source_id": source_id, "target_id": target_id, "matrix": dump_cmatrix(m.matrix)}
 
 
 def load_module_maps(items: list, modules: dict[str, HilbertModule]) -> list[ModuleMap]:
@@ -361,10 +319,11 @@ def dump_group(G: FiniteGroup) -> dict:
     return out
 
 
-def load_group(data: Any) -> FiniteGroup:
+def load_group(data: Any, group: FiniteGroup | None = None) -> FiniteGroup:
     """The FiniteGroup of a dumped group, one per content for the process:
     found by its fields as given (order, identity, table, inverse, perms and
-    name) before any is converted, and on first sight built from their integer
+    name) before any is converted, and on first sight `group` (a read-only
+    group of that content) where given, or else built from their integer
     values, validated and made read-only."""
 
     def build() -> FiniteGroup:
@@ -383,7 +342,7 @@ def load_group(data: Any) -> FiniteGroup:
         perms = tuple(map(tuple, data["perms"])) if "perms" in data else None
         content = (data["order"], data["identity"], tuple(map(tuple, data["table"])),
                    tuple(data["inverse"]), perms, data.get("name", "G"))
-        return structure(("load_group", *content), build)
+        return structure(("load_group", *content), build if group is None else lambda: group)
     except ValidationError:
         raise
     except Exception as exc:
@@ -429,7 +388,3 @@ def load_equivariant(data: Any) -> EquivariantCorrespondence:
 
 def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=1)
-
-
-def loads(text: str) -> Any:
-    return json.loads(text)

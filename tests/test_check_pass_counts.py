@@ -208,19 +208,19 @@ def test_python_calls_per_structured_build(workload):
     assert all(calls[p] <= pin for p, pin in STRUCTURED_CALLS[workload].items()), calls
 
 
-@pytest.mark.parametrize("workload, pin", [("suites-default", 750), ("equivariant-dilation", 200)])
+@pytest.mark.parametrize("workload, pin", [("suites-default", 770), ("equivariant-dilation", 200)])
 def test_payload_parses_per_check_pass(monkeypatch, workload, pin):
     # parses of a list of dumped arrays per check pass: 380 + 370 + 630 and
     # 0 + 120 + 120 (load_cmatrix, load_cmatrices and load_elements calls)
     # with each morphism's matrix and automorphism, each star map and each
-    # sample parsed on its own; 10 + 435 + 305 and 0 + 120 + 80 (load_cmatrix,
-    # _matrix_stack and _element_stack, where the stacked loaders parse) with
-    # each payload section one parse per shape
+    # sample parsed on its own; 770 and 200 with each payload section one
+    # parse per shape, counted as calls of the one parser, _matrices (the
+    # earlier count of 750 took an element stack of two block sizes, which
+    # parses twice, as one)
     tasks = WORKLOADS.build(workload, WORKLOADS.DEFAULT_MASTER_SEED)
-    parses = [counted(monkeypatch, name, source=serialize)
-              for name in ("load_cmatrix", "_matrix_stack", "_element_stack")]
+    parses = counted(monkeypatch, "_matrices", source=serialize)
     check_pass(tasks)
-    assert sum(map(len, parses)) <= pin, [len(p) for p in parses]
+    assert len(parses) <= pin, len(parses)
 
 
 @pytest.mark.parametrize("workload", ["suites-default", "equivariant-dilation"])
@@ -238,6 +238,19 @@ def test_each_group_is_validated_once_per_process(monkeypatch, workload):
     checked.clear()
     check_pass(tasks)
     assert checked == []
+
+
+def test_generating_and_checking_validates_each_menu_group_once(monkeypatch):
+    # FiniteGroup validations from an empty process table over generating and
+    # checking suites-default: 8 with harness.make_group and
+    # serialize.load_group each validating the four menu groups, 4 with
+    # make_group's groups interned where load_group finds them
+    monkeypatch.setattr(memo, "_STRUCTURE", {})
+    checked, real = [], equivariant.FiniteGroup.__post_init__
+    monkeypatch.setattr(equivariant.FiniteGroup, "__post_init__",
+                        lambda G: checked.append(G.name) or real(G))
+    check_pass(WORKLOADS.build("suites-default", WORKLOADS.DEFAULT_MASTER_SEED))
+    assert sorted(checked) == sorted(harness.GROUP_MENU), checked
 
 
 def test_category_tensors_build_per_shape_on_a_check_pass(monkeypatch, suites_default):

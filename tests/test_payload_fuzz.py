@@ -230,43 +230,31 @@ INVERSE = "an automorphism's inverse is never checked against its forward map"
 M2 = "lift never checks m2 as a morphism; the composition law it enters holds for any pair"
 BETA = "uniqueness never checks beta: the dilation it transports does not read it"
 CLAMPED = "continuity's records clamp at 0.0, and the edited path stays inside the clamp"
-UNREAD = "written by the generator and never read by the checker"
-GROUPS = "a correspondence compares its two groups by order alone"
 
-# (suite, collapsed path) whose edit leaves every record bit-equal, with why
+# (suite, collapsed path) whose edit leaves every record bit-equal, with why.
+# There were 43 before input_algebra, a category object's coefficient, its
+# checks, continuity's kind and the group fields were read against the fields
+# they describe; each of the 20 left is a fault of the checkers, pinned until
+# it is mended and never filtered out of the edits.
 NO_EFFECT = {
-    ("ksgns", ".input_algebra[*]"): UNREAD,
-    ("lift", ".input_algebra[*]"): UNREAD,
     ("lift", ".modules.E1.action[*][*][*][*]"): ACTION,
     ("lift", ".modules.E2.action[*][*][*][*]"): ACTION,
     ("lift", ".modules.E3.action[*][*][*][*]"): ACTION,
     ("lift", ".morphisms.m2.alpha.forward.images[*][*][*][*][*]"): M2,
     ("lift", ".morphisms.m2.alpha.inverse.images[*][*][*][*][*]"): M2,
-    ("idempotency", ".input_algebra[*]"): UNREAD,
     ("idempotency", ".modules.E1.action[*][*][*][*]"): ACTION,
     ("idempotency", ".modules.E2.action[*][*][*][*]"): ACTION,
     ("idempotency", ".morphisms.m.alpha.inverse.images[*][*][*][*][*]"): INVERSE,
-    ("tensor", ".input_algebra[*]"): UNREAD,
     ("tensor", ".morphisms.m.alpha.inverse.images[*][*][*][*][*]"): INVERSE,
-    ("category", ".objects[*].coefficient[*]"): UNREAD,
     ("category", ".morphisms[*].alpha.inverse.images[*][*][*][*][*]"): INVERSE,
-    ("category", ".checks[*]"): "only `ksgns_functor` is looked for; another name is ignored",
-    ("continuity", ".kind"): UNREAD,
-    ("continuity", ".input_algebra[*]"): UNREAD,
+    ("equivariant", ".correspondence.system_in.action[*].inverse.images[*][*][*][*][*]"): INVERSE,
+    ("dilation", ".correspondence.system_in.action[*].inverse.images[*][*][*][*][*]"): INVERSE,
     ("continuity", ".target.alpha.inverse.images[*][*][*][*][*]"): INVERSE,
     ("continuity", ".path[*].eta[*][*][*]"): CLAMPED,
     ("continuity", ".path[*].alpha.forward.images[*][*][*][*][*]"): CLAMPED,
     ("continuity", ".path[*].alpha.inverse.images[*][*][*][*][*]"): INVERSE,
     ("continuity", ".samples[*].a[*][*][*][*]"): CLAMPED,
-    **{(suite, path): reason for suite in ("equivariant", "dilation", "uniqueness")
-       for path, reason in (
-           (".group", UNREAD),
-           (".correspondence.system_in.group.name", GROUPS),
-           (".correspondence.system_in.group.perms[*][*]", GROUPS),
-           (".correspondence.system_out.group.name", GROUPS),
-           (".correspondence.system_out.group.perms[*][*]", GROUPS),
-           (".correspondence.system_in.action[*].inverse.images[*][*][*][*][*]", INVERSE),
-       )},
+    ("uniqueness", ".correspondence.system_in.action[*].inverse.images[*][*][*][*][*]"): INVERSE,
     ("uniqueness", ".correspondence.system_out.action[*].forward.images[*][*][*][*][*]"): BETA,
     ("uniqueness", ".correspondence.system_out.action[*].inverse.images[*][*][*][*][*]"): BETA,
 }
@@ -299,3 +287,77 @@ def test_every_field_edit_ends_in_construction_or_moves_a_record():
         quiet |= {(suite, name) for name in found}
     assert sum(counts.values()) == 297, counts
     assert quiet == set(NO_EFFECT), sorted(quiet ^ set(NO_EFFECT))
+
+
+# -- fields read against each other ----------------------------------------------
+
+
+def one_construction_record(suite: str, payload: dict) -> str:
+    """The error of the one failing construction record the payload ends as."""
+    (record,) = check_instance(suite, payload, Tolerance())
+    assert (record.check, record.passed) == ("construction", False)
+    return record.error
+
+
+def first_instance(suite: str, accept) -> dict:
+    """The first default instance of the suite that accept(payload) takes."""
+    payloads = (generate_instance(suite, SizeCaps(), instance_seed(MASTER_SEED, suite, i))
+                for i in range(20))
+    return next(p for p in payloads if accept(p))
+
+
+def klein_as_system_out(payload: dict) -> None:
+    """system_out's group given the Klein four-group's table and inverses,
+    with every other field of Z4's kept."""
+    group = payload["correspondence"]["system_out"]["group"]
+    group["table"] = [[g ^ h for h in range(4)] for g in range(4)]
+    group["inverse"] = list(range(4))
+
+
+def named_s3(payload: dict) -> None:
+    payload["group"] = "S3"
+
+
+@pytest.mark.parametrize("edit", [klein_as_system_out, named_s3])
+@pytest.mark.parametrize("suite", ["equivariant", "dilation", "uniqueness"])
+def test_a_correspondence_has_one_group(suite, edit):
+    # the Klein four-group as system_out's group passed every equivariant
+    # record of 5 of the 7 default Z4 instances when only the groups' orders
+    # were compared
+    payload = first_instance(suite, lambda p: p["group"] == "Z4")
+    edit(payload)
+    error = one_construction_record(suite, payload)
+    assert error.startswith("ValidationError: a correspondence over 'Z4' in a 'S3'"
+                            if edit is named_s3 else
+                            "ShapeMismatch: the two systems carry different groups"), error
+
+
+@pytest.mark.parametrize("suite", ["ksgns", "lift", "idempotency", "tensor", "continuity"])
+def test_cp_maps_are_drawn_on_the_input_algebra(suite):
+    payload = copy.deepcopy(PAYLOADS[suite])
+    payload["input_algebra"] = payload["input_algebra"] + [1]
+    error = one_construction_record(suite, payload)
+    assert error.startswith("ValidationError: a CP map drawn on input_algebra"), error
+
+
+def test_a_category_object_is_over_its_modules_algebra():
+    payload = copy.deepcopy(PAYLOADS["category"])
+    payload["objects"][1]["coefficient"] = payload["objects"][1]["coefficient"] + [1]
+    error = one_construction_record("category", payload)
+    assert error == "ValidationError: object O2's coefficient is not its module's algebra"
+
+
+def test_a_category_names_only_checks_it_has():
+    payload = copy.deepcopy(PAYLOADS["category"])
+    payload["checks"] = ["laws", "ksgns_funtor"]
+    error = one_construction_record("category", payload)
+    assert error == "ValidationError: unknown category checks ['ksgns_funtor']"
+
+
+@pytest.mark.parametrize("kind, other", [("inner", "linear"), ("linear", "inner")])
+def test_a_continuity_path_is_of_its_kind(kind, other):
+    # an inner path runs between equal CP maps, a linear one between two
+    payload = first_instance("continuity", lambda p: p["kind"] == kind)
+    payload["kind"] = other
+    error = one_construction_record("continuity", payload)
+    assert error.startswith(f"ValidationError: a {other!r} path"), error

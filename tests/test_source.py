@@ -1134,3 +1134,22 @@ def test_generation_reads_one_named_tolerance():
         ("harness.py", "_gen_continuity"), ("harness.py", "_gen_lift"),
         ("harness.py", "_gen_tensor"), ("harness.py", "_gen_uniqueness"),
     ]
+
+
+def float_parse_sites(source: str) -> list[str]:
+    """The top-level functions of a module that call np.array(..., dtype=float)."""
+    return [
+        fn.name for fn in ast.parse(source).body if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.array"
+        and any(k.arg == "dtype" and ast.unparse(k.value) == "float" for k in node.keywords)
+    ]
+
+
+def test_one_parser_reads_every_payload_float():
+    # every float of a payload is read by one matrix parser, so a section's
+    # list and its items alone cannot disagree
+    probe = ("def f(x):\n    return np.array(x, dtype=float)\n\n"
+             "def g(x):\n    return np.array(x, dtype=int), np.asarray(x, dtype=float)\n")
+    assert float_parse_sites(probe) == ["f"]
+    assert float_parse_sites((SRC / "serialize.py").read_text()) == ["_matrices"]
