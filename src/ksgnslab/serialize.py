@@ -36,7 +36,11 @@ from .errors import ShapeMismatch, ValidationError
 from .hilbert import HilbertModule, ModuleMap
 from .memo import structure
 from .numkernel import stackwise
-from .equivariant import DynamicalSystem, EquivariantCorrespondence, FiniteGroup
+from .equivariant import (
+    DynamicalSystem,
+    EquivariantCorrespondence,
+    FiniteGroup,
+)
 
 
 # -- scalars and matrices -----------------------------------------------------
@@ -266,7 +270,11 @@ def load_module(data: Any) -> HilbertModule:
 
 
 def dump_module_map(m: ModuleMap, source_id: str, target_id: str) -> dict:
-    return {"source_id": source_id, "target_id": target_id, "matrix": dump_cmatrix(m.matrix)}
+    return {
+        "source_id": source_id,
+        "target_id": target_id,
+        "matrix": dump_cmatrix(m.matrix),
+    }
 
 
 def load_module_maps(items: list, modules: dict[str, HilbertModule]) -> list[ModuleMap]:

@@ -60,10 +60,10 @@ def is_module(x) -> bool:
 
 
 def sections() -> dict:
-    """Per item kind, a loader of a list of dumped items and the list of every
-    such item of the nine default payloads, of mixed shapes: each module's
-    action and CP images (matrices of one shape), pairing entries (elements
-    of one algebra), and every star map and automorphism."""
+    """The sections of the nine default payloads, per item kind: every star
+    map and every automorphism (one list each, of mixed shapes), and per
+    module its action (matrices of one shape, with that shape) and its
+    pairing entries (elements, with their algebra's block list)."""
     found = {"star map": [], "automorphism": [], "matrix": [], "element": []}
     for payload in PAYLOADS.values():
         for _, x in walk(payload):
@@ -90,6 +90,7 @@ def matrix_lists():
 
 
 def element_lists():
+    """(items, loader) per pairing table with at least two entries."""
     for blocks, items in SECTIONS["element"]:
         if len(items) > 1:
             yield items, lambda x, s=ser.load_shape(blocks): ser.load_elements(s, x)
