@@ -12,7 +12,7 @@ an algebra over itself, the KSGNS row copies), columns (F an algebra over
 itself, the closed form) and null (the whole Grams).  Per path it prints the
 builds, the slices, the Python-level calls per build (cProfile's total over
 one replay), microseconds per build (the best of several replays) and the
-share of that time spent in np.linalg.eigh.  src is left untouched.  Run from
+share of that time spent in LAPACK's eigh.  src is left untouched.  Run from
 the repository root:
 
     python3 scripts/quotient_costs.py [WORKLOAD ...]
@@ -91,23 +91,24 @@ def python_calls(builds: list[tuple]) -> int:
 
 
 def eigh_seconds(builds: list[tuple]) -> tuple[float, float]:
-    """(seconds in np.linalg.eigh, seconds in all) over one replay."""
-    import numpy as np
+    """(seconds in LAPACK's eigh, seconds in all) over one replay."""
+    from ksgnslab import numkernel
 
-    spent, real = [0.0], np.linalg.eigh
+    spent, real = [0.0], numkernel.lapack
 
-    def timing(*args, **kwargs):
+    def timing(kernel, a):
         start = time.perf_counter()
         try:
-            return real(*args, **kwargs)
+            return real(kernel, a)
         finally:
-            spent[0] += time.perf_counter() - start
+            if kernel == "eigh_lo":
+                spent[0] += time.perf_counter() - start
 
-    np.linalg.eigh = timing
+    numkernel.lapack = timing
     try:
         total = replay(builds)
     finally:
-        np.linalg.eigh = real
+        numkernel.lapack = real
     return spent[0], total
 
 

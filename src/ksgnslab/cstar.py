@@ -46,6 +46,10 @@ class AlgebraShape:
         if len(self.blocks) < 1 or any(n < 1 for n in self.blocks):
             raise ShapeMismatch(f"invalid block sizes {self.blocks}")
         object.__setattr__(self, "blocks", tuple(int(n) for n in self.blocks))
+        object.__setattr__(self, "_hash", hash((self.blocks,)))  # the dataclass hash, once
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         """Equal block sizes, the dataclass comparison, first trying identity:

@@ -58,6 +58,7 @@ from .numkernel import (
     Split,
     Tolerance,
     any_nonzero,
+    eigh,
     exceeds_finite_gate,
     live_products,
     matvecs,
@@ -159,7 +160,7 @@ class HilbertModule(PreModule):
         for P in self.pairing:
             require_finite(P, "module pairing")
         if self.gram_spectrum is None:
-            self.gram_spectrum = np.linalg.eigh(self.gram_matrix)
+            self.gram_spectrum = eigh(self.gram_matrix)
         w, V = self.gram_spectrum
         lead, d = self.action.shape[:-3], self.dim
         if w.shape != (*lead, d) or V.shape != (*lead, d, d):
@@ -370,7 +371,7 @@ def _quotient_stack(B: AlgebraShape, s, kernel, action, pairing, tol: Tolerance)
         raise _leak_error(len(s), *divmod(leak[0], B.dim), leak[1])
     blocks = [transport_pairing(s, P) for P in pairing]
     G = _scalarized(B, blocks)
-    return (qK @ s[:, None], blocks, *np.linalg.eigh((G + G.conj().swapaxes(-1, -2)) / 2.0))
+    return (qK @ s[:, None], blocks, *eigh((G + G.conj().swapaxes(-1, -2)) / 2.0))
 
 
 class Copies(list):

@@ -53,7 +53,7 @@ from .hilbert import (
 from .memo import BuildMemo
 from .numkernel import (
     Tolerance, kron, live_products, matvecs, max_operator_norm, max_operator_norms, operator_norm,
-    pseudo_inverse, stack_slices,
+    pseudo_inverse, stack_slices, svd,
 )
 
 
@@ -74,7 +74,7 @@ class KsgnsTriple(QuotientSlice):
     @cached_property
     def spanning_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The thin SVD of conj(spanning_columns), pinv's: for the rank and the inverse."""
-        return np.linalg.svd(spanning_columns(self).conj(), full_matrices=False)
+        return svd(spanning_columns(self).conj(), full_matrices=False)
 
 
 def ksgns(

@@ -26,17 +26,18 @@ import numpy as np
 
 
 def content_key(*parts) -> bytes:
-    """blake2b digest of arrays (dtype, shape and bytes), bytes (such as
-    other keys) and any other value by its repr, each length-prefixed."""
-    chunks = []
+    """blake2b digest of arrays (dtype, shape and C-order bytes, from its buffer),
+    bytes (such as other keys) and any other value by its repr, each length-prefixed."""
+    digest = hashlib.blake2b(digest_size=16)
     for part in parts:
         if isinstance(part, np.ndarray):
-            chunks.append(f"{part.dtype.str}{part.shape}".encode())
-            data = part.tobytes()
+            digest.update(f"{part.dtype.str}{part.shape}{part.nbytes}:".encode())
+            data = np.ascontiguousarray(part)  # part itself when C-contiguous
         else:
             data = part if isinstance(part, bytes) else repr(part).encode()
-        chunks += (b"%d:" % len(data), data)
-    return hashlib.blake2b(b"".join(chunks), digest_size=16).digest()
+            digest.update(b"%d:" % len(data))
+        digest.update(data)
+    return digest.digest()
 
 
 _STRUCTURE: dict[tuple, Any] = {}

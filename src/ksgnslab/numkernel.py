@@ -6,6 +6,9 @@ norms (one matrix or the largest over a stack), the PSD verdict, null spaces
 of constraint systems, and pseudo-inverses.  Rank decisions for positive
 semidefinite matrices always go through the Hermitian eigendecomposition, never
 through LU, so that null spaces of Gram matrices stay numerically stable.
+lapack, the package's one LAPACK call, runs numpy.linalg's gufuncs as np.linalg
+does, so eigh, eigvalsh and svd keep its bits without its 5-9 us of Python a call
+(more than LAPACK's work at orders 1 to 4); an order-1 eigensolve takes no call.
 
 null_space takes the SVD of the R factor of K = QR, never of a tall K itself
 (T. F. Chan, ACM TOMS 8, 1982): R has K's singular values and right singular
@@ -52,8 +55,11 @@ matrices is off by at most gamma_k (about k u) times |A| |B| entrywise,
 carry relative errors of at most k gamma_k and about 3 k^(3/2) gamma_k, below
 2e-11 at k < LIVE_MIN_DIM; the Gram's own rounding moves mu_max by at most
 sqrt(2) k gamma_{max(m, n) + 2}, and the exact path is within 4 m n eps, both
-below 1e-11 there.  A batch shorter than BOUND_MIN_SLICES, or as wide as
-LIVE_MIN_DIM, takes every slice's exact norm.
+below 1e-11 there.  A batch shorter than BOUND_MIN_SLICES (20 against 2, 8, 32:
+-10.5%, -3.0%, +0.1% a pass), of order 1 or as wide as LIVE_MIN_DIM takes exact
+norms, one with TIE_SHARE of its nonzero slices at their segment's top trace skips
+the power rung (ms exact / bounded: 2 x 2 of 510 slices 18.0 / 3.2, 16 x 16 noise
+17.0 / 11.3, 1 x 1 0.28 / 0.41, 27 tied 1.24 / 1.83).
 Verdict-only gates ||X|| <= ctol * (1 + ||M||) (Hermitian defects, null-space
 leaks) go through exceeds_gate: a slice with ||X||_F <= ctol passes without
 an exact norm, and exact norms run only for slices near or over the gate.
@@ -85,6 +91,7 @@ from functools import partial
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import NonFinite, NonHermitian, NotPSD, ShapeMismatch
 
@@ -102,6 +109,10 @@ class Tolerance:
             raise ValueError(f"rtol must lie in [0, 1), got {self.rtol}")
         if not self.ctol > 0.0:
             raise ValueError(f"ctol must be positive, got {self.ctol}")
+        object.__setattr__(self, "_hash", hash((self.rtol, self.ctol)))  # the dataclass hash, once
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def summarize(records: Sequence[tuple], empty_threshold: float = 0.0) -> tuple[float, float]:
@@ -123,13 +134,7 @@ DEFAULT_TOL = Tolerance()
 # gates: --tol/--rtol never reach it, so a seed names one payload however checked.
 GENERATION_TOL = Tolerance()
 
-# A same-shape batch of fewer slices takes every slice's exact norm: its bounds cost
-# more than the eigensolves they save.  Against 20, a check pass took +10.5% at 2,
-# +3.0% at 8 and -0.1% at 32 on equivariant-dilation, +0.8% at 8 and +0.8% at 32 on
-# suites-default (median of paired ratios, fresh processes alternating, best of 7
-# passes each, one BLAS thread); at 24 and above the 23-slice batches of Z2's dilated
-# check_equivariant take no bounds.
-BOUND_MIN_SLICES = 20
+BOUND_MIN_SLICES, TIE_SHARE = 20, 0.9  # the bounds rule, with its measurements: module docstring
 CERTIFY_MARGIN = 1e-6
 # lambda_max = sigma_1^2 strictly inside this range keeps sigma_1 to rounding; out of it
 # squaring underflows or overflows, and the slice takes the SVD's sigma_1
@@ -139,6 +144,38 @@ GRAM_RANGE = (1e-280, 1e280)
 # the descent at 64, and -22% to -44% at 72-99
 LIVE_MIN_DIM = 72
 any_nonzero = partial(np.logical_or.reduce, axis=None)  # ndarray.any, no Python wrappers
+
+
+def _not_converged(err: str, flag: int) -> None:
+    raise LinAlgError("LAPACK did not converge")
+
+
+_SIGNATURES = {"eigh_lo": ("D->dD", "d->dd"), "eigvalsh_lo": ("D->d", "d->d"),  # complex, real
+               "svd": ("D->d", "d->d"), "svd_s": ("D->DdD", "d->ddd"),
+               "svd_f": ("D->DdD", "d->ddd")}
+
+
+@np.errstate(call=_not_converged, invalid="call", over="ignore", divide="ignore", under="ignore")
+def lapack(kernel: str, a: np.ndarray):
+    """numpy.linalg's gufunc `kernel` on a stack a (..., m, n) of (complex) doubles,
+    as np.linalg calls it: its signature, its bits, and LinAlgError where LAPACK
+    does not converge, from an error state the decorator sets 3x faster than `with`."""
+    return getattr(_umath_linalg, kernel)(a, signature=_SIGNATURES[kernel][a.dtype.kind != "c"])
+
+
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(a) of a stack a (..., n, n), bit for bit; (real(a), 1) at n = 1."""
+    return (eigvalsh(a), np.ones(a.shape, a.dtype)) if a.shape[-1] == 1 else lapack("eigh_lo", a)
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(a) of a stack a (..., n, n), bit for bit; real(a) at n = 1."""
+    return a.real[..., 0].copy() if a.shape[-1] == 1 else lapack("eigvalsh_lo", a)
+
+
+def svd(a: np.ndarray, full_matrices: bool = True, compute_uv: bool = True):
+    """np.linalg.svd(a, full_matrices, compute_uv) of a stack a (..., m, n), bit for bit."""
+    return lapack("svd" if not compute_uv else "svd_f" if full_matrices else "svd_s", a)
 
 
 def require_finite(M: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -210,7 +247,7 @@ def gram_norms(X: np.ndarray) -> np.ndarray:
         # the Gram's trace ||X||_F^2 bounds lambda_max from above; the traces' sum is
         # not finite when X is not, or when squaring overflowed
         if np.add.reduce(G.diagonal(0, -2, -1).real, axis=None) < hi / 2:
-            lam = np.linalg.eigvalsh(G)[..., -1]
+            lam = eigvalsh(G)[..., -1]
             if lo < min(lam.ravel().tolist()):
                 return np.sqrt(lam)
         else:
@@ -219,7 +256,7 @@ def gram_norms(X: np.ndarray) -> np.ndarray:
             # at hi or above puts lambda_max there too
             fits = G.diagonal(0, -2, -1).real.max(axis=-1) < hi
             lam = np.full(X.shape[:-2], np.inf)
-            lam[fits] = np.linalg.eigvalsh(G[fits])[..., -1]
+            lam[fits] = eigvalsh(G[fits])[..., -1]
         odd = ~((lam > lo) & (lam < hi))
         out = np.sqrt(lam, out=lam)
     out[odd] = svd_norms(X[odd])
@@ -237,7 +274,7 @@ def svd_norms(X: np.ndarray) -> np.ndarray:
     from one batched SVD of its nonzero slices; 0 for zero or empty matrices."""
     out, live = np.zeros(X.shape[:-2]), X.any(axis=(-2, -1))
     if np.count_nonzero(live):
-        out[live] = np.linalg.svd(X[live], compute_uv=False)[..., 0]
+        out[live] = svd(X[live], compute_uv=False)[..., 0]
     return out
 
 
@@ -307,27 +344,31 @@ def max_operator_norm(stack: np.ndarray) -> float:
 def max_operator_norms(*stacks: np.ndarray) -> np.ndarray:
     """max_operator_norm of each of several stacks (..., m, n), shape
     (len(stacks),), bit for bit.  This is the one per-shape norm batcher: the
-    stacks whose matrices share a shape go through one certified_maxima together."""
+    stacks whose matrices share a shape, narrower than LIVE_MIN_DIM (whose live
+    cut would split them again), go through one certified_maxima together."""
     out, groups = np.zeros(len(stacks)), {}
     for i, S in enumerate(stacks):
         shape = np.shape(S)
         if count := math.prod(shape[:-2]):  # an empty stack keeps its 0
             groups.setdefault(shape[-2:], []).append((i, np.reshape(S, (count, *shape[-2:]))))
-    for members in groups.values():
+    for (m, n), members in groups.items():
         at, flat = zip(*members)
-        X = flat[0] if len(flat) == 1 else np.concatenate(flat)
-        out[list(at)] = certified_maxima(X, [len(S) for S in flat])
+        if max(m, n) >= LIVE_MIN_DIM:
+            out[list(at)] = [operator_norms(S).max() for S in flat]
+        else:
+            X = flat[0] if len(flat) == 1 else np.concatenate(flat)
+            out[list(at)] = certified_maxima(X, [len(S) for S in flat])
     return out
 
 
 def certified_maxima(X: np.ndarray, sizes: list[int]) -> np.ndarray:
     """The largest operator norm in each segment of X (N, m, n), the segments
     sizes[0], sizes[1], ... slices long in order, each maximum with the bits of
-    its slice's operator_norms.  A batch of at least BOUND_MIN_SLICES slices
-    narrower than LIVE_MIN_DIM takes exact norms only of the slices that
-    bounded_norms cannot rule out."""
+    its slice's operator_norms.  A batch of at least BOUND_MIN_SLICES slices of
+    order min(m, n) > 1 narrower than LIVE_MIN_DIM takes exact norms only of the
+    slices that bounded_norms cannot rule out."""
     N, m, n = X.shape
-    if N < BOUND_MIN_SLICES or max(m, n) >= LIVE_MIN_DIM or max(sizes) < 2 or not X.size:
+    if N < BOUND_MIN_SLICES or min(m, n) < 2 or max(m, n) >= LIVE_MIN_DIM or max(sizes) < 2:
         norms = operator_norms(X)
     else:
         norms = bounded_norms(np.asarray(X, dtype=complex), sizes)
@@ -341,8 +382,9 @@ def bounded_norms(X: np.ndarray, sizes: list[int]) -> np.ndarray:
     upper bound on sigma_1^2 reaches the largest lower bound in their segment;
     0 for the others and for zero slices.  The bounds (module docstring) come in
     two rungs: tr G and tr G / k (k = min(m, n)) for every slice, then tr G times
-    powers of G^ = G / tr G for the slices left.  A slice whose tr G is not
-    strictly inside GRAM_RANGE takes the exact path."""
+    powers of G^ = G / tr G for the slices left, unless TIE_SHARE of the nonzero
+    ones tie their segment's top trace.  A slice whose tr G is not strictly inside
+    GRAM_RANGE takes the exact path."""
     N, m, n = X.shape
     k, (lo, hi) = min(m, n), GRAM_RANGE
     starts = list(itertools.accumulate(sizes[:-1], initial=0))
@@ -354,9 +396,11 @@ def bounded_norms(X: np.ndarray, sizes: list[int]) -> np.ndarray:
     if np.count_nonzero(exact):
         t[exact] = 0.0  # no bound, and no place among the bounded slices
         exact[exact] = X[exact].any(axis=(-2, -1))  # a zero slice reads 0
-    bound = np.maximum.reduceat(t, starts) / k  # tr G / k <= sigma_1^2 of each segment's largest
-    at = np.flatnonzero((t > 0.0) & (t * (1.0 + CERTIFY_MARGIN) >= bound[seg]))
-    if k > 1 and len(at) > 1:  # at k = 1 the trace is sigma_1^2 itself
+    top, reach = np.maximum.reduceat(t, starts)[seg], t * (1.0 + CERTIFY_MARGIN)
+    bound = top / k  # tr G / k <= sigma_1^2 of the segment's largest
+    at = np.flatnonzero((t > 0.0) & (reach >= bound))
+    ties = np.count_nonzero((t > 0.0) & (reach >= top))
+    if len(at) > 1 and ties < TIE_SHARE * np.count_nonzero(t):
         tr = t[at]
         P = smaller_gram(X if len(at) == N else X[at])
         P *= (1.0 / tr)[:, None, None]  # G^
@@ -367,8 +411,8 @@ def bounded_norms(X: np.ndarray, sizes: list[int]) -> np.ndarray:
         f4 = np.sqrt(np.square(flat, out=flat) @ np.ones(2 * k * k))  # ||G^^4||_F
         lower = np.zeros(N)
         lower[at] = tr * np.sqrt(f4 / np.sqrt(f2))
-        bound = np.maximum(bound, np.maximum.reduceat(lower, starts))
-        at = at[tr * f4**0.25 * (1.0 + CERTIFY_MARGIN) >= bound[seg[at]]]
+        bound = np.maximum(bound, np.maximum.reduceat(lower, starts)[seg])
+        at = at[tr * f4**0.25 * (1.0 + CERTIFY_MARGIN) >= bound[at]]
     keep = exact  # with the slices the bounds leave
     keep[at] = True
     norms = np.zeros(N)
@@ -391,7 +435,7 @@ def psd_verdict(M: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     negative part of the spectrum must both stay within ctol * (1 + ||M||)."""
     M = require_finite(M)
     Ms = M.conj().swapaxes(-1, -2)
-    w0 = np.linalg.eigvalsh((M + Ms) / 2.0)[..., 0] if M.size else np.zeros(M.shape[:-2])
+    w0 = eigvalsh((M + Ms) / 2.0)[..., 0] if M.size else np.zeros(M.shape[:-2])
     herm = ~exceeds_finite_gate(M - Ms, M, tol)
     ok = np.array(herm & (w0 >= -tol.ctol))
     near = herm & ~ok
@@ -418,7 +462,7 @@ def herm_eig(M: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     if any_nonzero(bad):
         defect = operator_norm(D.reshape(-1, *D.shape[-2:])[np.flatnonzero(bad)[0]])
         raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds tolerance")
-    return np.linalg.eigh((M + Mh) / 2.0)
+    return eigh((M + Mh) / 2.0)
 
 
 class Split(NamedTuple):
@@ -499,20 +543,20 @@ def null_space(K: np.ndarray, scale: float, tol: Tolerance) -> np.ndarray:
     of K (m, n) with singular values at most rtol * max(sigma_max, scale), and
     those beyond min(m, n).  NaN or Inf in K raises NonFinite."""
     R = np.linalg.qr(require_finite(K, "constraint system"), mode="r")
-    _, svals, Vh = np.linalg.svd(R)
+    _, svals, Vh = svd(R)
     cutoff = tol.rtol * max(float(svals.max(initial=0.0)), scale)
     mask = np.concatenate([svals <= cutoff, np.ones(Vh.shape[0] - svals.size, bool)])
     return Vh[mask].conj()
 
 
-def pseudo_inverse(M: np.ndarray, tol: Tolerance, svd: tuple | None = None) -> np.ndarray:
+def pseudo_inverse(M: np.ndarray, tol: Tolerance, thin: tuple | None = None) -> np.ndarray:
     """Moore-Penrose inverse with singular values below rtol * sigma_max
     treated as zero, by np.linalg.pinv's steps and bits: the thin SVD
-    (u, s, vh) of conj(M), or the one given as svd, then the cutoff."""
+    (u, s, vh) of conj(M), or the one given as thin, then the cutoff."""
     M = require_finite(M)
     if M.size == 0:
         return np.zeros((M.shape[1], M.shape[0]), dtype=complex)
-    u, s, vt = svd or np.linalg.svd(M.conj(), full_matrices=False)
+    u, s, vt = thin or svd(M.conj(), full_matrices=False)
     large = s > np.asarray(tol.rtol)[..., None] * np.amax(s, axis=-1, keepdims=True)
     s = np.divide(1, s, out=np.zeros_like(s), where=large)
     return np.matmul(np.transpose(vt), np.multiply(s[..., None], np.transpose(u)))

@@ -7,9 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from numpy.linalg import _linalg as linalg_impl
 
-from ksgnslab import hilbert
+from ksgnslab import hilbert, numkernel
 from ksgnslab.cp import CPMap, Intertwiner, tensor_premodule
 from ksgnslab.cstar import (
     AlgebraElement,
@@ -128,36 +127,46 @@ class LapackCall(NamedTuple):
     width: int
 
 
+def watch_lapack(monkeypatch, observe) -> None:
+    """From here on, call observe(routine, a) before each LAPACK call numkernel's
+    seam makes: routine "eigh", "eigvalsh" or "svd", and a the stack it takes.
+    An observe that raises stops the call."""
+    real = numkernel.lapack
+
+    def watching(kernel, a):
+        observe(kernel.split("_")[0], a)
+        return real(kernel, a)
+
+    monkeypatch.setattr(numkernel, "lapack", watching)
+
+
 def lapack_calls(monkeypatch) -> list[LapackCall]:
-    """Record every np.linalg svd, eigh and eigvalsh call from here on (numpy's
-    own, as pinv's SVD, included): the routine; the site, "module.function" of
+    """Record every svd, eigh and eigvalsh call that reaches LAPACK from here on
+    (order-1 eigensolves do not): the routine; the site, "module.function" of
     the innermost ksgnslab function outside numkernel that led to it (a
     comprehension counts as the function around it); the entry,
-    the numkernel function that site called ("" when it called numpy itself);
-    the kind, "gated" when an exceeds_gate decided it was needed, "certified"
-    when it ran under certified_maxima, else "full"; the number of matrices;
-    and their last dimension."""
+    the numkernel function that site called; the kind, "gated" when an
+    exceeds_gate decided it was needed, "certified" when it ran under
+    certified_maxima, else "full"; the number of matrices; and their last
+    dimension."""
     calls = []
-    for name in ("svd", "eigh", "eigvalsh"):
-        def recording(a, *args, _real=getattr(linalg_impl, name), _name=name, **kwargs):
-            frame, chain = sys._getframe(1), []
-            while frame is not None:
-                mod = frame.f_globals.get("__name__", "")
-                if mod == "ksgnslab.numkernel":
-                    chain.append(frame.f_code.co_name)
-                elif mod.startswith("ksgnslab.") and not frame.f_code.co_name.startswith("<"):
-                    break  # the function itself, not a comprehension inside it
-                frame = frame.f_back
-            site = f"{mod.rsplit('.', 1)[-1]}.{frame.f_code.co_name}" if frame else "?"
-            kind = ("gated" if any(c.startswith("exceeds") for c in chain)
-                    else "certified" if "certified_maxima" in chain else "full")
-            matrices = int(np.prod(np.shape(a)[:-2]))
-            calls.append(LapackCall(_name, site, chain[-1] if chain else "", kind, matrices,
-                                    np.shape(a)[-1]))
-            return _real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, recording)
-        monkeypatch.setattr(linalg_impl, name, recording)
+    def recording(routine, a):
+        frame, chain = sys._getframe(1), []
+        while frame is not None:
+            mod = frame.f_globals.get("__name__", "")
+            if mod == "ksgnslab.numkernel":
+                chain.append(frame.f_code.co_name)
+            elif mod.startswith("ksgnslab.") and not frame.f_code.co_name.startswith("<"):
+                break  # the function itself, not a comprehension inside it
+            frame = frame.f_back
+        site = f"{mod.rsplit('.', 1)[-1]}.{frame.f_code.co_name}" if frame else "?"
+        kind = ("gated" if any(c.startswith("exceeds") for c in chain)
+                else "certified" if "certified_maxima" in chain else "full")
+        calls.append(LapackCall(routine, site, chain[-1], kind, int(np.prod(a.shape[:-2])),
+                                a.shape[-1]))
+
+    watch_lapack(monkeypatch, recording)
     return calls
 
 

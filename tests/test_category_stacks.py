@@ -13,7 +13,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.linalg import _linalg as linalg_impl
 
 import conftest
 from ksgnslab import equivariant, harness, poscor
@@ -31,7 +30,7 @@ from ksgnslab.poscor import (
 )
 
 from conftest import (
-    category_laws_reference, count_calls, passed, poscor_key, residuals, thresholds,
+    category_laws_reference, passed, poscor_key, residuals, thresholds,
 )
 
 MASTER = 20250809
@@ -67,17 +66,16 @@ def test_default_check_pass_stacks_the_category_audit(monkeypatch):
 
     for module in (poscor, harness, equivariant):
         monkeypatch.setattr(module, "poscor_compose", counting)
-    svds = [count_calls(monkeypatch, module, "svd") for module in (np.linalg, linalg_impl)]
-    eighs = [count_calls(monkeypatch, module, "eigh") for module in (np.linalg, linalg_impl)]
-    grams = [count_calls(monkeypatch, module, "eigvalsh") for module in (np.linalg, linalg_impl)]
+    calls = conftest.lapack_calls(monkeypatch)
     records = [r for suite, p in tasks for r in check_instance(suite, p, DEFAULT_TOL)]
+    routines = [c.routine for c in calls]
     assert len(records) == 826 and all(r.passed for r in records)
     assert len(composes) <= 69, len(composes)
-    assert 1000 < sum(map(len, grams)) <= 1511, [len(calls) for calls in grams]
-    assert sum(map(len, svds)) <= 70, [len(calls) for calls in svds]
+    assert 1000 < routines.count("eigvalsh") <= 1511, routines.count("eigvalsh")
+    assert routines.count("svd") <= 70, routines.count("svd")
     # 1,660 eigh calls with one per quotient module and a C over itself per
     # left-multiplication build; 1,331 with one per stack of quotients
-    assert sum(map(len, eighs)) <= 1350, [len(calls) for calls in eighs]
+    assert routines.count("eigh") <= 1350, routines.count("eigh")
 
 
 def test_category_audit_composes_each_pair_of_positions_once(monkeypatch):

@@ -21,14 +21,12 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
-from numpy.linalg import _linalg as linalg_impl
 
 from ksgnslab import cstar, equivariant, harness, hilbert, memo, numkernel, serialize
 from ksgnslab.numkernel import DEFAULT_TOL
 
-from conftest import lapack_calls
+from conftest import lapack_calls, watch_lapack
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 _spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
@@ -297,7 +295,7 @@ def test_every_lapack_site_is_labelled_and_verdicts_take_no_full_svd(monkeypatch
 
 
 @pytest.mark.parametrize("workload, svd_sites, eigvalsh_pin", [
-    ("suites-default", {"cp.random_blinear_unitary": 30, "ksgns.spanning_svd": 40}, 8_662),
+    ("suites-default", {"cp.random_blinear_unitary": 30, "ksgns.spanning_svd": 40}, 5_878),
     ("equivariant-dilation", {"ksgns.spanning_svd": 20}, 2_361),
     ("prespace-cap", {"cp.random_blinear_unitary": 3, "ksgns.spanning_svd": 3}, 261),
 ])
@@ -310,7 +308,8 @@ def test_svd_and_eigvalsh_matrices_per_check_pass(monkeypatch, workload, svd_sit
     # 3 (PSD verdicts alone), 10,141, 4,399 and 261 with the norms, 8,742,
     # 2,621 and 261 with the Gram-power bounds of certified maxima, 8,662,
     # 2,361 and 261 with check_dilation building only the records its suite
-    # records (no embedding_adjoint, no check_correspondence of pi_phi)
+    # records (no embedding_adjoint, no check_correspondence of pi_phi); 5,878 on
+    # suites-default with its 2,784 order-1 Grams decomposed without LAPACK
     tasks = WORKLOADS.build(workload, WORKLOADS.DEFAULT_MASTER_SEED)
     calls = lapack_calls(monkeypatch)
     check_pass(tasks)
@@ -337,9 +336,10 @@ def test_svd_and_eigvalsh_matrices_per_check_pass(monkeypatch, workload, svd_sit
 #   equivariant-dilation {2: 152, 4: 2766, 8: 266, 16: 1215}
 #   prespace-cap as below
 # The 16-wide matrices of equivariant-dilation are the dilated check_equivariant's
-# rounding-noise stacks, which a Frobenius bound cannot prune.
+# rounding-noise stacks, which a Frobenius bound cannot prune.  suites-default's
+# 2,784 1-wide Grams no longer reach LAPACK (numkernel.eigvalsh answers order 1).
 EIGVALSH_BY_WIDTH = {
-    "suites-default": {1: 2784, 2: 3487, 3: 35, 4: 1118, 5: 74, 6: 127, 8: 576, 10: 39,
+    "suites-default": {2: 3487, 3: 35, 4: 1118, 5: 74, 6: 127, 8: 576, 10: 39,
                        12: 22, 15: 28, 16: 194, 18: 50, 20: 14, 24: 9, 25: 14, 32: 47,
                        45: 22, 54: 22},
     "equivariant-dilation": {2: 145, 4: 1708, 8: 106, 16: 402},
@@ -367,25 +367,24 @@ def test_suites_default_eigh_calls(monkeypatch, suites_default):
     # quotient Gram decomposed again after its rank decision; 1,246 with the
     # quotient written in closed form from the copy-0 blocks' decisions;
     # 1,177 with every tensor along an algebra over itself structured, at
-    # every width
+    # every width; 914 with order-1 eigensolves taking no LAPACK call
     calls = lapack_calls(monkeypatch)
     check_pass(suites_default)
-    assert sum(c.routine == "eigh" for c in calls) <= 1_180
+    assert sum(c.routine == "eigh" for c in calls) <= 915
+
+
+def eigh_cubes(calls: list) -> int:
+    """The sum of n^3 over the eigh matrices of the calls."""
+    return sum(c.matrices * c.width**3 for c in calls if c.routine == "eigh")
 
 
 def test_suites_default_eigh_work(monkeypatch, suites_default):
     # the sum of n^3 over the eigh matrices of one check pass: 1.98M with the
     # tensors narrower than 16 (along C over itself) or 40 (A over itself) on
     # their whole Grams, 1.18M with the structure alone choosing the quotient
-    cubes = []
-
-    def cubing(a, *args, _real=np.linalg.eigh, **kwargs):
-        cubes.append(int(np.prod(np.shape(a)[:-2])) * np.shape(a)[-1] ** 3)
-        return _real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", cubing)
+    calls = lapack_calls(monkeypatch)
     check_pass(suites_default)
-    assert sum(cubes) <= 1_200_000, sum(cubes)
+    assert eigh_cubes(calls) <= 1_200_000, eigh_cubes(calls)
 
 
 def test_prespace_cap_eigh_work(monkeypatch):
@@ -394,16 +393,9 @@ def test_prespace_cap_eigh_work(monkeypatch):
     # of A over itself, for the rank decision and the quotient spectrum
     tasks = WORKLOADS.build("prespace-cap", WORKLOADS.DEFAULT_MASTER_SEED)
     calls = lapack_calls(monkeypatch)
-    cubes = []
-
-    def cubing(a, *args, _real=np.linalg.eigh, **kwargs):
-        cubes.append(int(np.prod(np.shape(a)[:-2])) * np.shape(a)[-1] ** 3)
-        return _real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", cubing)
     check_pass(tasks)
-    assert sum(cubes) <= 4_000_000, sum(cubes)
-    assert len(cubes) == sum(c.routine == "eigh" for c in calls) <= 15
+    assert eigh_cubes(calls) <= 4_000_000, eigh_cubes(calls)
+    assert sum(c.routine == "eigh" for c in calls) <= 15
 
 
 def test_prespace_cap_svd_work(monkeypatch):
@@ -418,18 +410,14 @@ def test_prespace_cap_svd_work(monkeypatch):
     tasks = WORKLOADS.build("prespace-cap", WORKLOADS.DEFAULT_MASTER_SEED)
     work, grams = [], []
 
-    def measuring(a, *args, _real=linalg_impl.svd, **kwargs):
-        *lead, m, n = np.shape(a)
-        work.append(math.prod(lead) * m * n * min(m, n))
-        return _real(a, *args, **kwargs)
+    def measuring(routine, a):
+        *lead, m, n = a.shape
+        if routine == "svd":
+            work.append(math.prod(lead) * m * n * min(m, n))
+        elif routine == "eigvalsh":
+            grams.append(math.prod(lead) * n**3)
 
-    def cubing(a, *args, _real=linalg_impl.eigvalsh, **kwargs):
-        grams.append(math.prod(np.shape(a)[:-2]) * np.shape(a)[-1] ** 3)
-        return _real(a, *args, **kwargs)
-
-    for module in (np.linalg, linalg_impl):
-        monkeypatch.setattr(module, "svd", measuring)
-        monkeypatch.setattr(module, "eigvalsh", cubing)
+    watch_lapack(monkeypatch, measuring)
     check_pass(tasks)
     assert sum(work) <= 3_750_000, sum(work)
     assert sum(grams) <= 27_100_000, sum(grams)

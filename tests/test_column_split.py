@@ -38,7 +38,7 @@ from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL, Split, rank_kernel
 
 from conftest import (
-    assert_one_module_up_to_a_unitary, count_calls, recorded_rank_decisions,
+    assert_one_module_up_to_a_unitary, count_calls, lapack_calls, recorded_rank_decisions,
     tensor_quotients_reference,
 )
 
@@ -320,18 +320,14 @@ def test_the_closed_form_builds_no_pre_module_and_no_quotient_eigh(monkeypatch, 
     E = canonical_module(B, (dim // 2, dim - dim // 2))
     pi = left_mult_correspondence([embedding(C, rng, keep=1)] * 3, memo)
     built = count_calls(monkeypatch, cp, "tensor_premodule")
-    sizes = []
-
-    def sizing(a, *args, _real=np.linalg.eigh, **kwargs):
-        sizes.append(np.shape(a)[-1])
-        return _real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", sizing)
+    calls = lapack_calls(monkeypatch)
     tm = tensor_quotients([E] * 3, [C_mod] * 3, pi, DEFAULT_TOL)
+    sizes = [c.width for c in calls if c.routine == "eigh"]
+    # (an order-1 eigh takes no LAPACK call)
     if dim == B.dim:  # the rows of B over itself: no Gram wider than one copy, dim C
-        assert built == ["tensor_premodule"] and max(sizes) == C.dim
+        assert built == ["tensor_premodule"] and max(sizes, default=1) == C.dim
     else:
-        assert built == [] and sorted(sizes) == sorted({dim * n for n in C.blocks})
+        assert built == [] and sorted(sizes) == sorted({dim * n for n in C.blocks} - {1})
     monkeypatch.undo()
     assert_one_module_up_to_a_unitary(tm[2], tensor_quotients_reference([E], [C_mod], pi[2:])[0])
 

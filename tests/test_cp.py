@@ -67,6 +67,7 @@ from conftest import (
     residuals,
     star,
     thresholds,
+    watch_lapack,
 )
 
 
@@ -429,13 +430,8 @@ def test_multiplicativity_svds_see_a_third_of_the_rows_on_m3(monkeypatch):
     d = pi.module.dim
     assert d >= LIVE_MIN_DIM
     assert pi.norm > 0  # cached first, so its own (dim A, d, d) norms are not counted
-    shapes, eigvalsh = [], np.linalg.eigvalsh
-
-    def recording(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    shapes = []
+    watch_lapack(monkeypatch, lambda routine, a: routine == "eigvalsh" and shapes.append(a.shape))
     assert passed(check_correspondence(pi, DEFAULT_TOL))
     monkeypatch.undo()
     stacks = [s for s in shapes if len(s) == 3]

@@ -49,9 +49,9 @@ from conftest import (
     alpha_transport,
     alpha_transport_inverse,
     basis_element,
-    count_calls,
     element_norm,
     from_coeffs,
+    lapack_calls,
     linearity_residual,
     mul,
     pair_reference,
@@ -66,6 +66,7 @@ from conftest import (
     sub,
     twisted_linearity_residual,
     validate_premodule,
+    watch_lapack,
 )
 
 
@@ -206,16 +207,6 @@ def test_descend_on_rank_deficient_quotient(rng):
     assert str(stacked.value) == str(alone.value)
 
 
-def patch_svd(monkeypatch, fake):
-    """Replace np.linalg.svd, also where np.linalg.norm(., 2) looks it up, and
-    np.linalg.eigvalsh, through which operator norms take sigma_1."""
-    import numpy.linalg._linalg as linalg_impl
-
-    for name in ("svd", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, fake)
-        monkeypatch.setattr(linalg_impl, name, fake)
-
-
 def test_descend_passes_frobenius_leak_within_spectral_gate(rng, monkeypatch):
     # leak q K kernel = 1e-7 W with W unitary: ||.||_F = 1.4e-7 > ctol, but
     # ||.||_2 = 1e-7 <= ctol * (1 + ||K||) with ||K|| >= 100
@@ -225,14 +216,11 @@ def test_descend_passes_frobenius_leak_within_spectral_gate(rng, monkeypatch):
     K = K + quot.s @ (1e-7 * W) @ quot.kernel.conj().T
     leak, gate = null_leak(quot.q, K, quot.kernel, DEFAULT_TOL)
     assert np.linalg.norm(quot.q @ K @ quot.kernel) > DEFAULT_TOL.ctol and leak <= gate
-    norm_calls = []
-    real_eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda *a, **k: norm_calls.append(1) or real_eigvalsh(*a, **k))
+    calls = lapack_calls(monkeypatch)
     stack = np.stack([on_range, K])
     got = descend([stack], [quot], [quot], "probe map", DEFAULT_TOL)[0]
     assert np.array_equal(got, quot.q @ stack @ quot.s)
-    assert norm_calls  # the exact path decided the second slice
+    assert any(c.routine == "eigvalsh" for c in calls)  # the exact path decided the second slice
 
 
 def test_leak_messages_name_first_failing_slice(rng):
@@ -281,10 +269,11 @@ def test_gates_certify_valid_inputs_without_svd(rng, monkeypatch):
     E = random_module(AlgebraShape((1, 2)), rng, max_dim=4)
     M = random_complex(rng, 5, 5)
 
-    def no_svd(*args, **kwargs):
-        raise AssertionError("np.linalg.svd or eigvalsh called")
+    def no_svd(routine, a):
+        if routine in ("svd", "eigvalsh"):
+            raise AssertionError(f"{routine} called")
 
-    patch_svd(monkeypatch, no_svd)
+    watch_lapack(monkeypatch, no_svd)
     descend([np.stack([K, 2.0 * K])], [quot], [quot], "probe map", DEFAULT_TOL)[0]
     quotient_one(E)
     herm_eig(M + M.conj().T, DEFAULT_TOL)
@@ -712,10 +701,10 @@ def test_module_takes_one_gram_eigendecomposition(monkeypatch):
     # the SingularGram gate and the three Gram powers read one spectrum
     M = random_complex(np.random.default_rng(1), 4, 4)
     G = M @ M.conj().T + np.eye(4)
-    calls = count_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+    calls = lapack_calls(monkeypatch)
     E = scalar_module(G)
     E.gram_sqrt, E.gram_isqrt, E.gram_inv
-    assert calls == ["eigh"]
+    assert [c.routine for c in calls] == ["eigh"]
 
 
 RTOL = DEFAULT_TOL.rtol

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.linalg import LinAlgError
 
+from ksgnslab import numkernel
 from ksgnslab.errors import NonFinite, NonHermitian, NotPSD
 from ksgnslab.numkernel import (
     BOUND_MIN_SLICES,
@@ -12,6 +14,8 @@ from ksgnslab.numkernel import (
     LIVE_MIN_DIM,
     Split,
     Tolerance,
+    eigh,
+    eigvalsh,
     exceeds_gate,
     herm_eig,
     herm_expi,
@@ -27,6 +31,7 @@ from ksgnslab.numkernel import (
     psd_verdict,
     pseudo_inverse,
     rank_kernel,
+    svd,
 )
 
 from conftest import random_complex
@@ -40,6 +45,53 @@ def test_tolerance_validation():
         Tolerance(ctol=0.0)
     with pytest.raises(ValueError):
         Tolerance(rtol=-1e-3)
+
+
+def same_bits(got, want) -> bool:
+    """Equal dtypes, shapes and bytes, array by array, of two results of one routine."""
+    got, want = (x if isinstance(x, tuple) else (x,) for x in (got, want))
+    return len(got) == len(want) and all(
+        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want)
+    )
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3), (0,)])
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 16, 99])
+def test_the_lapack_seam_keeps_numpys_bits(n, lead, dtype):
+    # the Hermitian inputs carry an imaginary diagonal, which LAPACK reads past,
+    # and order 1 a -0.0, which it keeps; transposed stacks are read in place
+    rng = np.random.default_rng(n + 10 * len(lead))
+    X = random_complex(rng, *lead, n, n)
+    H = X + X.conj().swapaxes(-1, -2) + 0.5j * np.eye(n)
+    if n == 1 and H.size:
+        H.flat[0] = complex(-0.0, 1.0)
+    if dtype is float:
+        H = H.real.copy()
+    for A in (H, H.swapaxes(-1, -2)):
+        assert same_bits(eigh(A), np.linalg.eigh(A))
+        assert same_bits(eigvalsh(A), np.linalg.eigvalsh(A))
+    for m in (n, n + 3):
+        Y = random_complex(rng, *lead, m, n)
+        for A in (Y, Y.swapaxes(-1, -2)):
+            A = A if dtype is complex else A.real
+            for kwargs in ({}, {"full_matrices": False}, {"compute_uv": False}):
+                assert same_bits(svd(A, **kwargs), np.linalg.svd(A, **kwargs))
+
+
+def test_the_lapack_seam_raises_where_lapack_does_not_converge():
+    # LAPACK's SVD fails on a NaN entry; the error state is restored after
+    X = np.eye(3, dtype=complex)
+    X[0, 0] = np.nan
+    state = np.geterr()
+    for A in (X, np.stack([np.eye(3), X]), X.real):
+        for kwargs in ({}, {"full_matrices": False}, {"compute_uv": False}):
+            with pytest.raises(LinAlgError, match="did not converge"):
+                np.linalg.svd(A, **kwargs)
+            with pytest.raises(LinAlgError, match="did not converge"):
+                svd(A, **kwargs)
+    assert np.geterr() == state
 
 
 def test_herm_eig_identity():
@@ -315,13 +367,8 @@ def test_live_products_and_norms_equal_the_dense_values(rng, monkeypatch):
         assert np.abs(got - want).max(initial=0.0) <= 1e-14 * scale
     [LX] = live_products(L[0, 0], X)
     assert np.abs(LX - L[0, 0] @ X).max() <= 1e-14 * scale
-    grams, real = [], np.linalg.eigvalsh
-
-    def recording(a, *args, **kwargs):
-        grams.append(np.shape(a))
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    grams, real = [], numkernel.eigvalsh
+    monkeypatch.setattr(numkernel, "eigvalsh", lambda a: grams.append(a.shape) or real(a))
     norms = operator_norms(X)
     monkeypatch.undo()
     assert norms.shape == (2, 4)
@@ -431,13 +478,8 @@ def test_certified_maxima_skip_slices_and_keep_the_gates(rng, monkeypatch):
     stack[5] = 0.9 * np.linalg.qr(random_complex(rng, 3, 3))[0]
     stack[33] = np.outer(np.ones(3), np.ones(3)) / 3.0
     want, sizes = gram_norm_reference(stack[33]), []
-    real = np.linalg.eigvalsh
-
-    def counting(a, *args, **kwargs):
-        sizes.append(len(a))
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    real = numkernel.eigvalsh
+    monkeypatch.setattr(numkernel, "eigvalsh", lambda a: sizes.append(len(a)) or real(a))
     assert max_operator_norms(stack, np.zeros((0, 3, 3))).tolist() == [want, 0.0]
     assert sizes == [1]
     sizes.clear()

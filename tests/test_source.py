@@ -345,6 +345,49 @@ def test_spectral_norms_only_in_numkernel():
     assert found == {}
 
 
+LAPACK_WRAPPERS = {"eigh", "eigvalsh", "svd"}
+
+
+def lapack_wrapper_calls(source: str) -> list[int]:
+    """Lines of numpy's eigh, eigvalsh or svd calls: as an attribute of np.linalg
+    (or any `linalg`), or by a name imported from numpy.linalg."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+        for alias in node.names
+        if alias.name in LAPACK_WRAPPERS
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Attribute) and node.func.attr in LAPACK_WRAPPERS
+            and ast.unparse(node.func.value).split(".")[-1] == "linalg"
+            or isinstance(node.func, ast.Name) and node.func.id in imported
+        )
+    )
+
+
+def test_lapack_only_through_the_numkernel_seam():
+    # numkernel.eigh, eigvalsh and svd call numpy's gufuncs without its per-call
+    # wrappers, and tests count LAPACK work at that one seam, which numkernel's
+    # own callers go through as well
+    probe = (
+        "import numpy as np\nfrom numpy.linalg import eigh as e, qr\n"
+        "a = np.linalg.eigh(x)\nb = numpy.linalg.svd(x)\nc = e(x)\nd = eigh(x)\n"
+        "f = np.linalg.qr(x)\ng = linalg.eigvalsh(x)\nh = qr(x)\n"
+    )
+    assert lapack_wrapper_calls(probe) == [3, 4, 5, 8]
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := lapack_wrapper_calls(path.read_text()))
+    }
+    assert found == {}
+
+
 def planned_einsum_calls(source: str) -> list[int]:
     """Lines of `einsum` calls, by name or as an attribute, that pass
     `optimize=`, contract more than two operands or unpack their operands."""

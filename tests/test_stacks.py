@@ -12,7 +12,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.linalg import _linalg as linalg_impl
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -47,8 +46,8 @@ from ksgnslab.serialize import dump_equivariant, load_equivariant
 
 from conftest import (
     categorical_unitaries_reference,
-    count_calls,
     functor_laws_reference,
+    lapack_calls,
     passed,
     poscor_key,
     quotient_one,
@@ -396,24 +395,13 @@ def test_check_pass_eigh_count(monkeypatch):
         c = random_equivariant(M2, M2, make_group(gname), seed=seed, copies=1)
         payload = {"seed": seed, "group": gname, "correspondence": dump_equivariant(c)}
         tasks += [("equivariant", payload), ("dilation", payload)]
-    calls = count_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
-    svd_matrices = []
-    for module in (np.linalg, linalg_impl):
-        def counting(a, *args, _real=module.svd, **kwargs):
-            svd_matrices.append(int(np.prod(np.shape(a)[:-2])))
-            return _real(a, *args, **kwargs)
-
-        monkeypatch.setattr(module, "svd", counting)
-    cubes = []
-
-    def cubing(a, *args, _real=np.linalg.eigh, **kwargs):
-        cubes.append(int(np.prod(np.shape(a)[:-2])) * np.shape(a)[-1] ** 3)
-        return _real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", cubing)
+    calls = lapack_calls(monkeypatch)
     for suite, payload in tasks:
         assert all(r.passed for r in check_instance(suite, payload, DEFAULT_TOL))
-    assert calls.count("eigh") <= 270, calls.count("eigh")
-    assert calls.count("eigvalsh") <= 500, calls.count("eigvalsh")
-    assert sum(cubes) <= 2_500_000, sum(cubes)
-    assert sum(svd_matrices) <= 20, sum(svd_matrices)
+    routines = [c.routine for c in calls]
+    assert routines.count("eigh") <= 270, routines.count("eigh")
+    assert routines.count("eigvalsh") <= 500, routines.count("eigvalsh")
+    cubes = sum(c.matrices * c.width**3 for c in calls if c.routine == "eigh")
+    assert cubes <= 2_500_000, cubes
+    svd_matrices = sum(c.matrices for c in calls if c.routine == "svd")
+    assert svd_matrices <= 20, svd_matrices
