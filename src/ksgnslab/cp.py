@@ -38,7 +38,6 @@ from .hilbert import (
     HilbertModule,
     ModuleMap,
     PreModule,
-    Quotient,
     QuotientSlice,
     algebra_module,
     compose_maps,
@@ -76,6 +75,7 @@ from .numkernel import (
     psd_verdict,
     require_finite,
     stack_slices,
+    stackwise,
     svd_norm,
 )
 
@@ -305,12 +305,12 @@ def over_itself(M: Sequence[HilbertModule]) -> bool:
 
 def column_quotients(
     E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap], tol: Tolerance,
-) -> Quotient | None:
+) -> list[QuotientSlice]:
     """E[s] (x)_pi[s] C, every F[s] C over itself, by quotient_by_columns on copy 0's
     Gram blocks read off paired_images after the C-linearity gate (NonLinearMap),
-    with the process's copies of C and of E (x) C; None when a block's rank differs
-    between slices.  The gate takes no norm when every pi(u_p) is exactly the copies
-    of its block, and NaN or Inf in pi's images raises NonFinite."""
+    with the process's copies of C and of E (x) C.  The gate takes no norm when
+    every pi(u_p) is exactly the copies of its block, and NaN or Inf in pi's images
+    raises NonFinite."""
     C, S, dE = F[0].algebra, len(E), E[0].dim
     first, ref, on = column_split(C, 1).counterparts  # of the copies e^t_.k of C's blocks
     N, X = paired_images(E, F, pi, first)  # on copy 0 of each block
@@ -328,39 +328,40 @@ def column_quotients(
 def tensor_quotients(
     E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap], tol: Tolerance,
 ) -> list[TensorModule]:
-    """The quotients of tensor_premodule(E, F, pi) by their null spaces, one
-    quotient stack, handed on as its slices: the build step of
-    interior_tensor, and of ksgns, which keeps A (x)_phi E inside its own memo
-    entry.  The structure alone picks the quotient, at every width: when every
-    E[s] is A over itself, quotient_by_copies takes row_split's copies to F_phi
-    = (+)_t C^{n_t} (x) K_t; else, when every F[s] is C over itself,
-    column_quotients writes E (x)_pi C with no pre-module; else, and for a stack
-    whose blocks' ranks differ between slices, quotient_by_null takes the whole
-    Grams.  Each structured quotient has the canonical basis I_{n_t} (x) V_t."""
-    quots = None
+    """The quotients of tensor_premodule(E, F, pi) by their null spaces, slices of
+    one quotient stack per rank (hilbert.by_ranks), each with the bits of its own
+    build: the build step of interior_tensor, and of ksgns, which keeps A (x)_phi E
+    inside its own memo entry.  The structure alone picks the quotient, at every
+    width: when every E[s] is A over itself, quotient_by_copies takes row_split's
+    copies to F_phi = (+)_t C^{n_t} (x) K_t; else, when every F[s] is C over
+    itself, column_quotients writes E (x)_pi C with no pre-module; else
+    quotient_by_null takes the whole Grams.  Each structured quotient has the
+    canonical basis I_{n_t} (x) V_t."""
     if over_itself(E):  # rows first, when both are
         copies = row_split(E[0].algebra, F[0].dim)
         quots = quotient_by_copies(tensor_premodule(E, F, pi), copies, tol)
     elif over_itself(F):
         quots = column_quotients(E, F, pi, tol)
-    if quots is None:
+    else:
         quots = quotient_by_null(tensor_premodule(E, F, pi), tol)
-    return [TensorModule(quots, i, *slc) for i, slc in enumerate(zip(E, F, pi))]
+    return [TensorModule(q.stack, q.index, *slc) for q, slc in zip(quots, zip(E, F, pi))]
 
 
 def interior_tensor(
     E: Sequence[HilbertModule], F: Sequence[HilbertModule], pi: Sequence[CPMap],
     tol: Tolerance, memo: BuildMemo,
 ) -> list[TensorModule]:
-    """Interior tensor products E[s] (x)_pi[s] F[s] of one shape, built once
-    per (E[s], F[s], pi[s]) content in the memo: the quotients of
-    tensor_premodule by their null spaces, the missing ones in one stacked
-    build.  Along a representation pi this is the tensor product of
-    correspondences; with E = A over itself and pi a CP map it is the KSGNS
-    space F_pi = A (x)_pi F (Lance, Hilbert C*-Modules, ch. 4-5)."""
+    """Interior tensor products E[s] (x)_pi[s] F[s], built once per (E[s], F[s],
+    pi[s]) content in the memo: the quotients of tensor_premodule by their null
+    spaces, the missing ones in one stacked build per shape (the factors' algebras
+    and dimensions).  Along a representation pi this is the tensor product of
+    correspondences; with E = A over itself and pi a CP map it is the KSGNS space
+    F_pi = A (x)_pi F (Lance, Hilbert C*-Modules, ch. 4-5)."""
 
     def build(todo: list[int]) -> list[TensorModule]:
-        return tensor_quotients(*([x[s] for s in todo] for x in (E, F, pi)), tol)
+        return stackwise(todo, lambda s: (E[s].algebra.blocks, E[s].dim, F[s].algebra.blocks,
+                                          F[s].dim), lambda at: tensor_quotients(
+            *([x[s] for s in at] for x in (E, F, pi)), tol))
 
     return memo.get_all([tensor_key(*slc, tol) for slc in zip(E, F, pi)], build)
 

@@ -256,7 +256,7 @@ def random_endomorphism(
 ) -> PosCorMorphism:
     """An endomorphism of obj: a random element of the commutant of phi,
     composed with the inclusion unitary."""
-    inc = inclusion_unitary(obj.module, tol, memo)
+    inc = inclusion_unitary([obj.module], tol, memo)[0]
     ident = identity_automorphism(obj.input_algebra)
     eta, norm = random_intertwiner(obj.phi, obj.phi, ident, rng, tol)
     mat = eta.matrix

@@ -24,6 +24,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, asdict
+from typing import Iterator
 
 import numpy as np
 
@@ -65,7 +66,7 @@ from .equivariant import (
     trivial_group,
     uniqueness_unitary,
 )
-from .errors import InvalidConfig, KsgnslabError, ParseError, ValidationError
+from .errors import InvalidConfig, ParseError, ValidationError
 from .generators import (
     extend_morphism,
     random_elements,
@@ -448,17 +449,17 @@ def _check_lift(payload: dict, tol: Tolerance, memo: BuildMemo):
     yield "positivity_lower", max(0.0, -lower_eig), sandwich_scale
     yield "positivity_upper", max(0.0, -upper_eig), sandwich_scale
 
-    t1 = ksgns([E1], [phi1], tol, memo)[0]
-    t2 = ksgns([E2], [phi2], tol, memo)[0]
-    t3 = ksgns([E3], [phi3], tol, memo)[0]
+    t1, t2, t3 = _alone_on_failure(ksgns, [(E1, phi1), (E2, phi2), (E3, phi3)], tol, memo)
     leak, gate = null_leak(t2.q, kron(m1.alpha.matrix, m1.eta.matrix), t1.kernel, tol)
     yield "lift_well_defined", leak, gate
-    lifted1 = ksgns_lift([m1], [t1], [t2], tol)[0]
-    yield from check_lift(m1, lifted1, t1, t2, tol)
+    # taken at their places: a lift that fails alone raises after the records before it
     ident = Intertwiner(identity_map(E1), identity_automorphism(phi1.algebra))
-    lift_id = ksgns_lift([ident], [t1], [t1], tol)[0]
+    lifts = _alone_on_failure(ksgns_lift, [(m1, t1, t2), (ident, t1, t1), (m2, t2, t3)], tol)
+    lifted1 = next(lifts)
+    yield from check_lift(m1, lifted1, t1, t2, tol)
+    lift_id = next(lifts)
     yield "functor_identity", operator_norm(lift_id.eta.matrix - np.eye(t1.module.dim)), tol.ctol
-    lifted2 = ksgns_lift([m2], [t2], [t3], tol)[0]
+    lifted2 = next(lifts)
     lifted21 = ksgns_lift([compose_intertwiners(m2, m1)], [t1], [t3], tol)[0]
     yield (
         "functor_composition",
@@ -493,10 +494,9 @@ def _check_idempotency(payload: dict, tol: Tolerance, memo: BuildMemo):
     mods, phis, morphs = _load_bundle(payload)
     _drawn_on_input_algebra(payload, phis["phi1"], phis["phi2"])
     m = morphs["m"]
-    t1 = ksgns([mods["E1"]], [phis["phi1"]], tol, memo)[0]
-    t2 = ksgns([mods["E2"]], [phis["phi2"]], tol, memo)[0]
-    second1 = ksgns([t1.module], [t1.pi], tol, memo)[0]
-    second2 = ksgns([t2.module], [t2.pi], tol, memo)[0]
+    t1, t2 = _alone_on_failure(
+        ksgns, [(mods["E1"], phis["phi1"]), (mods["E2"], phis["phi2"])], tol, memo)
+    second1, second2 = _alone_on_failure(ksgns, [(t1.module, t1.pi), (t2.module, t2.pi)], tol, memo)
     yield from check_idempotency(second1, t1, tol)
     lifted = ksgns_lift([m], [t1], [t2], tol)[0]
     double = ksgns_lift([lifted], [second1], [second2], tol)[0]
@@ -568,8 +568,7 @@ def _check_tensor(payload: dict, tol: Tolerance, memo: BuildMemo):
     star_maps = payload["star_maps"]
     rho1, rho2, rho3 = ser.load_star_maps([star_maps[k] for k in ("rho1", "rho2", "rho3")])
     rng = _sub_rng(payload["seed"], 3)
-    tm1 = interior_tensor([E1], [F], [pi], tol, memo)[0]
-    tm2 = interior_tensor([E2], [F], [pi], tol, memo)[0]
+    tm1, tm2 = _alone_on_failure(interior_tensor, [(E1, F, pi), (E2, F, pi)], tol, memo)
     yield (
         "balanced",
         balanced_relation_residual(tm1, rng),
@@ -588,13 +587,12 @@ def _check_tensor(payload: dict, tol: Tolerance, memo: BuildMemo):
         "extend_norm", max(0.0, module_operator_norm(TI) - module_operator_norm(T)), tol.ctol
     )
     m_hat = Intertwiner(tensor_extend_between([m.eta], [tm1], [tm2], tol)[0], m.alpha)
-    phi1_ext = tensor_extend_cpmap([phi1], [tm1], tol, memo)[0]
-    phi2_ext = tensor_extend_cpmap([phi2], [tm2], tol, memo)[0]
+    phi1_ext, phi2_ext = _alone_on_failure(
+        tensor_extend_cpmap, [(phi1, tm1), (phi2, tm2)], tol, memo)
     yield "functor_morphism", *summarize(check_morphism([m_hat], [phi1_ext], [phi2_ext], tol)[0])
     yield "functor_norm", max(0.0, m_hat.norm - m.norm), tol.ctol
     # inclusion
-    inc1 = inclusion_unitary(E1, tol, memo)
-    inc2 = inclusion_unitary(E2, tol, memo)
+    inc1, inc2 = _alone_on_failure(inclusion_unitary, [(E1,), (E2,)], tol, memo)
     yield "inclusion_unitary", unitarity_residual([inc1.iota]), tol.ctol
     eta_inc = tensor_extend_between([m.eta], [inc1.tensor], [inc2.tensor], tol)[0]
     yield (
@@ -649,8 +647,7 @@ def _check_tensor(payload: dict, tol: Tolerance, memo: BuildMemo):
         tol.ctol * (1.0 + module_operator_norm(eta_sq)),
     )
     # KSGNS commutes with tensoring
-    cu1 = commuting_unitary([phi1], [tm1], tol, memo)[0]
-    cu2 = commuting_unitary([phi2], [tm2], tol, memo)[0]
+    cu1, cu2 = _alone_on_failure(commuting_unitary, [(phi1, tm1), (phi2, tm2)], tol, memo)
     yield "commuting_unitary", *summarize(check_commuting_unitary(cu1, tol, memo))
     lifted = ksgns_lift([m], [cu1.triple], [cu2.triple], tol)[0]
     lifted_hat = tensor_extend_between([lifted.eta], [cu1.right], [cu2.right], tol)[0]
@@ -733,17 +730,16 @@ def _sibling_morphism(m, rng: np.random.Generator, tol: Tolerance, memo: BuildMe
     return make_poscor_morphism([m.dom], [m.cod], [m.rho], [eta], [m.alpha], tol, memo)[0]
 
 
-def _alone_on_failure(build):
-    """build, but a stack whose build raises is built again one item at a time,
-    so that a faulty item raises as it does alone."""
-
-    def stacked(stack: list) -> list:
-        try:
-            return build(stack)
-        except KsgnslabError:
-            return [build([item])[0] for item in stack]
-
-    return stacked
+def _alone_on_failure(build, items: list[tuple], *args) -> Iterator:
+    """The builds of items (each a tuple of one slice of build's stacked arguments),
+    in order, from one stacked call.  When that raises, whatever it raises, each item
+    is built again alone, in order and only as the caller takes it, so that a faulty
+    item raises as its own call does and where: a caller that takes each item at its
+    one-at-a-time build's place yields every record that build would follow."""
+    try:
+        return iter(build(*map(list, zip(*items)), *args))
+    except Exception:
+        return (build(*[[x] for x in item], *args)[0] for item in items)
 
 
 def _tensor_shape(morphism: tuple) -> tuple:
@@ -769,20 +765,13 @@ def _load_category(payload: dict, tol: Tolerance, memo: BuildMemo):
     doms, cods = ([by_ident[d[end]] for d in data] for end in ("dom", "cod"))
     rhos = ser.load_star_maps([d["rho"] for d in data])
     alphas = ser.load_automorphisms([d["alpha"] for d in data])
-
-    @_alone_on_failure
-    def tensors(stack: list) -> list:
-        return interior_tensor_along([d.module for d, *_ in stack], [r for *_, r in stack], tol, memo)
-
-    @_alone_on_failure
-    def morphisms(stack: list) -> list:
-        return make_poscor_morphism(*zip(*stack), tol, memo)
-
-    tms = stackwise(list(zip(doms, cods, rhos)), _tensor_shape, tensors)
+    tms = stackwise(list(zip(doms, cods, rhos)), _tensor_shape, lambda stack: list(
+        _alone_on_failure(interior_tensor_along, [(d.module, r) for d, _, r in stack], tol, memo)))
     shapes = [(cod.module.dim, tm.module.dim) for cod, tm in zip(cods, tms)]
     etas = ser.load_cmatrix_list([d["eta"] for d in data], shapes)
     maps = [ModuleMap(tm.module, cod.module, eta) for tm, cod, eta in zip(tms, cods, etas)]
-    return objects, stackwise(list(zip(doms, cods, rhos, maps, alphas)), _tensor_shape, morphisms)
+    return objects, stackwise(list(zip(doms, cods, rhos, maps, alphas)), _tensor_shape, lambda
+                              ms: list(_alone_on_failure(make_poscor_morphism, ms, tol, memo)))
 
 
 _CATEGORY_THEOREMS = {
@@ -812,10 +801,12 @@ def _check_category(payload: dict, tol: Tolerance, memo: BuildMemo):
     # KSGNS endofunctor laws on the category, on one composable pair
     m1 = next(m for m in morphisms if m.dom.ident == "O1" and m.cod.ident == "O2")
     m2 = next(m for m in morphisms if m.dom.ident == "O2" and m.cod.ident == "O3")
-    k1 = ksgns_functor([m1], tol, memo)[0]
-    k2 = ksgns_functor([m2], tol, memo)[0]
+    # objects[0]'s identity built once already (check_category_laws): it cannot raise here
+    functor = _alone_on_failure(
+        ksgns_functor, [(m1,), (m2,), (poscor_identity(objects[0], tol, memo),)], tol, memo)
+    k1, k2 = next(functor), next(functor)
     yield "ksgns_morphism", *summarize(check_poscor_morphism([k1], tol, memo)[0])
-    k_id = ksgns_functor([poscor_identity(objects[0], tol, memo)], tol, memo)[0]
+    k_id = next(functor)
     yield (
         "ksgns_identity",
         morphism_distance([k_id], [poscor_identity(k_id.dom, tol, memo)])[0],
@@ -1015,8 +1006,7 @@ def _check_continuity(payload: dict, tol: Tolerance, memo: BuildMemo):
     samples = payload["samples"]
     X = ser.load_cmatrices([s["x"] for s in samples], E1.dim, 1)[..., 0]
     C = ser.load_elements(A, [s["a"] for s in samples])
-    t1 = ksgns([E1], [phi1], tol, memo)[0]
-    t2 = ksgns([E2], [phi2], tol, memo)[0]
+    t1, t2 = _alone_on_failure(ksgns, [(E1, phi1), (E2, phi2)], tol, memo)
     probe = continuity_probe(
         path, target, t1, t2, X.reshape(-1, E1.dim), C.reshape(-1, A.dim), tol
     )

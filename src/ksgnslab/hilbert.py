@@ -42,7 +42,7 @@ Zero-dimensional modules are legal everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 from functools import cached_property
 
 import numpy as np
@@ -69,6 +69,7 @@ from .numkernel import (
     rank_kernel,
     require_finite,
     stack_slices,
+    stackwise,
 )
 
 
@@ -294,18 +295,12 @@ class Quotient:
     """The quotients of a stack of S pre-modules by their null spaces: module,
     the stack of quotient modules; q (S, rank, d), the quotient maps onto
     eigen-coordinates; s (S, d, rank), the sections, q s = I; kernel (S, d,
-    d - rank), bases of the Gram kernels.  quotient[i] is slice i."""
+    d - rank), bases of the Gram kernels."""
 
     module: HilbertModule
     q: np.ndarray
     s: np.ndarray
     kernel: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.s)
-
-    def __getitem__(self, i: int) -> QuotientSlice:
-        return QuotientSlice(self, range(len(self))[i])
 
 
 @dataclass
@@ -320,33 +315,48 @@ class QuotientSlice:
     q, s, kernel, module = _Field(), _Field(), _Field(), _Field()
 
 
-def quotient_by_null(pre: PreModule, tol: Tolerance) -> Quotient:
+def quotient_by_null(pre: PreModule, tol: Tolerance) -> list[QuotientSlice]:
     """Quotient each pre-module of a stack (a PreModule with a leading axis) by
-    the null space of its pairing, as one quotient stack: one batched
-    rank_kernel over the Gram matrices, one stacked leak gate and transport of
-    the action and pairing, and one batched eigh of the quotient Grams for the
-    modules' spectra.  Each slice gets the bits of a quotient of its own.
+    the null space of its pairing: one batched rank_kernel over the Gram matrices,
+    and per rank (by_ranks) one stacked leak gate and transport of the action and
+    pairing, and one batched eigh of the quotient Grams for the modules' spectra.
+    Each slice gets the bits of a quotient of its own.
 
     The null space is detected as ker(G) for the scalarized Gram G; by
     faithfulness of the trace this agrees with {z : <z, z> = 0} whenever the
-    pairing is PSD.  Raises ShapeMismatch, naming two slices and their ranks,
-    when the slices quotient to different ranks, and SubmoduleViolation when
-    a kernel is not invariant under the action, which signals an invalid
-    pre-module; in a longer stack the message names the first leaking slice.
-    """
-    (ranks, _, V), = rank_kernel(pre.gram(), tol)
-    if np.count_nonzero(other := ranks != ranks[0]):
-        i = int(np.flatnonzero(other)[0])
-        raise ShapeMismatch(
-            f"slices quotient to different ranks: slice 0 to {ranks[0]}, slice {i} to {ranks[i]}"
-        )
-    V = require_finite(V, "Gram eigenvectors")
-    z = V.shape[-1] - int(ranks[0])  # the kernel's width
-    # copies with Fortran-ordered slices, a column selection's layout, on which the bits depend
-    s, kernel = (np.ascontiguousarray(x.swapaxes(-1, -2)).swapaxes(-1, -2)
-                 for x in (V[..., z:], V[..., :z]))
-    moved, blocks, w, V = _quotient_stack(pre.algebra, s, kernel, pre.action, pre.pairing, tol)
-    return _quotients(pre.algebra, s, kernel, moved, blocks, w, V)
+    pairing is PSD.  Raises SubmoduleViolation when a kernel is not invariant
+    under the action, which signals an invalid pre-module, naming the first
+    leaking slice of the first rank that leaks in a longer stack."""
+
+    def build(at, decided: list[tuple], names) -> Quotient:
+        (ranks, _, V), = decided
+        V = require_finite(V, "Gram eigenvectors")
+        z = V.shape[-1] - int(ranks[0])  # the kernel's width
+        # copies with Fortran-ordered slices, a column selection's layout, on which the bits depend
+        s, kernel = (np.ascontiguousarray(x.swapaxes(-1, -2)).swapaxes(-1, -2)
+                     for x in (V[..., z:], V[..., :z]))
+        moved, blocks, w, U = _quotient_stack(
+            pre.algebra, s, kernel, pre.action[at], [P[at] for P in pre.pairing], tol, names)
+        return _quotients(pre.algebra, s, kernel, moved, blocks, w, U)
+
+    return by_ranks(rank_kernel(pre.gram(), tol), build)
+
+
+def by_ranks(decided: list[tuple], build: Callable) -> list[QuotientSlice]:
+    """The slices, in input order, of the quotient stacks build(at, decisions at at,
+    names), one per group `at` of the slices whose ranks agree in every block of
+    rank_kernel's decisions, in the order of their first slices; at is the whole
+    stack, slice(None), when all agree.  names, which errors name, holds the input
+    numbers of at's slices; None for a stack of one."""
+    rows = list(zip(*[k.tolist() for k, _, _ in decided]))  # each slice's ranks
+    S = len(rows)
+
+    def group(numbers: list[int]) -> list[QuotientSlice]:
+        at = np.array(numbers) if len(numbers) < S else slice(None)
+        quot = build(at, [(k[at], w[at], V[at]) for k, w, V in decided], numbers if S > 1 else None)
+        return [QuotientSlice(quot, i) for i in range(len(numbers))]
+
+    return stackwise(range(S), rows.__getitem__, group)
 
 
 def _quotients(B: AlgebraShape, s, kernel, action, pairing, w, V) -> Quotient:
@@ -356,19 +366,19 @@ def _quotients(B: AlgebraShape, s, kernel, action, pairing, w, V) -> Quotient:
     return Quotient(module, s.conj().swapaxes(-1, -2), s, kernel)
 
 
-def _leak_error(S: int, i: int, b: int, leak: float) -> SubmoduleViolation:
-    """The leak of basis element b's action out of the null space in slice i of S."""
-    where = f" in slice {i}" if S > 1 else ""
+def _leak_error(names, i: int, b: int, leak: float) -> SubmoduleViolation:
+    """The leak of basis element b's action out of the null space in slice names[i]."""
+    where = f" in slice {names[i]}" if names is not None else ""
     return SubmoduleViolation(
         f"action of basis element {b} leaks out of the null space{where} (residual {leak:.3e})"
     )
 
 
-def _quotient_stack(B: AlgebraShape, s, kernel, action, pairing, tol: Tolerance) -> tuple:
+def _quotient_stack(B: AlgebraShape, s, kernel, action, pairing, tol: Tolerance, names) -> tuple:
     """quotient_by_null's leak gate, moved action and pairing, and Gram spectra."""
     qK = s.conj().swapaxes(-1, -2)[:, None] @ action  # shared by the leak gate and the moved action
     if (leak := first_leak(qK @ kernel[:, None], action, tol)) is not None:
-        raise _leak_error(len(s), *divmod(leak[0], B.dim), leak[1])
+        raise _leak_error(names, *divmod(leak[0], B.dim), leak[1])
     blocks = [transport_pairing(s, P) for P in pairing]
     G = _scalarized(B, blocks)
     return (qK @ s[:, None], blocks, *eigh((G + G.conj().swapaxes(-1, -2)) / 2.0))
@@ -397,12 +407,8 @@ class Copies(list):
         first = np.concatenate([c[0] for c in self])
         return read_only(first[:, None] * d + first, ref, on)
 
-    def layout(self, decided: list[tuple]) -> CopyLayout | None:
-        """The layout at the ranks of rank_kernel's decisions, slice 0's; None when a
-        block's rank differs between slices."""
-        for k, _, _ in decided:
-            if any_nonzero(k != k[0]):
-                return None
+    def layout(self, decided: list[tuple]) -> CopyLayout:
+        """The layout at the ranks of rank_kernel's decisions, slice 0's (by_ranks')."""
         if (ranks := tuple([int(k[0]) for k, _, _ in decided])) not in self.layouts:
             self.layouts[ranks] = CopyLayout(self, ranks)
         return self.layouts[ranks]
@@ -471,14 +477,14 @@ def _pieces(pieces: Sequence[np.ndarray], axis: int, width: int = 2) -> np.ndarr
     return np.concatenate([*flat, zero], axis=axis)
 
 
-def quotient_by_copies(pre: PreModule, copies: Copies, tol: Tolerance) -> Quotient:
+def quotient_by_copies(pre: PreModule, copies: Copies, tol: Tolerance) -> list[QuotientSlice]:
     """quotient_by_null of orthogonal sums of equal submodules, copies[t] placing block
     t's (cp.row_split), as (+)_t C^{n_t} (x) K_t: the rank decision on copy 0's Gram
-    blocks, and one _quotient_stack per block what its copies share, which the layout
-    puts on every copy.  Copies that are not copy 0's bit for bit take the gate, and
-    beyond it raise UnequalCopies; blocks whose ranks differ between slices go to
-    quotient_by_null."""
-    G, B, S, G0 = _scalarized(pre.algebra, pre.pairing), pre.algebra, pre.action.shape[0], []
+    blocks, and per group of slices of one rank in every block (by_ranks) one
+    _quotient_stack per block what its copies share, which the layout puts on every
+    copy.  Copies that are not copy 0's bit for bit take the gate, and beyond it raise
+    UnequalCopies."""
+    G, B, G0 = _scalarized(pre.algebra, pre.pairing), pre.algebra, []
     for t, c in enumerate(copies):
         G0.append(G[:, c[:1, :, None], c[:1, None, :]])
         D = G[:, c[1:, :, None], c[1:, None, :]] - G0[-1]
@@ -486,59 +492,63 @@ def quotient_by_copies(pre: PreModule, copies: Copies, tol: Tolerance) -> Quotie
                 bad := exceeds_finite_gate(D, np.broadcast_to(G0[-1], D.shape), tol)):
             i, a = np.argwhere(bad)[0]
             raise UnequalCopies(f"copy {a + 1} of block {t} differs from copy 0 in slice {i}")
-    decided = rank_kernel(Split([g[:, 0] for g in G0]), tol)
-    if (at := copies.layout(decided)) is None:
-        return quotient_by_null(pre, tol)  # the totals may still agree
-    bases, parts = [require_finite(V, "Gram eigenvectors") for _, _, V in decided], []
-    for c, X, k in zip(copies, bases, at.ranks):  # copy 0: its rows, kept columns
-        z, i, j = X.shape[-1] - k, c[0][:, None], c[0]
-        st, kt = np.ascontiguousarray(X[..., z:]), np.ascontiguousarray(X[..., :z])
-        pairing = [P[:, i, j] for P in pre.pairing]
-        parts.append(_quotient_stack(B, st, kt, pre.action[..., i, j], pairing, tol))
-    (moved, pairing, w, V), (diagonal, spread) = zip(*parts), at.after
-    pieces = _pieces([*bases, *V, *w], 1)  # copy 0's eigenvectors, then its spectra
-    w = pieces.real.take(spread, axis=1)  # the copies' spectra, sorted with V
-    order, rows = w.argsort(axis=-1, kind="stable"), np.arange(S)[:, None]
-    V = pieces.take(diagonal, axis=1)[rows[..., None], at.index, order[:, None]]
-    return _quotients(B, pieces.take(at.s, axis=1), pieces.take(at.kernel, axis=1),
-                      _pieces(moved, 2).take(at.diagonal, axis=2),
-                      [_pieces(P, 1).take(at.diagonal, axis=1) for P in zip(*pairing)],
-                      w[rows, order], V)
+
+    def build(at, decided: list[tuple], names) -> Quotient:
+        lay, parts = copies.layout(decided), []
+        bases = [require_finite(V, "Gram eigenvectors") for _, _, V in decided]
+        for c, X, k in zip(copies, bases, lay.ranks):  # copy 0: its rows, kept columns
+            z, i, j = X.shape[-1] - k, c[0][:, None], c[0]
+            st, kt = np.ascontiguousarray(X[..., z:]), np.ascontiguousarray(X[..., :z])
+            pairing = [P[at][:, i, j] for P in pre.pairing]
+            parts.append(_quotient_stack(B, st, kt, pre.action[at][..., i, j], pairing, tol, names))
+        (moved, pairing, w, V), (diagonal, spread) = zip(*parts), lay.after
+        pieces = _pieces([*bases, *V, *w], 1)  # copy 0's eigenvectors, then its spectra
+        w = pieces.real.take(spread, axis=1)  # the copies' spectra, sorted with V
+        order, rows = w.argsort(axis=-1, kind="stable"), np.arange(len(w))[:, None]
+        V = pieces.take(diagonal, axis=1)[rows[..., None], lay.index, order[:, None]]
+        return _quotients(B, pieces.take(lay.s, axis=1), pieces.take(lay.kernel, axis=1),
+                          _pieces(moved, 2).take(lay.diagonal, axis=2),
+                          [_pieces(P, 1).take(lay.diagonal, axis=1) for P in zip(*pairing)],
+                          w[rows, order], V)
+
+    return by_ranks(rank_kernel(Split([g[:, 0] for g in G0]), tol), build)
 
 
 def quotient_by_columns(
     B: AlgebraShape, gram: Split, copies: Copies, tol: Tolerance
-) -> Quotient | None:
+) -> list[QuotientSlice]:
     """E (x)_pi B, B = (+)_t M_{n_t} over itself, from the rank decision on copy 0's Gram
-    blocks (copies = cp.column_split), in the layout's closed form: with v_a, w_a block
-    t's kept eigenpairs, O_t + k r_t + a is v_a (x) e^t_.k, R(e^t_kl) moves copy k to l,
-    and <v_a (x) e_k, v_b (x) e_l> = w_a delta_ab e^t_kl; sorted, the Gram spectrum's
+    blocks (copies = cp.column_split), in the layout's closed form, per group of slices
+    of one rank in every block (by_ranks): with v_a, w_a block t's kept eigenpairs,
+    O_t + k r_t + a is v_a (x) e^t_.k, R(e^t_kl) moves copy k to l, and
+    <v_a (x) e_k, v_b (x) e_l> = w_a delta_ab e^t_kl; sorted, the Gram spectrum's
     eigenvectors are the identity's columns in the order of the sort.  The kernel leaks
-    under R(e^t_kl), of norm 1, by V_t,keep* V_t,drop.  None when a block's rank differs
-    between slices."""
-    decided = rank_kernel(gram, tol)
-    if (at := copies.layout(decided)) is None:
-        return None
-    bases, kept, leaks = [require_finite(V, "Gram eigenvectors") for _, _, V in decided], [], []
-    unit = np.ones((S := bases[0].shape[0], 1, 1))
-    for t, ((_, w, _), V, r) in enumerate(zip(decided, bases, at.ranks)):
-        z = V.shape[-1] - r
-        if leak := first_leak(V[..., z:].conj().swapaxes(-1, -2) @ V[..., :z], unit, tol):
-            leaks.append((*leak, t))
-        kept.append(w[:, z:])
-    if leaks:
-        i, leak, t = min(leaks)  # the first leaking slice
-        raise _leak_error(S, i, B.offsets[t], leak)
-    pieces, (action, pairing, spread) = _pieces([*bases, *kept], 1), at.closed_form
-    if (stacked := at.stacked.get(S)) is None:  # the action of S slices, kept per S
-        stacked = at.stacked[S] = np.broadcast_to(action, (S, *action.shape))
-    spectrum = pieces.real.take(spread, axis=1)
-    order = spectrum.argsort(axis=-1, kind="stable")
-    return _quotients(
-        B, pieces.take(at.s, axis=1), pieces.take(at.kernel, axis=1),
-        stacked, [pieces.take(P, axis=1) for P in pairing],
-        spectrum[np.arange(S)[:, None], order], (at.index == order[:, None]).astype(complex),
-    )
+    under R(e^t_kl), of norm 1, by V_t,keep* V_t,drop."""
+
+    def build(at, decided: list[tuple], names) -> Quotient:
+        lay, kept, leaks = copies.layout(decided), [], []
+        bases = [require_finite(V, "Gram eigenvectors") for _, _, V in decided]
+        unit = np.ones((S := bases[0].shape[0], 1, 1))
+        for t, ((_, w, _), V, r) in enumerate(zip(decided, bases, lay.ranks)):
+            z = V.shape[-1] - r
+            if leak := first_leak(V[..., z:].conj().swapaxes(-1, -2) @ V[..., :z], unit, tol):
+                leaks.append((*leak, t))
+            kept.append(w[:, z:])
+        if leaks:
+            i, leak, t = min(leaks)  # the first leaking slice
+            raise _leak_error(names, i, B.offsets[t], leak)
+        pieces, (action, pairing, spread) = _pieces([*bases, *kept], 1), lay.closed_form
+        if (stacked := lay.stacked.get(S)) is None:  # the action of S slices, kept per S
+            stacked = lay.stacked[S] = np.broadcast_to(action, (S, *action.shape))
+        spectrum = pieces.real.take(spread, axis=1)
+        order = spectrum.argsort(axis=-1, kind="stable")
+        return _quotients(
+            B, pieces.take(lay.s, axis=1), pieces.take(lay.kernel, axis=1),
+            stacked, [pieces.take(P, axis=1) for P in pairing],
+            spectrum[np.arange(S)[:, None], order], (lay.index == order[:, None]).astype(complex),
+        )
+
+    return by_ranks(rank_kernel(gram, tol), build)
 
 
 def null_leak(

@@ -53,7 +53,7 @@ from .hilbert import (
 from .memo import BuildMemo
 from .numkernel import (
     Tolerance, kron, live_products, matvecs, max_operator_norm, max_operator_norms, operator_norm,
-    pseudo_inverse, stack_slices, svd,
+    pseudo_inverse, stack_slices, stackwise, svd,
 )
 
 
@@ -80,26 +80,26 @@ class KsgnsTriple(QuotientSlice):
 def ksgns(
     E: Sequence[HilbertModule], phi: Sequence[CPMap], tol: Tolerance, memo: BuildMemo
 ) -> list[KsgnsTriple]:
-    """Dilate completely positive maps phi[s] of one shape on E[s] to
-    representations on their F_phi, built once per (E[s], phi[s]) content in
-    the memo: one stacked Choi certificate, tensor build and descent of left
-    multiplication for the ones the memo lacks.  The tensor A (x)_phi E lives
-    in the triple's memo entry only, not under a tensor key of its own.
+    """Dilate completely positive maps phi[s] on E[s] to representations on their
+    F_phi, built once per (E[s], phi[s]) content in the memo: for the ones the
+    memo lacks, one stacked Choi certificate and tensor build per shape, and one
+    descent of left multiplication per rank.  The tensor A (x)_phi E lives in
+    the triple's memo entry only, not under a tensor key of its own.
 
     Raises NotCP when a Choi certificate fails, ShapeMismatch when a phi acts
     on another module, and SubmoduleViolation (via the quotient) or
     WellDefinednessViolation when numerics break down.
     """
 
-    def build(todo: list[int]) -> list[KsgnsTriple]:
+    def dilations(todo: list[int]) -> list[KsgnsTriple]:
         mods, maps = [E[s] for s in todo], [phi[s] for s in todo]
         for ok, mins in check_cp(maps, tol, memo):
             if not ok:
                 raise NotCP(f"Choi certificate failed (min eigenvalues {mins})")
-        A = maps[0].algebra
+        A, L = maps[0].algebra, left_multiplication(maps[0].algebra)
         tms = tensor_quotients([algebra_module(A)] * len(mods), mods, maps, tol)
-        L = [left_multiplication(A)] * len(mods)
-        pis = tensor_extend(L, tms, tms, "left multiplication", tol)
+        pis = stackwise(tms, lambda tm: tm.module.dim, lambda same: tensor_extend(
+            [L] * len(same), same, same, "left multiplication", tol))
         # V_phi x = class of 1_A (x) x
         unit = unit_coeffs(A).reshape(A.dim, 1)
         return [
@@ -110,7 +110,9 @@ def ksgns(
             for e, p, tm, pi in zip(mods, maps, tms, pis)
         ]
 
-    return memo.get_all([("ksgns", e.key, p.key, tol) for e, p in zip(E, phi)], build)
+    return memo.get_all([("ksgns", e.key, p.key, tol) for e, p in zip(E, phi)], lambda todo: (
+        stackwise(todo, lambda s: (phi[s].algebra.blocks, E[s].algebra.blocks, E[s].dim),
+                  dilations)))
 
 
 def spanning_columns(t: KsgnsTriple) -> np.ndarray:
@@ -211,17 +213,21 @@ def ksgns_lift(
     tol: Tolerance,
 ) -> list[Intertwiner]:
     """Lift intertwiners m[s] = (eta, alpha) to (eta~, alpha) from the
-    dilation t1[s] to t2[s], all through one stacked descent.
+    dilation t1[s] to t2[s], through one stacked descent per shape.
 
     eta~ is the compression of alpha (x) eta to the quotients; the well-
     definedness gate checks that alpha (x) eta maps ker G_1 into ker G_2.
     """
-    K = stack_slices([kron(x.alpha.matrix, x.eta.matrix) for x in m])
-    lifted = descend(K, t1, t2, "alpha (x) eta", tol)
-    return [
-        Intertwiner(ModuleMap(a.module, b.module, eta), x.alpha)
-        for x, a, b, eta in zip(m, t1, t2, lifted)
-    ]
+
+    def lifts(items: list[tuple]) -> list[Intertwiner]:
+        ms, src, tgt = zip(*items)
+        K = stack_slices([kron(x.alpha.matrix, x.eta.matrix) for x in ms])
+        lifted = descend(K, src, tgt, "alpha (x) eta", tol)
+        return [Intertwiner(ModuleMap(a.module, b.module, eta), x.alpha)
+                for x, a, b, eta in zip(ms, src, tgt, lifted)]
+
+    return stackwise(list(zip(m, t1, t2)), lambda x: (
+        x[0].alpha.matrix.shape, x[0].eta.matrix.shape, x[1].module.dim, x[2].module.dim), lifts)
 
 
 def check_lift(

@@ -73,13 +73,13 @@ column, both keep dense bits.
 
 Same-shape problems run as stacks: herm_eig and rank_kernel take a leading
 slice axis (rank_kernel decides a whole stack at once, one block of decisions),
-and a builder takes one stack whose slices share a shape, never padded.
-stack_slices forms such a stack from arrays and raises ShapeMismatch when a
-slice's shape differs, so the shapes are checked once, where the stack is
-formed.  Batched LAPACK gives every matrix the bits of a call of its own, and
-stack_slices keeps each slice's memory layout, on which matrix-vector
-products depend, so a stacked build reproduces the builds of its slices bit
-for bit.
+and a builder stacks slices of one shape, never padded: stackwise groups a
+request by shape.  stack_slices forms a stack from arrays and raises
+ShapeMismatch when a slice's shape differs, so shapes are checked once, where
+the stack is formed.  Batched LAPACK gives every matrix the bits of a call of
+its own, and stack_slices keeps each slice's memory layout, on which
+matrix-vector products depend, so a stacked build reproduces the builds of its
+slices bit for bit.
 """
 
 from __future__ import annotations
@@ -528,10 +528,13 @@ def stackwise(
     items: Sequence, shape: Callable[[Any], Any], build: Callable[[list], Sequence]
 ) -> list:
     """build(stack) for each stack of the items of one shape(item), in the order
-    of their first items, each result put back at its item's position."""
+    of their first items, each result put back at its item's position; one item,
+    or items of one shape, are one stack (one item with no shape taken)."""
+    if len(items) == 1 or (keys := list(map(shape, items))) and keys.count(keys[0]) == len(keys):
+        return list(build(list(items)))
     out, stacks = [None] * len(items), {}
-    for i, item in enumerate(items):
-        stacks.setdefault(shape(item), []).append(i)
+    for i, key in enumerate(keys):
+        stacks.setdefault(key, []).append(i)
     for idx in stacks.values():
         for i, x in zip(idx, build([items[i] for i in idx])):
             out[i] = x

@@ -77,7 +77,8 @@ def tensor_extend_cpmap(
     phi: Sequence[CPMap], tm: Sequence[TensorModule], tol: Tolerance, memo: BuildMemo
 ) -> list[CPMap]:
     """phi~ = phi[s](-) (x) I, the tensor-extended CP map on each E (x)_pi F
-    of tm, built once per (phi[s], tensor) content in the memo."""
+    of tm, built once per (phi[s], tensor) content in the memo, one stacked
+    build per shape."""
 
     def build(todo: list[int]) -> list[CPMap]:
         maps, tms = [phi[s] for s in todo], [tm[s] for s in todo]
@@ -85,7 +86,8 @@ def tensor_extend_cpmap(
         return [CPMap(p.algebra, t.module, X) for p, t, X in zip(maps, tms, images)]
 
     keys = [("extend", p.key, tensor_key(t.left, t.right, t.pi, tol)) for p, t in zip(phi, tm)]
-    return memo.get_all(keys, build)
+    return memo.get_all(keys, lambda todo: stackwise(todo, lambda s: (
+        phi[s].algebra.dim, tm[s].left.dim, tm[s].right.dim, tm[s].module.dim), build))
 
 
 def balanced_relation_residual(tm: TensorModule, rng: np.random.Generator) -> float:
@@ -141,11 +143,12 @@ class InclusionUnitary:
     iota: ModuleMap
 
 
-def inclusion_unitary(E: HilbertModule, tol: Tolerance, memo: BuildMemo) -> InclusionUnitary:
-    inc = identity_star_map(E.algebra)
-    tm = interior_tensor_along([E], [inc], tol, memo)[0]
-    N_pre = np.transpose(E.action, (1, 2, 0)).reshape(E.dim, E.dim * E.algebra.dim)
-    return InclusionUnitary(tm, ModuleMap(tm.module, E, N_pre @ tm.s))
+def inclusion_unitary(
+    E: Sequence[HilbertModule], tol: Tolerance, memo: BuildMemo
+) -> list[InclusionUnitary]:
+    tms = interior_tensor_along(E, [identity_star_map(e.algebra) for e in E], tol, memo)
+    N_pre = [np.transpose(e.action, (1, 2, 0)).reshape(e.dim, e.dim * e.algebra.dim) for e in E]
+    return [InclusionUnitary(t, ModuleMap(t.module, e, N @ t.s)) for e, t, N in zip(E, tms, N_pre)]
 
 
 @dataclass
@@ -228,28 +231,34 @@ def commuting_unitary(
     phi: Sequence[CPMap], tm: Sequence[TensorModule], tol: Tolerance, memo: BuildMemo
 ) -> list[CommutingUnitary]:
     """The unitary for each tm[s] = E (x)_pi F with phi[s] on E: one stacked
-    build of the extended maps, of their KSGNS (the left sides, Choi
-    certificates included) and of the right tensors F_phi (x)_pi F; the KSGNS
-    triples of (E, phi[s]) come from the memo."""
+    build per shape of the extended maps, of their KSGNS (the left sides, Choi
+    certificates included), of the right tensors F_phi (x)_pi F and of the
+    unitaries; the KSGNS triples of (E, phi[s]) come from the memo."""
     phi_ext = tensor_extend_cpmap(phi, tm, tol, memo)
     left = ksgns([t.module for t in tm], phi_ext, tol, memo)
     ts = ksgns([p.module for p in phi], phi, tol, memo)
     right = interior_tensor(
         [t.module for t in ts], [x.right for x in tm], [x.pi for x in tm], tol, memo
     )
-    dA, dE, k = phi[0].algebra.dim, phi[0].module.dim, ts[0].module.dim
-    # M_pre[(k, j), (p, u)] = sum_i Q3[k, p, i] S3[i, j, u]
-    S = gather(tm, "s")
-    S3 = S.reshape(len(S), dE, tm[0].right.dim, S.shape[-1])
-    q, s = gather(right, "q"), gather(left, "s")
-    n, _, dF, m = S3.shape
-    Q = gather(ts, "q").reshape(n, k * dA, dE)
-    M = dots(Q, S3.reshape(n, dE, dF * m))
-    M = M.reshape(n, k, dA, dF, m).transpose(0, 1, 3, 2, 4).reshape(n, k * dF, dA * m)
-    return [
-        CommutingUnitary(ModuleMap(a.module, b.module, v), t, x, p, a, b)
-        for t, x, p, a, b, v in zip(ts, tm, phi_ext, left, right, q @ M @ s)
-    ]
+
+    def unitaries(items: list[tuple]) -> list[CommutingUnitary]:
+        ts, tm, phi_ext, left, right = zip(*items)
+        dA, dE, k = phi_ext[0].algebra.dim, tm[0].left.dim, ts[0].module.dim
+        # M_pre[(k, j), (p, u)] = sum_i Q3[k, p, i] S3[i, j, u]
+        S = gather(tm, "s")
+        S3 = S.reshape(len(S), dE, tm[0].right.dim, S.shape[-1])
+        q, s = gather(right, "q"), gather(left, "s")
+        n, _, dF, m = S3.shape
+        Q = gather(ts, "q").reshape(n, k * dA, dE)
+        M = dots(Q, S3.reshape(n, dE, dF * m))
+        M = M.reshape(n, k, dA, dF, m).transpose(0, 1, 3, 2, 4).reshape(n, k * dF, dA * m)
+        return [
+            CommutingUnitary(ModuleMap(a.module, b.module, v), t, x, p, a, b)
+            for t, x, p, a, b, v in zip(ts, tm, phi_ext, left, right, q @ M @ s)
+        ]
+
+    return stackwise(list(zip(ts, tm, phi_ext, left, right)), lambda x: (
+        x[2].algebra.dim, x[1].left.dim, x[1].right.dim, *[y.module.dim for y in x]), unitaries)
 
 
 def check_commuting_unitary(
@@ -329,7 +338,7 @@ def make_poscor_morphism(
 
 def poscor_identity(obj: PosCorObject, tol: Tolerance, memo: BuildMemo) -> PosCorMorphism:
     """(inc, (iota, 1_A)) for the inclusion tensor."""
-    iota = inclusion_unitary(obj.module, tol, memo).iota
+    iota = inclusion_unitary([obj.module], tol, memo)[0].iota
     ident = identity_automorphism(obj.input_algebra)
     return make_poscor_morphism(
         [obj], [obj], [identity_star_map(obj.coefficient)], [iota], [ident], tol, memo
@@ -432,21 +441,26 @@ def ksgns_functor(
     ms: Sequence[PosCorMorphism], tol: Tolerance, memo: BuildMemo
 ) -> list[PosCorMorphism]:
     """(rho, (eta~ . V^{-1}, alpha)) between the dilated objects, for each
-    morphism of a same-shape stack: eta~ lifts the morphism from the KSGNS
-    of its tensor (E_dom (x)_rho C, phi~) to its codomain's, and V is the
-    commuting unitary on that tensor, so the new eta is defined on
-    F_phi (x)_rho C, V's right side.  The dilated objects, the commuting
-    unitaries, the lifts and eta~ . V^{-1} are one stacked build each."""
+    morphism: eta~ lifts the morphism from the KSGNS of its tensor
+    (E_dom (x)_rho C, phi~) to its codomain's, and V is the commuting unitary
+    on that tensor, so the new eta is defined on F_phi (x)_rho C, V's right
+    side.  The dilated objects, the commuting unitaries and the lifts are one
+    call each, and eta~ . V^{-1} one stacked build per morphism_shape."""
     doms, _ = dilate_object([m.dom for m in ms], tol, memo)
     cods, t_cod = dilate_object([m.cod for m in ms], tol, memo)
     cus = commuting_unitary([m.dom.phi for m in ms], [m.dom_tensor for m in ms], tol, memo)
     lifted = ksgns_lift(ms, [cu.left for cu in cus], t_cod, tol)
-    L = stack_slices([x.eta.matrix for x in lifted])
-    Vi = adjoint_matrices([cu.unitary for cu in cus])
-    etas = [ModuleMap(cu.right.module, t.module, e) for cu, t, e in zip(cus, t_cod, L @ Vi)]
-    return make_poscor_morphism(
-        doms, cods, [m.rho for m in ms], etas, [m.alpha for m in ms], tol, memo
-    )
+
+    def images(items: list[tuple]) -> list[PosCorMorphism]:
+        ms, doms, cods, cus, t_cod, lifted = zip(*items)
+        L = stack_slices([x.eta.matrix for x in lifted])
+        Vi = adjoint_matrices([cu.unitary for cu in cus])
+        etas = [ModuleMap(cu.right.module, t.module, e) for cu, t, e in zip(cus, t_cod, L @ Vi)]
+        return make_poscor_morphism(doms, cods, [m.rho for m in ms], etas, [m.alpha for m in ms],
+                                    tol, memo)
+
+    items = list(zip(ms, doms, cods, cus, t_cod, lifted))
+    return stackwise(items, lambda x: morphism_shape(x[0]), images)
 
 
 def idempotency_iso_poscor(obj: PosCorObject, tol: Tolerance, memo: BuildMemo) -> PosCorMorphism:
@@ -454,7 +468,7 @@ def idempotency_iso_poscor(obj: PosCorObject, tol: Tolerance, memo: BuildMemo) -
     (F_{pi_phi}, pi_{pi_phi})."""
     (dilated,), _ = dilate_object([obj], tol, memo)
     (double_dilated,), (second,) = dilate_object([dilated], tol, memo)
-    inc = inclusion_unitary(dilated.module, tol, memo)
+    inc = inclusion_unitary([dilated.module], tol, memo)[0]
     eta = ModuleMap(
         inc.tensor.module, double_dilated.module, second.embedding.matrix @ inc.iota.matrix
     )

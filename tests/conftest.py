@@ -350,6 +350,18 @@ def recorded_rank_decisions(monkeypatch) -> list:
     return grams
 
 
+def assert_built_alone(slices, alone):
+    """Each quotient slice has the bits of the matching slice of `alone`, built on
+    its own: its quotient map, section and kernel, and its module's action,
+    pairing and Gram spectrum."""
+    for quot, ref in zip(slices, alone, strict=True):
+        M, R = quot.module, ref.module
+        for a, b in zip([quot.q, quot.s, quot.kernel, M.action, *M.pairing, *M.gram_spectrum],
+                        [ref.q, ref.s, ref.kernel, R.action, *R.pairing, *R.gram_spectrum],
+                        strict=True):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
 def assert_one_module_up_to_a_unitary(tm, ref):
     """tm and the reference quotient ref agree: the same rank and Gram spectrum
     within rounding, and bases, action and pairing that differ by a unitary."""

@@ -236,7 +236,7 @@ def test_criterion_05_tensor_functor():
             ),
         )
         # inclusion unitary and naturality
-        inc1, inc2 = inclusion_unitary(E1, TOL, memo), inclusion_unitary(E2, TOL, memo)
+        inc1, inc2 = inclusion_unitary([E1, E2], TOL, memo)
         worst["inclusion"] = max(worst["inclusion"], unitarity_residual([inc1.iota]))
         eta_inc = tensor_extend_between([m.eta], [inc1.tensor], [inc2.tensor], TOL)[0]
         worst["inclusion_nat"] = max(

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from ksgnslab import cstar, equivariant, harness, hilbert, memo, numkernel, serialize
+from ksgnslab import cp, cstar, equivariant, harness, hilbert, memo, numkernel, serialize
 from ksgnslab.numkernel import DEFAULT_TOL
 
 from conftest import lapack_calls, watch_lapack
@@ -204,6 +204,21 @@ def test_python_calls_per_structured_build(workload):
     calls = {path: (QUOTIENT_COSTS.python_calls(builds[path]) - 1) / len(builds[path])
              for path in STRUCTURED_CALLS[workload]}
     assert all(calls[p] <= pin for p, pin in STRUCTURED_CALLS[workload].items()), calls
+
+
+@pytest.mark.parametrize("workload, tensors, descents",
+                         [("suites-default", 390, 470), ("equivariant-dilation", 140, 120)])
+def test_tensor_builds_and_descents_per_check_pass(monkeypatch, workload, tensors, descents):
+    # cp.tensor_quotients and hilbert.descend calls per check pass: 480 and 539
+    # on suites-default (140 and 120 on equivariant-dilation) with each twin
+    # of the lift, idempotency, tensor, category and continuity checkers built
+    # in a call of its own; 375 and 431 with each set of twins one call, which
+    # the builders group by shape and the quotients by rank
+    tasks = WORKLOADS.build(workload, WORKLOADS.DEFAULT_MASTER_SEED)
+    built = counted(monkeypatch, "tensor_quotients", source=cp)
+    descended = counted(monkeypatch, "descend", source=hilbert)
+    check_pass(tasks)
+    assert len(built) <= tensors and len(descended) <= descents, (len(built), len(descended))
 
 
 @pytest.mark.parametrize("workload, pin", [("suites-default", 770), ("equivariant-dilation", 200)])

@@ -14,8 +14,8 @@ included, whenever the right factor is C over itself and the left factor is
 not an algebra over itself (whose rows go first), so a degenerate Gram
 eigenspace gets the canonical basis I_{n_t} (x) V_t at any width; a pi that
 fails C-linearity raises before any rank decision, an eigenvector basis that
-leaks raises, a stack whose blocks' ranks differ between slices takes the
-whole Grams, and a right factor of C's dimension that is not C over itself
+leaks raises, a stack whose ranks differ between slices builds each rank in
+closed form, and a right factor of C's dimension that is not C over itself
 keeps the generic path.
 """
 
@@ -38,7 +38,7 @@ from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL, Split, rank_kernel
 
 from conftest import (
-    assert_one_module_up_to_a_unitary, count_calls, lapack_calls, recorded_rank_decisions,
+    assert_built_alone, assert_one_module_up_to_a_unitary, count_calls, lapack_calls, recorded_rank_decisions,
     tensor_quotients_reference,
 )
 
@@ -280,10 +280,14 @@ def test_eigenvectors_that_leak_raise_naming_the_slice(monkeypatch):
         column_quotients(E, [C_mod] * 2, pi, DEFAULT_TOL)
 
 
-def test_a_stack_whose_blocks_differ_in_rank_takes_the_generic_path(monkeypatch):
-    # C = M_2 (+) M_2, pi onto the second block in slice 0 and onto the first
-    # in slice 1: the total ranks agree and the blocks' ranks do not, so the
-    # whole Grams decide, with the generic path's bits
+@pytest.mark.parametrize("stack", [["second", "first"], ["second", "both", "first", "second"]],
+                         ids=["equal_totals", "other_totals"])
+def test_a_stack_whose_blocks_differ_in_rank_keeps_each_slices_bits(monkeypatch, stack):
+    # C = M_2 (+) M_2, pi onto the second block, onto the first or onto both:
+    # the first two agree in total rank and not in their blocks' ranks, and the
+    # third differs in both.  One rank decision on copy 0's blocks decides the
+    # whole stack, and each group of equal ranks is written in closed form,
+    # every slice with the bits of its own build
     rng = np.random.default_rng(29)
     C, memo = AlgebraShape((2, 2)), BuildMemo()
     C_mod = algebra_module(C)
@@ -291,19 +295,19 @@ def test_a_stack_whose_blocks_differ_in_rank_takes_the_generic_path(monkeypatch)
     W = haar_unitary(2, rng)
     half = np.stack([np.outer(W[:, p], W[:, p].conj()).reshape(-1) for p in range(B.dim)], 1)
     zero = np.zeros_like(half)
-    rho = [StarMap(B, C, np.vstack(x)) for x in ([zero, half], [half, zero])]
-    pi = left_mult_correspondence(rho, memo)
+    onto = {"second": [zero, half], "first": [half, zero], "both": [half, half]}
+    pi = left_mult_correspondence([StarMap(B, C, np.vstack(onto[x])) for x in stack], memo)
+    n = len(stack)
     grams = recorded_rank_decisions(monkeypatch)
-    tm = tensor_quotients([E, E], [C_mod, C_mod], pi, DEFAULT_TOL)
-    assert isinstance(grams[0], Split) and isinstance(grams[1], np.ndarray) and len(grams) == 2
+    tm = tensor_quotients([E] * n, [C_mod] * n, pi, DEFAULT_TOL)
+    assert len(grams) == 1 and isinstance(grams[0], Split)
     ranks = np.array([k for k, _, _ in rank_kernel(grams[0], DEFAULT_TOL)]).T  # (slice, block)
-    assert ranks[0].tolist() == ranks[1].tolist()[::-1] and ranks[0, 0] == 0 < ranks[0, 1]
-    for quot, ref in zip(tm, tensor_quotients_reference([E, E], [C_mod, C_mod], pi), strict=True):
-        for name in ("q", "s", "kernel"):
-            assert np.array_equal(getattr(quot, name), getattr(ref, name))
-        assert np.array_equal(quot.module.action, ref.module.action)
-        for a, b in zip(quot.module.gram_spectrum, ref.module.gram_spectrum, strict=True):
-            assert np.array_equal(a, b)
+    assert ranks[0].tolist() == ranks[stack.index("first")].tolist()[::-1]
+    assert ranks[0, 0] == 0 < ranks[0, 1]
+    dims = {name: quot.module.dim for name, quot in zip(stack, tm)}
+    assert dims["second"] == dims["first"] < dims.get("both", np.inf)
+    monkeypatch.undo()
+    assert_built_alone(tm, [tensor_quotients([E], [C_mod], [p], DEFAULT_TOL)[0] for p in pi])
 
 
 @pytest.mark.parametrize(

@@ -473,7 +473,7 @@ def test_twist_identity_gives_inclusion(rng):
     E = random_module(AlgebraShape((2,)), rng, max_dim=4)
     memo = BuildMemo()
     _, (U,) = twist_unitary(E, [identity_automorphism(E.algebra)], DEFAULT_TOL, memo)
-    inc = inclusion_unitary(E, DEFAULT_TOL, memo)
+    inc = inclusion_unitary([E], DEFAULT_TOL, memo)[0]
     assert np.allclose(U, inc.iota.matrix)
 
 
@@ -552,7 +552,7 @@ def test_alpha_transport_twist_mismatch(rng):
 def test_inclusion_on_algebra_module():
     B = AlgebraShape((2,))
     E = algebra_module(B)
-    inc = inclusion_unitary(E, DEFAULT_TOL, BuildMemo())
+    inc = inclusion_unitary([E], DEFAULT_TOL, BuildMemo())[0]
     assert inc.tensor.module.dim == E.dim
     assert unitarity_residual([inc.iota]) <= 1e-10
     # iota sends the class of 1 (x) b to b
@@ -564,7 +564,7 @@ def test_inclusion_on_algebra_module():
 
 def test_inclusion_round_trip_on_vectors(rng):
     E = random_module(AlgebraShape((1, 2)), rng, max_dim=5)
-    inc = inclusion_unitary(E, DEFAULT_TOL, BuildMemo())
+    inc = inclusion_unitary([E], DEFAULT_TOL, BuildMemo())[0]
     iota_star = adjoint_map(inc.iota)
     for x in random_vectors(E, rng, 50):
         assert np.linalg.norm(inc.iota.matrix @ (iota_star.matrix @ x) - x) <= 1e-8
@@ -677,7 +677,7 @@ def test_dim_zero_module_everywhere():
     B = AlgebraShape((2,))
     E0 = canonical_module(B, (0,))
     assert E0.dim == 0
-    inc = inclusion_unitary(E0, DEFAULT_TOL, BuildMemo())
+    inc = inclusion_unitary([E0], DEFAULT_TOL, BuildMemo())[0]
     assert inc.tensor.module.dim == 0
     assert module_operator_norm(inc.iota) == 0.0
     vr = v_rho([inc.tensor])[0]

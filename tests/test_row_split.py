@@ -26,14 +26,15 @@ from ksgnslab.cp import (
 )
 from ksgnslab.cstar import AlgebraShape, StarMap
 from ksgnslab.equivariant import scramble_module
-from ksgnslab.errors import ShapeMismatch, UnequalCopies
+from ksgnslab.errors import UnequalCopies
 from ksgnslab.hilbert import algebra_module, canonical_module
 from ksgnslab.ksgns import ksgns
 from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL, Split
 
 from conftest import (
-    assert_one_module_up_to_a_unitary, recorded_rank_decisions, tensor_quotients_reference,
+    assert_built_alone, assert_one_module_up_to_a_unitary, recorded_rank_decisions,
+    tensor_quotients_reference,
 )
 
 B = AlgebraShape((1, 2))
@@ -248,21 +249,25 @@ def test_a_block_negligible_against_the_whole_gram_joins_the_kernel(blocks, scal
     assert not tm.s[row_split(A, F.dim)[0].ravel()].any()  # K_0 = 0
 
 
-def test_a_stack_whose_blocks_differ_in_rank_takes_the_generic_path(monkeypatch):
+@pytest.mark.parametrize("stack", [["phi", "swapped"], ["phi", "full", "swapped", "phi"]],
+                         ids=["equal_totals", "other_totals"])
+def test_a_stack_whose_blocks_differ_in_rank_keeps_each_slices_bits(monkeypatch, stack):
     # phi vanishes on A's first block and its block-swapped twin on the second:
-    # the total ranks agree and the blocks' ranks do not, which a stack of one
-    # quotient per block cannot hold, so the whole Grams decide; slices of
-    # different total ranks still raise
+    # the total ranks agree and the blocks' ranks do not; full vanishes on
+    # neither, so its total rank differs too.  One rank decision on copy 0's
+    # blocks decides the whole stack, and each group of equal ranks is built on
+    # the row path, every slice with the bits of its own build
     rng = np.random.default_rng(17)
     A = AlgebraShape((2, 2))
     A_mod = algebra_module(A)
     F, phi = compressed_cp(A, rng, zero_block=True)
-    swapped = CPMap(A, F, np.concatenate([phi.images[4:], phi.images[:4]]))
+    maps = {"phi": phi, "swapped": CPMap(A, F, np.concatenate([phi.images[4:], phi.images[:4]])),
+            "full": compressed_cp(A, np.random.default_rng(17), zero_block=False)[1]}
+    pi, n = [maps[name] for name in stack], len(stack)
     grams = recorded_rank_decisions(monkeypatch)
-    tm = tensor_quotients([A_mod, A_mod], [F, F], [phi, swapped], DEFAULT_TOL)
-    assert decided_widths(grams) == [2 * F.dim, 2 * F.dim, A.dim * F.dim]
-    for quot, p in zip(tm, [phi, swapped], strict=True):
-        assert_one_module_up_to_a_unitary(quot, tensor_quotients_reference([A_mod], [F], [p])[0])
-    full = compressed_cp(A, np.random.default_rng(17), zero_block=False)[1]
-    with pytest.raises(ShapeMismatch, match=r"^slices quotient to different ranks: slice 0 to "):
-        tensor_quotients([A_mod, A_mod], [F, F], [phi, full], DEFAULT_TOL)
+    tm = tensor_quotients([A_mod] * n, [F] * n, pi, DEFAULT_TOL)
+    assert decided_widths(grams) == [2 * F.dim, 2 * F.dim]
+    dims = {name: quot.module.dim for name, quot in zip(stack, tm)}
+    assert dims["phi"] == dims["swapped"] < dims.get("full", np.inf)
+    monkeypatch.undo()
+    assert_built_alone(tm, [tensor_quotients([A_mod], [F], [p], DEFAULT_TOL)[0] for p in pi])

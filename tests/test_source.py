@@ -766,11 +766,12 @@ def functions_calling_all(source: str, callees: set[str]) -> list[str]:
 
 
 # ksgns_functor is the one action of the KSGNS endofunctor on category
-# morphisms; the tensor suite's checker lifts over a general correspondence
-# F (not along a *-homomorphism), where no category morphism exists, to
-# check that the commuting unitaries are natural
+# morphisms; the tensor suite's checker, which lifts over a general
+# correspondence F (not along a *-homomorphism) to check that the commuting
+# unitaries are natural, hands commuting_unitary to harness._alone_on_failure
+# rather than calling it
 FUNCTOR_STEPS = {"commuting_unitary", "ksgns_lift"}
-FUNCTOR_STEP_CALLERS = {"poscor.py": ["ksgns_functor"], "harness.py": ["_check_tensor"]}
+FUNCTOR_STEP_CALLERS = {"poscor.py": ["ksgns_functor"]}
 
 
 def test_one_ksgns_functor_on_category_morphisms():
@@ -789,6 +790,100 @@ def test_one_ksgns_functor_on_category_morphisms():
         if (names := functions_calling_all(path.read_text(), FUNCTOR_STEPS))
     }
     assert found == FUNCTOR_STEP_CALLERS
+
+
+# the builders that checkers stack: twins, builds of one shape that do not
+# depend on each other, go to one call, which groups them by shape and rank
+STACKED_BUILDERS = {
+    "ksgns", "interior_tensor", "interior_tensor_along", "tensor_extend_cpmap",
+    "commuting_unitary", "ksgns_lift", "inclusion_unitary", "ksgns_functor",
+}
+
+
+def single_item_build(stmt: ast.stmt) -> str | None:
+    """The stacked builder a statement calls on a single item (no list argument
+    of more than one element), when it calls exactly one."""
+    calls = [
+        name for call in ast.walk(stmt) if isinstance(call, ast.Call)
+        if (name := getattr(call.func, "id", None) or getattr(call.func, "attr", None))
+        in STACKED_BUILDERS
+        and all(len(a.elts) == 1 for a in call.args if isinstance(a, ast.List))
+    ]
+    return calls[0] if len(calls) == 1 else None
+
+
+def single_item_twins(source: str) -> list[str]:
+    """Statements of a _check_* function that call the stacked builder the
+    statement before them calls, each on a single item, without reading a name
+    that statement binds, by function and line."""
+    found = []
+    for fn in ast.parse(source).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_check_")):
+            continue
+        blocks = [getattr(node, field) for node in ast.walk(fn)
+                  for field in ("body", "orelse", "finalbody")
+                  if isinstance(getattr(node, field, None), list)]
+        lines = []
+        for block in blocks:
+            for a, b in zip(block, block[1:]):
+                bound = {n.id for n in ast.walk(a) if isinstance(n, ast.Name)
+                         and isinstance(n.ctx, ast.Store)}
+                read = {n.id for n in ast.walk(b) if isinstance(n, ast.Name)}
+                if (name := single_item_build(a)) and name == single_item_build(b) \
+                        and not bound & read:
+                    lines.append(b.lineno)
+        found += [f"{fn.name} (line {n})" for n in sorted(lines)]
+    return found
+
+
+# the twin sites of the checkers that built them one call each
+ONE_CALL_EACH = """\
+def _check_lift(payload, tol, memo):
+    t1 = ksgns([E1], [phi1], tol, memo)[0]
+    t2 = ksgns([E2], [phi2], tol, memo)[0]
+    t3 = ksgns([E3], [phi3], tol, memo)[0]
+    lifted1 = ksgns_lift([m1], [t1], [t2], tol)[0]
+
+def _check_idempotency(payload, tol, memo):
+    t1 = ksgns([mods["E1"]], [phis["phi1"]], tol, memo)[0]
+    t2 = ksgns([mods["E2"]], [phis["phi2"]], tol, memo)[0]
+    second1 = ksgns([t1.module], [t1.pi], tol, memo)[0]
+    second2 = ksgns([t2.module], [t2.pi], tol, memo)[0]
+    lifted = ksgns_lift([m], [t1], [t2], tol)[0]
+    double = ksgns_lift([lifted], [second1], [second2], tol)[0]
+
+def _check_tensor(payload, tol, memo):
+    tm1 = interior_tensor([E1], [F], [pi], tol, memo)[0]
+    tm2 = interior_tensor([E2], [F], [pi], tol, memo)[0]
+    phi1_ext = tensor_extend_cpmap([phi1], [tm1], tol, memo)[0]
+    phi2_ext = tensor_extend_cpmap([phi2], [tm2], tol, memo)[0]
+    if inclusion:
+        inc1 = inclusion_unitary(E1, tol, memo)
+        inc2 = inclusion_unitary(E2, tol, memo)
+    cu1 = commuting_unitary([phi1], [tm1], tol, memo)[0]
+    cu2 = commuting_unitary([phi2], [tm2], tol, memo)[0]
+    both = ksgns_functor([m1, m2], tol, memo)
+    again = ksgns_functor([m1, m2], tol, memo)
+
+def _gen_tensor(caps, seed):
+    tm1 = interior_tensor([E1], [F], [pi], tol, memo)[0]
+    tm2 = interior_tensor([E2], [F], [pi], tol, memo)[0]
+"""
+
+
+def test_checkers_build_twins_in_one_call():
+    # two consecutive single-item calls of one stacked builder, the second not
+    # reading the first's result, are twins a checker passes to one call; a
+    # call that reads the one before (double), two-item calls and generators
+    # are not flagged
+    assert single_item_twins(ONE_CALL_EACH) == [
+        "_check_lift (line 3)", "_check_lift (line 4)",
+        "_check_idempotency (line 9)", "_check_idempotency (line 10)",
+        "_check_idempotency (line 11)",
+        "_check_tensor (line 17)", "_check_tensor (line 19)", "_check_tensor (line 22)",
+        "_check_tensor (line 24)",
+    ]
+    assert single_item_twins((SRC / "harness.py").read_text()) == []
 
 
 def intertwiner_rewraps(source: str) -> list[str]:

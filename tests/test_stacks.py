@@ -45,6 +45,7 @@ from ksgnslab.poscor import ksgns_functor, morphism_shape, twist_unitary
 from ksgnslab.serialize import dump_equivariant, load_equivariant
 
 from conftest import (
+    assert_built_alone,
     categorical_unitaries_reference,
     functor_laws_reference,
     lapack_calls,
@@ -150,28 +151,48 @@ def test_one_stacked_build_per_shape(monkeypatch, trivial_beta, builds):
 
 
 def test_mixed_shape_stacks_name_the_slice(rng):
-    # a builder takes one stack whose slices share a shape; a slice of another
+    # a builder that checkers stack, such as interior_tensor, groups a request
+    # of mixed shapes into one stack per shape, each slice with the bits of its
+    # own build; below it a stack's slices share a shape, and a slice of another
     # shape raises where the stack is formed, named by its position
     B = AlgebraShape((2,))
     E = [random_module(B, rng, max_dim=d) for d in (2, 4)]
     assert E[0].dim != E[1].dim
     F, pi = random_representation(B, M2, rng, max_dim=4)
-    with pytest.raises(ShapeMismatch, match=r"^slice 1 has shape "):
-        interior_tensor(E, [F, F], [pi, pi], DEFAULT_TOL, BuildMemo())
+    tms = interior_tensor(E, [F, F], [pi, pi], DEFAULT_TOL, BuildMemo())
+    assert_built_alone(tms, [interior_tensor([e], [F], [pi], DEFAULT_TOL, BuildMemo())[0]
+                             for e in E])
     quots = [quotient_one(e) for e in E]
     with pytest.raises(ShapeMismatch, match=r"^slice 1 has shape "):
         descend([np.eye(e.dim) for e in E], quots, quots, "probe map", DEFAULT_TOL)
 
 
-def test_stack_with_two_ranks_names_both_slices():
-    # scalars on C^2: slice 0 pairs every couple to 1 (Gram rank 1), slice 1
-    # is the standard pairing (rank 2); the stack is not split into ranks
-    pairing = np.stack([np.ones((2, 2)), np.eye(2)]).reshape(2, 2, 2, 1, 1).astype(complex)
-    action = np.broadcast_to(np.eye(2, dtype=complex), (2, 1, 2, 2))
+@pytest.mark.parametrize("ranks", [[1, 2], [2, 1, 1, 2]], ids=["two", "four"])
+def test_a_stack_of_two_ranks_keeps_each_slices_bits(ranks):
+    # scalars on C^2: a slice of rank 1 pairs every couple to 1, one of rank 2
+    # is the standard pairing; the whole Grams' one rank decision splits the
+    # stack by rank, each slice with the bits of its own quotient
+    gram = {1: np.ones((2, 2)), 2: np.eye(2)}
+    pairing = np.stack([gram[r] for r in ranks]).reshape(-1, 2, 2, 1, 1).astype(complex)
+    action = np.broadcast_to(np.eye(2, dtype=complex), (len(ranks), 1, 2, 2))
     pre = PreModule(AlgebraShape((1,)), 2, action, [pairing])
-    assert [quotient_one(PreModule(pre.algebra, 2, action[k], [pairing[k]])).module.dim
-            for k in range(2)] == [1, 2]
-    with pytest.raises(ShapeMismatch, match=r"slice 0 to 1, slice 1 to 2$"):
+    quots = quotient_by_null(pre, DEFAULT_TOL)
+    assert [quot.module.dim for quot in quots] == ranks
+    assert_built_alone(quots, [quotient_one(PreModule(pre.algebra, 2, action[k], [pairing[k]]))
+                               for k in range(len(ranks))])
+
+
+def test_a_leak_in_a_stack_of_two_ranks_names_its_input_slice():
+    # over C (+) C: slice 0 the standard pairing on block 0 (rank 2), slice 1
+    # Gram diag(1, 0) with R(e_0) swapping the coordinates, so the kernel leaks;
+    # slice 1 is the first of its rank, and the message names it by its input place
+    action = np.zeros((2, 2, 2, 2), dtype=complex)
+    action[0, 0], action[1, 0] = np.eye(2), [[0, 1], [1, 0]]
+    pairing = np.zeros((2, 2, 2, 1, 1), dtype=complex)
+    pairing[0, :, :, 0, 0], pairing[1, 0, 0] = np.eye(2), 1.0
+    pre = PreModule(AlgebraShape((1, 1)), 2, action, [pairing, np.zeros_like(pairing)])
+    with pytest.raises(SubmoduleViolation, match=r"^action of basis element 0 leaks out of the "
+                       r"null space in slice 1 \(residual 1\.0"):
         quotient_by_null(pre, DEFAULT_TOL)
 
 
