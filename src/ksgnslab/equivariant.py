@@ -391,11 +391,9 @@ def correspondence_to_functor(
     tensors E (x)_{beta_g} B, which the F(g) live on."""
     obj = PosCorObject("E", c.phi.algebra, c.module.algebra, c.module, c.phi)
     beta = c.system_out.action
-    tms, twists = twist_unitary(c.module, beta, tol, memo)
-    etas = [
-        ModuleMap(tm.module, c.module, U @ twist) for tm, U, twist in zip(tms, c.unitaries, twists)
-    ]
     n = c.group.order
+    twists = twist_unitary([c.module] * n, beta, tol, memo)
+    etas = [U @ twist for U, (_, twist) in zip(c.unitaries, twists)]
     return make_poscor_morphism(
         [obj] * n, [obj] * n, [b.forward for b in beta], etas, c.system_in.action, tol, memo
     )

@@ -20,7 +20,6 @@ from .cstar import (
     block_stacks,
     haar_unitary,
     identity_automorphism,
-    identity_star_map,
     random_automorphism,
     random_element,
 )
@@ -31,10 +30,10 @@ from .numkernel import GENERATION_TOL, Tolerance, kron, svd_norm
 from .poscor import (
     PosCorMorphism,
     PosCorObject,
-    inclusion_unitary,
     interior_tensor_along,
     make_poscor_morphism,
     tensor_extend_cpmap,
+    twist_unitary,
 )
 from .equivariant import scramble_module
 
@@ -246,7 +245,7 @@ def random_morphism_to_new_object(
     E2, psi, unitary = transported_copy(tensor.module, phi_ext, rng)
     cod = PosCorObject(ident, dom.input_algebra, rho.codomain, E2, psi)
     morphism = make_poscor_morphism(
-        [dom], [cod], [rho], [unitary.eta], [unitary.alpha], tol, memo
+        [dom], [cod], [rho], [unitary.eta.matrix], [unitary.alpha], tol, memo
     )[0]
     return cod, morphism
 
@@ -255,16 +254,16 @@ def random_endomorphism(
     obj: PosCorObject, rng: np.random.Generator, tol: Tolerance, memo: BuildMemo
 ) -> PosCorMorphism:
     """An endomorphism of obj: a random element of the commutant of phi,
-    composed with the inclusion unitary."""
-    inc = inclusion_unitary([obj.module], tol, memo)[0]
+    composed with the inclusion unitary, the twist at the identity of B."""
+    inc = identity_automorphism(obj.coefficient)
+    ((_, iota),) = twist_unitary([obj.module], [inc], tol, memo)
     ident = identity_automorphism(obj.input_algebra)
     eta, norm = random_intertwiner(obj.phi, obj.phi, ident, rng, tol)
     mat = eta.matrix
     if norm <= 1e-9:
         mat, norm = np.eye(obj.module.dim, dtype=complex), 1.0
-    eta = ModuleMap(inc.tensor.module, obj.module, (mat / norm) @ inc.iota.matrix)
-    inc = identity_star_map(obj.coefficient)
-    return make_poscor_morphism([obj], [obj], [inc], [eta], [ident], tol, memo)[0]
+    eta = (mat / norm) @ iota
+    return make_poscor_morphism([obj], [obj], [inc.forward], [eta], [ident], tol, memo)[0]
 
 
 def random_vectors(E: HilbertModule, rng: np.random.Generator, count: int) -> np.ndarray:

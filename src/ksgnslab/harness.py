@@ -114,7 +114,6 @@ from .poscor import (
     commuting_unitary,
     composition_unitary,
     idempotency_iso_poscor,
-    inclusion_unitary,
     interior_tensor,
     interior_tensor_along,
     ksgns_functor,
@@ -124,6 +123,7 @@ from .poscor import (
     poscor_identity,
     tensor_extend_between,
     tensor_extend_cpmap,
+    twist_unitary,
     v_rho,
 )
 
@@ -591,19 +591,19 @@ def _check_tensor(payload: dict, tol: Tolerance, memo: BuildMemo):
         tensor_extend_cpmap, [(phi1, tm1), (phi2, tm2)], tol, memo)
     yield "functor_morphism", *summarize(check_morphism([m_hat], [phi1_ext], [phi2_ext], tol)[0])
     yield "functor_norm", max(0.0, m_hat.norm - m.norm), tol.ctol
-    # inclusion
-    inc1, inc2 = _alone_on_failure(inclusion_unitary, [(E1,), (E2,)], tol, memo)
-    yield "inclusion_unitary", unitarity_residual([inc1.iota]), tol.ctol
-    eta_inc = tensor_extend_between([m.eta], [inc1.tensor], [inc2.tensor], tol)[0]
+    # inclusion: the twist at the identity automorphism
+    (inc1, iota1), (inc2, iota2) = _alone_on_failure(
+        twist_unitary, [(E, identity_automorphism(E.algebra)) for E in (E1, E2)], tol, memo)
+    iota = ModuleMap(inc1.module, E1, iota1)
+    yield "inclusion_unitary", unitarity_residual([iota]), tol.ctol
+    eta_inc = tensor_extend_between([m.eta], [inc1], [inc2], tol)[0]
     yield (
         "inclusion_naturality",
-        operator_norm(
-            inc2.iota.matrix @ eta_inc.matrix - m.eta.matrix @ inc1.iota.matrix
-        ),
+        operator_norm(iota2 @ eta_inc.matrix - m.eta.matrix @ iota1),
         tol.ctol * (1.0 + m.norm),
     )
-    v_inc = v_rho([inc1.tensor])[0]
-    yield "inclusion_vrho", operator_norm(v_inc - adjoint_map(inc1.iota).matrix), tol.ctol
+    v_inc = v_rho([inc1])[0]
+    yield "inclusion_vrho", operator_norm(v_inc - adjoint_map(iota).matrix), tol.ctol
     # composition of tensorings
     tm12 = interior_tensor_along([E1], [rho1], tol, memo)[0]
     comp = composition_unitary([tm12], [rho1], [rho2], tol, memo)[0]
@@ -726,8 +726,7 @@ def _sibling_morphism(m, rng: np.random.Generator, tol: Tolerance, memo: BuildMe
     mat = eta.matrix
     if norm <= 1e-9:
         mat, norm = m.eta.matrix, 1.0
-    eta = ModuleMap(m.eta.source, m.cod.module, mat / norm)
-    return make_poscor_morphism([m.dom], [m.cod], [m.rho], [eta], [m.alpha], tol, memo)[0]
+    return make_poscor_morphism([m.dom], [m.cod], [m.rho], [mat / norm], [m.alpha], tol, memo)[0]
 
 
 def _alone_on_failure(build, items: list[tuple], *args) -> Iterator:
@@ -753,24 +752,27 @@ def _load_category(payload: dict, tol: Tolerance, memo: BuildMemo):
     maps, automorphisms and matrices each load as one stack; their tensors
     and the morphisms build as one stack per tensor shape."""
     A = ser.load_shape(payload["input_algebra"])
-    objects = []
-    for odata in payload["objects"]:
+    objects, by_ident = [], {}
+    for i, odata in enumerate(payload["objects"]):
         ident, module = odata["ident"], ser.load_module(odata["module"])
+        if (first := by_ident.setdefault(ident, i)) != i:
+            raise ValidationError(f"object {i}: ident {ident!r} repeats object {first}'s")
         phi = ser.load_cpmap(odata["phi"], {ident: module})
         if ser.load_shape(odata["coefficient"]) != module.algebra:
             raise ValidationError(f"object {ident}'s coefficient is not its module's algebra")
         objects.append(PosCorObject(ident, A, module.algebra, module, phi))
-    by_ident = {obj.ident: obj for obj in objects}
     data = payload["morphisms"]
-    doms, cods = ([by_ident[d[end]] for d in data] for end in ("dom", "cod"))
+    for k, d in enumerate(data):
+        if unknown := [d[end] for end in ("dom", "cod") if d[end] not in by_ident]:
+            raise ValidationError(f"morphism {k}: unknown object {unknown[0]!r}")
+    doms, cods = ([objects[by_ident[d[end]]] for d in data] for end in ("dom", "cod"))
     rhos = ser.load_star_maps([d["rho"] for d in data])
     alphas = ser.load_automorphisms([d["alpha"] for d in data])
     tms = stackwise(list(zip(doms, cods, rhos)), _tensor_shape, lambda stack: list(
         _alone_on_failure(interior_tensor_along, [(d.module, r) for d, _, r in stack], tol, memo)))
     shapes = [(cod.module.dim, tm.module.dim) for cod, tm in zip(cods, tms)]
     etas = ser.load_cmatrix_list([d["eta"] for d in data], shapes)
-    maps = [ModuleMap(tm.module, cod.module, eta) for tm, cod, eta in zip(tms, cods, etas)]
-    return objects, stackwise(list(zip(doms, cods, rhos, maps, alphas)), _tensor_shape, lambda
+    return objects, stackwise(list(zip(doms, cods, rhos, etas, alphas)), _tensor_shape, lambda
                               ms: list(_alone_on_failure(make_poscor_morphism, ms, tol, memo)))
 
 

@@ -29,7 +29,6 @@ from .cstar import (
     compose_star_maps,
     check_star_map,
     identity_automorphism,
-    identity_star_map,
     star_map_distance,
     unit_coeffs,
 )
@@ -49,7 +48,6 @@ from .hilbert import (
     ModuleMap,
     adjoint_matrices,
     gather,
-    same_module,
     unitarity_residual,
 )
 from .ksgns import KsgnsTriple, ksgns, ksgns_lift
@@ -136,22 +134,6 @@ def v_rho(tm: Sequence[TensorModule]) -> np.ndarray:
 
 
 @dataclass
-class InclusionUnitary:
-    """iota: E (x)_inc B -> E, x (x) b -> x b, with its tensor module."""
-
-    tensor: TensorModule
-    iota: ModuleMap
-
-
-def inclusion_unitary(
-    E: Sequence[HilbertModule], tol: Tolerance, memo: BuildMemo
-) -> list[InclusionUnitary]:
-    tms = interior_tensor_along(E, [identity_star_map(e.algebra) for e in E], tol, memo)
-    N_pre = [np.transpose(e.action, (1, 2, 0)).reshape(e.dim, e.dim * e.algebra.dim) for e in E]
-    return [InclusionUnitary(t, ModuleMap(t.module, e, N @ t.s)) for e, t, N in zip(E, tms, N_pre)]
-
-
-@dataclass
 class CompositionUnitary:
     """(E (x)_rho1 C) (x)_rho2 D -> E (x)_{rho2 rho1} D on class representatives."""
 
@@ -198,18 +180,19 @@ def composition_unitary(
 
 
 def twist_unitary(
-    E: HilbertModule, alpha: Sequence[Automorphism], tol: Tolerance, memo: BuildMemo
-) -> tuple[list[TensorModule], np.ndarray]:
-    """The twisted tensors E (x)_alpha[g] B, one stacked build, and the stack
-    (len(alpha), dim E, dim E) of the twist unitaries U_g: E (x)_alpha[g] B -> E,
-    x (x) b -> x alpha[g]^{-1}(b), which identify each twisted module with E.
-    U_g is alpha[g]^{-1}-linear, U_g(z b) = U_g(z) alpha[g]^{-1}(b): as matrices
-    R_E(alpha[g]^{-1}(b)) U_g = U_g R(b), R the twisted module's action."""
-    tms = interior_tensor_along([E] * len(alpha), [a.forward for a in alpha], tol, memo)
-    dE, dB = E.dim, E.algebra.dim
-    inv = np.stack([a.inverse_matrix for a in alpha])
-    N_pre = np.einsum("gpw,pxy->gwxy", inv, E.action).transpose(0, 2, 3, 1).reshape(-1, dE, dE * dB)
-    return tms, N_pre @ gather(tms, "s")
+    E: Sequence[HilbertModule], alpha: Sequence[Automorphism], tol: Tolerance, memo: BuildMemo
+) -> list[tuple[TensorModule, np.ndarray]]:
+    """(E[g] (x)_alpha[g] B, U_g) for each g, from one stacked build and product:
+    the twisted tensors and the twist unitaries U_g: x (x) b -> x alpha[g]^{-1}(b),
+    which identify them with E[g]; at alpha[g] = id, U_g is the inclusion x (x) b
+    -> x b.  U_g is alpha[g]^{-1}-linear: as matrices R_E(alpha[g]^{-1}(b)) U_g =
+    U_g R(b), R the twisted module's action."""
+    tms = interior_tensor_along(E, [a.forward for a in alpha], tol, memo)
+    dE, dB = E[0].dim, E[0].algebra.dim
+    action = gather(E, "action")  # ShapeMismatch unless E is of one shape
+    N_pre = np.einsum("gpw,gpxy->gwxy", np.stack([a.inverse_matrix for a in alpha]), action)
+    N_pre = N_pre.transpose(0, 2, 3, 1).reshape(len(E), dE, dE * dB)
+    return list(zip(tms, N_pre @ gather(tms, "s")))
 
 
 # -- KSGNS commutes with tensoring -------------------------------------------
@@ -314,35 +297,33 @@ class PosCorMorphism(Intertwiner):
 
 def make_poscor_morphism(
     dom: Sequence[PosCorObject], cod: Sequence[PosCorObject], rho: Sequence[StarMap],
-    eta: Sequence[ModuleMap], alpha: Sequence[Automorphism], tol: Tolerance, memo: BuildMemo,
+    eta: Sequence[np.ndarray], alpha: Sequence[Automorphism], tol: Tolerance, memo: BuildMemo,
 ) -> list[PosCorMorphism]:
-    """(rho[s], (eta[s], alpha[s])) from dom[s] to cod[s].  An eta whose source
-    differs in content from the tensor of its dom along its rho
-    (interior_tensor_along), or whose target from cod.module, raises ShapeMismatch;
-    an alpha that is not an automorphism of dom.input_algebra ObjectMismatch."""
+    """(rho[s], (eta[s], alpha[s])) from dom[s] to cod[s], each eta[s] the matrix
+    of a map from the tensor of dom[s] along rho[s] (interior_tensor_along),
+    which this resolves, to cod[s].module.  An eta of another shape raises
+    ShapeMismatch; an alpha that is not an automorphism of dom.input_algebra
+    ObjectMismatch."""
     ends = zip(dom, cod, rho)
     if any((r.domain, r.codomain) != (d.coefficient, c.coefficient) for d, c, r in ends):
         raise ObjectMismatch("rho does not match the endpoint coefficients")
     if any(a.shape != d.input_algebra for a, d in zip(alpha, dom)):
         raise ObjectMismatch("alpha is not an automorphism of the input algebra")
     tms = interior_tensor_along([d.module for d in dom], rho, tol, memo)
-    if any(not same_module(e.source, tm.module) for e, tm in zip(eta, tms)):
-        raise ShapeMismatch("eta is not defined on the tensor of dom along rho")
-    if any(not same_module(e.target, c.module) for e, c in zip(eta, cod)):
-        raise ShapeMismatch("eta does not map into cod's module")
+    maps = [ModuleMap(tm.module, c.module, e) for tm, c, e in zip(tms, cod, eta)]
     return [
         PosCorMorphism(e, a, d, c, r, tm, vrho)
-        for e, a, d, c, r, tm, vrho in zip(eta, alpha, dom, cod, rho, tms, v_rho(tms))
+        for e, a, d, c, r, tm, vrho in zip(maps, alpha, dom, cod, rho, tms, v_rho(tms))
     ]
 
 
 def poscor_identity(obj: PosCorObject, tol: Tolerance, memo: BuildMemo) -> PosCorMorphism:
-    """(inc, (iota, 1_A)) for the inclusion tensor."""
-    iota = inclusion_unitary([obj.module], tol, memo)[0].iota
+    """(inc, (iota, 1_A)) for the inclusion tensor, iota the twist at the
+    identity of B."""
+    inc = identity_automorphism(obj.coefficient)
+    ((_, iota),) = twist_unitary([obj.module], [inc], tol, memo)
     ident = identity_automorphism(obj.input_algebra)
-    return make_poscor_morphism(
-        [obj], [obj], [identity_star_map(obj.coefficient)], [iota], [ident], tol, memo
-    )[0]
+    return make_poscor_morphism([obj], [obj], [inc.forward], [iota], [ident], tol, memo)[0]
 
 
 def poscor_compose(
@@ -373,10 +354,7 @@ def poscor_compose(
         "T (x) I", tol,
     )
     e2 = stack_slices([m.eta.matrix for m in m2])
-    u = adjoint_matrices([c.unitary for c in comp])
-    etas = [
-        ModuleMap(c.target.module, m.cod.module, e) for c, m, e in zip(comp, m2, e2 @ e1 @ u)
-    ]
+    etas = e2 @ e1 @ adjoint_matrices([c.unitary for c in comp])
     alphas = [compose_automorphisms(b.alpha, a.alpha) for a, b in zip(m1, m2)]
     return make_poscor_morphism(
         [m.dom for m in m1], [m.cod for m in m2], [c.rho for c in comp], etas, alphas, tol, memo
@@ -455,9 +433,8 @@ def ksgns_functor(
         ms, doms, cods, cus, t_cod, lifted = zip(*items)
         L = stack_slices([x.eta.matrix for x in lifted])
         Vi = adjoint_matrices([cu.unitary for cu in cus])
-        etas = [ModuleMap(cu.right.module, t.module, e) for cu, t, e in zip(cus, t_cod, L @ Vi)]
-        return make_poscor_morphism(doms, cods, [m.rho for m in ms], etas, [m.alpha for m in ms],
-                                    tol, memo)
+        return make_poscor_morphism(doms, cods, [m.rho for m in ms], L @ Vi,
+                                    [m.alpha for m in ms], tol, memo)
 
     items = list(zip(ms, doms, cods, cus, t_cod, lifted))
     return stackwise(items, lambda x: morphism_shape(x[0]), images)
@@ -468,18 +445,11 @@ def idempotency_iso_poscor(obj: PosCorObject, tol: Tolerance, memo: BuildMemo) -
     (F_{pi_phi}, pi_{pi_phi})."""
     (dilated,), _ = dilate_object([obj], tol, memo)
     (double_dilated,), (second,) = dilate_object([dilated], tol, memo)
-    inc = inclusion_unitary([dilated.module], tol, memo)[0]
-    eta = ModuleMap(
-        inc.tensor.module, double_dilated.module, second.embedding.matrix @ inc.iota.matrix
-    )
+    inc = identity_automorphism(dilated.coefficient)
+    ((_, iota),) = twist_unitary([dilated.module], [inc], tol, memo)
+    eta, ident = second.embedding.matrix @ iota, identity_automorphism(obj.input_algebra)
     return make_poscor_morphism(
-        [dilated],
-        [double_dilated],
-        [identity_star_map(dilated.coefficient)],
-        [eta],
-        [identity_automorphism(obj.input_algebra)],
-        tol,
-        memo,
+        [dilated], [double_dilated], [inc.forward], [eta], [ident], tol, memo
     )[0]
 
 

@@ -17,6 +17,7 @@ from ksgnslab.cstar import (
     StarMap,
     block_diag,
     element_norms,
+    identity_automorphism,
     zero_padded,
 )
 from ksgnslab.errors import KsgnslabError, TwistMismatch
@@ -553,6 +554,20 @@ def alpha_transport_inverse(S: ModuleMap, U: np.ndarray) -> np.ndarray:
     return S.matrix @ np.linalg.inv(U)
 
 
+def inclusion(E: HilbertModule, tol: Tolerance = DEFAULT_TOL, memo: BuildMemo | None = None):
+    """(E (x)_id B, iota): the inclusion x (x) b -> x b as a module map, the
+    twist unitary of E at the identity automorphism of B."""
+    ((tm, U),) = twist_unitary([E], [identity_automorphism(E.algebra)], tol, memo or BuildMemo())
+    return tm, ModuleMap(tm.module, E, U)
+
+
+def inclusion_reference(E: HilbertModule, tm) -> np.ndarray:
+    """The inclusion's matrix on tm = E (x)_id B by its own formula: N s, with
+    N[x, (y, p)] = action[p, x, y], E's action transposed (1, 2, 0)."""
+    N = np.transpose(E.action, (1, 2, 0)).reshape(E.dim, E.dim * E.algebra.dim)
+    return N @ tm.s
+
+
 # -- morphisms ----------------------------------------------------------------
 
 
@@ -599,7 +614,7 @@ def twist_unitaries_reference(c, tol=DEFAULT_TOL) -> list[tuple]:
     at a time."""
     out = []
     for b in c.system_out.action:
-        (tm,), (U,) = twist_unitary(c.module, [b], tol, BuildMemo())
+        ((tm, U),) = twist_unitary([c.module], [b], tol, BuildMemo())
         out.append((tm, U))
     return out
 
@@ -609,7 +624,7 @@ def categorical_unitaries_reference(c, quad, tol=DEFAULT_TOL) -> list[np.ndarray
     out = []
     for beta, alpha, U in zip(c.system_out.action, c.system_in.action, c.unitaries):
         memo = BuildMemo()
-        (tm,), (twist,) = twist_unitary(c.module, [beta], tol, memo)
+        ((tm, twist),) = twist_unitary([c.module], [beta], tol, memo)
         eta = ModuleMap(tm.module, c.module, U @ twist)
         cu = commuting_unitary([c.phi], [tm], tol, memo)[0]
         lifted = ksgns_lift([Intertwiner(eta, alpha)], [cu.left], [quad.triple], tol)[0]

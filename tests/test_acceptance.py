@@ -22,8 +22,8 @@ from ksgnslab.cstar import (
     random_element,
 )
 from conftest import (
-    add, apply_star_map, element_norm, failing, mul, pair_reference, passed, residuals, star,
-    tensored_intertwiner,
+    add, apply_star_map, element_norm, failing, inclusion, mul, pair_reference, passed, residuals,
+    star, tensored_intertwiner,
 )
 from ksgnslab.equivariant import (
     check_dilation,
@@ -69,7 +69,6 @@ from ksgnslab.poscor import (
     check_category_laws,
     commuting_unitary,
     composition_unitary,
-    inclusion_unitary,
     interior_tensor,
     interior_tensor_along,
     tensor_extend_between,
@@ -236,13 +235,13 @@ def test_criterion_05_tensor_functor():
             ),
         )
         # inclusion unitary and naturality
-        inc1, inc2 = inclusion_unitary([E1, E2], TOL, memo)
-        worst["inclusion"] = max(worst["inclusion"], unitarity_residual([inc1.iota]))
-        eta_inc = tensor_extend_between([m.eta], [inc1.tensor], [inc2.tensor], TOL)[0]
+        (tm1_inc, iota1), (tm2_inc, iota2) = (inclusion(E, TOL, memo) for E in (E1, E2))
+        worst["inclusion"] = max(worst["inclusion"], unitarity_residual([iota1]))
+        eta_inc = tensor_extend_between([m.eta], [tm1_inc], [tm2_inc], TOL)[0]
         worst["inclusion_nat"] = max(
             worst["inclusion_nat"],
             operator_norm(
-                inc2.iota.matrix @ eta_inc.matrix - m.eta.matrix @ inc1.iota.matrix
+                iota2.matrix @ eta_inc.matrix - m.eta.matrix @ iota1.matrix
             ),
         )
         # composition unitary and naturality

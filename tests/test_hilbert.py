@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from ksgnslab.cstar import (
     AlgebraShape,
     element_norms,
-    identity_automorphism,
     identity_star_map,
     random_automorphism,
     random_element,
@@ -34,7 +33,6 @@ from ksgnslab.memo import BuildMemo
 from ksgnslab.numkernel import DEFAULT_TOL, herm_eig, operator_norm
 from ksgnslab.poscor import (
     composition_unitary,
-    inclusion_unitary,
     interior_tensor_along,
     twist_unitary,
     unitarity_residual,
@@ -51,6 +49,8 @@ from conftest import (
     basis_element,
     element_norm,
     from_coeffs,
+    inclusion,
+    inclusion_reference,
     lapack_calls,
     linearity_residual,
     mul,
@@ -469,19 +469,40 @@ def test_cauchy_schwarz_scalarized(rng):
 # -- twisting ----------------------------------------------------------------
 
 
-def test_twist_identity_gives_inclusion(rng):
-    E = random_module(AlgebraShape((2,)), rng, max_dim=4)
-    memo = BuildMemo()
-    _, (U,) = twist_unitary(E, [identity_automorphism(E.algebra)], DEFAULT_TOL, memo)
-    inc = inclusion_unitary([E], DEFAULT_TOL, memo)[0]
-    assert np.allclose(U, inc.iota.matrix)
+def payload_modules(payload) -> list:
+    """The dumped modules of a payload, wherever it nests them."""
+    if isinstance(payload, dict):
+        if {"algebra", "dim", "action", "pairing"} <= payload.keys():
+            return [payload]
+        payload = list(payload.values())
+    if isinstance(payload, list):
+        return [m for item in payload for m in payload_modules(item)]
+    return []
+
+
+def test_twist_identity_gives_inclusion():
+    # the twist at the identity automorphism is the inclusion x (x) b -> x b,
+    # bit for bit, on every module of the default suites' payloads
+    from ksgnslab import serialize as ser
+    from ksgnslab.harness import SUITE_NAMES, SizeCaps, generate_instance, instance_seed
+
+    caps = SizeCaps()
+    dumped = payload_modules([
+        generate_instance(suite, caps, instance_seed(20250809, suite, idx))
+        for suite in SUITE_NAMES for idx in range(caps.instances_per_suite)
+    ])
+    assert len(dumped) == 170
+    for data in dumped:
+        E = ser.load_module(data)
+        tm, iota = inclusion(E)
+        assert np.array_equal(iota.matrix, inclusion_reference(E, tm))
 
 
 def test_twist_preserves_dimension_and_norm(rng):
     B = AlgebraShape((1, 2))
     E = algebra_module(B)
     alpha = random_automorphism(B, 17)
-    (tm,), (U,) = twist_unitary(E, [alpha], DEFAULT_TOL, BuildMemo())
+    ((tm, U),) = twist_unitary([E], [alpha], DEFAULT_TOL, BuildMemo())
     assert tm.module.dim == E.dim
     # U is alpha^-1-linear: U(z b) = U(z) alpha^-1(b)
     assert twisted_linearity_residual(U, tm.module, E, alpha.inverse_matrix) <= 1e-10
@@ -493,7 +514,7 @@ def test_twist_adjoint_identity(rng):
     B = AlgebraShape((2,))
     E = random_module(B, rng, max_dim=4)
     alpha = random_automorphism(B, 3)
-    (tm,), (U,) = twist_unitary(E, [alpha], DEFAULT_TOL, BuildMemo())
+    ((tm, U),) = twist_unitary([E], [alpha], DEFAULT_TOL, BuildMemo())
     U_inv = np.linalg.inv(U)
     for _ in range(10):
         x = random_complex(rng, E.dim)
@@ -510,7 +531,7 @@ def test_alpha_transport_round_trip(rng):
     # beta_g-style alpha-linear unitary on B: the automorphism itself
     T = alpha.matrix
     assert twisted_linearity_residual(T, E, E, alpha.matrix) <= 1e-12
-    (tm,), (U,) = twist_unitary(E, [alpha], DEFAULT_TOL, BuildMemo())
+    ((tm, U),) = twist_unitary([E], [alpha], DEFAULT_TOL, BuildMemo())
     plain = alpha_transport(T, E, alpha, alpha, tm, U)
     assert linearity_residual(plain) <= 1e-10
     assert unitarity_residual([plain]) <= 1e-10
@@ -528,7 +549,7 @@ def test_alpha_transport_of_permutation_twist_unitary(rng):
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     T = np.kron(swap, alpha.matrix)
     assert twisted_linearity_residual(T, E, E, alpha.matrix) <= 1e-10
-    (tm,), (U,) = twist_unitary(E, [alpha], DEFAULT_TOL, BuildMemo())
+    ((tm, U),) = twist_unitary([E], [alpha], DEFAULT_TOL, BuildMemo())
     plain = alpha_transport(T, E, alpha, alpha, tm, U)
     assert unitarity_residual([plain]) <= 1e-8
     assert linearity_residual(plain) <= 1e-8
@@ -541,7 +562,7 @@ def test_alpha_transport_twist_mismatch(rng):
     E = algebra_module(B)
     alpha = random_automorphism(B, 6)
     beta = random_automorphism(B, 7)
-    (tm,), (U,) = twist_unitary(E, [beta], DEFAULT_TOL, BuildMemo())
+    ((tm, U),) = twist_unitary([E], [beta], DEFAULT_TOL, BuildMemo())
     with pytest.raises(TwistMismatch):
         alpha_transport(alpha.matrix, E, alpha, beta, tm, U)
 
@@ -552,22 +573,22 @@ def test_alpha_transport_twist_mismatch(rng):
 def test_inclusion_on_algebra_module():
     B = AlgebraShape((2,))
     E = algebra_module(B)
-    inc = inclusion_unitary([E], DEFAULT_TOL, BuildMemo())[0]
-    assert inc.tensor.module.dim == E.dim
-    assert unitarity_residual([inc.iota]) <= 1e-10
+    tm, iota = inclusion(E)
+    assert tm.module.dim == E.dim
+    assert unitarity_residual([iota]) <= 1e-10
     # iota sends the class of 1 (x) b to b
-    vr = v_rho([inc.tensor])[0]
+    vr = v_rho([tm])[0]
     rng = np.random.default_rng(0)
     b = random_element(B, rng)
-    assert np.linalg.norm(inc.iota.matrix @ (vr @ b.coeffs()) - b.coeffs()) <= 1e-10
+    assert np.linalg.norm(iota.matrix @ (vr @ b.coeffs()) - b.coeffs()) <= 1e-10
 
 
 def test_inclusion_round_trip_on_vectors(rng):
     E = random_module(AlgebraShape((1, 2)), rng, max_dim=5)
-    inc = inclusion_unitary([E], DEFAULT_TOL, BuildMemo())[0]
-    iota_star = adjoint_map(inc.iota)
+    _, iota = inclusion(E)
+    iota_star = adjoint_map(iota)
     for x in random_vectors(E, rng, 50):
-        assert np.linalg.norm(inc.iota.matrix @ (iota_star.matrix @ x) - x) <= 1e-8
+        assert np.linalg.norm(iota.matrix @ (iota_star.matrix @ x) - x) <= 1e-8
 
 
 def test_composition_unitary_identity_maps(rng):
@@ -677,10 +698,10 @@ def test_dim_zero_module_everywhere():
     B = AlgebraShape((2,))
     E0 = canonical_module(B, (0,))
     assert E0.dim == 0
-    inc = inclusion_unitary([E0], DEFAULT_TOL, BuildMemo())[0]
-    assert inc.tensor.module.dim == 0
-    assert module_operator_norm(inc.iota) == 0.0
-    vr = v_rho([inc.tensor])[0]
+    tm, iota = inclusion(E0)
+    assert tm.module.dim == 0
+    assert module_operator_norm(iota) == 0.0
+    vr = v_rho([tm])[0]
     assert vr.shape == (0, 0)
 
 

@@ -348,6 +348,26 @@ def test_a_category_object_is_over_its_modules_algebra():
     assert error == "ValidationError: object O2's coefficient is not its module's algebra"
 
 
+@pytest.mark.parametrize("end", ["dom", "cod"])
+def test_a_category_morphism_ends_at_a_named_object(end):
+    # an end that names no object ended the instance as KeyError: 'O9'
+    payload = copy.deepcopy(PAYLOADS["category"])
+    payload["morphisms"][2][end] = "O9"
+    error = one_construction_record("category", payload)
+    assert error == "ValidationError: morphism 2: unknown object 'O9'"
+
+
+def test_a_category_object_ident_names_one_object():
+    # a copy of object 2 under object 0's ident replaced object 0 by the copy
+    # wherever a morphism named it, and default instance 0 passed 9 of 9 records
+    payload = generate_instance("category", SizeCaps(), instance_seed(MASTER_SEED, "category", 0))
+    twin = copy.deepcopy(payload["objects"][2])
+    twin["ident"] = twin["phi"]["module_id"] = "O1"
+    payload["objects"].append(twin)
+    error = one_construction_record("category", payload)
+    assert error == "ValidationError: object 3: ident 'O1' repeats object 0's"
+
+
 def test_a_category_names_only_checks_it_has():
     payload = copy.deepcopy(PAYLOADS["category"])
     payload["checks"] = ["laws", "ksgns_funtor"]

@@ -796,7 +796,7 @@ def test_one_ksgns_functor_on_category_morphisms():
 # depend on each other, go to one call, which groups them by shape and rank
 STACKED_BUILDERS = {
     "ksgns", "interior_tensor", "interior_tensor_along", "tensor_extend_cpmap",
-    "commuting_unitary", "ksgns_lift", "inclusion_unitary", "ksgns_functor",
+    "commuting_unitary", "ksgns_lift", "twist_unitary", "ksgns_functor",
 }
 
 
@@ -858,8 +858,8 @@ def _check_tensor(payload, tol, memo):
     phi1_ext = tensor_extend_cpmap([phi1], [tm1], tol, memo)[0]
     phi2_ext = tensor_extend_cpmap([phi2], [tm2], tol, memo)[0]
     if inclusion:
-        inc1 = inclusion_unitary(E1, tol, memo)
-        inc2 = inclusion_unitary(E2, tol, memo)
+        inc1 = twist_unitary([E1], [ident], tol, memo)[0]
+        inc2 = twist_unitary([E2], [ident], tol, memo)[0]
     cu1 = commuting_unitary([phi1], [tm1], tol, memo)[0]
     cu2 = commuting_unitary([phi2], [tm2], tol, memo)[0]
     both = ksgns_functor([m1, m2], tol, memo)

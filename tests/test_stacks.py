@@ -76,7 +76,9 @@ def quotient_parts(tm):
 def test_stacks_equal_the_group_loops(gname, seed, trivial_beta):
     c = random_equivariant(M2, M2, GROUPS[gname], seed=seed, copies=1, trivial_beta=trivial_beta)
     memo = BuildMemo()
-    tms, stacked = twist_unitary(c.module, c.system_out.action, DEFAULT_TOL, memo)
+    tms, stacked = zip(*twist_unitary(
+        [c.module] * c.group.order, c.system_out.action, DEFAULT_TOL, memo))
+    stacked = np.array(stacked)
     assert stacked.shape == (c.group.order, c.module.dim, c.module.dim)
     for tm, U, (ref_tm, ref_U) in zip(tms, stacked, twist_unitaries_reference(c), strict=True):
         assert tm.module.dim == c.module.dim  # E (x)_beta B is the twist E_beta
@@ -271,8 +273,8 @@ def test_a_nan_in_any_slice_of_a_stack_raises(monkeypatch, where, i):
     # module stack, of a pre-module stack on its way to a quotient, or of the
     # eigenvectors a quotient stack is built on raises NonFinite
     c = s3_instance()
-    tms, _ = twist_unitary(c.module, c.system_out.action[:3], DEFAULT_TOL, BuildMemo())
-    E = tms[0].stack.module
+    (tm, _), *_ = twist_unitary([c.module] * 3, c.system_out.action[:3], DEFAULT_TOL, BuildMemo())
+    E = tm.stack.module
     action, pairing = E.action.copy(), [P.copy() for P in E.pairing]
     (action if where == "action" else pairing[0])[i, 0, 0, 0] = np.nan
     with pytest.raises(NonFinite, match=f"^module {where} contains NaN"):
